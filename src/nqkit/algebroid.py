@@ -31,8 +31,8 @@ from .graded import (
     ghost_name,
     left_derivation,
 )
-from .linalg import Vec, column_stack, nullspace, rank, solve
-from .poly import EvenPoly, Rat, Scalar, as_rat, monomial_exponents
+from .linalg import image_in, kernel, solve
+from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 Matrix = tuple[tuple[EvenPoly, ...], ...]
@@ -472,21 +472,40 @@ class CohomologyReport:
     flags: dict[str, bool] = field(default_factory=dict)
 
 
-def _one_form_from_vector(
-    data: Algebroid, exponents: list, vector: Vec
+def _form_column(form: AltForm) -> dict[tuple[tuple[int, ...], Exponent], Rat]:
+    """Coefficients of a form keyed by (index tuple, exponent)."""
+    return {
+        (key, e): coeff
+        for key, value in form.components.items()
+        for e, coeff in value.terms.items()
+    }
+
+
+def _monomial_form(
+    data: Algebroid, key: tuple[int, ...], exponent: Exponent
 ) -> AltForm:
-    r = data.rank
-    components: dict[tuple[int, ...], EvenPoly] = {}
-    position = 0
-    for a in range(r):
-        terms = {}
-        for exponent in exponents:
-            value = vector[position]
-            position += 1
-            if value != 0:
-                terms[exponent] = value
-        components[(a,)] = EvenPoly(data.coords, terms)
-    return AltForm(data.coords, 1, {k: v for k, v in components.items() if not v.is_zero})
+    """The form whose only component, at `key`, is the monomial x^exponent."""
+    monomial = EvenPoly(data.coords, {exponent: Fraction(1)})
+    return AltForm(data.coords, len(key), {key: monomial})
+
+
+def _one_form_from_vector(
+    data: Algebroid, unknowns: list[tuple[int, Exponent]], vector: dict[int, Rat]
+) -> AltForm:
+    terms: list[dict[Exponent, Rat]] = [{} for _ in range(data.rank)]
+    for k, value in vector.items():
+        a, e = unknowns[k]
+        terms[a][e] = value
+    return one_form(data.coords, [EvenPoly(data.coords, t) for t in terms])
+
+
+def _gradient_columns(data: Algebroid, degree: int) -> tuple[list[Exponent], list]:
+    """The frame gradient d0 on monomials of x-degree <= degree, as columns."""
+    sources = monomial_exponents(data.base_dim, degree)
+    columns = [
+        _form_column(e_differential(data, _monomial_form(data, (), e))) for e in sources
+    ]
+    return sources, columns
 
 
 def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyReport:
@@ -501,81 +520,20 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     """
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    n, r = data.base_dim, data.rank
-    window_exponents = monomial_exponents(n, trunc)
-    window_index = {e: k for k, e in enumerate(window_exponents)}
-
-    # d on 1-forms: component vectors to 2-form coefficient vectors
-    pair_list = [(a, b) for a in range(r) for b in range(a + 1, r)]
-    target_exponents = monomial_exponents(n, trunc + max(0, _max_coeff_degree(data)))
-    target_index = {e: k for k, e in enumerate(target_exponents)}
-    rows = len(pair_list) * len(target_exponents)
-    columns: list[Vec] = []
-    for a in range(r):
-        for exponent in window_exponents:
-            form = one_form(
-                data.coords,
-                [
-                    EvenPoly(data.coords, {exponent: Fraction(1)})
-                    if b == a
-                    else EvenPoly.zero(data.coords)
-                    for b in range(r)
-                ],
-            )
-            image = e_differential(data, form)
-            column = [Fraction(0)] * rows
-            for p, (u, v) in enumerate(pair_list):
-                for e, coeff in image.component((u, v)).terms.items():
-                    column[p * len(target_exponents) + target_index[e]] = coeff
-            columns.append(column)
-    matrix = column_stack(columns, nrows=rows) if columns else []
-    kernel = nullspace(matrix, ncols=len(columns)) if columns else []
+    window = monomial_exponents(data.base_dim, trunc)
+    unknowns = [(a, e) for a in range(data.rank) for e in window]
+    columns = [
+        _form_column(e_differential(data, _monomial_form(data, (a,), e)))
+        for a, e in unknowns
+    ]
     closed_basis = [
-        _one_form_from_vector(data, window_exponents, vector) for vector in kernel
+        _one_form_from_vector(data, unknowns, vector) for vector in kernel(columns)
     ]
 
-    # exact part: image of d0 on functions of degree <= trunc + slack,
-    # intersected with the window via the kernel of the outside projection
-    source_exponents = monomial_exponents(n, trunc + slack)
-    image_columns: list[Vec] = []
-    out_columns: list[Vec] = []
-    big_exponents = monomial_exponents(n, trunc + slack + max(0, _max_coeff_degree(data)))
-    big_index = {e: k for k, e in enumerate(big_exponents)}
-    for exponent in source_exponents:
-        f = AltForm(
-            data.coords, 0, {(): EvenPoly(data.coords, {exponent: Fraction(1)})}
-        )
-        image = e_differential(data, f)
-        full = [Fraction(0)] * (r * len(big_exponents))
-        for a in range(r):
-            for e, coeff in image.component((a,)).terms.items():
-                full[a * len(big_exponents) + big_index[e]] = coeff
-        window_part = [Fraction(0)] * (r * len(window_exponents))
-        out_part = []
-        for a in range(r):
-            for k, e in enumerate(big_exponents):
-                value = full[a * len(big_exponents) + k]
-                if e in window_index:
-                    window_part[a * len(window_exponents) + window_index[e]] = value
-                else:
-                    out_part.append(value)
-        image_columns.append(window_part)
-        out_columns.append(out_part)
-    in_window_sources = nullspace(
-        column_stack(out_columns, nrows=len(out_columns[0]) if out_columns else 0),
-        ncols=len(source_exponents),
-    )
-    window_images = [
-        [
-            sum(
-                (column[k] * weight for column, weight in zip(image_columns, combo)),
-                Fraction(0),
-            )
-            for k in range(r * len(window_exponents))
-        ]
-        for combo in in_window_sources
-    ]
-    exact_dim = rank(column_stack(window_images, nrows=r * len(window_exponents)))
+    # exact part: the image of d0 on functions of degree <= trunc + slack
+    # that lies entirely inside the window
+    _, sources = _gradient_columns(data, trunc + slack)
+    exact_dim = image_in(sources, lambda key: sum(key[1]) <= trunc)
 
     filtration = _max_coeff_degree(data) <= 0
     return CohomologyReport(
@@ -616,34 +574,9 @@ def is_exact_one_form(
     """Solve the frame-gradient equation for a primitive of x-degree <= degree."""
     if alpha.arity != 1:
         raise ValueError("exactness query takes a 1-form")
-    n, r = data.base_dim, data.rank
-    source_exponents = monomial_exponents(n, degree)
-    target_exponents = monomial_exponents(n, degree + max(0, _max_coeff_degree(data)))
-    target_index = {e: k for k, e in enumerate(target_exponents)}
-    rows = r * len(target_exponents)
-    matrix_columns: list[Vec] = []
-    for exponent in source_exponents:
-        f = AltForm(
-            data.coords, 0, {(): EvenPoly(data.coords, {exponent: Fraction(1)})}
-        )
-        image = e_differential(data, f)
-        column = [Fraction(0)] * rows
-        for a in range(r):
-            for e, coeff in image.component((a,)).terms.items():
-                column[a * len(target_exponents) + target_index[e]] = coeff
-        matrix_columns.append(column)
-    rhs = [Fraction(0)] * rows
-    for a in range(r):
-        for e, coeff in alpha.component((a,)).terms.items():
-            if e not in target_index:
-                return None  # alpha outside the reachable window
-            rhs[a * len(target_exponents) + target_index[e]] = coeff
-    solution = solve(column_stack(matrix_columns, nrows=rows), rhs)
-    if solution is None:
+    sources, columns = _gradient_columns(data, degree)
+    result = solve(columns, _form_column(alpha))
+    if result is None:
         return None
-    terms = {
-        exponent: value
-        for exponent, value in zip(source_exponents, solution)
-        if value != 0
-    }
-    return EvenPoly(data.coords, terms)
+    solution, _ = result
+    return EvenPoly(data.coords, {sources[k]: value for k, value in solution.items()})

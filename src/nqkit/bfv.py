@@ -33,7 +33,7 @@ from .graded import (
     ghost_name,
     momentum_name,
 )
-from .linalg import nullspace, rank
+from .linalg import image_in, rank
 from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
 from .report import FAIL, PASS, SKIPPED, CheckReport
 
@@ -451,53 +451,23 @@ def bfv_h0(bfv: BFVPackage, x_degree: int, p_degree: int) -> H0Report:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
     n, r = len(bfv.data.coords), bfv.data.rank
 
-    def in_window(exponent: Exponent) -> bool:
-        return (
-            sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
-        )
+    def bracket_columns(xd: int, pd: int, ghost: int) -> list[dict]:
+        elements = _window_elements(ctx, n, xd, pd, _balanced_words(r, ghost))
+        return [
+            {(word, e): coeff for word, e, coeff in ctx.poisson(S, element).terms()}
+            for element in elements
+        ]
 
-    window = _window_elements(ctx, n, x_degree, p_degree, _balanced_words(r, 0))
-    images = [ctx.poisson(S, e) for e in window]
-    coords_seen: dict[tuple[tuple[int, ...], Exponent], int] = {}
-    for image in images:
-        for word, exponent, _ in image.terms():
-            coords_seen.setdefault((word, exponent), len(coords_seen))
-    matrix = [[Rat(0)] * len(window) for _ in range(len(coords_seen))]
-    for col, image in enumerate(images):
-        for word, exponent, coeff in image.terms():
-            matrix[coords_seen[(word, exponent)]][col] = coeff
-    closed_dim = len(nullspace(matrix, ncols=len(window)))
+    def in_window(key: tuple[tuple[int, ...], Exponent]) -> bool:
+        exponent = key[1]
+        return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
 
+    window = bracket_columns(x_degree, p_degree, 0)
+    closed_dim = len(window) - rank(window)
     # gh -1 sources one degree above the window; a single bracket moves
     # any monomial degree by at most one, so deeper sources reach the
     # window only through cancellations this truncation ignores
-    sources = _window_elements(
-        ctx, n, x_degree + 1, p_degree + 1, _balanced_words(r, -1)
-    )
-    source_images = [ctx.poisson(S, u) for u in sources]
-    out_rows: dict[tuple[tuple[int, ...], Exponent], int] = {}
-    in_rows: dict[tuple[tuple[int, ...], Exponent], int] = {}
-    for image in source_images:
-        for word, exponent, _ in image.terms():
-            bucket = in_rows if in_window(exponent) else out_rows
-            bucket.setdefault((word, exponent), len(bucket))
-    out_matrix = [[Rat(0)] * len(sources) for _ in range(len(out_rows))]
-    for col, image in enumerate(source_images):
-        for word, exponent, coeff in image.terms():
-            if not in_window(exponent):
-                out_matrix[out_rows[(word, exponent)]][col] = coeff
-    reachable = nullspace(out_matrix, ncols=len(sources))
-    in_images = []
-    for combo in reachable:
-        vector = [Rat(0)] * len(in_rows)
-        for col, weight in enumerate(combo):
-            if weight == 0:
-                continue
-            for word, exponent, coeff in source_images[col].terms():
-                if in_window(exponent):
-                    vector[in_rows[(word, exponent)]] += weight * coeff
-        in_images.append(vector)
-    exact_dim = rank([list(row) for row in zip(*in_images)]) if in_images else 0
+    exact_dim = image_in(bracket_columns(x_degree + 1, p_degree + 1, -1), in_window)
 
     if exact_dim > closed_dim:
         raise RuntimeError("internal window inconsistency in the cohomology count")

@@ -4,9 +4,8 @@ Constraints of the form Phi_a = rho_a^i(x) p_i + alpha_a(x) are built from an
 `Algebroid` and an optional affine part, on a momentum bracket that may be
 twisted by a magnetic 2-form.  The module verifies closure of the constraint
 brackets, inverts the construction by reading frame data back off fiber-linear
-constraints, and provides reducibility, frame-equivalence and moment-map
-diagnostics.  All verdicts are exact; probes that sample points say so in
-their verdict.
+constraints, and provides reducibility diagnostics.  All verdicts are exact;
+probes that sample points say so in their verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .algebroid import (
     Algebroid,
@@ -27,7 +26,7 @@ from .algebroid import (
     zero_form,
 )
 from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
-from .linalg import Vec, column_stack, nullspace, rank, solve
+from .linalg import rank, solve
 from .poly import EvenPoly, Exponent, Rat, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
@@ -292,47 +291,28 @@ def _solve_structure(
     degree: int,
 ) -> tuple[tuple[tuple[tuple[EvenPoly, ...], ...], ...], int] | None:
     r, n = len(rho_rows), len(base)
-    mono = monomial_exponents(n, degree)
-    anchor_degree = max(
-        (entry.total_degree() for row in rho_rows for entry in row), default=0
-    )
-    target_degree = max(
-        (t.total_degree() for ts in targets.values() for t in ts), default=0
-    )
-    row_exponents = monomial_exponents(n, max(degree + anchor_degree, target_degree))
-    row_index = {e: k for k, e in enumerate(row_exponents)}
+    unknowns = [(c, m) for c in range(r) for m in monomial_exponents(n, degree)]
+    # C^c_ab = x^m contributes x^m rho_c^i to the p_i coefficient, whatever (a, b)
+    columns = []
+    for c, m in unknowns:
+        shifted = EvenPoly(base, {m: Fraction(1)})
+        columns.append(_base_column([shifted * rho for rho in rho_rows[c]]))
 
     zero = EvenPoly.zero(base)
     structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
     total_free = 0
     for (a, b), target in targets.items():
-        columns: list[Vec] = []
-        for c in range(r):
-            for m in mono:
-                column = [Fraction(0)] * (n * len(row_exponents))
-                shifted = EvenPoly(base, {m: Fraction(1)})
-                for i in range(n):
-                    for e, coeff in (shifted * rho_rows[c][i]).terms.items():
-                        column[i * len(row_exponents) + row_index[e]] = coeff
-                columns.append(column)
-        rhs = [Fraction(0)] * (n * len(row_exponents))
-        for i in range(n):
-            for e, coeff in target[i].terms.items():
-                if e not in row_index:
-                    return None  # target outside the reachable degree window
-                rhs[i * len(row_exponents) + row_index[e]] = coeff
-        matrix = column_stack(columns, nrows=n * len(row_exponents))
-        solution = solve(matrix, rhs)
-        if solution is None:
+        result = solve(columns, _base_column(target))
+        if result is None:
             return None
-        total_free += len(columns) - rank(matrix)
+        solution, free = result
+        total_free += free
+        terms: list[dict[Exponent, Rat]] = [{} for _ in range(r)]
+        for k, value in solution.items():
+            c, m = unknowns[k]
+            terms[c][m] = value
         for c in range(r):
-            terms = {
-                m: solution[c * len(mono) + k]
-                for k, m in enumerate(mono)
-                if solution[c * len(mono) + k] != 0
-            }
-            value = EvenPoly(base, terms)
+            value = EvenPoly(base, terms[c])
             structure[c][a][b] = value
             structure[c][b][a] = -value
     return (
@@ -341,48 +321,14 @@ def _solve_structure(
     )
 
 
+def _base_column(vector: list[EvenPoly]) -> dict[tuple[int, Exponent], Rat]:
+    """Coefficients of a base-indexed vector keyed by (index, exponent)."""
+    return {
+        (i, e): coeff for i, entry in enumerate(vector) for e, coeff in entry.terms.items()
+    }
+
+
 # reducibility diagnostics
-
-
-def kernel_sections(data: Algebroid, trunc: int) -> list[list[EvenPoly]]:
-    """Polynomial sections annihilated by the anchor, within x-degree <= trunc.
-
-    A nonempty basis certifies dependency relations among the constraints:
-    each section s satisfies sum_a s^a Phi_a = 0 identically.
-    """
-    if trunc < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    r, n = data.rank, data.base_dim
-    mono = monomial_exponents(n, trunc)
-    anchor_degree = max(
-        (entry.total_degree() for row in data.anchor for entry in row), default=0
-    )
-    row_exponents = monomial_exponents(n, trunc + anchor_degree)
-    row_index = {e: k for k, e in enumerate(row_exponents)}
-    columns: list[Vec] = []
-    for a in range(r):
-        for m in mono:
-            column = [Fraction(0)] * (n * len(row_exponents))
-            shifted = EvenPoly(data.coords, {m: Fraction(1)})
-            for i in range(n):
-                for e, coeff in (shifted * data.anchor[a][i]).terms.items():
-                    column[i * len(row_exponents) + row_index[e]] = coeff
-            columns.append(column)
-    kernel = nullspace(
-        column_stack(columns, nrows=n * len(row_exponents)), ncols=len(columns)
-    )
-    sections = []
-    for vector in kernel:
-        section = []
-        for a in range(r):
-            terms = {
-                m: vector[a * len(mono) + k]
-                for k, m in enumerate(mono)
-                if vector[a * len(mono) + k] != 0
-            }
-            section.append(EvenPoly(data.coords, terms))
-        sections.append(section)
-    return sections
 
 
 def _poly_det(matrix: list[list[EvenPoly]], coords: tuple[str, ...]) -> EvenPoly:
@@ -459,8 +405,10 @@ def irreducibility_probe(
     point_results = []
     for point in probe_points:
         assignment = dict(zip(data.coords, point))
+        # one column per frame field: the rank of the transpose is the same
         numeric = [
-            [entry.evaluate(assignment) for entry in row] for row in data.anchor
+            {i: entry.evaluate(assignment) for i, entry in enumerate(row)}
+            for row in data.anchor
         ]
         point_results.append((point, rank(numeric)))
 
@@ -474,149 +422,3 @@ def irreducibility_probe(
             label = ", ".join(str(v) for v in failing)
             verdict = f"reducible at point ({label})"
     return ProbeReport(generic, r, seed, point_results, verdict)
-
-
-# frame equivalence
-
-
-def gauge_equivalence(
-    cs: ConstraintSet,
-    M: Sequence[Sequence[EvenPoly]],
-    witness_points: Sequence[Sequence[Rat | int]] = (),
-) -> ConstraintSet:
-    """Replace Phi by M Phi and record invertibility evidence for M.
-
-    The transformed set keeps the context and bracket; frame data is dropped
-    because the structure functions do not transform tensorially.  Witness
-    points where det M vanishes are flagged in the notes.
-    """
-    r = cs.rank
-    if len(M) != r or any(len(row) != r for row in M):
-        raise ValueError("frame matrix must be rank x rank")
-    positions = tuple(x for _, x in cs.ctx.pairs_even)
-    det = _poly_det([list(row) for row in M], positions)
-    notes = []
-    if det.is_zero:
-        notes.append("frame matrix determinant is identically zero")
-    for point in witness_points:
-        if len(point) != len(positions):
-            raise ValueError("witness point arity must match the base dimension")
-        assignment = dict(zip(positions, (Fraction(v) for v in point)))
-        value = det.evaluate(assignment)
-        label = ", ".join(str(Fraction(v)) for v in point)
-        if value == 0:
-            notes.append(f"frame matrix singular at witness point ({label})")
-        else:
-            notes.append(f"det M = {value} at witness point ({label})")
-    phis = []
-    for a in range(r):
-        phi = cs.ctx.zero()
-        for b in range(r):
-            phi = phi + cs.ctx.lift(M[a][b]) * cs.phis[b]
-        phis.append(phi)
-    degenerate = tuple(a for a, phi in enumerate(phis) if phi.is_zero)
-    return ConstraintSet(
-        ctx=cs.ctx,
-        phis=tuple(phis),
-        data=None,
-        alpha=None,
-        magnetic=cs.magnetic,
-        degenerate=degenerate,
-        notes=tuple(notes),
-    )
-
-
-def ideal_membership(
-    phis: Sequence[GradedPoly], candidate: GradedPoly, degree: int
-) -> list[EvenPoly] | None:
-    """Exact coefficients mu^a(x) with candidate = sum_a mu^a Phi_a, or None.
-
-    The multipliers are sought in the positions-only subring up to the given
-    degree; this bounded ansatz keeps the membership test a linear solve.
-    """
-    if not phis:
-        raise ValueError("no constraints given")
-    ctx = phis[0].ctx
-    positions = tuple(x for _, x in ctx.pairs_even)
-    mono = monomial_exponents(len(positions), degree)
-    products: list[GradedPoly] = []
-    for phi in phis:
-        for m in mono:
-            products.append(ctx.lift(EvenPoly(positions, {m: Fraction(1)})) * phi)
-    keys: list[tuple[tuple[int, ...], Exponent]] = sorted(
-        {
-            (word, exponent)
-            for F in (*products, candidate)
-            for word, exponent, _ in F.terms()
-        }
-    )
-    key_index = {key: k for k, key in enumerate(keys)}
-    columns = []
-    for F in products:
-        column = [Fraction(0)] * len(keys)
-        for word, exponent, coeff in F.terms():
-            column[key_index[(word, exponent)]] = coeff
-        columns.append(column)
-    rhs = [Fraction(0)] * len(keys)
-    for word, exponent, coeff in candidate.terms():
-        rhs[key_index[(word, exponent)]] = coeff
-    solution = solve(column_stack(columns, nrows=len(keys)), rhs)
-    if solution is None:
-        return None
-    multipliers = []
-    for a in range(len(phis)):
-        terms = {
-            m: solution[a * len(mono) + k]
-            for k, m in enumerate(mono)
-            if solution[a * len(mono) + k] != 0
-        }
-        multipliers.append(EvenPoly(positions, terms))
-    return multipliers
-
-
-# the moment map on sections
-
-
-def section_bracket(
-    data: Algebroid, s: Sequence[EvenPoly], t: Sequence[EvenPoly]
-) -> list[EvenPoly]:
-    """[s, t]^c = s^a rho_a(t^c) - t^a rho_a(s^c) + C^c_ab s^a t^b."""
-    r = data.rank
-    if len(s) != r or len(t) != r:
-        raise ValueError("sections must have one component per frame index")
-    out = []
-    for c in range(r):
-        value = EvenPoly.zero(data.coords)
-        for a in range(r):
-            value = value + s[a] * data.anchor_apply(a, t[c])
-            value = value - t[a] * data.anchor_apply(a, s[c])
-            for b in range(r):
-                value = value + data.structure[c][a][b] * s[a] * t[b]
-        out.append(value)
-    return out
-
-
-def moment_of_section(
-    data: Algebroid,
-    alpha: AltForm | None,
-    s: Sequence[EvenPoly],
-    ctx: GradedContext | None = None,
-) -> GradedPoly:
-    """Phi(s) = s^a (rho_a^i p_i + alpha_a), linear over the base functions.
-
-    For a first-class set with untwisted bracket this assignment is a bracket
-    morphism: {Phi(s), Phi(t)} = Phi([s, t]).
-    """
-    if len(s) != data.rank:
-        raise ValueError("section must have one component per frame index")
-    if alpha is None:
-        alpha = zero_form(data.coords, 1)
-    if ctx is None:
-        ctx = cotangent_context(data.coords)
-    value = ctx.zero()
-    for a in range(data.rank):
-        phi = ctx.lift(alpha.component((a,)))
-        for i, name in enumerate(data.coords):
-            phi = phi + ctx.lift(data.anchor[a][i]) * ctx.var(momentum_name(name))
-        value = value + ctx.lift(s[a]) * phi
-    return value

@@ -34,8 +34,8 @@ from .algebroid import (
 )
 from .constraints import ConstraintSet, twist_of_magnetic
 from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
-from .linalg import Vec, column_stack, rank, solve
-from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
+from .linalg import solve
+from .poly import EvenPoly, embed, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 Matrix = tuple[tuple[EvenPoly, ...], ...]
@@ -556,67 +556,44 @@ def solve_connection(
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
     r, n = data.rank, data.base_dim
-    mono = monomial_exponents(n, degree)
     pair_list = [(i, j) for i in range(n) for j in range(i, n)]
 
-    # bound the polynomial degree of every equation, then index the rows
-    coeff_degree = 0
-    for b in range(r):
-        for k in range(n):
-            for j in range(n):
-                coeff_degree = max(
-                    coeff_degree,
-                    (pack.g_low[k][j] * data.anchor[b][k]).total_degree(),
-                )
-    lie_degree = max(
-        (
-            _lie_metric(data, pack.g_low, a, i, j).total_degree()
-            for a in range(r)
-            for i, j in pair_list
-        ),
-        default=0,
-    )
-    row_exponents = monomial_exponents(n, max(degree + coeff_degree, lie_degree))
-    row_index = {e: k for k, e in enumerate(row_exponents)}
-    block = len(row_exponents)
-    rows_total = r * len(pair_list) * block
+    # one column per unknown omega^b_{ai} = x^m, keyed by (a, pair, exponent)
+    unknowns = [
+        (b, a, i, m)
+        for b in range(r)
+        for a in range(r)
+        for i in range(n)
+        for m in monomial_exponents(n, degree)
+    ]
+    columns = []
+    for b, a, i, m in unknowns:
+        shifted = EvenPoly(data.coords, {m: Fraction(1)})
+        column = {}
+        for pair_pos, (s, t) in enumerate(pair_list):
+            contribution = EvenPoly.zero(data.coords)
+            if i == s:
+                for k in range(n):
+                    contribution = contribution - (
+                        shifted * pack.g_low[k][t] * data.anchor[b][k]
+                    )
+            if i == t:
+                for k in range(n):
+                    contribution = contribution - (
+                        shifted * pack.g_low[k][s] * data.anchor[b][k]
+                    )
+            for e, coeff in contribution.terms.items():
+                column[(a, pair_pos, e)] = coeff
+        columns.append(column)
+    rhs = {
+        (a, pair_pos, e): -coeff
+        for a in range(r)
+        for pair_pos, (i, j) in enumerate(pair_list)
+        for e, coeff in _lie_metric(data, pack.g_low, a, i, j).terms.items()
+    }
 
-    def slot(a: int, pair_pos: int, e: Exponent) -> int:
-        return (a * len(pair_list) + pair_pos) * block + row_index[e]
-
-    columns: list[Vec] = []
-    unknowns: list[tuple[int, int, int, Exponent]] = []
-    for b in range(r):
-        for a in range(r):
-            for i in range(n):
-                for m in mono:
-                    column = [Fraction(0)] * rows_total
-                    shifted = EvenPoly(data.coords, {m: Fraction(1)})
-                    for pair_pos, (s, t) in enumerate(pair_list):
-                        contribution = EvenPoly.zero(data.coords)
-                        if i == s:
-                            for k in range(n):
-                                contribution = contribution - (
-                                    shifted * pack.g_low[k][t] * data.anchor[b][k]
-                                )
-                        if i == t:
-                            for k in range(n):
-                                contribution = contribution - (
-                                    shifted * pack.g_low[k][s] * data.anchor[b][k]
-                                )
-                        for e, coeff in contribution.terms.items():
-                            column[slot(a, pair_pos, e)] = coeff
-                    columns.append(column)
-                    unknowns.append((b, a, i, m))
-    rhs = [Fraction(0)] * rows_total
-    for a in range(r):
-        for pair_pos, (i, j) in enumerate(pair_list):
-            for e, coeff in _lie_metric(data, pack.g_low, a, i, j).terms.items():
-                rhs[slot(a, pair_pos, e)] = -coeff
-
-    matrix = column_stack(columns, nrows=rows_total)
-    solution = solve(matrix, rhs)
-    if solution is None:
+    result = solve(columns, rhs)
+    if result is None:
         return ConnectionSolution(
             False,
             None,
@@ -627,14 +604,12 @@ def solve_connection(
                 f"metric compatibility"
             ],
         )
+    solution, solution_dim = result
     zero = EvenPoly.zero(data.coords)
     omega = [[[zero for _ in range(n)] for _ in range(r)] for _ in range(r)]
-    for (b, a, i, m), value in zip(unknowns, solution):
-        if value != 0:
-            omega[b][a][i] = omega[b][a][i] + EvenPoly(
-                data.coords, {m: value}
-            )
-    solution_dim = len(columns) - rank(matrix)
+    for k, value in solution.items():
+        b, a, i, m = unknowns[k]
+        omega[b][a][i] = omega[b][a][i] + EvenPoly(data.coords, {m: value})
     return ConnectionSolution(
         True,
         tuple(tuple(tuple(row) for row in plane) for plane in omega),

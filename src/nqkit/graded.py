@@ -365,16 +365,6 @@ class GradedPoly:
             k * gh for k, gh in zip(exponent, ctx.even_ghost)
         )
 
-    def ghost_part(self, ghost: int) -> GradedPoly:
-        return GradedPoly.from_terms(
-            self.ctx,
-            (
-                (word, exponent, coeff)
-                for word, exponent, coeff in self.terms()
-                if self.ghost_of_term(word, exponent) == ghost
-            ),
-        )
-
     def ghost_degree(self) -> int:
         """Ghost degree of a ghost-homogeneous element; zero counts as degree 0."""
         ghosts = {
@@ -450,14 +440,6 @@ class GradedPoly:
                 term = term * odd_images[letter]
             result = result + term
         return result
-
-    def max_degree_in(self, names: Iterable[str]) -> int:
-        """Largest combined exponent of the given even coordinates over all terms."""
-        indices = [self.ctx.even_index[name] for name in names]
-        return max(
-            (sum(exponent[k] for k in indices) for _, exponent, _ in self.terms()),
-            default=0,
-        )
 
     def __str__(self) -> str:
         if not self.parts:

@@ -1,136 +1,120 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact sparse linear maps over the rationals.
 
-Small Gauss-Jordan routines on list-of-list `Fraction` matrices.  With exact
-arithmetic there is no pivoting strategy to worry about: the first nonzero
-entry in a column serves.  The matrices here are coefficient spaces of
-truncated polynomial windows, small enough that no sparsity is attempted.
+A linear map is a list of columns, one per unknown, in the order of the
+unknowns.  Each column is a `{key: Fraction}` dict holding the nonzero
+coefficients of the image of that unknown, keyed by whatever labels the
+target (for example `(word, exponent)` pairs of a polynomial window).
+Only the keys that occur are ever stored, so no target window has to be
+sized in advance.
+
+Every question goes through one sparse row-dict Gauss-Jordan
+elimination, `rref`.  Pivots are the leftmost possible columns, so the
+reduced form is the unique reduced row echelon form: kernel vectors carry
+one unit free variable each and particular solutions set every free
+variable to zero, whatever order the rows arrive in.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from fractions import Fraction
-from typing import Sequence
 
 Rat = Fraction
-Vec = list[Rat]
-Mat = list[list[Rat]]
+Column = Mapping[Hashable, Rat]
+Row = dict[int, Rat]
 
 
-def copy_matrix(matrix: Sequence[Sequence[Rat | int]]) -> Mat:
-    return [[Fraction(entry) for entry in row] for row in matrix]
+def rref(rows: Sequence[Mapping[int, Rat]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of sparse rows `{column: value}`.
 
-
-def identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(matrix: Sequence[Sequence[Rat]]) -> Mat:
-    return [list(column) for column in zip(*matrix)] if matrix else []
-
-
-def column_stack(vectors: Sequence[Vec], nrows: int | None = None) -> Mat:
-    """Matrix whose columns are the given vectors."""
-    if not vectors:
-        if nrows is None:
-            raise ValueError("nrows is required when stacking no vectors")
-        return [[] for _ in range(nrows)]
-    return [[vector[i] for vector in vectors] for i in range(len(vectors[0]))]
-
-
-def mat_vec(matrix: Sequence[Sequence[Rat | int]], vector: Sequence[Rat | int]) -> Vec:
-    return [
-        sum((Fraction(a) * Fraction(b) for a, b in zip(row, vector, strict=True)), Fraction(0))
-        for row in matrix
-    ]
-
-
-def mat_mul(a: Sequence[Sequence[Rat | int]], b: Sequence[Sequence[Rat | int]]) -> Mat:
-    bt = transpose(copy_matrix(b))
-    return [
-        [
-            sum((Fraction(x) * y for x, y in zip(row, col, strict=True)), Fraction(0))
-            for col in bt
-        ]
-        for row in a
-    ]
-
-
-def rref(matrix: Sequence[Sequence[Rat | int]]) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    m = copy_matrix(matrix)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(row, rows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        scale = m[row][col]
-        m[row] = [entry / scale for entry in m[row]]
-        for r in range(rows):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    return m, pivots
-
-
-def rank(matrix: Sequence[Sequence[Rat | int]]) -> int:
-    return len(rref(matrix)[1])
-
-
-def nullspace(
-    matrix: Sequence[Sequence[Rat | int]], ncols: int | None = None
-) -> list[Vec]:
-    """Basis of the right kernel, one unit free variable per basis vector."""
-    rows = len(matrix)
-    if ncols is None:
-        if rows == 0:
-            raise ValueError("ncols is required for a matrix with no rows")
-        ncols = len(matrix[0])
-    if rows == 0:
-        return [
-            [Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)
-        ]
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    basis: list[Vec] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vector = [Fraction(0)] * ncols
-        vector[free] = Fraction(1)
-        for row_index, pivot_col in enumerate(pivots):
-            vector[pivot_col] = -reduced[row_index][free]
-        basis.append(vector)
-    return basis
-
-
-def solve(
-    matrix: Sequence[Sequence[Rat | int]], rhs: Sequence[Rat | int]
-) -> Vec | None:
-    """One exact solution of `matrix x = rhs`, or None when inconsistent.
-
-    Free variables are set to zero, so a consistent underdetermined system
-    yields the particular solution supported on the pivot columns.
+    Returns the nonzero reduced rows, each with a unit pivot, and their
+    pivot columns in increasing order.  The input rows are not modified.
     """
-    rows = len(matrix)
-    ncols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return [Fraction(0)] * ncols
-    augmented = [
-        [Fraction(entry) for entry in row] + [Fraction(value)]
-        for row, value in zip(matrix, rhs, strict=True)
-    ]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
+    reduced: dict[int, Row] = {}  # pivot column -> row free of other pivots
+    for source in rows:
+        row = dict(source)
+        for col in [c for c in row if c in reduced]:
+            _add_multiple(row, -row[col], reduced[col])
+        if not row:
+            continue
+        pivot = min(row)
+        scale = Fraction(row[pivot])
+        row = {c: v / scale for c, v in row.items()}
+        for other in reduced.values():
+            factor = other.get(pivot)
+            if factor:
+                _add_multiple(other, -factor, row)
+        reduced[pivot] = row
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
+
+
+def _add_multiple(target: Row, factor: Rat, source: Row) -> None:
+    for col, value in source.items():
+        entry = target.get(col, 0) + factor * value
+        if entry:
+            target[col] = entry
+        else:
+            del target[col]
+
+
+def _rows(columns: Sequence[Column], rhs: Column | None = None) -> list[Row]:
+    """The rows of the map, one per target key; `rhs` becomes the last column."""
+    by_key: dict[Hashable, Row] = {}
+    for j, column in enumerate(columns):
+        for key, value in column.items():
+            if value:
+                by_key.setdefault(key, {})[j] = value
+    if rhs is not None:
+        for key, value in rhs.items():
+            if value:
+                by_key.setdefault(key, {})[len(columns)] = value
+    return list(by_key.values())
+
+
+def rank(columns: Sequence[Column]) -> int:
+    return len(rref(_rows(columns))[1])
+
+
+def kernel(columns: Sequence[Column]) -> list[Row]:
+    """Basis of the kernel as sparse `{unknown: value}` vectors.
+
+    One vector per free unknown, in increasing order, with that unknown
+    set to 1 and the other free unknowns to 0.
+    """
+    reduced, pivots = rref(_rows(columns))
+    pivot_set = set(pivots)
+    basis = {
+        free: {free: Fraction(1)} for free in range(len(columns)) if free not in pivot_set
+    }
+    for row, pivot in zip(reduced, pivots):
+        for col, value in row.items():
+            if col != pivot:
+                basis[col][pivot] = -value
+    return list(basis.values())
+
+
+def solve(columns: Sequence[Column], rhs: Column) -> tuple[Row, int] | None:
+    """One exact solution of `sum_j x_j columns[j] = rhs`, or None.
+
+    The solution is a sparse `{unknown: value}` dict with every free
+    unknown at zero; it comes with the kernel dimension, the dimension of
+    the affine solution space.  A key of `rhs` that no column reaches
+    makes the system inconsistent.
+    """
+    ncols = len(columns)
+    reduced, pivots = rref(_rows(columns, rhs))
+    if pivots and pivots[-1] == ncols:
         return None  # some row reduced to 0 = 1
-    solution = [Fraction(0)] * ncols
-    for row_index, pivot_col in enumerate(pivots):
-        solution[pivot_col] = reduced[row_index][ncols]
-    return solution
+    solution = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
+    return solution, ncols - len(pivots)
+
+
+def image_in(columns: Sequence[Column], inside: Callable[[Hashable], bool]) -> int:
+    """Dimension of the part of the image supported on keys with `inside(key)`.
+
+    That part is the image of the kernel of the outside block A_out, and
+    since ker A lies in ker A_out its dimension is rank A - rank A_out.
+    """
+    outside = [{k: v for k, v in column.items() if not inside(k)} for column in columns]
+    return rank(columns) - rank(outside)

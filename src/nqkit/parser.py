@@ -10,9 +10,11 @@ Grammar, whitespace insensitive:
 
 Multiplication is always explicit (`2*x`, never `2x`).  `/` forms exact
 rational constants and is allowed only between two integer literals.
-Exponents are nonnegative integer literals.  Floats do not exist in this
-language; a `.` anywhere is a tokenizer error.  Every error carries the
-offending position.
+Exponents are nonnegative integer literals of at most `MAX_EXPONENT`, and
+parentheses and unary signs nest at most `MAX_NESTING` deep, so hostile
+input fails fast instead of expanding for minutes or exhausting the stack.
+Floats do not exist in this language; a `.` anywhere is a tokenizer error.
+Every error carries the offending position.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import EvenPoly, Rat
+
+MAX_NESTING = 100
+MAX_EXPONENT = 64
 
 
 class ParseError(ValueError):
@@ -79,6 +84,7 @@ class _Parser:
         self.tokens = tokens
         self.coords = coords
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -125,13 +131,22 @@ class _Parser:
                 return result
 
     def unary(self) -> EvenPoly:
+        # every parenthesis and sign passes through here once
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                self.peek().position, f"nesting deeper than {MAX_NESTING} levels"
+            )
+        self.depth += 1
         if self.at_op("-"):
             self.advance()
-            return -self.unary()
-        if self.at_op("+"):
+            result = -self.unary()
+        elif self.at_op("+"):
             self.advance()
-            return self.unary()
-        return self.power()
+            result = self.unary()
+        else:
+            result = self.power()
+        self.depth -= 1
+        return result
 
     def power(self) -> EvenPoly:
         base = self.atom()
@@ -143,24 +158,28 @@ class _Parser:
                     exponent.position, "exponent must be a nonnegative integer literal"
                 )
             self.advance()
-            return base ** int(exponent.text)
+            power = _int_literal(exponent)
+            if power > MAX_EXPONENT:
+                raise ParseError(
+                    exponent.position, f"exponent larger than {MAX_EXPONENT}"
+                )
+            return base ** power
         return base
 
     def atom(self) -> EvenPoly:
         token = self.advance()
         if token.kind == "int":
-            numerator = int(token.text)
+            numerator = _int_literal(token)
             if self.at_op("/"):
                 self.advance()
                 denom = self.peek()
                 if denom.kind != "int":
                     raise ParseError(denom.position, "expected an integer after '/'")
                 self.advance()
-                if int(denom.text) == 0:
+                denominator = _int_literal(denom)
+                if denominator == 0:
                     raise ParseError(denom.position, "zero denominator")
-                return EvenPoly.const(
-                    self.coords, Fraction(numerator, int(denom.text))
-                )
+                return EvenPoly.const(self.coords, Fraction(numerator, denominator))
             return EvenPoly.const(self.coords, numerator)
         if token.kind == "name":
             if token.text not in self.coords:
@@ -176,6 +195,13 @@ class _Parser:
         if token.kind == "end":
             raise ParseError(token.position, "unexpected end of expression")
         raise ParseError(token.position, f"unexpected {token.text!r}")
+
+
+def _int_literal(token: _Token) -> int:
+    try:
+        return int(token.text)
+    except ValueError:  # past the interpreter's digit limit for int()
+        raise ParseError(token.position, "integer literal too long") from None
 
 
 def parse_poly(text: str, coords: tuple[str, ...] | list[str]) -> EvenPoly:

@@ -130,7 +130,7 @@ def load_problem(path: str | Path) -> Problem:
         raise ProblemError("$", str(error)) from error
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # also a number past the int() digit limit
         raise ProblemError("$", f"not valid JSON: {error}") from error
     return problem_from_dict(doc)
 

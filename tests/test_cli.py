@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,35 @@ def test_check_malformed_file_names_the_field():
         result = runner_dir.invoke(main, ["check", "bad.json", "--all"])
         assert result.exit_code == 2
         assert "rank" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("(" * 2000 + "x" + ")" * 2000, "nesting deeper"),  # once a RecursionError
+        ("x^99999999999", "exponent larger"),  # once an endless expansion
+    ],
+)
+def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):
+    doc = json.loads((CORPUS / "abelian_r1.json").read_text())
+    doc["anchor"] = [[entry]]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = run("check", str(path), "--axioms")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert "input error: anchor[1][1]: " in result.stderr
+    assert message in result.stderr
+
+
+def test_number_past_the_digit_limit_is_an_input_error(tmp_path):
+    path = tmp_path / "huge.json"
+    huge = "1" + "0" * 5000
+    path.write_text(f'{{"base_dim": 1, "rank": 1, "coords": ["x"], "anchor": [[{huge}]]}}')
+    result = run("check", str(path), "--axioms")
+    assert result.exit_code == 2
+    assert "input error: $: not valid JSON" in result.stderr
 
 
 def test_check_json_matches_frozen_reports(tmp_path, monkeypatch):

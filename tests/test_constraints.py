@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from nqkit.algebroid import abelian_algebroid, one_form, two_form_from_matrix
@@ -12,16 +10,11 @@ from nqkit.constraints import (
     build_constraints,
     check_first_class,
     extract_structure,
-    gauge_equivalence,
     generic_rank,
-    ideal_membership,
     irreducibility_probe,
-    kernel_sections,
-    moment_of_section,
-    section_bracket,
 )
 from nqkit.graded import cotangent_context, momentum_name
-from nqkit.poly import EvenPoly, Rat, ring
+from nqkit.poly import EvenPoly, ring
 from nqkit.report import FAIL, PASS
 from tests.test_algebroid import (
     broken_jacobi,
@@ -149,9 +142,8 @@ def test_first_class_broken_fixture():
 
 def test_first_class_requires_frame_data():
     cs = build_constraints(so3_action())
-    gauged = gauge_equivalence(cs, [[EvenPoly.const(("x1", "x2", "x3"), 1) if i == j else EvenPoly.zero(("x1", "x2", "x3")) for j in range(3)] for i in range(3)])
     with pytest.raises(ValueError, match="frame data"):
-        check_first_class(gauged)
+        check_first_class(ConstraintSet(ctx=cs.ctx, phis=cs.phis))
 
 
 # structure extraction
@@ -217,41 +209,6 @@ def test_extract_rejects_affine_and_twisted_input():
 # reducibility
 
 
-def test_kernel_sections_trivial_for_injective_anchor():
-    assert kernel_sections(abelian_r2(), trunc=2) == []
-
-
-def test_kernel_sections_line_relation():
-    data = rank2_line()
-    coords, g = ring(["x"])
-    basis = kernel_sections(data, trunc=1)
-    assert len(basis) == 1
-    section = basis[0]
-    assert section[0] == -g["x"]
-    assert section[1] == EvenPoly.const(coords, 1)
-    # the relation annihilates the constraints exactly
-    cs = build_constraints(data)
-    combo = cs.ctx.lift(section[0]) * cs.phis[0] + cs.ctx.lift(section[1]) * cs.phis[1]
-    assert combo.is_zero
-
-
-def test_kernel_sections_so3_radial():
-    data = so3_action()
-    coords, g = ring(["x1", "x2", "x3"])
-    basis = kernel_sections(data, trunc=1)
-    assert len(basis) == 1
-    section = basis[0]
-    scale = section[0].terms.get((1, 0, 0))
-    assert scale
-    for a, name in enumerate(["x1", "x2", "x3"]):
-        assert section[a] == scale * g[name]
-    for i in range(3):
-        total = EvenPoly.zero(coords)
-        for a in range(3):
-            total = total + section[a] * data.anchor[a][i]
-        assert total.is_zero
-
-
 def test_irreducibility_probe_verdicts():
     clean = irreducibility_probe(abelian_r2())
     assert clean.generic_rank == 2
@@ -282,144 +239,16 @@ def test_generic_rank_symbolic():
 # frame equivalence
 
 
-def test_gauge_identity_preserves_constraints():
-    cs = build_constraints(rank2_line())
-    coords, g = ring(["x"])
-    one = EvenPoly.const(coords, 1)
-    zero = EvenPoly.zero(coords)
-    gauged = gauge_equivalence(cs, [[one, zero], [zero, one]], witness_points=[(2,)])
-    assert gauged.phis == cs.phis
-    assert any("det M = 1" in note for note in gauged.notes)
-
-
 def test_gauge_transform_shifts_structure():
     cs = build_constraints(rank2_line())
     coords, g = ring(["x"])
-    one = EvenPoly.const(coords, 1)
-    zero = EvenPoly.zero(coords)
-    gauged = gauge_equivalence(cs, [[one, zero], [g["x"], one]])
-    assert gauged.phis[1] == cs.ctx.lift(2 * g["x"]) * cs.ctx.var("p_x")
-    result = extract_structure(gauged.phis)
+    # the frame change (Phi_1, Phi_2) -> (Phi_1, x*Phi_1 + Phi_2)
+    phis = (cs.phis[0], cs.ctx.lift(g["x"]) * cs.phis[0] + cs.phis[1])
+    assert phis[1] == cs.ctx.lift(2 * g["x"]) * cs.ctx.var("p_x")
+    result = extract_structure(phis)
     assert result.feasible
     # the non-tensorial shift doubles the structure constant
     assert result.data.structure[0][0][1] == EvenPoly.const(coords, 2)
-
-
-def test_gauge_flags_singular_matrix():
-    cs = build_constraints(rank2_line())
-    coords, g = ring(["x"])
-    zero = EvenPoly.zero(coords)
-    gauged = gauge_equivalence(cs, [[zero, zero], [zero, zero]], witness_points=[(1,)])
-    assert any("identically zero" in note for note in gauged.notes)
-    assert any("singular at witness point" in note for note in gauged.notes)
-    assert gauged.degenerate == (0, 1)
-
-
-def test_gauge_covariance_of_first_class_span():
-    # brackets of transformed first-class constraints stay in their ideal
-    coords3, g3 = ring(["x1", "x2", "x3"])
-    so3_M = [
-        [
-            EvenPoly.const(coords3, 1) if i == j else EvenPoly.zero(coords3)
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    so3_M[0][1] = g3["x1"]
-    cases = [
-        (build_constraints(so3_action()), so3_M),
-    ]
-    coords, g = ring(["x"])
-    line_M = [
-        [EvenPoly.const(coords, 1), EvenPoly.zero(coords)],
-        [g["x"], EvenPoly.const(coords, 1)],
-    ]
-    cases.append((build_constraints(rank2_line()), line_M))
-    for cs, M in cases:
-        gauged = gauge_equivalence(cs, M)
-        for a in range(gauged.rank):
-            for b in range(a + 1, gauged.rank):
-                bracket = gauged.ctx.poisson(gauged.phis[a], gauged.phis[b])
-                assert ideal_membership(gauged.phis, bracket, degree=2) is not None
-
-
-def test_ideal_membership_negative():
-    cs = build_constraints(rank2_line())
-    assert ideal_membership(cs.phis, cs.ctx.const(1), degree=3) is None
-
-
-# the moment map
-
-
-def test_moment_of_basis_and_module_structure():
-    data = so3_action()
-    cs = build_constraints(data)
-    coords, g = ring(["x1", "x2", "x3"])
-    zero = EvenPoly.zero(coords)
-    for a in range(3):
-        section = [zero] * 3
-        section[a] = EvenPoly.const(coords, 1)
-        assert moment_of_section(data, None, section, cs.ctx) == cs.phis[a]
-    section = [g["x2"], zero, zero]
-    assert (
-        moment_of_section(data, None, section, cs.ctx)
-        == cs.ctx.lift(g["x2"]) * cs.phis[0]
-    )
-
-
-def random_section(coords, rng):
-    return [
-        EvenPoly(
-            coords,
-            {
-                tuple(rng.randrange(2) for _ in coords): Rat(rng.randrange(-3, 4))
-                for _ in range(3)
-            },
-        )
-        for _ in range(3)
-    ]
-
-
-def test_moment_is_a_bracket_morphism_so3():
-    data = so3_action()
-    ctx = cotangent_context(data.coords)
-    rng = random.Random(17)
-    for _ in range(5):
-        s = random_section(data.coords, rng)
-        t = random_section(data.coords, rng)
-        lhs = ctx.poisson(
-            moment_of_section(data, None, s, ctx), moment_of_section(data, None, t, ctx)
-        )
-        rhs = moment_of_section(data, None, section_bracket(data, s, t), ctx)
-        assert lhs == rhs
-
-
-def test_moment_is_a_bracket_morphism_affine_line():
-    data = rank2_line()
-    coords, g = ring(["x"])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1), g["x"]])
-    ctx = cotangent_context(data.coords)
-    rng = random.Random(19)
-    for _ in range(5):
-        s = [
-            EvenPoly(coords, {(k,): Rat(rng.randrange(-3, 4)) for k in range(2)})
-            for _ in range(2)
-        ]
-        t = [
-            EvenPoly(coords, {(k,): Rat(rng.randrange(-3, 4)) for k in range(2)})
-            for _ in range(2)
-        ]
-        lhs = ctx.poisson(
-            moment_of_section(data, alpha, s, ctx),
-            moment_of_section(data, alpha, t, ctx),
-        )
-        rhs = moment_of_section(data, alpha, section_bracket(data, s, t), ctx)
-        assert lhs == rhs
-
-
-def test_moment_rejects_wrong_component_count():
-    with pytest.raises(ValueError, match="component"):
-        moment_of_section(so3_action(), None, [EvenPoly.zero(("x1", "x2", "x3"))])
 
 
 # corpus-level implication: generic full rank plus closure forces jacobi zero

@@ -174,9 +174,6 @@ def test_ghost_bookkeeping():
     mixed = xi + xi * pi * 2
     with pytest.raises(ValueError):
         mixed.ghost_degree()
-    assert mixed.ghost_part(1) == xi
-    assert mixed.ghost_part(0) == 2 * (xi * pi)
-    assert mixed.ghost_part(5).is_zero
     # the bracket is additive in ghost degree
     S = p * xi
     assert ctx.poisson(S, pi).ghost_degree() == 0
@@ -217,9 +214,6 @@ def test_terms_roundtrip_and_degrees():
     for _ in range(20):
         F = random_graded(rng, ctx)
         assert GradedPoly.from_terms(ctx, F.terms()) == F
-    F = ctx.var("x1") ** 2 * ctx.var("p_x2") + ctx.var("xi_1") * ctx.var("p_x1") ** 3
-    assert F.max_degree_in(["x1", "x2"]) == 2
-    assert F.max_degree_in(["p_x1", "p_x2"]) == 3
 
 
 def test_context_validation():

@@ -1,79 +1,176 @@
+"""Sparse linear maps, checked against the oracle's dense elimination."""
+
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
-import pytest
+from nqkit.linalg import image_in, kernel, rank, rref, solve
 
-from nqkit.linalg import (
-    column_stack,
-    identity,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    rank,
-    rref,
-    solve,
-    transpose,
-)
+_ORACLE_PATH = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
+_spec = importlib.util.spec_from_file_location("cohomology_oracle", _ORACLE_PATH)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+KEYS = [(word, (e,)) for word in ((), (0,), (0, 1)) for e in range(3)]
 
 
-def random_matrix(rng: random.Random, rows: int, cols: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-        for _ in range(rows)
-    ]
+def inside(key) -> bool:
+    return len(key[0]) < 2
+
+
+def random_map(rng: random.Random) -> list[dict]:
+    """Columns over a few (word, exponent) keys, often sparse, sometimes empty."""
+    columns = []
+    for _ in range(rng.randint(0, 7)):
+        density = rng.choice((0.0, 0.2, 0.4, 0.8))
+        columns.append(
+            {
+                key: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for key in KEYS[: rng.randint(1, len(KEYS))]
+                if rng.random() < density
+            }
+        )
+    return columns
+
+
+def random_rhs(rng: random.Random, columns: list[dict]) -> dict:
+    """Mostly images of random vectors, sometimes arbitrary, sometimes unreachable."""
+    choice = rng.random()
+    if choice < 0.5:
+        rhs: dict = {}
+        for column in columns:
+            weight = Fraction(rng.randint(-3, 3))
+            for key, value in column.items():
+                rhs[key] = rhs.get(key, 0) + weight * value
+        return rhs
+    if choice < 0.8:
+        return {key: Fraction(rng.randint(-2, 2)) for key in rng.sample(KEYS, 3)}
+    reached = {key for column in columns for key in column}
+    unreached = [key for key in KEYS if key not in reached]
+    return {unreached[0]: Fraction(1)} if unreached else {}
+
+
+def dense(columns: list[dict], keys=None) -> list[list[Fraction]]:
+    """Rows of the map, one per key, as the oracle takes them."""
+    if keys is None:
+        keys = sorted({key for column in columns for key in column}, key=repr)
+    return [[Fraction(column.get(key, 0)) for column in columns] for key in keys]
+
+
+def to_list(vector: dict, ncols: int) -> list[Fraction]:
+    return [Fraction(vector.get(j, 0)) for j in range(ncols)]
+
+
+def apply(columns: list[dict], vector: dict) -> dict:
+    image: dict = {}
+    for j, weight in vector.items():
+        for key, value in columns[j].items():
+            image[key] = image.get(key, 0) + weight * value
+    return {key: value for key, value in image.items() if value}
+
+
+def random_maps(seed: int, count: int = 250) -> list[list[dict]]:
+    rng = random.Random(seed)
+    return [random_map(rng) for _ in range(count)]
+
+
+# the old dense known cases, as sparse maps
+KNOWN_MAPS = [
+    [{0: 2, 1: 1}, {0: 4, 1: 2}],
+    [{0: 1}, {1: 1}, {2: 1}],
+    [{}, {}],
+    [],
+    [{}, {}, {}, {}],
+]
 
 
 def test_rref_known_cases():
-    reduced, pivots = rref([[2, 4], [1, 2]])
+    reduced, pivots = rref([{0: 2, 1: 4}, {0: 1, 1: 2}])
     assert pivots == [0]
-    assert reduced[0] == [Fraction(1), Fraction(2)]
-    assert reduced[1] == [Fraction(0), Fraction(0)]
-    assert rank(identity(3)) == 3
-    assert rank([[0, 0], [0, 0]]) == 0
+    assert reduced == [{0: Fraction(1), 1: Fraction(2)}]
+    assert all(type(value) is Fraction for value in reduced[0].values())
+    assert rank([{0: 1}, {1: 1}, {2: 1}]) == 3
+    assert rank([{}, {}]) == 0
     assert rank([]) == 0
+    # row order does not change the reduced form
+    rows = [{0: 1, 2: 3}, {1: 2, 2: 1}, {0: 2, 1: 2, 2: 7}]
+    assert rref(rows) == rref(rows[::-1])
+    assert rows[0] == {0: 1, 2: 3}  # the input is left alone
+
+
+def test_kernel_and_rank_match_the_oracle():
+    for columns in random_maps(41) + KNOWN_MAPS:
+        rows = dense(columns)
+        expected = oracle.nullspace_basis(rows, len(columns))
+        assert [to_list(v, len(columns)) for v in kernel(columns)] == expected
+        assert rank(columns) == oracle.matrix_rank(rows)
 
 
 def test_nullspace_annihilates_and_counts():
-    rng = random.Random(31)
-    for _ in range(100):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        a = random_matrix(rng, rows, cols)
-        kernel = nullspace(a)
-        assert rank(a) + len(kernel) == cols
-        for vector in kernel:
-            assert all(entry == 0 for entry in mat_vec(a, vector))
-    # a matrix with no rows has everything in its kernel
-    assert len(nullspace([], ncols=4)) == 4
-    with pytest.raises(ValueError):
-        nullspace([])
+    for columns in random_maps(31) + KNOWN_MAPS:
+        basis = kernel(columns)
+        assert rank(columns) + len(basis) == len(columns)
+        for vector in basis:
+            assert apply(columns, vector) == {}
+    # a map with no nonzero entries has everything in its kernel
+    assert kernel([{}, {}, {}, {}]) == [{j: 1} for j in range(4)]
+    assert kernel([]) == []
+
+
+def test_solve_matches_the_oracle():
+    rng = random.Random(43)
+    inconsistent = unreachable = 0
+    for columns in random_maps(43) + KNOWN_MAPS:
+        rhs = random_rhs(rng, columns)
+        ncols = len(columns)
+        augmented = dense(columns + [rhs])
+        result = solve(columns, rhs)
+        if oracle.matrix_rank(augmented) > oracle.matrix_rank(dense(columns)):
+            assert result is None
+            inconsistent += 1
+            reached = {key for column in columns for key in column}
+            unreachable += any(key not in reached for key in rhs if rhs[key])
+            continue
+        assert result is not None
+        solution, free = result
+        assert free == ncols - oracle.matrix_rank(dense(columns))
+        # the kernel vector of [A | rhs] with a unit on rhs is (-x, 1)
+        last = oracle.nullspace_basis(augmented, ncols + 1)[-1]
+        assert last[ncols] == 1
+        assert to_list(solution, ncols) == [-value for value in last[:ncols]]
+        assert apply(columns, solution) == {k: v for k, v in rhs.items() if v}
+    assert inconsistent > 20 and unreachable > 5
 
 
 def test_solve_round_trip():
     rng = random.Random(37)
-    for _ in range(100):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        a = random_matrix(rng, rows, cols)
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
-        b = mat_vec(a, x)
-        solution = solve(a, b)
-        assert solution is not None
-        assert mat_vec(a, solution) == b
+    for columns in random_maps(37):
+        x = {j: Fraction(rng.randint(-3, 3)) for j in range(len(columns))}
+        b = apply(columns, x)
+        solution, _ = solve(columns, b)
+        assert apply(columns, solution) == b
 
 
 def test_solve_detects_inconsistency():
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve([[1, 0], [0, 1]], [5, 7]) == [Fraction(5), Fraction(7)]
-    assert solve([[0, 0]], [3]) is None
-    assert solve([], []) == []
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2}) is None
+    assert solve([{0: 1}, {1: 1}], {0: 5, 1: 7}) == ({0: 5, 1: 7}, 0)
+    assert solve([{}, {}], {0: 3}) is None  # a key that no column reaches
+    assert solve([], {}) == ({}, 0)
+    assert solve([], {"k": 1}) is None
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 2, 1: 2}) == ({0: 2}, 1)
 
 
-def test_matrix_helpers():
-    a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert transpose(a) == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
-    assert mat_mul(a, identity(2)) == a
-    assert column_stack([[Fraction(1), Fraction(2)]]) == [[Fraction(1)], [Fraction(2)]]
-    assert rank(column_stack([], nrows=3)) == 0
+def test_image_in_matches_explicit_construction():
+    for columns in random_maps(47) + [[], [{}, {}]]:
+        ncols = len(columns)
+        outside_keys = [key for key in KEYS if not inside(key)]
+        combos = oracle.nullspace_basis(dense(columns, outside_keys), ncols)
+        images = []
+        for combo in combos:
+            image = apply(columns, {j: w for j, w in enumerate(combo) if w})
+            assert all(inside(key) for key in image)
+            images.append([image.get(key, Fraction(0)) for key in KEYS])
+        assert image_in(columns, inside) == oracle.matrix_rank(images)

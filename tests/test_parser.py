@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from nqkit.parser import ParseError, parse_poly, rational_from_string
+from nqkit.parser import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    ParseError,
+    parse_poly,
+    rational_from_string,
+)
 from nqkit.poly import EvenPoly, ring
 
 from test_poly import random_poly
@@ -67,6 +73,30 @@ def test_division_only_between_integer_literals():
         parse_poly("3/x2", COORDS)
     with pytest.raises(ParseError, match="integer literals"):
         parse_poly("3/2/5", COORDS)
+
+
+def test_nesting_is_bounded():
+    coords, g = ring(COORDS)
+    depth = MAX_NESTING - 1  # the outermost level counts too
+    assert parse_poly("(" * depth + "x1" + ")" * depth, COORDS) == g["x1"]
+    assert parse_poly("+" * depth + "x1", COORDS) == g["x1"]
+    for text in ["(" * 2000 + "x1" + ")" * 2000, "+" * MAX_NESTING + "x1"]:
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_poly(text, COORDS)
+
+
+def test_exponent_and_integer_literals_are_bounded():
+    coords, g = ring(COORDS)
+    assert parse_poly(f"x1^{MAX_EXPONENT}", COORDS) == g["x1"] ** MAX_EXPONENT
+    for text in [f"x1^{MAX_EXPONENT + 1}", "x1^99999999999"]:
+        with pytest.raises(ParseError, match="exponent larger") as excinfo:
+            parse_poly(text, COORDS)
+        assert excinfo.value.position == 3
+    huge = "1" + "0" * 5000  # past the interpreter's digit limit for int()
+    for text, position in [(huge, 0), ("1/" + huge, 2), ("x1^" + huge, 3)]:
+        with pytest.raises(ParseError, match="too long") as excinfo:
+            parse_poly(text, COORDS)
+        assert excinfo.value.position == position
 
 
 def test_rational_from_string():
