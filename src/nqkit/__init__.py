@@ -41,7 +41,6 @@ from .bfv import (
     bfv_h0,
     build_H,
     build_S,
-    check_cartan,
     check_master,
 )
 from .constraints import (
@@ -98,7 +97,6 @@ __all__ = [
     "build_supercharge",
     "check_axioms",
     "check_bookkeeping",
-    "check_cartan",
     "check_evolution_invariance",
     "check_first_class",
     "check_master",

@@ -12,17 +12,23 @@ Defect conventions, pinned for the whole engine:
     R1^i_ab  = rho_a^j d_j rho_b^i - rho_b^j d_j rho_a^i - C^c_ab rho_c^i
     R2^d_abc = sum over permutations s of (a,b,c), with sign:
                C^d_{e s(a)} C^e_{s(b)s(c)} - rho_{s(a)}^j d_j C^d_{s(b)s(c)}
+             = 2 * sum over the cyclic shifts (a,b,c), (b,c,a), (c,a,b) of
+               C^d_{ea} C^e_{bc} - rho_a^j d_j C^d_{bc}
 
-R2 is twice the Jacobiator of the frame bracket, normalized so that it equals
-the canonical xi^a xi^b xi^c pi_d coefficient of the squared charge built in
-the ghost layer (a dual-route identity asserted on every run).
+The cyclic form holds because each summand is antisymmetric in its last two
+slots, as C is.  R2 is twice the Jacobiator of the frame bracket, normalized
+so that it equals the canonical xi^a xi^b xi^c pi_d coefficient of the
+squared charge built in the ghost layer (a dual-route identity asserted on
+every run).  Both tensors are computed at most once per frame: an
+`Algebroid` caches them as `anchor_defect` and `jacobi_defect`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property
+from itertools import combinations
 
 from .graded import (
     GradedContext,
@@ -95,6 +101,16 @@ class Algebroid:
 
     def zero(self) -> EvenPoly:
         return EvenPoly.zero(self.coords)
+
+    @cached_property
+    def anchor_defect(self) -> dict[tuple[int, int], list[EvenPoly]]:
+        """R1 of this frame, computed on first use; callers must not mutate it."""
+        return anchor_defect(self)
+
+    @cached_property
+    def jacobi_defect(self) -> dict[tuple[int, int, int, int], EvenPoly]:
+        """R2 of this frame, computed on first use; callers must not mutate it."""
+        return jacobi_defect(self)
 
 
 def algebroid_from_lists(
@@ -328,41 +344,35 @@ def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
 
 
 def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
-    """R2 on frame triples a < b < c, for each target index d."""
+    """R2 on frame triples a < b < c, for each target index d, via the cyclic sum."""
+    r, C = data.rank, data.structure
     out: dict[tuple[int, int, int, int], EvenPoly] = {}
-    r = data.rank
-    for a in range(r):
-        for b in range(a + 1, r):
-            for c in range(b + 1, r):
-                for d in range(r):
-                    total = EvenPoly.zero(data.coords)
-                    for pa, pb, pc in permutations((a, b, c)):
-                        seq = (pa, pb, pc)
-                        inversions = sum(
-                            1
-                            for u in range(3)
-                            for v in range(u + 1, 3)
-                            if seq[u] > seq[v]
-                        )
-                        sign = -1 if inversions % 2 else 1
-                        term = EvenPoly.zero(data.coords)
-                        for e in range(r):
-                            term = term + data.structure[d][e][pa] * data.structure[e][pb][pc]
-                        term = term - data.anchor_apply(pa, data.structure[d][pb][pc])
-                        total = total + (term if sign > 0 else -term)
-                    out[(a, b, c, d)] = total
+    for a, b, c in combinations(range(r), 3):
+        for d in range(r):
+            total = EvenPoly.zero(data.coords)
+            for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
+                for e in range(r):
+                    if not C[e][q][s].is_zero:
+                        total = total + C[d][e][p] * C[e][q][s]
+                if not C[d][q][s].is_zero:
+                    total = total - data.anchor_apply(p, C[d][q][s])
+            out[(a, b, c, d)] = total * 2
     return out
 
 
 # the odd derivation Q on (x, xi)
 
 
-def ghost_context(data: Algebroid, twist=None) -> GradedContext:
-    return extended_context(data.coords, data.rank, twist)
+def ghost_context(data: Algebroid) -> GradedContext:
+    return extended_context(data.coords, data.rank)
 
 
 def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
-    """Q(x^i) = rho_a^i xi^a and Q(xi^c) = -1/2 C^c_ab xi^a xi^b."""
+    """Q(x^i) = rho_a^i xi^a and Q(xi^c) = -1/2 C^c_ab xi^a xi^b.
+
+    The only definition of Q: the axiom check squares it, and the charge S
+    of the ghost layer is its Hamiltonian lift.
+    """
     images: dict[str, GradedPoly] = {}
     for i, name in enumerate(data.coords):
         value = ctx.zero()
@@ -380,10 +390,6 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     return images
 
 
-def apply_q(data: Algebroid, ctx: GradedContext, F: GradedPoly) -> GradedPoly:
-    return left_derivation(ctx, q_images(data, ctx), F)
-
-
 def check_axioms(data: Algebroid) -> CheckReport:
     """Joint anchor-morphism and Jacobi verification, with a dual-route guard.
 
@@ -392,8 +398,8 @@ def check_axioms(data: Algebroid) -> CheckReport:
     A mismatch between the two routes is an engine bug and raises, never a
     data failure.
     """
-    r1 = anchor_defect(data)
-    r2 = jacobi_defect(data)
+    r1 = data.anchor_defect
+    r2 = data.jacobi_defect
     residuals: list[tuple[str, str]] = []
     for (a, b), vector in sorted(r1.items()):
         for i, value in enumerate(vector):

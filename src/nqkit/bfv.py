@@ -1,7 +1,8 @@
 """Extended phase space with one ghost pair per frame direction.
 
-The odd charge S collects the anchor, the structure functions and the
-affine part into a single generator of ghost degree +1.  Its self-bracket
+The odd charge S is the Hamiltonian lift of the differential Q of the
+frame data, plus the affine part: a single generator of ghost degree +1
+that collects the anchor and the structure functions.  Its self-bracket
 reproduces every closure defect of the frame data at once, so one
 nilpotency test covers the whole identity battery.  A covariantized
 Hamiltonian then probes the interaction of the metric data with the
@@ -14,16 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebroid import (
-    Algebroid,
-    AltForm,
-    anchor_defect,
-    e_differential,
-    jacobi_defect,
-    pullback,
-    zero_form,
-)
-from .constraints import twist_of_magnetic
+from .algebroid import Algebroid, AltForm, q_images
+from .constraints import affine_part, first_class_residuals, twist_of_magnetic
 from .dynamics import GeometryPack
 from .graded import (
     GradedContext,
@@ -52,32 +45,20 @@ def build_S(
     magnetic: AltForm | None = None,
     ctx: GradedContext | None = None,
 ) -> GradedPoly:
-    """The charge rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c + alpha_a xi^a."""
+    """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q, plus the affine part alpha_a xi^a.
+
+    Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c + alpha_a xi^a.
+    """
     if ctx is None:
         ctx = charge_context(data, magnetic)
-    if alpha is not None:
-        if alpha.arity != 1 or alpha.coords != data.coords:
-            raise ValueError("affine part must be a 1-form over the base ring")
-        for key in alpha.components:
-            if key[0] >= data.rank:
-                raise ValueError(
-                    f"affine part names frame index {key[0] + 1}, rank is {data.rank}"
-                )
+    alpha = affine_part(data, alpha)
+    images = q_images(data, ctx)
     S = ctx.zero()
-    for a in range(data.rank):
-        xi = ctx.var(ghost_name(a + 1))
-        for i, name in enumerate(data.coords):
-            S = S + ctx.lift(data.anchor[a][i]) * xi * ctx.var(momentum_name(name))
-        if alpha is not None:
-            S = S + ctx.lift(alpha.component((a,))) * xi
+    for name in data.coords:
+        S = S + images[name] * ctx.var(momentum_name(name))
     for c in range(data.rank):
-        cubic = ctx.zero()
-        for a in range(data.rank):
-            for b in range(data.rank):
-                cubic = cubic + ctx.lift(data.structure[c][a][b]) * ctx.var(
-                    ghost_name(a + 1)
-                ) * ctx.var(ghost_name(b + 1))
-        S = S - cubic * ctx.var(antighost_name(c + 1)) / 2
+        S = S + images[ghost_name(c + 1)] * ctx.var(antighost_name(c + 1))
+        S = S + ctx.lift(alpha.component((c,))) * ctx.var(ghost_name(c + 1))
     return S
 
 
@@ -93,21 +74,12 @@ def _expected_self_bracket(
 ) -> GradedPoly:
     # the xi xi coefficients are twice the first-class residual tensor,
     # the xi xi xi pi coefficients are the jacobi defect itself
-    structural = e_differential(
-        data, alpha if alpha is not None else zero_form(data.coords, 1)
-    )
-    if magnetic is not None:
-        structural = structural - pullback(data, magnetic)
-    defect = anchor_defect(data)
     expected = ctx.zero()
-    for (a, b), vec in defect.items():
-        coeff = ctx.lift(structural.component((a, b)))
-        for i, name in enumerate(data.coords):
-            coeff = coeff + ctx.lift(vec[i]) * ctx.var(momentum_name(name))
-        expected = expected + 2 * coeff * ctx.var(ghost_name(a + 1)) * ctx.var(
+    for (a, b), value in first_class_residuals(data, alpha, magnetic, ctx).items():
+        expected = expected + 2 * value * ctx.var(ghost_name(a + 1)) * ctx.var(
             ghost_name(b + 1)
         )
-    for (a, b, c, d), value in jacobi_defect(data).items():
+    for (a, b, c, d), value in data.jacobi_defect.items():
         expected = expected + ctx.lift(value) * ctx.var(ghost_name(a + 1)) * ctx.var(
             ghost_name(b + 1)
         ) * ctx.var(ghost_name(c + 1)) * ctx.var(antighost_name(d + 1))
@@ -116,28 +88,26 @@ def _expected_self_bracket(
 
 def check_master(
     S: GradedPoly,
-    data: Algebroid | None = None,
+    data: Algebroid,
     alpha: AltForm | None = None,
     magnetic: AltForm | None = None,
 ) -> CheckReport:
     """Nilpotency of the charge under the graded bracket.
 
-    When the frame data used to build S is supplied, the self-bracket is
-    independently predicted from the anchor and jacobi defects together
-    with the structural 2-form; disagreement between the routes raises.
+    The self-bracket is also predicted from the frame data used to build S:
+    the first-class residual tensor and the jacobi defect; disagreement
+    between the routes raises.
     """
     ctx = S.ctx
     if S.is_zero or S.parity() != 1 or S.ghost_degree() != 1:
         raise ValueError("the charge must be odd of ghost degree +1")
     ss = ctx.poisson(S, S)
-    notes: list[str] = []
-    if data is not None:
-        if ss != _expected_self_bracket(data, alpha, magnetic, ctx):
-            raise RuntimeError("internal dual-route mismatch in the self-bracket")
-        notes.append(
-            "dual route: the self-bracket matches the anchor and jacobi "
-            "defects with the structural 2-form"
-        )
+    if ss != _expected_self_bracket(data, alpha, magnetic, ctx):
+        raise RuntimeError("internal dual-route mismatch in the self-bracket")
+    notes = [
+        "dual route: the self-bracket matches the anchor and jacobi "
+        "defects with the structural 2-form"
+    ]
     residuals = [
         (f"ss[{_word_label(ctx, word)}]", str(coeff))
         for word, coeff in sorted(ss.parts.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -228,8 +198,6 @@ def _split_momentum_linear(
 def _cartan_core(
     data: Algebroid, pack: GeometryPack, ctx: GradedContext, H: GradedPoly
 ) -> CheckReport:
-    if pack.g_inv is None or pack.g_low is None:
-        raise ValueError("the cartan check needs both metric directions")
     n, r = len(data.coords), data.rank
     core = build_S(data, magnetic=pack.magnetic, ctx=ctx)
     h_cov = H - ctx.lift(pack.potential_or_zero())
@@ -300,17 +268,6 @@ def _cartan_core(
         residuals,
         ["the extracted tensor reassembles the bracket residual exactly"],
     )
-
-
-def check_cartan(bfv: BFVPackage) -> CheckReport:
-    """Obstruction tensor of the connection against frame and metric.
-
-    The affine part of the charge is excluded here; its failures are
-    visible in the alpha sub-residual of the assembly report.
-    """
-    if not bfv.ctx.poisson(bfv.S, bfv.S).is_zero:
-        raise ValueError("the cartan check needs a nilpotent charge")
-    return _cartan_core(bfv.data, bfv.geometry, bfv.ctx, bfv.H)
 
 
 def _charge_invariance(

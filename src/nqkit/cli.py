@@ -9,8 +9,9 @@ Four verbs over problem files:
 
 Exit codes are uniform: 0 when nothing failed (warnings and skipped
 checks do not fail), 1 when a check or prerequisite failed, 2 for bad
-input or usage.  JSON output is byte stable run to run: keys are sorted
-and no timing is recorded.
+input or usage, 3 when an internal consistency guard of the engine
+tripped (a bug, never a verdict on the input).  JSON output is byte
+stable run to run: keys are sorted and no timing is recorded.
 """
 
 from __future__ import annotations
@@ -239,7 +240,20 @@ _CHECKS = (
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a tripped engine guard (a RuntimeError) as exit code 3."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort):
+            raise  # click's own control flow subclasses RuntimeError
+        except RuntimeError as error:
+            click.echo(f"internal error: {error}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact checks for frame data over polynomial coordinate rings."""
 

@@ -19,7 +19,6 @@ from typing import Sequence
 from .algebroid import (
     Algebroid,
     AltForm,
-    anchor_defect,
     check_axioms,
     e_differential,
     pullback,
@@ -36,16 +35,11 @@ _RANDOM_PROBE_COUNT = 5
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Constraints Phi_a on a cotangent context, with their source data.
-
-    `data` and `alpha` are kept when the set was built from frame data; a
-    frame-transformed set drops them, since the transformed structure
-    functions are no longer part of the container.
-    """
+    """Constraints Phi_a on a cotangent context, with the frame data they came from."""
 
     ctx: GradedContext
     phis: tuple[GradedPoly, ...]
-    data: Algebroid | None = None
+    data: Algebroid
     alpha: AltForm | None = None
     magnetic: AltForm | None = None
     degenerate: tuple[int, ...] = ()
@@ -78,14 +72,10 @@ def twist_of_magnetic(
     return [[-magnetic.component((i, j)) for j in range(n)] for i in range(n)]
 
 
-def build_constraints(
-    data: Algebroid,
-    alpha: AltForm | None = None,
-    magnetic: AltForm | None = None,
-) -> ConstraintSet:
-    """Phi_a = rho_a^i p_i + alpha_a on the (possibly twisted) phase space."""
+def affine_part(data: Algebroid, alpha: AltForm | None) -> AltForm:
+    """The affine 1-form alpha (zero when absent), checked against the frame."""
     if alpha is None:
-        alpha = zero_form(data.coords, 1)
+        return zero_form(data.coords, 1)
     if alpha.arity != 1 or alpha.coords != data.coords:
         raise ValueError("affine part must be a 1-form over the base ring")
     for key in alpha.components:
@@ -93,6 +83,16 @@ def build_constraints(
             raise ValueError(
                 f"affine part names frame index {key[0] + 1}, rank is {data.rank}"
             )
+    return alpha
+
+
+def build_constraints(
+    data: Algebroid,
+    alpha: AltForm | None = None,
+    magnetic: AltForm | None = None,
+) -> ConstraintSet:
+    """Phi_a = rho_a^i p_i + alpha_a on the (possibly twisted) phase space."""
+    alpha = affine_part(data, alpha)
     ctx = cotangent_context(data.coords, twist=twist_of_magnetic(data.coords, magnetic))
     phis = []
     for a in range(data.rank):
@@ -151,39 +151,47 @@ def decompose_fiber_affine(
     return EvenPoly(base, alpha_terms), [EvenPoly(base, t) for t in rho_terms]
 
 
+def first_class_residuals(
+    data: Algebroid,
+    alpha: AltForm | None,
+    magnetic: AltForm | None,
+    ctx: GradedContext,
+) -> dict[tuple[int, int], GradedPoly]:
+    """The predicted {Phi_a, Phi_b} - C^c_ab Phi_c on frame pairs a < b.
+
+    R_ab = (d_E alpha - rho^* B)_ab + R1^i_ab p_i, the structural 2-form plus
+    the anchor defect, lifted into any context that carries the momenta.
+    """
+    structural = e_differential(data, affine_part(data, alpha))
+    if magnetic is not None:
+        structural = structural - pullback(data, magnetic)
+    out: dict[tuple[int, int], GradedPoly] = {}
+    for (a, b), vector in data.anchor_defect.items():
+        value = ctx.lift(structural.component((a, b)))
+        for i, name in enumerate(data.coords):
+            value = value + ctx.lift(vector[i]) * ctx.var(momentum_name(name))
+        out[(a, b)] = value
+    return out
+
+
 def check_first_class(cs: ConstraintSet) -> CheckReport:
     """Closure of the constraint brackets in the span of the constraints.
 
     The residual R_ab = {Phi_a, Phi_b} - C^c_ab Phi_c is computed with the
-    bracket and, independently, predicted from the anchor defect and the
-    structural 2-form; disagreement between the two routes raises.
+    bracket and compared with `first_class_residuals`; disagreement between
+    the two routes raises.
     """
-    if cs.data is None:
-        raise ValueError("first-class check needs the frame data of the set")
     data, ctx = cs.data, cs.ctx
-    alpha = cs.alpha if cs.alpha is not None else zero_form(data.coords, 1)
-    structural = e_differential(data, alpha)
-    if cs.magnetic is not None:
-        structural = structural - pullback(data, cs.magnetic)
-    defect = anchor_defect(data)
-
+    predicted = first_class_residuals(data, cs.alpha, cs.magnetic, ctx)
     residuals: list[tuple[str, str]] = []
-    for a in range(data.rank):
-        for b in range(a + 1, data.rank):
-            R = ctx.poisson(cs.phis[a], cs.phis[b])
-            for c in range(data.rank):
-                R = R - ctx.lift(data.structure[c][a][b]) * cs.phis[c]
-            expected = ctx.lift(structural.component((a, b)))
-            for i, name in enumerate(data.coords):
-                expected = expected + ctx.lift(defect[(a, b)][i]) * ctx.var(
-                    momentum_name(name)
-                )
-            if R != expected:
-                raise RuntimeError(
-                    "internal dual-route mismatch in the constraint bracket"
-                )
-            if not R.is_zero:
-                residuals.append((f"bracket[a={a + 1},b={b + 1}]", str(R)))
+    for (a, b), expected in predicted.items():
+        R = ctx.poisson(cs.phis[a], cs.phis[b])
+        for c in range(data.rank):
+            R = R - ctx.lift(data.structure[c][a][b]) * cs.phis[c]
+        if R != expected:
+            raise RuntimeError("internal dual-route mismatch in the constraint bracket")
+        if not R.is_zero:
+            residuals.append((f"bracket[a={a + 1},b={b + 1}]", str(R)))
 
     notes = [
         "dual route: bracket residuals match the anchor defect plus the "

@@ -353,8 +353,6 @@ def check_evolution_invariance(
     matched, with the build's fixed sign triple, against the structural
     residual families; a mismatch is an engine fault and raises.
     """
-    if cs.data is None:
-        raise ValueError("evolution check needs the frame data of the set")
     _require(pack, ["g_inv", "omega"])
     ctx = cs.ctx
     if H.ctx != ctx:

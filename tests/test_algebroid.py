@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +14,6 @@ from nqkit.algebroid import (
     abelian_algebroid,
     algebroid_from_lists,
     anchor_defect,
-    apply_q,
     check_axioms,
     cohomology_h1,
     de_rham,
@@ -22,12 +23,16 @@ from nqkit.algebroid import (
     jacobi_defect,
     one_form,
     pullback,
+    q_images,
     two_form_from_matrix,
     zero_form,
 )
-from nqkit.graded import ghost_name
+from nqkit.graded import ghost_name, left_derivation
 from nqkit.poly import EvenPoly, Rat, ring
+from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def levi(a: int, b: int, c: int) -> int:
@@ -263,6 +268,65 @@ def test_jacobi_defect_vanishes_for_nilpotent_bundle():
     assert all(v.is_zero for v in jacobi_defect(data).values())
 
 
+def jacobi_defect_by_permutations(data):
+    """R2 from its defining six-term signed sum: the reference for the cyclic form."""
+    out = {}
+    r = data.rank
+    for a, b, c in combinations(range(r), 3):
+        for d in range(r):
+            total = data.zero()
+            for seq in permutations((a, b, c)):
+                pa, pb, pc = seq
+                inversions = sum(
+                    1 for u in range(3) for v in range(u + 1, 3) if seq[u] > seq[v]
+                )
+                term = data.zero()
+                for e in range(r):
+                    term = term + data.structure[d][e][pa] * data.structure[e][pb][pc]
+                term = term - data.anchor_apply(pa, data.structure[d][pb][pc])
+                total = total + (-term if inversions % 2 else term)
+            out[(a, b, c, d)] = total
+    return out
+
+
+def random_frame(rng, base_dim, rank):
+    """Random polynomial anchor and random antisymmetric structure functions."""
+    coords, _ = ring([f"x{i + 1}" for i in range(base_dim)])
+    anchor = [[random_poly(coords, rng, 2) for _ in coords] for _ in range(rank)]
+    structure = [
+        [[EvenPoly.zero(coords) for _ in range(rank)] for _ in range(rank)]
+        for _ in range(rank)
+    ]
+    for c in range(rank):
+        for a, b in combinations(range(rank), 2):
+            if rng.random() < 0.6:
+                entry = random_poly(coords, rng, 2)
+                structure[c][a][b], structure[c][b][a] = entry, -entry
+    return algebroid_from_lists(coords, anchor, structure)
+
+
+def test_cyclic_jacobi_defect_matches_the_permutation_sum():
+    frames = [load_problem(path).data for path in sorted(CORPUS.glob("*.json"))]
+    frames += [so3_action(), nilpotent_bundle()]
+    rng = random.Random(29)
+    for _ in range(8):
+        frames.append(random_frame(rng, rng.randrange(1, 3), rng.randrange(3, 5)))
+    nonzero = 0
+    for data in frames:
+        expected = jacobi_defect_by_permutations(data)
+        assert jacobi_defect(data) == expected
+        assert data.jacobi_defect == expected
+        nonzero += sum(1 for value in expected.values() if not value.is_zero)
+    assert nonzero > 0
+
+
+def test_defect_tensors_are_cached_per_frame():
+    data = broken_jacobi()
+    assert data.anchor_defect is data.anchor_defect
+    assert data.jacobi_defect is data.jacobi_defect
+    assert data.anchor_defect == anchor_defect(data)
+
+
 # the axiom check
 
 
@@ -292,20 +356,24 @@ def test_check_axioms_fails_on_broken_fixture():
 def test_q_is_an_odd_left_derivation():
     data = so3_action()
     ctx = ghost_context(data)
+    images = q_images(data, ctx)
     x1, x2 = ctx.var("x1"), ctx.var("x2")
     xi = [ctx.var(ghost_name(a)) for a in (1, 2, 3)]
     pool = [x1, xi[0], x2 * xi[0] * xi[1], xi[0] * xi[1] * xi[2], x1 * x2]
     for F in pool:
         for G in pool:
             sign = -1 if F.parity() else 1
-            lhs = apply_q(data, ctx, F * G)
-            rhs = apply_q(data, ctx, F) * G + sign * F * apply_q(data, ctx, G)
+            lhs = left_derivation(ctx, images, F * G)
+            rhs = left_derivation(ctx, images, F) * G + sign * F * left_derivation(
+                ctx, images, G
+            )
             assert lhs == rhs
 
 
 def test_q_squares_to_zero_on_valid_data():
     data = so3_action()
     ctx = ghost_context(data)
+    images = q_images(data, ctx)
     xi = [ctx.var(ghost_name(a)) for a in (1, 2, 3)]
     F = (
         ctx.var("x1")
@@ -313,13 +381,14 @@ def test_q_squares_to_zero_on_valid_data():
         + ctx.var("x3") * xi[0] * xi[1]
         + xi[0] * xi[1] * xi[2]
     )
-    assert apply_q(data, ctx, apply_q(data, ctx, F)).is_zero
+    assert left_derivation(ctx, images, left_derivation(ctx, images, F)).is_zero
 
 
 def test_q_square_exposes_anchor_defect():
     data = broken_jacobi()
     ctx = ghost_context(data)
-    square = apply_q(data, ctx, apply_q(data, ctx, ctx.var("x")))
+    images = q_images(data, ctx)
+    square = left_derivation(ctx, images, images["x"])
     word = (ctx.odd_index[ghost_name(1)], ctx.odd_index[ghost_name(2)])
     assert square.coefficient_of_word(word) == EvenPoly.const(ctx.even_names, 1)
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import nqkit.algebroid
 from nqkit.aksz import build_supercharge, expand_bv
 from nqkit.bfv import assemble_bfv
 from nqkit.cli import main
@@ -116,6 +119,71 @@ def test_check_cartan_failure_is_a_finding_not_an_input_error():
     assert result.exit_code == 1
     assert "[FAIL] cartan" in result.output
     assert "reassembles the bracket residual exactly" in result.output
+
+
+def _wrong_self_bracket(data, alpha, magnetic, ctx):
+    return ctx.var("p_x1")
+
+
+def _oversized_image(columns, inside):
+    return 10**6
+
+
+@pytest.mark.parametrize(
+    "target, replacement, args, message",
+    [
+        (
+            "_expected_self_bracket",
+            _wrong_self_bracket,
+            ["check", corpus_path("so3_action"), "--master"],
+            "internal dual-route mismatch in the self-bracket",
+        ),
+        (
+            "image_in",
+            _oversized_image,
+            ["cohomology", corpus_path("abelian_r1"), "--bfv-h0", "--trunc", "0"],
+            "internal window inconsistency in the cohomology count",
+        ),
+    ],
+    ids=["self_bracket", "window"],
+)
+def test_tripped_engine_guard_exits_3(monkeypatch, target, replacement, args, message):
+    monkeypatch.setattr(f"nqkit.bfv.{target}", replacement)
+    result = run(*args)
+    assert result.exit_code == 3
+    assert f"internal error: {message}" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", corpus_path("so3_action"), "--all"],
+        ["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.json"],
+    ],
+    ids=["check_all", "emit_bv"],
+)
+def test_defect_tensors_computed_once_per_invocation(monkeypatch, tmp_path, args):
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(data):
+            calls[name] += 1
+            return original(data)
+
+        return wrapper
+
+    # every nqkit module that binds the function, so no route escapes the count
+    modules = [m for key, m in sys.modules.items() if key.startswith("nqkit")]
+    for name in ("anchor_defect", "jacobi_defect"):
+        original = getattr(nqkit.algebroid, name)
+        wrapper = counted(name, original)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.chdir(tmp_path)
+    result = run(*args)
+    assert result.exit_code == 0
+    assert calls == {"anchor_defect": 1, "jacobi_defect": 1}
 
 
 def test_check_malformed_file_names_the_field():

@@ -90,7 +90,9 @@ def test_build_rejects_bad_affine_part():
 def test_constraint_set_rejects_non_affine_members():
     ctx = cotangent_context(("x",))
     with pytest.raises(ValueError, match="not affine"):
-        ConstraintSet(ctx=ctx, phis=(ctx.var("p_x") * ctx.var("p_x"),))
+        ConstraintSet(
+            ctx=ctx, phis=(ctx.var("p_x") * ctx.var("p_x"),), data=rank2_line()
+        )
 
 
 # first-class verification
@@ -138,12 +140,6 @@ def test_first_class_broken_fixture():
     assert named["bracket[a=1,b=2]"] == "p_x"
     assert named["bracket[a=2,b=3]"] == "-x*p_x"
     assert len(named) == 2
-
-
-def test_first_class_requires_frame_data():
-    cs = build_constraints(so3_action())
-    with pytest.raises(ValueError, match="frame data"):
-        check_first_class(ConstraintSet(ctx=cs.ctx, phis=cs.phis))
 
 
 # structure extraction
