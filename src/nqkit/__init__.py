@@ -37,8 +37,10 @@ from .algebroid import (
 )
 from .bfv import (
     BFVPackage,
+    Charge,
     assemble_bfv,
     bfv_h0,
+    build_charge,
     build_H,
     build_S,
     check_master,
@@ -69,6 +71,7 @@ __all__ = [
     "Algebroid",
     "AltForm",
     "BFVPackage",
+    "Charge",
     "CheckReport",
     "ComponentAction",
     "ConstraintSet",
@@ -92,6 +95,7 @@ __all__ = [
     "bfv_h0",
     "build_H",
     "build_S",
+    "build_charge",
     "build_constraints",
     "build_hamiltonian",
     "build_supercharge",

@@ -96,7 +96,8 @@ class Algebroid:
         """Directional derivative of f along the a-th frame field."""
         result = EvenPoly.zero(self.coords)
         for i, name in enumerate(self.coords):
-            result = result + self.anchor[a][i] * f.diff(name)
+            if not self.anchor[a][i].is_zero:
+                result = result + self.anchor[a][i] * f.diff(name)
         return result
 
     def zero(self) -> EvenPoly:
@@ -337,14 +338,18 @@ def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
                     b, data.anchor[a][i]
                 )
                 for c in range(data.rank):
-                    value = value - data.structure[c][a][b] * data.anchor[c][i]
+                    if not data.structure[c][a][b].is_zero:
+                        value = value - data.structure[c][a][b] * data.anchor[c][i]
                 vector.append(value)
             out[(a, b)] = vector
     return out
 
 
 def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
-    """R2 on frame triples a < b < c, for each target index d, via the cyclic sum."""
+    """R2 on frame triples a < b < c, for each target index d, via the cyclic sum.
+
+    Products with a zero structure function are skipped.
+    """
     r, C = data.rank, data.structure
     out: dict[tuple[int, int, int, int], EvenPoly] = {}
     for a, b, c in combinations(range(r), 3):
@@ -352,7 +357,7 @@ def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
             total = EvenPoly.zero(data.coords)
             for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
                 for e in range(r):
-                    if not C[e][q][s].is_zero:
+                    if not (C[e][q][s].is_zero or C[d][e][p].is_zero):
                         total = total + C[d][e][p] * C[e][q][s]
                 if not C[d][q][s].is_zero:
                     total = total - data.anchor_apply(p, C[d][q][s])
@@ -371,22 +376,26 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     """Q(x^i) = rho_a^i xi^a and Q(xi^c) = -1/2 C^c_ab xi^a xi^b.
 
     The only definition of Q: the axiom check squares it, and the charge S
-    of the ghost layer is its Hamiltonian lift.
+    of the ghost layer is its Hamiltonian lift.  Since C^c_ab and xi^a xi^b
+    are both antisymmetric in (a, b), which `Algebroid` enforces,
+    Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b.  Zero entries are skipped.
     """
+    ghosts = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
     images: dict[str, GradedPoly] = {}
     for i, name in enumerate(data.coords):
         value = ctx.zero()
         for a in range(data.rank):
-            value = value + ctx.lift(data.anchor[a][i]) * ctx.var(ghost_name(a + 1))
+            if not data.anchor[a][i].is_zero:
+                value = value + ctx.lift(data.anchor[a][i]) * ghosts[a]
         images[name] = value
     for c in range(data.rank):
         value = ctx.zero()
-        for a in range(data.rank):
-            for b in range(data.rank):
-                value = value + ctx.lift(data.structure[c][a][b]) * (
-                    ctx.var(ghost_name(a + 1)) * ctx.var(ghost_name(b + 1))
+        for a, b in combinations(range(data.rank), 2):
+            if not data.structure[c][a][b].is_zero:
+                value = value - ctx.lift(data.structure[c][a][b]) * (
+                    ghosts[a] * ghosts[b]
                 )
-        images[ghost_name(c + 1)] = value / -2
+        images[ghost_name(c + 1)] = value
     return images
 
 

@@ -13,6 +13,7 @@ single obstruction tensor with three frame indices and one base index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .algebroid import Algebroid, AltForm, q_images
@@ -51,15 +52,57 @@ def build_S(
     """
     if ctx is None:
         ctx = charge_context(data, magnetic)
-    alpha = affine_part(data, alpha)
+    affine = _affine_charge(data, alpha, ctx)
     images = q_images(data, ctx)
     S = ctx.zero()
     for name in data.coords:
         S = S + images[name] * ctx.var(momentum_name(name))
     for c in range(data.rank):
         S = S + images[ghost_name(c + 1)] * ctx.var(antighost_name(c + 1))
-        S = S + ctx.lift(alpha.component((c,))) * ctx.var(ghost_name(c + 1))
-    return S
+    return S + affine
+
+
+def _affine_charge(
+    data: Algebroid, alpha: AltForm | None, ctx: GradedContext
+) -> GradedPoly:
+    """alpha_a xi^a, once alpha is checked against the frame."""
+    alpha = affine_part(data, alpha)
+    affine = ctx.zero()
+    for c in range(data.rank):
+        affine = affine + ctx.lift(alpha.component((c,))) * ctx.var(ghost_name(c + 1))
+    return affine
+
+
+@dataclass(frozen=True)
+class Charge:
+    """The charge S of a frame and geometry pack, on its extended phase space.
+
+    `core` is the lift of Q alone, S without the affine part; the cartan and
+    charge-invariance checks bracket it with the Hamiltonian.  The master
+    report is computed on first use and kept, so one invocation checks
+    (S, S) = 0 once however many reports need it.
+    """
+
+    data: Algebroid
+    pack: GeometryPack
+    ctx: GradedContext
+    core: GradedPoly
+    S: GradedPoly
+
+    @cached_property
+    def master(self) -> CheckReport:
+        return check_master(
+            self.S, data=self.data, alpha=self.pack.alpha, magnetic=self.pack.magnetic
+        )
+
+
+def build_charge(data: Algebroid, pack: GeometryPack) -> Charge:
+    """Build the core lift of Q once, and S as the core plus alpha_a xi^a."""
+    if data.coords != pack.coords or data.rank != pack.rank:
+        raise ValueError("frame data and geometry pack disagree on base or rank")
+    ctx = charge_context(data, pack.magnetic)
+    core = build_S(data, magnetic=pack.magnetic, ctx=ctx)
+    return Charge(data, pack, ctx, core, core + _affine_charge(data, pack.alpha, ctx))
 
 
 def _word_label(ctx: GradedContext, word: tuple[int, ...]) -> str:
@@ -76,10 +119,14 @@ def _expected_self_bracket(
     # the xi xi xi pi coefficients are the jacobi defect itself
     expected = ctx.zero()
     for (a, b), value in first_class_residuals(data, alpha, magnetic, ctx).items():
+        if value.is_zero:
+            continue
         expected = expected + 2 * value * ctx.var(ghost_name(a + 1)) * ctx.var(
             ghost_name(b + 1)
         )
     for (a, b, c, d), value in data.jacobi_defect.items():
+        if value.is_zero:
+            continue
         expected = expected + ctx.lift(value) * ctx.var(ghost_name(a + 1)) * ctx.var(
             ghost_name(b + 1)
         ) * ctx.var(ghost_name(c + 1)) * ctx.var(antighost_name(d + 1))
@@ -125,6 +172,8 @@ def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly
         p = ctx.var(momentum_name(name))
         for a in range(pack.rank):
             for b in range(pack.rank):
+                if pack.omega[b][a][i].is_zero:
+                    continue
                 p = p - ctx.lift(pack.omega[b][a][i]) * ctx.var(
                     ghost_name(a + 1)
                 ) * ctx.var(antighost_name(b + 1))
@@ -195,11 +244,9 @@ def _split_momentum_linear(
     return [EvenPoly(coords, terms) for terms in linear]
 
 
-def _cartan_core(
-    data: Algebroid, pack: GeometryPack, ctx: GradedContext, H: GradedPoly
-) -> CheckReport:
+def _cartan_core(charge: Charge, H: GradedPoly) -> CheckReport:
+    data, pack, ctx, core = charge.data, charge.pack, charge.ctx, charge.core
     n, r = len(data.coords), data.rank
-    core = build_S(data, magnetic=pack.magnetic, ctx=ctx)
     h_cov = H - ctx.lift(pack.potential_or_zero())
     R = ctx.poisson(core, h_cov)
     if R.is_zero:
@@ -270,10 +317,9 @@ def _cartan_core(
     )
 
 
-def _charge_invariance(
-    data: Algebroid, pack: GeometryPack, ctx: GradedContext, S: GradedPoly, H: GradedPoly
-) -> CheckReport:
-    core = build_S(data, magnetic=pack.magnetic, ctx=ctx)
+def _charge_invariance(charge: Charge, H: GradedPoly) -> CheckReport:
+    data, pack, ctx = charge.data, charge.pack, charge.ctx
+    S, core = charge.S, charge.core
     affine = S - core
     potential = ctx.lift(pack.potential_or_zero())
     h_cov = H - potential
@@ -308,12 +354,9 @@ def _charge_invariance(
     )
 
 
-def assemble_bfv(data: Algebroid, pack: GeometryPack) -> BFVPackage:
-    """Build charge and Hamiltonian, then run the full identity battery."""
-    if data.coords != pack.coords or data.rank != pack.rank:
-        raise ValueError("frame data and geometry pack disagree on base or rank")
-    ctx = charge_context(data, pack.magnetic)
-    S = build_S(data, alpha=pack.alpha, magnetic=pack.magnetic, ctx=ctx)
+def assemble_bfv(charge: Charge) -> BFVPackage:
+    """Add the Hamiltonian to a charge, then run the full identity battery."""
+    data, pack, ctx = charge.data, charge.pack, charge.ctx
     if pack.g_inv is not None:
         H = build_H(pack, ctx)
     else:
@@ -322,10 +365,10 @@ def assemble_bfv(data: Algebroid, pack: GeometryPack) -> BFVPackage:
                 "drift term present: absorb it before the extended assembly"
             )
         H = ctx.lift(pack.potential_or_zero())
-    reports = [check_master(S, data=data, alpha=pack.alpha, magnetic=pack.magnetic)]
+    reports = [charge.master]
     if pack.g_inv is not None and pack.g_low is not None:
         if reports[0].status == PASS:
-            reports.append(_cartan_core(data, pack, ctx, H))
+            reports.append(_cartan_core(charge, H))
         else:
             reports.append(
                 CheckReport(
@@ -346,8 +389,8 @@ def assemble_bfv(data: Algebroid, pack: GeometryPack) -> BFVPackage:
                 ["no metric pair: the covariant obstruction is not defined"],
             )
         )
-    reports.append(_charge_invariance(data, pack, ctx, S, H))
-    return BFVPackage(ctx, S, H, data, pack, tuple(reports))
+    reports.append(_charge_invariance(charge, H))
+    return BFVPackage(ctx, charge.S, H, data, pack, tuple(reports))
 
 
 # truncated ghost-number-zero cohomology of (S, .)

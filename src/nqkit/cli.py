@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from math import comb
 from pathlib import Path
 
 import click
@@ -33,11 +34,12 @@ from .algebroid import (
 from .bfv import (
     CARTAN_IDENTITY,
     BFVPackage,
+    Charge,
     assemble_bfv,
     bfv_h0,
+    build_charge,
     build_S,
     charge_context,
-    check_master,
 )
 from .constraints import build_constraints, check_first_class, irreducibility_probe
 from .dynamics import (
@@ -51,6 +53,12 @@ from .problem import Problem, ProblemError, connection_strings, load_problem
 from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
 
 _GEOMETRY_LABELS = {"g_inv": "metric_inv", "g_low": "metric", "omega": "connection"}
+
+# the most unknowns (columns of the linear maps) a cohomology window may have;
+# a larger window is refused as an input error before it is built.  The
+# largest so(3) windows under it take about 2 s (h^1) and 11 s (ghost-zero
+# window) on a 2-vCPU host; see README, "Window budget".
+MAX_WINDOW_COLUMNS = 5000
 
 
 def _want_color() -> bool:
@@ -78,11 +86,16 @@ def _missing(problem: Problem, *fields: str) -> list[str]:
 
 
 class _Workbench:
-    """Shared lazy constructions for one invocation."""
+    """Shared lazy constructions for one invocation.
+
+    The charge is built once: the master report is read off it, and the
+    package is assembled from it.
+    """
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self._constraints = None
+        self._charge: Charge | None = None
         self._package: tuple[BFVPackage | None, str | None] | None = None
 
     def constraints(self):
@@ -93,14 +106,16 @@ class _Workbench:
             )
         return self._constraints
 
+    def charge(self) -> Charge:
+        if self._charge is None:
+            self._charge = build_charge(self.problem.data, self.problem.pack)
+        return self._charge
+
     def package(self) -> tuple[BFVPackage | None, str | None]:
         """The assembled extended-phase-space package, or a failure message."""
         if self._package is None:
             try:
-                self._package = (
-                    assemble_bfv(self.problem.data, self.problem.pack),
-                    None,
-                )
+                self._package = (assemble_bfv(self.charge()), None)
             except ValueError as error:
                 self._package = (None, str(error))
         return self._package
@@ -176,18 +191,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 
 
 def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    problem = bench.problem
-    S = build_S(
-        problem.data, alpha=problem.pack.alpha, magnetic=problem.pack.magnetic
-    )
-    return [
-        check_master(
-            S,
-            data=problem.data,
-            alpha=problem.pack.alpha,
-            magnetic=problem.pack.magnetic,
-        )
-    ]
+    return [bench.charge().master]
 
 
 def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -322,6 +326,7 @@ def cmd_cohomology(
     p_degree = problem.truncation.p_degree if p_degree is None else p_degree
     if min(trunc, slack, p_degree) < 0:
         raise click.UsageError("degree bounds must be nonnegative")
+    _check_window_budget(problem, trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
 
     axioms = check_axioms(problem.data)
     if axioms.status != PASS:
@@ -336,6 +341,42 @@ def cmd_cohomology(
     else:
         _window_h1(problem, trunc, slack)
     sys.exit(0)
+
+
+def _check_window_budget(
+    problem: Problem,
+    trunc: int,
+    slack: int,
+    p_degree: int,
+    bfv_h0_flag: bool,
+    is_exact_flag: bool,
+) -> None:
+    """Refuse a window whose estimated column count exceeds the budget.
+
+    Monomials of degree <= d in n variables number C(n + d, n).  The h^1
+    window has one unknown per frame index and monomial, plus its sources
+    one slack above; the ghost-zero window has one per x-monomial,
+    p-monomial and ghost-zero word (C(2r, r) of them), plus its ghost -1
+    sources (C(2r, r + 1) words) one degree above in x and p.
+    """
+    n, r = problem.data.base_dim, problem.data.rank
+    if is_exact_flag:
+        options = f"--trunc {trunc}"
+        columns = comb(n + trunc, n)
+    elif bfv_h0_flag:
+        options = f"--trunc {trunc} --p-degree {p_degree}"
+        columns = comb(n + trunc, n) * comb(n + p_degree, n) * comb(2 * r, r)
+        columns += comb(n + trunc + 1, n) * comb(n + p_degree + 1, n) * comb(
+            2 * r, r + 1
+        )
+    else:
+        options = f"--trunc {trunc} --slack {slack}"
+        columns = r * comb(n + trunc, n) + comb(n + trunc + slack, n)
+    if columns > MAX_WINDOW_COLUMNS:
+        _input_error(
+            f"{options}: the window needs an estimated {columns} columns, "
+            f"more than the budget of {MAX_WINDOW_COLUMNS}"
+        )
 
 
 def _query_exact(problem: Problem, trunc: int) -> None:
@@ -402,7 +443,7 @@ def cmd_emit(file, what, out, force) -> None:
     """Write assembled charge data (bfv) or the component action (bv)."""
     problem = _load(file)
     try:
-        package = assemble_bfv(problem.data, problem.pack)
+        package = assemble_bfv(build_charge(problem.data, problem.pack))
     except ValueError as error:
         click.echo(f"assembly failed: {error}", err=True)
         sys.exit(1)

@@ -221,17 +221,39 @@ def _lie_metric(data: Algebroid, g_low: Matrix, a: int, i: int, j: int) -> EvenP
     """(L_rho_a g)_{ij} = rho_a^k d_k g_ij + g_kj d_i rho_a^k + g_ik d_j rho_a^k."""
     value = data.anchor_apply(a, g_low[i][j])
     for k in range(data.base_dim):
-        value = value + g_low[k][j] * data.anchor[a][k].diff(data.coords[i])
-        value = value + g_low[i][k] * data.anchor[a][k].diff(data.coords[j])
+        if not g_low[k][j].is_zero:
+            value = value + g_low[k][j] * data.anchor[a][k].diff(data.coords[i])
+        if not g_low[i][k].is_zero:
+            value = value + g_low[i][k] * data.anchor[a][k].diff(data.coords[j])
     return value
+
+
+def _lowered_anchor(data: Algebroid, g_low: Matrix) -> list[list[EvenPoly]]:
+    """The lowered anchor iota_rho(g), (iota_rho g)_bj = g_kj rho_b^k."""
+    n = data.base_dim
+    lowered = []
+    for row in data.anchor:
+        entries = [EvenPoly.zero(data.coords) for _ in range(n)]
+        for k, rho in enumerate(row):
+            if rho.is_zero:
+                continue
+            for j in range(n):
+                if not g_low[k][j].is_zero:
+                    entries[j] = entries[j] + g_low[k][j] * rho
+        lowered.append(entries)
+    return lowered
 
 
 def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResiduals:
     """Metric compatibility, covariant constancy of alpha, potential alignment.
 
-    (i)   (L_rho_a g)_ij - omega^b_ai g_kj rho_b^k - omega^b_aj g_ki rho_b^k
-    (ii)  d_i alpha_a - omega^b_ai alpha_b + tau^b_a g_ij rho_b^j
+    With the lowered anchor (iota_rho g)_bj = g_kj rho_b^k, contracted once:
+
+    (i)   (L_rho_a g)_ij - omega^b_ai (iota_rho g)_bj - omega^b_aj (iota_rho g)_bi
+    (ii)  d_i alpha_a - omega^b_ai alpha_b + tau^b_a (iota_rho g)_bi
     (iii) rho_a^i d_i V - tau^b_a alpha_b
+
+    Zero factors of omega and tau are skipped.
     """
     _require(pack, ["g_low", "omega"])
     r, n = data.rank, data.base_dim
@@ -239,6 +261,7 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     tau = pack.tau_or_zero()
     alpha = pack.alpha_or_zero()
     potential = pack.potential_or_zero()
+    iota = _lowered_anchor(data, g_low)
 
     metric: dict[tuple[int, int, int], EvenPoly] = {}
     for a in range(r):
@@ -246,9 +269,10 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
             for j in range(i, n):
                 value = _lie_metric(data, g_low, a, i, j)
                 for b in range(r):
-                    for k in range(n):
-                        value = value - omega[b][a][i] * g_low[k][j] * data.anchor[b][k]
-                        value = value - omega[b][a][j] * g_low[k][i] * data.anchor[b][k]
+                    if not omega[b][a][i].is_zero:
+                        value = value - omega[b][a][i] * iota[b][j]
+                    if not omega[b][a][j].is_zero:
+                        value = value - omega[b][a][j] * iota[b][i]
                 metric[(a, i, j)] = value
 
     alpha_res: dict[tuple[int, int], EvenPoly] = {}
@@ -256,16 +280,18 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
         for i in range(n):
             value = alpha.component((a,)).diff(data.coords[i])
             for b in range(r):
-                value = value - omega[b][a][i] * alpha.component((b,))
-                for j in range(n):
-                    value = value + tau[b][a] * g_low[i][j] * data.anchor[b][j]
+                if not omega[b][a][i].is_zero:
+                    value = value - omega[b][a][i] * alpha.component((b,))
+                if not tau[b][a].is_zero:
+                    value = value + tau[b][a] * iota[b][i]
             alpha_res[(a, i)] = value
 
     potential_res: dict[int, EvenPoly] = {}
     for a in range(r):
         value = data.anchor_apply(a, potential)
         for b in range(r):
-            value = value - tau[b][a] * alpha.component((b,))
+            if not tau[b][a].is_zero:
+                value = value - tau[b][a] * alpha.component((b,))
         potential_res[a] = value
     return StructuralResiduals(metric, alpha_res, potential_res)
 
@@ -368,12 +394,16 @@ def check_evolution_invariance(
         R = ctx.poisson(H, cs.phis[a])
         for b in range(r):
             gamma = -ctx.lift(tau[b][a])
-            for i in range(n):
-                for j in range(n):
-                    gamma = gamma + ctx.lift(
-                        pack.omega[b][a][i] * pack.g_inv[i][j]
-                    ) * momenta[j]
-            R = R - gamma * cs.phis[b]
+            for j in range(n):
+                # omega^b_ai g^ij, contracted over i before the lift
+                raised = EvenPoly.zero(data.coords)
+                for i in range(n):
+                    if not pack.omega[b][a][i].is_zero:
+                        raised = raised + pack.omega[b][a][i] * pack.g_inv[i][j]
+                if not raised.is_zero:
+                    gamma = gamma + ctx.lift(raised) * momenta[j]
+            if not gamma.is_zero:
+                R = R - gamma * cs.phis[b]
         bracket_residuals.append(R)
         if not R.is_zero:
             residuals.append((f"evolution[a={a + 1}]", str(R)))
@@ -402,6 +432,22 @@ def check_evolution_invariance(
     )
 
 
+def _mat_mul(A: list[list[EvenPoly]], B: list[list[EvenPoly]]) -> list[list[EvenPoly]]:
+    """Product of square polynomial matrices, skipping zero factors."""
+    n = len(A)
+    product = []
+    for u in range(n):
+        row = []
+        for v in range(n):
+            entry = EvenPoly.zero(A[u][0].coords)
+            for w in range(n):
+                if not (A[u][w].is_zero or B[w][v].is_zero):
+                    entry = entry + A[u][w] * B[w][v]
+            row.append(entry)
+        product.append(row)
+    return product
+
+
 def _assert_decomposition(
     data: Algebroid,
     pack: GeometryPack,
@@ -427,20 +473,18 @@ def _assert_decomposition(
         for m in range(n):
             lowered = EvenPoly.zero(ctx.even_names)
             for j in range(n):
-                lowered = lowered + G[m][j] * part1[j]
+                if not (G[m][j].is_zero or part1[j].is_zero):
+                    lowered = lowered + G[m][j] * part1[j]
             expected1 = embed(families.alpha[(a, m)], ctx.even_names)
             if lowered != k1 * expected1:
                 raise RuntimeError(
                     "internal dual-route mismatch at momentum order 1"
                 )
+        lowered = _mat_mul(_mat_mul(G, hessian), G)
         for u in range(n):
             for v in range(u, n):
-                lowered = EvenPoly.zero(ctx.even_names)
-                for m in range(n):
-                    for w in range(n):
-                        lowered = lowered + G[u][m] * hessian[m][w] * G[w][v]
                 expected2 = embed(families.metric[(a, u, v)], ctx.even_names)
-                if lowered != k2 * expected2:
+                if lowered[u][v] != k2 * expected2:
                     raise RuntimeError(
                         "internal dual-route mismatch at momentum order 2"
                     )
@@ -564,6 +608,7 @@ def solve_connection(
         for i in range(n)
         for m in monomial_exponents(n, degree)
     ]
+    iota = _lowered_anchor(data, pack.g_low)
     columns = []
     for b, a, i, m in unknowns:
         shifted = EvenPoly(data.coords, {m: Fraction(1)})
@@ -571,15 +616,9 @@ def solve_connection(
         for pair_pos, (s, t) in enumerate(pair_list):
             contribution = EvenPoly.zero(data.coords)
             if i == s:
-                for k in range(n):
-                    contribution = contribution - (
-                        shifted * pack.g_low[k][t] * data.anchor[b][k]
-                    )
+                contribution = contribution - shifted * iota[b][t]
             if i == t:
-                for k in range(n):
-                    contribution = contribution - (
-                        shifted * pack.g_low[k][s] * data.anchor[b][k]
-                    )
+                contribution = contribution - shifted * iota[b][s]
             for e, coeff in contribution.terms.items():
                 column[(a, pair_pos, e)] = coeff
         columns.append(column)

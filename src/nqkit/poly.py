@@ -3,8 +3,15 @@
 Coefficients are `fractions.Fraction` throughout: the whole engine runs on
 exact rational arithmetic and nothing downstream ever sees a float.  A
 polynomial stores a mapping from exponent tuples (one slot per coordinate) to
-coefficients, with zero coefficients stripped, so equality of the mappings is
-equality of polynomials.
+coefficients with no zero coefficient, so equality of the mappings is equality
+of polynomials.
+
+The public constructor strips zero coefficients from whatever it is given.
+Negation, scalar multiplication and addition keep the invariant themselves:
+negating or scaling a nonzero coefficient by a nonzero scalar cannot give
+zero, and a sum drops exactly the keys whose coefficients cancel.  They build
+their results with the internal `EvenPoly._trusted`, which skips the filter;
+it is not for callers outside this module.
 """
 
 from __future__ import annotations
@@ -45,6 +52,14 @@ class EvenPoly:
         object.__setattr__(
             self, "terms", {e: c for e, c in self.terms.items() if c != 0}
         )
+
+    @classmethod
+    def _trusted(cls, coords: tuple[str, ...], terms: Terms) -> EvenPoly:
+        """Wrap terms that already hold no zero coefficient, without filtering."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coords", coords)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     @classmethod
     def zero(cls, coords: tuple[str, ...]) -> EvenPoly:
@@ -92,13 +107,20 @@ class EvenPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return EvenPoly(self.coords, terms)
+            if e in terms:
+                total = terms[e] + c
+                if total:
+                    terms[e] = total
+                else:
+                    del terms[e]
+            else:
+                terms[e] = c
+        return EvenPoly._trusted(self.coords, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> EvenPoly:
-        return EvenPoly(self.coords, {e: -c for e, c in self.terms.items()})
+        return EvenPoly._trusted(self.coords, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: EvenPoly | Scalar) -> EvenPoly:
         return self + (-self._coerce(other))
@@ -109,7 +131,11 @@ class EvenPoly:
     def __mul__(self, other: EvenPoly | Scalar) -> EvenPoly:
         if not isinstance(other, EvenPoly):
             scalar = as_rat(other)
-            return EvenPoly(self.coords, {e: c * scalar for e, c in self.terms.items()})
+            if not scalar:
+                return EvenPoly.zero(self.coords)
+            return EvenPoly._trusted(
+                self.coords, {e: c * scalar for e, c in self.terms.items()}
+            )
         if other.coords != self.coords:
             raise ValueError("polynomials live in different coordinate rings")
         terms: Terms = {}

@@ -36,6 +36,7 @@ from nqkit.algebroid import (
 )
 from nqkit.bfv import (
     assemble_bfv,
+    build_charge,
     build_S,
     charge_context,
     check_master,
@@ -289,7 +290,7 @@ def test_criterion_06_dynamics_two_route_agreement():
 def test_criterion_07_cartan_flat_and_resubstitution():
     # flat euclidean so(3) is cartan: the bracket vanishes identically
     so3 = corpus_problem("so3_action")
-    package = assemble_bfv(so3.data, so3.pack)
+    package = assemble_bfv(build_charge(so3.data, so3.pack))
     assert package.report("cartan").status == PASS
     core = build_S(so3.data, ctx=package.ctx)
     assert package.ctx.poisson(core, package.H).is_zero
@@ -297,7 +298,7 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     # constant-connection fixture with a position-dependent bracket: the
     # reported tensor entries rebuild the bracket with zero residual
     shear = corpus_problem("shear_pair")
-    package = assemble_bfv(shear.data, shear.pack)
+    package = assemble_bfv(build_charge(shear.data, shear.pack))
     report = package.report("cartan")
     assert report.status == FAIL
     assert report.residuals
@@ -350,7 +351,7 @@ def test_criterion_09_classical_limit_of_the_component_action():
     )
     for name in names:
         problem = corpus_problem(name)
-        package = assemble_bfv(problem.data, problem.pack)
+        package = assemble_bfv(build_charge(problem.data, problem.pack))
         charge = build_supercharge(package)
         assert check_supercharge(charge).status == PASS, name
         action = expand_bv(charge)

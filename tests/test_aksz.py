@@ -21,7 +21,7 @@ from nqkit.aksz import (
     velocity_name,
 )
 from nqkit.algebroid import one_form
-from nqkit.bfv import assemble_bfv
+from nqkit.bfv import assemble_bfv, build_charge
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import GradedPoly, ghost_name, transport
 from nqkit.poly import EvenPoly, ring
@@ -33,7 +33,7 @@ from tests.test_dynamics import flat_pack, identity_metric, zero_connection
 
 
 def packaged(data, **fields):
-    return assemble_bfv(data, flat_pack(data.coords, data.rank, **fields))
+    return assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank, **fields)))
 
 
 def affine_line_package():
@@ -113,7 +113,7 @@ def test_build_supercharge_abelian_flat():
 
 def test_build_supercharge_topological():
     data = abelian_r1()
-    bfv = assemble_bfv(data, GeometryPack(data.coords, data.rank))
+    bfv = assemble_bfv(build_charge(data, GeometryPack(data.coords, data.rank)))
     sq = build_supercharge(bfv)
     assert bfv.H.is_zero
     assert sq.Q == transport(bfv.S, sq.context)
@@ -179,8 +179,10 @@ def test_supercharge_agrees_with_package_verdicts():
         packaged(abelian_r2()),
         packaged(broken_jacobi()),
         packaged(shear_pair()),
-        assemble_bfv(*compensated_magnetic_package()),
-        assemble_bfv(data_top, GeometryPack(data_top.coords, data_top.rank)),
+        assemble_bfv(build_charge(*compensated_magnetic_package())),
+        assemble_bfv(
+            build_charge(data_top, GeometryPack(data_top.coords, data_top.rank))
+        ),
     ]
     seen = set()
     for bfv in cases:
@@ -240,7 +242,7 @@ def test_expand_affine_line_frozen():
     # the connection enters only through the covariant Hamiltonian, as the
     # cross term + p xi_2 pi_1 of -H = -(p - xi_2 pi_1)^2 / 2
     data, pack = affine_line_package()
-    ca = expand_bv(build_supercharge(assemble_bfv(data, pack)))
+    ca = expand_bv(build_supercharge(assemble_bfv(build_charge(data, pack))))
     e = ca.context.var
     expected = (
         e("p_x") * e("x_dot")
@@ -287,7 +289,7 @@ def test_kinetic_sector_on_every_package():
         (data_affine, pack_affine),
     ]
     for data, pack in cases:
-        bfv = assemble_bfv(data, pack) if pack else packaged(data)
+        bfv = assemble_bfv(build_charge(data, pack)) if pack else packaged(data)
         ca = expand_bv(build_supercharge(bfv))
         sector = kinetic_sector(ca, data.coords, data.rank)
         assert sector == expected_kinetic(ca.context, data.coords, data.rank)
@@ -305,7 +307,7 @@ def test_ghost_zero_truncation_matches_the_reference():
         (data_top, GeometryPack(data_top.coords, data_top.rank)),
     ]
     for data, pack in cases:
-        ca = expand_bv(build_supercharge(assemble_bfv(data, pack)))
+        ca = expand_bv(build_supercharge(assemble_bfv(build_charge(data, pack))))
         assert ghost_zero_truncation(ca) == extended_action_reference(data, pack)
 
 
@@ -324,7 +326,7 @@ def test_expand_is_linear_in_the_charge():
 
 
 def test_expand_rejects_twisted_bracket():
-    bfv = assemble_bfv(*compensated_magnetic_package())
+    bfv = assemble_bfv(build_charge(*compensated_magnetic_package()))
     sq = build_supercharge(bfv)
     with pytest.raises(ValueError, match="absorb the magnetic term"):
         expand_bv(sq)

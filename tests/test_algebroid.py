@@ -320,6 +320,42 @@ def test_cyclic_jacobi_defect_matches_the_permutation_sum():
     assert nonzero > 0
 
 
+def q_images_by_full_sums(data, ctx):
+    """Q from its defining sums over all (a, b): the reference for the a < b form."""
+    ghosts = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
+    images = {}
+    for i, name in enumerate(data.coords):
+        value = ctx.zero()
+        for a in range(data.rank):
+            value = value + ctx.lift(data.anchor[a][i]) * ghosts[a]
+        images[name] = value
+    for c in range(data.rank):
+        value = ctx.zero()
+        for a in range(data.rank):
+            for b in range(data.rank):
+                pair = ghosts[a] * ghosts[b]
+                value = value + ctx.lift(data.structure[c][a][b]) * pair
+        images[ghost_name(c + 1)] = value / -2
+    return images
+
+
+def test_q_images_match_the_full_double_sum():
+    frames = [load_problem(path).data for path in sorted(CORPUS.glob("*.json"))]
+    frames += [so3_action(), nilpotent_bundle()]
+    rng = random.Random(37)
+    for _ in range(8):
+        frames.append(random_frame(rng, rng.randrange(1, 4), rng.randrange(2, 5)))
+    cubic = 0
+    for data in frames:
+        ctx = ghost_context(data)
+        expected = q_images_by_full_sums(data, ctx)
+        assert q_images(data, ctx) == expected
+        cubic += sum(
+            1 for c in range(data.rank) if not expected[ghost_name(c + 1)].is_zero
+        )
+    assert cubic > 0
+
+
 def test_defect_tensors_are_cached_per_frame():
     data = broken_jacobi()
     assert data.anchor_defect is data.anchor_defect

@@ -22,6 +22,7 @@ from nqkit.bfv import (
     BFVPackage,
     assemble_bfv,
     bfv_h0,
+    build_charge,
     build_H,
     build_S,
     charge_context,
@@ -342,21 +343,21 @@ def test_build_h_requires_fields():
 
 def test_assemble_so3_flat_all_pass():
     data = so3_action()
-    pkg = assemble_bfv(data, flat_pack(data.coords, data.rank))
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
     assert [r.status for r in pkg.reports] == [PASS, PASS, PASS]
     assert [r.name for r in pkg.reports] == ["master", "cartan", "charge_invariance"]
 
 
 def test_assemble_abelian_plane_all_pass():
     data = abelian_r2()
-    pkg = assemble_bfv(data, flat_pack(data.coords, data.rank))
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
     assert all(r.status == PASS for r in pkg.reports)
 
 
 def test_cartan_obstruction_on_the_shear_pair():
     data = shear_pair()
     assert check_axioms(data).status == PASS
-    pkg = assemble_bfv(data, line_pack(2))
+    pkg = assemble_bfv(build_charge(data, line_pack(2)))
     cartan = pkg.report("cartan")
     assert cartan.status == FAIL
     assert cartan.residuals == [
@@ -382,7 +383,7 @@ def test_cartan_shape_violation_on_non_metric_connection():
         omega=omega,
     )
     with pytest.raises(ValueError, match="covariant tensor shape"):
-        assemble_bfv(data, pack)
+        assemble_bfv(build_charge(data, pack))
 
 
 def test_cartan_preconditions():
@@ -393,18 +394,18 @@ def test_cartan_preconditions():
         g_inv=identity_metric(data.coords),
         omega=zero_connection(data.coords, data.rank),
     )
-    pkg = assemble_bfv(data, no_lowered)
+    pkg = assemble_bfv(build_charge(data, no_lowered))
     assert pkg.report("cartan").status == SKIPPED
 
     broken = broken_jacobi()
-    pkg2 = assemble_bfv(broken, flat_pack(broken.coords, broken.rank))
+    pkg2 = assemble_bfv(build_charge(broken, flat_pack(broken.coords, broken.rank)))
     assert pkg2.report("master").status == FAIL
     assert pkg2.report("cartan").status == SKIPPED
 
 
 def test_assemble_topological_case():
     data = so3_action()
-    pkg = assemble_bfv(data, GeometryPack(data.coords, data.rank))
+    pkg = assemble_bfv(build_charge(data, GeometryPack(data.coords, data.rank)))
     assert pkg.H.is_zero
     assert pkg.report("master").status == PASS
     assert pkg.report("cartan").status == SKIPPED
@@ -416,10 +417,14 @@ def test_potential_sub_residual():
     coords = data.coords
     _, g = ring(list(coords))
     radial = g["x1"] ** 2 + g["x2"] ** 2 + g["x3"] ** 2
-    invariant = assemble_bfv(data, flat_pack(coords, data.rank, potential=radial))
+    invariant = assemble_bfv(
+        build_charge(data, flat_pack(coords, data.rank, potential=radial))
+    )
     assert invariant.report("charge_invariance").status == PASS
 
-    tilted = assemble_bfv(data, flat_pack(coords, data.rank, potential=g["x1"]))
+    tilted = assemble_bfv(
+        build_charge(data, flat_pack(coords, data.rank, potential=g["x1"]))
+    )
     report = tilted.report("charge_invariance")
     assert report.status == FAIL
     assert [label for label, _ in report.residuals] == ["potential_part"]
@@ -428,7 +433,7 @@ def test_potential_sub_residual():
 def test_package_validates_grading():
     data = abelian_r1()
     pack = flat_pack(data.coords, 1)
-    pkg = assemble_bfv(data, pack)
+    pkg = assemble_bfv(build_charge(data, pack))
     with pytest.raises(ValueError, match="odd of ghost degree"):
         BFVPackage(pkg.ctx, pkg.ctx.var("p_x"), pkg.H, data, pack, ())
     with pytest.raises(ValueError, match="even of ghost degree"):
@@ -492,7 +497,7 @@ def test_ghost_degree_is_additive_under_the_bracket():
 
 def test_h0_abelian_line_window():
     data = abelian_r1()
-    pkg = assemble_bfv(data, flat_pack(data.coords, 1))
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 1)))
     report = bfv_h0(pkg, 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (4, 3, 1)
     assert any("truncated" in note for note in report.notes)
@@ -500,7 +505,7 @@ def test_h0_abelian_line_window():
 
 def test_h0_abelian_plane_window():
     data = abelian_r2()
-    pkg = assemble_bfv(data, flat_pack(data.coords, 2))
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 2)))
     report = bfv_h0(pkg, 1, 1)
     assert report.h_dim == 1
 
@@ -510,17 +515,17 @@ def test_h0_so3_constant_window():
     # elements bilinear in xi and pi map onto the angular momenta, which
     # are linearly independent over the base
     data = so3_action()
-    pkg = assemble_bfv(data, flat_pack(data.coords, 3))
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 3)))
     report = bfv_h0(pkg, 0, 0)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (1, 0, 1)
 
 
 def test_h0_rejects_bad_input():
     data = abelian_r1()
-    pkg = assemble_bfv(data, flat_pack(data.coords, 1))
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 1)))
     with pytest.raises(ValueError, match="nonnegative"):
         bfv_h0(pkg, -1, 0)
     broken = broken_jacobi()
-    pkg2 = assemble_bfv(broken, flat_pack(broken.coords, broken.rank))
+    pkg2 = assemble_bfv(build_charge(broken, flat_pack(broken.coords, broken.rank)))
     with pytest.raises(ValueError, match="master equation fails"):
         bfv_h0(pkg2, 1, 1)

@@ -13,9 +13,12 @@ import pytest
 from click.testing import CliRunner
 
 import nqkit.algebroid
+import nqkit.bfv
+import nqkit.cli
 from nqkit.aksz import build_supercharge, expand_bv
-from nqkit.bfv import assemble_bfv
+from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
 from nqkit.cli import main
+from nqkit.poly import monomial_exponents
 from nqkit.problem import load_problem
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,35 +158,59 @@ def test_tripped_engine_guard_exits_3(monkeypatch, target, replacement, args, me
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, exit_code",
     [
-        ["check", corpus_path("so3_action"), "--all"],
-        ["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.json"],
+        (["check", corpus_path("so3_action"), "--all"], 0),
+        (["check", corpus_path("beta_drift"), "--all"], 1),
+        (["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.json"], 0),
     ],
-    ids=["check_all", "emit_bv"],
+    ids=["check_all", "check_all_drift", "emit_bv"],
 )
-def test_defect_tensors_computed_once_per_invocation(monkeypatch, tmp_path, args):
+def test_defect_tensors_computed_once_per_invocation(
+    monkeypatch, tmp_path, args, exit_code
+):
+    # the defect tensors, the core charge and its self-bracket, once each
     calls = Counter()
 
     def counted(name, original):
-        def wrapper(data):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return original(data)
+            return original(*args, **kwargs)
 
         return wrapper
 
     # every nqkit module that binds the function, so no route escapes the count
     modules = [m for key, m in sys.modules.items() if key.startswith("nqkit")]
-    for name in ("anchor_defect", "jacobi_defect"):
-        original = getattr(nqkit.algebroid, name)
+    owners = {
+        "anchor_defect": nqkit.algebroid,
+        "jacobi_defect": nqkit.algebroid,
+        "build_S": nqkit.bfv,
+        "check_master": nqkit.bfv,
+    }
+    for name, owner in owners.items():
+        original = getattr(owner, name)
         wrapper = counted(name, original)
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
     monkeypatch.chdir(tmp_path)
     result = run(*args)
-    assert result.exit_code == 0
-    assert calls == {"anchor_defect": 1, "jacobi_defect": 1}
+    assert result.exit_code == exit_code
+    assert calls == {name: 1 for name in owners}
+
+
+def test_master_is_reported_when_assembly_is_refused(tmp_path, monkeypatch):
+    # the drift term makes assemble_bfv refuse; the master report needs only
+    # the charge, so it is still printed, and the JSON is the frozen one
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "beta_drift.json"
+    result = run("check", "corpus/beta_drift.json", "--all", "--json", str(out))
+    assert result.exit_code == 1
+    assert "[PASS] master: (S, S) = 0" in result.output
+    assert "[SKIPPED] cartan" in result.output
+    assert out.read_bytes() == (CORPUS / "expected" / "beta_drift.json").read_bytes()
+    statuses = {c["name"]: c["status"] for c in json.loads(out.read_text())["checks"]}
+    assert statuses["master"] == "pass"
 
 
 def test_check_malformed_file_names_the_field():
@@ -314,6 +341,57 @@ def test_cohomology_prerequisite_and_usage_errors():
     assert result.exit_code == 2
 
 
+def test_oversized_window_fails_fast():
+    # estimated 51213 columns; built, this window gave no answer in 20 s
+    start = time.perf_counter()
+    result = run("cohomology", corpus_path("so3_action"), "--trunc", "40")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert "input error: --trunc 40 --slack 2: " in result.stderr
+    assert "estimated 51213 columns" in result.stderr
+    assert f"budget of {nqkit.cli.MAX_WINDOW_COLUMNS}" in result.stderr
+
+
+def _window_columns(name, window, trunc, slack, p_degree):
+    """Columns of a window counted from the builders' own enumerations."""
+    data = load_problem(corpus_path(name)).data
+    n, r = data.base_dim, data.rank
+
+    def monomials(degree):
+        return len(monomial_exponents(n, degree))
+
+    if window == "h1":
+        return r * monomials(trunc) + monomials(trunc + slack)
+    if window == "is_exact":
+        return monomials(trunc)
+    return monomials(trunc) * monomials(p_degree) * len(
+        _balanced_words(r, 0)
+    ) + monomials(trunc + 1) * monomials(p_degree + 1) * len(_balanced_words(r, -1))
+
+
+@pytest.mark.parametrize(
+    "name, window, flags",
+    [
+        ("so3_action", "h1", []),
+        ("rank2_line", "h1", []),
+        ("rank2_line_affine", "is_exact", ["--is-exact"]),
+        ("abelian_r2", "h0", ["--bfv-h0"]),
+        ("so3_action", "h0", ["--bfv-h0"]),
+    ],
+)
+def test_window_budget_counts_the_columns_it_builds(monkeypatch, name, window, flags):
+    trunc, slack, p_degree = 1, 1, 0
+    columns = _window_columns(name, window, trunc, slack, p_degree)
+    args = ["cohomology", corpus_path(name), *flags, "--trunc", str(trunc)]
+    args += ["--slack", str(slack), "--p-degree", str(p_degree)]
+    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", columns - 1)
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"estimated {columns} columns" in result.stderr
+    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", columns)
+    assert run(*args).exit_code == 0
+
+
 # emit
 
 
@@ -357,7 +435,7 @@ def test_emit_bv_matches_the_library_expansion(tmp_path):
     doc = json.loads(out.read_text())
     problem = load_problem(CORPUS / "abelian_r1.json")
     action = expand_bv(
-        build_supercharge(assemble_bfv(problem.data, problem.pack))
+        build_supercharge(assemble_bfv(build_charge(problem.data, problem.pack)))
     )
     assert doc["terms"] == action.rows()
     assert {"coeff": "-1/2", "even": {"p_x": 2}, "odd": []} in doc["terms"]

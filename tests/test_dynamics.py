@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -19,12 +21,24 @@ from nqkit.dynamics import (
     check_metric_compat,
     check_structural,
     solve_connection,
+    StructuralResiduals,
     structural_residuals,
 )
+from nqkit.graded import momentum_name
 from nqkit.poly import EvenPoly, ring
+from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
-from tests.test_algebroid import nilpotent_bundle, rank2_line, so3_action
+from tests.test_algebroid import (
+    nilpotent_bundle,
+    random_frame,
+    random_poly,
+    rank2_line,
+    so3_action,
+)
 from tests.test_constraints import abelian_r2, magnetic_plane
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def identity_metric(coords):
@@ -252,6 +266,159 @@ def test_structural_anchorless_potential_family():
     assert families.potential[0] == -g["x"]
     assert families.potential[1].is_zero
     assert all(v.is_zero for v in families.metric.values())
+
+
+def structural_residuals_by_triple_products(data, pack):
+    """The three families from their uncontracted index formulas.
+
+    The reference for the contraction through the lowered anchor: every
+    product is formed in full, zero factors included.
+    """
+    r, n, coords = data.rank, data.base_dim, data.coords
+    g_low, omega = pack.g_low, pack.omega
+    tau = pack.tau_or_zero()
+    alpha = pack.alpha_or_zero()
+    potential = pack.potential_or_zero()
+
+    def along(a, f):
+        value = EvenPoly.zero(coords)
+        for k in range(n):
+            value = value + data.anchor[a][k] * f.diff(coords[k])
+        return value
+
+    metric = {}
+    for a in range(r):
+        for i in range(n):
+            for j in range(i, n):
+                value = along(a, g_low[i][j])
+                for k in range(n):
+                    value = value + g_low[k][j] * data.anchor[a][k].diff(coords[i])
+                    value = value + g_low[i][k] * data.anchor[a][k].diff(coords[j])
+                for b in range(r):
+                    for k in range(n):
+                        value = value - omega[b][a][i] * g_low[k][j] * data.anchor[b][k]
+                        value = value - omega[b][a][j] * g_low[k][i] * data.anchor[b][k]
+                metric[(a, i, j)] = value
+    alpha_res = {}
+    for a in range(r):
+        for i in range(n):
+            value = alpha.component((a,)).diff(coords[i])
+            for b in range(r):
+                value = value - omega[b][a][i] * alpha.component((b,))
+                for j in range(n):
+                    value = value + tau[b][a] * g_low[i][j] * data.anchor[b][j]
+            alpha_res[(a, i)] = value
+    potential_res = {}
+    for a in range(r):
+        value = along(a, potential)
+        for b in range(r):
+            value = value - tau[b][a] * alpha.component((b,))
+        potential_res[a] = value
+    return StructuralResiduals(metric, alpha_res, potential_res)
+
+
+def evolution_residuals_by_full_sums(H, cs, pack):
+    """{H, Phi_a} - gamma^b_a Phi_b with gamma summed over (i, j) before contracting."""
+    ctx, data = cs.ctx, cs.data
+    r, n = data.rank, data.base_dim
+    tau = pack.tau_or_zero()
+    momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+    out = []
+    for a in range(r):
+        R = ctx.poisson(H, cs.phis[a])
+        for b in range(r):
+            gamma = -ctx.lift(tau[b][a])
+            for i in range(n):
+                for j in range(n):
+                    gamma = gamma + ctx.lift(
+                        pack.omega[b][a][i] * pack.g_inv[i][j]
+                    ) * momenta[j]
+            R = R - gamma * cs.phis[b]
+        if not R.is_zero:
+            out.append((f"evolution[a={a + 1}]", str(R)))
+    return out
+
+
+def unimodular_metric_pair(rng, coords):
+    """g_low = U^T U and g_inv = V V^T with U unitriangular and V = U^-1.
+
+    A non-constant symmetric metric whose inverse is again polynomial.
+    """
+    n = len(coords)
+    one, zero = EvenPoly.const(coords, 1), EvenPoly.zero(coords)
+    U = [
+        [
+            one if i == j else random_poly(coords, rng, 2) if j > i else zero
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    V = [[zero] * n for _ in range(n)]
+    for j in range(n):
+        for i in reversed(range(n)):
+            value = one if i == j else zero
+            for k in range(i + 1, n):
+                value = value - U[i][k] * V[k][j]
+            V[i][j] = value
+
+    def gram(A, B):
+        # sum_k A[k][i] B[k][j]
+        return [
+            [sum((A[k][i] * B[k][j] for k in range(n)), zero) for j in range(n)]
+            for i in range(n)
+        ]
+
+    transposed_V = [[V[j][i] for j in range(n)] for i in range(n)]
+    return gram(U, U), gram(transposed_V, transposed_V)
+
+
+def random_pack(rng, data):
+    """Random omega, tau, alpha and potential, about half of omega and tau zero."""
+    coords, r, n = data.coords, data.rank, data.base_dim
+    zero = EvenPoly.zero(coords)
+
+    def sparse():
+        return random_poly(coords, rng, 2) if rng.random() < 0.5 else zero
+
+    g_low, g_inv = unimodular_metric_pair(rng, coords)
+    return GeometryPack(
+        coords,
+        r,
+        g_inv=g_inv,
+        g_low=g_low,
+        omega=[[[sparse() for _ in range(n)] for _ in range(r)] for _ in range(r)],
+        tau=[[sparse() for _ in range(r)] for _ in range(r)],
+        alpha=one_form(coords, [random_poly(coords, rng, 2) for _ in range(r)]),
+        potential=random_poly(coords, rng, 2),
+    )
+
+
+def test_contractions_match_the_uncontracted_formulas():
+    cases = []
+    for path in sorted(CORPUS.glob("*.json")):
+        problem = load_problem(path)
+        if problem.pack.g_low is not None and problem.pack.omega is not None:
+            cases.append((problem.data, problem.pack))
+    rng = random.Random(43)
+    for _ in range(6):
+        data = random_frame(rng, rng.randrange(1, 4), rng.randrange(1, 4))
+        cases.append((data, random_pack(rng, data)))
+    assert len(cases) > 6
+    tau_terms = 0
+    for data, pack in cases:
+        expected = structural_residuals_by_triple_products(data, pack)
+        assert structural_residuals(data, pack) == expected
+        if pack.g_inv is None:
+            continue
+        cs = build_constraints(data, pack.alpha, pack.magnetic)
+        H = build_hamiltonian(pack)
+        report = check_evolution_invariance(H, cs, pack)
+        assert report.residuals == evolution_residuals_by_full_sums(H, cs, pack)
+        if pack.beta is None and pack.magnetic is None:
+            assert any(note.startswith("dual route") for note in report.notes)
+        if pack.tau is not None:
+            tau_terms += sum(not entry.is_zero for row in pack.tau for entry in row)
+    assert tau_terms > 0
 
 
 def test_metric_compat_leafwise():

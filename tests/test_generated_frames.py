@@ -1,0 +1,74 @@
+"""The so(n) frames of the benchmark generator through the CLI.
+
+so(n) acting on R^n with the flat metric and zero connection satisfies
+every identity, so its frame tensors are mostly zero: this is the input the
+zero-skipping contractions are fastest on, and the one the bench alone
+exercised before.  The generator module is compiled from its source, so
+nothing is written under `perfbench/`.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+from click.testing import CliRunner
+
+from nqkit.cli import main
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def load_gen() -> ModuleType:
+    module = ModuleType("perfbench_gen")
+    exec(compile(GEN.read_text(), str(GEN), "exec"), module.__dict__)
+    return module
+
+
+gen = load_gen()
+
+
+@pytest.fixture(params=[3, 4], ids=["so3", "so4"])
+def so_n_file(request, tmp_path):
+    n = request.param
+    path = tmp_path / f"so{n}.json"
+    path.write_text(json.dumps(gen.so_n(n)))
+    return n, path
+
+
+def test_so_n_check_all_passes_and_warns_reducible(so_n_file, tmp_path):
+    n, path = so_n_file
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["check", str(path), "--all", "--json", str(out)])
+    assert result.exit_code == 0, result.output
+    checks = json.loads(out.read_text())["checks"]
+    statuses = {check["name"]: check["status"] for check in checks}
+    assert statuses.pop("irreducible") == "warn"
+    assert set(statuses) == {
+        "axioms",
+        "first_class",
+        "metric_compat",
+        "structural",
+        "evolution",
+        "master",
+        "cartan",
+        "supercharge",
+    }
+    assert set(statuses.values()) == {"pass"}
+    rank = n * (n - 1) // 2
+    assert f"generic rank {n - 1}, full rank is {rank}" in result.output
+
+
+def test_so_n_emit_bv_passes_supercharge(so_n_file, tmp_path):
+    _, path = so_n_file
+    out = tmp_path / "bv.json"
+    result = CliRunner().invoke(
+        main, ["emit", str(path), "--what", "bv", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert doc["checks"] == {"supercharge": "pass"}
+    assert "forced" not in doc
+    assert doc["terms"]

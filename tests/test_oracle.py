@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from nqkit.algebroid import cohomology_h1
-from nqkit.bfv import assemble_bfv, bfv_h0
+from nqkit.bfv import assemble_bfv, bfv_h0, build_charge
 
 from tests.test_algebroid import abelian_r1, rank2_line, so3_action
 from tests.test_constraints import abelian_r2
@@ -69,7 +69,7 @@ def test_ghost_zero_windows_match_the_oracle():
     table = fixture_table()
     for name, window in document.items():
         data = table[name]
-        pkg = assemble_bfv(data, flat_pack(data.coords, data.rank))
+        pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
         report = bfv_h0(pkg, window["x_degree"], window["p_degree"])
         assert report.closed_dim == window["closed"], name
         assert report.exact_dim == window["exact"], name

@@ -28,6 +28,50 @@ def test_construction_strips_zero_coefficients():
     assert EvenPoly(coords, {(3, 3): Fraction(0)}).is_zero
 
 
+def _filtered_sum(*signed: tuple[Fraction, EvenPoly]) -> EvenPoly:
+    """sum of sign * poly, built by the filtering constructor: the reference."""
+    terms: dict = {}
+    for sign, poly in signed:
+        for e, c in poly.terms.items():
+            terms[e] = terms.get(e, Fraction(0)) + sign * c
+    return EvenPoly(poly.coords, terms)
+
+
+def test_operations_store_no_zero_coefficient():
+    coords = ("x", "y")
+    rng = random.Random(17)
+    one = Fraction(1)
+    for _ in range(300):
+        f = random_poly(rng, coords)
+        # g cancels about half of f's terms exactly, and adds terms of its own
+        cancelling = {e: -c for e, c in f.terms.items() if rng.random() < 0.5}
+        g = EvenPoly(coords, {**random_poly(rng, coords).terms, **cancelling})
+        scalar = rng.choice(
+            [0, Fraction(0), rng.randint(-3, 3), Fraction(rng.randint(-4, 4), 3)]
+        )
+        cases = [
+            (f + g, _filtered_sum((one, f), (one, g))),
+            (f - g, _filtered_sum((one, f), (-one, g))),
+            (g - f, _filtered_sum((one, g), (-one, f))),
+            (-f, _filtered_sum((-one, f))),
+            (f - f, EvenPoly.zero(coords)),
+            (f + (-f), EvenPoly.zero(coords)),
+            (f * 0, EvenPoly.zero(coords)),
+            (f * Fraction(0), EvenPoly.zero(coords)),
+            (0 * f, EvenPoly.zero(coords)),
+            (f * scalar, _filtered_sum((Fraction(scalar), f))),
+            (scalar * f, _filtered_sum((Fraction(scalar), f))),
+            (
+                f + scalar,
+                _filtered_sum((one, f), (one, EvenPoly.const(coords, scalar))),
+            ),
+        ]
+        for result, expected in cases:
+            assert all(c != 0 for c in result.terms.values())
+            assert result.terms == expected.terms
+            assert result.coords == coords
+
+
 def test_generators_and_constants():
     coords, g = ring(["x", "y"])
     p = g["x"] * g["x"] - 2 * g["y"] + 1
