@@ -26,7 +26,6 @@ every run).  Both tensors are computed at most once per frame: an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -34,6 +33,7 @@ from .graded import (
     GradedContext,
     GradedPoly,
     extended_context,
+    field_column,
     ghost_name,
     left_derivation,
 )
@@ -487,40 +487,38 @@ class CohomologyReport:
     flags: dict[str, bool] = field(default_factory=dict)
 
 
-def _form_column(form: AltForm) -> dict[tuple[tuple[int, ...], Exponent], Rat]:
-    """Coefficients of a form keyed by (index tuple, exponent)."""
-    return {
-        (key, e): coeff
-        for key, value in form.components.items()
-        for e, coeff in value.terms.items()
-    }
+def _q_columns(
+    data: Algebroid, words: list[tuple[int, ...]], degree: int
+) -> tuple[list[tuple[tuple[int, ...], Exponent]], list[dict]]:
+    """Q on the cochains x^e xi^word, for each word and x-degree <= degree.
 
-
-def _monomial_form(
-    data: Algebroid, key: tuple[int, ...], exponent: Exponent
-) -> AltForm:
-    """The form whose only component, at `key`, is the monomial x^exponent."""
-    monomial = EvenPoly(data.coords, {exponent: Fraction(1)})
-    return AltForm(data.coords, len(key), {key: monomial})
+    The sources come word by word, monomials in order within a word; each
+    column is `field_column` of the images of Q, keyed by (word, exponent)
+    in the ghost context, whose exponents end in the momentum half (zero
+    here).
+    """
+    ctx = ghost_context(data)
+    images = q_images(data, ctx)
+    zero_momenta = (0,) * data.base_dim
+    sources = [
+        (word, e) for word in words for e in monomial_exponents(data.base_dim, degree)
+    ]
+    columns = [
+        field_column(ctx, images, word, e + zero_momenta) for word, e in sources
+    ]
+    return sources, columns
 
 
 def _one_form_from_vector(
-    data: Algebroid, unknowns: list[tuple[int, Exponent]], vector: dict[int, Rat]
+    data: Algebroid,
+    unknowns: list[tuple[tuple[int, ...], Exponent]],
+    vector: dict[int, Rat],
 ) -> AltForm:
     terms: list[dict[Exponent, Rat]] = [{} for _ in range(data.rank)]
     for k, value in vector.items():
-        a, e = unknowns[k]
+        (a,), e = unknowns[k]
         terms[a][e] = value
     return one_form(data.coords, [EvenPoly(data.coords, t) for t in terms])
-
-
-def _gradient_columns(data: Algebroid, degree: int) -> tuple[list[Exponent], list]:
-    """The frame gradient d0 on monomials of x-degree <= degree, as columns."""
-    sources = monomial_exponents(data.base_dim, degree)
-    columns = [
-        _form_column(e_differential(data, _monomial_form(data, (), e))) for e in sources
-    ]
-    return sources, columns
 
 
 def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyReport:
@@ -535,20 +533,16 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     """
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    window = monomial_exponents(data.base_dim, trunc)
-    unknowns = [(a, e) for a in range(data.rank) for e in window]
-    columns = [
-        _form_column(e_differential(data, _monomial_form(data, (a,), e)))
-        for a, e in unknowns
-    ]
+    unknowns, columns = _q_columns(data, [(a,) for a in range(data.rank)], trunc)
     closed_basis = [
         _one_form_from_vector(data, unknowns, vector) for vector in kernel(columns)
     ]
 
     # exact part: the image of d0 on functions of degree <= trunc + slack
     # that lies entirely inside the window
-    _, sources = _gradient_columns(data, trunc + slack)
-    exact_dim = image_in(sources, lambda key: sum(key[1]) <= trunc)
+    n = data.base_dim
+    _, sources = _q_columns(data, [()], trunc + slack)
+    exact_dim = image_in(sources, lambda key: sum(key[1][:n]) <= trunc)
 
     filtration = _max_coeff_degree(data) <= 0
     return CohomologyReport(
@@ -589,9 +583,18 @@ def is_exact_one_form(
     """Solve the frame-gradient equation for a primitive of x-degree <= degree."""
     if alpha.arity != 1:
         raise ValueError("exactness query takes a 1-form")
-    sources, columns = _gradient_columns(data, degree)
-    result = solve(columns, _form_column(alpha))
+    sources, columns = _q_columns(data, [()], degree)
+    # alpha_a xi^a, keyed like the columns
+    zero_momenta = (0,) * data.base_dim
+    rhs = {
+        (key, e + zero_momenta): coeff
+        for key, value in alpha.components.items()
+        for e, coeff in value.terms.items()
+    }
+    result = solve(columns, rhs)
     if result is None:
         return None
     solution, _ = result
-    return EvenPoly(data.coords, {sources[k]: value for k, value in solution.items()})
+    return EvenPoly(
+        data.coords, {sources[k][1]: value for k, value in solution.items()}
+    )

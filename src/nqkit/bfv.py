@@ -24,7 +24,9 @@ from .graded import (
     GradedPoly,
     antighost_name,
     extended_context,
+    field_column,
     ghost_name,
+    left_derivation,
     momentum_name,
 )
 from .linalg import image_in, rank
@@ -419,21 +421,26 @@ def _balanced_words(rank: int, ghost_shift: int) -> list[tuple[int, ...]]:
     return words
 
 
-def _window_elements(
+def _bracket_columns(
     ctx: GradedContext,
+    field: dict[str, GradedPoly],
     n: int,
+    words: list[tuple[int, ...]],
     x_degree: int,
     p_degree: int,
-    words: list[tuple[int, ...]],
-) -> list[GradedPoly]:
-    elems = []
-    for xe in monomial_exponents(n, x_degree):
-        for pe in monomial_exponents(n, p_degree):
-            for word in words:
-                elems.append(
-                    GradedPoly.from_terms(ctx, [(word, xe + pe, Rat(1))])
-                )
-    return elems
+) -> list[dict]:
+    """The derivation `field` on each monomial x^xe p^pe xi^word of a window.
+
+    Sources run over x-monomials, then p-monomials, then words; each
+    column is keyed by (word, exponent).
+    """
+    p_exponents = monomial_exponents(n, p_degree)
+    return [
+        field_column(ctx, field, word, xe + pe)
+        for xe in monomial_exponents(n, x_degree)
+        for pe in p_exponents
+        for word in words
+    ]
 
 
 def bfv_h0(bfv: BFVPackage, x_degree: int, p_degree: int) -> H0Report:
@@ -447,27 +454,26 @@ def bfv_h0(bfv: BFVPackage, x_degree: int, p_degree: int) -> H0Report:
     if x_degree < 0 or p_degree < 0:
         raise ValueError("truncation degrees must be nonnegative")
     ctx, S = bfv.ctx, bfv.S
-    if not ctx.poisson(S, S).is_zero:
+    field = ctx.hamiltonian_field(S)  # (S, .), applied to every column below
+    if not left_derivation(ctx, field, S).is_zero:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
     n, r = len(bfv.data.coords), bfv.data.rank
-
-    def bracket_columns(xd: int, pd: int, ghost: int) -> list[dict]:
-        elements = _window_elements(ctx, n, xd, pd, _balanced_words(r, ghost))
-        return [
-            {(word, e): coeff for word, e, coeff in ctx.poisson(S, element).terms()}
-            for element in elements
-        ]
 
     def in_window(key: tuple[tuple[int, ...], Exponent]) -> bool:
         exponent = key[1]
         return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
 
-    window = bracket_columns(x_degree, p_degree, 0)
+    window = _bracket_columns(
+        ctx, field, n, _balanced_words(r, 0), x_degree, p_degree
+    )
     closed_dim = len(window) - rank(window)
     # gh -1 sources one degree above the window; a single bracket moves
     # any monomial degree by at most one, so deeper sources reach the
     # window only through cancellations this truncation ignores
-    exact_dim = image_in(bracket_columns(x_degree + 1, p_degree + 1, -1), in_window)
+    sources = _bracket_columns(
+        ctx, field, n, _balanced_words(r, -1), x_degree + 1, p_degree + 1
+    )
+    exact_dim = image_in(sources, in_window)
 
     if exact_dim > closed_dim:
         raise RuntimeError("internal window inconsistency in the cohomology count")

@@ -54,10 +54,10 @@ from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
 
 _GEOMETRY_LABELS = {"g_inv": "metric_inv", "g_low": "metric", "omega": "connection"}
 
-# the most unknowns (columns of the linear maps) a cohomology window may have;
-# a larger window is refused as an input error before it is built.  The
-# largest so(3) windows under it take about 2 s (h^1) and 11 s (ghost-zero
-# window) on a 2-vCPU host; see README, "Window budget".
+# the most unknowns (columns of the linear maps) a cohomology window or a
+# connection solve may have; a larger one is refused as an input error
+# before it is built.  See README, "Window budget", for what the largest
+# windows under it cost.
 MAX_WINDOW_COLUMNS = 5000
 
 
@@ -505,6 +505,12 @@ def cmd_solve_connection(file, degree, write_path) -> None:
     problem = _load(file)
     if problem.pack.g_low is None:
         _input_error("the connection solve needs the metric")
+    unknowns = _connection_unknowns(problem, degree)
+    if unknowns > MAX_WINDOW_COLUMNS:
+        _input_error(
+            f"--degree {degree}: the connection solve needs {unknowns} unknowns, "
+            f"more than the budget of {MAX_WINDOW_COLUMNS}"
+        )
     solution = solve_connection(problem.data, problem.pack, degree)
     if not solution.feasible:
         click.echo(f"infeasible at ansatz degree {degree}")
@@ -526,6 +532,12 @@ def cmd_solve_connection(file, degree, write_path) -> None:
         _write_json(write_path, doc)
         click.echo(f"wrote {write_path}")
     sys.exit(0)
+
+
+def _connection_unknowns(problem: Problem, degree: int) -> int:
+    """One unknown omega^b_ai = x^m per frame pair, base index and monomial."""
+    n, r = problem.data.base_dim, problem.data.rank
+    return r * r * n * comb(n + degree, n)
 
 
 def _write_json(path: str, doc: dict) -> None:

@@ -21,7 +21,7 @@ index-formula route raises instead of passing silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from .algebroid import (
@@ -35,7 +35,7 @@ from .algebroid import (
 from .constraints import ConstraintSet, twist_of_magnetic
 from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
 from .linalg import solve
-from .poly import EvenPoly, embed, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 Matrix = tuple[tuple[EvenPoly, ...], ...]
@@ -585,6 +585,45 @@ class ConnectionSolution:
     notes: list[str] = field(default_factory=list)
 
 
+def _connection_columns(
+    data: Algebroid, g_low: Matrix, degree: int
+) -> tuple[list[tuple[int, int, int, Exponent]], list[dict]]:
+    """One column per unknown omega^b_ai = x^m of the compatibility system.
+
+    The unknowns number rank^2 * base_dim * C(base_dim + degree, base_dim).
+    Row keys are (a, pair position, exponent) over the pairs s <= t.  An
+    unknown adds -x^m (iota_rho g)_bt to the pair (s, t) when i = s, and
+    -x^m (iota_rho g)_bs when i = t, term by term.
+    """
+    r, n = data.rank, data.base_dim
+    pair_list = [(i, j) for i in range(n) for j in range(i, n)]
+    exponents = monomial_exponents(n, degree)
+    unknowns = [
+        (b, a, i, m)
+        for b in range(r)
+        for a in range(r)
+        for i in range(n)
+        for m in exponents
+    ]
+    iota = _lowered_anchor(data, g_low)
+    columns = []
+    for b, a, i, m in unknowns:
+        column: dict[tuple[int, int, Exponent], Rat] = {}
+        for pair_pos, (s, t) in enumerate(pair_list):
+            for hit, other in ((s, t), (t, s)):
+                if i != hit:
+                    continue
+                for e, coeff in iota[b][other].terms.items():
+                    key = (a, pair_pos, tuple(map(add, m, e)))
+                    value = column.get(key, 0) - coeff
+                    if value:
+                        column[key] = value
+                    else:
+                        del column[key]
+        columns.append(column)
+    return unknowns, columns
+
+
 def solve_connection(
     data: Algebroid, pack: GeometryPack, degree: int
 ) -> ConnectionSolution:
@@ -599,29 +638,7 @@ def solve_connection(
         raise ValueError("ansatz degree must be nonnegative")
     r, n = data.rank, data.base_dim
     pair_list = [(i, j) for i in range(n) for j in range(i, n)]
-
-    # one column per unknown omega^b_{ai} = x^m, keyed by (a, pair, exponent)
-    unknowns = [
-        (b, a, i, m)
-        for b in range(r)
-        for a in range(r)
-        for i in range(n)
-        for m in monomial_exponents(n, degree)
-    ]
-    iota = _lowered_anchor(data, pack.g_low)
-    columns = []
-    for b, a, i, m in unknowns:
-        shifted = EvenPoly(data.coords, {m: Fraction(1)})
-        column = {}
-        for pair_pos, (s, t) in enumerate(pair_list):
-            contribution = EvenPoly.zero(data.coords)
-            if i == s:
-                contribution = contribution - shifted * iota[b][t]
-            if i == t:
-                contribution = contribution - shifted * iota[b][s]
-            for e, coeff in contribution.terms.items():
-                column[(a, pair_pos, e)] = coeff
-        columns.append(column)
+    unknowns, columns = _connection_columns(data, pack.g_low, degree)
     rhs = {
         (a, pair_pos, e): -coeff
         for a in range(r)

@@ -25,6 +25,7 @@ with all derivatives acting from the left.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, embed, term_sort_key
@@ -188,50 +189,49 @@ class GradedContext:
 
     # the bracket
 
-    def poisson(self, F: GradedPoly, G: GradedPoly) -> GradedPoly:
-        """Graded Poisson bracket {F, G} in this context's conventions."""
-        if F.ctx != self or G.ctx != self:
+    def hamiltonian_field(self, F: GradedPoly) -> dict[str, GradedPoly]:
+        """The derivation (F, .) as images of the coordinates.
+
+        (F, G) = sum over names of field[name] * dG/dname, with left
+        derivatives; only coordinates with a nonzero image appear.  This is
+        the one copy of the bracket formula in the module docstring.
+        """
+        if F.ctx != self:
             raise ValueError("bracket arguments belong to a different context")
-        dG: dict[str, GradedPoly] = {}
+        field: dict[str, GradedPoly] = {}
 
-        def g_deriv(name: str) -> GradedPoly:
-            if name not in dG:
-                dG[name] = G.left_deriv(name)
-            return dG[name]
+        def accumulate(name: str, value: GradedPoly) -> None:
+            if not value.is_zero:
+                field[name] = field[name] + value if name in field else value
 
-        result = self.zero()
+        momenta = [p for p, _ in self.pairs_even]
         for parity in (0, 1):
             Fp = F.parity_part(parity)
             if Fp.is_zero:
                 continue
             odd_sign = 1 if parity else -1  # -(-1)^|F|
-            for p_name, x_name in self.pairs_even:
-                dFp = Fp.left_deriv(p_name)
-                dFx = Fp.left_deriv(x_name)
-                if not dFp.is_zero:
-                    result = result + dFp * g_deriv(x_name)
-                if not dFx.is_zero:
-                    result = result - dFx * g_deriv(p_name)
+            dF_momenta = [Fp.left_deriv(p) for p in momenta]
+            for dFp, (p_name, x_name) in zip(dF_momenta, self.pairs_even):
+                accumulate(x_name, dFp)
+                accumulate(p_name, -Fp.left_deriv(x_name))
             for xi_name, pi_name in self.pairs_odd:
-                dFxi = Fp.left_deriv(xi_name)
-                dFpi = Fp.left_deriv(pi_name)
-                if not dFxi.is_zero:
-                    result = result + dFxi * g_deriv(pi_name) * odd_sign
-                if not dFpi.is_zero:
-                    result = result + dFpi * g_deriv(xi_name) * odd_sign
+                accumulate(pi_name, Fp.left_deriv(xi_name) * odd_sign)
+                accumulate(xi_name, Fp.left_deriv(pi_name) * odd_sign)
             if self.twist is not None:
-                momenta = [p for p, _ in self.pairs_even]
                 for i in range(len(momenta)):
                     for j in range(i + 1, len(momenta)):
                         w = self.twist[i][j]
                         if w.is_zero:
                             continue
-                        dFi = Fp.left_deriv(momenta[i])
-                        dFj = Fp.left_deriv(momenta[j])
-                        cross = dFi * g_deriv(momenta[j]) - dFj * g_deriv(momenta[i])
-                        if not cross.is_zero:
-                            result = result + cross * w
-        return result
+                        accumulate(momenta[j], dF_momenta[i] * w)
+                        accumulate(momenta[i], -(dF_momenta[j] * w))
+        return {name: value for name, value in field.items() if not value.is_zero}
+
+    def poisson(self, F: GradedPoly, G: GradedPoly) -> GradedPoly:
+        """Graded Poisson bracket {F, G} in this context's conventions."""
+        if G.ctx != self:
+            raise ValueError("bracket arguments belong to a different context")
+        return left_derivation(self, self.hamiltonian_field(F), G)
 
 
 class GradedPoly:
@@ -529,6 +529,52 @@ def left_derivation(
         if not derivative.is_zero:
             result = result + image * derivative
     return result
+
+
+def field_column(
+    ctx: GradedContext,
+    field: Mapping[str, GradedPoly],
+    word: OddWord,
+    exponent: Exponent,
+) -> dict[tuple[OddWord, Exponent], Rat]:
+    """`left_derivation(ctx, field, m)` on the monomial m = x^exponent xi^word.
+
+    The value comes back as a sparse `{(word, exponent): coefficient}`
+    column, built without any polynomial object: the left derivative of m
+    in each coordinate is one term or none, and it multiplies into that
+    coordinate's image term by term.
+    """
+    column: dict[tuple[OddWord, Exponent], Rat] = {}
+    for name, image in field.items():
+        k = ctx.even_index.get(name)
+        if k is not None:
+            power = exponent[k]
+            if not power:
+                continue
+            d_word = word
+            d_exponent = exponent[:k] + (power - 1,) + exponent[k + 1 :]
+            d_coeff = power
+        else:
+            letter = ctx.odd_index[name]
+            if letter not in word:
+                continue
+            position = word.index(letter)
+            d_word = word[:position] + word[position + 1 :]
+            d_exponent = exponent
+            d_coeff = -1 if position % 2 else 1
+        for image_word, f in image.parts.items():
+            merged, sign = merge_words(image_word, d_word)
+            if merged is None:
+                continue
+            scale = sign * d_coeff
+            for e, coeff in f.terms.items():
+                key = (merged, tuple(map(add, e, d_exponent)))
+                value = column.get(key, 0) + scale * coeff
+                if value:
+                    column[key] = value
+                else:
+                    del column[key]
+    return column
 
 
 # name scheme for generated coordinates; user base coordinates must avoid these

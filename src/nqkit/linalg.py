@@ -59,7 +59,12 @@ def _add_multiple(target: Row, factor: Rat, source: Row) -> None:
 
 
 def _rows(columns: Sequence[Column], rhs: Column | None = None) -> list[Row]:
-    """The rows of the map, one per target key; `rhs` becomes the last column."""
+    """The rows of the map, one per target key; `rhs` becomes the last column.
+
+    Rows come sparsest first.  `rref` gives the same answer in any row
+    order, but short rows first keep the fill-in down, whatever order the
+    columns list their keys in.
+    """
     by_key: dict[Hashable, Row] = {}
     for j, column in enumerate(columns):
         for key, value in column.items():
@@ -69,7 +74,7 @@ def _rows(columns: Sequence[Column], rhs: Column | None = None) -> list[Row]:
         for key, value in rhs.items():
             if value:
                 by_key.setdefault(key, {})[len(columns)] = value
-    return list(by_key.values())
+    return sorted(by_key.values(), key=len)
 
 
 def rank(columns: Sequence[Column]) -> int:

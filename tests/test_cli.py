@@ -15,6 +15,7 @@ from click.testing import CliRunner
 import nqkit.algebroid
 import nqkit.bfv
 import nqkit.cli
+import nqkit.dynamics
 from nqkit.aksz import build_supercharge, expand_bv
 from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
 from nqkit.cli import main
@@ -350,6 +351,42 @@ def test_oversized_window_fails_fast():
     assert "input error: --trunc 40 --slack 2: " in result.stderr
     assert "estimated 51213 columns" in result.stderr
     assert f"budget of {nqkit.cli.MAX_WINDOW_COLUMNS}" in result.stderr
+
+
+def test_oversized_connection_solve_fails_fast():
+    # 3^2 * 3 * C(43, 3) = 333207 unknowns; built, this solve gave no
+    # answer in 20 s
+    start = time.perf_counter()
+    result = run("solve-connection", corpus_path("so3_action"), "--degree", "40")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert "input error: --degree 40: " in result.stderr
+    assert "needs 333207 unknowns" in result.stderr
+    assert f"budget of {nqkit.cli.MAX_WINDOW_COLUMNS}" in result.stderr
+
+
+@pytest.mark.parametrize("name", ["so3_action", "rank2_line", "leafwise_metric"])
+def test_connection_budget_counts_the_solver_unknowns(monkeypatch, name):
+    problem = load_problem(corpus_path(name))
+    built = []
+    original = nqkit.dynamics._connection_columns
+
+    def recording(data, g_low, degree):
+        unknowns, columns = original(data, g_low, degree)
+        built.append(len(unknowns))
+        return unknowns, columns
+
+    monkeypatch.setattr(nqkit.dynamics, "_connection_columns", recording)
+    for degree in (0, 1, 2):
+        unknowns = nqkit.cli._connection_unknowns(problem, degree)
+        monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", unknowns - 1)
+        result = run("solve-connection", corpus_path(name), "--degree", str(degree))
+        assert result.exit_code == 2
+        assert f"needs {unknowns} unknowns" in result.stderr
+        monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", unknowns)
+        result = run("solve-connection", corpus_path(name), "--degree", str(degree))
+        assert result.exit_code in (0, 1)  # feasible or not, but solved
+        assert built[-1] == unknowns
 
 
 def _window_columns(name, window, trunc, slack, p_degree):

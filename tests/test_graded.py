@@ -10,6 +10,7 @@ from nqkit.graded import (
     GradedPoly,
     cotangent_context,
     extended_context,
+    field_column,
     left_derivation,
     merge_words,
 )
@@ -42,6 +43,43 @@ def twisted_extended():
     b = g["x1"] + 1
     twist = [[EvenPoly.zero(b.coords), b], [-b, EvenPoly.zero(b.coords)]]
     return extended_context(["x1", "x2"], rank=2, twist=twist)
+
+
+def twisted_extended_three():
+    coords, g = ring(["x1", "x2", "x3"])
+    zero = EvenPoly.zero(coords)
+    w12, w13 = g["x3"], g["x1"] * g["x2"] - 2
+    twist = [[zero, w12, w13], [-w12, zero, zero], [-w13, zero, zero]]
+    return extended_context(["x1", "x2", "x3"], rank=2, twist=twist)
+
+
+def pair_loop_poisson(ctx: GradedContext, F: GradedPoly, G: GradedPoly) -> GradedPoly:
+    """The bracket formula of the module docstring, written out pair by pair.
+
+    This was the engine's bracket before the formula moved into
+    `GradedContext.hamiltonian_field`; it stays here as the reference.
+    """
+    result = ctx.zero()
+    for parity in (0, 1):
+        Fp = F.parity_part(parity)
+        if Fp.is_zero:
+            continue
+        odd_sign = 1 if parity else -1  # -(-1)^|F|
+        for p_name, x_name in ctx.pairs_even:
+            result = result + Fp.left_deriv(p_name) * G.left_deriv(x_name)
+            result = result - Fp.left_deriv(x_name) * G.left_deriv(p_name)
+        for xi_name, pi_name in ctx.pairs_odd:
+            result = result + Fp.left_deriv(xi_name) * G.left_deriv(pi_name) * odd_sign
+            result = result + Fp.left_deriv(pi_name) * G.left_deriv(xi_name) * odd_sign
+        if ctx.twist is not None:
+            momenta = [p for p, _ in ctx.pairs_even]
+            for i in range(len(momenta)):
+                for j in range(i + 1, len(momenta)):
+                    cross = Fp.left_deriv(momenta[i]) * G.left_deriv(
+                        momenta[j]
+                    ) - Fp.left_deriv(momenta[j]) * G.left_deriv(momenta[i])
+                    result = result + cross * ctx.twist[i][j]
+    return result
 
 
 def test_merge_words_signs():
@@ -162,6 +200,51 @@ def test_nonclosed_twist_breaks_jacobi():
         + ctx.poisson(p3, ctx.poisson(p1, p2))
     )
     assert not jacobiator.is_zero
+
+
+CONTEXTS = [
+    lambda: extended_context(["x1", "x2"], 2),
+    twisted_extended,
+    twisted_extended_three,
+]
+
+
+@pytest.mark.parametrize("make_ctx", CONTEXTS)
+@pytest.mark.parametrize("parity", [0, 1, None])
+def test_bracket_matches_the_pair_loop(make_ctx, parity):
+    ctx = make_ctx()
+    rng = random.Random(61 + (parity or 2))
+    for _ in range(40):
+        F = random_graded(rng, ctx, parity=parity, max_terms=4)
+        G = random_graded(rng, ctx, max_terms=4)
+        assert ctx.poisson(F, G) == pair_loop_poisson(ctx, F, G)
+
+
+@pytest.mark.parametrize("make_ctx", CONTEXTS)
+def test_field_column_applies_the_field_to_one_monomial(make_ctx):
+    ctx = make_ctx()
+    rng = random.Random(67)
+    for _ in range(40):
+        field = ctx.hamiltonian_field(random_graded(rng, ctx, max_terms=4))
+        size = rng.randint(0, min(3, len(ctx.odd_names)))
+        word = tuple(sorted(rng.sample(range(len(ctx.odd_names)), size)))
+        exponent = tuple(rng.randint(0, 2) for _ in ctx.even_names)
+        monomial = GradedPoly.from_terms(ctx, [(word, exponent, Fraction(1))])
+        expected = {
+            (w, e): c for w, e, c in left_derivation(ctx, field, monomial).terms()
+        }
+        assert field_column(ctx, field, word, exponent) == expected
+
+
+def test_hamiltonian_field_keeps_only_nonzero_images():
+    ctx = twisted_extended()
+    p1, x2 = ctx.var("p_x1"), ctx.var("x2")
+    field = ctx.hamiltonian_field(p1 * x2)
+    # d/dp_1 lands on x1 and, through the twist, on p_2; d/dx2 on p_2
+    assert set(field) == {"x1", "p_x2"}
+    assert field["x1"] == x2
+    assert field["p_x2"] == x2 * (ctx.var("x1") + 1) - p1
+    assert ctx.hamiltonian_field(ctx.const(3)) == {}
 
 
 def test_ghost_bookkeeping():

@@ -3,7 +3,8 @@
 tools/cohomology_oracle.py recomputes every window from scratch with its
 own polynomial dictionaries, its own elimination, and a termwise rewrite
 of the charge bracket.  These tests run it as a subprocess and compare
-dimension for dimension.
+dimension for dimension; the larger windows of the benchmark call its
+window functions directly, from the script loaded by path.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 from nqkit.algebroid import cohomology_h1
 from nqkit.bfv import assemble_bfv, bfv_h0, build_charge
@@ -23,6 +27,7 @@ from tests.test_dynamics import flat_pack
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
 
 _document = None
+_oracle_module = None
 
 
 def oracle_document():
@@ -36,6 +41,16 @@ def oracle_document():
         )
         _document = json.loads(run.stdout)
     return _document
+
+
+def oracle_module() -> ModuleType:
+    # compiled from source, so no bytecode cache is written under tools/
+    global _oracle_module
+    if _oracle_module is None:
+        _oracle_module = ModuleType("cohomology_oracle")
+        code = compile(ORACLE.read_text(), str(ORACLE), "exec")
+        exec(code, _oracle_module.__dict__)
+    return _oracle_module
 
 
 def fixture_table():
@@ -74,3 +89,30 @@ def test_ghost_zero_windows_match_the_oracle():
         assert report.closed_dim == window["closed"], name
         assert report.exact_dim == window["exact"], name
         assert report.h_dim == window["h"], name
+
+
+@pytest.mark.parametrize(
+    "name, trunc", [("so3", 3), ("so3", 4), ("abelian_r2", 6), ("rank2_line", 4)]
+)
+def test_benchmark_first_order_windows_match_the_oracle(name, trunc):
+    oracle = oracle_module()
+    want = oracle.h1_window(oracle.fixtures()[name], trunc)
+    report = cohomology_h1(fixture_table()[name], trunc)
+    assert (report.closed_dim, report.exact_dim, report.h_dim) == (
+        want["closed"],
+        want["exact"],
+        want["h"],
+    )
+
+
+def test_benchmark_ghost_zero_window_matches_the_oracle():
+    oracle = oracle_module()
+    want = oracle.h0_window(oracle.fixtures()["abelian_r2"], 2, 1)
+    data = abelian_r2()
+    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
+    report = bfv_h0(pkg, 2, 1)
+    assert (report.closed_dim, report.exact_dim, report.h_dim) == (
+        want["closed"],
+        want["exact"],
+        want["h"],
+    )
