@@ -23,11 +23,9 @@ from .aksz import (
 from .algebroid import (
     Algebroid,
     AltForm,
-    abelian_algebroid,
     algebroid_from_lists,
     check_axioms,
     cohomology_h1,
-    de_rham,
     e_differential,
     is_exact_one_form,
     one_form,
@@ -54,7 +52,6 @@ from .constraints import (
 )
 from .dynamics import (
     GeometryPack,
-    absorb_beta,
     build_hamiltonian,
     check_evolution_invariance,
     check_metric_compat,
@@ -63,7 +60,7 @@ from .dynamics import (
 )
 from .graded import GradedContext, GradedPoly, cotangent_context, extended_context
 from .parser import ParseError, parse_poly, rational_from_string
-from .poly import EvenPoly, Rat, ring
+from .poly import EvenPoly, Rat
 from .problem import Problem, ProblemError, load_problem
 from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
 
@@ -88,8 +85,6 @@ __all__ = [
     "SKIPPED",
     "SuperCharge",
     "WARN",
-    "abelian_algebroid",
-    "absorb_beta",
     "algebroid_from_lists",
     "assemble_bfv",
     "bfv_h0",
@@ -109,7 +104,6 @@ __all__ = [
     "check_supercharge",
     "cohomology_h1",
     "cotangent_context",
-    "de_rham",
     "e_differential",
     "expand_bv",
     "extended_action_reference",
@@ -123,7 +117,6 @@ __all__ = [
     "parse_poly",
     "pullback",
     "rational_from_string",
-    "ring",
     "solve_connection",
     "two_form_from_matrix",
     "worst_status",

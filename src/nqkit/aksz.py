@@ -104,14 +104,14 @@ def check_supercharge(sq: SuperCharge) -> CheckReport:
     """Nilpotency of the super-time charge.
 
     The self bracket is computed directly and, as an internal guard,
-    matched against (S, S) - 2 theta (S, H); the verdict must also agree
-    with the source package's master and invariance reports.
+    matched against (S, S) - 2 theta (S, H), read off the charge and the
+    package that bracketed them; the verdict must also agree with the
+    source package's master and invariance reports.
     """
     ctx = sq.context
     bfv = sq.package
     QQ = ctx.poisson(sq.Q, sq.Q)
-    SS = bfv.ctx.poisson(bfv.S, bfv.S)
-    SH = bfv.ctx.poisson(bfv.S, bfv.H)
+    SS, SH = bfv.charge.self_bracket, bfv.SH
     theta = ctx.var(THETA)
     split = transport(SS, ctx) - 2 * theta * transport(SH, ctx)
     if QQ != split:

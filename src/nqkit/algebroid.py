@@ -126,15 +126,6 @@ def algebroid_from_lists(
     )
 
 
-def abelian_algebroid(coords: tuple[str, ...] | list[str], anchor: list[list[EvenPoly]]) -> Algebroid:
-    """Anchor with identically vanishing structure functions."""
-    coord_tuple = tuple(coords)
-    r = len(anchor)
-    zero = EvenPoly.zero(coord_tuple)
-    structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
-    return algebroid_from_lists(coord_tuple, anchor, structure)
-
-
 # alternating forms, indexed either by frame labels or by base coordinates
 
 
@@ -270,26 +261,6 @@ def e_differential(data: Algebroid, form: AltForm) -> AltForm:
                     value = value - data.structure[c][a][b] * form.component((c,))
                 components[(a, b)] = value
         return AltForm(data.coords, 2, components)
-    raise ValueError("differential implemented for arities 0 and 1 only")
-
-
-def de_rham(coords: tuple[str, ...], form: AltForm) -> AltForm:
-    """Ordinary exterior derivative on base 0- and 1-forms."""
-    n = len(coords)
-    if form.arity == 0:
-        f = form.component(())
-        return AltForm(coords, 1, {(i,): f.diff(coords[i]) for i in range(n)})
-    if form.arity == 1:
-        return AltForm(
-            coords,
-            2,
-            {
-                (i, j): form.component((j,)).diff(coords[i])
-                - form.component((i,)).diff(coords[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-            },
-        )
     raise ValueError("differential implemented for arities 0 and 1 only")
 
 

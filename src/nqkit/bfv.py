@@ -80,9 +80,10 @@ class Charge:
     """The charge S of a frame and geometry pack, on its extended phase space.
 
     `core` is the lift of Q alone, S without the affine part; the cartan and
-    charge-invariance checks bracket it with the Hamiltonian.  The master
-    report is computed on first use and kept, so one invocation checks
-    (S, S) = 0 once however many reports need it.
+    charge-invariance checks bracket it with the Hamiltonian.  The
+    self-bracket (S, S) and the master report are computed on first use and
+    kept, so one invocation brackets S with itself once however many
+    reports need it.
     """
 
     data: Algebroid
@@ -92,10 +93,12 @@ class Charge:
     S: GradedPoly
 
     @cached_property
+    def self_bracket(self) -> GradedPoly:
+        return self.ctx.poisson(self.S, self.S)
+
+    @cached_property
     def master(self) -> CheckReport:
-        return check_master(
-            self.S, data=self.data, alpha=self.pack.alpha, magnetic=self.pack.magnetic
-        )
+        return check_master(self)
 
 
 def build_charge(data: Algebroid, pack: GeometryPack) -> Charge:
@@ -135,23 +138,18 @@ def _expected_self_bracket(
     return expected
 
 
-def check_master(
-    S: GradedPoly,
-    data: Algebroid,
-    alpha: AltForm | None = None,
-    magnetic: AltForm | None = None,
-) -> CheckReport:
+def check_master(charge: Charge) -> CheckReport:
     """Nilpotency of the charge under the graded bracket.
 
     The self-bracket is also predicted from the frame data used to build S:
     the first-class residual tensor and the jacobi defect; disagreement
     between the routes raises.
     """
-    ctx = S.ctx
+    S, ctx, pack = charge.S, charge.ctx, charge.pack
     if S.is_zero or S.parity() != 1 or S.ghost_degree() != 1:
         raise ValueError("the charge must be odd of ghost degree +1")
-    ss = ctx.poisson(S, S)
-    if ss != _expected_self_bracket(data, alpha, magnetic, ctx):
+    ss = charge.self_bracket
+    if ss != _expected_self_bracket(charge.data, pack.alpha, pack.magnetic, ctx):
         raise RuntimeError("internal dual-route mismatch in the self-bracket")
     notes = [
         "dual route: the self-bracket matches the anchor and jacobi "
@@ -205,13 +203,15 @@ def build_H(pack: GeometryPack, ctx: GradedContext | None = None) -> GradedPoly:
 
 @dataclass(frozen=True)
 class BFVPackage:
-    """Charge, Hamiltonian and the reports of the identity battery."""
+    """Charge, Hamiltonian and the reports of the identity battery.
 
-    ctx: GradedContext
-    S: GradedPoly
+    `SH` is the bracket (S, H), computed once by the charge-invariance check
+    and kept for the theta split of the supercharge.
+    """
+
+    charge: Charge
     H: GradedPoly
-    data: Algebroid
-    geometry: GeometryPack
+    SH: GradedPoly
     reports: tuple[CheckReport, ...]
 
     def __post_init__(self) -> None:
@@ -219,6 +219,18 @@ class BFVPackage:
             raise ValueError("the charge must be odd of ghost degree +1")
         if not self.H.is_zero and (self.H.parity() != 0 or self.H.ghost_degree() != 0):
             raise ValueError("the hamiltonian must be even of ghost degree 0")
+
+    @property
+    def ctx(self) -> GradedContext:
+        return self.charge.ctx
+
+    @property
+    def S(self) -> GradedPoly:
+        return self.charge.S
+
+    @property
+    def data(self) -> Algebroid:
+        return self.charge.data
 
     def report(self, name: str) -> CheckReport:
         for entry in self.reports:
@@ -246,11 +258,10 @@ def _split_momentum_linear(
     return [EvenPoly(coords, terms) for terms in linear]
 
 
-def _cartan_core(charge: Charge, H: GradedPoly) -> CheckReport:
-    data, pack, ctx, core = charge.data, charge.pack, charge.ctx, charge.core
+def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
+    """Read the obstruction tensor off R = (core, H_cov)."""
+    data, pack, ctx = charge.data, charge.pack, charge.ctx
     n, r = len(data.coords), data.rank
-    h_cov = H - ctx.lift(pack.potential_or_zero())
-    R = ctx.poisson(core, h_cov)
     if R.is_zero:
         return CheckReport(
             "cartan",
@@ -319,10 +330,16 @@ def _cartan_core(charge: Charge, H: GradedPoly) -> CheckReport:
     )
 
 
-def _charge_invariance(charge: Charge, H: GradedPoly) -> CheckReport:
+def _charge_invariance(
+    charge: Charge, H: GradedPoly, core_bracket: GradedPoly
+) -> tuple[CheckReport, GradedPoly]:
+    """The charge-invariance report and the bracket (S, H) it checks.
+
+    `core_bracket` is (core, H_cov), shared with the cartan check.
+    """
     data, pack, ctx = charge.data, charge.pack, charge.ctx
-    S, core = charge.S, charge.core
-    affine = S - core
+    S = charge.S
+    affine = S - charge.core
     potential = ctx.lift(pack.potential_or_zero())
     h_cov = H - potential
 
@@ -333,18 +350,19 @@ def _charge_invariance(charge: Charge, H: GradedPoly) -> CheckReport:
                 data.anchor[a][i] * pack.potential_or_zero().diff(name)
             )
     parts = [
-        ("cartan_part", ctx.poisson(core, h_cov)),
+        ("cartan_part", core_bracket),
         ("dalpha_part", ctx.poisson(affine, h_cov)),
         ("potential_part", ctx.poisson(S, potential)),
     ]
     if parts[2][1] != gradient:
         raise RuntimeError("internal dual-route mismatch in the potential part")
-    total = ctx.poisson(S, H)
+    # with alpha = 0 and V = 0, S is the core and H is H_cov: one bracket
+    total = core_bracket if affine.is_zero and potential.is_zero else ctx.poisson(S, H)
     if parts[0][1] + parts[1][1] + parts[2][1] != total:
         raise RuntimeError("internal dual-route mismatch in the charge invariance")
     residuals = [(label, str(value)) for label, value in parts if not value.is_zero]
     status = PASS if total.is_zero else FAIL
-    return CheckReport(
+    report = CheckReport(
         "charge_invariance",
         status,
         "(S, H) = 0",
@@ -354,6 +372,7 @@ def _charge_invariance(charge: Charge, H: GradedPoly) -> CheckReport:
             "of the structural check"
         ],
     )
+    return report, total
 
 
 def assemble_bfv(charge: Charge) -> BFVPackage:
@@ -368,9 +387,11 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
             )
         H = ctx.lift(pack.potential_or_zero())
     reports = [charge.master]
+    # (core, H_cov), shared by the cartan and charge-invariance checks
+    core_bracket = ctx.poisson(charge.core, H - ctx.lift(pack.potential_or_zero()))
     if pack.g_inv is not None and pack.g_low is not None:
         if reports[0].status == PASS:
-            reports.append(_cartan_core(charge, H))
+            reports.append(_cartan_core(charge, core_bracket))
         else:
             reports.append(
                 CheckReport(
@@ -391,8 +412,9 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
                 ["no metric pair: the covariant obstruction is not defined"],
             )
         )
-    reports.append(_charge_invariance(charge, H))
-    return BFVPackage(ctx, charge.S, H, data, pack, tuple(reports))
+    invariance, SH = _charge_invariance(charge, H, core_bracket)
+    reports.append(invariance)
+    return BFVPackage(charge, H, SH, tuple(reports))
 
 
 # truncated ghost-number-zero cohomology of (S, .)
@@ -443,7 +465,7 @@ def _bracket_columns(
     ]
 
 
-def bfv_h0(bfv: BFVPackage, x_degree: int, p_degree: int) -> H0Report:
+def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
     """Kernel minus image of (S, .) on a finite ghost-number-0 window.
 
     Both dimensions are exact on the window: an element counts as closed
@@ -453,11 +475,11 @@ def bfv_h0(bfv: BFVPackage, x_degree: int, p_degree: int) -> H0Report:
     """
     if x_degree < 0 or p_degree < 0:
         raise ValueError("truncation degrees must be nonnegative")
-    ctx, S = bfv.ctx, bfv.S
+    ctx, S = charge.ctx, charge.S
     field = ctx.hamiltonian_field(S)  # (S, .), applied to every column below
     if not left_derivation(ctx, field, S).is_zero:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
-    n, r = len(bfv.data.coords), bfv.data.rank
+    n, r = len(charge.data.coords), charge.data.rank
 
     def in_window(key: tuple[tuple[int, ...], Exponent]) -> bool:
         exponent = key[1]

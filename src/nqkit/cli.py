@@ -24,7 +24,16 @@ from pathlib import Path
 
 import click
 
-from .aksz import build_supercharge, check_supercharge, expand_bv, term_rows
+from .aksz import (
+    ComponentAction,
+    build_supercharge,
+    check_bookkeeping,
+    check_supercharge,
+    expand_bv,
+    extended_action_reference,
+    ghost_zero_truncation,
+    term_rows,
+)
 from .algebroid import (
     check_axioms,
     cohomology_h1,
@@ -38,8 +47,6 @@ from .bfv import (
     assemble_bfv,
     bfv_h0,
     build_charge,
-    build_S,
-    charge_context,
 )
 from .constraints import build_constraints, check_first_class, irreducibility_probe
 from .dynamics import (
@@ -407,12 +414,9 @@ def _window_h1(problem: Problem, trunc: int, slack: int) -> None:
 
 
 def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
-    pack = problem.pack
-    ctx = charge_context(problem.data, pack.magnetic)
-    S = build_S(problem.data, alpha=pack.alpha, magnetic=pack.magnetic, ctx=ctx)
-    package = BFVPackage(ctx, S, ctx.zero(), problem.data, pack, ())
+    charge = build_charge(problem.data, problem.pack)
     try:
-        report = bfv_h0(package, trunc, p_degree)
+        report = bfv_h0(charge, trunc, p_degree)
     except ValueError as error:
         click.echo(f"prerequisite failed: {error}")
         sys.exit(1)
@@ -468,6 +472,7 @@ def cmd_emit(file, what, out, force) -> None:
             except ValueError as error:
                 click.echo(f"emission failed: {error}", err=True)
                 sys.exit(1)
+            _guard_classical_limit(problem, action)
             doc["fields"] = [
                 {
                     "name": f.name,
@@ -492,6 +497,25 @@ def cmd_emit(file, what, out, force) -> None:
     _write_json(out, doc)
     click.echo(f"wrote {out}")
     sys.exit(0)
+
+
+def _guard_classical_limit(problem: Problem, action: ComponentAction) -> None:
+    """The BV action must come out of BFV by the AKSZ expansion.
+
+    Its field table must pass the bookkeeping, and its ghost-zero part must
+    equal p_i x_dot^i - H - lam^a Phi_a assembled from the base fields alone.
+    """
+    bookkeeping = check_bookkeeping(action)
+    if bookkeeping.status != PASS:
+        label, detail = bookkeeping.residuals[0]
+        raise RuntimeError(
+            f"internal bookkeeping mismatch in the component action: {label} {detail}"
+        )
+    reference = extended_action_reference(problem.data, problem.pack)
+    if ghost_zero_truncation(action) != reference:
+        raise RuntimeError(
+            "internal dual-route mismatch in the classical limit of the action"
+        )
 
 
 @main.command("solve-connection")

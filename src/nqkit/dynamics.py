@@ -24,14 +24,7 @@ from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Sequence
 
-from .algebroid import (
-    Algebroid,
-    AltForm,
-    de_rham,
-    one_form,
-    pullback,
-    zero_form,
-)
+from .algebroid import Algebroid, AltForm, zero_form
 from .constraints import ConstraintSet, twist_of_magnetic
 from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
 from .linalg import solve
@@ -201,14 +194,6 @@ class StructuralResiduals:
     metric: dict[tuple[int, int, int], EvenPoly]
     alpha: dict[tuple[int, int], EvenPoly]
     potential: dict[int, EvenPoly]
-
-    @property
-    def all_zero(self) -> bool:
-        return (
-            all(v.is_zero for v in self.metric.values())
-            and all(v.is_zero for v in self.alpha.values())
-            and all(v.is_zero for v in self.potential.values())
-        )
 
 
 def _require(pack: GeometryPack, names: Sequence[str]) -> None:
@@ -488,89 +473,6 @@ def _assert_decomposition(
                     raise RuntimeError(
                         "internal dual-route mismatch at momentum order 2"
                     )
-
-
-# drift absorption
-
-
-def absorb_beta(data: Algebroid, pack: GeometryPack) -> GeometryPack:
-    """Shift the momenta to remove beta, compensating in alpha, V and B.
-
-    With A_i = g_ij beta^j the returned pack has beta = 0, alpha shifted by
-    the pulled-back -A, the potential lowered by the kinetic energy of beta,
-    the magnetic term shifted by -dA, and tau shifted by omega contracted
-    with beta.  The flow-invariance verdict is preserved, which the tests
-    confirm rather than assume.
-    """
-    _require(pack, ["g_low", "beta"])
-    n, r = data.base_dim, data.rank
-    beta = pack.beta
-    A = []
-    for i in range(n):
-        value = EvenPoly.zero(data.coords)
-        for j in range(n):
-            value = value + pack.g_low[i][j] * beta[j]
-        A.append(value)
-    A_form = one_form(data.coords, A)
-
-    new_alpha = pack.alpha_or_zero() - pullback(data, A_form)
-    kinetic = EvenPoly.zero(data.coords)
-    for i in range(n):
-        for j in range(n):
-            kinetic = kinetic + pack.g_low[i][j] * beta[i] * beta[j]
-    new_potential = pack.potential_or_zero() - kinetic / 2
-
-    magnetic = pack.magnetic
-    shifted = (
-        magnetic if magnetic is not None else zero_form(data.coords, 2)
-    ) - de_rham(data.coords, A_form)
-    new_magnetic = None if shifted.is_zero else shifted
-
-    new_tau = None
-    if pack.tau is not None or pack.omega is not None:
-        tau = pack.tau_or_zero()
-        rows = []
-        for b in range(r):
-            row = []
-            for a in range(r):
-                value = tau[b][a]
-                if pack.omega is not None:
-                    for i in range(n):
-                        value = value + pack.omega[b][a][i] * beta[i]
-                row.append(value)
-            rows.append(tuple(row))
-        new_tau = tuple(rows)
-
-    return replace(
-        pack,
-        beta=None,
-        alpha=None if new_alpha.is_zero else new_alpha,
-        potential=None if new_potential.is_zero else new_potential,
-        magnetic=new_magnetic,
-        tau=new_tau,
-    )
-
-
-def absorption_map(pack: GeometryPack, ctx_from: GradedContext, ctx_to: GradedContext):
-    """Substitution p_i -> p_i - A_i carrying old-pack functions to new-pack ones."""
-    _require(pack, ["g_low", "beta"])
-    n = len(pack.coords)
-    images = {}
-    for i, name in enumerate(pack.coords):
-        value = EvenPoly.zero(pack.coords)
-        for j in range(n):
-            value = value + pack.g_low[i][j] * pack.beta[j]
-        images[momentum_name(name)] = ctx_to.var(momentum_name(name)) - ctx_to.lift(
-            value
-        )
-
-    def carry(F: GradedPoly) -> GradedPoly:
-        if F.ctx != ctx_from:
-            raise ValueError("function lives on the wrong phase space")
-        moved = GradedPoly(ctx_to, dict(F.parts))
-        return moved.substitute(images)
-
-    return carry
 
 
 # the linear connection solver

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rat = Fraction
 Exponent = tuple[int, ...]
@@ -83,12 +83,6 @@ class EvenPoly:
 
     def constant_term(self) -> Rat:
         return self.terms.get((0,) * len(self.coords), Fraction(0))
-
-    def as_constant(self) -> Rat:
-        """The value of a degree-zero polynomial; error if any variable appears."""
-        if any(any(e) for e in self.terms):
-            raise ValueError(f"{self} is not a constant")
-        return self.constant_term()
 
     def _index(self, name: str) -> int:
         try:
@@ -243,13 +237,6 @@ class EvenPoly:
 
     def __repr__(self) -> str:
         return f"EvenPoly({str(self)!r})"
-
-
-def ring(coords: Iterable[str]) -> tuple[tuple[str, ...], dict[str, EvenPoly]]:
-    """The coordinate tuple plus a name-to-generator mapping for quick algebra."""
-    coord_tuple = tuple(coords)
-    gens = {name: EvenPoly.variable(coord_tuple, name) for name in coord_tuple}
-    return coord_tuple, gens
 
 
 def monomial_exponents(count: int, max_degree: int) -> list[Exponent]:

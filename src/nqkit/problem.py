@@ -38,7 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebroid import Algebroid, AltForm, one_form, two_form_from_matrix
+from .algebroid import (
+    Algebroid,
+    AltForm,
+    algebroid_from_lists,
+    one_form,
+    two_form_from_matrix,
+)
 from .dynamics import GeometryPack
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
@@ -151,11 +157,7 @@ def problem_from_dict(doc: object) -> Problem:
     )
     structure = _structure(doc.get("structure"), rank, coords)
     try:
-        data = Algebroid(
-            coords,
-            tuple(tuple(row) for row in anchor),
-            tuple(tuple(tuple(row) for row in plane) for plane in structure),
-        )
+        data = algebroid_from_lists(coords, anchor, structure)
     except ValueError as error:
         raise ProblemError("structure", str(error)) from error
 

@@ -24,12 +24,13 @@ from nqkit.algebroid import one_form
 from nqkit.bfv import assemble_bfv, build_charge
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import GradedPoly, ghost_name, transport
-from nqkit.poly import EvenPoly, ring
+from nqkit.poly import EvenPoly
 from nqkit.report import FAIL, PASS
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests.test_dynamics import flat_pack, identity_metric, zero_connection
+from tests.test_poly import ring
 
 
 def packaged(data, **fields):

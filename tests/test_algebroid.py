@@ -11,12 +11,10 @@ import pytest
 from nqkit.algebroid import (
     Algebroid,
     AltForm,
-    abelian_algebroid,
     algebroid_from_lists,
     anchor_defect,
     check_axioms,
     cohomology_h1,
-    de_rham,
     e_differential,
     ghost_context,
     is_exact_one_form,
@@ -28,9 +26,10 @@ from nqkit.algebroid import (
     zero_form,
 )
 from nqkit.graded import ghost_name, left_derivation
-from nqkit.poly import EvenPoly, Rat, ring
+from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
+from tests.test_poly import ring
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -59,6 +58,35 @@ def so3_action() -> Algebroid:
         for c in range(3)
     ]
     return algebroid_from_lists(coords, anchor, structure)
+
+
+def abelian_algebroid(coords, anchor: list[list[EvenPoly]]) -> Algebroid:
+    """Anchor with identically vanishing structure functions."""
+    r = len(anchor)
+    zero = EvenPoly.zero(tuple(coords))
+    structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    return algebroid_from_lists(coords, anchor, structure)
+
+
+def de_rham(coords: tuple[str, ...], form: AltForm) -> AltForm:
+    """Ordinary exterior derivative on base 0- and 1-forms, the reference
+    the frame differential is compared with through the pullback."""
+    n = len(coords)
+    if form.arity == 0:
+        f = form.component(())
+        return AltForm(coords, 1, {(i,): f.diff(coords[i]) for i in range(n)})
+    if form.arity == 1:
+        return AltForm(
+            coords,
+            2,
+            {
+                (i, j): form.component((j,)).diff(coords[i])
+                - form.component((i,)).diff(coords[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+            },
+        )
+    raise ValueError("differential implemented for arities 0 and 1 only")
 
 
 def abelian_r1() -> Algebroid:

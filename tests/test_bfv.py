@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -20,6 +21,7 @@ from nqkit.algebroid import (
 )
 from nqkit.bfv import (
     BFVPackage,
+    Charge,
     assemble_bfv,
     bfv_h0,
     build_charge,
@@ -31,12 +33,13 @@ from nqkit.bfv import (
 )
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import GradedPoly, antighost_name, ghost_name, momentum_name
-from nqkit.poly import EvenPoly, Rat, ring
+from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS, SKIPPED
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests.test_dynamics import flat_pack, identity_metric, zero_connection
+from tests.test_poly import ring
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -52,6 +55,12 @@ def shear_pair() -> Algebroid:
         [[zero, -x], [x, zero]],
     ]
     return algebroid_from_lists(coords, [[one], [one]], structure)
+
+
+def charge_of(data: Algebroid, alpha=None, magnetic=None) -> Charge:
+    """The charge of a frame with no geometry beyond alpha and B."""
+    pack = GeometryPack(data.coords, data.rank, alpha=alpha, magnetic=magnetic)
+    return build_charge(data, pack)
 
 
 def line_pack(rank: int, **fields) -> GeometryPack:
@@ -135,7 +144,7 @@ def test_build_s_rejects_bad_affine_part():
 
 def test_master_passes_on_closed_frames():
     for data in (abelian_r1(), so3_action()):
-        report = check_master(build_S(data), data=data)
+        report = check_master(charge_of(data))
         assert report.status == PASS
         assert report.residuals == []
         assert any("dual route" in note for note in report.notes)
@@ -154,7 +163,7 @@ def test_master_broken_jacobi_reproduces_both_defects():
     assert ss.coefficient_of_word((1, 2)) == -2 * x * p
     # the jacobi defect itself on the cubic-ghost word
     assert ss.coefficient_of_word((0, 1, 2, 3)) == EvenPoly.const(even, -2)
-    report = check_master(S, data=data)
+    report = check_master(charge_of(data))
     assert report.status == FAIL
     assert [label for label, _ in report.residuals] == [
         "ss[xi_1 xi_2]",
@@ -170,11 +179,8 @@ def test_master_sees_the_structural_two_form():
     S = build_S(data, alpha=alpha)
     ss = S.ctx.poisson(S, S)
     assert ss.coefficient_of_word((0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
-    assert check_master(S, data=data, alpha=alpha).status == FAIL
-    compensated = build_S(data, alpha=alpha, magnetic=magnetic_plane(1))
-    report = check_master(
-        compensated, data=data, alpha=alpha, magnetic=magnetic_plane(1)
-    )
+    assert check_master(charge_of(data, alpha)).status == FAIL
+    report = check_master(charge_of(data, alpha, magnetic_plane(1)))
     assert report.status == PASS
 
 
@@ -192,12 +198,7 @@ def test_master_matches_axioms_and_twisted_closure():
         (rank2_line(), alpha_line, None),
     ]
     for data, alpha, magnetic in cases:
-        report = check_master(
-            build_S(data, alpha=alpha, magnetic=magnetic),
-            data=data,
-            alpha=alpha,
-            magnetic=magnetic,
-        )
+        report = check_master(charge_of(data, alpha, magnetic))
         structural = e_differential(
             data, alpha if alpha is not None else zero_form(data.coords, 1)
         )
@@ -208,10 +209,9 @@ def test_master_matches_axioms_and_twisted_closure():
 
 
 def test_master_rejects_even_input():
-    data = abelian_r1()
-    ctx = charge_context(data)
+    charge = charge_of(abelian_r1())
     with pytest.raises(ValueError, match="ghost degree"):
-        check_master(ctx.var("p_x"), data)
+        check_master(replace(charge, S=charge.ctx.var("p_x")))
 
 
 # covariant momenta
@@ -434,12 +434,11 @@ def test_package_validates_grading():
     data = abelian_r1()
     pack = flat_pack(data.coords, 1)
     pkg = assemble_bfv(build_charge(data, pack))
+    odd = replace(pkg.charge, S=pkg.ctx.var("p_x"))
     with pytest.raises(ValueError, match="odd of ghost degree"):
-        BFVPackage(pkg.ctx, pkg.ctx.var("p_x"), pkg.H, data, pack, ())
+        BFVPackage(odd, pkg.H, pkg.SH, ())
     with pytest.raises(ValueError, match="even of ghost degree"):
-        BFVPackage(
-            pkg.ctx, pkg.S, pkg.ctx.var(ghost_name(1)), data, pack, ()
-        )
+        BFVPackage(pkg.charge, pkg.ctx.var(ghost_name(1)), pkg.SH, ())
 
 
 # the bracket as a differential
@@ -497,16 +496,14 @@ def test_ghost_degree_is_additive_under_the_bracket():
 
 def test_h0_abelian_line_window():
     data = abelian_r1()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 1)))
-    report = bfv_h0(pkg, 2, 1)
+    report = bfv_h0(build_charge(data, flat_pack(data.coords, 1)), 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (4, 3, 1)
     assert any("truncated" in note for note in report.notes)
 
 
 def test_h0_abelian_plane_window():
     data = abelian_r2()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 2)))
-    report = bfv_h0(pkg, 1, 1)
+    report = bfv_h0(build_charge(data, flat_pack(data.coords, 2)), 1, 1)
     assert report.h_dim == 1
 
 
@@ -515,17 +512,16 @@ def test_h0_so3_constant_window():
     # elements bilinear in xi and pi map onto the angular momenta, which
     # are linearly independent over the base
     data = so3_action()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 3)))
-    report = bfv_h0(pkg, 0, 0)
+    report = bfv_h0(build_charge(data, flat_pack(data.coords, 3)), 0, 0)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (1, 0, 1)
 
 
 def test_h0_rejects_bad_input():
     data = abelian_r1()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, 1)))
+    charge = build_charge(data, flat_pack(data.coords, 1))
     with pytest.raises(ValueError, match="nonnegative"):
-        bfv_h0(pkg, -1, 0)
+        bfv_h0(charge, -1, 0)
     broken = broken_jacobi()
-    pkg2 = assemble_bfv(build_charge(broken, flat_pack(broken.coords, broken.rank)))
+    charge2 = build_charge(broken, flat_pack(broken.coords, broken.rank))
     with pytest.raises(ValueError, match="master equation fails"):
-        bfv_h0(pkg2, 1, 1)
+        bfv_h0(charge2, 1, 1)

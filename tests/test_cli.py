@@ -7,6 +7,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,15 @@ import nqkit.algebroid
 import nqkit.bfv
 import nqkit.cli
 import nqkit.dynamics
-from nqkit.aksz import build_supercharge, expand_bv
+from nqkit.aksz import (
+    build_supercharge,
+    expand_bv,
+    extended_action_reference,
+    field_table,
+)
 from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
 from nqkit.cli import main
+from nqkit.graded import GradedContext
 from nqkit.poly import monomial_exponents
 from nqkit.problem import load_problem
 
@@ -133,44 +140,86 @@ def _oversized_image(columns, inside):
     return 10**6
 
 
+def _wrong_reference(data, pack):
+    return extended_action_reference(data, pack) + 1
+
+
+def _bumped_field_table(coords, rank):
+    fields = list(field_table(coords, rank))
+    fields[0] = replace(fields[0], ghost=fields[0].ghost + 1)
+    return tuple(fields)
+
+
+EMIT_SO3_BV = ["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.json"]
+
+
 @pytest.mark.parametrize(
     "target, replacement, args, message",
     [
         (
-            "_expected_self_bracket",
+            "nqkit.bfv._expected_self_bracket",
             _wrong_self_bracket,
             ["check", corpus_path("so3_action"), "--master"],
             "internal dual-route mismatch in the self-bracket",
         ),
         (
-            "image_in",
+            "nqkit.bfv.image_in",
             _oversized_image,
             ["cohomology", corpus_path("abelian_r1"), "--bfv-h0", "--trunc", "0"],
             "internal window inconsistency in the cohomology count",
         ),
+        (
+            "nqkit.cli.extended_action_reference",
+            _wrong_reference,
+            EMIT_SO3_BV,
+            "internal dual-route mismatch in the classical limit of the action",
+        ),
+        (
+            "nqkit.aksz.field_table",
+            _bumped_field_table,
+            EMIT_SO3_BV,
+            "internal bookkeeping mismatch in the component action: field[x1]",
+        ),
     ],
-    ids=["self_bracket", "window"],
+    ids=["self_bracket", "window", "classical_limit", "bookkeeping"],
 )
-def test_tripped_engine_guard_exits_3(monkeypatch, target, replacement, args, message):
-    monkeypatch.setattr(f"nqkit.bfv.{target}", replacement)
+def test_tripped_engine_guard_exits_3(
+    monkeypatch, tmp_path, target, replacement, args, message
+):
+    monkeypatch.setattr(target, replacement)
+    monkeypatch.chdir(tmp_path)
     result = run(*args)
     assert result.exit_code == 3
     assert f"internal error: {message}" in result.stderr
 
 
 @pytest.mark.parametrize(
-    "args, exit_code",
+    "args, exit_code, brackets",
     [
-        (["check", corpus_path("so3_action"), "--all"], 0),
-        (["check", corpus_path("beta_drift"), "--all"], 1),
-        (["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.json"], 0),
+        (["check", corpus_path("so3_action"), "--all"], 0, ["(S, S)", "(S, H)"]),
+        # the drift refuses the assembly, so no H is built
+        (["check", corpus_path("beta_drift"), "--all"], 1, ["(S, S)"]),
+        (EMIT_SO3_BV, 0, ["(S, S)", "(S, H)"]),
     ],
     ids=["check_all", "check_all_drift", "emit_bv"],
 )
 def test_defect_tensors_computed_once_per_invocation(
-    monkeypatch, tmp_path, args, exit_code
+    monkeypatch, tmp_path, args, exit_code, brackets
 ):
-    # the defect tensors, the core charge and its self-bracket, once each
+    # the defect tensors, the core charge, its self-bracket and (S, H), once each
+    problem = load_problem(args[1])
+    charge = build_charge(problem.data, problem.pack)
+    named = {"(S, S)": (charge.S, charge.S)}
+    if "(S, H)" in brackets:
+        named["(S, H)"] = (charge.S, assemble_bfv(charge).H)
+    bracketed = []
+    poisson = GradedContext.poisson
+
+    def recorded(ctx, F, G):
+        bracketed.append((F, G))
+        return poisson(ctx, F, G)
+
+    monkeypatch.setattr(GradedContext, "poisson", recorded)
     calls = Counter()
 
     def counted(name, original):
@@ -198,6 +247,8 @@ def test_defect_tensors_computed_once_per_invocation(
     result = run(*args)
     assert result.exit_code == exit_code
     assert calls == {name: 1 for name in owners}
+    counts = {label: bracketed.count(pair) for label, pair in named.items()}
+    assert counts == {label: 1 for label in brackets}
 
 
 def test_master_is_reported_when_assembly_is_refused(tmp_path, monkeypatch):
@@ -501,6 +552,32 @@ def test_emit_bv_gate_and_force(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["forced"] is True
     assert doc["checks"]["supercharge"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "name, force",
+    [("so3_action", False), ("broken_jacobi", True), ("shear_pair", True)],
+    ids=["so3_action", "broken_jacobi_forced", "shear_pair_forced"],
+)
+def test_emit_bv_checks_the_classical_limit(monkeypatch, tmp_path, name, force):
+    # a passing and a forced emission both run the bookkeeping and the
+    # ghost-zero truncation against p x_dot - H - lam Phi, and pass them
+    calls = Counter()
+    for target in ("check_bookkeeping", "extended_action_reference"):
+        original = getattr(nqkit.cli, target)
+
+        def counted(*args, _target=target, _original=original):
+            calls[_target] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(nqkit.cli, target, counted)
+    out = tmp_path / "bv.json"
+    args = ["emit", corpus_path(name), "--what", "bv", "--out", str(out)]
+    result = run(*args, *(["--force"] if force else []))
+    assert result.exit_code == 0, result.output
+    assert "internal error" not in result.stderr
+    assert calls == {"check_bookkeeping": 1, "extended_action_reference": 1}
+    assert json.loads(out.read_text()).get("forced", False) is force
 
 
 def test_emit_rejects_unknown_target(tmp_path):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from nqkit.algebroid import abelian_algebroid, one_form, two_form_from_matrix
+from nqkit.algebroid import one_form, two_form_from_matrix
 from nqkit.constraints import (
     ConstraintSet,
     build_constraints,
@@ -14,14 +14,16 @@ from nqkit.constraints import (
     irreducibility_probe,
 )
 from nqkit.graded import cotangent_context, momentum_name
-from nqkit.poly import EvenPoly, ring
+from nqkit.poly import EvenPoly
 from nqkit.report import FAIL, PASS
 from tests.test_algebroid import (
+    abelian_algebroid,
     broken_jacobi,
     nilpotent_bundle,
     rank2_line,
     so3_action,
 )
+from tests.test_poly import ring
 
 
 def abelian_r2():

@@ -8,14 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import abelian_algebroid, one_form, two_form_from_matrix
+from nqkit.algebroid import one_form, two_form_from_matrix
 from nqkit.constraints import build_constraints, check_first_class
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
     ConnectionSolution,
     GeometryPack,
-    absorb_beta,
-    absorption_map,
     build_hamiltonian,
     check_evolution_invariance,
     check_metric_compat,
@@ -25,10 +23,11 @@ from nqkit.dynamics import (
     structural_residuals,
 )
 from nqkit.graded import momentum_name
-from nqkit.poly import EvenPoly, ring
+from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
 from tests.test_algebroid import (
+    abelian_algebroid,
     nilpotent_bundle,
     random_frame,
     random_poly,
@@ -36,6 +35,7 @@ from tests.test_algebroid import (
     so3_action,
 )
 from tests.test_constraints import abelian_r2, magnetic_plane
+from tests.test_poly import ring
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -240,7 +240,8 @@ def test_structural_trivial_families():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
     families = structural_residuals(data, pack)
-    assert families.all_zero
+    for family in (families.metric, families.alpha, families.potential):
+        assert all(value.is_zero for value in family.values())
 
 
 def test_structural_anchorless_potential_family():
@@ -445,98 +446,6 @@ def test_metric_compat_obstructed_line():
     report = check_metric_compat(data, pack)
     assert report.status == FAIL
     assert report.residuals == [("compat[a=1,i=1,j=1]", "2*x")]
-
-
-# drift absorption
-
-
-def test_absorb_beta_plane_drift():
-    data = abelian_r2()
-    coords, g = ring(["x1", "x2"])
-    zero = EvenPoly.zero(coords)
-    pack = flat_pack(coords, 2, beta=(zero, g["x1"]))
-    absorbed = absorb_beta(data, pack)
-    assert absorbed.beta is None
-    assert absorbed.magnetic.component((0, 1)) == EvenPoly.const(coords, -1)
-    assert absorbed.potential == -g["x1"] ** 2 / 2
-    assert absorbed.alpha.component((0,)).is_zero
-    assert absorbed.alpha.component((1,)) == -g["x1"]
-
-
-def test_absorb_constant_drift_is_twist_free():
-    data = abelian_r2()
-    coords, g = ring(["x1", "x2"])
-    zero = EvenPoly.zero(coords)
-    c = EvenPoly.const(coords, 4)
-    pack = flat_pack(coords, 2, beta=(zero, c))
-    absorbed = absorb_beta(data, pack)
-    assert absorbed.magnetic is None
-    assert absorbed.alpha.component((1,)) == -c
-    assert absorbed.potential == EvenPoly.const(coords, -8)
-
-    old_cs = build_constraints(data)
-    new_cs = build_constraints(data, alpha=absorbed.alpha)
-    old = check_evolution_invariance(build_hamiltonian(pack), old_cs, pack)
-    new = check_evolution_invariance(
-        build_hamiltonian(absorbed), new_cs, absorbed
-    )
-    assert old.status == PASS
-    assert new.status == PASS
-
-
-def test_absorb_beta_carries_residuals_exactly():
-    # the momentum shift maps old residuals to new ones term by term,
-    # so pass/fail verdicts cannot move under absorption
-    data = rank2_line()
-    coords, g = ring(["x"])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1), g["x"]])
-    omega = zero_connection(coords, 2)
-    omega[0][1][0] = EvenPoly.const(coords, 1)
-    pack = GeometryPack(
-        coords,
-        2,
-        g_inv=identity_metric(coords),
-        g_low=identity_metric(coords),
-        omega=omega,
-        alpha=alpha,
-        beta=(g["x"],),
-    )
-    absorbed = absorb_beta(data, pack)
-    assert absorbed.tau[0][1] == g["x"]
-
-    old_cs = build_constraints(data, alpha=alpha)
-    new_cs = build_constraints(data, alpha=absorbed.alpha, magnetic=absorbed.magnetic)
-    old_H = build_hamiltonian(pack)
-    new_H = build_hamiltonian(absorbed)
-    carry = absorption_map(pack, old_cs.ctx, new_cs.ctx)
-    assert carry(old_H) == new_H
-    for a in range(2):
-        assert carry(old_cs.phis[a]) == new_cs.phis[a]
-
-    old = check_evolution_invariance(old_H, old_cs, pack)
-    new = check_evolution_invariance(new_H, new_cs, absorbed)
-    assert old.status == new.status
-    assert check_first_class(old_cs).status == check_first_class(new_cs).status
-
-
-def test_absorb_identity_when_drift_vanishes():
-    data = abelian_r2()
-    coords, g = ring(["x1", "x2"])
-    zero = EvenPoly.zero(coords)
-    pack = flat_pack(coords, 2, beta=(zero, zero), potential=g["x2"])
-    absorbed = absorb_beta(data, pack)
-    assert absorbed.beta is None
-    assert absorbed.magnetic is None
-    assert absorbed.alpha is None
-    assert absorbed.potential == g["x2"]
-
-
-def test_absorb_requires_lowered_metric_and_drift():
-    data = abelian_r2()
-    coords, g = ring(["x1", "x2"])
-    pack = GeometryPack(coords, 2, g_inv=identity_metric(coords))
-    with pytest.raises(ValueError, match="g_low, beta"):
-        absorb_beta(data, pack)
 
 
 # the connection solver

@@ -14,7 +14,8 @@ from nqkit.graded import (
     left_derivation,
     merge_words,
 )
-from nqkit.poly import EvenPoly, ring
+from nqkit.poly import EvenPoly
+from tests.test_poly import ring
 
 
 def random_graded(

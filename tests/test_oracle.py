@@ -18,7 +18,7 @@ from types import ModuleType
 import pytest
 
 from nqkit.algebroid import cohomology_h1
-from nqkit.bfv import assemble_bfv, bfv_h0, build_charge
+from nqkit.bfv import bfv_h0, build_charge
 
 from tests.test_algebroid import abelian_r1, rank2_line, so3_action
 from tests.test_constraints import abelian_r2
@@ -84,8 +84,8 @@ def test_ghost_zero_windows_match_the_oracle():
     table = fixture_table()
     for name, window in document.items():
         data = table[name]
-        pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
-        report = bfv_h0(pkg, window["x_degree"], window["p_degree"])
+        charge = build_charge(data, flat_pack(data.coords, data.rank))
+        report = bfv_h0(charge, window["x_degree"], window["p_degree"])
         assert report.closed_dim == window["closed"], name
         assert report.exact_dim == window["exact"], name
         assert report.h_dim == window["h"], name
@@ -109,8 +109,7 @@ def test_benchmark_ghost_zero_window_matches_the_oracle():
     oracle = oracle_module()
     want = oracle.h0_window(oracle.fixtures()["abelian_r2"], 2, 1)
     data = abelian_r2()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
-    report = bfv_h0(pkg, 2, 1)
+    report = bfv_h0(build_charge(data, flat_pack(data.coords, data.rank)), 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (
         want["closed"],
         want["exact"],

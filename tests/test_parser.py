@@ -12,9 +12,9 @@ from nqkit.parser import (
     parse_poly,
     rational_from_string,
 )
-from nqkit.poly import EvenPoly, ring
+from nqkit.poly import EvenPoly
 
-from test_poly import random_poly
+from test_poly import random_poly, ring
 
 COORDS = ("x1", "x2")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.poly import EvenPoly, ring
+from nqkit.poly import EvenPoly
 from nqkit.problem import (
     ProblemError,
     Truncation,
@@ -16,6 +16,7 @@ from nqkit.problem import (
     load_problem,
     problem_from_dict,
 )
+from tests.test_poly import ring
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
