@@ -89,7 +89,9 @@ class SuperCharge:
     def __post_init__(self) -> None:
         if self.Q.ctx != self.context:
             raise ValueError("the supercharge must live in its stated context")
-        if self.Q.is_zero or self.Q.parity() != 1 or self.Q.ghost_degree() != 1:
+        if not self.Q.is_zero and (
+            self.Q.parity() != 1 or self.Q.ghost_degree() != 1
+        ):
             raise ValueError("the supercharge must be odd of ghost degree +1")
 
 

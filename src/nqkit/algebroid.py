@@ -20,7 +20,10 @@ slots, as C is.  R2 is twice the Jacobiator of the frame bracket, normalized
 so that it equals the canonical xi^a xi^b xi^c pi_d coefficient of the
 squared charge built in the ghost layer (a dual-route identity asserted on
 every run).  Both tensors are computed at most once per frame: an
-`Algebroid` caches them as `anchor_defect` and `jacobi_defect`.
+`Algebroid` caches them as `anchor_defect` and `jacobi_defect`.  The Jacobi
+defect is sparse: it stores only its nonzero entries, and a missing key is
+zero.  Both are built from an index of the nonzero C^c_ab, so no product
+with a zero structure function is ever formed.
 """
 
 from __future__ import annotations
@@ -251,14 +254,16 @@ def e_differential(data: Algebroid, form: AltForm) -> AltForm:
             data.coords, 1, {(a,): data.anchor_apply(a, f) for a in range(r)}
         )
     if form.arity == 1:
+        entries = [form.component((c,)) for c in range(r)]
+        live = [c for c in range(r) if not entries[c].is_zero]
         components = {}
         for a in range(r):
             for b in range(a + 1, r):
-                value = data.anchor_apply(a, form.component((b,))) - data.anchor_apply(
-                    b, form.component((a,))
+                value = data.anchor_apply(a, entries[b]) - data.anchor_apply(
+                    b, entries[a]
                 )
-                for c in range(r):
-                    value = value - data.structure[c][a][b] * form.component((c,))
+                for c in live:
+                    value = value - data.structure[c][a][b] * entries[c]
                 components[(a, b)] = value
         return AltForm(data.coords, 2, components)
     raise ValueError("differential implemented for arities 0 and 1 only")
@@ -298,42 +303,73 @@ def pullback(data: Algebroid, form: AltForm) -> AltForm:
 # defect tensors
 
 
+def _nonzero_structure(
+    data: Algebroid,
+) -> dict[tuple[int, int], list[tuple[int, EvenPoly]]]:
+    """The nonzero C^c_ab as {(a, b): [(c, C^c_ab), ...]}, over both orders of a, b."""
+    out: dict[tuple[int, int], list[tuple[int, EvenPoly]]] = {}
+    for c, plane in enumerate(data.structure):
+        for a, row in enumerate(plane):
+            for b, value in enumerate(row):
+                if not value.is_zero:
+                    out.setdefault((a, b), []).append((c, value))
+    return out
+
+
 def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
     """R1 on frame pairs a < b, as a base-indexed component vector."""
+    nonzero = _nonzero_structure(data)
     out: dict[tuple[int, int], list[EvenPoly]] = {}
-    for a in range(data.rank):
-        for b in range(a + 1, data.rank):
-            vector = []
-            for i in range(data.base_dim):
-                value = data.anchor_apply(a, data.anchor[b][i]) - data.anchor_apply(
-                    b, data.anchor[a][i]
-                )
-                for c in range(data.rank):
-                    if not data.structure[c][a][b].is_zero:
-                        value = value - data.structure[c][a][b] * data.anchor[c][i]
-                vector.append(value)
-            out[(a, b)] = vector
+    for a, b in combinations(range(data.rank), 2):
+        vector = []
+        for i in range(data.base_dim):
+            value = data.anchor_apply(a, data.anchor[b][i]) - data.anchor_apply(
+                b, data.anchor[a][i]
+            )
+            for c, f in nonzero.get((a, b), ()):
+                if not data.anchor[c][i].is_zero:
+                    value = value - f * data.anchor[c][i]
+            vector.append(value)
+        out[(a, b)] = vector
     return out
 
 
 def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
     """R2 on frame triples a < b < c, for each target index d, via the cyclic sum.
 
-    Products with a zero structure function are skipped.
+    Only the nonzero entries are stored; a missing key is zero.  Each
+    nonzero C^e_qs with q < s meets the nonzero C^d_ep, looked up by (e, p),
+    and each nonzero C^d_qs is differentiated along the frame fields p.  For
+    q < s, (p, q, s) is a cyclic shift of the sorted triple unless q < p < s,
+    where (p, s, q) is one and the antisymmetry of C flips the sign.
     """
-    r, C = data.rank, data.structure
-    out: dict[tuple[int, int, int, int], EvenPoly] = {}
-    for a, b, c in combinations(range(r), 3):
-        for d in range(r):
-            total = EvenPoly.zero(data.coords)
-            for p, q, s in ((a, b, c), (b, c, a), (c, a, b)):
-                for e in range(r):
-                    if not (C[e][q][s].is_zero or C[d][e][p].is_zero):
-                        total = total + C[d][e][p] * C[e][q][s]
-                if not C[d][q][s].is_zero:
-                    total = total - data.anchor_apply(p, C[d][q][s])
-            out[(a, b, c, d)] = total * 2
-    return out
+    r = data.rank
+    nonzero = _nonzero_structure(data)
+    totals: dict[tuple[int, int, int, int], EvenPoly] = {}
+
+    def add(p: int, q: int, s: int, d: int, value: EvenPoly) -> None:
+        key = (*sorted((p, q, s)), d)
+        if q < p < s:
+            value = -value
+        totals[key] = totals[key] + value if key in totals else value
+
+    for (q, s), entries in nonzero.items():
+        if q > s:
+            continue
+        for e, inner in entries:
+            for p in range(r):
+                if p != q and p != s:
+                    for d, outer in nonzero.get((e, p), ()):
+                        add(p, q, s, d, outer * inner)
+        for d, f in entries:
+            if f.total_degree() == 0:
+                continue  # constant: every frame derivative vanishes
+            for p in range(r):
+                if p != q and p != s:
+                    derivative = data.anchor_apply(p, f)
+                    if not derivative.is_zero:
+                        add(p, q, s, d, -derivative)
+    return {key: value * 2 for key, value in totals.items() if not value.is_zero}
 
 
 # the odd derivation Q on (x, xi)
@@ -388,10 +424,9 @@ def check_axioms(data: Algebroid) -> CheckReport:
                     (f"anchor[a={a + 1},b={b + 1},i={i + 1}]", str(value))
                 )
     for (a, b, c, d), value in sorted(r2.items()):
-        if not value.is_zero:
-            residuals.append(
-                (f"jacobi[a={a + 1},b={b + 1},c={c + 1},d={d + 1}]", str(value))
-            )
+        residuals.append(
+            (f"jacobi[a={a + 1},b={b + 1},c={c + 1},d={d + 1}]", str(value))
+        )
 
     ctx = ghost_context(data)
     images = q_images(data, ctx)
@@ -415,32 +450,30 @@ def _assert_q_square_matches(
     r1: dict[tuple[int, int], list[EvenPoly]],
     r2: dict[tuple[int, int, int, int], EvenPoly],
 ) -> None:
-    # Q^2(x^i) carries R1 on xi^a xi^b; Q^2(xi^d) carries R2 / 2 on xi^a xi^b xi^c
+    # Q^2(x^i) is R1^i_ab xi^a xi^b and Q^2(xi^d) is R2^d_abc / 2 xi^a xi^b xi^c,
+    # summed over ascending frame indices; each is compared in one equality
+    zero_momenta = (0,) * data.base_dim
+    ghost = [ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
     for i, name in enumerate(data.coords):
-        q2 = left_derivation(ctx, images, images[name])
-        for a in range(data.rank):
-            for b in range(a + 1, data.rank):
-                word = (ctx.odd_index[ghost_name(a + 1)], ctx.odd_index[ghost_name(b + 1)])
-                got = q2.coefficient_of_word(word)
-                expected = ctx.lift(r1[(a, b)][i]).even_part()
-                if got != expected:
-                    raise RuntimeError(
-                        "internal dual-route mismatch in the anchor defect"
-                    )
-    for d in range(data.rank):
-        q2 = left_derivation(ctx, images, images[ghost_name(d + 1)])
-        for a in range(data.rank):
-            for b in range(a + 1, data.rank):
-                for c in range(b + 1, data.rank):
-                    word = tuple(
-                        ctx.odd_index[ghost_name(k + 1)] for k in (a, b, c)
-                    )
-                    got = q2.coefficient_of_word(word) * 2
-                    expected = ctx.lift(r2[(a, b, c, d)]).even_part()
-                    if got != expected:
-                        raise RuntimeError(
-                            "internal dual-route mismatch in the jacobi defect"
-                        )
+        expected = GradedPoly.from_terms(
+            ctx,
+            (
+                ((ghost[a], ghost[b]), e + zero_momenta, coeff)
+                for (a, b), vector in r1.items()
+                for e, coeff in vector[i].terms.items()
+            ),
+        )
+        if left_derivation(ctx, images, images[name]) != expected:
+            raise RuntimeError("internal dual-route mismatch in the anchor defect")
+    by_target: list[list] = [[] for _ in range(data.rank)]
+    for (a, b, c, d), value in r2.items():
+        word = (ghost[a], ghost[b], ghost[c])
+        for e, coeff in value.terms.items():
+            by_target[d].append((word, e + zero_momenta, coeff / 2))
+    for d, items in enumerate(by_target):
+        expected = GradedPoly.from_terms(ctx, items)
+        if left_derivation(ctx, images, images[ghost_name(d + 1)]) != expected:
+            raise RuntimeError("internal dual-route mismatch in the jacobi defect")
 
 
 # truncated degree-1 cohomology

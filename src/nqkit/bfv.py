@@ -17,7 +17,13 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebroid import Algebroid, AltForm, q_images
-from .constraints import affine_part, first_class_residuals, twist_of_magnetic
+from .constraints import (
+    ConstraintSet,
+    affine_part,
+    build_constraints,
+    first_class_terms,
+    twist_of_magnetic,
+)
 from .dynamics import GeometryPack
 from .graded import (
     GradedContext,
@@ -77,20 +83,26 @@ def _affine_charge(
 
 @dataclass(frozen=True)
 class Charge:
-    """The charge S of a frame and geometry pack, on its extended phase space.
+    """The charge S of a constraint set and geometry pack, on its extended phase space.
 
     `core` is the lift of Q alone, S without the affine part; the cartan and
     charge-invariance checks bracket it with the Hamiltonian.  The
     self-bracket (S, S) and the master report are computed on first use and
     kept, so one invocation brackets S with itself once however many
-    reports need it.
+    reports need it.  The constraints carry the structural 2-form that the
+    master check predicts (S, S) from, so it is shared with the first-class
+    check of the same constraints.
     """
 
-    data: Algebroid
+    constraints: ConstraintSet
     pack: GeometryPack
     ctx: GradedContext
     core: GradedPoly
     S: GradedPoly
+
+    @property
+    def data(self) -> Algebroid:
+        return self.constraints.data
 
     @cached_property
     def self_bracket(self) -> GradedPoly:
@@ -102,40 +114,45 @@ class Charge:
 
 
 def build_charge(data: Algebroid, pack: GeometryPack) -> Charge:
+    """The charge of the constraints Phi_a = rho_a^i p_i + alpha_a of a frame."""
+    return charge_of_constraints(
+        build_constraints(data, pack.alpha, pack.magnetic), pack
+    )
+
+
+def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
     """Build the core lift of Q once, and S as the core plus alpha_a xi^a."""
+    data = cs.data
     if data.coords != pack.coords or data.rank != pack.rank:
         raise ValueError("frame data and geometry pack disagree on base or rank")
-    ctx = charge_context(data, pack.magnetic)
-    core = build_S(data, magnetic=pack.magnetic, ctx=ctx)
-    return Charge(data, pack, ctx, core, core + _affine_charge(data, pack.alpha, ctx))
+    ctx = charge_context(data, cs.magnetic)
+    core = build_S(data, magnetic=cs.magnetic, ctx=ctx)
+    return Charge(cs, pack, ctx, core, core + _affine_charge(data, cs.alpha, ctx))
 
 
 def _word_label(ctx: GradedContext, word: tuple[int, ...]) -> str:
     return " ".join(ctx.odd_names[k] for k in word)
 
 
-def _expected_self_bracket(
-    data: Algebroid,
-    alpha: AltForm | None,
-    magnetic: AltForm | None,
-    ctx: GradedContext,
-) -> GradedPoly:
+def _expected_self_bracket(charge: Charge) -> GradedPoly:
     # the xi xi coefficients are twice the first-class residual tensor,
     # the xi xi xi pi coefficients are the jacobi defect itself
-    expected = ctx.zero()
-    for (a, b), value in first_class_residuals(data, alpha, magnetic, ctx).items():
-        if value.is_zero:
-            continue
-        expected = expected + 2 * value * ctx.var(ghost_name(a + 1)) * ctx.var(
-            ghost_name(b + 1)
+    data, ctx = charge.data, charge.ctx
+    ghost = [ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
+    antighost = [ctx.odd_index[antighost_name(d + 1)] for d in range(data.rank)]
+    zero_momenta = (0,) * data.base_dim
+    items = [
+        ((ghost[a], ghost[b]), e, 2 * coeff)
+        for (a, b), e, coeff in first_class_terms(
+            data, charge.constraints.structural, ctx
         )
-    for (a, b, c, d), value in data.jacobi_defect.items():
-        if value.is_zero:
-            continue
-        expected = expected + ctx.lift(value) * ctx.var(ghost_name(a + 1)) * ctx.var(
-            ghost_name(b + 1)
-        ) * ctx.var(ghost_name(c + 1)) * ctx.var(antighost_name(d + 1))
-    return expected
+    ]
+    items += [
+        ((ghost[a], ghost[b], ghost[c], antighost[d]), e + zero_momenta, coeff)
+        for (a, b, c, d), value in data.jacobi_defect.items()
+        for e, coeff in value.terms.items()
+    ]
+    return GradedPoly.from_terms(ctx, items)
 
 
 def check_master(charge: Charge) -> CheckReport:
@@ -145,11 +162,12 @@ def check_master(charge: Charge) -> CheckReport:
     the first-class residual tensor and the jacobi defect; disagreement
     between the routes raises.
     """
-    S, ctx, pack = charge.S, charge.ctx, charge.pack
-    if S.is_zero or S.parity() != 1 or S.ghost_degree() != 1:
+    S, ctx = charge.S, charge.ctx
+    # the zero charge, of a frame with zero anchor and structure, is allowed
+    if not S.is_zero and (S.parity() != 1 or S.ghost_degree() != 1):
         raise ValueError("the charge must be odd of ghost degree +1")
     ss = charge.self_bracket
-    if ss != _expected_self_bracket(charge.data, pack.alpha, pack.magnetic, ctx):
+    if ss != _expected_self_bracket(charge):
         raise RuntimeError("internal dual-route mismatch in the self-bracket")
     notes = [
         "dual route: the self-bracket matches the anchor and jacobi "
@@ -215,7 +233,9 @@ class BFVPackage:
     reports: tuple[CheckReport, ...]
 
     def __post_init__(self) -> None:
-        if self.S.is_zero or self.S.parity() != 1 or self.S.ghost_degree() != 1:
+        if not self.S.is_zero and (
+            self.S.parity() != 1 or self.S.ghost_degree() != 1
+        ):
             raise ValueError("the charge must be odd of ghost degree +1")
         if not self.H.is_zero and (self.H.parity() != 0 or self.H.ghost_degree() != 0):
             raise ValueError("the hamiltonian must be even of ghost degree 0")

@@ -47,14 +47,22 @@ from .bfv import (
     assemble_bfv,
     bfv_h0,
     build_charge,
+    charge_of_constraints,
 )
-from .constraints import build_constraints, check_first_class, irreducibility_probe
+from .constraints import (
+    ConstraintSet,
+    build_constraints,
+    check_first_class,
+    irreducibility_probe,
+)
 from .dynamics import (
+    StructuralResiduals,
     build_hamiltonian,
     check_evolution_invariance,
     check_metric_compat,
     check_structural,
     solve_connection,
+    structural_residuals,
 )
 from .problem import Problem, ProblemError, connection_strings, load_problem
 from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
@@ -95,17 +103,20 @@ def _missing(problem: Problem, *fields: str) -> list[str]:
 class _Workbench:
     """Shared lazy constructions for one invocation.
 
-    The charge is built once: the master report is read off it, and the
-    package is assembled from it.
+    Each frame invariant is built at most once: the constraints (which
+    carry the structural 2-form), the charge lifted from them (the master
+    report is read off it, and the package is assembled from it), and the
+    structural residual families of the geometry pack.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self._constraints = None
+        self._constraints: ConstraintSet | None = None
         self._charge: Charge | None = None
         self._package: tuple[BFVPackage | None, str | None] | None = None
+        self._families: StructuralResiduals | None = None
 
-    def constraints(self):
+    def constraints(self) -> ConstraintSet:
         if self._constraints is None:
             pack = self.problem.pack
             self._constraints = build_constraints(
@@ -115,7 +126,9 @@ class _Workbench:
 
     def charge(self) -> Charge:
         if self._charge is None:
-            self._charge = build_charge(self.problem.data, self.problem.pack)
+            self._charge = charge_of_constraints(
+                self.constraints(), self.problem.pack
+            )
         return self._charge
 
     def package(self) -> tuple[BFVPackage | None, str | None]:
@@ -126,6 +139,14 @@ class _Workbench:
             except ValueError as error:
                 self._package = (None, str(error))
         return self._package
+
+    def families(self) -> StructuralResiduals:
+        """The structural residuals; the pack must hold g_low and omega."""
+        if self._families is None:
+            self._families = structural_residuals(
+                self.problem.data, self.problem.pack
+            )
+        return self._families
 
 
 # one handler per check flag; each returns the reports it produced
@@ -167,7 +188,7 @@ def _run_metric(bench: _Workbench, explicit: bool) -> list[CheckReport]:
             gap,
             explicit,
         )
-    return [check_metric_compat(bench.problem.data, bench.problem.pack)]
+    return [check_metric_compat(bench.families())]
 
 
 def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -177,7 +198,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
         return _unmet(
             "structural", "order-by-order invariance conditions", gap, explicit
         )
-    reports = [check_structural(problem.data, problem.pack)]
+    reports = [check_structural(bench.families())]
     # the dynamical route needs the raised metric as well
     if problem.pack.g_inv is None:
         reports.append(
@@ -192,7 +213,9 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     else:
         H = build_hamiltonian(problem.pack)
         reports.append(
-            check_evolution_invariance(H, bench.constraints(), problem.pack)
+            check_evolution_invariance(
+                H, bench.constraints(), problem.pack, bench.families()
+            )
         )
     return reports
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .algebroid import (
     Algebroid,
@@ -26,7 +26,7 @@ from .algebroid import (
 )
 from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
 from .linalg import rank, solve
-from .poly import EvenPoly, Exponent, Rat, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 DEFAULT_PROBE_SEED = 271828
@@ -54,6 +54,11 @@ class ConstraintSet:
     @property
     def rank(self) -> int:
         return len(self.phis)
+
+    @cached_property
+    def structural(self) -> AltForm:
+        """d_E alpha - rho^* B, computed on first use; callers must not mutate it."""
+        return structural_two_form(self.data, self.alpha, self.magnetic)
 
 
 def twist_of_magnetic(
@@ -151,27 +156,46 @@ def decompose_fiber_affine(
     return EvenPoly(base, alpha_terms), [EvenPoly(base, t) for t in rho_terms]
 
 
-def first_class_residuals(
-    data: Algebroid,
-    alpha: AltForm | None,
-    magnetic: AltForm | None,
-    ctx: GradedContext,
-) -> dict[tuple[int, int], GradedPoly]:
-    """The predicted {Phi_a, Phi_b} - C^c_ab Phi_c on frame pairs a < b.
-
-    R_ab = (d_E alpha - rho^* B)_ab + R1^i_ab p_i, the structural 2-form plus
-    the anchor defect, lifted into any context that carries the momenta.
-    """
+def structural_two_form(
+    data: Algebroid, alpha: AltForm | None, magnetic: AltForm | None
+) -> AltForm:
+    """The structural 2-form d_E alpha - rho^* B of the constraint brackets."""
     structural = e_differential(data, affine_part(data, alpha))
     if magnetic is not None:
         structural = structural - pullback(data, magnetic)
-    out: dict[tuple[int, int], GradedPoly] = {}
-    for (a, b), vector in data.anchor_defect.items():
-        value = ctx.lift(structural.component((a, b)))
-        for i, name in enumerate(data.coords):
-            value = value + ctx.lift(vector[i]) * ctx.var(momentum_name(name))
-        out[(a, b)] = value
-    return out
+    return structural
+
+
+def first_class_terms(
+    data: Algebroid, structural: AltForm, ctx: GradedContext
+) -> Iterator[tuple[tuple[int, int], Exponent, Rat]]:
+    """R_ab = (d_E alpha - rho^* B)_ab + R1^i_ab p_i, term by term.
+
+    The structural 2-form plus the anchor defect, on frame pairs a < b, with
+    exponents in any context whose even coordinates are the positions
+    followed by their momenta.
+    """
+    n = data.base_dim
+    if ctx.even_names != data.coords + tuple(momentum_name(x) for x in data.coords):
+        raise ValueError("the context must carry the positions, then their momenta")
+    zero = (0,) * n
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    for pair, vector in data.anchor_defect.items():
+        for e, coeff in structural.component(pair).terms.items():
+            yield pair, e + zero, coeff
+        for i, f in enumerate(vector):
+            for e, coeff in f.terms.items():
+                yield pair, e + units[i], coeff
+
+
+def first_class_residuals(
+    data: Algebroid, structural: AltForm, ctx: GradedContext
+) -> dict[tuple[int, int], GradedPoly]:
+    """The predicted {Phi_a, Phi_b} - C^c_ab Phi_c on frame pairs a < b."""
+    items: dict[tuple[int, int], list] = {pair: [] for pair in data.anchor_defect}
+    for pair, e, coeff in first_class_terms(data, structural, ctx):
+        items[pair].append(((), e, coeff))
+    return {pair: GradedPoly.from_terms(ctx, terms) for pair, terms in items.items()}
 
 
 def check_first_class(cs: ConstraintSet) -> CheckReport:
@@ -182,12 +206,13 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     the two routes raises.
     """
     data, ctx = cs.data, cs.ctx
-    predicted = first_class_residuals(data, cs.alpha, cs.magnetic, ctx)
+    predicted = first_class_residuals(data, cs.structural, ctx)
     residuals: list[tuple[str, str]] = []
     for (a, b), expected in predicted.items():
         R = ctx.poisson(cs.phis[a], cs.phis[b])
         for c in range(data.rank):
-            R = R - ctx.lift(data.structure[c][a][b]) * cs.phis[c]
+            if not data.structure[c][a][b].is_zero:
+                R = R - ctx.lift(data.structure[c][a][b]) * cs.phis[c]
         if R != expected:
             raise RuntimeError("internal dual-route mismatch in the constraint bracket")
         if not R.is_zero:
@@ -339,36 +364,36 @@ def _base_column(vector: list[EvenPoly]) -> dict[tuple[int, Exponent], Rat]:
 # reducibility diagnostics
 
 
-def _poly_det(matrix: list[list[EvenPoly]], coords: tuple[str, ...]) -> EvenPoly:
-    size = len(matrix)
-    if size == 0:
-        return EvenPoly.const(coords, 1)
-    if size == 1:
-        return matrix[0][0]
-    total = EvenPoly.zero(coords)
-    for j in range(size):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        cofactor = entry * _poly_det(minor, coords)
-        total = total + (cofactor if j % 2 == 0 else -cofactor)
-    return total
-
-
 def generic_rank(matrix: list[list[EvenPoly]]) -> int:
-    """Rank over the rational function field, via symbolic minors."""
-    if not matrix or not matrix[0]:
+    """Rank over the rational function field, by fraction-free elimination.
+
+    Bareiss elimination with row and column pivoting: after k pivots every
+    remaining entry is a (k+1)-minor of the original matrix, so dividing by
+    the previous pivot is exact (Sylvester's identity) and a nonzero
+    remainder raises.  The pivot is the first nonzero entry of the first
+    remaining row; a row that becomes zero stays zero and is dropped.
+    """
+    rows = [list(row) for row in matrix if any(not f.is_zero for f in row)]
+    if not rows:
         return 0
-    coords = matrix[0][0].coords
-    nrows, ncols = len(matrix), len(matrix[0])
-    for size in range(min(nrows, ncols), 0, -1):
-        for rows in combinations(range(nrows), size):
-            for cols in combinations(range(ncols), size):
-                minor = [[matrix[i][j] for j in cols] for i in rows]
-                if not _poly_det(minor, coords).is_zero:
-                    return size
-    return 0
+    previous = EvenPoly.const(rows[0][0].coords, 1)
+    found = 0
+    while rows:
+        pivot_row = rows.pop(0)
+        j = next(k for k, f in enumerate(pivot_row) if not f.is_zero)
+        pivot = pivot_row[j]
+        reduced = []
+        for row in rows:
+            new_row = [
+                exact_quotient(pivot * f - row[j] * g, previous)
+                for k, (f, g) in enumerate(zip(row, pivot_row))
+                if k != j
+            ]
+            if any(not f.is_zero for f in new_row):
+                reduced.append(new_row)
+        rows, previous = reduced, pivot
+        found += 1
+    return found
 
 
 @dataclass
@@ -409,7 +434,6 @@ def irreducibility_probe(
             )
         )
 
-    generic = generic_rank([list(row) for row in data.anchor])
     point_results = []
     for point in probe_points:
         assignment = dict(zip(data.coords, point))
@@ -419,6 +443,13 @@ def irreducibility_probe(
             for row in data.anchor
         ]
         point_results.append((point, rank(numeric)))
+    # a rank at a point bounds the generic rank from below, and min(r, n)
+    # bounds it from above: when they meet, no elimination is needed
+    best = max(k for _, k in point_results)
+    if best == min(r, n):
+        generic = best
+    else:
+        generic = generic_rank([list(row) for row in data.anchor])
 
     if generic < r:
         verdict = "generically reducible"

@@ -20,7 +20,7 @@ index-formula route raises instead of passing silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import add
 from typing import Sequence
 
@@ -281,14 +281,13 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     return StructuralResiduals(metric, alpha_res, potential_res)
 
 
-def check_metric_compat(data: Algebroid, pack: GeometryPack) -> CheckReport:
-    """Covariant constancy of the lowered metric along every frame field."""
-    _require(pack, ["g_low", "omega"])
+def check_metric_compat(families: StructuralResiduals) -> CheckReport:
+    """Covariant constancy of the lowered metric along every frame field.
+
+    The metric family of `structural_residuals` reads only g_low and omega,
+    so the families of the full pack serve this check as well.
+    """
     residuals = []
-    families = structural_residuals(
-        data,
-        replace(pack, alpha=None, tau=None, potential=None),
-    )
     for (a, i, j), value in sorted(families.metric.items()):
         if not value.is_zero:
             residuals.append(
@@ -300,9 +299,8 @@ def check_metric_compat(data: Algebroid, pack: GeometryPack) -> CheckReport:
     )
 
 
-def check_structural(data: Algebroid, pack: GeometryPack) -> CheckReport:
+def check_structural(families: StructuralResiduals) -> CheckReport:
     """All three structural families as one labeled report."""
-    families = structural_residuals(data, pack)
     residuals = []
     for (a, i, j), value in sorted(families.metric.items()):
         if not value.is_zero:
@@ -330,39 +328,59 @@ def check_structural(data: Algebroid, pack: GeometryPack) -> CheckReport:
 def _momentum_split(
     ctx: GradedContext, E: EvenPoly
 ) -> tuple[EvenPoly, list[EvenPoly], list[list[EvenPoly]]]:
-    """Split a momentum-quadratic scalar into (order 0, order 1, hessian)."""
-    momenta = [p for p, _ in ctx.pairs_even]
-    at_zero = {p: 0 for p in momenta}
-    part0 = E.substitute(at_zero)
-    part1 = [E.diff(p).substitute(at_zero) for p in momenta]
-    hessian = [
-        [E.diff(p).diff(q).substitute(at_zero) for q in momenta] for p in momenta
+    """Split a momentum-quadratic scalar into (order 0, order 1, hessian).
+
+    Each term goes to the bucket of its momentum degree, with the momenta
+    stripped from its exponent; the hessian holds the second derivatives,
+    so p_j^2 counts twice on the diagonal and p_j p_k once on each side.
+    """
+    slots = [ctx.even_index[p] for p, _ in ctx.pairs_even]
+    n = len(slots)
+    part0: dict[Exponent, Rat] = {}
+    part1: list[dict[Exponent, Rat]] = [{} for _ in range(n)]
+    hessian: list[list[dict[Exponent, Rat]]] = [
+        [{} for _ in range(n)] for _ in range(n)
     ]
-    rebuilt = part0
-    for j, p in enumerate(momenta):
-        rebuilt = rebuilt + part1[j] * EvenPoly.variable(E.coords, p)
-    for m, p in enumerate(momenta):
-        for n_, q in enumerate(momenta):
-            rebuilt = rebuilt + (
-                hessian[m][n_]
-                * EvenPoly.variable(E.coords, p)
-                * EvenPoly.variable(E.coords, q)
-                / 2
-            )
-    if rebuilt != E:
-        raise RuntimeError("residual is not quadratic in the momenta")
-    return part0, part1, hessian
+    for exponent, coeff in E.terms.items():
+        # the momentum indices of the term, with multiplicity
+        momenta = [j for j, slot in enumerate(slots) for _ in range(exponent[slot])]
+        if len(momenta) > 2:
+            raise RuntimeError("residual is not quadratic in the momenta")
+        stripped = list(exponent)
+        for slot in slots:
+            stripped[slot] = 0
+        x_exponent = tuple(stripped)
+        if not momenta:
+            part0[x_exponent] = coeff
+        elif len(momenta) == 1:
+            part1[momenta[0]][x_exponent] = coeff
+        else:
+            j, k = momenta
+            if j == k:
+                hessian[j][j][x_exponent] = 2 * coeff
+            else:
+                hessian[j][k][x_exponent] = hessian[k][j][x_exponent] = coeff
+    coords = E.coords
+    return (
+        EvenPoly(coords, part0),
+        [EvenPoly(coords, terms) for terms in part1],
+        [[EvenPoly(coords, terms) for terms in row] for row in hessian],
+    )
 
 
 def check_evolution_invariance(
-    H: GradedPoly, cs: ConstraintSet, pack: GeometryPack
+    H: GradedPoly,
+    cs: ConstraintSet,
+    pack: GeometryPack,
+    families: StructuralResiduals | None,
 ) -> CheckReport:
     """Invariance of the constraint surface: {H, Phi_a} = gamma^b_a Phi_b.
 
     The bracket residual is authoritative.  For an untwisted, drift-free pack
     with a lowered metric it is additionally decomposed by momentum order and
-    matched, with the build's fixed sign triple, against the structural
-    residual families; a mismatch is an engine fault and raises.
+    matched, with the build's fixed sign triple, against `families`, the
+    structural residuals of the pack (None only when it has no lowered
+    metric); a mismatch is an engine fault and raises.
     """
     _require(pack, ["g_inv", "omega"])
     ctx = cs.ctx
@@ -406,7 +424,9 @@ def check_evolution_invariance(
     elif pack.g_low is None:
         notes.append("no lowered metric: structural decomposition skipped")
     else:
-        _assert_decomposition(data, pack, ctx, bracket_residuals)
+        if families is None:
+            raise ValueError("the decomposition needs the structural residuals")
+        _assert_decomposition(data, pack, ctx, bracket_residuals, families)
         notes.append(
             "dual route: momentum orders (2, 1, 0) match the structural "
             f"residuals with signs {DECOMPOSITION_SIGNS}"
@@ -438,8 +458,8 @@ def _assert_decomposition(
     pack: GeometryPack,
     ctx: GradedContext,
     bracket_residuals: list[GradedPoly],
+    families: StructuralResiduals,
 ) -> None:
-    families = structural_residuals(data, pack)
     k2, k1, k0 = DECOMPOSITION_SIGNS
     n = data.base_dim
     G = [

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, embed, term_sort_key
+from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, embed
 
 OddWord = tuple[int, ...]
 

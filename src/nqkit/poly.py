@@ -239,6 +239,38 @@ class EvenPoly:
         return f"EvenPoly({str(self)!r})"
 
 
+def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
+    """The polynomial q with f = q * g, or RuntimeError when g does not divide f.
+
+    Division by the leading term in graded lexicographic order: if g divides
+    f, the leading term of every remainder is a multiple of the leading term
+    of g, so the first remainder term that is not one proves a nonzero
+    remainder.  The divisor's terms are sorted once.
+    """
+    if g.coords != f.coords:
+        raise ValueError("polynomials live in different coordinate rings")
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    (lead, lead_coeff), *tail = g.sorted_terms()
+    remainder = dict(f.terms)
+    quotient: Terms = {}
+    while remainder:
+        top = max(remainder, key=term_sort_key)
+        shift = tuple(a - b for a, b in zip(top, lead))
+        if min(shift, default=0) < 0:
+            raise RuntimeError("inexact polynomial division: a remainder is left")
+        factor = remainder.pop(top) / lead_coeff
+        quotient[shift] = factor
+        for e, c in tail:
+            key = tuple(a + b for a, b in zip(e, shift))
+            value = remainder.get(key, 0) - factor * c
+            if value:
+                remainder[key] = value
+            else:
+                del remainder[key]
+    return EvenPoly._trusted(f.coords, quotient)
+
+
 def monomial_exponents(count: int, max_degree: int) -> list[Exponent]:
     """All exponent tuples over `count` slots with total degree <= max_degree.
 

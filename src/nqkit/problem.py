@@ -40,7 +40,6 @@ from pathlib import Path
 
 from .algebroid import (
     Algebroid,
-    AltForm,
     algebroid_from_lists,
     one_form,
     two_form_from_matrix,

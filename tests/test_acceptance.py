@@ -259,11 +259,11 @@ def test_criterion_06_dynamics_two_route_agreement():
     ):
         problem = corpus_problem(name)
         cs = build_constraints(problem.data, alpha=problem.pack.alpha)
+        families = structural_residuals(problem.data, problem.pack)
         report = check_evolution_invariance(
-            build_hamiltonian(problem.pack), cs, problem.pack
+            build_hamiltonian(problem.pack), cs, problem.pack, families
         )
         assert any("signs (1, 1, -1)" in note for note in report.notes), name
-        families = structural_residuals(problem.data, problem.pack)
         all_zero = all(
             value.is_zero
             for family in (families.metric, families.alpha, families.potential)
@@ -287,6 +287,7 @@ def test_criterion_06_dynamics_two_route_agreement():
         build_hamiltonian(pack),
         build_constraints(data, alpha=pack.alpha),
         pack,
+        structural_residuals(data, pack),
     )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]

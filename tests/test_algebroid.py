@@ -284,9 +284,11 @@ def test_jacobi_defect_broken_values():
     data = broken_jacobi()
     coords, g = ring(["x"])
     defect = jacobi_defect(data)
-    assert defect[(0, 1, 2, 0)] == EvenPoly.const(coords, -2)
-    assert defect[(0, 1, 2, 1)].is_zero
-    assert defect[(0, 1, 2, 2)].is_zero
+    # sparse: only the nonzero entry is stored, a missing key reads as zero
+    assert defect == {(0, 1, 2, 0): EvenPoly.const(coords, -2)}
+    zero = EvenPoly.zero(coords)
+    assert defect.get((0, 1, 2, 1), zero).is_zero
+    assert defect.get((0, 1, 2, 2), zero).is_zero
 
 
 def test_jacobi_defect_vanishes_for_nilpotent_bundle():
@@ -341,10 +343,15 @@ def test_cyclic_jacobi_defect_matches_the_permutation_sum():
         frames.append(random_frame(rng, rng.randrange(1, 3), rng.randrange(3, 5)))
     nonzero = 0
     for data in frames:
-        expected = jacobi_defect_by_permutations(data)
+        # the sparse tensor holds exactly the nonzero entries of the full sum
+        expected = {
+            key: value
+            for key, value in jacobi_defect_by_permutations(data).items()
+            if not value.is_zero
+        }
         assert jacobi_defect(data) == expected
         assert data.jacobi_defect == expected
-        nonzero += sum(1 for value in expected.values() if not value.is_zero)
+        nonzero += len(expected)
     assert nonzero > 0
 
 

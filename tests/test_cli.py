@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -16,6 +15,7 @@ from click.testing import CliRunner
 import nqkit.algebroid
 import nqkit.bfv
 import nqkit.cli
+import nqkit.constraints
 import nqkit.dynamics
 from nqkit.aksz import (
     build_supercharge,
@@ -28,6 +28,7 @@ from nqkit.cli import main
 from nqkit.graded import GradedContext
 from nqkit.poly import monomial_exponents
 from nqkit.problem import load_problem
+from tests.test_generated_frames import gen
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -132,8 +133,8 @@ def test_check_cartan_failure_is_a_finding_not_an_input_error():
     assert "reassembles the bracket residual exactly" in result.output
 
 
-def _wrong_self_bracket(data, alpha, magnetic, ctx):
-    return ctx.var("p_x1")
+def _wrong_self_bracket(charge):
+    return charge.ctx.var("p_x1")
 
 
 def _oversized_image(columns, inside):
@@ -200,13 +201,20 @@ def test_tripped_engine_guard_exits_3(
         # the drift refuses the assembly, so no H is built
         (["check", corpus_path("beta_drift"), "--all"], 1, ["(S, S)"]),
         (EMIT_SO3_BV, 0, ["(S, S)", "(S, H)"]),
+        # rank 15: the rank at which a repeated invariant costs seconds
+        (["check", "so6.json", "--all"], 0, ["(S, S)", "(S, H)"]),
     ],
-    ids=["check_all", "check_all_drift", "emit_bv"],
+    ids=["check_all", "check_all_drift", "emit_bv", "check_all_so6"],
 )
 def test_defect_tensors_computed_once_per_invocation(
     monkeypatch, tmp_path, args, exit_code, brackets
 ):
-    # the defect tensors, the core charge, its self-bracket and (S, H), once each
+    # the defect tensors, the structural 2-form, the structural residuals
+    # (when a metric is given), the core charge, its self-bracket and (S, H),
+    # once each
+    monkeypatch.chdir(tmp_path)
+    if args[1] == "so6.json":
+        Path("so6.json").write_text(json.dumps(gen.so_n(6)))
     problem = load_problem(args[1])
     charge = build_charge(problem.data, problem.pack)
     named = {"(S, S)": (charge.S, charge.S)}
@@ -234,6 +242,8 @@ def test_defect_tensors_computed_once_per_invocation(
     owners = {
         "anchor_defect": nqkit.algebroid,
         "jacobi_defect": nqkit.algebroid,
+        "structural_two_form": nqkit.constraints,
+        "structural_residuals": nqkit.dynamics,
         "build_S": nqkit.bfv,
         "check_master": nqkit.bfv,
     }
@@ -243,12 +253,49 @@ def test_defect_tensors_computed_once_per_invocation(
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    monkeypatch.chdir(tmp_path)
     result = run(*args)
     assert result.exit_code == exit_code
-    assert calls == {name: 1 for name in owners}
+    expected = {name: 1 for name in owners}
+    if args[0] == "emit":
+        expected["structural_residuals"] = 0  # no metric check runs
+    assert {name: calls[name] for name in owners} == expected
     counts = {label: bracketed.count(pair) for label, pair in named.items()}
     assert counts == {label: 1 for label in brackets}
+
+
+@pytest.mark.parametrize(
+    "args, verdicts",
+    [
+        (["check", "--all", "--json", "out.json"], "checks"),
+        (["check", "--master", "--json", "out.json"], "checks"),
+        (["emit", "--what", "bfv", "--out", "out.json"], "emit"),
+        (["emit", "--what", "bv", "--out", "out.json"], "emit"),
+        (["cohomology", "--bfv-h0"], None),
+    ],
+    ids=["check_all", "check_master", "emit_bfv", "emit_bv", "bfv_h0"],
+)
+def test_zero_frame_is_answered(tmp_path, monkeypatch, args, verdicts):
+    # zero anchor and structure is a valid frame; its charge S = 0 satisfies
+    # (S, S) = 0, so every verb answers, with no traceback
+    frame = tmp_path / "zero.json"
+    frame.write_text(
+        json.dumps({"base_dim": 1, "rank": 1, "coords": ["x"], "anchor": [["0"]]})
+    )
+    monkeypatch.chdir(tmp_path)
+    result = run(args[0], str(frame), *args[1:])
+    assert not isinstance(result.exception, Exception), result.exception
+    assert "Traceback" not in result.output + result.stderr
+    assert result.exit_code == 0
+    if verdicts == "checks":
+        checks = json.loads(Path("out.json").read_text())["checks"]
+        statuses = [check["status"] for check in checks]
+        assert "fail" not in statuses and "pass" in statuses
+        assert "[PASS] master: (S, S) = 0" in result.output
+    elif verdicts == "emit":
+        statuses = json.loads(Path("out.json").read_text())["checks"].values()
+        assert set(statuses) <= {"pass", "skipped"} and "pass" in statuses
+    else:
+        assert "closed 12   exact 0   h^0 12" in result.output
 
 
 def test_master_is_reported_when_assembly_is_refused(tmp_path, monkeypatch):

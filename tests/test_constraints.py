@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from nqkit.algebroid import one_form, two_form_from_matrix
@@ -13,8 +17,9 @@ from nqkit.constraints import (
     generic_rank,
     irreducibility_probe,
 )
-from nqkit.graded import cotangent_context, momentum_name
+from nqkit.graded import cotangent_context
 from nqkit.poly import EvenPoly
+from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.test_algebroid import (
     abelian_algebroid,
@@ -23,7 +28,10 @@ from tests.test_algebroid import (
     rank2_line,
     so3_action,
 )
-from tests.test_poly import ring
+from tests.test_generated_frames import gen
+from tests.test_poly import random_poly, ring
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def abelian_r2():
@@ -232,6 +240,108 @@ def test_irreducibility_probe_pointwise_failure():
 def test_generic_rank_symbolic():
     data = so3_action()
     assert generic_rank([list(row) for row in data.anchor]) == 2
+
+
+def det_by_cofactors(matrix, coords):
+    """Determinant by expansion along the first row."""
+    if not matrix:
+        return EvenPoly.const(coords, 1)
+    total = EvenPoly.zero(coords)
+    for j, entry in enumerate(matrix[0]):
+        if not entry.is_zero:
+            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+            cofactor = entry * det_by_cofactors(minor, coords)
+            total = total + (cofactor if j % 2 == 0 else -cofactor)
+    return total
+
+
+def generic_rank_by_minors(matrix):
+    """The size of the largest nonzero minor: the reference for elimination."""
+    if not matrix or not matrix[0]:
+        return 0
+    coords = matrix[0][0].coords
+    for size in range(min(len(matrix), len(matrix[0])), 0, -1):
+        for rows in combinations(range(len(matrix)), size):
+            for cols in combinations(range(len(matrix[0])), size):
+                minor = [[matrix[i][j] for j in cols] for i in rows]
+                if not det_by_cofactors(minor, coords).is_zero:
+                    return size
+    return 0
+
+
+def mat_product(A, B):
+    coords = A[0][0].coords
+    return [
+        [
+            sum((A[i][k] * B[k][j] for k in range(len(B))), EvenPoly.zero(coords))
+            for j in range(len(B[0]))
+        ]
+        for i in range(len(A))
+    ]
+
+
+def random_matrices():
+    """Seeded polynomial matrices: free ones, rank-deficient products, and
+    ones whose rank drops at the origin below the generic rank."""
+    coords, g = ring(["x", "y"])
+    rng = random.Random(59)
+
+    def entries(rows, cols):
+        return [[random_poly(rng, coords, 3) for _ in range(cols)] for _ in range(rows)]
+
+    out = []
+    for _ in range(12):
+        out.append(entries(rng.randint(1, 4), rng.randint(1, 4)))
+    for _ in range(12):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        inner = rng.randint(1, min(rows, cols) - 1)
+        out.append(mat_product(entries(rows, inner), entries(inner, cols)))
+    x, y, zero = g["x"], g["y"], EvenPoly.zero(coords)
+    out.append([[x, zero], [zero, y]])
+    out.append([[x, y, x * y], [x * x, x * y, x * x * y], [y, x, x + y]])
+    out.append([[x * y, x * x], [y * y, x * y], [x, y]])
+    return out
+
+
+def so_n_frame(n):
+    return problem_from_dict(gen.so_n(n)).data
+
+
+def test_generic_rank_matches_the_minor_expansion():
+    matrices = [
+        [list(row) for row in load_problem(path).data.anchor]
+        for path in sorted(CORPUS.glob("*.json"))
+    ]
+    matrices += [[list(row) for row in so_n_frame(n).anchor] for n in (3, 4, 5, 6)]
+    matrices += random_matrices()
+    ranks = [generic_rank(matrix) for matrix in matrices]
+    assert ranks == [generic_rank_by_minors(matrix) for matrix in matrices]
+    # full and deficient ranks both occur
+    shapes = [min(len(m), len(m[0])) for m in matrices]
+    assert any(k == s for k, s in zip(ranks, shapes))
+    assert any(0 < k < s for k, s in zip(ranks, shapes))
+
+
+def test_probe_generic_rank_matches_the_minor_expansion():
+    # the probe reads the rank off its points when they reach min(r, n),
+    # and eliminates otherwise; both must agree with the minors
+    coords, g = ring(["x", "y"])
+    x, y, zero = g["x"], g["y"], EvenPoly.zero(coords)
+    frames = [load_problem(path).data for path in sorted(CORPUS.glob("*.json"))]
+    frames += [so_n_frame(n) for n in (3, 4, 5)]
+    diagonal = abelian_algebroid(coords, [[x, zero], [zero, y]])
+    frames += [
+        diagonal,
+        abelian_algebroid(coords, [[x, y], [x * x, x * y], [y, x]]),
+        abelian_algebroid(coords, [[x, y], [x * x, x * y]]),
+    ]
+    for data in frames:
+        probe = irreducibility_probe(data, points=[(0,) * data.base_dim])
+        matrix = [list(row) for row in data.anchor]
+        assert probe.generic_rank == generic_rank_by_minors(matrix)
+    # at the origin the rank of diag(x, y) drops below its generic rank 2
+    probe = irreducibility_probe(diagonal, points=[(0, 0)])
+    assert probe.point_results[0][1] == 0 < probe.generic_rank == 2
 
 
 # frame equivalence

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import one_form, two_form_from_matrix
+from nqkit.algebroid import one_form
 from nqkit.constraints import build_constraints, check_first_class
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
-    ConnectionSolution,
+    _momentum_split,
     GeometryPack,
     build_hamiltonian,
     check_evolution_invariance,
@@ -22,7 +23,7 @@ from nqkit.dynamics import (
     StructuralResiduals,
     structural_residuals,
 )
-from nqkit.graded import momentum_name
+from nqkit.graded import cotangent_context, momentum_name
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
@@ -146,11 +147,21 @@ def test_build_hamiltonian_needs_inverse_metric():
 # flow invariance
 
 
+def families_of(data, pack):
+    """The structural residuals the evolution check consumes, or None without them."""
+    if pack.g_low is None or pack.omega is None:
+        return None
+    return structural_residuals(data, pack)
+
+
 def test_evolution_so3_killing():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
     report = check_evolution_invariance(
-        build_hamiltonian(pack), build_constraints(data), pack
+        build_hamiltonian(pack),
+        build_constraints(data),
+        pack,
+        families_of(data, pack),
     )
     assert report.status == PASS
     assert report.residuals == []
@@ -162,7 +173,10 @@ def test_evolution_gradient_obstruction():
     coords, g = ring(["x1", "x2"])
     pack = flat_pack(coords, 2, potential=g["x1"])
     report = check_evolution_invariance(
-        build_hamiltonian(pack), build_constraints(data), pack
+        build_hamiltonian(pack),
+        build_constraints(data),
+        pack,
+        families_of(data, pack),
     )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "-1")]
@@ -176,7 +190,9 @@ def test_evolution_magnetic_regression():
     pack = flat_pack(coords, 2, alpha=alpha, magnetic=magnetic_plane(1))
     cs = build_constraints(data, alpha=alpha, magnetic=pack.magnetic)
     assert check_first_class(cs).status == PASS
-    report = check_evolution_invariance(build_hamiltonian(pack), cs, pack)
+    report = check_evolution_invariance(
+        build_hamiltonian(pack), cs, pack, families_of(data, pack)
+    )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "p_x2")]
     assert any("authoritative" in note for note in report.notes)
@@ -199,10 +215,12 @@ def test_evolution_with_nontrivial_connection_passes():
         alpha=alpha,
     )
     cs = build_constraints(data, alpha=alpha)
-    report = check_evolution_invariance(build_hamiltonian(pack), cs, pack)
+    report = check_evolution_invariance(
+        build_hamiltonian(pack), cs, pack, families_of(data, pack)
+    )
     assert report.status == PASS
-    assert check_structural(data, pack).status == PASS
-    assert check_metric_compat(data, pack).status == PASS
+    assert check_structural(structural_residuals(data, pack)).status == PASS
+    assert check_metric_compat(structural_residuals(data, pack)).status == PASS
 
 
 def test_evolution_endomorphism_residual_matches_both_routes():
@@ -214,7 +232,9 @@ def test_evolution_endomorphism_residual_matches_both_routes():
         coords, 1, alpha=alpha, tau=[[EvenPoly.const(coords, 3)]]
     )
     cs = build_constraints(data, alpha=alpha)
-    report = check_evolution_invariance(build_hamiltonian(pack), cs, pack)
+    report = check_evolution_invariance(
+        build_hamiltonian(pack), cs, pack, families_of(data, pack)
+    )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]
 
@@ -225,12 +245,43 @@ def test_evolution_requires_connection_and_frame_data():
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords))
     with pytest.raises(ValueError, match="omega"):
         check_evolution_invariance(
-            build_hamiltonian(pack), build_constraints(data), pack
+            build_hamiltonian(pack), build_constraints(data), pack, None
         )
 
 
 def test_decomposition_signs_are_pinned():
     assert DECOMPOSITION_SIGNS == (1, 1, -1)
+
+
+def momentum_split_by_substitution(ctx, E):
+    """Derivatives in the momenta at p = 0: the reference for the term buckets."""
+    at_zero = {p: 0 for p, _ in ctx.pairs_even}
+    part0 = E.substitute(at_zero)
+    part1 = [E.diff(p).substitute(at_zero) for p in at_zero]
+    hessian = [
+        [E.diff(p).diff(q).substitute(at_zero) for q in at_zero] for p in at_zero
+    ]
+    return part0, part1, hessian
+
+
+def test_momentum_split_matches_the_substitution_route():
+    ctx = cotangent_context(("x1", "x2", "x3"))
+    rng = random.Random(61)
+    for _ in range(25):
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            powers = [0, 0, 0]
+            for _ in range(rng.randint(0, 2)):
+                powers[rng.randrange(3)] += 1
+            x_exponent = tuple(rng.randint(0, 2) for _ in range(3))
+            terms[x_exponent + tuple(powers)] = Fraction(
+                rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
+            )
+        E = EvenPoly(ctx.even_names, terms)
+        assert _momentum_split(ctx, E) == momentum_split_by_substitution(ctx, E)
+    cubic = E + EvenPoly(ctx.even_names, {(1, 0, 0, 2, 0, 1): Fraction(1)})
+    with pytest.raises(RuntimeError, match="not quadratic in the momenta"):
+        _momentum_split(ctx, cubic)
 
 
 # structural families
@@ -413,7 +464,7 @@ def test_contractions_match_the_uncontracted_formulas():
             continue
         cs = build_constraints(data, pack.alpha, pack.magnetic)
         H = build_hamiltonian(pack)
-        report = check_evolution_invariance(H, cs, pack)
+        report = check_evolution_invariance(H, cs, pack, families_of(data, pack))
         assert report.residuals == evolution_residuals_by_full_sums(H, cs, pack)
         if pack.beta is None and pack.magnetic is None:
             assert any(note.startswith("dual route") for note in report.notes)
@@ -431,7 +482,7 @@ def test_metric_compat_leafwise():
     pack = GeometryPack(
         coords, 1, g_low=g_low, omega=zero_connection(coords, 1)
     )
-    assert check_metric_compat(data, pack).status == PASS
+    assert check_metric_compat(structural_residuals(data, pack)).status == PASS
 
 
 def test_metric_compat_obstructed_line():
@@ -443,7 +494,7 @@ def test_metric_compat_obstructed_line():
         g_low=[[EvenPoly.const(coords, 1) + g["x"] ** 2]],
         omega=zero_connection(coords, 1),
     )
-    report = check_metric_compat(data, pack)
+    report = check_metric_compat(structural_residuals(data, pack))
     assert report.status == FAIL
     assert report.residuals == [("compat[a=1,i=1,j=1]", "2*x")]
 
@@ -462,7 +513,8 @@ def test_solve_connection_killing_case():
         for row in plane
         for entry in row
     )
-    verified = check_metric_compat(data, replace(pack, omega=solution.omega))
+    solved = replace(pack, omega=solution.omega)
+    verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS
 
 
@@ -475,7 +527,8 @@ def test_solve_connection_leafwise():
     pack = GeometryPack(coords, 1, g_low=g_low)
     solution = solve_connection(data, pack, degree=1)
     assert solution.feasible
-    verified = check_metric_compat(data, replace(pack, omega=solution.omega))
+    solved = replace(pack, omega=solution.omega)
+    verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS
 
 
@@ -497,5 +550,6 @@ def test_solve_connection_recovers_line_fixture():
     solution = solve_connection(data, pack, degree=1)
     assert solution.feasible
     assert solution.solution_dim > 0
-    verified = check_metric_compat(data, replace(pack, omega=solution.omega))
+    solved = replace(pack, omega=solution.omega)
+    verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS

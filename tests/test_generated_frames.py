@@ -72,3 +72,14 @@ def test_so_n_emit_bv_passes_supercharge(so_n_file, tmp_path):
     assert doc["checks"] == {"supercharge": "pass"}
     assert "forced" not in doc
     assert doc["terms"]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_so_n_generic_anchor_rank_is_n_minus_1(n, tmp_path):
+    # the orbits are spheres, so the anchor has generic rank n - 1; the rank
+    # comes from fraction-free elimination, since no point reaches min(r, n)
+    path = tmp_path / f"so{n}.json"
+    path.write_text(json.dumps(gen.so_n(n)))
+    result = CliRunner().invoke(main, ["check", str(path), "--irreducible"])
+    assert result.exit_code == 0, result.output
+    assert f"generic rank {n - 1}, full rank is {n * (n - 1) // 2}" in result.output

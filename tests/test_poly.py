@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nqkit.poly import EvenPoly, as_rat
+from nqkit.poly import EvenPoly, as_rat, exact_quotient
 
 
 def ring(coords) -> tuple[tuple[str, ...], dict[str, EvenPoly]]:
@@ -186,3 +186,38 @@ def test_cross_ring_operations_rejected():
     _, gb = ring(["y"])
     with pytest.raises(ValueError):
         ga["x"] + gb["y"]
+
+
+def test_exact_quotient_recovers_every_factor():
+    rng = random.Random(53)
+    coords = ("x", "y", "z")
+    checked = 0
+    for _ in range(60):
+        f, g = random_poly(rng, coords), random_poly(rng, coords)
+        if g.is_zero:
+            continue
+        assert exact_quotient(f * g, g) == f
+        checked += 1
+    assert checked > 30
+
+
+def test_exact_quotient_raises_on_a_remainder():
+    coords, g = ring(["x", "y"])
+    x, y = g["x"], g["y"]
+    with pytest.raises(RuntimeError, match="remainder"):
+        exact_quotient(x**2 + 1, x)
+    with pytest.raises(RuntimeError, match="remainder"):
+        exact_quotient(x * y + y**2 + x, x + y)
+    # a nonconstant g never divides f * g + 1
+    rng = random.Random(67)
+    raised = 0
+    for _ in range(30):
+        f, divisor = random_poly(rng, coords), random_poly(rng, coords)
+        if divisor.total_degree() == 0:
+            continue
+        with pytest.raises(RuntimeError, match="remainder"):
+            exact_quotient(f * divisor + 1, divisor)
+        raised += 1
+    assert raised > 10
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient(x, EvenPoly.zero(coords))
