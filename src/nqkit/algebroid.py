@@ -41,7 +41,7 @@ from .graded import (
     left_derivation,
 )
 from .linalg import image_in, kernel, solve
-from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, divide, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 Matrix = tuple[tuple[EvenPoly, ...], ...]
@@ -469,7 +469,7 @@ def _assert_q_square_matches(
     for (a, b, c, d), value in r2.items():
         word = (ghost[a], ghost[b], ghost[c])
         for e, coeff in value.terms.items():
-            by_target[d].append((word, e + zero_momenta, coeff / 2))
+            by_target[d].append((word, e + zero_momenta, divide(coeff, 2)))
     for d, items in enumerate(by_target):
         expected = GradedPoly.from_terms(ctx, items)
         if left_derivation(ctx, images, images[ghost_name(d + 1)]) != expected:

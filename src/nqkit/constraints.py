@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterator, Sequence
 
 from .algebroid import (
@@ -328,7 +329,7 @@ def _solve_structure(
     # C^c_ab = x^m contributes x^m rho_c^i to the p_i coefficient, whatever (a, b)
     columns = []
     for c, m in unknowns:
-        shifted = EvenPoly(base, {m: Fraction(1)})
+        shifted = EvenPoly(base, {m: 1})
         columns.append(_base_column([shifted * rho for rho in rho_rows[c]]))
 
     zero = EvenPoly.zero(base)
@@ -371,9 +372,11 @@ def generic_rank(matrix: list[list[EvenPoly]]) -> int:
     remaining entry is a (k+1)-minor of the original matrix, so dividing by
     the previous pivot is exact (Sylvester's identity) and a nonzero
     remainder raises.  The pivot is the first nonzero entry of the first
-    remaining row; a row that becomes zero stays zero and is dropped.
+    remaining row; a row that becomes zero stays zero and is dropped.  Each
+    row is first scaled by the common denominator of its coefficients, which
+    keeps the rank and lets the elimination run on integers.
     """
-    rows = [list(row) for row in matrix if any(not f.is_zero for f in row)]
+    rows = [_integral(row) for row in matrix if any(not f.is_zero for f in row)]
     if not rows:
         return 0
     previous = EvenPoly.const(rows[0][0].coords, 1)
@@ -394,6 +397,17 @@ def generic_rank(matrix: list[list[EvenPoly]]) -> int:
         rows, previous = reduced, pivot
         found += 1
     return found
+
+
+def _integral(row: Sequence[EvenPoly]) -> list[EvenPoly]:
+    """The row times the lcm of its coefficient denominators."""
+    scale = lcm(*(c.denominator for f in row for c in f.terms.values()))
+    if scale == 1:
+        return list(row)
+    return [
+        EvenPoly(f.coords, {e: int(c * scale) for e, c in f.terms.items()})
+        for f in row
+    ]
 
 
 @dataclass

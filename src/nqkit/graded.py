@@ -24,11 +24,19 @@ with all derivatives acting from the left.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, embed
+from .poly import (
+    EvenPoly,
+    Exponent,
+    Scalar,
+    Terms,
+    accumulate_product,
+    as_rat,
+    divide,
+    embed,
+)
 
 OddWord = tuple[int, ...]
 
@@ -129,6 +137,8 @@ class GradedContext:
         return tuple(rows)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GradedContext):
             return NotImplemented
         return (
@@ -245,6 +255,16 @@ class GradedPoly:
             word: f for word, f in parts.items() if not f.is_zero
         }
 
+    @classmethod
+    def _trusted(
+        cls, ctx: GradedContext, parts: dict[OddWord, EvenPoly]
+    ) -> GradedPoly:
+        """Wrap parts that already hold no zero coefficient, without filtering."""
+        poly = object.__new__(cls)
+        poly.ctx = ctx
+        poly.parts = parts
+        return poly
+
     @property
     def is_zero(self) -> bool:
         return not self.parts
@@ -267,13 +287,15 @@ class GradedPoly:
         other = self._coerce(other)
         parts = dict(self.parts)
         for word, f in other.parts.items():
-            parts[word] = parts.get(word, _zero_even(self.ctx)) + f
+            parts[word] = parts[word] + f if word in parts else f
         return GradedPoly(self.ctx, parts)
 
     __radd__ = __add__
 
     def __neg__(self) -> GradedPoly:
-        return GradedPoly(self.ctx, {word: -f for word, f in self.parts.items()})
+        return GradedPoly._trusted(
+            self.ctx, {word: -f for word, f in self.parts.items()}
+        )
 
     def __sub__(self, other: GradedPoly | EvenPoly | Scalar) -> GradedPoly:
         return self + (-self._coerce(other))
@@ -292,25 +314,16 @@ class GradedPoly:
                 )
         elif other.ctx != self.ctx:
             raise ValueError("operands belong to different graded contexts")
-        parts: dict[OddWord, EvenPoly] = {}
-        for w1, f1 in self.parts.items():
-            for w2, f2 in other.parts.items():
-                merged, sign = merge_words(w1, w2)
-                if merged is None:
-                    continue
-                contribution = f1 * f2 if sign > 0 else -(f1 * f2)
-                if merged in parts:
-                    parts[merged] = parts[merged] + contribution
-                else:
-                    parts[merged] = contribution
-        return GradedPoly(self.ctx, parts)
+        buckets: dict[OddWord, Terms] = {}
+        _accumulate_product(buckets, self.parts, other.parts)
+        return _from_buckets(self.ctx, buckets)
 
     def __rmul__(self, other: EvenPoly | Scalar) -> GradedPoly:
         # even scalars and even polynomials commute with everything
         return self.__mul__(other)
 
     def __truediv__(self, scalar: Scalar) -> GradedPoly:
-        return self * (Fraction(1) / as_rat(scalar))
+        return self * divide(1, as_rat(scalar))
 
     def __pow__(self, n: int) -> GradedPoly:
         if not isinstance(n, int) or n < 0:
@@ -323,7 +336,7 @@ class GradedPoly:
     # structure
 
     def parity_part(self, parity: int) -> GradedPoly:
-        return GradedPoly(
+        return GradedPoly._trusted(
             self.ctx,
             {w: f for w, f in self.parts.items() if len(w) % 2 == parity},
         )
@@ -335,7 +348,7 @@ class GradedPoly:
             raise ValueError("element is not parity homogeneous")
         return parities.pop() if parities else 0
 
-    def terms(self) -> Iterator[tuple[OddWord, Exponent, Rat]]:
+    def terms(self) -> Iterator[tuple[OddWord, Exponent, Scalar]]:
         """All scalar monomials (odd word, even exponent, coefficient)."""
         for word, f in self.parts.items():
             for exponent, coeff in f.terms.items():
@@ -345,12 +358,12 @@ class GradedPoly:
     def from_terms(
         cls,
         ctx: GradedContext,
-        items: Iterable[tuple[OddWord, Exponent, Rat]],
+        items: Iterable[tuple[OddWord, Exponent, Scalar]],
     ) -> GradedPoly:
-        parts: dict[OddWord, dict[Exponent, Rat]] = {}
+        parts: dict[OddWord, Terms] = {}
         for word, exponent, coeff in items:
             bucket = parts.setdefault(word, {})
-            bucket[exponent] = bucket.get(exponent, Fraction(0)) + coeff
+            bucket[exponent] = bucket.get(exponent, 0) + coeff
         return cls(
             ctx,
             {
@@ -379,10 +392,6 @@ class GradedPoly:
         """The odd-word-free coefficient."""
         return self.parts.get((), _zero_even(self.ctx))
 
-    def coefficient_of_word(self, word: OddWord) -> EvenPoly:
-        """Even coefficient of the ascending word, in the engine's sign convention."""
-        return self.parts.get(tuple(word), _zero_even(self.ctx))
-
     def left_deriv(self, name: str) -> GradedPoly:
         """Left derivative with respect to one coordinate."""
         ctx = self.ctx
@@ -392,6 +401,7 @@ class GradedPoly:
             )
         if name not in ctx.odd_index:
             raise KeyError(f"{name!r} is not a coordinate of this context")
+        # distinct words holding the letter stay distinct once it is removed
         letter = ctx.odd_index[name]
         parts: dict[OddWord, EvenPoly] = {}
         for word, f in self.parts.items():
@@ -399,9 +409,8 @@ class GradedPoly:
                 continue
             position = word.index(letter)
             reduced = word[:position] + word[position + 1 :]
-            signed = f if position % 2 == 0 else -f
-            parts[reduced] = parts.get(reduced, _zero_even(ctx)) + signed
-        return GradedPoly(ctx, parts)
+            parts[reduced] = f if position % 2 == 0 else -f
+        return GradedPoly._trusted(ctx, parts)
 
     def substitute(
         self, images: Mapping[str, GradedPoly | EvenPoly | Scalar]
@@ -477,6 +486,40 @@ def _zero_even(ctx: GradedContext) -> EvenPoly:
     return EvenPoly.zero(ctx.even_names)
 
 
+def _accumulate_product(
+    buckets: dict[OddWord, Terms],
+    left: Mapping[OddWord, EvenPoly],
+    right: Mapping[OddWord, EvenPoly],
+) -> None:
+    """Add the product of two parts mappings to per-word term buckets.
+
+    Each word pair contributes its even product straight into the bucket of
+    the merged word, with the Koszul sign of the merge; cancelled terms stay
+    behind as zeros until `_from_buckets`.
+    """
+    for w1, f1 in left.items():
+        left_terms = f1.terms
+        for w2, f2 in right.items():
+            merged, sign = merge_words(w1, w2)
+            if merged is None:
+                continue
+            bucket = buckets.get(merged)
+            if bucket is None:
+                bucket = buckets[merged] = {}
+            accumulate_product(bucket, left_terms, f2.terms, sign)
+
+
+def _from_buckets(ctx: GradedContext, buckets: dict[OddWord, Terms]) -> GradedPoly:
+    """Wrap per-word term buckets once each, dropping cancelled terms and words."""
+    names = ctx.even_names
+    parts: dict[OddWord, EvenPoly] = {}
+    for word, bucket in buckets.items():
+        terms = {e: c for e, c in bucket.items() if c}
+        if terms:
+            parts[word] = EvenPoly._trusted(names, terms)
+    return GradedPoly._trusted(ctx, parts)
+
+
 def transport(F: GradedPoly, ctx: GradedContext) -> GradedPoly:
     """Reinterpret F in another context that contains all of its coordinates.
 
@@ -523,12 +566,12 @@ def left_derivation(
     D(G) = sum_A images[A] * dG/dz^A with left derivatives; coordinates not in
     `images` are annihilated.
     """
-    result = ctx.zero()
+    if any(f.ctx != ctx for f in (G, *images.values())):
+        raise ValueError("operands belong to different graded contexts")
+    buckets: dict[OddWord, Terms] = {}
     for name, image in images.items():
-        derivative = G.left_deriv(name)
-        if not derivative.is_zero:
-            result = result + image * derivative
-    return result
+        _accumulate_product(buckets, image.parts, G.left_deriv(name).parts)
+    return _from_buckets(ctx, buckets)
 
 
 def field_column(
@@ -536,7 +579,7 @@ def field_column(
     field: Mapping[str, GradedPoly],
     word: OddWord,
     exponent: Exponent,
-) -> dict[tuple[OddWord, Exponent], Rat]:
+) -> dict[tuple[OddWord, Exponent], Scalar]:
     """`left_derivation(ctx, field, m)` on the monomial m = x^exponent xi^word.
 
     The value comes back as a sparse `{(word, exponent): coefficient}`
@@ -544,7 +587,7 @@ def field_column(
     in each coordinate is one term or none, and it multiplies into that
     coordinate's image term by term.
     """
-    column: dict[tuple[OddWord, Exponent], Rat] = {}
+    column: dict[tuple[OddWord, Exponent], Scalar] = {}
     for name, image in field.items():
         k = ctx.even_index.get(name)
         if k is not None:

@@ -1,7 +1,7 @@
 """Exact sparse linear maps over the rationals.
 
 A linear map is a list of columns, one per unknown, in the order of the
-unknowns.  Each column is a `{key: Fraction}` dict holding the nonzero
+unknowns.  Each column is a `{key: int or Fraction}` dict holding the nonzero
 coefficients of the image of that unknown, keyed by whatever labels the
 target (for example `(word, exponent)` pairs of a polynomial window).
 Only the keys that occur are ever stored, so no target window has to be

@@ -1,38 +1,55 @@
 """Sparse exact polynomials over named commuting coordinates.
 
-Coefficients are `fractions.Fraction` throughout: the whole engine runs on
-exact rational arithmetic and nothing downstream ever sees a float.  A
-polynomial stores a mapping from exponent tuples (one slot per coordinate) to
-coefficients with no zero coefficient, so equality of the mappings is equality
-of polynomials.
+A coefficient is an exact rational: a Python `int` when it is integral and a
+`fractions.Fraction` otherwise, never a float.  Integers keep the common case
+(frames with integer coefficients) off the slow `Fraction` path; mixed
+results need no normalising, since `int` and `Fraction` agree by value in
+equality, hashing, ordering and `str`.  Every division of coefficients goes
+through `divide`, which returns an int when the quotient is integral.
 
-The public constructor strips zero coefficients from whatever it is given.
-Negation, scalar multiplication and addition keep the invariant themselves:
-negating or scaling a nonzero coefficient by a nonzero scalar cannot give
-zero, and a sum drops exactly the keys whose coefficients cancel.  They build
-their results with the internal `EvenPoly._trusted`, which skips the filter;
-it is not for callers outside this module.
+A polynomial stores a mapping from exponent tuples (one slot per coordinate)
+to coefficients with no zero coefficient, so equality of the mappings is
+equality of polynomials.  The public constructor strips zero coefficients
+from whatever it is given, in `__post_init__`.  Every operation of this
+module keeps the invariant itself (negating or scaling a nonzero coefficient
+by a nonzero scalar cannot give zero; a sum or product drops exactly the
+keys whose coefficients cancel; a derivative maps distinct exponents to
+distinct exponents) and builds its result with the internal
+`EvenPoly._trusted`, which skips the filter; it is not for callers outside
+this module and the graded products of `graded.py`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Mapping
 
 Rat = Fraction
+Scalar = int | Fraction
 Exponent = tuple[int, ...]
-Terms = dict[Exponent, Rat]
-Scalar = Rat | int
+Terms = dict[Exponent, Scalar]
 
 
-def as_rat(value: Scalar) -> Rat:
-    """Coerce an exact scalar to Fraction, rejecting floats outright."""
-    if isinstance(value, Fraction):
+def as_rat(value: Scalar) -> Scalar:
+    """An exact scalar as an int when integral, else a Fraction; floats raise."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):  # bool and other int subclasses
+        return int(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def divide(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b: an int when it is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        quotient, remainder = divmod(a, b)
+        if not remainder:
+            return quotient
+        return Fraction(a, b)
+    return as_rat(Fraction(a) / b)
 
 
 def term_sort_key(exponent: Exponent) -> tuple[int, Exponent]:
@@ -40,34 +57,41 @@ def term_sort_key(exponent: Exponent) -> tuple[int, Exponent]:
     return (sum(exponent), exponent)
 
 
-@dataclass(frozen=True)
 class EvenPoly:
-    """Polynomial with Fraction coefficients in a fixed tuple of coordinates."""
+    """Polynomial with exact coefficients in a fixed tuple of coordinates.
 
-    coords: tuple[str, ...]
-    terms: Terms
+    Treated as immutable; it holds a dict and is therefore unhashable.
+    """
+
+    __slots__ = ("coords", "terms")
+    __hash__ = None
+
+    def __init__(self, coords: tuple[str, ...], terms: Mapping[Exponent, Scalar]):
+        self.coords = coords
+        self.terms = terms
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        # stored form never contains zero coefficients, so dict equality works
-        object.__setattr__(
-            self, "terms", {e: c for e, c in self.terms.items() if c != 0}
-        )
+        # stored form never contains zero coefficients, so dict equality works;
+        # a method of its own, so a tracer can count public constructions
+        self.terms = {e: c for e, c in self.terms.items() if c}
 
     @classmethod
     def _trusted(cls, coords: tuple[str, ...], terms: Terms) -> EvenPoly:
         """Wrap terms that already hold no zero coefficient, without filtering."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "coords", coords)
-        object.__setattr__(poly, "terms", terms)
+        poly.coords = coords
+        poly.terms = terms
         return poly
 
     @classmethod
     def zero(cls, coords: tuple[str, ...]) -> EvenPoly:
-        return cls(coords, {})
+        return cls._trusted(coords, {})
 
     @classmethod
     def const(cls, coords: tuple[str, ...], value: Scalar) -> EvenPoly:
-        return cls(coords, {(0,) * len(coords): as_rat(value)})
+        value = as_rat(value)
+        return cls._trusted(coords, {(0,) * len(coords): value} if value else {})
 
     @classmethod
     def variable(cls, coords: tuple[str, ...], name: str) -> EvenPoly:
@@ -75,14 +99,19 @@ class EvenPoly:
             raise KeyError(f"{name!r} is not a coordinate of this ring")
         index = coords.index(name)
         exponent = tuple(int(i == index) for i in range(len(coords)))
-        return cls(coords, {exponent: Fraction(1)})
+        return cls._trusted(coords, {exponent: 1})
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and self.terms == other.terms
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Rat:
-        return self.terms.get((0,) * len(self.coords), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.coords), 0)
 
     def _index(self, name: str) -> int:
         try:
@@ -133,16 +162,13 @@ class EvenPoly:
         if other.coords != self.coords:
             raise ValueError("polynomials live in different coordinate rings")
         terms: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return EvenPoly(self.coords, terms)
+        accumulate_product(terms, self.terms, other.terms)
+        return EvenPoly._trusted(self.coords, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Scalar) -> EvenPoly:
-        return self * (Fraction(1) / as_rat(scalar))
+        return self * divide(1, as_rat(scalar))
 
     def __pow__(self, n: int) -> EvenPoly:
         if not isinstance(n, int) or n < 0:
@@ -157,18 +183,16 @@ class EvenPoly:
         terms: Terms = {}
         for e, c in self.terms.items():
             k = e[index]
-            if k == 0:
-                continue
-            lowered = e[:index] + (k - 1,) + e[index + 1 :]
-            terms[lowered] = terms.get(lowered, Fraction(0)) + c * k
-        return EvenPoly(self.coords, terms)
+            if k:
+                terms[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
+        return EvenPoly._trusted(self.coords, terms)
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Rat:
+    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         missing = [name for name in self.coords if name not in point]
         if missing:
             raise KeyError(f"point is missing coordinates {missing}")
         values = [as_rat(point[name]) for name in self.coords]
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
             product = c
             for value, k in zip(values, e):
@@ -176,23 +200,6 @@ class EvenPoly:
                     product *= value**k
             total += product
         return total
-
-    def substitute(self, images: Mapping[str, EvenPoly | Scalar]) -> EvenPoly:
-        """Replace coordinates by polynomials of the same ring; unmapped ones stay."""
-        base = [
-            self._coerce(images[name])
-            if name in images
-            else EvenPoly.variable(self.coords, name)
-            for name in self.coords
-        ]
-        result = EvenPoly.zero(self.coords)
-        for e, c in self.terms.items():
-            term = EvenPoly.const(self.coords, c)
-            for image, k in zip(base, e):
-                if k:
-                    term = term * image**k
-            result = result + term
-        return result
 
     def total_degree(self) -> int:
         """Maximal total degree over the terms; the zero polynomial reports 0."""
@@ -202,10 +209,10 @@ class EvenPoly:
         index = self._index(name)
         return max((e[index] for e in self.terms), default=0)
 
-    def coefficient(self, exponent: Exponent) -> Rat:
-        return self.terms.get(tuple(exponent), Fraction(0))
+    def coefficient(self, exponent: Exponent) -> Scalar:
+        return self.terms.get(tuple(exponent), 0)
 
-    def sorted_terms(self) -> list[tuple[Exponent, Rat]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in descending graded lexicographic order, leading term first."""
         return sorted(
             self.terms.items(), key=lambda item: term_sort_key(item[0]), reverse=True
@@ -239,35 +246,69 @@ class EvenPoly:
         return f"EvenPoly({str(self)!r})"
 
 
+def accumulate_product(out: Terms, left: Terms, right: Terms, sign: int = 1) -> None:
+    """Add sign * left * right to the term dict `out`, term by term.
+
+    Keys whose coefficients cancel stay behind as zeros; the caller drops
+    them in one pass once every product is in.
+    """
+    get = out.get
+    for e1, c1 in left.items():
+        if sign < 0:
+            c1 = -c1
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+
+
+def _descending(exponent: Exponent) -> tuple[int, Exponent, Exponent]:
+    """Heap entry that pops the graded-lex largest exponent first."""
+    return (-sum(exponent), tuple(map(neg, exponent)), exponent)
+
+
 def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
     """The polynomial q with f = q * g, or RuntimeError when g does not divide f.
 
     Division by the leading term in graded lexicographic order: if g divides
     f, the leading term of every remainder is a multiple of the leading term
     of g, so the first remainder term that is not one proves a nonzero
-    remainder.  The divisor's terms are sorted once.
+    remainder.  The divisor's terms are sorted once; the remainder's terms
+    wait in a heap, since every term a step adds lies below the one it
+    removes.
     """
+    # imported here: only the generic rank divides, and every invocation of
+    # the tool would otherwise load heapq at start-up
+    from heapq import heapify, heappop, heappush
+
     if g.coords != f.coords:
         raise ValueError("polynomials live in different coordinate rings")
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     (lead, lead_coeff), *tail = g.sorted_terms()
     remainder = dict(f.terms)
+    heap = [_descending(e) for e in remainder]
+    heapify(heap)
     quotient: Terms = {}
     while remainder:
-        top = max(remainder, key=term_sort_key)
-        shift = tuple(a - b for a, b in zip(top, lead))
+        top = heappop(heap)[2]
+        if top not in remainder:
+            continue  # cancelled after it was queued
+        shift = tuple(map(sub, top, lead))
         if min(shift, default=0) < 0:
             raise RuntimeError("inexact polynomial division: a remainder is left")
-        factor = remainder.pop(top) / lead_coeff
+        factor = divide(remainder.pop(top), lead_coeff)
         quotient[shift] = factor
         for e, c in tail:
-            key = tuple(a + b for a, b in zip(e, shift))
-            value = remainder.get(key, 0) - factor * c
-            if value:
-                remainder[key] = value
+            key = tuple(map(add, e, shift))
+            if key in remainder:
+                value = remainder[key] - factor * c
+                if value:
+                    remainder[key] = value
+                else:
+                    del remainder[key]
             else:
-                del remainder[key]
+                remainder[key] = -factor * c
+                heappush(heap, _descending(key))
     return EvenPoly._trusted(f.coords, quotient)
 
 
@@ -307,4 +348,4 @@ def embed(f: EvenPoly, coords: tuple[str, ...]) -> EvenPoly:
         for index, k in zip(indices, e):
             new[index] = k
         terms[tuple(new)] = c
-    return EvenPoly(coords, terms)
+    return EvenPoly._trusted(coords, terms)

@@ -49,6 +49,7 @@ from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_INT_LITERAL = re.compile(r"[+-]?\d+")
 _RESERVED_PREFIXES = ("p_", "xi_", "pi_", "lam_")
 _RESERVED_SUFFIXES = ("_odd", "_dot")
 
@@ -276,8 +277,17 @@ def _parse_entry(value: object, coords: tuple[str, ...], path: str) -> EvenPoly:
         )
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ProblemError(path, "expressions must be strings or integers")
+    if isinstance(value, int):
+        return EvenPoly.const(coords, value)
+    # most entries of a dense table are plain integers: skip the tokenizer
+    literal = value.strip()
+    if _INT_LITERAL.fullmatch(literal):
+        try:
+            return EvenPoly.const(coords, int(literal))
+        except ValueError:
+            pass  # past int()'s digit limit: the parser reports it with a position
     try:
-        return parse_poly(str(value), coords)
+        return parse_poly(value, coords)
     except ParseError as error:
         raise ProblemError(path, str(error)) from error
 

@@ -68,7 +68,7 @@ from tests.test_algebroid import (
 )
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2
-from tests.test_graded import random_graded
+from tests.test_graded import random_graded, word_coefficient
 from tests.test_oracle import fixture_table, oracle_document
 from tests.test_poly import ring
 
@@ -166,7 +166,7 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
     phase = tuple(ctx.even_names)
     for (a, b, c, d), value in defect.items():
         word = (a, b, c, r + d)
-        assert SS.coefficient_of_word(word) == embed(value, phase)
+        assert word_coefficient(SS, word) == embed(value, phase)
     # and no cubic-ghost word of (S, S) falls outside the defect table
     cubic = {
         word

@@ -30,6 +30,7 @@ from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_acti
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests.test_dynamics import flat_pack, identity_metric, zero_connection
+from tests.test_graded import word_coefficient
 from tests.test_poly import ring
 
 
@@ -269,12 +270,12 @@ def test_expand_sees_structure_gradients():
     ca = expand_bv(build_supercharge(packaged(shear_pair())))
     ctx = ca.context
     word = tuple(ctx.odd_index[name] for name in ("x_odd", "xi_1", "xi_2", "pi_1"))
-    assert ca.action.coefficient_of_word(word) == EvenPoly.const(ctx.even_names, 1)
+    assert word_coefficient(ca.action, word) == EvenPoly.const(ctx.even_names, 1)
     word2 = tuple(ctx.odd_index[name] for name in ("x_odd", "xi_1", "xi_2", "pi_2"))
-    assert ca.action.coefficient_of_word(word2) == EvenPoly.const(ctx.even_names, -1)
+    assert word_coefficient(ca.action, word2) == EvenPoly.const(ctx.even_names, -1)
     pair = tuple(ctx.odd_index[name] for name in ("xi_1", "xi_2"))
     x = EvenPoly.variable(ctx.even_names, "x")
-    assert ca.action.coefficient_of_word(pair) == (
+    assert word_coefficient(ca.action, pair) == (
         x * EvenPoly.variable(ctx.even_names, "pi_1_odd")
         - x * EvenPoly.variable(ctx.even_names, "pi_2_odd")
     )

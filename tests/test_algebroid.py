@@ -30,6 +30,7 @@ from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
 from tests.test_poly import ring
+from tests.test_graded import word_coefficient
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -461,7 +462,7 @@ def test_q_square_exposes_anchor_defect():
     images = q_images(data, ctx)
     square = left_derivation(ctx, images, images["x"])
     word = (ctx.odd_index[ghost_name(1)], ctx.odd_index[ghost_name(2)])
-    assert square.coefficient_of_word(word) == EvenPoly.const(ctx.even_names, 1)
+    assert word_coefficient(square, word) == EvenPoly.const(ctx.even_names, 1)
 
 
 # truncated cohomology

@@ -39,6 +39,7 @@ from nqkit.report import FAIL, PASS, SKIPPED
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests.test_dynamics import flat_pack, identity_metric, zero_connection
+from tests.test_graded import word_coefficient
 from tests.test_poly import ring
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -159,10 +160,10 @@ def test_master_broken_jacobi_reproduces_both_defects():
     p = EvenPoly.variable(even, "p_x")
     x = EvenPoly.variable(even, "x")
     # twice the anchor defect contracted with the momenta
-    assert ss.coefficient_of_word((0, 1)) == 2 * p
-    assert ss.coefficient_of_word((1, 2)) == -2 * x * p
+    assert word_coefficient(ss, (0, 1)) == 2 * p
+    assert word_coefficient(ss, (1, 2)) == -2 * x * p
     # the jacobi defect itself on the cubic-ghost word
-    assert ss.coefficient_of_word((0, 1, 2, 3)) == EvenPoly.const(even, -2)
+    assert word_coefficient(ss, (0, 1, 2, 3)) == EvenPoly.const(even, -2)
     report = check_master(charge_of(data))
     assert report.status == FAIL
     assert [label for label, _ in report.residuals] == [
@@ -178,7 +179,7 @@ def test_master_sees_the_structural_two_form():
     alpha = one_form(coords, [EvenPoly.zero(coords), g["x1"]])
     S = build_S(data, alpha=alpha)
     ss = S.ctx.poisson(S, S)
-    assert ss.coefficient_of_word((0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
+    assert word_coefficient(ss, (0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
     assert check_master(charge_of(data, alpha)).status == FAIL
     report = check_master(charge_of(data, alpha, magnetic_plane(1)))
     assert report.status == PASS
@@ -315,9 +316,9 @@ def test_build_h_ghost_square():
     H = build_H(pack)
     even = H.ctx.even_names
     # word (xi_1, pi_1) carries the cross term -g p omega
-    assert H.coefficient_of_word((0, 2)) == -2 * EvenPoly.variable(even, "p_x")
+    assert word_coefficient(H, (0, 2)) == -2 * EvenPoly.variable(even, "p_x")
     # the square of the ghost correction survives on the four-letter word
-    assert H.coefficient_of_word((0, 1, 2, 3)) == EvenPoly.const(even, 1)
+    assert word_coefficient(H, (0, 1, 2, 3)) == EvenPoly.const(even, 1)
 
 
 def test_build_h_requires_fields():

@@ -7,6 +7,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from nqkit.aksz import (
 from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
 from nqkit.cli import main
 from nqkit.graded import GradedContext
-from nqkit.poly import monomial_exponents
+from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
 from tests.test_generated_frames import gen
 
@@ -263,6 +264,51 @@ def test_defect_tensors_computed_once_per_invocation(
     assert counts == {label: 1 for label in brackets}
 
 
+def test_stored_coefficients_are_nonzero_ints_or_fractions(tmp_path, monkeypatch):
+    # every polynomial the verbs build passes through the filtering
+    # constructor or the trusted one; either way it may store only nonzero
+    # ints and Fractions, never a float, a bool or a zero
+    monkeypatch.chdir(tmp_path)
+    Path("so3.json").write_text(json.dumps(gen.so_n(3)))
+    stored = Counter()
+    bad = []
+
+    def inspect(poly):
+        for coeff in poly.terms.values():
+            kind = type(coeff)
+            stored[kind.__name__] += 1
+            if not (kind is int or kind is Fraction) or not coeff:
+                bad.append((kind.__name__, coeff, str(poly)))
+
+    post_init = EvenPoly.__post_init__
+    trusted = EvenPoly._trusted.__func__
+
+    def guarded_post_init(poly):
+        post_init(poly)
+        inspect(poly)
+
+    def guarded_trusted(cls, coords, terms):
+        poly = trusted(cls, coords, terms)
+        inspect(poly)
+        return poly
+
+    monkeypatch.setattr(EvenPoly, "__post_init__", guarded_post_init)
+    monkeypatch.setattr(EvenPoly, "_trusted", classmethod(guarded_trusted))
+    files = [corpus_path(name) for name in EXPECTED_EXIT] + ["so3.json"]
+    for file in files:
+        for args in (
+            ["check", file, "--all"],
+            ["emit", file, "--what", "bfv", "--force", "--out", "bfv.json"],
+            ["emit", file, "--what", "bv", "--force", "--out", "bv.json"],
+            ["cohomology", file],
+        ):
+            result = run(*args)
+            assert result.exit_code in (0, 1), (args, result.output)
+            assert bad == [], args
+    # the guard saw both kinds of coefficient on these inputs
+    assert stored["int"] > 1000 and stored["Fraction"] > 100, stored
+
+
 @pytest.mark.parametrize(
     "args, verdicts",
     [
@@ -328,6 +374,9 @@ def test_check_malformed_file_names_the_field():
     [
         ("(" * 2000 + "x" + ")" * 2000, "nesting deeper"),  # unbounded: RecursionError
         ("x^99999999999", "exponent larger"),  # unbounded: expands for hours
+        pytest.param(
+            " -" + "1" * 5000, "position 2: integer literal too long", id="overlong-int"
+        ),
     ],
 )
 def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):

@@ -18,6 +18,11 @@ from nqkit.poly import EvenPoly
 from tests.test_poly import ring
 
 
+def word_coefficient(F: GradedPoly, word: tuple[int, ...]) -> EvenPoly:
+    """Even coefficient of an ascending odd word of F; zero when it is absent."""
+    return F.parts.get(tuple(word), EvenPoly.zero(F.ctx.even_names))
+
+
 def random_graded(
     rng: random.Random,
     ctx: GradedContext,

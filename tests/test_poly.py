@@ -130,21 +130,6 @@ def test_evaluate_is_a_homomorphism():
         a.evaluate({"x": 1})
 
 
-def test_substitute_agrees_with_evaluate():
-    coords, g = ring(["x", "y"])
-    rng = random.Random(23)
-    for _ in range(50):
-        p = random_poly(rng, coords)
-        point = random_point(rng, coords)
-        substituted = p.substitute({name: value for name, value in point.items()})
-        assert substituted.terms.keys() <= {(0, 0)}
-        assert substituted.constant_term() == p.evaluate(point)
-    # a genuine polynomial substitution
-    p = g["x"] ** 2 + g["y"]
-    q = p.substitute({"x": g["y"] + 1})
-    assert q == g["y"] ** 2 + 3 * g["y"] + 1
-
-
 def test_pow_and_scalar_division():
     coords, g = ring(["x"])
     assert (g["x"] + 1) ** 3 == g["x"] ** 3 + 3 * g["x"] ** 2 + 3 * g["x"] + 1
@@ -221,3 +206,177 @@ def test_exact_quotient_raises_on_a_remainder():
     assert raised > 10
     with pytest.raises(ZeroDivisionError):
         exact_quotient(x, EvenPoly.zero(coords))
+
+
+# differential check of the integer-first kernel against an all-Fraction
+# reference on plain dicts
+
+
+def mixed_coefficient(rng: random.Random):
+    """A nonzero int, a proper Fraction or an integral Fraction."""
+    kind = rng.randrange(3)
+    numerator = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+    if kind == 0:
+        return numerator
+    if kind == 1:
+        return Fraction(numerator, rng.choice([2, 3, 6]))
+    return Fraction(numerator * 3, 3)
+
+
+def mixed_terms(rng: random.Random, slots: int, max_terms: int = 5) -> dict:
+    return {
+        tuple(rng.randint(0, 2) for _ in range(slots)): mixed_coefficient(rng)
+        for _ in range(rng.randint(0, max_terms))
+    }
+
+
+def as_reference(terms: dict) -> dict:
+    return {key: Fraction(c) for key, c in terms.items()}
+
+
+def ref_combine(f: dict, g: dict, sign: int) -> dict:
+    out = dict(f)
+    for key, c in g.items():
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def ref_mul(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def ref_diff(f: dict, index: int) -> dict:
+    out: dict = {}
+    for e, c in f.items():
+        if e[index]:
+            lowered = e[:index] + (e[index] - 1,) + e[index + 1 :]
+            out[lowered] = out.get(lowered, Fraction(0)) + c * e[index]
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def assert_stored(poly: EvenPoly, reference: dict, integral: bool) -> None:
+    """Equal to the reference by value, nonzero, and int wherever integral."""
+    assert as_reference(poly.terms) == reference
+    for c in poly.terms.values():
+        assert type(c) in (int, Fraction) and c != 0
+        if integral:
+            assert type(c) is int
+
+
+def test_kernel_matches_the_fraction_reference():
+    coords = ("x", "y", "z")
+    rng = random.Random(71)
+    for trial in range(300):
+        integral = trial % 3 == 0  # every third trial uses ints only
+        draw = (
+            (lambda: {e: int(c * 6) for e, c in mixed_terms(rng, 3).items()})
+            if integral
+            else (lambda: mixed_terms(rng, 3))
+        )
+        a, b = EvenPoly(coords, draw()), EvenPoly(coords, draw())
+        # (a + b)(a - b): the cross terms of every product cancel
+        f, g = a + b, a - b
+        rf, rg = as_reference(f.terms), as_reference(g.terms)
+        assert rf == ref_combine(as_reference(a.terms), as_reference(b.terms), 1)
+        assert rg == ref_combine(as_reference(a.terms), as_reference(b.terms), -1)
+        assert_stored(f + g, ref_combine(rf, rg, 1), integral)
+        assert_stored(f - g, ref_combine(rf, rg, -1), integral)
+        assert_stored(f - f, {}, integral)
+        product = f * g
+        assert_stored(product, ref_mul(rf, rg), integral)
+        assert_stored(product - f * g, {}, integral)
+        for index, name in enumerate(coords):
+            assert_stored(f.diff(name), ref_diff(rf, index), integral)
+        if not g.is_zero:
+            quotient = exact_quotient(product, g)
+            assert_stored(quotient, rf, integral)
+
+
+def ref_merge(w1: tuple, w2: tuple):
+    if set(w1) & set(w2):
+        return None, 0
+    letters, sign = list(w1 + w2), 1
+    for i in range(len(letters)):  # bubble sort, one sign flip per swap
+        for j in range(len(letters) - 1 - i):
+            if letters[j] > letters[j + 1]:
+                letters[j], letters[j + 1] = letters[j + 1], letters[j]
+                sign = -sign
+    return tuple(letters), sign
+
+
+def ref_graded_mul(F: dict, G: dict) -> dict:
+    out: dict = {}
+    for (w1, e1), c1 in F.items():
+        for (w2, e2), c2 in G.items():
+            word, sign = ref_merge(w1, w2)
+            if word is None:
+                continue
+            key = (word, tuple(a + b for a, b in zip(e1, e2)))
+            out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def ref_left_deriv(F: dict, even_index: int | None, letter: int | None) -> dict:
+    out: dict = {}
+    for (w, e), c in F.items():
+        if even_index is not None:
+            if not e[even_index]:
+                continue
+            key = (w, e[:even_index] + (e[even_index] - 1,) + e[even_index + 1 :])
+            value = c * e[even_index]
+        else:
+            if letter not in w:
+                continue
+            position = w.index(letter)
+            key = (w[:position] + w[position + 1 :], e)
+            value = -c if position % 2 else c
+        out[key] = out.get(key, Fraction(0)) + value
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def graded_reference(F) -> dict:
+    return {(w, e): Fraction(c) for w, e, c in F.terms()}
+
+
+def test_graded_kernel_matches_the_fraction_reference():
+    from nqkit.graded import GradedPoly, extended_context
+
+    ctx = extended_context(("x", "y"), 2)
+    n_even, n_odd = len(ctx.even_names), len(ctx.odd_names)
+    rng = random.Random(73)
+
+    def draw() -> GradedPoly:
+        items = []
+        for _ in range(rng.randint(0, 5)):
+            word = tuple(sorted(rng.sample(range(n_odd), rng.randint(0, 3))))
+            exponent = tuple(rng.randint(0, 1) for _ in range(n_even))
+            items.append((word, exponent, mixed_coefficient(rng)))
+        return GradedPoly.from_terms(ctx, items)
+
+    cancelled = 0
+    for _ in range(200):
+        F, G = draw(), draw()
+        # F + G and F - G: their product cancels across word pairs; an odd
+        # element also squares to zero inside one fused product
+        for left, right in [(F, G), (F + G, F - G), (F.parity_part(1),) * 2]:
+            product = left * right
+            expected = ref_graded_mul(graded_reference(left), graded_reference(right))
+            assert graded_reference(product) == expected
+            cancelled += not expected
+            for f in product.parts.values():
+                assert f.terms
+                assert all(type(c) in (int, Fraction) and c for c in f.terms.values())
+        for k, name in enumerate(ctx.even_names):
+            assert graded_reference(F.left_deriv(name)) == ref_left_deriv(
+                graded_reference(F), k, None
+            )
+        for a, name in enumerate(ctx.odd_names):
+            assert graded_reference(F.left_deriv(name)) == ref_left_deriv(
+                graded_reference(F), None, a
+            )
+    assert cancelled > 20

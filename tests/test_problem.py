@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
+import nqkit.problem
+from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly
 from nqkit.problem import (
     ProblemError,
     Truncation,
+    _parse_entry,
     connection_strings,
     load_problem,
     problem_from_dict,
@@ -190,6 +193,40 @@ def test_expression_errors_carry_their_path():
     with pytest.raises(ProblemError) as err:
         problem_from_dict(minimal(alpha=[True]))
     assert path_of(err) == "alpha[1]"
+
+
+def test_integer_literals_skip_the_parser_with_its_answer(monkeypatch):
+    coords = ("x", "y")
+    literals = ["0", "+0", "-0", "7", "+7", "-7", " 12 ", "\t-3\n", "  +0  ", "0042"]
+    literals.append("-" + "9" * 60)
+    answers = {text: parse_poly(text, coords) for text in literals}
+    routed = []
+
+    def parser(text, ring):
+        routed.append(text)
+        return parse_poly(text, ring)
+
+    monkeypatch.setattr(nqkit.problem, "parse_poly", parser)
+    for text in literals:
+        entry = _parse_entry(text, coords, "anchor[1][1]")
+        assert entry == answers[text]
+        assert all(type(c) is int for c in entry.terms.values())
+    for value in (0, -5, 12):
+        assert _parse_entry(value, coords, "alpha[1]") == parse_poly(str(value), coords)
+    assert routed == []
+    # anything else takes the full parser
+    for text in ["+-4", "- 3", "3/6", "x", "2*x"]:
+        assert _parse_entry(text, coords, "potential") == parse_poly(text, coords)
+    assert routed == ["+-4", "- 3", "3/6", "x", "2*x"]
+
+
+def test_overlong_integer_literal_keeps_the_parser_error():
+    huge = "1" * 5000  # past the interpreter's digit limit for int()
+    for text, position in [(huge, 0), ("-" + huge, 1), ("  +" + huge + " ", 3)]:
+        with pytest.raises(ProblemError) as err:
+            problem_from_dict(minimal(anchor=[[text]]))
+        assert path_of(err) == "anchor[1][1]"
+        assert str(err.value).endswith(f"position {position}: integer literal too long")
 
 
 def test_shape_errors():

@@ -51,3 +51,30 @@ def test_cli_entry_point_is_a_click_group():
     import nqkit.cli
 
     assert isinstance(nqkit.cli.main, click.Group)
+
+
+@pytest.mark.parametrize("attr", ["__post_init__", "__mul__"])
+def test_counted_polynomial_hook_is_bound_on_the_class(attr):
+    # the tracer counts constructions and products by rebinding these two
+    # names in the class namespace itself
+    from nqkit.poly import EvenPoly
+
+    hook = getattr(EvenPoly, attr)
+    assert callable(hook)
+    assert any(value is hook for value in vars(EvenPoly).values())
+
+
+def test_public_constructor_calls_post_init(monkeypatch):
+    from nqkit.poly import EvenPoly
+
+    seen = []
+    original = EvenPoly.__post_init__
+
+    def counted(poly):
+        seen.append(poly)
+        original(poly)
+
+    monkeypatch.setattr(EvenPoly, "__post_init__", counted)
+    poly = EvenPoly(("x",), {(1,): 2, (0,): 0})
+    assert len(seen) == 1 and seen[0] is poly
+    assert poly.terms == {(1,): 2}
