@@ -323,9 +323,11 @@ def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
     for a, b in combinations(range(data.rank), 2):
         vector = []
         for i in range(data.base_dim):
-            value = data.anchor_apply(a, data.anchor[b][i]) - data.anchor_apply(
-                b, data.anchor[a][i]
-            )
+            value = data.zero()
+            if not data.anchor[b][i].is_zero:
+                value = data.anchor_apply(a, data.anchor[b][i])
+            if not data.anchor[a][i].is_zero:
+                value = value - data.anchor_apply(b, data.anchor[a][i])
             for c, f in nonzero.get((a, b), ()):
                 if not data.anchor[c][i].is_zero:
                     value = value - f * data.anchor[c][i]

@@ -12,12 +12,23 @@ elimination, `rref`.  Pivots are the leftmost possible columns, so the
 reduced form is the unique reduced row echelon form: kernel vectors carry
 one unit free variable each and particular solutions set every free
 variable to zero, whatever order the rows arrive in.
+
+`rref` eliminates fraction-free, over the integers.  Each row is first
+scaled by the lcm of its denominators; a row is cleared of a pivot by
+cross-multiplying with the pivot row divided by their gcd (as in
+Bareiss, Math. Comp. 22, 1968), and then divided by its content, the
+gcd of its entries, so the entries stay small.  The stored rows are kept
+free of each other's pivots, so an incoming row is reduced in one pass,
+and an index from each column to the stored rows holding it lets a new
+pivot clear only those rows.  Fractions appear once, at the end, when
+each row is divided by its pivot.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 Rat = Fraction
 Column = Mapping[Hashable, Rat]
@@ -30,32 +41,66 @@ def rref(rows: Sequence[Mapping[int, Rat]]) -> tuple[list[Row], list[int]]:
     Returns the nonzero reduced rows, each with a unit pivot, and their
     pivot columns in increasing order.  The input rows are not modified.
     """
-    reduced: dict[int, Row] = {}  # pivot column -> row free of other pivots
+    reduced: dict[int, dict[int, int]] = {}  # pivot -> primitive row free of other pivots
+    holders: dict[int, set[int]] = {}  # non-pivot column -> pivots of the rows holding it
     for source in rows:
-        row = dict(source)
+        row = _integer_row(source)
+        # stored rows hold no other pivot, so one pass clears them all
         for col in [c for c in row if c in reduced]:
-            _add_multiple(row, -row[col], reduced[col])
+            _eliminate(row, reduced[col], col)
         if not row:
             continue
+        _make_primitive(row)
         pivot = min(row)
-        scale = Fraction(row[pivot])
-        row = {c: v / scale for c, v in row.items()}
-        for other in reduced.values():
-            factor = other.get(pivot)
-            if factor:
-                _add_multiple(other, -factor, row)
+        for held_by in holders.pop(pivot, ()):
+            other = reduced[held_by]
+            _eliminate(other, row, pivot)
+            _make_primitive(other)
+            for col in row:
+                if col in other:
+                    holders.setdefault(col, set()).add(held_by)
+                elif col in holders:
+                    holders[col].discard(held_by)
+        for col in row:
+            if col != pivot:
+                holders.setdefault(col, set()).add(pivot)
         reduced[pivot] = row
     pivots = sorted(reduced)
-    return [reduced[p] for p in pivots], pivots
+    result = []
+    for p in pivots:
+        row = reduced[p]
+        scale = row[p]
+        result.append({c: Fraction(v, scale) for c, v in row.items()})
+    return result, pivots
 
 
-def _add_multiple(target: Row, factor: Rat, source: Row) -> None:
-    for col, value in source.items():
-        entry = target.get(col, 0) + factor * value
+def _integer_row(source: Mapping[int, Rat]) -> dict[int, int]:
+    """`source` times the lcm of its denominators, as a dict of nonzero ints."""
+    scale = lcm(*[v.denominator for v in source.values()])
+    return {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}
+
+
+def _eliminate(target: dict[int, int], source: dict[int, int], col: int) -> None:
+    """Clear `col` from `target` by `(p/g) target - (x/g) source`, `g = gcd(x, p)`."""
+    p, x = source[col], target[col]
+    g = gcd(x, p)
+    p, x = p // g, x // g
+    if p != 1:
+        for c in target:
+            target[c] *= p
+    for c, v in source.items():
+        entry = target.get(c, 0) - x * v
         if entry:
-            target[col] = entry
+            target[c] = entry
         else:
-            del target[col]
+            del target[c]
+
+
+def _make_primitive(row: dict[int, int]) -> None:
+    content = gcd(*row.values())
+    if content != 1:
+        for c in row:
+            row[c] //= content
 
 
 def _rows(columns: Sequence[Column], rhs: Column | None = None) -> list[Row]:

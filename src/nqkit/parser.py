@@ -58,21 +58,19 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
-            match = _INT_RE.match(text, pos)
-            assert match is not None
-            tokens.append(_Token("int", match.group(), pos))
-            pos = match.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            match = _NAME_RE.match(text, pos)
-            assert match is not None
-            tokens.append(_Token("name", match.group(), pos))
-            pos = match.end()
-            continue
         if ch in _OPS:
             tokens.append(_Token("op", ch, pos))
             pos += 1
+            continue
+        match = _INT_RE.match(text, pos)
+        if match:
+            tokens.append(_Token("int", match.group(), pos))
+            pos = match.end()
+            continue
+        match = _NAME_RE.match(text, pos)
+        if match:
+            tokens.append(_Token("name", match.group(), pos))
+            pos = match.end()
             continue
         raise ParseError(pos, f"unexpected character {ch!r}")
     tokens.append(_Token("end", "", n))

@@ -69,7 +69,7 @@ from tests.test_algebroid import (
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2
 from tests.test_graded import random_graded, word_coefficient
-from tests.test_oracle import fixture_table, oracle_document
+from tests.test_oracle import fixture_table
 from tests.test_poly import ring
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -331,8 +331,8 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     verdict(7, "flat so(3) bracket vanishes; shear tensor re-substitutes to 0")
 
 
-def test_criterion_08_cohomology_dimensions_match_the_oracle():
-    document = oracle_document()["h1"]
+def test_criterion_08_cohomology_dimensions_match_the_oracle(oracle_document):
+    document = oracle_document["h1"]
     for name, data in fixture_table().items():
         report = cohomology_h1(data, 2)
         want = document[name]

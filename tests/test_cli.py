@@ -377,6 +377,10 @@ def test_check_malformed_file_names_the_field():
         pytest.param(
             " -" + "1" * 5000, "position 2: integer literal too long", id="overlong-int"
         ),
+        # non-ASCII digits and letters: were an AssertionError traceback
+        ("x²", "position 1: unexpected character '²'"),
+        ("é", "position 0: unexpected character 'é'"),
+        ("xª", "position 1: unexpected character 'ª'"),
     ],
 )
 def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import random
 from fractions import Fraction
@@ -174,3 +175,99 @@ def test_image_in_matches_explicit_construction():
             assert all(inside(key) for key in image)
             images.append([image.get(key, Fraction(0)) for key in KEYS])
         assert image_in(columns, inside) == oracle.matrix_rank(images)
+
+
+# The Fraction Gauss-Jordan that `rref` replaced, kept as its reference.
+
+
+def reference_rref(rows):
+    reduced = {}  # pivot column -> row free of other pivots
+    for source in rows:
+        row = dict(source)
+        for col in [c for c in row if c in reduced]:
+            _add_multiple(row, -row[col], reduced[col])
+        if not row:
+            continue
+        pivot = min(row)
+        scale = Fraction(row[pivot])
+        row = {c: v / scale for c, v in row.items()}
+        for other in reduced.values():
+            factor = other.get(pivot)
+            if factor:
+                _add_multiple(other, -factor, row)
+        reduced[pivot] = row
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
+
+
+def _add_multiple(target, factor, source):
+    for col, value in source.items():
+        entry = target.get(col, 0) + factor * value
+        if entry:
+            target[col] = entry
+        else:
+            del target[col]
+
+
+def random_entry(rng: random.Random):
+    """A nonzero int, proper Fraction, integral Fraction, True or huge value."""
+    kind = rng.randrange(5)
+    sign = rng.choice((-1, 1))
+    if kind == 0:
+        return sign * rng.randint(1, 9)
+    if kind == 1:
+        return Fraction(sign * rng.randint(1, 9), rng.randint(2, 7))
+    if kind == 2:
+        return Fraction(sign * rng.randint(1, 5) * 3, 3)
+    if kind == 3:
+        return True
+    return Fraction(sign * (10**30 + rng.randint(-99, 99)), rng.choice((1, 7, 10**29 + 1)))
+
+
+def random_sparse_rows(rng: random.Random) -> list[dict]:
+    """Wide, tall or square; thin products that are rank deficient; zero and
+    repeated rows."""
+    nrows, ncols = rng.choice(((3, 12), (12, 3), (8, 8), (20, 6), (5, 25)))
+    density = rng.choice((0.1, 0.3, 0.6))
+    if rng.random() < 0.4:  # rows of B * C with B nrows x k and C k x ncols
+        k = rng.randint(1, 3)
+        factor = [
+            {c: random_entry(rng) for c in range(ncols) if rng.random() < density}
+            for _ in range(k)
+        ]
+        rows = []
+        for _ in range(nrows):
+            row: dict = {}
+            for part in factor:
+                weight = random_entry(rng) if rng.random() < 0.7 else 0
+                for c, v in part.items():
+                    row[c] = row.get(c, 0) + weight * v
+            rows.append({c: v for c, v in row.items() if v})
+    else:
+        rows = [
+            {c: random_entry(rng) for c in range(ncols) if rng.random() < density}
+            for _ in range(nrows)
+        ]
+    rows += [{} for _ in range(rng.randint(0, 2))]
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rref_matches_the_fraction_reference():
+    rng = random.Random(53)
+    deficient = 0
+    for _ in range(400):
+        rows = random_sparse_rows(rng)
+        before = copy.deepcopy(rows)
+        kinds = [[type(v) for v in row.values()] for row in rows]
+        reduced, pivots = rref(rows)
+        want_rows, want_pivots = reference_rref(before)
+        assert pivots == want_pivots
+        assert reduced == want_rows
+        assert all(type(v) is Fraction for row in reduced for v in row.values())
+        assert all(row[p] == 1 for row, p in zip(reduced, pivots))
+        assert rows == before  # the input is left alone
+        assert [[type(v) for v in row.values()] for row in rows] == kinds
+        deficient += len(pivots) < min(len(rows), len({c for r in rows for c in r}))
+    assert deficient > 100

@@ -2,16 +2,14 @@
 
 tools/cohomology_oracle.py recomputes every window from scratch with its
 own polynomial dictionaries, its own elimination, and a termwise rewrite
-of the charge bracket.  These tests run it as a subprocess and compare
+of the charge bracket.  These tests run it as a subprocess, once per
+session (the `oracle_document` fixture of conftest.py), and compare
 dimension for dimension; the larger windows of the benchmark call its
 window functions directly, from the script loaded by path.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -26,21 +24,7 @@ from tests.test_dynamics import flat_pack
 
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
 
-_document = None
 _oracle_module = None
-
-
-def oracle_document():
-    global _document
-    if _document is None:
-        run = subprocess.run(
-            [sys.executable, str(ORACLE)],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        _document = json.loads(run.stdout)
-    return _document
 
 
 def oracle_module() -> ModuleType:
@@ -62,8 +46,8 @@ def fixture_table():
     }
 
 
-def test_first_order_windows_match_the_oracle():
-    document = oracle_document()["h1"]
+def test_first_order_windows_match_the_oracle(oracle_document):
+    document = oracle_document["h1"]
     for name, data in fixture_table().items():
         report = cohomology_h1(data, 2)
         want = document[name]
@@ -72,15 +56,15 @@ def test_first_order_windows_match_the_oracle():
         assert report.h_dim == want["h"], name
 
 
-def test_constant_sector_matches_the_oracle():
+def test_constant_sector_matches_the_oracle(oracle_document):
     report = cohomology_h1(so3_action(), 0)
-    want = oracle_document()["h1"]["so3_constant_sector"]
+    want = oracle_document["h1"]["so3_constant_sector"]
     assert report.closed_dim == want["closed"] == 0
     assert report.h_dim == want["h"] == 0
 
 
-def test_ghost_zero_windows_match_the_oracle():
-    document = oracle_document()["bfv_h0"]
+def test_ghost_zero_windows_match_the_oracle(oracle_document):
+    document = oracle_document["bfv_h0"]
     table = fixture_table()
     for name, window in document.items():
         data = table[name]
