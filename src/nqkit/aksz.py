@@ -26,7 +26,6 @@ formal first-order markers (x_dot, xi_dot); the ring has no higher jets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebroid import Algebroid
@@ -78,21 +77,17 @@ def supercharge_context(ctx: GradedContext) -> GradedContext:
     )
 
 
-@dataclass(frozen=True)
 class SuperCharge:
     """Q = S + theta H together with the package it came from."""
 
-    context: GradedContext
-    Q: GradedPoly
-    package: BFVPackage
-
-    def __post_init__(self) -> None:
-        if self.Q.ctx != self.context:
+    def __init__(self, context: GradedContext, Q: GradedPoly, package: BFVPackage):
+        if Q.ctx != context:
             raise ValueError("the supercharge must live in its stated context")
-        if not self.Q.is_zero and (
-            self.Q.parity() != 1 or self.Q.ghost_degree() != 1
-        ):
+        if not Q.is_zero and (Q.parity() != 1 or Q.ghost_degree() != 1):
             raise ValueError("the supercharge must be odd of ghost degree +1")
+        self.context = context
+        self.Q = Q
+        self.package = package
 
 
 def build_supercharge(bfv: BFVPackage) -> SuperCharge:
@@ -148,14 +143,14 @@ def check_supercharge(sq: SuperCharge) -> CheckReport:
 # component fields
 
 
-@dataclass(frozen=True)
 class FieldEntry:
     """One component field: name, ghost degree, parity, partner flag."""
 
-    name: str
-    ghost: int
-    parity: int
-    is_partner: bool
+    def __init__(self, name: str, ghost: int, parity: int, is_partner: bool):
+        self.name = name
+        self.ghost = ghost
+        self.parity = parity
+        self.is_partner = is_partner
 
 
 def expansion_context(coords: Sequence[str], rank: int) -> GradedContext:
@@ -214,17 +209,20 @@ def _partner_base(name: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
 class ComponentAction:
     """First-order component integrand with its field dictionary."""
 
-    context: GradedContext
-    fields: tuple[FieldEntry, ...]
-    action: GradedPoly
-
-    def __post_init__(self) -> None:
-        if self.action.ctx != self.context:
+    def __init__(
+        self,
+        context: GradedContext,
+        fields: tuple[FieldEntry, ...],
+        action: GradedPoly,
+    ):
+        if action.ctx != context:
             raise ValueError("the action must live in its stated context")
+        self.context = context
+        self.fields = fields
+        self.action = action
 
     def rows(self) -> list[dict]:
         """Canonical per-term listing, deterministic run to run."""

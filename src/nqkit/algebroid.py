@@ -28,7 +28,6 @@ with a zero structure function is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -47,19 +46,22 @@ from .report import FAIL, PASS, CheckReport
 Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 
-@dataclass(frozen=True)
 class Algebroid:
     """Polynomial anchor and structure functions over a base coordinate ring.
 
     anchor[a][i] is the i-th component of the a-th frame field; structure
-    [c][a][b] is C^c_ab, antisymmetric in (a, b).
+    [c][a][b] is C^c_ab, antisymmetric in (a, b).  Treated as immutable.
     """
 
-    coords: tuple[str, ...]
-    anchor: tuple[tuple[EvenPoly, ...], ...]
-    structure: tuple[tuple[tuple[EvenPoly, ...], ...], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        coords: tuple[str, ...],
+        anchor: tuple[tuple[EvenPoly, ...], ...],
+        structure: tuple[tuple[tuple[EvenPoly, ...], ...], ...],
+    ):
+        self.coords = coords
+        self.anchor = anchor
+        self.structure = structure
         n, r = len(self.coords), len(self.anchor)
         for row in self.anchor:
             if len(row) != n:
@@ -82,6 +84,17 @@ class Algebroid:
                             f"structure functions must be antisymmetric, "
                             f"violated at c={c + 1}, a={a + 1}, b={b + 1}"
                         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Algebroid):
+            return NotImplemented
+        return (self.coords, self.anchor, self.structure) == (
+            other.coords,
+            other.anchor,
+            other.structure,
+        )
+
+    __hash__ = None
 
     def _check_ring(self, entry: EvenPoly) -> None:
         if entry.coords != self.coords:
@@ -132,30 +145,35 @@ def algebroid_from_lists(
 # alternating forms, indexed either by frame labels or by base coordinates
 
 
-@dataclass(frozen=True)
 class AltForm:
     """Alternating family of polynomials on strictly increasing index tuples.
 
     The same container serves frame-indexed forms (indices run over the frame)
     and coordinate-indexed forms (indices run over the base); the differential
-    and pullback functions fix the interpretation.
+    and pullback functions fix the interpretation.  Zero components are
+    dropped on construction; treated as immutable.
     """
 
-    coords: tuple[str, ...]
-    arity: int
-    components: dict[tuple[int, ...], EvenPoly]
+    __slots__ = ("coords", "arity", "components")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        coords: tuple[str, ...],
+        arity: int,
+        components: dict[tuple[int, ...], EvenPoly],
+    ):
         cleaned = {}
-        for key, value in self.components.items():
+        for key, value in components.items():
             key = tuple(key)
-            if len(key) != self.arity or list(key) != sorted(set(key)):
+            if len(key) != arity or list(key) != sorted(set(key)):
                 raise ValueError(f"component index {key} is not strictly increasing")
-            if value.coords != self.coords:
+            if value.coords != coords:
                 raise ValueError("component rings must match the form's ring")
             if not value.is_zero:
                 cleaned[key] = value
-        object.__setattr__(self, "components", cleaned)
+        self.coords = coords
+        self.arity = arity
+        self.components = cleaned
 
     @property
     def is_zero(self) -> bool:
@@ -481,16 +499,26 @@ def _assert_q_square_matches(
 # truncated degree-1 cohomology
 
 
-@dataclass
 class CohomologyReport:
-    degree: int
-    trunc: int
-    slack: int
-    closed_dim: int
-    exact_dim: int
-    h_dim: int
-    closed_basis: list[AltForm]
-    flags: dict[str, bool] = field(default_factory=dict)
+    def __init__(
+        self,
+        degree: int,
+        trunc: int,
+        slack: int,
+        closed_dim: int,
+        exact_dim: int,
+        h_dim: int,
+        closed_basis: list[AltForm],
+        flags: dict[str, bool] | None = None,
+    ):
+        self.degree = degree
+        self.trunc = trunc
+        self.slack = slack
+        self.closed_dim = closed_dim
+        self.exact_dim = exact_dim
+        self.h_dim = h_dim
+        self.closed_basis = closed_basis
+        self.flags = {} if flags is None else flags
 
 
 def _q_columns(

@@ -12,7 +12,6 @@ single obstruction tensor with three frame indices and one base index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -81,7 +80,6 @@ def _affine_charge(
     return affine
 
 
-@dataclass(frozen=True)
 class Charge:
     """The charge S of a constraint set and geometry pack, on its extended phase space.
 
@@ -91,14 +89,22 @@ class Charge:
     kept, so one invocation brackets S with itself once however many
     reports need it.  The constraints carry the structural 2-form that the
     master check predicts (S, S) from, so it is shared with the first-class
-    check of the same constraints.
+    check of the same constraints.  Treated as immutable.
     """
 
-    constraints: ConstraintSet
-    pack: GeometryPack
-    ctx: GradedContext
-    core: GradedPoly
-    S: GradedPoly
+    def __init__(
+        self,
+        constraints: ConstraintSet,
+        pack: GeometryPack,
+        ctx: GradedContext,
+        core: GradedPoly,
+        S: GradedPoly,
+    ):
+        self.constraints = constraints
+        self.pack = pack
+        self.ctx = ctx
+        self.core = core
+        self.S = S
 
     @property
     def data(self) -> Algebroid:
@@ -219,26 +225,29 @@ def build_H(pack: GeometryPack, ctx: GradedContext | None = None) -> GradedPoly:
     return H
 
 
-@dataclass(frozen=True)
 class BFVPackage:
     """Charge, Hamiltonian and the reports of the identity battery.
 
     `SH` is the bracket (S, H), computed once by the charge-invariance check
-    and kept for the theta split of the supercharge.
+    and kept for the theta split of the supercharge.  Treated as immutable.
     """
 
-    charge: Charge
-    H: GradedPoly
-    SH: GradedPoly
-    reports: tuple[CheckReport, ...]
-
-    def __post_init__(self) -> None:
-        if not self.S.is_zero and (
-            self.S.parity() != 1 or self.S.ghost_degree() != 1
-        ):
+    def __init__(
+        self,
+        charge: Charge,
+        H: GradedPoly,
+        SH: GradedPoly,
+        reports: tuple[CheckReport, ...],
+    ):
+        S = charge.S
+        if not S.is_zero and (S.parity() != 1 or S.ghost_degree() != 1):
             raise ValueError("the charge must be odd of ghost degree +1")
-        if not self.H.is_zero and (self.H.parity() != 0 or self.H.ghost_degree() != 0):
+        if not H.is_zero and (H.parity() != 0 or H.ghost_degree() != 0):
             raise ValueError("the hamiltonian must be even of ghost degree 0")
+        self.charge = charge
+        self.H = H
+        self.SH = SH
+        self.reports = reports
 
     @property
     def ctx(self) -> GradedContext:
@@ -440,14 +449,22 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
 # truncated ghost-number-zero cohomology of (S, .)
 
 
-@dataclass(frozen=True)
 class H0Report:
-    x_degree: int
-    p_degree: int
-    closed_dim: int
-    exact_dim: int
-    h_dim: int
-    notes: tuple[str, ...]
+    def __init__(
+        self,
+        x_degree: int,
+        p_degree: int,
+        closed_dim: int,
+        exact_dim: int,
+        h_dim: int,
+        notes: tuple[str, ...],
+    ):
+        self.x_degree = x_degree
+        self.p_degree = p_degree
+        self.closed_dim = closed_dim
+        self.exact_dim = exact_dim
+        self.h_dim = h_dim
+        self.notes = notes
 
 
 def _balanced_words(rank: int, ghost_shift: int) -> list[tuple[int, ...]]:

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from math import comb
-from pathlib import Path
 
 import click
 
@@ -588,7 +587,8 @@ def _connection_unknowns(problem: Problem, degree: int) -> int:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with open(path, "w") as handle:
+        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

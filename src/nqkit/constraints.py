@@ -11,7 +11,6 @@ probes that sample points say so in their verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -34,23 +33,33 @@ DEFAULT_PROBE_SEED = 271828
 _RANDOM_PROBE_COUNT = 5
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
-    """Constraints Phi_a on a cotangent context, with the frame data they came from."""
+    """Constraints Phi_a on a cotangent context, with the frame data they came from.
 
-    ctx: GradedContext
-    phis: tuple[GradedPoly, ...]
-    data: Algebroid
-    alpha: AltForm | None = None
-    magnetic: AltForm | None = None
-    degenerate: tuple[int, ...] = ()
-    notes: tuple[str, ...] = ()
+    Treated as immutable.
+    """
 
-    def __post_init__(self) -> None:
-        for k, phi in enumerate(self.phis):
-            if phi.ctx != self.ctx:
+    def __init__(
+        self,
+        ctx: GradedContext,
+        phis: tuple[GradedPoly, ...],
+        data: Algebroid,
+        alpha: AltForm | None = None,
+        magnetic: AltForm | None = None,
+        degenerate: tuple[int, ...] = (),
+        notes: tuple[str, ...] = (),
+    ):
+        for phi in phis:
+            if phi.ctx != ctx:
                 raise ValueError("constraints must live in the set's context")
-            decompose_fiber_affine(self.ctx, phi)  # raises when malformed
+            decompose_fiber_affine(ctx, phi)  # raises when malformed
+        self.ctx = ctx
+        self.phis = phis
+        self.data = data
+        self.alpha = alpha
+        self.magnetic = magnetic
+        self.degenerate = degenerate
+        self.notes = notes
 
     @property
     def rank(self) -> int:
@@ -233,14 +242,22 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
 # reverse direction: frame data from fiber-linear constraints
 
 
-@dataclass
 class ExtractionResult:
-    feasible: bool
-    data: Algebroid | None
-    ansatz_degree: int
-    solution_dim: int
-    axioms: CheckReport | None
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        feasible: bool,
+        data: Algebroid | None,
+        ansatz_degree: int,
+        solution_dim: int,
+        axioms: CheckReport | None,
+        notes: list[str] | None = None,
+    ):
+        self.feasible = feasible
+        self.data = data
+        self.ansatz_degree = ansatz_degree
+        self.solution_dim = solution_dim
+        self.axioms = axioms
+        self.notes = [] if notes is None else notes
 
 
 def extract_structure(
@@ -410,13 +427,20 @@ def _integral(row: Sequence[EvenPoly]) -> list[EvenPoly]:
     ]
 
 
-@dataclass
 class ProbeReport:
-    generic_rank: int
-    rank_required: int
-    seed: int
-    point_results: list[tuple[tuple[Rat, ...], int]]
-    verdict: str
+    def __init__(
+        self,
+        generic_rank: int,
+        rank_required: int,
+        seed: int,
+        point_results: list[tuple[tuple[Rat, ...], int]],
+        verdict: str,
+    ):
+        self.generic_rank = generic_rank
+        self.rank_required = rank_required
+        self.seed = seed
+        self.point_results = point_results
+        self.verdict = verdict
 
 
 def irreducibility_probe(

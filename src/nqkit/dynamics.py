@@ -20,7 +20,6 @@ index-formula route raises instead of passing silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 from typing import Sequence
 
@@ -51,35 +50,38 @@ def _as_cube(
     return tuple(tuple(tuple(row) for row in plane) for plane in planes)
 
 
-@dataclass(frozen=True)
 class GeometryPack:
     """Optional geometric fields over a fixed base ring and frame rank.
 
     omega[a][b][i] holds omega^a_{bi}; tau[a][b] holds tau^a_b.  Fields with
     a natural zero default (alpha, tau, potential, magnetic, beta) may simply
     be omitted; the metrics and connection have no canonical default and the
-    operations that need them say so.
+    operations that need them say so.  Treated as immutable.
     """
 
-    coords: tuple[str, ...]
-    rank: int
-    g_inv: Matrix | None = None
-    g_low: Matrix | None = None
-    omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None = None
-    tau: Matrix | None = None
-    alpha: AltForm | None = None
-    potential: EvenPoly | None = None
-    magnetic: AltForm | None = None
-    beta: tuple[EvenPoly, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "g_inv", _as_matrix(self.g_inv))
-        object.__setattr__(self, "g_low", _as_matrix(self.g_low))
-        object.__setattr__(self, "omega", _as_cube(self.omega))
-        object.__setattr__(self, "tau", _as_matrix(self.tau))
-        if self.beta is not None:
-            object.__setattr__(self, "beta", tuple(self.beta))
+    def __init__(
+        self,
+        coords: tuple[str, ...],
+        rank: int,
+        g_inv: Matrix | None = None,
+        g_low: Matrix | None = None,
+        omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None = None,
+        tau: Matrix | None = None,
+        alpha: AltForm | None = None,
+        potential: EvenPoly | None = None,
+        magnetic: AltForm | None = None,
+        beta: tuple[EvenPoly, ...] | None = None,
+    ):
+        self.coords = tuple(coords)
+        self.rank = rank
+        self.g_inv = _as_matrix(g_inv)
+        self.g_low = _as_matrix(g_low)
+        self.omega = _as_cube(omega)
+        self.tau = _as_matrix(tau)
+        self.alpha = alpha
+        self.potential = potential
+        self.magnetic = magnetic
+        self.beta = tuple(beta) if beta is not None else None
         n, r = len(self.coords), self.rank
         for name, metric in (("g_inv", self.g_inv), ("g_low", self.g_low)):
             if metric is None:
@@ -184,16 +186,32 @@ def build_hamiltonian(pack: GeometryPack) -> GradedPoly:
 # structural residual families
 
 
-@dataclass
 class StructuralResiduals:
     """The three index-formula residual families, keyed 0-based.
 
     metric[(a, i, j)] with i <= j, alpha[(a, i)], potential[a].
     """
 
-    metric: dict[tuple[int, int, int], EvenPoly]
-    alpha: dict[tuple[int, int], EvenPoly]
-    potential: dict[int, EvenPoly]
+    def __init__(
+        self,
+        metric: dict[tuple[int, int, int], EvenPoly],
+        alpha: dict[tuple[int, int], EvenPoly],
+        potential: dict[int, EvenPoly],
+    ):
+        self.metric = metric
+        self.alpha = alpha
+        self.potential = potential
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StructuralResiduals):
+            return NotImplemented
+        return (self.metric, self.alpha, self.potential) == (
+            other.metric,
+            other.alpha,
+            other.potential,
+        )
+
+    __hash__ = None
 
 
 def _require(pack: GeometryPack, names: Sequence[str]) -> None:
@@ -498,13 +516,20 @@ def _assert_decomposition(
 # the linear connection solver
 
 
-@dataclass
 class ConnectionSolution:
-    feasible: bool
-    omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None
-    solution_dim: int
-    degree: int
-    notes: list[str] = field(default_factory=list)
+    def __init__(
+        self,
+        feasible: bool,
+        omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None,
+        solution_dim: int,
+        degree: int,
+        notes: list[str] | None = None,
+    ):
+        self.feasible = feasible
+        self.omega = omega
+        self.solution_dim = solution_dim
+        self.degree = degree
+        self.notes = [] if notes is None else notes
 
 
 def _connection_columns(

@@ -8,6 +8,7 @@ Grammar, whitespace insensitive:
     power := atom ('^' INT)?
     atom  := INT ('/' INT)? | NAME | '(' expr ')'
 
+INT is a run of ASCII digits and NAME is `[A-Za-z_][A-Za-z_0-9]*`.
 Multiplication is always explicit (`2*x`, never `2x`).  `/` forms exact
 rational constants and is allowed only between two integer literals.
 Exponents are nonnegative integer literals of at most `MAX_EXPONENT`, and
@@ -20,7 +21,6 @@ Every error carries the offending position.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import EvenPoly, Rat
@@ -37,14 +37,18 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    position: int
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: str, text: str, position: int):
+        self.kind = kind  # "int" | "name" | "op" | "end"
+        self.text = text
+        self.position = position
 
 
-_INT_RE = re.compile(r"\d+")
+# ASCII digits only: `\d` would also match other scripts' decimal digits,
+# which int() converts
+_INT_RE = re.compile(r"[0-9]+")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPS = set("+-*/^()")
 
@@ -207,7 +211,7 @@ def parse_poly(text: str, coords: tuple[str, ...] | list[str]) -> EvenPoly:
     return _Parser(_tokenize(text), tuple(coords)).parse()
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?(\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^[+-]?([0-9]+)(?:/([0-9]+))?$")
 
 
 def rational_from_string(text: str) -> Rat:

@@ -31,12 +31,10 @@ Schema, with shapes in brackets:
 
 from __future__ import annotations
 
-import copy
 import json
+import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .algebroid import (
     Algebroid,
@@ -49,7 +47,7 @@ from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_INT_LITERAL = re.compile(r"[+-]?\d+")
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits, as the parser
 _RESERVED_PREFIXES = ("p_", "xi_", "pi_", "lam_")
 _RESERVED_SUFFIXES = ("_odd", "_dot")
 
@@ -95,22 +93,44 @@ class ProblemError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
 class Truncation:
-    x_degree: int = 2
-    p_degree: int = 1
-    slack: int = 2
+    def __init__(self, x_degree: int = 2, p_degree: int = 1, slack: int = 2):
+        self.x_degree = x_degree
+        self.p_degree = p_degree
+        self.slack = slack
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Truncation):
+            return NotImplemented
+        return (self.x_degree, self.p_degree, self.slack) == (
+            other.x_degree,
+            other.p_degree,
+            other.slack,
+        )
+
+    __hash__ = None
 
 
-@dataclass(frozen=True)
 class Problem:
-    """A validated problem file."""
+    """A validated problem file.
 
-    data: Algebroid
-    pack: GeometryPack
-    points: tuple[tuple[Rat, ...], ...]
-    truncation: Truncation
-    raw: dict
+    `raw` is the source document as compact JSON text, so no caller can
+    alter it; `document()` decodes a fresh copy.
+    """
+
+    def __init__(
+        self,
+        data: Algebroid,
+        pack: GeometryPack,
+        points: tuple[tuple[Rat, ...], ...],
+        truncation: Truncation,
+        raw: str,
+    ):
+        self.data = data
+        self.pack = pack
+        self.points = points
+        self.truncation = truncation
+        self.raw = raw
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -126,12 +146,13 @@ class Problem:
 
     def document(self) -> dict:
         """A fresh copy of the source document, for emission."""
-        return copy.deepcopy(self.raw)
+        return json.loads(self.raw)
 
 
-def load_problem(path: str | Path) -> Problem:
+def load_problem(path: str | os.PathLike) -> Problem:
     try:
-        text = Path(path).read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as error:
         raise ProblemError("$", str(error)) from error
     try:
@@ -212,7 +233,7 @@ def problem_from_dict(doc: object) -> Problem:
         pack,
         _points(doc.get("points"), base_dim),
         _truncation(doc.get("truncation")),
-        copy.deepcopy(doc),
+        json.dumps(doc, separators=(",", ":")),
     )
 
 
@@ -332,7 +353,7 @@ def _optional_cube(doc: dict, name: str, rank: int, base_dim: int, coords):
     ]
 
 
-_SPARSE_KEY = re.compile(r"(\d+),(\d+),(\d+)\Z")
+_SPARSE_KEY = re.compile(r"([0-9]+),([0-9]+),([0-9]+)\Z")
 
 
 def _structure(

@@ -8,8 +8,6 @@ stable run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 PASS = "pass"
 FAIL = "fail"
 WARN = "warn"
@@ -19,14 +17,22 @@ _SEVERITY = {SKIPPED: 0, PASS: 1, WARN: 2, FAIL: 3}
 _COLORS = {PASS: "32", FAIL: "31", WARN: "33", SKIPPED: "90"}
 
 
-@dataclass
 class CheckReport:
-    name: str
-    status: str
-    identity: str
-    residuals: list[tuple[str, str]] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed_ms: int | None = None
+    def __init__(
+        self,
+        name: str,
+        status: str,
+        identity: str,
+        residuals: list[tuple[str, str]] | None = None,
+        notes: list[str] | None = None,
+        elapsed_ms: int | None = None,
+    ):
+        self.name = name
+        self.status = status
+        self.identity = identity
+        self.residuals = [] if residuals is None else residuals
+        self.notes = [] if notes is None else notes
+        self.elapsed_ms = elapsed_ms
 
     def to_json_dict(self) -> dict:
         return {

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from nqkit.aksz import (
     ComponentAction,
+    FieldEntry,
     SuperCharge,
     build_supercharge,
     check_bookkeeping,
@@ -358,7 +357,8 @@ def test_bookkeeping_catches_a_corrupted_table():
     ca = expand_bv(build_supercharge(packaged(abelian_r1())))
     fields = list(ca.fields)
     bumped = next(k for k, entry in enumerate(fields) if entry.name == "xi_1")
-    fields[bumped] = replace(fields[bumped], ghost=2)
+    entry = fields[bumped]
+    fields[bumped] = FieldEntry(entry.name, 2, entry.parity, entry.is_partner)
     report = check_bookkeeping(ComponentAction(ca.context, tuple(fields), ca.action))
     assert report.status == FAIL
     assert any(label == "field[xi_1]" for label, _ in report.residuals)

@@ -6,7 +6,6 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +18,7 @@ import nqkit.cli
 import nqkit.constraints
 import nqkit.dynamics
 from nqkit.aksz import (
+    FieldEntry,
     build_supercharge,
     expand_bv,
     extended_action_reference,
@@ -148,7 +148,8 @@ def _wrong_reference(data, pack):
 
 def _bumped_field_table(coords, rank):
     fields = list(field_table(coords, rank))
-    fields[0] = replace(fields[0], ghost=fields[0].ghost + 1)
+    first = fields[0]
+    fields[0] = FieldEntry(first.name, first.ghost + 1, first.parity, first.is_partner)
     return tuple(fields)
 
 
@@ -394,6 +395,39 @@ def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):
     assert result.exit_code == 2
     assert "input error: anchor[1][1]: " in result.stderr
     assert message in result.stderr
+
+
+# `\d` and int() accept any script's decimal digits; the grammar is ASCII.
+# One case per place the loader reads digits from text: the plain-integer
+# fast path, the tokenizer, rational point literals and sparse keys.
+@pytest.mark.parametrize(
+    "field,value,where,message",
+    [
+        ("anchor", [["٣"]], "anchor[1][1]", "position 0: unexpected character '٣'"),
+        ("anchor", [["x*٣"]], "anchor[1][1]", "position 2: unexpected character '٣'"),
+        ("points", [["٣"]], "points[1][1]", "not an exact rational literal: '٣'"),
+        ("structure", {"١,1,1": "0"}, "structure['١,1,1']", "sparse keys have the form"),
+    ],
+    ids=["integer-literal", "tokenizer", "rational", "sparse-key"],
+)
+def test_non_ascii_digits_are_input_errors(tmp_path, field, value, where, message):
+    doc = json.loads((CORPUS / "abelian_r1.json").read_text())
+    doc[field] = value
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    result = run("check", str(path), "--axioms")
+    assert result.exit_code == 2
+    assert f"input error: {where}: " in result.stderr
+    assert message in result.stderr
+
+
+def test_missing_file_is_an_input_error_at_the_root(tmp_path):
+    path = tmp_path / "absent.json"
+    result = run("check", str(path), "--axioms")
+    assert result.exit_code == 2
+    assert result.stderr == (
+        f"input error: $: [Errno 2] No such file or directory: '{path}'\n"
+    )
 
 
 def test_number_past_the_digit_limit_is_an_input_error(tmp_path):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -537,7 +536,8 @@ def test_metric_compat_obstructed_line():
 def test_solve_connection_killing_case():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
-    solution = solve_connection(data, replace(pack, omega=None), degree=0)
+    unsolved = GeometryPack(data.coords, data.rank, g_inv=pack.g_inv, g_low=pack.g_low)
+    solution = solve_connection(data, unsolved, degree=0)
     assert solution.feasible
     assert all(
         entry.is_zero
@@ -545,7 +545,13 @@ def test_solve_connection_killing_case():
         for row in plane
         for entry in row
     )
-    solved = replace(pack, omega=solution.omega)
+    solved = GeometryPack(
+        data.coords,
+        data.rank,
+        g_inv=pack.g_inv,
+        g_low=pack.g_low,
+        omega=solution.omega,
+    )
     verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS
 
@@ -559,7 +565,7 @@ def test_solve_connection_leafwise():
     pack = GeometryPack(coords, 1, g_low=g_low)
     solution = solve_connection(data, pack, degree=1)
     assert solution.feasible
-    solved = replace(pack, omega=solution.omega)
+    solved = GeometryPack(coords, 1, g_low=g_low, omega=solution.omega)
     verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS
 
@@ -582,6 +588,6 @@ def test_solve_connection_recovers_line_fixture():
     solution = solve_connection(data, pack, degree=1)
     assert solution.feasible
     assert solution.solution_dim > 0
-    solved = replace(pack, omega=solution.omega)
+    solved = GeometryPack(coords, 2, g_low=pack.g_low, omega=solution.omega)
     verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS

@@ -1,18 +1,28 @@
-"""No file of the program, its tests or its tools imports a name it never uses.
+"""Import hygiene, read with `ast` and checked in a fresh interpreter.
 
-The project ships no linter, so the check reads each file with `ast`.  A
-name bound by an import must be read somewhere in the same file, or be
-re-exported through `__all__`.  A dotted `import a.b` must be read as the
-attribute chain `a.b`.
+No file of the program, its tests or its tools imports a name it never
+uses.  The project ships no linter, so the check reads each file with
+`ast`.  A name bound by an import must be read somewhere in the same file,
+or be re-exported through `__all__`.  A dotted `import a.b` must be read as
+the attribute chain `a.b`.
+
+Every `nqkit <verb>` pays the import of `nqkit.cli`, so the package keeps
+out standard-library modules that cost start-up time and that plain code
+replaces: `dataclasses` (it generates and compiles source for every
+decorated class on each import), `copy` and `pathlib`.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CHECKED = ("src/nqkit", "tests", "tools")
+KEPT_OUT_OF_THE_PACKAGE = ("dataclasses", "copy", "pathlib")
 
 
 def _dotted(node: ast.AST) -> str | None:
@@ -64,3 +74,56 @@ def test_no_file_has_an_unused_import():
             if unused:
                 found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def kept_out_imports(source: str) -> list[str]:
+    """The absolute imports of `source` that name a kept-out module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found |= {
+            name
+            for name in names
+            if name.partition(".")[0] in KEPT_OUT_OF_THE_PACKAGE
+        }
+    return sorted(found)
+
+
+def test_the_check_sees_kept_out_imports():
+    source = "import copy, json\nfrom dataclasses import field\nimport pathlib.x\n"
+    assert kept_out_imports(source) == ["copy", "dataclasses", "pathlib.x"]
+    assert kept_out_imports("def f():\n    import copy\n") == ["copy"]
+    assert kept_out_imports("from .copy import x\nimport copyreg\n") == []
+
+
+def test_the_package_imports_no_kept_out_module():
+    found = {}
+    for path in sorted((ROOT / "src" / "nqkit").rglob("*.py")):
+        named = kept_out_imports(path.read_text())
+        if named:
+            found[str(path.relative_to(ROOT))] = named
+    assert found == {}
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_copy():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nqkit.cli\n"
+        "print(sorted((set(sys.modules) - before) & {'dataclasses', 'copy'}))\n"
+    )
+    search = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search)))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -297,8 +298,9 @@ def test_document_returns_a_fresh_copy():
     problem = problem_from_dict(doc)
     copy1 = problem.document()
     copy1["rank"] = 7
-    assert problem.raw["rank"] == 1
+    assert json.loads(problem.raw)["rank"] == 1
     assert problem.document()["rank"] == 1
+    assert problem.document() == doc
 
 
 def test_connection_strings_round_trip():
