@@ -21,8 +21,6 @@ import os
 import sys
 from math import comb
 
-import click
-
 from .aksz import (
     ComponentAction,
     build_supercharge,
@@ -79,8 +77,14 @@ def _want_color() -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
 
+def _err(message: str) -> None:
+    """One line on stderr, after what stdout holds, so `2>&1` keeps order."""
+    sys.stdout.flush()
+    sys.stderr.write(message + "\n")
+
+
 def _input_error(message: str) -> None:
-    click.echo(f"input error: {message}", err=True)
+    _err(f"input error: {message}")
     sys.exit(2)
 
 
@@ -273,43 +277,13 @@ _CHECKS = (
 )
 
 
-class _Group(click.Group):
-    """Reports a tripped engine guard (a RuntimeError) as exit code 3."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (click.exceptions.Exit, click.Abort):
-            raise  # click's own control flow subclasses RuntimeError
-        except RuntimeError as error:
-            click.echo(f"internal error: {error}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Exact checks for frame data over polynomial coordinate rings."""
-
-
-@main.command("check")
-@click.argument("file")
-@click.option("--axioms", is_flag=True, help="bracket axioms of the frame data")
-@click.option("--first-class", is_flag=True, help="constraint algebra closure")
-@click.option("--irreducible", is_flag=True, help="rank probe of the gradients")
-@click.option("--metric", is_flag=True, help="metric compatibility")
-@click.option("--structural", is_flag=True, help="invariance conditions")
-@click.option("--master", is_flag=True, help="self-bracket of the charge")
-@click.option("--cartan", is_flag=True, help="covariant obstruction tensor")
-@click.option("--supercharge", is_flag=True, help="squared odd generator")
-@click.option("--all", "run_all", is_flag=True, help="run every check")
-@click.option("--json", "json_path", type=click.Path(), default=None)
-def cmd_check(file, run_all, json_path, **flags) -> None:
+def _check(file, run_all, json_path, **flags) -> None:
     """Run the selected identity checks over a problem file."""
     selected = [
         (name, handler) for name, handler in _CHECKS if run_all or flags[name]
     ]
     if not selected:
-        raise click.UsageError("select at least one check, or pass --all")
+        raise _UsageError("select at least one check, or pass --all")
     problem = _load(file)
     bench = _Workbench(problem)
     reports: list[CheckReport] = []
@@ -317,9 +291,9 @@ def cmd_check(file, run_all, json_path, **flags) -> None:
         reports.extend(handler(bench, explicit=not run_all))
     color = _want_color()
     for report in reports:
-        click.echo(report.render_text(color))
+        print(report.render_text(color))
     overall = worst_status(reports)
-    click.echo(f"overall: {overall}")
+    print(f"overall: {overall}")
     if json_path is not None:
         doc = {
             "problem": file,
@@ -327,40 +301,32 @@ def cmd_check(file, run_all, json_path, **flags) -> None:
             "overall": overall,
             "checks": [report.to_json_dict() for report in reports],
         }
-        _write_json(json_path, doc)
+        _write_json("--json", json_path, doc)
     sys.exit(1 if any(r.status == FAIL for r in reports) else 0)
 
 
-@main.command("cohomology")
-@click.argument("file")
-@click.option("--degree", type=int, default=None, help="form degree (default 1)")
-@click.option("--trunc", type=int, default=None, help="polynomial degree window")
-@click.option("--p-degree", type=int, default=None, help="momentum degree window")
-@click.option("--slack", type=int, default=None, help="extra source degrees")
-@click.option("--bfv-h0", "bfv_h0_flag", is_flag=True, help="ghost-zero window")
-@click.option("--is-exact", "is_exact_flag", is_flag=True, help="primitive query")
-def cmd_cohomology(
+def _cohomology(
     file, degree, trunc, p_degree, slack, bfv_h0_flag, is_exact_flag
 ) -> None:
     """Cohomology windows of the frame differential, exactly."""
     if bfv_h0_flag and is_exact_flag:
-        raise click.UsageError("--bfv-h0 and --is-exact are exclusive")
+        raise _UsageError("--bfv-h0 and --is-exact are exclusive")
     if bfv_h0_flag and degree not in (None, 0):
-        raise click.UsageError("the ghost-zero window is at degree 0")
+        raise _UsageError("the ghost-zero window is at degree 0")
     if not bfv_h0_flag and degree not in (None, 1):
-        raise click.UsageError("only the degree-1 window is implemented")
+        raise _UsageError("only the degree-1 window is implemented")
     problem = _load(file)
     trunc = problem.truncation.x_degree if trunc is None else trunc
     slack = problem.truncation.slack if slack is None else slack
     p_degree = problem.truncation.p_degree if p_degree is None else p_degree
     if min(trunc, slack, p_degree) < 0:
-        raise click.UsageError("degree bounds must be nonnegative")
+        raise _UsageError("degree bounds must be nonnegative")
     _check_window_budget(problem, trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
 
     axioms = check_axioms(problem.data)
     if axioms.status != PASS:
-        click.echo(axioms.render_text(_want_color()))
-        click.echo("prerequisite failed: the bracket axioms do not hold")
+        print(axioms.render_text(_want_color()))
+        print("prerequisite failed: the bracket axioms do not hold")
         sys.exit(1)
 
     if is_exact_flag:
@@ -413,26 +379,26 @@ def _query_exact(problem: Problem, trunc: int) -> None:
     if alpha is None:
         _input_error("the exactness query needs the affine part alpha")
     if not e_differential(problem.data, alpha).is_zero:
-        click.echo("not closed: the frame differential of alpha is nonzero")
+        print("not closed: the frame differential of alpha is nonzero")
         sys.exit(1)
     primitive = is_exact_one_form(problem.data, alpha, trunc)
     if primitive is None:
-        click.echo(f"closed, but no primitive of degree <= {trunc} exists")
+        print(f"closed, but no primitive of degree <= {trunc} exists")
         sys.exit(1)
-    click.echo(f"exact, primitive f = {primitive}")
+    print(f"exact, primitive f = {primitive}")
 
 
 def _window_h1(problem: Problem, trunc: int, slack: int) -> None:
     report = cohomology_h1(problem.data, trunc, slack)
-    click.echo(f"window: coefficient degree <= {trunc}, source slack {slack}")
-    click.echo(
+    print(f"window: coefficient degree <= {trunc}, source slack {slack}")
+    print(
         f"closed {report.closed_dim}   exact {report.exact_dim}   "
         f"h^1 {report.h_dim}"
     )
     for flag in report.flags:
-        click.echo(f"  note: {flag}")
+        print(f"  note: {flag}")
     for k, form in enumerate(report.closed_basis):
-        click.echo(f"  closed {k + 1}: {_render_one_form(form)}")
+        print(f"  closed {k + 1}: {_render_one_form(form)}")
 
 
 def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
@@ -440,15 +406,15 @@ def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
     try:
         report = bfv_h0(charge, trunc, p_degree)
     except ValueError as error:
-        click.echo(f"prerequisite failed: {error}")
+        print(f"prerequisite failed: {error}")
         sys.exit(1)
-    click.echo(f"window: x degree <= {trunc}, p degree <= {p_degree}")
-    click.echo(
+    print(f"window: x degree <= {trunc}, p degree <= {p_degree}")
+    print(
         f"closed {report.closed_dim}   exact {report.exact_dim}   "
         f"h^0 {report.h_dim}"
     )
     for note in report.notes:
-        click.echo(f"  note: {note}")
+        print(f"  note: {note}")
 
 
 def _render_one_form(form) -> str:
@@ -460,18 +426,13 @@ def _render_one_form(form) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-@main.command("emit")
-@click.argument("file")
-@click.option("--what", type=click.Choice(["bfv", "bv"]), required=True)
-@click.option("--out", type=click.Path(), required=True)
-@click.option("--force", is_flag=True, help="emit even if the gate check fails")
-def cmd_emit(file, what, out, force) -> None:
+def _emit(file, what, out, force) -> None:
     """Write assembled charge data (bfv) or the component action (bv)."""
     problem = _load(file)
     try:
         package = assemble_bfv(build_charge(problem.data, problem.pack))
     except ValueError as error:
-        click.echo(f"assembly failed: {error}", err=True)
+        _err(f"assembly failed: {error}")
         sys.exit(1)
 
     doc = {
@@ -492,7 +453,7 @@ def cmd_emit(file, what, out, force) -> None:
             try:
                 action = expand_bv(sq)
             except ValueError as error:
-                click.echo(f"emission failed: {error}", err=True)
+                _err(f"emission failed: {error}")
                 sys.exit(1)
             _guard_classical_limit(problem, action)
             doc["fields"] = [
@@ -508,16 +469,16 @@ def cmd_emit(file, what, out, force) -> None:
         doc["checks"] = {gate.name: gate.status}
 
     if gate.status != PASS:
-        click.echo(gate.render_text(_want_color()))
+        print(gate.render_text(_want_color()))
         if not force:
-            click.echo(
+            print(
                 f"required check failed: {gate.name} "
                 "(pass --force to emit anyway)"
             )
             sys.exit(1)
         doc["forced"] = True
-    _write_json(out, doc)
-    click.echo(f"wrote {out}")
+    _write_json("--out", out, doc)
+    print(f"wrote {out}")
     sys.exit(0)
 
 
@@ -540,14 +501,10 @@ def _guard_classical_limit(problem: Problem, action: ComponentAction) -> None:
         )
 
 
-@main.command("solve-connection")
-@click.argument("file")
-@click.option("--degree", type=int, default=1, help="polynomial ansatz degree")
-@click.option("--write", "write_path", type=click.Path(), default=None)
-def cmd_solve_connection(file, degree, write_path) -> None:
+def _solve_connection(file, degree, write_path) -> None:
     """Solve the metric compatibility condition for a connection."""
     if degree < 0:
-        raise click.UsageError("the ansatz degree must be nonnegative")
+        raise _UsageError("the ansatz degree must be nonnegative")
     problem = _load(file)
     if problem.pack.g_low is None:
         _input_error("the connection solve needs the metric")
@@ -559,11 +516,11 @@ def cmd_solve_connection(file, degree, write_path) -> None:
         )
     solution = solve_connection(problem.data, problem.pack, degree)
     if not solution.feasible:
-        click.echo(f"infeasible at ansatz degree {degree}")
+        print(f"infeasible at ansatz degree {degree}")
         for note in solution.notes:
-            click.echo(f"  note: {note}")
+            print(f"  note: {note}")
         sys.exit(1)
-    click.echo(
+    print(
         f"feasible: solution space dimension {solution.solution_dim} "
         f"at ansatz degree {degree}"
     )
@@ -571,12 +528,12 @@ def cmd_solve_connection(file, degree, write_path) -> None:
         for b, row in enumerate(plane):
             for i, entry in enumerate(row):
                 if not entry.is_zero:
-                    click.echo(f"  omega^{a + 1}_{b + 1},{i + 1} = {entry}")
+                    print(f"  omega^{a + 1}_{b + 1},{i + 1} = {entry}")
     if write_path is not None:
         doc = problem.document()
         doc["connection"] = connection_strings(solution.omega)
-        _write_json(write_path, doc)
-        click.echo(f"wrote {write_path}")
+        _write_json("--write", write_path, doc)
+        print(f"wrote {write_path}")
     sys.exit(0)
 
 
@@ -586,9 +543,323 @@ def _connection_unknowns(problem: Problem, degree: int) -> int:
     return r * r * n * comb(n + degree, n)
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as handle:
-        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_json(option: str, path: str, doc: dict) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as error:
+        _input_error(f"{option}: {error}")
+
+
+# The argv front end.  It keeps click 8.4's grammar, help pages, messages
+# and exit codes byte for byte (tests/data/cli_usage.json pins them) with
+# the standard library alone: importing click took two-thirds of the
+# start-up of every invocation.  argparse, with gettext, costs about 40 ms
+# to compile cold, three times this whole module, and words its messages
+# differently.  Help and error pages import what they need when printed.
+
+
+class _UsageError(Exception):
+    """Bad usage, exit 2; the usage line heads it unless `usage` is False."""
+
+    def __init__(self, message: str, usage: bool = True):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Option:
+    """A `--name` of a verb: a flag, or an "int", "path" or "choice" value."""
+
+    def __init__(
+        self,
+        name: str,
+        kind: str = "flag",
+        help: str = "",
+        dest: str | None = None,
+        default: int | None = None,
+        required: bool = False,
+        choices: tuple[str, ...] = (),
+    ):
+        self.name, self.kind, self.help = name, kind, help
+        self.dest = dest or name[2:].replace("-", "_")
+        self.default = False if kind == "flag" else default
+        self.required, self.choices = required, choices
+
+    def convert(self, value):
+        if self.kind == "int":
+            try:
+                return int(value)
+            except ValueError:
+                problem = f"{value!r} is not a valid integer."
+        elif self.kind == "choice" and value not in self.choices:
+            problem = f"{value!r} is not one of {', '.join(map(repr, self.choices))}."
+        else:
+            return value
+        raise _UsageError(f"Invalid value for '{self.name}': {problem}")
+
+
+_HELP = _Option("--help", help="Show this message and exit.")
+
+
+def _scan(command, args: list[str], path: str, interspersed: bool):
+    """The options given, in order of first use with their last values, and
+    the positionals; the group stops at its first positional, the verb."""
+    given: dict[_Option, object] = {}
+    positional: list[str] = []
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg == "--":
+            positional += args[i:]
+            break
+        if arg[:1] != "-" or arg == "-":
+            if not interspersed:
+                positional += args[i - 1 :]
+                break
+            positional.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        option = command.options.get(name)
+        if option is None:
+            if arg[1] != "-":  # click retries it as short options, and has none
+                raise _no_such("option", arg[:2], ())
+            raise _no_such("option", name, command.options)
+        if option.kind == "flag":
+            if eq:
+                raise _UsageError(f"Option {name!r} does not take a value.", False)
+            value = True
+        elif not eq:
+            if i == len(args):
+                raise _UsageError(f"Option {name!r} requires an argument.", False)
+            value = args[i]
+            i += 1
+        given[option] = value
+    if _HELP in given:  # once the whole line has split without error
+        print(_help_page(command, path))
+        sys.exit(0)
+    return given, positional
+
+
+def _no_such(kind: str, name: str, candidates) -> _UsageError:
+    message = f"No such {kind} {name!r}."
+    if candidates:
+        from difflib import get_close_matches
+
+        close = sorted(get_close_matches(name, candidates))
+        if len(close) == 1:
+            message += f" Did you mean {close[0]!r}?"
+        elif close:
+            message += f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return _UsageError(message)
+
+
+class _Command:
+    """A verb: its handler, options and one argument FILE.  The handler is
+    read from `callback` on each run, so a wrapper bound there sees every
+    call; its docstring is the verb's help line, as click took it."""
+
+    usage = "[OPTIONS] FILE"
+
+    def __init__(self, name: str, callback, options: tuple):
+        self.name, self.callback, self.help = name, callback, callback.__doc__
+        self.options = {option.name: option for option in (*options, _HELP)}
+
+    def run(self, args: list[str], path: str) -> None:
+        """Check the line in click's order, then call the handler."""
+        given, positional = _scan(self, args, path, interspersed=True)
+        values = {o.dest: o.default for o in self.options.values() if o is not _HELP}
+        values.update((o.dest, o.convert(value)) for o, value in given.items())
+        if not positional:
+            raise _UsageError("Missing argument 'FILE'.")
+        for option in self.options.values():
+            if option.required and option not in given:
+                choices = ",\n\t".join(option.choices)
+                hint = f" Choose from:\n\t{choices}" if choices else ""
+                raise _UsageError(f"Missing option '{option.name}'.{hint}")
+        if len(positional) > 1:
+            s = "s" if len(positional) > 2 else ""
+            extra = " ".join(positional[1:])
+            raise _UsageError(f"Got unexpected extra argument{s} ({extra})")
+        self.callback(file=positional[0], **values)
+
+
+class _Group:
+    """The `nqkit` command: its options, then a verb and the verb's line."""
+
+    usage = "[OPTIONS] COMMAND [ARGS]..."
+
+    def __init__(self, help: str, commands: tuple[_Command, ...]):
+        self.help = help
+        self.commands = {command.name: command for command in commands}
+        self.options = {_HELP.name: _HELP}
+
+    def get_command(self, ctx, name: str) -> _Command | None:
+        """The verb called `name`; `ctx` is unused, as in click's signature."""
+        return self.commands.get(name)
+
+    def main(self, args=None, prog_name: str | None = None) -> None:
+        """Run one command line, argv's by default; ends in SystemExit."""
+        args = sys.argv[1:] if args is None else list(args)
+        command, path = self, prog_name or _program_name()
+        try:
+            try:
+                if not args:
+                    _err(_help_page(self, path))
+                    sys.exit(2)
+                rest = _scan(self, args, path, interspersed=False)[1]
+                if not rest:
+                    raise _UsageError("Missing command.")
+                if rest[0] not in self.commands:
+                    # click splits an option-like unknown verb (after `--`)
+                    # once more, so `-- --help` still prints the help page
+                    if rest[0][:1] and not rest[0][0].isalnum():
+                        _scan(self, rest, path, interspersed=False)
+                    raise _no_such("command", rest[0], self.commands)
+                command, path = self.commands[rest[0]], f"{path} {rest[0]}"
+                command.run(rest[1:], path)
+                sys.exit(0)
+            except _UsageError as error:
+                if error.usage:
+                    usage = _usage(command, path, _width())
+                    _err(f"{usage}\nTry '{path} --help' for help.\n")
+                _err(f"Error: {error}")
+                sys.exit(2)
+            except RuntimeError as error:  # a tripped engine guard
+                _err(f"internal error: {error}")
+                sys.exit(3)
+            finally:
+                sys.stdout.flush()
+        except (EOFError, KeyboardInterrupt):
+            _err("\nAborted!")
+            sys.exit(1)
+        except BrokenPipeError:  # the reader has gone; drop what is buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+
+    __call__ = main
+
+
+def _program_name() -> str:
+    """`python -m nqkit.cli` when run as a module, else the script's name."""
+    package = getattr(sys.modules["__main__"], "__package__", None)
+    if not package:
+        return os.path.basename(sys.argv[0])
+    name = os.path.splitext(os.path.basename(sys.argv[0]))[0]
+    if name != "__main__":
+        package = f"{package}.{name}"
+    return f"python -m {package.lstrip('.')}"
+
+
+# help pages, laid out and wrapped as click 8.4 does
+
+
+def _width() -> int:
+    from shutil import get_terminal_size
+
+    return max(min(get_terminal_size().columns, 80) - 2, 50)
+
+
+def _wrap(text: str, width: int, first: str = "", rest: str = "") -> str:
+    from textwrap import fill
+
+    return fill(text, width, initial_indent=first, subsequent_indent=rest)
+
+
+def _usage(command, path: str, width: int) -> str:
+    prefix = f"Usage: {path} "
+    if width >= len(prefix) + 20:
+        return _wrap(command.usage, width, prefix, " " * len(prefix))
+    return f"{prefix}\n" + _wrap(command.usage, width, " " * 11, " " * 11)
+
+
+def _help_page(command, path: str) -> str:
+    width = _width()
+    rows = []
+    for option in command.options.values():
+        metavar = {"flag": "", "int": " INTEGER", "path": " PATH"}.get(
+            option.kind, f" [{'|'.join(option.choices)}]"
+        )
+        text = option.help
+        if option.required:
+            text = f"{text}  [required]" if text else "[required]"
+        rows.append((option.name + metavar, text))
+    page = [_usage(command, path, width)]
+    if command.help:  # none under python -OO
+        page += ["", _wrap(command.help, width, "  ", "  ")]
+    page += ["", "Options:", *_columns(rows, width)]
+    verbs = getattr(command, "commands", {})
+    if verbs:
+        limit = width - 6 - max(map(len, verbs))
+        rows = [(n, _short_help(verbs[n].help or "", limit)) for n in sorted(verbs)]
+        page += ["", "Commands:", *_columns(rows, width)]
+    return "\n".join(page)
+
+
+def _columns(rows: list[tuple[str, str]], width: int) -> list[str]:
+    """Terms padded to one column, at most 30 wide, and their wrapped texts."""
+    column = min(max(len(term) for term, _ in rows), 30) + 2
+    lines = []
+    for term, text in rows:
+        if len(term) > column - 2 or not text:
+            lines.append(f"  {term}")
+            term = ""
+        if text:
+            wrapped = _wrap(text, max(width - column - 2, 10)).splitlines()
+            lines.append(f"  {term:<{column}}{wrapped[0]}")
+            lines += [" " * (column + 2) + line for line in wrapped[1:]]
+    return lines
+
+
+def _short_help(text: str, limit: int) -> str:
+    """A one-sentence help line, or as many of its words as fit with '...'."""
+    if len(text) <= limit:
+        return text
+    words = text.split()
+    while words and len(" ".join(words)) + 3 > limit:
+        words.pop()
+    return " ".join(words) + "..."
+
+
+# the verbs: name, handler (its docstring is the help line) and options
+
+_VERBS = (
+    _Command("check", _check, (
+        _Option("--axioms", help="bracket axioms of the frame data"),
+        _Option("--first-class", help="constraint algebra closure"),
+        _Option("--irreducible", help="rank probe of the gradients"),
+        _Option("--metric", help="metric compatibility"),
+        _Option("--structural", help="invariance conditions"),
+        _Option("--master", help="self-bracket of the charge"),
+        _Option("--cartan", help="covariant obstruction tensor"),
+        _Option("--supercharge", help="squared odd generator"),
+        _Option("--all", help="run every check", dest="run_all"),
+        _Option("--json", "path", dest="json_path"),
+    )),
+    _Command("cohomology", _cohomology, (
+        _Option("--degree", "int", "form degree (default 1)"),
+        _Option("--trunc", "int", "polynomial degree window"),
+        _Option("--p-degree", "int", "momentum degree window"),
+        _Option("--slack", "int", "extra source degrees"),
+        _Option("--bfv-h0", help="ghost-zero window", dest="bfv_h0_flag"),
+        _Option("--is-exact", help="primitive query", dest="is_exact_flag"),
+    )),
+    _Command("emit", _emit, (
+        _Option("--what", "choice", required=True, choices=("bfv", "bv")),
+        _Option("--out", "path", required=True),
+        _Option("--force", help="emit even if the gate check fails"),
+    )),
+    _Command("solve-connection", _solve_connection, (
+        _Option("--degree", "int", "polynomial ansatz degree", default=1),
+        _Option("--write", "path", dest="write_path"),
+    )),
+)
+
+main = _Group("Exact checks for frame data over polynomial coordinate rings.", _VERBS)
+cmd_check, cmd_cohomology, cmd_emit, cmd_solve_connection = _VERBS
 
 
 if __name__ == "__main__":

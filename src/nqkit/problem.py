@@ -4,7 +4,7 @@ A problem file declares a coordinate ring, frame data (anchor and
 structure functions) and any of the optional geometric fields.  All
 expression entries are strings in the polynomial grammar (integers are
 accepted as a convenience); decimals are rejected because the engine is
-exact.  Validation failures raise :class:`ProblemError` carrying the
+exact.  The file is read as UTF-8.  Validation failures raise :class:`ProblemError` carrying the
 path of the offending field.
 
 Schema, with shapes in brackets:
@@ -151,10 +151,12 @@ class Problem:
 
 def load_problem(path: str | os.PathLike) -> Problem:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as error:
         raise ProblemError("$", str(error)) from error
+    except UnicodeDecodeError as error:
+        raise ProblemError("$", f"not valid UTF-8: {error}") from error
     try:
         doc = json.loads(text)
     except ValueError as error:  # also a number past the int() digit limit

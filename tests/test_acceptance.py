@@ -13,7 +13,6 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from click.testing import CliRunner
 
 from nqkit.aksz import (
     build_supercharge,
@@ -41,7 +40,6 @@ from nqkit.bfv import (
     check_master,
     covariant_momenta,
 )
-from nqkit.cli import main as cli_main
 from nqkit.constraints import (
     build_constraints,
     check_first_class,
@@ -59,6 +57,7 @@ from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly, embed
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
+from tests.conftest import invoke
 from tests.test_algebroid import (
     abelian_r1,
     broken_jacobi,
@@ -372,11 +371,8 @@ def test_criterion_09_classical_limit_of_the_component_action():
 
 def test_criterion_10_cli_contract(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    runner = CliRunner()
     for name, expected in EXPECTED_EXIT.items():
-        result = runner.invoke(
-            cli_main, ["check", f"corpus/{name}.json", "--all"]
-        )
+        result = invoke(["check", f"corpus/{name}.json", "--all"])
         assert result.exit_code == expected, name
 
     # byte-stable JSON, matching the frozen snapshots
@@ -384,29 +380,23 @@ def test_criterion_10_cli_contract(tmp_path, monkeypatch):
         first = tmp_path / f"{name}.first.json"
         second = tmp_path / f"{name}.second.json"
         for out in (first, second):
-            runner.invoke(
-                cli_main,
-                ["check", f"corpus/{name}.json", "--all", "--json", str(out)],
-            )
+            invoke(["check", f"corpus/{name}.json", "--all", "--json", str(out)])
         assert first.read_bytes() == second.read_bytes()
         expected_doc = (CORPUS / "expected" / f"{name}.json").read_bytes()
         assert first.read_bytes() == expected_doc, name
 
     # usage and input failures exit 2
-    result = runner.invoke(
-        cli_main,
-        ["emit", "corpus/so3_action.json", "--what", "bogus", "--out", "x"],
+    result = invoke(
+        ["emit", "corpus/so3_action.json", "--what", "bogus", "--out", "x"]
     )
     assert result.exit_code == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"base_dim": 1}))
-    result = runner.invoke(cli_main, ["check", str(bad), "--all"])
+    result = invoke(["check", str(bad), "--all"])
     assert result.exit_code == 2
 
     # the pinned exactness example
-    result = runner.invoke(
-        cli_main, ["cohomology", "corpus/rank2_line_affine.json", "--is-exact"]
-    )
+    result = invoke(["cohomology", "corpus/rank2_line_affine.json", "--is-exact"])
     assert result.exit_code == 0
     assert result.output.strip() == "exact, primitive f = x"
     verdict(10, "exit codes 0/1/2 across the corpus; reports byte-stable")

@@ -10,7 +10,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import nqkit.algebroid
 import nqkit.bfv
@@ -25,10 +24,10 @@ from nqkit.aksz import (
     field_table,
 )
 from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
-from nqkit.cli import main
 from nqkit.graded import GradedContext
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
+from tests.conftest import invoke
 from tests.test_generated_frames import gen
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,8 +48,8 @@ EXPECTED_EXIT = {
 }
 
 
-def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), **kwargs)
+def run(*args):
+    return invoke(args)
 
 
 def corpus_path(name: str) -> str:
@@ -329,8 +328,8 @@ def test_zero_frame_is_answered(tmp_path, monkeypatch, args, verdicts):
         json.dumps({"base_dim": 1, "rank": 1, "coords": ["x"], "anchor": [["0"]]})
     )
     monkeypatch.chdir(tmp_path)
+    # an exception other than SystemExit propagates out of `run`
     result = run(args[0], str(frame), *args[1:])
-    assert not isinstance(result.exception, Exception), result.exception
     assert "Traceback" not in result.output + result.stderr
     assert result.exit_code == 0
     if verdicts == "checks":
@@ -359,15 +358,14 @@ def test_master_is_reported_when_assembly_is_refused(tmp_path, monkeypatch):
     assert statuses["master"] == "pass"
 
 
-def test_check_malformed_file_names_the_field():
+def test_check_malformed_file_names_the_field(tmp_path, monkeypatch):
     result = run("check", "/tmp/does-not-exist-nqkit.json", "--all")
     assert result.exit_code == 2
-    runner_dir = CliRunner()
-    with runner_dir.isolated_filesystem():
-        Path("bad.json").write_text('{"base_dim": 1, "coords": ["x"]}')
-        result = runner_dir.invoke(main, ["check", "bad.json", "--all"])
-        assert result.exit_code == 2
-        assert "rank" in result.stderr
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text('{"base_dim": 1, "coords": ["x"]}')
+    result = run("check", "bad.json", "--all")
+    assert result.exit_code == 2
+    assert "rank" in result.stderr
 
 
 @pytest.mark.parametrize(
@@ -428,6 +426,45 @@ def test_missing_file_is_an_input_error_at_the_root(tmp_path):
     assert result.stderr == (
         f"input error: $: [Errno 2] No such file or directory: '{path}'\n"
     )
+
+
+def test_file_that_is_not_utf8_is_an_input_error_at_the_root(tmp_path):
+    # a lone Latin-1 e-acute (0xe9) inside a JSON string
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"base_dim": 1, "rank": 1, "coords": ["x"], "anchor": [["\xe9"]]}')
+    result = run("check", str(path), "--axioms")
+    assert result.exit_code == 2
+    assert result.stderr == (
+        "input error: $: not valid UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+        "in position 57: invalid continuation byte\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["check", corpus_path("so3_action"), "--axioms", "--json"], "--json"),
+        (["emit", corpus_path("so3_action"), "--what", "bfv", "--out"], "--out"),
+        (["solve-connection", corpus_path("rank2_line"), "--write"], "--write"),
+    ],
+    ids=["json", "out", "write"],
+)
+@pytest.mark.parametrize("target", ["missing_dir", "a_dir"])
+def test_unwritable_output_is_an_input_error_naming_the_option(
+    tmp_path, args, option, target
+):
+    path = tmp_path / "no" / "such.json" if target == "missing_dir" else tmp_path
+    error = (
+        f"[Errno 2] No such file or directory: '{path}'"
+        if target == "missing_dir"
+        else f"[Errno 21] Is a directory: '{path}'"
+    )
+    result = run(*args, str(path))
+    assert result.exit_code == 2
+    # what was computed is still reported, before the error
+    assert "wrote" not in result.stdout
+    assert result.stderr == f"input error: {option}: {error}\n"
+    assert result.output.endswith(result.stderr)
 
 
 def test_number_past_the_digit_limit_is_an_input_error(tmp_path):

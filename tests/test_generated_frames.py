@@ -14,9 +14,8 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
-from click.testing import CliRunner
 
-from nqkit.cli import main
+from tests.conftest import invoke
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -41,7 +40,7 @@ def so_n_file(request, tmp_path):
 def test_so_n_check_all_passes_and_warns_reducible(so_n_file, tmp_path):
     n, path = so_n_file
     out = tmp_path / "report.json"
-    result = CliRunner().invoke(main, ["check", str(path), "--all", "--json", str(out)])
+    result = invoke(["check", str(path), "--all", "--json", str(out)])
     assert result.exit_code == 0, result.output
     checks = json.loads(out.read_text())["checks"]
     statuses = {check["name"]: check["status"] for check in checks}
@@ -64,9 +63,7 @@ def test_so_n_check_all_passes_and_warns_reducible(so_n_file, tmp_path):
 def test_so_n_emit_bv_passes_supercharge(so_n_file, tmp_path):
     _, path = so_n_file
     out = tmp_path / "bv.json"
-    result = CliRunner().invoke(
-        main, ["emit", str(path), "--what", "bv", "--out", str(out)]
-    )
+    result = invoke(["emit", str(path), "--what", "bv", "--out", str(out)])
     assert result.exit_code == 0, result.output
     doc = json.loads(out.read_text())
     assert doc["checks"] == {"supercharge": "pass"}
@@ -80,6 +77,6 @@ def test_so_n_generic_anchor_rank_is_n_minus_1(n, tmp_path):
     # comes from fraction-free elimination, since no point reaches min(r, n)
     path = tmp_path / f"so{n}.json"
     path.write_text(json.dumps(gen.so_n(n)))
-    result = CliRunner().invoke(main, ["check", str(path), "--irreducible"])
+    result = invoke(["check", str(path), "--irreducible"])
     assert result.exit_code == 0, result.output
     assert f"generic rank {n - 1}, full rank is {n * (n - 1) // 2}" in result.output

@@ -1,9 +1,9 @@
 """The names the benchmark tracer wraps must keep resolving in nqkit.
 
-`perfbench/spans.py` binds its spans to module attributes and click
-commands by name; a rename or move in the library would silently drop a
-span from `--trace`.  The tracer module is loaded by path, not installed,
-so nothing in the library is rebound here.
+`perfbench/spans.py` binds its spans to module attributes and to the
+`callback` of each verb's command by name; a rename or move in the library
+would silently drop a span from `--trace`.  The tracer module is loaded by
+path, not installed, so nothing in the library is rebound here.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import importlib
 from pathlib import Path
 from types import ModuleType
 
-import click
 import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -42,15 +41,39 @@ def test_verb_command_resolves(name):
     import nqkit.cli
 
     command = getattr(nqkit.cli, spans.VERBS[name])
-    assert isinstance(command, click.Command)
     assert callable(command.callback)
     assert nqkit.cli.main.get_command(None, command.name) is command
 
 
-def test_cli_entry_point_is_a_click_group():
+# one valid command line per verb, as the benchmark's jobs pass them
+VERB_LINES = {
+    "cmd_check": ["check", "f.json", "--all"],
+    "cmd_cohomology": ["cohomology", "f.json", "--trunc", "2"],
+    "cmd_emit": ["emit", "f.json", "--what", "bv", "--out", "o.json"],
+    "cmd_solve_connection": ["solve-connection", "f.json"],
+}
+
+
+def test_cli_entry_point_runs_a_rebound_verb_callback(monkeypatch):
+    # the tracer rebinds each command's callback and then runs jobs through
+    # main.main(args=..., prog_name="nqkit"), reading the SystemExit code
     import nqkit.cli
 
-    assert isinstance(nqkit.cli.main, click.Group)
+    assert sorted(VERB_LINES) == sorted(spans.VERBS.values())
+    for attr, line in VERB_LINES.items():
+        command = getattr(nqkit.cli, attr)
+        assert nqkit.cli.main.get_command(None, line[0]) is command
+        seen = []
+
+        def rebound(**values):
+            seen.append(values)
+            raise SystemExit(7)
+
+        monkeypatch.setattr(command, "callback", rebound)
+        with pytest.raises(SystemExit) as stop:
+            nqkit.cli.main.main(args=line, prog_name="nqkit")
+        assert stop.value.code == 7
+        assert len(seen) == 1 and seen[0]["file"] == "f.json"
 
 
 @pytest.mark.parametrize("attr", ["__post_init__", "__mul__"])
