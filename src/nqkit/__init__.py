@@ -22,16 +22,10 @@ from .aksz import (
 )
 from .algebroid import (
     Algebroid,
-    AltForm,
     algebroid_from_lists,
     check_axioms,
     cohomology_h1,
-    e_differential,
     is_exact_one_form,
-    one_form,
-    pullback,
-    two_form_from_matrix,
-    zero_form,
 )
 from .bfv import (
     BFVPackage,
@@ -66,7 +60,6 @@ from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
 
 __all__ = [
     "Algebroid",
-    "AltForm",
     "BFVPackage",
     "Charge",
     "CheckReport",
@@ -104,7 +97,6 @@ __all__ = [
     "check_supercharge",
     "cohomology_h1",
     "cotangent_context",
-    "e_differential",
     "expand_bv",
     "extended_action_reference",
     "extended_context",
@@ -113,12 +105,8 @@ __all__ = [
     "irreducibility_probe",
     "is_exact_one_form",
     "load_problem",
-    "one_form",
     "parse_poly",
-    "pullback",
     "rational_from_string",
     "solve_connection",
-    "two_form_from_matrix",
     "worst_status",
-    "zero_form",
 ]

@@ -1,11 +1,16 @@
-"""Anchored frames with structure functions and their exterior calculus.
+"""Anchored frames with structure functions and their odd derivation Q.
 
 An `Algebroid` packages a polynomial anchor rho_a^i and antisymmetric
 structure functions C^c_ab over a fixed base coordinate ring.  The module
 provides the two defect tensors whose joint vanishing is the compatibility
-axiom pair (anchor morphism and Jacobi), the frame-indexed exterior
-derivative, the pullback of base forms along the anchor, the odd derivation Q
-on ghost variables, and a truncated degree-1 cohomology diagnostic.
+axiom pair (anchor morphism and Jacobi), the odd derivation Q on ghost
+variables, and a truncated degree-1 cohomology diagnostic.
+
+Forms of the frame (E-forms) are functions on E[1]: a k-form is a
+`GradedPoly` in `ghost_context`, homogeneous of degree k in the ghosts
+xi^a, and the frame differential d_E is Q, applied with `left_derivation`
+to the images `q_images`.  A base form pulls back along the anchor by
+substituting Q(x^i) for dx^i.
 
 Defect conventions, pinned for the whole engine:
 
@@ -40,10 +45,8 @@ from .graded import (
     left_derivation,
 )
 from .linalg import image_in, kernel, solve
-from .poly import EvenPoly, Exponent, Rat, Scalar, as_rat, divide, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, divide, monomial_exponents
 from .report import FAIL, PASS, CheckReport
-
-Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 
 class Algebroid:
@@ -140,182 +143,6 @@ def algebroid_from_lists(
         tuple(tuple(row) for row in anchor),
         tuple(tuple(tuple(row) for row in plane) for plane in structure),
     )
-
-
-# alternating forms, indexed either by frame labels or by base coordinates
-
-
-class AltForm:
-    """Alternating family of polynomials on strictly increasing index tuples.
-
-    The same container serves frame-indexed forms (indices run over the frame)
-    and coordinate-indexed forms (indices run over the base); the differential
-    and pullback functions fix the interpretation.  Zero components are
-    dropped on construction; treated as immutable.
-    """
-
-    __slots__ = ("coords", "arity", "components")
-
-    def __init__(
-        self,
-        coords: tuple[str, ...],
-        arity: int,
-        components: dict[tuple[int, ...], EvenPoly],
-    ):
-        cleaned = {}
-        for key, value in components.items():
-            key = tuple(key)
-            if len(key) != arity or list(key) != sorted(set(key)):
-                raise ValueError(f"component index {key} is not strictly increasing")
-            if value.coords != coords:
-                raise ValueError("component rings must match the form's ring")
-            if not value.is_zero:
-                cleaned[key] = value
-        self.coords = coords
-        self.arity = arity
-        self.components = cleaned
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def component(self, indices: tuple[int, ...]) -> EvenPoly:
-        """Component on any tuple of distinct indices, with the permutation sign."""
-        if len(set(indices)) != len(indices):
-            return EvenPoly.zero(self.coords)
-        order = tuple(sorted(indices))
-        inversions = sum(
-            1
-            for u in range(len(indices))
-            for v in range(u + 1, len(indices))
-            if indices[u] > indices[v]
-        )
-        stored = self.components.get(order)
-        if stored is None:
-            return EvenPoly.zero(self.coords)
-        return -stored if inversions % 2 else stored
-
-    def __add__(self, other: AltForm) -> AltForm:
-        if (self.coords, self.arity) != (other.coords, other.arity):
-            raise ValueError("forms have different shape")
-        keys = set(self.components) | set(other.components)
-        return AltForm(
-            self.coords,
-            self.arity,
-            {
-                key: self.components.get(key, EvenPoly.zero(self.coords))
-                + other.components.get(key, EvenPoly.zero(self.coords))
-                for key in keys
-            },
-        )
-
-    def __neg__(self) -> AltForm:
-        return AltForm(
-            self.coords,
-            self.arity,
-            {key: -value for key, value in self.components.items()},
-        )
-
-    def __sub__(self, other: AltForm) -> AltForm:
-        return self + (-other)
-
-    def __rmul__(self, scalar: Scalar) -> AltForm:
-        s = as_rat(scalar)
-        return AltForm(
-            self.coords,
-            self.arity,
-            {key: value * s for key, value in self.components.items()},
-        )
-
-    def __str__(self) -> str:
-        if not self.components:
-            return "0"
-        chunks = []
-        for key in sorted(self.components):
-            label = ",".join(str(index + 1) for index in key)
-            chunks.append(f"[{label}] {self.components[key]}")
-        return "; ".join(chunks)
-
-
-def zero_form(coords: tuple[str, ...], arity: int) -> AltForm:
-    return AltForm(coords, arity, {})
-
-
-def one_form(coords: tuple[str, ...], components: list[EvenPoly]) -> AltForm:
-    return AltForm(coords, 1, {(a,): f for a, f in enumerate(components)})
-
-
-def two_form_from_matrix(
-    coords: tuple[str, ...], matrix: list[list[EvenPoly]] | Matrix
-) -> AltForm:
-    """Antisymmetric matrix B_ij to the 2-form with components on i < j."""
-    n = len(matrix)
-    for i in range(n):
-        for j in range(n):
-            if not (matrix[i][j] + matrix[j][i]).is_zero:
-                raise ValueError("matrix must be antisymmetric")
-    return AltForm(
-        coords,
-        2,
-        {(i, j): matrix[i][j] for i in range(n) for j in range(i + 1, n)},
-    )
-
-
-def e_differential(data: Algebroid, form: AltForm) -> AltForm:
-    """Frame-indexed exterior derivative on 0- and 1-forms."""
-    if form.coords != data.coords:
-        raise ValueError("form ring must match the base ring")
-    r = data.rank
-    if form.arity == 0:
-        f = form.component(())
-        return AltForm(
-            data.coords, 1, {(a,): data.anchor_apply(a, f) for a in range(r)}
-        )
-    if form.arity == 1:
-        entries = [form.component((c,)) for c in range(r)]
-        live = [c for c in range(r) if not entries[c].is_zero]
-        components = {}
-        for a in range(r):
-            for b in range(a + 1, r):
-                value = data.anchor_apply(a, entries[b]) - data.anchor_apply(
-                    b, entries[a]
-                )
-                for c in live:
-                    value = value - data.structure[c][a][b] * entries[c]
-                components[(a, b)] = value
-        return AltForm(data.coords, 2, components)
-    raise ValueError("differential implemented for arities 0 and 1 only")
-
-
-def pullback(data: Algebroid, form: AltForm) -> AltForm:
-    """Pull a coordinate-indexed form back to a frame-indexed one."""
-    if form.coords != data.coords:
-        raise ValueError("form ring must match the base ring")
-    r, n = data.rank, data.base_dim
-    if form.arity == 0:
-        return form
-    if form.arity == 1:
-        components = {}
-        for a in range(r):
-            value = EvenPoly.zero(data.coords)
-            for i in range(n):
-                value = value + form.component((i,)) * data.anchor[a][i]
-            components[(a,)] = value
-        return AltForm(data.coords, 1, components)
-    if form.arity == 2:
-        components = {}
-        for a in range(r):
-            for b in range(a + 1, r):
-                value = EvenPoly.zero(data.coords)
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        value = value + form.component((i, j)) * (
-                            data.anchor[a][i] * data.anchor[b][j]
-                            - data.anchor[b][i] * data.anchor[a][j]
-                        )
-                components[(a, b)] = value
-        return AltForm(data.coords, 2, components)
-    raise ValueError("pullback implemented for arities 0, 1 and 2 only")
 
 
 # defect tensors
@@ -508,7 +335,7 @@ class CohomologyReport:
         closed_dim: int,
         exact_dim: int,
         h_dim: int,
-        closed_basis: list[AltForm],
+        closed_basis: list[tuple[EvenPoly, ...]],
         flags: dict[str, bool] | None = None,
     ):
         self.degree = degree
@@ -543,22 +370,24 @@ def _q_columns(
     return sources, columns
 
 
-def _one_form_from_vector(
+def _components_from_vector(
     data: Algebroid,
     unknowns: list[tuple[tuple[int, ...], Exponent]],
     vector: dict[int, Rat],
-) -> AltForm:
+) -> tuple[EvenPoly, ...]:
+    """The components alpha_a of the 1-cochain with these coordinates."""
     terms: list[dict[Exponent, Rat]] = [{} for _ in range(data.rank)]
     for k, value in vector.items():
         (a,), e = unknowns[k]
         terms[a][e] = value
-    return one_form(data.coords, [EvenPoly(data.coords, t) for t in terms])
+    return tuple(EvenPoly(data.coords, t) for t in terms)
 
 
 def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyReport:
     """Truncated first cohomology of the frame differential.
 
-    Closed forms are computed exactly within x-degree <= trunc; the exact
+    Closed forms are computed exactly within x-degree <= trunc, and each
+    member of the closed basis is returned as its r components; the exact
     subspace is the image of functions of degree <= trunc + slack that lands
     entirely inside the window.  Both dimensions are exact rational ranks;
     the truncation caveat is flagged, along with whether the differential
@@ -569,7 +398,7 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
         raise ValueError("truncation degree must be nonnegative")
     unknowns, columns = _q_columns(data, [(a,) for a in range(data.rank)], trunc)
     closed_basis = [
-        _one_form_from_vector(data, unknowns, vector) for vector in kernel(columns)
+        _components_from_vector(data, unknowns, vector) for vector in kernel(columns)
     ]
 
     # exact part: the image of d0 on functions of degree <= trunc + slack
@@ -612,19 +441,17 @@ def _max_coeff_degree(data: Algebroid) -> int:
 
 
 def is_exact_one_form(
-    data: Algebroid, alpha: AltForm, degree: int
+    data: Algebroid, alpha: GradedPoly, degree: int
 ) -> EvenPoly | None:
-    """Solve the frame-gradient equation for a primitive of x-degree <= degree."""
-    if alpha.arity != 1:
-        raise ValueError("exactness query takes a 1-form")
+    """Solve Q f = alpha for a primitive f of x-degree <= degree.
+
+    alpha is a 1-form alpha_a xi^a in `ghost_context(data)`, whose terms are
+    keyed like the columns.
+    """
+    if alpha.ctx != ghost_context(data) or any(len(word) != 1 for word in alpha.parts):
+        raise ValueError("exactness query takes a 1-form in the ghost context")
     sources, columns = _q_columns(data, [()], degree)
-    # alpha_a xi^a, keyed like the columns
-    zero_momenta = (0,) * data.base_dim
-    rhs = {
-        (key, e + zero_momenta): coeff
-        for key, value in alpha.components.items()
-        for e, coeff in value.terms.items()
-    }
+    rhs = {(word, e): coeff for word, e, coeff in alpha.terms()}
     result = solve(columns, rhs)
     if result is None:
         return None

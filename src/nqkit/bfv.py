@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
+from typing import Sequence
 
-from .algebroid import Algebroid, AltForm, q_images
+from .algebroid import Algebroid, q_images
 from .constraints import (
     ConstraintSet,
-    affine_part,
+    Matrix,
+    affine_charge,
     build_constraints,
     first_class_terms,
     twist_of_magnetic,
@@ -41,16 +43,14 @@ from .report import FAIL, PASS, SKIPPED, CheckReport
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 
 
-def charge_context(data: Algebroid, magnetic: AltForm | None = None) -> GradedContext:
-    return extended_context(
-        data.coords, data.rank, twist_of_magnetic(data.coords, magnetic)
-    )
+def charge_context(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
+    return extended_context(data.coords, data.rank, twist_of_magnetic(magnetic))
 
 
 def build_S(
     data: Algebroid,
-    alpha: AltForm | None = None,
-    magnetic: AltForm | None = None,
+    alpha: Sequence[EvenPoly] | None = None,
+    magnetic: Matrix | None = None,
     ctx: GradedContext | None = None,
 ) -> GradedPoly:
     """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q, plus the affine part alpha_a xi^a.
@@ -59,7 +59,7 @@ def build_S(
     """
     if ctx is None:
         ctx = charge_context(data, magnetic)
-    affine = _affine_charge(data, alpha, ctx)
+    affine = affine_charge(data, alpha, ctx)
     images = q_images(data, ctx)
     S = ctx.zero()
     for name in data.coords:
@@ -67,17 +67,6 @@ def build_S(
     for c in range(data.rank):
         S = S + images[ghost_name(c + 1)] * ctx.var(antighost_name(c + 1))
     return S + affine
-
-
-def _affine_charge(
-    data: Algebroid, alpha: AltForm | None, ctx: GradedContext
-) -> GradedPoly:
-    """alpha_a xi^a, once alpha is checked against the frame."""
-    alpha = affine_part(data, alpha)
-    affine = ctx.zero()
-    for c in range(data.rank):
-        affine = affine + ctx.lift(alpha.component((c,))) * ctx.var(ghost_name(c + 1))
-    return affine
 
 
 class Charge:
@@ -133,7 +122,7 @@ def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
         raise ValueError("frame data and geometry pack disagree on base or rank")
     ctx = charge_context(data, cs.magnetic)
     core = build_S(data, magnetic=cs.magnetic, ctx=ctx)
-    return Charge(cs, pack, ctx, core, core + _affine_charge(data, cs.alpha, ctx))
+    return Charge(cs, pack, ctx, core, core + affine_charge(data, cs.alpha, ctx))
 
 
 def _word_label(ctx: GradedContext, word: tuple[int, ...]) -> str:
@@ -215,7 +204,7 @@ def build_H(pack: GeometryPack, ctx: GradedContext | None = None) -> GradedPoly:
         raise ValueError("drift term present: absorb it before the extended assembly")
     if ctx is None:
         ctx = extended_context(
-            pack.coords, pack.rank, twist_of_magnetic(pack.coords, pack.magnetic)
+            pack.coords, pack.rank, twist_of_magnetic(pack.magnetic)
         )
     pcov = covariant_momenta(pack, ctx)
     H = ctx.lift(pack.potential_or_zero())

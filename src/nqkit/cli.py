@@ -16,6 +16,7 @@ stable run to run: keys are sorted and no timing is recorded.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sys
@@ -34,8 +35,9 @@ from .aksz import (
 from .algebroid import (
     check_axioms,
     cohomology_h1,
-    e_differential,
+    ghost_context,
     is_exact_one_form,
+    q_images,
 )
 from .bfv import (
     CARTAN_IDENTITY,
@@ -48,6 +50,7 @@ from .bfv import (
 )
 from .constraints import (
     ConstraintSet,
+    affine_charge,
     build_constraints,
     check_first_class,
     irreducibility_probe,
@@ -61,7 +64,14 @@ from .dynamics import (
     solve_connection,
     structural_residuals,
 )
-from .problem import Problem, ProblemError, connection_strings, load_problem
+from .graded import left_derivation
+from .problem import (
+    _INT_LITERAL,
+    Problem,
+    ProblemError,
+    connection_strings,
+    load_problem,
+)
 from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
 
 _GEOMETRY_LABELS = {"g_inv": "metric_inv", "g_low": "metric", "omega": "connection"}
@@ -285,6 +295,7 @@ def _check(file, run_all, json_path, **flags) -> None:
     if not selected:
         raise _UsageError("select at least one check, or pass --all")
     problem = _load(file)
+    _check_output("--json", json_path)
     bench = _Workbench(problem)
     reports: list[CheckReport] = []
     for _, handler in selected:
@@ -375,13 +386,15 @@ def _check_window_budget(
 
 
 def _query_exact(problem: Problem, trunc: int) -> None:
-    alpha = problem.pack.alpha
-    if alpha is None:
+    if problem.pack.alpha is None:
         _input_error("the exactness query needs the affine part alpha")
-    if not e_differential(problem.data, alpha).is_zero:
+    data = problem.data
+    ctx = ghost_context(data)
+    alpha = affine_charge(data, problem.pack.alpha, ctx)
+    if not left_derivation(ctx, q_images(data, ctx), alpha).is_zero:
         print("not closed: the frame differential of alpha is nonzero")
         sys.exit(1)
-    primitive = is_exact_one_form(problem.data, alpha, trunc)
+    primitive = is_exact_one_form(data, alpha, trunc)
     if primitive is None:
         print(f"closed, but no primitive of degree <= {trunc} exists")
         sys.exit(1)
@@ -397,8 +410,8 @@ def _window_h1(problem: Problem, trunc: int, slack: int) -> None:
     )
     for flag in report.flags:
         print(f"  note: {flag}")
-    for k, form in enumerate(report.closed_basis):
-        print(f"  closed {k + 1}: {_render_one_form(form)}")
+    for k, alpha in enumerate(report.closed_basis):
+        print(f"  closed {k + 1}: {_render_cochain(alpha)}")
 
 
 def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
@@ -417,18 +430,16 @@ def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
         print(f"  note: {note}")
 
 
-def _render_one_form(form) -> str:
-    parts = [
-        f"({form.components[key]}) e^{key[0] + 1}"
-        for key in sorted(form.components)
-        if not form.components[key].is_zero
-    ]
+def _render_cochain(alpha) -> str:
+    """The components alpha_a of a 1-cochain as a sum over the dual frame e^a."""
+    parts = [f"({f}) e^{a + 1}" for a, f in enumerate(alpha) if not f.is_zero]
     return " + ".join(parts) if parts else "0"
 
 
 def _emit(file, what, out, force) -> None:
     """Write assembled charge data (bfv) or the component action (bv)."""
     problem = _load(file)
+    _check_output("--out", out)
     try:
         package = assemble_bfv(build_charge(problem.data, problem.pack))
     except ValueError as error:
@@ -514,6 +525,7 @@ def _solve_connection(file, degree, write_path) -> None:
             f"--degree {degree}: the connection solve needs {unknowns} unknowns, "
             f"more than the budget of {MAX_WINDOW_COLUMNS}"
         )
+    _check_output("--write", write_path)
     solution = solve_connection(problem.data, problem.pack, degree)
     if not solution.feasible:
         print(f"infeasible at ansatz degree {degree}")
@@ -543,6 +555,23 @@ def _connection_unknowns(problem: Problem, degree: int) -> int:
     return r * r * n * comb(n + degree, n)
 
 
+def _check_output(option: str, path: str | None) -> None:
+    """Refuse, before any work, an output path that open() would refuse.
+
+    A directory, or a name in a missing directory, is reported as open()
+    reports it; nothing is created or truncated here, and what this cannot
+    see (permissions, a full disk) is still caught when the file is written.
+    """
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    _input_error(f"{option}: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_json(option: str, path: str, doc: dict) -> None:
@@ -590,10 +619,13 @@ class _Option:
 
     def convert(self, value):
         if self.kind == "int":
-            try:
-                return int(value)
-            except ValueError:
-                problem = f"{value!r} is not a valid integer."
+            # the integer literal of the problem files: ASCII digits, no spaces
+            if _INT_LITERAL.fullmatch(value):
+                try:
+                    return int(value)
+                except ValueError:  # past int()'s digit limit
+                    pass
+            problem = f"{value!r} is not a valid integer."
         elif self.kind == "choice" and value not in self.choices:
             problem = f"{value!r} is not one of {', '.join(map(repr, self.choices))}."
         else:

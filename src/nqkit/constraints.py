@@ -2,10 +2,14 @@
 
 Constraints of the form Phi_a = rho_a^i(x) p_i + alpha_a(x) are built from an
 `Algebroid` and an optional affine part, on a momentum bracket that may be
-twisted by a magnetic 2-form.  The module verifies closure of the constraint
-brackets, inverts the construction by reading frame data back off fiber-linear
-constraints, and provides reducibility diagnostics.  All verdicts are exact;
-probes that sample points say so in their verdict.
+twisted by a magnetic 2-form.  The affine part is the tuple of its r
+components alpha_a and the magnetic 2-form the antisymmetric n x n matrix
+B_ij, both over the base ring.  The structural 2-form d_E alpha - rho^* B
+that the brackets predict is an E-form: a ghost polynomial, with d_E = Q.
+The module verifies closure of the constraint brackets, inverts the
+construction by reading frame data back off fiber-linear constraints, and
+provides reducibility diagnostics.  All verdicts are exact; probes that
+sample points say so in their verdict.
 """
 
 from __future__ import annotations
@@ -13,24 +17,27 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import lcm
 from typing import Iterator, Sequence
 
-from .algebroid import (
-    Algebroid,
-    AltForm,
-    check_axioms,
-    e_differential,
-    pullback,
-    zero_form,
+from .algebroid import Algebroid, check_axioms, ghost_context, q_images
+from .graded import (
+    GradedContext,
+    GradedPoly,
+    cotangent_context,
+    ghost_name,
+    left_derivation,
+    momentum_name,
 )
-from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
 from .linalg import rank, solve
 from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 DEFAULT_PROBE_SEED = 271828
 _RANDOM_PROBE_COUNT = 5
+
+Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 
 class ConstraintSet:
@@ -44,8 +51,8 @@ class ConstraintSet:
         ctx: GradedContext,
         phis: tuple[GradedPoly, ...],
         data: Algebroid,
-        alpha: AltForm | None = None,
-        magnetic: AltForm | None = None,
+        alpha: Sequence[EvenPoly] | None = None,
+        magnetic: Matrix | None = None,
         degenerate: tuple[int, ...] = (),
         notes: tuple[str, ...] = (),
     ):
@@ -66,52 +73,59 @@ class ConstraintSet:
         return len(self.phis)
 
     @cached_property
-    def structural(self) -> AltForm:
+    def structural(self) -> GradedPoly:
         """d_E alpha - rho^* B, computed on first use; callers must not mutate it."""
         return structural_two_form(self.data, self.alpha, self.magnetic)
 
 
-def twist_of_magnetic(
-    coords: tuple[str, ...], magnetic: AltForm | None
-) -> list[list[EvenPoly]] | None:
-    """Momentum-bracket twist matrix of a magnetic 2-form.
+def twist_of_magnetic(magnetic: Matrix | None) -> list[list[EvenPoly]] | None:
+    """Momentum-bracket twist matrix of a magnetic 2-form B_ij.
 
     The sign is fixed so that for B_12 = b on the plane the constraints
     p_1 and p_2 + b x^1 close: {p_1, p_2} must cancel the derivative term.
     """
-    if magnetic is None or magnetic.is_zero:
+    if magnetic is None or all(f.is_zero for row in magnetic for f in row):
         return None
-    if magnetic.arity != 2:
-        raise ValueError("magnetic term must be a 2-form")
-    n = len(coords)
-    return [[-magnetic.component((i, j)) for j in range(n)] for i in range(n)]
+    return [[-f for f in row] for row in magnetic]
 
 
-def affine_part(data: Algebroid, alpha: AltForm | None) -> AltForm:
-    """The affine 1-form alpha (zero when absent), checked against the frame."""
+def affine_part(
+    coords: tuple[str, ...], rank: int, alpha: Sequence[EvenPoly] | None
+) -> tuple[EvenPoly, ...]:
+    """The components alpha_a (zeros when absent), checked against the frame."""
     if alpha is None:
-        return zero_form(data.coords, 1)
-    if alpha.arity != 1 or alpha.coords != data.coords:
-        raise ValueError("affine part must be a 1-form over the base ring")
-    for key in alpha.components:
-        if key[0] >= data.rank:
-            raise ValueError(
-                f"affine part names frame index {key[0] + 1}, rank is {data.rank}"
-            )
+        return (EvenPoly.zero(coords),) * rank
+    alpha = tuple(alpha)
+    if len(alpha) != rank or any(f.coords != coords for f in alpha):
+        raise ValueError(f"alpha must have {rank} components over the base ring")
     return alpha
+
+
+def affine_charge(
+    data: Algebroid, alpha: Sequence[EvenPoly] | None, ctx: GradedContext
+) -> GradedPoly:
+    """alpha_a xi^a, once alpha is checked against the frame.
+
+    In `ghost_context(data)` this is the E-form of alpha; in the extended
+    phase space it is the affine part of the charge.
+    """
+    affine = ctx.zero()
+    for c, f in enumerate(affine_part(data.coords, data.rank, alpha)):
+        affine = affine + ctx.lift(f) * ctx.var(ghost_name(c + 1))
+    return affine
 
 
 def build_constraints(
     data: Algebroid,
-    alpha: AltForm | None = None,
-    magnetic: AltForm | None = None,
+    alpha: Sequence[EvenPoly] | None = None,
+    magnetic: Matrix | None = None,
 ) -> ConstraintSet:
     """Phi_a = rho_a^i p_i + alpha_a on the (possibly twisted) phase space."""
-    alpha = affine_part(data, alpha)
-    ctx = cotangent_context(data.coords, twist=twist_of_magnetic(data.coords, magnetic))
+    alpha = affine_part(data.coords, data.rank, alpha)
+    ctx = cotangent_context(data.coords, twist=twist_of_magnetic(magnetic))
     phis = []
     for a in range(data.rank):
-        phi = ctx.lift(alpha.component((a,)))
+        phi = ctx.lift(alpha[a])
         for i, name in enumerate(data.coords):
             phi = phi + ctx.lift(data.anchor[a][i]) * ctx.var(momentum_name(name))
         phis.append(phi)
@@ -167,39 +181,56 @@ def decompose_fiber_affine(
 
 
 def structural_two_form(
-    data: Algebroid, alpha: AltForm | None, magnetic: AltForm | None
-) -> AltForm:
-    """The structural 2-form d_E alpha - rho^* B of the constraint brackets."""
-    structural = e_differential(data, affine_part(data, alpha))
-    if magnetic is not None:
-        structural = structural - pullback(data, magnetic)
+    data: Algebroid, alpha: Sequence[EvenPoly] | None, magnetic: Matrix | None
+) -> GradedPoly:
+    """The structural 2-form d_E alpha - rho^* B of the constraint brackets.
+
+    An E-form in `ghost_context(data)`: d_E is Q, and rho^* B is
+    1/2 B_ij Q(x^i) Q(x^j), which is the sum over i < j of B_ij Q(x^i) Q(x^j)
+    since B is antisymmetric.
+    """
+    ctx = ghost_context(data)
+    affine = affine_charge(data, alpha, ctx)
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(data.base_dim), 2)
+        if magnetic is not None and not magnetic[i][j].is_zero
+    ]
+    if affine.is_zero and not pairs:
+        return affine  # no alpha and no B: nothing to differentiate or pull back
+    images = q_images(data, ctx)
+    structural = left_derivation(ctx, images, affine)
+    for i, j in pairs:
+        structural = structural - ctx.lift(magnetic[i][j]) * (
+            images[data.coords[i]] * images[data.coords[j]]
+        )
     return structural
 
 
 def first_class_terms(
-    data: Algebroid, structural: AltForm, ctx: GradedContext
+    data: Algebroid, structural: GradedPoly, ctx: GradedContext
 ) -> Iterator[tuple[tuple[int, int], Exponent, Rat]]:
     """R_ab = (d_E alpha - rho^* B)_ab + R1^i_ab p_i, term by term.
 
     The structural 2-form plus the anchor defect, on frame pairs a < b, with
     exponents in any context whose even coordinates are the positions
-    followed by their momenta.
+    followed by their momenta, as they are in the ghost context.  There the
+    ghost xi_a is the odd letter a - 1, so the word of a structural term is
+    its frame pair.
     """
     n = data.base_dim
     if ctx.even_names != data.coords + tuple(momentum_name(x) for x in data.coords):
         raise ValueError("the context must carry the positions, then their momenta")
-    zero = (0,) * n
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    yield from structural.terms()
     for pair, vector in data.anchor_defect.items():
-        for e, coeff in structural.component(pair).terms.items():
-            yield pair, e + zero, coeff
         for i, f in enumerate(vector):
             for e, coeff in f.terms.items():
                 yield pair, e + units[i], coeff
 
 
 def first_class_residuals(
-    data: Algebroid, structural: AltForm, ctx: GradedContext
+    data: Algebroid, structural: GradedPoly, ctx: GradedContext
 ) -> dict[tuple[int, int], GradedPoly]:
     """The predicted {Phi_a, Phi_b} - C^c_ab Phi_c on frame pairs a < b."""
     items: dict[tuple[int, int], list] = {pair: [] for pair in data.anchor_defect}

@@ -4,7 +4,8 @@ A `GeometryPack` collects the optional geometric fields that enter the
 quadratic Hamiltonian H = 1/2 g^{ij} p_i p_j + beta^i p_i + V: both metrics
 (supplied separately, since polynomial matrices rarely have polynomial
 inverses), the frame connection omega^a_{bi}, the endomorphism tau^a_b, the
-affine 1-form alpha, the magnetic 2-form B and the drift vector beta.
+affine 1-form alpha (its r components), the magnetic 2-form B (an
+antisymmetric n x n matrix) and the drift vector beta.
 
 The central check is invariance of the constraint surface under the flow,
 {H, Phi_a} = gamma^b_a Phi_b with the engine's multiplier convention
@@ -23,14 +24,12 @@ from __future__ import annotations
 from operator import add
 from typing import Sequence
 
-from .algebroid import Algebroid, AltForm, zero_form
-from .constraints import ConstraintSet, twist_of_magnetic
+from .algebroid import Algebroid
+from .constraints import ConstraintSet, Matrix, affine_part, twist_of_magnetic
 from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
 from .linalg import solve
 from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
 from .report import FAIL, PASS, CheckReport
-
-Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 # momentum-order decomposition constants (orders 2, 1, 0), fixed per build
 DECOMPOSITION_SIGNS = (1, 1, -1)
@@ -53,10 +52,12 @@ def _as_cube(
 class GeometryPack:
     """Optional geometric fields over a fixed base ring and frame rank.
 
-    omega[a][b][i] holds omega^a_{bi}; tau[a][b] holds tau^a_b.  Fields with
-    a natural zero default (alpha, tau, potential, magnetic, beta) may simply
-    be omitted; the metrics and connection have no canonical default and the
-    operations that need them say so.  Treated as immutable.
+    omega[a][b][i] holds omega^a_{bi}; tau[a][b] holds tau^a_b; alpha[a]
+    holds alpha_a; magnetic[i][j] holds B_ij.  Each field is checked here,
+    once, against the base ring and the rank.  Fields with a natural zero
+    default (alpha, tau, potential, magnetic, beta) may simply be omitted;
+    the metrics and connection have no canonical default and the operations
+    that need them say so.  Treated as immutable.
     """
 
     def __init__(
@@ -67,9 +68,9 @@ class GeometryPack:
         g_low: Matrix | None = None,
         omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None = None,
         tau: Matrix | None = None,
-        alpha: AltForm | None = None,
+        alpha: Sequence[EvenPoly] | None = None,
         potential: EvenPoly | None = None,
-        magnetic: AltForm | None = None,
+        magnetic: Matrix | None = None,
         beta: tuple[EvenPoly, ...] | None = None,
     ):
         self.coords = tuple(coords)
@@ -78,11 +79,17 @@ class GeometryPack:
         self.g_low = _as_matrix(g_low)
         self.omega = _as_cube(omega)
         self.tau = _as_matrix(tau)
-        self.alpha = alpha
+        self.alpha = None if alpha is None else affine_part(self.coords, rank, alpha)
         self.potential = potential
-        self.magnetic = magnetic
+        self.magnetic = _as_matrix(magnetic)
         self.beta = tuple(beta) if beta is not None else None
         n, r = len(self.coords), self.rank
+        if self.magnetic is not None:
+            self._check_square("magnetic", self.magnetic, n)
+            for i in range(n):
+                for j in range(i, n):
+                    if not (self.magnetic[i][j] + self.magnetic[j][i]).is_zero:
+                        raise ValueError("magnetic: matrix must be antisymmetric")
         for name, metric in (("g_inv", self.g_inv), ("g_low", self.g_low)):
             if metric is None:
                 continue
@@ -111,17 +118,8 @@ class GeometryPack:
             self._check_entries(e for p in self.omega for row in p for e in row)
         if self.tau is not None:
             self._check_square("tau", self.tau, r)
-        if self.alpha is not None:
-            if self.alpha.arity != 1 or self.alpha.coords != self.coords:
-                raise ValueError("alpha must be a 1-form over the base ring")
-            for key in self.alpha.components:
-                if key[0] >= r:
-                    raise ValueError("alpha names a frame index beyond the rank")
         if self.potential is not None and self.potential.coords != self.coords:
             raise ValueError("potential must live in the base ring")
-        if self.magnetic is not None:
-            if self.magnetic.arity != 2 or self.magnetic.coords != self.coords:
-                raise ValueError("magnetic term must be a 2-form over the base ring")
         if self.beta is not None:
             if len(self.beta) != n:
                 raise ValueError("beta must have one component per coordinate")
@@ -139,8 +137,8 @@ class GeometryPack:
 
     # zero defaults for the fields that have one
 
-    def alpha_or_zero(self) -> AltForm:
-        return self.alpha if self.alpha is not None else zero_form(self.coords, 1)
+    def alpha_or_zero(self) -> tuple[EvenPoly, ...]:
+        return affine_part(self.coords, self.rank, self.alpha)
 
     def tau_or_zero(self) -> Matrix:
         if self.tau is not None:
@@ -163,7 +161,7 @@ class GeometryPack:
 
     def phase_context(self) -> GradedContext:
         return cotangent_context(
-            self.coords, twist=twist_of_magnetic(self.coords, self.magnetic)
+            self.coords, twist=twist_of_magnetic(self.magnetic)
         )
 
 
@@ -281,10 +279,10 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     alpha_res: dict[tuple[int, int], EvenPoly] = {}
     for a in range(r):
         for i in range(n):
-            value = alpha.component((a,)).diff(data.coords[i])
+            value = alpha[a].diff(data.coords[i])
             for b in range(r):
                 if not omega[b][a][i].is_zero:
-                    value = value - omega[b][a][i] * alpha.component((b,))
+                    value = value - omega[b][a][i] * alpha[b]
                 if not tau[b][a].is_zero:
                     value = value + tau[b][a] * iota[b][i]
             alpha_res[(a, i)] = value
@@ -294,7 +292,7 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
         value = data.anchor_apply(a, potential)
         for b in range(r):
             if not tau[b][a].is_zero:
-                value = value - tau[b][a] * alpha.component((b,))
+                value = value - tau[b][a] * alpha[b]
         potential_res[a] = value
     return StructuralResiduals(metric, alpha_res, potential_res)
 

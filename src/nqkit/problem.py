@@ -36,12 +36,7 @@ import os
 import re
 from fractions import Fraction
 
-from .algebroid import (
-    Algebroid,
-    algebroid_from_lists,
-    one_form,
-    two_form_from_matrix,
-)
+from .algebroid import Algebroid, algebroid_from_lists
 from .dynamics import GeometryPack
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
@@ -184,20 +179,10 @@ def problem_from_dict(doc: object) -> Problem:
     except ValueError as error:
         raise ProblemError("structure", str(error)) from error
 
-    magnetic = None
-    if "magnetic" in doc:
-        matrix = _expr_matrix(
-            doc["magnetic"], base_dim, base_dim, coords, "magnetic"
-        )
-        try:
-            magnetic = two_form_from_matrix(coords, matrix)
-        except ValueError as error:
-            raise ProblemError("magnetic", str(error)) from error
-    alpha = None
-    if "alpha" in doc:
-        alpha = one_form(
-            coords, _expr_list(doc["alpha"], rank, coords, "alpha")
-        )
+    magnetic = _optional_matrix(doc, "magnetic", base_dim, coords)
+    alpha = (
+        _expr_list(doc["alpha"], rank, coords, "alpha") if "alpha" in doc else None
+    )
     g_inv = _optional_matrix(doc, "metric_inv", base_dim, coords)
     g_low = _optional_matrix(doc, "metric", base_dim, coords)
     omega = _optional_cube(doc, "connection", rank, base_dim, coords)
@@ -228,7 +213,10 @@ def problem_from_dict(doc: object) -> Problem:
     except ProblemError:
         raise
     except ValueError as error:
-        raise ProblemError(_geometry_path(str(error)), str(error)) from error
+        path = _geometry_path(str(error))
+        # a message that already names its field is not prefixed twice
+        message = str(error).removeprefix(f"{path}: ")
+        raise ProblemError(path, message) from error
 
     return Problem(
         data,

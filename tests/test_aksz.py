@@ -19,7 +19,6 @@ from nqkit.aksz import (
     supercharge_context,
     velocity_name,
 )
-from nqkit.algebroid import one_form
 from nqkit.bfv import assemble_bfv, build_charge
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import GradedPoly, ghost_name, transport
@@ -42,7 +41,7 @@ def affine_line_package():
     # connection pollutes the obstruction tensor and the assembly refuses
     data = rank2_line()
     coords, g = ring(["x"])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1), g["x"]])
+    alpha = (EvenPoly.const(coords, 1), g["x"])
     omega = zero_connection(coords, 2)
     omega[0][1][0] = EvenPoly.const(coords, 1)
     pack = GeometryPack(
@@ -61,7 +60,7 @@ def compensated_magnetic_package():
     # defined, so the package carries the potential Hamiltonian only
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
-    alpha = one_form(coords, [EvenPoly.zero(coords), g["x1"]])
+    alpha = (EvenPoly.zero(coords), g["x1"])
     return data, GeometryPack(coords, 2, alpha=alpha, magnetic=magnetic_plane(1))
 
 

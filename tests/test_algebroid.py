@@ -1,4 +1,4 @@
-"""Defect tensors, exterior calculus and the odd derivation Q."""
+"""Defect tensors, the odd derivation Q and the E-forms it differentiates."""
 
 from __future__ import annotations
 
@@ -10,25 +10,28 @@ import pytest
 
 from nqkit.algebroid import (
     Algebroid,
-    AltForm,
     algebroid_from_lists,
     anchor_defect,
     check_axioms,
     cohomology_h1,
-    e_differential,
     ghost_context,
     is_exact_one_form,
     jacobi_defect,
-    one_form,
-    pullback,
     q_images,
-    two_form_from_matrix,
-    zero_form,
 )
+from nqkit.constraints import affine_charge
 from nqkit.graded import ghost_name, left_derivation
 from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
+from tests.reference_forms import (
+    components,
+    de_rham,
+    e_differential,
+    one_form,
+    pullback,
+    q_apply,
+)
 from tests.test_poly import ring
 from tests.test_graded import word_coefficient
 
@@ -67,27 +70,6 @@ def abelian_algebroid(coords, anchor: list[list[EvenPoly]]) -> Algebroid:
     zero = EvenPoly.zero(tuple(coords))
     structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
     return algebroid_from_lists(coords, anchor, structure)
-
-
-def de_rham(coords: tuple[str, ...], form: AltForm) -> AltForm:
-    """Ordinary exterior derivative on base 0- and 1-forms, the reference
-    the frame differential is compared with through the pullback."""
-    n = len(coords)
-    if form.arity == 0:
-        f = form.component(())
-        return AltForm(coords, 1, {(i,): f.diff(coords[i]) for i in range(n)})
-    if form.arity == 1:
-        return AltForm(
-            coords,
-            2,
-            {
-                (i, j): form.component((j,)).diff(coords[i])
-                - form.component((i,)).diff(coords[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-            },
-        )
-    raise ValueError("differential implemented for arities 0 and 1 only")
 
 
 def abelian_r1() -> Algebroid:
@@ -175,38 +157,6 @@ def test_anchor_apply_so3():
         assert data.anchor_apply(a, radius).is_zero
 
 
-def test_altform_component_signs():
-    coords, g = ring(["x1", "x2"])
-    form = AltForm(coords, 2, {(0, 1): g["x1"]})
-    assert form.component((0, 1)) == g["x1"]
-    assert form.component((1, 0)) == -g["x1"]
-    assert form.component((0, 0)).is_zero
-    with pytest.raises(ValueError, match="strictly increasing"):
-        AltForm(coords, 2, {(1, 0): g["x1"]})
-    with pytest.raises(ValueError, match="strictly increasing"):
-        AltForm(coords, 1, {(0, 1): g["x1"]})
-
-
-def test_altform_arithmetic_and_str():
-    coords, g = ring(["x1", "x2"])
-    alpha = one_form(coords, [g["x2"], EvenPoly.zero(coords)])
-    beta = one_form(coords, [g["x2"], g["x1"]])
-    assert (alpha - beta).component((1,)) == -g["x1"]
-    assert (alpha - alpha).is_zero
-    assert (2 * alpha).component((0,)) == 2 * g["x2"]
-    assert str(beta) == "[1] x2; [2] x1"
-    assert str(zero_form(coords, 1)) == "0"
-
-
-def test_two_form_from_matrix_requires_antisymmetry():
-    coords, g = ring(["x1", "x2"])
-    zero = EvenPoly.zero(coords)
-    with pytest.raises(ValueError, match="antisymmetric"):
-        two_form_from_matrix(coords, [[zero, g["x1"]], [g["x1"], zero]])
-    form = two_form_from_matrix(coords, [[zero, g["x1"]], [-g["x1"], zero]])
-    assert form.component((1, 0)) == -g["x1"]
-
-
 # differentials
 
 
@@ -222,51 +172,53 @@ def test_de_rham_squared_is_zero():
     coords, g = ring(["x1", "x2", "x3"])
     rng = random.Random(7)
     for _ in range(20):
-        f = AltForm(coords, 0, {(): random_poly(coords, rng)})
-        assert de_rham(coords, de_rham(coords, f)).is_zero
+        f = {(): random_poly(coords, rng)}
+        assert de_rham(coords, de_rham(coords, f)) == {}
 
 
 def test_frame_differential_squares_to_zero_when_axioms_hold():
     data = so3_action()
+    ctx = ghost_context(data)
     rng = random.Random(11)
     for _ in range(10):
-        f = AltForm(data.coords, 0, {(): random_poly(data.coords, rng)})
-        assert e_differential(data, e_differential(data, f)).is_zero
+        f = random_poly(data.coords, rng)
+        df = q_apply(data, ctx.lift(f))
+        assert components(df, data.coords) == e_differential(data, {(): f})
+        assert q_apply(data, df).is_zero
 
 
 def test_frame_differential_square_detects_defect():
     data = broken_jacobi()
     coords, g = ring(["x"])
-    f = AltForm(coords, 0, {(): g["x"]})
-    square = e_differential(data, e_differential(data, f))
+    square = q_apply(data, q_apply(data, ghost_context(data).lift(g["x"])))
     # the (1,2) component is the anchor defect contracted with df
-    assert square.component((0, 1)) == EvenPoly.const(coords, 1)
-    assert square.component((1, 2)) == -g["x"]
+    assert components(square, coords) == {
+        (0, 1): EvenPoly.const(coords, 1),
+        (1, 2): -g["x"],
+    }
 
 
 def test_pullback_chain_identity():
-    # frame differential after pullback minus pullback after the coordinate
-    # differential equals the anchor defect contracted with the 1-form
+    # the library d_E after the pullback minus the pullback after the
+    # coordinate differential equals the anchor defect contracted with the
+    # 1-form
     rng = random.Random(13)
     for data in (so3_action(), rank2_line(), broken_jacobi()):
+        ctx = ghost_context(data)
         defect = anchor_defect(data)
         for _ in range(5):
-            alpha = one_form(
-                data.coords,
-                [random_poly(data.coords, rng) for _ in range(data.base_dim)],
-            )
-            lhs = e_differential(data, pullback(data, alpha)) - pullback(
-                data, de_rham(data.coords, alpha)
-            )
+            beta = [random_poly(data.coords, rng) for _ in range(data.base_dim)]
+            pulled = pullback(data, one_form(beta))
+            alpha = [pulled.get((a,), data.zero()) for a in range(data.rank)]
+            lhs = components(q_apply(data, affine_charge(data, alpha, ctx)), data.coords)
+            rhs = pullback(data, de_rham(data.coords, one_form(beta)))
             for (a, b), vector in defect.items():
                 expected = sum(
-                    (
-                        vector[i] * alpha.component((i,))
-                        for i in range(data.base_dim)
-                    ),
+                    (vector[i] * beta[i] for i in range(data.base_dim)),
                     data.zero(),
                 )
-                assert lhs.component((a, b)) == expected
+                zero = data.zero()
+                assert lhs.get((a, b), zero) - rhs.get((a, b), zero) == expected
 
 
 # defect tensors on the frozen fixture
@@ -501,25 +453,31 @@ def test_cohomology_flags_degree_growth():
 def test_closed_basis_members_are_closed():
     for factory in (abelian_r1, rank2_line, so3_action):
         data = factory()
+        ctx = ghost_context(data)
         report = cohomology_h1(data, trunc=2)
-        for form in report.closed_basis:
-            assert e_differential(data, form).is_zero
+        for alpha in report.closed_basis:
+            assert len(alpha) == data.rank
+            assert q_apply(data, affine_charge(data, alpha, ctx)).is_zero
+            assert e_differential(data, one_form(alpha)) == {}
 
 
 def test_is_exact_one_form_finds_primitive():
     data = rank2_line()
+    ctx = ghost_context(data)
     coords, g = ring(["x"])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1), g["x"]])
+    alpha = affine_charge(data, [EvenPoly.const(coords, 1), g["x"]], ctx)
     primitive = is_exact_one_form(data, alpha, degree=3)
     assert primitive == g["x"]
-    image = e_differential(data, AltForm(coords, 0, {(): primitive}))
-    assert (image - alpha).is_zero
+    assert q_apply(data, ctx.lift(primitive)) == alpha
 
 
 def test_is_exact_one_form_detects_obstruction():
     data = rank2_line()
+    ctx = ghost_context(data)
     coords, g = ring(["x"])
-    dual = one_form(coords, [EvenPoly.zero(coords), EvenPoly.const(coords, 1)])
+    dual = affine_charge(data, [EvenPoly.zero(coords), EvenPoly.const(coords, 1)], ctx)
     assert is_exact_one_form(data, dual, degree=4) is None
-    outside = one_form(coords, [g["x"], EvenPoly.zero(coords)])
+    outside = affine_charge(data, [g["x"], EvenPoly.zero(coords)], ctx)
     assert is_exact_one_form(data, outside, degree=0) is None
+    with pytest.raises(ValueError, match="1-form in the ghost context"):
+        is_exact_one_form(data, ctx.var(ghost_name(1)) * dual, degree=1)

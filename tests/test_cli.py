@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import sys
 import time
 from collections import Counter
@@ -28,6 +29,7 @@ from nqkit.graded import GradedContext
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
 from tests.conftest import invoke
+from tests.reference_forms import e_differential, one_form
 from tests.test_generated_frames import gen
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -366,6 +368,16 @@ def test_check_malformed_file_names_the_field(tmp_path, monkeypatch):
     result = run("check", "bad.json", "--all")
     assert result.exit_code == 2
     assert "rank" in result.stderr
+    # alpha and magnetic are checked once, in the geometry pack or the reader
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    for field, value, message in (
+        ("magnetic", [["0", "1"], ["1", "0"]], "magnetic: matrix must be antisymmetric"),
+        ("alpha", ["1"], "alpha: must list exactly 2 expressions"),
+    ):
+        Path("bad.json").write_text(json.dumps(dict(doc, **{field: value})))
+        result = run("check", "bad.json", "--all")
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -396,8 +408,9 @@ def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):
 
 
 # `\d` and int() accept any script's decimal digits; the grammar is ASCII.
-# One case per place the loader reads digits from text: the plain-integer
-# fast path, the tokenizer, rational point literals and sparse keys.
+# One case per place digits are read from text: the plain-integer fast
+# path, the tokenizer, rational point literals, sparse keys and the integer
+# options, which take only the file grammar's integer literal.
 @pytest.mark.parametrize(
     "field,value,where,message",
     [
@@ -405,13 +418,33 @@ def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):
         ("anchor", [["x*٣"]], "anchor[1][1]", "position 2: unexpected character '٣'"),
         ("points", [["٣"]], "points[1][1]", "not an exact rational literal: '٣'"),
         ("structure", {"١,1,1": "0"}, "structure['١,1,1']", "sparse keys have the form"),
+        ("--trunc", "٣", None, "'٣' is not a valid integer."),
+        ("--slack", "0_1", None, "'0_1' is not a valid integer."),
+        ("--trunc", " 1", None, "' 1' is not a valid integer."),
     ],
-    ids=["integer-literal", "tokenizer", "rational", "sparse-key"],
+    ids=[
+        "integer-literal",
+        "tokenizer",
+        "rational",
+        "sparse-key",
+        "option",
+        "option-underscore",
+        "option-space",
+    ],
 )
 def test_non_ascii_digits_are_input_errors(tmp_path, field, value, where, message):
     doc = json.loads((CORPUS / "abelian_r1.json").read_text())
-    doc[field] = value
     path = tmp_path / "digits.json"
+    if where is None:  # a command line option
+        path.write_text(json.dumps(doc))
+        result = run("cohomology", str(path), field, value)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.endswith(
+            f"Error: Invalid value for '{field}': {message}\n"
+        )
+        return
+    doc[field] = value
     path.write_text(json.dumps(doc))
     result = run("check", str(path), "--axioms")
     assert result.exit_code == 2
@@ -461,10 +494,11 @@ def test_unwritable_output_is_an_input_error_naming_the_option(
     )
     result = run(*args, str(path))
     assert result.exit_code == 2
-    # what was computed is still reported, before the error
-    assert "wrote" not in result.stdout
+    # refused before any work: nothing is reported or written
+    assert result.stdout == ""
     assert result.stderr == f"input error: {option}: {error}\n"
-    assert result.output.endswith(result.stderr)
+    if target == "missing_dir":
+        assert not path.parent.exists()
 
 
 def test_number_past_the_digit_limit_is_an_input_error(tmp_path):
@@ -526,6 +560,37 @@ def test_cohomology_exactness_query():
     )
     assert result.exit_code == 1
     assert "not closed" in result.output
+
+
+def test_exactness_closedness_matches_the_reference(tmp_path):
+    # the "not closed" line of --is-exact, Q applied to alpha_a xi^a, against
+    # the component formula of the frame differential: the last dual frame
+    # form, exact (so closed) alphas and random alphas
+    rng = random.Random(31)
+    path = tmp_path / "alpha.json"
+    verdicts = Counter()
+    for name in ("abelian_r2", "rank2_line", "shear_pair", "so3_action"):
+        doc = json.loads((CORPUS / f"{name}.json").read_text())
+        data = load_problem(CORPUS / f"{name}.json").data
+        n, r, zero = data.base_dim, data.rank, data.zero()
+
+        def random_poly(degree):
+            exponents = monomial_exponents(n, degree)
+            return EvenPoly(data.coords, {e: rng.randint(-3, 3) for e in exponents})
+
+        alphas = [[zero] * (r - 1) + [EvenPoly.const(data.coords, 1)]]
+        for _ in range(3):
+            exact = e_differential(data, {(): random_poly(2)})
+            alphas.append([exact.get((a,), zero) for a in range(r)])
+            alphas.append([random_poly(1) for _ in range(r)])
+        for alpha in alphas:
+            doc["alpha"] = [str(f) for f in alpha]
+            path.write_text(json.dumps(doc))
+            result = run("cohomology", str(path), "--is-exact")
+            closed = e_differential(data, one_form(alpha)) == {}
+            assert ("not closed" in result.stdout) != closed, (name, doc["alpha"])
+            verdicts[closed] += 1
+    assert verdicts[True] >= 8 and verdicts[False] >= 8
 
 
 def test_cohomology_ghost_zero_window():

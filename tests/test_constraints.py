@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import one_form, two_form_from_matrix
 from nqkit.constraints import (
     ConstraintSet,
     build_constraints,
@@ -45,7 +44,7 @@ def magnetic_plane(b):
     coords, g = ring(["x1", "x2"])
     entry = EvenPoly.const(coords, b)
     zero = EvenPoly.zero(coords)
-    return two_form_from_matrix(coords, [[zero, entry], [-entry, zero]])
+    return ((zero, entry), (-entry, zero))
 
 
 # construction
@@ -66,7 +65,7 @@ def test_build_so3_angular_momenta():
 def test_build_affine_magnetic_plane():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
-    alpha = one_form(coords, [EvenPoly.zero(coords), 3 * g["x1"]])
+    alpha = (EvenPoly.zero(coords), 3 * g["x1"])
     cs = build_constraints(data, alpha=alpha, magnetic=magnetic_plane(3))
     assert cs.phis[0] == cs.ctx.var("p_x1")
     assert cs.phis[1] == cs.ctx.var("p_x2") + 3 * cs.ctx.var("x1")
@@ -86,15 +85,15 @@ def test_build_flags_degenerate_constraints():
 def test_build_rejects_bad_affine_part():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
-    with pytest.raises(ValueError, match="1-form"):
-        build_constraints(data, alpha=magnetic_plane(1))
-    with pytest.raises(ValueError, match="frame index"):
+    _, h = ring(["y"])
+    with pytest.raises(ValueError, match="over the base ring"):
+        build_constraints(data, alpha=[h["y"], h["y"]])
+    with pytest.raises(ValueError, match="alpha must have 2 components"):
         build_constraints(
-            data,
-            alpha=one_form(
-                coords, [EvenPoly.zero(coords)] * 2 + [EvenPoly.const(coords, 1)]
-            ),
+            data, alpha=[EvenPoly.zero(coords)] * 2 + [EvenPoly.const(coords, 1)]
         )
+    with pytest.raises(ValueError, match="twist must be antisymmetric"):
+        build_constraints(data, magnetic=[[g["x1"], g["x1"]], [g["x1"], g["x1"]]])
 
 
 def test_constraint_set_rejects_non_affine_members():
@@ -116,7 +115,7 @@ def test_first_class_so3():
 
 def test_first_class_affine_line():
     coords, g = ring(["x"])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1), g["x"]])
+    alpha = (EvenPoly.const(coords, 1), g["x"])
     report = check_first_class(build_constraints(rank2_line(), alpha=alpha))
     assert report.status == PASS
 
@@ -124,7 +123,7 @@ def test_first_class_affine_line():
 def test_first_class_magnetic_compensation():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
-    alpha = one_form(coords, [EvenPoly.zero(coords), 3 * g["x1"]])
+    alpha = (EvenPoly.zero(coords), 3 * g["x1"])
     closed = check_first_class(
         build_constraints(data, alpha=alpha, magnetic=magnetic_plane(3))
     )

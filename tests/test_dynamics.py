@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import one_form
 from nqkit.constraints import build_constraints, check_first_class
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
@@ -93,12 +92,17 @@ def test_pack_rejects_bad_shapes():
     zero = EvenPoly.zero(coords)
     with pytest.raises(ValueError, match="rank x rank x base_dim"):
         GeometryPack(coords, 2, omega=[[[zero, zero]]])
-    with pytest.raises(ValueError, match="frame index"):
-        GeometryPack(
-            coords,
-            1,
-            alpha=one_form(coords, [zero, EvenPoly.const(coords, 1)]),
-        )
+    with pytest.raises(ValueError, match="alpha must have 1 components"):
+        GeometryPack(coords, 1, alpha=[zero, EvenPoly.const(coords, 1)])
+    _, h = ring(["y"])
+    with pytest.raises(ValueError, match="over the base ring"):
+        GeometryPack(coords, 1, alpha=[h["y"]])
+    with pytest.raises(ValueError, match="magnetic must be 2 x 2"):
+        GeometryPack(coords, 1, magnetic=[[zero, zero]])
+    with pytest.raises(ValueError, match="magnetic: matrix must be antisymmetric"):
+        GeometryPack(coords, 1, magnetic=[[zero, g["x1"]], [g["x1"], zero]])
+    with pytest.raises(ValueError, match="magnetic: matrix must be antisymmetric"):
+        GeometryPack(coords, 1, magnetic=[[g["x1"], zero], [zero, zero]])
     with pytest.raises(ValueError, match="one component per coordinate"):
         GeometryPack(coords, 1, beta=(zero,))
 
@@ -186,7 +190,7 @@ def test_evolution_magnetic_regression():
     # frozen residual (p_2, 0) for unit twist with compensating affine part
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
-    alpha = one_form(coords, [EvenPoly.zero(coords), g["x1"]])
+    alpha = (EvenPoly.zero(coords), g["x1"])
     pack = flat_pack(coords, 2, alpha=alpha, magnetic=magnetic_plane(1))
     cs = build_constraints(data, alpha=alpha, magnetic=pack.magnetic)
     assert check_first_class(cs).status == PASS
@@ -203,7 +207,7 @@ def test_evolution_with_nontrivial_connection_passes():
     # once the connection pairs the second frame direction with the first
     data = rank2_line()
     coords, g = ring(["x"])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1), g["x"]])
+    alpha = (EvenPoly.const(coords, 1), g["x"])
     omega = zero_connection(coords, 2)
     omega[0][1][0] = EvenPoly.const(coords, 1)
     pack = GeometryPack(
@@ -227,7 +231,7 @@ def test_evolution_endomorphism_residual_matches_both_routes():
     # tau alone: the bracket residual and the index formulas agree exactly
     coords, g = ring(["x"])
     data = abelian_algebroid(coords, [[EvenPoly.const(coords, 1)]])
-    alpha = one_form(coords, [EvenPoly.const(coords, 1)])
+    alpha = (EvenPoly.const(coords, 1),)
     pack = flat_pack(
         coords, 1, alpha=alpha, tau=[[EvenPoly.const(coords, 3)]]
     )
@@ -335,7 +339,7 @@ def test_structural_anchorless_potential_family():
         [EvenPoly.const(coords, 1 if i == j else 0) for j in range(3)]
         for i in range(3)
     ]
-    alpha = one_form(coords, [g["x"], zero, zero])
+    alpha = (g["x"], zero, zero)
     pack = GeometryPack(
         coords,
         3,
@@ -385,9 +389,9 @@ def structural_residuals_by_triple_products(data, pack):
     alpha_res = {}
     for a in range(r):
         for i in range(n):
-            value = alpha.component((a,)).diff(coords[i])
+            value = alpha[a].diff(coords[i])
             for b in range(r):
-                value = value - omega[b][a][i] * alpha.component((b,))
+                value = value - omega[b][a][i] * alpha[b]
                 for j in range(n):
                     value = value + tau[b][a] * g_low[i][j] * data.anchor[b][j]
             alpha_res[(a, i)] = value
@@ -395,7 +399,7 @@ def structural_residuals_by_triple_products(data, pack):
     for a in range(r):
         value = along(a, potential)
         for b in range(r):
-            value = value - tau[b][a] * alpha.component((b,))
+            value = value - tau[b][a] * alpha[b]
         potential_res[a] = value
     return StructuralResiduals(metric, alpha_res, potential_res)
 
@@ -471,7 +475,7 @@ def random_pack(rng, data):
         g_low=g_low,
         omega=[[[sparse() for _ in range(n)] for _ in range(r)] for _ in range(r)],
         tau=[[sparse() for _ in range(r)] for _ in range(r)],
-        alpha=one_form(coords, [random_poly(coords, rng, 2) for _ in range(r)]),
+        alpha=[random_poly(coords, rng, 2) for _ in range(r)],
         potential=random_poly(coords, rng, 2),
     )
 

@@ -65,7 +65,7 @@ def test_full_document_loads():
     problem = problem_from_dict(doc)
     coords, g = ring(["x"])
     assert problem.pack.tau[0][0] == EvenPoly.const(coords, 3)
-    assert problem.pack.alpha.components[(0,)] == g["x"]
+    assert problem.pack.alpha == (g["x"],)
     assert problem.points == ((Fraction(2),), (Fraction(-1, 3),))
     assert problem.truncation == Truncation(x_degree=4, p_degree=1, slack=1)
 
@@ -260,6 +260,7 @@ def test_magnetic_antisymmetry_checked():
     with pytest.raises(ProblemError, match="antisymmetric") as err:
         problem_from_dict(doc)
     assert path_of(err) == "magnetic"
+    assert str(err.value) == "magnetic: matrix must be antisymmetric"
 
 
 def test_points_validation():

@@ -20,7 +20,7 @@ from nqkit.aksz import (
     build_supercharge,
     expand_bv,
 )
-from nqkit.algebroid import Algebroid, AltForm, CohomologyReport, one_form
+from nqkit.algebroid import Algebroid, CohomologyReport
 from nqkit.bfv import BFVPackage, Charge, H0Report, assemble_bfv, build_charge
 from nqkit.constraints import (
     ConstraintSet,
@@ -52,7 +52,7 @@ def _material() -> dict:
         "data": data,
         "coords": coords,
         "x": x,
-        "form": one_form(coords, [x]),
+        "form": (x,),
         "pack": pack,
         "constraints": constraints,
         "charge": charge,
@@ -85,11 +85,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "Algebroid": (
             Algebroid,
             {"coords": coords, "anchor": ((x,),), "structure": (((zero,),),)},
-            {},
-        ),
-        "AltForm": (
-            AltForm,
-            {"coords": coords, "arity": 1, "components": {(0,): x}},
             {},
         ),
         "CohomologyReport": (
@@ -153,7 +148,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "tau": ((x,),),
                 "alpha": m["form"],
                 "potential": x * x,
-                "magnetic": AltForm(coords, 2, {}),
+                "magnetic": ((zero,),),
                 "beta": (x + one,),
             },
             {
@@ -262,7 +257,6 @@ RECORDS = (
     "_Token",
     "CheckReport",
     "Algebroid",
-    "AltForm",
     "CohomologyReport",
     "ConstraintSet",
     "ExtractionResult",

@@ -4,9 +4,9 @@ Every window column is a derivation applied to one monomial: Q, from
 `q_images`, on 1-cochains (h^1) and on functions (d0, the exactness
 query), and (S, .), from `hamiltonian_field`, on the ghost-zero window.
 The references kept here are the earlier routes: the frame differential
-`e_differential` of a one-monomial form, the bracket written out pair by
-pair, and one shifted `EvenPoly` per equation pair for the connection
-solve.  Columns are compared as exact dicts.  The only relabelling is
+`e_differential` of a one-monomial form (from `tests.reference_forms`), the
+bracket written out pair by pair, and one shifted `EvenPoly` per equation
+pair for the connection solve.  Columns are compared as exact dicts.  The only relabelling is
 that the Q columns live in the ghost context, so their exponents carry a
 momentum half, which must be zero.
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import AltForm, _q_columns, e_differential
+from nqkit.algebroid import _q_columns
 from nqkit.bfv import _balanced_words, _bracket_columns, build_S, charge_context
 from nqkit.cli import _connection_unknowns
 from nqkit.dynamics import _connection_columns, _lowered_anchor
@@ -26,6 +26,7 @@ from nqkit.graded import GradedPoly
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
 
+from tests.reference_forms import e_differential
 from tests.test_graded import pair_loop_poisson
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -36,18 +37,14 @@ def corpus_problem(name: str):
     return load_problem(CORPUS / f"{name}.json")
 
 
-def form_column(form: AltForm) -> dict:
-    return {
-        (key, e): coeff
-        for key, value in form.components.items()
-        for e, coeff in value.terms.items()
-    }
-
-
 def differential_column(data, key: tuple[int, ...], exponent) -> dict:
     """e_differential of the form whose only component, at `key`, is x^exponent."""
     monomial = EvenPoly(data.coords, {exponent: Fraction(1)})
-    return form_column(e_differential(data, AltForm(data.coords, len(key), {key: monomial})))
+    return {
+        (indices, e): coeff
+        for indices, value in e_differential(data, {key: monomial}).items()
+        for e, coeff in value.terms.items()
+    }
 
 
 def without_momenta(column: dict, n: int) -> dict:
