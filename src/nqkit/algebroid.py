@@ -123,6 +123,19 @@ class Algebroid:
         return EvenPoly.zero(self.coords)
 
     @cached_property
+    def nonzero_structure(self) -> dict[tuple[int, int], list[tuple[int, EvenPoly]]]:
+        """The nonzero C^c_ab, indexed on first use; callers must not mutate it."""
+        return _nonzero_structure(self)
+
+    @cached_property
+    def _ghost_context(self) -> GradedContext:
+        return extended_context(self.coords, self.rank)
+
+    @cached_property
+    def _ghost_images(self) -> dict[str, GradedPoly]:
+        return _build_q_images(self, self._ghost_context)
+
+    @cached_property
     def anchor_defect(self) -> dict[tuple[int, int], list[EvenPoly]]:
         """R1 of this frame, computed on first use; callers must not mutate it."""
         return anchor_defect(self)
@@ -163,7 +176,7 @@ def _nonzero_structure(
 
 def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
     """R1 on frame pairs a < b, as a base-indexed component vector."""
-    nonzero = _nonzero_structure(data)
+    nonzero = data.nonzero_structure
     out: dict[tuple[int, int], list[EvenPoly]] = {}
     for a, b in combinations(range(data.rank), 2):
         vector = []
@@ -191,7 +204,7 @@ def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
     where (p, s, q) is one and the antisymmetry of C flips the sign.
     """
     r = data.rank
-    nonzero = _nonzero_structure(data)
+    nonzero = data.nonzero_structure
     totals: dict[tuple[int, int, int, int], EvenPoly] = {}
 
     def add(p: int, q: int, s: int, d: int, value: EvenPoly) -> None:
@@ -223,17 +236,27 @@ def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
 
 
 def ghost_context(data: Algebroid) -> GradedContext:
-    return extended_context(data.coords, data.rank)
+    """The extended context of the frame, one object per `Algebroid`."""
+    return data._ghost_context
 
 
 def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     """Q(x^i) = rho_a^i xi^a and Q(xi^c) = -1/2 C^c_ab xi^a xi^b.
 
-    The only definition of Q: the axiom check squares it, and the charge S
-    of the ghost layer is its Hamiltonian lift.  Since C^c_ab and xi^a xi^b
-    are both antisymmetric in (a, b), which `Algebroid` enforces,
-    Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b.  Zero entries are skipped.
+    The only definition of Q: the axiom check squares it, the windows and
+    the structural 2-form apply it, and the charge S of the ghost layer is
+    its Hamiltonian lift.  The table of `ghost_context(data)` is built once
+    per frame and shared; callers must not mutate it.
     """
+    if ctx is data._ghost_context:
+        return data._ghost_images
+    return _build_q_images(data, ctx)
+
+
+def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
+    # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), which
+    # `Algebroid` enforces, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b,
+    # over the nonzero entries only
     ghosts = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
     images: dict[str, GradedPoly] = {}
     for i, name in enumerate(data.coords):
@@ -242,13 +265,13 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
             if not data.anchor[a][i].is_zero:
                 value = value + ctx.lift(data.anchor[a][i]) * ghosts[a]
         images[name] = value
-    for c in range(data.rank):
-        value = ctx.zero()
-        for a, b in combinations(range(data.rank), 2):
-            if not data.structure[c][a][b].is_zero:
-                value = value - ctx.lift(data.structure[c][a][b]) * (
-                    ghosts[a] * ghosts[b]
-                )
+    structure = [ctx.zero() for _ in range(data.rank)]
+    for (a, b), entries in data.nonzero_structure.items():
+        if a < b:
+            pair = ghosts[a] * ghosts[b]
+            for c, f in entries:
+                structure[c] = structure[c] - ctx.lift(f) * pair
+    for c, value in enumerate(structure):
         images[ghost_name(c + 1)] = value
     return images
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .algebroid import Algebroid, q_images
+from .algebroid import Algebroid, ghost_context, q_images
 from .constraints import (
     ConstraintSet,
     Matrix,
@@ -44,7 +44,11 @@ CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 
 
 def charge_context(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
-    return extended_context(data.coords, data.rank, twist_of_magnetic(magnetic))
+    """The extended context of the charge; without a twist, the ghost context."""
+    twist = twist_of_magnetic(magnetic)
+    if twist is None:
+        return ghost_context(data)  # so the charge shares its table of Q
+    return extended_context(data.coords, data.rank, twist)
 
 
 def build_S(

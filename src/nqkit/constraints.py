@@ -251,9 +251,8 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     residuals: list[tuple[str, str]] = []
     for (a, b), expected in predicted.items():
         R = ctx.poisson(cs.phis[a], cs.phis[b])
-        for c in range(data.rank):
-            if not data.structure[c][a][b].is_zero:
-                R = R - ctx.lift(data.structure[c][a][b]) * cs.phis[c]
+        for c, f in data.nonzero_structure.get((a, b), ()):
+            R = R - ctx.lift(f) * cs.phis[c]
         if R != expected:
             raise RuntimeError("internal dual-route mismatch in the constraint bracket")
         if not R.is_zero:

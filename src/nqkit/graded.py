@@ -75,6 +75,17 @@ class GradedContext:
         self.pairs_even = tuple((p, x) for p, x in pairs_even)
         self.pairs_odd = tuple((xi, pi) for xi, pi in pairs_odd)
         self._validate_pairs()
+        # where the sweep of `hamiltonian_field` writes each derivative:
+        # d/dp_i on x^i, -d/dx^i on p_i, and d/dxi^a and d/dpi_a, with the
+        # sign -(-1)^|word| of the bracket formula, on pi_a and xi^a
+        self._field_even: list = [None] * len(even)
+        self._field_odd: list = [None] * len(odd)
+        for p, x in self.pairs_even:
+            self._field_even[self.even_index[p]] = (x, 1)
+            self._field_even[self.even_index[x]] = (p, -1)
+        for xi, pi in self.pairs_odd:
+            self._field_odd[self.odd_index[xi]] = (pi, (-1, 1))
+            self._field_odd[self.odd_index[pi]] = (xi, (-1, 1))
         self.twist_closed = True
         self.twist = self._validate_twist(twist)
 
@@ -204,38 +215,25 @@ class GradedContext:
 
         (F, G) = sum over names of field[name] * dG/dname, with left
         derivatives; only coordinates with a nonzero image appear.  This is
-        the one copy of the bracket formula in the module docstring.
+        the one copy of the bracket formula in the module docstring, made in
+        one pass over the terms of F; the twist then reuses the images of the
+        positions, which are the dF/dp_i.
         """
         if F.ctx != self:
             raise ValueError("bracket arguments belong to a different context")
-        field: dict[str, GradedPoly] = {}
-
-        def accumulate(name: str, value: GradedPoly) -> None:
-            if not value.is_zero:
-                field[name] = field[name] + value if name in field else value
-
-        momenta = [p for p, _ in self.pairs_even]
-        for parity in (0, 1):
-            Fp = F.parity_part(parity)
-            if Fp.is_zero:
-                continue
-            odd_sign = 1 if parity else -1  # -(-1)^|F|
-            dF_momenta = [Fp.left_deriv(p) for p in momenta]
-            for dFp, (p_name, x_name) in zip(dF_momenta, self.pairs_even):
-                accumulate(x_name, dFp)
-                accumulate(p_name, -Fp.left_deriv(x_name))
-            for xi_name, pi_name in self.pairs_odd:
-                accumulate(pi_name, Fp.left_deriv(xi_name) * odd_sign)
-                accumulate(xi_name, Fp.left_deriv(pi_name) * odd_sign)
-            if self.twist is not None:
-                for i in range(len(momenta)):
-                    for j in range(i + 1, len(momenta)):
-                        w = self.twist[i][j]
-                        if w.is_zero:
-                            continue
-                        accumulate(momenta[j], dF_momenta[i] * w)
-                        accumulate(momenta[i], -(dF_momenta[j] * w))
-        return {name: value for name, value in field.items() if not value.is_zero}
+        field: dict[str, dict[OddWord, Terms]] = {}
+        _sweep(F, self._field_even, self._field_odd, field)
+        if self.twist is not None:
+            # {p_i, p_j} = W_ij: field[p_j] gains dF/dp_i W_ij = field[x^i] W_ij
+            for i, (_, x_i) in enumerate(self.pairs_even):
+                for j, (p_j, _) in enumerate(self.pairs_even):
+                    w = self.twist[i][j].terms
+                    if w and x_i in field:
+                        out = field.setdefault(p_j, {})
+                        for word, terms in field[x_i].items():
+                            accumulate_product(out.setdefault(word, {}), terms, w)
+        images = {name: _from_buckets(self, field[name]) for name in field}
+        return {name: image for name, image in images.items() if not image.is_zero}
 
     def poisson(self, F: GradedPoly, G: GradedPoly) -> GradedPoly:
         """Graded Poisson bracket {F, G} in this context's conventions."""
@@ -315,7 +313,8 @@ class GradedPoly:
         elif other.ctx != self.ctx:
             raise ValueError("operands belong to different graded contexts")
         buckets: dict[OddWord, Terms] = {}
-        _accumulate_product(buckets, self.parts, other.parts)
+        right = {word: f.terms for word, f in other.parts.items()}
+        _accumulate_product(buckets, self.parts, right)
         return _from_buckets(self.ctx, buckets)
 
     def __rmul__(self, other: EvenPoly | Scalar) -> GradedPoly:
@@ -334,12 +333,6 @@ class GradedPoly:
         return result
 
     # structure
-
-    def parity_part(self, parity: int) -> GradedPoly:
-        return GradedPoly._trusted(
-            self.ctx,
-            {w: f for w, f in self.parts.items() if len(w) % 2 == parity},
-        )
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous element; the zero element counts as even."""
@@ -489,9 +482,9 @@ def _zero_even(ctx: GradedContext) -> EvenPoly:
 def _accumulate_product(
     buckets: dict[OddWord, Terms],
     left: Mapping[OddWord, EvenPoly],
-    right: Mapping[OddWord, EvenPoly],
+    right: Mapping[OddWord, Terms],
 ) -> None:
-    """Add the product of two parts mappings to per-word term buckets.
+    """Add the product of a parts mapping and per-word terms to term buckets.
 
     Each word pair contributes its even product straight into the bucket of
     the merged word, with the Koszul sign of the merge; cancelled terms stay
@@ -499,14 +492,14 @@ def _accumulate_product(
     """
     for w1, f1 in left.items():
         left_terms = f1.terms
-        for w2, f2 in right.items():
+        for w2, right_terms in right.items():
             merged, sign = merge_words(w1, w2)
             if merged is None:
                 continue
             bucket = buckets.get(merged)
             if bucket is None:
                 bucket = buckets[merged] = {}
-            accumulate_product(bucket, left_terms, f2.terms, sign)
+            accumulate_product(bucket, left_terms, right_terms, sign)
 
 
 def _from_buckets(ctx: GradedContext, buckets: dict[OddWord, Terms]) -> GradedPoly:
@@ -564,14 +557,66 @@ def left_derivation(
     """Apply the left derivation D with D(z^A) = images[A] to G.
 
     D(G) = sum_A images[A] * dG/dz^A with left derivatives; coordinates not in
-    `images` are annihilated.
+    `images` are annihilated.  One pass over the terms of G gives every
+    derivative the images need, as bare term buckets.
     """
     if any(f.ctx != ctx for f in (G, *images.values())):
         raise ValueError("operands belong to different graded contexts")
+    even: list[tuple[str, int] | None] = [None] * len(ctx.even_names)
+    odd: list[tuple[str, tuple[int, int]] | None] = [None] * len(ctx.odd_names)
+    for name in images:
+        k = ctx.even_index.get(name)
+        if k is not None:
+            even[k] = (name, 1)
+        else:
+            odd[ctx.odd_index[name]] = (name, (1, 1))
+    partials: dict[str, dict[OddWord, Terms]] = {}
+    _sweep(G, even, odd, partials)
     buckets: dict[OddWord, Terms] = {}
     for name, image in images.items():
-        _accumulate_product(buckets, image.parts, G.left_deriv(name).parts)
+        if name in partials:
+            _accumulate_product(buckets, image.parts, partials[name])
     return _from_buckets(ctx, buckets)
+
+
+def _sweep(
+    F: GradedPoly,
+    even: Sequence[tuple[str, int] | None],
+    odd: Sequence[tuple[str, tuple[int, int]] | None],
+    out: dict[str, dict[OddWord, Terms]],
+) -> None:
+    """Write left derivatives of F into `out[name][word]`, in one pass over F.
+
+    even[k] = (name, scale) sends the derivative in the k-th even
+    coordinate, times scale, to `name`; odd[a] = (name, scales) sends the
+    derivative in letter a, times (-1)^position of the letter in the word
+    and scales[|word| % 2], to `name`.  Each name takes the derivative in
+    one coordinate, which maps distinct terms to distinct terms, so every
+    entry is written once.  An odd derivative of positive sign shares the
+    term dict of F: the buckets are read only, or copied when wrapped.
+    """
+    slots = [(k, *target) for k, target in enumerate(even) if target is not None]
+    for word, f in F.parts.items():
+        terms = f.terms
+        for k, name, scale in slots:
+            bucket = None
+            for e, c in terms.items():
+                power = e[k]
+                if power:
+                    if bucket is None:
+                        bucket = out.setdefault(name, {})[word] = {}
+                    bucket[e[:k] + (power - 1,) + e[k + 1 :]] = c * (power * scale)
+        parity = len(word) % 2
+        for position, letter in enumerate(word):
+            target = odd[letter]
+            if target is None:
+                continue
+            name, scales = target
+            scale = -scales[parity] if position % 2 else scales[parity]
+            reduced = word[:position] + word[position + 1 :]
+            out.setdefault(name, {})[reduced] = (
+                terms if scale > 0 else {e: -c for e, c in terms.items()}
+            )
 
 
 def field_column(

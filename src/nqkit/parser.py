@@ -12,8 +12,13 @@ INT is a run of ASCII digits and NAME is `[A-Za-z_][A-Za-z_0-9]*`.
 Multiplication is always explicit (`2*x`, never `2x`).  `/` forms exact
 rational constants and is allowed only between two integer literals.
 Exponents are nonnegative integer literals of at most `MAX_EXPONENT`, and
-parentheses and unary signs nest at most `MAX_NESTING` deep, so hostile
-input fails fast instead of expanding for minutes or exhausting the stack.
+parentheses and unary signs nest at most `MAX_NESTING` deep.  Before a
+product or a power is expanded, its number of terms is bounded: by the
+product of the factors' term counts (for a power, the number of monomials
+of its degree in the base's terms) and by the number of monomials of the
+result's total degree in the ring's coordinates.  A bound past `MAX_TERMS`
+is refused at the operator.  So hostile input fails fast instead of
+expanding for minutes or exhausting the stack.
 Floats do not exist in this language; a `.` anywhere is a tokenizer error.
 Every error carries the offending position.
 """
@@ -22,11 +27,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .poly import EvenPoly, Rat
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
+# far above every expression of the corpus, the tests and the benchmark
+# (at most 4 terms), and low enough that no single product near it takes a
+# noticeable time to expand
+MAX_TERMS = 2000
 
 
 class ParseError(ValueError):
@@ -121,8 +131,13 @@ class _Parser:
         result = self.unary()
         while True:
             if self.at_op("*"):
-                self.advance()
-                result = result * self.unary()
+                op = self.advance()
+                factor = self.unary()
+                count = len(result.terms) * len(factor.terms)
+                if count > MAX_TERMS:
+                    degree = result.total_degree() + factor.total_degree()
+                    self.budget(op, "product", count, degree)
+                result = result * factor
             elif self.at_op("/"):
                 # rational literals are consumed whole inside atom()
                 raise ParseError(
@@ -153,7 +168,7 @@ class _Parser:
     def power(self) -> EvenPoly:
         base = self.atom()
         if self.at_op("^"):
-            self.advance()
+            op = self.advance()
             exponent = self.peek()
             if exponent.kind != "int":
                 raise ParseError(
@@ -165,8 +180,28 @@ class _Parser:
                 raise ParseError(
                     exponent.position, f"exponent larger than {MAX_EXPONENT}"
                 )
+            # monomials of degree `power` in the base's terms
+            count = comb(len(base.terms) + power - 1, power) if base.terms else 0
+            if count > MAX_TERMS:
+                self.budget(op, "power", count, power * base.total_degree())
             return base ** power
         return base
+
+    def budget(self, op: _Token, what: str, count: int, degree: int) -> None:
+        """Refuse a product or power past `MAX_TERMS` terms by both bounds.
+
+        `count` bounds the terms by the factors' terms; the monomials of at
+        most the result's total degree in the ring's coordinates bound them
+        too.
+        """
+        n = len(self.coords)
+        bound = min(count, comb(n + degree, n))
+        if bound > MAX_TERMS:
+            raise ParseError(
+                op.position,
+                f"the {what} may have {bound} terms, "
+                f"more than the budget of {MAX_TERMS}",
+            )
 
     def atom(self) -> EvenPoly:
         token = self.advance()

@@ -266,6 +266,43 @@ def test_defect_tensors_computed_once_per_invocation(
     assert counts == {label: 1 for label in brackets}
 
 
+@pytest.mark.parametrize(
+    "args,builds",
+    [
+        (["check", corpus_path("so3_action"), "--all"], 1),
+        (["check", corpus_path("rank2_line_affine"), "--all"], 1),
+        (["cohomology", corpus_path("rank2_line_affine"), "--is-exact"], 1),
+        (["cohomology", corpus_path("so3_action"), "--trunc", "2"], 1),
+        # the magnetic twist gives the charge a context of its own
+        (["check", corpus_path("abelian_r2_magnetic"), "--all"], 2),
+    ],
+    ids=["check_all", "check_all_affine", "is_exact", "h1_window", "check_all_twisted"],
+)
+def test_q_images_built_once_per_context(monkeypatch, args, builds):
+    # the axiom check, the structural 2-form, the windows, the closedness
+    # test and the untwisted charge share the ghost context's table of Q;
+    # it and the defect tensors read one index of the nonzero C^c_ab
+    built, indexed = [], []
+    build_images = nqkit.algebroid._build_q_images
+    build_index = nqkit.algebroid._nonzero_structure
+
+    def counted_images(data, ctx):
+        built.append(ctx)
+        return build_images(data, ctx)
+
+    def counted_index(data):
+        indexed.append(data)
+        return build_index(data)
+
+    monkeypatch.setattr(nqkit.algebroid, "_build_q_images", counted_images)
+    monkeypatch.setattr(nqkit.algebroid, "_nonzero_structure", counted_index)
+    result = run(*args)
+    assert result.exit_code == 0, result.output
+    assert len(built) == builds
+    assert len({id(ctx) for ctx in built}) == builds
+    assert len(indexed) == 1
+
+
 def test_stored_coefficients_are_nonzero_ints_or_fractions(tmp_path, monkeypatch):
     # every polynomial the verbs build passes through the filtering
     # constructor or the trusted one; either way it may store only nonzero
@@ -405,6 +442,29 @@ def test_hostile_entry_fails_fast_with_its_field_path(tmp_path, entry, message):
     assert result.exit_code == 2
     assert "input error: anchor[1][1]: " in result.stderr
     assert message in result.stderr
+
+
+@pytest.mark.parametrize(
+    "coords,entry,message",
+    [
+        # C(70, 6) terms: no answer in 30 s before the term budget
+        ("abcdef", "(a+b+c+d+e+f+1)^64", "position 15: the power may have 131115985"),
+        # 7.7 s before the term budget
+        ("abc", "*".join(["(a+b+c+1)^12"] * 4), "position 12: the product may have 2925"),
+    ],
+    ids=["power", "product"],
+)
+def test_expansion_bomb_fails_fast_with_its_field_path(tmp_path, coords, entry, message):
+    doc = {"base_dim": len(coords), "rank": 1, "coords": list(coords)}
+    doc["anchor"] = [[entry] + ["0"] * (len(coords) - 1)]
+    path = tmp_path / "bomb.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = run("check", str(path), "--axioms")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"input error: anchor[1][1]: {message} terms")
+    assert "Traceback" not in result.output
 
 
 # `\d` and int() accept any script's decimal digits; the grammar is ASCII.

@@ -28,6 +28,7 @@ def random_graded(
     ctx: GradedContext,
     parity: int | None = None,
     max_terms: int = 3,
+    integral: bool = False,
 ) -> GradedPoly:
     n_odd = len(ctx.odd_names)
     items = []
@@ -39,7 +40,10 @@ def random_graded(
             size = rng.choice([s for s in range(max_size + 1) if s % 2 == parity])
         word = tuple(sorted(rng.sample(range(n_odd), size)))
         exponent = tuple(rng.randint(0, 2) for _ in ctx.even_names)
-        coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if integral:
+            coeff = rng.randint(-3, 3)
+        else:
+            coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         items.append((word, exponent, coeff))
     return GradedPoly.from_terms(ctx, items)
 
@@ -59,6 +63,74 @@ def twisted_extended_three():
     return extended_context(["x1", "x2", "x3"], rank=2, twist=twist)
 
 
+def closed_twist_three():
+    # d(x1 x3 dx1 dx2 + (x1 x2 + 1) dx1 dx3) = (x1 - x1) dx1 dx2 dx3 = 0
+    coords, g = ring(["x1", "x2", "x3"])
+    zero = EvenPoly.zero(coords)
+    w12, w13 = g["x1"] * g["x3"], g["x1"] * g["x2"] + 1
+    twist = [[zero, w12, w13], [-w12, zero, zero], [-w13, zero, zero]]
+    return extended_context(["x1", "x2", "x3"], rank=2, twist=twist)
+
+
+def parity_part(F: GradedPoly, parity: int) -> GradedPoly:
+    """The terms of F whose odd word has the given parity."""
+    return GradedPoly(F.ctx, {w: f for w, f in F.parts.items() if len(w) % 2 == parity})
+
+
+def per_coordinate_field(ctx: GradedContext, F: GradedPoly) -> dict[str, GradedPoly]:
+    """`hamiltonian_field` with one left derivative of F per coordinate.
+
+    This was the engine's field before the one-pass sweep; it stays here as
+    the reference.
+    """
+    field: dict[str, GradedPoly] = {}
+
+    def accumulate(name: str, value: GradedPoly) -> None:
+        if not value.is_zero:
+            field[name] = field[name] + value if name in field else value
+
+    momenta = [p for p, _ in ctx.pairs_even]
+    for parity in (0, 1):
+        Fp = parity_part(F, parity)
+        if Fp.is_zero:
+            continue
+        odd_sign = 1 if parity else -1  # -(-1)^|F|
+        dF_momenta = [Fp.left_deriv(p) for p in momenta]
+        for dFp, (p_name, x_name) in zip(dF_momenta, ctx.pairs_even):
+            accumulate(x_name, dFp)
+            accumulate(p_name, -Fp.left_deriv(x_name))
+        for xi_name, pi_name in ctx.pairs_odd:
+            accumulate(pi_name, Fp.left_deriv(xi_name) * odd_sign)
+            accumulate(xi_name, Fp.left_deriv(pi_name) * odd_sign)
+        if ctx.twist is not None:
+            for i in range(len(momenta)):
+                for j in range(i + 1, len(momenta)):
+                    w = ctx.twist[i][j]
+                    accumulate(momenta[j], dF_momenta[i] * w)
+                    accumulate(momenta[i], -(dF_momenta[j] * w))
+    return {name: value for name, value in field.items() if not value.is_zero}
+
+
+def per_coordinate_derivation(
+    ctx: GradedContext, images: dict[str, GradedPoly], G: GradedPoly
+) -> GradedPoly:
+    """`left_derivation` with one left derivative of G per image."""
+    result = ctx.zero()
+    for name, image in images.items():
+        result = result + image * G.left_deriv(name)
+    return result
+
+
+def assert_integer_first(F: GradedPoly, integral: bool) -> None:
+    """No zero, float or bool is stored, and only ints from int inputs."""
+    for f in F.parts.values():
+        assert f.terms
+        for c in f.terms.values():
+            assert type(c) in (int, Fraction) and c
+            if integral:
+                assert type(c) is int
+
+
 def pair_loop_poisson(ctx: GradedContext, F: GradedPoly, G: GradedPoly) -> GradedPoly:
     """The bracket formula of the module docstring, written out pair by pair.
 
@@ -67,7 +139,7 @@ def pair_loop_poisson(ctx: GradedContext, F: GradedPoly, G: GradedPoly) -> Grade
     """
     result = ctx.zero()
     for parity in (0, 1):
-        Fp = F.parity_part(parity)
+        Fp = parity_part(F, parity)
         if Fp.is_zero:
             continue
         odd_sign = 1 if parity else -1  # -(-1)^|F|
@@ -212,18 +284,73 @@ CONTEXTS = [
     lambda: extended_context(["x1", "x2"], 2),
     twisted_extended,
     twisted_extended_three,
+    closed_twist_three,
 ]
+
+
+def test_twist_closedness_of_the_contexts():
+    assert twisted_extended().twist_closed
+    assert closed_twist_three().twist_closed
+    assert not twisted_extended_three().twist_closed
 
 
 @pytest.mark.parametrize("make_ctx", CONTEXTS)
 @pytest.mark.parametrize("parity", [0, 1, None])
 def test_bracket_matches_the_pair_loop(make_ctx, parity):
+    # the one-pass field and derivation against the per-coordinate
+    # reference and the pair loop, with int and Fraction coefficients
     ctx = make_ctx()
     rng = random.Random(61 + (parity or 2))
-    for _ in range(40):
-        F = random_graded(rng, ctx, parity=parity, max_terms=4)
+    for trial in range(60):
+        integral = trial % 2 == 0
+        F = random_graded(rng, ctx, parity=parity, max_terms=4, integral=integral)
+        G = random_graded(rng, ctx, parity=rng.randint(0, 1), max_terms=4, integral=integral)
+        field = ctx.hamiltonian_field(F)
+        assert field == per_coordinate_field(ctx, F)
+        bracket = ctx.poisson(F, G)
+        assert bracket == pair_loop_poisson(ctx, F, G)
+        assert bracket == per_coordinate_derivation(ctx, field, G)
+        for image in (*field.values(), bracket):
+            assert_integer_first(image, integral)
+
+
+@pytest.mark.parametrize("make_ctx", CONTEXTS)
+def test_left_derivation_matches_the_per_coordinate_reference(make_ctx):
+    ctx = make_ctx()
+    names = ctx.even_names + ctx.odd_names
+    rng = random.Random(71)
+    for trial in range(60):
+        integral = trial % 2 == 0
+        parity = rng.randint(0, 1)
+        images = {}
+        for name in rng.sample(names, rng.randint(0, len(names))):
+            # an image of the derivation's parity shifted by the coordinate's
+            image_parity = (parity + ctx.parity_of(name)) % 2
+            images[name] = random_graded(
+                rng, ctx, parity=image_parity, max_terms=3, integral=integral
+            )
+        G = random_graded(rng, ctx, max_terms=4, integral=integral)
+        result = left_derivation(ctx, images, G)
+        assert result == per_coordinate_derivation(ctx, images, G)
+        assert_integer_first(result, integral)
+
+
+def test_untwisted_bracket_takes_no_per_coordinate_derivative(monkeypatch):
+    ctx = extended_context(["x1", "x2"], 2)
+    calls = []
+    original = GradedPoly.left_deriv
+
+    def counted(self, name):
+        calls.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(GradedPoly, "left_deriv", counted)
+    rng = random.Random(73)
+    for _ in range(10):
+        F = random_graded(rng, ctx, max_terms=4)
         G = random_graded(rng, ctx, max_terms=4)
-        assert ctx.poisson(F, G) == pair_loop_poisson(ctx, F, G)
+        ctx.poisson(F, G)
+    assert calls == []
 
 
 @pytest.mark.parametrize("make_ctx", CONTEXTS)
@@ -324,8 +451,8 @@ def test_context_validation():
 def test_parity_helpers():
     ctx = extended_context(["x"], rank=1)
     F = ctx.var("x") + ctx.var("xi_1")
-    assert F.parity_part(0) == ctx.var("x")
-    assert F.parity_part(1) == ctx.var("xi_1")
+    assert parity_part(F, 0) == ctx.var("x")
+    assert parity_part(F, 1) == ctx.var("xi_1")
     with pytest.raises(ValueError):
         F.parity()
     assert ctx.var("xi_1").parity() == 1

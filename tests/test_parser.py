@@ -8,6 +8,7 @@ import pytest
 from nqkit.parser import (
     MAX_EXPONENT,
     MAX_NESTING,
+    MAX_TERMS,
     ParseError,
     parse_poly,
     rational_from_string,
@@ -97,6 +98,26 @@ def test_exponent_and_integer_literals_are_bounded():
         with pytest.raises(ParseError, match="too long") as excinfo:
             parse_poly(text, COORDS)
         assert excinfo.value.position == position
+
+
+def test_expansion_is_bounded_before_it_is_formed():
+    assert MAX_TERMS == 2000  # the edges below are placed around it
+    # a power of a trinomial in two coordinates has exactly C(k + 2, 2)
+    # terms, which both bounds give: 1953 at k = 61, 2016 at k = 62
+    assert len(parse_poly("(x1+x2+1)^61", COORDS).terms) == 1953
+    with pytest.raises(ParseError, match="power may have 2016 terms") as excinfo:
+        parse_poly("(x1+x2+1)^62", COORDS)
+    assert excinfo.value.position == 9
+    with pytest.raises(ParseError, match="product may have 2016 terms") as excinfo:
+        parse_poly("(x1+x2+1)^31*(x1+x2+1)^31", COORDS)
+    assert excinfo.value.position == 12
+    # disjoint sums over many coordinates: the term counts bound the product
+    coords = tuple(f"v{k}" for k in range(100))
+    left = "+".join(coords[:40])
+    assert len(parse_poly(f"({left})*({'+'.join(coords[40:90])})", coords).terms) == 2000
+    with pytest.raises(ParseError, match="product may have 2050 terms") as excinfo:
+        parse_poly(f"({left}+v99)*({'+'.join(coords[40:90])})", coords)
+    assert excinfo.value.position == len(left) + 6
 
 
 def test_rational_from_string():

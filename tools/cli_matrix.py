@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Byte-level fingerprints of the command line on a fixed matrix of runs.
+
+Every verb and check flag runs with its JSON output on the 10 corpus
+files and on the so(3), so(4) and so(5) frames of the benchmark's
+generator, plus a few inputs near the parser's term budget.  Each run is
+one fresh `python -m nqkit.cli` process in an empty directory of its own;
+the line recorded for it holds the exit code and the sha256 of standard
+output, standard error and every file the run wrote.  Two trees that
+answer alike give identical lines.
+
+Run from the repository root (standard library only):
+
+    python3 tools/cli_matrix.py --out change.json
+    python3 tools/cli_matrix.py --src OTHER/src --out parent.json
+    python3 tools/cli_matrix.py --src OTHER/src --out parent.json --against change.json
+
+`--against` prints each line that differs, both sides, and exits 1 when
+any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from types import ModuleType
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+
+CHECK_FLAGS = (
+    "--axioms",
+    "--first-class",
+    "--irreducible",
+    "--metric",
+    "--structural",
+    "--master",
+    "--cartan",
+    "--supercharge",
+    "--all",
+)
+COHOMOLOGY_OPTIONS = (
+    (),
+    ("--trunc", "0"),
+    ("--trunc", "1"),
+    ("--trunc", "2"),
+    ("--trunc", "3"),
+    ("--is-exact",),
+    ("--is-exact", "--trunc", "3"),
+    ("--bfv-h0",),
+    ("--bfv-h0", "--trunc", "1", "--p-degree", "1"),
+)
+# one entry of anchor[1][1] each: the two past the parser's budget of
+# 2000 terms are refused, and answered in well under a second without it
+BUDGET_ENTRIES = {
+    "budget_power_under": ("abcdef", "(a+b+c+d+e+f+1)^7"),
+    "budget_power_over": ("abcdef", "(a+b+c+d+e+f+1)^9"),
+    "budget_product_under": ("abc", "(a+b+c+1)^6*(a+b+c+1)^6"),
+    "budget_product_over": ("abc", "(a+b+c+1)^12*(a+b+c+1)^12"),
+}
+
+
+def inputs() -> dict[str, dict]:
+    """The problem documents of the matrix, by name."""
+    docs = {
+        path.stem: json.loads(path.read_text())
+        for path in sorted((ROOT / "corpus").glob("*.json"))
+    }
+    gen = ModuleType("perfbench_gen")  # compiled from source: no bytecode written
+    source = ROOT / "perfbench" / "gen.py"
+    exec(compile(source.read_text(), str(source), "exec"), gen.__dict__)
+    for n in (3, 4, 5):
+        docs[f"so{n}"] = gen.so_n(n)
+    for name, (coords, entry) in BUDGET_ENTRIES.items():
+        anchor = [entry] + ["0"] * (len(coords) - 1)
+        docs[name] = {
+            "base_dim": len(coords),
+            "rank": 1,
+            "coords": list(coords),
+            "anchor": [anchor],
+        }
+    return docs
+
+
+def command_lines(names: list[str]) -> list[list[str]]:
+    lines = []
+    for name in names:
+        path = f"../in/{name}.json"
+        if name.startswith("budget_"):
+            lines.append(["check", path, "--axioms"])
+            continue
+        for flag in CHECK_FLAGS:
+            lines.append(["check", path, flag, "--json", "report.json"])
+        for options in COHOMOLOGY_OPTIONS:
+            lines.append(["cohomology", path, *options])
+        for what in ("bfv", "bv"):
+            lines.append(["emit", path, "--what", what, "--out", "out.json"])
+            lines.append(["emit", path, "--what", what, "--out", "out.json", "--force"])
+        lines.append(["solve-connection", path, "--write", "solved.json"])
+        lines.append(["solve-connection", path, "--degree", "2"])
+    return lines
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_one(src: Path, work: Path, index: int, args: list[str]) -> str:
+    """One run in a fresh directory, as a line of fingerprints."""
+    cwd = work / f"run{index}"
+    cwd.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "nqkit.cli", *args],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    files = ",".join(
+        f"{path.name}:{digest(path.read_bytes())}" for path in sorted(cwd.iterdir())
+    )
+    shutil.rmtree(cwd)
+    return (
+        f"exit={done.returncode} stdout={digest(done.stdout)} "
+        f"stderr={digest(done.stderr)} files={files or '-'}"
+    )
+
+
+def record(src: Path) -> dict[str, str]:
+    work = Path(tempfile.mkdtemp(prefix="cli_matrix_"))
+    try:
+        (work / "in").mkdir()
+        docs = inputs()
+        for name, doc in docs.items():
+            (work / "in" / f"{name}.json").write_text(json.dumps(doc, indent=2))
+        lines = {}
+        for index, args in enumerate(command_lines(list(docs))):
+            lines[" ".join(args)] = run_one(src, work, index, args)
+        return lines
+    finally:
+        shutil.rmtree(work)
+
+
+def differences(mine: dict[str, str], other: dict[str, str]) -> list[str]:
+    out = []
+    for key in sorted(set(mine) | set(other)):
+        if mine.get(key) != other.get(key):
+            out.append(f"{key}\n  this:  {mine.get(key)}\n  other: {other.get(key)}")
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the package tree to run (default: this repository's)")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="where to write the recorded lines, as JSON")
+    parser.add_argument("--against", type=Path,
+                        help="a recorded matrix to list the differing lines against")
+    options = parser.parse_args()
+    lines = record(options.src.resolve())
+    options.out.write_text(json.dumps(lines, indent=1, sort_keys=True) + "\n")
+    print(f"{len(lines)} runs recorded in {options.out}")
+    if options.against is None:
+        return 0
+    diff = differences(lines, json.loads(options.against.read_text()))
+    for entry in diff:
+        print(entry)
+    print(f"{len(diff)} of {len(lines)} lines differ from {options.against}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
