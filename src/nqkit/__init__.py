@@ -22,7 +22,6 @@ from .aksz import (
 )
 from .algebroid import (
     Algebroid,
-    algebroid_from_lists,
     check_axioms,
     cohomology_h1,
     is_exact_one_form,
@@ -78,7 +77,6 @@ __all__ = [
     "SKIPPED",
     "SuperCharge",
     "WARN",
-    "algebroid_from_lists",
     "assemble_bfv",
     "bfv_h0",
     "build_H",

@@ -1,7 +1,8 @@
 """Anchored frames with structure functions and their odd derivation Q.
 
 An `Algebroid` packages a polynomial anchor rho_a^i and antisymmetric
-structure functions C^c_ab over a fixed base coordinate ring.  The module
+structure functions C^c_ab over a fixed base coordinate ring; the structure
+functions are stored only as an index of the nonzero C^c_ab.  The module
 provides the two defect tensors whose joint vanishing is the compatibility
 axiom pair (anchor morphism and Jacobi), the odd derivation Q on ghost
 variables, and a truncated degree-1 cohomology diagnostic.
@@ -27,12 +28,13 @@ squared charge built in the ghost layer (a dual-route identity asserted on
 every run).  Both tensors are computed at most once per frame: an
 `Algebroid` caches them as `anchor_defect` and `jacobi_defect`.  The Jacobi
 defect is sparse: it stores only its nonzero entries, and a missing key is
-zero.  Both are built from an index of the nonzero C^c_ab, so no product
+zero.  Both read the stored index of the nonzero C^c_ab, so no product
 with a zero structure function is ever formed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import combinations
 
@@ -52,49 +54,55 @@ from .report import FAIL, PASS, CheckReport
 class Algebroid:
     """Polynomial anchor and structure functions over a base coordinate ring.
 
-    anchor[a][i] is the i-th component of the a-th frame field; structure
-    [c][a][b] is C^c_ab, antisymmetric in (a, b).  Treated as immutable.
+    anchor[a][i] is the i-th component of the a-th frame field.  The
+    structure functions are given as {(c, a, b): C^c_ab} over a < b, the
+    problem file's sparse form with 0-based indices, and are stored only as
+    the index `nonzero_structure`: {(a, b): [(c, C^c_ab), ...]} over both
+    orders of a, b, with C^c_ba = -C^c_ab and the entries of each pair in
+    ascending c.  Zero entries are dropped.  Treated as immutable.
     """
 
     def __init__(
         self,
         coords: tuple[str, ...],
         anchor: tuple[tuple[EvenPoly, ...], ...],
-        structure: tuple[tuple[tuple[EvenPoly, ...], ...], ...],
+        structure: Mapping[tuple[int, int, int], EvenPoly],
     ):
         self.coords = coords
         self.anchor = anchor
-        self.structure = structure
         n, r = len(self.coords), len(self.anchor)
         for row in self.anchor:
             if len(row) != n:
                 raise ValueError("anchor must be rank x base_dim")
             for entry in row:
                 self._check_ring(entry)
-        if len(self.structure) != r:
-            raise ValueError("structure must be rank x rank x rank")
-        for plane in self.structure:
-            if len(plane) != r or any(len(row) != r for row in plane):
-                raise ValueError("structure must be rank x rank x rank")
-            for row in plane:
-                for entry in row:
-                    self._check_ring(entry)
-        for c in range(r):
-            for a in range(r):
-                for b in range(r):
-                    if not (self.structure[c][a][b] + self.structure[c][b][a]).is_zero:
-                        raise ValueError(
-                            f"structure functions must be antisymmetric, "
-                            f"violated at c={c + 1}, a={a + 1}, b={b + 1}"
-                        )
+        entries = []
+        for (c, a, b), entry in structure.items():
+            if not (0 <= c < r and 0 <= a < b < r):
+                raise ValueError(
+                    f"structure keys are (c, a, b) with c < rank and "
+                    f"a < b < rank, found {(c, a, b)}"
+                )
+            self._check_ring(entry)
+            if not entry.is_zero:
+                entries.append((c, a, b, entry))
+                entries.append((c, b, a, -entry))
+        # in (c, a, b) order, so each pair's entries ascend in c whatever the
+        # order of the keys given
+        entries.sort(key=lambda item: item[:3])
+        # the nonzero C^c_ab, read by the defect tensors, Q and the
+        # constraint brackets; callers must not mutate it
+        self.nonzero_structure: dict[tuple[int, int], list[tuple[int, EvenPoly]]] = {}
+        for c, a, b, entry in entries:
+            self.nonzero_structure.setdefault((a, b), []).append((c, entry))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Algebroid):
             return NotImplemented
-        return (self.coords, self.anchor, self.structure) == (
+        return (self.coords, self.anchor, self.nonzero_structure) == (
             other.coords,
             other.anchor,
-            other.structure,
+            other.nonzero_structure,
         )
 
     __hash__ = None
@@ -123,11 +131,6 @@ class Algebroid:
         return EvenPoly.zero(self.coords)
 
     @cached_property
-    def nonzero_structure(self) -> dict[tuple[int, int], list[tuple[int, EvenPoly]]]:
-        """The nonzero C^c_ab, indexed on first use; callers must not mutate it."""
-        return _nonzero_structure(self)
-
-    @cached_property
     def _ghost_context(self) -> GradedContext:
         return extended_context(self.coords, self.rank)
 
@@ -146,32 +149,7 @@ class Algebroid:
         return jacobi_defect(self)
 
 
-def algebroid_from_lists(
-    coords: tuple[str, ...] | list[str],
-    anchor: list[list[EvenPoly]],
-    structure: list[list[list[EvenPoly]]],
-) -> Algebroid:
-    return Algebroid(
-        tuple(coords),
-        tuple(tuple(row) for row in anchor),
-        tuple(tuple(tuple(row) for row in plane) for plane in structure),
-    )
-
-
 # defect tensors
-
-
-def _nonzero_structure(
-    data: Algebroid,
-) -> dict[tuple[int, int], list[tuple[int, EvenPoly]]]:
-    """The nonzero C^c_ab as {(a, b): [(c, C^c_ab), ...]}, over both orders of a, b."""
-    out: dict[tuple[int, int], list[tuple[int, EvenPoly]]] = {}
-    for c, plane in enumerate(data.structure):
-        for a, row in enumerate(plane):
-            for b, value in enumerate(row):
-                if not value.is_zero:
-                    out.setdefault((a, b), []).append((c, value))
-    return out
 
 
 def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
@@ -254,9 +232,9 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
 
 
 def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
-    # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), which
-    # `Algebroid` enforces, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b,
-    # over the nonzero entries only
+    # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), as `Algebroid`
+    # stores C, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b, over the
+    # nonzero entries only
     ghosts = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
     images: dict[str, GradedPoly] = {}
     for i, name in enumerate(data.coords):
@@ -453,10 +431,9 @@ def _max_coeff_degree(data: Algebroid) -> int:
     )
     structure_deg = max(
         (
-            entry.total_degree()
-            for plane in data.structure
-            for row in plane
-            for entry in row
+            f.total_degree()
+            for entries in data.nonzero_structure.values()
+            for _, f in entries
         ),
         default=0,
     )

@@ -370,7 +370,7 @@ def _solve_structure(
     rho_rows: list[list[EvenPoly]],
     targets: dict[tuple[int, int], list[EvenPoly]],
     degree: int,
-) -> tuple[tuple[tuple[tuple[EvenPoly, ...], ...], ...], int] | None:
+) -> tuple[dict[tuple[int, int, int], EvenPoly], int] | None:
     r, n = len(rho_rows), len(base)
     unknowns = [(c, m) for c in range(r) for m in monomial_exponents(n, degree)]
     # C^c_ab = x^m contributes x^m rho_c^i to the p_i coefficient, whatever (a, b)
@@ -379,8 +379,7 @@ def _solve_structure(
         shifted = EvenPoly(base, {m: 1})
         columns.append(_base_column([shifted * rho for rho in rho_rows[c]]))
 
-    zero = EvenPoly.zero(base)
-    structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
+    structure: dict[tuple[int, int, int], EvenPoly] = {}
     total_free = 0
     for (a, b), target in targets.items():
         result = solve(columns, _base_column(target))
@@ -393,13 +392,8 @@ def _solve_structure(
             c, m = unknowns[k]
             terms[c][m] = value
         for c in range(r):
-            value = EvenPoly(base, terms[c])
-            structure[c][a][b] = value
-            structure[c][b][a] = -value
-    return (
-        tuple(tuple(tuple(row) for row in plane) for plane in structure),
-        total_free,
-    )
+            structure[(c, a, b)] = EvenPoly(base, terms[c])
+    return structure, total_free
 
 
 def _base_column(vector: list[EvenPoly]) -> dict[tuple[int, Exponent], Rat]:

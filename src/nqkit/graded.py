@@ -86,7 +86,6 @@ class GradedContext:
         for xi, pi in self.pairs_odd:
             self._field_odd[self.odd_index[xi]] = (pi, (-1, 1))
             self._field_odd[self.odd_index[pi]] = (xi, (-1, 1))
-        self.twist_closed = True
         self.twist = self._validate_twist(twist)
 
     def _validate_pairs(self) -> None:
@@ -133,18 +132,6 @@ class GradedContext:
             for j in range(n):
                 if not (rows[i][j] + rows[j][i]).is_zero:
                     raise ValueError("twist must be antisymmetric")
-        # Jacobi needs a closed twist; record the diagnosis instead of rejecting
-        xs = [x for _, x in self.pairs_even]
-        self.twist_closed = all(
-            (
-                rows[j][k].diff(xs[i])
-                - rows[i][k].diff(xs[j])
-                + rows[i][j].diff(xs[k])
-            ).is_zero
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-        )
         return tuple(rows)
 
     def __eq__(self, other: object) -> bool:

@@ -36,7 +36,7 @@ import os
 import re
 from fractions import Fraction
 
-from .algebroid import Algebroid, algebroid_from_lists
+from .algebroid import Algebroid
 from .dynamics import GeometryPack
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
@@ -173,11 +173,11 @@ def problem_from_dict(doc: object) -> Problem:
     anchor = _expr_matrix(
         _required(doc, "anchor"), rank, base_dim, coords, "anchor"
     )
-    structure = _structure(doc.get("structure"), rank, coords)
-    try:
-        data = algebroid_from_lists(coords, anchor, structure)
-    except ValueError as error:
-        raise ProblemError("structure", str(error)) from error
+    data = Algebroid(
+        coords,
+        tuple(tuple(row) for row in anchor),
+        _structure(doc.get("structure"), rank, coords),
+    )
 
     magnetic = _optional_matrix(doc, "magnetic", base_dim, coords)
     alpha = (
@@ -345,32 +345,47 @@ def _optional_cube(doc: dict, name: str, rank: int, base_dim: int, coords):
 
 _SPARSE_KEY = re.compile(r"([0-9]+),([0-9]+),([0-9]+)\Z")
 
+Structure = dict[tuple[int, int, int], EvenPoly]
 
-def _structure(
-    value: object, rank: int, coords: tuple[str, ...]
-) -> list[list[EvenPoly]]:
-    zero = EvenPoly.zero(coords)
+
+def _structure(value: object, rank: int, coords: tuple[str, ...]) -> Structure:
+    """C^c_ab as {(c, a, b): C} over a < b, the shape `Algebroid` takes."""
     if value is None:
-        return [[[zero] * rank for _ in range(rank)] for _ in range(rank)]
+        return {}
     if isinstance(value, dict):
-        return _structure_from_sparse(value, rank, coords, zero)
+        return _structure_from_sparse(value, rank, coords)
     if not isinstance(value, list) or len(value) != rank:
         raise ProblemError(
             "structure", f"must have {rank} planes or be a sparse object"
         )
-    return [
+    cube = [
         _expr_matrix(plane, rank, rank, coords, f"structure[{c + 1}]")
         for c, plane in enumerate(value)
     ]
+    # the first violation in c, a, b order has a <= b, as the pair (b, a)
+    # fails with (a, b); only nonzero entries are added, and a nonzero
+    # diagonal entry fails as its own mirror
+    structure: Structure = {}
+    for c, plane in enumerate(cube):
+        for a in range(rank):
+            for b in range(a, rank):
+                entry, mirror = plane[a][b], plane[b][a]
+                if entry.is_zero and mirror.is_zero:
+                    continue
+                if not (entry + mirror).is_zero:
+                    raise ProblemError(
+                        "structure",
+                        f"structure functions must be antisymmetric, "
+                        f"violated at c={c + 1}, a={a + 1}, b={b + 1}",
+                    )
+                structure[(c, a, b)] = entry
+    return structure
 
 
 def _structure_from_sparse(
-    mapping: dict, rank: int, coords: tuple[str, ...], zero: EvenPoly
-) -> list[list[EvenPoly]]:
-    grid: list[list[list[EvenPoly | None]]] = [
-        [[None] * rank for _ in range(rank)] for _ in range(rank)
-    ]
-    stated: set[tuple[int, int, int]] = set()
+    mapping: dict, rank: int, coords: tuple[str, ...]
+) -> Structure:
+    stated: Structure = {}  # the last entry stated for each key, as written
     for key in sorted(mapping):
         path = f"structure[{key!r}]"
         match = _SPARSE_KEY.match(key) if isinstance(key, str) else None
@@ -384,25 +399,20 @@ def _structure_from_sparse(
             if not entry.is_zero:
                 raise ProblemError(path, "diagonal entries vanish identically")
             continue
-        mirror = grid[c][b][a]
-        if (c, b, a) in stated and mirror is not None:
-            if not (mirror + entry).is_zero:
-                raise ProblemError(
-                    path,
-                    f"inconsistent with 'structure[{c + 1},{b + 1},{a + 1}]': "
-                    "antisymmetric images must negate exactly",
-                )
-        grid[c][a][b] = entry
-        if (c, b, a) not in stated:
-            grid[c][b][a] = -entry
-        stated.add((c, a, b))
-    return [
-        [
-            [entry if entry is not None else zero for entry in row]
-            for row in plane
-        ]
-        for plane in grid
-    ]
+        mirror = stated.get((c, b, a))
+        if mirror is not None and not (mirror + entry).is_zero:
+            raise ProblemError(
+                path,
+                f"inconsistent with 'structure[{c + 1},{b + 1},{a + 1}]': "
+                "antisymmetric images must negate exactly",
+            )
+        stated[(c, a, b)] = entry
+    # a pair stated both ways agrees, so the a < b entry is either one
+    return {
+        (c, min(a, b), max(a, b)): entry if a < b else -entry
+        for (c, a, b), entry in stated.items()
+        if a < b or (c, b, a) not in stated
+    }
 
 
 def _points(

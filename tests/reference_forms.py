@@ -24,6 +24,7 @@ from typing import Sequence
 from nqkit.algebroid import Algebroid, ghost_context, q_images
 from nqkit.graded import GradedPoly, left_derivation
 from nqkit.poly import EvenPoly
+from tests.cubes import structure_cube
 
 Form = dict[tuple[int, ...], EvenPoly]
 
@@ -81,6 +82,7 @@ def e_differential(data: Algebroid, form: Form) -> Form:
         return table(((a,), data.anchor_apply(a, f)) for a in range(r))
     if _arity(form) == 1:
         entries = [component(form, (c,), data.coords) for c in range(r)]
+        C = structure_cube(data)
         out = []
         for a in range(r):
             for b in range(a + 1, r):
@@ -88,7 +90,7 @@ def e_differential(data: Algebroid, form: Form) -> Form:
                     b, entries[a]
                 )
                 for c in range(r):
-                    value = value - data.structure[c][a][b] * entries[c]
+                    value = value - C[c][a][b] * entries[c]
                 out.append(((a, b), value))
         return table(out)
     raise ValueError("differential implemented for arities 0 and 1 only")

@@ -10,7 +10,6 @@ import pytest
 
 from nqkit.algebroid import (
     Algebroid,
-    algebroid_from_lists,
     anchor_defect,
     check_axioms,
     cohomology_h1,
@@ -24,6 +23,7 @@ from nqkit.graded import ghost_name, left_derivation
 from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
+from tests.cubes import cube_algebroid, structure_cube
 from tests.reference_forms import (
     components,
     de_rham,
@@ -61,7 +61,7 @@ def so3_action() -> Algebroid:
         [[levi(a, b, c) * EvenPoly.const(coords, 1) for b in range(3)] for a in range(3)]
         for c in range(3)
     ]
-    return algebroid_from_lists(coords, anchor, structure)
+    return cube_algebroid(coords, anchor, structure)
 
 
 def abelian_algebroid(coords, anchor: list[list[EvenPoly]]) -> Algebroid:
@@ -69,7 +69,7 @@ def abelian_algebroid(coords, anchor: list[list[EvenPoly]]) -> Algebroid:
     r = len(anchor)
     zero = EvenPoly.zero(tuple(coords))
     structure = [[[zero for _ in range(r)] for _ in range(r)] for _ in range(r)]
-    return algebroid_from_lists(coords, anchor, structure)
+    return cube_algebroid(coords, anchor, structure)
 
 
 def abelian_r1() -> Algebroid:
@@ -83,7 +83,7 @@ def rank2_line() -> Algebroid:
     one = EvenPoly.const(coords, 1)
     zero = EvenPoly.zero(coords)
     structure = [[[zero, one], [-one, zero]], [[zero, zero], [zero, zero]]]
-    return algebroid_from_lists(coords, [[one], [g["x"]]], structure)
+    return cube_algebroid(coords, [[one], [g["x"]]], structure)
 
 
 def broken_jacobi() -> Algebroid:
@@ -99,7 +99,7 @@ def broken_jacobi() -> Algebroid:
         [row[:] for row in z3],
         [row[:] for row in z3],
     ]
-    return algebroid_from_lists(coords, [[one], [x], [zero]], structure)
+    return cube_algebroid(coords, [[one], [x], [zero]], structure)
 
 
 def nilpotent_bundle() -> Algebroid:
@@ -117,20 +117,20 @@ def nilpotent_bundle() -> Algebroid:
         [row[:] for row in z3],
         [row[:] for row in z3],
     ]
-    return algebroid_from_lists(coords, [[zero], [zero], [zero]], structure)
+    return cube_algebroid(coords, [[zero], [zero], [zero]], structure)
 
 
 # construction and forms
 
 
 def test_construction_rejects_asymmetric_structure():
+    # the constructor takes C^c_ab over a < b and fills in C^c_ba = -C^c_ab,
+    # so a key on or below the diagonal is the one way to state asymmetry
     coords, g = ring(["x"])
     one = EvenPoly.const(coords, 1)
-    zero = EvenPoly.zero(coords)
-    with pytest.raises(ValueError, match="antisymmetric"):
-        algebroid_from_lists(
-            coords, [[one], [one]], [[[zero, one], [one, zero]]] * 2
-        )
+    for key in [(0, 1, 0), (0, 0, 0), (1, 1, 1)]:
+        with pytest.raises(ValueError, match="a < b < rank"):
+            Algebroid(coords, ((one,), (one,)), {key: one})
 
 
 def test_construction_rejects_shape_and_ring_mismatch():
@@ -138,11 +138,29 @@ def test_construction_rejects_shape_and_ring_mismatch():
     other_coords, h = ring(["y"])
     one = EvenPoly.const(coords, 1)
     with pytest.raises(ValueError, match="rank x base_dim"):
-        algebroid_from_lists(coords, [[one, one]], [[[EvenPoly.zero(coords)]]])
+        Algebroid(coords, ((one, one),), {})
     with pytest.raises(ValueError, match="base coordinate ring"):
-        algebroid_from_lists(
-            coords, [[EvenPoly.const(other_coords, 1)]], [[[EvenPoly.zero(coords)]]]
-        )
+        Algebroid(coords, ((EvenPoly.const(other_coords, 1),),), {})
+    # a structure key past the rank, and an entry outside the base ring
+    for key in [(2, 0, 1), (0, 0, 2), (-1, 0, 1), (0, -1, 1)]:
+        with pytest.raises(ValueError, match="a < b < rank"):
+            Algebroid(coords, ((one,), (one,)), {key: one})
+    with pytest.raises(ValueError, match="base coordinate ring"):
+        Algebroid(coords, ((one,), (one,)), {(0, 0, 1): h["y"]})
+
+
+def test_construction_stores_the_nonzero_index_over_both_orders():
+    coords, g = ring(["x"])
+    one, zero, x = EvenPoly.const(coords, 1), EvenPoly.zero(coords), g["x"]
+    anchor = ((one,), (x,), (zero,))
+    data = Algebroid(coords, anchor, {(2, 0, 1): x, (0, 0, 1): one, (1, 1, 2): zero})
+    assert data.nonzero_structure == {
+        (0, 1): [(0, one), (2, x)],
+        (1, 0): [(0, -one), (2, -x)],
+    }
+    # the order the keys are given in does not matter, and zeros are dropped
+    assert data == Algebroid(coords, anchor, {(0, 0, 1): one, (2, 0, 1): x})
+    assert data != Algebroid(coords, anchor, {(0, 0, 1): one})
 
 
 def test_anchor_apply_so3():
@@ -255,6 +273,7 @@ def jacobi_defect_by_permutations(data):
     """R2 from its defining six-term signed sum: the reference for the cyclic form."""
     out = {}
     r = data.rank
+    C = structure_cube(data)
     for a, b, c in combinations(range(r), 3):
         for d in range(r):
             total = data.zero()
@@ -265,8 +284,8 @@ def jacobi_defect_by_permutations(data):
                 )
                 term = data.zero()
                 for e in range(r):
-                    term = term + data.structure[d][e][pa] * data.structure[e][pb][pc]
-                term = term - data.anchor_apply(pa, data.structure[d][pb][pc])
+                    term = term + C[d][e][pa] * C[e][pb][pc]
+                term = term - data.anchor_apply(pa, C[d][pb][pc])
                 total = total + (-term if inversions % 2 else term)
             out[(a, b, c, d)] = total
     return out
@@ -285,7 +304,7 @@ def random_frame(rng, base_dim, rank):
             if rng.random() < 0.6:
                 entry = random_poly(coords, rng, 2)
                 structure[c][a][b], structure[c][b][a] = entry, -entry
-    return algebroid_from_lists(coords, anchor, structure)
+    return cube_algebroid(coords, anchor, structure)
 
 
 def test_cyclic_jacobi_defect_matches_the_permutation_sum():
@@ -317,12 +336,13 @@ def q_images_by_full_sums(data, ctx):
         for a in range(data.rank):
             value = value + ctx.lift(data.anchor[a][i]) * ghosts[a]
         images[name] = value
+    C = structure_cube(data)
     for c in range(data.rank):
         value = ctx.zero()
         for a in range(data.rank):
             for b in range(data.rank):
                 pair = ghosts[a] * ghosts[b]
-                value = value + ctx.lift(data.structure[c][a][b]) * pair
+                value = value + ctx.lift(C[c][a][b]) * pair
         images[ghost_name(c + 1)] = value / -2
     return images
 

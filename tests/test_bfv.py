@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import Algebroid, algebroid_from_lists, check_axioms
+from nqkit.algebroid import Algebroid, check_axioms
 from nqkit.bfv import (
     BFVPackage,
     Charge,
@@ -28,6 +28,7 @@ from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS, SKIPPED
 from nqkit.constraints import structural_two_form
+from tests.cubes import cube_algebroid, structure_cube
 from tests.reference_forms import components, structural
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_constraints import abelian_r2, magnetic_plane
@@ -48,7 +49,7 @@ def shear_pair() -> Algebroid:
         [[zero, x], [-x, zero]],
         [[zero, -x], [x, zero]],
     ]
-    return algebroid_from_lists(coords, [[one], [one]], structure)
+    return cube_algebroid(coords, [[one], [one]], structure)
 
 
 def charge_of(data: Algebroid, alpha=None, magnetic=None) -> Charge:
@@ -103,8 +104,9 @@ def explicit_charge(data, alpha, magnetic):
             S = S + ctx.lift(data.anchor[a][i]) * xi[a] * ctx.var(momentum_name(name))
         if alpha is not None:
             S = S + ctx.lift(alpha[a]) * xi[a]
+    C = structure_cube(data)
     for a, b, c in product(range(data.rank), repeat=3):
-        S = S - ctx.lift(data.structure[c][a][b]) * xi[a] * xi[b] * ctx.var(
+        S = S - ctx.lift(C[c][a][b]) * xi[a] * xi[b] * ctx.var(
             antighost_name(c + 1)
         ) / 2
     return S

@@ -281,26 +281,27 @@ def test_defect_tensors_computed_once_per_invocation(
 def test_q_images_built_once_per_context(monkeypatch, args, builds):
     # the axiom check, the structural 2-form, the windows, the closedness
     # test and the untwisted charge share the ghost context's table of Q;
-    # it and the defect tensors read one index of the nonzero C^c_ab
-    built, indexed = [], []
+    # it and the defect tensors read the index of the nonzero C^c_ab that
+    # the one frame of the invocation stores
+    built, frames = [], []
     build_images = nqkit.algebroid._build_q_images
-    build_index = nqkit.algebroid._nonzero_structure
+    init = nqkit.algebroid.Algebroid.__init__
 
     def counted_images(data, ctx):
         built.append(ctx)
         return build_images(data, ctx)
 
-    def counted_index(data):
-        indexed.append(data)
-        return build_index(data)
+    def counted_init(data, *args):
+        frames.append(data)
+        init(data, *args)
 
     monkeypatch.setattr(nqkit.algebroid, "_build_q_images", counted_images)
-    monkeypatch.setattr(nqkit.algebroid, "_nonzero_structure", counted_index)
+    monkeypatch.setattr(nqkit.algebroid.Algebroid, "__init__", counted_init)
     result = run(*args)
     assert result.exit_code == 0, result.output
     assert len(built) == builds
     assert len({id(ctx) for ctx in built}) == builds
-    assert len(indexed) == 1
+    assert len(frames) == 1
 
 
 def test_stored_coefficients_are_nonzero_ints_or_fractions(tmp_path, monkeypatch):

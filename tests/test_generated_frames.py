@@ -15,6 +15,8 @@ from types import ModuleType
 
 import pytest
 
+from nqkit.poly import EvenPoly
+from nqkit.problem import problem_from_dict
 from tests.conftest import invoke
 
 GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
@@ -80,3 +82,22 @@ def test_so_n_generic_anchor_rank_is_n_minus_1(n, tmp_path):
     result = invoke(["check", str(path), "--irreducible"])
     assert result.exit_code == 0, result.output
     assert f"generic rank {n - 1}, full rank is {n * (n - 1) // 2}" in result.output
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_so_n_loads_with_fewer_additions_than_rank_squared(n, monkeypatch):
+    # the sparse structure is stored as given: loading makes no pass over
+    # the rank^3 cells of a dense cube
+    rank = n * (n - 1) // 2
+    calls = []
+    add = EvenPoly.__add__
+
+    def counted(self, other):
+        calls.append(None)
+        return add(self, other)
+
+    doc = gen.so_n(n)
+    monkeypatch.setattr(EvenPoly, "__add__", counted)
+    problem = problem_from_dict(doc)
+    assert problem.rank == rank
+    assert len(calls) < rank**2

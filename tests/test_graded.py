@@ -288,12 +288,6 @@ CONTEXTS = [
 ]
 
 
-def test_twist_closedness_of_the_contexts():
-    assert twisted_extended().twist_closed
-    assert closed_twist_three().twist_closed
-    assert not twisted_extended_three().twist_closed
-
-
 @pytest.mark.parametrize("make_ctx", CONTEXTS)
 @pytest.mark.parametrize("parity", [0, 1, None])
 def test_bracket_matches_the_pair_loop(make_ctx, parity):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from nqkit.problem import (
     load_problem,
     problem_from_dict,
 )
-from tests.test_poly import ring
+from tests.test_poly import random_poly, ring
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -44,7 +45,7 @@ def test_minimal_document_loads():
     assert problem.base_dim == 1
     assert problem.rank == 1
     assert problem.coords == ("x",)
-    assert problem.data.structure[0][0][0].is_zero
+    assert problem.data.nonzero_structure == {}
     assert problem.pack.g_inv is None
     assert problem.points == ()
     assert problem.truncation == Truncation(2, 1, 2)
@@ -87,8 +88,8 @@ def test_sparse_structure_fills_antisymmetric_image():
     }
     problem = problem_from_dict(doc)
     _, g = ring(["x"])
-    assert problem.data.structure[0][0][1] == g["x"]
-    assert problem.data.structure[0][1][0] == -g["x"]
+    x = g["x"]
+    assert problem.data.nonzero_structure == {(0, 1): [(0, x)], (1, 0): [(0, -x)]}
 
 
 def test_sparse_structure_accepts_consistent_mirror():
@@ -101,7 +102,7 @@ def test_sparse_structure_accepts_consistent_mirror():
     }
     problem = problem_from_dict(doc)
     _, g = ring(["x"])
-    assert problem.data.structure[0][1][0] == -g["x"]
+    assert problem.data.nonzero_structure[(1, 0)] == [(0, -g["x"])]
 
 
 def test_sparse_structure_rejects_inconsistent_mirror():
@@ -144,6 +145,93 @@ def test_dense_structure_antisymmetry_checked():
     with pytest.raises(ProblemError, match="antisymmetric") as err:
         problem_from_dict(doc)
     assert path_of(err) == "structure"
+    assert err.value.message == (
+        "structure functions must be antisymmetric, violated at c=1, a=1, b=2"
+    )
+
+
+def dense_planes(rank: int, entries: dict[tuple[int, int, int], str]) -> list:
+    planes = [[["0"] * rank for _ in range(rank)] for _ in range(rank)]
+    for (c, a, b), entry in entries.items():
+        planes[c - 1][a - 1][b - 1] = entry
+    return planes
+
+
+@pytest.mark.parametrize(
+    "entries,first",
+    [
+        # C^1_12 = C^1_21 and C^1_13 = C^1_31 fail in plane 1, C^2_11 in
+        # plane 2 with a smaller b
+        (
+            {
+                (1, 1, 2): "1",
+                (1, 2, 1): "1",
+                (1, 1, 3): "x",
+                (1, 3, 1): "x",
+                (2, 1, 1): "1",
+            },
+            "c=1, a=1, b=2",
+        ),
+        # a nonzero diagonal entry is a violation of its own
+        ({(1, 3, 3): "x", (2, 1, 2): "1", (2, 2, 1): "1"}, "c=1, a=3, b=3"),
+    ],
+    ids=["scan_order", "diagonal"],
+)
+def test_dense_structure_reports_the_first_violation_in_c_a_b_order(entries, first):
+    doc = {
+        "base_dim": 1,
+        "rank": 3,
+        "coords": ["x"],
+        "anchor": [["1"], ["0"], ["0"]],
+        "structure": dense_planes(3, entries),
+    }
+    with pytest.raises(ProblemError) as err:
+        problem_from_dict(doc)
+    assert str(err.value) == (
+        f"structure: structure functions must be antisymmetric, violated at {first}"
+    )
+
+
+def random_structure(rng: random.Random, rank: int, coords) -> tuple[dict, list]:
+    """A sparse structure object with some mirrors stated, and its dense twin."""
+    sparse: dict[str, str] = {}
+    dense = [[["0"] * rank for _ in range(rank)] for _ in range(rank)]
+    for c in range(rank):
+        for a in range(rank):
+            for b in range(a + 1, rank):
+                if rng.random() < 0.4:
+                    continue
+                entry = str(random_poly(rng, coords, 2))
+                dense[c][a][b], dense[c][b][a] = entry, f"-({entry})"
+                side = rng.randrange(3)  # the a < b key, its mirror, or both
+                if side != 1:
+                    sparse[f"{c + 1},{a + 1},{b + 1}"] = entry
+                if side != 0:
+                    sparse[f"{c + 1},{b + 1},{a + 1}"] = f"-({entry})"
+    return sparse, dense
+
+
+def test_sparse_and_dense_structure_load_alike():
+    rng = random.Random(41)
+    coords = ("x", "y")
+    stated = 0
+    for _ in range(12):
+        rank = rng.randrange(1, 5)
+        sparse, dense = random_structure(rng, rank, coords)
+        doc = {
+            "base_dim": 2,
+            "rank": rank,
+            "coords": list(coords),
+            "anchor": [
+                [str(random_poly(rng, coords, 2)) for _ in coords] for _ in range(rank)
+            ],
+        }
+        from_sparse = problem_from_dict(dict(doc, structure=sparse)).data
+        from_dense = problem_from_dict(dict(doc, structure=dense)).data
+        assert from_sparse == from_dense
+        assert list(from_sparse.nonzero_structure) == list(from_dense.nonzero_structure)
+        stated += len(from_sparse.nonzero_structure)
+    assert stated > 0
 
 
 def test_unknown_field_rejected():

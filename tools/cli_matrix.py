@@ -2,8 +2,9 @@
 """Byte-level fingerprints of the command line on a fixed matrix of runs.
 
 Every verb and check flag runs with its JSON output on the 10 corpus
-files and on the so(3), so(4) and so(5) frames of the benchmark's
-generator, plus a few inputs near the parser's term budget.  Each run is
+files, on the so(3) to so(6) frames of the benchmark's generator and on
+dense-list twins of two sparse corpus files, plus a few inputs near the
+parser's term budget and a dense structure that is not antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
 output, standard error and every file the run wrote.  Two trees that
@@ -65,6 +66,21 @@ BUDGET_ENTRIES = {
     "budget_product_under": ("abc", "(a+b+c+1)^6*(a+b+c+1)^6"),
     "budget_product_over": ("abc", "(a+b+c+1)^12*(a+b+c+1)^12"),
 }
+# corpus files whose sparse structure also runs as the [c][a][b] list
+DENSE_TWINS = ("so3_action", "broken_jacobi")
+# inputs refused at load, run with `check --axioms` only
+LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
+
+
+def dense_structure(doc: dict) -> list[list[list[str]]]:
+    """The sparse structure of a document as the dense [c][a][b] list."""
+    r = doc["rank"]
+    cube = [[["0"] * r for _ in range(r)] for _ in range(r)]
+    for key, entry in doc.get("structure", {}).items():
+        c, a, b = (int(k) - 1 for k in key.split(","))
+        cube[c][a][b] = entry
+        cube[c][b][a] = f"-({entry})"
+    return cube
 
 
 def inputs() -> dict[str, dict]:
@@ -76,8 +92,14 @@ def inputs() -> dict[str, dict]:
     gen = ModuleType("perfbench_gen")  # compiled from source: no bytecode written
     source = ROOT / "perfbench" / "gen.py"
     exec(compile(source.read_text(), str(source), "exec"), gen.__dict__)
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         docs[f"so{n}"] = gen.so_n(n)
+    for name in DENSE_TWINS:
+        docs[f"{name}_dense"] = dict(docs[name], structure=dense_structure(docs[name]))
+    # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
+    asymmetric = dense_structure(docs["so3_action"])
+    asymmetric[0][2][1] = "1"
+    docs["dense_asymmetric"] = dict(docs["so3_action"], structure=asymmetric)
     for name, (coords, entry) in BUDGET_ENTRIES.items():
         anchor = [entry] + ["0"] * (len(coords) - 1)
         docs[name] = {
@@ -93,7 +115,7 @@ def command_lines(names: list[str]) -> list[list[str]]:
     lines = []
     for name in names:
         path = f"../in/{name}.json"
-        if name.startswith("budget_"):
+        if name in LOAD_ERRORS:
             lines.append(["check", path, "--axioms"])
             continue
         for flag in CHECK_FLAGS:
