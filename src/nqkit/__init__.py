@@ -2,10 +2,11 @@
 
 The package verifies, in exact rational arithmetic, the structural
 identities of frame data over a polynomial base: bracket axioms, the
-first-class constraint algebra they generate on the (possibly twisted)
-cotangent bundle, the odd charge and its master equation on the extended
-phase space, covariant dynamics, truncated cohomology windows, and the
-one-dimensional superfield expansion into a component action.
+first-class constraint algebra they generate, the odd charge and its
+master equation, covariant dynamics, truncated cohomology windows, and the
+one-dimensional superfield expansion into a component action.  The
+constraints, both Hamiltonians and the charge of a problem share one
+(possibly twisted) phase space, T*E[1].
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .constraints import (
     check_first_class,
     extract_structure,
     irreducibility_probe,
+    phase_space,
 )
 from .dynamics import (
     GeometryPack,
@@ -51,7 +53,7 @@ from .dynamics import (
     check_structural,
     solve_connection,
 )
-from .graded import GradedContext, GradedPoly, cotangent_context, extended_context
+from .graded import GradedContext, GradedPoly, extended_context
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
 from .problem import Problem, ProblemError, load_problem
@@ -94,7 +96,6 @@ __all__ = [
     "check_structural",
     "check_supercharge",
     "cohomology_h1",
-    "cotangent_context",
     "expand_bv",
     "extended_action_reference",
     "extended_context",
@@ -104,6 +105,7 @@ __all__ = [
     "is_exact_one_form",
     "load_problem",
     "parse_poly",
+    "phase_space",
     "rational_from_string",
     "solve_connection",
     "worst_status",

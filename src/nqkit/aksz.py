@@ -315,11 +315,11 @@ def extended_action_reference(data: Algebroid, pack: GeometryPack) -> GradedPoly
         total = total + ectx.var(momentum_name(name)) * ectx.var(
             velocity_name(name)
         )
+    constraints = build_constraints(data, pack.alpha, pack.magnetic)
     if pack.g_inv is not None:
-        total = total - transport(build_hamiltonian(pack), ectx)
+        total = total - transport(build_hamiltonian(pack, constraints.ctx), ectx)
     else:
         total = total - ectx.lift(pack.potential_or_zero())
-    constraints = build_constraints(data, pack.alpha, pack.magnetic)
     for a, phi in enumerate(constraints.phis, start=1):
         total = total - ectx.var(multiplier_name(a)) * transport(phi, ectx)
     return total

@@ -16,39 +16,31 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .algebroid import Algebroid, ghost_context, q_images
+from .algebroid import Algebroid, q_images
 from .constraints import (
     ConstraintSet,
     Matrix,
     affine_charge,
     build_constraints,
     first_class_terms,
-    twist_of_magnetic,
+    phase_space,
 )
 from .dynamics import GeometryPack
 from .graded import (
     GradedContext,
     GradedPoly,
     antighost_name,
-    extended_context,
     field_column,
     ghost_name,
     left_derivation,
     momentum_name,
+    momentum_orders,
 )
 from .linalg import image_in, rank
-from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
+from .poly import EvenPoly, Exponent, embed, monomial_exponents
 from .report import FAIL, PASS, SKIPPED, CheckReport
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
-
-
-def charge_context(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
-    """The extended context of the charge; without a twist, the ghost context."""
-    twist = twist_of_magnetic(magnetic)
-    if twist is None:
-        return ghost_context(data)  # so the charge shares its table of Q
-    return extended_context(data.coords, data.rank, twist)
 
 
 def build_S(
@@ -62,7 +54,7 @@ def build_S(
     Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c + alpha_a xi^a.
     """
     if ctx is None:
-        ctx = charge_context(data, magnetic)
+        ctx = phase_space(data, magnetic)
     affine = affine_charge(data, alpha, ctx)
     images = q_images(data, ctx)
     S = ctx.zero()
@@ -120,12 +112,14 @@ def build_charge(data: Algebroid, pack: GeometryPack) -> Charge:
 
 
 def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
-    """Build the core lift of Q once, and S as the core plus alpha_a xi^a."""
-    data = cs.data
+    """Build the core lift of Q once, and S as the core plus alpha_a xi^a.
+
+    The charge lives on the phase space of the constraints.
+    """
+    data, ctx = cs.data, cs.ctx
     if data.coords != pack.coords or data.rank != pack.rank:
         raise ValueError("frame data and geometry pack disagree on base or rank")
-    ctx = charge_context(data, cs.magnetic)
-    core = build_S(data, magnetic=cs.magnetic, ctx=ctx)
+    core = build_S(data, ctx=ctx)
     return Charge(cs, pack, ctx, core, core + affine_charge(data, cs.alpha, ctx))
 
 
@@ -198,18 +192,14 @@ def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly
     return out
 
 
-def build_H(pack: GeometryPack, ctx: GradedContext | None = None) -> GradedPoly:
-    """Covariant kinetic term plus the scalar potential."""
+def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
+    """Covariant kinetic term plus the scalar potential, on the phase space ctx."""
     if pack.g_inv is None:
         raise ValueError("the covariant hamiltonian needs the inverse metric g_inv")
     if pack.omega is None:
         raise ValueError("the covariant hamiltonian needs the connection omega")
     if pack.beta is not None:
         raise ValueError("drift term present: absorb it before the extended assembly")
-    if ctx is None:
-        ctx = extended_context(
-            pack.coords, pack.rank, twist_of_magnetic(pack.magnetic)
-        )
     pcov = covariant_momenta(pack, ctx)
     H = ctx.lift(pack.potential_or_zero())
     for i in range(len(pack.coords)):
@@ -261,25 +251,6 @@ class BFVPackage:
         raise KeyError(f"no report named {name!r}")
 
 
-def _split_momentum_linear(
-    coeff: EvenPoly, base: tuple[str, ...]
-) -> list[EvenPoly] | None:
-    """Write a phase-space coefficient as sum_i c_i(x) p_i, or None."""
-    coords = coeff.coords
-    n = len(base)
-    momentum_positions = [coords.index(momentum_name(name)) for name in base]
-    linear: list[dict[Exponent, Rat]] = [{} for _ in range(n)]
-    for exponent, value in coeff.terms.items():
-        weights = [exponent[pos] for pos in momentum_positions]
-        if sum(weights) != 1:
-            return None
-        i = weights.index(1)
-        stripped = list(exponent)
-        stripped[momentum_positions[i]] = 0
-        linear[i][tuple(stripped)] = value
-    return [EvenPoly(coords, terms) for terms in linear]
-
-
 def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
     """Read the obstruction tensor off R = (core, H_cov)."""
     data, pack, ctx = charge.data, charge.pack, charge.ctx
@@ -300,10 +271,12 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
         names = [ctx.odd_names[k] for k in word]
         ghost_count = sum(1 for name in names if name.startswith("xi_"))
         if (len(word), ghost_count) == (3, 2):
-            linear = _split_momentum_linear(coeff, data.coords)
-            if linear is None:
+            orders = momentum_orders(ctx, coeff)
+            if any(len(p_word) != 1 for p_word in orders):
                 offending.append(_word_label(ctx, word))
                 continue
+            zero = EvenPoly.zero(coeff.coords)
+            linear = [orders.get((i,), zero) for i in range(n)]
             a, b = word[0], word[1]
             c = word[2] - r
             for j in range(n):

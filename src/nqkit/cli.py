@@ -224,7 +224,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
             )
         )
     else:
-        H = build_hamiltonian(problem.pack)
+        H = build_hamiltonian(problem.pack, bench.constraints().ctx)
         reports.append(
             check_evolution_invariance(
                 H, bench.constraints(), problem.pack, bench.families()

@@ -1,7 +1,8 @@
 """Fiber-affine constraint systems on the graded phase space.
 
 Constraints of the form Phi_a = rho_a^i(x) p_i + alpha_a(x) are built from an
-`Algebroid` and an optional affine part, on a momentum bracket that may be
+`Algebroid` and an optional affine part on `phase_space(data, magnetic)`,
+the one phase space T*E[1] of a problem, whose momentum bracket may be
 twisted by a magnetic 2-form.  The affine part is the tuple of its r
 components alpha_a and the magnetic 2-form the antisymmetric n x n matrix
 B_ij, both over the base ring.  The structural 2-form d_E alpha - rho^* B
@@ -25,10 +26,11 @@ from .algebroid import Algebroid, check_axioms, ghost_context, q_images
 from .graded import (
     GradedContext,
     GradedPoly,
-    cotangent_context,
+    extended_context,
     ghost_name,
     left_derivation,
     momentum_name,
+    momentum_orders,
 )
 from .linalg import rank, solve
 from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents
@@ -41,7 +43,7 @@ Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 
 class ConstraintSet:
-    """Constraints Phi_a on a cotangent context, with the frame data they came from.
+    """Constraints Phi_a on a problem's phase space, with their frame data.
 
     Treated as immutable.
     """
@@ -78,15 +80,19 @@ class ConstraintSet:
         return structural_two_form(self.data, self.alpha, self.magnetic)
 
 
-def twist_of_magnetic(magnetic: Matrix | None) -> list[list[EvenPoly]] | None:
-    """Momentum-bracket twist matrix of a magnetic 2-form B_ij.
+def phase_space(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
+    """T*E[1] of the frame: the one context of the constraints, H and the charge.
 
-    The sign is fixed so that for B_12 = b on the plane the constraints
-    p_1 and p_2 + b x^1 close: {p_1, p_2} must cancel the derivative term.
+    Without a magnetic 2-form, or with a zero one, it is `ghost_context(data)`,
+    so the charge shares the table of Q.  A magnetic 2-form B_ij twists the
+    momentum bracket to {p_i, p_j} = -B_ij: the sign is fixed so that for
+    B_12 = b on the plane the constraints p_1 and p_2 + b x^1 close, as
+    {p_1, p_2} must cancel the derivative term.
     """
     if magnetic is None or all(f.is_zero for row in magnetic for f in row):
-        return None
-    return [[-f for f in row] for row in magnetic]
+        return ghost_context(data)
+    twist = [[-f for f in row] for row in magnetic]
+    return extended_context(data.coords, data.rank, twist)
 
 
 def affine_part(
@@ -120,9 +126,9 @@ def build_constraints(
     alpha: Sequence[EvenPoly] | None = None,
     magnetic: Matrix | None = None,
 ) -> ConstraintSet:
-    """Phi_a = rho_a^i p_i + alpha_a on the (possibly twisted) phase space."""
+    """Phi_a = rho_a^i p_i + alpha_a on `phase_space(data, magnetic)`."""
     alpha = affine_part(data.coords, data.rank, alpha)
-    ctx = cotangent_context(data.coords, twist=twist_of_magnetic(magnetic))
+    ctx = phase_space(data, magnetic)
     phis = []
     for a in range(data.rank):
         phi = ctx.lift(alpha[a])
@@ -160,24 +166,20 @@ def decompose_fiber_affine(
     for name in ctx.even_names:
         if name not in paired and F.even_part().degree_in(name) > 0:
             raise ValueError(f"constraint depends on unpaired coordinate {name!r}")
+    orders = momentum_orders(ctx, F.even_part())
+    if any(len(word) > 1 for word in orders):
+        raise ValueError("constraint is not affine in the momenta")
     base = tuple(positions)
-    momentum_slots = [ctx.even_index[p] for p in momenta]
     position_slots = [ctx.even_index[x] for x in positions]
-    alpha_terms: dict[Exponent, Rat] = {}
-    rho_terms: list[dict[Exponent, Rat]] = [{} for _ in momenta]
-    for exponent, coeff in F.even_part().terms.items():
-        p_degree = sum(exponent[slot] for slot in momentum_slots)
-        if p_degree > 1:
-            raise ValueError("constraint is not affine in the momenta")
-        x_exponent = tuple(exponent[slot] for slot in position_slots)
-        if p_degree == 0:
-            alpha_terms[x_exponent] = coeff
-        else:
-            i = next(
-                k for k, slot in enumerate(momentum_slots) if exponent[slot] == 1
-            )
-            rho_terms[i][x_exponent] = coeff
-    return EvenPoly(base, alpha_terms), [EvenPoly(base, t) for t in rho_terms]
+
+    def on_base(word: tuple[int, ...]) -> EvenPoly:
+        f = orders.get(word, EvenPoly.zero(ctx.even_names))
+        return EvenPoly(
+            base,
+            {tuple(e[s] for s in position_slots): c for e, c in f.terms.items()},
+        )
+
+    return on_base(()), [on_base((i,)) for i in range(len(base))]
 
 
 def structural_two_form(

@@ -25,8 +25,8 @@ from operator import add
 from typing import Sequence
 
 from .algebroid import Algebroid
-from .constraints import ConstraintSet, Matrix, affine_part, twist_of_magnetic
-from .graded import GradedContext, GradedPoly, cotangent_context, momentum_name
+from .constraints import ConstraintSet, Matrix, affine_part
+from .graded import GradedContext, GradedPoly, momentum_name, momentum_orders
 from .linalg import solve
 from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
 from .report import FAIL, PASS, CheckReport
@@ -159,17 +159,15 @@ class GeometryPack:
         zero = EvenPoly.zero(self.coords)
         return tuple(zero for _ in self.coords)
 
-    def phase_context(self) -> GradedContext:
-        return cotangent_context(
-            self.coords, twist=twist_of_magnetic(self.magnetic)
-        )
 
+def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
+    """H = 1/2 g^{ij} p_i p_j + beta^i p_i + V on the phase space ctx.
 
-def build_hamiltonian(pack: GeometryPack) -> GradedPoly:
-    """H = 1/2 g^{ij} p_i p_j + beta^i p_i + V on the pack's phase space."""
+    ctx is the problem's phase space, that of its constraints: its twist
+    is the pack's magnetic field.
+    """
     if pack.g_inv is None:
         raise ValueError("hamiltonian needs the inverse metric g_inv")
-    ctx = pack.phase_context()
     momenta = [ctx.var(momentum_name(name)) for name in pack.coords]
     n = len(pack.coords)
     H = ctx.lift(pack.potential_or_zero())
@@ -346,42 +344,22 @@ def _momentum_split(
 ) -> tuple[EvenPoly, list[EvenPoly], list[list[EvenPoly]]]:
     """Split a momentum-quadratic scalar into (order 0, order 1, hessian).
 
-    Each term goes to the bucket of its momentum degree, with the momenta
-    stripped from its exponent; the hessian holds the second derivatives,
-    so p_j^2 counts twice on the diagonal and p_j p_k once on each side.
+    The pieces are the coefficients of `momentum_orders`; the hessian holds
+    the second derivatives, so p_j^2 counts twice on the diagonal and
+    p_j p_k once on each side.
     """
-    slots = [ctx.even_index[p] for p, _ in ctx.pairs_even]
-    n = len(slots)
-    part0: dict[Exponent, Rat] = {}
-    part1: list[dict[Exponent, Rat]] = [{} for _ in range(n)]
-    hessian: list[list[dict[Exponent, Rat]]] = [
-        [{} for _ in range(n)] for _ in range(n)
-    ]
-    for exponent, coeff in E.terms.items():
-        # the momentum indices of the term, with multiplicity
-        momenta = [j for j, slot in enumerate(slots) for _ in range(exponent[slot])]
-        if len(momenta) > 2:
-            raise RuntimeError("residual is not quadratic in the momenta")
-        stripped = list(exponent)
-        for slot in slots:
-            stripped[slot] = 0
-        x_exponent = tuple(stripped)
-        if not momenta:
-            part0[x_exponent] = coeff
-        elif len(momenta) == 1:
-            part1[momenta[0]][x_exponent] = coeff
-        else:
-            j, k = momenta
-            if j == k:
-                hessian[j][j][x_exponent] = 2 * coeff
-            else:
-                hessian[j][k][x_exponent] = hessian[k][j][x_exponent] = coeff
-    coords = E.coords
-    return (
-        EvenPoly(coords, part0),
-        [EvenPoly(coords, terms) for terms in part1],
-        [[EvenPoly(coords, terms) for terms in row] for row in hessian],
-    )
+    orders = momentum_orders(ctx, E)
+    if any(len(word) > 2 for word in orders):
+        raise RuntimeError("residual is not quadratic in the momenta")
+    n = len(ctx.pairs_even)
+    zero = EvenPoly.zero(E.coords)
+    part1 = [orders.get((j,), zero) for j in range(n)]
+    hessian = [[zero] * n for _ in range(n)]
+    for word, coeff in orders.items():
+        if len(word) == 2:
+            j, k = word
+            hessian[j][k] = hessian[k][j] = coeff * 2 if j == k else coeff
+    return orders.get((), zero), part1, hessian
 
 
 def check_evolution_invariance(

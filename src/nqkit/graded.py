@@ -652,6 +652,31 @@ def field_column(
     return column
 
 
+def momentum_orders(
+    ctx: GradedContext, f: EvenPoly
+) -> dict[tuple[int, ...], EvenPoly]:
+    """Read a coefficient of the phase space by its momenta.
+
+    Returns {momentum word: coefficient}: the word of a term lists the
+    index j of each momentum p_j it holds (j counts the even pairs of ctx),
+    ascending and with multiplicity, so () is momentum order 0, (j,) order
+    1 and (j, k), j <= k, order 2.  The coefficient of a word is the sum of
+    the terms of f with that word, the momenta stripped from their
+    exponents, over the ring of f.  Every reader of a function by momentum
+    order goes through here.
+    """
+    slots = [ctx.even_index[p] for p, _ in ctx.pairs_even]
+    buckets: dict[tuple[int, ...], Terms] = {}
+    for exponent, coeff in f.terms.items():
+        word = tuple(j for j, slot in enumerate(slots) for _ in range(exponent[slot]))
+        stripped = list(exponent)
+        for slot in slots:
+            stripped[slot] = 0
+        # the word fixes the momentum exponents: distinct terms stay distinct
+        buckets.setdefault(word, {})[tuple(stripped)] = coeff
+    return {word: EvenPoly._trusted(f.coords, terms) for word, terms in buckets.items()}
+
+
 # name scheme for generated coordinates; user base coordinates must avoid these
 
 def momentum_name(base: str) -> str:
@@ -665,16 +690,6 @@ def ghost_name(a: int) -> str:
 
 def antighost_name(a: int) -> str:
     return f"pi_{a}"
-
-
-def cotangent_context(
-    base: Sequence[str],
-    twist: Sequence[Sequence[EvenPoly]] | None = None,
-) -> GradedContext:
-    """Positions and momenta only, optionally with a twisted momentum bracket."""
-    even = [(name, 0) for name in base] + [(momentum_name(name), 0) for name in base]
-    pairs = [(momentum_name(name), name) for name in base]
-    return GradedContext(even=even, pairs_even=pairs, twist=twist)
 
 
 def extended_context(

@@ -110,9 +110,6 @@ class EvenPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.coords), 0)
-
     def _index(self, name: str) -> int:
         try:
             return self.coords.index(name)
@@ -208,9 +205,6 @@ class EvenPoly:
     def degree_in(self, name: str) -> int:
         index = self._index(name)
         return max((e[index] for e in self.terms), default=0)
-
-    def coefficient(self, exponent: Exponent) -> Scalar:
-        return self.terms.get(tuple(exponent), 0)
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in descending graded lexicographic order, leading term first."""

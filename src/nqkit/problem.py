@@ -385,7 +385,8 @@ def _structure(value: object, rank: int, coords: tuple[str, ...]) -> Structure:
 def _structure_from_sparse(
     mapping: dict, rank: int, coords: tuple[str, ...]
 ) -> Structure:
-    stated: Structure = {}  # the last entry stated for each key, as written
+    stated: Structure = {}  # the entry stated for each index triple, as written
+    keys: dict[tuple[int, int, int], str] = {}  # the key that stated it
     for key in sorted(mapping):
         path = f"structure[{key!r}]"
         match = _SPARSE_KEY.match(key) if isinstance(key, str) else None
@@ -394,6 +395,11 @@ def _structure_from_sparse(
         c, a, b = (int(match.group(k)) - 1 for k in (1, 2, 3))
         if not all(0 <= idx < rank for idx in (c, a, b)):
             raise ProblemError(path, f"indices are 1-based up to the rank {rank}")
+        if (c, a, b) in keys:
+            raise ProblemError(
+                path, f"restates the entry of key {keys[(c, a, b)]!r}"
+            )
+        keys[(c, a, b)] = key
         entry = _parse_entry(mapping[key], coords, path)
         if a == b:
             if not entry.is_zero:

@@ -1,9 +1,8 @@
 """Check outcome containers shared by every verification routine.
 
 A report carries the verified identity, the nonzero residuals (exact
-polynomials, stringified canonically), free-form notes, and an optional wall
-time.  The JSON form deliberately omits timing so that reports are byte
-stable run to run.
+polynomials, stringified canonically) and free-form notes.  It records no
+timing, so that reports are byte stable run to run.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ class CheckReport:
         identity: str,
         residuals: list[tuple[str, str]] | None = None,
         notes: list[str] | None = None,
-        elapsed_ms: int | None = None,
     ):
         self.name = name
         self.status = status
         self.identity = identity
         self.residuals = [] if residuals is None else residuals
         self.notes = [] if notes is None else notes
-        self.elapsed_ms = elapsed_ms
 
     def to_json_dict(self) -> dict:
         return {
@@ -49,10 +46,7 @@ class CheckReport:
         tag = self.status.upper()
         if color:
             tag = f"\x1b[{_COLORS[self.status]}m{tag}\x1b[0m"
-        line = f"[{tag}] {self.name}: {self.identity}"
-        if self.elapsed_ms is not None:
-            line += f"  ({self.elapsed_ms} ms)"
-        lines = [line]
+        lines = [f"[{tag}] {self.name}: {self.identity}"]
         for index, value in self.residuals:
             lines.append(f"    residual {index}: {value}")
         for note in self.notes:

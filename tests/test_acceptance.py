@@ -33,7 +33,6 @@ from nqkit.bfv import (
     assemble_bfv,
     build_charge,
     build_S,
-    charge_context,
     check_master,
     covariant_momenta,
 )
@@ -42,6 +41,7 @@ from nqkit.constraints import (
     build_constraints,
     check_first_class,
     extract_structure,
+    phase_space,
 )
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
@@ -155,7 +155,7 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
 
     # the cubic-ghost part of (S, S) carries the Jacobi defect verbatim
     data = broken_jacobi()
-    ctx = charge_context(data)
+    ctx = phase_space(data)
     S = build_S(data, ctx=ctx)
     SS = ctx.poisson(S, S)
     defect = jacobi_defect(data)
@@ -261,7 +261,7 @@ def test_criterion_06_dynamics_two_route_agreement():
         cs = build_constraints(problem.data, alpha=problem.pack.alpha)
         families = structural_residuals(problem.data, problem.pack)
         report = check_evolution_invariance(
-            build_hamiltonian(problem.pack), cs, problem.pack, families
+            build_hamiltonian(problem.pack, cs.ctx), cs, problem.pack, families
         )
         assert any("signs (1, 1, -1)" in note for note in report.notes), name
         all_zero = all(
@@ -283,11 +283,9 @@ def test_criterion_06_dynamics_two_route_agreement():
         tau=[[EvenPoly.const(coords, 3)]],
         alpha=(EvenPoly.const(coords, 1),),
     )
+    cs = build_constraints(data, alpha=pack.alpha)
     report = check_evolution_invariance(
-        build_hamiltonian(pack),
-        build_constraints(data, alpha=pack.alpha),
-        pack,
-        structural_residuals(data, pack),
+        build_hamiltonian(pack, cs.ctx), cs, pack, structural_residuals(data, pack)
     )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]

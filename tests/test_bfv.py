@@ -18,16 +18,21 @@ from nqkit.bfv import (
     build_charge,
     build_H,
     build_S,
-    charge_context,
     check_master,
     covariant_momenta,
 )
 from nqkit.dynamics import GeometryPack
-from nqkit.graded import GradedPoly, antighost_name, ghost_name, momentum_name
+from nqkit.graded import (
+    GradedPoly,
+    antighost_name,
+    extended_context,
+    ghost_name,
+    momentum_name,
+)
 from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS, SKIPPED
-from nqkit.constraints import structural_two_form
+from nqkit.constraints import phase_space, structural_two_form
 from tests.cubes import cube_algebroid, structure_cube
 from tests.reference_forms import components, structural
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
@@ -96,7 +101,7 @@ def test_build_s_affine_line_pair():
 
 def explicit_charge(data, alpha, magnetic):
     """rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c + alpha_a xi^a, term by term."""
-    ctx = charge_context(data, magnetic)
+    ctx = phase_space(data, magnetic)
     xi = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
     S = ctx.zero()
     for a in range(data.rank):
@@ -246,7 +251,7 @@ def test_master_rejects_even_input():
 def test_covariant_momenta_plain_and_corrected():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
-    ctx = charge_context(data)
+    ctx = phase_space(data)
     assert covariant_momenta(pack, ctx) == [
         ctx.var("p_x1"),
         ctx.var("p_x2"),
@@ -257,7 +262,7 @@ def test_covariant_momenta_plain_and_corrected():
     omega = zero_connection(coords, 1)
     omega[0][0][0] = EvenPoly.const(coords, 5)
     pack1 = GeometryPack(coords, 1, g_inv=identity_metric(coords), omega=omega)
-    ctx1 = charge_context(abelian_r1())
+    ctx1 = phase_space(abelian_r1())
     (pcov,) = covariant_momenta(pack1, ctx1)
     expected = ctx1.var("p_x") - 5 * ctx1.var(ghost_name(1)) * ctx1.var(
         antighost_name(1)
@@ -286,7 +291,7 @@ def test_covariant_momenta_constant_frame_covariance():
 
     pack = GeometryPack(coords, 2, omega=omega)
     tilted = GeometryPack(coords, 2, omega=conjugated)
-    ctx = charge_context(rank2_line())
+    ctx = phase_space(rank2_line())
     images = {}
     for a in range(2):
         images[ghost_name(a + 1)] = sum(
@@ -310,7 +315,7 @@ def test_build_h_classical_limit():
     _, g = ring(list(coords))
     potential = g["x1"] ** 2 + g["x2"] ** 2 + g["x3"] ** 2
     pack = flat_pack(coords, data.rank, potential=potential)
-    H = build_H(pack)
+    H = build_H(pack, extended_context(pack.coords, pack.rank))
     ctx = H.ctx
     expected = ctx.lift(potential) + sum(
         (ctx.var(momentum_name(name)) ** 2 for name in coords), ctx.zero()
@@ -323,7 +328,7 @@ def test_build_h_connection_terms():
     omega = zero_connection(coords, 1)
     omega[0][0][0] = EvenPoly.const(coords, 3)
     pack = GeometryPack(coords, 1, g_inv=identity_metric(coords), omega=omega)
-    H = build_H(pack)
+    H = build_H(pack, extended_context(pack.coords, pack.rank))
     ctx = H.ctx
     expected = ctx.var("p_x") ** 2 / 2 - 3 * ctx.var("p_x") * ctx.var(
         ghost_name(1)
@@ -338,7 +343,7 @@ def test_build_h_ghost_square():
     for (b, a), v in values.items():
         omega[b][a][0] = EvenPoly.const(coords, v)
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords), omega=omega)
-    H = build_H(pack)
+    H = build_H(pack, extended_context(pack.coords, pack.rank))
     even = H.ctx.even_names
     # word (xi_1, pi_1) carries the cross term -g p omega
     assert word_coefficient(H, (0, 2)) == -2 * EvenPoly.variable(even, "p_x")
@@ -348,10 +353,11 @@ def test_build_h_ghost_square():
 
 def test_build_h_requires_fields():
     coords, g = ring(["x"])
+    ctx = extended_context(coords, 1)
     with pytest.raises(ValueError, match="g_inv"):
-        build_H(GeometryPack(coords, 1, potential=g["x"]))
+        build_H(GeometryPack(coords, 1, potential=g["x"]), ctx)
     with pytest.raises(ValueError, match="omega"):
-        build_H(GeometryPack(coords, 1, g_inv=identity_metric(coords)))
+        build_H(GeometryPack(coords, 1, g_inv=identity_metric(coords)), ctx)
     with pytest.raises(ValueError, match="absorb"):
         build_H(
             GeometryPack(
@@ -360,7 +366,8 @@ def test_build_h_requires_fields():
                 g_inv=identity_metric(coords),
                 omega=zero_connection(coords, 1),
                 beta=(g["x"],),
-            )
+            ),
+            ctx,
         )
 
 
@@ -505,7 +512,7 @@ def test_bracket_with_charge_squares_to_zero():
 
 def test_ghost_degree_is_additive_under_the_bracket():
     data = so3_action()
-    ctx = charge_context(data)
+    ctx = phase_space(data)
     rng = random.Random(23)
     odd_count = len(ctx.odd_names)
     for _ in range(20):

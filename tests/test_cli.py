@@ -304,6 +304,50 @@ def test_q_images_built_once_per_context(monkeypatch, args, builds):
     assert len(frames) == 1
 
 
+def twisted_with_metric() -> dict:
+    """abelian_r2 with the alpha and magnetic field of abelian_r2_magnetic.
+
+    Twisted and with a metric and a connection: the Hamiltonian of the
+    evolution check lives on the twisted phase space.
+    """
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
+    return dict(doc, alpha=twisted["alpha"], magnetic=twisted["magnetic"])
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
+def test_constraints_and_charge_share_one_phase_space(name):
+    bench = nqkit.cli._Workbench(load_problem(corpus_path(name)))
+    assert bench.constraints().ctx is bench.charge().ctx
+
+
+@pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), "twisted_with_metric"])
+def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
+    # the ghost context, which is the phase space itself without a twist,
+    # and the theta-extended context of the supercharge; a magnetic field
+    # adds the twisted phase space, shared by the constraints, both
+    # Hamiltonians and the charge
+    monkeypatch.chdir(tmp_path)
+    if name == "twisted_with_metric":
+        Path(f"{name}.json").write_text(json.dumps(twisted_with_metric()))
+        file = f"{name}.json"
+    else:
+        file = corpus_path(name)
+    twist = nqkit.cli._Workbench(load_problem(file)).constraints().ctx.twist
+    built = []
+    init = GradedContext.__init__
+
+    def counted(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
+        built.append(ctx)
+
+    monkeypatch.setattr(GradedContext, "__init__", counted)
+    result = run("check", file, "--all")
+    assert result.exit_code in (0, 1), result.output
+    assert "internal error" not in result.stderr
+    assert len(built) <= (2 if twist is None else 3), built
+
+
 def test_stored_coefficients_are_nonzero_ints_or_fractions(tmp_path, monkeypatch):
     # every polynomial the verbs build passes through the filtering
     # constructor or the trusted one; either way it may store only nonzero

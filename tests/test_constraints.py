@@ -12,11 +12,12 @@ from nqkit.constraints import (
     ConstraintSet,
     build_constraints,
     check_first_class,
+    decompose_fiber_affine,
     extract_structure,
     generic_rank,
     irreducibility_probe,
 )
-from nqkit.graded import cotangent_context
+from nqkit.graded import GradedContext, extended_context
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
@@ -97,11 +98,48 @@ def test_build_rejects_bad_affine_part():
 
 
 def test_constraint_set_rejects_non_affine_members():
-    ctx = cotangent_context(("x",))
+    ctx = extended_context(("x",), 0)
     with pytest.raises(ValueError, match="not affine"):
         ConstraintSet(
             ctx=ctx, phis=(ctx.var("p_x") * ctx.var("p_x"),), data=rank2_line()
         )
+
+
+def test_decompose_fiber_affine_reads_alpha_and_rho_over_the_positions():
+    ctx = extended_context(("x1", "x2"), 2)
+    x1, x2 = ctx.var("x1"), ctx.var("x2")
+    p1, p2 = ctx.var("p_x1"), ctx.var("p_x2")
+    coords, g = ring(["x1", "x2"])
+    alpha, rho = decompose_fiber_affine(ctx, x1 * x2 * p1 - 3 * p2 + x2 - 1)
+    assert alpha == g["x2"] - 1
+    assert rho == [g["x1"] * g["x2"], EvenPoly.const(coords, -3)]
+    alpha, rho = decompose_fiber_affine(ctx, ctx.zero())
+    zero = EvenPoly.zero(coords)
+    assert (alpha, rho) == (zero, [zero, zero])
+    # every constraint of a corpus file comes back as its frame data
+    problem = load_problem(CORPUS / "rank2_line_affine.json")
+    cs = build_constraints(problem.data, problem.pack.alpha)
+    for a, phi in enumerate(cs.phis):
+        assert decompose_fiber_affine(cs.ctx, phi) == (
+            problem.pack.alpha[a],
+            list(problem.data.anchor[a]),
+        )
+
+
+def test_decompose_fiber_affine_errors():
+    ctx = extended_context(("x",), 1)
+    p, xi = ctx.var("p_x"), ctx.var("xi_1")
+    with pytest.raises(ValueError, match="constraint has odd content"):
+        decompose_fiber_affine(ctx, p + xi)
+    with pytest.raises(ValueError, match="not affine in the momenta"):
+        decompose_fiber_affine(ctx, p + ctx.var("x") * p**2)
+    unpaired = GradedContext(
+        even=[("x", 0), ("p_x", 0), ("t", 0)], pairs_even=[("p_x", "x")]
+    )
+    with pytest.raises(
+        ValueError, match="constraint depends on unpaired coordinate 't'"
+    ):
+        decompose_fiber_affine(unpaired, unpaired.var("p_x") * unpaired.var("t"))
 
 
 # first-class verification
@@ -165,7 +203,7 @@ def test_extract_round_trip_so3():
 
 
 def test_extract_line_pair():
-    ctx = cotangent_context(("x",))
+    ctx = extended_context(("x",), 0)
     p, x = ctx.var("p_x"), ctx.var("x")
     result = extract_structure([p, x * p])
     assert result.feasible
@@ -178,7 +216,7 @@ def test_extract_line_pair():
 
 
 def test_extract_commuting_momenta():
-    ctx = cotangent_context(("x1", "x2"))
+    ctx = extended_context(("x1", "x2"), 0)
     result = extract_structure([ctx.var("p_x1"), ctx.var("p_x2")])
     assert result.feasible
     assert result.data.nonzero_structure == {}
@@ -188,7 +226,7 @@ def test_extract_commuting_momenta():
 
 def test_extract_exact_infeasibility():
     # {p_1, x^1 p_2} = p_2 is not a polynomial multiple of x^1 p_2
-    ctx = cotangent_context(("x1", "x2"))
+    ctx = extended_context(("x1", "x2"), 0)
     phis = [ctx.var("p_x1"), ctx.var("x1") * ctx.var("p_x2")]
     result = extract_structure(phis, ansatz_degree=3)
     assert not result.feasible
@@ -197,7 +235,7 @@ def test_extract_exact_infeasibility():
 
 
 def test_extract_rejects_affine_and_twisted_input():
-    ctx = cotangent_context(("x",))
+    ctx = extended_context(("x",), 0)
     with pytest.raises(ValueError, match="fiber-linear"):
         extract_structure([ctx.var("p_x") + ctx.const(1)])
     coords, g = ring(["x1", "x2"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from nqkit.dynamics import (
     StructuralResiduals,
     structural_residuals,
 )
-from nqkit.graded import cotangent_context, momentum_name
+from nqkit.graded import extended_context, momentum_name, momentum_orders
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
@@ -113,7 +115,7 @@ def test_pack_rejects_bad_shapes():
 def test_build_hamiltonian_flat():
     coords, g = ring(["x1", "x2", "x3"])
     pack = GeometryPack(coords, 3, g_inv=identity_metric(coords))
-    H = build_hamiltonian(pack)
+    H = build_hamiltonian(pack, extended_context(coords, 0))
     ctx = H.ctx
     expected = (
         ctx.var("p_x1") ** 2 + ctx.var("p_x2") ** 2 + ctx.var("p_x3") ** 2
@@ -126,7 +128,7 @@ def test_build_hamiltonian_with_potential_and_drift():
     pack = GeometryPack(
         coords, 1, g_inv=identity_metric(coords), potential=g["x"] ** 2
     )
-    H = build_hamiltonian(pack)
+    H = build_hamiltonian(pack, extended_context(coords, 0))
     assert H == H.ctx.var("p_x") ** 2 / 2 + H.ctx.var("x") ** 2
 
     coords2, g2 = ring(["x1", "x2"])
@@ -134,7 +136,7 @@ def test_build_hamiltonian_with_potential_and_drift():
     pack2 = GeometryPack(
         coords2, 2, g_inv=identity_metric(coords2), beta=(zero, g2["x1"])
     )
-    H2 = build_hamiltonian(pack2)
+    H2 = build_hamiltonian(pack2, extended_context(coords2, 0))
     ctx = H2.ctx
     expected = (ctx.var("p_x1") ** 2 + ctx.var("p_x2") ** 2) / 2 + ctx.var(
         "x1"
@@ -145,7 +147,10 @@ def test_build_hamiltonian_with_potential_and_drift():
 def test_build_hamiltonian_needs_inverse_metric():
     coords, g = ring(["x"])
     with pytest.raises(ValueError, match="g_inv"):
-        build_hamiltonian(GeometryPack(coords, 1, g_low=identity_metric(coords)))
+        build_hamiltonian(
+            GeometryPack(coords, 1, g_low=identity_metric(coords)),
+            extended_context(coords, 0),
+        )
 
 
 # flow invariance
@@ -161,11 +166,9 @@ def families_of(data, pack):
 def test_evolution_so3_killing():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
+    cs = build_constraints(data)
     report = check_evolution_invariance(
-        build_hamiltonian(pack),
-        build_constraints(data),
-        pack,
-        families_of(data, pack),
+        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
     )
     assert report.status == PASS
     assert report.residuals == []
@@ -176,11 +179,9 @@ def test_evolution_gradient_obstruction():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     pack = flat_pack(coords, 2, potential=g["x1"])
+    cs = build_constraints(data)
     report = check_evolution_invariance(
-        build_hamiltonian(pack),
-        build_constraints(data),
-        pack,
-        families_of(data, pack),
+        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
     )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "-1")]
@@ -195,7 +196,7 @@ def test_evolution_magnetic_regression():
     cs = build_constraints(data, alpha=alpha, magnetic=pack.magnetic)
     assert check_first_class(cs).status == PASS
     report = check_evolution_invariance(
-        build_hamiltonian(pack), cs, pack, families_of(data, pack)
+        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
     )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "p_x2")]
@@ -220,7 +221,7 @@ def test_evolution_with_nontrivial_connection_passes():
     )
     cs = build_constraints(data, alpha=alpha)
     report = check_evolution_invariance(
-        build_hamiltonian(pack), cs, pack, families_of(data, pack)
+        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
     )
     assert report.status == PASS
     assert check_structural(structural_residuals(data, pack)).status == PASS
@@ -237,7 +238,7 @@ def test_evolution_endomorphism_residual_matches_both_routes():
     )
     cs = build_constraints(data, alpha=alpha)
     report = check_evolution_invariance(
-        build_hamiltonian(pack), cs, pack, families_of(data, pack)
+        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
     )
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]
@@ -247,10 +248,9 @@ def test_evolution_requires_connection_and_frame_data():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords))
+    cs = build_constraints(data)
     with pytest.raises(ValueError, match="omega"):
-        check_evolution_invariance(
-            build_hamiltonian(pack), build_constraints(data), pack, None
-        )
+        check_evolution_invariance(build_hamiltonian(pack, cs.ctx), cs, pack, None)
 
 
 def test_decomposition_signs_are_pinned():
@@ -281,7 +281,7 @@ def test_substitute_agrees_with_evaluate():
         point = random_point(rng, coords)
         substituted = substitute(p, point)
         assert substituted.terms.keys() <= {(0, 0)}
-        assert substituted.constant_term() == p.evaluate(point)
+        assert substituted.terms.get((0, 0), 0) == p.evaluate(point)
     # a genuine polynomial substitution
     p = g["x"] ** 2 + g["y"]
     q = substitute(p, {"x": g["y"] + 1})
@@ -300,7 +300,7 @@ def momentum_split_by_substitution(ctx, E):
 
 
 def test_momentum_split_matches_the_substitution_route():
-    ctx = cotangent_context(("x1", "x2", "x3"))
+    ctx = extended_context(("x1", "x2", "x3"), 0)
     rng = random.Random(61)
     for _ in range(25):
         terms = {}
@@ -317,6 +317,61 @@ def test_momentum_split_matches_the_substitution_route():
     cubic = E + EvenPoly(ctx.even_names, {(1, 0, 0, 2, 0, 1): Fraction(1)})
     with pytest.raises(RuntimeError, match="not quadratic in the momenta"):
         _momentum_split(ctx, cubic)
+
+
+def momentum_orders_by_substitution(ctx, E, max_order):
+    """Each momentum word's coefficient as a derivative at p = 0.
+
+    The derivative along a word, at p = 0, over the factorials of the
+    multiplicities of its letters: the reference for `momentum_orders`.
+    """
+    momenta = [p for p, _ in ctx.pairs_even]
+    at_zero = {p: 0 for p in momenta}
+    orders = {}
+    for order in range(max_order + 1):
+        for word in combinations_with_replacement(range(len(momenta)), order):
+            derivative = E
+            for j in word:
+                derivative = derivative.diff(momenta[j])
+            scale = prod(factorial(word.count(j)) for j in set(word))
+            value = substitute(derivative, at_zero) / scale
+            if not value.is_zero:
+                orders[word] = value
+    return orders
+
+
+def twisted_rank2_context():
+    coords, g = ring(["x1", "x2", "x3"])
+    zero = EvenPoly.zero(coords)
+    w = g["x3"] + 2
+    twist = [[zero, w, zero], [-w, zero, zero], [zero, zero, zero]]
+    return extended_context(coords, 2, twist)
+
+
+@pytest.mark.parametrize(
+    "make_ctx",
+    [lambda: extended_context(("x1", "x2", "x3"), 0), twisted_rank2_context],
+    ids=["rank0", "rank2_twisted"],
+)
+def test_momentum_orders_match_the_derivatives_at_zero(make_ctx):
+    ctx = make_ctx()
+    n = len(ctx.pairs_even)
+    rng = random.Random(67)
+    degrees = set()
+    for _ in range(25):
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            powers = [0] * n
+            for _ in range(rng.randint(0, 3)):
+                powers[rng.randrange(n)] += 1
+            degrees.add(sum(powers))
+            x_exponent = tuple(rng.randint(0, 2) for _ in range(n))
+            terms[x_exponent + tuple(powers)] = Fraction(
+                rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
+            )
+        E = EvenPoly(ctx.even_names, terms)
+        assert momentum_orders(ctx, E) == momentum_orders_by_substitution(ctx, E, 3)
+    assert degrees == {0, 1, 2, 3}
 
 
 # structural families
@@ -498,7 +553,7 @@ def test_contractions_match_the_uncontracted_formulas():
         if pack.g_inv is None:
             continue
         cs = build_constraints(data, pack.alpha, pack.magnetic)
-        H = build_hamiltonian(pack)
+        H = build_hamiltonian(pack, cs.ctx)
         report = check_evolution_invariance(H, cs, pack, families_of(data, pack))
         assert report.residuals == evolution_residuals_by_full_sums(H, cs, pack)
         if pack.beta is None and pack.magnetic is None:

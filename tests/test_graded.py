@@ -8,7 +8,6 @@ import pytest
 from nqkit.graded import (
     GradedContext,
     GradedPoly,
-    cotangent_context,
     extended_context,
     field_column,
     left_derivation,
@@ -197,7 +196,7 @@ def test_twisted_momentum_bracket_honors_raw_matrix():
     coords, g = ring(["x1", "x2"])
     b = g["x1"] + 1
     twist = [[EvenPoly.zero(coords), b], [-b, EvenPoly.zero(coords)]]
-    ctx = cotangent_context(["x1", "x2"], twist=twist)
+    ctx = extended_context(["x1", "x2"], 0, twist=twist)
     p1, p2 = ctx.var("p_x1"), ctx.var("p_x2")
     assert ctx.poisson(p1, p2) == ctx.lift(b)
     assert ctx.poisson(p2, p1) == -ctx.lift(b)
@@ -270,7 +269,7 @@ def test_nonclosed_twist_breaks_jacobi():
     zero = EvenPoly.zero(coords)
     w = g["x3"]
     twist = [[zero, w, zero], [-w, zero, zero], [zero, zero, zero]]
-    ctx = cotangent_context(["x1", "x2", "x3"], twist=twist)
+    ctx = extended_context(["x1", "x2", "x3"], 0, twist=twist)
     p1, p2, p3 = (ctx.var(f"p_x{i}") for i in (1, 2, 3))
     jacobiator = (
         ctx.poisson(p1, ctx.poisson(p2, p3))
@@ -434,12 +433,14 @@ def test_context_validation():
     with pytest.raises(ValueError):
         GradedContext(even=[("x", 0)], pairs_even=[("p", "x")])
     with pytest.raises(ValueError, match="antisymmetric"):
-        cotangent_context(["x1", "x2"], twist=[[zero, g["x1"]], [g["x1"], zero]])
+        extended_context(["x1", "x2"], 0, twist=[[zero, g["x1"]], [g["x1"], zero]])
     p_dependent = EvenPoly.variable(("x1", "x2", "p_x1", "p_x2"), "p_x1")
     with pytest.raises(ValueError, match="positions"):
-        cotangent_context(["x1", "x2"], twist=[[zero, p_dependent], [-p_dependent, zero]])
+        extended_context(
+            ["x1", "x2"], 0, twist=[[zero, p_dependent], [-p_dependent, zero]]
+        )
     with pytest.raises(ValueError):
-        cotangent_context(["x1", "x2"], twist=[[zero, zero]])
+        extended_context(["x1", "x2"], 0, twist=[[zero, zero]])
 
 
 def test_parity_helpers():

@@ -20,6 +20,7 @@ from nqkit.problem import (
     load_problem,
     problem_from_dict,
 )
+from tests.conftest import invoke
 from tests.test_poly import random_poly, ring
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -129,6 +130,37 @@ def test_sparse_structure_key_and_range_errors():
         problem_from_dict(minimal(structure={"1,2": "x"}))
     with pytest.raises(ProblemError, match="1-based"):
         problem_from_dict(minimal(structure={"1,1,2": "x"}))
+
+
+def test_sparse_structure_rejects_a_restated_entry(tmp_path):
+    # keys are read in string order, so the later key is '1,1,2'
+    doc = {
+        "base_dim": 1,
+        "rank": 2,
+        "coords": ["x"],
+        "anchor": [["1"], ["x"]],
+        "structure": {"1,1,2": "1", "01,1,2": "5"},
+    }
+    message = "restates the entry of key '01,1,2'"
+    with pytest.raises(ProblemError, match=message) as err:
+        problem_from_dict(doc)
+    assert path_of(err) == "structure['1,1,2']"
+    # a zero diagonal entry stated twice is restated too
+    with pytest.raises(ProblemError, match="restates") as err:
+        problem_from_dict(minimal(structure={"1,1,1": "0", "1,01,1": "0"}))
+    assert path_of(err) == "structure['1,1,1']"
+    # through the command line: an input error, no traceback
+    path = tmp_path / "restated.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["check", str(path), "--axioms"])
+    assert result.exit_code == 2
+    assert result.output == f"input error: structure['1,1,2']: {message}\n"
+    # the mirror key and the index-0 message are unchanged
+    mirrored = dict(doc, structure={"1,1,2": "1", "1,2,1": "-1"})
+    assert problem_from_dict(mirrored).data.nonzero_structure[(0, 1)][0][0] == 0
+    with pytest.raises(ProblemError, match="1-based up to the rank 2") as err:
+        problem_from_dict(dict(doc, structure={"0,1,2": "1"}))
+    assert path_of(err) == "structure['0,1,2']"
 
 
 def test_dense_structure_antisymmetry_checked():

@@ -19,8 +19,9 @@ from pathlib import Path
 import pytest
 
 from nqkit.algebroid import _q_columns
-from nqkit.bfv import _balanced_words, _bracket_columns, build_S, charge_context
+from nqkit.bfv import _balanced_words, _bracket_columns, build_S
 from nqkit.cli import _connection_unknowns
+from nqkit.constraints import phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import GradedPoly
 from nqkit.poly import EvenPoly, monomial_exponents
@@ -58,7 +59,7 @@ def without_momenta(column: dict, n: int) -> dict:
 def test_the_cases_reach_the_twist_and_the_affine_charge():
     assert len(NAMES) == 10
     magnetic = corpus_problem("abelian_r2_magnetic")
-    assert charge_context(magnetic.data, magnetic.pack.magnetic).twist is not None
+    assert phase_space(magnetic.data, magnetic.pack.magnetic).twist is not None
     assert corpus_problem("rank2_line_affine").pack.alpha is not None
 
 
@@ -85,7 +86,7 @@ def test_q_columns_match_the_frame_differential(name, trunc):
 def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
     problem = corpus_problem(name)
     data, pack = problem.data, problem.pack
-    ctx = charge_context(data, pack.magnetic)
+    ctx = phase_space(data, pack.magnetic)
     S = build_S(data, alpha=pack.alpha, magnetic=pack.magnetic, ctx=ctx)
     field = ctx.hamiltonian_field(S)
     n = data.base_dim

@@ -2,9 +2,11 @@
 """Byte-level fingerprints of the command line on a fixed matrix of runs.
 
 Every verb and check flag runs with its JSON output on the 10 corpus
-files, on the so(3) to so(6) frames of the benchmark's generator and on
-dense-list twins of two sparse corpus files, plus a few inputs near the
-parser's term budget and a dense structure that is not antisymmetric.  Each run is
+files, on the so(3) to so(6) frames of the benchmark's generator, on
+dense-list twins of two sparse corpus files and on `abelian_r2` with the
+affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
+metric and a connection), plus a few inputs near the parser's term budget
+and a dense structure that is not antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
 output, standard error and every file the run wrote.  Two trees that
@@ -68,6 +70,8 @@ BUDGET_ENTRIES = {
 }
 # corpus files whose sparse structure also runs as the [c][a][b] list
 DENSE_TWINS = ("so3_action", "broken_jacobi")
+# a corpus file that runs again with the alpha and magnetic field of another
+TWISTED_TWINS = {"abelian_r2_metric_magnetic": ("abelian_r2", "abelian_r2_magnetic")}
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
 
@@ -96,6 +100,10 @@ def inputs() -> dict[str, dict]:
         docs[f"so{n}"] = gen.so_n(n)
     for name in DENSE_TWINS:
         docs[f"{name}_dense"] = dict(docs[name], structure=dense_structure(docs[name]))
+    for name, (base, field) in TWISTED_TWINS.items():
+        docs[name] = dict(
+            docs[base], alpha=docs[field]["alpha"], magnetic=docs[field]["magnetic"]
+        )
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
