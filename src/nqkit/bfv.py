@@ -178,17 +178,11 @@ def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly
     """p_i minus the ghost-pair correction of the connection."""
     if pack.omega is None:
         raise ValueError("covariant momenta need the connection omega")
-    out = []
-    for i, name in enumerate(pack.coords):
-        p = ctx.var(momentum_name(name))
-        for a in range(pack.rank):
-            for b in range(pack.rank):
-                if pack.omega[b][a][i].is_zero:
-                    continue
-                p = p - ctx.lift(pack.omega[b][a][i]) * ctx.var(
-                    ghost_name(a + 1)
-                ) * ctx.var(antighost_name(b + 1))
-        out.append(p)
+    out = [ctx.var(momentum_name(name)) for name in pack.coords]
+    for (b, a, i), w in pack.omega.items():
+        out[i] = out[i] - ctx.lift(w) * ctx.var(ghost_name(a + 1)) * ctx.var(
+            antighost_name(b + 1)
+        )
     return out
 
 

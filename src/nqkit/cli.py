@@ -536,14 +536,13 @@ def _solve_connection(file, degree, write_path) -> None:
         f"feasible: solution space dimension {solution.solution_dim} "
         f"at ansatz degree {degree}"
     )
-    for a, plane in enumerate(solution.omega):
-        for b, row in enumerate(plane):
-            for i, entry in enumerate(row):
-                if not entry.is_zero:
-                    print(f"  omega^{a + 1}_{b + 1},{i + 1} = {entry}")
+    for (a, b, i), entry in sorted(solution.omega.items()):
+        print(f"  omega^{a + 1}_{b + 1},{i + 1} = {entry}")
     if write_path is not None:
         doc = problem.document()
-        doc["connection"] = connection_strings(solution.omega)
+        doc["connection"] = connection_strings(
+            solution.omega, problem.rank, problem.base_dim
+        )
         _write_json("--write", write_path, doc)
         print(f"wrote {write_path}")
     sys.exit(0)

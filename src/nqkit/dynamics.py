@@ -21,6 +21,7 @@ index-formula route raises instead of passing silently.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from operator import add
 from typing import Sequence
 
@@ -41,23 +42,18 @@ def _as_matrix(rows: Sequence[Sequence[EvenPoly]] | None) -> Matrix | None:
     return tuple(tuple(row) for row in rows)
 
 
-def _as_cube(
-    planes: Sequence[Sequence[Sequence[EvenPoly]]] | None,
-) -> tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None:
-    if planes is None:
-        return None
-    return tuple(tuple(tuple(row) for row in plane) for plane in planes)
-
-
 class GeometryPack:
     """Optional geometric fields over a fixed base ring and frame rank.
 
-    omega[a][b][i] holds omega^a_{bi}; tau[a][b] holds tau^a_b; alpha[a]
-    holds alpha_a; magnetic[i][j] holds B_ij.  Each field is checked here,
-    once, against the base ring and the rank.  Fields with a natural zero
-    default (alpha, tau, potential, magnetic, beta) may simply be omitted;
-    the metrics and connection have no canonical default and the operations
-    that need them say so.  Treated as immutable.
+    omega and tau are stored only as indexes of their nonzero entries in
+    ascending keys, omega[(a, b, i)] = omega^a_{bi} and tau[(a, b)] = tau^a_b;
+    alpha[a] holds alpha_a and magnetic[i][j] holds B_ij.  Each field is
+    checked here, once, against the base ring and the rank.  Fields with a
+    natural zero default (alpha, tau, potential, magnetic, beta) may be
+    omitted, and an all-zero beta is stored as absent; the metrics and
+    connection have no canonical default (a zero connection is the empty
+    index, not None) and the operations that need them say so.  Treated as
+    immutable.
     """
 
     def __init__(
@@ -66,8 +62,8 @@ class GeometryPack:
         rank: int,
         g_inv: Matrix | None = None,
         g_low: Matrix | None = None,
-        omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None = None,
-        tau: Matrix | None = None,
+        omega: Mapping[tuple[int, int, int], EvenPoly] | None = None,
+        tau: Mapping[tuple[int, int], EvenPoly] | None = None,
         alpha: Sequence[EvenPoly] | None = None,
         potential: EvenPoly | None = None,
         magnetic: Matrix | None = None,
@@ -77,8 +73,6 @@ class GeometryPack:
         self.rank = rank
         self.g_inv = _as_matrix(g_inv)
         self.g_low = _as_matrix(g_low)
-        self.omega = _as_cube(omega)
-        self.tau = _as_matrix(tau)
         self.alpha = None if alpha is None else affine_part(self.coords, rank, alpha)
         self.potential = potential
         self.magnetic = _as_matrix(magnetic)
@@ -109,21 +103,33 @@ class GeometryPack:
                         raise ValueError(
                             "g_inv and g_low are not exact inverses"
                         )
-        if self.omega is not None:
-            if len(self.omega) != r or any(
-                len(plane) != r or any(len(row) != n for row in plane)
-                for plane in self.omega
-            ):
-                raise ValueError("omega must be rank x rank x base_dim")
-            self._check_entries(e for p in self.omega for row in p for e in row)
-        if self.tau is not None:
-            self._check_square("tau", self.tau, r)
+        self.omega = None if omega is None else self._nonzero("omega", omega, (r, r, n))
+        self.tau = self._nonzero("tau", {} if tau is None else tau, (r, r))
         if self.potential is not None and self.potential.coords != self.coords:
             raise ValueError("potential must live in the base ring")
         if self.beta is not None:
             if len(self.beta) != n:
                 raise ValueError("beta must have one component per coordinate")
             self._check_entries(self.beta)
+            if all(entry.is_zero for entry in self.beta):
+                self.beta = None
+
+    def _nonzero(self, name: str, index: Mapping, shape: tuple[int, ...]) -> dict:
+        """The nonzero entries of an index, in ascending keys, once checked."""
+        kept = {}
+        for key in sorted(index):
+            if len(key) != len(shape) or not all(
+                0 <= k < size for k, size in zip(key, shape)
+            ):
+                labels = ("rank", "rank", "base_dim")[: len(shape)]
+                raise ValueError(
+                    f"{name} keys index {' x '.join(labels)}, found {key}"
+                )
+            entry = index[key]
+            self._check_entries((entry,))
+            if not entry.is_zero:
+                kept[key] = entry
+        return kept
 
     def _check_square(self, name: str, matrix: Matrix, size: int) -> None:
         if len(matrix) != size or any(len(row) != size for row in matrix):
@@ -139,12 +145,6 @@ class GeometryPack:
 
     def alpha_or_zero(self) -> tuple[EvenPoly, ...]:
         return affine_part(self.coords, self.rank, self.alpha)
-
-    def tau_or_zero(self) -> Matrix:
-        if self.tau is not None:
-            return self.tau
-        zero = EvenPoly.zero(self.coords)
-        return tuple(tuple(zero for _ in range(self.rank)) for _ in range(self.rank))
 
     def potential_or_zero(self) -> EvenPoly:
         return (
@@ -252,46 +252,37 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     (ii)  d_i alpha_a - omega^b_ai alpha_b + tau^b_a (iota_rho g)_bi
     (iii) rho_a^i d_i V - tau^b_a alpha_b
 
-    Zero factors of omega and tau are skipped.
+    The omega and tau terms are read off their indexes of nonzero entries.
     """
     _require(pack, ["g_low", "omega"])
     r, n = data.rank, data.base_dim
-    g_low, omega = pack.g_low, pack.omega
-    tau = pack.tau_or_zero()
+    g_low = pack.g_low
     alpha = pack.alpha_or_zero()
-    potential = pack.potential_or_zero()
     iota = _lowered_anchor(data, g_low)
 
-    metric: dict[tuple[int, int, int], EvenPoly] = {}
-    for a in range(r):
-        for i in range(n):
-            for j in range(i, n):
-                value = _lie_metric(data, g_low, a, i, j)
-                for b in range(r):
-                    if not omega[b][a][i].is_zero:
-                        value = value - omega[b][a][i] * iota[b][j]
-                    if not omega[b][a][j].is_zero:
-                        value = value - omega[b][a][j] * iota[b][i]
-                metric[(a, i, j)] = value
+    metric = {
+        (a, i, j): _lie_metric(data, g_low, a, i, j)
+        for a in range(r)
+        for i in range(n)
+        for j in range(i, n)
+    }
+    alpha_res = {
+        (a, i): alpha[a].diff(data.coords[i]) for a in range(r) for i in range(n)
+    }
+    for (b, a, i), w in pack.omega.items():
+        # omega^b_ai stands in the pairs (i, j >= i) and (s <= i, i)
+        for j in range(i, n):
+            metric[(a, i, j)] = metric[(a, i, j)] - w * iota[b][j]
+        for s in range(i + 1):
+            metric[(a, s, i)] = metric[(a, s, i)] - w * iota[b][s]
+        alpha_res[(a, i)] = alpha_res[(a, i)] - w * alpha[b]
 
-    alpha_res: dict[tuple[int, int], EvenPoly] = {}
-    for a in range(r):
+    potential = pack.potential_or_zero()
+    potential_res = {a: data.anchor_apply(a, potential) for a in range(r)}
+    for (b, a), t in pack.tau.items():
         for i in range(n):
-            value = alpha[a].diff(data.coords[i])
-            for b in range(r):
-                if not omega[b][a][i].is_zero:
-                    value = value - omega[b][a][i] * alpha[b]
-                if not tau[b][a].is_zero:
-                    value = value + tau[b][a] * iota[b][i]
-            alpha_res[(a, i)] = value
-
-    potential_res: dict[int, EvenPoly] = {}
-    for a in range(r):
-        value = data.anchor_apply(a, potential)
-        for b in range(r):
-            if not tau[b][a].is_zero:
-                value = value - tau[b][a] * alpha[b]
-        potential_res[a] = value
+            alpha_res[(a, i)] = alpha_res[(a, i)] + t * iota[b][i]
+        potential_res[a] = potential_res[a] - t * alpha[b]
     return StructuralResiduals(metric, alpha_res, potential_res)
 
 
@@ -381,25 +372,23 @@ def check_evolution_invariance(
     if H.ctx != ctx:
         raise ValueError("hamiltonian and constraints live on different phase spaces")
     data = cs.data
-    r, n = data.rank, data.base_dim
-    tau = pack.tau_or_zero()
+    r = data.rank
+    # gamma^b_a by (b, a), built once from the nonzero omega and tau
     momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+    gammas = {key: -ctx.lift(t) for key, t in pack.tau.items()}
+    for (b, a, i), w in pack.omega.items():
+        for j in range(data.base_dim):
+            if not pack.g_inv[i][j].is_zero:
+                term = ctx.lift(w * pack.g_inv[i][j]) * momenta[j]
+                gammas[(b, a)] = gammas.get((b, a), ctx.zero()) + term
 
     residuals = []
     bracket_residuals: list[GradedPoly] = []
     for a in range(r):
         R = ctx.poisson(H, cs.phis[a])
         for b in range(r):
-            gamma = -ctx.lift(tau[b][a])
-            for j in range(n):
-                # omega^b_ai g^ij, contracted over i before the lift
-                raised = EvenPoly.zero(data.coords)
-                for i in range(n):
-                    if not pack.omega[b][a][i].is_zero:
-                        raised = raised + pack.omega[b][a][i] * pack.g_inv[i][j]
-                if not raised.is_zero:
-                    gamma = gamma + ctx.lift(raised) * momenta[j]
-            if not gamma.is_zero:
+            gamma = gammas.get((b, a))
+            if gamma is not None:
                 R = R - gamma * cs.phis[b]
         bracket_residuals.append(R)
         if not R.is_zero:
@@ -407,7 +396,7 @@ def check_evolution_invariance(
 
     notes = ["gamma^b_a = omega^b_ai g^ij p_j - tau^b_a"]
     twisted = ctx.twist is not None
-    drift = pack.beta is not None and any(not b.is_zero for b in pack.beta)
+    drift = pack.beta is not None
     if twisted:
         notes.append(
             "magnetic term present: bracket residual is authoritative, "
@@ -496,7 +485,7 @@ class ConnectionSolution:
     def __init__(
         self,
         feasible: bool,
-        omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...] | None,
+        omega: dict[tuple[int, int, int], EvenPoly] | None,
         solution_dim: int,
         degree: int,
         notes: list[str] | None = None,
@@ -582,15 +571,11 @@ def solve_connection(
             ],
         )
     solution, solution_dim = result
-    zero = EvenPoly.zero(data.coords)
-    omega = [[[zero for _ in range(n)] for _ in range(r)] for _ in range(r)]
+    terms: dict[tuple[int, int, int], dict[Exponent, Rat]] = {}
     for k, value in solution.items():
         b, a, i, m = unknowns[k]
-        omega[b][a][i] = omega[b][a][i] + EvenPoly(data.coords, {m: value})
-    return ConnectionSolution(
-        True,
-        tuple(tuple(tuple(row) for row in plane) for plane in omega),
-        solution_dim,
-        degree,
-        [],
-    )
+        terms.setdefault((b, a, i), {})[m] = value
+    omega = {
+        key: EvenPoly(data.coords, terms[key]) for key in sorted(terms)
+    }
+    return ConnectionSolution(True, omega, solution_dim, degree, [])

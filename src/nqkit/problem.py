@@ -20,13 +20,16 @@ Schema, with shapes in brackets:
     metric_inv  [n][n] expressions, symmetric          (g^ij)
     metric      [n][n] expressions, symmetric          (g_ij)
     connection  [rank][rank][base_dim] expressions     (omega^a_{b,i})
-    tau         [rank][rank] expressions
+    tau         [rank][rank] expressions               (tau^a_b)
     alpha       [rank] expressions
     potential   expression
     beta        [base_dim] expressions
     magnetic    [n][n] expressions, antisymmetric      (B_ij)
     points      list of [base_dim] rationals (ints or "a/b")
     truncation  {"x_degree": int, "p_degree": int, "slack": int}
+
+A literal "0" entry of a dense list is not parsed; the connection and tau
+are stored only as the indexes of their nonzero entries (`GeometryPack`).
 """
 
 from __future__ import annotations
@@ -185,8 +188,8 @@ def problem_from_dict(doc: object) -> Problem:
     )
     g_inv = _optional_matrix(doc, "metric_inv", base_dim, coords)
     g_low = _optional_matrix(doc, "metric", base_dim, coords)
-    omega = _optional_cube(doc, "connection", rank, base_dim, coords)
-    tau = _optional_matrix(doc, "tau", rank, coords)
+    omega = _optional_index(doc, "connection", (rank, rank, base_dim), coords)
+    tau = _optional_index(doc, "tau", (rank, rank), coords)
     potential = (
         _parse_entry(doc["potential"], coords, "potential")
         if "potential" in doc
@@ -228,10 +231,13 @@ def problem_from_dict(doc: object) -> Problem:
 
 
 def connection_strings(
-    omega: tuple[tuple[tuple[EvenPoly, ...], ...], ...]
+    omega: dict[tuple[int, int, int], EvenPoly], rank: int, base_dim: int
 ) -> list[list[list[str]]]:
-    """Connection entries as grammar strings, for writing problem files."""
-    return [[[str(entry) for entry in row] for row in plane] for plane in omega]
+    """The dense connection list of grammar strings, for writing problem files."""
+    planes = [[["0"] * base_dim for _ in range(rank)] for _ in range(rank)]
+    for (a, b, i), entry in omega.items():
+        planes[a][b][i] = str(entry)
+    return planes
 
 
 # field readers
@@ -306,23 +312,16 @@ def _parse_entry(value: object, coords: tuple[str, ...], path: str) -> EvenPoly:
 def _expr_list(
     value: object, length: int, coords: tuple[str, ...], path: str
 ) -> list[EvenPoly]:
-    if not isinstance(value, list) or len(value) != length:
-        raise ProblemError(path, f"must list exactly {length} expressions")
-    return [
-        _parse_entry(entry, coords, f"{path}[{k + 1}]")
-        for k, entry in enumerate(value)
-    ]
+    entries = _dense_index(value, (length,), coords, path)
+    return [entries.get((k,), EvenPoly.zero(coords)) for k in range(length)]
 
 
 def _expr_matrix(
     value: object, nrows: int, ncols: int, coords: tuple[str, ...], path: str
 ) -> list[list[EvenPoly]]:
-    if not isinstance(value, list) or len(value) != nrows:
-        raise ProblemError(path, f"must have {nrows} rows")
-    return [
-        _expr_list(row, ncols, coords, f"{path}[{k + 1}]")
-        for k, row in enumerate(value)
-    ]
+    entries = _dense_index(value, (nrows, ncols), coords, path)
+    zero = EvenPoly.zero(coords)
+    return [[entries.get((k, i), zero) for i in range(ncols)] for k in range(nrows)]
 
 
 def _optional_matrix(doc: dict, name: str, size: int, coords):
@@ -331,16 +330,43 @@ def _optional_matrix(doc: dict, name: str, size: int, coords):
     return _expr_matrix(doc[name], size, size, coords, name)
 
 
-def _optional_cube(doc: dict, name: str, rank: int, base_dim: int, coords):
+def _optional_index(doc: dict, name: str, shape: tuple[int, ...], coords):
     if name not in doc:
         return None
-    value = doc[name]
-    if not isinstance(value, list) or len(value) != rank:
-        raise ProblemError(name, f"must have {rank} planes")
-    return [
-        _expr_matrix(plane, rank, base_dim, coords, f"{name}[{a + 1}]")
-        for a, plane in enumerate(value)
-    ]
+    return _dense_index(doc[name], shape, coords, name)
+
+
+# the shape error of a dense list, by the number of its dimensions
+_DENSE_SHAPES = {
+    1: "must list exactly {} expressions",
+    2: "must have {} rows",
+    3: "must have {} planes",
+}
+
+
+def _dense_index(
+    value: object,
+    shape: tuple[int, ...],
+    coords: tuple[str, ...],
+    path: str,
+    index: tuple[int, ...] = (),
+) -> dict:
+    """The entries of a dense list of this shape but its literal "0"s, by index.
+
+    Indices are 0-based; a "0" is skipped before the parser.  Of the shape
+    and parse errors, the first in reading order is raised.
+    """
+    length, inner = shape[0], shape[1:]
+    if not isinstance(value, list) or len(value) != length:
+        raise ProblemError(path, _DENSE_SHAPES[len(shape)].format(length))
+    entries = {}
+    for k, entry in enumerate(value):
+        if inner:
+            at = f"{path}[{k + 1}]"
+            entries.update(_dense_index(entry, inner, coords, at, index + (k,)))
+        elif entry != "0":
+            entries[index + (k,)] = _parse_entry(entry, coords, f"{path}[{k + 1}]")
+    return entries
 
 
 _SPARSE_KEY = re.compile(r"([0-9]+),([0-9]+),([0-9]+)\Z")
@@ -358,27 +384,21 @@ def _structure(value: object, rank: int, coords: tuple[str, ...]) -> Structure:
         raise ProblemError(
             "structure", f"must have {rank} planes or be a sparse object"
         )
-    cube = [
-        _expr_matrix(plane, rank, rank, coords, f"structure[{c + 1}]")
-        for c, plane in enumerate(value)
-    ]
+    stated = _dense_index(value, (rank, rank, rank), coords, "structure")
     # the first violation in c, a, b order has a <= b, as the pair (b, a)
-    # fails with (a, b); only nonzero entries are added, and a nonzero
-    # diagonal entry fails as its own mirror
+    # fails with (a, b); a nonzero diagonal entry fails as its own mirror
+    zero = EvenPoly.zero(coords)
     structure: Structure = {}
-    for c, plane in enumerate(cube):
-        for a in range(rank):
-            for b in range(a, rank):
-                entry, mirror = plane[a][b], plane[b][a]
-                if entry.is_zero and mirror.is_zero:
-                    continue
-                if not (entry + mirror).is_zero:
-                    raise ProblemError(
-                        "structure",
-                        f"structure functions must be antisymmetric, "
-                        f"violated at c={c + 1}, a={a + 1}, b={b + 1}",
-                    )
-                structure[(c, a, b)] = entry
+    for c, a, b in sorted({(c, min(a, b), max(a, b)) for c, a, b in stated}):
+        entry = stated.get((c, a, b), zero)
+        if not (entry + stated.get((c, b, a), zero)).is_zero:
+            raise ProblemError(
+                "structure",
+                f"structure functions must be antisymmetric, "
+                f"violated at c={c + 1}, a={a + 1}, b={b + 1}",
+            )
+        if a < b:  # not a diagonal entry that reads zero, such as "0/2"
+            structure[(c, a, b)] = entry
     return structure
 
 

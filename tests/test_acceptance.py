@@ -279,8 +279,8 @@ def test_criterion_06_dynamics_two_route_agreement():
         1,
         g_inv=[[EvenPoly.const(coords, 1)]],
         g_low=[[EvenPoly.const(coords, 1)]],
-        omega=[[[EvenPoly.zero(coords)]]],
-        tau=[[EvenPoly.const(coords, 3)]],
+        omega={},
+        tau={(0, 0): EvenPoly.const(coords, 3)},
         alpha=(EvenPoly.const(coords, 1),),
     )
     cs = build_constraints(data, alpha=pack.alpha)

@@ -27,7 +27,7 @@ from nqkit.report import FAIL, PASS
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
-from tests.test_dynamics import flat_pack, identity_metric, zero_connection
+from tests.test_dynamics import flat_pack, identity_metric
 from tests.test_graded import word_coefficient
 from tests.test_poly import ring
 
@@ -42,8 +42,7 @@ def affine_line_package():
     data = rank2_line()
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
-    omega = zero_connection(coords, 2)
-    omega[0][1][0] = EvenPoly.const(coords, 1)
+    omega = {(0, 1, 0): EvenPoly.const(coords, 1)}
     pack = GeometryPack(
         coords,
         2,

@@ -33,11 +33,17 @@ from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS, SKIPPED
 from nqkit.constraints import phase_space, structural_two_form
-from tests.cubes import cube_algebroid, structure_cube
+from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import components, structural
-from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
+from tests.test_algebroid import (
+    abelian_r1,
+    broken_jacobi,
+    random_frame,
+    rank2_line,
+    so3_action,
+)
 from tests.test_constraints import abelian_r2, magnetic_plane
-from tests.test_dynamics import flat_pack, identity_metric, zero_connection
+from tests.test_dynamics import flat_pack, identity_metric, random_pack
 from tests.test_graded import word_coefficient
 from tests.test_poly import random_poly, ring
 
@@ -70,7 +76,7 @@ def line_pack(rank: int, **fields) -> GeometryPack:
         rank,
         g_inv=identity_metric(coords),
         g_low=identity_metric(coords),
-        omega=zero_connection(coords, rank),
+        omega={},
         **fields,
     )
 
@@ -259,8 +265,7 @@ def test_covariant_momenta_plain_and_corrected():
     ]
 
     coords, _ = ring(["x"])
-    omega = zero_connection(coords, 1)
-    omega[0][0][0] = EvenPoly.const(coords, 5)
+    omega = {(0, 0, 0): EvenPoly.const(coords, 5)}
     pack1 = GeometryPack(coords, 1, g_inv=identity_metric(coords), omega=omega)
     ctx1 = phase_space(abelian_r1())
     (pcov,) = covariant_momenta(pack1, ctx1)
@@ -270,24 +275,53 @@ def test_covariant_momenta_plain_and_corrected():
     assert pcov == expected
 
 
+def covariant_momenta_by_full_sums(pack, ctx):
+    """p_i - omega^b_ai xi^a pi_b summed over every (a, b), zeros included."""
+    omega = connection_cube(pack)
+    out = []
+    for i, name in enumerate(pack.coords):
+        p = ctx.var(momentum_name(name))
+        for a in range(pack.rank):
+            for b in range(pack.rank):
+                p = p - ctx.lift(omega[b][a][i]) * ctx.var(
+                    ghost_name(a + 1)
+                ) * ctx.var(antighost_name(b + 1))
+        out.append(p)
+    return out
+
+
+def test_covariant_momenta_match_the_full_sums():
+    rng = random.Random(47)
+    nonzero = 0
+    for _ in range(6):
+        data = random_frame(rng, rng.randrange(1, 4), rng.randrange(1, 4))
+        pack = random_pack(rng, data)
+        ctx = phase_space(data)
+        assert covariant_momenta(pack, ctx) == covariant_momenta_by_full_sums(
+            pack, ctx
+        )
+        nonzero += len(pack.omega)
+    assert nonzero > 0
+
+
 def test_covariant_momenta_constant_frame_covariance():
     # conjugating the connection by a constant frame change and rotating
     # the ghost pair accordingly leaves the corrected momenta unchanged
     coords, _ = ring(["x"])
     values = {(0, 0): 2, (0, 1): 3, (1, 0): 5, (1, 1): 7}
-    omega = zero_connection(coords, 2)
+    omega = {}
     for (b, a), v in values.items():
-        omega[b][a][0] = EvenPoly.const(coords, v)
+        omega[(b, a, 0)] = EvenPoly.const(coords, v)
     M = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     Minv = [[Fraction(1), Fraction(-1)], [Fraction(0), Fraction(1)]]
-    conjugated = zero_connection(coords, 2)
+    conjugated = {}
     for b in range(2):
         for a in range(2):
             total = Fraction(0)
             for u in range(2):
                 for v in range(2):
                     total += M[b][u] * values.get((u, v), 0) * Minv[v][a]
-            conjugated[b][a][0] = EvenPoly.const(coords, total)
+            conjugated[(b, a, 0)] = EvenPoly.const(coords, total)
 
     pack = GeometryPack(coords, 2, omega=omega)
     tilted = GeometryPack(coords, 2, omega=conjugated)
@@ -325,8 +359,7 @@ def test_build_h_classical_limit():
 
 def test_build_h_connection_terms():
     coords, _ = ring(["x"])
-    omega = zero_connection(coords, 1)
-    omega[0][0][0] = EvenPoly.const(coords, 3)
+    omega = {(0, 0, 0): EvenPoly.const(coords, 3)}
     pack = GeometryPack(coords, 1, g_inv=identity_metric(coords), omega=omega)
     H = build_H(pack, extended_context(pack.coords, pack.rank))
     ctx = H.ctx
@@ -339,9 +372,9 @@ def test_build_h_connection_terms():
 def test_build_h_ghost_square():
     coords, _ = ring(["x"])
     values = {(0, 0): 2, (0, 1): 3, (1, 0): 5, (1, 1): 7}
-    omega = zero_connection(coords, 2)
+    omega = {}
     for (b, a), v in values.items():
-        omega[b][a][0] = EvenPoly.const(coords, v)
+        omega[(b, a, 0)] = EvenPoly.const(coords, v)
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords), omega=omega)
     H = build_H(pack, extended_context(pack.coords, pack.rank))
     even = H.ctx.even_names
@@ -364,7 +397,7 @@ def test_build_h_requires_fields():
                 coords,
                 1,
                 g_inv=identity_metric(coords),
-                omega=zero_connection(coords, 1),
+                omega={},
                 beta=(g["x"],),
             ),
             ctx,
@@ -405,9 +438,9 @@ def test_cartan_obstruction_on_the_shear_pair():
 def test_cartan_shape_violation_on_non_metric_connection():
     data = rank2_line()
     coords = data.coords
-    omega = zero_connection(coords, 2)
+    omega = {}
     for (b, a), v in {(0, 0): 2, (0, 1): 3, (1, 0): 5, (1, 1): 7}.items():
-        omega[b][a][0] = EvenPoly.const(coords, v)
+        omega[(b, a, 0)] = EvenPoly.const(coords, v)
     pack = GeometryPack(
         coords,
         2,
@@ -425,7 +458,7 @@ def test_cartan_preconditions():
         data.coords,
         data.rank,
         g_inv=identity_metric(data.coords),
-        omega=zero_connection(data.coords, data.rank),
+        omega={},
     )
     pkg = assemble_bfv(build_charge(data, no_lowered))
     assert pkg.report("cartan").status == SKIPPED

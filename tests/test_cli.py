@@ -128,6 +128,28 @@ def test_check_drift_blocks_assembly_only_when_explicit():
     assert result.exit_code == 2
 
 
+def test_check_zero_drift_is_no_drift(tmp_path):
+    # an all-zero beta is absent: every check and the BV emission answer as
+    # they do on the file without it
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    twin = tmp_path / "zero_beta.json"
+    twin.write_text(json.dumps(dict(doc, beta=["0", "0"])))
+    reports = []
+    for path in (corpus_path("abelian_r2"), str(twin)):
+        out = tmp_path / "report.json"
+        result = run("check", path, "--all", "--json", str(out))
+        assert result.exit_code == 0, result.output
+        assert "drift" not in result.output
+        report = json.loads(out.read_text())
+        assert report.pop("problem") == path
+        reports.append(report)
+    assert reports[0] == reports[1]
+    statuses = {c["name"]: c["status"] for c in reports[1]["checks"]}
+    assert statuses["cartan"] == statuses["supercharge"] == "pass"
+    result = run("emit", str(twin), "--what", "bv", "--out", str(tmp_path / "bv.json"))
+    assert result.exit_code == 0, result.output
+
+
 def test_check_cartan_failure_is_a_finding_not_an_input_error():
     result = run("check", corpus_path("shear_pair"), "--cartan")
     assert result.exit_code == 1
@@ -967,7 +989,7 @@ def test_solve_connection_write_round_trips(tmp_path):
     assert result.exit_code == 0
     solved = load_problem(out)
     original = load_problem(CORPUS / "rank2_line.json")
-    assert solved.pack.omega[0][1][0] == original.pack.omega[0][1][0]
+    assert solved.pack.omega[(0, 1, 0)] == original.pack.omega[(0, 1, 0)]
     result = run("check", str(out), "--metric")
     assert result.exit_code == 0
 

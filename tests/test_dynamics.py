@@ -27,6 +27,7 @@ from nqkit.graded import extended_context, momentum_name, momentum_orders
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
+from tests.cubes import connection_cube, tau_matrix
 from tests.test_algebroid import (
     abelian_algebroid,
     nilpotent_bundle,
@@ -51,18 +52,13 @@ def identity_metric(coords):
     ]
 
 
-def zero_connection(coords, rank):
-    zero = EvenPoly.zero(coords)
-    return [[[zero for _ in coords] for _ in range(rank)] for _ in range(rank)]
-
-
 def flat_pack(coords, rank, **fields) -> GeometryPack:
     return GeometryPack(
         coords=coords,
         rank=rank,
         g_inv=identity_metric(coords),
         g_low=identity_metric(coords),
-        omega=zero_connection(coords, rank),
+        omega={},
         **fields,
     )
 
@@ -93,7 +89,9 @@ def test_pack_rejects_bad_shapes():
     coords, g = ring(["x1", "x2"])
     zero = EvenPoly.zero(coords)
     with pytest.raises(ValueError, match="rank x rank x base_dim"):
-        GeometryPack(coords, 2, omega=[[[zero, zero]]])
+        GeometryPack(coords, 2, omega={(0, 2, 0): g["x1"]})
+    with pytest.raises(ValueError, match="tau keys index rank x rank"):
+        GeometryPack(coords, 1, tau={(0, 0, 0): g["x1"]})
     with pytest.raises(ValueError, match="alpha must have 1 components"):
         GeometryPack(coords, 1, alpha=[zero, EvenPoly.const(coords, 1)])
     _, h = ring(["y"])
@@ -107,6 +105,27 @@ def test_pack_rejects_bad_shapes():
         GeometryPack(coords, 1, magnetic=[[g["x1"], zero], [zero, zero]])
     with pytest.raises(ValueError, match="one component per coordinate"):
         GeometryPack(coords, 1, beta=(zero,))
+
+
+def test_pack_keeps_only_nonzero_entries():
+    coords, g = ring(["x1", "x2"])
+    zero = EvenPoly.zero(coords)
+    pack = GeometryPack(
+        coords,
+        2,
+        omega={(1, 0, 1): g["x1"], (0, 1, 0): zero, (0, 0, 1): g["x2"]},
+        tau={(1, 1): zero},
+        beta=(zero, zero),
+    )
+    assert pack.omega == {(0, 0, 1): g["x2"], (1, 0, 1): g["x1"]}
+    assert list(pack.omega) == [(0, 0, 1), (1, 0, 1)]
+    assert pack.tau == {}
+    assert pack.beta is None
+    # a connection that is zero everywhere is still given; tau defaults to none
+    flat = GeometryPack(coords, 2, omega={(0, 0, 0): zero})
+    assert flat.omega == {}
+    assert GeometryPack(coords, 2).omega is None
+    assert GeometryPack(coords, 2).tau == {}
 
 
 # hamiltonian assembly
@@ -209,8 +228,7 @@ def test_evolution_with_nontrivial_connection_passes():
     data = rank2_line()
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
-    omega = zero_connection(coords, 2)
-    omega[0][1][0] = EvenPoly.const(coords, 1)
+    omega = {(0, 1, 0): EvenPoly.const(coords, 1)}
     pack = GeometryPack(
         coords,
         2,
@@ -234,7 +252,7 @@ def test_evolution_endomorphism_residual_matches_both_routes():
     data = abelian_algebroid(coords, [[EvenPoly.const(coords, 1)]])
     alpha = (EvenPoly.const(coords, 1),)
     pack = flat_pack(
-        coords, 1, alpha=alpha, tau=[[EvenPoly.const(coords, 3)]]
+        coords, 1, alpha=alpha, tau={(0, 0): EvenPoly.const(coords, 3)}
     )
     cs = build_constraints(data, alpha=alpha)
     report = check_evolution_invariance(
@@ -390,16 +408,13 @@ def test_structural_anchorless_potential_family():
     data = nilpotent_bundle()
     coords, g = ring(["x"])
     zero = EvenPoly.zero(coords)
-    tau = [
-        [EvenPoly.const(coords, 1 if i == j else 0) for j in range(3)]
-        for i in range(3)
-    ]
+    tau = {(i, i): EvenPoly.const(coords, 1) for i in range(3)}
     alpha = (g["x"], zero, zero)
     pack = GeometryPack(
         coords,
         3,
         g_low=identity_metric(coords),
-        omega=zero_connection(coords, 3),
+        omega={},
         tau=tau,
         alpha=alpha,
         potential=g["x"] ** 2,
@@ -417,8 +432,7 @@ def structural_residuals_by_triple_products(data, pack):
     product is formed in full, zero factors included.
     """
     r, n, coords = data.rank, data.base_dim, data.coords
-    g_low, omega = pack.g_low, pack.omega
-    tau = pack.tau_or_zero()
+    g_low, omega, tau = pack.g_low, connection_cube(pack), tau_matrix(pack)
     alpha = pack.alpha_or_zero()
     potential = pack.potential_or_zero()
 
@@ -463,7 +477,7 @@ def evolution_residuals_by_full_sums(H, cs, pack):
     """{H, Phi_a} - gamma^b_a Phi_b with gamma summed over (i, j) before contracting."""
     ctx, data = cs.ctx, cs.data
     r, n = data.rank, data.base_dim
-    tau = pack.tau_or_zero()
+    omega, tau = connection_cube(pack), tau_matrix(pack)
     momenta = [ctx.var(momentum_name(name)) for name in data.coords]
     out = []
     for a in range(r):
@@ -473,7 +487,7 @@ def evolution_residuals_by_full_sums(H, cs, pack):
             for i in range(n):
                 for j in range(n):
                     gamma = gamma + ctx.lift(
-                        pack.omega[b][a][i] * pack.g_inv[i][j]
+                        omega[b][a][i] * pack.g_inv[i][j]
                     ) * momenta[j]
             R = R - gamma * cs.phis[b]
         if not R.is_zero:
@@ -515,7 +529,10 @@ def unimodular_metric_pair(rng, coords):
 
 
 def random_pack(rng, data):
-    """Random omega, tau, alpha and potential, about half of omega and tau zero."""
+    """Random omega, tau, alpha and potential, about half of omega and tau zero.
+
+    The zero entries are passed as well, and the pack drops them.
+    """
     coords, r, n = data.coords, data.rank, data.base_dim
     zero = EvenPoly.zero(coords)
 
@@ -528,8 +545,10 @@ def random_pack(rng, data):
         r,
         g_inv=g_inv,
         g_low=g_low,
-        omega=[[[sparse() for _ in range(n)] for _ in range(r)] for _ in range(r)],
-        tau=[[sparse() for _ in range(r)] for _ in range(r)],
+        omega={
+            (a, b, i): sparse() for a in range(r) for b in range(r) for i in range(n)
+        },
+        tau={(a, b): sparse() for a in range(r) for b in range(r)},
         alpha=[random_poly(coords, rng, 2) for _ in range(r)],
         potential=random_poly(coords, rng, 2),
     )
@@ -558,8 +577,7 @@ def test_contractions_match_the_uncontracted_formulas():
         assert report.residuals == evolution_residuals_by_full_sums(H, cs, pack)
         if pack.beta is None and pack.magnetic is None:
             assert any(note.startswith("dual route") for note in report.notes)
-        if pack.tau is not None:
-            tau_terms += sum(not entry.is_zero for row in pack.tau for entry in row)
+        tau_terms += len(pack.tau)
     assert tau_terms > 0
 
 
@@ -570,7 +588,7 @@ def test_metric_compat_leafwise():
     data = abelian_algebroid(coords, [[zero, one]])
     g_low = [[one, zero], [zero, one + g["x1"] ** 2]]
     pack = GeometryPack(
-        coords, 1, g_low=g_low, omega=zero_connection(coords, 1)
+        coords, 1, g_low=g_low, omega={}
     )
     assert check_metric_compat(structural_residuals(data, pack)).status == PASS
 
@@ -582,7 +600,7 @@ def test_metric_compat_obstructed_line():
         coords,
         1,
         g_low=[[EvenPoly.const(coords, 1) + g["x"] ** 2]],
-        omega=zero_connection(coords, 1),
+        omega={},
     )
     report = check_metric_compat(structural_residuals(data, pack))
     assert report.status == FAIL
@@ -598,12 +616,7 @@ def test_solve_connection_killing_case():
     unsolved = GeometryPack(data.coords, data.rank, g_inv=pack.g_inv, g_low=pack.g_low)
     solution = solve_connection(data, unsolved, degree=0)
     assert solution.feasible
-    assert all(
-        entry.is_zero
-        for plane in solution.omega
-        for row in plane
-        for entry in row
-    )
+    assert solution.omega == {}
     solved = GeometryPack(
         data.coords,
         data.rank,

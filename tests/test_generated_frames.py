@@ -3,8 +3,10 @@
 so(n) acting on R^n with the flat metric and zero connection satisfies
 every identity, so its frame tensors are mostly zero: this is the input the
 zero-skipping contractions are fastest on, and the one the bench alone
-exercised before.  The generator module is compiled from its source, so
-nothing is written under `perfbench/`.
+exercised before.  Counts of polynomial operations pin that loading and
+reading its sparse tensors make no pass over their dense cells.  The
+generator module is compiled from its source, so nothing is written under
+`perfbench/`.
 """
 
 from __future__ import annotations
@@ -15,6 +17,12 @@ from types import ModuleType
 
 import pytest
 
+from nqkit.constraints import build_constraints
+from nqkit.dynamics import (
+    build_hamiltonian,
+    check_evolution_invariance,
+    structural_residuals,
+)
 from nqkit.poly import EvenPoly
 from nqkit.problem import problem_from_dict
 from tests.conftest import invoke
@@ -101,3 +109,67 @@ def test_so_n_loads_with_fewer_additions_than_rank_squared(n, monkeypatch):
     problem = problem_from_dict(doc)
     assert problem.rank == rank
     assert len(calls) < rank**2
+
+
+def count_polynomials(monkeypatch) -> list:
+    """A list that grows by one for every `EvenPoly` built from now on.
+
+    Every polynomial is made by the constructor or by `_trusted`.
+    """
+    calls = []
+    trusted = EvenPoly._trusted.__func__
+    post_init = EvenPoly.__post_init__
+
+    def counted_trusted(cls, coords, terms):
+        calls.append(None)
+        return trusted(cls, coords, terms)
+
+    def counted_post_init(self):
+        calls.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(EvenPoly, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(EvenPoly, "__post_init__", counted_post_init)
+    return calls
+
+
+def test_so_n_zero_connection_loads_with_fewer_polynomials_than_rank_squared(
+    monkeypatch,
+):
+    # the all-zero connection is read as the empty index: no polynomial is
+    # built for its rank^2 * base_dim cells
+    rank = 66
+    doc = gen.so_n(12)
+    without = {name: value for name, value in doc.items() if name != "connection"}
+    calls = count_polynomials(monkeypatch)
+    problem_from_dict(without)
+    others = len(calls)
+    calls.clear()
+    problem = problem_from_dict(doc)
+    assert len(calls) - others < rank**2
+    assert problem.pack.omega == {}
+
+
+def test_so_n_geometry_readers_make_no_pass_over_every_omega_cell(monkeypatch):
+    # with the zero connection and no tau, structural_residuals and the
+    # evolution check read no omega^b_ai g^ij or tau^b_a cell; each makes
+    # fewer is_zero tests than the rank^2 * base_dim^2 such cells
+    n, rank = 8, 28
+    problem = problem_from_dict(gen.so_n(n))
+    cs = build_constraints(problem.data)
+    H = build_hamiltonian(problem.pack, cs.ctx)
+    calls = []
+    is_zero = EvenPoly.is_zero
+
+    def counted(self):
+        calls.append(None)
+        return is_zero.fget(self)
+
+    monkeypatch.setattr(EvenPoly, "is_zero", property(counted))
+    families = structural_residuals(problem.data, problem.pack)
+    structural = len(calls)
+    report = check_evolution_invariance(H, cs, problem.pack, families)
+    monkeypatch.undo()
+    assert report.status == "pass"
+    assert structural < rank**2 * n**2
+    assert len(calls) - structural < rank**2 * n**2

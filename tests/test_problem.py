@@ -66,7 +66,8 @@ def test_full_document_loads():
     )
     problem = problem_from_dict(doc)
     coords, g = ring(["x"])
-    assert problem.pack.tau[0][0] == EvenPoly.const(coords, 3)
+    assert problem.pack.omega == {}
+    assert problem.pack.tau == {(0, 0): EvenPoly.const(coords, 3)}
     assert problem.pack.alpha == (g["x"],)
     assert problem.points == ((Fraction(2),), (Fraction(-1, 3),))
     assert problem.truncation == Truncation(x_degree=4, p_degree=1, slack=1)
@@ -429,7 +430,8 @@ def test_connection_strings_round_trip():
         metric=[["1"]], metric_inv=[["1"]], connection=[[["1/2*x^2"]]]
     )
     problem = problem_from_dict(doc)
-    rendered = connection_strings(problem.pack.omega)
+    rendered = connection_strings(problem.pack.omega, 1, 1)
+    assert rendered == [[["1/2*x^2"]]]
     reparsed = problem_from_dict(minimal(
         metric=[["1"]], metric_inv=[["1"]], connection=rendered
     ))

@@ -143,8 +143,8 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "rank": 1,
                 "g_inv": ((EvenPoly.const(coords, Fraction(1, 2)),),),
                 "g_low": ((EvenPoly.const(coords, 2),),),
-                "omega": (((zero,),),),
-                "tau": ((x,),),
+                "omega": {(0, 0, 0): x},
+                "tau": {(0, 0): x},
                 "alpha": m["form"],
                 "potential": x * x,
                 "magnetic": ((zero,),),
@@ -154,7 +154,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "g_inv": None,
                 "g_low": None,
                 "omega": None,
-                "tau": None,
+                "tau": {},
                 "alpha": None,
                 "potential": None,
                 "magnetic": None,
@@ -170,7 +170,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
             ConnectionSolution,
             {
                 "feasible": True,
-                "omega": (((zero,),),),
+                "omega": {(0, 0, 0): x},
                 "solution_dim": 2,
                 "degree": 1,
                 "notes": ["a note"],

@@ -3,10 +3,11 @@
 
 Every verb and check flag runs with its JSON output on the 10 corpus
 files, on the so(3) to so(6) frames of the benchmark's generator, on
-dense-list twins of two sparse corpus files and on `abelian_r2` with the
+dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
-metric and a connection), plus a few inputs near the parser's term budget
-and a dense structure that is not antisymmetric.  Each run is
+metric and a connection), on geometry-rich and zero-drift twins of two
+corpus files, plus a few inputs near the parser's term budget and a dense
+structure that is not antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
 output, standard error and every file the run wrote.  Two trees that
@@ -72,6 +73,27 @@ BUDGET_ENTRIES = {
 DENSE_TWINS = ("so3_action", "broken_jacobi")
 # a corpus file that runs again with the alpha and magnetic field of another
 TWISTED_TWINS = {"abelian_r2_metric_magnetic": ("abelian_r2", "abelian_r2_magnetic")}
+# corpus files that run again with these fields added or replaced:
+# `so3_action` with a connection nonzero across a, b and i, a nonzero tau,
+# a potential and the exact alpha = d_E(x1), which keeps the constraints
+# first class (structural and evolution fail, the decomposition is still
+# asserted), and `abelian_r2` with an all-zero drift
+FIELD_TWINS = {
+    "so3_action_geometry": (
+        "so3_action",
+        {
+            "connection": [
+                [["0", "0", "0"], ["0", "0", "x1"], ["1", "0", "0"]],
+                [["0", "x3", "0"], ["0", "0", "0"], ["0", "0", "-1"]],
+                [["0", "0", "0"], ["x2 - x3", "0", "0"], ["0", "2", "0"]],
+            ],
+            "tau": [["0", "1", "0"], ["x1", "0", "0"], ["0", "0", "2"]],
+            "alpha": ["0", "-x3", "x2"],
+            "potential": "x1^2 + x2",
+        },
+    ),
+    "abelian_r2_zero_beta": ("abelian_r2", {"beta": ["0", "0"]}),
+}
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
 
@@ -104,6 +126,8 @@ def inputs() -> dict[str, dict]:
         docs[name] = dict(
             docs[base], alpha=docs[field]["alpha"], magnetic=docs[field]["magnetic"]
         )
+    for name, (base, fields) in FIELD_TWINS.items():
+        docs[name] = dict(docs[base], **fields)
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
