@@ -17,6 +17,11 @@ gh(z) - 1 and opposite parity, and reads off the theta coefficient of
 
     P_i d X^i - Pi_a d Xi^a - Q(superfields),     d F = (dF/dt) theta.
 
+The shift theta z~ has the parity of z, so D: z -> theta z~ is an even
+derivation, and since theta^2 = 0 the Taylor expansion of a function F
+on superfields stops after one step: F(z + theta z~) = F + D(F).  The
+expansion is therefore one `left_derivation`, never a substitution.
+
 Multiplying theta from the right in d fixes the antighost kinetic sign:
 the integrand starts with p_i x_i_dot - pi_a xi_a_dot and its ghost-free
 sector is p_i x_i_dot - H(x, p) - lam^a Phi_a, with the multiplier lam^a
@@ -37,6 +42,7 @@ from .graded import (
     GradedPoly,
     antighost_name,
     ghost_name,
+    left_derivation,
     momentum_name,
     transport,
 )
@@ -248,19 +254,13 @@ def term_rows(F: GradedPoly) -> list[dict]:
     return out
 
 
-def superfield_images(
-    ctx: GradedContext, coords: Sequence[str], rank: int
-) -> dict[str, GradedPoly]:
-    """z -> z + theta z~ for every phase-space coordinate."""
-    theta = ctx.var(THETA)
-    images: dict[str, GradedPoly] = {}
-    for base, partner in _partner_pairs(coords, rank):
-        images[base] = ctx.var(base) + theta * ctx.var(partner)
-    return images
-
-
 def expand_bv(sq: SuperCharge) -> ComponentAction:
-    """Theta coefficient of P dX - Pi dXi - Q on superfields."""
+    """Theta coefficient of P dX - Pi dXi - Q on superfields.
+
+    The integrand F = p x_dot theta - pi xi_dot theta - Q is a function of
+    the fields z, so on superfields it is F + D(F), one sweep of the
+    derivation D: z -> theta z~ (see the module docstring).
+    """
     bfv = sq.package
     if bfv.ctx.twist is not None:
         raise ValueError(
@@ -269,16 +269,19 @@ def expand_bv(sq: SuperCharge) -> ComponentAction:
         )
     coords, rank = bfv.data.coords, bfv.data.rank
     ectx = expansion_context(coords, rank)
-    images = superfield_images(ectx, coords, rank)
     theta = ectx.var(THETA)
-    integrand = ectx.zero()
+    integrand = -transport(sq.Q, ectx)
     for name in coords:
         d_position = ectx.var(velocity_name(name)) * theta
-        integrand = integrand + images[momentum_name(name)] * d_position
+        integrand = integrand + ectx.var(momentum_name(name)) * d_position
     for a in range(1, rank + 1):
         d_ghost = ectx.var(velocity_name(ghost_name(a))) * theta
-        integrand = integrand - images[antighost_name(a)] * d_ghost
-    integrand = integrand - transport(sq.Q, ectx).substitute(images)
+        integrand = integrand - ectx.var(antighost_name(a)) * d_ghost
+    shifts = {
+        base: theta * ectx.var(partner)
+        for base, partner in _partner_pairs(coords, rank)
+    }
+    integrand = integrand + left_derivation(ectx, shifts, integrand)
     return ComponentAction(
         ectx, field_table(coords, rank), integrand.left_deriv(THETA)
     )

@@ -47,7 +47,16 @@ from .graded import (
     left_derivation,
 )
 from .linalg import image_in, kernel, solve
-from .poly import EvenPoly, Exponent, Rat, divide, monomial_exponents
+from .poly import (
+    EvenPoly,
+    Exponent,
+    Rat,
+    Terms,
+    accumulate_product,
+    derivative,
+    divide,
+    monomial_exponents,
+)
 from .report import FAIL, PASS, CheckReport
 
 
@@ -120,12 +129,15 @@ class Algebroid:
         return len(self.anchor)
 
     def anchor_apply(self, a: int, f: EvenPoly) -> EvenPoly:
-        """Directional derivative of f along the a-th frame field."""
-        result = EvenPoly.zero(self.coords)
-        for i, name in enumerate(self.coords):
-            if not self.anchor[a][i].is_zero:
-                result = result + self.anchor[a][i] * f.diff(name)
-        return result
+        """Directional derivative rho_a^i d_i f of f along the a-th frame field.
+
+        Every product rho_a^i d_i f goes into one term dict.
+        """
+        terms: Terms = {}
+        for i, rho in enumerate(self.anchor[a]):
+            if rho.terms:
+                accumulate_product(terms, rho.terms, derivative(f.terms, i))
+        return EvenPoly._trusted(self.coords, {e: c for e, c in terms.items() if c})
 
     def zero(self) -> EvenPoly:
         return EvenPoly.zero(self.coords)

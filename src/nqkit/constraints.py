@@ -453,6 +453,35 @@ def _integral(row: Sequence[EvenPoly]) -> list[EvenPoly]:
     ]
 
 
+def _rank_at(
+    rows: list[list[EvenPoly]], degrees: list[int], point: tuple[Rat, ...]
+) -> int:
+    """The rank of the integral rows at a rational point, over the integers.
+
+    With the point written as X / D over the common denominator D, a row
+    of degree d times D^d has the integer entries sum c X^e D^(d - |e|);
+    scaling a row by a nonzero constant keeps the rank.  Each row is one
+    column: the rank of the transpose is the same.
+    """
+    scale = lcm(*(v.denominator for v in point))
+    numerators = [v.numerator * (scale // v.denominator) for v in point]
+    columns = []
+    for row, degree in zip(rows, degrees):
+        powers = [scale**k for k in range(degree + 1)]
+        column = {}
+        for i, f in enumerate(row):
+            total = 0
+            for e, c in f.terms.items():
+                term = c * powers[degree - sum(e)]
+                for value, k in zip(numerators, e):
+                    if k:
+                        term *= value**k
+                total += term
+            column[i] = total
+        columns.append(column)
+    return rank(columns)
+
+
 class ProbeReport:
     def __init__(
         self,
@@ -498,15 +527,11 @@ def irreducibility_probe(
             )
         )
 
-    point_results = []
-    for point in probe_points:
-        assignment = dict(zip(data.coords, point))
-        # one column per frame field: the rank of the transpose is the same
-        numeric = [
-            {i: entry.evaluate(assignment) for i, entry in enumerate(row)}
-            for row in data.anchor
-        ]
-        point_results.append((point, rank(numeric)))
+    rows = [_integral(row) for row in data.anchor]
+    degrees = [max((f.total_degree() for f in row), default=0) for row in rows]
+    point_results = [
+        (point, _rank_at(rows, degrees, point)) for point in probe_points
+    ]
     # a rank at a point bounds the generic rank from below, and min(r, n)
     # bounds it from above: when they meet, no elimination is needed
     best = max(k for _, k in point_results)

@@ -29,7 +29,7 @@ from .algebroid import Algebroid
 from .constraints import ConstraintSet, Matrix, affine_part
 from .graded import GradedContext, GradedPoly, momentum_name, momentum_orders
 from .linalg import solve
-from .poly import EvenPoly, Exponent, Rat, embed, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, Terms, accumulate_product, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 # momentum-order decomposition constants (orders 2, 1, 0), fixed per build
@@ -331,26 +331,32 @@ def check_structural(families: StructuralResiduals) -> CheckReport:
 
 
 def _momentum_split(
-    ctx: GradedContext, E: EvenPoly
-) -> tuple[EvenPoly, list[EvenPoly], list[list[EvenPoly]]]:
+    ctx: GradedContext, E: EvenPoly, coords: tuple[str, ...]
+) -> tuple[EvenPoly, dict[int, EvenPoly], dict[tuple[int, int], EvenPoly]]:
     """Split a momentum-quadratic scalar into (order 0, order 1, hessian).
 
-    The pieces are the coefficients of `momentum_orders`; the hessian holds
-    the second derivatives, so p_j^2 counts twice on the diagonal and
-    p_j p_k once on each side.
+    The pieces are the coefficients of `momentum_orders`, read over the base
+    ring `coords`, which the phase space lists first.  Only nonzero pieces
+    are kept: order 1 by momentum index j, the hessian by (j, k) in both
+    orders, holding the second derivatives, so p_j^2 counts twice on the
+    diagonal and p_j p_k once on each side.
     """
+    n = len(coords)
     orders = momentum_orders(ctx, E)
     if any(len(word) > 2 for word in orders):
         raise RuntimeError("residual is not quadratic in the momenta")
-    n = len(ctx.pairs_even)
-    zero = EvenPoly.zero(E.coords)
-    part1 = [orders.get((j,), zero) for j in range(n)]
-    hessian = [[zero] * n for _ in range(n)]
-    for word, coeff in orders.items():
+    # the momentum slots of every exponent are zero once the orders are read
+    on_base = {
+        word: EvenPoly._trusted(coords, {e[:n]: c for e, c in f.terms.items()})
+        for word, f in orders.items()
+    }
+    part1 = {word[0]: f for word, f in on_base.items() if len(word) == 1}
+    hessian = {}
+    for word, f in on_base.items():
         if len(word) == 2:
             j, k = word
-            hessian[j][k] = hessian[k][j] = coeff * 2 if j == k else coeff
-    return orders.get((), zero), part1, hessian
+            hessian[(j, k)] = hessian[(k, j)] = f * 2 if j == k else f
+    return on_base.get((), EvenPoly.zero(coords)), part1, hessian
 
 
 def check_evolution_invariance(
@@ -420,22 +426,6 @@ def check_evolution_invariance(
     )
 
 
-def _mat_mul(A: list[list[EvenPoly]], B: list[list[EvenPoly]]) -> list[list[EvenPoly]]:
-    """Product of square polynomial matrices, skipping zero factors."""
-    n = len(A)
-    product = []
-    for u in range(n):
-        row = []
-        for v in range(n):
-            entry = EvenPoly.zero(A[u][0].coords)
-            for w in range(n):
-                if not (A[u][w].is_zero or B[w][v].is_zero):
-                    entry = entry + A[u][w] * B[w][v]
-            row.append(entry)
-        product.append(row)
-    return product
-
-
 def _assert_decomposition(
     data: Algebroid,
     pack: GeometryPack,
@@ -443,39 +433,61 @@ def _assert_decomposition(
     bracket_residuals: list[GradedPoly],
     families: StructuralResiduals,
 ) -> None:
+    """Match each momentum order of the residuals with its structural family.
+
+    Order 1 is lowered by G = g_low and the hessian by G on both sides, over
+    the nonzero entries of G and of the hessian only, so a zero residual is
+    compared with the families directly.
+    """
     k2, k1, k0 = DECOMPOSITION_SIGNS
     n = data.base_dim
-    G = [
-        [embed(entry, ctx.even_names) for entry in row] for row in pack.g_low
+    # G is symmetric: row j lists the nonzero G[m][j] = G[j][m]
+    g_nonzero = [
+        [(m, entry) for m, entry in enumerate(row) if not entry.is_zero]
+        for row in pack.g_low
     ]
     for a, R in enumerate(bracket_residuals):
         if any(word for word in R.parts):
             raise RuntimeError("evolution residual has odd content")
-        part0, part1, hessian = _momentum_split(ctx, R.even_part())
+        part0, part1, hessian = _momentum_split(ctx, R.even_part(), data.coords)
 
-        expected0 = embed(families.potential[a], ctx.even_names)
-        if part0 != k0 * expected0:
+        if not _matches(part0.terms, families.potential[a], k0):
             raise RuntimeError(
                 "internal dual-route mismatch at momentum order 0"
             )
+        lowered1: list[Terms] = [{} for _ in range(n)]
+        for j, f in part1.items():
+            for m, g in g_nonzero[j]:
+                accumulate_product(lowered1[m], g.terms, f.terms)
         for m in range(n):
-            lowered = EvenPoly.zero(ctx.even_names)
-            for j in range(n):
-                if not (G[m][j].is_zero or part1[j].is_zero):
-                    lowered = lowered + G[m][j] * part1[j]
-            expected1 = embed(families.alpha[(a, m)], ctx.even_names)
-            if lowered != k1 * expected1:
+            if not _matches(lowered1[m], families.alpha[(a, m)], k1):
                 raise RuntimeError(
                     "internal dual-route mismatch at momentum order 1"
                 )
-        lowered = _mat_mul(_mat_mul(G, hessian), G)
+        lowered2: dict[tuple[int, int], Terms] = {}
+        for (j, k), h in hessian.items():
+            for u, g_uj in g_nonzero[j]:
+                left = (h * g_uj).terms
+                for v, g_kv in g_nonzero[k]:
+                    if u <= v:
+                        accumulate_product(
+                            lowered2.setdefault((u, v), {}), left, g_kv.terms
+                        )
         for u in range(n):
             for v in range(u, n):
-                expected2 = embed(families.metric[(a, u, v)], ctx.even_names)
-                if lowered[u][v] != k2 * expected2:
+                if not _matches(
+                    lowered2.get((u, v), {}), families.metric[(a, u, v)], k2
+                ):
                     raise RuntimeError(
                         "internal dual-route mismatch at momentum order 2"
                     )
+
+
+def _matches(terms: Terms, expected: EvenPoly, sign: int) -> bool:
+    """Whether a term dict, cancelled terms dropped, is sign * expected."""
+    return {e: c for e, c in terms.items() if c} == {
+        e: sign * c for e, c in expected.terms.items()
+    }
 
 
 # the linear connection solver

@@ -392,44 +392,6 @@ class GradedPoly:
             parts[reduced] = f if position % 2 == 0 else -f
         return GradedPoly._trusted(ctx, parts)
 
-    def substitute(
-        self, images: Mapping[str, GradedPoly | EvenPoly | Scalar]
-    ) -> GradedPoly:
-        """Substitute coordinates by elements of matching parity.
-
-        Odd letters of each monomial are expanded left to right, so the usual
-        Koszul signs appear automatically.
-        """
-        ctx = self.ctx
-        even_images: list[GradedPoly] = []
-        for name in ctx.even_names:
-            if name in images:
-                image = self._coerce(images[name])
-                if any(len(w) % 2 for w in image.parts):
-                    raise ValueError(f"image of even coordinate {name!r} must be even")
-                even_images.append(image)
-            else:
-                even_images.append(ctx.var(name))
-        odd_images: list[GradedPoly] = []
-        for name in ctx.odd_names:
-            if name in images:
-                image = self._coerce(images[name])
-                if any(len(w) % 2 == 0 for w in image.parts):
-                    raise ValueError(f"image of odd coordinate {name!r} must be odd")
-                odd_images.append(image)
-            else:
-                odd_images.append(ctx.var(name))
-        result = ctx.zero()
-        for word, exponent, coeff in self.terms():
-            term = ctx.const(coeff)
-            for k, power in enumerate(exponent):
-                for _ in range(power):
-                    term = term * even_images[k]
-            for letter in word:
-                term = term * odd_images[letter]
-            result = result + term
-        return result
-
     def __str__(self) -> str:
         if not self.parts:
             return "0"

@@ -15,14 +15,16 @@ module keeps the invariant itself (negating or scaling a nonzero coefficient
 by a nonzero scalar cannot give zero; a sum or product drops exactly the
 keys whose coefficients cancel; a derivative maps distinct exponents to
 distinct exponents) and builds its result with the internal
-`EvenPoly._trusted`, which skips the filter; it is not for callers outside
-this module and the graded products of `graded.py`.
+`EvenPoly._trusted`, which skips the filter.  Outside this module only code
+that keeps the same invariant calls it: the graded products of `graded.py`,
+`Algebroid.anchor_apply` and the momentum split of `dynamics.py`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, sub
 from typing import Mapping
 
 Rat = Fraction
@@ -176,27 +178,7 @@ class EvenPoly:
         return result
 
     def diff(self, name: str) -> EvenPoly:
-        index = self._index(name)
-        terms: Terms = {}
-        for e, c in self.terms.items():
-            k = e[index]
-            if k:
-                terms[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
-        return EvenPoly._trusted(self.coords, terms)
-
-    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
-        missing = [name for name in self.coords if name not in point]
-        if missing:
-            raise KeyError(f"point is missing coordinates {missing}")
-        values = [as_rat(point[name]) for name in self.coords]
-        total = 0
-        for e, c in self.terms.items():
-            product = c
-            for value, k in zip(values, e):
-                if k:
-                    product *= value**k
-            total += product
-        return total
+        return EvenPoly._trusted(self.coords, derivative(self.terms, self._index(name)))
 
     def total_degree(self) -> int:
         """Maximal total degree over the terms; the zero polynomial reports 0."""
@@ -240,6 +222,16 @@ class EvenPoly:
         return f"EvenPoly({str(self)!r})"
 
 
+def derivative(terms: Terms, index: int) -> Terms:
+    """The terms of the derivative in the coordinate at `index`."""
+    out: Terms = {}
+    for e, c in terms.items():
+        k = e[index]
+        if k:
+            out[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
+    return out
+
+
 def accumulate_product(out: Terms, left: Terms, right: Terms, sign: int = 1) -> None:
     """Add sign * left * right to the term dict `out`, term by term.
 
@@ -255,11 +247,6 @@ def accumulate_product(out: Terms, left: Terms, right: Terms, sign: int = 1) -> 
             out[e] = get(e, 0) + c1 * c2
 
 
-def _descending(exponent: Exponent) -> tuple[int, Exponent, Exponent]:
-    """Heap entry that pops the graded-lex largest exponent first."""
-    return (-sum(exponent), tuple(map(neg, exponent)), exponent)
-
-
 def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
     """The polynomial q with f = q * g, or RuntimeError when g does not divide f.
 
@@ -267,24 +254,19 @@ def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
     f, the leading term of every remainder is a multiple of the leading term
     of g, so the first remainder term that is not one proves a nonzero
     remainder.  The divisor's terms are sorted once; the remainder's terms
-    wait in a heap, since every term a step adds lies below the one it
-    removes.
+    wait in a list kept sorted, largest last, since every term a step adds
+    lies below the one it removes.
     """
-    # imported here: only the generic rank divides, and every invocation of
-    # the tool would otherwise load heapq at start-up
-    from heapq import heapify, heappop, heappush
-
     if g.coords != f.coords:
         raise ValueError("polynomials live in different coordinate rings")
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     (lead, lead_coeff), *tail = g.sorted_terms()
     remainder = dict(f.terms)
-    heap = [_descending(e) for e in remainder]
-    heapify(heap)
+    pending = sorted(remainder, key=term_sort_key)
     quotient: Terms = {}
     while remainder:
-        top = heappop(heap)[2]
+        top = pending.pop()
         if top not in remainder:
             continue  # cancelled after it was queued
         shift = tuple(map(sub, top, lead))
@@ -302,7 +284,7 @@ def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
                     del remainder[key]
             else:
                 remainder[key] = -factor * c
-                heappush(heap, _descending(key))
+                insort(pending, key, key=term_sort_key)
     return EvenPoly._trusted(f.coords, quotient)
 
 

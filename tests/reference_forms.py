@@ -15,15 +15,20 @@ base forms.
 
 `components` reads a ghost polynomial back into a table, so the library
 route and these compare as exact dicts; `q_apply` is the library route.
+
+Two slow routes that the library replaced stand here as references for
+the differential tests: `substitute` multiplies out a graded polynomial
+term by term under a substitution of its coordinates, and `evaluate`
+reads an even polynomial at a rational point with `Fraction` arithmetic.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from nqkit.algebroid import Algebroid, ghost_context, q_images
 from nqkit.graded import GradedPoly, left_derivation
-from nqkit.poly import EvenPoly
+from nqkit.poly import EvenPoly, Scalar, as_rat
 from tests.cubes import structure_cube
 
 Form = dict[tuple[int, ...], EvenPoly]
@@ -185,3 +190,58 @@ def q_apply(data: Algebroid, F: GradedPoly) -> GradedPoly:
     """The library's d_E: Q applied to a ghost polynomial."""
     ctx = ghost_context(data)
     return left_derivation(ctx, q_images(data, ctx), F)
+
+
+def substitute(
+    F: GradedPoly, images: Mapping[str, GradedPoly | EvenPoly | Scalar]
+) -> GradedPoly:
+    """Substitute coordinates of F by elements of matching parity.
+
+    Odd letters of each monomial are expanded left to right, so the usual
+    Koszul signs appear automatically; unmapped coordinates stay.
+    """
+    ctx = F.ctx
+    even_images: list[GradedPoly] = []
+    for name in ctx.even_names:
+        if name in images:
+            image = F._coerce(images[name])
+            if any(len(w) % 2 for w in image.parts):
+                raise ValueError(f"image of even coordinate {name!r} must be even")
+            even_images.append(image)
+        else:
+            even_images.append(ctx.var(name))
+    odd_images: list[GradedPoly] = []
+    for name in ctx.odd_names:
+        if name in images:
+            image = F._coerce(images[name])
+            if any(len(w) % 2 == 0 for w in image.parts):
+                raise ValueError(f"image of odd coordinate {name!r} must be odd")
+            odd_images.append(image)
+        else:
+            odd_images.append(ctx.var(name))
+    result = ctx.zero()
+    for word, exponent, coeff in F.terms():
+        term = ctx.const(coeff)
+        for k, power in enumerate(exponent):
+            for _ in range(power):
+                term = term * even_images[k]
+        for letter in word:
+            term = term * odd_images[letter]
+        result = result + term
+    return result
+
+
+def evaluate(f: EvenPoly, point: Mapping[str, Scalar]) -> Scalar:
+    """The value of f at a point given by coordinate name."""
+    missing = [name for name in f.coords if name not in point]
+    if missing:
+        raise KeyError(f"point is missing coordinates {missing}")
+    values = [as_rat(point[name]) for name in f.coords]
+    total = 0
+    for e, c in f.terms.items():
+        product = c
+        for value, k in zip(values, e):
+            if k:
+                product *= value**k
+        total += product
+    return total

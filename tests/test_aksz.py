@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from nqkit.aksz import (
@@ -14,20 +16,32 @@ from nqkit.aksz import (
     expand_bv,
     expansion_context,
     extended_action_reference,
+    THETA,
     field_table,
     ghost_zero_truncation,
+    multiplier_name,
+    partner_name,
     supercharge_context,
     velocity_name,
 )
 from nqkit.bfv import assemble_bfv, build_charge
 from nqkit.dynamics import GeometryPack
-from nqkit.graded import GradedPoly, ghost_name, transport
+from nqkit.graded import (
+    GradedPoly,
+    antighost_name,
+    ghost_name,
+    momentum_name,
+    transport,
+)
 from nqkit.poly import EvenPoly
+from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
+from tests.reference_forms import substitute
 from tests.test_dynamics import flat_pack, identity_metric
+from tests.test_generated_frames import gen
 from tests.test_graded import word_coefficient
 from tests.test_poly import ring
 
@@ -382,3 +396,49 @@ def test_rows_are_canonical():
     assert {"coeff": "-1", "even": {"p_x": 1, "lam_1": 1}, "odd": []} in ca.rows()
     # words are stored ascending, so xi_1 p_x_odd appears reordered with sign
     assert {"coeff": "-1", "even": {}, "odd": ["p_x_odd", "xi_1"]} in ca.rows()
+
+# the expansion as one derivation, against the multiplied-out substitution
+
+
+def expand_bv_by_substitution(sq: SuperCharge) -> GradedPoly:
+    """Theta coefficient of P dX - Pi dXi - Q with every field z replaced by
+    z + theta z~ and every term multiplied out: the reference for `expand_bv`."""
+    data = sq.package.data
+    coords, rank = data.coords, data.rank
+    ectx = expansion_context(coords, rank)
+    theta = ectx.var(THETA)
+    momenta = [momentum_name(name) for name in coords]
+    pairs = [(name, partner_name(name)) for name in [*coords, *momenta]]
+    for a in range(1, rank + 1):
+        pairs.append((ghost_name(a), multiplier_name(a)))
+        pairs.append((antighost_name(a), partner_name(antighost_name(a))))
+    images = {z: ectx.var(z) + theta * ectx.var(partner) for z, partner in pairs}
+    integrand = -substitute(transport(sq.Q, ectx), images)
+    for name in coords:
+        d_position = ectx.var(velocity_name(name)) * theta
+        integrand = integrand + images[momentum_name(name)] * d_position
+    for a in range(1, rank + 1):
+        d_ghost = ectx.var(velocity_name(ghost_name(a))) * theta
+        integrand = integrand - images[antighost_name(a)] * d_ghost
+    return integrand.left_deriv(THETA)
+
+
+def test_expand_matches_the_substitution_on_the_corpus_and_so_n():
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    problems = {path.stem: load_problem(path) for path in sorted(corpus.glob("*.json"))}
+    problems.update({f"so{n}": problem_from_dict(gen.so_n(n)) for n in (3, 4, 5, 6)})
+    compared = []
+    for name, problem in problems.items():
+        try:
+            package = assemble_bfv(build_charge(problem.data, problem.pack))
+        except ValueError:
+            continue  # no package to expand
+        if package.ctx.twist is not None:
+            continue  # refused by both routes
+        sq = build_supercharge(package)
+        action = expand_bv(sq).action
+        assert not action.is_zero
+        assert action == expand_bv_by_substitution(sq), name
+        compared.append(name)
+    assert {"so3", "so4", "so5", "so6", "so3_action"} <= set(compared)
+    assert len(compared) >= 10

@@ -34,7 +34,7 @@ from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS, SKIPPED
 from nqkit.constraints import phase_space, structural_two_form
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
-from tests.reference_forms import components, structural
+from tests.reference_forms import components, structural, substitute
 from tests.test_algebroid import (
     abelian_r1,
     broken_jacobi,
@@ -336,7 +336,7 @@ def test_covariant_momenta_constant_frame_covariance():
             ctx.zero(),
         )
     plain = covariant_momenta(pack, ctx)
-    rotated = [q.substitute(images) for q in covariant_momenta(tilted, ctx)]
+    rotated = [substitute(q, images) for q in covariant_momenta(tilted, ctx)]
     assert rotated == plain
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from nqkit.constraints import (
     irreducibility_probe,
 )
 from nqkit.graded import GradedContext, extended_context
+from nqkit.linalg import rank
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
@@ -28,6 +30,7 @@ from tests.test_algebroid import (
     rank2_line,
     so3_action,
 )
+from tests.reference_forms import evaluate
 from tests.test_generated_frames import gen
 from tests.test_poly import random_poly, ring
 
@@ -374,6 +377,61 @@ def test_probe_generic_rank_matches_the_minor_expansion():
     # at the origin the rank of diag(x, y) drops below its generic rank 2
     probe = irreducibility_probe(diagonal, points=[(0, 0)])
     assert probe.point_results[0][1] == 0 < probe.generic_rank == 2
+
+
+def rank_by_fractions(data, point):
+    """The anchor's rank at a point, every entry evaluated on `Fraction`s:
+    the reference for the integer-scaled ranks of the probe."""
+    assignment = dict(zip(data.coords, point))
+    return rank(
+        [{i: evaluate(f, assignment) for i, f in enumerate(row)} for row in data.anchor]
+    )
+
+
+def test_probe_ranks_match_fraction_evaluation():
+    # zero rows, constant rows, rows with Fraction coefficients, and rows
+    # that vanish with a coordinate or repeat another row times a
+    # polynomial, at points with denominators and with negative and zero
+    # coordinates, plus the probe's own seeded points
+    coords, g = ring(["x", "y", "z"])
+    rng = random.Random(97)
+    zero = EvenPoly.zero(coords)
+    checked, dropped = 0, 0
+
+    def fraction(low, high):
+        return Fraction(rng.randint(low, high), rng.randint(1, 7))
+
+    for _ in range(40):
+        points = [
+            tuple(rng.choice([0, rng.randint(-3, 3), fraction(-9, 9)]) for _ in "xyz")
+            for _ in range(5)
+        ]
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(6)
+            if kind == 0:
+                row = [zero] * 3
+            elif kind == 1:
+                row = [EvenPoly.const(coords, fraction(-4, 4)) for _ in range(3)]
+            elif kind == 2 and rows:
+                factor = g[rng.choice(coords)] + rng.randint(-2, 2)
+                row = [factor * f for f in rng.choice(rows)]
+            else:
+                row = [random_poly(rng, coords, 3) for _ in range(3)]
+                if kind == 3:
+                    row = [g[rng.choice(coords)] * f for f in row]
+                elif kind == 4:  # vanishes at a given point
+                    at = dict(zip(coords, rng.choice(points)))
+                    row = [f - evaluate(f, at) for f in row]
+            rows.append(row)
+        data = abelian_algebroid(coords, rows)
+        probe = irreducibility_probe(data, points, seed=rng.randrange(1000))
+        for point, found in probe.point_results:
+            assert found == rank_by_fractions(data, point), (rows, point)
+            checked += 1
+            dropped += found < min(data.rank, 3)
+    assert checked == 400
+    assert 40 < dropped < 360
 
 
 # frame equivalence

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -24,10 +25,11 @@ from nqkit.dynamics import (
     structural_residuals,
 )
 from nqkit.graded import extended_context, momentum_name, momentum_orders
-from nqkit.poly import EvenPoly
-from nqkit.problem import load_problem
+from nqkit.poly import EvenPoly, embed
+from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.cubes import connection_cube, tau_matrix
+from tests.reference_forms import evaluate
 from tests.test_algebroid import (
     abelian_algebroid,
     nilpotent_bundle,
@@ -37,6 +39,7 @@ from tests.test_algebroid import (
     so3_action,
 )
 from tests.test_constraints import abelian_r2, magnetic_plane
+from tests.test_generated_frames import gen
 from tests.test_poly import random_point, ring
 from tests.test_poly import random_poly as random_fraction_poly
 
@@ -275,6 +278,51 @@ def test_decomposition_signs_are_pinned():
     assert DECOMPOSITION_SIGNS == (1, 1, -1)
 
 
+# the decomposition guard keeps its teeth
+
+
+def evolution_problem(name):
+    if name == "so4":
+        return problem_from_dict(gen.so_n(4))
+    # a connection that is not metric compatible (the twin of
+    # `tools/cli_matrix.py`): the residuals are p_x2^2 and -p_x1^2
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    doc["connection"] = [[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]]
+    return problem_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "name, quadratic", [("so4", False), ("abelian_r2_connection", True)]
+)
+def test_decomposition_guard_catches_every_perturbed_family_entry(name, quadratic):
+    problem = evolution_problem(name)
+    pack = problem.pack
+    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
+    H = build_hamiltonian(pack, cs.ctx)
+    families = structural_residuals(problem.data, pack)
+    report = check_evolution_invariance(H, cs, pack, families)
+    assert any(note.startswith("dual route") for note in report.notes)
+    # a zero residual on so(4); a nonzero hessian on the other input
+    assert (report.status == FAIL) == quadratic
+    x = EvenPoly.variable(pack.coords, pack.coords[0])
+    caught = 0
+    for order, family in ((0, "potential"), (1, "alpha"), (2, "metric")):
+        entries = getattr(families, family)
+        for k, key in enumerate(sorted(entries)):
+            fields = {
+                "metric": families.metric,
+                "alpha": families.alpha,
+                "potential": families.potential,
+                family: {**entries, key: entries[key] + (1 if k % 2 else x)},
+            }
+            with pytest.raises(RuntimeError, match=f"at momentum order {order}$"):
+                check_evolution_invariance(H, cs, pack, StructuralResiduals(**fields))
+            caught += 1
+    assert caught == sum(
+        map(len, (families.metric, families.alpha, families.potential))
+    )
+
+
 def substitute(f: EvenPoly, images) -> EvenPoly:
     """Replace coordinates of f by polynomials of its ring; unmapped ones stay."""
     base = [
@@ -299,7 +347,7 @@ def test_substitute_agrees_with_evaluate():
         point = random_point(rng, coords)
         substituted = substitute(p, point)
         assert substituted.terms.keys() <= {(0, 0)}
-        assert substituted.terms.get((0, 0), 0) == p.evaluate(point)
+        assert substituted.terms.get((0, 0), 0) == evaluate(p, point)
     # a genuine polynomial substitution
     p = g["x"] ** 2 + g["y"]
     q = substitute(p, {"x": g["y"] + 1})
@@ -317,8 +365,25 @@ def momentum_split_by_substitution(ctx, E):
     return part0, part1, hessian
 
 
+def dense_momentum_split(ctx, E, base):
+    """`_momentum_split` in the phase-space ring, with its zeros filled in."""
+    part0, part1, hessian = _momentum_split(ctx, E, base)
+    assert not any(f.is_zero for f in [*part1.values(), *hessian.values()])
+    n, zero = len(base), EvenPoly.zero(base)
+
+    def lift(f):
+        return embed(f, ctx.even_names)
+
+    return (
+        lift(part0),
+        [lift(part1.get(j, zero)) for j in range(n)],
+        [[lift(hessian.get((j, k), zero)) for k in range(n)] for j in range(n)],
+    )
+
+
 def test_momentum_split_matches_the_substitution_route():
-    ctx = extended_context(("x1", "x2", "x3"), 0)
+    base = ("x1", "x2", "x3")
+    ctx = extended_context(base, 0)
     rng = random.Random(61)
     for _ in range(25):
         terms = {}
@@ -331,10 +396,12 @@ def test_momentum_split_matches_the_substitution_route():
                 rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
             )
         E = EvenPoly(ctx.even_names, terms)
-        assert _momentum_split(ctx, E) == momentum_split_by_substitution(ctx, E)
+        assert dense_momentum_split(ctx, E, base) == momentum_split_by_substitution(
+            ctx, E
+        )
     cubic = E + EvenPoly(ctx.even_names, {(1, 0, 0, 2, 0, 1): Fraction(1)})
     with pytest.raises(RuntimeError, match="not quadratic in the momenta"):
-        _momentum_split(ctx, cubic)
+        _momentum_split(ctx, cubic, base)
 
 
 def momentum_orders_by_substitution(ctx, E, max_order):

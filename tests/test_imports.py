@@ -12,7 +12,9 @@ out modules that cost start-up time and that plain code replaces:
 on each import), `copy`, `pathlib`, and `click`, whose import was
 two-thirds of the start-up and pulled in `inspect`, `ast`, `datetime`,
 `uuid`, `gettext` and `locale`.  The help and error pages import `difflib`
-and `textwrap` only when they are printed.
+and `textwrap` only when they are printed.  No verb imports a module after
+start-up: the benchmark runs without a bytecode cache, so a module loaded
+on first use is compiled again inside every job that reaches it.
 """
 
 from __future__ import annotations
@@ -144,3 +146,33 @@ def test_importing_the_cli_loads_neither_click_nor_what_it_imported():
     heavy = {"click", "inspect", "ast", "datetime", "uuid", "gettext", "locale"}
     on_demand = {"difflib", "textwrap"}
     assert loaded_by_importing_the_cli() & (heavy | on_demand) == set()
+
+
+def test_check_and_emit_import_nothing_after_start_up(tmp_path):
+    # `check --all` reaches the generic rank on so(3), and `emit --what bv`
+    # the component expansion; the help and error pages stay exempt
+    probe = (
+        "import sys\n"
+        "import nqkit.cli\n"
+        "before = set(sys.modules)\n"
+        "for args in (sys.argv[1:4], sys.argv[4:]):\n"
+        "    try:\n"
+        "        nqkit.cli.main(args)\n"
+        "    except SystemExit as done:\n"
+        "        assert done.code == 0, (args, done.code)\n"
+        "print('loaded:', *sorted(set(sys.modules) - before))\n"
+    )
+    problem = str(ROOT / "corpus" / "so3_action.json")
+    verbs = ["check", "--all", problem, "emit", "--what", "bv", "--out", "bv.json"]
+    search = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, search)))
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *verbs, problem],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert (tmp_path / "bv.json").exists()
+    assert result.stdout.splitlines()[-1] == "loaded:"

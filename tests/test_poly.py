@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nqkit.poly import EvenPoly, as_rat, exact_quotient
+from tests.reference_forms import evaluate
 
 
 def ring(coords) -> tuple[tuple[str, ...], dict[str, EvenPoly]]:
@@ -122,10 +123,10 @@ def test_evaluate_is_a_homomorphism():
         a = random_poly(rng, coords)
         b = random_poly(rng, coords)
         point = random_point(rng, coords)
-        assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-        assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+        assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point)
+        assert evaluate(a + b, point) == evaluate(a, point) + evaluate(b, point)
     with pytest.raises(KeyError):
-        a.evaluate({"x": 1})
+        evaluate(a, {"x": 1})
 
 
 def test_pow_and_scalar_division():
@@ -182,6 +183,34 @@ def test_exact_quotient_recovers_every_factor():
         assert exact_quotient(f * g, g) == f
         checked += 1
     assert checked > 30
+
+
+def test_exact_quotient_round_trips_larger_multivariate_pairs():
+    # products of up to 8 by 8 terms in four coordinates, int and Fraction
+    # coefficients mixed: each division queues and cancels many remainder
+    # terms, and must give back either factor
+    rng = random.Random(83)
+    coords = ("w", "x", "y", "z")
+    checked = 0
+    for trial in range(60):
+        f, g = random_poly(rng, coords, 8), random_poly(rng, coords, 8)
+        if trial % 2:
+            g = g * 60  # every coefficient of g integral
+        if f.is_zero or g.is_zero:
+            continue
+        product = f * g
+        assert exact_quotient(product, g) == f
+        assert exact_quotient(product, f) == g
+        checked += 1
+    assert checked > 40
+    # dense powers: a term taken out of graded order meets a remainder
+    # term that the lead of the divisor does not divide
+    _, v = ring(coords)
+    s = v["w"] - v["x"] + 2 * v["y"] + v["z"] / 3
+    for k in range(1, 6):
+        for j in range(k + 1):
+            assert exact_quotient(s**k, s**j) == s ** (k - j)
+    assert exact_quotient(v["x"] ** 2 - v["y"] ** 2, v["x"] + v["y"]) == v["x"] - v["y"]
 
 
 def test_exact_quotient_raises_on_a_remainder():

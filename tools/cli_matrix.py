@@ -5,9 +5,9 @@ Every verb and check flag runs with its JSON output on the 10 corpus
 files, on the so(3) to so(6) frames of the benchmark's generator, on
 dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
-metric and a connection), on geometry-rich and zero-drift twins of two
-corpus files, plus a few inputs near the parser's term budget and a dense
-structure that is not antisymmetric.  Each run is
+metric and a connection), on geometry-rich, zero-drift and non-flat
+connection twins of corpus files, plus a few inputs near the parser's term
+budget and a dense structure that is not antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
 output, standard error and every file the run wrote.  Two trees that
@@ -77,7 +77,9 @@ TWISTED_TWINS = {"abelian_r2_metric_magnetic": ("abelian_r2", "abelian_r2_magnet
 # `so3_action` with a connection nonzero across a, b and i, a nonzero tau,
 # a potential and the exact alpha = d_E(x1), which keeps the constraints
 # first class (structural and evolution fail, the decomposition is still
-# asserted), and `abelian_r2` with an all-zero drift
+# asserted), `abelian_r2` with an all-zero drift, and `abelian_r2` with a
+# connection that is not metric compatible: its evolution residuals are
+# quadratic in the momenta, so the decomposition guard meets a nonzero hessian
 FIELD_TWINS = {
     "so3_action_geometry": (
         "so3_action",
@@ -93,6 +95,10 @@ FIELD_TWINS = {
         },
     ),
     "abelian_r2_zero_beta": ("abelian_r2", {"beta": ["0", "0"]}),
+    "abelian_r2_connection": (
+        "abelian_r2",
+        {"connection": [[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]]},
+    ),
 }
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
