@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebroid import Algebroid
-from .bfv import BFVPackage
+from .bfv import BFVPackage, _word_residuals
 from .constraints import build_constraints
 from .dynamics import GeometryPack, build_hamiltonian
 from .graded import (
@@ -46,6 +46,7 @@ from .graded import (
     momentum_name,
     transport,
 )
+from .poly import monomial_factors
 from .report import FAIL, PASS, CheckReport
 
 THETA = "theta"
@@ -86,21 +87,22 @@ def supercharge_context(ctx: GradedContext) -> GradedContext:
 class SuperCharge:
     """Q = S + theta H together with the package it came from."""
 
-    def __init__(self, context: GradedContext, Q: GradedPoly, package: BFVPackage):
-        if Q.ctx != context:
-            raise ValueError("the supercharge must live in its stated context")
+    def __init__(self, Q: GradedPoly, package: BFVPackage):
         if not Q.is_zero and (Q.parity() != 1 or Q.ghost_degree() != 1):
             raise ValueError("the supercharge must be odd of ghost degree +1")
-        self.context = context
         self.Q = Q
         self.package = package
+
+    @property
+    def context(self) -> GradedContext:
+        return self.Q.ctx
 
 
 def build_supercharge(bfv: BFVPackage) -> SuperCharge:
     ctx = supercharge_context(bfv.ctx)
     theta = ctx.var(THETA)
     Q = transport(bfv.S, ctx) + theta * transport(bfv.H, ctx)
-    return SuperCharge(ctx, Q, bfv)
+    return SuperCharge(Q, bfv)
 
 
 def check_supercharge(sq: SuperCharge) -> CheckReport:
@@ -127,12 +129,7 @@ def check_supercharge(sq: SuperCharge) -> CheckReport:
             "internal mismatch between the supercharge bracket and the "
             "package reports"
         )
-    residuals = [
-        (f"qq[{' '.join(ctx.odd_names[a] for a in word)}]", str(coeff))
-        for word, coeff in sorted(
-            QQ.parts.items(), key=lambda kv: (len(kv[0]), kv[0])
-        )
-    ]
+    residuals = _word_residuals("qq", QQ)
     return CheckReport(
         "supercharge",
         PASS if QQ.is_zero else FAIL,
@@ -218,17 +215,13 @@ def _partner_base(name: str) -> str | None:
 class ComponentAction:
     """First-order component integrand with its field dictionary."""
 
-    def __init__(
-        self,
-        context: GradedContext,
-        fields: tuple[FieldEntry, ...],
-        action: GradedPoly,
-    ):
-        if action.ctx != context:
-            raise ValueError("the action must live in its stated context")
-        self.context = context
+    def __init__(self, fields: tuple[FieldEntry, ...], action: GradedPoly):
         self.fields = fields
         self.action = action
+
+    @property
+    def context(self) -> GradedContext:
+        return self.action.ctx
 
     def rows(self) -> list[dict]:
         """Canonical per-term listing, deterministic run to run."""
@@ -282,9 +275,7 @@ def expand_bv(sq: SuperCharge) -> ComponentAction:
         for base, partner in _partner_pairs(coords, rank)
     }
     integrand = integrand + left_derivation(ectx, shifts, integrand)
-    return ComponentAction(
-        ectx, field_table(coords, rank), integrand.left_deriv(THETA)
-    )
+    return ComponentAction(field_table(coords, rank), integrand.left_deriv(THETA))
 
 
 def ghost_zero_truncation(ca: ComponentAction) -> GradedPoly:
@@ -322,7 +313,7 @@ def extended_action_reference(data: Algebroid, pack: GeometryPack) -> GradedPoly
     if pack.g_inv is not None:
         total = total - transport(build_hamiltonian(pack, constraints.ctx), ectx)
     else:
-        total = total - ectx.lift(pack.potential_or_zero())
+        total = total - ectx.lift(pack.potential)
     for a, phi in enumerate(constraints.phis, start=1):
         total = total - ectx.var(multiplier_name(a)) * transport(phi, ectx)
     return total
@@ -396,11 +387,9 @@ def check_bookkeeping(ca: ComponentAction) -> CheckReport:
     for word, exponent, coeff in sorted(
         ca.action.terms(), key=lambda t: (len(t[0]), t[0], t[1])
     ):
-        factors = [
-            name if k == 1 else f"{name}^{k}"
-            for name, k in zip(ctx.even_names, exponent)
-            if k
-        ] + [ctx.odd_names[a] for a in word]
+        factors = monomial_factors(ctx.even_names, exponent) + [
+            ctx.odd_names[a] for a in word
+        ]
         label = f"term[{' '.join(factors) if factors else '1'}]"
         if any(ctx.odd_names[a] == THETA for a in word):
             residuals.append((label, "super-time survives the expansion"))

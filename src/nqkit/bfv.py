@@ -14,18 +14,15 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
 
 from .algebroid import Algebroid, q_images
 from .constraints import (
     ConstraintSet,
-    Matrix,
     affine_charge,
     build_constraints,
     first_class_terms,
-    phase_space,
 )
-from .dynamics import GeometryPack
+from .dynamics import GeometryPack, _family_residuals
 from .graded import (
     GradedContext,
     GradedPoly,
@@ -37,59 +34,61 @@ from .graded import (
     momentum_orders,
 )
 from .linalg import image_in, rank
-from .poly import EvenPoly, Exponent, embed, monomial_exponents
+from .poly import EvenPoly, Exponent, monomial_exponents
 from .report import FAIL, PASS, SKIPPED, CheckReport
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 
 
-def build_S(
-    data: Algebroid,
-    alpha: Sequence[EvenPoly] | None = None,
-    magnetic: Matrix | None = None,
-    ctx: GradedContext | None = None,
-) -> GradedPoly:
-    """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q, plus the affine part alpha_a xi^a.
+def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
+    """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q on the phase space ctx.
 
-    Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c + alpha_a xi^a.
+    Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c.  This is the
+    core of the charge; `charge_of_constraints` adds the affine part
+    alpha_a xi^a of `affine_charge`.
     """
-    if ctx is None:
-        ctx = phase_space(data, magnetic)
-    affine = affine_charge(data, alpha, ctx)
     images = q_images(data, ctx)
     S = ctx.zero()
     for name in data.coords:
         S = S + images[name] * ctx.var(momentum_name(name))
     for c in range(data.rank):
         S = S + images[ghost_name(c + 1)] * ctx.var(antighost_name(c + 1))
-    return S + affine
+    return S
 
 
 class Charge:
-    """The charge S of a constraint set and geometry pack, on its extended phase space.
+    """The charge S = core + affine of a constraint set, on its phase space.
 
-    `core` is the lift of Q alone, S without the affine part; the cartan and
-    charge-invariance checks bracket it with the Hamiltonian.  The
-    self-bracket (S, S) and the master report are computed on first use and
-    kept, so one invocation brackets S with itself once however many
-    reports need it.  The constraints carry the structural 2-form that the
-    master check predicts (S, S) from, so it is shared with the first-class
-    check of the same constraints.  Treated as immutable.
+    `core` is the lift of Q (`build_S`) and `affine` is alpha_a xi^a; the
+    cartan and charge-invariance checks bracket each with the Hamiltonian.
+    The grading of S is checked here, once.  The self-bracket (S, S) and
+    the master report are computed on first use and kept, so one
+    invocation brackets S with itself once however many reports need it.
+    The constraints carry the structural 2-form that the master check
+    predicts (S, S) from, so it is shared with the first-class check of
+    the same constraints.  Treated as immutable.
     """
 
     def __init__(
         self,
         constraints: ConstraintSet,
         pack: GeometryPack,
-        ctx: GradedContext,
         core: GradedPoly,
-        S: GradedPoly,
+        affine: GradedPoly,
     ):
+        S = core + affine
+        # the zero charge, of a frame with zero anchor and structure, is allowed
+        if not S.is_zero and (S.parity() != 1 or S.ghost_degree() != 1):
+            raise ValueError("the charge must be odd of ghost degree +1")
         self.constraints = constraints
         self.pack = pack
-        self.ctx = ctx
         self.core = core
+        self.affine = affine
         self.S = S
+
+    @property
+    def ctx(self) -> GradedContext:
+        return self.constraints.ctx
 
     @property
     def data(self) -> Algebroid:
@@ -112,19 +111,26 @@ def build_charge(data: Algebroid, pack: GeometryPack) -> Charge:
 
 
 def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
-    """Build the core lift of Q once, and S as the core plus alpha_a xi^a.
+    """The core lift of Q and the affine part alpha_a xi^a of the constraints.
 
     The charge lives on the phase space of the constraints.
     """
     data, ctx = cs.data, cs.ctx
     if data.coords != pack.coords or data.rank != pack.rank:
         raise ValueError("frame data and geometry pack disagree on base or rank")
-    core = build_S(data, ctx=ctx)
-    return Charge(cs, pack, ctx, core, core + affine_charge(data, cs.alpha, ctx))
+    return Charge(cs, pack, build_S(data, ctx), affine_charge(data, cs.alpha, ctx))
 
 
 def _word_label(ctx: GradedContext, word: tuple[int, ...]) -> str:
     return " ".join(ctx.odd_names[k] for k in word)
+
+
+def _word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
+    """One residual `tag[word]` per odd word of F, shortest words first."""
+    return [
+        (f"{tag}[{_word_label(F.ctx, word)}]", str(F.parts[word]))
+        for word in sorted(F.parts, key=lambda w: (len(w), w))
+    ]
 
 
 def _expected_self_bracket(charge: Charge) -> GradedPoly:
@@ -155,10 +161,6 @@ def check_master(charge: Charge) -> CheckReport:
     the first-class residual tensor and the jacobi defect; disagreement
     between the routes raises.
     """
-    S, ctx = charge.S, charge.ctx
-    # the zero charge, of a frame with zero anchor and structure, is allowed
-    if not S.is_zero and (S.parity() != 1 or S.ghost_degree() != 1):
-        raise ValueError("the charge must be odd of ghost degree +1")
     ss = charge.self_bracket
     if ss != _expected_self_bracket(charge):
         raise RuntimeError("internal dual-route mismatch in the self-bracket")
@@ -166,10 +168,7 @@ def check_master(charge: Charge) -> CheckReport:
         "dual route: the self-bracket matches the anchor and jacobi "
         "defects with the structural 2-form"
     ]
-    residuals = [
-        (f"ss[{_word_label(ctx, word)}]", str(coeff))
-        for word, coeff in sorted(ss.parts.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    residuals = _word_residuals("ss", ss)
     status = FAIL if residuals else PASS
     return CheckReport("master", status, "(S, S) = 0", residuals, notes)
 
@@ -195,7 +194,7 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     if pack.beta is not None:
         raise ValueError("drift term present: absorb it before the extended assembly")
     pcov = covariant_momenta(pack, ctx)
-    H = ctx.lift(pack.potential_or_zero())
+    H = ctx.lift(pack.potential)
     for i in range(len(pack.coords)):
         for j in range(len(pack.coords)):
             H = H + ctx.lift(pack.g_inv[i][j]) * pcov[i] * pcov[j] / 2
@@ -216,9 +215,6 @@ class BFVPackage:
         SH: GradedPoly,
         reports: tuple[CheckReport, ...],
     ):
-        S = charge.S
-        if not S.is_zero and (S.parity() != 1 or S.ghost_degree() != 1):
-            raise ValueError("the charge must be odd of ghost degree +1")
         if not H.is_zero and (H.parity() != 0 or H.ghost_degree() != 0):
             raise ValueError("the hamiltonian must be even of ghost degree 0")
         self.charge = charge
@@ -246,18 +242,9 @@ class BFVPackage:
 
 
 def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
-    """Read the obstruction tensor off R = (core, H_cov)."""
+    """Read the obstruction tensor off R = (core, H_cov); it is empty iff R is zero."""
     data, pack, ctx = charge.data, charge.pack, charge.ctx
     n, r = len(data.coords), data.rank
-    if R.is_zero:
-        return CheckReport(
-            "cartan",
-            PASS,
-            CARTAN_IDENTITY,
-            [],
-            ["the obstruction tensor vanishes: cartan geometry"],
-        )
-
     # candidate entries from the momentum-linear xi xi pi words
     tensor: dict[tuple[int, int, int, int], EvenPoly] = {}
     offending: list[str] = []
@@ -269,14 +256,13 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
             if any(len(p_word) != 1 for p_word in orders):
                 offending.append(_word_label(ctx, word))
                 continue
-            zero = EvenPoly.zero(coeff.coords)
-            linear = [orders.get((i,), zero) for i in range(n)]
             a, b = word[0], word[1]
             c = word[2] - r
             for j in range(n):
-                entry = EvenPoly.zero(coeff.coords)
-                for i in range(n):
-                    entry = entry - embed(pack.g_low[j][i], coeff.coords) * linear[i]
+                entry = data.zero()
+                for (i,), linear in orders.items():
+                    if not pack.g_low[j][i].is_zero:
+                        entry = entry - pack.g_low[j][i] * linear
                 if not entry.is_zero:
                     tensor[(c, j, a, b)] = entry
         elif (len(word), ghost_count) != (5, 3):
@@ -289,15 +275,13 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
 
     # the normalization is fixed by reassembling the residual exactly
     pcov = covariant_momenta(pack, ctx)
+    blocks: dict[int, GradedPoly] = {}
+    for (c, j, a, b), entry in tensor.items():
+        blocks[j] = blocks.get(j, ctx.zero()) + ctx.lift(entry) * ctx.var(
+            ghost_name(a + 1)
+        ) * ctx.var(ghost_name(b + 1)) * ctx.var(antighost_name(c + 1))
     rebuilt = ctx.zero()
-    for j in range(n):
-        block = ctx.zero()
-        for (c, jj, a, b), entry in tensor.items():
-            if jj != j:
-                continue
-            block = block + ctx.lift(entry) * ctx.var(ghost_name(a + 1)) * ctx.var(
-                ghost_name(b + 1)
-            ) * ctx.var(antighost_name(c + 1))
+    for j, block in blocks.items():
         for i in range(n):
             rebuilt = rebuilt - ctx.lift(pack.g_inv[i][j]) * pcov[i] * block
     if rebuilt != R:
@@ -306,38 +290,31 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
             f"unmatched part: {R - rebuilt}"
         )
 
-    residuals = [
-        (f"S[c={c + 1},j={j + 1},a={a + 1},b={b + 1}]", str(entry))
-        for (c, j, a, b), entry in sorted(tensor.items())
-    ]
-    return CheckReport(
-        "cartan",
-        FAIL,
-        CARTAN_IDENTITY,
-        residuals,
-        ["the extracted tensor reassembles the bracket residual exactly"],
-    )
+    residuals = _family_residuals("S", tensor, "cjab")
+    if residuals:
+        note = "the extracted tensor reassembles the bracket residual exactly"
+    else:
+        note = "the obstruction tensor vanishes: cartan geometry"
+    status = FAIL if residuals else PASS
+    return CheckReport("cartan", status, CARTAN_IDENTITY, residuals, [note])
 
 
 def _charge_invariance(
-    charge: Charge, H: GradedPoly, core_bracket: GradedPoly
+    charge: Charge, h_cov: GradedPoly, potential: GradedPoly, core_bracket: GradedPoly
 ) -> tuple[CheckReport, GradedPoly]:
-    """The charge-invariance report and the bracket (S, H) it checks.
+    """The charge-invariance report and the bracket (S, H), H = h_cov + potential.
 
     `core_bracket` is (core, H_cov), shared with the cartan check.
     """
-    data, pack, ctx = charge.data, charge.pack, charge.ctx
-    S = charge.S
-    affine = S - charge.core
-    potential = ctx.lift(pack.potential_or_zero())
-    h_cov = H - potential
+    data, ctx = charge.data, charge.ctx
+    S, affine = charge.S, charge.affine
 
+    # (S, V) = rho_a^i d_i V xi^a, by the anchor derivative
     gradient = ctx.zero()
     for a in range(data.rank):
-        for i, name in enumerate(data.coords):
-            gradient = gradient + ctx.var(ghost_name(a + 1)) * ctx.lift(
-                data.anchor[a][i] * pack.potential_or_zero().diff(name)
-            )
+        derivative = data.anchor_apply(a, charge.pack.potential)
+        if not derivative.is_zero:
+            gradient = gradient + ctx.var(ghost_name(a + 1)) * ctx.lift(derivative)
     parts = [
         ("cartan_part", core_bracket),
         ("dalpha_part", ctx.poisson(affine, h_cov)),
@@ -346,7 +323,10 @@ def _charge_invariance(
     if parts[2][1] != gradient:
         raise RuntimeError("internal dual-route mismatch in the potential part")
     # with alpha = 0 and V = 0, S is the core and H is H_cov: one bracket
-    total = core_bracket if affine.is_zero and potential.is_zero else ctx.poisson(S, H)
+    if affine.is_zero and potential.is_zero:
+        total = core_bracket
+    else:
+        total = ctx.poisson(S, h_cov + potential)
     if parts[0][1] + parts[1][1] + parts[2][1] != total:
         raise RuntimeError("internal dual-route mismatch in the charge invariance")
     residuals = [(label, str(value)) for label, value in parts if not value.is_zero]
@@ -365,43 +345,30 @@ def _charge_invariance(
 
 
 def assemble_bfv(charge: Charge) -> BFVPackage:
-    """Add the Hamiltonian to a charge, then run the full identity battery."""
-    data, pack, ctx = charge.data, charge.pack, charge.ctx
+    """Add the Hamiltonian H = H_cov + V to a charge, then run the battery."""
+    pack, ctx = charge.pack, charge.ctx
+    potential = ctx.lift(pack.potential)
     if pack.g_inv is not None:
         H = build_H(pack, ctx)
+        h_cov = H - potential
+    elif pack.beta is not None:
+        raise ValueError("drift term present: absorb it before the extended assembly")
     else:
-        if pack.beta is not None:
-            raise ValueError(
-                "drift term present: absorb it before the extended assembly"
-            )
-        H = ctx.lift(pack.potential_or_zero())
+        H, h_cov = potential, ctx.zero()
     reports = [charge.master]
     # (core, H_cov), shared by the cartan and charge-invariance checks
-    core_bracket = ctx.poisson(charge.core, H - ctx.lift(pack.potential_or_zero()))
-    if pack.g_inv is not None and pack.g_low is not None:
-        if reports[0].status == PASS:
-            reports.append(_cartan_core(charge, core_bracket))
-        else:
-            reports.append(
-                CheckReport(
-                    "cartan",
-                    SKIPPED,
-                    CARTAN_IDENTITY,
-                    [],
-                    ["master equation fails: the obstruction tensor is undefined"],
-                )
-            )
+    core_bracket = ctx.poisson(charge.core, h_cov)
+    if pack.g_inv is None or pack.g_low is None:
+        skipped = "no metric pair: the covariant obstruction is not defined"
+    elif reports[0].status != PASS:
+        skipped = "master equation fails: the obstruction tensor is undefined"
     else:
-        reports.append(
-            CheckReport(
-                "cartan",
-                SKIPPED,
-                CARTAN_IDENTITY,
-                [],
-                ["no metric pair: the covariant obstruction is not defined"],
-            )
-        )
-    invariance, SH = _charge_invariance(charge, H, core_bracket)
+        skipped = None
+    if skipped is None:
+        reports.append(_cartan_core(charge, core_bracket))
+    else:
+        reports.append(CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [skipped]))
+    invariance, SH = _charge_invariance(charge, h_cov, potential, core_bracket)
     reports.append(invariance)
     return BFVPackage(charge, H, SH, tuple(reports))
 

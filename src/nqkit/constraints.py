@@ -45,7 +45,8 @@ Matrix = tuple[tuple[EvenPoly, ...], ...]
 class ConstraintSet:
     """Constraints Phi_a on a problem's phase space, with their frame data.
 
-    Treated as immutable.
+    `degenerate` lists the indexes of the identically zero constraints and
+    `notes` names them for the first-class report.  Treated as immutable.
     """
 
     def __init__(
@@ -55,8 +56,6 @@ class ConstraintSet:
         data: Algebroid,
         alpha: Sequence[EvenPoly] | None = None,
         magnetic: Matrix | None = None,
-        degenerate: tuple[int, ...] = (),
-        notes: tuple[str, ...] = (),
     ):
         for phi in phis:
             if phi.ctx != ctx:
@@ -67,8 +66,11 @@ class ConstraintSet:
         self.data = data
         self.alpha = alpha
         self.magnetic = magnetic
-        self.degenerate = degenerate
-        self.notes = notes
+        self.degenerate = tuple(a for a, phi in enumerate(phis) if phi.is_zero)
+        self.notes = ()
+        if self.degenerate:
+            labels = ", ".join(str(a + 1) for a in self.degenerate)
+            self.notes = (f"degenerate constraints (identically zero): {labels}",)
 
     @property
     def rank(self) -> int:
@@ -135,20 +137,7 @@ def build_constraints(
         for i, name in enumerate(data.coords):
             phi = phi + ctx.lift(data.anchor[a][i]) * ctx.var(momentum_name(name))
         phis.append(phi)
-    degenerate = tuple(a for a, phi in enumerate(phis) if phi.is_zero)
-    notes = ()
-    if degenerate:
-        labels = ", ".join(str(a + 1) for a in degenerate)
-        notes = (f"degenerate constraints (identically zero): {labels}",)
-    return ConstraintSet(
-        ctx=ctx,
-        phis=tuple(phis),
-        data=data,
-        alpha=alpha,
-        magnetic=magnetic,
-        degenerate=degenerate,
-        notes=notes,
-    )
+    return ConstraintSet(ctx, tuple(phis), data, alpha, magnetic)
 
 
 def decompose_fiber_affine(
@@ -160,26 +149,16 @@ def decompose_fiber_affine(
     """
     if any(word for word in F.parts):
         raise ValueError("constraint has odd content")
-    momenta = [p for p, _ in ctx.pairs_even]
-    positions = [x for _, x in ctx.pairs_even]
-    paired = set(momenta) | set(positions)
+    paired = {name for pair in ctx.pairs_even for name in pair}
     for name in ctx.even_names:
         if name not in paired and F.even_part().degree_in(name) > 0:
             raise ValueError(f"constraint depends on unpaired coordinate {name!r}")
     orders = momentum_orders(ctx, F.even_part())
     if any(len(word) > 1 for word in orders):
         raise ValueError("constraint is not affine in the momenta")
-    base = tuple(positions)
-    position_slots = [ctx.even_index[x] for x in positions]
-
-    def on_base(word: tuple[int, ...]) -> EvenPoly:
-        f = orders.get(word, EvenPoly.zero(ctx.even_names))
-        return EvenPoly(
-            base,
-            {tuple(e[s] for s in position_slots): c for e, c in f.terms.items()},
-        )
-
-    return on_base(()), [on_base((i,)) for i in range(len(base))]
+    zero = EvenPoly.zero(tuple(x for _, x in ctx.pairs_even))
+    rho = [orders.get((j,), zero) for j in range(len(ctx.pairs_even))]
+    return orders.get((), zero), rho
 
 
 def structural_two_form(
@@ -430,11 +409,17 @@ def generic_rank(matrix: list[list[EvenPoly]]) -> int:
         pivot = pivot_row[j]
         reduced = []
         for row in rows:
-            new_row = [
-                exact_quotient(pivot * f - row[j] * g, previous)
-                for k, (f, g) in enumerate(zip(row, pivot_row))
-                if k != j
-            ]
+            lead, new_row = row[j], []
+            for k, (f, g) in enumerate(zip(row, pivot_row)):
+                if k == j:
+                    continue
+                # pivot * f - lead * g: no zero factor, no zero numerator divided
+                numerator = pivot * f if f.terms else f
+                if lead.terms and g.terms:
+                    numerator = numerator - lead * g
+                if numerator.terms:
+                    numerator = exact_quotient(numerator, previous)
+                new_row.append(numerator)
             if any(not f.is_zero for f in new_row):
                 reduced.append(new_row)
         rows, previous = reduced, pivot
@@ -499,15 +484,14 @@ class ProbeReport:
 
 
 def irreducibility_probe(
-    data: Algebroid,
-    points: Sequence[Sequence[Rat | int]] = (),
-    seed: int = DEFAULT_PROBE_SEED,
+    data: Algebroid, points: Sequence[Sequence[Rat | int]] = ()
 ) -> ProbeReport:
     """Generic anchor rank plus exact pointwise ranks on a probed point set.
 
-    Full rank everywhere means the constraints are independent; the verdict
-    is scoped to what was actually checked, so a clean probe reads
-    "irreducible on probed set" rather than claiming a global certificate.
+    The points given, then five drawn with `DEFAULT_PROBE_SEED`.  Full rank
+    everywhere means the constraints are independent; the verdict is scoped
+    to what was checked, so a clean probe reads "irreducible on probed set"
+    rather than claiming a global certificate.
     """
     r, n = data.rank, data.base_dim
     probe_points: list[tuple[Rat, ...]] = []
@@ -518,7 +502,7 @@ def irreducibility_probe(
                 f"dimension is {n}"
             )
         probe_points.append(tuple(Fraction(v) for v in point))
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_PROBE_SEED)
     for _ in range(_RANDOM_PROBE_COUNT):
         probe_points.append(
             tuple(
@@ -549,4 +533,4 @@ def irreducibility_probe(
         else:
             label = ", ".join(str(v) for v in failing)
             verdict = f"reducible at point ({label})"
-    return ProbeReport(generic, r, seed, point_results, verdict)
+    return ProbeReport(generic, r, DEFAULT_PROBE_SEED, point_results, verdict)

@@ -49,11 +49,12 @@ class GeometryPack:
     ascending keys, omega[(a, b, i)] = omega^a_{bi} and tau[(a, b)] = tau^a_b;
     alpha[a] holds alpha_a and magnetic[i][j] holds B_ij.  Each field is
     checked here, once, against the base ring and the rank.  Fields with a
-    natural zero default (alpha, tau, potential, magnetic, beta) may be
-    omitted, and an all-zero beta is stored as absent; the metrics and
-    connection have no canonical default (a zero connection is the empty
-    index, not None) and the operations that need them say so.  Treated as
-    immutable.
+    natural zero default may be omitted: potential is then the zero
+    polynomial and tau the empty index, while alpha, magnetic and beta stay
+    None, whose absence is read (an all-zero beta is stored as absent).  The
+    metrics and connection have no canonical default (a zero connection is
+    the empty index, not None) and the operations that need them say so.
+    Treated as immutable.
     """
 
     def __init__(
@@ -74,7 +75,7 @@ class GeometryPack:
         self.g_inv = _as_matrix(g_inv)
         self.g_low = _as_matrix(g_low)
         self.alpha = None if alpha is None else affine_part(self.coords, rank, alpha)
-        self.potential = potential
+        self.potential = EvenPoly.zero(self.coords) if potential is None else potential
         self.magnetic = _as_matrix(magnetic)
         self.beta = tuple(beta) if beta is not None else None
         n, r = len(self.coords), self.rank
@@ -105,8 +106,7 @@ class GeometryPack:
                         )
         self.omega = None if omega is None else self._nonzero("omega", omega, (r, r, n))
         self.tau = self._nonzero("tau", {} if tau is None else tau, (r, r))
-        if self.potential is not None and self.potential.coords != self.coords:
-            raise ValueError("potential must live in the base ring")
+        self._check_entries((self.potential,))
         if self.beta is not None:
             if len(self.beta) != n:
                 raise ValueError("beta must have one component per coordinate")
@@ -141,24 +141,6 @@ class GeometryPack:
             if entry.coords != self.coords:
                 raise ValueError("all components must live in the base ring")
 
-    # zero defaults for the fields that have one
-
-    def alpha_or_zero(self) -> tuple[EvenPoly, ...]:
-        return affine_part(self.coords, self.rank, self.alpha)
-
-    def potential_or_zero(self) -> EvenPoly:
-        return (
-            self.potential
-            if self.potential is not None
-            else EvenPoly.zero(self.coords)
-        )
-
-    def beta_or_zero(self) -> tuple[EvenPoly, ...]:
-        if self.beta is not None:
-            return self.beta
-        zero = EvenPoly.zero(self.coords)
-        return tuple(zero for _ in self.coords)
-
 
 def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     """H = 1/2 g^{ij} p_i p_j + beta^i p_i + V on the phase space ctx.
@@ -170,10 +152,10 @@ def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
         raise ValueError("hamiltonian needs the inverse metric g_inv")
     momenta = [ctx.var(momentum_name(name)) for name in pack.coords]
     n = len(pack.coords)
-    H = ctx.lift(pack.potential_or_zero())
-    beta = pack.beta_or_zero()
+    H = ctx.lift(pack.potential)
     for i in range(n):
-        H = H + ctx.lift(beta[i]) * momenta[i]
+        if pack.beta is not None:
+            H = H + ctx.lift(pack.beta[i]) * momenta[i]
         for j in range(n):
             H = H + ctx.lift(pack.g_inv[i][j]) * momenta[i] * momenta[j] / 2
     return H
@@ -243,6 +225,15 @@ def _lowered_anchor(data: Algebroid, g_low: Matrix) -> list[list[EvenPoly]]:
     return lowered
 
 
+def _omega_slots(n: int, i: int):
+    """The pairs s <= t where omega^b_ai enters the metric family, ascending,
+    each with the k of the (iota_rho g)_bk it multiplies: (i, i) comes twice."""
+    for s in range(i + 1):
+        yield (s, i), s
+    for t in range(i, n):
+        yield (i, t), t
+
+
 def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResiduals:
     """Metric compatibility, covariant constancy of alpha, potential alignment.
 
@@ -257,7 +248,7 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     _require(pack, ["g_low", "omega"])
     r, n = data.rank, data.base_dim
     g_low = pack.g_low
-    alpha = pack.alpha_or_zero()
+    alpha = affine_part(data.coords, r, pack.alpha)
     iota = _lowered_anchor(data, g_low)
 
     metric = {
@@ -270,20 +261,26 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
         (a, i): alpha[a].diff(data.coords[i]) for a in range(r) for i in range(n)
     }
     for (b, a, i), w in pack.omega.items():
-        # omega^b_ai stands in the pairs (i, j >= i) and (s <= i, i)
-        for j in range(i, n):
-            metric[(a, i, j)] = metric[(a, i, j)] - w * iota[b][j]
-        for s in range(i + 1):
-            metric[(a, s, i)] = metric[(a, s, i)] - w * iota[b][s]
+        for pair, k in _omega_slots(n, i):
+            metric[(a, *pair)] = metric[(a, *pair)] - w * iota[b][k]
         alpha_res[(a, i)] = alpha_res[(a, i)] - w * alpha[b]
 
-    potential = pack.potential_or_zero()
-    potential_res = {a: data.anchor_apply(a, potential) for a in range(r)}
+    potential_res = {a: data.anchor_apply(a, pack.potential) for a in range(r)}
     for (b, a), t in pack.tau.items():
         for i in range(n):
             alpha_res[(a, i)] = alpha_res[(a, i)] + t * iota[b][i]
         potential_res[a] = potential_res[a] - t * alpha[b]
     return StructuralResiduals(metric, alpha_res, potential_res)
+
+
+def _family_residuals(tag: str, family: dict, names: str) -> list[tuple[str, str]]:
+    """The nonzero entries of an index in ascending keys, as `tag[a=1,i=2]`."""
+    residuals = []
+    for key, value in sorted(family.items()):
+        if not value.is_zero:
+            label = ",".join(f"{name}={k + 1}" for name, k in zip(names, key))
+            residuals.append((f"{tag}[{label}]", str(value)))
+    return residuals
 
 
 def check_metric_compat(families: StructuralResiduals) -> CheckReport:
@@ -292,12 +289,7 @@ def check_metric_compat(families: StructuralResiduals) -> CheckReport:
     The metric family of `structural_residuals` reads only g_low and omega,
     so the families of the full pack serve this check as well.
     """
-    residuals = []
-    for (a, i, j), value in sorted(families.metric.items()):
-        if not value.is_zero:
-            residuals.append(
-                (f"compat[a={a + 1},i={i + 1},j={j + 1}]", str(value))
-            )
+    residuals = _family_residuals("compat", families.metric, "aij")
     status = FAIL if residuals else PASS
     return CheckReport(
         "metric_compat", status, "L_rho(g) = omega v iota_rho(g)", residuals
@@ -306,18 +298,13 @@ def check_metric_compat(families: StructuralResiduals) -> CheckReport:
 
 def check_structural(families: StructuralResiduals) -> CheckReport:
     """All three structural families as one labeled report."""
-    residuals = []
-    for (a, i, j), value in sorted(families.metric.items()):
-        if not value.is_zero:
-            residuals.append(
-                (f"metric[a={a + 1},i={i + 1},j={j + 1}]", str(value))
-            )
-    for (a, i), value in sorted(families.alpha.items()):
-        if not value.is_zero:
-            residuals.append((f"alpha[a={a + 1},i={i + 1}]", str(value)))
-    for a, value in sorted(families.potential.items()):
-        if not value.is_zero:
-            residuals.append((f"potential[a={a + 1}]", str(value)))
+    residuals = (
+        _family_residuals("metric", families.metric, "aij")
+        + _family_residuals("alpha", families.alpha, "ai")
+        + _family_residuals(
+            "potential", {(a,): f for a, f in families.potential.items()}, "a"
+        )
+    )
     status = FAIL if residuals else PASS
     return CheckReport(
         "structural",
@@ -335,28 +322,22 @@ def _momentum_split(
 ) -> tuple[EvenPoly, dict[int, EvenPoly], dict[tuple[int, int], EvenPoly]]:
     """Split a momentum-quadratic scalar into (order 0, order 1, hessian).
 
-    The pieces are the coefficients of `momentum_orders`, read over the base
-    ring `coords`, which the phase space lists first.  Only nonzero pieces
-    are kept: order 1 by momentum index j, the hessian by (j, k) in both
-    orders, holding the second derivatives, so p_j^2 counts twice on the
-    diagonal and p_j p_k once on each side.
+    The pieces are the coefficients of `momentum_orders`, over the base
+    ring `coords`.  Only nonzero pieces are kept: order 1 by momentum index
+    j, the hessian by (j, k) in both orders, holding the second
+    derivatives, so p_j^2 counts twice on the diagonal and p_j p_k once on
+    each side.
     """
-    n = len(coords)
     orders = momentum_orders(ctx, E)
     if any(len(word) > 2 for word in orders):
         raise RuntimeError("residual is not quadratic in the momenta")
-    # the momentum slots of every exponent are zero once the orders are read
-    on_base = {
-        word: EvenPoly._trusted(coords, {e[:n]: c for e, c in f.terms.items()})
-        for word, f in orders.items()
-    }
-    part1 = {word[0]: f for word, f in on_base.items() if len(word) == 1}
+    part1 = {word[0]: f for word, f in orders.items() if len(word) == 1}
     hessian = {}
-    for word, f in on_base.items():
+    for word, f in orders.items():
         if len(word) == 2:
             j, k = word
             hessian[(j, k)] = hessian[(k, j)] = f * 2 if j == k else f
-    return on_base.get((), EvenPoly.zero(coords)), part1, hessian
+    return orders.get((), EvenPoly.zero(coords)), part1, hessian
 
 
 def check_evolution_invariance(
@@ -516,11 +497,12 @@ def _connection_columns(
 
     The unknowns number rank^2 * base_dim * C(base_dim + degree, base_dim).
     Row keys are (a, pair position, exponent) over the pairs s <= t.  An
-    unknown adds -x^m (iota_rho g)_bt to the pair (s, t) when i = s, and
-    -x^m (iota_rho g)_bs when i = t, term by term.
+    unknown adds -x^m (iota_rho g)_bk to each pair of `_omega_slots(n, i)`,
+    term by term.
     """
     r, n = data.rank, data.base_dim
-    pair_list = [(i, j) for i in range(n) for j in range(i, n)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    pair_position = {pair: pos for pos, pair in enumerate(pairs)}
     exponents = monomial_exponents(n, degree)
     unknowns = [
         (b, a, i, m)
@@ -533,17 +515,14 @@ def _connection_columns(
     columns = []
     for b, a, i, m in unknowns:
         column: dict[tuple[int, int, Exponent], Rat] = {}
-        for pair_pos, (s, t) in enumerate(pair_list):
-            for hit, other in ((s, t), (t, s)):
-                if i != hit:
-                    continue
-                for e, coeff in iota[b][other].terms.items():
-                    key = (a, pair_pos, tuple(map(add, m, e)))
-                    value = column.get(key, 0) - coeff
-                    if value:
-                        column[key] = value
-                    else:
-                        del column[key]
+        for pair, k in _omega_slots(n, i):
+            for e, coeff in iota[b][k].terms.items():
+                key = (a, pair_position[pair], tuple(map(add, m, e)))
+                value = column.get(key, 0) - coeff
+                if value:
+                    column[key] = value
+                else:
+                    del column[key]
         columns.append(column)
     return unknowns, columns
 

@@ -36,6 +36,8 @@ from .poly import (
     as_rat,
     divide,
     embed,
+    monomial_factors,
+    render_sum,
 )
 
 OddWord = tuple[int, ...]
@@ -393,32 +395,16 @@ class GradedPoly:
         return GradedPoly._trusted(ctx, parts)
 
     def __str__(self) -> str:
-        if not self.parts:
-            return "0"
         ctx = self.ctx
-        pieces: list[tuple[str, str]] = []
-        for word in sorted(self.parts, key=lambda w: (len(w), w)):
-            f = self.parts[word]
-            letters = [ctx.odd_names[a] for a in word]
-            for exponent, coeff in f.sorted_terms():
-                factors = [
-                    name if k == 1 else f"{name}^{k}"
-                    for name, k in zip(ctx.even_names, exponent)
-                    if k
-                ] + letters
-                magnitude = abs(coeff)
-                if not factors:
-                    body = str(magnitude)
-                elif magnitude == 1:
-                    body = "*".join(factors)
-                else:
-                    body = "*".join([str(magnitude), *factors])
-                pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_sum(
+            (
+                coeff,
+                monomial_factors(ctx.even_names, exponent)
+                + [ctx.odd_names[a] for a in word],
+            )
+            for word in sorted(self.parts, key=lambda w: (len(w), w))
+            for exponent, coeff in self.parts[word].sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"GradedPoly({str(self)!r})"
@@ -617,26 +603,26 @@ def field_column(
 def momentum_orders(
     ctx: GradedContext, f: EvenPoly
 ) -> dict[tuple[int, ...], EvenPoly]:
-    """Read a coefficient of the phase space by its momenta.
+    """Read a function on the phase space by its momenta.
 
     Returns {momentum word: coefficient}: the word of a term lists the
     index j of each momentum p_j it holds (j counts the even pairs of ctx),
     ascending and with multiplicity, so () is momentum order 0, (j,) order
     1 and (j, k), j <= k, order 2.  The coefficient of a word is the sum of
-    the terms of f with that word, the momenta stripped from their
-    exponents, over the ring of f.  Every reader of a function by momentum
-    order goes through here.
+    the terms of f with that word, over the positions of the pairs in pair
+    order, so the callers read it as a function on the base.  f must not
+    depend on an even coordinate outside the pairs.  Every reader of a
+    function by momentum order goes through here.
     """
-    slots = [ctx.even_index[p] for p, _ in ctx.pairs_even]
+    momenta = [ctx.even_index[p] for p, _ in ctx.pairs_even]
+    positions = [ctx.even_index[x] for _, x in ctx.pairs_even]
+    base = tuple(x for _, x in ctx.pairs_even)
     buckets: dict[tuple[int, ...], Terms] = {}
     for exponent, coeff in f.terms.items():
-        word = tuple(j for j, slot in enumerate(slots) for _ in range(exponent[slot]))
-        stripped = list(exponent)
-        for slot in slots:
-            stripped[slot] = 0
+        word = tuple(j for j, slot in enumerate(momenta) for _ in range(exponent[slot]))
         # the word fixes the momentum exponents: distinct terms stay distinct
-        buckets.setdefault(word, {})[tuple(stripped)] = coeff
-    return {word: EvenPoly._trusted(f.coords, terms) for word, terms in buckets.items()}
+        buckets.setdefault(word, {})[tuple(exponent[s] for s in positions)] = coeff
+    return {word: EvenPoly._trusted(base, terms) for word, terms in buckets.items()}
 
 
 # name scheme for generated coordinates; user base coordinates must avoid these

@@ -16,8 +16,8 @@ by a nonzero scalar cannot give zero; a sum or product drops exactly the
 keys whose coefficients cancel; a derivative maps distinct exponents to
 distinct exponents) and builds its result with the internal
 `EvenPoly._trusted`, which skips the filter.  Outside this module only code
-that keeps the same invariant calls it: the graded products of `graded.py`,
-`Algebroid.anchor_apply` and the momentum split of `dynamics.py`.
+that keeps the same invariant calls it: the graded products and the
+momentum reader of `graded.py`, and `Algebroid.anchor_apply`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from operator import add, sub
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction
 Scalar = int | Fraction
@@ -195,31 +195,40 @@ class EvenPoly:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[tuple[str, str]] = []
-        for exponent, coeff in self.sorted_terms():
-            factors = [
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.coords, exponent)
-                if k
-            ]
-            magnitude = abs(coeff)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(magnitude), *factors])
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        out = body if sign == "+" else f"-{body}"
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_sum(
+            (coeff, monomial_factors(self.coords, exponent))
+            for exponent, coeff in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"EvenPoly({str(self)!r})"
+
+
+def monomial_factors(names: Sequence[str], exponent: Exponent) -> list[str]:
+    """The factors `name` or `name^k` of a monomial, in the order of `names`."""
+    return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exponent) if k]
+
+
+def render_sum(terms: Iterable[tuple[Scalar, list[str]]]) -> str:
+    """The text form of (nonzero coefficient, factors) terms, of every polynomial.
+
+    A term reads `magnitude*factor*...`, without a magnitude of 1; terms
+    are joined by their signs and the empty sum reads "0".
+    """
+    out = ""
+    for coeff, factors in terms:
+        magnitude = abs(coeff)
+        if not factors:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(magnitude), *factors])
+        if out:
+            out += f" - {body}" if coeff < 0 else f" + {body}"
+        else:
+            out = f"-{body}" if coeff < 0 else body
+    return out or "0"
 
 
 def derivative(terms: Terms, index: int) -> Terms:

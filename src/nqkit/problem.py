@@ -67,18 +67,14 @@ _KNOWN_FIELDS = {
     "truncation",
 }
 
-# geometry errors raised by the container, mapped back to file fields
+# the geometry errors the container raises on loaded fields, mapped back
+# to file fields: `_dense_index` has fixed every shape, ring and key, so
+# only the symmetries of the metrics and of the magnetic field remain
 _GEOMETRY_PATHS = (
     ("g_inv and g_low", "metric_inv"),
     ("g_inv", "metric_inv"),
     ("g_low", "metric"),
-    ("omega", "connection"),
-    ("tau", "tau"),
-    ("alpha", "alpha"),
-    ("potential", "potential"),
     ("magnetic", "magnetic"),
-    ("twist", "magnetic"),
-    ("beta", "beta"),
 )
 
 
@@ -213,8 +209,6 @@ def problem_from_dict(doc: object) -> Problem:
             magnetic=magnetic,
             beta=beta,
         )
-    except ProblemError:
-        raise
     except ValueError as error:
         path = _geometry_path(str(error))
         # a message that already names its field is not prefixed twice

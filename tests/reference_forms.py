@@ -16,10 +16,12 @@ base forms.
 `components` reads a ghost polynomial back into a table, so the library
 route and these compare as exact dicts; `q_apply` is the library route.
 
-Two slow routes that the library replaced stand here as references for
-the differential tests: `substitute` multiplies out a graded polynomial
-term by term under a substitution of its coordinates, and `evaluate`
-reads an even polynomial at a rational point with `Fraction` arithmetic.
+Routes that the library replaced stand here as references for the
+differential tests: `substitute` multiplies out a graded polynomial term by
+term under a substitution of its coordinates, `evaluate` reads an even
+polynomial at a rational point with `Fraction` arithmetic, and
+`render_even` and `render_graded` are the two text forms that each class
+once wrote out for itself.
 """
 
 from __future__ import annotations
@@ -245,3 +247,59 @@ def evaluate(f: EvenPoly, point: Mapping[str, Scalar]) -> Scalar:
                 product *= value**k
         total += product
     return total
+
+
+def render_even(f: EvenPoly) -> str:
+    """The text form of an even polynomial, written out on its own."""
+    if not f.terms:
+        return "0"
+    parts: list[tuple[str, str]] = []
+    for exponent, coeff in f.sorted_terms():
+        factors = [
+            name if k == 1 else f"{name}^{k}"
+            for name, k in zip(f.coords, exponent)
+            if k
+        ]
+        magnitude = abs(coeff)
+        if not factors:
+            body = str(magnitude)
+        elif magnitude == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(magnitude), *factors])
+        parts.append(("-" if coeff < 0 else "+", body))
+    sign, body = parts[0]
+    out = body if sign == "+" else f"-{body}"
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def render_graded(F: GradedPoly) -> str:
+    """The text form of a graded polynomial, written out on its own."""
+    if not F.parts:
+        return "0"
+    ctx = F.ctx
+    pieces: list[tuple[str, str]] = []
+    for word in sorted(F.parts, key=lambda w: (len(w), w)):
+        f = F.parts[word]
+        letters = [ctx.odd_names[a] for a in word]
+        for exponent, coeff in f.sorted_terms():
+            factors = [
+                name if k == 1 else f"{name}^{k}"
+                for name, k in zip(ctx.even_names, exponent)
+                if k
+            ] + letters
+            magnitude = abs(coeff)
+            if not factors:
+                body = str(magnitude)
+            elif magnitude == 1:
+                body = "*".join(factors)
+            else:
+                body = "*".join([str(magnitude), *factors])
+            pieces.append(("-" if coeff < 0 else "+", body))
+    sign, body = pieces[0]
+    out = body if sign == "+" else f"-{body}"
+    for sign, body in pieces[1:]:
+        out += f" {sign} {body}"
+    return out

@@ -136,9 +136,9 @@ def test_supercharge_validates_grading():
     bfv = packaged(abelian_r1())
     ctx = supercharge_context(bfv.ctx)
     with pytest.raises(ValueError, match="odd of ghost degree"):
-        SuperCharge(ctx, ctx.var("p_x"), bfv)
-    with pytest.raises(ValueError, match="stated context"):
-        SuperCharge(ctx, bfv.S, bfv)
+        SuperCharge(ctx.var("p_x"), bfv)
+    # the context is that of Q: no second copy to disagree with
+    assert SuperCharge(transport(bfv.S, ctx), bfv).context == ctx
 
 
 # nilpotency
@@ -329,8 +329,8 @@ def test_expand_is_linear_in_the_charge():
     bfv = packaged(abelian_r2(), potential=g["x1"] ** 2)
     sq = build_supercharge(bfv)
     qctx = sq.context
-    part_s = SuperCharge(qctx, transport(bfv.S, qctx), bfv)
-    part_h = SuperCharge(qctx, qctx.var("theta") * transport(bfv.H, qctx), bfv)
+    part_s = SuperCharge(transport(bfv.S, qctx), bfv)
+    part_h = SuperCharge(qctx.var("theta") * transport(bfv.H, qctx), bfv)
     total = expand_bv(sq).action
     split = expand_bv(part_s).action + expand_bv(part_h).action
     # each expansion carries one copy of the kinetic sector
@@ -360,7 +360,7 @@ def test_bookkeeping_passes_on_expansions():
 def test_bookkeeping_empty_action_passes():
     ctx = expansion_context(("x",), 1)
     report = check_bookkeeping(
-        ComponentAction(ctx, field_table(("x",), 1), ctx.zero())
+        ComponentAction(field_table(("x",), 1), ctx.zero())
     )
     assert report.status == PASS
 
@@ -371,7 +371,7 @@ def test_bookkeeping_catches_a_corrupted_table():
     bumped = next(k for k, entry in enumerate(fields) if entry.name == "xi_1")
     entry = fields[bumped]
     fields[bumped] = FieldEntry(entry.name, 2, entry.parity, entry.is_partner)
-    report = check_bookkeeping(ComponentAction(ca.context, tuple(fields), ca.action))
+    report = check_bookkeeping(ComponentAction(tuple(fields), ca.action))
     assert report.status == FAIL
     assert any(label == "field[xi_1]" for label, _ in report.residuals)
     assert any(
@@ -382,7 +382,7 @@ def test_bookkeeping_catches_a_corrupted_table():
 
 def test_bookkeeping_catches_a_corrupted_action():
     ca = expand_bv(build_supercharge(packaged(abelian_r1())))
-    bad = ComponentAction(ca.context, ca.fields, ca.action + ca.context.var("xi_1"))
+    bad = ComponentAction(ca.fields, ca.action + ca.context.var("xi_1"))
     report = check_bookkeeping(bad)
     assert report.status == FAIL
     assert ("term[xi_1]", "ghost number 1") in report.residuals

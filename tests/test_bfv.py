@@ -32,7 +32,7 @@ from nqkit.graded import (
 from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS, SKIPPED
-from nqkit.constraints import phase_space, structural_two_form
+from nqkit.constraints import affine_charge, phase_space, structural_two_form
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import components, structural, substitute
 from tests.test_algebroid import (
@@ -86,7 +86,7 @@ def line_pack(rank: int, **fields) -> GeometryPack:
 
 def test_build_s_abelian_line():
     data = abelian_r1()
-    S = build_S(data)
+    S = build_S(data, phase_space(data))
     ctx = S.ctx
     assert S == ctx.var(ghost_name(1)) * ctx.var("p_x")
 
@@ -95,8 +95,8 @@ def test_build_s_affine_line_pair():
     data = rank2_line()
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
-    S = build_S(data, alpha=alpha)
-    ctx = S.ctx
+    ctx = phase_space(data)
+    S = build_S(data, ctx) + affine_charge(data, alpha, ctx)
     x = ctx.var("x")
     p = ctx.var("p_x")
     xi1, xi2 = ctx.var(ghost_name(1)), ctx.var(ghost_name(2))
@@ -131,19 +131,22 @@ def test_lifted_charge_matches_the_explicit_formula():
     for problem in problems:
         data, alpha, magnetic = problem.data, problem.pack.alpha, problem.pack.magnetic
         expected = explicit_charge(data, alpha, magnetic)
-        assert build_S(data, alpha=alpha, magnetic=magnetic) == expected
-        assert build_S(data, alpha=alpha, ctx=expected.ctx) == expected
+        ctx = phase_space(data, magnetic)
+        assert build_S(data, ctx) + affine_charge(data, alpha, ctx) == expected
+        charge = build_charge(data, problem.pack)
+        assert (charge.core, charge.S) == (build_S(data, ctx), expected)
 
 
 def test_build_s_rejects_bad_affine_part():
     data = rank2_line()
+    ctx = phase_space(data)
     other_coords, h = ring(["y"])
     with pytest.raises(ValueError, match="over the base ring"):
-        build_S(data, alpha=[h["y"], h["y"]])
+        affine_charge(data, [h["y"], h["y"]], ctx)
     coords, g = ring(["x"])
     three = [g["x"], g["x"], g["x"]]
     with pytest.raises(ValueError, match="alpha must have 2 components"):
-        build_S(data, alpha=three)
+        affine_charge(data, three, ctx)
 
 
 # nilpotency
@@ -159,7 +162,7 @@ def test_master_passes_on_closed_frames():
 
 def test_master_broken_jacobi_reproduces_both_defects():
     data = broken_jacobi()
-    S = build_S(data)
+    S = build_S(data, phase_space(data))
     ctx = S.ctx
     ss = ctx.poisson(S, S)
     even = ctx.even_names
@@ -183,7 +186,8 @@ def test_master_sees_the_structural_two_form():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     alpha = (EvenPoly.zero(coords), g["x1"])
-    S = build_S(data, alpha=alpha)
+    ctx = phase_space(data)
+    S = build_S(data, ctx) + affine_charge(data, alpha, ctx)
     ss = S.ctx.poisson(S, S)
     assert word_coefficient(ss, (0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
     assert check_master(charge_of(data, alpha)).status == FAIL
@@ -238,16 +242,11 @@ def test_structural_two_form_matches_the_reference_on_random_data():
 
 
 def test_master_rejects_even_input():
+    # the grading of S is checked once, when the charge is built
     charge = charge_of(abelian_r1())
     with pytest.raises(ValueError, match="ghost degree"):
-        check_master(
-            Charge(
-                charge.constraints,
-                charge.pack,
-                charge.ctx,
-                charge.core,
-                charge.ctx.var("p_x"),
-            )
+        Charge(
+            charge.constraints, charge.pack, charge.ctx.var("p_x"), charge.affine
         )
 
 
@@ -501,11 +500,9 @@ def test_package_validates_grading():
     pack = flat_pack(data.coords, 1)
     pkg = assemble_bfv(build_charge(data, pack))
     charge = pkg.charge
-    odd = Charge(
-        charge.constraints, charge.pack, charge.ctx, charge.core, pkg.ctx.var("p_x")
-    )
+    # an even core is refused by the charge itself, before any package
     with pytest.raises(ValueError, match="odd of ghost degree"):
-        BFVPackage(odd, pkg.H, pkg.SH, ())
+        Charge(charge.constraints, charge.pack, pkg.ctx.var("p_x"), charge.affine)
     with pytest.raises(ValueError, match="even of ghost degree"):
         BFVPackage(pkg.charge, pkg.ctx.var(ghost_name(1)), pkg.SH, ())
 
@@ -534,7 +531,7 @@ def random_window_element(
 
 def test_bracket_with_charge_squares_to_zero():
     data = so3_action()
-    S = build_S(data)
+    S = build_S(data, phase_space(data))
     ctx = S.ctx
     rng = random.Random(11)
     for ghost in (0, -1):

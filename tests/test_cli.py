@@ -150,6 +150,23 @@ def test_check_zero_drift_is_no_drift(tmp_path):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
+def test_check_zero_potential_is_no_potential(tmp_path, monkeypatch, name):
+    # an absent potential is stored as the zero polynomial, so a stated "0"
+    # answers byte for byte alike, the path in the report included
+    doc = json.loads((CORPUS / f"{name}.json").read_text())
+    assert "potential" not in doc
+    runs = []
+    for label, variant in (("absent", doc), ("zero", dict(doc, potential="0"))):
+        (tmp_path / label).mkdir()
+        monkeypatch.chdir(tmp_path / label)
+        Path("problem.json").write_text(json.dumps(variant))
+        result = run("check", "problem.json", "--all", "--json", "report.json")
+        runs.append((result.exit_code, result.output, Path("report.json").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXPECTED_EXIT[name]
+
+
 def test_check_cartan_failure_is_a_finding_not_an_input_error():
     result = run("check", corpus_path("shear_pair"), "--cartan")
     assert result.exit_code == 1

@@ -425,13 +425,16 @@ def test_probe_ranks_match_fraction_evaluation():
                     row = [f - evaluate(f, at) for f in row]
             rows.append(row)
         data = abelian_algebroid(coords, rows)
-        probe = irreducibility_probe(data, points, seed=rng.randrange(1000))
+        # five more random points in place of a varied probe seed; the
+        # probe adds its own seeded five after them
+        drawn = [tuple(fraction(-12, 12) for _ in "xyz") for _ in range(5)]
+        probe = irreducibility_probe(data, points + drawn)
         for point, found in probe.point_results:
             assert found == rank_by_fractions(data, point), (rows, point)
             checked += 1
             dropped += found < min(data.rank, 3)
-    assert checked == 400
-    assert 40 < dropped < 360
+    assert checked == 600
+    assert 60 < dropped < 540
 
 
 # frame equivalence

@@ -408,9 +408,11 @@ def momentum_orders_by_substitution(ctx, E, max_order):
     """Each momentum word's coefficient as a derivative at p = 0.
 
     The derivative along a word, at p = 0, over the factorials of the
-    multiplicities of its letters: the reference for `momentum_orders`.
+    multiplicities of its letters, restricted to the positions of the
+    pairs: the reference for `momentum_orders`.
     """
     momenta = [p for p, _ in ctx.pairs_even]
+    positions = tuple(x for _, x in ctx.pairs_even)
     at_zero = {p: 0 for p in momenta}
     orders = {}
     for order in range(max_order + 1):
@@ -421,8 +423,17 @@ def momentum_orders_by_substitution(ctx, E, max_order):
             scale = prod(factorial(word.count(j)) for j in set(word))
             value = substitute(derivative, at_zero) / scale
             if not value.is_zero:
-                orders[word] = value
+                orders[word] = restrict(value, positions)
     return orders
+
+
+def restrict(f, coords):
+    """An even polynomial free of the other coordinates, over the ring `coords`."""
+    slots = [f.coords.index(name) for name in coords]
+    assert all(
+        k == 0 for e in f.terms for s, k in enumerate(e) if s not in slots
+    ), "depends on a coordinate outside the ring"
+    return EvenPoly(coords, {tuple(e[s] for s in slots): c for e, c in f.terms.items()})
 
 
 def twisted_rank2_context():
@@ -500,8 +511,8 @@ def structural_residuals_by_triple_products(data, pack):
     """
     r, n, coords = data.rank, data.base_dim, data.coords
     g_low, omega, tau = pack.g_low, connection_cube(pack), tau_matrix(pack)
-    alpha = pack.alpha_or_zero()
-    potential = pack.potential_or_zero()
+    alpha = pack.alpha if pack.alpha is not None else (EvenPoly.zero(coords),) * r
+    potential = pack.potential
 
     def along(a, f):
         value = EvenPoly.zero(coords)
@@ -707,6 +718,34 @@ def test_solve_connection_leafwise():
     solved = GeometryPack(coords, 1, g_low=g_low, omega=solution.omega)
     verified = check_metric_compat(structural_residuals(data, solved))
     assert verified.status == PASS
+
+
+def tilted_pair():
+    """rho_1 = d/dx and rho_2 = x d/dy under the unit metric: L_rho_2 g is
+    off the diagonal, and omega^1_2y = 1 is the connection that meets it."""
+    coords, g = ring(["x", "y"])
+    zero, one = EvenPoly.zero(coords), EvenPoly.const(coords, 1)
+    data = abelian_algebroid(coords, [[one, zero], [zero, g["x"]]])
+    return data, GeometryPack(coords, 2, g_low=identity_metric(coords))
+
+
+@pytest.mark.parametrize("name", ["so3_action", "leafwise_metric", "tilted_pair"])
+def test_solved_connection_round_trips_through_the_metric_family(name):
+    # the solver's columns and the metric family both read `_omega_slots`
+    if name == "tilted_pair":
+        data, pack = tilted_pair()
+    else:
+        problem = load_problem(CORPUS / f"{name}.json")
+        data, pack = problem.data, problem.pack
+    for degree in range(3):
+        solution = solve_connection(data, pack, degree)
+        assert solution.feasible, degree
+        solved = GeometryPack(
+            data.coords, data.rank, g_low=pack.g_low, omega=solution.omega
+        )
+        assert check_metric_compat(structural_residuals(data, solved)).status == PASS
+        if name == "tilted_pair":
+            assert solution.omega == {(0, 1, 1): EvenPoly.const(data.coords, 1)}
 
 
 def test_solve_connection_infeasible_certificate():

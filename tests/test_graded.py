@@ -14,7 +14,7 @@ from nqkit.graded import (
     merge_words,
 )
 from nqkit.poly import EvenPoly
-from tests.reference_forms import substitute
+from tests.reference_forms import render_even, render_graded, substitute
 from tests.test_poly import ring
 
 
@@ -453,3 +453,45 @@ def test_parity_helpers():
         F.parity()
     assert ctx.var("xi_1").parity() == 1
     assert ctx.zero().parity() == 0
+
+
+def test_text_forms_match_the_reference_renderers():
+    # 150 even and 150 graded polynomials: unit, integer and Fraction
+    # coefficients, constants, negative leading terms and odd words
+    rng = random.Random(577)
+    ctx = extended_context(["x", "y"], rank=2)
+    n_even, n_odd = len(ctx.even_names), len(ctx.odd_names)
+
+    def coefficient():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice([1, -1])
+        if kind == 1:
+            return rng.choice([-1, 1]) * rng.randint(2, 12)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 7))
+
+    def exponent():
+        if rng.random() < 0.2:
+            return (0,) * n_even  # a constant term
+        return tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(n_even))
+
+    seen_constant = seen_negative_lead = seen_words = 0
+    for _ in range(150):
+        terms = {exponent(): coefficient() for _ in range(rng.randint(0, 5))}
+        f = EvenPoly(ctx.even_names, terms)
+        assert str(f) == render_even(f)
+        seen_constant += any(not any(e) for e in f.terms)
+        seen_negative_lead += bool(f.terms) and f.sorted_terms()[0][1] < 0
+        items = [
+            (
+                tuple(sorted(rng.sample(range(n_odd), rng.randint(0, 3)))),
+                exponent(),
+                coefficient(),
+            )
+            for _ in range(rng.randint(0, 5))
+        ]
+        F = GradedPoly.from_terms(ctx, items)
+        assert str(F) == render_graded(F)
+        seen_words += any(F.parts) and any(word for word in F.parts)
+    assert str(EvenPoly.zero(ctx.even_names)) == "0" == str(ctx.zero())
+    assert min(seen_constant, seen_negative_lead, seen_words) > 20

@@ -108,10 +108,8 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "data": m["data"],
                 "alpha": m["form"],
                 "magnetic": None,
-                "degenerate": (0,),
-                "notes": ("a note",),
             },
-            {"alpha": None, "magnetic": None, "degenerate": (), "notes": ()},
+            {"alpha": None, "magnetic": None},
         ),
         "ExtractionResult": (
             ExtractionResult,
@@ -156,7 +154,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "omega": None,
                 "tau": {},
                 "alpha": None,
-                "potential": None,
+                "potential": zero,
                 "magnetic": None,
                 "beta": None,
             },
@@ -182,9 +180,8 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
             {
                 "constraints": m["charge"].constraints,
                 "pack": m["pack"],
-                "ctx": m["charge"].ctx,
                 "core": m["charge"].core,
-                "S": m["charge"].S,
+                "affine": m["charge"].affine,
             },
             {},
         ),
@@ -213,7 +210,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "SuperCharge": (
             SuperCharge,
             {
-                "context": m["supercharge"].context,
                 "Q": m["supercharge"].Q,
                 "package": m["package"],
             },
@@ -227,7 +223,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "ComponentAction": (
             ComponentAction,
             {
-                "context": m["action"].context,
                 "fields": m["action"].fields,
                 "action": m["action"].action,
             },
@@ -317,3 +312,19 @@ def test_truncation_from_a_document_compares_by_value():
     assert _truncation(None) == Truncation()
     assert Truncation(**value) != Truncation(4, 1, 2)
     assert Truncation.__hash__ is None
+
+
+def test_derived_record_fields():
+    # the fields the constructors derive instead of taking a second copy
+    m = _material()
+    charge = m["charge"]
+    assert charge.S == charge.core + charge.affine
+    assert charge.ctx is charge.constraints.ctx
+    assert m["supercharge"].context is m["supercharge"].Q.ctx
+    assert m["action"].context is m["action"].action.ctx
+    cs = m["constraints"]
+    zero = cs.ctx.zero()
+    degenerate = ConstraintSet(cs.ctx, (cs.phis[0], zero), m["data"])
+    assert degenerate.degenerate == (1,)
+    assert degenerate.notes == ("degenerate constraints (identically zero): 2",)
+    assert (cs.degenerate, cs.notes) == ((), ())

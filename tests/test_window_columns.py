@@ -21,7 +21,7 @@ import pytest
 from nqkit.algebroid import _q_columns
 from nqkit.bfv import _balanced_words, _bracket_columns, build_S
 from nqkit.cli import _connection_unknowns
-from nqkit.constraints import phase_space
+from nqkit.constraints import affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import GradedPoly
 from nqkit.poly import EvenPoly, monomial_exponents
@@ -87,7 +87,7 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
     problem = corpus_problem(name)
     data, pack = problem.data, problem.pack
     ctx = phase_space(data, pack.magnetic)
-    S = build_S(data, alpha=pack.alpha, magnetic=pack.magnetic, ctx=ctx)
+    S = build_S(data, ctx) + affine_charge(data, pack.alpha, ctx)
     field = ctx.hamiltonian_field(S)
     n = data.base_dim
     for ghost in (0, -1):

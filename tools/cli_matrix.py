@@ -6,7 +6,8 @@ files, on the so(3) to so(6) frames of the benchmark's generator, on
 dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
 metric and a connection), on geometry-rich, zero-drift and non-flat
-connection twins of corpus files, plus a few inputs near the parser's term
+connection twins of corpus files, on `shear_plane` (off-diagonal,
+non-constant metric entries), plus a few inputs near the parser's term
 budget and a dense structure that is not antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
@@ -100,6 +101,21 @@ FIELD_TWINS = {
         {"connection": [[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]]},
     ),
 }
+# two unit flows along x whose bracket grows with x, under a unimodular
+# metric with off-diagonal, non-constant entries and a zero connection:
+# evolution and master pass and cartan fails with S[c=1,j=1,a=1,b=2] = -1,
+# the one input where the cartan contraction meets such metric entries.
+# Inline, not in corpus/, whose file count the tests fix.
+SHEAR_PLANE = {
+    "base_dim": 2,
+    "rank": 2,
+    "coords": ["x", "y"],
+    "anchor": [["1", "0"], ["1", "0"]],
+    "structure": {"1,1,2": "x", "2,1,2": "-x"},
+    "metric": [["1", "y"], ["y", "1 + y^2"]],
+    "metric_inv": [["1 + y^2", "-y"], ["-y", "1"]],
+    "connection": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
+}
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
 
@@ -134,6 +150,7 @@ def inputs() -> dict[str, dict]:
         )
     for name, (base, fields) in FIELD_TWINS.items():
         docs[name] = dict(docs[base], **fields)
+    docs["shear_plane"] = SHEAR_PLANE
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
