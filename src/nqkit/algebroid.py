@@ -22,14 +22,15 @@ Defect conventions, pinned for the whole engine:
                C^d_{ea} C^e_{bc} - rho_a^j d_j C^d_{bc}
 
 The cyclic form holds because each summand is antisymmetric in its last two
-slots, as C is.  R2 is twice the Jacobiator of the frame bracket, normalized
-so that it equals the canonical xi^a xi^b xi^c pi_d coefficient of the
-squared charge built in the ghost layer (a dual-route identity asserted on
-every run).  Both tensors are computed at most once per frame: an
-`Algebroid` caches them as `anchor_defect` and `jacobi_defect`.  The Jacobi
-defect is sparse: it stores only its nonzero entries, and a missing key is
-zero.  Both read the stored index of the nonzero C^c_ab, so no product
-with a zero structure function is ever formed.
+slots, as C is; R2 is twice the Jacobiator of the frame bracket.  Both
+tensors are sparse, keyed (a, b, i) and (a, b, c, d) with only the nonzero
+entries stored, and read the stored index of the nonzero C^c_ab, so no
+product with a zero structure function is formed.  Their one prediction is
+D = R1^i_ab xi^a xi^b p_i + 1/2 R2^d_abc xi^a xi^b xi^c pi_d, the lift of
+Q^2: the axiom check lifts Q applied twice, (S, S) is 2 (sigma + D) for the
+structural 2-form sigma, and the first-class residuals are the xi^a xi^b
+coefficients of sigma + D.  An `Algebroid` caches R1, R2 and D, each
+computed at most once per frame.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .graded import (
     extended_context,
     field_column,
     ghost_name,
+    hamiltonian_lift,
     left_derivation,
 )
 from .linalg import image_in, kernel, solve
@@ -129,15 +131,18 @@ class Algebroid:
         return len(self.anchor)
 
     def anchor_apply(self, a: int, f: EvenPoly) -> EvenPoly:
-        """Directional derivative rho_a^i d_i f of f along the a-th frame field.
-
-        Every product rho_a^i d_i f goes into one term dict.
-        """
+        """Directional derivative rho_a^i d_i f of f along the a-th frame field."""
         terms: Terms = {}
+        self._add_derivative(terms, a, f.terms)
+        return EvenPoly._trusted(self.coords, {e: c for e, c in terms.items() if c})
+
+    def _add_derivative(self, out: Terms, a: int, f: Terms, sign: int = 1) -> None:
+        """Add sign * rho_a^i d_i f to the term dict `out`, cancelled terms kept."""
+        if not f:
+            return  # a zero f would cost a pass over the anchor row for nothing
         for i, rho in enumerate(self.anchor[a]):
             if rho.terms:
-                accumulate_product(terms, rho.terms, derivative(f.terms, i))
-        return EvenPoly._trusted(self.coords, {e: c for e, c in terms.items() if c})
+                accumulate_product(out, rho.terms, derivative(f, i), sign)
 
     def zero(self) -> EvenPoly:
         return EvenPoly.zero(self.coords)
@@ -151,7 +156,7 @@ class Algebroid:
         return _build_q_images(self, self._ghost_context)
 
     @cached_property
-    def anchor_defect(self) -> dict[tuple[int, int], list[EvenPoly]]:
+    def anchor_defect(self) -> dict[tuple[int, int, int], EvenPoly]:
         """R1 of this frame, computed on first use; callers must not mutate it."""
         return anchor_defect(self)
 
@@ -160,27 +165,34 @@ class Algebroid:
         """R2 of this frame, computed on first use; callers must not mutate it."""
         return jacobi_defect(self)
 
+    @cached_property
+    def defect_lift(self) -> GradedPoly:
+        """D of this frame, computed on first use; callers must not mutate it."""
+        return defect_lift(self)
+
 
 # defect tensors
 
 
-def anchor_defect(data: Algebroid) -> dict[tuple[int, int], list[EvenPoly]]:
-    """R1 on frame pairs a < b, as a base-indexed component vector."""
-    nonzero = data.nonzero_structure
-    out: dict[tuple[int, int], list[EvenPoly]] = {}
+def anchor_defect(data: Algebroid) -> dict[tuple[int, int, int], EvenPoly]:
+    """R1 on frame pairs a < b, keyed (a, b, i); only nonzero entries are stored.
+
+    Each entry is summed in one term dict and wrapped once.
+    """
+    anchor, nonzero = data.anchor, data.nonzero_structure
+    out: dict[tuple[int, int, int], EvenPoly] = {}
     for a, b in combinations(range(data.rank), 2):
-        vector = []
+        entries = nonzero.get((a, b), ())
         for i in range(data.base_dim):
-            value = data.zero()
-            if not data.anchor[b][i].is_zero:
-                value = data.anchor_apply(a, data.anchor[b][i])
-            if not data.anchor[a][i].is_zero:
-                value = value - data.anchor_apply(b, data.anchor[a][i])
-            for c, f in nonzero.get((a, b), ()):
-                if not data.anchor[c][i].is_zero:
-                    value = value - f * data.anchor[c][i]
-            vector.append(value)
-        out[(a, b)] = vector
+            terms: Terms = {}
+            data._add_derivative(terms, a, anchor[b][i].terms)
+            data._add_derivative(terms, b, anchor[a][i].terms, -1)
+            for c, f in entries:
+                if anchor[c][i].terms:
+                    accumulate_product(terms, f.terms, anchor[c][i].terms, -1)
+            terms = {e: c for e, c in terms.items() if c}
+            if terms:
+                out[(a, b, i)] = EvenPoly._trusted(data.coords, terms)
     return out
 
 
@@ -266,74 +278,59 @@ def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly
     return images
 
 
+def defect_lift(data: Algebroid) -> GradedPoly:
+    """D = R1^i_ab xi^a xi^b p_i + 1/2 R2^d_abc xi^a xi^b xi^c pi_d, a < b (< c).
+
+    The lift of Q^2 to `ghost_context`, read off the index formulas alone;
+    that context orders x, p and xi, pi, so words and exponents are direct.
+    """
+    n, r = data.base_dim, data.rank
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    zero_momenta = (0,) * n
+    items = [
+        ((a, b), e + units[i], coeff)
+        for (a, b, i), value in data.anchor_defect.items()
+        for e, coeff in value.terms.items()
+    ]
+    items += [
+        ((a, b, c, r + d), e + zero_momenta, divide(coeff, 2))
+        for (a, b, c, d), value in data.jacobi_defect.items()
+        for e, coeff in value.terms.items()
+    ]
+    return GradedPoly.from_terms(data._ghost_context, items)
+
+
 def check_axioms(data: Algebroid) -> CheckReport:
     """Joint anchor-morphism and Jacobi verification, with a dual-route guard.
 
-    The defect tensors are computed from their index formulas and compared,
-    coefficient for coefficient, against Q applied twice to each coordinate.
-    A mismatch between the two routes is an engine bug and raises, never a
-    data failure.
+    The defect tensors are computed from their index formulas, and their
+    lift `defect_lift` is compared, in one equality, with the lift of Q
+    applied twice to each coordinate.  A mismatch between the two routes is
+    an engine bug and raises, never a data failure.
     """
-    r1 = data.anchor_defect
-    r2 = data.jacobi_defect
-    residuals: list[tuple[str, str]] = []
-    for (a, b), vector in sorted(r1.items()):
-        for i, value in enumerate(vector):
-            if not value.is_zero:
-                residuals.append(
-                    (f"anchor[a={a + 1},b={b + 1},i={i + 1}]", str(value))
-                )
-    for (a, b, c, d), value in sorted(r2.items()):
-        residuals.append(
-            (f"jacobi[a={a + 1},b={b + 1},c={c + 1},d={d + 1}]", str(value))
-        )
+    r1, r2 = data.anchor_defect, data.jacobi_defect
+    residuals = [
+        (f"anchor[a={a + 1},b={b + 1},i={i + 1}]", str(value))
+        for (a, b, i), value in r1.items()
+    ]
+    residuals += [
+        (f"jacobi[a={a + 1},b={b + 1},c={c + 1},d={d + 1}]", str(value))
+        for (a, b, c, d), value in sorted(r2.items())
+    ]
 
     ctx = ghost_context(data)
     images = q_images(data, ctx)
-    _assert_q_square_matches(data, ctx, images, r1, r2)
+    square = {name: left_derivation(ctx, images, f) for name, f in images.items()}
+    if hamiltonian_lift(ctx, square) != data.defect_lift:
+        raise RuntimeError("internal dual-route mismatch in Q^2")
 
     status = FAIL if residuals else PASS
     notes = [
-        f"anchor defect entries nonzero: "
-        f"{sum(1 for key, _ in residuals if key.startswith('anchor'))}",
-        f"jacobi defect entries nonzero: "
-        f"{sum(1 for key, _ in residuals if key.startswith('jacobi'))}",
+        f"anchor defect entries nonzero: {len(r1)}",
+        f"jacobi defect entries nonzero: {len(r2)}",
         "dual route: Q applied twice agrees with the defect tensors",
     ]
     return CheckReport("axioms", status, "Q^2 = 0", residuals, notes)
-
-
-def _assert_q_square_matches(
-    data: Algebroid,
-    ctx: GradedContext,
-    images: dict[str, GradedPoly],
-    r1: dict[tuple[int, int], list[EvenPoly]],
-    r2: dict[tuple[int, int, int, int], EvenPoly],
-) -> None:
-    # Q^2(x^i) is R1^i_ab xi^a xi^b and Q^2(xi^d) is R2^d_abc / 2 xi^a xi^b xi^c,
-    # summed over ascending frame indices; each is compared in one equality
-    zero_momenta = (0,) * data.base_dim
-    ghost = [ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
-    for i, name in enumerate(data.coords):
-        expected = GradedPoly.from_terms(
-            ctx,
-            (
-                ((ghost[a], ghost[b]), e + zero_momenta, coeff)
-                for (a, b), vector in r1.items()
-                for e, coeff in vector[i].terms.items()
-            ),
-        )
-        if left_derivation(ctx, images, images[name]) != expected:
-            raise RuntimeError("internal dual-route mismatch in the anchor defect")
-    by_target: list[list] = [[] for _ in range(data.rank)]
-    for (a, b, c, d), value in r2.items():
-        word = (ghost[a], ghost[b], ghost[c])
-        for e, coeff in value.terms.items():
-            by_target[d].append((word, e + zero_momenta, divide(coeff, 2)))
-    for d, items in enumerate(by_target):
-        expected = GradedPoly.from_terms(ctx, items)
-        if left_derivation(ctx, images, images[ghost_name(d + 1)]) != expected:
-            raise RuntimeError("internal dual-route mismatch in the jacobi defect")
 
 
 # truncated degree-1 cohomology

@@ -16,12 +16,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebroid import Algebroid, q_images
-from .constraints import (
-    ConstraintSet,
-    affine_charge,
-    build_constraints,
-    first_class_terms,
-)
+from .constraints import ConstraintSet, affine_charge, build_constraints
 from .dynamics import GeometryPack, _family_residuals
 from .graded import (
     GradedContext,
@@ -29,9 +24,11 @@ from .graded import (
     antighost_name,
     field_column,
     ghost_name,
+    hamiltonian_lift,
     left_derivation,
     momentum_name,
     momentum_orders,
+    transport,
 )
 from .linalg import image_in, rank
 from .poly import EvenPoly, Exponent, monomial_exponents
@@ -47,13 +44,7 @@ def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
     core of the charge; `charge_of_constraints` adds the affine part
     alpha_a xi^a of `affine_charge`.
     """
-    images = q_images(data, ctx)
-    S = ctx.zero()
-    for name in data.coords:
-        S = S + images[name] * ctx.var(momentum_name(name))
-    for c in range(data.rank):
-        S = S + images[ghost_name(c + 1)] * ctx.var(antighost_name(c + 1))
-    return S
+    return hamiltonian_lift(ctx, q_images(data, ctx))
 
 
 class Charge:
@@ -64,9 +55,9 @@ class Charge:
     The grading of S is checked here, once.  The self-bracket (S, S) and
     the master report are computed on first use and kept, so one
     invocation brackets S with itself once however many reports need it.
-    The constraints carry the structural 2-form that the master check
-    predicts (S, S) from, so it is shared with the first-class check of
-    the same constraints.  Treated as immutable.
+    The constraints carry the `closure` that the master check predicts
+    (S, S) from, so it is shared with the first-class check of the same
+    constraints.  Treated as immutable.
     """
 
     def __init__(
@@ -133,36 +124,19 @@ def _word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
     ]
 
 
-def _expected_self_bracket(charge: Charge) -> GradedPoly:
-    # the xi xi coefficients are twice the first-class residual tensor,
-    # the xi xi xi pi coefficients are the jacobi defect itself
-    data, ctx = charge.data, charge.ctx
-    ghost = [ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
-    antighost = [ctx.odd_index[antighost_name(d + 1)] for d in range(data.rank)]
-    zero_momenta = (0,) * data.base_dim
-    items = [
-        ((ghost[a], ghost[b]), e, 2 * coeff)
-        for (a, b), e, coeff in first_class_terms(
-            data, charge.constraints.structural, ctx
-        )
-    ]
-    items += [
-        ((ghost[a], ghost[b], ghost[c], antighost[d]), e + zero_momenta, coeff)
-        for (a, b, c, d), value in data.jacobi_defect.items()
-        for e, coeff in value.terms.items()
-    ]
-    return GradedPoly.from_terms(ctx, items)
-
-
 def check_master(charge: Charge) -> CheckReport:
     """Nilpotency of the charge under the graded bracket.
 
     The self-bracket is also predicted from the frame data used to build S:
-    the first-class residual tensor and the jacobi defect; disagreement
-    between the routes raises.
+    it is twice the `closure` of the constraints, the structural 2-form
+    plus the lift of the defect tensors; disagreement between the routes
+    raises.
     """
     ss = charge.self_bracket
-    if ss != _expected_self_bracket(charge):
+    closure = charge.constraints.closure
+    if closure.ctx != ss.ctx:  # a twisted phase space
+        closure = transport(closure, ss.ctx)
+    if ss != closure * 2:
         raise RuntimeError("internal dual-route mismatch in the self-bracket")
     notes = [
         "dual route: the self-bracket matches the anchor and jacobi "
@@ -249,8 +223,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
     tensor: dict[tuple[int, int, int, int], EvenPoly] = {}
     offending: list[str] = []
     for word, coeff in R.parts.items():
-        names = [ctx.odd_names[k] for k in word]
-        ghost_count = sum(1 for name in names if name.startswith("xi_"))
+        ghost_count = sum(ctx.odd_ghost[k] == 1 for k in word)
         if (len(word), ghost_count) == (3, 2):
             orders = momentum_orders(ctx, coeff)
             if any(len(p_word) != 1 for p_word in orders):

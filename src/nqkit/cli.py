@@ -67,14 +67,13 @@ from .dynamics import (
 from .graded import left_derivation
 from .problem import (
     _INT_LITERAL,
+    GEOMETRY_FIELDS,
     Problem,
     ProblemError,
     connection_strings,
     load_problem,
 )
 from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
-
-_GEOMETRY_LABELS = {"g_inv": "metric_inv", "g_low": "metric", "omega": "connection"}
 
 # the most unknowns (columns of the linear maps) a cohomology window or a
 # connection solve may have; a larger one is refused as an input error
@@ -106,18 +105,14 @@ def _load(file: str) -> Problem:
 
 
 def _missing(problem: Problem, *fields: str) -> list[str]:
-    return [
-        _GEOMETRY_LABELS[f]
-        for f in fields
-        if getattr(problem.pack, f) is None
-    ]
+    return [GEOMETRY_FIELDS[f] for f in fields if getattr(problem.pack, f) is None]
 
 
 class _Workbench:
     """Shared lazy constructions for one invocation.
 
     Each frame invariant is built at most once: the constraints (which
-    carry the structural 2-form), the charge lifted from them (the master
+    carry the predicted closure), the charge lifted from them (the master
     report is read off it, and the package is assembled from it), and the
     structural residual families of the geometry pack.
     """
@@ -128,6 +123,8 @@ class _Workbench:
         self._charge: Charge | None = None
         self._package: tuple[BFVPackage | None, str | None] | None = None
         self._families: StructuralResiduals | None = None
+        # set when a check is skipped because a check it needs failed
+        self.prerequisite_failed = False
 
     def constraints(self) -> ConstraintSet:
         if self._constraints is None:
@@ -240,7 +237,7 @@ def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     package, error = bench.package()
     if error is not None:
-        if "covariant tensor shape" in error:
+        if "covariant tensor shape" in error:  # the cartan finding
             return [
                 CheckReport(
                     "cartan", FAIL, CARTAN_IDENTITY, [("shape", error)]
@@ -250,15 +247,21 @@ def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
             _input_error(error)
         return [CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [error])]
     report = package.report("cartan")
-    if explicit and report.status == SKIPPED:
-        _input_error("; ".join(report.notes))
+    if report.status == SKIPPED:
+        # with the metric pair given, only a failed master skips the check
+        if not _missing(bench.problem, "g_inv", "g_low"):
+            bench.prerequisite_failed = True
+        elif explicit:
+            _input_error("; ".join(report.notes))
     return [report]
 
 
 def _run_supercharge(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     package, error = bench.package()
     if error is not None:
-        if explicit:
+        if "covariant tensor shape" in error:  # cartan failed
+            bench.prerequisite_failed = True
+        elif explicit:
             _input_error(error)
         return [
             CheckReport("supercharge", SKIPPED, "(Q, Q) = 0", [], [error])
@@ -313,7 +316,8 @@ def _check(file, run_all, json_path, **flags) -> None:
             "checks": [report.to_json_dict() for report in reports],
         }
         _write_json("--json", json_path, doc)
-    sys.exit(1 if any(r.status == FAIL for r in reports) else 0)
+    failed = bench.prerequisite_failed or any(r.status == FAIL for r in reports)
+    sys.exit(1 if failed else 0)
 
 
 def _cohomology(

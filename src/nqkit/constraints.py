@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .algebroid import Algebroid, check_axioms, ghost_context, q_images
 from .graded import (
@@ -80,6 +80,15 @@ class ConstraintSet:
     def structural(self) -> GradedPoly:
         """d_E alpha - rho^* B, computed on first use; callers must not mutate it."""
         return structural_two_form(self.data, self.alpha, self.magnetic)
+
+    @cached_property
+    def closure(self) -> GradedPoly:
+        """structural + D: the predicted (S, S) / 2, computed on first use.
+
+        Its xi^a xi^b coefficients are the predicted first-class residuals;
+        callers must not mutate it.
+        """
+        return self.structural + self.data.defect_lift
 
 
 def phase_space(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
@@ -188,52 +197,21 @@ def structural_two_form(
     return structural
 
 
-def first_class_terms(
-    data: Algebroid, structural: GradedPoly, ctx: GradedContext
-) -> Iterator[tuple[tuple[int, int], Exponent, Rat]]:
-    """R_ab = (d_E alpha - rho^* B)_ab + R1^i_ab p_i, term by term.
-
-    The structural 2-form plus the anchor defect, on frame pairs a < b, with
-    exponents in any context whose even coordinates are the positions
-    followed by their momenta, as they are in the ghost context.  There the
-    ghost xi_a is the odd letter a - 1, so the word of a structural term is
-    its frame pair.
-    """
-    n = data.base_dim
-    if ctx.even_names != data.coords + tuple(momentum_name(x) for x in data.coords):
-        raise ValueError("the context must carry the positions, then their momenta")
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    yield from structural.terms()
-    for pair, vector in data.anchor_defect.items():
-        for i, f in enumerate(vector):
-            for e, coeff in f.terms.items():
-                yield pair, e + units[i], coeff
-
-
-def first_class_residuals(
-    data: Algebroid, structural: GradedPoly, ctx: GradedContext
-) -> dict[tuple[int, int], GradedPoly]:
-    """The predicted {Phi_a, Phi_b} - C^c_ab Phi_c on frame pairs a < b."""
-    items: dict[tuple[int, int], list] = {pair: [] for pair in data.anchor_defect}
-    for pair, e, coeff in first_class_terms(data, structural, ctx):
-        items[pair].append(((), e, coeff))
-    return {pair: GradedPoly.from_terms(ctx, terms) for pair, terms in items.items()}
-
-
 def check_first_class(cs: ConstraintSet) -> CheckReport:
     """Closure of the constraint brackets in the span of the constraints.
 
     The residual R_ab = {Phi_a, Phi_b} - C^c_ab Phi_c is computed with the
-    bracket and compared with `first_class_residuals`; disagreement between
-    the two routes raises.
+    bracket and compared with the xi^a xi^b coefficient of the predicted
+    `closure`; disagreement between the two routes raises.
     """
     data, ctx = cs.data, cs.ctx
-    predicted = first_class_residuals(data, cs.structural, ctx)
+    closure = cs.closure.parts
     residuals: list[tuple[str, str]] = []
-    for (a, b), expected in predicted.items():
+    for a, b in combinations(range(cs.rank), 2):
         R = ctx.poisson(cs.phis[a], cs.phis[b])
         for c, f in data.nonzero_structure.get((a, b), ()):
             R = R - ctx.lift(f) * cs.phis[c]
+        expected = ctx.lift(closure[(a, b)]) if (a, b) in closure else ctx.zero()
         if R != expected:
             raise RuntimeError("internal dual-route mismatch in the constraint bracket")
         if not R.is_zero:

@@ -554,6 +554,22 @@ def _sweep(
             )
 
 
+def hamiltonian_lift(
+    ctx: GradedContext, images: Mapping[str, GradedPoly]
+) -> GradedPoly:
+    """images[x^i] p_i + images[xi^c] pi_c over the pairs of ctx.
+
+    The lift to the phase space of the derivation with these images; every
+    paired position and ghost must have one.
+    """
+    lift = ctx.zero()
+    for p, x in ctx.pairs_even:
+        lift = lift + images[x] * ctx.var(p)
+    for xi, pi in ctx.pairs_odd:
+        lift = lift + images[xi] * ctx.var(pi)
+    return lift
+
+
 def field_column(
     ctx: GradedContext,
     field: Mapping[str, GradedPoly],

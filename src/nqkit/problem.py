@@ -67,15 +67,16 @@ _KNOWN_FIELDS = {
     "truncation",
 }
 
-# the geometry errors the container raises on loaded fields, mapped back
-# to file fields: `_dense_index` has fixed every shape, ring and key, so
-# only the symmetries of the metrics and of the magnetic field remain
-_GEOMETRY_PATHS = (
-    ("g_inv and g_low", "metric_inv"),
-    ("g_inv", "metric_inv"),
-    ("g_low", "metric"),
-    ("magnetic", "magnetic"),
-)
+# the file field of each `GeometryPack` attribute a message may name: the
+# front end names missing fields by it, and the loader maps a geometry
+# error back to its field by the prefix of the message ("g_inv and g_low
+# ..." reads as metric_inv)
+GEOMETRY_FIELDS = {
+    "g_inv": "metric_inv",
+    "g_low": "metric",
+    "omega": "connection",
+    "magnetic": "magnetic",
+}
 
 
 class ProblemError(ValueError):
@@ -483,7 +484,7 @@ def _truncation(value: object) -> Truncation:
 
 
 def _geometry_path(message: str) -> str:
-    for prefix, path in _GEOMETRY_PATHS:
+    for prefix, path in GEOMETRY_FIELDS.items():
         if message.startswith(prefix):
             return path
     return "geometry"

@@ -8,13 +8,15 @@ keyed by strictly increasing index tuples, with zero components left out.
 The indices run over the frame for E-forms and over the coordinates for
 base forms.
 
-- `e_differential`: the frame-indexed exterior derivative on 0- and 1-forms;
+- `e_differential`: the frame-indexed exterior derivative on 0-, 1- and
+  2-forms;
 - `pullback`: a coordinate-indexed 1- or 2-form pulled back along the anchor;
 - `de_rham`: the ordinary exterior derivative on base 0- and 1-forms;
 - `structural`: d_E alpha - rho^* B, the structural 2-form of the brackets.
 
 `components` reads a ghost polynomial back into a table, so the library
-route and these compare as exact dicts; `q_apply` is the library route.
+route and these compare as exact dicts, and `ghost_poly` writes a table
+as a ghost polynomial; `q_apply` is the library route.
 
 Routes that the library replaced stand here as references for the
 differential tests: `substitute` multiplies out a graded polynomial term by
@@ -26,10 +28,11 @@ once wrote out for itself.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Mapping, Sequence
 
 from nqkit.algebroid import Algebroid, ghost_context, q_images
-from nqkit.graded import GradedPoly, left_derivation
+from nqkit.graded import GradedPoly, ghost_name, left_derivation
 from nqkit.poly import EvenPoly, Scalar, as_rat
 from tests.cubes import structure_cube
 
@@ -80,7 +83,7 @@ def _arity(form: Form) -> int:
 
 
 def e_differential(data: Algebroid, form: Form) -> Form:
-    """The frame-indexed exterior derivative on 0- and 1-forms."""
+    """The frame-indexed exterior derivative on 0-, 1- and 2-forms."""
     if not form:
         return {}
     r = data.rank
@@ -100,7 +103,31 @@ def e_differential(data: Algebroid, form: Form) -> Form:
                     value = value - C[c][a][b] * entries[c]
                 out.append(((a, b), value))
         return table(out)
-    raise ValueError("differential implemented for arities 0 and 1 only")
+    if _arity(form) == 2:
+        # the Koszul formula on the frame:
+        # (d w)_abc = rho_a w_bc - rho_b w_ac + rho_c w_ab
+        #             - C^e_ab w_ec + C^e_ac w_eb - C^e_bc w_ea
+        def w(*indices):
+            return component(form, indices, data.coords)
+
+        C = structure_cube(data)
+        out = []
+        for a, b, c in combinations(range(r), 3):
+            value = (
+                data.anchor_apply(a, w(b, c))
+                - data.anchor_apply(b, w(a, c))
+                + data.anchor_apply(c, w(a, b))
+            )
+            for e in range(r):
+                value = (
+                    value
+                    - C[e][a][b] * w(e, c)
+                    + C[e][a][c] * w(e, b)
+                    - C[e][b][c] * w(e, a)
+                )
+            out.append(((a, b, c), value))
+        return table(out)
+    raise ValueError("differential implemented for arities 0, 1 and 2 only")
 
 
 def pullback(data: Algebroid, form: Form) -> Form:
@@ -186,6 +213,18 @@ def components(F: GradedPoly, coords: tuple[str, ...]) -> Form:
         assert not any(exponent[n:]), "an E-form left the momentum-free sector"
         terms.setdefault(word, {})[exponent[:n]] = coeff
     return table((word, EvenPoly(coords, t)) for word, t in terms.items())
+
+
+def ghost_poly(data: Algebroid, form: Form) -> GradedPoly:
+    """The ghost polynomial of a frame-indexed table: the inverse of `components`."""
+    ctx = ghost_context(data)
+    out = ctx.zero()
+    for indices, value in form.items():
+        term = ctx.lift(value)
+        for a in indices:
+            term = term * ctx.var(ghost_name(a + 1))
+        out = out + term
+    return out
 
 
 def q_apply(data: Algebroid, F: GradedPoly) -> GradedPoly:

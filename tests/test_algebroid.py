@@ -13,26 +13,29 @@ from nqkit.algebroid import (
     anchor_defect,
     check_axioms,
     cohomology_h1,
+    defect_lift,
     ghost_context,
     is_exact_one_form,
     jacobi_defect,
     q_images,
 )
 from nqkit.constraints import affine_charge
-from nqkit.graded import ghost_name, left_derivation
+from nqkit.graded import antighost_name, ghost_name, left_derivation, momentum_name
 from nqkit.poly import EvenPoly, Rat
-from nqkit.problem import load_problem
+from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.cubes import cube_algebroid, structure_cube
 from tests.reference_forms import (
     components,
     de_rham,
     e_differential,
+    ghost_poly,
     one_form,
     pullback,
     q_apply,
 )
 from tests.test_poly import ring
+from tests.test_generated_frames import gen
 from tests.test_graded import word_coefficient
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -230,12 +233,15 @@ def test_pullback_chain_identity():
             alpha = [pulled.get((a,), data.zero()) for a in range(data.rank)]
             lhs = components(q_apply(data, affine_charge(data, alpha, ctx)), data.coords)
             rhs = pullback(data, de_rham(data.coords, one_form(beta)))
-            for (a, b), vector in defect.items():
+            zero = data.zero()
+            for a, b in combinations(range(data.rank), 2):
                 expected = sum(
-                    (vector[i] * beta[i] for i in range(data.base_dim)),
-                    data.zero(),
+                    (
+                        defect.get((a, b, i), zero) * beta[i]
+                        for i in range(data.base_dim)
+                    ),
+                    zero,
                 )
-                zero = data.zero()
                 assert lhs.get((a, b), zero) - rhs.get((a, b), zero) == expected
 
 
@@ -246,9 +252,8 @@ def test_anchor_defect_broken_values():
     data = broken_jacobi()
     coords, g = ring(["x"])
     defect = anchor_defect(data)
-    assert defect[(0, 1)][0] == EvenPoly.const(coords, 1)
-    assert defect[(0, 2)][0].is_zero
-    assert defect[(1, 2)][0] == -g["x"]
+    # sparse: the zero entry at (a, b) = (1, 3) is not stored
+    assert defect == {(0, 1, 0): EvenPoly.const(coords, 1), (1, 2, 0): -g["x"]}
 
 
 def test_jacobi_defect_broken_values():
@@ -265,8 +270,8 @@ def test_jacobi_defect_broken_values():
 def test_jacobi_defect_vanishes_for_nilpotent_bundle():
     # zero anchor with position-dependent nilpotent bracket: both tensors vanish
     data = nilpotent_bundle()
-    assert all(v.is_zero for vec in anchor_defect(data).values() for v in vec)
-    assert all(v.is_zero for v in jacobi_defect(data).values())
+    assert anchor_defect(data) == {}
+    assert jacobi_defect(data) == {}
 
 
 def jacobi_defect_by_permutations(data):
@@ -364,10 +369,73 @@ def test_q_images_match_the_full_double_sum():
     assert cubic > 0
 
 
+def anchor_defect_by_definition(data):
+    """R1 from its defining sum over every frame field, zero entries included."""
+    C = structure_cube(data)
+    rho = data.anchor
+    out = {}
+    for a, b in combinations(range(data.rank), 2):
+        for i in range(data.base_dim):
+            value = data.anchor_apply(a, rho[b][i]) - data.anchor_apply(b, rho[a][i])
+            for c in range(data.rank):
+                value = value - C[c][a][b] * rho[c][i]
+            out[(a, b, i)] = value
+    return out
+
+
+def so_n_frames():
+    return [problem_from_dict(gen.so_n(n)).data for n in (3, 4, 5, 6)]
+
+
+def test_sparse_anchor_defect_matches_the_defining_sum():
+    frames = [load_problem(path).data for path in sorted(CORPUS.glob("*.json"))]
+    frames += [so3_action(), nilpotent_bundle()]
+    rng = random.Random(41)
+    for _ in range(8):
+        frames.append(random_frame(rng, rng.randrange(1, 4), rng.randrange(2, 5)))
+    nonzero = 0
+    for data in frames:
+        defect = anchor_defect(data)
+        assert not any(value.is_zero for value in defect.values())
+        expected = anchor_defect_by_definition(data)
+        assert defect == {k: v for k, v in expected.items() if not v.is_zero}
+        assert list(defect) == sorted(defect)
+        nonzero += len(defect)
+    assert nonzero > 0
+
+
+def test_defect_lift_is_the_reference_differential_applied_twice():
+    # D = (d_E d_E x^i) p_i + (d_E d_E e^d) pi_d, each d_E by the index
+    # formulas of the reference; so(n) satisfies both axioms, the seeded
+    # random frames break both
+    frames = [load_problem(path).data for path in sorted(CORPUS.glob("*.json"))]
+    frames += so_n_frames() + [nilpotent_bundle()]
+    rng = random.Random(43)
+    for _ in range(6):
+        frames.append(random_frame(rng, rng.randrange(1, 3), rng.randrange(3, 5)))
+    broken = 0
+    for data in frames:
+        ctx = ghost_context(data)
+        expected = ctx.zero()
+        for name in data.coords:
+            dx = e_differential(data, {(): EvenPoly.variable(data.coords, name)})
+            square = ghost_poly(data, e_differential(data, dx))
+            expected = expected + square * ctx.var(momentum_name(name))
+        for d in range(data.rank):
+            de = e_differential(data, {(d,): EvenPoly.const(data.coords, 1)})
+            square = ghost_poly(data, e_differential(data, de))
+            expected = expected + square * ctx.var(antighost_name(d + 1))
+        assert data.defect_lift == expected
+        assert defect_lift(data) == expected
+        broken += not expected.is_zero
+    assert broken >= 6
+
+
 def test_defect_tensors_are_cached_per_frame():
     data = broken_jacobi()
     assert data.anchor_defect is data.anchor_defect
     assert data.jacobi_defect is data.jacobi_defect
+    assert data.defect_lift is data.defect_lift
     assert data.anchor_defect == anchor_defect(data)
 
 

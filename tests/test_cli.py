@@ -24,6 +24,7 @@ from nqkit.aksz import (
     extended_action_reference,
     field_table,
 )
+from nqkit.algebroid import defect_lift, ghost_context
 from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
 from nqkit.graded import GradedContext
 from nqkit.poly import EvenPoly, monomial_exponents
@@ -174,8 +175,70 @@ def test_check_cartan_failure_is_a_finding_not_an_input_error():
     assert "reassembles the bracket residual exactly" in result.output
 
 
-def _wrong_self_bracket(charge):
-    return charge.ctx.var("p_x1")
+def test_failed_prerequisite_is_a_finding_not_an_input_error(tmp_path, monkeypatch):
+    # a check skipped because a check it needs failed prints the report that
+    # --all prints for it and exits 1: on broken_jacobi with a metric pair
+    # the master fails, and on the twisted abelian_r2 and on abelian_r2 with
+    # a non-flat connection the cartan shape fails, so no package assembles
+    monkeypatch.chdir(tmp_path)
+    abelian_r2 = json.loads((CORPUS / "abelian_r2.json").read_text())
+    docs = {
+        "broken_jacobi_metric": dict(
+            json.loads((CORPUS / "broken_jacobi.json").read_text()),
+            metric=[["1"]],
+            metric_inv=[["1"]],
+            connection=[[["0"]] * 3] * 3,
+        ),
+        "abelian_r2_metric_magnetic": twisted_with_metric(),
+        "abelian_r2_connection": dict(
+            abelian_r2,
+            connection=[[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]],
+        ),
+    }
+    cases = [
+        ("broken_jacobi_metric", "cartan", "master equation fails"),
+        ("abelian_r2_metric_magnetic", "supercharge", "covariant tensor shape"),
+        ("abelian_r2_connection", "supercharge", "covariant tensor shape"),
+    ]
+    for name, check, note in cases:
+        Path(f"{name}.json").write_text(json.dumps(docs[name]))
+        explicit = run("check", f"{name}.json", f"--{check}", "--json", "one.json")
+        full = run("check", f"{name}.json", "--all", "--json", "all.json")
+        assert (explicit.exit_code, full.exit_code) == (1, 1), (name, explicit.stderr)
+        assert explicit.stderr == ""
+        report = json.loads(Path("one.json").read_text())["checks"]
+        assert report == [
+            c for c in json.loads(Path("all.json").read_text())["checks"]
+            if c["name"] == check
+        ]
+        assert report[0]["status"] == "skipped"
+        assert note in report[0]["notes"][0]
+        assert f"[SKIPPED] {check}" in explicit.output
+
+
+def test_missing_fields_and_drift_stay_input_errors():
+    # broken_jacobi fails the master too, but it has no metric pair
+    result = run("check", corpus_path("broken_jacobi"), "--cartan")
+    assert result.exit_code == 2
+    assert "input error: no metric pair" in result.stderr
+    for flag in ("--cartan", "--supercharge"):
+        result = run("check", corpus_path("beta_drift"), flag)
+        assert result.exit_code == 2
+        assert "drift term present" in result.stderr
+    # a skipped evolution route is not a failed prerequisite
+    result = run("check", corpus_path("leafwise_metric"), "--structural")
+    assert result.exit_code == 0
+    assert "[SKIPPED] evolution" in result.output
+
+
+def _wrong_defect_lift(data):
+    ctx = ghost_context(data)
+    return defect_lift(data) + ctx.var("xi_1") * ctx.var("xi_2")
+
+
+def _wrong_closure(cs):
+    ctx = cs.structural.ctx
+    return cs.structural + cs.data.defect_lift + ctx.var("xi_1") * ctx.var("xi_2")
 
 
 def _oversized_image(columns, inside):
@@ -200,8 +263,20 @@ EMIT_SO3_BV = ["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.j
     "target, replacement, args, message",
     [
         (
-            "nqkit.bfv._expected_self_bracket",
-            _wrong_self_bracket,
+            "nqkit.algebroid.defect_lift",
+            _wrong_defect_lift,
+            ["check", corpus_path("so3_action"), "--axioms"],
+            "internal dual-route mismatch in Q^2",
+        ),
+        (
+            "nqkit.algebroid.defect_lift",
+            _wrong_defect_lift,
+            ["check", corpus_path("so3_action"), "--first-class"],
+            "internal dual-route mismatch in the constraint bracket",
+        ),
+        (
+            "nqkit.constraints.ConstraintSet.closure",
+            property(_wrong_closure),
             ["check", corpus_path("so3_action"), "--master"],
             "internal dual-route mismatch in the self-bracket",
         ),
@@ -224,7 +299,14 @@ EMIT_SO3_BV = ["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.j
             "internal bookkeeping mismatch in the component action: field[x1]",
         ),
     ],
-    ids=["self_bracket", "window", "classical_limit", "bookkeeping"],
+    ids=[
+        "axioms",
+        "first_class",
+        "self_bracket",
+        "window",
+        "classical_limit",
+        "bookkeeping",
+    ],
 )
 def test_tripped_engine_guard_exits_3(
     monkeypatch, tmp_path, target, replacement, args, message
@@ -251,9 +333,9 @@ def test_tripped_engine_guard_exits_3(
 def test_defect_tensors_computed_once_per_invocation(
     monkeypatch, tmp_path, args, exit_code, brackets
 ):
-    # the defect tensors, the structural 2-form, the structural residuals
-    # (when a metric is given), the core charge, its self-bracket and (S, H),
-    # once each
+    # the defect tensors and their lift, the structural 2-form, the
+    # structural residuals (when a metric is given), the core charge, its
+    # self-bracket and (S, H), once each
     monkeypatch.chdir(tmp_path)
     if args[1] == "so6.json":
         Path("so6.json").write_text(json.dumps(gen.so_n(6)))
@@ -284,6 +366,7 @@ def test_defect_tensors_computed_once_per_invocation(
     owners = {
         "anchor_defect": nqkit.algebroid,
         "jacobi_defect": nqkit.algebroid,
+        "defect_lift": nqkit.algebroid,
         "structural_two_form": nqkit.constraints,
         "structural_residuals": nqkit.dynamics,
         "build_S": nqkit.bfv,

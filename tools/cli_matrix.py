@@ -6,9 +6,10 @@ files, on the so(3) to so(6) frames of the benchmark's generator, on
 dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
 metric and a connection), on geometry-rich, zero-drift and non-flat
-connection twins of corpus files, on `shear_plane` (off-diagonal,
-non-constant metric entries), plus a few inputs near the parser's term
-budget and a dense structure that is not antisymmetric.  Each run is
+connection twins of corpus files, on `broken_jacobi` with a metric pair,
+on `shear_plane` (off-diagonal, non-constant metric entries), plus a few
+inputs near the parser's term budget and a dense structure that is not
+antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
 output, standard error and every file the run wrote.  Two trees that
@@ -99,6 +100,16 @@ FIELD_TWINS = {
     "abelian_r2_connection": (
         "abelian_r2",
         {"connection": [[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]]},
+    ),
+    # the Q^2 != 0 frame with a metric pair: master fails, so the cartan
+    # obstruction is undefined and `--cartan` is skipped as a finding
+    "broken_jacobi_metric": (
+        "broken_jacobi",
+        {
+            "metric": [["1"]],
+            "metric_inv": [["1"]],
+            "connection": [[["0"], ["0"], ["0"]]] * 3,
+        },
     ),
 }
 # two unit flows along x whose bracket grows with x, under a unimodular
