@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebroid import Algebroid
-from .bfv import BFVPackage, _word_residuals
+from .bfv import DRIFT_REFUSAL, BFVPackage, _word_residuals
 from .constraints import build_constraints
 from .dynamics import GeometryPack, build_hamiltonian
 from .graded import (
@@ -300,9 +300,7 @@ def extended_action_reference(data: Algebroid, pack: GeometryPack) -> GradedPoly
     if data.coords != pack.coords or data.rank != pack.rank:
         raise ValueError("frame data and geometry pack disagree on base or rank")
     if pack.beta is not None:
-        raise ValueError(
-            "drift term present: absorb it before the extended assembly"
-        )
+        raise ValueError(DRIFT_REFUSAL)
     ectx = expansion_context(data.coords, data.rank)
     total = ectx.zero()
     for name in data.coords:

@@ -35,6 +35,7 @@ from .poly import EvenPoly, Exponent, monomial_exponents
 from .report import FAIL, PASS, SKIPPED, CheckReport
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
+DRIFT_REFUSAL = "drift term present: absorb it before the extended assembly"
 
 
 def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
@@ -166,7 +167,7 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     if pack.omega is None:
         raise ValueError("the covariant hamiltonian needs the connection omega")
     if pack.beta is not None:
-        raise ValueError("drift term present: absorb it before the extended assembly")
+        raise ValueError(DRIFT_REFUSAL)
     pcov = covariant_momenta(pack, ctx)
     H = ctx.lift(pack.potential)
     for i in range(len(pack.coords)):
@@ -215,6 +216,15 @@ class BFVPackage:
         raise KeyError(f"no report named {name!r}")
 
 
+def _shape_finding(detail: str) -> CheckReport:
+    """The cartan FAIL of a residual that no obstruction tensor reassembles.
+
+    A one-ghost residual is one: H does not preserve the constraint surface.
+    """
+    message = f"bracket residual leaves the covariant tensor shape; {detail}"
+    return CheckReport("cartan", FAIL, CARTAN_IDENTITY, [("shape", message)])
+
+
 def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
     """Read the obstruction tensor off R = (core, H_cov); it is empty iff R is zero."""
     data, pack, ctx = charge.data, charge.pack, charge.ctx
@@ -241,10 +251,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
         elif (len(word), ghost_count) != (5, 3):
             offending.append(_word_label(ctx, word))
     if offending:
-        raise ValueError(
-            "bracket residual leaves the covariant tensor shape; offending "
-            "words: " + ", ".join(sorted(offending))
-        )
+        return _shape_finding("offending words: " + ", ".join(sorted(offending)))
 
     # the normalization is fixed by reassembling the residual exactly
     pcov = covariant_momenta(pack, ctx)
@@ -258,10 +265,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
         for i in range(n):
             rebuilt = rebuilt - ctx.lift(pack.g_inv[i][j]) * pcov[i] * block
     if rebuilt != R:
-        raise ValueError(
-            "bracket residual leaves the covariant tensor shape; "
-            f"unmatched part: {R - rebuilt}"
-        )
+        return _shape_finding(f"unmatched part: {R - rebuilt}")
 
     residuals = _family_residuals("S", tensor, "cjab")
     if residuals:
@@ -318,14 +322,18 @@ def _charge_invariance(
 
 
 def assemble_bfv(charge: Charge) -> BFVPackage:
-    """Add the Hamiltonian H = H_cov + V to a charge, then run the battery."""
+    """Add the Hamiltonian H = H_cov + V to a charge, then run the battery.
+
+    A ValueError means a refused drift term or an inverse metric without a
+    connection; every finding is a report.
+    """
     pack, ctx = charge.pack, charge.ctx
+    if pack.beta is not None:
+        raise ValueError(DRIFT_REFUSAL)
     potential = ctx.lift(pack.potential)
     if pack.g_inv is not None:
         H = build_H(pack, ctx)
         h_cov = H - potential
-    elif pack.beta is not None:
-        raise ValueError("drift term present: absorb it before the extended assembly")
     else:
         H, h_cov = potential, ctx.zero()
     reports = [charge.master]

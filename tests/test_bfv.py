@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -18,10 +20,11 @@ from nqkit.bfv import (
     build_charge,
     build_H,
     build_S,
+    charge_of_constraints,
     check_master,
     covariant_momenta,
 )
-from nqkit.dynamics import GeometryPack
+from nqkit.dynamics import GeometryPack, build_hamiltonian
 from nqkit.graded import (
     GradedPoly,
     antighost_name,
@@ -30,9 +33,14 @@ from nqkit.graded import (
     momentum_name,
 )
 from nqkit.poly import EvenPoly, Rat
-from nqkit.problem import load_problem
+from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS, SKIPPED
-from nqkit.constraints import affine_charge, phase_space, structural_two_form
+from nqkit.constraints import (
+    affine_charge,
+    build_constraints,
+    phase_space,
+    structural_two_form,
+)
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import components, structural, substitute
 from tests.test_algebroid import (
@@ -47,7 +55,13 @@ from tests.test_dynamics import flat_pack, identity_metric, random_pack
 from tests.test_graded import word_coefficient
 from tests.test_poly import random_poly, ring
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
+_spec = importlib.util.spec_from_file_location(
+    "cli_matrix", ROOT / "tools" / "cli_matrix.py"
+)
+cli_matrix = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_matrix)
 
 
 def shear_pair() -> Algebroid:
@@ -401,6 +415,12 @@ def test_build_h_requires_fields():
             ),
             ctx,
         )
+    # the assembly refuses a drift before it looks at the metric
+    data = abelian_r1()
+    for g_inv in (None, identity_metric(data.coords)):
+        pack = GeometryPack(data.coords, 1, g_inv=g_inv, beta=(g["x"],))
+        with pytest.raises(ValueError, match="^drift term present"):
+            assemble_bfv(build_charge(data, pack))
 
 
 # assembly and the obstruction tensor
@@ -447,8 +467,82 @@ def test_cartan_shape_violation_on_non_metric_connection():
         g_low=identity_metric(coords),
         omega=omega,
     )
-    with pytest.raises(ValueError, match="covariant tensor shape"):
-        assemble_bfv(build_charge(data, pack))
+    # the package still assembles: the shape failure is the cartan finding
+    pkg = assemble_bfv(build_charge(data, pack))
+    assert pkg.report("master").status == PASS
+    cartan = pkg.report("cartan")
+    assert cartan.status == FAIL
+    assert cartan.residuals == [
+        (
+            "shape",
+            "bracket residual leaves the covariant tensor shape; "
+            "offending words: xi_1, xi_2",
+        )
+    ]
+    assert pkg.report("charge_invariance").status == FAIL
+
+
+# the twins of the CLI matrix whose surface H does not preserve
+SHAPE_TWINS = (
+    "abelian_r2_metric_magnetic",
+    "abelian_r2_connection",
+    "so3_action_geometry",
+)
+
+
+def evolution_inputs() -> dict[str, dict]:
+    """Corpus files with both metrics, a connection and no drift, plus the
+    twisted and connection twins of the CLI matrix, built as it builds them."""
+    docs = {
+        path.stem: json.loads(path.read_text())
+        for path in sorted(CORPUS.glob("*.json"))
+    }
+    out = {
+        name: doc
+        for name, doc in docs.items()
+        if {"metric", "metric_inv", "connection"} <= doc.keys() and "beta" not in doc
+    }
+    for name, (base, field) in cli_matrix.TWISTED_TWINS.items():
+        twisted = docs[field]
+        out[name] = dict(
+            docs[base], alpha=twisted["alpha"], magnetic=twisted["magnetic"]
+        )
+    for name in ("abelian_r2_connection", "so3_action_geometry"):
+        base, fields = cli_matrix.FIELD_TWINS[name]
+        out[name] = dict(docs[base], **fields)
+    return out
+
+
+@pytest.mark.parametrize("name, doc", sorted(evolution_inputs().items()))
+def test_one_ghost_part_of_sh_is_the_evolution_residual(name, doc):
+    # (S, H) at one ghost is -xi^a ({H, Phi_a} - omega^b_ai g^ij p_j Phi_b),
+    # H the evolution Hamiltonian; H_cov has no tau, so neither has this
+    problem = problem_from_dict(doc)
+    pack = problem.pack
+    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
+    pkg = assemble_bfv(charge_of_constraints(cs, pack))
+    ctx = pkg.ctx
+    H = build_hamiltonian(pack, ctx)
+    momenta = [ctx.var(momentum_name(x)) for x in pack.coords]
+    predicted = ctx.zero()
+    for a, phi in enumerate(cs.phis):
+        residual = ctx.poisson(H, phi)
+        for (b, c, i), w in pack.omega.items():
+            if c != a:
+                continue
+            for j, p_j in enumerate(momenta):
+                gamma = ctx.lift(w * pack.g_inv[i][j])
+                residual = residual - gamma * p_j * cs.phis[b]
+        predicted = predicted - ctx.var(ghost_name(a + 1)) * residual
+    one_ghost = GradedPoly(
+        ctx, {word: f for word, f in pkg.SH.parts.items() if len(word) == 1}
+    )
+    assert one_ghost == predicted
+    # a non-invariant surface is exactly the shape failure of cartan
+    cartan = pkg.report("cartan")
+    shape = [label for label, _ in cartan.residuals] == ["shape"]
+    assert shape == (not one_ghost.is_zero)
+    assert shape == (name in SHAPE_TWINS)
 
 
 def test_cartan_preconditions():

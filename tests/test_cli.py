@@ -178,45 +178,80 @@ def test_check_cartan_failure_is_a_finding_not_an_input_error():
 def test_failed_prerequisite_is_a_finding_not_an_input_error(tmp_path, monkeypatch):
     # a check skipped because a check it needs failed prints the report that
     # --all prints for it and exits 1: on broken_jacobi with a metric pair
-    # the master fails, and on the twisted abelian_r2 and on abelian_r2 with
-    # a non-flat connection the cartan shape fails, so no package assembles
+    # the master fails, so the cartan obstruction is undefined
     monkeypatch.chdir(tmp_path)
-    abelian_r2 = json.loads((CORPUS / "abelian_r2.json").read_text())
-    docs = {
-        "broken_jacobi_metric": dict(
-            json.loads((CORPUS / "broken_jacobi.json").read_text()),
-            metric=[["1"]],
-            metric_inv=[["1"]],
-            connection=[[["0"]] * 3] * 3,
-        ),
-        "abelian_r2_metric_magnetic": twisted_with_metric(),
-        "abelian_r2_connection": dict(
-            abelian_r2,
-            connection=[[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]],
-        ),
-    }
-    cases = [
-        ("broken_jacobi_metric", "cartan", "master equation fails"),
-        ("abelian_r2_metric_magnetic", "supercharge", "covariant tensor shape"),
-        ("abelian_r2_connection", "supercharge", "covariant tensor shape"),
+    doc = dict(
+        json.loads((CORPUS / "broken_jacobi.json").read_text()),
+        metric=[["1"]],
+        metric_inv=[["1"]],
+        connection=[[["0"]] * 3] * 3,
+    )
+    Path("broken_jacobi_metric.json").write_text(json.dumps(doc))
+    explicit = run(
+        "check", "broken_jacobi_metric.json", "--cartan", "--json", "one.json"
+    )
+    full = run("check", "broken_jacobi_metric.json", "--all", "--json", "all.json")
+    assert (explicit.exit_code, full.exit_code) == (1, 1), explicit.stderr
+    assert explicit.stderr == ""
+    report = json.loads(Path("one.json").read_text())["checks"]
+    assert report == [
+        c for c in json.loads(Path("all.json").read_text())["checks"]
+        if c["name"] == "cartan"
     ]
-    for name, check, note in cases:
-        Path(f"{name}.json").write_text(json.dumps(docs[name]))
-        explicit = run("check", f"{name}.json", f"--{check}", "--json", "one.json")
-        full = run("check", f"{name}.json", "--all", "--json", "all.json")
-        assert (explicit.exit_code, full.exit_code) == (1, 1), (name, explicit.stderr)
-        assert explicit.stderr == ""
-        report = json.loads(Path("one.json").read_text())["checks"]
-        assert report == [
-            c for c in json.loads(Path("all.json").read_text())["checks"]
-            if c["name"] == check
-        ]
-        assert report[0]["status"] == "skipped"
-        assert note in report[0]["notes"][0]
-        assert f"[SKIPPED] {check}" in explicit.output
+    assert report[0]["status"] == "skipped"
+    assert "master equation fails" in report[0]["notes"][0]
+    assert "[SKIPPED] cartan" in explicit.output
 
 
-def test_missing_fields_and_drift_stay_input_errors():
+def connection_twin() -> dict:
+    """abelian_r2 with a connection that is not metric compatible."""
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    return dict(doc, connection=[[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]])
+
+
+@pytest.mark.parametrize(
+    "name", ["abelian_r2_connection", "abelian_r2_metric_magnetic"]
+)
+def test_cartan_shape_failure_still_assembles_the_package(tmp_path, monkeypatch, name):
+    # H does not preserve the constraint surface: cartan FAILs on its shape,
+    # the package assembles, and the supercharge fails on its own bracket
+    monkeypatch.chdir(tmp_path)
+    twisted = name == "abelian_r2_metric_magnetic"
+    doc = twisted_with_metric() if twisted else connection_twin()
+    Path("in.json").write_text(json.dumps(doc))
+    explicit = run("check", "in.json", "--supercharge", "--json", "one.json")
+    full = run("check", "in.json", "--all", "--json", "all.json")
+    assert (explicit.exit_code, full.exit_code) == (1, 1), explicit.stderr
+    assert explicit.stderr == ""
+    checks = {c["name"]: c for c in json.loads(Path("all.json").read_text())["checks"]}
+    assert json.loads(Path("one.json").read_text())["checks"] == [checks["supercharge"]]
+    assert checks["supercharge"]["status"] == "fail"
+    assert checks["master"]["status"] == "pass"
+    assert [r["index"] for r in checks["cartan"]["residuals"]] == ["shape"]
+
+    result = run("emit", "in.json", "--what", "bfv", "--out", "bfv.json")
+    assert result.exit_code == 0, result.stderr
+    assert json.loads(Path("bfv.json").read_text())["checks"]["cartan"] == "fail"
+    result = run("emit", "in.json", "--what", "bv", "--out", "bv.json")
+    assert result.exit_code == 1
+    assert "required check failed: supercharge" in result.output
+    assert not Path("bv.json").exists()
+    forced = run("emit", "in.json", "--what", "bv", "--out", "bv.json", "--force")
+    if twisted:
+        assert forced.exit_code == 1
+        assert forced.stderr.rstrip().endswith(
+            "emission failed: the component expansion needs an exact "
+            "symplectic potential; absorb the magnetic term first"
+        )
+    else:
+        assert forced.exit_code == 0, forced.stderr
+        written = json.loads(Path("bv.json").read_text())
+        assert written["forced"] is True
+        assert written["checks"] == {"supercharge": "fail"}
+        assert written["terms"]
+
+
+def test_missing_fields_and_drift_stay_input_errors(tmp_path, monkeypatch):
     # broken_jacobi fails the master too, but it has no metric pair
     result = run("check", corpus_path("broken_jacobi"), "--cartan")
     assert result.exit_code == 2
@@ -225,6 +260,23 @@ def test_missing_fields_and_drift_stay_input_errors():
         result = run("check", corpus_path("beta_drift"), flag)
         assert result.exit_code == 2
         assert "drift term present" in result.stderr
+    # a metric pair without a connection: the package cannot assemble
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    del doc["connection"]
+    Path("no_connection.json").write_text(json.dumps(doc))
+    gap = "the covariant hamiltonian needs the connection omega"
+    for flag in ("--cartan", "--supercharge"):
+        result = run("check", "no_connection.json", flag)
+        assert result.exit_code == 2
+        assert f"input error: {gap}" in result.stderr
+    result = run("check", "no_connection.json", "--all")
+    assert result.exit_code == 0, result.output
+    for name in ("cartan", "supercharge"):
+        assert f"[SKIPPED] {name}" in result.output
+    result = run("emit", "no_connection.json", "--what", "bv", "--out", "bv.json")
+    assert result.exit_code == 1
+    assert f"assembly failed: {gap}" in result.stderr
     # a skipped evolution route is not a failed prerequisite
     result = run("check", corpus_path("leafwise_metric"), "--structural")
     assert result.exit_code == 0
@@ -842,10 +894,20 @@ def test_cohomology_ghost_zero_needs_nilpotent_charge():
     assert result.exit_code == 2  # no such option
 
 
-def test_cohomology_prerequisite_and_usage_errors():
+def test_cohomology_prerequisite_and_usage_errors(tmp_path):
     result = run("cohomology", corpus_path("broken_jacobi"))
     assert result.exit_code == 1
     assert "prerequisite failed" in result.output
+    # the axioms hold, but alpha = x2 e^1 is not closed, so (S, S) != 0
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    unclosed = tmp_path / "unclosed_alpha.json"
+    unclosed.write_text(json.dumps(dict(doc, alpha=["x2", "0"])))
+    result = run("cohomology", str(unclosed), "--bfv-h0")
+    assert result.exit_code == 1
+    assert result.output == (
+        "prerequisite failed: the master equation fails: "
+        "(S, .) does not square to zero\n"
+    )
     result = run("cohomology", corpus_path("so3_action"), "--degree", "2")
     assert result.exit_code == 2
     result = run(

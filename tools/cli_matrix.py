@@ -73,7 +73,9 @@ BUDGET_ENTRIES = {
 }
 # corpus files whose sparse structure also runs as the [c][a][b] list
 DENSE_TWINS = ("so3_action", "broken_jacobi")
-# a corpus file that runs again with the alpha and magnetic field of another
+# a corpus file that runs again with the alpha and magnetic field of another;
+# the twist keeps H from preserving the constraint surface, so this input
+# exercises the cartan shape finding on an assembled package
 TWISTED_TWINS = {"abelian_r2_metric_magnetic": ("abelian_r2", "abelian_r2_magnetic")}
 # corpus files that run again with these fields added or replaced:
 # `so3_action` with a connection nonzero across a, b and i, a nonzero tau,
@@ -81,7 +83,10 @@ TWISTED_TWINS = {"abelian_r2_metric_magnetic": ("abelian_r2", "abelian_r2_magnet
 # first class (structural and evolution fail, the decomposition is still
 # asserted), `abelian_r2` with an all-zero drift, and `abelian_r2` with a
 # connection that is not metric compatible: its evolution residuals are
-# quadratic in the momenta, so the decomposition guard meets a nonzero hessian
+# quadratic in the momenta, so the decomposition guard meets a nonzero
+# hessian.  The two connection twins exercise the cartan shape finding: the
+# package assembles, cartan fails on its shape and `emit --what bv --force`
+# writes the action
 FIELD_TWINS = {
     "so3_action_geometry": (
         "so3_action",
