@@ -42,6 +42,7 @@ from itertools import combinations
 from .graded import (
     GradedContext,
     GradedPoly,
+    OddWord,
     extended_context,
     field_column,
     ghost_name,
@@ -359,8 +360,8 @@ class CohomologyReport:
 
 
 def _q_columns(
-    data: Algebroid, words: list[tuple[int, ...]], degree: int
-) -> tuple[list[tuple[tuple[int, ...], Exponent]], list[dict]]:
+    data: Algebroid, words: list[OddWord], degree: int
+) -> tuple[list[tuple[OddWord, Exponent]], list[dict]]:
     """Q on the cochains x^e xi^word, for each word and x-degree <= degree.
 
     The sources come word by word, monomials in order within a word; each
@@ -382,14 +383,14 @@ def _q_columns(
 
 def _components_from_vector(
     data: Algebroid,
-    unknowns: list[tuple[tuple[int, ...], Exponent]],
+    unknowns: list[tuple[OddWord, Exponent]],
     vector: dict[int, Rat],
 ) -> tuple[EvenPoly, ...]:
     """The components alpha_a of the 1-cochain with these coordinates."""
     terms: list[dict[Exponent, Rat]] = [{} for _ in range(data.rank)]
     for k, value in vector.items():
-        (a,), e = unknowns[k]
-        terms[a][e] = value
+        word, e = unknowns[k]
+        terms[word.bit_length() - 1][e] = value
     return tuple(EvenPoly(data.coords, t) for t in terms)
 
 
@@ -406,7 +407,7 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     """
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    unknowns, columns = _q_columns(data, [(a,) for a in range(data.rank)], trunc)
+    unknowns, columns = _q_columns(data, [1 << a for a in range(data.rank)], trunc)
     closed_basis = [
         _components_from_vector(data, unknowns, vector) for vector in kernel(columns)
     ]
@@ -414,7 +415,7 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     # exact part: the image of d0 on functions of degree <= trunc + slack
     # that lies entirely inside the window
     n = data.base_dim
-    _, sources = _q_columns(data, [()], trunc + slack)
+    _, sources = _q_columns(data, [0], trunc + slack)
     exact_dim = image_in(sources, lambda key: sum(key[1][:n]) <= trunc)
 
     filtration = _max_coeff_degree(data) <= 0
@@ -457,10 +458,10 @@ def is_exact_one_form(
     alpha is a 1-form alpha_a xi^a in `ghost_context(data)`, whose terms are
     keyed like the columns.
     """
-    if alpha.ctx != ghost_context(data) or any(len(word) != 1 for word in alpha.parts):
+    if alpha.ctx != ghost_context(data) or any(w.bit_count() != 1 for w in alpha.parts):
         raise ValueError("exactness query takes a 1-form in the ghost context")
-    sources, columns = _q_columns(data, [()], degree)
-    rhs = {(word, e): coeff for word, e, coeff in alpha.terms()}
+    sources, columns = _q_columns(data, [0], degree)
+    rhs = {(w, e): c for w, f in alpha.parts.items() for e, c in f.terms.items()}
     result = solve(columns, rhs)
     if result is None:
         return None

@@ -21,14 +21,17 @@ from .dynamics import GeometryPack, _family_residuals
 from .graded import (
     GradedContext,
     GradedPoly,
+    OddWord,
     antighost_name,
     field_column,
     ghost_name,
     hamiltonian_lift,
     left_derivation,
+    letters,
     momentum_name,
     momentum_orders,
     transport,
+    word_order,
 )
 from .linalg import image_in, rank
 from .poly import EvenPoly, Exponent, monomial_exponents
@@ -113,15 +116,15 @@ def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
     return Charge(cs, pack, build_S(data, ctx), affine_charge(data, cs.alpha, ctx))
 
 
-def _word_label(ctx: GradedContext, word: tuple[int, ...]) -> str:
-    return " ".join(ctx.odd_names[k] for k in word)
+def _word_label(ctx: GradedContext, word: OddWord) -> str:
+    return " ".join(ctx.odd_names[k] for k in letters(word))
 
 
 def _word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
     """One residual `tag[word]` per odd word of F, shortest words first."""
     return [
         (f"{tag}[{_word_label(F.ctx, word)}]", str(F.parts[word]))
-        for word in sorted(F.parts, key=lambda w: (len(w), w))
+        for word in sorted(F.parts, key=word_order)
     ]
 
 
@@ -233,14 +236,15 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
     tensor: dict[tuple[int, int, int, int], EvenPoly] = {}
     offending: list[str] = []
     for word, coeff in R.parts.items():
-        ghost_count = sum(ctx.odd_ghost[k] == 1 for k in word)
-        if (len(word), ghost_count) == (3, 2):
+        word_letters = letters(word)
+        ghost_count = sum(ctx.odd_ghost[k] == 1 for k in word_letters)
+        if (len(word_letters), ghost_count) == (3, 2):
             orders = momentum_orders(ctx, coeff)
             if any(len(p_word) != 1 for p_word in orders):
                 offending.append(_word_label(ctx, word))
                 continue
-            a, b = word[0], word[1]
-            c = word[2] - r
+            a, b, c = word_letters
+            c -= r
             for j in range(n):
                 entry = data.zero()
                 for (i,), linear in orders.items():
@@ -248,7 +252,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
                         entry = entry - pack.g_low[j][i] * linear
                 if not entry.is_zero:
                     tensor[(c, j, a, b)] = entry
-        elif (len(word), ghost_count) != (5, 3):
+        elif (len(word_letters), ghost_count) != (5, 3):
             offending.append(_word_label(ctx, word))
     if offending:
         return _shape_finding("offending words: " + ", ".join(sorted(offending)))
@@ -375,7 +379,7 @@ class H0Report:
         self.notes = notes
 
 
-def _balanced_words(rank: int, ghost_shift: int) -> list[tuple[int, ...]]:
+def _balanced_words(rank: int, ghost_shift: int) -> list[OddWord]:
     """Odd words with #xi - #pi equal to the requested ghost number."""
     words = []
     for k in range(rank + 1):
@@ -383,8 +387,8 @@ def _balanced_words(rank: int, ghost_shift: int) -> list[tuple[int, ...]]:
         if not 0 <= k_pi <= rank:
             continue
         for xs in combinations(range(rank), k):
-            for ps in combinations(range(rank), k_pi):
-                words.append(tuple(xs) + tuple(rank + c for c in ps))
+            for ps in combinations(range(rank, 2 * rank), k_pi):
+                words.append(sum(1 << a for a in xs + ps))
     return words
 
 
@@ -392,7 +396,7 @@ def _bracket_columns(
     ctx: GradedContext,
     field: dict[str, GradedPoly],
     n: int,
-    words: list[tuple[int, ...]],
+    words: list[OddWord],
     x_degree: int,
     p_degree: int,
 ) -> list[dict]:
@@ -426,7 +430,7 @@ def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
     n, r = len(charge.data.coords), charge.data.rank
 
-    def in_window(key: tuple[tuple[int, ...], Exponent]) -> bool:
+    def in_window(key: tuple[OddWord, Exponent]) -> bool:
         exponent = key[1]
         return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
 

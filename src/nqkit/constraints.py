@@ -211,7 +211,8 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
         R = ctx.poisson(cs.phis[a], cs.phis[b])
         for c, f in data.nonzero_structure.get((a, b), ()):
             R = R - ctx.lift(f) * cs.phis[c]
-        expected = ctx.lift(closure[(a, b)]) if (a, b) in closure else ctx.zero()
+        word = 1 << a | 1 << b
+        expected = ctx.lift(closure[word]) if word in closure else ctx.zero()
         if R != expected:
             raise RuntimeError("internal dual-route mismatch in the constraint bracket")
         if not R.is_zero:

@@ -3,8 +3,9 @@
 A `GradedContext` fixes even coordinates, odd (anticommuting) letters, their
 ghost degrees, which coordinates are canonically paired, and an optional
 antisymmetric twist of the momentum-momentum bracket.  A `GradedPoly` is a
-polynomial in that context, stored as a map from ascending odd words to even
-coefficient polynomials, with the Koszul sign produced on every merge.
+polynomial in that context, stored as a map from odd words to even
+coefficient polynomials, with the Koszul sign produced on every merge.  An
+odd word is a bitmask: letter a is bit a, and `letters` lists it ascending.
 
 Bracket conventions, fixed once for the whole engine:
 
@@ -40,18 +41,48 @@ from .poly import (
     render_sum,
 )
 
-OddWord = tuple[int, ...]
+OddWord = int
+
+
+def letters(word: OddWord) -> tuple[int, ...]:
+    """The letters of a word, ascending."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return tuple(out)
+
+
+def _word(ascending: Iterable[int]) -> OddWord:
+    return sum(1 << a for a in ascending)
+
+
+def _koszul_mask(word: OddWord) -> int:
+    """The letters a with an odd count of letters of `word` below a.
+
+    The xor over the letters b of `word` of the bits above b (a negative
+    int: infinitely many).  Moving w2 past w1 costs a sign per pair of a
+    letter of w1 above one of w2, so the parity of
+    `(w1 & _koszul_mask(w2)).bit_count()` is the Koszul sign of w1 w2, the
+    sum of `(w1 >> (b + 1)).bit_count()` over the letters b of w2.
+    """
+    mask = 0
+    while word:
+        low = word & -word
+        mask ^= -(low << 1)
+        word ^= low
+    return mask
 
 
 def merge_words(w1: OddWord, w2: OddWord) -> tuple[OddWord | None, int]:
-    """Sort the concatenation of two ascending words, tracking the Koszul sign.
+    """The word of w1 w2 and the Koszul sign of sorting it.
 
     Returns (None, 0) when a letter repeats, since odd letters square to zero.
     """
-    if set(w1) & set(w2):
+    if w1 & w2:
         return None, 0
-    crossings = sum(1 for a in w1 for b in w2 if a > b)
-    return tuple(sorted(w1 + w2)), -1 if crossings % 2 else 1
+    return w1 | w2, -1 if (w1 & _koszul_mask(w2)).bit_count() & 1 else 1
 
 
 class GradedContext:
@@ -163,25 +194,21 @@ class GradedContext:
         return GradedPoly(self, {})
 
     def const(self, value: Scalar) -> GradedPoly:
-        return GradedPoly(self, {(): EvenPoly.const(self.even_names, value)})
+        return GradedPoly(self, {0: EvenPoly.const(self.even_names, value)})
 
     def var(self, name: str) -> GradedPoly:
         if name in self.even_index:
-            return GradedPoly(
-                self, {(): EvenPoly.variable(self.even_names, name)}
-            )
+            return GradedPoly(self, {0: EvenPoly.variable(self.even_names, name)})
         if name in self.odd_index:
-            return GradedPoly(
-                self,
-                {(self.odd_index[name],): EvenPoly.const(self.even_names, 1)},
-            )
+            one = EvenPoly.const(self.even_names, 1)
+            return GradedPoly(self, {1 << self.odd_index[name]: one})
         raise KeyError(f"{name!r} is not a coordinate of this context")
 
     def lift(self, f: EvenPoly) -> GradedPoly:
         """View an even polynomial (possibly over a subring) as a graded one."""
         if f.coords != self.even_names:
             f = embed(f, self.even_names)
-        return GradedPoly(self, {(): f})
+        return GradedPoly(self, {0: f})
 
     def parity_of(self, name: str) -> int:
         if name in self.even_index:
@@ -232,7 +259,7 @@ class GradedContext:
 
 
 class GradedPoly:
-    """Polynomial in a graded context: ascending odd words with even coefficients."""
+    """Polynomial in a graded context: odd words with even coefficients."""
 
     __slots__ = ("ctx", "parts")
 
@@ -325,26 +352,28 @@ class GradedPoly:
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous element; the zero element counts as even."""
-        parities = {len(w) % 2 for w in self.parts}
+        parities = {w.bit_count() % 2 for w in self.parts}
         if len(parities) > 1:
             raise ValueError("element is not parity homogeneous")
         return parities.pop() if parities else 0
 
-    def terms(self) -> Iterator[tuple[OddWord, Exponent, Scalar]]:
-        """All scalar monomials (odd word, even exponent, coefficient)."""
+    def terms(self) -> Iterator[tuple[tuple[int, ...], Exponent, Scalar]]:
+        """All scalar monomials (ascending letters, even exponent, coefficient)."""
         for word, f in self.parts.items():
+            word_letters = letters(word)
             for exponent, coeff in f.terms.items():
-                yield word, exponent, coeff
+                yield word_letters, exponent, coeff
 
     @classmethod
     def from_terms(
         cls,
         ctx: GradedContext,
-        items: Iterable[tuple[OddWord, Exponent, Scalar]],
+        items: Iterable[tuple[tuple[int, ...], Exponent, Scalar]],
     ) -> GradedPoly:
+        """The polynomial of `terms()` items; words list distinct letters ascending."""
         parts: dict[OddWord, Terms] = {}
         for word, exponent, coeff in items:
-            bucket = parts.setdefault(word, {})
+            bucket = parts.setdefault(_word(word), {})
             bucket[exponent] = bucket.get(exponent, 0) + coeff
         return cls(
             ctx,
@@ -354,7 +383,7 @@ class GradedPoly:
             },
         )
 
-    def ghost_of_term(self, word: OddWord, exponent: Exponent) -> int:
+    def ghost_of_term(self, word: tuple[int, ...], exponent: Exponent) -> int:
         ctx = self.ctx
         return sum(ctx.odd_ghost[a] for a in word) + sum(
             k * gh for k, gh in zip(exponent, ctx.even_ghost)
@@ -372,7 +401,7 @@ class GradedPoly:
 
     def even_part(self) -> EvenPoly:
         """The odd-word-free coefficient."""
-        return self.parts.get((), _zero_even(self.ctx))
+        return self.parts.get(0, _zero_even(self.ctx))
 
     def left_deriv(self, name: str) -> GradedPoly:
         """Left derivative with respect to one coordinate."""
@@ -384,14 +413,12 @@ class GradedPoly:
         if name not in ctx.odd_index:
             raise KeyError(f"{name!r} is not a coordinate of this context")
         # distinct words holding the letter stay distinct once it is removed
-        letter = ctx.odd_index[name]
+        bit = 1 << ctx.odd_index[name]
         parts: dict[OddWord, EvenPoly] = {}
         for word, f in self.parts.items():
-            if letter not in word:
-                continue
-            position = word.index(letter)
-            reduced = word[:position] + word[position + 1 :]
-            parts[reduced] = f if position % 2 == 0 else -f
+            if word & bit:
+                position = (word & (bit - 1)).bit_count()
+                parts[word ^ bit] = -f if position % 2 else f
         return GradedPoly._trusted(ctx, parts)
 
     def __str__(self) -> str:
@@ -400,14 +427,19 @@ class GradedPoly:
             (
                 coeff,
                 monomial_factors(ctx.even_names, exponent)
-                + [ctx.odd_names[a] for a in word],
+                + [ctx.odd_names[a] for a in letters(word)],
             )
-            for word in sorted(self.parts, key=lambda w: (len(w), w))
+            for word in sorted(self.parts, key=word_order)
             for exponent, coeff in self.parts[word].sorted_terms()
         )
 
     def __repr__(self) -> str:
         return f"GradedPoly({str(self)!r})"
+
+
+def word_order(word: OddWord) -> tuple[int, tuple[int, ...]]:
+    """Sort key of words: shortest first, then by their ascending letters."""
+    return word.bit_count(), letters(word)
 
 
 def _zero_even(ctx: GradedContext) -> EvenPoly:
@@ -425,12 +457,14 @@ def _accumulate_product(
     the merged word, with the Koszul sign of the merge; cancelled terms stay
     behind as zeros until `_from_buckets`.
     """
+    masks = [(w2, _koszul_mask(w2), terms) for w2, terms in right.items()]
     for w1, f1 in left.items():
         left_terms = f1.terms
-        for w2, right_terms in right.items():
-            merged, sign = merge_words(w1, w2)
-            if merged is None:
+        for w2, mask, right_terms in masks:
+            if w1 & w2:
                 continue
+            merged = w1 | w2
+            sign = -1 if (w1 & mask).bit_count() & 1 else 1
             bucket = buckets.get(merged)
             if bucket is None:
                 bucket = buckets[merged] = {}
@@ -541,15 +575,14 @@ def _sweep(
                     if bucket is None:
                         bucket = out.setdefault(name, {})[word] = {}
                     bucket[e[:k] + (power - 1,) + e[k + 1 :]] = c * (power * scale)
-        parity = len(word) % 2
-        for position, letter in enumerate(word):
+        parity = word.bit_count() % 2
+        for position, letter in enumerate(letters(word)):
             target = odd[letter]
             if target is None:
                 continue
             name, scales = target
             scale = -scales[parity] if position % 2 else scales[parity]
-            reduced = word[:position] + word[position + 1 :]
-            out.setdefault(name, {})[reduced] = (
+            out.setdefault(name, {})[word ^ 1 << letter] = (
                 terms if scale > 0 else {e: -c for e, c in terms.items()}
             )
 
@@ -594,13 +627,12 @@ def field_column(
             d_exponent = exponent[:k] + (power - 1,) + exponent[k + 1 :]
             d_coeff = power
         else:
-            letter = ctx.odd_index[name]
-            if letter not in word:
+            bit = 1 << ctx.odd_index[name]
+            if not word & bit:
                 continue
-            position = word.index(letter)
-            d_word = word[:position] + word[position + 1 :]
+            d_word = word ^ bit
             d_exponent = exponent
-            d_coeff = -1 if position % 2 else 1
+            d_coeff = -1 if (word & (bit - 1)).bit_count() % 2 else 1
         for image_word, f in image.parts.items():
             merged, sign = merge_words(image_word, d_word)
             if merged is None:

@@ -32,11 +32,16 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from nqkit.algebroid import Algebroid, ghost_context, q_images
-from nqkit.graded import GradedPoly, ghost_name, left_derivation
+from nqkit.graded import GradedPoly, ghost_name, left_derivation, letters, word_order
 from nqkit.poly import EvenPoly, Scalar, as_rat
 from tests.cubes import structure_cube
 
 Form = dict[tuple[int, ...], EvenPoly]
+
+
+def word_mask(ascending) -> int:
+    """The bitmask odd word of distinct letters."""
+    return sum(1 << a for a in ascending)
 
 
 def table(items) -> Form:
@@ -246,7 +251,7 @@ def substitute(
     for name in ctx.even_names:
         if name in images:
             image = F._coerce(images[name])
-            if any(len(w) % 2 for w in image.parts):
+            if any(w.bit_count() % 2 for w in image.parts):
                 raise ValueError(f"image of even coordinate {name!r} must be even")
             even_images.append(image)
         else:
@@ -255,7 +260,7 @@ def substitute(
     for name in ctx.odd_names:
         if name in images:
             image = F._coerce(images[name])
-            if any(len(w) % 2 == 0 for w in image.parts):
+            if any(w.bit_count() % 2 == 0 for w in image.parts):
                 raise ValueError(f"image of odd coordinate {name!r} must be odd")
             odd_images.append(image)
         else:
@@ -320,15 +325,15 @@ def render_graded(F: GradedPoly) -> str:
         return "0"
     ctx = F.ctx
     pieces: list[tuple[str, str]] = []
-    for word in sorted(F.parts, key=lambda w: (len(w), w)):
+    for word in sorted(F.parts, key=word_order):
         f = F.parts[word]
-        letters = [ctx.odd_names[a] for a in word]
+        names = [ctx.odd_names[a] for a in letters(word)]
         for exponent, coeff in f.sorted_terms():
             factors = [
                 name if k == 1 else f"{name}^{k}"
                 for name, k in zip(ctx.even_names, exponent)
                 if k
-            ] + letters
+            ] + names
             magnitude = abs(coeff)
             if not factors:
                 body = str(magnitude)

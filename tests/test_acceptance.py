@@ -50,7 +50,7 @@ from nqkit.dynamics import (
     check_evolution_invariance,
     structural_residuals,
 )
-from nqkit.graded import antighost_name, extended_context, ghost_name
+from nqkit.graded import antighost_name, extended_context, ghost_name, letters
 from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly, embed
 from nqkit.problem import load_problem
@@ -166,9 +166,9 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
         assert word_coefficient(SS, word) == embed(value, phase)
     # and no cubic-ghost word of (S, S) falls outside the defect table
     cubic = {
-        word
+        letters(word)
         for word in SS.parts
-        if sum(1 for k in word if k < r) == 3 and len(word) == 4
+        if sum(1 for k in letters(word) if k < r) == 3 and word.bit_count() == 4
     }
     assert cubic == {
         (a, b, c, r + d)

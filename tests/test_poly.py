@@ -390,7 +390,7 @@ def test_graded_kernel_matches_the_fraction_reference():
         F, G = draw(), draw()
         # F + G and F - G: their product cancels across word pairs; an odd
         # element also squares to zero inside one fused product
-        odd = GradedPoly(ctx, {w: f for w, f in F.parts.items() if len(w) % 2})
+        odd = GradedPoly(ctx, {w: f for w, f in F.parts.items() if w.bit_count() % 2})
         for left, right in [(F, G), (F + G, F - G), (odd, odd)]:
             product = left * right
             expected = ref_graded_mul(graded_reference(left), graded_reference(right))
