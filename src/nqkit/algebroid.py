@@ -59,6 +59,8 @@ from .poly import (
     derivative,
     divide,
     monomial_exponents,
+    pack,
+    unpack,
 )
 from .report import FAIL, PASS, CheckReport
 
@@ -141,9 +143,10 @@ class Algebroid:
         """Add sign * rho_a^i d_i f to the term dict `out`, cancelled terms kept."""
         if not f:
             return  # a zero f would cost a pass over the anchor row for nothing
+        n = len(self.coords)
         for i, rho in enumerate(self.anchor[a]):
             if rho.terms:
-                accumulate_product(out, rho.terms, derivative(f, i), sign)
+                accumulate_product(out, rho.terms, derivative(f, i, n), sign)
 
     def zero(self) -> EvenPoly:
         return EvenPoly.zero(self.coords)
@@ -289,12 +292,12 @@ def defect_lift(data: Algebroid) -> GradedPoly:
     units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     zero_momenta = (0,) * n
     items = [
-        ((a, b), e + units[i], coeff)
+        ((a, b), unpack(e, n) + units[i], coeff)
         for (a, b, i), value in data.anchor_defect.items()
         for e, coeff in value.terms.items()
     ]
     items += [
-        ((a, b, c, r + d), e + zero_momenta, divide(coeff, 2))
+        ((a, b, c, r + d), unpack(e, n) + zero_momenta, divide(coeff, 2))
         for (a, b, c, d), value in data.jacobi_defect.items()
         for e, coeff in value.terms.items()
     ]
@@ -371,12 +374,11 @@ def _q_columns(
     """
     ctx = ghost_context(data)
     images = q_images(data, ctx)
-    zero_momenta = (0,) * data.base_dim
-    sources = [
-        (word, e) for word in words for e in monomial_exponents(data.base_dim, degree)
-    ]
+    n = data.base_dim
+    sources = [(word, e) for word in words for e in monomial_exponents(n, degree)]
     columns = [
-        field_column(ctx, images, word, e + zero_momenta) for word, e in sources
+        field_column(ctx, images, word, pack(unpack(e, n) + (0,) * n))
+        for word, e in sources
     ]
     return sources, columns
 
@@ -416,7 +418,7 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     # that lies entirely inside the window
     n = data.base_dim
     _, sources = _q_columns(data, [0], trunc + slack)
-    exact_dim = image_in(sources, lambda key: sum(key[1][:n]) <= trunc)
+    exact_dim = image_in(sources, lambda key: sum(unpack(key[1], 2 * n)[:n]) <= trunc)
 
     filtration = _max_coeff_degree(data) <= 0
     return CohomologyReport(

@@ -31,10 +31,9 @@ from .graded import (
     momentum_name,
     momentum_orders,
     transport,
-    word_order,
 )
 from .linalg import image_in, rank
-from .poly import EvenPoly, Exponent, monomial_exponents
+from .poly import EvenPoly, Exponent, monomial_exponents, pack, unpack
 from .report import FAIL, PASS, SKIPPED, CheckReport
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
@@ -124,7 +123,7 @@ def _word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
     """One residual `tag[word]` per odd word of F, shortest words first."""
     return [
         (f"{tag}[{_word_label(F.ctx, word)}]", str(F.parts[word]))
-        for word in sorted(F.parts, key=word_order)
+        for word in sorted(F.parts, key=lambda w: (w.bit_count(), letters(w)))
     ]
 
 
@@ -405,9 +404,9 @@ def _bracket_columns(
     Sources run over x-monomials, then p-monomials, then words; each
     column is keyed by (word, exponent).
     """
-    p_exponents = monomial_exponents(n, p_degree)
+    p_exponents = [unpack(pe, n) for pe in monomial_exponents(n, p_degree)]
     return [
-        field_column(ctx, field, word, xe + pe)
+        field_column(ctx, field, word, pack(unpack(xe, n) + pe))
         for xe in monomial_exponents(n, x_degree)
         for pe in p_exponents
         for word in words
@@ -431,7 +430,7 @@ def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
     n, r = len(charge.data.coords), charge.data.rank
 
     def in_window(key: tuple[OddWord, Exponent]) -> bool:
-        exponent = key[1]
+        exponent = unpack(key[1], 2 * n)
         return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
 
     window = _bracket_columns(

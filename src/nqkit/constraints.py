@@ -33,7 +33,7 @@ from .graded import (
     momentum_orders,
 )
 from .linalg import rank, solve
-from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents, unpack
 from .report import FAIL, PASS, CheckReport
 
 DEFAULT_PROBE_SEED = 271828
@@ -435,7 +435,8 @@ def _rank_at(
         column = {}
         for i, f in enumerate(row):
             total = 0
-            for e, c in f.terms.items():
+            for key, c in f.terms.items():
+                e = unpack(key, len(point))
                 term = c * powers[degree - sum(e)]
                 for value, k in zip(numerators, e):
                     if k:

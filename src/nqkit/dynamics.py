@@ -22,7 +22,6 @@ index-formula route raises instead of passing silently.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import add
 from typing import Sequence
 
 from .algebroid import Algebroid
@@ -517,7 +516,7 @@ def _connection_columns(
         column: dict[tuple[int, int, Exponent], Rat] = {}
         for pair, k in _omega_slots(n, i):
             for e, coeff in iota[b][k].terms.items():
-                key = (a, pair_position[pair], tuple(map(add, m, e)))
+                key = (a, pair_position[pair], m + e)
                 value = column.get(key, 0) - coeff
                 if value:
                     column[key] = value

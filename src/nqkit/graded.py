@@ -25,7 +25,8 @@ with all derivatives acting from the left.
 
 from __future__ import annotations
 
-from operator import add
+from functools import cache, reduce
+from operator import mul, or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
@@ -37,41 +38,29 @@ from .poly import (
     as_rat,
     divide,
     embed,
+    field_bits,
     monomial_factors,
+    pack,
     render_sum,
+    unpack,
 )
 
 OddWord = int
 
 
+@cache
 def letters(word: OddWord) -> tuple[int, ...]:
-    """The letters of a word, ascending."""
-    out = []
-    while word:
-        low = word & -word
-        out.append(low.bit_length() - 1)
-        word ^= low
-    return tuple(out)
+    """The letters of a word, ascending; cached, as the same words recur."""
+    return tuple(a for a in range(word.bit_length()) if word >> a & 1)
 
 
-def _word(ascending: Iterable[int]) -> OddWord:
-    return sum(1 << a for a in ascending)
-
-
+@cache
 def _koszul_mask(word: OddWord) -> int:
-    """The letters a with an odd count of letters of `word` below a.
-
-    The xor over the letters b of `word` of the bits above b (a negative
-    int: infinitely many).  Moving w2 past w1 costs a sign per pair of a
-    letter of w1 above one of w2, so the parity of
-    `(w1 & _koszul_mask(w2)).bit_count()` is the Koszul sign of w1 w2, the
-    sum of `(w1 >> (b + 1)).bit_count()` over the letters b of w2.
-    """
+    """The letters with an odd count of letters of `word` below them, so that
+    `(w1 & _koszul_mask(w2)).bit_count()` has the parity of the sign of w1 w2."""
     mask = 0
-    while word:
-        low = word & -word
-        mask ^= -(low << 1)
-        word ^= low
+    for b in letters(word):
+        mask ^= -2 << b
     return mask
 
 
@@ -123,17 +112,13 @@ class GradedContext:
 
     def _validate_pairs(self) -> None:
         seen: set[str] = set()
-        for p, x in self.pairs_even:
-            for name in (p, x):
-                if name not in self.even_index:
-                    raise ValueError(f"{name!r} is not an even coordinate")
-                if name in seen:
-                    raise ValueError(f"{name!r} appears in more than one pair")
-                seen.add(name)
-        for xi, pi in self.pairs_odd:
-            for name in (xi, pi):
-                if name not in self.odd_index:
-                    raise ValueError(f"{name!r} is not an odd coordinate")
+        for kind, pairs, index in (
+            ("even", self.pairs_even, self.even_index),
+            ("odd", self.pairs_odd, self.odd_index),
+        ):
+            for name in (name for pair in pairs for name in pair):
+                if name not in index:
+                    raise ValueError(f"{name!r} is not an {kind} coordinate")
                 if name in seen:
                     raise ValueError(f"{name!r} appears in more than one pair")
                 seen.add(name)
@@ -357,24 +342,26 @@ class GradedPoly:
             raise ValueError("element is not parity homogeneous")
         return parities.pop() if parities else 0
 
-    def terms(self) -> Iterator[tuple[tuple[int, ...], Exponent, Scalar]]:
-        """All scalar monomials (ascending letters, even exponent, coefficient)."""
+    def terms(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Scalar]]:
+        """All scalar monomials (ascending letters, exponent tuple, coefficient)."""
+        n = len(self.ctx.even_names)
         for word, f in self.parts.items():
             word_letters = letters(word)
             for exponent, coeff in f.terms.items():
-                yield word_letters, exponent, coeff
+                yield word_letters, unpack(exponent, n), coeff
 
     @classmethod
     def from_terms(
         cls,
         ctx: GradedContext,
-        items: Iterable[tuple[tuple[int, ...], Exponent, Scalar]],
+        items: Iterable[tuple[tuple[int, ...], tuple[int, ...], Scalar]],
     ) -> GradedPoly:
         """The polynomial of `terms()` items; words list distinct letters ascending."""
         parts: dict[OddWord, Terms] = {}
         for word, exponent, coeff in items:
-            bucket = parts.setdefault(_word(word), {})
-            bucket[exponent] = bucket.get(exponent, 0) + coeff
+            bucket = parts.setdefault(sum(1 << a for a in word), {})
+            key = pack(exponent)
+            bucket[key] = bucket.get(key, 0) + coeff
         return cls(
             ctx,
             {
@@ -383,17 +370,14 @@ class GradedPoly:
             },
         )
 
-    def ghost_of_term(self, word: tuple[int, ...], exponent: Exponent) -> int:
-        ctx = self.ctx
-        return sum(ctx.odd_ghost[a] for a in word) + sum(
-            k * gh for k, gh in zip(exponent, ctx.even_ghost)
-        )
-
     def ghost_degree(self) -> int:
         """Ghost degree of a ghost-homogeneous element; zero counts as degree 0."""
-        ghosts = {
-            self.ghost_of_term(word, exponent)
-            for word, exponent, _ in self.terms()
+        ctx, n = self.ctx, len(self.ctx.even_names)
+        ghosts = {  # with no even ghost, the key 0 stands for every exponent
+            sum(ctx.odd_ghost[a] for a in letters(word))
+            + sum(map(mul, unpack(e, n), ctx.even_ghost))
+            for word, f in self.parts.items()
+            for e in (f.terms if any(ctx.even_ghost) else (0,))
         }
         if len(ghosts) > 1:
             raise ValueError(f"element mixes ghost degrees {sorted(ghosts)}")
@@ -423,23 +407,19 @@ class GradedPoly:
 
     def __str__(self) -> str:
         ctx = self.ctx
+        n = len(ctx.even_names)
         return render_sum(
             (
                 coeff,
-                monomial_factors(ctx.even_names, exponent)
+                monomial_factors(ctx.even_names, unpack(exponent, n))
                 + [ctx.odd_names[a] for a in letters(word)],
             )
-            for word in sorted(self.parts, key=word_order)
+            for word in sorted(self.parts, key=lambda w: (w.bit_count(), letters(w)))
             for exponent, coeff in self.parts[word].sorted_terms()
         )
 
     def __repr__(self) -> str:
         return f"GradedPoly({str(self)!r})"
-
-
-def word_order(word: OddWord) -> tuple[int, tuple[int, ...]]:
-    """Sort key of words: shortest first, then by their ascending letters."""
-    return word.bit_count(), letters(word)
 
 
 def _zero_even(ctx: GradedContext) -> EvenPoly:
@@ -488,36 +468,18 @@ def transport(F: GradedPoly, ctx: GradedContext) -> GradedPoly:
     Matching is by name; odd words are re-sorted for the target letter order
     with the corresponding sign.
     """
-    src = F.ctx
-    items = []
-    for word, exponent, coeff in F.terms():
-        targets = []
-        for a in word:
+    src, parts = F.ctx, {}
+    for word, f in F.parts.items():
+        target, sign = 0, 1
+        for a in letters(word):  # the letters multiplied in, left to right
             name = src.odd_names[a]
             if name not in ctx.odd_index:
                 raise KeyError(f"{name!r} is not an odd coordinate of the target")
-            targets.append(ctx.odd_index[name])
-        inversions = sum(
-            1
-            for u in range(len(targets))
-            for v in range(u + 1, len(targets))
-            if targets[u] > targets[v]
-        )
-        new_exponent = [0] * len(ctx.even_names)
-        for k, e in enumerate(exponent):
-            if e:
-                name = src.even_names[k]
-                if name not in ctx.even_index:
-                    raise KeyError(f"{name!r} is not an even coordinate of the target")
-                new_exponent[ctx.even_index[name]] = e
-        items.append(
-            (
-                tuple(sorted(targets)),
-                tuple(new_exponent),
-                -coeff if inversions % 2 else coeff,
-            )
-        )
-    return GradedPoly.from_terms(ctx, items)
+            target, step = merge_words(target, 1 << ctx.odd_index[name])
+            sign *= step
+        f = embed(f, ctx.even_names)
+        parts[target] = f if sign > 0 else -f
+    return GradedPoly._trusted(ctx, parts)
 
 
 def left_derivation(
@@ -564,17 +526,18 @@ def _sweep(
     entry is written once.  An odd derivative of positive sign shares the
     term dict of F: the buckets are read only, or copied when wrapped.
     """
-    slots = [(k, *target) for k, target in enumerate(even) if target is not None]
+    n = len(even)
+    slots = [(*field_bits(n, k), *t) for k, t in enumerate(even) if t is not None]
     for word, f in F.parts.items():
         terms = f.terms
-        for k, name, scale in slots:
-            bucket = None
-            for e, c in terms.items():
-                power = e[k]
-                if power:
-                    if bucket is None:
-                        bucket = out.setdefault(name, {})[word] = {}
-                    bucket[e[:k] + (power - 1,) + e[k + 1 :]] = c * (power * scale)
+        present = reduce(or_, terms)  # a field of it is nonzero iff in some term
+        for mask, shift, step, name, scale in slots:
+            if present & mask:
+                bucket = out.setdefault(name, {})[word] = {}
+                for e, c in terms.items():
+                    power = e & mask
+                    if power:
+                        bucket[e - step] = c * ((power >> shift) * scale)
         parity = word.bit_count() % 2
         for position, letter in enumerate(letters(word)):
             target = odd[letter]
@@ -617,15 +580,16 @@ def field_column(
     coordinate's image term by term.
     """
     column: dict[tuple[OddWord, Exponent], Scalar] = {}
+    n = len(ctx.even_names)
     for name, image in field.items():
         k = ctx.even_index.get(name)
         if k is not None:
-            power = exponent[k]
-            if not power:
+            mask, shift, step = field_bits(n, k)
+            if not exponent & mask:
                 continue
             d_word = word
-            d_exponent = exponent[:k] + (power - 1,) + exponent[k + 1 :]
-            d_coeff = power
+            d_exponent = exponent - step
+            d_coeff = (exponent & mask) >> shift
         else:
             bit = 1 << ctx.odd_index[name]
             if not word & bit:
@@ -639,7 +603,7 @@ def field_column(
                 continue
             scale = sign * d_coeff
             for e, coeff in f.terms.items():
-                key = (merged, tuple(map(add, e, d_exponent)))
+                key = (merged, e + d_exponent)
                 value = column.get(key, 0) + scale * coeff
                 if value:
                     column[key] = value
@@ -665,11 +629,13 @@ def momentum_orders(
     momenta = [ctx.even_index[p] for p, _ in ctx.pairs_even]
     positions = [ctx.even_index[x] for _, x in ctx.pairs_even]
     base = tuple(x for _, x in ctx.pairs_even)
+    n = len(ctx.even_names)
     buckets: dict[tuple[int, ...], Terms] = {}
-    for exponent, coeff in f.terms.items():
+    for key, coeff in f.terms.items():
+        exponent = unpack(key, n)
         word = tuple(j for j, slot in enumerate(momenta) for _ in range(exponent[slot]))
         # the word fixes the momentum exponents: distinct terms stay distinct
-        buckets.setdefault(word, {})[tuple(exponent[s] for s in positions)] = coeff
+        buckets.setdefault(word, {})[pack([exponent[s] for s in positions])] = coeff
     return {word: EvenPoly._trusted(base, terms) for word, terms in buckets.items()}
 
 

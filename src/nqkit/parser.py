@@ -12,7 +12,8 @@ INT is a run of ASCII digits and NAME is `[A-Za-z_][A-Za-z_0-9]*`.
 Multiplication is always explicit (`2*x`, never `2x`).  `/` forms exact
 rational constants and is allowed only between two integer literals.
 Exponents are nonnegative integer literals of at most `MAX_EXPONENT`, and
-parentheses and unary signs nest at most `MAX_NESTING` deep.  Before a
+parentheses and unary signs nest at most `MAX_NESTING` deep.  A product
+or power of total degree past `MAX_DEGREE` is refused.  Before a
 product or a power is expanded, its number of terms is bounded: by the
 product of the factors' term counts (for a power, the number of monomials
 of its degree in the base's terms) and by the number of monomials of the
@@ -33,6 +34,8 @@ from .poly import EvenPoly, Rat
 
 MAX_NESTING = 100
 MAX_EXPONENT = 64
+# `(x^64)^64`; with it, no packed exponent can carry (see poly.WIDTH)
+MAX_DEGREE = 4096
 # far above every expression of the corpus, the tests and the benchmark
 # (at most 4 terms), and low enough that no single product near it takes a
 # noticeable time to expand
@@ -134,9 +137,8 @@ class _Parser:
                 op = self.advance()
                 factor = self.unary()
                 count = len(result.terms) * len(factor.terms)
-                if count > MAX_TERMS:
-                    degree = result.total_degree() + factor.total_degree()
-                    self.budget(op, "product", count, degree)
+                degree = result.total_degree() + factor.total_degree()
+                self.budget(op, "product", count, degree)
                 result = result * factor
             elif self.at_op("/"):
                 # rational literals are consumed whole inside atom()
@@ -182,20 +184,25 @@ class _Parser:
                 )
             # monomials of degree `power` in the base's terms
             count = comb(len(base.terms) + power - 1, power) if base.terms else 0
-            if count > MAX_TERMS:
-                self.budget(op, "power", count, power * base.total_degree())
+            self.budget(op, "power", count, power * base.total_degree())
             return base ** power
         return base
 
     def budget(self, op: _Token, what: str, count: int, degree: int) -> None:
-        """Refuse a product or power past `MAX_TERMS` terms by both bounds.
+        """Refuse a product or power past `MAX_DEGREE` or `MAX_TERMS`.
 
         `count` bounds the terms by the factors' terms; the monomials of at
         most the result's total degree in the ring's coordinates bound them
         too.
         """
+        if degree > MAX_DEGREE:
+            raise ParseError(
+                op.position,
+                f"the {what} has total degree {degree}, "
+                f"more than the bound of {MAX_DEGREE}",
+            )
         n = len(self.coords)
-        bound = min(count, comb(n + degree, n))
+        bound = count if count <= MAX_TERMS else min(count, comb(n + degree, n))
         if bound > MAX_TERMS:
             raise ParseError(
                 op.position,

@@ -7,9 +7,12 @@ results need no normalising, since `int` and `Fraction` agree by value in
 equality, hashing, ordering and `str`.  Every division of coefficients goes
 through `divide`, which returns an int when the quotient is integral.
 
-A polynomial stores a mapping from exponent tuples (one slot per coordinate)
-to coefficients with no zero coefficient, so equality of the mappings is
-equality of polynomials.  The public constructor strips zero coefficients
+A polynomial stores a mapping from exponents to coefficients with no zero
+coefficient, so equality of the mappings is equality of polynomials.  An
+exponent over n coordinates is one int, `deg << WIDTH * n | e_0 << WIDTH *
+(n - 1) | ... | e_(n - 1)`: a product of monomials is a sum of keys, and
+integer order is graded lexicographic order.  `pack` and `unpack` cross to
+exponent tuples.  The public constructor strips zero coefficients
 from whatever it is given, in `__post_init__`.  Every operation of this
 module keeps the invariant itself (negating or scaling a nonzero coefficient
 by a nonzero scalar cannot give zero; a sum or product drops exactly the
@@ -24,13 +27,39 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from operator import add, sub
+import struct
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction
 Scalar = int | Fraction
-Exponent = tuple[int, ...]
+Exponent = int  # packed
 Terms = dict[Exponent, Scalar]
+
+# No carry: no field exceeds the total degree, which stays below 2^31, so
+# each field's top bit is free.  Parsed entries have degree <= 2^12
+# (parser.MAX_DEGREE), window monomials < 2^13 (cli.MAX_WINDOW_COLUMNS), and
+# an engine term is a window monomial times at most 2 min(rank, base_dim) +
+# 16 entries (two Bareiss minors of `generic_rank`): a carry needs 2^36
+# anchor entries.  A field is one big-endian `struct` word, "I".
+WIDTH = 32
+FIELD = (1 << WIDTH) - 1
+
+
+def pack(exponent: Sequence[int]) -> Exponent:
+    """The key of an exponent tuple."""
+    words = struct.pack(f">{len(exponent) + 1}I", sum(exponent), *exponent)
+    return int.from_bytes(words, "big")
+
+
+def unpack(key: Exponent, n: int) -> tuple[int, ...]:
+    """The exponent tuple of a key over n coordinates."""
+    return struct.unpack_from(f">{n}I", key.to_bytes(4 * n + 4, "big"), 4)
+
+
+def field_bits(n: int, k: int) -> tuple[int, int, Exponent]:
+    """The mask and shift of coordinate k of n, and the key of that coordinate."""
+    shift = WIDTH * (n - 1 - k)
+    return FIELD << shift, shift, 1 << WIDTH * n | 1 << shift
 
 
 def as_rat(value: Scalar) -> Scalar:
@@ -52,11 +81,6 @@ def divide(a: Scalar, b: Scalar) -> Scalar:
             return quotient
         return Fraction(a, b)
     return as_rat(Fraction(a) / b)
-
-
-def term_sort_key(exponent: Exponent) -> tuple[int, Exponent]:
-    """Graded lexicographic key: total degree first, then the exponent tuple."""
-    return (sum(exponent), exponent)
 
 
 class EvenPoly:
@@ -93,15 +117,14 @@ class EvenPoly:
     @classmethod
     def const(cls, coords: tuple[str, ...], value: Scalar) -> EvenPoly:
         value = as_rat(value)
-        return cls._trusted(coords, {(0,) * len(coords): value} if value else {})
+        return cls._trusted(coords, {0: value} if value else {})
 
     @classmethod
     def variable(cls, coords: tuple[str, ...], name: str) -> EvenPoly:
         if name not in coords:
             raise KeyError(f"{name!r} is not a coordinate of this ring")
-        index = coords.index(name)
-        exponent = tuple(int(i == index) for i in range(len(coords)))
-        return cls._trusted(coords, {exponent: 1})
+        _, _, key = field_bits(len(coords), coords.index(name))
+        return cls._trusted(coords, {key: 1})
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -178,25 +201,25 @@ class EvenPoly:
         return result
 
     def diff(self, name: str) -> EvenPoly:
-        return EvenPoly._trusted(self.coords, derivative(self.terms, self._index(name)))
+        terms = derivative(self.terms, self._index(name), len(self.coords))
+        return EvenPoly._trusted(self.coords, terms)
 
     def total_degree(self) -> int:
         """Maximal total degree over the terms; the zero polynomial reports 0."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max(self.terms, default=0) >> WIDTH * len(self.coords)
 
     def degree_in(self, name: str) -> int:
-        index = self._index(name)
-        return max((e[index] for e in self.terms), default=0)
+        mask, shift, _ = field_bits(len(self.coords), self._index(name))
+        return max((e & mask for e in self.terms), default=0) >> shift
 
     def sorted_terms(self) -> list[tuple[Exponent, Scalar]]:
         """Terms in descending graded lexicographic order, leading term first."""
-        return sorted(
-            self.terms.items(), key=lambda item: term_sort_key(item[0]), reverse=True
-        )
+        return sorted(self.terms.items(), reverse=True)
 
     def __str__(self) -> str:
+        n = len(self.coords)
         return render_sum(
-            (coeff, monomial_factors(self.coords, exponent))
+            (coeff, monomial_factors(self.coords, unpack(exponent, n)))
             for exponent, coeff in self.sorted_terms()
         )
 
@@ -204,7 +227,7 @@ class EvenPoly:
         return f"EvenPoly({str(self)!r})"
 
 
-def monomial_factors(names: Sequence[str], exponent: Exponent) -> list[str]:
+def monomial_factors(names: Sequence[str], exponent: Sequence[int]) -> list[str]:
     """The factors `name` or `name^k` of a monomial, in the order of `names`."""
     return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, exponent) if k]
 
@@ -231,13 +254,14 @@ def render_sum(terms: Iterable[tuple[Scalar, list[str]]]) -> str:
     return out or "0"
 
 
-def derivative(terms: Terms, index: int) -> Terms:
-    """The terms of the derivative in the coordinate at `index`."""
+def derivative(terms: Terms, index: int, n: int) -> Terms:
+    """The terms of the derivative in the coordinate at `index` of n."""
+    mask, shift, step = field_bits(n, index)
     out: Terms = {}
     for e, c in terms.items():
-        k = e[index]
+        k = e & mask
         if k:
-            out[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
+            out[e - step] = c * (k >> shift)
     return out
 
 
@@ -252,7 +276,7 @@ def accumulate_product(out: Terms, left: Terms, right: Terms, sign: int = 1) -> 
         if sign < 0:
             c1 = -c1
         for e2, c2 in right.items():
-            e = tuple(map(add, e1, e2))
+            e = e1 + e2
             out[e] = get(e, 0) + c1 * c2
 
 
@@ -264,27 +288,30 @@ def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
     of g, so the first remainder term that is not one proves a nonzero
     remainder.  The divisor's terms are sorted once; the remainder's terms
     wait in a list kept sorted, largest last, since every term a step adds
-    lies below the one it removes.
+    lies below the one it removes.  Each field's free top bit, set, survives
+    subtracting the leading exponent iff that field divides.
     """
     if g.coords != f.coords:
         raise ValueError("polynomials live in different coordinate rings")
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     (lead, lead_coeff), *tail = g.sorted_terms()
+    guards = ((1 << WIDTH * (len(f.coords) + 1)) - 1) // FIELD << WIDTH - 1
     remainder = dict(f.terms)
-    pending = sorted(remainder, key=term_sort_key)
+    pending = sorted(remainder)
     quotient: Terms = {}
     while remainder:
         top = pending.pop()
         if top not in remainder:
             continue  # cancelled after it was queued
-        shift = tuple(map(sub, top, lead))
-        if min(shift, default=0) < 0:
+        shift = (top | guards) - lead
+        if shift & guards != guards:
             raise RuntimeError("inexact polynomial division: a remainder is left")
+        shift ^= guards
         factor = divide(remainder.pop(top), lead_coeff)
         quotient[shift] = factor
         for e, c in tail:
-            key = tuple(map(add, e, shift))
+            key = e + shift
             if key in remainder:
                 value = remainder[key] - factor * c
                 if value:
@@ -293,35 +320,34 @@ def exact_quotient(f: EvenPoly, g: EvenPoly) -> EvenPoly:
                     del remainder[key]
             else:
                 remainder[key] = -factor * c
-                insort(pending, key, key=term_sort_key)
+                insort(pending, key)
     return EvenPoly._trusted(f.coords, quotient)
 
 
 def monomial_exponents(count: int, max_degree: int) -> list[Exponent]:
-    """All exponent tuples over `count` slots with total degree <= max_degree.
+    """All keys over `count` coordinates with total degree <= max_degree.
 
     Returned in ascending graded lexicographic order, so windows built from
-    this list index their coefficient spaces deterministically.
+    this list index their coefficient spaces deterministically.  Degree d
+    multiplies each monomial of degree d - 1 by the coordinates from its
+    last one on, so each monomial is made once.
     """
-    if max_degree < 0:
-        return []
-    result: list[Exponent] = []
-
-    def build(position: int, left: int, prefix: list[int]) -> None:
-        if position == count:
-            result.append(tuple(prefix))
-            return
-        for k in range(left + 1):
-            prefix.append(k)
-            build(position + 1, left - k, prefix)
-            prefix.pop()
-
-    build(0, max_degree, [])
-    return sorted(result, key=term_sort_key)
+    units = [field_bits(count, k)[2] for k in range(count)]
+    layer = [(0, 0)]  # (key, its last coordinate)
+    keys = [0] if max_degree >= 0 else []
+    for _ in range(max_degree):
+        layer = [(key + units[k], k) for key, low in layer for k in range(low, count)]
+        keys += [key for key, _ in layer]
+    return sorted(keys)
 
 
 def embed(f: EvenPoly, coords: tuple[str, ...]) -> EvenPoly:
     """Reinterpret `f` in a larger ring containing all of its coordinates."""
+    m, n = len(coords), len(f.coords)
+    if coords[:n] == f.coords:  # a prefix: every field moves up alike
+        return EvenPoly._trusted(
+            coords, {e << WIDTH * (m - n): c for e, c in f.terms.items()}
+        )
     indices = []
     for name in f.coords:
         if name not in coords:
@@ -329,8 +355,8 @@ def embed(f: EvenPoly, coords: tuple[str, ...]) -> EvenPoly:
         indices.append(coords.index(name))
     terms: Terms = {}
     for e, c in f.terms.items():
-        new = [0] * len(coords)
-        for index, k in zip(indices, e):
+        new = [0] * m
+        for index, k in zip(indices, unpack(e, n)):
             new[index] = k
-        terms[tuple(new)] = c
+        terms[pack(new)] = c
     return EvenPoly._trusted(coords, terms)

@@ -24,16 +24,23 @@ term under a substitution of its coordinates, `evaluate` reads an even
 polynomial at a rational point with `Fraction` arithmetic, and
 `render_even` and `render_graded` are the two text forms that each class
 once wrote out for itself.
+
+The tuple kernel closes the module: exponents as tuples and odd words as
+ascending letter tuples, the representation the packed keys and bitmask
+words of the library replaced.  `unpacked` and `packed` cross between the
+two through the library's `unpack` and `pack`.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import combinations
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from nqkit.algebroid import Algebroid, ghost_context, q_images
-from nqkit.graded import GradedPoly, ghost_name, left_derivation, letters, word_order
-from nqkit.poly import EvenPoly, Scalar, as_rat
+from nqkit.graded import GradedPoly, ghost_name, left_derivation, letters
+from nqkit.poly import EvenPoly, Scalar, as_rat, divide, pack, unpack
 from tests.cubes import structure_cube
 
 Form = dict[tuple[int, ...], EvenPoly]
@@ -217,7 +224,7 @@ def components(F: GradedPoly, coords: tuple[str, ...]) -> Form:
         assert all(F.ctx.odd_ghost[k] == 1 for k in word), "not a ghost word"
         assert not any(exponent[n:]), "an E-form left the momentum-free sector"
         terms.setdefault(word, {})[exponent[:n]] = coeff
-    return table((word, EvenPoly(coords, t)) for word, t in terms.items())
+    return table((word, EvenPoly(coords, packed(t))) for word, t in terms.items())
 
 
 def ghost_poly(data: Algebroid, form: Form) -> GradedPoly:
@@ -284,7 +291,7 @@ def evaluate(f: EvenPoly, point: Mapping[str, Scalar]) -> Scalar:
         raise KeyError(f"point is missing coordinates {missing}")
     values = [as_rat(point[name]) for name in f.coords]
     total = 0
-    for e, c in f.terms.items():
+    for e, c in unpacked(f).items():
         product = c
         for value, k in zip(values, e):
             if k:
@@ -301,7 +308,7 @@ def render_even(f: EvenPoly) -> str:
     for exponent, coeff in f.sorted_terms():
         factors = [
             name if k == 1 else f"{name}^{k}"
-            for name, k in zip(f.coords, exponent)
+            for name, k in zip(f.coords, unpack(exponent, len(f.coords)))
             if k
         ]
         magnitude = abs(coeff)
@@ -325,13 +332,13 @@ def render_graded(F: GradedPoly) -> str:
         return "0"
     ctx = F.ctx
     pieces: list[tuple[str, str]] = []
-    for word in sorted(F.parts, key=word_order):
+    for word in sorted(F.parts, key=lambda w: (w.bit_count(), letters(w))):
         f = F.parts[word]
         names = [ctx.odd_names[a] for a in letters(word)]
         for exponent, coeff in f.sorted_terms():
             factors = [
                 name if k == 1 else f"{name}^{k}"
-                for name, k in zip(ctx.even_names, exponent)
+                for name, k in zip(ctx.even_names, unpack(exponent, len(f.coords)))
                 if k
             ] + names
             magnitude = abs(coeff)
@@ -346,4 +353,96 @@ def render_graded(F: GradedPoly) -> str:
     out = body if sign == "+" else f"-{body}"
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
+    return out
+
+
+# the tuple kernel
+
+
+def unpacked(f: EvenPoly) -> dict[tuple[int, ...], Scalar]:
+    """The terms of f keyed by exponent tuples."""
+    return {unpack(e, len(f.coords)): c for e, c in f.terms.items()}
+
+
+def packed(terms: Mapping[tuple[int, ...], Scalar]) -> dict[int, Scalar]:
+    """Terms keyed by exponent tuples, keyed by packed exponents."""
+    return {pack(e): c for e, c in terms.items()}
+
+
+def term_sort_key(exponent: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded lexicographic key: total degree first, then the exponent tuple."""
+    return (sum(exponent), exponent)
+
+
+def merge_words(w1: tuple[int, ...], w2: tuple[int, ...]):
+    """Sort the concatenation of two ascending words, tracking the Koszul sign.
+
+    Returns (None, 0) when a letter repeats, since odd letters square to zero.
+    """
+    if set(w1) & set(w2):
+        return None, 0
+    crossings = sum(1 for a in w1 for b in w2 if a > b)
+    return tuple(sorted(w1 + w2)), -1 if crossings % 2 else 1
+
+
+def derivative(terms: dict, index: int) -> dict:
+    """The terms of the derivative in the coordinate at `index`."""
+    out = {}
+    for e, c in terms.items():
+        k = e[index]
+        if k:
+            out[e[:index] + (k - 1,) + e[index + 1 :]] = c * k
+    return out
+
+
+def accumulate_product(out: dict, left: dict, right: dict, sign: int = 1) -> None:
+    """Add sign * left * right to the term dict `out`; cancelled keys stay."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + sign * c1 * c2
+
+
+def exact_quotient(f: dict, g: dict) -> dict:
+    """q with f = q * g on tuple terms, or RuntimeError on a remainder.
+
+    Division by the leading term in graded lexicographic order; the first
+    remainder term that the leading term of g does not divide proves a
+    nonzero remainder.
+    """
+    (lead, lead_coeff), *tail = sorted(
+        g.items(), key=lambda item: term_sort_key(item[0]), reverse=True
+    )
+    remainder = dict(f)
+    pending = sorted(remainder, key=term_sort_key)
+    quotient = {}
+    while remainder:
+        top = pending.pop()
+        if top not in remainder:
+            continue
+        shift = tuple(map(sub, top, lead))
+        if min(shift, default=0) < 0:
+            raise RuntimeError("inexact polynomial division: a remainder is left")
+        factor = divide(remainder.pop(top), lead_coeff)
+        quotient[shift] = factor
+        for e, c in tail:
+            key = tuple(map(add, e, shift))
+            value = remainder.get(key, 0) - factor * c
+            if key not in remainder:
+                insort(pending, key, key=term_sort_key)
+            if value:
+                remainder[key] = value
+            else:
+                del remainder[key]
+    return quotient
+
+
+def embed(terms: dict, indices: Sequence[int], size: int) -> dict:
+    """Tuple terms moved into `size` slots, slot k of each exponent to indices[k]."""
+    out = {}
+    for e, c in terms.items():
+        new = [0] * size
+        for index, k in zip(indices, e):
+            new[index] = k
+        out[tuple(new)] = c
     return out

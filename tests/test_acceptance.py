@@ -56,7 +56,14 @@ from nqkit.poly import EvenPoly, embed
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
 from tests.conftest import invoke
-from tests.reference_forms import components, de_rham, one_form, pullback, q_apply
+from tests.reference_forms import (
+    components,
+    de_rham,
+    one_form,
+    packed,
+    pullback,
+    q_apply,
+)
 from tests.test_algebroid import (
     abelian_r1,
     broken_jacobi,
@@ -234,7 +241,7 @@ def test_criterion_05_chain_map_on_random_one_forms():
                 for _ in range(rng.randint(1, 3)):
                     exponent = tuple(rng.randint(0, 2) for _ in coords)
                     terms[exponent] = Fraction(rng.randint(-3, 3))
-                beta_components.append(EvenPoly(coords, terms))
+                beta_components.append(EvenPoly(coords, packed(terms)))
             beta = one_form(beta_components)
             lhs = pullback(data, de_rham(coords, beta))
             # the library d_E, Q on the ghost polynomial of the pulled-back form

@@ -31,6 +31,7 @@ from tests.reference_forms import (
     e_differential,
     ghost_poly,
     one_form,
+    packed,
     pullback,
     q_apply,
 )
@@ -186,7 +187,7 @@ def random_poly(coords, rng, degree=3):
     for _ in range(6):
         exponent = tuple(rng.randrange(degree) for _ in coords)
         terms[exponent] = Rat(rng.randrange(-5, 6))
-    return EvenPoly(coords, terms)
+    return EvenPoly(coords, packed(terms))
 
 
 def test_de_rham_squared_is_zero():

@@ -29,7 +29,7 @@ from nqkit.poly import EvenPoly, embed
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.cubes import connection_cube, tau_matrix
-from tests.reference_forms import evaluate
+from tests.reference_forms import evaluate, packed, unpacked
 from tests.test_algebroid import (
     abelian_algebroid,
     nilpotent_bundle,
@@ -330,7 +330,7 @@ def substitute(f: EvenPoly, images) -> EvenPoly:
         for name in f.coords
     ]
     result = EvenPoly.zero(f.coords)
-    for e, c in f.terms.items():
+    for e, c in unpacked(f).items():
         term = EvenPoly.const(f.coords, c)
         for image, k in zip(base, e):
             if k:
@@ -346,8 +346,8 @@ def test_substitute_agrees_with_evaluate():
         p = random_fraction_poly(rng, coords)
         point = random_point(rng, coords)
         substituted = substitute(p, point)
-        assert substituted.terms.keys() <= {(0, 0)}
-        assert substituted.terms.get((0, 0), 0) == evaluate(p, point)
+        assert unpacked(substituted).keys() <= {(0, 0)}
+        assert unpacked(substituted).get((0, 0), 0) == evaluate(p, point)
     # a genuine polynomial substitution
     p = g["x"] ** 2 + g["y"]
     q = substitute(p, {"x": g["y"] + 1})
@@ -395,11 +395,11 @@ def test_momentum_split_matches_the_substitution_route():
             terms[x_exponent + tuple(powers)] = Fraction(
                 rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
             )
-        E = EvenPoly(ctx.even_names, terms)
+        E = EvenPoly(ctx.even_names, packed(terms))
         assert dense_momentum_split(ctx, E, base) == momentum_split_by_substitution(
             ctx, E
         )
-    cubic = E + EvenPoly(ctx.even_names, {(1, 0, 0, 2, 0, 1): Fraction(1)})
+    cubic = E + EvenPoly(ctx.even_names, packed({(1, 0, 0, 2, 0, 1): Fraction(1)}))
     with pytest.raises(RuntimeError, match="not quadratic in the momenta"):
         _momentum_split(ctx, cubic, base)
 
@@ -430,10 +430,11 @@ def momentum_orders_by_substitution(ctx, E, max_order):
 def restrict(f, coords):
     """An even polynomial free of the other coordinates, over the ring `coords`."""
     slots = [f.coords.index(name) for name in coords]
+    terms = unpacked(f)
     assert all(
-        k == 0 for e in f.terms for s, k in enumerate(e) if s not in slots
+        k == 0 for e in terms for s, k in enumerate(e) if s not in slots
     ), "depends on a coordinate outside the ring"
-    return EvenPoly(coords, {tuple(e[s] for s in slots): c for e, c in f.terms.items()})
+    return EvenPoly(coords, packed({tuple(e[s] for s in slots): c for e, c in terms.items()}))
 
 
 def twisted_rank2_context():
@@ -465,7 +466,7 @@ def test_momentum_orders_match_the_derivatives_at_zero(make_ctx):
             terms[x_exponent + tuple(powers)] = Fraction(
                 rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
             )
-        E = EvenPoly(ctx.even_names, terms)
+        E = EvenPoly(ctx.even_names, packed(terms))
         assert momentum_orders(ctx, E) == momentum_orders_by_substitution(ctx, E, 3)
     assert degrees == {0, 1, 2, 3}
 

@@ -14,8 +14,15 @@ from nqkit.graded import (
     letters,
     merge_words,
 )
-from nqkit.poly import EvenPoly
-from tests.reference_forms import render_even, render_graded, substitute, word_mask
+from nqkit.poly import EvenPoly, pack, unpack
+from tests.reference_forms import (
+    packed,
+    render_even,
+    render_graded,
+    substitute,
+    unpacked,
+    word_mask,
+)
 from tests.test_poly import ring
 
 
@@ -369,8 +376,11 @@ def test_field_column_applies_the_field_to_one_monomial(make_ctx):
         expected = {
             (w, e): c for w, e, c in left_derivation(ctx, field, monomial).terms()
         }
-        column = field_column(ctx, field, word_mask(word), exponent)
-        assert {(letters(w), e): c for (w, e), c in column.items()} == expected
+        column = field_column(ctx, field, word_mask(word), pack(exponent))
+        n = len(ctx.even_names)
+        assert {
+            (letters(w), unpack(e, n)): c for (w, e), c in column.items()
+        } == expected
 
 
 def test_hamiltonian_field_keeps_only_nonzero_images():
@@ -488,9 +498,9 @@ def test_text_forms_match_the_reference_renderers():
     seen_constant = seen_negative_lead = seen_words = 0
     for _ in range(150):
         terms = {exponent(): coefficient() for _ in range(rng.randint(0, 5))}
-        f = EvenPoly(ctx.even_names, terms)
+        f = EvenPoly(ctx.even_names, packed(terms))
         assert str(f) == render_even(f)
-        seen_constant += any(not any(e) for e in f.terms)
+        seen_constant += any(not any(e) for e in unpacked(f))
         seen_negative_lead += bool(f.terms) and f.sorted_terms()[0][1] < 0
         items = [
             (

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nqkit.poly import EvenPoly, as_rat, exact_quotient
-from tests.reference_forms import evaluate
+from tests.reference_forms import evaluate, packed, unpacked
 
 
 def ring(coords) -> tuple[tuple[str, ...], dict[str, EvenPoly]]:
@@ -20,7 +20,7 @@ def random_poly(rng: random.Random, coords: tuple[str, ...], max_terms: int = 4)
     for _ in range(rng.randint(0, max_terms)):
         exponent = tuple(rng.randint(0, 3) for _ in coords)
         terms[exponent] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-    return EvenPoly(coords, terms)
+    return EvenPoly(coords, packed(terms))
 
 
 def random_point(rng: random.Random, coords: tuple[str, ...]) -> dict[str, Fraction]:
@@ -29,10 +29,10 @@ def random_point(rng: random.Random, coords: tuple[str, ...]) -> dict[str, Fract
 
 def test_construction_strips_zero_coefficients():
     coords = ("x", "y")
-    p = EvenPoly(coords, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
-    assert p.terms == {(0, 1): Fraction(2)}
+    p = EvenPoly(coords, packed({(1, 0): Fraction(0), (0, 1): Fraction(2)}))
+    assert unpacked(p) == {(0, 1): Fraction(2)}
     assert not p.is_zero
-    assert EvenPoly(coords, {(3, 3): Fraction(0)}).is_zero
+    assert EvenPoly(coords, packed({(3, 3): Fraction(0)})).is_zero
 
 
 def _filtered_sum(*signed: tuple[Fraction, EvenPoly]) -> EvenPoly:
@@ -82,8 +82,8 @@ def test_operations_store_no_zero_coefficient():
 def test_generators_and_constants():
     coords, g = ring(["x", "y"])
     p = g["x"] * g["x"] - 2 * g["y"] + 1
-    assert p.terms == {(2, 0): 1, (0, 1): -2, (0, 0): 1}
-    assert EvenPoly.const(coords, Fraction(3, 2)).terms == {(0, 0): Fraction(3, 2)}
+    assert unpacked(p) == {(2, 0): 1, (0, 1): -2, (0, 0): 1}
+    assert unpacked(EvenPoly.const(coords, Fraction(3, 2))) == {(0, 0): Fraction(3, 2)}
     with pytest.raises(KeyError):
         EvenPoly.variable(coords, "z")
 
@@ -288,7 +288,7 @@ def ref_diff(f: dict, index: int) -> dict:
 
 def assert_stored(poly: EvenPoly, reference: dict, integral: bool) -> None:
     """Equal to the reference by value, nonzero, and int wherever integral."""
-    assert as_reference(poly.terms) == reference
+    assert as_reference(unpacked(poly)) == reference
     for c in poly.terms.values():
         assert type(c) in (int, Fraction) and c != 0
         if integral:
@@ -305,12 +305,13 @@ def test_kernel_matches_the_fraction_reference():
             if integral
             else (lambda: mixed_terms(rng, 3))
         )
-        a, b = EvenPoly(coords, draw()), EvenPoly(coords, draw())
+        a, b = EvenPoly(coords, packed(draw())), EvenPoly(coords, packed(draw()))
         # (a + b)(a - b): the cross terms of every product cancel
         f, g = a + b, a - b
-        rf, rg = as_reference(f.terms), as_reference(g.terms)
-        assert rf == ref_combine(as_reference(a.terms), as_reference(b.terms), 1)
-        assert rg == ref_combine(as_reference(a.terms), as_reference(b.terms), -1)
+        rf, rg = as_reference(unpacked(f)), as_reference(unpacked(g))
+        ra, rb = as_reference(unpacked(a)), as_reference(unpacked(b))
+        assert rf == ref_combine(ra, rb, 1)
+        assert rg == ref_combine(ra, rb, -1)
         assert_stored(f + g, ref_combine(rf, rg, 1), integral)
         assert_stored(f - g, ref_combine(rf, rg, -1), integral)
         assert_stored(f - f, {}, integral)

@@ -24,7 +24,7 @@ from nqkit.cli import _connection_unknowns
 from nqkit.constraints import affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import GradedPoly, letters
-from nqkit.poly import EvenPoly, monomial_exponents
+from nqkit.poly import EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
 from tests.reference_forms import e_differential
@@ -42,20 +42,22 @@ def differential_column(data, key: tuple[int, ...], exponent) -> dict:
     """e_differential of the form whose only component, at `key`, is x^exponent."""
     monomial = EvenPoly(data.coords, {exponent: Fraction(1)})
     return {
-        (indices, e): coeff
+        (indices, unpack(e, data.base_dim)): coeff
         for indices, value in e_differential(data, {key: monomial}).items()
         for e, coeff in value.terms.items()
     }
 
 
-def boundary(column: dict) -> dict:
-    """A column keyed by (ascending letters, exponent), as `terms()` reads."""
-    return {(letters(word), e): coeff for (word, e), coeff in column.items()}
+def boundary(column: dict, n: int) -> dict:
+    """A column over n even coordinates keyed as `terms()` reads its terms."""
+    return {
+        (letters(word), unpack(e, n)): coeff for (word, e), coeff in column.items()
+    }
 
 
 def without_momenta(column: dict, n: int) -> dict:
     out = {}
-    for (word, exponent), coeff in boundary(column).items():
+    for (word, exponent), coeff in boundary(column, 2 * n).items():
         assert not any(exponent[n:]), "a Q column left the momentum-free sector"
         out[(word, exponent[:n])] = coeff
     return out
@@ -100,7 +102,7 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
         words = _balanced_words(data.rank, ghost)
         columns = _bracket_columns(ctx, field, n, words, x_degree, p_degree)
         sources = [
-            (word, xe + pe)
+            (word, unpack(xe, n) + unpack(pe, n))
             for xe in monomial_exponents(n, x_degree)
             for pe in monomial_exponents(n, p_degree)
             for word in words
@@ -111,7 +113,8 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
                 ctx, [(letters(word), exponent, Fraction(1))]
             )
             bracket = pair_loop_poisson(ctx, S, element)
-            assert boundary(column) == {(w, e): c for w, e, c in bracket.terms()}
+            expected = {(w, e): c for w, e, c in bracket.terms()}
+            assert boundary(column, 2 * n) == expected
 
 
 def pair_by_pair_connection_column(data, g_low, b, a, i, m) -> dict:
