@@ -25,9 +25,9 @@ momentum reader of `graded.py`, and `Algebroid.anchor_apply`.
 
 from __future__ import annotations
 
+import struct
 from bisect import insort
 from fractions import Fraction
-import struct
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction

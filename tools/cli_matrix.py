@@ -8,7 +8,8 @@ affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
 metric and a connection), on geometry-rich, zero-drift and non-flat
 connection twins of corpus files, on `broken_jacobi` with a metric pair,
 on `shear_plane` (off-diagonal, non-constant metric entries), plus a few
-inputs near the parser's term budget and a dense structure that is not
+inputs near the parser's term and degree budgets, the widest cohomology
+window in one coordinate and a dense structure that is not
 antisymmetric.  Each run is
 one fresh `python -m nqkit.cli` process in an empty directory of its own;
 the line recorded for it holds the exit code and the sha256 of standard
@@ -64,13 +65,18 @@ COHOMOLOGY_OPTIONS = (
     ("--bfv-h0", "--trunc", "1", "--p-degree", "1"),
 )
 # one entry of anchor[1][1] each: the two past the parser's budget of
-# 2000 terms are refused, and answered in well under a second without it
+# 2000 terms are refused, and answered in well under a second without it;
+# the last is one degree past the parser's bound of total degree 4096
 BUDGET_ENTRIES = {
     "budget_power_under": ("abcdef", "(a+b+c+d+e+f+1)^7"),
     "budget_power_over": ("abcdef", "(a+b+c+d+e+f+1)^9"),
     "budget_product_under": ("abc", "(a+b+c+1)^6*(a+b+c+1)^6"),
     "budget_product_over": ("abc", "(a+b+c+1)^12*(a+b+c+1)^12"),
+    "budget_degree_over": ("x", "(x^64)^64*x"),
 }
+# runs outside the per-input grid: the widest h^1 window the window budget
+# admits on a one-coordinate frame, degree 2402 in x
+EXTRA_LINES = (["cohomology", "../in/abelian_r1.json", "--trunc", "2400"],)
 # corpus files whose sparse structure also runs as the [c][a][b] list
 DENSE_TWINS = ("so3_action", "broken_jacobi")
 # a corpus file that runs again with the alpha and magnetic field of another;
@@ -198,7 +204,7 @@ def command_lines(names: list[str]) -> list[list[str]]:
             lines.append(["emit", path, "--what", what, "--out", "out.json", "--force"])
         lines.append(["solve-connection", path, "--write", "solved.json"])
         lines.append(["solve-connection", path, "--degree", "2"])
-    return lines
+    return lines + [list(line) for line in EXTRA_LINES]
 
 
 def digest(data: bytes) -> str:
