@@ -26,7 +26,7 @@ with all derivatives acting from the left.
 from __future__ import annotations
 
 from functools import cache, reduce
-from operator import mul, or_
+from operator import mul, or_, xor
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
@@ -51,17 +51,14 @@ OddWord = int
 @cache
 def letters(word: OddWord) -> tuple[int, ...]:
     """The letters of a word, ascending; cached, as the same words recur."""
-    return tuple(a for a in range(word.bit_length()) if word >> a & 1)
+    return tuple(a for a, bit in enumerate(bin(word)[:1:-1]) if bit == "1")
 
 
 @cache
 def _koszul_mask(word: OddWord) -> int:
     """The letters with an odd count of letters of `word` below them, so that
     `(w1 & _koszul_mask(w2)).bit_count()` has the parity of the sign of w1 w2."""
-    mask = 0
-    for b in letters(word):
-        mask ^= -2 << b
-    return mask
+    return reduce(xor, (-2 << b for b in letters(word)), 0)
 
 
 def merge_words(w1: OddWord, w2: OddWord) -> tuple[OddWord | None, int]:
@@ -452,13 +449,15 @@ def _accumulate_product(
 
 
 def _from_buckets(ctx: GradedContext, buckets: dict[OddWord, Terms]) -> GradedPoly:
-    """Wrap per-word term buckets once each, dropping cancelled terms and words."""
+    """Wrap per-word term buckets once each, dropping cancelled terms and words;
+    one with nothing cancelled is wrapped as it is, as terms never change."""
     names = ctx.even_names
     parts: dict[OddWord, EvenPoly] = {}
     for word, bucket in buckets.items():
-        terms = {e: c for e, c in bucket.items() if c}
-        if terms:
-            parts[word] = EvenPoly._trusted(names, terms)
+        if not all(bucket.values()):
+            bucket = {e: c for e, c in bucket.items() if c}
+        if bucket:
+            parts[word] = EvenPoly._trusted(names, bucket)
     return GradedPoly._trusted(ctx, parts)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction
@@ -56,6 +57,7 @@ def unpack(key: Exponent, n: int) -> tuple[int, ...]:
     return struct.unpack_from(f">{n}I", key.to_bytes(4 * n + 4, "big"), 4)
 
 
+@cache
 def field_bits(n: int, k: int) -> tuple[int, int, Exponent]:
     """The mask and shift of coordinate k of n, and the key of that coordinate."""
     shift = WIDTH * (n - 1 - k)
@@ -335,7 +337,7 @@ def monomial_exponents(count: int, max_degree: int) -> list[Exponent]:
     units = [field_bits(count, k)[2] for k in range(count)]
     layer = [(0, 0)]  # (key, its last coordinate)
     keys = [0] if max_degree >= 0 else []
-    for _ in range(max_degree):
+    for _ in range(max_degree if count else 0):
         layer = [(key + units[k], k) for key, low in layer for k in range(low, count)]
         keys += [key for key, _ in layer]
     return sorted(keys)
