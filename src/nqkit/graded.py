@@ -523,7 +523,7 @@ def _sweep(
     and scales[|word| % 2], to `name`.  Each name takes the derivative in
     one coordinate, which maps distinct terms to distinct terms, so every
     entry is written once.  An odd derivative of positive sign shares the
-    term dict of F: the buckets are read only, or copied when wrapped.
+    term dict of F: the buckets are only read, or wrapped unchanged.
     """
     n = len(even)
     slots = [(*field_bits(n, k), *t) for k, t in enumerate(even) if t is not None]
