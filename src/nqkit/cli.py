@@ -23,6 +23,7 @@ import sys
 from math import comb
 
 from .aksz import (
+    SUPERCHARGE_IDENTITY,
     ComponentAction,
     build_supercharge,
     check_bookkeeping,
@@ -56,6 +57,9 @@ from .constraints import (
     irreducibility_probe,
 )
 from .dynamics import (
+    EVOLUTION_IDENTITY,
+    METRIC_COMPAT_IDENTITY,
+    STRUCTURAL_IDENTITY,
     StructuralResiduals,
     build_hamiltonian,
     check_evolution_invariance,
@@ -192,12 +196,7 @@ def _run_irreducible(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 def _run_metric(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     gap = _missing(bench.problem, "g_low", "omega")
     if gap:
-        return _unmet(
-            "metric_compat",
-            "L_rho(g) = omega v iota_rho(g)",
-            gap,
-            explicit,
-        )
+        return _unmet("metric_compat", METRIC_COMPAT_IDENTITY, gap, explicit)
     return [check_metric_compat(bench.families())]
 
 
@@ -205,9 +204,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     problem = bench.problem
     gap = _missing(problem, "g_low", "omega")
     if gap:
-        return _unmet(
-            "structural", "order-by-order invariance conditions", gap, explicit
-        )
+        return _unmet("structural", STRUCTURAL_IDENTITY, gap, explicit)
     reports = [check_structural(bench.families())]
     # the dynamical route needs the raised metric as well
     if problem.pack.g_inv is None:
@@ -215,7 +212,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
             CheckReport(
                 "evolution",
                 SKIPPED,
-                "{H, Phi_a} = gamma^b_a Phi_b",
+                EVOLUTION_IDENTITY,
                 [],
                 ["needs metric_inv for the evolution route"],
             )
@@ -255,9 +252,7 @@ def _run_supercharge(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     if error is not None:
         if explicit:
             _input_error(error)
-        return [
-            CheckReport("supercharge", SKIPPED, "(Q, Q) = 0", [], [error])
-        ]
+        return [CheckReport("supercharge", SKIPPED, SUPERCHARGE_IDENTITY, [], [error])]
     return [check_supercharge(build_supercharge(package))]
 
 

@@ -207,8 +207,9 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     data, ctx = cs.data, cs.ctx
     closure = cs.closure.parts
     residuals: list[tuple[str, str]] = []
+    fields = [ctx.hamiltonian_field(phi) for phi in cs.phis[:-1]]  # {Phi_a, .}
     for a, b in combinations(range(cs.rank), 2):
-        R = ctx.poisson(cs.phis[a], cs.phis[b])
+        R = left_derivation(ctx, fields[a], cs.phis[b])
         for c, f in data.nonzero_structure.get((a, b), ()):
             R = R - ctx.lift(f) * cs.phis[c]
         word = 1 << a | 1 << b

@@ -12,10 +12,11 @@ The central check is invariance of the constraint surface under the flow,
 
     gamma^b_a = omega^b_{ai} g^{ij} p_j - tau^b_a.
 
-For an untwisted, drift-free pack the residual decomposes by momentum order
-into three structural conditions (metric compatibility, covariant constancy
-of alpha, potential alignment); the decomposition constants are fixed once
-and asserted on every run, so any drift between the bracket route and the
+For an untwisted, drift-free pack the residual is predicted, order by
+momentum order, from three structural conditions (metric compatibility,
+covariant constancy of alpha, potential alignment) with the momenta raised
+by g^{ij}; the decomposition constants are fixed once and the prediction is
+asserted on every run, so any drift between the bracket route and the
 index-formula route raises instead of passing silently.
 """
 
@@ -26,13 +27,22 @@ from typing import Sequence
 
 from .algebroid import Algebroid
 from .constraints import ConstraintSet, Matrix, affine_part
-from .graded import GradedContext, GradedPoly, momentum_name, momentum_orders
+from .graded import (
+    GradedContext,
+    GradedPoly,
+    left_derivation,
+    momentum_name,
+    momentum_orders,
+)
 from .linalg import solve
-from .poly import EvenPoly, Exponent, Rat, Terms, accumulate_product, monomial_exponents
+from .poly import EvenPoly, Exponent, Rat, monomial_exponents
 from .report import FAIL, PASS, CheckReport
 
 # momentum-order decomposition constants (orders 2, 1, 0), fixed per build
 DECOMPOSITION_SIGNS = (1, 1, -1)
+METRIC_COMPAT_IDENTITY = "L_rho(g) = omega v iota_rho(g)"
+STRUCTURAL_IDENTITY = "order-by-order invariance conditions"
+EVOLUTION_IDENTITY = "{H, Phi_a} = gamma^b_a Phi_b"
 
 
 def _as_matrix(rows: Sequence[Sequence[EvenPoly]] | None) -> Matrix | None:
@@ -290,9 +300,7 @@ def check_metric_compat(families: StructuralResiduals) -> CheckReport:
     """
     residuals = _family_residuals("compat", families.metric, "aij")
     status = FAIL if residuals else PASS
-    return CheckReport(
-        "metric_compat", status, "L_rho(g) = omega v iota_rho(g)", residuals
-    )
+    return CheckReport("metric_compat", status, METRIC_COMPAT_IDENTITY, residuals)
 
 
 def check_structural(families: StructuralResiduals) -> CheckReport:
@@ -305,38 +313,10 @@ def check_structural(families: StructuralResiduals) -> CheckReport:
         )
     )
     status = FAIL if residuals else PASS
-    return CheckReport(
-        "structural",
-        status,
-        "order-by-order invariance conditions",
-        residuals,
-    )
+    return CheckReport("structural", status, STRUCTURAL_IDENTITY, residuals)
 
 
 # the flow-invariance check with its two-route guard
-
-
-def _momentum_split(
-    ctx: GradedContext, E: EvenPoly, coords: tuple[str, ...]
-) -> tuple[EvenPoly, dict[int, EvenPoly], dict[tuple[int, int], EvenPoly]]:
-    """Split a momentum-quadratic scalar into (order 0, order 1, hessian).
-
-    The pieces are the coefficients of `momentum_orders`, over the base
-    ring `coords`.  Only nonzero pieces are kept: order 1 by momentum index
-    j, the hessian by (j, k) in both orders, holding the second
-    derivatives, so p_j^2 counts twice on the diagonal and p_j p_k once on
-    each side.
-    """
-    orders = momentum_orders(ctx, E)
-    if any(len(word) > 2 for word in orders):
-        raise RuntimeError("residual is not quadratic in the momenta")
-    part1 = {word[0]: f for word, f in orders.items() if len(word) == 1}
-    hessian = {}
-    for word, f in orders.items():
-        if len(word) == 2:
-            j, k = word
-            hessian[(j, k)] = hessian[(k, j)] = f * 2 if j == k else f
-    return orders.get((), EvenPoly.zero(coords)), part1, hessian
 
 
 def check_evolution_invariance(
@@ -348,8 +328,8 @@ def check_evolution_invariance(
     """Invariance of the constraint surface: {H, Phi_a} = gamma^b_a Phi_b.
 
     The bracket residual is authoritative.  For an untwisted, drift-free pack
-    with a lowered metric it is additionally decomposed by momentum order and
-    matched, with the build's fixed sign triple, against `families`, the
+    with a lowered metric it is additionally compared with the residual
+    predicted, with the build's fixed sign triple, from `families`, the
     structural residuals of the pack (None only when it has no lowered
     metric); a mismatch is an engine fault and raises.
     """
@@ -370,8 +350,9 @@ def check_evolution_invariance(
 
     residuals = []
     bracket_residuals: list[GradedPoly] = []
+    field = ctx.hamiltonian_field(H)  # {H, .}, applied to every Phi_a
     for a in range(r):
-        R = ctx.poisson(H, cs.phis[a])
+        R = left_derivation(ctx, field, cs.phis[a])
         for b in range(r):
             gamma = gammas.get((b, a))
             if gamma is not None:
@@ -401,9 +382,7 @@ def check_evolution_invariance(
             f"residuals with signs {DECOMPOSITION_SIGNS}"
         )
     status = FAIL if residuals else PASS
-    return CheckReport(
-        "evolution", status, "{H, Phi_a} = gamma^b_a Phi_b", residuals, notes
-    )
+    return CheckReport("evolution", status, EVOLUTION_IDENTITY, residuals, notes)
 
 
 def _assert_decomposition(
@@ -413,61 +392,45 @@ def _assert_decomposition(
     bracket_residuals: list[GradedPoly],
     families: StructuralResiduals,
 ) -> None:
-    """Match each momentum order of the residuals with its structural family.
+    """Compare each residual R_a with P_a, predicted from the families.
 
-    Order 1 is lowered by G = g_low and the hessian by G on both sides, over
-    the nonzero entries of G and of the hessian only, so a zero residual is
-    compared with the families directly.
+    With the raised momenta q_u = g^uj p_j, built here on their own, and the
+    nonzero family entries only,
+
+        P_a = k0 V_a + k1 A_am q_m + k2 sum_{u <= v} c_uv M_auv q_u q_v,
+
+    c_uu = 1/2, c_uv = 1: since g_inv g_low = 1, R_a = P_a says that R_a,
+    lowered by g_low order by order, is the signed families.  P_a is summed
+    as k0 V_a + sum_u q_u (k1 A_au + k2 sum_{v >= u} c_uv M_auv q_v).
     """
     k2, k1, k0 = DECOMPOSITION_SIGNS
     n = data.base_dim
-    # G is symmetric: row j lists the nonzero G[m][j] = G[j][m]
-    g_nonzero = [
-        [(m, entry) for m, entry in enumerate(row) if not entry.is_zero]
-        for row in pack.g_low
-    ]
+    q: list[GradedPoly] = []
     for a, R in enumerate(bracket_residuals):
-        if any(word for word in R.parts):
-            raise RuntimeError("evolution residual has odd content")
-        part0, part1, hessian = _momentum_split(ctx, R.even_part(), data.coords)
-
-        if not _matches(part0.terms, families.potential[a], k0):
-            raise RuntimeError(
-                "internal dual-route mismatch at momentum order 0"
-            )
-        lowered1: list[Terms] = [{} for _ in range(n)]
-        for j, f in part1.items():
-            for m, g in g_nonzero[j]:
-                accumulate_product(lowered1[m], g.terms, f.terms)
-        for m in range(n):
-            if not _matches(lowered1[m], families.alpha[(a, m)], k1):
-                raise RuntimeError(
-                    "internal dual-route mismatch at momentum order 1"
-                )
-        lowered2: dict[tuple[int, int], Terms] = {}
-        for (j, k), h in hessian.items():
-            for u, g_uj in g_nonzero[j]:
-                left = (h * g_uj).terms
-                for v, g_kv in g_nonzero[k]:
-                    if u <= v:
-                        accumulate_product(
-                            lowered2.setdefault((u, v), {}), left, g_kv.terms
-                        )
+        P = ctx.lift(families.potential[a] * k0)
         for u in range(n):
-            for v in range(u, n):
-                if not _matches(
-                    lowered2.get((u, v), {}), families.metric[(a, u, v)], k2
-                ):
-                    raise RuntimeError(
-                        "internal dual-route mismatch at momentum order 2"
-                    )
-
-
-def _matches(terms: Terms, expected: EvenPoly, sign: int) -> bool:
-    """Whether a term dict, cancelled terms dropped, is sign * expected."""
-    return {e: c for e, c in terms.items() if c} == {
-        e: sign * c for e, c in expected.terms.items()
-    }
+            A = families.alpha[(a, u)]
+            row = [(v, families.metric[(a, u, v)]) for v in range(u, n)]
+            row = [(v, M) for v, M in row if not M.is_zero]
+            if A.is_zero and not row:
+                continue
+            if not q:
+                momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+                q = [
+                    sum((ctx.lift(g) * p for g, p in zip(g_row, momenta)), ctx.zero())
+                    for g_row in pack.g_inv
+                ]
+            cofactor = ctx.lift(A * k1)
+            for v, M in row:
+                c = k2 if u < v else Rat(k2, 2)
+                cofactor = cofactor + ctx.lift(M * c) * q[v]
+            P = P + q[u] * cofactor
+        if R != P:
+            parts = (R - P).parts.values()
+            order = max(len(w) for f in parts for w in momentum_orders(ctx, f))
+            raise RuntimeError(
+                f"internal dual-route mismatch at momentum order {order}"
+            )
 
 
 # the linear connection solver

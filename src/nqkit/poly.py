@@ -20,7 +20,8 @@ keys whose coefficients cancel; a derivative maps distinct exponents to
 distinct exponents) and builds its result with the internal
 `EvenPoly._trusted`, which skips the filter.  Outside this module only code
 that keeps the same invariant calls it: the graded products and the
-momentum reader of `graded.py`, and `Algebroid.anchor_apply`.
+momentum reader of `graded.py`, `Algebroid.anchor_apply` and
+`algebroid.anchor_defect`.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from nqkit.algebroid import Algebroid, check_axioms
 from nqkit.bfv import (
     BFVPackage,
     Charge,
+    _cartan_core,
     assemble_bfv,
     bfv_h0,
     build_charge,
@@ -543,6 +544,33 @@ def test_one_ghost_part_of_sh_is_the_evolution_residual(name, doc):
     shape = [label for label, _ in cartan.residuals] == ["shape"]
     assert shape == (not one_ghost.is_zero)
     assert shape == (name in SHAPE_TWINS)
+
+
+def test_cartan_reports_the_part_no_tensor_reassembles():
+    # (core, H_cov) of a connection twin without its one-ghost words: every
+    # word has the shape, but the xi xi xi pi pi words are not the rebuilt
+    # tensor contracted with the covariant momenta
+    problem = problem_from_dict(evolution_inputs()["so3_action_geometry"])
+    pack = problem.pack
+    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
+    charge = charge_of_constraints(cs, pack)
+    ctx = charge.ctx
+    h_cov = build_H(pack, ctx) - ctx.lift(pack.potential)
+    R = ctx.poisson(charge.core, h_cov)
+    assert sum(word.bit_count() == 1 for word in R.parts) == 3
+    R = GradedPoly(ctx, {w: f for w, f in R.parts.items() if w.bit_count() != 1})
+    report = _cartan_core(charge, R)
+    assert report.status == FAIL
+    assert report.residuals == [
+        (
+            "shape",
+            "bracket residual leaves the covariant tensor shape; unmatched part: "
+            "-x1*x2*x3*xi_1*xi_2*xi_3*pi_1*pi_2 + x1*x3^2*xi_1*xi_2*xi_3*pi_1*pi_2"
+            " + 2*x1^2*x3*xi_1*xi_2*xi_3*pi_1*pi_3"
+            " + 2*x2^2*x3*xi_1*xi_2*xi_3*pi_2*pi_3"
+            " - x2*x3^2*xi_1*xi_2*xi_3*pi_2*pi_3 - x3^3*xi_1*xi_2*xi_3*pi_2*pi_3",
+        )
+    ]
 
 
 def test_cartan_preconditions():

@@ -731,6 +731,70 @@ def test_non_ascii_digits_are_input_errors(tmp_path, field, value, where, messag
     assert message in result.stderr
 
 
+@pytest.mark.parametrize(
+    "field, value, command, last_line",
+    [
+        (None, [], "check", "input error: $: the problem file must be a JSON object"),
+        ("rank", 0, "check", "input error: rank: must be a positive integer"),
+        (
+            "base_dim",
+            True,
+            "check",
+            "input error: base_dim: must be a positive integer",
+        ),
+        ("coords", ["x1"], "check", "input error: coords: must list exactly 2 names"),
+        (
+            "structure",
+            [[["0"]]],
+            "check",
+            "input error: structure: must have 2 planes or be a sparse object",
+        ),
+        (
+            "points",
+            {"a": 1},
+            "check",
+            "input error: points: must be a list of coordinate vectors",
+        ),
+        (
+            "truncation",
+            [1],
+            "check",
+            "input error: truncation: must be an object of degree bounds",
+        ),
+        (None, None, "--bfv-h0", "Error: the ghost-zero window is at degree 0"),
+        (
+            None,
+            None,
+            "--is-exact",
+            "input error: the exactness query needs the affine part alpha",
+        ),
+    ],
+    ids=[
+        "top-level-list",
+        "rank-zero",
+        "base-dim-bool",
+        "coords-short",
+        "structure-planes",
+        "points-object",
+        "truncation-list",
+        "bfv-h0-degree",
+        "is-exact-no-alpha",
+    ],
+)
+def test_input_errors_name_their_cause(tmp_path, field, value, command, last_line):
+    # the document cases are abelian_r2 with one field changed
+    path = tmp_path / "bad.json"
+    if command == "check":
+        doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+        path.write_text(json.dumps(value if field is None else {**doc, field: value}))
+        result = run("check", str(path), "--axioms")
+    else:
+        options = ["--degree", "1"] if command == "--bfv-h0" else []
+        result = run("cohomology", corpus_path("abelian_r2"), command, *options)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == last_line
+
+
 def test_missing_file_is_an_input_error_at_the_root(tmp_path):
     path = tmp_path / "absent.json"
     result = run("check", str(path), "--axioms")

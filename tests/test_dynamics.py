@@ -14,7 +14,7 @@ import pytest
 from nqkit.constraints import build_constraints, check_first_class
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
-    _momentum_split,
+    _assert_decomposition,
     GeometryPack,
     build_hamiltonian,
     check_evolution_invariance,
@@ -25,7 +25,7 @@ from nqkit.dynamics import (
     structural_residuals,
 )
 from nqkit.graded import extended_context, momentum_name, momentum_orders
-from nqkit.poly import EvenPoly, embed
+from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.cubes import connection_cube, tau_matrix
@@ -323,6 +323,22 @@ def test_decomposition_guard_catches_every_perturbed_family_entry(name, quadrati
     )
 
 
+def test_decomposition_guard_catches_cubic_and_odd_residual_terms():
+    problem = evolution_problem("abelian_r2_connection")
+    pack = problem.pack
+    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
+    ctx, families = cs.ctx, structural_residuals(problem.data, pack)
+    p1, p2 = ctx.var("p_x1"), ctx.var("p_x2")
+    residuals = [p2**2, -(p1**2)]  # the bracket residuals of this input
+    _assert_decomposition(problem.data, pack, ctx, residuals, families)
+    cubic = [residuals[0] + ctx.var("x2") * p1 * p2**2, residuals[1]]
+    with pytest.raises(RuntimeError, match="at momentum order 3$"):
+        _assert_decomposition(problem.data, pack, ctx, cubic, families)
+    odd = [residuals[0], residuals[1] + ctx.var("xi_1") * ctx.var("pi_2")]
+    with pytest.raises(RuntimeError, match="internal dual-route mismatch"):
+        _assert_decomposition(problem.data, pack, ctx, odd, families)
+
+
 def substitute(f: EvenPoly, images) -> EvenPoly:
     """Replace coordinates of f by polynomials of its ring; unmapped ones stay."""
     base = [
@@ -352,56 +368,6 @@ def test_substitute_agrees_with_evaluate():
     p = g["x"] ** 2 + g["y"]
     q = substitute(p, {"x": g["y"] + 1})
     assert q == g["y"] ** 2 + 3 * g["y"] + 1
-
-
-def momentum_split_by_substitution(ctx, E):
-    """Derivatives in the momenta at p = 0: the reference for the term buckets."""
-    at_zero = {p: 0 for p, _ in ctx.pairs_even}
-    part0 = substitute(E, at_zero)
-    part1 = [substitute(E.diff(p), at_zero) for p in at_zero]
-    hessian = [
-        [substitute(E.diff(p).diff(q), at_zero) for q in at_zero] for p in at_zero
-    ]
-    return part0, part1, hessian
-
-
-def dense_momentum_split(ctx, E, base):
-    """`_momentum_split` in the phase-space ring, with its zeros filled in."""
-    part0, part1, hessian = _momentum_split(ctx, E, base)
-    assert not any(f.is_zero for f in [*part1.values(), *hessian.values()])
-    n, zero = len(base), EvenPoly.zero(base)
-
-    def lift(f):
-        return embed(f, ctx.even_names)
-
-    return (
-        lift(part0),
-        [lift(part1.get(j, zero)) for j in range(n)],
-        [[lift(hessian.get((j, k), zero)) for k in range(n)] for j in range(n)],
-    )
-
-
-def test_momentum_split_matches_the_substitution_route():
-    base = ("x1", "x2", "x3")
-    ctx = extended_context(base, 0)
-    rng = random.Random(61)
-    for _ in range(25):
-        terms = {}
-        for _ in range(rng.randint(0, 10)):
-            powers = [0, 0, 0]
-            for _ in range(rng.randint(0, 2)):
-                powers[rng.randrange(3)] += 1
-            x_exponent = tuple(rng.randint(0, 2) for _ in range(3))
-            terms[x_exponent + tuple(powers)] = Fraction(
-                rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)
-            )
-        E = EvenPoly(ctx.even_names, packed(terms))
-        assert dense_momentum_split(ctx, E, base) == momentum_split_by_substitution(
-            ctx, E
-        )
-    cubic = E + EvenPoly(ctx.even_names, packed({(1, 0, 0, 2, 0, 1): Fraction(1)}))
-    with pytest.raises(RuntimeError, match="not quadratic in the momenta"):
-        _momentum_split(ctx, cubic, base)
 
 
 def momentum_orders_by_substitution(ctx, E, max_order):

@@ -7,7 +7,8 @@ dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
 metric and a connection), on geometry-rich, zero-drift and non-flat
 connection twins of corpus files, on `broken_jacobi` with a metric pair,
-on `shear_plane` (off-diagonal, non-constant metric entries), plus a few
+on `shear_plane` (off-diagonal, non-constant metric entries) and its
+twin with nonzero structural families at every momentum order, plus a few
 inputs near the parser's term and degree budgets, the widest cohomology
 window in one coordinate and a dense structure that is not
 antisymmetric.  Each run is
@@ -89,8 +90,8 @@ TWISTED_TWINS = {"abelian_r2_metric_magnetic": ("abelian_r2", "abelian_r2_magnet
 # first class (structural and evolution fail, the decomposition is still
 # asserted), `abelian_r2` with an all-zero drift, and `abelian_r2` with a
 # connection that is not metric compatible: its evolution residuals are
-# quadratic in the momenta, so the decomposition guard meets a nonzero
-# hessian.  The two connection twins exercise the cartan shape finding: the
+# quadratic in the momenta, so the decomposition guard predicts a nonzero
+# order-2 part.  The two connection twins exercise the cartan shape finding: the
 # package assembles, cartan fails on its shape and `emit --what bv --force`
 # writes the action
 FIELD_TWINS = {
@@ -138,6 +139,17 @@ SHEAR_PLANE = {
     "metric_inv": [["1 + y^2", "-y"], ["-y", "1"]],
     "connection": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
 }
+# `shear_plane` with a connection, tau, alpha and potential: nonzero
+# structural families at all three momentum orders under the same metric,
+# so the evolution guard predicts every order with off-diagonal, non-constant
+# g^ij (check --all exits 1, evolution fails, the decomposition is asserted)
+SHEAR_PLANE_GEOMETRY = dict(
+    SHEAR_PLANE,
+    connection=[[["0", "y"], ["1", "0"]], [["x", "0"], ["0", "-1"]]],
+    tau=[["0", "1"], ["y", "0"]],
+    alpha=["x", "y^2"],
+    potential="x*y + y^2",
+)
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
 
@@ -173,6 +185,7 @@ def inputs() -> dict[str, dict]:
     for name, (base, fields) in FIELD_TWINS.items():
         docs[name] = dict(docs[base], **fields)
     docs["shear_plane"] = SHEAR_PLANE
+    docs["shear_plane_geometry"] = SHEAR_PLANE_GEOMETRY
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
