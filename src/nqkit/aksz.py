@@ -31,6 +31,7 @@ formal first-order markers (x_dot, xi_dot); the ring has no higher jets.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Sequence
 
 from .algebroid import Algebroid
@@ -43,10 +44,11 @@ from .graded import (
     antighost_name,
     ghost_name,
     left_derivation,
+    letters,
     momentum_name,
     transport,
 )
-from .poly import monomial_factors
+from .poly import EvenPoly, field_bits, lex_bits, monomial_factors, unpack
 from .report import FAIL, PASS, CheckReport
 
 THETA = "theta"
@@ -229,22 +231,34 @@ class ComponentAction:
 
 
 def term_rows(F: GradedPoly) -> list[dict]:
-    """One record per term of F, sorted by word length, word, exponent."""
+    """One record per term of F, sorted by word length, word, exponent.
+
+    Words sort by letter count, then letters; the terms of a word by their
+    key with the degree field masked off, which orders exponent tuples
+    lexicographically.
+    """
     ctx = F.ctx
+    even_names, n = ctx.even_names, len(ctx.even_names)
+    low = lex_bits(n)
     out = []
-    for word, exponent, coeff in sorted(
-        F.terms(), key=lambda t: (len(t[0]), t[0], t[1])
-    ):
-        out.append(
-            {
-                "coeff": str(coeff),
-                "even": {
-                    name: k for name, k in zip(ctx.even_names, exponent) if k
-                },
-                "odd": [ctx.odd_names[a] for a in word],
-            }
-        )
+    for word in sorted(F.parts, key=_word_order):
+        odd = [ctx.odd_names[a] for a in letters(word)]
+        terms = F.parts[word].terms
+        for key in sorted(terms, key=low.__and__):
+            exponent = unpack(key, n)
+            out.append(
+                {
+                    "coeff": str(terms[key]),
+                    "even": dict(compress(zip(even_names, exponent), exponent)),
+                    "odd": odd.copy(),
+                }
+            )
     return out
+
+
+def _word_order(word: int) -> tuple[int, tuple[int, ...]]:
+    """The order of `terms()` words: letter count, then ascending letters."""
+    return word.bit_count(), letters(word)
 
 
 def expand_bv(sq: SuperCharge) -> ComponentAction:
@@ -281,13 +295,11 @@ def expand_bv(sq: SuperCharge) -> ComponentAction:
 def ghost_zero_truncation(ca: ComponentAction) -> GradedPoly:
     """The action with every field of nonzero ghost number set to zero."""
     ctx = ca.context
-    kept = [
-        (word, exponent, coeff)
-        for word, exponent, coeff in ca.action.terms()
-        if not word
-        and not any(k and gh for k, gh in zip(exponent, ctx.even_ghost))
-    ]
-    return GradedPoly.from_terms(ctx, kept)
+    n = len(ctx.even_names)
+    ghosted = sum(field_bits(n, k)[0] for k, gh in enumerate(ctx.even_ghost) if gh)
+    terms = ca.action.parts[0].terms if 0 in ca.action.parts else {}
+    kept = {key: c for key, c in terms.items() if not key & ghosted}
+    return GradedPoly(ctx, {0: EvenPoly(ctx.even_names, kept)})
 
 
 def extended_action_reference(data: Algebroid, pack: GeometryPack) -> GradedPoly:
@@ -382,27 +394,50 @@ def check_bookkeeping(ca: ComponentAction) -> CheckReport:
                 (f"field[{entry.name}]", "named like a partner but not flagged")
             )
 
-    for word, exponent, coeff in sorted(
-        ca.action.terms(), key=lambda t: (len(t[0]), t[0], t[1])
-    ):
-        factors = monomial_factors(ctx.even_names, exponent) + [
-            ctx.odd_names[a] for a in word
-        ]
-        label = f"term[{' '.join(factors) if factors else '1'}]"
-        if any(ctx.odd_names[a] == THETA for a in word):
-            residuals.append((label, "super-time survives the expansion"))
+    # each term's grading from table entries: per word its letters, per
+    # term the even fields, read off the key through the field masks
+    n = len(ctx.even_names)
+    missing = graded_mask = 0
+    graded = []
+    for k, name in enumerate(ctx.even_names):
+        mask, shift, _ = field_bits(n, k)
+        entry = table.get(name)
+        if entry is None:
+            missing |= mask
+        elif entry.ghost or entry.parity:
+            graded_mask |= mask
+            graded.append((mask, shift, entry.ghost, entry.parity))
+    found = []
+    for word, f in ca.action.parts.items():
+        odd = [ctx.odd_names[a] for a in letters(word)]
+        if THETA in odd:
+            detail = "super-time survives the expansion"
+            found += [(word, key, detail) for key in f.terms]
             continue
-        names = [
-            (name, k) for name, k in zip(ctx.even_names, exponent) if k
-        ] + [(ctx.odd_names[a], 1) for a in word]
-        if any(name not in table for name, _ in names):
+        if any(name not in table for name in odd):
             continue  # already reported as missing
-        ghost = sum(k * table[name].ghost for name, k in names)
-        parity = sum(k * table[name].parity for name, k in names) % 2
-        if ghost:
-            residuals.append((label, f"ghost number {ghost}"))
-        if parity:
-            residuals.append((label, "odd parity"))
+        word_ghost = sum(table[name].ghost for name in odd)
+        word_parity = sum(table[name].parity for name in odd)
+        for key in f.terms:
+            if key & missing:
+                continue  # already reported as missing
+            ghost, parity = word_ghost, word_parity
+            if key & graded_mask:
+                for mask, shift, field_ghost, field_parity in graded:
+                    k = (key & mask) >> shift
+                    ghost += k * field_ghost
+                    parity += k * field_parity
+            if ghost:
+                found.append((word, key, f"ghost number {ghost}"))
+            if parity % 2:
+                found.append((word, key, "odd parity"))
+    low = lex_bits(n)
+    found.sort(key=lambda item: (*_word_order(item[0]), item[1] & low))
+    for word, key, detail in found:
+        factors = monomial_factors(ctx.even_names, unpack(key, n)) + [
+            ctx.odd_names[a] for a in letters(word)
+        ]
+        residuals.append((f"term[{' '.join(factors) if factors else '1'}]", detail))
 
     return CheckReport(
         "bookkeeping",

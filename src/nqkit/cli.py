@@ -17,9 +17,9 @@ stable run to run: keys are sorted and no timing is recorded.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
 from .aksz import (
@@ -565,12 +565,45 @@ def _check_output(option: str, path: str | None) -> None:
 
 
 def _write_json(option: str, path: str, doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _json_text(doc, "\n") + "\n"
     try:
         with open(path, "w") as handle:
             handle.write(text)
     except OSError as error:
         _input_error(f"{option}: {error}")
+
+
+def _json_text(value, pad: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` byte for byte, nested at
+    `pad` (a newline and the indentation), without its pure-Python encoder.
+
+    A document holds dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else, a float included, is an engine fault.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        # `_quote` raises TypeError on a key that is not a str
+        items = [
+            f"{_quote(key)}: {_json_text(value[key], inner)}" for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError(f"{kind.__name__} is not a JSON document type")
 
 
 # The argv front end.  It keeps click 8.4's grammar, help pages, messages

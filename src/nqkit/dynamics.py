@@ -99,17 +99,22 @@ class GeometryPack:
                 continue
             self._check_square(name, metric, n)
             for i in range(n):
-                for j in range(n):
-                    if not (metric[i][j] - metric[j][i]).is_zero:
+                for j in range(i + 1, n):
+                    if metric[i][j] != metric[j][i]:
                         raise ValueError(f"{name} must be symmetric")
         if self.g_inv is not None and self.g_low is not None:
-            for i in range(n):
-                for j in range(n):
+            # products of nonzero entries only
+            columns = [
+                [(k, entry) for k, entry in enumerate(column) if not entry.is_zero]
+                for column in zip(*self.g_low)
+            ]
+            for i, row in enumerate(self.g_inv):
+                for j, column in enumerate(columns):
                     total = EvenPoly.zero(self.coords)
-                    for k in range(n):
-                        total = total + self.g_inv[i][k] * self.g_low[k][j]
-                    expected = EvenPoly.const(self.coords, 1 if i == j else 0)
-                    if total != expected:
+                    for k, entry in column:
+                        if not row[k].is_zero:
+                            total = total + row[k] * entry
+                    if total != EvenPoly.const(self.coords, 1 if i == j else 0):
                         raise ValueError(
                             "g_inv and g_low are not exact inverses"
                         )

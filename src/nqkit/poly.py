@@ -65,6 +65,12 @@ def field_bits(n: int, k: int) -> tuple[int, int, Exponent]:
     return FIELD << shift, shift, 1 << WIDTH * n | 1 << shift
 
 
+def lex_bits(n: int) -> Exponent:
+    """The fields of a key over n coordinates without its degree field: keys
+    masked by them order as their exponent tuples, lexicographically."""
+    return (1 << WIDTH * n) - 1
+
+
 def as_rat(value: Scalar) -> Scalar:
     """An exact scalar as an int when integral, else a Fraction; floats raise."""
     if type(value) is int:

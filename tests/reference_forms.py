@@ -23,7 +23,8 @@ differential tests: `substitute` multiplies out a graded polynomial term by
 term under a substitution of its coordinates, `evaluate` reads an even
 polynomial at a rational point with `Fraction` arithmetic, and
 `render_even` and `render_graded` are the two text forms that each class
-once wrote out for itself.
+once wrote out for itself.  `term_rows` is the per-term listing of the
+emitted documents, sorted on unpacked words and exponent tuples.
 
 The tuple kernel closes the module: exponents as tuples and odd words as
 ascending letter tuples, the representation the packed keys and bitmask
@@ -353,6 +354,25 @@ def render_graded(F: GradedPoly) -> str:
     out = body if sign == "+" else f"-{body}"
     for sign, body in pieces[1:]:
         out += f" {sign} {body}"
+    return out
+
+
+def term_rows(F: GradedPoly) -> list[dict]:
+    """One record per term of F, sorted by word length, word, exponent."""
+    ctx = F.ctx
+    out = []
+    for word, exponent, coeff in sorted(
+        F.terms(), key=lambda t: (len(t[0]), t[0], t[1])
+    ):
+        out.append(
+            {
+                "coeff": str(coeff),
+                "even": {
+                    name: k for name, k in zip(ctx.even_names, exponent) if k
+                },
+                "odd": [ctx.odd_names[a] for a in word],
+            }
+        )
     return out
 
 

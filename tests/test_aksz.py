@@ -19,6 +19,7 @@ from nqkit.aksz import (
     THETA,
     field_table,
     ghost_zero_truncation,
+    term_rows,
     multiplier_name,
     partner_name,
     supercharge_context,
@@ -39,6 +40,7 @@ from nqkit.report import FAIL, PASS
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
+from tests import reference_forms as ref
 from tests.reference_forms import substitute
 from tests.test_dynamics import flat_pack, identity_metric
 from tests.test_generated_frames import gen
@@ -387,6 +389,167 @@ def test_bookkeeping_catches_a_corrupted_action():
     assert report.status == FAIL
     assert ("term[xi_1]", "ghost number 1") in report.residuals
     assert ("term[xi_1]", "odd parity") in report.residuals
+
+
+def line_table(**changes):
+    """The field table of the one-coordinate rank-1 ring, with some entries
+    replaced: a name maps to (ghost, parity, partner), or to None to drop it."""
+    fields = []
+    for entry in field_table(("x",), 1):
+        change = changes.get(entry.name, (entry.ghost, entry.parity, entry.is_partner))
+        if change is not None:
+            fields.append(FieldEntry(entry.name, *change))
+    return fields
+
+
+def line_bookkeeping(fields, action=None) -> list[tuple[str, str]]:
+    ctx = expansion_context(("x",), 1)
+    action = ctx.zero() if action is None else action
+    return check_bookkeeping(ComponentAction(tuple(fields), action)).residuals
+
+
+def test_bookkeeping_flags_super_time_in_a_term():
+    ctx = expansion_context(("x",), 1)
+    v = ctx.var
+    action = v(THETA) * v("p_x") + v(THETA) * v("xi_1") + v("p_x") * v("x_dot")
+    assert line_bookkeeping(line_table(), action) == [
+        ("term[p_x theta]", "super-time survives the expansion"),
+        ("term[xi_1 theta]", "super-time survives the expansion"),
+    ]
+
+
+def test_bookkeeping_flags_a_field_missing_from_the_table():
+    ctx = expansion_context(("x",), 1)
+    v = ctx.var
+    # the terms with a missing field are not graded: each would be a residual
+    action = v("x_dot") * v("xi_1") + v("xi_1_dot") + v("pi_1_odd")
+    fields = line_table(x_dot=None, xi_1_dot=None)
+    assert line_bookkeeping(fields, action) == [
+        ("field[x_dot]", "missing from the table"),
+        ("field[xi_1_dot]", "missing from the table"),
+        ("term[pi_1_odd]", "ghost number -2"),
+    ]
+
+
+def test_bookkeeping_flags_unknown_and_repeated_fields():
+    fields = line_table()
+    fields.insert(1, FieldEntry("y", 0, 0, False))
+    fields.append(FieldEntry("x", 0, 0, False))
+    fields.append(FieldEntry(THETA, 1, 1, False))
+    assert line_bookkeeping(fields) == [
+        ("field[x]", "listed twice"),
+        ("field[y]", "unknown to the ring"),
+        ("field[theta]", "not a component field"),
+    ]
+
+
+def test_bookkeeping_flags_a_partner_without_a_base_field():
+    assert line_bookkeeping(line_table(x_dot=(0, 0, True))) == [
+        ("field[x_dot]", "partner without a base field")
+    ]
+    assert line_bookkeeping(line_table(x=None)) == [
+        ("field[x]", "missing from the table"),
+        ("field[x_odd]", "partner without a base field"),
+    ]
+
+
+def test_bookkeeping_flags_partner_gradings():
+    assert line_bookkeeping(line_table(x_odd=(0, 1, True))) == [
+        ("field[x_odd]", "table says ghost 0 parity 1, ring says ghost -1 parity 1"),
+        (
+            "field[x_odd]",
+            "partner of x: expected ghost -1 and parity 1, table says ghost 0 parity 1",
+        ),
+    ]
+    assert line_bookkeeping(line_table(lam_1=(0, 1, True))) == [
+        ("field[lam_1]", "table says ghost 0 parity 1, ring says ghost 0 parity 0"),
+        (
+            "field[lam_1]",
+            "partner of xi_1: expected ghost 0 and parity 0, "
+            "table says ghost 0 parity 1",
+        ),
+    ]
+
+
+def test_bookkeeping_flags_a_partner_name_without_the_flag():
+    assert line_bookkeeping(line_table(p_x_odd=(-1, 1, False))) == [
+        ("field[p_x_odd]", "named like a partner but not flagged")
+    ]
+
+
+def test_bookkeeping_grades_terms_from_the_table():
+    ctx = expansion_context(("x",), 1)
+    v = ctx.var
+    # an odd x_dot in the table: odd powers of it make a term odd
+    action = (
+        v("x_dot") * v("p_x")
+        + v("x_dot") ** 2 * v("lam_1")
+        + v("x_odd") * v("xi_1") * v("x_dot") ** 2
+    )
+    assert line_bookkeeping(line_table(x_dot=(0, 1, False)), action) == [
+        ("field[x_dot]", "table says ghost 0 parity 1, ring says ghost 0 parity 0"),
+        ("term[x_dot p_x]", "odd parity"),
+    ]
+
+
+def test_bookkeeping_residual_order():
+    ctx = expansion_context(("x",), 1)
+    v = ctx.var
+    # exponent order, not degree order, within a word; letter count before
+    # letters, and letters before the bitmask, across words
+    action = (
+        v("p_x") * v("pi_1_odd")
+        + v("xi_1") * v("xi_1_dot")
+        + 3 * v("pi_1_odd") ** 3
+        + v("pi_1")
+        + v("p_x") * v("x_dot")
+        + v("x_odd") * v("xi_1")
+    )
+    assert line_bookkeeping(line_table(), action) == [
+        ("term[pi_1_odd^3]", "ghost number -6"),
+        ("term[p_x pi_1_odd]", "ghost number -2"),
+        ("term[pi_1]", "ghost number -1"),
+        ("term[pi_1]", "odd parity"),
+        ("term[xi_1 xi_1_dot]", "ghost number 2"),
+    ]
+
+
+def test_rows_match_the_reference_on_the_corpus_and_so_n():
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    problems = {path.stem: load_problem(path) for path in sorted(corpus.glob("*.json"))}
+    problems.update({f"so{n}": problem_from_dict(gen.so_n(n)) for n in (3, 4, 5)})
+    expanded = []
+    for name, problem in problems.items():
+        try:
+            package = assemble_bfv(build_charge(problem.data, problem.pack))
+        except ValueError:
+            continue  # emit writes no document
+        for F in (package.S, package.H):
+            assert term_rows(F) == ref.term_rows(F), name
+        if package.ctx.twist is None:
+            action = expand_bv(build_supercharge(package)).action
+            assert term_rows(action) == ref.term_rows(action), name
+            expanded.append(name)
+    assert {"so3", "so4", "so5", "so3_action"} <= set(expanded)
+    # orders that a graded or bitmask sort would change: x before p_x^2 by
+    # degree, x_odd xi_1_dot (bits 0, 3) after p_x_odd xi_1 (bits 1, 2) as
+    # a bitmask, and both after the one-letter pi_1
+    v = expansion_context(("x",), 1).var
+    F = (
+        v("x") * v("x_odd") * v("xi_1_dot")
+        + v("p_x") ** 2
+        + v("p_x_odd") * v("xi_1")
+        + v("x")
+        + v("pi_1")
+    )
+    assert term_rows(F) == ref.term_rows(F)
+    assert [(row["even"], row["odd"]) for row in term_rows(F)] == [
+        ({"p_x": 2}, []),
+        ({"x": 1}, []),
+        ({}, ["pi_1"]),
+        ({"x": 1}, ["x_odd", "xi_1_dot"]),
+        ({}, ["p_x_odd", "xi_1"]),
+    ]
 
 
 def test_rows_are_canonical():

@@ -88,6 +88,35 @@ def test_pack_rejects_non_inverse_metrics():
         )
 
 
+def test_pack_metric_checks_name_the_field_and_skip_zero_products(monkeypatch):
+    coords, g = ring(["x", "y", "z"])
+    zero = EvenPoly.zero(coords)
+    one = EvenPoly.const(coords, 1)
+    y = g["y"]
+    # a unimodular block metric: 9 of its 27 entry pairs are nonzero
+    g_inv = [[1 + y * y, -y, zero], [-y, one, zero], [zero, zero, one]]
+    g_low = [[one, y, zero], [y, 1 + y * y, zero], [zero, zero, one]]
+    identity = identity_metric(coords)
+    lopsided = [[one, y, zero], [zero, 1 + y * y, zero], [zero, zero, one]]
+    with pytest.raises(ValueError, match="^g_low must be symmetric$"):
+        GeometryPack(coords, 1, g_inv=g_inv, g_low=lopsided)
+    with pytest.raises(ValueError, match="^g_inv and g_low are not exact inverses$"):
+        GeometryPack(coords, 1, g_inv=identity, g_low=g_low)
+    products = []
+    real_mul = EvenPoly.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(EvenPoly, "__mul__", counting_mul)
+    GeometryPack(coords, 1, g_inv=g_inv, g_low=g_low)
+    assert len(products) == 9
+    ident = identity_metric(("a", "b", "c", "d", "e"))
+    GeometryPack(("a", "b", "c", "d", "e"), 1, g_inv=ident, g_low=ident)
+    assert len(products) == 9 + 5
+
+
 def test_pack_rejects_bad_shapes():
     coords, g = ring(["x1", "x2"])
     zero = EvenPoly.zero(coords)

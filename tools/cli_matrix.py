@@ -11,11 +11,12 @@ on `shear_plane` (off-diagonal, non-constant metric entries) and its
 twin with nonzero structural families at every momentum order, plus a few
 inputs near the parser's term and degree budgets, the widest cohomology
 window in one coordinate and a dense structure that is not
-antisymmetric.  Each run is
-one fresh `python -m nqkit.cli` process in an empty directory of its own;
-the line recorded for it holds the exit code and the sha256 of standard
-output, standard error and every file the run wrote.  Two trees that
-answer alike give identical lines.
+antisymmetric, and one `check --json` on a corpus file under a name with
+a non-ASCII letter, a quote and a backslash.  Each run is one fresh
+`python -m nqkit.cli` process in an empty directory of its own; the line
+recorded for it holds the exit code and the sha256 of standard output,
+standard error and every file the run wrote.  Two trees that answer
+alike give identical lines.
 
 Run from the repository root (standard library only):
 
@@ -75,9 +76,16 @@ BUDGET_ENTRIES = {
     "budget_product_over": ("abc", "(a+b+c+1)^12*(a+b+c+1)^12"),
     "budget_degree_over": ("x", "(x^64)^64*x"),
 }
+# `so3_action` again under a name with a non-ASCII letter, a quote and a
+# backslash: `check --json` embeds the path, so its report pins the escaping
+# of the JSON writer
+ESCAPED_COPY = ("so3_action", 'so3_action é"\\')
 # runs outside the per-input grid: the widest h^1 window the window budget
-# admits on a one-coordinate frame, degree 2402 in x
-EXTRA_LINES = (["cohomology", "../in/abelian_r1.json", "--trunc", "2400"],)
+# admits on a one-coordinate frame, degree 2402 in x, and the escaping run
+EXTRA_LINES = (
+    ["cohomology", "../in/abelian_r1.json", "--trunc", "2400"],
+    ["check", f"../in/{ESCAPED_COPY[1]}.json", "--all", "--json", "report.json"],
+)
 # corpus files whose sparse structure also runs as the [c][a][b] list
 DENSE_TWINS = ("so3_action", "broken_jacobi")
 # a corpus file that runs again with the alpha and magnetic field of another;
@@ -254,7 +262,8 @@ def record(src: Path) -> dict[str, str]:
     try:
         (work / "in").mkdir()
         docs = inputs()
-        for name, doc in docs.items():
+        source, copy = ESCAPED_COPY
+        for name, doc in [*docs.items(), (copy, docs[source])]:
             (work / "in" / f"{name}.json").write_text(json.dumps(doc, indent=2))
         lines = {}
         for index, args in enumerate(command_lines(list(docs))):
