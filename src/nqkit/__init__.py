@@ -32,9 +32,9 @@ from .bfv import (
     Charge,
     assemble_bfv,
     bfv_h0,
-    build_charge,
     build_H,
     build_S,
+    charge_of_constraints,
     check_master,
 )
 from .constraints import (
@@ -83,10 +83,10 @@ __all__ = [
     "bfv_h0",
     "build_H",
     "build_S",
-    "build_charge",
     "build_constraints",
     "build_hamiltonian",
     "build_supercharge",
+    "charge_of_constraints",
     "check_axioms",
     "check_bookkeeping",
     "check_evolution_invariance",

@@ -34,10 +34,8 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-from .algebroid import Algebroid
-from .bfv import DRIFT_REFUSAL, BFVPackage, _word_residuals
-from .constraints import build_constraints
-from .dynamics import GeometryPack, build_hamiltonian
+from .bfv import BFVPackage, _word_residuals
+from .dynamics import build_hamiltonian
 from .graded import (
     GradedContext,
     GradedPoly,
@@ -302,24 +300,22 @@ def ghost_zero_truncation(ca: ComponentAction) -> GradedPoly:
     return GradedPoly(ctx, {0: EvenPoly(ctx.even_names, kept)})
 
 
-def extended_action_reference(data: Algebroid, pack: GeometryPack) -> GradedPoly:
+def extended_action_reference(package: BFVPackage) -> GradedPoly:
     """p x_dot minus H minus lam Phi, assembled from the base fields only.
 
-    This route never sees superfields: the Hamiltonian comes from the
-    evolution side and the constraints from the constraint builder, so
-    the ghost-free sector of the expansion has an independent source.
+    This route never sees superfields or S: the constraints Phi_a are the
+    package's, as the constraint builder made them, and the Hamiltonian
+    comes from the evolution side, so the ghost-free sector of the
+    expansion has an independent source.
     """
-    if data.coords != pack.coords or data.rank != pack.rank:
-        raise ValueError("frame data and geometry pack disagree on base or rank")
-    if pack.beta is not None:
-        raise ValueError(DRIFT_REFUSAL)
+    constraints, pack = package.charge.constraints, package.charge.pack
+    data = constraints.data
     ectx = expansion_context(data.coords, data.rank)
     total = ectx.zero()
     for name in data.coords:
         total = total + ectx.var(momentum_name(name)) * ectx.var(
             velocity_name(name)
         )
-    constraints = build_constraints(data, pack.alpha, pack.magnetic)
     if pack.g_inv is not None:
         total = total - transport(build_hamiltonian(pack, constraints.ctx), ectx)
     else:

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebroid import Algebroid, q_images
-from .constraints import ConstraintSet, affine_charge, build_constraints
+from .constraints import ConstraintSet, affine_charge
 from .dynamics import GeometryPack, _family_residuals
 from .graded import (
     GradedContext,
@@ -95,13 +95,6 @@ class Charge:
     @cached_property
     def master(self) -> CheckReport:
         return check_master(self)
-
-
-def build_charge(data: Algebroid, pack: GeometryPack) -> Charge:
-    """The charge of the constraints Phi_a = rho_a^i p_i + alpha_a of a frame."""
-    return charge_of_constraints(
-        build_constraints(data, pack.alpha, pack.magnetic), pack
-    )
 
 
 def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import errno
 import os
 import sys
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
@@ -46,7 +47,6 @@ from .bfv import (
     Charge,
     assemble_bfv,
     bfv_h0,
-    build_charge,
     charge_of_constraints,
 )
 from .constraints import (
@@ -113,54 +113,41 @@ def _missing(problem: Problem, *fields: str) -> list[str]:
 
 
 class _Workbench:
-    """Shared lazy constructions for one invocation.
+    """The constructions of one problem, each built at most once.
 
-    Each frame invariant is built at most once: the constraints (which
-    carry the predicted closure), the charge lifted from them (the master
-    report is read off it, and the package is assembled from it), and the
-    structural residual families of the geometry pack.
+    This is the one place the command line builds them, for every verb
+    that needs them: the constraints (which carry the predicted closure),
+    the charge lifted from them (the master report is read off it), the
+    package assembled from that charge, and the structural residual
+    families of the geometry pack.
     """
 
     def __init__(self, problem: Problem):
         self.problem = problem
-        self._constraints: ConstraintSet | None = None
-        self._charge: Charge | None = None
-        self._package: tuple[BFVPackage | None, str | None] | None = None
-        self._families: StructuralResiduals | None = None
         # set when a check is skipped because a check it needs failed
         self.prerequisite_failed = False
 
+    @cached_property
     def constraints(self) -> ConstraintSet:
-        if self._constraints is None:
-            pack = self.problem.pack
-            self._constraints = build_constraints(
-                self.problem.data, pack.alpha, pack.magnetic
-            )
-        return self._constraints
+        pack = self.problem.pack
+        return build_constraints(self.problem.data, pack.alpha, pack.magnetic)
 
+    @cached_property
     def charge(self) -> Charge:
-        if self._charge is None:
-            self._charge = charge_of_constraints(
-                self.constraints(), self.problem.pack
-            )
-        return self._charge
+        return charge_of_constraints(self.constraints, self.problem.pack)
 
+    @cached_property
     def package(self) -> tuple[BFVPackage | None, str | None]:
         """The assembled extended-phase-space package, or the input it lacks."""
-        if self._package is None:
-            try:
-                self._package = (assemble_bfv(self.charge()), None)
-            except ValueError as error:
-                self._package = (None, str(error))
-        return self._package
+        try:
+            return assemble_bfv(self.charge), None
+        except ValueError as error:
+            return None, str(error)
 
+    @cached_property
     def families(self) -> StructuralResiduals:
         """The structural residuals; the pack must hold g_low and omega."""
-        if self._families is None:
-            self._families = structural_residuals(
-                self.problem.data, self.problem.pack
-            )
-        return self._families
+        return structural_residuals(self.problem.data, self.problem.pack)
 
 
 # one handler per check flag; each returns the reports it produced
@@ -171,7 +158,7 @@ def _run_axioms(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 
 
 def _run_first_class(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [check_first_class(bench.constraints())]
+    return [check_first_class(bench.constraints)]
 
 
 def _run_irreducible(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -197,7 +184,7 @@ def _run_metric(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     gap = _missing(bench.problem, "g_low", "omega")
     if gap:
         return _unmet("metric_compat", METRIC_COMPAT_IDENTITY, gap, explicit)
-    return [check_metric_compat(bench.families())]
+    return [check_metric_compat(bench.families)]
 
 
 def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -205,7 +192,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     gap = _missing(problem, "g_low", "omega")
     if gap:
         return _unmet("structural", STRUCTURAL_IDENTITY, gap, explicit)
-    reports = [check_structural(bench.families())]
+    reports = [check_structural(bench.families)]
     # the dynamical route needs the raised metric as well
     if problem.pack.g_inv is None:
         reports.append(
@@ -218,21 +205,21 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
             )
         )
     else:
-        H = build_hamiltonian(problem.pack, bench.constraints().ctx)
+        H = build_hamiltonian(problem.pack, bench.constraints.ctx)
         reports.append(
             check_evolution_invariance(
-                H, bench.constraints(), problem.pack, bench.families()
+                H, bench.constraints, problem.pack, bench.families
             )
         )
     return reports
 
 
 def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [bench.charge().master]
+    return [bench.charge.master]
 
 
 def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    package, error = bench.package()
+    package, error = bench.package
     if error is not None:
         if explicit:
             _input_error(error)
@@ -248,7 +235,7 @@ def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 
 
 def _run_supercharge(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    package, error = bench.package()
+    package, error = bench.package
     if error is not None:
         if explicit:
             _input_error(error)
@@ -406,7 +393,7 @@ def _window_h1(problem: Problem, trunc: int, slack: int) -> None:
 
 
 def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
-    charge = build_charge(problem.data, problem.pack)
+    charge = _Workbench(problem).charge
     try:
         report = bfv_h0(charge, trunc, p_degree)
     except ValueError as error:
@@ -431,9 +418,8 @@ def _emit(file, what, out, force) -> None:
     """Write assembled charge data (bfv) or the component action (bv)."""
     problem = _load(file)
     _check_output("--out", out)
-    try:
-        package = assemble_bfv(build_charge(problem.data, problem.pack))
-    except ValueError as error:
+    package, error = _Workbench(problem).package
+    if error is not None:
         _err(f"assembly failed: {error}")
         sys.exit(1)
 
@@ -457,7 +443,7 @@ def _emit(file, what, out, force) -> None:
             except ValueError as error:
                 _err(f"emission failed: {error}")
                 sys.exit(1)
-            _guard_classical_limit(problem, action)
+            _guard_classical_limit(package, action)
             doc["fields"] = [
                 {
                     "name": f.name,
@@ -484,11 +470,12 @@ def _emit(file, what, out, force) -> None:
     sys.exit(0)
 
 
-def _guard_classical_limit(problem: Problem, action: ComponentAction) -> None:
+def _guard_classical_limit(package: BFVPackage, action: ComponentAction) -> None:
     """The BV action must come out of BFV by the AKSZ expansion.
 
     Its field table must pass the bookkeeping, and its ghost-zero part must
-    equal p_i x_dot^i - H - lam^a Phi_a assembled from the base fields alone.
+    equal p_i x_dot^i - H - lam^a Phi_a assembled from the package's
+    constraints and the evolution side, never from S.
     """
     bookkeeping = check_bookkeeping(action)
     if bookkeeping.status != PASS:
@@ -496,7 +483,7 @@ def _guard_classical_limit(problem: Problem, action: ComponentAction) -> None:
         raise RuntimeError(
             f"internal bookkeeping mismatch in the component action: {label} {detail}"
         )
-    reference = extended_action_reference(problem.data, problem.pack)
+    reference = extended_action_reference(package)
     if ghost_zero_truncation(action) != reference:
         raise RuntimeError(
             "internal dual-route mismatch in the classical limit of the action"

@@ -17,6 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from nqkit.bfv import charge_of_constraints
+from nqkit.constraints import build_constraints
+
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
 
 
@@ -73,3 +76,8 @@ def invoke(args, prog_name: str = "nqkit") -> Result:
         else:
             raise AssertionError("the command line returned without an exit code")
     return Result(code, out.getvalue(), err.getvalue(), "".join(written))
+
+
+def frame_charge(data, pack):
+    """The charge of a frame and its pack, lifted from its constraints."""
+    return charge_of_constraints(build_constraints(data, pack.alpha, pack.magnetic), pack)

@@ -18,7 +18,6 @@ from nqkit.bfv import (
     _cartan_core,
     assemble_bfv,
     bfv_h0,
-    build_charge,
     build_H,
     build_S,
     charge_of_constraints,
@@ -42,6 +41,7 @@ from nqkit.constraints import (
     phase_space,
     structural_two_form,
 )
+from tests.conftest import frame_charge
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import components, structural, substitute
 from tests.test_algebroid import (
@@ -81,7 +81,7 @@ def shear_pair() -> Algebroid:
 def charge_of(data: Algebroid, alpha=None, magnetic=None) -> Charge:
     """The charge of a frame with no geometry beyond alpha and B."""
     pack = GeometryPack(data.coords, data.rank, alpha=alpha, magnetic=magnetic)
-    return build_charge(data, pack)
+    return frame_charge(data, pack)
 
 
 def line_pack(rank: int, **fields) -> GeometryPack:
@@ -148,8 +148,18 @@ def test_lifted_charge_matches_the_explicit_formula():
         expected = explicit_charge(data, alpha, magnetic)
         ctx = phase_space(data, magnetic)
         assert build_S(data, ctx) + affine_charge(data, alpha, ctx) == expected
-        charge = build_charge(data, problem.pack)
+        charge = frame_charge(data, problem.pack)
         assert (charge.core, charge.S) == (build_S(data, ctx), expected)
+
+
+def test_charge_refuses_the_pack_of_another_frame():
+    # the one check of frame/pack agreement; the classical-limit reference
+    # reads both off the package and does not repeat it
+    data = abelian_r1()
+    cs = build_constraints(data, None, None)
+    for pack in (flat_pack(data.coords, 2), flat_pack(("y",), 1)):
+        with pytest.raises(ValueError, match="disagree on base or rank"):
+            charge_of_constraints(cs, pack)
 
 
 def test_build_s_rejects_bad_affine_part():
@@ -421,7 +431,7 @@ def test_build_h_requires_fields():
     for g_inv in (None, identity_metric(data.coords)):
         pack = GeometryPack(data.coords, 1, g_inv=g_inv, beta=(g["x"],))
         with pytest.raises(ValueError, match="^drift term present"):
-            assemble_bfv(build_charge(data, pack))
+            assemble_bfv(frame_charge(data, pack))
 
 
 # assembly and the obstruction tensor
@@ -429,21 +439,21 @@ def test_build_h_requires_fields():
 
 def test_assemble_so3_flat_all_pass():
     data = so3_action()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
+    pkg = assemble_bfv(frame_charge(data, flat_pack(data.coords, data.rank)))
     assert [r.status for r in pkg.reports] == [PASS, PASS, PASS]
     assert [r.name for r in pkg.reports] == ["master", "cartan", "charge_invariance"]
 
 
 def test_assemble_abelian_plane_all_pass():
     data = abelian_r2()
-    pkg = assemble_bfv(build_charge(data, flat_pack(data.coords, data.rank)))
+    pkg = assemble_bfv(frame_charge(data, flat_pack(data.coords, data.rank)))
     assert all(r.status == PASS for r in pkg.reports)
 
 
 def test_cartan_obstruction_on_the_shear_pair():
     data = shear_pair()
     assert check_axioms(data).status == PASS
-    pkg = assemble_bfv(build_charge(data, line_pack(2)))
+    pkg = assemble_bfv(frame_charge(data, line_pack(2)))
     cartan = pkg.report("cartan")
     assert cartan.status == FAIL
     assert cartan.residuals == [
@@ -469,7 +479,7 @@ def test_cartan_shape_violation_on_non_metric_connection():
         omega=omega,
     )
     # the package still assembles: the shape failure is the cartan finding
-    pkg = assemble_bfv(build_charge(data, pack))
+    pkg = assemble_bfv(frame_charge(data, pack))
     assert pkg.report("master").status == PASS
     cartan = pkg.report("cartan")
     assert cartan.status == FAIL
@@ -581,18 +591,18 @@ def test_cartan_preconditions():
         g_inv=identity_metric(data.coords),
         omega={},
     )
-    pkg = assemble_bfv(build_charge(data, no_lowered))
+    pkg = assemble_bfv(frame_charge(data, no_lowered))
     assert pkg.report("cartan").status == SKIPPED
 
     broken = broken_jacobi()
-    pkg2 = assemble_bfv(build_charge(broken, flat_pack(broken.coords, broken.rank)))
+    pkg2 = assemble_bfv(frame_charge(broken, flat_pack(broken.coords, broken.rank)))
     assert pkg2.report("master").status == FAIL
     assert pkg2.report("cartan").status == SKIPPED
 
 
 def test_assemble_topological_case():
     data = so3_action()
-    pkg = assemble_bfv(build_charge(data, GeometryPack(data.coords, data.rank)))
+    pkg = assemble_bfv(frame_charge(data, GeometryPack(data.coords, data.rank)))
     assert pkg.H.is_zero
     assert pkg.report("master").status == PASS
     assert pkg.report("cartan").status == SKIPPED
@@ -605,12 +615,12 @@ def test_potential_sub_residual():
     _, g = ring(list(coords))
     radial = g["x1"] ** 2 + g["x2"] ** 2 + g["x3"] ** 2
     invariant = assemble_bfv(
-        build_charge(data, flat_pack(coords, data.rank, potential=radial))
+        frame_charge(data, flat_pack(coords, data.rank, potential=radial))
     )
     assert invariant.report("charge_invariance").status == PASS
 
     tilted = assemble_bfv(
-        build_charge(data, flat_pack(coords, data.rank, potential=g["x1"]))
+        frame_charge(data, flat_pack(coords, data.rank, potential=g["x1"]))
     )
     report = tilted.report("charge_invariance")
     assert report.status == FAIL
@@ -620,7 +630,7 @@ def test_potential_sub_residual():
 def test_package_validates_grading():
     data = abelian_r1()
     pack = flat_pack(data.coords, 1)
-    pkg = assemble_bfv(build_charge(data, pack))
+    pkg = assemble_bfv(frame_charge(data, pack))
     charge = pkg.charge
     # an even core is refused by the charge itself, before any package
     with pytest.raises(ValueError, match="odd of ghost degree"):
@@ -684,14 +694,14 @@ def test_ghost_degree_is_additive_under_the_bracket():
 
 def test_h0_abelian_line_window():
     data = abelian_r1()
-    report = bfv_h0(build_charge(data, flat_pack(data.coords, 1)), 2, 1)
+    report = bfv_h0(frame_charge(data, flat_pack(data.coords, 1)), 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (4, 3, 1)
     assert any("truncated" in note for note in report.notes)
 
 
 def test_h0_abelian_plane_window():
     data = abelian_r2()
-    report = bfv_h0(build_charge(data, flat_pack(data.coords, 2)), 1, 1)
+    report = bfv_h0(frame_charge(data, flat_pack(data.coords, 2)), 1, 1)
     assert report.h_dim == 1
 
 
@@ -700,16 +710,16 @@ def test_h0_so3_constant_window():
     # elements bilinear in xi and pi map onto the angular momenta, which
     # are linearly independent over the base
     data = so3_action()
-    report = bfv_h0(build_charge(data, flat_pack(data.coords, 3)), 0, 0)
+    report = bfv_h0(frame_charge(data, flat_pack(data.coords, 3)), 0, 0)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (1, 0, 1)
 
 
 def test_h0_rejects_bad_input():
     data = abelian_r1()
-    charge = build_charge(data, flat_pack(data.coords, 1))
+    charge = frame_charge(data, flat_pack(data.coords, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         bfv_h0(charge, -1, 0)
     broken = broken_jacobi()
-    charge2 = build_charge(broken, flat_pack(broken.coords, broken.rank))
+    charge2 = frame_charge(broken, flat_pack(broken.coords, broken.rank))
     with pytest.raises(ValueError, match="master equation fails"):
         bfv_h0(charge2, 1, 1)

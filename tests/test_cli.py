@@ -25,11 +25,11 @@ from nqkit.aksz import (
     field_table,
 )
 from nqkit.algebroid import defect_lift, ghost_context
-from nqkit.bfv import _balanced_words, assemble_bfv, build_charge
+from nqkit.bfv import _balanced_words, assemble_bfv
 from nqkit.graded import GradedContext
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
-from tests.conftest import invoke
+from tests.conftest import frame_charge, invoke
 from tests.reference_forms import e_differential, one_form
 from tests.test_generated_frames import gen
 
@@ -297,8 +297,8 @@ def _oversized_image(columns, inside):
     return 10**6
 
 
-def _wrong_reference(data, pack):
-    return extended_action_reference(data, pack) + 1
+def _wrong_reference(package):
+    return extended_action_reference(package) + 1
 
 
 def _bumped_field_table(coords, rank):
@@ -370,29 +370,49 @@ def test_tripped_engine_guard_exits_3(
     assert f"internal error: {message}" in result.stderr
 
 
+# what the ghost-zero window builds: the axiom check's defect tensors, then
+# the constraints and the charge, but no closure, master report or package
+H0_BUILDS = {
+    "structural_two_form": 0,
+    "structural_residuals": 0,
+    "check_master": 0,
+    "assemble_bfv": 0,
+}
+
+
 @pytest.mark.parametrize(
-    "args, exit_code, brackets",
+    "args, exit_code, brackets, builds",
     [
-        (["check", corpus_path("so3_action"), "--all"], 0, ["(S, S)", "(S, H)"]),
+        (["check", corpus_path("so3_action"), "--all"], 0, ["(S, S)", "(S, H)"], {}),
         # the drift refuses the assembly, so no H is built
-        (["check", corpus_path("beta_drift"), "--all"], 1, ["(S, S)"]),
-        (EMIT_SO3_BV, 0, ["(S, S)", "(S, H)"]),
+        (["check", corpus_path("beta_drift"), "--all"], 1, ["(S, S)"], {}),
+        # no metric check runs
+        (EMIT_SO3_BV, 0, ["(S, S)", "(S, H)"], {"structural_residuals": 0}),
         # rank 15: the rank at which a repeated invariant costs seconds
-        (["check", "so6.json", "--all"], 0, ["(S, S)", "(S, H)"]),
+        (["check", "so6.json", "--all"], 0, ["(S, S)", "(S, H)"], {}),
+        (
+            ["cohomology", corpus_path("so3_action"), "--bfv-h0"]
+            + ["--trunc", "1", "--p-degree", "1"],
+            0,
+            [],
+            H0_BUILDS,
+        ),
     ],
-    ids=["check_all", "check_all_drift", "emit_bv", "check_all_so6"],
+    ids=["check_all", "check_all_drift", "emit_bv", "check_all_so6", "bfv_h0"],
 )
 def test_defect_tensors_computed_once_per_invocation(
-    monkeypatch, tmp_path, args, exit_code, brackets
+    monkeypatch, tmp_path, args, exit_code, brackets, builds
 ):
     # the defect tensors and their lift, the structural 2-form, the
-    # structural residuals (when a metric is given), the core charge, its
-    # self-bracket and (S, H), once each
+    # structural residuals (when a metric is given), the constraints, the
+    # charge with its core, self-bracket and master report, the package
+    # (assembled, or refused on the drift) and (S, H), once each, unless
+    # `builds` says otherwise
     monkeypatch.chdir(tmp_path)
     if args[1] == "so6.json":
         Path("so6.json").write_text(json.dumps(gen.so_n(6)))
     problem = load_problem(args[1])
-    charge = build_charge(problem.data, problem.pack)
+    charge = frame_charge(problem.data, problem.pack)
     named = {"(S, S)": (charge.S, charge.S)}
     if "(S, H)" in brackets:
         named["(S, H)"] = (charge.S, assemble_bfv(charge).H)
@@ -421,8 +441,11 @@ def test_defect_tensors_computed_once_per_invocation(
         "defect_lift": nqkit.algebroid,
         "structural_two_form": nqkit.constraints,
         "structural_residuals": nqkit.dynamics,
+        "build_constraints": nqkit.constraints,
+        "charge_of_constraints": nqkit.bfv,
         "build_S": nqkit.bfv,
         "check_master": nqkit.bfv,
+        "assemble_bfv": nqkit.bfv,
     }
     for name, owner in owners.items():
         original = getattr(owner, name)
@@ -432,12 +455,10 @@ def test_defect_tensors_computed_once_per_invocation(
                 monkeypatch.setattr(module, name, wrapper)
     result = run(*args)
     assert result.exit_code == exit_code
-    expected = {name: 1 for name in owners}
-    if args[0] == "emit":
-        expected["structural_residuals"] = 0  # no metric check runs
+    expected = {name: builds.get(name, 1) for name in owners}
     assert {name: calls[name] for name in owners} == expected
     counts = {label: bracketed.count(pair) for label, pair in named.items()}
-    assert counts == {label: 1 for label in brackets}
+    assert counts == {label: int(label in brackets) for label in named}
 
 
 @pytest.mark.parametrize(
@@ -492,7 +513,7 @@ def twisted_with_metric() -> dict:
 @pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
 def test_constraints_and_charge_share_one_phase_space(name):
     bench = nqkit.cli._Workbench(load_problem(corpus_path(name)))
-    assert bench.constraints().ctx is bench.charge().ctx
+    assert bench.constraints.ctx is bench.charge.ctx
 
 
 @pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), "twisted_with_metric"])
@@ -507,7 +528,7 @@ def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
         file = f"{name}.json"
     else:
         file = corpus_path(name)
-    twist = nqkit.cli._Workbench(load_problem(file)).constraints().ctx.twist
+    twist = nqkit.cli._Workbench(load_problem(file)).constraints.ctx.twist
     built = []
     init = GradedContext.__init__
 
@@ -1112,7 +1133,7 @@ def test_emit_bv_matches_the_library_expansion(tmp_path):
     doc = json.loads(out.read_text())
     problem = load_problem(CORPUS / "abelian_r1.json")
     action = expand_bv(
-        build_supercharge(assemble_bfv(build_charge(problem.data, problem.pack)))
+        build_supercharge(assemble_bfv(frame_charge(problem.data, problem.pack)))
     )
     assert doc["terms"] == action.rows()
     assert {"coeff": "-1/2", "even": {"p_x": 2}, "odd": []} in doc["terms"]

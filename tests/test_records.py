@@ -21,7 +21,7 @@ from nqkit.aksz import (
     expand_bv,
 )
 from nqkit.algebroid import Algebroid, CohomologyReport
-from nqkit.bfv import BFVPackage, Charge, H0Report, assemble_bfv, build_charge
+from nqkit.bfv import BFVPackage, Charge, H0Report, assemble_bfv
 from nqkit.constraints import (
     ConstraintSet,
     ExtractionResult,
@@ -33,6 +33,7 @@ from nqkit.parser import _Token
 from nqkit.poly import EvenPoly
 from nqkit.problem import Problem, Truncation, _truncation
 from nqkit.report import FAIL, PASS, CheckReport
+from tests.conftest import frame_charge
 from tests.test_algebroid import abelian_r1
 from tests.test_dynamics import flat_pack
 
@@ -43,7 +44,7 @@ def _material() -> dict:
     x = EvenPoly.variable(coords, "x")
     pack = flat_pack(coords, 1)
     constraints = build_constraints(data)
-    charge = build_charge(data, pack)
+    charge = frame_charge(data, pack)
     package = assemble_bfv(charge)
     supercharge = build_supercharge(package)
     action = expand_bv(supercharge)

@@ -6,7 +6,8 @@ files, on the so(3) to so(6) frames of the benchmark's generator, on
 dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
 metric and a connection), on geometry-rich, zero-drift and non-flat
-connection twins of corpus files, on `broken_jacobi` with a metric pair,
+connection twins of corpus files, on `abelian_r2` with an alpha that is
+not closed (axioms pass, master fails), on `broken_jacobi` with a metric pair,
 on `shear_plane` (off-diagonal, non-constant metric entries) and its
 twin with nonzero structural families at every momentum order, plus a few
 inputs near the parser's term and degree budgets, the widest cohomology
@@ -121,6 +122,11 @@ FIELD_TWINS = {
         "abelian_r2",
         {"connection": [[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]]},
     ),
+    # flat frames whose alpha is not closed: the axioms pass and the master
+    # fails (ss[xi_1 xi_2]: -2), so `--bfv-h0` stops on its prerequisite,
+    # both emit gates refuse, and `emit --what bv --force` runs the
+    # classical-limit guard with a nonzero alpha
+    "abelian_r2_open_alpha": ("abelian_r2", {"alpha": ["x2", "0"]}),
     # the Q^2 != 0 frame with a metric pair: master fails, so the cartan
     # obstruction is undefined and `--cartan` is skipped as a finding
     "broken_jacobi_metric": (
