@@ -34,7 +34,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-from .bfv import BFVPackage, _word_residuals
+from .bfv import BFVPackage
 from .dynamics import build_hamiltonian
 from .graded import (
     GradedContext,
@@ -45,6 +45,7 @@ from .graded import (
     letters,
     momentum_name,
     transport,
+    word_residuals,
 )
 from .poly import EvenPoly, field_bits, lex_bits, monomial_factors, unpack
 from .report import FAIL, PASS, CheckReport
@@ -129,7 +130,7 @@ def check_supercharge(sq: SuperCharge) -> CheckReport:
             "internal mismatch between the supercharge bracket and the "
             "package reports"
         )
-    residuals = _word_residuals("qq", QQ)
+    residuals = word_residuals("qq", QQ)
     return CheckReport(
         "supercharge",
         PASS if QQ.is_zero else FAIL,

@@ -49,20 +49,19 @@ from .graded import (
     hamiltonian_lift,
     left_derivation,
 )
-from .linalg import image_in, kernel, solve
+from .linalg import image_in, kernel, read_back, solve
 from .poly import (
+    WIDTH,
     EvenPoly,
     Exponent,
-    Rat,
     Terms,
     accumulate_product,
     derivative,
     divide,
     monomial_exponents,
-    pack,
     unpack,
 )
-from .report import FAIL, PASS, CheckReport
+from .report import FAIL, PASS, CheckReport, family_residuals
 
 
 class Algebroid:
@@ -313,14 +312,8 @@ def check_axioms(data: Algebroid) -> CheckReport:
     an engine bug and raises, never a data failure.
     """
     r1, r2 = data.anchor_defect, data.jacobi_defect
-    residuals = [
-        (f"anchor[a={a + 1},b={b + 1},i={i + 1}]", str(value))
-        for (a, b, i), value in r1.items()
-    ]
-    residuals += [
-        (f"jacobi[a={a + 1},b={b + 1},c={c + 1},d={d + 1}]", str(value))
-        for (a, b, c, d), value in sorted(r2.items())
-    ]
+    residuals = family_residuals("anchor", r1, "abi")
+    residuals += family_residuals("jacobi", r2, "abcd")
 
     ctx = ghost_context(data)
     images = q_images(data, ctx)
@@ -343,18 +336,12 @@ def check_axioms(data: Algebroid) -> CheckReport:
 class CohomologyReport:
     def __init__(
         self,
-        degree: int,
-        trunc: int,
-        slack: int,
         closed_dim: int,
         exact_dim: int,
         h_dim: int,
         closed_basis: list[tuple[EvenPoly, ...]],
         flags: dict[str, bool] | None = None,
     ):
-        self.degree = degree
-        self.trunc = trunc
-        self.slack = slack
         self.closed_dim = closed_dim
         self.exact_dim = exact_dim
         self.h_dim = h_dim
@@ -376,24 +363,9 @@ def _q_columns(
     images = q_images(data, ctx)
     n = data.base_dim
     sources = [(word, e) for word in words for e in monomial_exponents(n, degree)]
-    columns = [
-        field_column(ctx, images, word, pack(unpack(e, n) + (0,) * n))
-        for word, e in sources
-    ]
+    # x^e with zero momenta is the key e moved up past the n momentum fields
+    columns = [field_column(ctx, images, word, e << WIDTH * n) for word, e in sources]
     return sources, columns
-
-
-def _components_from_vector(
-    data: Algebroid,
-    unknowns: list[tuple[OddWord, Exponent]],
-    vector: dict[int, Rat],
-) -> tuple[EvenPoly, ...]:
-    """The components alpha_a of the 1-cochain with these coordinates."""
-    terms: list[dict[Exponent, Rat]] = [{} for _ in range(data.rank)]
-    for k, value in vector.items():
-        word, e = unknowns[k]
-        terms[word.bit_length() - 1][e] = value
-    return tuple(EvenPoly(data.coords, t) for t in terms)
 
 
 def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyReport:
@@ -409,10 +381,12 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     """
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    unknowns, columns = _q_columns(data, [1 << a for a in range(data.rank)], trunc)
-    closed_basis = [
-        _components_from_vector(data, unknowns, vector) for vector in kernel(columns)
-    ]
+    words = [1 << a for a in range(data.rank)]
+    unknowns, columns = _q_columns(data, words, trunc)
+    closed_basis = []
+    for vector in kernel(columns):
+        components = read_back(data.coords, unknowns, vector)
+        closed_basis.append(tuple(components.get(w, data.zero()) for w in words))
 
     # exact part: the image of d0 on functions of degree <= trunc + slack
     # that lies entirely inside the window
@@ -422,9 +396,6 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
 
     filtration = _max_coeff_degree(data) <= 0
     return CohomologyReport(
-        degree=1,
-        trunc=trunc,
-        slack=slack,
         closed_dim=len(closed_basis),
         exact_dim=exact_dim,
         h_dim=len(closed_basis) - exact_dim,
@@ -467,7 +438,4 @@ def is_exact_one_form(
     result = solve(columns, rhs)
     if result is None:
         return None
-    solution, _ = result
-    return EvenPoly(
-        data.coords, {sources[k][1]: value for k, value in solution.items()}
-    )
+    return read_back(data.coords, sources, result[0]).get(0, data.zero())

@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .algebroid import Algebroid, q_images
 from .constraints import ConstraintSet, affine_charge
-from .dynamics import GeometryPack, _family_residuals
+from .dynamics import GeometryPack
 from .graded import (
     GradedContext,
     GradedPoly,
@@ -31,10 +31,12 @@ from .graded import (
     momentum_name,
     momentum_orders,
     transport,
+    word_label,
+    word_residuals,
 )
 from .linalg import image_in, rank
-from .poly import EvenPoly, Exponent, monomial_exponents, pack, unpack
-from .report import FAIL, PASS, SKIPPED, CheckReport
+from .poly import WIDTH, EvenPoly, Exponent, lex_bits, monomial_exponents, unpack
+from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 DRIFT_REFUSAL = "drift term present: absorb it before the extended assembly"
@@ -55,9 +57,10 @@ class Charge:
 
     `core` is the lift of Q (`build_S`) and `affine` is alpha_a xi^a; the
     cartan and charge-invariance checks bracket each with the Hamiltonian.
-    The grading of S is checked here, once.  The self-bracket (S, S) and
-    the master report are computed on first use and kept, so one
-    invocation brackets S with itself once however many reports need it.
+    The grading of S is checked here, once.  The derivation (S, .), the
+    self-bracket (S, S) and the master report are computed on first use
+    and kept, so one invocation derives (S, .) once and brackets S with
+    itself once however many reports and windows need them.
     The constraints carry the `closure` that the master check predicts
     (S, S) from, so it is shared with the first-class check of the same
     constraints.  Treated as immutable.
@@ -89,8 +92,13 @@ class Charge:
         return self.constraints.data
 
     @cached_property
+    def field(self) -> dict[str, GradedPoly]:
+        """(S, .) as images of the coordinates, for `left_derivation`."""
+        return self.ctx.hamiltonian_field(self.S)
+
+    @cached_property
     def self_bracket(self) -> GradedPoly:
-        return self.ctx.poisson(self.S, self.S)
+        return left_derivation(self.ctx, self.field, self.S)
 
     @cached_property
     def master(self) -> CheckReport:
@@ -106,18 +114,6 @@ def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
     if data.coords != pack.coords or data.rank != pack.rank:
         raise ValueError("frame data and geometry pack disagree on base or rank")
     return Charge(cs, pack, build_S(data, ctx), affine_charge(data, cs.alpha, ctx))
-
-
-def _word_label(ctx: GradedContext, word: OddWord) -> str:
-    return " ".join(ctx.odd_names[k] for k in letters(word))
-
-
-def _word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
-    """One residual `tag[word]` per odd word of F, shortest words first."""
-    return [
-        (f"{tag}[{_word_label(F.ctx, word)}]", str(F.parts[word]))
-        for word in sorted(F.parts, key=lambda w: (w.bit_count(), letters(w)))
-    ]
 
 
 def check_master(charge: Charge) -> CheckReport:
@@ -138,7 +134,7 @@ def check_master(charge: Charge) -> CheckReport:
         "dual route: the self-bracket matches the anchor and jacobi "
         "defects with the structural 2-form"
     ]
-    residuals = _word_residuals("ss", ss)
+    residuals = word_residuals("ss", ss)
     status = FAIL if residuals else PASS
     return CheckReport("master", status, "(S, S) = 0", residuals, notes)
 
@@ -233,7 +229,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
         if (len(word_letters), ghost_count) == (3, 2):
             orders = momentum_orders(ctx, coeff)
             if any(len(p_word) != 1 for p_word in orders):
-                offending.append(_word_label(ctx, word))
+                offending.append(word_label(ctx, word))
                 continue
             a, b, c = word_letters
             c -= r
@@ -245,7 +241,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
                 if not entry.is_zero:
                     tensor[(c, j, a, b)] = entry
         elif (len(word_letters), ghost_count) != (5, 3):
-            offending.append(_word_label(ctx, word))
+            offending.append(word_label(ctx, word))
     if offending:
         return _shape_finding("offending words: " + ", ".join(sorted(offending)))
 
@@ -263,7 +259,7 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
     if rebuilt != R:
         return _shape_finding(f"unmatched part: {R - rebuilt}")
 
-    residuals = _family_residuals("S", tensor, "cjab")
+    residuals = family_residuals("S", tensor, "cjab")
     if residuals:
         note = "the extracted tensor reassembles the bracket residual exactly"
     else:
@@ -277,10 +273,11 @@ def _charge_invariance(
 ) -> tuple[CheckReport, GradedPoly]:
     """The charge-invariance report and the bracket (S, H), H = h_cov + potential.
 
-    `core_bracket` is (core, H_cov), shared with the cartan check.
+    `core_bracket` is (core, H_cov), shared with the cartan check; the
+    brackets with S apply the charge's (S, .).
     """
     data, ctx = charge.data, charge.ctx
-    S, affine = charge.S, charge.affine
+    field, affine = charge.field, charge.affine
 
     # (S, V) = rho_a^i d_i V xi^a, by the anchor derivative
     gradient = ctx.zero()
@@ -291,7 +288,7 @@ def _charge_invariance(
     parts = [
         ("cartan_part", core_bracket),
         ("dalpha_part", ctx.poisson(affine, h_cov)),
-        ("potential_part", ctx.poisson(S, potential)),
+        ("potential_part", left_derivation(ctx, field, potential)),
     ]
     if parts[2][1] != gradient:
         raise RuntimeError("internal dual-route mismatch in the potential part")
@@ -299,7 +296,7 @@ def _charge_invariance(
     if affine.is_zero and potential.is_zero:
         total = core_bracket
     else:
-        total = ctx.poisson(S, h_cov + potential)
+        total = left_derivation(ctx, field, h_cov + potential)
     if parts[0][1] + parts[1][1] + parts[2][1] != total:
         raise RuntimeError("internal dual-route mismatch in the charge invariance")
     residuals = [(label, str(value)) for label, value in parts if not value.is_zero]
@@ -333,8 +330,12 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
     else:
         H, h_cov = potential, ctx.zero()
     reports = [charge.master]
-    # (core, H_cov), shared by the cartan and charge-invariance checks
-    core_bracket = ctx.poisson(charge.core, h_cov)
+    # (core, H_cov), shared by the cartan and charge-invariance checks;
+    # with alpha = 0 the core is S, whose (S, .) the charge keeps
+    if charge.affine.is_zero:
+        core_bracket = left_derivation(ctx, charge.field, h_cov)
+    else:
+        core_bracket = ctx.poisson(charge.core, h_cov)
     if pack.g_inv is None or pack.g_low is None:
         skipped = "no metric pair: the covariant obstruction is not defined"
     elif reports[0].status != PASS:
@@ -356,15 +357,11 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
 class H0Report:
     def __init__(
         self,
-        x_degree: int,
-        p_degree: int,
         closed_dim: int,
         exact_dim: int,
         h_dim: int,
         notes: tuple[str, ...],
     ):
-        self.x_degree = x_degree
-        self.p_degree = p_degree
         self.closed_dim = closed_dim
         self.exact_dim = exact_dim
         self.h_dim = h_dim
@@ -395,13 +392,19 @@ def _bracket_columns(
     """The derivation `field` on each monomial x^xe p^pe xi^word of a window.
 
     Sources run over x-monomials, then p-monomials, then words; each
-    column is keyed by (word, exponent).
+    column is keyed by (word, exponent).  Over the 2n coordinates the key
+    of x^xe p^pe is that of x^xe, xe moved up past the n momentum fields,
+    plus that of p^pe, pe with its degree field moved up past x.
     """
-    p_exponents = [unpack(pe, n) for pe in monomial_exponents(n, p_degree)]
+    shift = WIDTH * n
+    p_keys = [
+        pe >> shift << 2 * shift | pe & lex_bits(n)
+        for pe in monomial_exponents(n, p_degree)
+    ]
     return [
-        field_column(ctx, field, word, pack(unpack(xe, n) + pe))
+        field_column(ctx, field, word, (xe << shift) + pk)
         for xe in monomial_exponents(n, x_degree)
-        for pe in p_exponents
+        for pk in p_keys
         for word in words
     ]
 
@@ -416,10 +419,9 @@ def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
     """
     if x_degree < 0 or p_degree < 0:
         raise ValueError("truncation degrees must be nonnegative")
-    ctx, S = charge.ctx, charge.S
-    field = ctx.hamiltonian_field(S)  # (S, .), applied to every column below
-    if not left_derivation(ctx, field, S).is_zero:
+    if not charge.self_bracket.is_zero:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
+    ctx, field = charge.ctx, charge.field  # (S, .), applied to every column
     n, r = len(charge.data.coords), charge.data.rank
 
     def in_window(key: tuple[OddWord, Exponent]) -> bool:
@@ -441,8 +443,6 @@ def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
     if exact_dim > closed_dim:
         raise RuntimeError("internal window inconsistency in the cohomology count")
     return H0Report(
-        x_degree,
-        p_degree,
         closed_dim,
         exact_dim,
         closed_dim - exact_dim,

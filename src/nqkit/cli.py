@@ -70,8 +70,8 @@ from .dynamics import (
 )
 from .graded import left_derivation
 from .problem import (
-    _INT_LITERAL,
     GEOMETRY_FIELDS,
+    INT_LITERAL,
     Problem,
     ProblemError,
     connection_strings,
@@ -630,7 +630,7 @@ class _Option:
     def convert(self, value):
         if self.kind == "int":
             # the integer literal of the problem files: ASCII digits, no spaces
-            if _INT_LITERAL.fullmatch(value):
+            if INT_LITERAL.fullmatch(value):
                 try:
                     return int(value)
                 except ValueError:  # past int()'s digit limit
@@ -738,10 +738,6 @@ class _Group:
         self.help = help
         self.commands = {command.name: command for command in commands}
         self.options = {_HELP.name: _HELP}
-
-    def get_command(self, ctx, name: str) -> _Command | None:
-        """The verb called `name`; `ctx` is unused, as in click's signature."""
-        return self.commands.get(name)
 
     def main(self, args=None, prog_name: str | None = None) -> None:
         """Run one command line, argv's by default; ends in SystemExit."""

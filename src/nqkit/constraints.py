@@ -32,9 +32,9 @@ from .graded import (
     momentum_name,
     momentum_orders,
 )
-from .linalg import rank, solve
+from .linalg import rank, read_back, solve
 from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents, unpack
-from .report import FAIL, PASS, CheckReport
+from .report import FAIL, PASS, CheckReport, family_residuals
 
 DEFAULT_PROBE_SEED = 271828
 _RANDOM_PROBE_COUNT = 5
@@ -206,7 +206,7 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     """
     data, ctx = cs.data, cs.ctx
     closure = cs.closure.parts
-    residuals: list[tuple[str, str]] = []
+    brackets: dict[tuple[int, int], GradedPoly] = {}
     fields = [ctx.hamiltonian_field(phi) for phi in cs.phis[:-1]]  # {Phi_a, .}
     for a, b in combinations(range(cs.rank), 2):
         R = left_derivation(ctx, fields[a], cs.phis[b])
@@ -216,8 +216,8 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
         expected = ctx.lift(closure[word]) if word in closure else ctx.zero()
         if R != expected:
             raise RuntimeError("internal dual-route mismatch in the constraint bracket")
-        if not R.is_zero:
-            residuals.append((f"bracket[a={a + 1},b={b + 1}]", str(R)))
+        brackets[(a, b)] = R
+    residuals = family_residuals("bracket", brackets, "ab")
 
     notes = [
         "dual route: bracket residuals match the anchor defect plus the "
@@ -348,12 +348,9 @@ def _solve_structure(
             return None
         solution, free = result
         total_free += free
-        terms: list[dict[Exponent, Rat]] = [{} for _ in range(r)]
-        for k, value in solution.items():
-            c, m = unknowns[k]
-            terms[c][m] = value
+        entries = read_back(base, unknowns, solution)
         for c in range(r):
-            structure[(c, a, b)] = EvenPoly(base, terms[c])
+            structure[(c, a, b)] = entries.get(c, EvenPoly.zero(base))
     return structure, total_free
 
 

@@ -34,9 +34,9 @@ from .graded import (
     momentum_name,
     momentum_orders,
 )
-from .linalg import solve
+from .linalg import read_back, solve
 from .poly import EvenPoly, Exponent, Rat, monomial_exponents
-from .report import FAIL, PASS, CheckReport
+from .report import FAIL, PASS, CheckReport, family_residuals
 
 # momentum-order decomposition constants (orders 2, 1, 0), fixed per build
 DECOMPOSITION_SIGNS = (1, 1, -1)
@@ -287,23 +287,13 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     return StructuralResiduals(metric, alpha_res, potential_res)
 
 
-def _family_residuals(tag: str, family: dict, names: str) -> list[tuple[str, str]]:
-    """The nonzero entries of an index in ascending keys, as `tag[a=1,i=2]`."""
-    residuals = []
-    for key, value in sorted(family.items()):
-        if not value.is_zero:
-            label = ",".join(f"{name}={k + 1}" for name, k in zip(names, key))
-            residuals.append((f"{tag}[{label}]", str(value)))
-    return residuals
-
-
 def check_metric_compat(families: StructuralResiduals) -> CheckReport:
     """Covariant constancy of the lowered metric along every frame field.
 
     The metric family of `structural_residuals` reads only g_low and omega,
     so the families of the full pack serve this check as well.
     """
-    residuals = _family_residuals("compat", families.metric, "aij")
+    residuals = family_residuals("compat", families.metric, "aij")
     status = FAIL if residuals else PASS
     return CheckReport("metric_compat", status, METRIC_COMPAT_IDENTITY, residuals)
 
@@ -311,9 +301,9 @@ def check_metric_compat(families: StructuralResiduals) -> CheckReport:
 def check_structural(families: StructuralResiduals) -> CheckReport:
     """All three structural families as one labeled report."""
     residuals = (
-        _family_residuals("metric", families.metric, "aij")
-        + _family_residuals("alpha", families.alpha, "ai")
-        + _family_residuals(
+        family_residuals("metric", families.metric, "aij")
+        + family_residuals("alpha", families.alpha, "ai")
+        + family_residuals(
             "potential", {(a,): f for a, f in families.potential.items()}, "a"
         )
     )
@@ -353,7 +343,6 @@ def check_evolution_invariance(
                 term = ctx.lift(w * pack.g_inv[i][j]) * momenta[j]
                 gammas[(b, a)] = gammas.get((b, a), ctx.zero()) + term
 
-    residuals = []
     bracket_residuals: list[GradedPoly] = []
     field = ctx.hamiltonian_field(H)  # {H, .}, applied to every Phi_a
     for a in range(r):
@@ -363,8 +352,9 @@ def check_evolution_invariance(
             if gamma is not None:
                 R = R - gamma * cs.phis[b]
         bracket_residuals.append(R)
-        if not R.is_zero:
-            residuals.append((f"evolution[a={a + 1}]", str(R)))
+    residuals = family_residuals(
+        "evolution", {(a,): R for a, R in enumerate(bracket_residuals)}, "a"
+    )
 
     notes = ["gamma^b_a = omega^b_ai g^ij p_j - tau^b_a"]
     twisted = ctx.twist is not None
@@ -447,32 +437,28 @@ class ConnectionSolution:
         feasible: bool,
         omega: dict[tuple[int, int, int], EvenPoly] | None,
         solution_dim: int,
-        degree: int,
         notes: list[str] | None = None,
     ):
         self.feasible = feasible
         self.omega = omega
         self.solution_dim = solution_dim
-        self.degree = degree
         self.notes = [] if notes is None else notes
 
 
 def _connection_columns(
     data: Algebroid, g_low: Matrix, degree: int
-) -> tuple[list[tuple[int, int, int, Exponent]], list[dict]]:
+) -> tuple[list[tuple[tuple[int, int, int], Exponent]], list[dict]]:
     """One column per unknown omega^b_ai = x^m of the compatibility system.
 
-    The unknowns number rank^2 * base_dim * C(base_dim + degree, base_dim).
-    Row keys are (a, pair position, exponent) over the pairs s <= t.  An
-    unknown adds -x^m (iota_rho g)_bk to each pair of `_omega_slots(n, i)`,
-    term by term.
+    The unknowns, ((b, a, i), m), number rank^2 * base_dim * C(base_dim +
+    degree, base_dim).  Row keys are (a, s, t, exponent) over the pairs
+    s <= t.  An unknown adds -x^m (iota_rho g)_bk to each pair of
+    `_omega_slots(n, i)`, term by term.
     """
     r, n = data.rank, data.base_dim
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    pair_position = {pair: pos for pos, pair in enumerate(pairs)}
     exponents = monomial_exponents(n, degree)
     unknowns = [
-        (b, a, i, m)
+        ((b, a, i), m)
         for b in range(r)
         for a in range(r)
         for i in range(n)
@@ -480,11 +466,11 @@ def _connection_columns(
     ]
     iota = _lowered_anchor(data, g_low)
     columns = []
-    for b, a, i, m in unknowns:
-        column: dict[tuple[int, int, Exponent], Rat] = {}
-        for pair, k in _omega_slots(n, i):
+    for (b, a, i), m in unknowns:
+        column: dict[tuple[int, int, int, Exponent], Rat] = {}
+        for (s, t), k in _omega_slots(n, i):
             for e, coeff in iota[b][k].terms.items():
-                key = (a, pair_position[pair], m + e)
+                key = (a, s, t, m + e)
                 value = column.get(key, 0) - coeff
                 if value:
                     column[key] = value
@@ -507,12 +493,12 @@ def solve_connection(
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
     r, n = data.rank, data.base_dim
-    pair_list = [(i, j) for i in range(n) for j in range(i, n)]
     unknowns, columns = _connection_columns(data, pack.g_low, degree)
     rhs = {
-        (a, pair_pos, e): -coeff
+        (a, i, j, e): -coeff
         for a in range(r)
-        for pair_pos, (i, j) in enumerate(pair_list)
+        for i in range(n)
+        for j in range(i, n)
         for e, coeff in _lie_metric(data, pack.g_low, a, i, j).terms.items()
     }
 
@@ -522,18 +508,11 @@ def solve_connection(
             False,
             None,
             0,
-            degree,
             [
                 f"no polynomial connection of degree <= {degree} satisfies "
                 f"metric compatibility"
             ],
         )
     solution, solution_dim = result
-    terms: dict[tuple[int, int, int], dict[Exponent, Rat]] = {}
-    for k, value in solution.items():
-        b, a, i, m = unknowns[k]
-        terms.setdefault((b, a, i), {})[m] = value
-    omega = {
-        key: EvenPoly(data.coords, terms[key]) for key in sorted(terms)
-    }
-    return ConnectionSolution(True, omega, solution_dim, degree, [])
+    omega = dict(sorted(read_back(data.coords, unknowns, solution).items()))
+    return ConnectionSolution(True, omega, solution_dim, [])

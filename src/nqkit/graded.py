@@ -54,6 +54,19 @@ def letters(word: OddWord) -> tuple[int, ...]:
     return tuple(a for a, bit in enumerate(bin(word)[:1:-1]) if bit == "1")
 
 
+def word_label(ctx: GradedContext, word: OddWord) -> str:
+    """The odd names of a word's letters, space-separated."""
+    return " ".join(ctx.odd_names[k] for k in letters(word))
+
+
+def word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
+    """One residual `tag[word]` per odd word of F, shortest words first."""
+    return [
+        (f"{tag}[{word_label(F.ctx, word)}]", str(F.parts[word]))
+        for word in sorted(F.parts, key=lambda w: (w.bit_count(), letters(w)))
+    ]
+
+
 @cache
 def _koszul_mask(word: OddWord) -> int:
     """The letters with an odd count of letters of `word` below them, so that

@@ -21,7 +21,8 @@ gcd of its entries, so the entries stay small.  The stored rows are kept
 free of each other's pivots, so an incoming row is reduced in one pass,
 and an index from each column to the stored rows holding it lets a new
 pivot clear only those rows.  Fractions appear once, at the end, when
-each row is divided by its pivot.
+each row is divided by its pivot.  `read_back` turns a kernel or
+solution vector back into polynomials, for every solve.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+
+from .poly import EvenPoly, Exponent
 
 Rat = Fraction
 Column = Mapping[Hashable, Rat]
@@ -168,3 +171,21 @@ def image_in(columns: Sequence[Column], inside: Callable[[Hashable], bool]) -> i
     """
     outside = [{k: v for k, v in column.items() if not inside(k)} for column in columns]
     return rank(columns) - rank(outside)
+
+
+def read_back(
+    coords: tuple[str, ...],
+    unknowns: Sequence[tuple[Hashable, Exponent]],
+    vector: Mapping[int, Rat],
+) -> dict[Hashable, EvenPoly]:
+    """The polynomials `{label: EvenPoly}` of a vector over `unknowns`.
+
+    Unknown k is the monomial x^exponent, a packed key over `coords`, of
+    the polynomial named by its label.  Only the labels the vector reaches
+    appear, in the order it first reaches them; a missing label is zero.
+    """
+    terms: dict[Hashable, dict[Exponent, Rat]] = {}
+    for k, value in vector.items():
+        label, exponent = unknowns[k]
+        terms.setdefault(label, {})[exponent] = value
+    return {label: EvenPoly(coords, t) for label, t in terms.items()}

@@ -45,7 +45,7 @@ from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_INT_LITERAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits, as the parser
+INT_LITERAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits, as the parser
 _RESERVED_PREFIXES = ("p_", "xi_", "pi_", "lam_")
 _RESERVED_SUFFIXES = ("_odd", "_dot")
 
@@ -293,7 +293,7 @@ def _parse_entry(value: object, coords: tuple[str, ...], path: str) -> EvenPoly:
         return EvenPoly.const(coords, value)
     # most entries of a dense table are plain integers: skip the tokenizer
     literal = value.strip()
-    if _INT_LITERAL.fullmatch(literal):
+    if INT_LITERAL.fullmatch(literal):
         try:
             return EvenPoly.const(coords, int(literal))
         except ValueError:

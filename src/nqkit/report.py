@@ -54,6 +54,20 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def family_residuals(tag: str, family: dict, names: str) -> list[tuple[str, str]]:
+    """The nonzero entries of an index in ascending keys, as `tag[a=1,i=2]`.
+
+    Each key is a tuple of 0-based indices, labelled 1-based by the letters
+    of `names`; a value is any polynomial with `is_zero` and `str`.
+    """
+    residuals = []
+    for key, value in sorted(family.items()):
+        if not value.is_zero:
+            label = ",".join(f"{name}={k + 1}" for name, k in zip(names, key))
+            residuals.append((f"{tag}[{label}]", str(value)))
+    return residuals
+
+
 def worst_status(reports: list[CheckReport]) -> str:
     """The most severe status present; fail dominates warn dominates pass."""
     status = SKIPPED

@@ -17,6 +17,7 @@ import nqkit.bfv
 import nqkit.cli
 import nqkit.constraints
 import nqkit.dynamics
+import nqkit.graded
 from nqkit.aksz import (
     FieldEntry,
     build_supercharge,
@@ -371,7 +372,8 @@ def test_tripped_engine_guard_exits_3(
 
 
 # what the ghost-zero window builds: the axiom check's defect tensors, then
-# the constraints and the charge, but no closure, master report or package
+# the constraints and the charge with (S, .) and its self-bracket, but no
+# closure, master report or package
 H0_BUILDS = {
     "structural_two_form": 0,
     "structural_residuals": 0,
@@ -386,28 +388,49 @@ H0_BUILDS = {
         (["check", corpus_path("so3_action"), "--all"], 0, ["(S, S)", "(S, H)"], {}),
         # the drift refuses the assembly, so no H is built
         (["check", corpus_path("beta_drift"), "--all"], 1, ["(S, S)"], {}),
+        # alpha != 0: the core is not S, and (core, .) is derived on its own
+        (
+            ["check", corpus_path("rank2_line_affine"), "--all"],
+            0,
+            ["(S, S)", "(S, H)"],
+            {},
+        ),
         # no metric check runs
         (EMIT_SO3_BV, 0, ["(S, S)", "(S, H)"], {"structural_residuals": 0}),
+        (
+            ["emit", corpus_path("so3_action"), "--what", "bfv", "--out", "bfv.json"],
+            0,
+            ["(S, S)", "(S, H)"],
+            {"structural_residuals": 0},
+        ),
         # rank 15: the rank at which a repeated invariant costs seconds
         (["check", "so6.json", "--all"], 0, ["(S, S)", "(S, H)"], {}),
         (
             ["cohomology", corpus_path("so3_action"), "--bfv-h0"]
             + ["--trunc", "1", "--p-degree", "1"],
             0,
-            [],
+            ["(S, S)"],
             H0_BUILDS,
         ),
     ],
-    ids=["check_all", "check_all_drift", "emit_bv", "check_all_so6", "bfv_h0"],
+    ids=[
+        "check_all",
+        "check_all_drift",
+        "check_all_affine",
+        "emit_bv",
+        "emit_bfv",
+        "check_all_so6",
+        "bfv_h0",
+    ],
 )
 def test_defect_tensors_computed_once_per_invocation(
     monkeypatch, tmp_path, args, exit_code, brackets, builds
 ):
     # the defect tensors and their lift, the structural 2-form, the
     # structural residuals (when a metric is given), the constraints, the
-    # charge with its core, self-bracket and master report, the package
-    # (assembled, or refused on the drift) and (S, H), once each, unless
-    # `builds` says otherwise
+    # charge with its core, (S, .), self-bracket and master report, the
+    # package (assembled, or refused on the drift) and (S, H), once each,
+    # unless `builds` says otherwise
     monkeypatch.chdir(tmp_path)
     if args[1] == "so6.json":
         Path("so6.json").write_text(json.dumps(gen.so_n(6)))
@@ -416,14 +439,26 @@ def test_defect_tensors_computed_once_per_invocation(
     named = {"(S, S)": (charge.S, charge.S)}
     if "(S, H)" in brackets:
         named["(S, H)"] = (charge.S, assemble_bfv(charge).H)
+    # a bracket (F, G) is the table of (F, .) applied to G, whichever
+    # route (poisson or a kept table) applies it
+    derived = []  # F of every (F, .) table built, with the table
     bracketed = []
-    poisson = GradedContext.poisson
+    hamiltonian_field = GradedContext.hamiltonian_field
 
-    def recorded(ctx, F, G):
-        bracketed.append((F, G))
-        return poisson(ctx, F, G)
+    def derive(ctx, F):
+        table = hamiltonian_field(ctx, F)
+        derived.append((F, table))
+        return table
 
-    monkeypatch.setattr(GradedContext, "poisson", recorded)
+    monkeypatch.setattr(GradedContext, "hamiltonian_field", derive)
+    left_derivation = nqkit.graded.left_derivation
+
+    def apply(ctx, table, G):
+        for F, built in derived:
+            if built is table:
+                bracketed.append((F, G))
+        return left_derivation(ctx, table, G)
+
     calls = Counter()
 
     def counted(name, original):
@@ -447,9 +482,12 @@ def test_defect_tensors_computed_once_per_invocation(
         "check_master": nqkit.bfv,
         "assemble_bfv": nqkit.bfv,
     }
-    for name, owner in owners.items():
-        original = getattr(owner, name)
-        wrapper = counted(name, original)
+    wrappers = {
+        name: counted(name, getattr(owner, name)) for name, owner in owners.items()
+    }
+    wrappers["left_derivation"] = apply
+    for name, wrapper in wrappers.items():
+        original = getattr(owners.get(name, nqkit.graded), name)
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
@@ -457,6 +495,8 @@ def test_defect_tensors_computed_once_per_invocation(
     assert result.exit_code == exit_code
     expected = {name: builds.get(name, 1) for name in owners}
     assert {name: calls[name] for name in owners} == expected
+    # (S, .) is derived once, and every bracket with S applies that table
+    assert sum(F == charge.S for F, _ in derived) == 1
     counts = {label: bracketed.count(pair) for label, pair in named.items()}
     assert counts == {label: int(label in brackets) for label in named}
 
@@ -897,6 +937,21 @@ def test_check_json_is_byte_stable(tmp_path):
 
 
 # cohomology
+
+# the full stdout of solves whose printed bases, primitives and connections
+# depend on the column order of their linear maps, recorded from the
+# command line; paths are relative to the repository root
+PRINTED_SOLVES = json.loads((ROOT / "tests/data/printed_solves.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", PRINTED_SOLVES, ids=[" ".join(case["args"]) for case in PRINTED_SOLVES]
+)
+def test_printed_solve_answers_are_pinned(monkeypatch, case):
+    monkeypatch.chdir(ROOT)
+    result = run(*case["args"])
+    assert (result.exit_code, result.stderr) == (case["exit_code"], "")
+    assert result.stdout == case["stdout"]
 
 
 def test_cohomology_first_order_window():

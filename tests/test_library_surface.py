@@ -1,11 +1,12 @@
-"""Every function the package exports has a caller in the program itself.
+"""Every definition of the package has a caller in the program itself.
 
 A library function that only the tests call is dead weight: it must get
 a real caller or be deleted.  "Real" is read from source: starting at the
 command line module, follow every name a top-level definition mentions
 (its own module's definitions and what it imports from sibling modules)
-until nothing new is reached.  An exported function outside that set is
-reported, so a helper called only by another dead helper is caught too.
+until nothing new is reached.  An exported function, and any top-level
+definition, outside that set is reported, so a helper called only by
+another dead helper is caught too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ SOURCE = Path(nqkit.__file__).resolve().parent
 # through `check --first-class` would add one linear solve per frame pair
 # to every `check --all`
 WITHOUT_CLI_CALLER = {"extract_structure"}
+# the definitions only extract_structure reaches
+EXTRACTION_CLUSTER = {
+    ("constraints", "extract_structure"),
+    ("constraints", "_solve_structure"),
+    ("constraints", "_base_column"),
+    ("constraints", "ExtractionResult"),
+}
 
 Node = tuple[str, str]  # (module, top-level name)
 
@@ -60,11 +68,16 @@ def _references(module: str, tree: ast.Module) -> dict[Node, set[Node]]:
     return graph
 
 
-def reached_from_the_cli() -> set[Node]:
+def definitions() -> dict[Node, set[Node]]:
     graph: dict[Node, set[Node]] = {}
     for path in SOURCE.glob("*.py"):
         if path.stem != "__init__":
             graph.update(_references(path.stem, ast.parse(path.read_text())))
+    return graph
+
+
+def reached_from_the_cli() -> set[Node]:
+    graph = definitions()
     reached = {node for node in graph if node[0] == "cli"}
     frontier = list(reached)
     while frontier:
@@ -91,3 +104,9 @@ def test_every_exported_function_is_reached_from_the_cli():
     }
     assert unreached == WITHOUT_CLI_CALLER
 
+
+
+def test_every_definition_is_reached_from_the_cli():
+    graph = definitions()
+    assert len(graph) > 200  # the walk saw the whole package
+    assert set(graph) - reached_from_the_cli() == EXTRACTION_CLUSTER

@@ -90,9 +90,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "CohomologyReport": (
             CohomologyReport,
             {
-                "degree": 1,
-                "trunc": 3,
-                "slack": 7,
                 "closed_dim": 6,
                 "exact_dim": 4,
                 "h_dim": 2,
@@ -171,7 +168,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "feasible": True,
                 "omega": {(0, 0, 0): x},
                 "solution_dim": 2,
-                "degree": 1,
                 "notes": ["a note"],
             },
             {"notes": []},
@@ -199,8 +195,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "H0Report": (
             H0Report,
             {
-                "x_degree": 4,
-                "p_degree": 1,
                 "closed_dim": 5,
                 "exact_dim": 3,
                 "h_dim": 2,

@@ -42,7 +42,7 @@ def test_verb_command_resolves(name):
 
     command = getattr(nqkit.cli, spans.VERBS[name])
     assert callable(command.callback)
-    assert nqkit.cli.main.get_command(None, command.name) is command
+    assert nqkit.cli.main.commands[command.name] is command
 
 
 # one valid command line per verb, as the benchmark's jobs pass them
@@ -62,7 +62,7 @@ def test_cli_entry_point_runs_a_rebound_verb_callback(monkeypatch):
     assert sorted(VERB_LINES) == sorted(spans.VERBS.values())
     for attr, line in VERB_LINES.items():
         command = getattr(nqkit.cli, attr)
-        assert nqkit.cli.main.get_command(None, line[0]) is command
+        assert nqkit.cli.main.commands[line[0]] is command
         seen = []
 
         def rebound(**values):

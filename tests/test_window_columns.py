@@ -8,25 +8,38 @@ The references kept here are the earlier routes: the frame differential
 bracket written out pair by pair, and one shifted `EvenPoly` per equation
 pair for the connection solve.  Columns are compared as exact dicts.  The only relabelling is
 that the Q columns live in the ghost context, so their exponents carry a
-momentum half, which must be zero.
+momentum half, which must be zero.  The column counts that the command
+line estimates for its window budget are checked against the columns
+each solve hands to the elimination.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nqkit.algebroid import _q_columns
-from nqkit.bfv import _balanced_words, _bracket_columns, build_S
-from nqkit.cli import _connection_unknowns
+import nqkit.algebroid
+import nqkit.bfv
+import nqkit.cli
+from nqkit.algebroid import (
+    Algebroid,
+    _q_columns,
+    cohomology_h1,
+    ghost_context,
+    is_exact_one_form,
+)
+from nqkit.bfv import _balanced_words, _bracket_columns, bfv_h0, build_S
+from nqkit.cli import _check_window_budget, _connection_unknowns
 from nqkit.constraints import affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import GradedPoly, letters
 from nqkit.poly import EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
+from tests.conftest import frame_charge
 from tests.reference_forms import e_differential
 from tests.test_graded import pair_loop_poisson
 
@@ -121,16 +134,16 @@ def pair_by_pair_connection_column(data, g_low, b, a, i, m) -> dict:
     n = data.base_dim
     iota = _lowered_anchor(data, g_low)
     shifted = EvenPoly(data.coords, {m: Fraction(1)})
-    pair_list = [(s, t) for s in range(n) for t in range(s, n)]
     column = {}
-    for pair_pos, (s, t) in enumerate(pair_list):
-        contribution = EvenPoly.zero(data.coords)
-        if i == s:
-            contribution = contribution - shifted * iota[b][t]
-        if i == t:
-            contribution = contribution - shifted * iota[b][s]
-        for e, coeff in contribution.terms.items():
-            column[(a, pair_pos, e)] = coeff
+    for s in range(n):
+        for t in range(s, n):
+            contribution = EvenPoly.zero(data.coords)
+            if i == s:
+                contribution = contribution - shifted * iota[b][t]
+            if i == t:
+                contribution = contribution - shifted * iota[b][s]
+            for e, coeff in contribution.terms.items():
+                column[(a, s, t, e)] = coeff
     return column
 
 
@@ -150,5 +163,72 @@ def test_connection_columns_match_the_shifted_products(name, degree):
     data, g_low = problem.data, problem.pack.g_low
     unknowns, columns = _connection_columns(data, g_low, degree)
     assert len(unknowns) == _connection_unknowns(problem, degree)
-    for (b, a, i, m), column in zip(unknowns, columns):
+    for ((b, a, i), m), column in zip(unknowns, columns):
         assert column == pair_by_pair_connection_column(data, g_low, b, a, i, m)
+
+
+def estimated_columns(monkeypatch, capsys, problem, *window) -> int:
+    """The count `_check_window_budget` estimates, read off its refusal
+    under a budget that refuses every window."""
+    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", -1)
+    with pytest.raises(SystemExit):
+        _check_window_budget(problem, *window)
+    message = capsys.readouterr().err
+    return int(re.search(r"an estimated (\d+) columns", message).group(1))
+
+
+def built_columns(monkeypatch, module, stubs: dict, solve) -> int:
+    """The columns `solve()` hands to the elimination routines of `module`,
+    each stubbed to return a fixed answer, so no elimination runs."""
+    seen = []
+
+    def stub(answer):
+        def record(columns, *rest):
+            seen.append(len(columns))
+            return answer
+
+        return record
+
+    for name, answer in stubs.items():
+        monkeypatch.setattr(module, name, stub(answer))
+    solve()
+    return sum(seen)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("trunc", [0, 1, 2, 3])
+def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc):
+    problem = corpus_problem(name)
+    data, slack = problem.data, problem.truncation.slack
+
+    def estimate(p_degree, bfv_h0_flag, is_exact_flag):
+        window = (trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
+        return estimated_columns(monkeypatch, capsys, problem, *window)
+
+    stubs = {"kernel": [], "image_in": 0, "solve": None}
+    h1 = built_columns(
+        monkeypatch, nqkit.algebroid, stubs, lambda: cohomology_h1(data, trunc, slack)
+    )
+    assert estimate(0, False, False) == h1
+    zero_form = ghost_context(data).zero()
+    exact = built_columns(
+        monkeypatch,
+        nqkit.algebroid,
+        stubs,
+        lambda: is_exact_one_form(data, zero_form, trunc),
+    )
+    assert estimate(0, False, True) == exact
+
+    charge = frame_charge(data, problem.pack)
+    if not charge.self_bracket.is_zero:
+        # a failing master stops the window before any column is built;
+        # the window depends only on base and rank, so count the zero frame's
+        zero_row = (data.zero(),) * data.base_dim
+        zero_frame = Algebroid(data.coords, (zero_row,) * data.rank, {})
+        charge = frame_charge(zero_frame, problem.pack)
+    stubs = {"rank": 0, "image_in": 0}
+    for p_degree in (0, 1):
+        h0 = built_columns(
+            monkeypatch, nqkit.bfv, stubs, lambda: bfv_h0(charge, trunc, p_degree)
+        )
+        assert estimate(p_degree, True, False) == h0
