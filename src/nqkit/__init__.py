@@ -27,20 +27,13 @@ from .algebroid import (
     cohomology_h1,
     is_exact_one_form,
 )
-from .bfv import (
-    BFVPackage,
-    Charge,
-    assemble_bfv,
-    bfv_h0,
-    build_H,
-    build_S,
-    charge_of_constraints,
-    check_master,
-)
+from .bfv import BFVPackage, assemble_bfv, bfv_h0, build_H
 from .constraints import (
     ConstraintSet,
     build_constraints,
+    build_S,
     check_first_class,
+    check_master,
     extract_structure,
     irreducibility_probe,
     phase_space,
@@ -62,7 +55,6 @@ from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
 __all__ = [
     "Algebroid",
     "BFVPackage",
-    "Charge",
     "CheckReport",
     "ComponentAction",
     "ConstraintSet",
@@ -86,7 +78,6 @@ __all__ = [
     "build_constraints",
     "build_hamiltonian",
     "build_supercharge",
-    "charge_of_constraints",
     "check_axioms",
     "check_bookkeeping",
     "check_evolution_invariance",

@@ -110,14 +110,14 @@ def check_supercharge(sq: SuperCharge) -> CheckReport:
     """Nilpotency of the super-time charge.
 
     The self bracket is computed directly and, as an internal guard,
-    matched against (S, S) - 2 theta (S, H), read off the charge and the
-    package that bracketed them; the verdict must also agree with the
+    matched against (S, S) - 2 theta (S, H), read off the constraints and
+    the package that bracketed them; the verdict must also agree with the
     source package's master and invariance reports.
     """
     ctx = sq.context
     bfv = sq.package
     QQ = ctx.poisson(sq.Q, sq.Q)
-    SS, SH = bfv.charge.self_bracket, bfv.SH
+    SS, SH = bfv.constraints.self_bracket, bfv.SH
     theta = ctx.var(THETA)
     split = transport(SS, ctx) - 2 * theta * transport(SH, ctx)
     if QQ != split:
@@ -309,7 +309,7 @@ def extended_action_reference(package: BFVPackage) -> GradedPoly:
     comes from the evolution side, so the ghost-free sector of the
     expansion has an independent source.
     """
-    constraints, pack = package.charge.constraints, package.charge.pack
+    constraints, pack = package.constraints, package.pack
     data = constraints.data
     ectx = expansion_context(data.coords, data.rank)
     total = ectx.zero()

@@ -1,22 +1,22 @@
-"""Extended phase space with one ghost pair per frame direction.
+"""The covariant Hamiltonian added to the charge of a constraint set.
 
-The odd charge S is the Hamiltonian lift of the differential Q of the
-frame data, plus the affine part: a single generator of ghost degree +1
-that collects the anchor and the structure functions.  Its self-bracket
-reproduces every closure defect of the frame data at once, so one
-nilpotency test covers the whole identity battery.  A covariantized
-Hamiltonian then probes the interaction of the metric data with the
-frame: its bracket with the charge either vanishes or is carried by a
-single obstruction tensor with three frame indices and one base index.
+The constraint set fixes the odd charge S: the Hamiltonian lift of the
+differential Q of the frame data, plus the affine part, a single
+generator of ghost degree +1 that collects the anchor and the structure
+functions.  Its self-bracket reproduces every closure defect of the
+frame data at once, so one nilpotency test covers the whole identity
+battery.  A covariantized Hamiltonian built from the geometry pack then
+probes the interaction of the metric data with the frame: its bracket
+with the charge either vanishes or is carried by a single obstruction
+tensor with three frame indices and one base index.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 
-from .algebroid import Algebroid, q_images
-from .constraints import ConstraintSet, affine_charge
+from .algebroid import Algebroid
+from .constraints import ConstraintSet, build_S, check_master
 from .dynamics import GeometryPack
 from .graded import (
     GradedContext,
@@ -25,118 +25,32 @@ from .graded import (
     antighost_name,
     field_column,
     ghost_name,
-    hamiltonian_lift,
     left_derivation,
     letters,
     momentum_name,
     momentum_orders,
-    transport,
     word_label,
-    word_residuals,
 )
 from .linalg import image_in, rank
 from .poly import WIDTH, EvenPoly, Exponent, lex_bits, monomial_exponents, unpack
 from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 
+# build_S and check_master are defined with the constraint set and re-exported
+__all__ = [
+    "CARTAN_IDENTITY",
+    "DRIFT_REFUSAL",
+    "BFVPackage",
+    "H0Report",
+    "assemble_bfv",
+    "bfv_h0",
+    "build_H",
+    "build_S",
+    "check_master",
+    "covariant_momenta",
+]
+
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 DRIFT_REFUSAL = "drift term present: absorb it before the extended assembly"
-
-
-def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
-    """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q on the phase space ctx.
-
-    Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c.  This is the
-    core of the charge; `charge_of_constraints` adds the affine part
-    alpha_a xi^a of `affine_charge`.
-    """
-    return hamiltonian_lift(ctx, q_images(data, ctx))
-
-
-class Charge:
-    """The charge S = core + affine of a constraint set, on its phase space.
-
-    `core` is the lift of Q (`build_S`) and `affine` is alpha_a xi^a; the
-    cartan and charge-invariance checks bracket each with the Hamiltonian.
-    The grading of S is checked here, once.  The derivation (S, .), the
-    self-bracket (S, S) and the master report are computed on first use
-    and kept, so one invocation derives (S, .) once and brackets S with
-    itself once however many reports and windows need them.
-    The constraints carry the `closure` that the master check predicts
-    (S, S) from, so it is shared with the first-class check of the same
-    constraints.  Treated as immutable.
-    """
-
-    def __init__(
-        self,
-        constraints: ConstraintSet,
-        pack: GeometryPack,
-        core: GradedPoly,
-        affine: GradedPoly,
-    ):
-        S = core + affine
-        # the zero charge, of a frame with zero anchor and structure, is allowed
-        if not S.is_zero and (S.parity() != 1 or S.ghost_degree() != 1):
-            raise ValueError("the charge must be odd of ghost degree +1")
-        self.constraints = constraints
-        self.pack = pack
-        self.core = core
-        self.affine = affine
-        self.S = S
-
-    @property
-    def ctx(self) -> GradedContext:
-        return self.constraints.ctx
-
-    @property
-    def data(self) -> Algebroid:
-        return self.constraints.data
-
-    @cached_property
-    def field(self) -> dict[str, GradedPoly]:
-        """(S, .) as images of the coordinates, for `left_derivation`."""
-        return self.ctx.hamiltonian_field(self.S)
-
-    @cached_property
-    def self_bracket(self) -> GradedPoly:
-        return left_derivation(self.ctx, self.field, self.S)
-
-    @cached_property
-    def master(self) -> CheckReport:
-        return check_master(self)
-
-
-def charge_of_constraints(cs: ConstraintSet, pack: GeometryPack) -> Charge:
-    """The core lift of Q and the affine part alpha_a xi^a of the constraints.
-
-    The charge lives on the phase space of the constraints.
-    """
-    data, ctx = cs.data, cs.ctx
-    if data.coords != pack.coords or data.rank != pack.rank:
-        raise ValueError("frame data and geometry pack disagree on base or rank")
-    return Charge(cs, pack, build_S(data, ctx), affine_charge(data, cs.alpha, ctx))
-
-
-def check_master(charge: Charge) -> CheckReport:
-    """Nilpotency of the charge under the graded bracket.
-
-    The self-bracket is also predicted from the frame data used to build S:
-    it is twice the `closure` of the constraints, the structural 2-form
-    plus the lift of the defect tensors; disagreement between the routes
-    raises.
-    """
-    ss = charge.self_bracket
-    closure = charge.constraints.closure
-    if closure.ctx != ss.ctx:  # a twisted phase space
-        closure = transport(closure, ss.ctx)
-    if ss != closure * 2:
-        raise RuntimeError("internal dual-route mismatch in the self-bracket")
-    notes = [
-        "dual route: the self-bracket matches the anchor and jacobi "
-        "defects with the structural 2-form"
-    ]
-    residuals = word_residuals("ss", ss)
-    status = FAIL if residuals else PASS
-    return CheckReport("master", status, "(S, S) = 0", residuals, notes)
 
 
 def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly]:
@@ -168,7 +82,7 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
 
 
 class BFVPackage:
-    """Charge, Hamiltonian and the reports of the identity battery.
+    """Constraints with their charge, pack, Hamiltonian and battery reports.
 
     `SH` is the bracket (S, H), computed once by the charge-invariance check
     and kept for the theta split of the supercharge.  Treated as immutable.
@@ -176,29 +90,31 @@ class BFVPackage:
 
     def __init__(
         self,
-        charge: Charge,
+        constraints: ConstraintSet,
+        pack: GeometryPack,
         H: GradedPoly,
         SH: GradedPoly,
         reports: tuple[CheckReport, ...],
     ):
         if not H.is_zero and (H.parity() != 0 or H.ghost_degree() != 0):
             raise ValueError("the hamiltonian must be even of ghost degree 0")
-        self.charge = charge
+        self.constraints = constraints
+        self.pack = pack
         self.H = H
         self.SH = SH
         self.reports = reports
 
     @property
     def ctx(self) -> GradedContext:
-        return self.charge.ctx
+        return self.constraints.ctx
 
     @property
     def S(self) -> GradedPoly:
-        return self.charge.S
+        return self.constraints.S
 
     @property
     def data(self) -> Algebroid:
-        return self.charge.data
+        return self.constraints.data
 
     def report(self, name: str) -> CheckReport:
         for entry in self.reports:
@@ -216,9 +132,9 @@ def _shape_finding(detail: str) -> CheckReport:
     return CheckReport("cartan", FAIL, CARTAN_IDENTITY, [("shape", message)])
 
 
-def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
+def _cartan_core(cs: ConstraintSet, pack: GeometryPack, R: GradedPoly) -> CheckReport:
     """Read the obstruction tensor off R = (core, H_cov); it is empty iff R is zero."""
-    data, pack, ctx = charge.data, charge.pack, charge.ctx
+    data, ctx = cs.data, cs.ctx
     n, r = len(data.coords), data.rank
     # candidate entries from the momentum-linear xi xi pi words
     tensor: dict[tuple[int, int, int, int], EvenPoly] = {}
@@ -269,20 +185,24 @@ def _cartan_core(charge: Charge, R: GradedPoly) -> CheckReport:
 
 
 def _charge_invariance(
-    charge: Charge, h_cov: GradedPoly, potential: GradedPoly, core_bracket: GradedPoly
+    cs: ConstraintSet,
+    pack: GeometryPack,
+    h_cov: GradedPoly,
+    potential: GradedPoly,
+    core_bracket: GradedPoly,
 ) -> tuple[CheckReport, GradedPoly]:
     """The charge-invariance report and the bracket (S, H), H = h_cov + potential.
 
     `core_bracket` is (core, H_cov), shared with the cartan check; the
-    brackets with S apply the charge's (S, .).
+    brackets with S apply the (S, .) the constraints keep.
     """
-    data, ctx = charge.data, charge.ctx
-    field, affine = charge.field, charge.affine
+    data, ctx = cs.data, cs.ctx
+    field, affine = cs.field, cs.affine
 
     # (S, V) = rho_a^i d_i V xi^a, by the anchor derivative
     gradient = ctx.zero()
     for a in range(data.rank):
-        derivative = data.anchor_apply(a, charge.pack.potential)
+        derivative = data.anchor_apply(a, pack.potential)
         if not derivative.is_zero:
             gradient = gradient + ctx.var(ghost_name(a + 1)) * ctx.lift(derivative)
     parts = [
@@ -314,13 +234,16 @@ def _charge_invariance(
     return report, total
 
 
-def assemble_bfv(charge: Charge) -> BFVPackage:
-    """Add the Hamiltonian H = H_cov + V to a charge, then run the battery.
+def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
+    """Add the Hamiltonian H = H_cov + V of a pack to the charge of cs.
 
-    A ValueError means a refused drift term or an inverse metric without a
-    connection; every finding is a report.
+    Then run the battery.  A ValueError means a pack of another frame, a
+    refused drift term or an inverse metric without a connection; every
+    finding is a report.
     """
-    pack, ctx = charge.pack, charge.ctx
+    data, ctx = cs.data, cs.ctx
+    if data.coords != pack.coords or data.rank != pack.rank:
+        raise ValueError("frame data and geometry pack disagree on base or rank")
     if pack.beta is not None:
         raise ValueError(DRIFT_REFUSAL)
     potential = ctx.lift(pack.potential)
@@ -329,13 +252,13 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
         h_cov = H - potential
     else:
         H, h_cov = potential, ctx.zero()
-    reports = [charge.master]
+    reports = [cs.master]
     # (core, H_cov), shared by the cartan and charge-invariance checks;
-    # with alpha = 0 the core is S, whose (S, .) the charge keeps
-    if charge.affine.is_zero:
-        core_bracket = left_derivation(ctx, charge.field, h_cov)
+    # with alpha = 0 the core is S, whose (S, .) the constraints keep
+    if cs.affine.is_zero:
+        core_bracket = left_derivation(ctx, cs.field, h_cov)
     else:
-        core_bracket = ctx.poisson(charge.core, h_cov)
+        core_bracket = ctx.poisson(cs.core, h_cov)
     if pack.g_inv is None or pack.g_low is None:
         skipped = "no metric pair: the covariant obstruction is not defined"
     elif reports[0].status != PASS:
@@ -343,12 +266,12 @@ def assemble_bfv(charge: Charge) -> BFVPackage:
     else:
         skipped = None
     if skipped is None:
-        reports.append(_cartan_core(charge, core_bracket))
+        reports.append(_cartan_core(cs, pack, core_bracket))
     else:
         reports.append(CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [skipped]))
-    invariance, SH = _charge_invariance(charge, h_cov, potential, core_bracket)
+    invariance, SH = _charge_invariance(cs, pack, h_cov, potential, core_bracket)
     reports.append(invariance)
-    return BFVPackage(charge, H, SH, tuple(reports))
+    return BFVPackage(cs, pack, H, SH, tuple(reports))
 
 
 # truncated ghost-number-zero cohomology of (S, .)
@@ -409,7 +332,7 @@ def _bracket_columns(
     ]
 
 
-def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
+def bfv_h0(cs: ConstraintSet, x_degree: int, p_degree: int) -> H0Report:
     """Kernel minus image of (S, .) on a finite ghost-number-0 window.
 
     Both dimensions are exact on the window: an element counts as closed
@@ -419,10 +342,10 @@ def bfv_h0(charge: Charge, x_degree: int, p_degree: int) -> H0Report:
     """
     if x_degree < 0 or p_degree < 0:
         raise ValueError("truncation degrees must be nonnegative")
-    if not charge.self_bracket.is_zero:
+    if not cs.self_bracket.is_zero:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
-    ctx, field = charge.ctx, charge.field  # (S, .), applied to every column
-    n, r = len(charge.data.coords), charge.data.rank
+    ctx, field = cs.ctx, cs.field  # (S, .), applied to every column
+    n, r = len(cs.data.coords), cs.data.rank
 
     def in_window(key: tuple[OddWord, Exponent]) -> bool:
         exponent = unpack(key[1], 2 * n)

@@ -41,14 +41,7 @@ from .algebroid import (
     is_exact_one_form,
     q_images,
 )
-from .bfv import (
-    CARTAN_IDENTITY,
-    BFVPackage,
-    Charge,
-    assemble_bfv,
-    bfv_h0,
-    charge_of_constraints,
-)
+from .bfv import CARTAN_IDENTITY, BFVPackage, assemble_bfv, bfv_h0
 from .constraints import (
     ConstraintSet,
     affine_charge,
@@ -116,10 +109,10 @@ class _Workbench:
     """The constructions of one problem, each built at most once.
 
     This is the one place the command line builds them, for every verb
-    that needs them: the constraints (which carry the predicted closure),
-    the charge lifted from them (the master report is read off it), the
-    package assembled from that charge, and the structural residual
-    families of the geometry pack.
+    that needs them: the constraints (which carry the predicted closure
+    and their charge, whose master report is read off them), the package
+    assembled from the constraints and the geometry pack, and the
+    structural residual families of the pack.
     """
 
     def __init__(self, problem: Problem):
@@ -133,14 +126,10 @@ class _Workbench:
         return build_constraints(self.problem.data, pack.alpha, pack.magnetic)
 
     @cached_property
-    def charge(self) -> Charge:
-        return charge_of_constraints(self.constraints, self.problem.pack)
-
-    @cached_property
     def package(self) -> tuple[BFVPackage | None, str | None]:
         """The assembled extended-phase-space package, or the input it lacks."""
         try:
-            return assemble_bfv(self.charge), None
+            return assemble_bfv(self.constraints, self.problem.pack), None
         except ValueError as error:
             return None, str(error)
 
@@ -215,7 +204,7 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 
 
 def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [bench.charge.master]
+    return [bench.constraints.master]
 
 
 def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -393,9 +382,9 @@ def _window_h1(problem: Problem, trunc: int, slack: int) -> None:
 
 
 def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
-    charge = _Workbench(problem).charge
+    constraints = _Workbench(problem).constraints
     try:
-        report = bfv_h0(charge, trunc, p_degree)
+        report = bfv_h0(constraints, trunc, p_degree)
     except ValueError as error:
         print(f"prerequisite failed: {error}")
         sys.exit(1)

@@ -7,10 +7,14 @@ twisted by a magnetic 2-form.  The affine part is the tuple of its r
 components alpha_a and the magnetic 2-form the antisymmetric n x n matrix
 B_ij, both over the base ring.  The structural 2-form d_E alpha - rho^* B
 that the brackets predict is an E-form: a ghost polynomial, with d_E = Q.
-The module verifies closure of the constraint brackets, inverts the
-construction by reading frame data back off fiber-linear constraints, and
-provides reducibility diagnostics.  All verdicts are exact; probes that
-sample points say so in their verdict.
+The constraints alone fix the odd BFV charge S = core + affine: the lift
+of Q to the phase space plus the affine part alpha_a xi^a.  A constraint
+set keeps S, the derivation (S, .) and the self-bracket (S, S), and the
+master check compares (S, S) with twice the closure the constraint
+brackets predict.  The module verifies closure of the constraint
+brackets, inverts the construction by reading frame data back off
+fiber-linear constraints, and provides reducibility diagnostics.  All
+verdicts are exact; probes that sample points say so in their verdict.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ from .graded import (
     GradedPoly,
     extended_context,
     ghost_name,
+    hamiltonian_lift,
     left_derivation,
     momentum_name,
     momentum_orders,
+    transport,
+    word_residuals,
 )
 from .linalg import rank, read_back, solve
 from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents, unpack
@@ -46,7 +53,11 @@ class ConstraintSet:
     """Constraints Phi_a on a problem's phase space, with their frame data.
 
     `degenerate` lists the indexes of the identically zero constraints and
-    `notes` names them for the first-class report.  Treated as immutable.
+    `notes` names them for the first-class report.  The charge S of the
+    constraints, its derivation (S, .), its self-bracket and the master
+    report are computed on first use and kept, so one invocation derives
+    (S, .) once and brackets S with itself once however many reports and
+    windows need them.  Treated as immutable.
     """
 
     def __init__(
@@ -89,6 +100,34 @@ class ConstraintSet:
         callers must not mutate it.
         """
         return self.structural + self.data.defect_lift
+
+    @cached_property
+    def core(self) -> GradedPoly:
+        """The lift of Q, `build_S`; alpha = 0 makes it the whole charge."""
+        return build_S(self.data, self.ctx)
+
+    @cached_property
+    def affine(self) -> GradedPoly:
+        """alpha_a xi^a, the affine part of the charge."""
+        return affine_charge(self.data, self.alpha, self.ctx)
+
+    @cached_property
+    def S(self) -> GradedPoly:
+        """The charge core + affine, odd of ghost degree +1 (or zero)."""
+        return self.core + self.affine
+
+    @cached_property
+    def field(self) -> dict[str, GradedPoly]:
+        """(S, .) as images of the coordinates, for `left_derivation`."""
+        return self.ctx.hamiltonian_field(self.S)
+
+    @cached_property
+    def self_bracket(self) -> GradedPoly:
+        return left_derivation(self.ctx, self.field, self.S)
+
+    @cached_property
+    def master(self) -> CheckReport:
+        return check_master(self)
 
 
 def phase_space(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
@@ -195,6 +234,39 @@ def structural_two_form(
             images[data.coords[i]] * images[data.coords[j]]
         )
     return structural
+
+
+def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
+    """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q on the phase space ctx.
+
+    Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c.  This is the
+    core of the charge; a constraint set adds the affine part alpha_a xi^a
+    of `affine_charge`.
+    """
+    return hamiltonian_lift(ctx, q_images(data, ctx))
+
+
+def check_master(cs: ConstraintSet) -> CheckReport:
+    """Nilpotency of the charge of the constraints under the graded bracket.
+
+    The self-bracket is also predicted from the frame data used to build S:
+    it is twice the `closure` of the constraints, the structural 2-form
+    plus the lift of the defect tensors; disagreement between the routes
+    raises.
+    """
+    ss = cs.self_bracket
+    closure = cs.closure
+    if closure.ctx != ss.ctx:  # a twisted phase space
+        closure = transport(closure, ss.ctx)
+    if ss != closure * 2:
+        raise RuntimeError("internal dual-route mismatch in the self-bracket")
+    notes = [
+        "dual route: the self-bracket matches the anchor and jacobi "
+        "defects with the structural 2-form"
+    ]
+    residuals = word_residuals("ss", ss)
+    status = FAIL if residuals else PASS
+    return CheckReport("master", status, "(S, S) = 0", residuals, notes)
 
 
 def check_first_class(cs: ConstraintSet) -> CheckReport:

@@ -470,12 +470,9 @@ def _connection_columns(
         column: dict[tuple[int, int, int, Exponent], Rat] = {}
         for (s, t), k in _omega_slots(n, i):
             for e, coeff in iota[b][k].terms.items():
+                # only slot (i, i) repeats, adding the same -coeff twice: none cancels
                 key = (a, s, t, m + e)
-                value = column.get(key, 0) - coeff
-                if value:
-                    column[key] = value
-                else:
-                    del column[key]
+                column[key] = column.get(key, 0) - coeff
         columns.append(column)
     return unknowns, columns
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.bfv import charge_of_constraints
+from nqkit.bfv import assemble_bfv
 from nqkit.constraints import build_constraints
 
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
@@ -78,6 +78,12 @@ def invoke(args, prog_name: str = "nqkit") -> Result:
     return Result(code, out.getvalue(), err.getvalue(), "".join(written))
 
 
-def frame_charge(data, pack):
-    """The charge of a frame and its pack, lifted from its constraints."""
-    return charge_of_constraints(build_constraints(data, pack.alpha, pack.magnetic), pack)
+def frame_constraints(data, pack):
+    """The constraints of a frame with the alpha and magnetic field of its
+    pack; they carry the charge."""
+    return build_constraints(data, pack.alpha, pack.magnetic)
+
+
+def frame_package(data, pack):
+    """The package assembled from a frame's constraints and its pack."""
+    return assemble_bfv(frame_constraints(data, pack), pack)

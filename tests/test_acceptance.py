@@ -29,12 +29,7 @@ from nqkit.algebroid import (
     is_exact_one_form,
     jacobi_defect,
 )
-from nqkit.bfv import (
-    assemble_bfv,
-    build_S,
-    check_master,
-    covariant_momenta,
-)
+from nqkit.bfv import build_S, check_master, covariant_momenta
 from nqkit.constraints import (
     affine_charge,
     build_constraints,
@@ -54,7 +49,7 @@ from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly, embed
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
-from tests.conftest import frame_charge, invoke
+from tests.conftest import frame_package, invoke
 from tests.reference_forms import (
     components,
     de_rham,
@@ -151,9 +146,9 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
     statuses = {}
     for name, data in bundled.items():
         axioms = check_axioms(data).status
-        first = check_first_class(build_constraints(data)).status
-        charge = frame_charge(data, GeometryPack(data.coords, data.rank))
-        master = check_master(charge).status
+        cs = build_constraints(data)
+        first = check_first_class(cs).status
+        master = check_master(cs).status
         assert axioms == first == master, name
         statuses[name] = axioms
     assert statuses.pop("broken_jacobi") == FAIL
@@ -302,7 +297,7 @@ def test_criterion_06_dynamics_two_route_agreement():
 def test_criterion_07_cartan_flat_and_resubstitution():
     # flat euclidean so(3) is cartan: the bracket vanishes identically
     so3 = corpus_problem("so3_action")
-    package = assemble_bfv(frame_charge(so3.data, so3.pack))
+    package = frame_package(so3.data, so3.pack)
     assert package.report("cartan").status == PASS
     core = build_S(so3.data, ctx=package.ctx)
     assert package.ctx.poisson(core, package.H).is_zero
@@ -310,7 +305,7 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     # constant-connection fixture with a position-dependent bracket: the
     # reported tensor entries rebuild the bracket with zero residual
     shear = corpus_problem("shear_pair")
-    package = assemble_bfv(frame_charge(shear.data, shear.pack))
+    package = frame_package(shear.data, shear.pack)
     report = package.report("cartan")
     assert report.status == FAIL
     assert report.residuals
@@ -363,7 +358,7 @@ def test_criterion_09_classical_limit_of_the_component_action():
     )
     for name in names:
         problem = corpus_problem(name)
-        package = assemble_bfv(frame_charge(problem.data, problem.pack))
+        package = frame_package(problem.data, problem.pack)
         charge = build_supercharge(package)
         assert check_supercharge(charge).status == PASS, name
         action = expand_bv(charge)

@@ -25,7 +25,6 @@ from nqkit.aksz import (
     supercharge_context,
     velocity_name,
 )
-from nqkit.bfv import assemble_bfv
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import (
     GradedPoly,
@@ -37,7 +36,7 @@ from nqkit.graded import (
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
-from tests.conftest import frame_charge
+from tests.conftest import frame_package
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
@@ -50,7 +49,7 @@ from tests.test_poly import ring
 
 
 def packaged(data, **fields):
-    return assemble_bfv(frame_charge(data, flat_pack(data.coords, data.rank, **fields)))
+    return frame_package(data, flat_pack(data.coords, data.rank, **fields))
 
 
 def affine_line_package():
@@ -129,7 +128,7 @@ def test_build_supercharge_abelian_flat():
 
 def test_build_supercharge_topological():
     data = abelian_r1()
-    bfv = assemble_bfv(frame_charge(data, GeometryPack(data.coords, data.rank)))
+    bfv = frame_package(data, GeometryPack(data.coords, data.rank))
     sq = build_supercharge(bfv)
     assert bfv.H.is_zero
     assert sq.Q == transport(bfv.S, sq.context)
@@ -195,10 +194,8 @@ def test_supercharge_agrees_with_package_verdicts():
         packaged(abelian_r2()),
         packaged(broken_jacobi()),
         packaged(shear_pair()),
-        assemble_bfv(frame_charge(*compensated_magnetic_package())),
-        assemble_bfv(
-            frame_charge(data_top, GeometryPack(data_top.coords, data_top.rank))
-        ),
+        frame_package(*compensated_magnetic_package()),
+        frame_package(data_top, GeometryPack(data_top.coords, data_top.rank)),
     ]
     seen = set()
     for bfv in cases:
@@ -258,7 +255,7 @@ def test_expand_affine_line_frozen():
     # the connection enters only through the covariant Hamiltonian, as the
     # cross term + p xi_2 pi_1 of -H = -(p - xi_2 pi_1)^2 / 2
     data, pack = affine_line_package()
-    ca = expand_bv(build_supercharge(assemble_bfv(frame_charge(data, pack))))
+    ca = expand_bv(build_supercharge(frame_package(data, pack)))
     e = ca.context.var
     expected = (
         e("p_x") * e("x_dot")
@@ -305,7 +302,7 @@ def test_kinetic_sector_on_every_package():
         (data_affine, pack_affine),
     ]
     for data, pack in cases:
-        bfv = assemble_bfv(frame_charge(data, pack)) if pack else packaged(data)
+        bfv = frame_package(data, pack) if pack else packaged(data)
         ca = expand_bv(build_supercharge(bfv))
         sector = kinetic_sector(ca, data.coords, data.rank)
         assert sector == expected_kinetic(ca.context, data.coords, data.rank)
@@ -323,7 +320,7 @@ def test_ghost_zero_truncation_matches_the_reference():
         (data_top, GeometryPack(data_top.coords, data_top.rank)),
     ]
     for data, pack in cases:
-        package = assemble_bfv(frame_charge(data, pack))
+        package = frame_package(data, pack)
         ca = expand_bv(build_supercharge(package))
         assert ghost_zero_truncation(ca) == extended_action_reference(package)
 
@@ -343,7 +340,7 @@ def test_expand_is_linear_in_the_charge():
 
 
 def test_expand_rejects_twisted_bracket():
-    bfv = assemble_bfv(frame_charge(*compensated_magnetic_package()))
+    bfv = frame_package(*compensated_magnetic_package())
     sq = build_supercharge(bfv)
     with pytest.raises(ValueError, match="absorb the magnetic term"):
         expand_bv(sq)
@@ -523,7 +520,7 @@ def test_rows_match_the_reference_on_the_corpus_and_so_n():
     expanded = []
     for name, problem in problems.items():
         try:
-            package = assemble_bfv(frame_charge(problem.data, problem.pack))
+            package = frame_package(problem.data, problem.pack)
         except ValueError:
             continue  # emit writes no document
         for F in (package.S, package.H):
@@ -595,7 +592,7 @@ def test_expand_matches_the_substitution_on_the_corpus_and_so_n():
     compared = []
     for name, problem in problems.items():
         try:
-            package = assemble_bfv(frame_charge(problem.data, problem.pack))
+            package = frame_package(problem.data, problem.pack)
         except ValueError:
             continue  # no package to expand
         if package.ctx.twist is not None:

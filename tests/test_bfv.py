@@ -14,13 +14,11 @@ import pytest
 from nqkit.algebroid import Algebroid, check_axioms
 from nqkit.bfv import (
     BFVPackage,
-    Charge,
     _cartan_core,
     assemble_bfv,
     bfv_h0,
     build_H,
     build_S,
-    charge_of_constraints,
     check_master,
     covariant_momenta,
 )
@@ -41,7 +39,7 @@ from nqkit.constraints import (
     phase_space,
     structural_two_form,
 )
-from tests.conftest import frame_charge
+from tests.conftest import frame_constraints, frame_package
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import components, structural, substitute
 from tests.test_algebroid import (
@@ -76,12 +74,6 @@ def shear_pair() -> Algebroid:
         [[zero, -x], [x, zero]],
     ]
     return cube_algebroid(coords, [[one], [one]], structure)
-
-
-def charge_of(data: Algebroid, alpha=None, magnetic=None) -> Charge:
-    """The charge of a frame with no geometry beyond alpha and B."""
-    pack = GeometryPack(data.coords, data.rank, alpha=alpha, magnetic=magnetic)
-    return frame_charge(data, pack)
 
 
 def line_pack(rank: int, **fields) -> GeometryPack:
@@ -148,18 +140,19 @@ def test_lifted_charge_matches_the_explicit_formula():
         expected = explicit_charge(data, alpha, magnetic)
         ctx = phase_space(data, magnetic)
         assert build_S(data, ctx) + affine_charge(data, alpha, ctx) == expected
-        charge = frame_charge(data, problem.pack)
-        assert (charge.core, charge.S) == (build_S(data, ctx), expected)
+        cs = frame_constraints(data, problem.pack)
+        assert (cs.core, cs.S) == (build_S(data, ctx), expected)
 
 
 def test_charge_refuses_the_pack_of_another_frame():
-    # the one check of frame/pack agreement; the classical-limit reference
-    # reads both off the package and does not repeat it
+    # the one check of frame/pack agreement, made by the assembly; the
+    # classical-limit reference reads both off the package and does not
+    # repeat it
     data = abelian_r1()
     cs = build_constraints(data, None, None)
     for pack in (flat_pack(data.coords, 2), flat_pack(("y",), 1)):
         with pytest.raises(ValueError, match="disagree on base or rank"):
-            charge_of_constraints(cs, pack)
+            assemble_bfv(cs, pack)
 
 
 def test_build_s_rejects_bad_affine_part():
@@ -179,7 +172,7 @@ def test_build_s_rejects_bad_affine_part():
 
 def test_master_passes_on_closed_frames():
     for data in (abelian_r1(), so3_action()):
-        report = check_master(charge_of(data))
+        report = check_master(build_constraints(data))
         assert report.status == PASS
         assert report.residuals == []
         assert any("dual route" in note for note in report.notes)
@@ -198,7 +191,7 @@ def test_master_broken_jacobi_reproduces_both_defects():
     assert word_coefficient(ss, (1, 2)) == -2 * x * p
     # the jacobi defect itself on the cubic-ghost word
     assert word_coefficient(ss, (0, 1, 2, 3)) == EvenPoly.const(even, -2)
-    report = check_master(charge_of(data))
+    report = check_master(build_constraints(data))
     assert report.status == FAIL
     assert [label for label, _ in report.residuals] == [
         "ss[xi_1 xi_2]",
@@ -215,8 +208,8 @@ def test_master_sees_the_structural_two_form():
     S = build_S(data, ctx) + affine_charge(data, alpha, ctx)
     ss = S.ctx.poisson(S, S)
     assert word_coefficient(ss, (0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
-    assert check_master(charge_of(data, alpha)).status == FAIL
-    report = check_master(charge_of(data, alpha, magnetic_plane(1)))
+    assert check_master(build_constraints(data, alpha)).status == FAIL
+    report = check_master(build_constraints(data, alpha, magnetic_plane(1)))
     assert report.status == PASS
 
 
@@ -234,7 +227,7 @@ def test_master_matches_axioms_and_twisted_closure():
         (rank2_line(), alpha_line, None),
     ]
     for data, alpha, magnetic in cases:
-        report = check_master(charge_of(data, alpha, magnetic))
+        report = check_master(build_constraints(data, alpha, magnetic))
         closed = (
             check_axioms(data).status == PASS
             and structural(data, alpha, magnetic) == {}
@@ -264,15 +257,6 @@ def test_structural_two_form_matches_the_reference_on_random_data():
                 magnetic[j][i] = -magnetic[i][j]
             ghost = structural_two_form(data, alpha, magnetic)
             assert components(ghost, coords) == structural(data, alpha, magnetic)
-
-
-def test_master_rejects_even_input():
-    # the grading of S is checked once, when the charge is built
-    charge = charge_of(abelian_r1())
-    with pytest.raises(ValueError, match="ghost degree"):
-        Charge(
-            charge.constraints, charge.pack, charge.ctx.var("p_x"), charge.affine
-        )
 
 
 # covariant momenta
@@ -431,7 +415,7 @@ def test_build_h_requires_fields():
     for g_inv in (None, identity_metric(data.coords)):
         pack = GeometryPack(data.coords, 1, g_inv=g_inv, beta=(g["x"],))
         with pytest.raises(ValueError, match="^drift term present"):
-            assemble_bfv(frame_charge(data, pack))
+            frame_package(data, pack)
 
 
 # assembly and the obstruction tensor
@@ -439,21 +423,21 @@ def test_build_h_requires_fields():
 
 def test_assemble_so3_flat_all_pass():
     data = so3_action()
-    pkg = assemble_bfv(frame_charge(data, flat_pack(data.coords, data.rank)))
+    pkg = frame_package(data, flat_pack(data.coords, data.rank))
     assert [r.status for r in pkg.reports] == [PASS, PASS, PASS]
     assert [r.name for r in pkg.reports] == ["master", "cartan", "charge_invariance"]
 
 
 def test_assemble_abelian_plane_all_pass():
     data = abelian_r2()
-    pkg = assemble_bfv(frame_charge(data, flat_pack(data.coords, data.rank)))
+    pkg = frame_package(data, flat_pack(data.coords, data.rank))
     assert all(r.status == PASS for r in pkg.reports)
 
 
 def test_cartan_obstruction_on_the_shear_pair():
     data = shear_pair()
     assert check_axioms(data).status == PASS
-    pkg = assemble_bfv(frame_charge(data, line_pack(2)))
+    pkg = frame_package(data, line_pack(2))
     cartan = pkg.report("cartan")
     assert cartan.status == FAIL
     assert cartan.residuals == [
@@ -479,7 +463,7 @@ def test_cartan_shape_violation_on_non_metric_connection():
         omega=omega,
     )
     # the package still assembles: the shape failure is the cartan finding
-    pkg = assemble_bfv(frame_charge(data, pack))
+    pkg = frame_package(data, pack)
     assert pkg.report("master").status == PASS
     cartan = pkg.report("cartan")
     assert cartan.status == FAIL
@@ -531,7 +515,7 @@ def test_one_ghost_part_of_sh_is_the_evolution_residual(name, doc):
     problem = problem_from_dict(doc)
     pack = problem.pack
     cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
-    pkg = assemble_bfv(charge_of_constraints(cs, pack))
+    pkg = assemble_bfv(cs, pack)
     ctx = pkg.ctx
     H = build_hamiltonian(pack, ctx)
     momenta = [ctx.var(momentum_name(x)) for x in pack.coords]
@@ -563,13 +547,12 @@ def test_cartan_reports_the_part_no_tensor_reassembles():
     problem = problem_from_dict(evolution_inputs()["so3_action_geometry"])
     pack = problem.pack
     cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
-    charge = charge_of_constraints(cs, pack)
-    ctx = charge.ctx
+    ctx = cs.ctx
     h_cov = build_H(pack, ctx) - ctx.lift(pack.potential)
-    R = ctx.poisson(charge.core, h_cov)
+    R = ctx.poisson(cs.core, h_cov)
     assert sum(word.bit_count() == 1 for word in R.parts) == 3
     R = GradedPoly(ctx, {w: f for w, f in R.parts.items() if w.bit_count() != 1})
-    report = _cartan_core(charge, R)
+    report = _cartan_core(cs, pack, R)
     assert report.status == FAIL
     assert report.residuals == [
         (
@@ -591,18 +574,18 @@ def test_cartan_preconditions():
         g_inv=identity_metric(data.coords),
         omega={},
     )
-    pkg = assemble_bfv(frame_charge(data, no_lowered))
+    pkg = frame_package(data, no_lowered)
     assert pkg.report("cartan").status == SKIPPED
 
     broken = broken_jacobi()
-    pkg2 = assemble_bfv(frame_charge(broken, flat_pack(broken.coords, broken.rank)))
+    pkg2 = frame_package(broken, flat_pack(broken.coords, broken.rank))
     assert pkg2.report("master").status == FAIL
     assert pkg2.report("cartan").status == SKIPPED
 
 
 def test_assemble_topological_case():
     data = so3_action()
-    pkg = assemble_bfv(frame_charge(data, GeometryPack(data.coords, data.rank)))
+    pkg = frame_package(data, GeometryPack(data.coords, data.rank))
     assert pkg.H.is_zero
     assert pkg.report("master").status == PASS
     assert pkg.report("cartan").status == SKIPPED
@@ -614,14 +597,10 @@ def test_potential_sub_residual():
     coords = data.coords
     _, g = ring(list(coords))
     radial = g["x1"] ** 2 + g["x2"] ** 2 + g["x3"] ** 2
-    invariant = assemble_bfv(
-        frame_charge(data, flat_pack(coords, data.rank, potential=radial))
-    )
+    invariant = frame_package(data, flat_pack(coords, data.rank, potential=radial))
     assert invariant.report("charge_invariance").status == PASS
 
-    tilted = assemble_bfv(
-        frame_charge(data, flat_pack(coords, data.rank, potential=g["x1"]))
-    )
+    tilted = frame_package(data, flat_pack(coords, data.rank, potential=g["x1"]))
     report = tilted.report("charge_invariance")
     assert report.status == FAIL
     assert [label for label, _ in report.residuals] == ["potential_part"]
@@ -630,13 +609,9 @@ def test_potential_sub_residual():
 def test_package_validates_grading():
     data = abelian_r1()
     pack = flat_pack(data.coords, 1)
-    pkg = assemble_bfv(frame_charge(data, pack))
-    charge = pkg.charge
-    # an even core is refused by the charge itself, before any package
-    with pytest.raises(ValueError, match="odd of ghost degree"):
-        Charge(charge.constraints, charge.pack, pkg.ctx.var("p_x"), charge.affine)
+    pkg = frame_package(data, pack)
     with pytest.raises(ValueError, match="even of ghost degree"):
-        BFVPackage(pkg.charge, pkg.ctx.var(ghost_name(1)), pkg.SH, ())
+        BFVPackage(pkg.constraints, pack, pkg.ctx.var(ghost_name(1)), pkg.SH, ())
 
 
 # the bracket as a differential
@@ -694,14 +669,14 @@ def test_ghost_degree_is_additive_under_the_bracket():
 
 def test_h0_abelian_line_window():
     data = abelian_r1()
-    report = bfv_h0(frame_charge(data, flat_pack(data.coords, 1)), 2, 1)
+    report = bfv_h0(build_constraints(data), 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (4, 3, 1)
     assert any("truncated" in note for note in report.notes)
 
 
 def test_h0_abelian_plane_window():
     data = abelian_r2()
-    report = bfv_h0(frame_charge(data, flat_pack(data.coords, 2)), 1, 1)
+    report = bfv_h0(build_constraints(data), 1, 1)
     assert report.h_dim == 1
 
 
@@ -710,16 +685,13 @@ def test_h0_so3_constant_window():
     # elements bilinear in xi and pi map onto the angular momenta, which
     # are linearly independent over the base
     data = so3_action()
-    report = bfv_h0(frame_charge(data, flat_pack(data.coords, 3)), 0, 0)
+    report = bfv_h0(build_constraints(data), 0, 0)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (1, 0, 1)
 
 
 def test_h0_rejects_bad_input():
     data = abelian_r1()
-    charge = frame_charge(data, flat_pack(data.coords, 1))
     with pytest.raises(ValueError, match="nonnegative"):
-        bfv_h0(charge, -1, 0)
-    broken = broken_jacobi()
-    charge2 = frame_charge(broken, flat_pack(broken.coords, broken.rank))
+        bfv_h0(build_constraints(data), -1, 0)
     with pytest.raises(ValueError, match="master equation fails"):
-        bfv_h0(charge2, 1, 1)
+        bfv_h0(build_constraints(broken_jacobi()), 1, 1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
 import sys
@@ -26,11 +27,13 @@ from nqkit.aksz import (
     field_table,
 )
 from nqkit.algebroid import defect_lift, ghost_context
-from nqkit.bfv import _balanced_words, assemble_bfv
-from nqkit.graded import GradedContext
+from nqkit.bfv import _balanced_words, _charge_invariance, assemble_bfv
+from nqkit.graded import GradedContext, left_derivation
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
-from tests.conftest import frame_charge, invoke
+from nqkit.report import FAIL, CheckReport
+from tests.conftest import frame_constraints, frame_package, invoke
+from tests import test_dynamics as dynamics_tests
 from tests.reference_forms import e_differential, one_form
 from tests.test_generated_frames import gen
 
@@ -309,74 +312,212 @@ def _bumped_field_table(coords, rank):
     return tuple(fields)
 
 
+def _shifted_sh(*args):
+    report, SH = _charge_invariance(*args)
+    return report, SH + SH.ctx.var("xi_1")
+
+
+def _failed_report(package, name):
+    return CheckReport(name, FAIL, "")
+
+
+def _shifted_derivation(ctx, field, G):
+    return left_derivation(ctx, field, G) + ctx.var("xi_1")
+
+
+def _shifted_bracket(ctx, F, G):
+    return left_derivation(ctx, ctx.hamiltonian_field(F), G) + ctx.var("xi_1")
+
+
+def potential_twin() -> dict:
+    """rank2_line_affine with a potential, which no corpus file has."""
+    doc = json.loads((CORPUS / "rank2_line_affine.json").read_text())
+    return dict(doc, potential="x")
+
+
 EMIT_SO3_BV = ["emit", corpus_path("so3_action"), "--what", "bv", "--out", "bv.json"]
+SUPERCHARGE_SO3 = ["check", corpus_path("so3_action"), "--supercharge"]
+CARTAN_POTENTIAL = ["check", "potential_twin.json", "--cartan"]
+
+
+# target, replacement, args, message: each case patches one side of the
+# comparison behind one engine guard and runs an input that reaches it
+TRIPPED_GUARDS = [
+    (
+        "nqkit.algebroid.defect_lift",
+        _wrong_defect_lift,
+        ["check", corpus_path("so3_action"), "--axioms"],
+        "internal dual-route mismatch in Q^2",
+    ),
+    (
+        "nqkit.algebroid.defect_lift",
+        _wrong_defect_lift,
+        ["check", corpus_path("so3_action"), "--first-class"],
+        "internal dual-route mismatch in the constraint bracket",
+    ),
+    (
+        "nqkit.constraints.ConstraintSet.closure",
+        property(_wrong_closure),
+        ["check", corpus_path("so3_action"), "--master"],
+        "internal dual-route mismatch in the self-bracket",
+    ),
+    (
+        "nqkit.bfv.image_in",
+        _oversized_image,
+        ["cohomology", corpus_path("abelian_r1"), "--bfv-h0", "--trunc", "0"],
+        "internal window inconsistency in the cohomology count",
+    ),
+    (
+        "nqkit.cli.extended_action_reference",
+        _wrong_reference,
+        EMIT_SO3_BV,
+        "internal dual-route mismatch in the classical limit of the action",
+    ),
+    (
+        "nqkit.aksz.field_table",
+        _bumped_field_table,
+        EMIT_SO3_BV,
+        "internal bookkeeping mismatch in the component action: field[x1]",
+    ),
+    (
+        "nqkit.bfv._charge_invariance",
+        _shifted_sh,
+        SUPERCHARGE_SO3,
+        "internal theta-split mismatch in the self-bracket",
+    ),
+    (
+        "nqkit.bfv.BFVPackage.report",
+        _failed_report,
+        SUPERCHARGE_SO3,
+        "internal mismatch between the supercharge bracket and the "
+        "package reports",
+    ),
+    (
+        "nqkit.bfv.left_derivation",
+        _shifted_derivation,
+        CARTAN_POTENTIAL,
+        "internal dual-route mismatch in the potential part",
+    ),
+    (
+        "nqkit.graded.GradedContext.poisson",
+        _shifted_bracket,
+        CARTAN_POTENTIAL,
+        "internal dual-route mismatch in the charge invariance",
+    ),
+]
+TRIPPED_GUARD_IDS = [
+    "axioms",
+    "first_class",
+    "self_bracket",
+    "window",
+    "classical_limit",
+    "bookkeeping",
+    "theta_split",
+    "package_reports",
+    "potential_part",
+    "charge_invariance",
+]
 
 
 @pytest.mark.parametrize(
-    "target, replacement, args, message",
-    [
-        (
-            "nqkit.algebroid.defect_lift",
-            _wrong_defect_lift,
-            ["check", corpus_path("so3_action"), "--axioms"],
-            "internal dual-route mismatch in Q^2",
-        ),
-        (
-            "nqkit.algebroid.defect_lift",
-            _wrong_defect_lift,
-            ["check", corpus_path("so3_action"), "--first-class"],
-            "internal dual-route mismatch in the constraint bracket",
-        ),
-        (
-            "nqkit.constraints.ConstraintSet.closure",
-            property(_wrong_closure),
-            ["check", corpus_path("so3_action"), "--master"],
-            "internal dual-route mismatch in the self-bracket",
-        ),
-        (
-            "nqkit.bfv.image_in",
-            _oversized_image,
-            ["cohomology", corpus_path("abelian_r1"), "--bfv-h0", "--trunc", "0"],
-            "internal window inconsistency in the cohomology count",
-        ),
-        (
-            "nqkit.cli.extended_action_reference",
-            _wrong_reference,
-            EMIT_SO3_BV,
-            "internal dual-route mismatch in the classical limit of the action",
-        ),
-        (
-            "nqkit.aksz.field_table",
-            _bumped_field_table,
-            EMIT_SO3_BV,
-            "internal bookkeeping mismatch in the component action: field[x1]",
-        ),
-    ],
-    ids=[
-        "axioms",
-        "first_class",
-        "self_bracket",
-        "window",
-        "classical_limit",
-        "bookkeeping",
-    ],
+    "target, replacement, args, message", TRIPPED_GUARDS, ids=TRIPPED_GUARD_IDS
 )
 def test_tripped_engine_guard_exits_3(
     monkeypatch, tmp_path, target, replacement, args, message
 ):
     monkeypatch.setattr(target, replacement)
     monkeypatch.chdir(tmp_path)
+    Path("potential_twin.json").write_text(json.dumps(potential_twin()))
     result = run(*args)
     assert result.exit_code == 3
     assert f"internal error: {message}" in result.stderr
 
 
+# guards tripped outside the table: a message each prints, and the test
+# module and test that trip it
+TRIPPED_ELSEWHERE = {
+    "internal dual-route mismatch at momentum order 2": (
+        dynamics_tests,
+        "test_decomposition_guard_catches_every_perturbed_family_entry",
+    ),
+}
+
+
+def engine_guards(folder: Path) -> dict[str, tuple[str, bool]]:
+    """Every RuntimeError raised in the folder's modules whose message starts
+    with "internal ", by file and line: the message up to the first formatted
+    value of an f-string, and whether that is the whole message."""
+    guards = {}
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            func, args = node.exc.func, node.exc.args
+            if not (isinstance(func, ast.Name) and func.id == "RuntimeError" and args):
+                continue
+            parts = args[0].values if isinstance(args[0], ast.JoinedStr) else args[:1]
+            first = parts[0]
+            if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+                continue
+            if first.value.startswith("internal "):
+                guards[f"{path.name}:{node.lineno}"] = (first.value, len(parts) == 1)
+    return guards
+
+
+def trips(guard: tuple[str, bool], message: str) -> bool:
+    text, whole = guard
+    return message == text if whole else message.startswith(text)
+
+
+def test_the_guard_walk_reads_constants_and_f_strings(tmp_path):
+    source = (
+        'raise RuntimeError("internal a")\n'
+        'raise RuntimeError(f"internal b {x} c")\n'
+        'raise RuntimeError("inexact")\n'
+        'raise ValueError("internal d")\n'
+    )
+    (tmp_path / "m.py").write_text(source)
+    guards = engine_guards(tmp_path)
+    assert guards == {"m.py:1": ("internal a", True), "m.py:2": ("internal b ", False)}
+    assert trips(guards["m.py:2"], "internal b 12")
+    assert not trips(guards["m.py:1"], "internal a 12")
+
+
+def test_every_engine_guard_has_a_tripping_case():
+    guards = engine_guards(ROOT / "src" / "nqkit")
+    assert len(guards) >= 11  # the guards of six modules when this was written
+    messages = [case[3] for case in TRIPPED_GUARDS] + list(TRIPPED_ELSEWHERE)
+    untripped = [
+        where
+        for where, guard in guards.items()
+        if not any(trips(guard, message) for message in messages)
+    ]
+    assert untripped == []
+    # and no case is left over from a guard that is gone
+    stale = [
+        message
+        for message in messages
+        if not any(trips(guard, message) for guard in guards.values())
+    ]
+    assert stale == []
+    for module, name in TRIPPED_ELSEWHERE.values():
+        assert callable(getattr(module, name))
+
+
 # what the ghost-zero window builds: the axiom check's defect tensors, then
-# the constraints and the charge with (S, .) and its self-bracket, but no
+# the constraints with their charge, (S, .) and its self-bracket, but no
 # closure, master report or package
 H0_BUILDS = {
     "structural_two_form": 0,
     "structural_residuals": 0,
+    "check_master": 0,
+    "assemble_bfv": 0,
+}
+# the first-class check reads the closure of the constraints and never
+# their charge: no lift of Q, no master report and no package
+FIRST_CLASS_BUILDS = {
+    "structural_residuals": 0,
+    "build_S": 0,
     "check_master": 0,
     "assemble_bfv": 0,
 }
@@ -412,6 +553,12 @@ H0_BUILDS = {
             ["(S, S)"],
             H0_BUILDS,
         ),
+        (
+            ["check", corpus_path("so3_action"), "--first-class"],
+            0,
+            [],
+            FIRST_CLASS_BUILDS,
+        ),
     ],
     ids=[
         "check_all",
@@ -421,24 +568,25 @@ H0_BUILDS = {
         "emit_bfv",
         "check_all_so6",
         "bfv_h0",
+        "first_class",
     ],
 )
 def test_defect_tensors_computed_once_per_invocation(
     monkeypatch, tmp_path, args, exit_code, brackets, builds
 ):
     # the defect tensors and their lift, the structural 2-form, the
-    # structural residuals (when a metric is given), the constraints, the
+    # structural residuals (when a metric is given), the constraints, their
     # charge with its core, (S, .), self-bracket and master report, the
     # package (assembled, or refused on the drift) and (S, H), once each,
-    # unless `builds` says otherwise
+    # unless `builds` says otherwise; (S, .) only when S is bracketed
     monkeypatch.chdir(tmp_path)
     if args[1] == "so6.json":
         Path("so6.json").write_text(json.dumps(gen.so_n(6)))
     problem = load_problem(args[1])
-    charge = frame_charge(problem.data, problem.pack)
-    named = {"(S, S)": (charge.S, charge.S)}
+    cs = frame_constraints(problem.data, problem.pack)
+    named = {"(S, S)": (cs.S, cs.S)}
     if "(S, H)" in brackets:
-        named["(S, H)"] = (charge.S, assemble_bfv(charge).H)
+        named["(S, H)"] = (cs.S, assemble_bfv(cs, problem.pack).H)
     # a bracket (F, G) is the table of (F, .) applied to G, whichever
     # route (poisson or a kept table) applies it
     derived = []  # F of every (F, .) table built, with the table
@@ -477,9 +625,8 @@ def test_defect_tensors_computed_once_per_invocation(
         "structural_two_form": nqkit.constraints,
         "structural_residuals": nqkit.dynamics,
         "build_constraints": nqkit.constraints,
-        "charge_of_constraints": nqkit.bfv,
-        "build_S": nqkit.bfv,
-        "check_master": nqkit.bfv,
+        "build_S": nqkit.constraints,
+        "check_master": nqkit.constraints,
         "assemble_bfv": nqkit.bfv,
     }
     wrappers = {
@@ -496,7 +643,7 @@ def test_defect_tensors_computed_once_per_invocation(
     expected = {name: builds.get(name, 1) for name in owners}
     assert {name: calls[name] for name in owners} == expected
     # (S, .) is derived once, and every bracket with S applies that table
-    assert sum(F == charge.S for F, _ in derived) == 1
+    assert sum(F == cs.S for F, _ in derived) == int(bool(brackets))
     counts = {label: bracketed.count(pair) for label, pair in named.items()}
     assert counts == {label: int(label in brackets) for label in named}
 
@@ -552,8 +699,8 @@ def twisted_with_metric() -> dict:
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
 def test_constraints_and_charge_share_one_phase_space(name):
-    bench = nqkit.cli._Workbench(load_problem(corpus_path(name)))
-    assert bench.constraints.ctx is bench.charge.ctx
+    cs = nqkit.cli._Workbench(load_problem(corpus_path(name))).constraints
+    assert cs.S.ctx is cs.ctx
 
 
 @pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), "twisted_with_metric"])
@@ -1188,7 +1335,7 @@ def test_emit_bv_matches_the_library_expansion(tmp_path):
     doc = json.loads(out.read_text())
     problem = load_problem(CORPUS / "abelian_r1.json")
     action = expand_bv(
-        build_supercharge(assemble_bfv(frame_charge(problem.data, problem.pack)))
+        build_supercharge(frame_package(problem.data, problem.pack))
     )
     assert doc["terms"] == action.rows()
     assert {"coeff": "-1/2", "even": {"p_x": 2}, "odd": []} in doc["terms"]

@@ -48,7 +48,9 @@ def _references(module: str, tree: ast.Module) -> dict[Node, set[Node]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if isinstance(target, ast.Name):
+                # `__all__` names a module's exports and re-exports; it
+                # defines nothing that could go without a caller
+                if isinstance(target, ast.Name) and target.id != "__all__":
                     local[target.id] = node
     graph = {}
     for name, node in local.items():

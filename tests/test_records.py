@@ -21,7 +21,7 @@ from nqkit.aksz import (
     expand_bv,
 )
 from nqkit.algebroid import Algebroid, CohomologyReport
-from nqkit.bfv import BFVPackage, Charge, H0Report, assemble_bfv
+from nqkit.bfv import BFVPackage, H0Report, assemble_bfv
 from nqkit.constraints import (
     ConstraintSet,
     ExtractionResult,
@@ -33,7 +33,6 @@ from nqkit.parser import _Token
 from nqkit.poly import EvenPoly
 from nqkit.problem import Problem, Truncation, _truncation
 from nqkit.report import FAIL, PASS, CheckReport
-from tests.conftest import frame_charge
 from tests.test_algebroid import abelian_r1
 from tests.test_dynamics import flat_pack
 
@@ -44,8 +43,7 @@ def _material() -> dict:
     x = EvenPoly.variable(coords, "x")
     pack = flat_pack(coords, 1)
     constraints = build_constraints(data)
-    charge = frame_charge(data, pack)
-    package = assemble_bfv(charge)
+    package = assemble_bfv(constraints, pack)
     supercharge = build_supercharge(package)
     action = expand_bv(supercharge)
     report = CheckReport("axioms", PASS, "[e_a, e_b] = C^c_ab e_c")
@@ -56,7 +54,6 @@ def _material() -> dict:
         "form": (x,),
         "pack": pack,
         "constraints": constraints,
-        "charge": charge,
         "package": package,
         "supercharge": supercharge,
         "action": action,
@@ -172,20 +169,11 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
             },
             {"notes": []},
         ),
-        "Charge": (
-            Charge,
-            {
-                "constraints": m["charge"].constraints,
-                "pack": m["pack"],
-                "core": m["charge"].core,
-                "affine": m["charge"].affine,
-            },
-            {},
-        ),
         "BFVPackage": (
             BFVPackage,
             {
-                "charge": m["charge"],
+                "constraints": m["constraints"],
+                "pack": m["pack"],
                 "H": m["package"].H,
                 "SH": m["package"].SH,
                 "reports": (m["report"],),
@@ -253,7 +241,6 @@ RECORDS = (
     "GeometryPack",
     "StructuralResiduals",
     "ConnectionSolution",
-    "Charge",
     "BFVPackage",
     "H0Report",
     "SuperCharge",
@@ -312,9 +299,9 @@ def test_truncation_from_a_document_compares_by_value():
 def test_derived_record_fields():
     # the fields the constructors derive instead of taking a second copy
     m = _material()
-    charge = m["charge"]
-    assert charge.S == charge.core + charge.affine
-    assert charge.ctx is charge.constraints.ctx
+    package = m["package"]
+    assert package.S == package.constraints.core + package.constraints.affine
+    assert package.ctx is package.constraints.ctx
     assert m["supercharge"].context is m["supercharge"].Q.ctx
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]

@@ -39,7 +39,7 @@ from nqkit.graded import GradedPoly, letters
 from nqkit.poly import EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
-from tests.conftest import frame_charge
+from tests.conftest import frame_constraints
 from tests.reference_forms import e_differential
 from tests.test_graded import pair_loop_poisson
 
@@ -219,16 +219,16 @@ def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc
     )
     assert estimate(0, False, True) == exact
 
-    charge = frame_charge(data, problem.pack)
-    if not charge.self_bracket.is_zero:
+    cs = frame_constraints(data, problem.pack)
+    if not cs.self_bracket.is_zero:
         # a failing master stops the window before any column is built;
         # the window depends only on base and rank, so count the zero frame's
         zero_row = (data.zero(),) * data.base_dim
         zero_frame = Algebroid(data.coords, (zero_row,) * data.rank, {})
-        charge = frame_charge(zero_frame, problem.pack)
+        cs = frame_constraints(zero_frame, problem.pack)
     stubs = {"rank": 0, "image_in": 0}
     for p_degree in (0, 1):
         h0 = built_columns(
-            monkeypatch, nqkit.bfv, stubs, lambda: bfv_h0(charge, trunc, p_degree)
+            monkeypatch, nqkit.bfv, stubs, lambda: bfv_h0(cs, trunc, p_degree)
         )
         assert estimate(p_degree, True, False) == h0
