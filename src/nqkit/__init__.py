@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .aksz import (
     ComponentAction,
-    SuperCharge,
     build_supercharge,
     check_bookkeeping,
     check_supercharge,
@@ -69,7 +68,6 @@ __all__ = [
     "ProblemError",
     "Rat",
     "SKIPPED",
-    "SuperCharge",
     "WARN",
     "assemble_bfv",
     "bfv_h0",

@@ -27,6 +27,13 @@ the integrand starts with p_i x_i_dot - pi_a xi_a_dot and its ghost-free
 sector is p_i x_i_dot - H(x, p) - lam^a Phi_a, with the multiplier lam^a
 appearing as the theta partner of the ghost xi_a.  Time derivatives are
 formal first-order markers (x_dot, xi_dot); the ring has no higher jets.
+
+Both stages read the BFV package (S, H) alone.  `build_supercharge` is
+the one place Q is written; `check_supercharge` and `expand_bv` call it.
+`expand_bv` returns the action only after the classical-limit guard: the
+field table passes the bookkeeping, and the ghost-free sector equals
+`extended_action_reference`, which is built from the constraints and the
+Hamiltonian and never from S.
 """
 
 from __future__ import annotations
@@ -85,45 +92,31 @@ def supercharge_context(ctx: GradedContext) -> GradedContext:
     )
 
 
-class SuperCharge:
-    """Q = S + theta H together with the package it came from."""
-
-    def __init__(self, Q: GradedPoly, package: BFVPackage):
-        if not Q.is_zero and (Q.parity() != 1 or Q.ghost_degree() != 1):
-            raise ValueError("the supercharge must be odd of ghost degree +1")
-        self.Q = Q
-        self.package = package
-
-    @property
-    def context(self) -> GradedContext:
-        return self.Q.ctx
-
-
-def build_supercharge(bfv: BFVPackage) -> SuperCharge:
-    ctx = supercharge_context(bfv.ctx)
+def build_supercharge(package: BFVPackage) -> GradedPoly:
+    """Q = S + theta H, odd of ghost degree +1 since S and theta H are."""
+    ctx = supercharge_context(package.ctx)
     theta = ctx.var(THETA)
-    Q = transport(bfv.S, ctx) + theta * transport(bfv.H, ctx)
-    return SuperCharge(Q, bfv)
+    return transport(package.S, ctx) + theta * transport(package.H, ctx)
 
 
-def check_supercharge(sq: SuperCharge) -> CheckReport:
+def check_supercharge(package: BFVPackage) -> CheckReport:
     """Nilpotency of the super-time charge.
 
     The self bracket is computed directly and, as an internal guard,
     matched against (S, S) - 2 theta (S, H), read off the constraints and
     the package that bracketed them; the verdict must also agree with the
-    source package's master and invariance reports.
+    package's master and invariance reports.
     """
-    ctx = sq.context
-    bfv = sq.package
-    QQ = ctx.poisson(sq.Q, sq.Q)
-    SS, SH = bfv.constraints.self_bracket, bfv.SH
+    Q = build_supercharge(package)
+    ctx = Q.ctx
+    QQ = ctx.poisson(Q, Q)
+    SS, SH = package.constraints.self_bracket, package.SH
     theta = ctx.var(THETA)
     split = transport(SS, ctx) - 2 * theta * transport(SH, ctx)
     if QQ != split:
         raise RuntimeError("internal theta-split mismatch in the self-bracket")
-    master = bfv.report("master")
-    invariance = bfv.report("charge_invariance")
+    master = package.report("master")
+    invariance = package.report("charge_invariance")
     agreed = master.status == PASS and invariance.status == PASS
     if QQ.is_zero != agreed:
         raise RuntimeError(
@@ -224,10 +217,6 @@ class ComponentAction:
     def context(self) -> GradedContext:
         return self.action.ctx
 
-    def rows(self) -> list[dict]:
-        """Canonical per-term listing, deterministic run to run."""
-        return term_rows(self.action)
-
 
 def term_rows(F: GradedPoly) -> list[dict]:
     """One record per term of F, sorted by word length, word, exponent.
@@ -260,23 +249,23 @@ def _word_order(word: int) -> tuple[int, tuple[int, ...]]:
     return word.bit_count(), letters(word)
 
 
-def expand_bv(sq: SuperCharge) -> ComponentAction:
+def expand_bv(package: BFVPackage) -> ComponentAction:
     """Theta coefficient of P dX - Pi dXi - Q on superfields.
 
     The integrand F = p x_dot theta - pi xi_dot theta - Q is a function of
     the fields z, so on superfields it is F + D(F), one sweep of the
-    derivation D: z -> theta z~ (see the module docstring).
+    derivation D: z -> theta z~ (see the module docstring).  The action is
+    returned only after the classical-limit guard has passed.
     """
-    bfv = sq.package
-    if bfv.ctx.twist is not None:
+    if package.ctx.twist is not None:
         raise ValueError(
             "the component expansion needs an exact symplectic potential; "
             "absorb the magnetic term first"
         )
-    coords, rank = bfv.data.coords, bfv.data.rank
+    coords, rank = package.data.coords, package.data.rank
     ectx = expansion_context(coords, rank)
     theta = ectx.var(THETA)
-    integrand = -transport(sq.Q, ectx)
+    integrand = -transport(build_supercharge(package), ectx)
     for name in coords:
         d_position = ectx.var(velocity_name(name)) * theta
         integrand = integrand + ectx.var(momentum_name(name)) * d_position
@@ -288,7 +277,9 @@ def expand_bv(sq: SuperCharge) -> ComponentAction:
         for base, partner in _partner_pairs(coords, rank)
     }
     integrand = integrand + left_derivation(ectx, shifts, integrand)
-    return ComponentAction(field_table(coords, rank), integrand.left_deriv(THETA))
+    action = ComponentAction(field_table(coords, rank), integrand.left_deriv(THETA))
+    _guard_classical_limit(package, action)
+    return action
 
 
 def ghost_zero_truncation(ca: ComponentAction) -> GradedPoly:
@@ -446,3 +437,23 @@ def check_bookkeeping(ca: ComponentAction) -> CheckReport:
             "derivative markers are first order; the ring has no higher jets",
         ],
     )
+
+
+def _guard_classical_limit(package: BFVPackage, action: ComponentAction) -> None:
+    """The BV action must come out of BFV by the AKSZ expansion.
+
+    Its field table must pass the bookkeeping, and its ghost-zero part must
+    equal p_i x_dot^i - H - lam^a Phi_a assembled from the package's
+    constraints and the evolution side, never from S.
+    """
+    bookkeeping = check_bookkeeping(action)
+    if bookkeeping.status != PASS:
+        label, detail = bookkeeping.residuals[0]
+        raise RuntimeError(
+            f"internal bookkeeping mismatch in the component action: {label} {detail}"
+        )
+    reference = extended_action_reference(package)
+    if ghost_zero_truncation(action) != reference:
+        raise RuntimeError(
+            "internal dual-route mismatch in the classical limit of the action"
+        )

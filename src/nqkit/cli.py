@@ -23,17 +23,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
-from .aksz import (
-    SUPERCHARGE_IDENTITY,
-    ComponentAction,
-    build_supercharge,
-    check_bookkeeping,
-    check_supercharge,
-    expand_bv,
-    extended_action_reference,
-    ghost_zero_truncation,
-    term_rows,
-)
+from .aksz import SUPERCHARGE_IDENTITY, check_supercharge, expand_bv, term_rows
 from .algebroid import (
     check_axioms,
     cohomology_h1,
@@ -229,7 +219,7 @@ def _run_supercharge(bench: _Workbench, explicit: bool) -> list[CheckReport]:
         if explicit:
             _input_error(error)
         return [CheckReport("supercharge", SKIPPED, SUPERCHARGE_IDENTITY, [], [error])]
-    return [check_supercharge(build_supercharge(package))]
+    return [check_supercharge(package)]
 
 
 def _unmet(
@@ -424,15 +414,13 @@ def _emit(file, what, out, force) -> None:
             doc["hamiltonian"] = term_rows(package.H)
         doc["checks"] = {r.name: r.status for r in package.reports}
     else:
-        sq = build_supercharge(package)
-        gate = check_supercharge(sq)
+        gate = check_supercharge(package)
         if gate.status == PASS or force:
             try:
-                action = expand_bv(sq)
+                action = expand_bv(package)
             except ValueError as error:
                 _err(f"emission failed: {error}")
                 sys.exit(1)
-            _guard_classical_limit(package, action)
             doc["fields"] = [
                 {
                     "name": f.name,
@@ -442,7 +430,7 @@ def _emit(file, what, out, force) -> None:
                 }
                 for f in action.fields
             ]
-            doc["terms"] = action.rows()
+            doc["terms"] = term_rows(action.action)
         doc["checks"] = {gate.name: gate.status}
 
     if gate.status != PASS:
@@ -457,26 +445,6 @@ def _emit(file, what, out, force) -> None:
     _write_json("--out", out, doc)
     print(f"wrote {out}")
     sys.exit(0)
-
-
-def _guard_classical_limit(package: BFVPackage, action: ComponentAction) -> None:
-    """The BV action must come out of BFV by the AKSZ expansion.
-
-    Its field table must pass the bookkeeping, and its ghost-zero part must
-    equal p_i x_dot^i - H - lam^a Phi_a assembled from the package's
-    constraints and the evolution side, never from S.
-    """
-    bookkeeping = check_bookkeeping(action)
-    if bookkeeping.status != PASS:
-        label, detail = bookkeeping.residuals[0]
-        raise RuntimeError(
-            f"internal bookkeeping mismatch in the component action: {label} {detail}"
-        )
-    reference = extended_action_reference(package)
-    if ghost_zero_truncation(action) != reference:
-        raise RuntimeError(
-            "internal dual-route mismatch in the classical limit of the action"
-        )
 
 
 def _solve_connection(file, degree, write_path) -> None:

@@ -15,7 +15,6 @@ from pathlib import Path
 
 
 from nqkit.aksz import (
-    build_supercharge,
     check_bookkeeping,
     check_supercharge,
     expand_bv,
@@ -359,9 +358,8 @@ def test_criterion_09_classical_limit_of_the_component_action():
     for name in names:
         problem = corpus_problem(name)
         package = frame_package(problem.data, problem.pack)
-        charge = build_supercharge(package)
-        assert check_supercharge(charge).status == PASS, name
-        action = expand_bv(charge)
+        assert check_supercharge(package).status == PASS, name
+        action = expand_bv(package)
         assert check_bookkeeping(action).status == PASS, name
         truncated = ghost_zero_truncation(action)
         reference = extended_action_reference(package)

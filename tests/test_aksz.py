@@ -9,7 +9,6 @@ import pytest
 from nqkit.aksz import (
     ComponentAction,
     FieldEntry,
-    SuperCharge,
     build_supercharge,
     check_bookkeeping,
     check_supercharge,
@@ -25,6 +24,7 @@ from nqkit.aksz import (
     supercharge_context,
     velocity_name,
 )
+from nqkit.bfv import assemble_bfv
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import (
     GradedPoly,
@@ -121,33 +121,25 @@ def test_supercharge_context_appends_theta():
 
 
 def test_build_supercharge_abelian_flat():
-    sq = build_supercharge(packaged(abelian_r1()))
-    q = sq.context.var
-    assert sq.Q == q("xi_1") * q("p_x") + q("theta") * q("p_x") ** 2 / 2
+    Q = build_supercharge(packaged(abelian_r1()))
+    q = Q.ctx.var
+    assert Q == q("xi_1") * q("p_x") + q("theta") * q("p_x") ** 2 / 2
+    assert (Q.parity(), Q.ghost_degree()) == (1, 1)
 
 
 def test_build_supercharge_topological():
     data = abelian_r1()
     bfv = frame_package(data, GeometryPack(data.coords, data.rank))
-    sq = build_supercharge(bfv)
+    Q = build_supercharge(bfv)
     assert bfv.H.is_zero
-    assert sq.Q == transport(bfv.S, sq.context)
-
-
-def test_supercharge_validates_grading():
-    bfv = packaged(abelian_r1())
-    ctx = supercharge_context(bfv.ctx)
-    with pytest.raises(ValueError, match="odd of ghost degree"):
-        SuperCharge(ctx.var("p_x"), bfv)
-    # the context is that of Q: no second copy to disagree with
-    assert SuperCharge(transport(bfv.S, ctx), bfv).context == ctx
+    assert Q == transport(bfv.S, Q.ctx)
 
 
 # nilpotency
 
 
 def test_check_supercharge_so3_passes():
-    report = check_supercharge(build_supercharge(packaged(so3_action())))
+    report = check_supercharge(packaged(so3_action()))
     assert report.status == PASS
     assert report.residuals == []
     assert any("theta split" in note for note in report.notes)
@@ -155,13 +147,13 @@ def test_check_supercharge_so3_passes():
 
 def test_check_supercharge_broken_jacobi_theta_free_residual():
     bfv = packaged(broken_jacobi())
-    sq = build_supercharge(bfv)
-    report = check_supercharge(sq)
+    Q = build_supercharge(bfv)
+    report = check_supercharge(bfv)
     assert report.status == FAIL
-    qq = sq.context.poisson(sq.Q, sq.Q)
-    theta_letter = sq.context.odd_index["theta"]
+    qq = Q.ctx.poisson(Q, Q)
+    theta_letter = Q.ctx.odd_index["theta"]
     theta_free = GradedPoly.from_terms(
-        sq.context,
+        Q.ctx,
         (
             (word, exponent, coeff)
             for word, exponent, coeff in qq.terms()
@@ -170,20 +162,20 @@ def test_check_supercharge_broken_jacobi_theta_free_residual():
     )
     ss = bfv.ctx.poisson(bfv.S, bfv.S)
     assert not ss.is_zero
-    assert theta_free == transport(ss, sq.context)
+    assert theta_free == transport(ss, Q.ctx)
 
 
 def test_check_supercharge_shear_pair_theta_linear_residual():
     # the master equation holds but the Hamiltonian is not invariant, so
     # the whole residual sits in the theta-linear slot as -2 (S, H)
     bfv = packaged(shear_pair())
-    sq = build_supercharge(bfv)
-    report = check_supercharge(sq)
+    Q = build_supercharge(bfv)
+    report = check_supercharge(bfv)
     assert report.status == FAIL
-    qq = sq.context.poisson(sq.Q, sq.Q)
+    qq = Q.ctx.poisson(Q, Q)
     sh = bfv.ctx.poisson(bfv.S, bfv.H)
     assert not sh.is_zero
-    assert qq == -2 * sq.context.var("theta") * transport(sh, sq.context)
+    assert qq == -2 * Q.ctx.var("theta") * transport(sh, Q.ctx)
     assert all(label.startswith("qq[") and "theta" in label for label, _ in report.residuals)
 
 
@@ -199,7 +191,7 @@ def test_supercharge_agrees_with_package_verdicts():
     ]
     seen = set()
     for bfv in cases:
-        report = check_supercharge(build_supercharge(bfv))
+        report = check_supercharge(bfv)
         both = (
             bfv.report("master").status == PASS
             and bfv.report("charge_invariance").status == PASS
@@ -239,7 +231,7 @@ def test_field_table_partners():
 
 
 def test_expand_abelian_line_frozen():
-    ca = expand_bv(build_supercharge(packaged(abelian_r1())))
+    ca = expand_bv(packaged(abelian_r1()))
     e = ca.context.var
     expected = (
         e("p_x") * e("x_dot")
@@ -255,7 +247,7 @@ def test_expand_affine_line_frozen():
     # the connection enters only through the covariant Hamiltonian, as the
     # cross term + p xi_2 pi_1 of -H = -(p - xi_2 pi_1)^2 / 2
     data, pack = affine_line_package()
-    ca = expand_bv(build_supercharge(frame_package(data, pack)))
+    ca = expand_bv(frame_package(data, pack))
     e = ca.context.var
     expected = (
         e("p_x") * e("x_dot")
@@ -278,7 +270,7 @@ def test_expand_affine_line_frozen():
 
 def test_expand_sees_structure_gradients():
     # C^1_12 = x, C^2_12 = -x: the antifield x_odd couples to the gradient
-    ca = expand_bv(build_supercharge(packaged(shear_pair())))
+    ca = expand_bv(packaged(shear_pair()))
     ctx = ca.context
     word = tuple(ctx.odd_index[name] for name in ("x_odd", "xi_1", "xi_2", "pi_1"))
     assert word_coefficient(ca.action, word) == EvenPoly.const(ctx.even_names, 1)
@@ -303,7 +295,7 @@ def test_kinetic_sector_on_every_package():
     ]
     for data, pack in cases:
         bfv = frame_package(data, pack) if pack else packaged(data)
-        ca = expand_bv(build_supercharge(bfv))
+        ca = expand_bv(bfv)
         sector = kinetic_sector(ca, data.coords, data.rank)
         assert sector == expected_kinetic(ca.context, data.coords, data.rank)
 
@@ -321,29 +313,60 @@ def test_ghost_zero_truncation_matches_the_reference():
     ]
     for data, pack in cases:
         package = frame_package(data, pack)
-        ca = expand_bv(build_supercharge(package))
+        ca = expand_bv(package)
         assert ghost_zero_truncation(ca) == extended_action_reference(package)
 
 
 def test_expand_is_linear_in_the_charge():
     coords, g = ring(["x1", "x2"])
     bfv = packaged(abelian_r2(), potential=g["x1"] ** 2)
-    sq = build_supercharge(bfv)
-    qctx = sq.context
-    part_s = SuperCharge(transport(bfv.S, qctx), bfv)
-    part_h = SuperCharge(qctx.var("theta") * transport(bfv.H, qctx), bfv)
-    total = expand_bv(sq).action
-    split = expand_bv(part_s).action + expand_bv(part_h).action
+    data = bfv.data
+    # the H = 0 twin: the same constraints with an empty pack, so Q = S
+    twin = assemble_bfv(bfv.constraints, GeometryPack(data.coords, data.rank))
+    assert twin.H.is_zero and not bfv.H.is_zero
+    qctx = supercharge_context(bfv.ctx)
+    part_h = qctx.var(THETA) * transport(bfv.H, qctx)
+    total = expand_bv(bfv).action
+    split = expand_bv(twin).action + expand_bv_by_substitution(part_h, data)
     # each expansion carries one copy of the kinetic sector
-    ectx = expansion_context(bfv.data.coords, bfv.data.rank)
-    assert split - total == expected_kinetic(ectx, bfv.data.coords, bfv.data.rank)
+    ectx = expansion_context(data.coords, data.rank)
+    assert split - total == expected_kinetic(ectx, data.coords, data.rank)
 
 
 def test_expand_rejects_twisted_bracket():
     bfv = frame_package(*compensated_magnetic_package())
-    sq = build_supercharge(bfv)
     with pytest.raises(ValueError, match="absorb the magnetic term"):
-        expand_bv(sq)
+        expand_bv(bfv)
+
+
+def wrong_reference(package):
+    return extended_action_reference(package) + 1
+
+
+def bumped_field_table(coords, rank):
+    fields = list(field_table(coords, rank))
+    first = fields[0]
+    fields[0] = FieldEntry(first.name, first.ghost + 1, first.parity, first.is_partner)
+    return tuple(fields)
+
+
+def test_expand_guards_the_classical_limit(monkeypatch):
+    # the library call itself trips, with no command line around it
+    package = packaged(abelian_r1())
+    limit = "internal dual-route mismatch in the classical limit of the action"
+    with monkeypatch.context() as patch:
+        patch.setattr("nqkit.aksz.extended_action_reference", wrong_reference)
+        with pytest.raises(RuntimeError) as tripped:
+            expand_bv(package)
+    assert str(tripped.value) == limit
+    bookkeeping = "internal bookkeeping mismatch in the component action: field[x] "
+    with monkeypatch.context() as patch:
+        patch.setattr("nqkit.aksz.field_table", bumped_field_table)
+        with pytest.raises(RuntimeError) as tripped:
+            expand_bv(package)
+    assert str(tripped.value).startswith(bookkeeping)
+    # and with nothing patched the same call passes both guards
+    assert check_bookkeeping(expand_bv(package)).status == PASS
 
 
 # bookkeeping
@@ -351,7 +374,7 @@ def test_expand_rejects_twisted_bracket():
 
 def test_bookkeeping_passes_on_expansions():
     for data in (abelian_r1(), abelian_r2(), shear_pair()):
-        ca = expand_bv(build_supercharge(packaged(data)))
+        ca = expand_bv(packaged(data))
         report = check_bookkeeping(ca)
         assert report.status == PASS
         assert report.residuals == []
@@ -367,7 +390,7 @@ def test_bookkeeping_empty_action_passes():
 
 
 def test_bookkeeping_catches_a_corrupted_table():
-    ca = expand_bv(build_supercharge(packaged(abelian_r1())))
+    ca = expand_bv(packaged(abelian_r1()))
     fields = list(ca.fields)
     bumped = next(k for k, entry in enumerate(fields) if entry.name == "xi_1")
     entry = fields[bumped]
@@ -382,7 +405,7 @@ def test_bookkeeping_catches_a_corrupted_table():
 
 
 def test_bookkeeping_catches_a_corrupted_action():
-    ca = expand_bv(build_supercharge(packaged(abelian_r1())))
+    ca = expand_bv(packaged(abelian_r1()))
     bad = ComponentAction(ca.fields, ca.action + ca.context.var("xi_1"))
     report = check_bookkeeping(bad)
     assert report.status == FAIL
@@ -526,7 +549,7 @@ def test_rows_match_the_reference_on_the_corpus_and_so_n():
         for F in (package.S, package.H):
             assert term_rows(F) == ref.term_rows(F), name
         if package.ctx.twist is None:
-            action = expand_bv(build_supercharge(package)).action
+            action = expand_bv(package).action
             assert term_rows(action) == ref.term_rows(action), name
             expanded.append(name)
     assert {"so3", "so4", "so5", "so3_action"} <= set(expanded)
@@ -552,20 +575,21 @@ def test_rows_match_the_reference_on_the_corpus_and_so_n():
 
 
 def test_rows_are_canonical():
-    ca = expand_bv(build_supercharge(packaged(abelian_r1())))
-    again = expand_bv(build_supercharge(packaged(abelian_r1())))
-    assert ca.rows() == again.rows()
-    assert {"coeff": "-1", "even": {"p_x": 1, "lam_1": 1}, "odd": []} in ca.rows()
+    ca = expand_bv(packaged(abelian_r1()))
+    again = expand_bv(packaged(abelian_r1()))
+    rows = term_rows(ca.action)
+    assert rows == term_rows(again.action)
+    assert {"coeff": "-1", "even": {"p_x": 1, "lam_1": 1}, "odd": []} in rows
     # words are stored ascending, so xi_1 p_x_odd appears reordered with sign
-    assert {"coeff": "-1", "even": {}, "odd": ["p_x_odd", "xi_1"]} in ca.rows()
+    assert {"coeff": "-1", "even": {}, "odd": ["p_x_odd", "xi_1"]} in rows
 
 # the expansion as one derivation, against the multiplied-out substitution
 
 
-def expand_bv_by_substitution(sq: SuperCharge) -> GradedPoly:
+def expand_bv_by_substitution(Q: GradedPoly, data) -> GradedPoly:
     """Theta coefficient of P dX - Pi dXi - Q with every field z replaced by
-    z + theta z~ and every term multiplied out: the reference for `expand_bv`."""
-    data = sq.package.data
+    z + theta z~ and every term multiplied out: the reference for `expand_bv`,
+    for a charge Q on the theta-extended phase space of the frame data."""
     coords, rank = data.coords, data.rank
     ectx = expansion_context(coords, rank)
     theta = ectx.var(THETA)
@@ -575,7 +599,7 @@ def expand_bv_by_substitution(sq: SuperCharge) -> GradedPoly:
         pairs.append((ghost_name(a), multiplier_name(a)))
         pairs.append((antighost_name(a), partner_name(antighost_name(a))))
     images = {z: ectx.var(z) + theta * ectx.var(partner) for z, partner in pairs}
-    integrand = -substitute(transport(sq.Q, ectx), images)
+    integrand = -substitute(transport(Q, ectx), images)
     for name in coords:
         d_position = ectx.var(velocity_name(name)) * theta
         integrand = integrand + images[momentum_name(name)] * d_position
@@ -597,10 +621,12 @@ def test_expand_matches_the_substitution_on_the_corpus_and_so_n():
             continue  # no package to expand
         if package.ctx.twist is not None:
             continue  # refused by both routes
-        sq = build_supercharge(package)
-        action = expand_bv(sq).action
+        # Q = S + theta H built here, not by build_supercharge
+        qctx = supercharge_context(package.ctx)
+        Q = transport(package.S, qctx) + qctx.var(THETA) * transport(package.H, qctx)
+        action = expand_bv(package).action
         assert not action.is_zero
-        assert action == expand_bv_by_substitution(sq), name
+        assert action == expand_bv_by_substitution(Q, problem.data), name
         compared.append(name)
     assert {"so3", "so4", "so5", "so6", "so3_action"} <= set(compared)
     assert len(compared) >= 10

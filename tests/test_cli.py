@@ -13,19 +13,14 @@ from pathlib import Path
 
 import pytest
 
+import nqkit.aksz
 import nqkit.algebroid
 import nqkit.bfv
 import nqkit.cli
 import nqkit.constraints
 import nqkit.dynamics
 import nqkit.graded
-from nqkit.aksz import (
-    FieldEntry,
-    build_supercharge,
-    expand_bv,
-    extended_action_reference,
-    field_table,
-)
+from nqkit.aksz import expand_bv, term_rows
 from nqkit.algebroid import defect_lift, ghost_context
 from nqkit.bfv import _balanced_words, _charge_invariance, assemble_bfv
 from nqkit.graded import GradedContext, left_derivation
@@ -34,6 +29,7 @@ from nqkit.problem import load_problem
 from nqkit.report import FAIL, CheckReport
 from tests.conftest import frame_constraints, frame_package, invoke
 from tests import test_dynamics as dynamics_tests
+from tests.test_aksz import bumped_field_table, wrong_reference
 from tests.reference_forms import e_differential, one_form
 from tests.test_generated_frames import gen
 
@@ -301,17 +297,6 @@ def _oversized_image(columns, inside):
     return 10**6
 
 
-def _wrong_reference(package):
-    return extended_action_reference(package) + 1
-
-
-def _bumped_field_table(coords, rank):
-    fields = list(field_table(coords, rank))
-    first = fields[0]
-    fields[0] = FieldEntry(first.name, first.ghost + 1, first.parity, first.is_partner)
-    return tuple(fields)
-
-
 def _shifted_sh(*args):
     report, SH = _charge_invariance(*args)
     return report, SH + SH.ctx.var("xi_1")
@@ -368,14 +353,14 @@ TRIPPED_GUARDS = [
         "internal window inconsistency in the cohomology count",
     ),
     (
-        "nqkit.cli.extended_action_reference",
-        _wrong_reference,
+        "nqkit.aksz.extended_action_reference",
+        wrong_reference,
         EMIT_SO3_BV,
         "internal dual-route mismatch in the classical limit of the action",
     ),
     (
         "nqkit.aksz.field_table",
-        _bumped_field_table,
+        bumped_field_table,
         EMIT_SO3_BV,
         "internal bookkeeping mismatch in the component action: field[x1]",
     ),
@@ -502,6 +487,14 @@ def test_every_engine_guard_has_a_tripping_case():
     assert stale == []
     for module, name in TRIPPED_ELSEWHERE.values():
         assert callable(getattr(module, name))
+
+
+def test_every_engine_guard_is_raised_by_the_library():
+    # the command line turns a tripped guard into exit 3 but raises none
+    # itself, so a library caller is guarded by the same checks
+    guards = engine_guards(ROOT / "src" / "nqkit")
+    assert [where for where in guards if where.startswith("cli.py:")] == []
+    assert any(where.startswith("aksz.py:") for where in guards)
 
 
 # what the ghost-zero window builds: the axiom check's defect tensors, then
@@ -1334,10 +1327,8 @@ def test_emit_bv_matches_the_library_expansion(tmp_path):
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     problem = load_problem(CORPUS / "abelian_r1.json")
-    action = expand_bv(
-        build_supercharge(frame_package(problem.data, problem.pack))
-    )
-    assert doc["terms"] == action.rows()
+    action = expand_bv(frame_package(problem.data, problem.pack))
+    assert doc["terms"] == term_rows(action.action)
     assert {"coeff": "-1/2", "even": {"p_x": 2}, "odd": []} in doc["terms"]
     names = {f["name"]: f for f in doc["fields"]}
     assert names["lam_1"]["partner"] is True
@@ -1376,13 +1367,13 @@ def test_emit_bv_checks_the_classical_limit(monkeypatch, tmp_path, name, force):
     # ghost-zero truncation against p x_dot - H - lam Phi, and pass them
     calls = Counter()
     for target in ("check_bookkeeping", "extended_action_reference"):
-        original = getattr(nqkit.cli, target)
+        original = getattr(nqkit.aksz, target)
 
         def counted(*args, _target=target, _original=original):
             calls[_target] += 1
             return _original(*args)
 
-        monkeypatch.setattr(nqkit.cli, target, counted)
+        monkeypatch.setattr(nqkit.aksz, target, counted)
     out = tmp_path / "bv.json"
     args = ["emit", corpus_path(name), "--what", "bv", "--out", str(out)]
     result = run(*args, *(["--force"] if force else []))

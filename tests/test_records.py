@@ -13,13 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from nqkit.aksz import (
-    ComponentAction,
-    FieldEntry,
-    SuperCharge,
-    build_supercharge,
-    expand_bv,
-)
+from nqkit.aksz import ComponentAction, FieldEntry, expand_bv
 from nqkit.algebroid import Algebroid, CohomologyReport
 from nqkit.bfv import BFVPackage, H0Report, assemble_bfv
 from nqkit.constraints import (
@@ -44,8 +38,7 @@ def _material() -> dict:
     pack = flat_pack(coords, 1)
     constraints = build_constraints(data)
     package = assemble_bfv(constraints, pack)
-    supercharge = build_supercharge(package)
-    action = expand_bv(supercharge)
+    action = expand_bv(package)
     report = CheckReport("axioms", PASS, "[e_a, e_b] = C^c_ab e_c")
     return {
         "data": data,
@@ -55,7 +48,6 @@ def _material() -> dict:
         "pack": pack,
         "constraints": constraints,
         "package": package,
-        "supercharge": supercharge,
         "action": action,
         "report": report,
     }
@@ -190,14 +182,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
             },
             {},
         ),
-        "SuperCharge": (
-            SuperCharge,
-            {
-                "Q": m["supercharge"].Q,
-                "package": m["package"],
-            },
-            {},
-        ),
         "FieldEntry": (
             FieldEntry,
             {"name": "pi_1", "ghost": -1, "parity": 1, "is_partner": False},
@@ -243,7 +227,6 @@ RECORDS = (
     "ConnectionSolution",
     "BFVPackage",
     "H0Report",
-    "SuperCharge",
     "FieldEntry",
     "ComponentAction",
     "Truncation",
@@ -302,7 +285,6 @@ def test_derived_record_fields():
     package = m["package"]
     assert package.S == package.constraints.core + package.constraints.affine
     assert package.ctx is package.constraints.ctx
-    assert m["supercharge"].context is m["supercharge"].Q.ctx
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]
     zero = cs.ctx.zero()
