@@ -42,23 +42,20 @@ from itertools import combinations
 from .graded import (
     GradedContext,
     GradedPoly,
-    OddWord,
     extended_context,
-    field_column,
     ghost_name,
     hamiltonian_lift,
+    in_window,
     left_derivation,
+    window_columns,
 )
-from .linalg import image_in, kernel, read_back, solve
+from .linalg import image_in, kernel, read_back, solve, vector_column
 from .poly import (
-    WIDTH,
     EvenPoly,
-    Exponent,
     Terms,
     accumulate_product,
     derivative,
     divide,
-    monomial_exponents,
     unpack,
 )
 from .report import FAIL, PASS, CheckReport, family_residuals
@@ -349,25 +346,6 @@ class CohomologyReport:
         self.flags = {} if flags is None else flags
 
 
-def _q_columns(
-    data: Algebroid, words: list[OddWord], degree: int
-) -> tuple[list[tuple[OddWord, Exponent]], list[dict]]:
-    """Q on the cochains x^e xi^word, for each word and x-degree <= degree.
-
-    The sources come word by word, monomials in order within a word; each
-    column is `field_column` of the images of Q, keyed by (word, exponent)
-    in the ghost context, whose exponents end in the momentum half (zero
-    here).
-    """
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
-    n = data.base_dim
-    sources = [(word, e) for word in words for e in monomial_exponents(n, degree)]
-    # x^e with zero momenta is the key e moved up past the n momentum fields
-    columns = [field_column(ctx, images, word, e << WIDTH * n) for word, e in sources]
-    return sources, columns
-
-
 def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyReport:
     """Truncated first cohomology of the frame differential.
 
@@ -381,8 +359,13 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     """
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
+    ctx = ghost_context(data)
+    images = q_images(data, ctx)
     words = [1 << a for a in range(data.rank)]
-    unknowns, columns = _q_columns(data, words, trunc)
+    # one window per word: this unknown order fixes the closed basis
+    windows = [window_columns(ctx, images, [word], trunc) for word in words]
+    unknowns = [(word, e) for sources, _ in windows for word, e, _ in sources]
+    columns = [column for _, window in windows for column in window]
     closed_basis = []
     for vector in kernel(columns):
         components = read_back(data.coords, unknowns, vector)
@@ -390,9 +373,8 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
 
     # exact part: the image of d0 on functions of degree <= trunc + slack
     # that lies entirely inside the window
-    n = data.base_dim
-    _, sources = _q_columns(data, [0], trunc + slack)
-    exact_dim = image_in(sources, lambda key: sum(unpack(key[1], 2 * n)[:n]) <= trunc)
+    _, sources = window_columns(ctx, images, [0], trunc + slack)
+    exact_dim = image_in(sources, in_window(data.base_dim, trunc))
 
     filtration = _max_coeff_degree(data) <= 0
     return CohomologyReport(
@@ -431,11 +413,12 @@ def is_exact_one_form(
     alpha is a 1-form alpha_a xi^a in `ghost_context(data)`, whose terms are
     keyed like the columns.
     """
-    if alpha.ctx != ghost_context(data) or any(w.bit_count() != 1 for w in alpha.parts):
+    ctx = ghost_context(data)
+    if alpha.ctx != ctx or any(w.bit_count() != 1 for w in alpha.parts):
         raise ValueError("exactness query takes a 1-form in the ghost context")
-    sources, columns = _q_columns(data, [0], degree)
-    rhs = {(w, e): c for w, f in alpha.parts.items() for e, c in f.terms.items()}
-    result = solve(columns, rhs)
+    sources, columns = window_columns(ctx, q_images(data, ctx), [0], degree)
+    result = solve(columns, vector_column(alpha.parts))
     if result is None:
         return None
-    return read_back(data.coords, sources, result[0]).get(0, data.zero())
+    unknowns = [(word, e) for word, e, _ in sources]
+    return read_back(data.coords, unknowns, result[0]).get(0, data.zero())

@@ -23,16 +23,17 @@ from .graded import (
     GradedPoly,
     OddWord,
     antighost_name,
-    field_column,
     ghost_name,
+    in_window,
     left_derivation,
     letters,
     momentum_name,
     momentum_orders,
+    window_columns,
     word_label,
 )
 from .linalg import image_in, rank
-from .poly import WIDTH, EvenPoly, Exponent, lex_bits, monomial_exponents, unpack
+from .poly import EvenPoly
 from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 
 # build_S and check_master are defined with the constraint set and re-exported
@@ -304,34 +305,6 @@ def _balanced_words(rank: int, ghost_shift: int) -> list[OddWord]:
     return words
 
 
-def _bracket_columns(
-    ctx: GradedContext,
-    field: dict[str, GradedPoly],
-    n: int,
-    words: list[OddWord],
-    x_degree: int,
-    p_degree: int,
-) -> list[dict]:
-    """The derivation `field` on each monomial x^xe p^pe xi^word of a window.
-
-    Sources run over x-monomials, then p-monomials, then words; each
-    column is keyed by (word, exponent).  Over the 2n coordinates the key
-    of x^xe p^pe is that of x^xe, xe moved up past the n momentum fields,
-    plus that of p^pe, pe with its degree field moved up past x.
-    """
-    shift = WIDTH * n
-    p_keys = [
-        pe >> shift << 2 * shift | pe & lex_bits(n)
-        for pe in monomial_exponents(n, p_degree)
-    ]
-    return [
-        field_column(ctx, field, word, (xe << shift) + pk)
-        for xe in monomial_exponents(n, x_degree)
-        for pk in p_keys
-        for word in words
-    ]
-
-
 def bfv_h0(cs: ConstraintSet, x_degree: int, p_degree: int) -> H0Report:
     """Kernel minus image of (S, .) on a finite ghost-number-0 window.
 
@@ -346,22 +319,15 @@ def bfv_h0(cs: ConstraintSet, x_degree: int, p_degree: int) -> H0Report:
         raise ValueError("the master equation fails: (S, .) does not square to zero")
     ctx, field = cs.ctx, cs.field  # (S, .), applied to every column
     n, r = len(cs.data.coords), cs.data.rank
-
-    def in_window(key: tuple[OddWord, Exponent]) -> bool:
-        exponent = unpack(key[1], 2 * n)
-        return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
-
-    window = _bracket_columns(
-        ctx, field, n, _balanced_words(r, 0), x_degree, p_degree
-    )
+    _, window = window_columns(ctx, field, _balanced_words(r, 0), x_degree, p_degree)
     closed_dim = len(window) - rank(window)
     # gh -1 sources one degree above the window; a single bracket moves
     # any monomial degree by at most one, so deeper sources reach the
     # window only through cancellations this truncation ignores
-    sources = _bracket_columns(
-        ctx, field, n, _balanced_words(r, -1), x_degree + 1, p_degree + 1
+    _, sources = window_columns(
+        ctx, field, _balanced_words(r, -1), x_degree + 1, p_degree + 1
     )
-    exact_dim = image_in(sources, in_window)
+    exact_dim = image_in(sources, in_window(n, x_degree, p_degree))
 
     if exact_dim > closed_dim:
         raise RuntimeError("internal window inconsistency in the cohomology count")

@@ -39,8 +39,8 @@ from .graded import (
     transport,
     word_residuals,
 )
-from .linalg import rank, read_back, solve
-from .poly import EvenPoly, Exponent, Rat, exact_quotient, monomial_exponents, unpack
+from .linalg import rank, read_back, solve, vector_column
+from .poly import EvenPoly, Rat, exact_quotient, monomial_exponents, unpack
 from .report import FAIL, PASS, CheckReport, family_residuals
 
 DEFAULT_PROBE_SEED = 271828
@@ -407,15 +407,12 @@ def _solve_structure(
     r, n = len(rho_rows), len(base)
     unknowns = [(c, m) for c in range(r) for m in monomial_exponents(n, degree)]
     # C^c_ab = x^m contributes x^m rho_c^i to the p_i coefficient, whatever (a, b)
-    columns = []
-    for c, m in unknowns:
-        shifted = EvenPoly(base, {m: 1})
-        columns.append(_base_column([shifted * rho for rho in rho_rows[c]]))
+    columns = [vector_column(dict(enumerate(rho_rows[c])), m) for c, m in unknowns]
 
     structure: dict[tuple[int, int, int], EvenPoly] = {}
     total_free = 0
     for (a, b), target in targets.items():
-        result = solve(columns, _base_column(target))
+        result = solve(columns, vector_column(dict(enumerate(target))))
         if result is None:
             return None
         solution, free = result
@@ -424,13 +421,6 @@ def _solve_structure(
         for c in range(r):
             structure[(c, a, b)] = entries.get(c, EvenPoly.zero(base))
     return structure, total_free
-
-
-def _base_column(vector: list[EvenPoly]) -> dict[tuple[int, Exponent], Rat]:
-    """Coefficients of a base-indexed vector keyed by (index, exponent)."""
-    return {
-        (i, e): coeff for i, entry in enumerate(vector) for e, coeff in entry.terms.items()
-    }
 
 
 # reducibility diagnostics

@@ -23,6 +23,7 @@ index-formula route raises instead of passing silently.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import product
 from typing import Sequence
 
 from .algebroid import Algebroid
@@ -34,7 +35,7 @@ from .graded import (
     momentum_name,
     momentum_orders,
 )
-from .linalg import read_back, solve
+from .linalg import read_back, solve, vector_column
 from .poly import EvenPoly, Exponent, Rat, monomial_exponents
 from .report import FAIL, PASS, CheckReport, family_residuals
 
@@ -451,30 +452,20 @@ def _connection_columns(
     """One column per unknown omega^b_ai = x^m of the compatibility system.
 
     The unknowns, ((b, a, i), m), number rank^2 * base_dim * C(base_dim +
-    degree, base_dim).  Row keys are (a, s, t, exponent) over the pairs
-    s <= t.  An unknown adds -x^m (iota_rho g)_bk to each pair of
-    `_omega_slots(n, i)`, term by term.
+    degree, base_dim).  Unknown ((b, a, i), m) is x^m times the vector
+    {(a, s, t): -(iota_rho g)_bk} over the pairs (s, t) and the k of
+    `_omega_slots(n, i)`, so rows are keyed ((a, s, t), exponent).
     """
     r, n = data.rank, data.base_dim
-    exponents = monomial_exponents(n, degree)
-    unknowns = [
-        ((b, a, i), m)
-        for b in range(r)
-        for a in range(r)
-        for i in range(n)
-        for m in exponents
-    ]
     iota = _lowered_anchor(data, g_low)
-    columns = []
-    for (b, a, i), m in unknowns:
-        column: dict[tuple[int, int, int, Exponent], Rat] = {}
+    vectors: dict[tuple[int, int, int], dict[tuple[int, int, int], EvenPoly]] = {}
+    for b, a, i in product(range(r), range(r), range(n)):
+        vector = vectors[(b, a, i)] = {}
         for (s, t), k in _omega_slots(n, i):
-            for e, coeff in iota[b][k].terms.items():
-                # only slot (i, i) repeats, adding the same -coeff twice: none cancels
-                key = (a, s, t, m + e)
-                column[key] = column.get(key, 0) - coeff
-        columns.append(column)
-    return unknowns, columns
+            vector[(a, s, t)] = vector.get((a, s, t), data.zero()) - iota[b][k]
+    exponents = monomial_exponents(n, degree)
+    unknowns = [(label, m) for label in vectors for m in exponents]
+    return unknowns, [vector_column(vectors[label], m) for label, m in unknowns]
 
 
 def solve_connection(
@@ -491,13 +482,14 @@ def solve_connection(
         raise ValueError("ansatz degree must be nonnegative")
     r, n = data.rank, data.base_dim
     unknowns, columns = _connection_columns(data, pack.g_low, degree)
-    rhs = {
-        (a, i, j, e): -coeff
-        for a in range(r)
-        for i in range(n)
-        for j in range(i, n)
-        for e, coeff in _lie_metric(data, pack.g_low, a, i, j).terms.items()
-    }
+    rhs = vector_column(
+        {
+            (a, i, j): -_lie_metric(data, pack.g_low, a, i, j)
+            for a in range(r)
+            for i in range(n)
+            for j in range(i, n)
+        }
+    )
 
     result = solve(columns, rhs)
     if result is None:

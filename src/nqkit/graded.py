@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from functools import cache, reduce
 from operator import mul, or_, xor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
+    WIDTH,
     EvenPoly,
     Exponent,
     Scalar,
@@ -39,6 +40,8 @@ from .poly import (
     divide,
     embed,
     field_bits,
+    lex_bits,
+    monomial_exponents,
     monomial_factors,
     pack,
     render_sum,
@@ -622,6 +625,53 @@ def field_column(
                 else:
                     del column[key]
     return column
+
+
+def window_columns(
+    ctx: GradedContext,
+    field: Mapping[str, GradedPoly],
+    words: Sequence[OddWord],
+    x_degree: int,
+    p_degree: int = 0,
+) -> tuple[list[tuple[OddWord, Exponent, Exponent]], list[dict]]:
+    """The derivation `field` on each monomial x^e p^f xi^word of a window.
+
+    ctx lays out its even coordinates as `extended_context` does: the n
+    paired positions, then their momenta.  Returns the sources (word, e, f),
+    e and f keys over the n positions of degree <= x_degree and p_degree,
+    and the `field_column` of each.  Sources run over x-monomials, then
+    p-monomials, then words: every order gives the same answers, and this
+    one eliminates the ghost-zero windows of `bfv_h0` with less work than
+    words first.
+    """
+    n = len(ctx.pairs_even)
+    shift = WIDTH * n
+    # the key of x^e p^f over the 2n coordinates: e moved up past the n
+    # momentum fields, plus f with its degree field moved up past x
+    p_keys = [
+        (f, f >> shift << 2 * shift | f & lex_bits(n))
+        for f in monomial_exponents(n, p_degree)
+    ]
+    sources, columns = [], []
+    for e in monomial_exponents(n, x_degree):
+        for f, p_key in p_keys:
+            for word in words:
+                sources.append((word, e, f))
+                columns.append(field_column(ctx, field, word, (e << shift) + p_key))
+    return sources, columns
+
+
+def in_window(
+    n: int, x_degree: int, p_degree: int = 0
+) -> Callable[[tuple[OddWord, Exponent]], bool]:
+    """Whether a column key of `window_columns` over n positions lies in
+    the window of x-degree <= x_degree and p-degree <= p_degree."""
+
+    def inside(key: tuple[OddWord, Exponent]) -> bool:
+        exponent = unpack(key[1], 2 * n)
+        return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
+
+    return inside
 
 
 def momentum_orders(

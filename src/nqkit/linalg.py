@@ -21,8 +21,10 @@ gcd of its entries, so the entries stay small.  The stored rows are kept
 free of each other's pivots, so an incoming row is reduced in one pass,
 and an index from each column to the stored rows holding it lets a new
 pivot clear only those rows.  Fractions appear once, at the end, when
-each row is divided by its pivot.  `read_back` turns a kernel or
-solution vector back into polynomials, for every solve.
+each row is divided by its pivot.  `vector_column` turns a vector of
+polynomials times a monomial into a column or a right-hand side, and
+`read_back` turns a kernel or solution vector back into polynomials, for
+every solve.
 """
 
 from __future__ import annotations
@@ -189,3 +191,13 @@ def read_back(
         label, exponent = unknowns[k]
         terms.setdefault(label, {})[exponent] = value
     return {label: EvenPoly(coords, t) for label, t in terms.items()}
+
+
+def vector_column(
+    vector: Mapping[Hashable, EvenPoly], shift: Exponent = 0
+) -> dict[tuple[Hashable, Exponent], Rat]:
+    """The column `{(label, exponent): c}` of a `{label: EvenPoly}` vector
+    times x^shift, a key over the coordinates of its entries."""
+    return {
+        (label, e + shift): c for label, f in vector.items() for e, c in f.terms.items()
+    }

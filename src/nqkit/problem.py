@@ -154,7 +154,8 @@ def load_problem(path: str | os.PathLike) -> Problem:
         raise ProblemError("$", f"not valid UTF-8: {error}") from error
     try:
         doc = json.loads(text)
-    except ValueError as error:  # also a number past the int() digit limit
+    # also a number past the int() digit limit or nesting past the recursion limit
+    except (ValueError, RecursionError) as error:
         raise ProblemError("$", f"not valid JSON: {error}") from error
     return problem_from_dict(doc)
 

@@ -1054,6 +1054,17 @@ def test_number_past_the_digit_limit_is_an_input_error(tmp_path):
     assert "input error: $: not valid JSON" in result.stderr
 
 
+def test_nesting_past_the_recursion_limit_is_an_input_error(tmp_path):
+    # the decoder raises RecursionError, a RuntimeError like an engine guard
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    result = run("check", str(path), "--axioms")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("input error: $: not valid JSON: ")
+    assert "internal error" not in result.stderr
+
+
 def test_check_json_matches_frozen_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     for name in EXPECTED_EXIT:

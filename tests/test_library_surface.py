@@ -28,7 +28,6 @@ WITHOUT_CLI_CALLER = {"extract_structure"}
 EXTRACTION_CLUSTER = {
     ("constraints", "extract_structure"),
     ("constraints", "_solve_structure"),
-    ("constraints", "_base_column"),
     ("constraints", "ExtractionResult"),
 }
 

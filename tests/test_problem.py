@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import nqkit.problem
+from nqkit.aksz import expansion_context, supercharge_context
+from nqkit.graded import extended_context
 from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly
 from nqkit.problem import (
@@ -286,6 +288,30 @@ def test_reserved_coordinate_names_rejected(name):
     with pytest.raises(ProblemError) as err:
         problem_from_dict(doc)
     assert path_of(err) == "coords[1]"
+
+
+def test_every_generated_name_is_reserved():
+    # the name schemes of graded and aksz against the loader's reserved list
+    coords = ("x", "y")
+    phase = extended_context(coords, 2)
+    generated = {
+        name
+        for ctx in (phase, supercharge_context(phase), expansion_context(coords, 2))
+        for name in ctx.even_names + ctx.odd_names
+        if name not in coords
+    }
+    assert {"p_x", "xi_2", "pi_1", "theta"} <= generated
+    for name in sorted(generated):
+        for k in range(2):
+            doc = {
+                "base_dim": 2,
+                "rank": 2,
+                "coords": [name if j == k else coords[j] for j in range(2)],
+                "anchor": [["1", "0"], ["0", "1"]],
+            }
+            with pytest.raises(ProblemError) as err:
+                problem_from_dict(doc)
+            assert path_of(err) == f"coords[{k + 1}]", name
 
 
 def test_duplicate_and_malformed_coordinates_rejected():

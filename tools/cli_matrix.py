@@ -9,7 +9,8 @@ metric and a connection), on geometry-rich, zero-drift and non-flat
 connection twins of corpus files, on `abelian_r2` with an alpha that is
 not closed (axioms pass, master fails), on `broken_jacobi` with a metric pair,
 on `shear_plane` (off-diagonal, non-constant metric entries) and its
-twin with nonzero structural families at every momentum order, plus a few
+twin with nonzero structural families at every momentum order, on
+`bent_line` (no polynomial connection at any ansatz degree), plus a few
 inputs near the parser's term and degree budgets, the widest cohomology
 window in one coordinate and a dense structure that is not
 antisymmetric, and one `check --json` on a corpus file under a name with
@@ -82,9 +83,11 @@ BUDGET_ENTRIES = {
 # of the JSON writer
 ESCAPED_COPY = ("so3_action", 'so3_action é"\\')
 # runs outside the per-input grid: the widest h^1 window the window budget
-# admits on a one-coordinate frame, degree 2402 in x, and the escaping run
+# admits on a one-coordinate frame, degree 2402 in x, an exactness query
+# whose alpha is closed but has no primitive of degree 0, and the escaping run
 EXTRA_LINES = (
     ["cohomology", "../in/abelian_r1.json", "--trunc", "2400"],
+    ["cohomology", "../in/rank2_line_affine.json", "--is-exact", "--trunc", "0"],
     ["check", f"../in/{ESCAPED_COPY[1]}.json", "--all", "--json", "report.json"],
 )
 # corpus files whose sparse structure also runs as the [c][a][b] list
@@ -164,6 +167,16 @@ SHEAR_PLANE_GEOMETRY = dict(
     alpha=["x", "y^2"],
     potential="x*y + y^2",
 )
+# one unit flow on a line under the metric 1 + x^2: compatibility asks for
+# 2 omega (1 + x^2) = L_rho g = 2x, and omega = x / (1 + x^2) is no
+# polynomial, so solve-connection is infeasible at every ansatz degree
+BENT_LINE = {
+    "base_dim": 1,
+    "rank": 1,
+    "coords": ["x"],
+    "anchor": [["1"]],
+    "metric": [["1 + x^2"]],
+}
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
 
@@ -200,6 +213,7 @@ def inputs() -> dict[str, dict]:
         docs[name] = dict(docs[base], **fields)
     docs["shear_plane"] = SHEAR_PLANE
     docs["shear_plane_geometry"] = SHEAR_PLANE_GEOMETRY
+    docs["bent_line"] = BENT_LINE
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
