@@ -115,8 +115,7 @@ def check_supercharge(package: BFVPackage) -> CheckReport:
     split = transport(SS, ctx) - 2 * theta * transport(SH, ctx)
     if QQ != split:
         raise RuntimeError("internal theta-split mismatch in the self-bracket")
-    master = package.report("master")
-    invariance = package.report("charge_invariance")
+    master, invariance = package.master, package.charge_invariance
     agreed = master.status == PASS and invariance.status == PASS
     if QQ.is_zero != agreed:
         raise RuntimeError(

@@ -85,8 +85,11 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
 class BFVPackage:
     """Constraints with their charge, pack, Hamiltonian and battery reports.
 
-    `SH` is the bracket (S, H), computed once by the charge-invariance check
-    and kept for the theta split of the supercharge.  Treated as immutable.
+    `H` is the pack's covariant Hamiltonian, or its potential when it has
+    no inverse metric; `SH` is the bracket (S, H), computed once by the
+    charge-invariance check and kept for the theta split of the
+    supercharge.  The reports are `master`, read off the constraints, and
+    `cartan` and `charge_invariance`.  Treated as immutable.
     """
 
     def __init__(
@@ -95,15 +98,15 @@ class BFVPackage:
         pack: GeometryPack,
         H: GradedPoly,
         SH: GradedPoly,
-        reports: tuple[CheckReport, ...],
+        cartan: CheckReport,
+        charge_invariance: CheckReport,
     ):
-        if not H.is_zero and (H.parity() != 0 or H.ghost_degree() != 0):
-            raise ValueError("the hamiltonian must be even of ghost degree 0")
         self.constraints = constraints
         self.pack = pack
         self.H = H
         self.SH = SH
-        self.reports = reports
+        self.cartan = cartan
+        self.charge_invariance = charge_invariance
 
     @property
     def ctx(self) -> GradedContext:
@@ -117,11 +120,9 @@ class BFVPackage:
     def data(self) -> Algebroid:
         return self.constraints.data
 
-    def report(self, name: str) -> CheckReport:
-        for entry in self.reports:
-            if entry.name == name:
-                return entry
-        raise KeyError(f"no report named {name!r}")
+    @property
+    def master(self) -> CheckReport:
+        return self.constraints.master
 
 
 def _shape_finding(detail: str) -> CheckReport:
@@ -238,9 +239,11 @@ def _charge_invariance(
 def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
     """Add the Hamiltonian H = H_cov + V of a pack to the charge of cs.
 
-    Then run the battery.  A ValueError means a pack of another frame, a
-    refused drift term or an inverse metric without a connection; every
-    finding is a report.
+    H is `build_H`, or the lifted potential V without an inverse metric:
+    even and of ghost degree 0 either way.  Then run the battery, whose
+    cartan and charge-invariance reports the package keeps.  A ValueError
+    means a pack of another frame, a refused drift term or an inverse
+    metric without a connection; every finding is a report.
     """
     data, ctx = cs.data, cs.ctx
     if data.coords != pack.coords or data.rank != pack.rank:
@@ -253,7 +256,6 @@ def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
         h_cov = H - potential
     else:
         H, h_cov = potential, ctx.zero()
-    reports = [cs.master]
     # (core, H_cov), shared by the cartan and charge-invariance checks;
     # with alpha = 0 the core is S, whose (S, .) the constraints keep
     if cs.affine.is_zero:
@@ -262,17 +264,16 @@ def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
         core_bracket = ctx.poisson(cs.core, h_cov)
     if pack.g_inv is None or pack.g_low is None:
         skipped = "no metric pair: the covariant obstruction is not defined"
-    elif reports[0].status != PASS:
+    elif cs.master.status != PASS:
         skipped = "master equation fails: the obstruction tensor is undefined"
     else:
         skipped = None
     if skipped is None:
-        reports.append(_cartan_core(cs, pack, core_bracket))
+        cartan = _cartan_core(cs, pack, core_bracket)
     else:
-        reports.append(CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [skipped]))
+        cartan = CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [skipped])
     invariance, SH = _charge_invariance(cs, pack, h_cov, potential, core_bracket)
-    reports.append(invariance)
-    return BFVPackage(cs, pack, H, SH, tuple(reports))
+    return BFVPackage(cs, pack, H, SH, cartan, invariance)
 
 
 # truncated ghost-number-zero cohomology of (S, .)

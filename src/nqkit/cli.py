@@ -44,7 +44,6 @@ from .dynamics import (
     METRIC_COMPAT_IDENTITY,
     STRUCTURAL_IDENTITY,
     StructuralResiduals,
-    build_hamiltonian,
     check_evolution_invariance,
     check_metric_compat,
     check_structural,
@@ -60,7 +59,7 @@ from .problem import (
     connection_strings,
     load_problem,
 )
-from .report import FAIL, PASS, SKIPPED, WARN, CheckReport, worst_status
+from .report import FAIL, PASS, SKIPPED, CheckReport, worst_status
 
 # the most unknowns (columns of the linear maps) a cohomology window or a
 # connection solve may have; a larger one is refused as an input error
@@ -129,7 +128,8 @@ class _Workbench:
         return structural_residuals(self.problem.data, self.problem.pack)
 
 
-# one handler per check flag; each returns the reports it produced
+# one handler per check flag: each calls the library for its finished
+# reports, or skips a check whose input is missing
 
 
 def _run_axioms(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -141,22 +141,7 @@ def _run_first_class(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 
 
 def _run_irreducible(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    probe = irreducibility_probe(bench.problem.data, bench.problem.points)
-    status = PASS if probe.verdict == "irreducible on probed set" else WARN
-    return [
-        CheckReport(
-            "irreducible",
-            status,
-            "the constraint gradients have full rank on the probed set",
-            [],
-            [
-                probe.verdict,
-                f"generic rank {probe.generic_rank}, "
-                f"full rank is {probe.rank_required}",
-                f"probe seed {probe.seed}",
-            ],
-        )
-    ]
+    return [irreducibility_probe(bench.problem.data, bench.problem.points)]
 
 
 def _run_metric(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -184,11 +169,8 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
             )
         )
     else:
-        H = build_hamiltonian(problem.pack, bench.constraints.ctx)
         reports.append(
-            check_evolution_invariance(
-                H, bench.constraints, problem.pack, bench.families
-            )
+            check_evolution_invariance(bench.constraints, problem.pack, bench.families)
         )
     return reports
 
@@ -203,7 +185,7 @@ def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
         if explicit:
             _input_error(error)
         return [CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [error])]
-    report = package.report("cartan")
+    report = package.cartan
     if report.status == SKIPPED:
         # with the metric pair given, only a failed master skips the check
         if not _missing(bench.problem, "g_inv", "g_low"):
@@ -408,11 +390,12 @@ def _emit(file, what, out, force) -> None:
         "rank": problem.rank,
     }
     if what == "bfv":
-        gate = package.report("master")
+        gate = package.master
         doc["charge"] = term_rows(package.S)
         if not package.H.is_zero:
             doc["hamiltonian"] = term_rows(package.H)
-        doc["checks"] = {r.name: r.status for r in package.reports}
+        reports = (gate, package.cartan, package.charge_invariance)
+        doc["checks"] = {r.name: r.status for r in reports}
     else:
         gate = check_supercharge(package)
         if gate.status == PASS or force:

@@ -13,8 +13,9 @@ set keeps S, the derivation (S, .) and the self-bracket (S, S), and the
 master check compares (S, S) with twice the closure the constraint
 brackets predict.  The module verifies closure of the constraint
 brackets, inverts the construction by reading frame data back off
-fiber-linear constraints, and provides reducibility diagnostics.  All
-verdicts are exact; probes that sample points say so in their verdict.
+fiber-linear constraints, and returns the `irreducible` report of a rank
+probe.  All verdicts are exact; probes that sample points say so in their
+verdict.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .graded import (
 )
 from .linalg import rank, read_back, solve, vector_column
 from .poly import EvenPoly, Rat, exact_quotient, monomial_exponents, unpack
-from .report import FAIL, PASS, CheckReport, family_residuals
+from .report import FAIL, PASS, WARN, CheckReport, family_residuals
 
 DEFAULT_PROBE_SEED = 271828
 _RANDOM_PROBE_COUNT = 5
@@ -507,31 +508,17 @@ def _rank_at(
     return rank(columns)
 
 
-class ProbeReport:
-    def __init__(
-        self,
-        generic_rank: int,
-        rank_required: int,
-        seed: int,
-        point_results: list[tuple[tuple[Rat, ...], int]],
-        verdict: str,
-    ):
-        self.generic_rank = generic_rank
-        self.rank_required = rank_required
-        self.seed = seed
-        self.point_results = point_results
-        self.verdict = verdict
-
-
 def irreducibility_probe(
     data: Algebroid, points: Sequence[Sequence[Rat | int]] = ()
-) -> ProbeReport:
-    """Generic anchor rank plus exact pointwise ranks on a probed point set.
+) -> CheckReport:
+    """The `irreducible` report: generic anchor rank plus exact pointwise
+    ranks on a probed point set.
 
     The points given, then five drawn with `DEFAULT_PROBE_SEED`.  Full rank
-    everywhere means the constraints are independent; the verdict is scoped
-    to what was checked, so a clean probe reads "irreducible on probed set"
-    rather than claiming a global certificate.
+    everywhere means the constraints are independent; the verdict, the
+    first note, is scoped to what was checked, so a clean probe reads
+    "irreducible on probed set" and passes rather than claiming a global
+    certificate, and any other verdict warns.
     """
     r, n = data.rank, data.base_dim
     probe_points: list[tuple[Rat, ...]] = []
@@ -573,4 +560,14 @@ def irreducibility_probe(
         else:
             label = ", ".join(str(v) for v in failing)
             verdict = f"reducible at point ({label})"
-    return ProbeReport(generic, r, DEFAULT_PROBE_SEED, point_results, verdict)
+    return CheckReport(
+        "irreducible",
+        PASS if verdict == "irreducible on probed set" else WARN,
+        "the constraint gradients have full rank on the probed set",
+        [],
+        [
+            verdict,
+            f"generic rank {generic}, full rank is {r}",
+            f"probe seed {DEFAULT_PROBE_SEED}",
+        ],
+    )

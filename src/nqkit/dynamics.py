@@ -316,23 +316,23 @@ def check_structural(families: StructuralResiduals) -> CheckReport:
 
 
 def check_evolution_invariance(
-    H: GradedPoly,
     cs: ConstraintSet,
     pack: GeometryPack,
     families: StructuralResiduals | None,
 ) -> CheckReport:
     """Invariance of the constraint surface: {H, Phi_a} = gamma^b_a Phi_b.
 
-    The bracket residual is authoritative.  For an untwisted, drift-free pack
-    with a lowered metric it is additionally compared with the residual
-    predicted, with the build's fixed sign triple, from `families`, the
-    structural residuals of the pack (None only when it has no lowered
-    metric); a mismatch is an engine fault and raises.
+    H is `build_hamiltonian(pack, cs.ctx)`, built here on the phase space
+    of the constraints.  The bracket residual is authoritative.  For an
+    untwisted, drift-free pack with a lowered metric it is additionally
+    compared with the residual predicted, with the build's fixed sign
+    triple, from `families`, the structural residuals of the pack (None
+    only when it has no lowered metric); a mismatch is an engine fault and
+    raises.
     """
     _require(pack, ["g_inv", "omega"])
     ctx = cs.ctx
-    if H.ctx != ctx:
-        raise ValueError("hamiltonian and constraints live on different phase spaces")
+    H = build_hamiltonian(pack, ctx)
     data = cs.data
     r = data.rank
     # gamma^b_a by (b, a), built once from the nonzero omega and tau

@@ -192,10 +192,7 @@ def test_supercharge_agrees_with_package_verdicts():
     seen = set()
     for bfv in cases:
         report = check_supercharge(bfv)
-        both = (
-            bfv.report("master").status == PASS
-            and bfv.report("charge_invariance").status == PASS
-        )
+        both = bfv.master.status == bfv.charge_invariance.status == PASS
         assert report.status == (PASS if both else FAIL)
         seen.add(report.status)
     assert seen == {PASS, FAIL}

@@ -302,8 +302,9 @@ def _shifted_sh(*args):
     return report, SH + SH.ctx.var("xi_1")
 
 
-def _failed_report(package, name):
-    return CheckReport(name, FAIL, "")
+def _failed_invariance(*args):
+    report, SH = _charge_invariance(*args)
+    return CheckReport(report.name, FAIL, report.identity), SH
 
 
 def _shifted_derivation(ctx, field, G):
@@ -371,8 +372,8 @@ TRIPPED_GUARDS = [
         "internal theta-split mismatch in the self-bracket",
     ),
     (
-        "nqkit.bfv.BFVPackage.report",
-        _failed_report,
+        "nqkit.bfv._charge_invariance",
+        _failed_invariance,
         SUPERCHARGE_SO3,
         "internal mismatch between the supercharge bracket and the "
         "package reports",
@@ -495,6 +496,20 @@ def test_every_engine_guard_is_raised_by_the_library():
     guards = engine_guards(ROOT / "src" / "nqkit")
     assert [where for where in guards if where.startswith("cli.py:")] == []
     assert any(where.startswith("aksz.py:") for where in guards)
+
+
+def test_the_command_line_builds_only_skipped_reports():
+    # every finding is a report the library returns; the command line only
+    # skips a check whose input is missing
+    tree = ast.parse((ROOT / "src" / "nqkit" / "cli.py").read_text())
+    statuses = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", None) == "CheckReport":
+            given = [k.value for k in node.keywords if k.arg == "status"]
+            statuses += [ast.unparse(arg) for arg in (node.args[1:2] or given)]
+    assert statuses and set(statuses) == {"SKIPPED"}
 
 
 # what the ghost-zero window builds: the axiom check's defect tensors, then

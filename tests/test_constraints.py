@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from nqkit import constraints
 from nqkit.constraints import (
     ConstraintSet,
     build_constraints,
@@ -22,7 +23,7 @@ from nqkit.graded import GradedContext, extended_context
 from nqkit.linalg import rank
 from nqkit.poly import EvenPoly
 from nqkit.problem import load_problem, problem_from_dict
-from nqkit.report import FAIL, PASS
+from nqkit.report import FAIL, PASS, WARN
 from tests.test_algebroid import (
     abelian_algebroid,
     broken_jacobi,
@@ -250,14 +251,43 @@ def test_extract_rejects_affine_and_twisted_input():
 # reducibility
 
 
-def test_irreducibility_probe_verdicts():
-    clean = irreducibility_probe(abelian_r2())
-    assert clean.generic_rank == 2
-    assert clean.verdict == "irreducible on probed set"
-    assert all(k == 2 for _, k in clean.point_results)
+def probed_generic_rank(report) -> int:
+    """The generic rank the `irreducible` report states in its second note."""
+    stated, _ = report.notes[1].split(", full rank is ")
+    return int(stated.removeprefix("generic rank "))
 
-    assert irreducibility_probe(so3_action()).verdict == "generically reducible"
-    assert irreducibility_probe(rank2_line()).verdict == "generically reducible"
+
+def probe_with_ranks(data, points=()):
+    """The probe's report, and each point it ranked with the rank it found,
+    read from `constraints._rank_at` as the probe calls it."""
+    ranked = []
+    rank_at = constraints._rank_at
+
+    def recording(rows, degrees, point):
+        found = rank_at(rows, degrees, point)
+        ranked.append((point, found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(constraints, "_rank_at", recording)
+        report = irreducibility_probe(data, points)
+    return report, ranked
+
+
+def test_irreducibility_probe_verdicts():
+    clean, ranked = probe_with_ranks(abelian_r2())
+    assert (clean.name, clean.status, clean.residuals) == ("irreducible", PASS, [])
+    assert clean.identity == "the constraint gradients have full rank on the probed set"
+    assert clean.notes == [
+        "irreducible on probed set",
+        "generic rank 2, full rank is 2",
+        "probe seed 271828",
+    ]
+    assert len(ranked) == 5 and all(k == 2 for _, k in ranked)
+
+    for data in (so3_action(), rank2_line()):
+        report = irreducibility_probe(data)
+        assert (report.status, report.notes[0]) == (WARN, "generically reducible")
 
 
 def test_irreducibility_probe_pointwise_failure():
@@ -266,8 +296,12 @@ def test_irreducibility_probe_pointwise_failure():
     zero = EvenPoly.zero(coords)
     data = abelian_algebroid(coords, [[one, zero], [zero, g["x1"]]])
     report = irreducibility_probe(data, points=[(0, 0)])
-    assert report.generic_rank == 2
-    assert report.verdict == "reducible at point (0, 0)"
+    assert report.status == WARN
+    assert report.notes == [
+        "reducible at point (0, 0)",
+        "generic rank 2, full rank is 2",
+        "probe seed 271828",
+    ]
     with pytest.raises(ValueError, match="arity"):
         irreducibility_probe(data, points=[(1,)])
 
@@ -373,10 +407,12 @@ def test_probe_generic_rank_matches_the_minor_expansion():
     for data in frames:
         probe = irreducibility_probe(data, points=[(0,) * data.base_dim])
         matrix = [list(row) for row in data.anchor]
-        assert probe.generic_rank == generic_rank_by_minors(matrix)
+        assert probed_generic_rank(probe) == generic_rank_by_minors(matrix)
     # at the origin the rank of diag(x, y) drops below its generic rank 2
-    probe = irreducibility_probe(diagonal, points=[(0, 0)])
-    assert probe.point_results[0][1] == 0 < probe.generic_rank == 2
+    probe, ranked = probe_with_ranks(diagonal, points=[(0, 0)])
+    assert ranked[0] == ((0, 0), 0)
+    assert probed_generic_rank(probe) == 2 == generic_rank([[x, zero], [zero, y]])
+    assert probe.notes[0] == "reducible at point (0, 0)"
 
 
 def rank_by_fractions(data, point):
@@ -428,8 +464,8 @@ def test_probe_ranks_match_fraction_evaluation():
         # five more random points in place of a varied probe seed; the
         # probe adds its own seeded five after them
         drawn = [tuple(fraction(-12, 12) for _ in "xyz") for _ in range(5)]
-        probe = irreducibility_probe(data, points + drawn)
-        for point, found in probe.point_results:
+        _, ranked = probe_with_ranks(data, points + drawn)
+        for point, found in ranked:
             assert found == rank_by_fractions(data, point), (rows, point)
             checked += 1
             dropped += found < min(data.rank, 3)
@@ -468,5 +504,5 @@ def test_full_rank_first_class_implies_jacobi_vanishes():
     for data in corpus:
         probe = irreducibility_probe(data)
         first_class = check_first_class(build_constraints(data))
-        if probe.generic_rank == data.rank and first_class.status == PASS:
+        if probed_generic_rank(probe) == data.rank and first_class.status == PASS:
             assert all(v.is_zero for v in jacobi_defect(data).values())

@@ -218,9 +218,7 @@ def test_evolution_so3_killing():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
     cs = build_constraints(data)
-    report = check_evolution_invariance(
-        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
-    )
+    report = check_evolution_invariance(cs, pack, families_of(data, pack))
     assert report.status == PASS
     assert report.residuals == []
     assert any("dual route" in note for note in report.notes)
@@ -231,9 +229,7 @@ def test_evolution_gradient_obstruction():
     coords, g = ring(["x1", "x2"])
     pack = flat_pack(coords, 2, potential=g["x1"])
     cs = build_constraints(data)
-    report = check_evolution_invariance(
-        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
-    )
+    report = check_evolution_invariance(cs, pack, families_of(data, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "-1")]
 
@@ -246,9 +242,7 @@ def test_evolution_magnetic_regression():
     pack = flat_pack(coords, 2, alpha=alpha, magnetic=magnetic_plane(1))
     cs = build_constraints(data, alpha=alpha, magnetic=pack.magnetic)
     assert check_first_class(cs).status == PASS
-    report = check_evolution_invariance(
-        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
-    )
+    report = check_evolution_invariance(cs, pack, families_of(data, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "p_x2")]
     assert any("authoritative" in note for note in report.notes)
@@ -270,9 +264,7 @@ def test_evolution_with_nontrivial_connection_passes():
         alpha=alpha,
     )
     cs = build_constraints(data, alpha=alpha)
-    report = check_evolution_invariance(
-        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
-    )
+    report = check_evolution_invariance(cs, pack, families_of(data, pack))
     assert report.status == PASS
     assert check_structural(structural_residuals(data, pack)).status == PASS
     assert check_metric_compat(structural_residuals(data, pack)).status == PASS
@@ -287,9 +279,7 @@ def test_evolution_endomorphism_residual_matches_both_routes():
         coords, 1, alpha=alpha, tau={(0, 0): EvenPoly.const(coords, 3)}
     )
     cs = build_constraints(data, alpha=alpha)
-    report = check_evolution_invariance(
-        build_hamiltonian(pack, cs.ctx), cs, pack, families_of(data, pack)
-    )
+    report = check_evolution_invariance(cs, pack, families_of(data, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]
 
@@ -300,7 +290,7 @@ def test_evolution_requires_connection_and_frame_data():
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords))
     cs = build_constraints(data)
     with pytest.raises(ValueError, match="omega"):
-        check_evolution_invariance(build_hamiltonian(pack, cs.ctx), cs, pack, None)
+        check_evolution_invariance(cs, pack, None)
 
 
 def test_decomposition_signs_are_pinned():
@@ -327,9 +317,8 @@ def test_decomposition_guard_catches_every_perturbed_family_entry(name, quadrati
     problem = evolution_problem(name)
     pack = problem.pack
     cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
-    H = build_hamiltonian(pack, cs.ctx)
     families = structural_residuals(problem.data, pack)
-    report = check_evolution_invariance(H, cs, pack, families)
+    report = check_evolution_invariance(cs, pack, families)
     assert any(note.startswith("dual route") for note in report.notes)
     # a zero residual on so(4); a nonzero hessian on the other input
     assert (report.status == FAIL) == quadratic
@@ -345,7 +334,7 @@ def test_decomposition_guard_catches_every_perturbed_family_entry(name, quadrati
                 family: {**entries, key: entries[key] + (1 if k % 2 else x)},
             }
             with pytest.raises(RuntimeError, match=f"at momentum order {order}$"):
-                check_evolution_invariance(H, cs, pack, StructuralResiduals(**fields))
+                check_evolution_invariance(cs, pack, StructuralResiduals(**fields))
             caught += 1
     assert caught == sum(
         map(len, (families.metric, families.alpha, families.potential))
@@ -647,7 +636,7 @@ def test_contractions_match_the_uncontracted_formulas():
             continue
         cs = build_constraints(data, pack.alpha, pack.magnetic)
         H = build_hamiltonian(pack, cs.ctx)
-        report = check_evolution_invariance(H, cs, pack, families_of(data, pack))
+        report = check_evolution_invariance(cs, pack, families_of(data, pack))
         assert report.residuals == evolution_residuals_by_full_sums(H, cs, pack)
         if pack.beta is None and pack.magnetic is None:
             assert any(note.startswith("dual route") for note in report.notes)

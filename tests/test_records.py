@@ -16,12 +16,7 @@ import pytest
 from nqkit.aksz import ComponentAction, FieldEntry, expand_bv
 from nqkit.algebroid import Algebroid, CohomologyReport
 from nqkit.bfv import BFVPackage, H0Report, assemble_bfv
-from nqkit.constraints import (
-    ConstraintSet,
-    ExtractionResult,
-    ProbeReport,
-    build_constraints,
-)
+from nqkit.constraints import ConstraintSet, ExtractionResult, build_constraints
 from nqkit.dynamics import ConnectionSolution, GeometryPack, StructuralResiduals
 from nqkit.parser import _Token
 from nqkit.poly import EvenPoly
@@ -110,17 +105,6 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
             },
             {"notes": []},
         ),
-        "ProbeReport": (
-            ProbeReport,
-            {
-                "generic_rank": 1,
-                "rank_required": 2,
-                "seed": 271828,
-                "point_results": [((Fraction(1, 2),), 1)],
-                "verdict": "irreducible on probed set",
-            },
-            {},
-        ),
         "GeometryPack": (
             GeometryPack,
             {
@@ -168,7 +152,8 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "pack": m["pack"],
                 "H": m["package"].H,
                 "SH": m["package"].SH,
-                "reports": (m["report"],),
+                "cartan": m["report"],
+                "charge_invariance": m["package"].charge_invariance,
             },
             {},
         ),
@@ -221,7 +206,6 @@ RECORDS = (
     "CohomologyReport",
     "ConstraintSet",
     "ExtractionResult",
-    "ProbeReport",
     "GeometryPack",
     "StructuralResiduals",
     "ConnectionSolution",
@@ -285,6 +269,7 @@ def test_derived_record_fields():
     package = m["package"]
     assert package.S == package.constraints.core + package.constraints.affine
     assert package.ctx is package.constraints.ctx
+    assert package.master is package.constraints.master
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]
     zero = cs.ctx.zero()

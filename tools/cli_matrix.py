@@ -10,11 +10,13 @@ connection twins of corpus files, on `abelian_r2` with an alpha that is
 not closed (axioms pass, master fails), on `broken_jacobi` with a metric pair,
 on `shear_plane` (off-diagonal, non-constant metric entries) and its
 twin with nonzero structural families at every momentum order, on
-`bent_line` (no polynomial connection at any ansatz degree), plus a few
-inputs near the parser's term and degree budgets, the widest cohomology
-window in one coordinate and a dense structure that is not
-antisymmetric, and one `check --json` on a corpus file under a name with
-a non-ASCII letter, a quote and a backslash.  Each run is one fresh
+`bent_line` (no polynomial connection at any ansatz degree), on
+`poisson_plane` (the probe finds a point of lower anchor rank) and its
+twin with an affine part, plus a few inputs near the parser's term and
+degree budgets, the widest cohomology window in one coordinate and a
+dense structure that is not antisymmetric, and one `check --json` on a
+corpus file under a name with a non-ASCII letter, a quote and a
+backslash.  Each run is one fresh
 `python -m nqkit.cli` process in an empty directory of its own; the line
 recorded for it holds the exit code and the sha256 of standard output,
 standard error and every file the run wrote.  Two trees that answer
@@ -177,6 +179,19 @@ BENT_LINE = {
     "anchor": [["1"]],
     "metric": [["1 + x^2"]],
 }
+# the cotangent algebroid of the Poisson bivector pi = x d_x ^ d_y, and its
+# twin with alpha = (0, 1): both print "reducible at point (0, 7/3)" from
+# the irreducibility probe, which ranks the anchor alone.  The twin's
+# verdict is wrong (on its constraint surface x != 0, where the momentum
+# block of the Jacobian has determinant x^2) and is pinned as it stands
+POISSON_PLANE = {
+    "base_dim": 2,
+    "rank": 2,
+    "coords": ["x", "y"],
+    "anchor": [["0", "x"], ["-x", "0"]],
+    "structure": {"1,1,2": "1"},
+}
+POISSON_PLANE_AFFINE = dict(POISSON_PLANE, alpha=["0", "1"])
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
 
@@ -214,6 +229,8 @@ def inputs() -> dict[str, dict]:
     docs["shear_plane"] = SHEAR_PLANE
     docs["shear_plane_geometry"] = SHEAR_PLANE_GEOMETRY
     docs["bent_line"] = BENT_LINE
+    docs["poisson_plane"] = POISSON_PLANE
+    docs["poisson_plane_affine"] = POISSON_PLANE_AFFINE
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
