@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .aksz import (
     ComponentAction,
-    build_supercharge,
     check_bookkeeping,
     check_supercharge,
     expand_bv,
@@ -29,7 +28,6 @@ from .algebroid import (
 from .bfv import BFVPackage, assemble_bfv, bfv_h0, build_H
 from .constraints import (
     ConstraintSet,
-    build_constraints,
     build_S,
     check_first_class,
     check_master,
@@ -73,9 +71,7 @@ __all__ = [
     "bfv_h0",
     "build_H",
     "build_S",
-    "build_constraints",
     "build_hamiltonian",
-    "build_supercharge",
     "check_axioms",
     "check_bookkeeping",
     "check_evolution_invariance",

@@ -28,8 +28,9 @@ sector is p_i x_i_dot - H(x, p) - lam^a Phi_a, with the multiplier lam^a
 appearing as the theta partner of the ghost xi_a.  Time derivatives are
 formal first-order markers (x_dot, xi_dot); the ring has no higher jets.
 
-Both stages read the BFV package (S, H) alone.  `build_supercharge` is
-the one place Q is written; `check_supercharge` and `expand_bv` call it.
+Both stages read the BFV package (S, H) alone.  The package writes Q,
+`BFVPackage.Q`, once per package; `check_supercharge` and `expand_bv`
+read it.
 `expand_bv` returns the action only after the classical-limit guard: the
 field table passes the bookkeeping, and the ghost-free sector equals
 `extended_action_reference`, which is built from the constraints and the
@@ -41,7 +42,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Sequence
 
-from .bfv import BFVPackage
+from .bfv import THETA, BFVPackage
 from .dynamics import build_hamiltonian
 from .graded import (
     GradedContext,
@@ -56,8 +57,6 @@ from .graded import (
 )
 from .poly import EvenPoly, field_bits, lex_bits, monomial_factors, unpack
 from .report import FAIL, PASS, CheckReport
-
-THETA = "theta"
 
 SUPERCHARGE_IDENTITY = "(Q, Q) = 0"
 BOOKKEEPING_IDENTITY = "every component term has ghost number 0 and even parity"
@@ -76,27 +75,7 @@ def multiplier_name(a: int) -> str:
     return f"lam_{a}"
 
 
-# the theta-extended bracket context and the charge on it
-
-
-def supercharge_context(ctx: GradedContext) -> GradedContext:
-    """The given bracket context extended by the odd super-time direction."""
-    if THETA in ctx.even_index or THETA in ctx.odd_index:
-        raise ValueError("the context already carries a super-time direction")
-    return GradedContext(
-        even=tuple(zip(ctx.even_names, ctx.even_ghost)),
-        odd=tuple(zip(ctx.odd_names, ctx.odd_ghost)) + ((THETA, 1),),
-        pairs_even=ctx.pairs_even,
-        pairs_odd=ctx.pairs_odd,
-        twist=ctx.twist,
-    )
-
-
-def build_supercharge(package: BFVPackage) -> GradedPoly:
-    """Q = S + theta H, odd of ghost degree +1 since S and theta H are."""
-    ctx = supercharge_context(package.ctx)
-    theta = ctx.var(THETA)
-    return transport(package.S, ctx) + theta * transport(package.H, ctx)
+# the super-time charge
 
 
 def check_supercharge(package: BFVPackage) -> CheckReport:
@@ -107,7 +86,7 @@ def check_supercharge(package: BFVPackage) -> CheckReport:
     the package that bracketed them; the verdict must also agree with the
     package's master and invariance reports.
     """
-    Q = build_supercharge(package)
+    Q = package.Q
     ctx = Q.ctx
     QQ = ctx.poisson(Q, Q)
     SS, SH = package.constraints.self_bracket, package.SH
@@ -264,7 +243,7 @@ def expand_bv(package: BFVPackage) -> ComponentAction:
     coords, rank = package.data.coords, package.data.rank
     ectx = expansion_context(coords, rank)
     theta = ectx.var(THETA)
-    integrand = -transport(build_supercharge(package), ectx)
+    integrand = -transport(package.Q, ectx)
     for name in coords:
         d_position = ectx.var(velocity_name(name)) * theta
         integrand = integrand + ectx.var(momentum_name(name)) * d_position

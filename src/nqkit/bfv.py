@@ -13,6 +13,7 @@ tensor with three frame indices and one base index.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from .algebroid import Algebroid
@@ -29,6 +30,7 @@ from .graded import (
     letters,
     momentum_name,
     momentum_orders,
+    transport,
     window_columns,
     word_label,
 )
@@ -40,6 +42,7 @@ from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 __all__ = [
     "CARTAN_IDENTITY",
     "DRIFT_REFUSAL",
+    "THETA",
     "BFVPackage",
     "H0Report",
     "assemble_bfv",
@@ -48,10 +51,12 @@ __all__ = [
     "build_S",
     "check_master",
     "covariant_momenta",
+    "supercharge_context",
 ]
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 DRIFT_REFUSAL = "drift term present: absorb it before the extended assembly"
+THETA = "theta"
 
 
 def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly]:
@@ -82,6 +87,19 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     return H
 
 
+def supercharge_context(ctx: GradedContext) -> GradedContext:
+    """The given bracket context extended by the odd super-time direction."""
+    if THETA in ctx.even_index or THETA in ctx.odd_index:
+        raise ValueError("the context already carries a super-time direction")
+    return GradedContext(
+        even=tuple(zip(ctx.even_names, ctx.even_ghost)),
+        odd=tuple(zip(ctx.odd_names, ctx.odd_ghost)) + ((THETA, 1),),
+        pairs_even=ctx.pairs_even,
+        pairs_odd=ctx.pairs_odd,
+        twist=ctx.twist,
+    )
+
+
 class BFVPackage:
     """Constraints with their charge, pack, Hamiltonian and battery reports.
 
@@ -89,7 +107,9 @@ class BFVPackage:
     no inverse metric; `SH` is the bracket (S, H), computed once by the
     charge-invariance check and kept for the theta split of the
     supercharge.  The reports are `master`, read off the constraints, and
-    `cartan` and `charge_invariance`.  Treated as immutable.
+    `cartan` and `charge_invariance`.  The super-time charge `Q` is built
+    on first use and kept, as the constraints keep their charge.  Treated
+    as immutable.
     """
 
     def __init__(
@@ -123,6 +143,13 @@ class BFVPackage:
     @property
     def master(self) -> CheckReport:
         return self.constraints.master
+
+    @cached_property
+    def Q(self) -> GradedPoly:
+        """Q = S + theta H on `supercharge_context(ctx)`, odd of ghost degree
+        +1 since S and theta H are; callers must not mutate it."""
+        ctx = supercharge_context(self.ctx)
+        return transport(self.S, ctx) + ctx.var(THETA) * transport(self.H, ctx)
 
 
 def _shape_finding(detail: str) -> CheckReport:

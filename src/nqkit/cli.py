@@ -32,13 +32,7 @@ from .algebroid import (
     q_images,
 )
 from .bfv import CARTAN_IDENTITY, BFVPackage, assemble_bfv, bfv_h0
-from .constraints import (
-    ConstraintSet,
-    affine_charge,
-    build_constraints,
-    check_first_class,
-    irreducibility_probe,
-)
+from .constraints import affine_charge, check_first_class, irreducibility_probe
 from .dynamics import (
     EVOLUTION_IDENTITY,
     METRIC_COMPAT_IDENTITY,
@@ -95,13 +89,14 @@ def _missing(problem: Problem, *fields: str) -> list[str]:
 
 
 class _Workbench:
-    """The constructions of one problem, each built at most once.
+    """The constructions of one problem that join its two layers, each
+    built at most once.
 
-    This is the one place the command line builds them, for every verb
-    that needs them: the constraints (which carry the predicted closure
-    and their charge, whose master report is read off them), the package
-    assembled from the constraints and the geometry pack, and the
-    structural residual families of the pack.
+    The problem owns its constraints, which carry the predicted closure
+    and their charge, whose master report is read off them.  This is the
+    one place the command line builds what joins them to the geometry
+    pack, for every verb that needs it: the package assembled from both,
+    and the structural residual families.
     """
 
     def __init__(self, problem: Problem):
@@ -110,22 +105,17 @@ class _Workbench:
         self.prerequisite_failed = False
 
     @cached_property
-    def constraints(self) -> ConstraintSet:
-        pack = self.problem.pack
-        return build_constraints(self.problem.data, pack.alpha, pack.magnetic)
-
-    @cached_property
     def package(self) -> tuple[BFVPackage | None, str | None]:
         """The assembled extended-phase-space package, or the input it lacks."""
         try:
-            return assemble_bfv(self.constraints, self.problem.pack), None
+            return assemble_bfv(self.problem.constraints, self.problem.pack), None
         except ValueError as error:
             return None, str(error)
 
     @cached_property
     def families(self) -> StructuralResiduals:
         """The structural residuals; the pack must hold g_low and omega."""
-        return structural_residuals(self.problem.data, self.problem.pack)
+        return structural_residuals(self.problem.constraints, self.problem.pack)
 
 
 # one handler per check flag: each calls the library for its finished
@@ -137,7 +127,7 @@ def _run_axioms(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 
 
 def _run_first_class(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [check_first_class(bench.constraints)]
+    return [check_first_class(bench.problem.constraints)]
 
 
 def _run_irreducible(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -170,13 +160,15 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
         )
     else:
         reports.append(
-            check_evolution_invariance(bench.constraints, problem.pack, bench.families)
+            check_evolution_invariance(
+                problem.constraints, problem.pack, bench.families
+            )
         )
     return reports
 
 
 def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [bench.constraints.master]
+    return [bench.problem.constraints.master]
 
 
 def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
@@ -325,11 +317,11 @@ def _check_window_budget(
 
 
 def _query_exact(problem: Problem, trunc: int) -> None:
-    if problem.pack.alpha is None:
+    if problem.constraints.alpha is None:
         _input_error("the exactness query needs the affine part alpha")
     data = problem.data
     ctx = ghost_context(data)
-    alpha = affine_charge(data, problem.pack.alpha, ctx)
+    alpha = affine_charge(data, problem.constraints.alpha, ctx)
     if not left_derivation(ctx, q_images(data, ctx), alpha).is_zero:
         print("not closed: the frame differential of alpha is nonzero")
         sys.exit(1)
@@ -354,9 +346,8 @@ def _window_h1(problem: Problem, trunc: int, slack: int) -> None:
 
 
 def _window_h0(problem: Problem, trunc: int, p_degree: int) -> None:
-    constraints = _Workbench(problem).constraints
     try:
-        report = bfv_h0(constraints, trunc, p_degree)
+        report = bfv_h0(problem.constraints, trunc, p_degree)
     except ValueError as error:
         print(f"prerequisite failed: {error}")
         sys.exit(1)

@@ -1,12 +1,14 @@
 """Fiber-affine constraint systems on the graded phase space.
 
-Constraints of the form Phi_a = rho_a^i(x) p_i + alpha_a(x) are built from an
-`Algebroid` and an optional affine part on `phase_space(data, magnetic)`,
-the one phase space T*E[1] of a problem, whose momentum bracket may be
-twisted by a magnetic 2-form.  The affine part is the tuple of its r
-components alpha_a and the magnetic 2-form the antisymmetric n x n matrix
-B_ij, both over the base ring.  The structural 2-form d_E alpha - rho^* B
-that the brackets predict is an E-form: a ghost polynomial, with d_E = Q.
+A `ConstraintSet` is an `Algebroid` with an optional affine part and an
+optional magnetic 2-form, the one owner of both: it checks them and
+builds the constraints Phi_a = rho_a^i(x) p_i + alpha_a(x) on
+`phase_space(data, magnetic)`, the one phase space T*E[1] of a problem,
+whose momentum bracket the magnetic 2-form twists.  The affine part is
+the tuple of its r components alpha_a and the magnetic 2-form the
+antisymmetric n x n matrix B_ij, both over the base ring.  The structural
+2-form d_E alpha - rho^* B that the brackets predict is an E-form: a
+ghost polynomial, with d_E = Q.
 The constraints alone fix the odd BFV charge S = core + affine: the lift
 of Q to the phase space plus the affine part alpha_a xi^a.  A constraint
 set keeps S, the derivation (S, .) and the self-bracket (S, S), and the
@@ -51,42 +53,59 @@ Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 
 class ConstraintSet:
-    """Constraints Phi_a on a problem's phase space, with their frame data.
+    """Constraints Phi_a = rho_a^i p_i + alpha_a on `phase_space(data, magnetic)`.
 
-    `degenerate` lists the indexes of the identically zero constraints and
-    `notes` names them for the first-class report.  The charge S of the
-    constraints, its derivation (S, .), its self-bracket and the master
-    report are computed on first use and kept, so one invocation derives
-    (S, .) once and brackets S with itself once however many reports and
-    windows need them.  Treated as immutable.
+    A constraint set is its frame data, its affine part alpha and its
+    magnetic 2-form B, each checked here, once: alpha must have r
+    components and B must be n x n, both over the base ring, and B must be
+    antisymmetric, as the twist of the phase space is.  Both stay None when
+    absent.  The context is built here; the constraints, built from frame
+    data and so fiber-affine, and the charge S of the constraints, its
+    derivation (S, .), its self-bracket and the master report are
+    computed on first use and kept, so one invocation derives (S, .) once
+    and brackets S with itself once however many reports and windows need
+    them.  Treated as immutable.
     """
 
     def __init__(
         self,
-        ctx: GradedContext,
-        phis: tuple[GradedPoly, ...],
         data: Algebroid,
         alpha: Sequence[EvenPoly] | None = None,
         magnetic: Matrix | None = None,
     ):
-        for phi in phis:
-            if phi.ctx != ctx:
-                raise ValueError("constraints must live in the set's context")
-            decompose_fiber_affine(ctx, phi)  # raises when malformed
-        self.ctx = ctx
-        self.phis = phis
+        if alpha is not None:
+            alpha = affine_part(data.coords, data.rank, alpha)
+        if magnetic is not None:
+            magnetic = tuple(tuple(row) for row in magnetic)
+            n = data.base_dim
+            if len(magnetic) != n or any(
+                len(row) != n or any(f.coords != data.coords for f in row)
+                for row in magnetic
+            ):
+                raise ValueError(f"magnetic must be {n} x {n} over the base ring")
         self.data = data
         self.alpha = alpha
         self.magnetic = magnetic
-        self.degenerate = tuple(a for a, phi in enumerate(phis) if phi.is_zero)
-        self.notes = ()
-        if self.degenerate:
-            labels = ", ".join(str(a + 1) for a in self.degenerate)
-            self.notes = (f"degenerate constraints (identically zero): {labels}",)
+        self.ctx = phase_space(data, magnetic)
 
     @property
     def rank(self) -> int:
-        return len(self.phis)
+        return self.data.rank
+
+    @cached_property
+    def phis(self) -> tuple[GradedPoly, ...]:
+        """Phi_a = rho_a^i p_i + alpha_a; callers must not mutate them."""
+        ctx, data = self.ctx, self.data
+        momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+        return tuple(
+            sum((ctx.lift(rho) * p for rho, p in zip(row, momenta)), ctx.lift(f))
+            for row, f in zip(data.anchor, self.alpha or (data.zero(),) * data.rank)
+        )
+
+    @property
+    def degenerate(self) -> tuple[int, ...]:
+        """The indexes of the identically zero constraints."""
+        return tuple(a for a, phi in enumerate(self.phis) if phi.is_zero)
 
     @cached_property
     def structural(self) -> GradedPoly:
@@ -170,23 +189,6 @@ def affine_charge(
     for c, f in enumerate(affine_part(data.coords, data.rank, alpha)):
         affine = affine + ctx.lift(f) * ctx.var(ghost_name(c + 1))
     return affine
-
-
-def build_constraints(
-    data: Algebroid,
-    alpha: Sequence[EvenPoly] | None = None,
-    magnetic: Matrix | None = None,
-) -> ConstraintSet:
-    """Phi_a = rho_a^i p_i + alpha_a on `phase_space(data, magnetic)`."""
-    alpha = affine_part(data.coords, data.rank, alpha)
-    ctx = phase_space(data, magnetic)
-    phis = []
-    for a in range(data.rank):
-        phi = ctx.lift(alpha[a])
-        for i, name in enumerate(data.coords):
-            phi = phi + ctx.lift(data.anchor[a][i]) * ctx.var(momentum_name(name))
-        phis.append(phi)
-    return ConstraintSet(ctx, tuple(phis), data, alpha, magnetic)
 
 
 def decompose_fiber_affine(
@@ -296,7 +298,9 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
         "dual route: bracket residuals match the anchor defect plus the "
         "structural 2-form",
     ]
-    notes.extend(cs.notes)
+    if cs.degenerate:
+        labels = ", ".join(str(a + 1) for a in cs.degenerate)
+        notes.append(f"degenerate constraints (identically zero): {labels}")
     status = FAIL if residuals else PASS
     return CheckReport(
         "first_class", status, "{Phi_a, Phi_b} = C^c_ab Phi_c", residuals, notes

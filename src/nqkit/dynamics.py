@@ -1,11 +1,12 @@
 """Hamiltonians on the (possibly twisted) phase space and their invariance.
 
-A `GeometryPack` collects the optional geometric fields that enter the
-quadratic Hamiltonian H = 1/2 g^{ij} p_i p_j + beta^i p_i + V: both metrics
-(supplied separately, since polynomial matrices rarely have polynomial
-inverses), the frame connection omega^a_{bi}, the endomorphism tau^a_b, the
-affine 1-form alpha (its r components), the magnetic 2-form B (an
-antisymmetric n x n matrix) and the drift vector beta.
+A `GeometryPack` collects the optional fields of the Hamiltonian layer,
+which enter the quadratic Hamiltonian H = 1/2 g^{ij} p_i p_j + beta^i p_i
++ V and its invariance conditions: both metrics (supplied separately,
+since polynomial matrices rarely have polynomial inverses), the frame
+connection omega^a_{bi}, the endomorphism tau^a_b, the potential V and
+the drift vector beta.  The affine part alpha and the magnetic 2-form B
+belong to the constraints, whose `ConstraintSet` checks and keeps them.
 
 The central check is invariance of the constraint surface under the flow,
 {H, Phi_a} = gamma^b_a Phi_b with the engine's multiplier convention
@@ -27,7 +28,7 @@ from itertools import product
 from typing import Sequence
 
 from .algebroid import Algebroid
-from .constraints import ConstraintSet, Matrix, affine_part
+from .constraints import ConstraintSet, Matrix
 from .graded import (
     GradedContext,
     GradedPoly,
@@ -56,12 +57,11 @@ class GeometryPack:
     """Optional geometric fields over a fixed base ring and frame rank.
 
     omega and tau are stored only as indexes of their nonzero entries in
-    ascending keys, omega[(a, b, i)] = omega^a_{bi} and tau[(a, b)] = tau^a_b;
-    alpha[a] holds alpha_a and magnetic[i][j] holds B_ij.  Each field is
-    checked here, once, against the base ring and the rank.  Fields with a
-    natural zero default may be omitted: potential is then the zero
-    polynomial and tau the empty index, while alpha, magnetic and beta stay
-    None, whose absence is read (an all-zero beta is stored as absent).  The
+    ascending keys, omega[(a, b, i)] = omega^a_{bi} and tau[(a, b)] = tau^a_b.
+    Each field is checked here, once, against the base ring and the rank.
+    Fields with a natural zero default may be omitted: potential is then the
+    zero polynomial and tau the empty index, while beta stays None, whose
+    absence is read (an all-zero beta is stored as absent).  The
     metrics and connection have no canonical default (a zero connection is
     the empty index, not None) and the operations that need them say so.
     Treated as immutable.
@@ -75,26 +75,16 @@ class GeometryPack:
         g_low: Matrix | None = None,
         omega: Mapping[tuple[int, int, int], EvenPoly] | None = None,
         tau: Mapping[tuple[int, int], EvenPoly] | None = None,
-        alpha: Sequence[EvenPoly] | None = None,
         potential: EvenPoly | None = None,
-        magnetic: Matrix | None = None,
         beta: tuple[EvenPoly, ...] | None = None,
     ):
         self.coords = tuple(coords)
         self.rank = rank
         self.g_inv = _as_matrix(g_inv)
         self.g_low = _as_matrix(g_low)
-        self.alpha = None if alpha is None else affine_part(self.coords, rank, alpha)
         self.potential = EvenPoly.zero(self.coords) if potential is None else potential
-        self.magnetic = _as_matrix(magnetic)
         self.beta = tuple(beta) if beta is not None else None
         n, r = len(self.coords), self.rank
-        if self.magnetic is not None:
-            self._check_square("magnetic", self.magnetic, n)
-            for i in range(n):
-                for j in range(i, n):
-                    if not (self.magnetic[i][j] + self.magnetic[j][i]).is_zero:
-                        raise ValueError("magnetic: matrix must be antisymmetric")
         for name, metric in (("g_inv", self.g_inv), ("g_low", self.g_low)):
             if metric is None:
                 continue
@@ -161,7 +151,7 @@ def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     """H = 1/2 g^{ij} p_i p_j + beta^i p_i + V on the phase space ctx.
 
     ctx is the problem's phase space, that of its constraints: its twist
-    is the pack's magnetic field.
+    is their magnetic field.
     """
     if pack.g_inv is None:
         raise ValueError("hamiltonian needs the inverse metric g_inv")
@@ -249,7 +239,7 @@ def _omega_slots(n: int, i: int):
         yield (i, t), t
 
 
-def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResiduals:
+def structural_residuals(cs: ConstraintSet, pack: GeometryPack) -> StructuralResiduals:
     """Metric compatibility, covariant constancy of alpha, potential alignment.
 
     With the lowered anchor (iota_rho g)_bj = g_kj rho_b^k, contracted once:
@@ -258,12 +248,14 @@ def structural_residuals(data: Algebroid, pack: GeometryPack) -> StructuralResid
     (ii)  d_i alpha_a - omega^b_ai alpha_b + tau^b_a (iota_rho g)_bi
     (iii) rho_a^i d_i V - tau^b_a alpha_b
 
-    The omega and tau terms are read off their indexes of nonzero entries.
+    alpha is the affine part of the constraints, zero when they have none;
+    the omega and tau terms are read off their indexes of nonzero entries.
     """
     _require(pack, ["g_low", "omega"])
+    data = cs.data
     r, n = data.rank, data.base_dim
     g_low = pack.g_low
-    alpha = affine_part(data.coords, r, pack.alpha)
+    alpha = cs.alpha or (data.zero(),) * r
     iota = _lowered_anchor(data, g_low)
 
     metric = {

@@ -40,6 +40,7 @@ import re
 from fractions import Fraction
 
 from .algebroid import Algebroid
+from .constraints import ConstraintSet
 from .dynamics import GeometryPack
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
@@ -75,7 +76,6 @@ GEOMETRY_FIELDS = {
     "g_inv": "metric_inv",
     "g_low": "metric",
     "omega": "connection",
-    "magnetic": "magnetic",
 }
 
 
@@ -109,23 +109,29 @@ class Truncation:
 class Problem:
     """A validated problem file.
 
-    `raw` is the source document as compact JSON text, so no caller can
-    alter it; `document()` decodes a fresh copy.
+    `constraints` holds the frame data with alpha and the magnetic field,
+    and `pack` the fields of the Hamiltonian.  `raw` is the source document
+    as compact JSON text, so no caller can alter it; `document()` decodes a
+    fresh copy.
     """
 
     def __init__(
         self,
-        data: Algebroid,
+        constraints: ConstraintSet,
         pack: GeometryPack,
         points: tuple[tuple[Rat, ...], ...],
         truncation: Truncation,
         raw: str,
     ):
-        self.data = data
+        self.constraints = constraints
         self.pack = pack
         self.points = points
         self.truncation = truncation
         self.raw = raw
+
+    @property
+    def data(self) -> Algebroid:
+        return self.constraints.data
 
     @property
     def coords(self) -> tuple[str, ...]:
@@ -198,6 +204,12 @@ def problem_from_dict(doc: object) -> Problem:
         if "beta" in doc
         else None
     )
+    if magnetic is not None and any(
+        not (magnetic[i][j] + magnetic[j][i]).is_zero
+        for i in range(base_dim)
+        for j in range(i, base_dim)
+    ):
+        raise ProblemError("magnetic", "matrix must be antisymmetric")
     try:
         pack = GeometryPack(
             coords,
@@ -206,9 +218,7 @@ def problem_from_dict(doc: object) -> Problem:
             g_low=g_low,
             omega=omega,
             tau=tau,
-            alpha=alpha,
             potential=potential,
-            magnetic=magnetic,
             beta=beta,
         )
     except ValueError as error:
@@ -218,7 +228,7 @@ def problem_from_dict(doc: object) -> Problem:
         raise ProblemError(path, message) from error
 
     return Problem(
-        data,
+        ConstraintSet(data, alpha, magnetic),
         pack,
         _points(doc.get("points"), base_dim),
         _truncation(doc.get("truncation")),

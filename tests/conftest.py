@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from nqkit.bfv import assemble_bfv
-from nqkit.constraints import build_constraints
+from nqkit.constraints import ConstraintSet
 
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
 
@@ -78,12 +78,7 @@ def invoke(args, prog_name: str = "nqkit") -> Result:
     return Result(code, out.getvalue(), err.getvalue(), "".join(written))
 
 
-def frame_constraints(data, pack):
-    """The constraints of a frame with the alpha and magnetic field of its
-    pack; they carry the charge."""
-    return build_constraints(data, pack.alpha, pack.magnetic)
-
-
-def frame_package(data, pack):
-    """The package assembled from a frame's constraints and its pack."""
-    return assemble_bfv(frame_constraints(data, pack), pack)
+def frame_package(data, pack, alpha=None, magnetic=None):
+    """The package assembled from the constraints of a frame, with its
+    alpha and magnetic field, and a geometry pack."""
+    return assemble_bfv(ConstraintSet(data, alpha, magnetic), pack)

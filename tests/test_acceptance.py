@@ -28,10 +28,10 @@ from nqkit.algebroid import (
     is_exact_one_form,
     jacobi_defect,
 )
-from nqkit.bfv import build_S, check_master, covariant_momenta
+from nqkit.bfv import assemble_bfv, build_S, check_master, covariant_momenta
 from nqkit.constraints import (
+    ConstraintSet,
     affine_charge,
-    build_constraints,
     check_first_class,
     extract_structure,
     phase_space,
@@ -47,7 +47,7 @@ from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly, embed
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
-from tests.conftest import frame_package, invoke
+from tests.conftest import invoke
 from tests.reference_forms import (
     components,
     de_rham,
@@ -144,7 +144,7 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
     statuses = {}
     for name, data in bundled.items():
         axioms = check_axioms(data).status
-        cs = build_constraints(data)
+        cs = ConstraintSet(data)
         first = check_first_class(cs).status
         master = check_master(cs).status
         assert axioms == first == master, name
@@ -185,7 +185,7 @@ def test_criterion_03_round_trip_extraction():
         ("abelian_r2", abelian_r2()),
         ("rank2_line", rank2_line()),
     ):
-        result = extract_structure(build_constraints(data).phis)
+        result = extract_structure(ConstraintSet(data).phis)
         assert result.feasible, name
         assert result.data == data, name
     verdict(3, "extract(build(data)) = data on so(3), abelian, rank-2 line")
@@ -207,9 +207,9 @@ def test_criterion_04_affine_and_twist_sector():
         magnetic = ((zero, scale), (-scale, zero))
         alpha_b = (zero, scale * g2["x1"])
         data2 = abelian_r2()
-        twisted = build_constraints(data2, alpha=alpha_b, magnetic=magnetic)
+        twisted = ConstraintSet(data2, alpha=alpha_b, magnetic=magnetic)
         assert check_first_class(twisted).status == PASS, b
-        untwisted = build_constraints(data2, alpha=alpha_b, magnetic=None)
+        untwisted = ConstraintSet(data2, alpha=alpha_b, magnetic=None)
         assert check_first_class(untwisted).status == FAIL, b
     verdict(4, "alpha=(1,x) exact with primitive x; twist pairs with alpha")
 
@@ -257,8 +257,8 @@ def test_criterion_06_dynamics_two_route_agreement():
         "shear_pair",
     ):
         problem = corpus_problem(name)
-        cs = build_constraints(problem.data, alpha=problem.pack.alpha)
-        families = structural_residuals(problem.data, problem.pack)
+        cs = problem.constraints
+        families = structural_residuals(cs, problem.pack)
         report = check_evolution_invariance(cs, problem.pack, families)
         assert any("signs (1, 1, -1)" in note for note in report.notes), name
         all_zero = all(
@@ -278,10 +278,9 @@ def test_criterion_06_dynamics_two_route_agreement():
         g_low=[[EvenPoly.const(coords, 1)]],
         omega={},
         tau={(0, 0): EvenPoly.const(coords, 3)},
-        alpha=(EvenPoly.const(coords, 1),),
     )
-    cs = build_constraints(data, alpha=pack.alpha)
-    report = check_evolution_invariance(cs, pack, structural_residuals(data, pack))
+    cs = ConstraintSet(data, alpha=(EvenPoly.const(coords, 1),))
+    report = check_evolution_invariance(cs, pack, structural_residuals(cs, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]
     assert any("signs (1, 1, -1)" in note for note in report.notes)
@@ -291,7 +290,7 @@ def test_criterion_06_dynamics_two_route_agreement():
 def test_criterion_07_cartan_flat_and_resubstitution():
     # flat euclidean so(3) is cartan: the bracket vanishes identically
     so3 = corpus_problem("so3_action")
-    package = frame_package(so3.data, so3.pack)
+    package = assemble_bfv(so3.constraints, so3.pack)
     assert package.cartan.status == PASS
     core = build_S(so3.data, ctx=package.ctx)
     assert package.ctx.poisson(core, package.H).is_zero
@@ -299,7 +298,7 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     # constant-connection fixture with a position-dependent bracket: the
     # reported tensor entries rebuild the bracket with zero residual
     shear = corpus_problem("shear_pair")
-    package = frame_package(shear.data, shear.pack)
+    package = assemble_bfv(shear.constraints, shear.pack)
     report = package.cartan
     assert report.status == FAIL
     assert report.residuals
@@ -352,7 +351,7 @@ def test_criterion_09_classical_limit_of_the_component_action():
     )
     for name in names:
         problem = corpus_problem(name)
-        package = frame_package(problem.data, problem.pack)
+        package = assemble_bfv(problem.constraints, problem.pack)
         assert check_supercharge(package).status == PASS, name
         action = expand_bv(package)
         assert check_bookkeeping(action).status == PASS, name

@@ -9,22 +9,19 @@ import pytest
 from nqkit.aksz import (
     ComponentAction,
     FieldEntry,
-    build_supercharge,
     check_bookkeeping,
     check_supercharge,
     expand_bv,
     expansion_context,
     extended_action_reference,
-    THETA,
     field_table,
     ghost_zero_truncation,
     term_rows,
     multiplier_name,
     partner_name,
-    supercharge_context,
     velocity_name,
 )
-from nqkit.bfv import assemble_bfv
+from nqkit.bfv import THETA, assemble_bfv, supercharge_context
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import (
     GradedPoly,
@@ -55,7 +52,6 @@ def packaged(data, **fields):
 def affine_line_package():
     # the unit metric on the line forces omega^1_{2,1} = 1; any other
     # connection pollutes the obstruction tensor and the assembly refuses
-    data = rank2_line()
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
     omega = {(0, 1, 0): EvenPoly.const(coords, 1)}
@@ -65,18 +61,17 @@ def affine_line_package():
         g_inv=identity_metric(coords),
         g_low=identity_metric(coords),
         omega=omega,
-        alpha=alpha,
     )
-    return data, pack
+    return frame_package(rank2_line(), pack, alpha)
 
 
 def compensated_magnetic_package():
     # metric-free: with a twisted bracket the covariant obstruction is not
     # defined, so the package carries the potential Hamiltonian only
-    data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     alpha = (EvenPoly.zero(coords), g["x1"])
-    return data, GeometryPack(coords, 2, alpha=alpha, magnetic=magnetic_plane(1))
+    pack = GeometryPack(coords, 2)
+    return frame_package(abelian_r2(), pack, alpha, magnetic_plane(1))
 
 
 def kinetic_sector(ca: ComponentAction, coords, rank) -> GradedPoly:
@@ -121,7 +116,9 @@ def test_supercharge_context_appends_theta():
 
 
 def test_build_supercharge_abelian_flat():
-    Q = build_supercharge(packaged(abelian_r1()))
+    bfv = packaged(abelian_r1())
+    Q = bfv.Q
+    assert bfv.Q is Q  # built once, kept by the package
     q = Q.ctx.var
     assert Q == q("xi_1") * q("p_x") + q("theta") * q("p_x") ** 2 / 2
     assert (Q.parity(), Q.ghost_degree()) == (1, 1)
@@ -130,7 +127,7 @@ def test_build_supercharge_abelian_flat():
 def test_build_supercharge_topological():
     data = abelian_r1()
     bfv = frame_package(data, GeometryPack(data.coords, data.rank))
-    Q = build_supercharge(bfv)
+    Q = bfv.Q
     assert bfv.H.is_zero
     assert Q == transport(bfv.S, Q.ctx)
 
@@ -147,7 +144,7 @@ def test_check_supercharge_so3_passes():
 
 def test_check_supercharge_broken_jacobi_theta_free_residual():
     bfv = packaged(broken_jacobi())
-    Q = build_supercharge(bfv)
+    Q = bfv.Q
     report = check_supercharge(bfv)
     assert report.status == FAIL
     qq = Q.ctx.poisson(Q, Q)
@@ -169,7 +166,7 @@ def test_check_supercharge_shear_pair_theta_linear_residual():
     # the master equation holds but the Hamiltonian is not invariant, so
     # the whole residual sits in the theta-linear slot as -2 (S, H)
     bfv = packaged(shear_pair())
-    Q = build_supercharge(bfv)
+    Q = bfv.Q
     report = check_supercharge(bfv)
     assert report.status == FAIL
     qq = Q.ctx.poisson(Q, Q)
@@ -186,7 +183,7 @@ def test_supercharge_agrees_with_package_verdicts():
         packaged(abelian_r2()),
         packaged(broken_jacobi()),
         packaged(shear_pair()),
-        frame_package(*compensated_magnetic_package()),
+        compensated_magnetic_package(),
         frame_package(data_top, GeometryPack(data_top.coords, data_top.rank)),
     ]
     seen = set()
@@ -243,8 +240,7 @@ def test_expand_abelian_line_frozen():
 def test_expand_affine_line_frozen():
     # the connection enters only through the covariant Hamiltonian, as the
     # cross term + p xi_2 pi_1 of -H = -(p - xi_2 pi_1)^2 / 2
-    data, pack = affine_line_package()
-    ca = expand_bv(frame_package(data, pack))
+    ca = expand_bv(affine_line_package())
     e = ca.context.var
     expected = (
         e("p_x") * e("x_dot")
@@ -282,16 +278,15 @@ def test_expand_sees_structure_gradients():
 
 
 def test_kinetic_sector_on_every_package():
-    data_affine, pack_affine = affine_line_package()
     cases = [
-        (abelian_r1(), None),
-        (abelian_r2(), None),
-        (so3_action(), None),
-        (shear_pair(), None),
-        (data_affine, pack_affine),
+        packaged(abelian_r1()),
+        packaged(abelian_r2()),
+        packaged(so3_action()),
+        packaged(shear_pair()),
+        affine_line_package(),
     ]
-    for data, pack in cases:
-        bfv = frame_package(data, pack) if pack else packaged(data)
+    for bfv in cases:
+        data = bfv.data
         ca = expand_bv(bfv)
         sector = kinetic_sector(ca, data.coords, data.rank)
         assert sector == expected_kinetic(ca.context, data.coords, data.rank)
@@ -299,17 +294,15 @@ def test_kinetic_sector_on_every_package():
 
 def test_ghost_zero_truncation_matches_the_reference():
     coords2, g2 = ring(["x1", "x2"])
-    data_affine, pack_affine = affine_line_package()
     data_top = abelian_r1()
     cases = [
-        (abelian_r1(), flat_pack(("x",), 1)),
-        (abelian_r2(), flat_pack(coords2, 2, potential=g2["x1"] ** 2)),
-        (data_affine, pack_affine),
-        (so3_action(), flat_pack(("x1", "x2", "x3"), 3)),
-        (data_top, GeometryPack(data_top.coords, data_top.rank)),
+        frame_package(abelian_r1(), flat_pack(("x",), 1)),
+        frame_package(abelian_r2(), flat_pack(coords2, 2, potential=g2["x1"] ** 2)),
+        affine_line_package(),
+        frame_package(so3_action(), flat_pack(("x1", "x2", "x3"), 3)),
+        frame_package(data_top, GeometryPack(data_top.coords, data_top.rank)),
     ]
-    for data, pack in cases:
-        package = frame_package(data, pack)
+    for package in cases:
         ca = expand_bv(package)
         assert ghost_zero_truncation(ca) == extended_action_reference(package)
 
@@ -331,7 +324,7 @@ def test_expand_is_linear_in_the_charge():
 
 
 def test_expand_rejects_twisted_bracket():
-    bfv = frame_package(*compensated_magnetic_package())
+    bfv = compensated_magnetic_package()
     with pytest.raises(ValueError, match="absorb the magnetic term"):
         expand_bv(bfv)
 
@@ -540,7 +533,7 @@ def test_rows_match_the_reference_on_the_corpus_and_so_n():
     expanded = []
     for name, problem in problems.items():
         try:
-            package = frame_package(problem.data, problem.pack)
+            package = assemble_bfv(problem.constraints, problem.pack)
         except ValueError:
             continue  # emit writes no document
         for F in (package.S, package.H):
@@ -613,12 +606,12 @@ def test_expand_matches_the_substitution_on_the_corpus_and_so_n():
     compared = []
     for name, problem in problems.items():
         try:
-            package = frame_package(problem.data, problem.pack)
+            package = assemble_bfv(problem.constraints, problem.pack)
         except ValueError:
             continue  # no package to expand
         if package.ctx.twist is not None:
             continue  # refused by both routes
-        # Q = S + theta H built here, not by build_supercharge
+        # Q = S + theta H built here, not read off the package
         qctx = supercharge_context(package.ctx)
         Q = transport(package.S, qctx) + qctx.var(THETA) * transport(package.H, qctx)
         action = expand_bv(package).action

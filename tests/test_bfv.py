@@ -33,12 +33,12 @@ from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS, SKIPPED
 from nqkit.constraints import (
+    ConstraintSet,
     affine_charge,
-    build_constraints,
     phase_space,
     structural_two_form,
 )
-from tests.conftest import frame_constraints, frame_package
+from tests.conftest import frame_package
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import components, structural, substitute
 from tests.test_algebroid import (
@@ -132,14 +132,14 @@ def explicit_charge(data, alpha, magnetic):
 def test_lifted_charge_matches_the_explicit_formula():
     paths = sorted(CORPUS.glob("*.json"))
     problems = [load_problem(path) for path in paths]
-    assert any(p.pack.alpha is not None for p in problems)
-    assert any(p.pack.magnetic is not None for p in problems)
+    assert any(p.constraints.alpha is not None for p in problems)
+    assert any(p.constraints.magnetic is not None for p in problems)
     for problem in problems:
-        data, alpha, magnetic = problem.data, problem.pack.alpha, problem.pack.magnetic
+        cs = problem.constraints
+        data, alpha, magnetic = cs.data, cs.alpha, cs.magnetic
         expected = explicit_charge(data, alpha, magnetic)
         ctx = phase_space(data, magnetic)
         assert build_S(data, ctx) + affine_charge(data, alpha, ctx) == expected
-        cs = frame_constraints(data, problem.pack)
         assert (cs.core, cs.S) == (build_S(data, ctx), expected)
 
 
@@ -148,7 +148,7 @@ def test_charge_refuses_the_pack_of_another_frame():
     # classical-limit reference reads both off the package and does not
     # repeat it
     data = abelian_r1()
-    cs = build_constraints(data, None, None)
+    cs = ConstraintSet(data, None, None)
     for pack in (flat_pack(data.coords, 2), flat_pack(("y",), 1)):
         with pytest.raises(ValueError, match="disagree on base or rank"):
             assemble_bfv(cs, pack)
@@ -171,7 +171,7 @@ def test_build_s_rejects_bad_affine_part():
 
 def test_master_passes_on_closed_frames():
     for data in (abelian_r1(), so3_action()):
-        report = check_master(build_constraints(data))
+        report = check_master(ConstraintSet(data))
         assert report.status == PASS
         assert report.residuals == []
         assert any("dual route" in note for note in report.notes)
@@ -190,7 +190,7 @@ def test_master_broken_jacobi_reproduces_both_defects():
     assert word_coefficient(ss, (1, 2)) == -2 * x * p
     # the jacobi defect itself on the cubic-ghost word
     assert word_coefficient(ss, (0, 1, 2, 3)) == EvenPoly.const(even, -2)
-    report = check_master(build_constraints(data))
+    report = check_master(ConstraintSet(data))
     assert report.status == FAIL
     assert [label for label, _ in report.residuals] == [
         "ss[xi_1 xi_2]",
@@ -207,8 +207,8 @@ def test_master_sees_the_structural_two_form():
     S = build_S(data, ctx) + affine_charge(data, alpha, ctx)
     ss = S.ctx.poisson(S, S)
     assert word_coefficient(ss, (0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
-    assert check_master(build_constraints(data, alpha)).status == FAIL
-    report = check_master(build_constraints(data, alpha, magnetic_plane(1)))
+    assert check_master(ConstraintSet(data, alpha)).status == FAIL
+    report = check_master(ConstraintSet(data, alpha, magnetic_plane(1)))
     assert report.status == PASS
 
 
@@ -226,7 +226,7 @@ def test_master_matches_axioms_and_twisted_closure():
         (rank2_line(), alpha_line, None),
     ]
     for data, alpha, magnetic in cases:
-        report = check_master(build_constraints(data, alpha, magnetic))
+        report = check_master(ConstraintSet(data, alpha, magnetic))
         closed = (
             check_axioms(data).status == PASS
             and structural(data, alpha, magnetic) == {}
@@ -236,8 +236,8 @@ def test_master_matches_axioms_and_twisted_closure():
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in CORPUS.glob("*.json")))
 def test_structural_two_form_matches_the_reference_on_the_corpus(name):
-    problem = load_problem(CORPUS / f"{name}.json")
-    data, alpha, magnetic = problem.data, problem.pack.alpha, problem.pack.magnetic
+    cs = load_problem(CORPUS / f"{name}.json").constraints
+    data, alpha, magnetic = cs.data, cs.alpha, cs.magnetic
     ghost = structural_two_form(data, alpha, magnetic)
     assert components(ghost, data.coords) == structural(data, alpha, magnetic)
 
@@ -302,7 +302,7 @@ def test_covariant_momenta_match_the_full_sums():
     nonzero = 0
     for _ in range(6):
         data = random_frame(rng, rng.randrange(1, 4), rng.randrange(1, 4))
-        pack = random_pack(rng, data)
+        _, pack = random_pack(rng, data)
         ctx = phase_space(data)
         assert covariant_momenta(pack, ctx) == covariant_momenta_by_full_sums(
             pack, ctx
@@ -514,8 +514,7 @@ def test_one_ghost_part_of_sh_is_the_evolution_residual(name, doc):
     # (S, H) at one ghost is -xi^a ({H, Phi_a} - omega^b_ai g^ij p_j Phi_b),
     # H the evolution Hamiltonian; H_cov has no tau, so neither has this
     problem = problem_from_dict(doc)
-    pack = problem.pack
-    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
+    pack, cs = problem.pack, problem.constraints
     pkg = assemble_bfv(cs, pack)
     ctx = pkg.ctx
     H = build_hamiltonian(pack, ctx)
@@ -546,8 +545,7 @@ def test_cartan_reports_the_part_no_tensor_reassembles():
     # word has the shape, but the xi xi xi pi pi words are not the rebuilt
     # tensor contracted with the covariant momenta
     problem = problem_from_dict(evolution_inputs()["so3_action_geometry"])
-    pack = problem.pack
-    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
+    pack, cs = problem.pack, problem.constraints
     ctx = cs.ctx
     h_cov = build_H(pack, ctx) - ctx.lift(pack.potential)
     R = ctx.poisson(cs.core, h_cov)
@@ -662,14 +660,14 @@ def test_ghost_degree_is_additive_under_the_bracket():
 
 def test_h0_abelian_line_window():
     data = abelian_r1()
-    report = bfv_h0(build_constraints(data), 2, 1)
+    report = bfv_h0(ConstraintSet(data), 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (4, 3, 1)
     assert any("truncated" in note for note in report.notes)
 
 
 def test_h0_abelian_plane_window():
     data = abelian_r2()
-    report = bfv_h0(build_constraints(data), 1, 1)
+    report = bfv_h0(ConstraintSet(data), 1, 1)
     assert report.h_dim == 1
 
 
@@ -678,13 +676,13 @@ def test_h0_so3_constant_window():
     # elements bilinear in xi and pi map onto the angular momenta, which
     # are linearly independent over the base
     data = so3_action()
-    report = bfv_h0(build_constraints(data), 0, 0)
+    report = bfv_h0(ConstraintSet(data), 0, 0)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (1, 0, 1)
 
 
 def test_h0_rejects_bad_input():
     data = abelian_r1()
     with pytest.raises(ValueError, match="nonnegative"):
-        bfv_h0(build_constraints(data), -1, 0)
+        bfv_h0(ConstraintSet(data), -1, 0)
     with pytest.raises(ValueError, match="master equation fails"):
-        bfv_h0(build_constraints(broken_jacobi()), 1, 1)
+        bfv_h0(ConstraintSet(broken_jacobi()), 1, 1)

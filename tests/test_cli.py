@@ -27,7 +27,7 @@ from nqkit.graded import GradedContext, left_derivation
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, CheckReport
-from tests.conftest import frame_constraints, frame_package, invoke
+from tests.conftest import invoke
 from tests import test_dynamics as dynamics_tests
 from tests.test_aksz import bumped_field_table, wrong_reference
 from tests.reference_forms import e_differential, one_form
@@ -591,7 +591,7 @@ def test_defect_tensors_computed_once_per_invocation(
     if args[1] == "so6.json":
         Path("so6.json").write_text(json.dumps(gen.so_n(6)))
     problem = load_problem(args[1])
-    cs = frame_constraints(problem.data, problem.pack)
+    cs = problem.constraints
     named = {"(S, S)": (cs.S, cs.S)}
     if "(S, H)" in brackets:
         named["(S, H)"] = (cs.S, assemble_bfv(cs, problem.pack).H)
@@ -632,7 +632,6 @@ def test_defect_tensors_computed_once_per_invocation(
         "defect_lift": nqkit.algebroid,
         "structural_two_form": nqkit.constraints,
         "structural_residuals": nqkit.dynamics,
-        "build_constraints": nqkit.constraints,
         "build_S": nqkit.constraints,
         "check_master": nqkit.constraints,
         "assemble_bfv": nqkit.bfv,
@@ -646,10 +645,15 @@ def test_defect_tensors_computed_once_per_invocation(
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
+    # the constraint set is built once, by the loader
+    ConstraintSet = nqkit.constraints.ConstraintSet
+    init = counted("ConstraintSet", ConstraintSet.__init__)
+    monkeypatch.setattr(ConstraintSet, "__init__", init)
     result = run(*args)
     assert result.exit_code == exit_code
-    expected = {name: builds.get(name, 1) for name in owners}
-    assert {name: calls[name] for name in owners} == expected
+    counted_names = [*owners, "ConstraintSet"]
+    expected = {name: builds.get(name, 1) for name in counted_names}
+    assert {name: calls[name] for name in counted_names} == expected
     # (S, .) is derived once, and every bracket with S applies that table
     assert sum(F == cs.S for F, _ in derived) == int(bool(brackets))
     counts = {label: bracketed.count(pair) for label, pair in named.items()}
@@ -707,7 +711,7 @@ def twisted_with_metric() -> dict:
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))
 def test_constraints_and_charge_share_one_phase_space(name):
-    cs = nqkit.cli._Workbench(load_problem(corpus_path(name))).constraints
+    cs = load_problem(corpus_path(name)).constraints
     assert cs.S.ctx is cs.ctx
 
 
@@ -723,7 +727,7 @@ def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
         file = f"{name}.json"
     else:
         file = corpus_path(name)
-    twist = nqkit.cli._Workbench(load_problem(file)).constraints.ctx.twist
+    twist = load_problem(file).constraints.ctx.twist
     built = []
     init = GradedContext.__init__
 
@@ -840,7 +844,7 @@ def test_check_malformed_file_names_the_field(tmp_path, monkeypatch):
     result = run("check", "bad.json", "--all")
     assert result.exit_code == 2
     assert "rank" in result.stderr
-    # alpha and magnetic are checked once, in the geometry pack or the reader
+    # alpha and magnetic are checked once, by the reader
     doc = json.loads((CORPUS / "abelian_r2.json").read_text())
     for field, value, message in (
         ("magnetic", [["0", "1"], ["1", "0"]], "magnetic: matrix must be antisymmetric"),
@@ -1353,7 +1357,7 @@ def test_emit_bv_matches_the_library_expansion(tmp_path):
     assert result.exit_code == 0
     doc = json.loads(out.read_text())
     problem = load_problem(CORPUS / "abelian_r1.json")
-    action = expand_bv(frame_package(problem.data, problem.pack))
+    action = expand_bv(assemble_bfv(problem.constraints, problem.pack))
     assert doc["terms"] == term_rows(action.action)
     assert {"coeff": "-1/2", "even": {"p_x": 2}, "odd": []} in doc["terms"]
     names = {f["name"]: f for f in doc["fields"]}
@@ -1407,6 +1411,25 @@ def test_emit_bv_checks_the_classical_limit(monkeypatch, tmp_path, name, force):
     assert "internal error" not in result.stderr
     assert calls == {"check_bookkeeping": 1, "extended_action_reference": 1}
     assert json.loads(out.read_text()).get("forced", False) is force
+
+
+def test_emit_bv_builds_the_supercharge_once(monkeypatch, tmp_path):
+    # the package keeps Q = S + theta H: the supercharge gate and the
+    # expansion read one Q, on one theta-extended context
+    built = []
+    original = nqkit.bfv.supercharge_context
+
+    def counted(ctx):
+        built.append(ctx)
+        return original(ctx)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("nqkit")]:
+        if getattr(module, "supercharge_context", None) is original:
+            monkeypatch.setattr(module, "supercharge_context", counted)
+    monkeypatch.chdir(tmp_path)
+    result = run(*EMIT_SO3_BV)
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
 
 
 def test_emit_rejects_unknown_target(tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from nqkit import constraints
 from nqkit.constraints import (
     ConstraintSet,
-    build_constraints,
     check_first_class,
     decompose_fiber_affine,
     extract_structure,
@@ -57,7 +56,7 @@ def magnetic_plane(b):
 
 def test_build_so3_angular_momenta():
     data = so3_action()
-    cs = build_constraints(data)
+    cs = ConstraintSet(data)
     ctx = cs.ctx
     expected = ctx.lift(data.anchor[0][1]) * ctx.var("p_x2") + ctx.lift(
         data.anchor[0][2]
@@ -71,7 +70,7 @@ def test_build_affine_magnetic_plane():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     alpha = (EvenPoly.zero(coords), 3 * g["x1"])
-    cs = build_constraints(data, alpha=alpha, magnetic=magnetic_plane(3))
+    cs = ConstraintSet(data, alpha=alpha, magnetic=magnetic_plane(3))
     assert cs.phis[0] == cs.ctx.var("p_x1")
     assert cs.phis[1] == cs.ctx.var("p_x2") + 3 * cs.ctx.var("x1")
     assert cs.ctx.twist is not None
@@ -82,9 +81,9 @@ def test_build_affine_magnetic_plane():
 def test_build_flags_degenerate_constraints():
     coords, g = ring(["x"])
     data = abelian_algebroid(coords, [[EvenPoly.zero(coords)]])
-    cs = build_constraints(data)
+    cs = ConstraintSet(data)
     assert cs.degenerate == (0,)
-    assert any("degenerate" in note for note in cs.notes)
+    assert any("degenerate" in note for note in check_first_class(cs).notes)
 
 
 def test_build_rejects_bad_affine_part():
@@ -92,21 +91,28 @@ def test_build_rejects_bad_affine_part():
     coords, g = ring(["x1", "x2"])
     _, h = ring(["y"])
     with pytest.raises(ValueError, match="over the base ring"):
-        build_constraints(data, alpha=[h["y"], h["y"]])
+        ConstraintSet(data, alpha=[h["y"], h["y"]])
     with pytest.raises(ValueError, match="alpha must have 2 components"):
-        build_constraints(
+        ConstraintSet(
             data, alpha=[EvenPoly.zero(coords)] * 2 + [EvenPoly.const(coords, 1)]
         )
     with pytest.raises(ValueError, match="twist must be antisymmetric"):
-        build_constraints(data, magnetic=[[g["x1"], g["x1"]], [g["x1"], g["x1"]]])
-
-
-def test_constraint_set_rejects_non_affine_members():
-    ctx = extended_context(("x",), 0)
-    with pytest.raises(ValueError, match="not affine"):
-        ConstraintSet(
-            ctx=ctx, phis=(ctx.var("p_x") * ctx.var("p_x"),), data=rank2_line()
-        )
+        ConstraintSet(data, magnetic=[[g["x1"], g["x1"]], [g["x1"], g["x1"]]])
+    # a rank-1 frame on the plane: alpha has one component, B is 2 x 2
+    zero = EvenPoly.zero(coords)
+    line = abelian_algebroid(coords, [[EvenPoly.const(coords, 1), zero]])
+    with pytest.raises(ValueError, match="alpha must have 1 components"):
+        ConstraintSet(line, alpha=[zero, EvenPoly.const(coords, 1)])
+    with pytest.raises(ValueError, match="over the base ring"):
+        ConstraintSet(line, alpha=[h["y"]])
+    with pytest.raises(ValueError, match="magnetic must be 2 x 2"):
+        ConstraintSet(line, magnetic=[[zero, zero]])
+    with pytest.raises(ValueError, match="magnetic must be 2 x 2 over the base ring"):
+        ConstraintSet(line, magnetic=[[h["y"], h["y"]], [h["y"], h["y"]]])
+    with pytest.raises(ValueError, match="twist must be antisymmetric"):
+        ConstraintSet(line, magnetic=[[zero, g["x1"]], [g["x1"], zero]])
+    with pytest.raises(ValueError, match="twist must be antisymmetric"):
+        ConstraintSet(line, magnetic=[[g["x1"], zero], [zero, zero]])
 
 
 def test_decompose_fiber_affine_reads_alpha_and_rho_over_the_positions():
@@ -121,13 +127,23 @@ def test_decompose_fiber_affine_reads_alpha_and_rho_over_the_positions():
     zero = EvenPoly.zero(coords)
     assert (alpha, rho) == (zero, [zero, zero])
     # every constraint of a corpus file comes back as its frame data
-    problem = load_problem(CORPUS / "rank2_line_affine.json")
-    cs = build_constraints(problem.data, problem.pack.alpha)
+    cs = load_problem(CORPUS / "rank2_line_affine.json").constraints
     for a, phi in enumerate(cs.phis):
         assert decompose_fiber_affine(cs.ctx, phi) == (
-            problem.pack.alpha[a],
-            list(problem.data.anchor[a]),
+            cs.alpha[a],
+            list(cs.data.anchor[a]),
         )
+
+
+def test_constraint_set_rejects_non_affine_members():
+    # a pure square, on a phase space without ghosts, is no constraint of a
+    # frame: reading it back, alone or as a member of a set, is refused
+    ctx = extended_context(("x",), 0)
+    square = ctx.var("p_x") * ctx.var("p_x")
+    with pytest.raises(ValueError, match="not affine"):
+        decompose_fiber_affine(ctx, square)
+    with pytest.raises(ValueError, match="not affine"):
+        extract_structure([ctx.var("p_x"), square])
 
 
 def test_decompose_fiber_affine_errors():
@@ -150,7 +166,7 @@ def test_decompose_fiber_affine_errors():
 
 
 def test_first_class_so3():
-    report = check_first_class(build_constraints(so3_action()))
+    report = check_first_class(ConstraintSet(so3_action()))
     assert report.status == PASS
     assert report.residuals == []
 
@@ -158,7 +174,7 @@ def test_first_class_so3():
 def test_first_class_affine_line():
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
-    report = check_first_class(build_constraints(rank2_line(), alpha=alpha))
+    report = check_first_class(ConstraintSet(rank2_line(), alpha=alpha))
     assert report.status == PASS
 
 
@@ -167,25 +183,25 @@ def test_first_class_magnetic_compensation():
     coords, g = ring(["x1", "x2"])
     alpha = (EvenPoly.zero(coords), 3 * g["x1"])
     closed = check_first_class(
-        build_constraints(data, alpha=alpha, magnetic=magnetic_plane(3))
+        ConstraintSet(data, alpha=alpha, magnetic=magnetic_plane(3))
     )
     assert closed.status == PASS
     # without the magnetic twist the same affine part fails to close
-    open_report = check_first_class(build_constraints(data, alpha=alpha))
+    open_report = check_first_class(ConstraintSet(data, alpha=alpha))
     assert open_report.status == FAIL
     assert open_report.residuals == [("bracket[a=1,b=2]", "3")]
 
 
 def test_first_class_pure_magnetic_fails():
     report = check_first_class(
-        build_constraints(abelian_r2(), magnetic=magnetic_plane(3))
+        ConstraintSet(abelian_r2(), magnetic=magnetic_plane(3))
     )
     assert report.status == FAIL
     assert report.residuals == [("bracket[a=1,b=2]", "-3")]
 
 
 def test_first_class_broken_fixture():
-    report = check_first_class(build_constraints(broken_jacobi()))
+    report = check_first_class(ConstraintSet(broken_jacobi()))
     assert report.status == FAIL
     named = dict(report.residuals)
     assert named["bracket[a=1,b=2]"] == "p_x"
@@ -198,7 +214,7 @@ def test_first_class_broken_fixture():
 
 def test_extract_round_trip_so3():
     data = so3_action()
-    result = extract_structure(build_constraints(data).phis)
+    result = extract_structure(ConstraintSet(data).phis)
     assert result.feasible
     assert result.ansatz_degree == 0
     assert result.solution_dim == 0
@@ -243,7 +259,7 @@ def test_extract_rejects_affine_and_twisted_input():
     with pytest.raises(ValueError, match="fiber-linear"):
         extract_structure([ctx.var("p_x") + ctx.const(1)])
     coords, g = ring(["x1", "x2"])
-    twisted = build_constraints(abelian_r2(), magnetic=magnetic_plane(1))
+    twisted = ConstraintSet(abelian_r2(), magnetic=magnetic_plane(1))
     with pytest.raises(ValueError, match="untwisted"):
         extract_structure(twisted.phis)
 
@@ -477,7 +493,7 @@ def test_probe_ranks_match_fraction_evaluation():
 
 
 def test_gauge_transform_shifts_structure():
-    cs = build_constraints(rank2_line())
+    cs = ConstraintSet(rank2_line())
     coords, g = ring(["x"])
     # the frame change (Phi_1, Phi_2) -> (Phi_1, x*Phi_1 + Phi_2)
     phis = (cs.phis[0], cs.ctx.lift(g["x"]) * cs.phis[0] + cs.phis[1])
@@ -503,6 +519,6 @@ def test_full_rank_first_class_implies_jacobi_vanishes():
 
     for data in corpus:
         probe = irreducibility_probe(data)
-        first_class = check_first_class(build_constraints(data))
+        first_class = check_first_class(ConstraintSet(data))
         if probed_generic_rank(probe) == data.rank and first_class.status == PASS:
             assert all(v.is_zero for v in jacobi_defect(data).values())

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.constraints import build_constraints, check_first_class
+from nqkit.constraints import ConstraintSet, check_first_class
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
     _assert_decomposition,
@@ -124,17 +124,6 @@ def test_pack_rejects_bad_shapes():
         GeometryPack(coords, 2, omega={(0, 2, 0): g["x1"]})
     with pytest.raises(ValueError, match="tau keys index rank x rank"):
         GeometryPack(coords, 1, tau={(0, 0, 0): g["x1"]})
-    with pytest.raises(ValueError, match="alpha must have 1 components"):
-        GeometryPack(coords, 1, alpha=[zero, EvenPoly.const(coords, 1)])
-    _, h = ring(["y"])
-    with pytest.raises(ValueError, match="over the base ring"):
-        GeometryPack(coords, 1, alpha=[h["y"]])
-    with pytest.raises(ValueError, match="magnetic must be 2 x 2"):
-        GeometryPack(coords, 1, magnetic=[[zero, zero]])
-    with pytest.raises(ValueError, match="magnetic: matrix must be antisymmetric"):
-        GeometryPack(coords, 1, magnetic=[[zero, g["x1"]], [g["x1"], zero]])
-    with pytest.raises(ValueError, match="magnetic: matrix must be antisymmetric"):
-        GeometryPack(coords, 1, magnetic=[[g["x1"], zero], [zero, zero]])
     with pytest.raises(ValueError, match="one component per coordinate"):
         GeometryPack(coords, 1, beta=(zero,))
 
@@ -207,18 +196,18 @@ def test_build_hamiltonian_needs_inverse_metric():
 # flow invariance
 
 
-def families_of(data, pack):
+def families_of(cs, pack):
     """The structural residuals the evolution check consumes, or None without them."""
     if pack.g_low is None or pack.omega is None:
         return None
-    return structural_residuals(data, pack)
+    return structural_residuals(cs, pack)
 
 
 def test_evolution_so3_killing():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
-    cs = build_constraints(data)
-    report = check_evolution_invariance(cs, pack, families_of(data, pack))
+    cs = ConstraintSet(data)
+    report = check_evolution_invariance(cs, pack, families_of(cs, pack))
     assert report.status == PASS
     assert report.residuals == []
     assert any("dual route" in note for note in report.notes)
@@ -228,8 +217,8 @@ def test_evolution_gradient_obstruction():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     pack = flat_pack(coords, 2, potential=g["x1"])
-    cs = build_constraints(data)
-    report = check_evolution_invariance(cs, pack, families_of(data, pack))
+    cs = ConstraintSet(data)
+    report = check_evolution_invariance(cs, pack, families_of(cs, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "-1")]
 
@@ -239,10 +228,10 @@ def test_evolution_magnetic_regression():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     alpha = (EvenPoly.zero(coords), g["x1"])
-    pack = flat_pack(coords, 2, alpha=alpha, magnetic=magnetic_plane(1))
-    cs = build_constraints(data, alpha=alpha, magnetic=pack.magnetic)
+    pack = flat_pack(coords, 2)
+    cs = ConstraintSet(data, alpha=alpha, magnetic=magnetic_plane(1))
     assert check_first_class(cs).status == PASS
-    report = check_evolution_invariance(cs, pack, families_of(data, pack))
+    report = check_evolution_invariance(cs, pack, families_of(cs, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "p_x2")]
     assert any("authoritative" in note for note in report.notes)
@@ -261,13 +250,12 @@ def test_evolution_with_nontrivial_connection_passes():
         g_inv=identity_metric(coords),
         g_low=identity_metric(coords),
         omega=omega,
-        alpha=alpha,
     )
-    cs = build_constraints(data, alpha=alpha)
-    report = check_evolution_invariance(cs, pack, families_of(data, pack))
+    cs = ConstraintSet(data, alpha=alpha)
+    report = check_evolution_invariance(cs, pack, families_of(cs, pack))
     assert report.status == PASS
-    assert check_structural(structural_residuals(data, pack)).status == PASS
-    assert check_metric_compat(structural_residuals(data, pack)).status == PASS
+    assert check_structural(structural_residuals(cs, pack)).status == PASS
+    assert check_metric_compat(structural_residuals(cs, pack)).status == PASS
 
 
 def test_evolution_endomorphism_residual_matches_both_routes():
@@ -275,11 +263,9 @@ def test_evolution_endomorphism_residual_matches_both_routes():
     coords, g = ring(["x"])
     data = abelian_algebroid(coords, [[EvenPoly.const(coords, 1)]])
     alpha = (EvenPoly.const(coords, 1),)
-    pack = flat_pack(
-        coords, 1, alpha=alpha, tau={(0, 0): EvenPoly.const(coords, 3)}
-    )
-    cs = build_constraints(data, alpha=alpha)
-    report = check_evolution_invariance(cs, pack, families_of(data, pack))
+    pack = flat_pack(coords, 1, tau={(0, 0): EvenPoly.const(coords, 3)})
+    cs = ConstraintSet(data, alpha=alpha)
+    report = check_evolution_invariance(cs, pack, families_of(cs, pack))
     assert report.status == FAIL
     assert report.residuals == [("evolution[a=1]", "3*p_x + 3")]
 
@@ -288,7 +274,7 @@ def test_evolution_requires_connection_and_frame_data():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords))
-    cs = build_constraints(data)
+    cs = ConstraintSet(data)
     with pytest.raises(ValueError, match="omega"):
         check_evolution_invariance(cs, pack, None)
 
@@ -315,9 +301,8 @@ def evolution_problem(name):
 )
 def test_decomposition_guard_catches_every_perturbed_family_entry(name, quadratic):
     problem = evolution_problem(name)
-    pack = problem.pack
-    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
-    families = structural_residuals(problem.data, pack)
+    pack, cs = problem.pack, problem.constraints
+    families = structural_residuals(cs, pack)
     report = check_evolution_invariance(cs, pack, families)
     assert any(note.startswith("dual route") for note in report.notes)
     # a zero residual on so(4); a nonzero hessian on the other input
@@ -343,9 +328,8 @@ def test_decomposition_guard_catches_every_perturbed_family_entry(name, quadrati
 
 def test_decomposition_guard_catches_cubic_and_odd_residual_terms():
     problem = evolution_problem("abelian_r2_connection")
-    pack = problem.pack
-    cs = build_constraints(problem.data, pack.alpha, pack.magnetic)
-    ctx, families = cs.ctx, structural_residuals(problem.data, pack)
+    pack, cs = problem.pack, problem.constraints
+    ctx, families = cs.ctx, structural_residuals(cs, pack)
     p1, p2 = ctx.var("p_x1"), ctx.var("p_x2")
     residuals = [p2**2, -(p1**2)]  # the bracket residuals of this input
     _assert_decomposition(problem.data, pack, ctx, residuals, families)
@@ -461,7 +445,7 @@ def test_momentum_orders_match_the_derivatives_at_zero(make_ctx):
 def test_structural_trivial_families():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
-    families = structural_residuals(data, pack)
+    families = structural_residuals(ConstraintSet(data), pack)
     for family in (families.metric, families.alpha, families.potential):
         assert all(value.is_zero for value in family.values())
 
@@ -479,24 +463,24 @@ def test_structural_anchorless_potential_family():
         g_low=identity_metric(coords),
         omega={},
         tau=tau,
-        alpha=alpha,
         potential=g["x"] ** 2,
     )
-    families = structural_residuals(data, pack)
+    families = structural_residuals(ConstraintSet(data, alpha), pack)
     assert families.potential[0] == -g["x"]
     assert families.potential[1].is_zero
     assert all(v.is_zero for v in families.metric.values())
 
 
-def structural_residuals_by_triple_products(data, pack):
+def structural_residuals_by_triple_products(cs, pack):
     """The three families from their uncontracted index formulas.
 
     The reference for the contraction through the lowered anchor: every
     product is formed in full, zero factors included.
     """
+    data = cs.data
     r, n, coords = data.rank, data.base_dim, data.coords
     g_low, omega, tau = pack.g_low, connection_cube(pack), tau_matrix(pack)
-    alpha = pack.alpha if pack.alpha is not None else (EvenPoly.zero(coords),) * r
+    alpha = cs.alpha if cs.alpha is not None else (EvenPoly.zero(coords),) * r
     potential = pack.potential
 
     def along(a, f):
@@ -592,7 +576,8 @@ def unimodular_metric_pair(rng, coords):
 
 
 def random_pack(rng, data):
-    """Random omega, tau, alpha and potential, about half of omega and tau zero.
+    """Random omega, tau, alpha and potential, about half of omega and tau zero,
+    as the constraint set with that alpha and the pack.
 
     The zero entries are passed as well, and the pack drops them.
     """
@@ -603,18 +588,19 @@ def random_pack(rng, data):
         return random_poly(coords, rng, 2) if rng.random() < 0.5 else zero
 
     g_low, g_inv = unimodular_metric_pair(rng, coords)
-    return GeometryPack(
+    omega = {(a, b, i): sparse() for a in range(r) for b in range(r) for i in range(n)}
+    tau = {(a, b): sparse() for a in range(r) for b in range(r)}
+    alpha = [random_poly(coords, rng, 2) for _ in range(r)]
+    pack = GeometryPack(
         coords,
         r,
         g_inv=g_inv,
         g_low=g_low,
-        omega={
-            (a, b, i): sparse() for a in range(r) for b in range(r) for i in range(n)
-        },
-        tau={(a, b): sparse() for a in range(r) for b in range(r)},
-        alpha=[random_poly(coords, rng, 2) for _ in range(r)],
+        omega=omega,
+        tau=tau,
         potential=random_poly(coords, rng, 2),
     )
+    return ConstraintSet(data, alpha), pack
 
 
 def test_contractions_match_the_uncontracted_formulas():
@@ -622,23 +608,22 @@ def test_contractions_match_the_uncontracted_formulas():
     for path in sorted(CORPUS.glob("*.json")):
         problem = load_problem(path)
         if problem.pack.g_low is not None and problem.pack.omega is not None:
-            cases.append((problem.data, problem.pack))
+            cases.append((problem.constraints, problem.pack))
     rng = random.Random(43)
     for _ in range(6):
         data = random_frame(rng, rng.randrange(1, 4), rng.randrange(1, 4))
-        cases.append((data, random_pack(rng, data)))
+        cases.append(random_pack(rng, data))
     assert len(cases) > 6
     tau_terms = 0
-    for data, pack in cases:
-        expected = structural_residuals_by_triple_products(data, pack)
-        assert structural_residuals(data, pack) == expected
+    for cs, pack in cases:
+        expected = structural_residuals_by_triple_products(cs, pack)
+        assert structural_residuals(cs, pack) == expected
         if pack.g_inv is None:
             continue
-        cs = build_constraints(data, pack.alpha, pack.magnetic)
         H = build_hamiltonian(pack, cs.ctx)
-        report = check_evolution_invariance(cs, pack, families_of(data, pack))
+        report = check_evolution_invariance(cs, pack, families_of(cs, pack))
         assert report.residuals == evolution_residuals_by_full_sums(H, cs, pack)
-        if pack.beta is None and pack.magnetic is None:
+        if pack.beta is None and cs.magnetic is None:
             assert any(note.startswith("dual route") for note in report.notes)
         tau_terms += len(pack.tau)
     assert tau_terms > 0
@@ -653,7 +638,8 @@ def test_metric_compat_leafwise():
     pack = GeometryPack(
         coords, 1, g_low=g_low, omega={}
     )
-    assert check_metric_compat(structural_residuals(data, pack)).status == PASS
+    families = structural_residuals(ConstraintSet(data), pack)
+    assert check_metric_compat(families).status == PASS
 
 
 def test_metric_compat_obstructed_line():
@@ -665,7 +651,7 @@ def test_metric_compat_obstructed_line():
         g_low=[[EvenPoly.const(coords, 1) + g["x"] ** 2]],
         omega={},
     )
-    report = check_metric_compat(structural_residuals(data, pack))
+    report = check_metric_compat(structural_residuals(ConstraintSet(data), pack))
     assert report.status == FAIL
     assert report.residuals == [("compat[a=1,i=1,j=1]", "2*x")]
 
@@ -687,7 +673,7 @@ def test_solve_connection_killing_case():
         g_low=pack.g_low,
         omega=solution.omega,
     )
-    verified = check_metric_compat(structural_residuals(data, solved))
+    verified = check_metric_compat(structural_residuals(ConstraintSet(data), solved))
     assert verified.status == PASS
 
 
@@ -701,7 +687,7 @@ def test_solve_connection_leafwise():
     solution = solve_connection(data, pack, degree=1)
     assert solution.feasible
     solved = GeometryPack(coords, 1, g_low=g_low, omega=solution.omega)
-    verified = check_metric_compat(structural_residuals(data, solved))
+    verified = check_metric_compat(structural_residuals(ConstraintSet(data), solved))
     assert verified.status == PASS
 
 
@@ -728,7 +714,8 @@ def test_solved_connection_round_trips_through_the_metric_family(name):
         solved = GeometryPack(
             data.coords, data.rank, g_low=pack.g_low, omega=solution.omega
         )
-        assert check_metric_compat(structural_residuals(data, solved)).status == PASS
+        families = structural_residuals(ConstraintSet(data), solved)
+        assert check_metric_compat(families).status == PASS
         if name == "tilted_pair":
             assert solution.omega == {(0, 1, 1): EvenPoly.const(data.coords, 1)}
 
@@ -752,5 +739,5 @@ def test_solve_connection_recovers_line_fixture():
     assert solution.feasible
     assert solution.solution_dim > 0
     solved = GeometryPack(coords, 2, g_low=pack.g_low, omega=solution.omega)
-    verified = check_metric_compat(structural_residuals(data, solved))
+    verified = check_metric_compat(structural_residuals(ConstraintSet(data), solved))
     assert verified.status == PASS

@@ -17,7 +17,6 @@ from types import ModuleType
 
 import pytest
 
-from nqkit.constraints import build_constraints
 from nqkit.dynamics import check_evolution_invariance, structural_residuals
 from nqkit.poly import EvenPoly
 from nqkit.problem import problem_from_dict
@@ -153,7 +152,7 @@ def test_so_n_geometry_readers_make_no_pass_over_every_omega_cell(monkeypatch):
     # evolution check's count including the base_dim^2 cells of its H
     n, rank = 8, 28
     problem = problem_from_dict(gen.so_n(n))
-    cs = build_constraints(problem.data)
+    cs = problem.constraints
     calls = []
     is_zero = EvenPoly.is_zero
 
@@ -162,7 +161,7 @@ def test_so_n_geometry_readers_make_no_pass_over_every_omega_cell(monkeypatch):
         return is_zero.fget(self)
 
     monkeypatch.setattr(EvenPoly, "is_zero", property(counted))
-    families = structural_residuals(problem.data, problem.pack)
+    families = structural_residuals(cs, problem.pack)
     structural = len(calls)
     report = check_evolution_invariance(cs, problem.pack, families)
     monkeypatch.undo()

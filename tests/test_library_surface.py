@@ -24,11 +24,13 @@ SOURCE = Path(nqkit.__file__).resolve().parent
 # through `check --first-class` would add one linear solve per frame pair
 # to every `check --all`
 WITHOUT_CLI_CALLER = {"extract_structure"}
-# the definitions only extract_structure reaches
+# the definitions only extract_structure reaches; decompose_fiber_affine reads
+# constraints given as polynomials, which only the extraction takes
 EXTRACTION_CLUSTER = {
     ("constraints", "extract_structure"),
     ("constraints", "_solve_structure"),
     ("constraints", "ExtractionResult"),
+    ("constraints", "decompose_fiber_affine"),
 }
 
 Node = tuple[str, str]  # (module, top-level name)

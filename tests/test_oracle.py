@@ -17,7 +17,7 @@ import pytest
 
 from nqkit.algebroid import cohomology_h1
 from nqkit.bfv import bfv_h0
-from nqkit.constraints import build_constraints
+from nqkit.constraints import ConstraintSet
 
 from tests.test_algebroid import abelian_r1, rank2_line, so3_action
 from tests.test_constraints import abelian_r2
@@ -68,7 +68,7 @@ def test_ghost_zero_windows_match_the_oracle(oracle_document):
     table = fixture_table()
     for name, window in document.items():
         data = table[name]
-        cs = build_constraints(data)
+        cs = ConstraintSet(data)
         report = bfv_h0(cs, window["x_degree"], window["p_degree"])
         assert report.closed_dim == window["closed"], name
         assert report.exact_dim == window["exact"], name
@@ -93,7 +93,7 @@ def test_benchmark_ghost_zero_window_matches_the_oracle():
     oracle = oracle_module()
     want = oracle.h0_window(oracle.fixtures()["abelian_r2"], 2, 1)
     data = abelian_r2()
-    report = bfv_h0(build_constraints(data), 2, 1)
+    report = bfv_h0(ConstraintSet(data), 2, 1)
     assert (report.closed_dim, report.exact_dim, report.h_dim) == (
         want["closed"],
         want["exact"],

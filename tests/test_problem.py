@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import nqkit.problem
-from nqkit.aksz import expansion_context, supercharge_context
+from nqkit.aksz import expansion_context
+from nqkit.bfv import supercharge_context
 from nqkit.graded import extended_context
 from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly
@@ -70,7 +71,7 @@ def test_full_document_loads():
     coords, g = ring(["x"])
     assert problem.pack.omega == {}
     assert problem.pack.tau == {(0, 0): EvenPoly.const(coords, 3)}
-    assert problem.pack.alpha == (g["x"],)
+    assert problem.constraints.alpha == (g["x"],)
     assert problem.points == ((Fraction(2),), (Fraction(-1, 3),))
     assert problem.truncation == Truncation(x_degree=4, p_degree=1, slack=1)
 
@@ -408,6 +409,18 @@ def test_magnetic_antisymmetry_checked():
         problem_from_dict(doc)
     assert path_of(err) == "magnetic"
     assert str(err.value) == "magnetic: matrix must be antisymmetric"
+    # the check runs after every field is parsed and before the geometry
+    # pack: a parse error anywhere comes first, a metric error after it
+    twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
+    twisted["magnetic"] = [["0", "1"], ["1", "0"]]
+    for field, value, message in (
+        ("metric", [["1", "x1"], ["0", "1"]], "magnetic: matrix must be antisymmetric"),
+        ("beta", ["x1", "1.5"], "beta[2]: position 1: unexpected character '.'"),
+        ("alpha", ["y", "0"], "alpha[1]: position 0: unknown coordinate 'y'"),
+    ):
+        with pytest.raises(ProblemError) as err:
+            problem_from_dict(dict(twisted, **{field: value}))
+        assert str(err.value) == message
 
 
 def test_points_validation():

@@ -16,7 +16,7 @@ import pytest
 from nqkit.aksz import ComponentAction, FieldEntry, expand_bv
 from nqkit.algebroid import Algebroid, CohomologyReport
 from nqkit.bfv import BFVPackage, H0Report, assemble_bfv
-from nqkit.constraints import ConstraintSet, ExtractionResult, build_constraints
+from nqkit.constraints import ConstraintSet, ExtractionResult, check_first_class
 from nqkit.dynamics import ConnectionSolution, GeometryPack, StructuralResiduals
 from nqkit.parser import _Token
 from nqkit.poly import EvenPoly
@@ -31,7 +31,7 @@ def _material() -> dict:
     coords = data.coords
     x = EvenPoly.variable(coords, "x")
     pack = flat_pack(coords, 1)
-    constraints = build_constraints(data)
+    constraints = ConstraintSet(data)
     package = assemble_bfv(constraints, pack)
     action = expand_bv(package)
     report = CheckReport("axioms", PASS, "[e_a, e_b] = C^c_ab e_c")
@@ -85,11 +85,9 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "ConstraintSet": (
             ConstraintSet,
             {
-                "ctx": m["constraints"].ctx,
-                "phis": m["constraints"].phis,
                 "data": m["data"],
                 "alpha": m["form"],
-                "magnetic": None,
+                "magnetic": ((zero,),),
             },
             {"alpha": None, "magnetic": None},
         ),
@@ -114,9 +112,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "g_low": ((EvenPoly.const(coords, 2),),),
                 "omega": {(0, 0, 0): x},
                 "tau": {(0, 0): x},
-                "alpha": m["form"],
                 "potential": x * x,
-                "magnetic": ((zero,),),
                 "beta": (x + one,),
             },
             {
@@ -124,9 +120,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "g_low": None,
                 "omega": None,
                 "tau": {},
-                "alpha": None,
                 "potential": zero,
-                "magnetic": None,
                 "beta": None,
             },
         ),
@@ -188,7 +182,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
         "Problem": (
             Problem,
             {
-                "data": m["data"],
+                "constraints": m["constraints"],
                 "pack": m["pack"],
                 "points": ((Fraction(1, 2),),),
                 "truncation": Truncation(4, 3, 5),
@@ -272,8 +266,15 @@ def test_derived_record_fields():
     assert package.master is package.constraints.master
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]
-    zero = cs.ctx.zero()
-    degenerate = ConstraintSet(cs.ctx, (cs.phis[0], zero), m["data"])
+    problem = Problem(cs, m["pack"], (), Truncation(), "{}")
+    assert problem.data is cs.data
+    # a zero anchor row, and no alpha, makes the second constraint zero
+    data = m["data"]
+    zero = EvenPoly.zero(data.coords)
+    frame = Algebroid(data.coords, (data.anchor[0], (zero,)), {})
+    degenerate = ConstraintSet(frame)
     assert degenerate.degenerate == (1,)
-    assert degenerate.notes == ("degenerate constraints (identically zero): 2",)
-    assert (cs.degenerate, cs.notes) == ((), ())
+    assert check_first_class(degenerate).notes[1:] == [
+        "degenerate constraints (identically zero): 2"
+    ]
+    assert cs.degenerate == ()

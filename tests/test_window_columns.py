@@ -36,13 +36,12 @@ from nqkit.algebroid import (
 )
 from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.cli import _check_window_budget, _connection_unknowns
-from nqkit.constraints import affine_charge, phase_space
+from nqkit.constraints import ConstraintSet, affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import GradedPoly, letters, window_columns
 from nqkit.poly import EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
-from tests.conftest import frame_constraints
 from tests.reference_forms import e_differential
 from tests.test_graded import pair_loop_poisson
 
@@ -82,8 +81,8 @@ def without_momenta(column: dict, n: int) -> dict:
 def test_the_cases_reach_the_twist_and_the_affine_charge():
     assert len(NAMES) == 10
     magnetic = corpus_problem("abelian_r2_magnetic")
-    assert phase_space(magnetic.data, magnetic.pack.magnetic).twist is not None
-    assert corpus_problem("rank2_line_affine").pack.alpha is not None
+    assert magnetic.constraints.ctx.twist is not None
+    assert corpus_problem("rank2_line_affine").constraints.alpha is not None
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -109,7 +108,7 @@ def test_window_sources_run_over_x_then_p_then_words():
     # `linalg._eliminate` calls) from 1455 to 1678 on `abelian_r2` and from
     # 267275 to 396188 on `so3_action`, both at x-degree 2, p-degree 1.
     problem = corpus_problem("so3_action")
-    cs = frame_constraints(problem.data, problem.pack)
+    cs = problem.constraints
     n, words = problem.data.base_dim, _balanced_words(problem.data.rank, 0)
     sources, columns = window_columns(cs.ctx, cs.field, words, 2, 1)
     assert sources == [
@@ -125,9 +124,9 @@ def test_window_sources_run_over_x_then_p_then_words():
 @pytest.mark.parametrize("x_degree, p_degree", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
     problem = corpus_problem(name)
-    data, pack = problem.data, problem.pack
-    ctx = phase_space(data, pack.magnetic)
-    S = build_S(data, ctx) + affine_charge(data, pack.alpha, ctx)
+    data, cs = problem.data, problem.constraints
+    ctx = phase_space(data, cs.magnetic)
+    S = build_S(data, ctx) + affine_charge(data, cs.alpha, ctx)
     field = ctx.hamiltonian_field(S)
     n = data.base_dim
     for ghost in (0, -1):
@@ -234,13 +233,13 @@ def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc
     )
     assert estimate(0, False, True) == exact
 
-    cs = frame_constraints(data, problem.pack)
+    cs = problem.constraints
     if not cs.self_bracket.is_zero:
         # a failing master stops the window before any column is built;
         # the window depends only on base and rank, so count the zero frame's
         zero_row = (data.zero(),) * data.base_dim
         zero_frame = Algebroid(data.coords, (zero_row,) * data.rank, {})
-        cs = frame_constraints(zero_frame, problem.pack)
+        cs = ConstraintSet(zero_frame, cs.alpha, cs.magnetic)
     stubs = {"rank": 0, "image_in": 0}
     for p_degree in (0, 1):
         h0 = built_columns(

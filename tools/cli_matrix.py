@@ -14,7 +14,8 @@ twin with nonzero structural families at every momentum order, on
 `poisson_plane` (the probe finds a point of lower anchor rank) and its
 twin with an affine part, plus a few inputs near the parser's term and
 degree budgets, the widest cohomology window in one coordinate and a
-dense structure that is not antisymmetric, and one `check --json` on a
+dense structure that is not antisymmetric, a magnetic field that is not
+antisymmetric, and one `check --json` on a
 corpus file under a name with a non-ASCII letter, a quote and a
 backslash.  Each run is one fresh
 `python -m nqkit.cli` process in an empty directory of its own; the line
@@ -193,7 +194,7 @@ POISSON_PLANE = {
 }
 POISSON_PLANE_AFFINE = dict(POISSON_PLANE, alpha=["0", "1"])
 # inputs refused at load, run with `check --axioms` only
-LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric")
+LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric", "magnetic_asymmetric")
 
 
 def dense_structure(doc: dict) -> list[list[list[str]]]:
@@ -235,6 +236,10 @@ def inputs() -> dict[str, dict]:
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
     docs["dense_asymmetric"] = dict(docs["so3_action"], structure=asymmetric)
+    # B_12 = B_21 = 1: the loader refuses the magnetic field as not antisymmetric
+    docs["magnetic_asymmetric"] = dict(
+        docs["abelian_r2_magnetic"], magnetic=[["0", "1"], ["1", "0"]]
+    )
     for name, (coords, entry) in BUDGET_ENTRIES.items():
         anchor = [entry] + ["0"] * (len(coords) - 1)
         docs[name] = {
