@@ -8,28 +8,33 @@ Only the keys that occur are ever stored, so no target window has to be
 sized in advance.
 
 Every question goes through one sparse row-dict Gauss-Jordan
-elimination, `rref`.  Pivots are the leftmost possible columns, so the
-reduced form is the unique reduced row echelon form: kernel vectors carry
-one unit free variable each and particular solutions set every free
-variable to zero, whatever order the rows arrive in.
+elimination, `_Elimination`.  Pivots are the leftmost possible columns,
+so the reduced form is the unique reduced row echelon form: kernel
+vectors carry one unit free variable each and particular solutions set
+every free variable to zero, whatever order the rows arrive in.
 
-`rref` eliminates fraction-free, over the integers.  Each row is first
+The elimination is fraction-free, over the integers.  Each row is first
 scaled by the lcm of its denominators; a row is cleared of a pivot by
 cross-multiplying with the pivot row divided by their gcd (as in
 Bareiss, Math. Comp. 22, 1968), and then divided by its content, the
 gcd of its entries, so the entries stay small.  The stored rows are kept
 free of each other's pivots, so an incoming row is reduced in one pass,
 and an index from each column to the stored rows holding it lets a new
-pivot clear only those rows.  Fractions appear once, at the end, when
-each row is divided by its pivot.  `vector_column` turns a vector of
-polynomials times a monomial into a column or a right-hand side, and
-`read_back` turns a kernel or solution vector back into polynomials, for
-every solve.
+pivot clear only those rows.
+
+Each question reads only what it needs.  `rref` divides each stored row
+by its pivot into `Fraction`s, for `kernel`; `rank` counts the pivots;
+`solve` builds one `Fraction` per pivot row, its right-hand-side entry.
+`image_in` feeds the rows outside the window first, so the pivots the
+inside rows then add to the same state are rank A - rank A_out.
+`vector_column` turns a vector of polynomials times a monomial into a
+column or a right-hand side, and `read_back` turns a kernel or solution
+vector back into polynomials, for every solve.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -40,36 +45,58 @@ Column = Mapping[Hashable, Rat]
 Row = dict[int, Rat]
 
 
+class _Elimination:
+    """Sparse Gauss-Jordan state over the integers.
+
+    `reduced` maps each pivot to its primitive row, kept free of every
+    other pivot; `holders` maps each non-pivot column to the pivots of the
+    stored rows holding it.  `add` takes rows into the same state, so a
+    second batch is reduced against the first without eliminating it again.
+    """
+
+    def __init__(self, rows: Iterable[Mapping[int, Rat]]) -> None:
+        self.reduced: dict[int, dict[int, int]] = {}
+        self.holders: dict[int, set[int]] = {}
+        self.add(rows)
+
+    def add(self, rows: Iterable[Mapping[int, Rat]]) -> None:
+        """Reduce `rows`, sparsest first, into the state.
+
+        The reduced form does not depend on the row order, but short rows
+        first keep the fill-in down.  The input rows are not modified.
+        """
+        reduced, holders = self.reduced, self.holders
+        for source in sorted(rows, key=len):
+            row = _integer_row(source)
+            # stored rows hold no other pivot, so one pass clears them all
+            for col in [c for c in row if c in reduced]:
+                _eliminate(row, reduced[col], col)
+            if not row:
+                continue
+            _make_primitive(row)
+            pivot = min(row)
+            for held_by in holders.pop(pivot, ()):
+                other = reduced[held_by]
+                _eliminate(other, row, pivot)
+                _make_primitive(other)
+                for col in row:
+                    if col in other:
+                        holders.setdefault(col, set()).add(held_by)
+                    elif col in holders:
+                        holders[col].discard(held_by)
+            for col in row:
+                if col != pivot:
+                    holders.setdefault(col, set()).add(pivot)
+            reduced[pivot] = row
+
+
 def rref(rows: Sequence[Mapping[int, Rat]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form of sparse rows `{column: value}`.
 
     Returns the nonzero reduced rows, each with a unit pivot, and their
     pivot columns in increasing order.  The input rows are not modified.
     """
-    reduced: dict[int, dict[int, int]] = {}  # pivot -> primitive row free of other pivots
-    holders: dict[int, set[int]] = {}  # non-pivot column -> pivots of the rows holding it
-    for source in rows:
-        row = _integer_row(source)
-        # stored rows hold no other pivot, so one pass clears them all
-        for col in [c for c in row if c in reduced]:
-            _eliminate(row, reduced[col], col)
-        if not row:
-            continue
-        _make_primitive(row)
-        pivot = min(row)
-        for held_by in holders.pop(pivot, ()):
-            other = reduced[held_by]
-            _eliminate(other, row, pivot)
-            _make_primitive(other)
-            for col in row:
-                if col in other:
-                    holders.setdefault(col, set()).add(held_by)
-                elif col in holders:
-                    holders[col].discard(held_by)
-        for col in row:
-            if col != pivot:
-                holders.setdefault(col, set()).add(pivot)
-        reduced[pivot] = row
+    reduced = _Elimination(rows).reduced
     pivots = sorted(reduced)
     result = []
     for p in pivots:
@@ -108,13 +135,8 @@ def _make_primitive(row: dict[int, int]) -> None:
             row[c] //= content
 
 
-def _rows(columns: Sequence[Column], rhs: Column | None = None) -> list[Row]:
-    """The rows of the map, one per target key; `rhs` becomes the last column.
-
-    Rows come sparsest first.  `rref` gives the same answer in any row
-    order, but short rows first keep the fill-in down, whatever order the
-    columns list their keys in.
-    """
+def _rows(columns: Sequence[Column], rhs: Column | None = None) -> dict[Hashable, Row]:
+    """The rows of the map, one per target key; `rhs` becomes the last column."""
     by_key: dict[Hashable, Row] = {}
     for j, column in enumerate(columns):
         for key, value in column.items():
@@ -124,11 +146,11 @@ def _rows(columns: Sequence[Column], rhs: Column | None = None) -> list[Row]:
         for key, value in rhs.items():
             if value:
                 by_key.setdefault(key, {})[len(columns)] = value
-    return sorted(by_key.values(), key=len)
+    return by_key
 
 
 def rank(columns: Sequence[Column]) -> int:
-    return len(rref(_rows(columns))[1])
+    return len(_Elimination(_rows(columns).values()).reduced)
 
 
 def kernel(columns: Sequence[Column]) -> list[Row]:
@@ -137,7 +159,7 @@ def kernel(columns: Sequence[Column]) -> list[Row]:
     One vector per free unknown, in increasing order, with that unknown
     set to 1 and the other free unknowns to 0.
     """
-    reduced, pivots = rref(_rows(columns))
+    reduced, pivots = rref(list(_rows(columns).values()))
     pivot_set = set(pivots)
     basis = {
         free: {free: Fraction(1)} for free in range(len(columns)) if free not in pivot_set
@@ -158,11 +180,16 @@ def solve(columns: Sequence[Column], rhs: Column) -> tuple[Row, int] | None:
     makes the system inconsistent.
     """
     ncols = len(columns)
-    reduced, pivots = rref(_rows(columns, rhs))
-    if pivots and pivots[-1] == ncols:
+    reduced = _Elimination(_rows(columns, rhs).values()).reduced
+    if ncols in reduced:
         return None  # some row reduced to 0 = 1
-    solution = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
-    return solution, ncols - len(pivots)
+    # with the free unknowns at zero, pivot row p reads row[p] x_p = row[ncols]
+    solution = {
+        p: Fraction(reduced[p][ncols], reduced[p][p])
+        for p in sorted(reduced)
+        if ncols in reduced[p]
+    }
+    return solution, ncols - len(reduced)
 
 
 def image_in(columns: Sequence[Column], inside: Callable[[Hashable], bool]) -> int:
@@ -170,9 +197,17 @@ def image_in(columns: Sequence[Column], inside: Callable[[Hashable], bool]) -> i
 
     That part is the image of the kernel of the outside block A_out, and
     since ker A lies in ker A_out its dimension is rank A - rank A_out.
+    The outside rows are reduced first, so the pivots the inside rows add
+    to the same elimination are that difference.
     """
-    outside = [{k: v for k, v in column.items() if not inside(k)} for column in columns]
-    return rank(columns) - rank(outside)
+    outside: list[Row] = []
+    within: list[Row] = []
+    for key, row in _rows(columns).items():
+        (within if inside(key) else outside).append(row)
+    elimination = _Elimination(outside)
+    rank_outside = len(elimination.reduced)
+    elimination.add(within)
+    return len(elimination.reduced) - rank_outside
 
 
 def read_back(

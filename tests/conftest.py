@@ -4,12 +4,18 @@ A module-level cache in a test file is not enough for the fixtures: pytest
 imports `tests/test_oracle.py` as `test_oracle`, and a test file that
 imports it as `tests.test_oracle` gets a second copy with its own cache.
 `invoke` keeps no state, so a test file imports it as `tests.conftest`.
+
+Every test runs under a watchdog: a test still running after
+`WATCHDOG_SECONDS` ends the run with the traceback of every thread, which
+names the test, instead of hanging it.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,6 +27,34 @@ from nqkit.bfv import assemble_bfv
 from nqkit.constraints import ConstraintSet
 
 ORACLE = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
+
+# the slowest test takes a few seconds
+WATCHDOG_SECONDS = 60
+_TERMINAL_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    # a copy of stderr taken before any test captures it, so the watchdog's
+    # traceback reaches the terminal although the process then exits
+    config.stash[_TERMINAL_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config: pytest.Config) -> None:
+    os.close(config.stash[_TERMINAL_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request: pytest.FixtureRequest):
+    """End the run if this test outlives `WATCHDOG_SECONDS`.
+
+    faulthandler's timer is a thread, so it leaves SIGALRM to the per-case
+    alarm of tests/test_fuzz.py.
+    """
+    faulthandler.dump_traceback_later(
+        WATCHDOG_SECONDS, exit=True, file=request.config.stash[_TERMINAL_STDERR]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -322,6 +322,35 @@ def test_irreducibility_probe_pointwise_failure():
         irreducibility_probe(data, points=[(1,)])
 
 
+def test_irreducibility_probe_pins_the_seeded_points():
+    # the Poisson plane pi = x d_x ^ d_y: its anchor vanishes on x = 0,
+    # and only the fifth seeded point lies on that line
+    problem = problem_from_dict(
+        {
+            "base_dim": 2,
+            "rank": 2,
+            "coords": ["x", "y"],
+            "anchor": [["0", "x"], ["-x", "0"]],
+            "structure": {"1,1,2": "1"},
+        }
+    )
+    report, ranked = probe_with_ranks(problem.data)
+    assert report.status == WARN
+    assert report.notes == [
+        "reducible at point (0, 7/3)",
+        "generic rank 2, full rank is 2",
+        "probe seed 271828",
+    ]
+    F = Fraction
+    assert ranked == [
+        ((F(9, 2), F(-9, 4)), 2),
+        ((F(-11, 6), F(-4)), 2),
+        ((F(-6), F(-12, 5)), 2),
+        ((F(-2), F(9, 5)), 2),
+        ((F(0), F(7, 3)), 0),
+    ]
+
+
 def test_generic_rank_symbolic():
     data = so3_action()
     assert generic_rank([list(row) for row in data.anchor]) == 2

@@ -23,7 +23,7 @@ from tests.reference_forms import (
     unpacked,
     word_mask,
 )
-from tests.test_poly import ring
+from tests.test_poly import random_poly, ring
 
 
 def word_coefficient(F: GradedPoly, word: tuple[int, ...]) -> EvenPoly:
@@ -392,6 +392,21 @@ def test_hamiltonian_field_keeps_only_nonzero_images():
     assert field["x1"] == x2
     assert field["p_x2"] == x2 * (ctx.var("x1") + 1) - p1
     assert ctx.hamiltonian_field(ctx.const(3)) == {}
+
+
+def test_reflected_subtraction_lifts_the_left_operand():
+    ctx = extended_context(["x1", "x2"], 2)
+    x1 = EvenPoly.variable(ctx.even_names, "x1")
+    rng = random.Random(17)
+    for _ in range(50):
+        F = random_graded(rng, ctx) + ctx.lift(x1)
+        for c in (3, Fraction(-2, 5)):
+            assert c - F == -(F - c)
+        f = random_poly(rng, ctx.even_names) + 1
+        # `f - F` raises in EvenPoly.__sub__, which knows no GradedPoly, so
+        # the reflected method is called directly
+        assert F.__rsub__(f) == -(F - f)
+        assert F.__rsub__(f) + F == ctx.lift(f)
 
 
 def test_ghost_bookkeeping():

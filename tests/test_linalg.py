@@ -177,6 +177,90 @@ def test_image_in_matches_explicit_construction():
         assert image_in(columns, inside) == oracle.matrix_rank(images)
 
 
+# `rank`, `solve` and `image_in` read the integer elimination directly; the
+# answers `rref`'s unit-pivot rows give are their reference.
+
+
+def rows_by_key(columns, rhs=None, keep=lambda key: True) -> list[dict]:
+    """The rows of the map over the keys with `keep(key)`; `rhs` becomes the
+    last column."""
+    rows: dict = {}
+    for j, column in enumerate(columns + ([] if rhs is None else [rhs])):
+        for key, value in column.items():
+            if value and keep(key):
+                rows.setdefault(key, {})[j] = value
+    return list(rows.values())
+
+
+def rank_through_rref(columns, keep=lambda key: True) -> int:
+    return len(rref(rows_by_key(columns, keep=keep))[1])
+
+
+def solve_through_rref(columns, rhs):
+    ncols = len(columns)
+    reduced, pivots = rref(rows_by_key(columns, rhs))
+    if pivots and pivots[-1] == ncols:
+        return None
+    solution = {p: row[ncols] for row, p in zip(reduced, pivots) if ncols in row}
+    return solution, ncols - len(pivots)
+
+
+def transposed(rows: list[dict]) -> list[dict]:
+    """The columns of a map whose rows, keyed by their index, are `rows`."""
+    ncols = max((c + 1 for row in rows for c in row), default=0)
+    columns: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c, value in row.items():
+            columns[c][i] = value
+    return columns
+
+
+def test_rank_and_solve_match_the_rref_rows():
+    rng = random.Random(61)
+    sparse = random.Random(67)
+    maps = random_maps(61) + KNOWN_MAPS
+    maps += [transposed(random_sparse_rows(sparse)) for _ in range(150)]
+    inconsistent = 0
+    for columns in maps:
+        assert rank(columns) == rank_through_rref(columns)
+        rhs = random_rhs(rng, columns)
+        result, expected = solve(columns, rhs), solve_through_rref(columns, rhs)
+        assert result == expected
+        if result is None:
+            inconsistent += 1
+            continue
+        # same unknowns in the same order, so the read-back prints the same
+        assert list(result[0].items()) == list(expected[0].items())
+        assert all(type(value) is Fraction for value in result[0].values())
+    assert 20 < inconsistent < len(maps) - 100
+
+
+def test_image_in_is_rank_minus_the_outside_rank():
+    everything, nothing = (lambda key: True), (lambda key: False)
+    for columns in random_maps(59):
+        for within in (inside, everything, nothing):
+            outside_rank = rank_through_rref(columns, lambda key: not within(key))
+            expected = rank_through_rref(columns) - outside_rank
+            assert image_in(columns, within) == expected
+    for columns in KNOWN_MAPS:
+        assert image_in(columns, everything) == rank_through_rref(columns)
+        assert image_in(columns, nothing) == 0
+    assert image_in([], inside) == 0
+
+
+def test_image_in_asks_once_per_key():
+    for columns in random_maps(71):
+        asked = []
+
+        def recording(key):
+            asked.append(key)
+            return inside(key)
+
+        image_in(columns, recording)
+        reached = {key for column in columns for key, value in column.items() if value}
+        assert sorted(asked, key=repr) == sorted(reached, key=repr)
+
+
 # The Fraction Gauss-Jordan that `rref` replaced, kept as its reference.
 
 

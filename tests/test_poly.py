@@ -103,6 +103,16 @@ def test_ring_axioms_on_random_samples():
         assert (a - a).is_zero
 
 
+def test_reflected_subtraction_negates_the_difference():
+    coords = ("x", "y", "z")
+    rng = random.Random(13)
+    for _ in range(50):
+        f = random_poly(rng, coords) + EvenPoly.variable(coords, "x")
+        for c in (3, Fraction(-2, 5)):
+            assert c - f == -(f - c)
+            assert (c - f) + f == EvenPoly.const(coords, c)
+
+
 def test_diff_is_a_derivation():
     coords = ("x", "y")
     rng = random.Random(13)

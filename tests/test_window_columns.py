@@ -10,9 +10,11 @@ one-monomial form (from `tests.reference_forms`), the bracket written out
 pair by pair, and one shifted `EvenPoly` per equation pair for the
 connection solve.  Columns are compared as exact dicts.  The only
 relabelling is that the Q columns live in the ghost context, so their
-exponents carry a momentum half, which must be zero.  The column counts
-that the command line estimates for its window budget are checked against
-the columns each solve hands to the elimination.
+exponents carry a momentum half, which must be zero.  The elimination of
+each exact window is held to the route it replaced as well: `image_in` on
+every corpus window equals rank A - rank A_out, two runs of `rref`.  The
+column counts that the command line estimates for its window budget are
+checked against the columns each solve hands to the elimination.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.cli import _check_window_budget, _connection_unknowns
 from nqkit.constraints import ConstraintSet, affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
-from nqkit.graded import GradedPoly, letters, window_columns
+from nqkit.graded import GradedPoly, in_window, letters, window_columns
+from nqkit.linalg import image_in, rank
 from nqkit.poly import EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
 from tests.reference_forms import e_differential
+from tests.test_linalg import rank_through_rref
 from tests.test_graded import pair_loop_poisson
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -105,8 +109,8 @@ def test_q_columns_match_the_frame_differential(name, trunc):
 def test_window_sources_run_over_x_then_p_then_words():
     # Any source order gives the same answers.  Words first raised the
     # elimination work of the ghost-zero window (row lengths summed over
-    # `linalg._eliminate` calls) from 1455 to 1678 on `abelian_r2` and from
-    # 267275 to 396188 on `so3_action`, both at x-degree 2, p-degree 1.
+    # `linalg._eliminate` calls) from 957 to 1108 on `abelian_r2` and from
+    # 153657 to 221989 on `so3_action`, both at x-degree 2, p-degree 1.
     problem = corpus_problem("so3_action")
     cs = problem.constraints
     n, words = problem.data.base_dim, _balanced_words(problem.data.rank, 0)
@@ -142,6 +146,40 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
             bracket = pair_loop_poisson(ctx, S, element)
             expected = {(w, e): c for w, e, c in bracket.terms()}
             assert boundary(column, 2 * n) == expected
+
+
+def assert_image_in_is_rank_minus_the_outside_rank(columns, inside):
+    outside_rank = rank_through_rref(columns, lambda key: not inside(key))
+    assert image_in(columns, inside) == rank_through_rref(columns) - outside_rank
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("trunc", [0, 1, 2, 3])
+def test_h1_exact_window_matches_two_eliminations(name, trunc):
+    problem = corpus_problem(name)
+    data, slack = problem.data, problem.truncation.slack
+    ctx = ghost_context(data)
+    _, sources = window_columns(ctx, q_images(data, ctx), [0], trunc + slack)
+    assert_image_in_is_rank_minus_the_outside_rank(
+        sources, in_window(data.base_dim, trunc)
+    )
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("x_degree", [0, 1, 2])
+@pytest.mark.parametrize("p_degree", [0, 1])
+def test_ghost_zero_window_matches_two_eliminations(name, x_degree, p_degree):
+    cs = corpus_problem(name).constraints
+    n, r = cs.data.base_dim, cs.data.rank
+    words = _balanced_words(r, 0)
+    _, window = window_columns(cs.ctx, cs.field, words, x_degree, p_degree)
+    assert rank(window) == rank_through_rref(window)
+    _, sources = window_columns(
+        cs.ctx, cs.field, _balanced_words(r, -1), x_degree + 1, p_degree + 1
+    )
+    assert_image_in_is_rank_minus_the_outside_rank(
+        sources, in_window(n, x_degree, p_degree)
+    )
 
 
 def pair_by_pair_connection_column(data, g_low, b, a, i, m) -> dict:
