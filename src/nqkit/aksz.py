@@ -47,6 +47,8 @@ from .dynamics import build_hamiltonian
 from .graded import (
     GradedContext,
     GradedPoly,
+    _from_buckets,
+    _lifted_terms,
     antighost_name,
     ghost_name,
     left_derivation,
@@ -241,15 +243,18 @@ def expand_bv(package: BFVPackage) -> ComponentAction:
             "absorb the magnetic term first"
         )
     coords, rank = package.data.coords, package.data.rank
-    ectx = expansion_context(coords, rank)
+    ectx, ghosts = expansion_context(coords, rank), range(1, rank + 1)
     theta = ectx.var(THETA)
-    integrand = -transport(package.Q, ectx)
-    for name in coords:
-        d_position = ectx.var(velocity_name(name)) * theta
-        integrand = integrand + ectx.var(momentum_name(name)) * d_position
-    for a in range(1, rank + 1):
-        d_ghost = ectx.var(velocity_name(ghost_name(a))) * theta
-        integrand = integrand - ectx.var(antighost_name(a)) * d_ghost
+    Q = transport(package.Q, ectx)
+    buckets = {w: {e: -c for e, c in f.terms.items()} for w, f in Q.parts.items()}
+    # + p_i x_dot^i theta - pi_a xi_dot^a theta: no velocity occurs in Q, so
+    # each of these terms is new to the buckets of -Q
+    kinetic = [(momentum_name(x), velocity_name(x), 1) for x in coords]
+    kinetic += [(antighost_name(a), velocity_name(ghost_name(a)), -1) for a in ghosts]
+    for z, z_dot, sign in kinetic:
+        for word, f in (ectx.var(z) * ectx.var(z_dot) * theta * sign).parts.items():
+            buckets.setdefault(word, {}).update(f.terms)
+    integrand = _from_buckets(ectx, buckets)
     shifts = {
         base: theta * ectx.var(partner)
         for base, partner in _partner_pairs(coords, rank)
@@ -281,18 +286,20 @@ def extended_action_reference(package: BFVPackage) -> GradedPoly:
     constraints, pack = package.constraints, package.pack
     data = constraints.data
     ectx = expansion_context(data.coords, data.rank)
-    total = ectx.zero()
-    for name in data.coords:
-        total = total + ectx.var(momentum_name(name)) * ectx.var(
-            velocity_name(name)
-        )
     if pack.g_inv is not None:
-        total = total - transport(build_hamiltonian(pack, constraints.ctx), ectx)
+        H = build_hamiltonian(pack, constraints.ctx).even_part()
     else:
-        total = total - ectx.lift(pack.potential)
+        H = pack.potential
+    # H and the Phi_a are functions of x and p: the terms of -H hold no
+    # velocity and no multiplier, each p_i x_dot^i is one velocity's, and
+    # each -lam^a Phi_a holds lam^a alone, so they fill one bucket unsummed
+    terms = _lifted_terms(ectx, H, scale=-1)
+    for name in data.coords:
+        p_dx = (momentum_name(name), velocity_name(name))
+        terms.update(_lifted_terms(ectx, None, *p_dx))
     for a, phi in enumerate(constraints.phis, start=1):
-        total = total - ectx.var(multiplier_name(a)) * transport(phi, ectx)
-    return total
+        terms.update(_lifted_terms(ectx, phi.even_part(), multiplier_name(a), scale=-1))
+    return _from_buckets(ectx, {0: terms})
 
 
 def check_bookkeeping(ca: ComponentAction) -> CheckReport:

@@ -42,21 +42,26 @@ from itertools import combinations
 from .graded import (
     GradedContext,
     GradedPoly,
+    _from_buckets,
+    _lifted_terms,
     extended_context,
     ghost_name,
     hamiltonian_lift,
     in_window,
     left_derivation,
+    merge_words,
+    momentum_name,
     window_columns,
 )
 from .linalg import image_in, kernel, read_back, solve, vector_column
 from .poly import (
     EvenPoly,
+    Rat,
     Terms,
     accumulate_product,
     derivative,
-    divide,
-    unpack,
+    field_bits,
+    support,
 )
 from .report import FAIL, PASS, CheckReport, family_residuals
 
@@ -133,16 +138,25 @@ class Algebroid:
         """Directional derivative rho_a^i d_i f of f along the a-th frame field."""
         terms: Terms = {}
         self._add_derivative(terms, a, f.terms)
-        return EvenPoly._trusted(self.coords, {e: c for e, c in terms.items() if c})
+        return EvenPoly._summed(self.coords, terms)
 
     def _add_derivative(self, out: Terms, a: int, f: Terms, sign: int = 1) -> None:
-        """Add sign * rho_a^i d_i f to the term dict `out`, cancelled terms kept."""
-        if not f:
-            return  # a zero f would cost a pass over the anchor row for nothing
+        """Add sign * rho_a^i d_i f to the term dict `out`, cancelled terms kept,
+        differentiating only in the coordinates that occur in f."""
+        present, n = support(f), len(self.coords)
+        for i, rho, mask in self._anchor_rows[a]:
+            if present & mask:
+                accumulate_product(out, rho, derivative(f, i, n), sign)
+
+    @cached_property
+    def _anchor_rows(self) -> list[list[tuple[int, Terms, int]]]:
+        """Per frame field, (i, terms of rho_a^i, mask of x^i) over its nonzero
+        anchor entries."""
         n = len(self.coords)
-        for i, rho in enumerate(self.anchor[a]):
-            if rho.terms:
-                accumulate_product(out, rho.terms, derivative(f, i, n), sign)
+        return [
+            [(i, f.terms, field_bits(n, i)[0]) for i, f in enumerate(row) if f.terms]
+            for row in self.anchor
+        ]
 
     def zero(self) -> EvenPoly:
         return EvenPoly.zero(self.coords)
@@ -203,35 +217,30 @@ def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
     nonzero C^e_qs with q < s meets the nonzero C^d_ep, looked up by (e, p),
     and each nonzero C^d_qs is differentiated along the frame fields p.  For
     q < s, (p, q, s) is a cyclic shift of the sorted triple unless q < p < s,
-    where (p, s, q) is one and the antisymmetry of C flips the sign.
+    where (p, s, q) is one and the antisymmetry of C flips the sign.  As in
+    `anchor_defect`, each entry is summed in one term dict and wrapped once.
     """
-    r = data.rank
-    nonzero = data.nonzero_structure
-    totals: dict[tuple[int, int, int, int], EvenPoly] = {}
-
-    def add(p: int, q: int, s: int, d: int, value: EvenPoly) -> None:
-        key = (*sorted((p, q, s)), d)
-        if q < p < s:
-            value = -value
-        totals[key] = totals[key] + value if key in totals else value
-
+    nonzero, r = data.nonzero_structure, data.rank
+    totals: dict[tuple[int, int, int, int], Terms] = {}
     for (q, s), entries in nonzero.items():
         if q > s:
             continue
+        shifts = [(tuple(sorted((p, q, s))), -1 if q < p < s else 1) for p in range(r)]
         for e, inner in entries:
-            for p in range(r):
+            for p, (triple, sign) in enumerate(shifts):
                 if p != q and p != s:
                     for d, outer in nonzero.get((e, p), ()):
-                        add(p, q, s, d, outer * inner)
+                        terms = totals.setdefault((*triple, d), {})
+                        accumulate_product(terms, outer.terms, inner.terms, sign)
         for d, f in entries:
             if f.total_degree() == 0:
                 continue  # constant: every frame derivative vanishes
-            for p in range(r):
+            for p, (triple, sign) in enumerate(shifts):
                 if p != q and p != s:
-                    derivative = data.anchor_apply(p, f)
-                    if not derivative.is_zero:
-                        add(p, q, s, d, -derivative)
-    return {key: value * 2 for key, value in totals.items() if not value.is_zero}
+                    terms = totals.setdefault((*triple, d), {})
+                    data._add_derivative(terms, p, f.terms, -sign)
+    wrapped = {key: EvenPoly._summed(data.coords, t, 2) for key, t in totals.items()}
+    return {key: value for key, value in wrapped.items() if value.terms}
 
 
 # the odd derivation Q on (x, xi)
@@ -258,23 +267,20 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
 def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), as `Algebroid`
     # stores C, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b, over the
-    # nonzero entries only
-    ghosts = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
-    images: dict[str, GradedPoly] = {}
+    # nonzero entries only; each entry is the one term bucket of its word
+    ghosts = [1 << ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
+    images = {}
     for i, name in enumerate(data.coords):
-        value = ctx.zero()
-        for a in range(data.rank):
-            if not data.anchor[a][i].is_zero:
-                value = value + ctx.lift(data.anchor[a][i]) * ghosts[a]
-        images[name] = value
-    structure = [ctx.zero() for _ in range(data.rank)]
+        buckets = {g: _lifted_terms(ctx, row[i]) for g, row in zip(ghosts, data.anchor)}
+        images[name] = _from_buckets(ctx, buckets)
+    structure: list[dict] = [{} for _ in range(data.rank)]
     for (a, b), entries in data.nonzero_structure.items():
         if a < b:
-            pair = ghosts[a] * ghosts[b]
+            word, sign = merge_words(ghosts[a], ghosts[b])
             for c, f in entries:
-                structure[c] = structure[c] - ctx.lift(f) * pair
-    for c, value in enumerate(structure):
-        images[ghost_name(c + 1)] = value
+                structure[c][word] = _lifted_terms(ctx, f, scale=-sign)
+    for c, buckets in enumerate(structure):
+        images[ghost_name(c + 1)] = _from_buckets(ctx, buckets)
     return images
 
 
@@ -284,20 +290,15 @@ def defect_lift(data: Algebroid) -> GradedPoly:
     The lift of Q^2 to `ghost_context`, read off the index formulas alone;
     that context orders x, p and xi, pi, so words and exponents are direct.
     """
-    n, r = data.base_dim, data.rank
-    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    zero_momenta = (0,) * n
-    items = [
-        ((a, b), unpack(e, n) + units[i], coeff)
-        for (a, b, i), value in data.anchor_defect.items()
-        for e, coeff in value.terms.items()
-    ]
-    items += [
-        ((a, b, c, r + d), unpack(e, n) + zero_momenta, divide(coeff, 2))
-        for (a, b, c, d), value in data.jacobi_defect.items()
-        for e, coeff in value.terms.items()
-    ]
-    return GradedPoly.from_terms(data._ghost_context, items)
+    ctx, r = data._ghost_context, data.rank
+    buckets: dict[int, Terms] = {}  # the p_i of R1^i_ab tell its entries apart
+    for (a, b, i), value in data.anchor_defect.items():
+        p_i = momentum_name(data.coords[i])
+        buckets.setdefault(1 << a | 1 << b, {}).update(_lifted_terms(ctx, value, p_i))
+    for (a, b, c, d), value in data.jacobi_defect.items():
+        word = 1 << a | 1 << b | 1 << c | 1 << r + d
+        buckets[word] = _lifted_terms(ctx, value, scale=Rat(1, 2))
+    return _from_buckets(ctx, buckets)
 
 
 def check_axioms(data: Algebroid) -> CheckReport:

@@ -17,12 +17,15 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebroid import Algebroid
-from .constraints import ConstraintSet, build_S, check_master
+from .constraints import ConstraintSet, _affine_form, build_S, check_master
 from .dynamics import GeometryPack
 from .graded import (
     GradedContext,
     GradedPoly,
     OddWord,
+    _accumulate_product,
+    _from_buckets,
+    _lifted_terms,
     antighost_name,
     ghost_name,
     in_window,
@@ -35,7 +38,7 @@ from .graded import (
     word_label,
 )
 from .linalg import image_in, rank
-from .poly import EvenPoly
+from .poly import EvenPoly, Rat, Terms
 from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 
 # build_S and check_master are defined with the constraint set and re-exported
@@ -80,11 +83,15 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     if pack.beta is not None:
         raise ValueError(DRIFT_REFUSAL)
     pcov = covariant_momenta(pack, ctx)
-    H = ctx.lift(pack.potential)
-    for i in range(len(pack.coords)):
-        for j in range(len(pack.coords)):
-            H = H + ctx.lift(pack.g_inv[i][j]) * pcov[i] * pcov[j] / 2
-    return H
+    buckets: dict[OddWord, Terms] = {0: _lifted_terms(ctx, pack.potential)}
+    for i, row in enumerate(pack.g_inv):
+        half_row: dict[OddWord, Terms] = {}  # 1/2 g^ij pcov_j over the nonzero g^ij
+        for j, g in enumerate(row):
+            if g.terms:
+                half_g = {0: _lifted_terms(ctx, g, scale=Rat(1, 2))}
+                _accumulate_product(half_row, pcov[j].parts, half_g)
+        _accumulate_product(buckets, pcov[i].parts, half_row)
+    return _from_buckets(ctx, buckets)
 
 
 def supercharge_context(ctx: GradedContext) -> GradedContext:
@@ -229,11 +236,8 @@ def _charge_invariance(
     field, affine = cs.field, cs.affine
 
     # (S, V) = rho_a^i d_i V xi^a, by the anchor derivative
-    gradient = ctx.zero()
-    for a in range(data.rank):
-        derivative = data.anchor_apply(a, pack.potential)
-        if not derivative.is_zero:
-            gradient = gradient + ctx.var(ghost_name(a + 1)) * ctx.lift(derivative)
+    gradient = [data.anchor_apply(a, pack.potential) for a in range(data.rank)]
+    gradient = _affine_form(ctx, gradient)
     parts = [
         ("cartan_part", core_bracket),
         ("dalpha_part", ctx.poisson(affine, h_cov)),

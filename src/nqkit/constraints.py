@@ -33,6 +33,9 @@ from .algebroid import Algebroid, check_axioms, ghost_context, q_images
 from .graded import (
     GradedContext,
     GradedPoly,
+    _accumulate_product,
+    _from_buckets,
+    _lifted_terms,
     extended_context,
     ghost_name,
     hamiltonian_lift,
@@ -59,12 +62,12 @@ class ConstraintSet:
     magnetic 2-form B, each checked here, once: alpha must have r
     components and B must be n x n, both over the base ring, and B must be
     antisymmetric, as the twist of the phase space is.  Both stay None when
-    absent.  The context is built here; the constraints, built from frame
-    data and so fiber-affine, and the charge S of the constraints, its
-    derivation (S, .), its self-bracket and the master report are
-    computed on first use and kept, so one invocation derives (S, .) once
-    and brackets S with itself once however many reports and windows need
-    them.  Treated as immutable.
+    absent.  The context, the constraints, built from frame data and so
+    fiber-affine, and the charge S of the constraints, its derivation
+    (S, .), its self-bracket and the master report are computed on first
+    use and kept, so a verb that reads none of them builds no phase space,
+    and one invocation derives (S, .) once and brackets S with itself once
+    however many reports and windows need them.  Treated as immutable.
     """
 
     def __init__(
@@ -83,24 +86,34 @@ class ConstraintSet:
                 for row in magnetic
             ):
                 raise ValueError(f"magnetic must be {n} x {n} over the base ring")
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            if any(not (magnetic[i][j] + magnetic[j][i]).is_zero for i, j in pairs):
+                raise ValueError("the magnetic twist must be antisymmetric")
         self.data = data
         self.alpha = alpha
         self.magnetic = magnetic
-        self.ctx = phase_space(data, magnetic)
 
     @property
     def rank(self) -> int:
         return self.data.rank
 
     @cached_property
+    def ctx(self) -> GradedContext:
+        """`phase_space(data, magnetic)`, built on first use."""
+        return phase_space(self.data, self.magnetic)
+
+    @cached_property
     def phis(self) -> tuple[GradedPoly, ...]:
         """Phi_a = rho_a^i p_i + alpha_a; callers must not mutate them."""
         ctx, data = self.ctx, self.data
-        momenta = [ctx.var(momentum_name(name)) for name in data.coords]
-        return tuple(
-            sum((ctx.lift(rho) * p for rho, p in zip(row, momenta)), ctx.lift(f))
-            for row, f in zip(data.anchor, self.alpha or (data.zero(),) * data.rank)
-        )
+        momenta = [momentum_name(name) for name in data.coords]
+        phis = []
+        for row, f in zip(data.anchor, self.alpha or (data.zero(),) * data.rank):
+            terms = _lifted_terms(ctx, f)  # no term of it holds a momentum,
+            for rho, p in zip(row, momenta):  # each of these one p_i alone
+                terms.update(_lifted_terms(ctx, rho, p))
+            phis.append(_from_buckets(ctx, {0: terms}))
+        return tuple(phis)
 
     @property
     def degenerate(self) -> tuple[int, ...]:
@@ -129,7 +142,7 @@ class ConstraintSet:
     @cached_property
     def affine(self) -> GradedPoly:
         """alpha_a xi^a, the affine part of the charge."""
-        return affine_charge(self.data, self.alpha, self.ctx)
+        return _affine_form(self.ctx, self.alpha or ())
 
     @cached_property
     def S(self) -> GradedPoly:
@@ -185,10 +198,13 @@ def affine_charge(
     In `ghost_context(data)` this is the E-form of alpha; in the extended
     phase space it is the affine part of the charge.
     """
-    affine = ctx.zero()
-    for c, f in enumerate(affine_part(data.coords, data.rank, alpha)):
-        affine = affine + ctx.lift(f) * ctx.var(ghost_name(c + 1))
-    return affine
+    return _affine_form(ctx, affine_part(data.coords, data.rank, alpha))
+
+
+def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
+    """alpha_a xi^a from checked components: each is the bucket of its letter."""
+    bits = [1 << ctx.odd_index[ghost_name(c + 1)] for c in range(len(alpha))]
+    return _from_buckets(ctx, {b: _lifted_terms(ctx, f) for b, f in zip(bits, alpha)})
 
 
 def decompose_fiber_affine(
@@ -219,10 +235,11 @@ def structural_two_form(
 
     An E-form in `ghost_context(data)`: d_E is Q, and rho^* B is
     1/2 B_ij Q(x^i) Q(x^j), which is the sum over i < j of B_ij Q(x^i) Q(x^j)
-    since B is antisymmetric.
+    since B is antisymmetric.  alpha and B are taken as `ConstraintSet`
+    keeps them, checked, or None.
     """
     ctx = ghost_context(data)
-    affine = affine_charge(data, alpha, ctx)
+    affine = _affine_form(ctx, alpha or ())
     pairs = [
         (i, j)
         for i, j in combinations(range(data.base_dim), 2)
@@ -285,8 +302,11 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     fields = [ctx.hamiltonian_field(phi) for phi in cs.phis[:-1]]  # {Phi_a, .}
     for a, b in combinations(range(cs.rank), 2):
         R = left_derivation(ctx, fields[a], cs.phis[b])
-        for c, f in data.nonzero_structure.get((a, b), ()):
-            R = R - ctx.lift(f) * cs.phis[c]
+        buckets = {word: dict(f.terms) for word, f in R.parts.items()}
+        for c, f in data.nonzero_structure.get((a, b), ()):  # - C^c_ab Phi_c
+            minus_f = {0: _lifted_terms(ctx, f, scale=-1)}
+            _accumulate_product(buckets, cs.phis[c].parts, minus_f)
+        R = _from_buckets(ctx, buckets)
         word = 1 << a | 1 << b
         expected = ctx.lift(closure[word]) if word in closure else ctx.zero()
         if R != expected:

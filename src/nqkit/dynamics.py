@@ -32,12 +32,21 @@ from .constraints import ConstraintSet, Matrix
 from .graded import (
     GradedContext,
     GradedPoly,
+    _from_buckets,
+    _lifted_terms,
     left_derivation,
     momentum_name,
     momentum_orders,
 )
 from .linalg import read_back, solve, vector_column
-from .poly import EvenPoly, Exponent, Rat, monomial_exponents
+from .poly import (
+    EvenPoly,
+    Exponent,
+    Rat,
+    accumulate_product,
+    derivative,
+    monomial_exponents,
+)
 from .report import FAIL, PASS, CheckReport, family_residuals
 
 # momentum-order decomposition constants (orders 2, 1, 0), fixed per build
@@ -155,15 +164,17 @@ def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     """
     if pack.g_inv is None:
         raise ValueError("hamiltonian needs the inverse metric g_inv")
-    momenta = [ctx.var(momentum_name(name)) for name in pack.coords]
-    n = len(pack.coords)
-    H = ctx.lift(pack.potential)
-    for i in range(n):
+    # V, each beta^i p_i and each g^ij p_i p_j, i <= j, hold distinct momentum
+    # monomials: one term bucket takes them all, without a sum
+    p = [momentum_name(name) for name in pack.coords]
+    terms = _lifted_terms(ctx, pack.potential)
+    for i, row in enumerate(pack.g_inv):
         if pack.beta is not None:
-            H = H + ctx.lift(pack.beta[i]) * momenta[i]
-        for j in range(n):
-            H = H + ctx.lift(pack.g_inv[i][j]) * momenta[i] * momenta[j] / 2
-    return H
+            terms.update(_lifted_terms(ctx, pack.beta[i], p[i]))
+        for j in range(i, len(row)):  # g is symmetric: g^ij + g^ji = 2 g^ij
+            half = Rat(1, 2) if i == j else 1
+            terms.update(_lifted_terms(ctx, row[j], p[i], p[j], scale=half))
+    return _from_buckets(ctx, {0: terms})
 
 
 # structural residual families
@@ -203,15 +214,28 @@ def _require(pack: GeometryPack, names: Sequence[str]) -> None:
         raise ValueError(f"missing geometry fields: {', '.join(missing)}")
 
 
-def _lie_metric(data: Algebroid, g_low: Matrix, a: int, i: int, j: int) -> EvenPoly:
-    """(L_rho_a g)_{ij} = rho_a^k d_k g_ij + g_kj d_i rho_a^k + g_ik d_j rho_a^k."""
-    value = data.anchor_apply(a, g_low[i][j])
-    for k in range(data.base_dim):
-        if not g_low[k][j].is_zero:
-            value = value + g_low[k][j] * data.anchor[a][k].diff(data.coords[i])
-        if not g_low[i][k].is_zero:
-            value = value + g_low[i][k] * data.anchor[a][k].diff(data.coords[j])
-    return value
+def _lie_metric(data: Algebroid, g: Matrix) -> dict[tuple[int, int, int], dict]:
+    """(L_rho_a g)_ij = rho_a^k d_k g_ij + g_kj d_i rho_a^k + g_ik d_j rho_a^k.
+
+    The terms of each entry, i <= j, cancelled ones kept, by (a, i, j),
+    from one pass of derivatives over the anchor.
+    """
+    n, out = data.base_dim, {}
+    for a, row in enumerate(data.anchor):
+        # d_i rho_a^k as partials[k][i], over the i where it is nonzero
+        partials = [
+            {i: d for i in range(n) if (d := derivative(f.terms, i, n))} for f in row
+        ]
+        for i in range(n):
+            for j in range(i, n):
+                terms = out[(a, i, j)] = {}
+                data._add_derivative(terms, a, g[i][j].terms)
+                for k, d_rho in enumerate(partials):
+                    if i in d_rho and g[k][j].terms:
+                        accumulate_product(terms, g[k][j].terms, d_rho[i])
+                    if j in d_rho and g[i][k].terms:
+                        accumulate_product(terms, g[i][k].terms, d_rho[j])
+    return out
 
 
 def _lowered_anchor(data: Algebroid, g_low: Matrix) -> list[list[EvenPoly]]:
@@ -219,14 +243,12 @@ def _lowered_anchor(data: Algebroid, g_low: Matrix) -> list[list[EvenPoly]]:
     n = data.base_dim
     lowered = []
     for row in data.anchor:
-        entries = [EvenPoly.zero(data.coords) for _ in range(n)]
+        entries: list[dict] = [{} for _ in range(n)]
         for k, rho in enumerate(row):
-            if rho.is_zero:
-                continue
-            for j in range(n):
-                if not g_low[k][j].is_zero:
-                    entries[j] = entries[j] + g_low[k][j] * rho
-        lowered.append(entries)
+            if rho.terms:
+                for j, g in enumerate(g_low[k]):
+                    accumulate_product(entries[j], g.terms, rho.terms)
+        lowered.append([EvenPoly._summed(data.coords, t) for t in entries])
     return lowered
 
 
@@ -258,19 +280,15 @@ def structural_residuals(cs: ConstraintSet, pack: GeometryPack) -> StructuralRes
     alpha = cs.alpha or (data.zero(),) * r
     iota = _lowered_anchor(data, g_low)
 
-    metric = {
-        (a, i, j): _lie_metric(data, g_low, a, i, j)
-        for a in range(r)
-        for i in range(n)
-        for j in range(i, n)
-    }
+    terms = _lie_metric(data, g_low)
     alpha_res = {
         (a, i): alpha[a].diff(data.coords[i]) for a in range(r) for i in range(n)
     }
     for (b, a, i), w in pack.omega.items():
         for pair, k in _omega_slots(n, i):
-            metric[(a, *pair)] = metric[(a, *pair)] - w * iota[b][k]
+            accumulate_product(terms[(a, *pair)], w.terms, iota[b][k].terms, -1)
         alpha_res[(a, i)] = alpha_res[(a, i)] - w * alpha[b]
+    metric = {key: EvenPoly._summed(data.coords, t) for key, t in terms.items()}
 
     potential_res = {a: data.anchor_apply(a, pack.potential) for a in range(r)}
     for (b, a), t in pack.tau.items():
@@ -472,14 +490,11 @@ def solve_connection(
     _require(pack, ["g_low"])
     if degree < 0:
         raise ValueError("ansatz degree must be nonnegative")
-    r, n = data.rank, data.base_dim
     unknowns, columns = _connection_columns(data, pack.g_low, degree)
     rhs = vector_column(
         {
-            (a, i, j): -_lie_metric(data, pack.g_low, a, i, j)
-            for a in range(r)
-            for i in range(n)
-            for j in range(i, n)
+            key: EvenPoly._summed(data.coords, terms, -1)
+            for key, terms in _lie_metric(data, pack.g_low).items()
         }
     )
 

@@ -26,8 +26,8 @@ with all derivatives acting from the left.
 from __future__ import annotations
 
 from functools import cache, reduce
-from operator import mul, or_, xor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import mul, xor
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .poly import (
     WIDTH,
@@ -45,6 +45,7 @@ from .poly import (
     monomial_factors,
     pack,
     render_sum,
+    support,
     unpack,
 )
 
@@ -363,26 +364,6 @@ class GradedPoly:
             for exponent, coeff in f.terms.items():
                 yield word_letters, unpack(exponent, n), coeff
 
-    @classmethod
-    def from_terms(
-        cls,
-        ctx: GradedContext,
-        items: Iterable[tuple[tuple[int, ...], tuple[int, ...], Scalar]],
-    ) -> GradedPoly:
-        """The polynomial of `terms()` items; words list distinct letters ascending."""
-        parts: dict[OddWord, Terms] = {}
-        for word, exponent, coeff in items:
-            bucket = parts.setdefault(sum(1 << a for a in word), {})
-            key = pack(exponent)
-            bucket[key] = bucket.get(key, 0) + coeff
-        return cls(
-            ctx,
-            {
-                word: EvenPoly(ctx.even_names, terms)
-                for word, terms in parts.items()
-            },
-        )
-
     def ghost_degree(self) -> int:
         """Ghost degree of a ghost-homogeneous element; zero counts as degree 0."""
         ctx, n = self.ctx, len(self.ctx.even_names)
@@ -477,6 +458,22 @@ def _from_buckets(ctx: GradedContext, buckets: dict[OddWord, Terms]) -> GradedPo
     return GradedPoly._trusted(ctx, parts)
 
 
+def _lifted_terms(
+    ctx: GradedContext, f: EvenPoly | None, *names: str, scale: Scalar = 1
+) -> Terms:
+    """The terms of scale * f times the even coordinates `names` over ctx, f
+    on a subring of its even coordinates or None for 1: a fresh dict, to sum
+    into, or to wrap as it is when its terms meet no other's."""
+    even = ctx.even_names
+    key = sum(field_bits(len(even), ctx.even_index[name])[2] for name in names)
+    if f is None:
+        return {key: scale}
+    if f.coords != even[: len(f.coords)]:
+        f = embed(f, even)
+    up = WIDTH * (len(even) - len(f.coords))  # a prefix: every field moves alike
+    return {(e << up) + key: c * scale for e, c in f.terms.items()}
+
+
 def transport(F: GradedPoly, ctx: GradedContext) -> GradedPoly:
     """Reinterpret F in another context that contains all of its coordinates.
 
@@ -492,7 +489,8 @@ def transport(F: GradedPoly, ctx: GradedContext) -> GradedPoly:
                 raise KeyError(f"{name!r} is not an odd coordinate of the target")
             target, step = merge_words(target, 1 << ctx.odd_index[name])
             sign *= step
-        f = embed(f, ctx.even_names)
+        if f.coords != ctx.even_names:
+            f = embed(f, ctx.even_names)
         parts[target] = f if sign > 0 else -f
     return GradedPoly._trusted(ctx, parts)
 
@@ -545,7 +543,7 @@ def _sweep(
     slots = [(*field_bits(n, k), *t) for k, t in enumerate(even) if t is not None]
     for word, f in F.parts.items():
         terms = f.terms
-        present = reduce(or_, terms)  # a field of it is nonzero iff in some term
+        present = support(terms)
         for mask, shift, step, name, scale in slots:
             if present & mask:
                 bucket = out.setdefault(name, {})[word] = {}
@@ -573,12 +571,12 @@ def hamiltonian_lift(
     The lift to the phase space of the derivation with these images; every
     paired position and ghost must have one.
     """
-    lift = ctx.zero()
+    buckets: dict[OddWord, Terms] = {}
     for p, x in ctx.pairs_even:
-        lift = lift + images[x] * ctx.var(p)
+        _accumulate_product(buckets, images[x].parts, {0: _lifted_terms(ctx, None, p)})
     for xi, pi in ctx.pairs_odd:
-        lift = lift + images[xi] * ctx.var(pi)
-    return lift
+        _accumulate_product(buckets, images[xi].parts, {1 << ctx.odd_index[pi]: {0: 1}})
+    return _from_buckets(ctx, buckets)
 
 
 def field_column(

@@ -18,10 +18,10 @@ module keeps the invariant itself (negating or scaling a nonzero coefficient
 by a nonzero scalar cannot give zero; a sum or product drops exactly the
 keys whose coefficients cancel; a derivative maps distinct exponents to
 distinct exponents) and builds its result with the internal
-`EvenPoly._trusted`, which skips the filter.  Outside this module only code
-that keeps the same invariant calls it: the graded products and the
-momentum reader of `graded.py`, `Algebroid.anchor_apply` and
-`algebroid.anchor_defect`.
+`EvenPoly._trusted`, which skips the filter, or `EvenPoly._summed`, which
+drops the cancelled terms of a sum.  Outside this module only code that
+keeps the same invariant calls them: the builders that sum into term
+buckets and wrap each once (README, "Kernel representation").
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from __future__ import annotations
 import struct
 from bisect import insort
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 Rat = Fraction
@@ -63,6 +64,12 @@ def field_bits(n: int, k: int) -> tuple[int, int, Exponent]:
     """The mask and shift of coordinate k of n, and the key of that coordinate."""
     shift = WIDTH * (n - 1 - k)
     return FIELD << shift, shift, 1 << WIDTH * n | 1 << shift
+
+
+def support(terms: Terms) -> Exponent:
+    """The bitwise or of the keys: a coordinate occurs in some term iff its
+    field of the support is nonzero, so `support(terms) & mask` tests it."""
+    return reduce(or_, terms, 0)
 
 
 def lex_bits(n: int) -> Exponent:
@@ -120,6 +127,11 @@ class EvenPoly:
         return poly
 
     @classmethod
+    def _summed(cls, coords: tuple[str, ...], terms: Terms, scale: Scalar = 1):
+        """Wrap summed terms times a nonzero scale, dropping the cancelled ones."""
+        return cls._trusted(coords, {e: c * scale for e, c in terms.items() if c})
+
+    @classmethod
     def zero(cls, coords: tuple[str, ...]) -> EvenPoly:
         return cls._trusted(coords, {})
 
@@ -151,14 +163,20 @@ class EvenPoly:
             raise KeyError(f"{name!r} is not a coordinate of this ring") from None
 
     def _coerce(self, other: EvenPoly | Scalar) -> EvenPoly:
+        """The operand in this ring; NotImplemented if it is not exact, so a
+        `GradedPoly` operand reaches its reflected method."""
         if isinstance(other, EvenPoly):
             if other.coords != self.coords:
                 raise ValueError("polynomials live in different coordinate rings")
             return other
-        return EvenPoly.const(self.coords, other)
+        if isinstance(other, (int, Fraction)):
+            return EvenPoly.const(self.coords, other)
+        return NotImplemented
 
     def __add__(self, other: EvenPoly | Scalar) -> EvenPoly:
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         terms = dict(self.terms)
         for e, c in other.terms.items():
             if e in terms:
@@ -177,13 +195,15 @@ class EvenPoly:
         return EvenPoly._trusted(self.coords, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: EvenPoly | Scalar) -> EvenPoly:
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other: EvenPoly | Scalar) -> EvenPoly:
-        return self._coerce(other) - self
+        return -self + other
 
     def __mul__(self, other: EvenPoly | Scalar) -> EvenPoly:
         if not isinstance(other, EvenPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             scalar = as_rat(other)
             if not scalar:
                 return EvenPoly.zero(self.coords)

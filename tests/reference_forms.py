@@ -29,7 +29,9 @@ emitted documents, sorted on unpacked words and exponent tuples.
 The tuple kernel closes the module: exponents as tuples and odd words as
 ascending letter tuples, the representation the packed keys and bitmask
 words of the library replaced.  `unpacked` and `packed` cross between the
-two through the library's `unpack` and `pack`.
+two through the library's `unpack` and `pack`, and `from_terms` builds a
+graded polynomial from items of that form, as `GradedPoly.terms()` lists
+them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,13 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from nqkit.algebroid import Algebroid, ghost_context, q_images
-from nqkit.graded import GradedPoly, ghost_name, left_derivation, letters
+from nqkit.graded import (
+    GradedContext,
+    GradedPoly,
+    ghost_name,
+    left_derivation,
+    letters,
+)
 from nqkit.poly import EvenPoly, Scalar, as_rat, divide, pack, unpack
 from tests.cubes import structure_cube
 
@@ -387,6 +395,19 @@ def unpacked(f: EvenPoly) -> dict[tuple[int, ...], Scalar]:
 def packed(terms: Mapping[tuple[int, ...], Scalar]) -> dict[int, Scalar]:
     """Terms keyed by exponent tuples, keyed by packed exponents."""
     return {pack(e): c for e, c in terms.items()}
+
+
+def from_terms(ctx: GradedContext, items) -> GradedPoly:
+    """The polynomial of `terms()` items (ascending distinct letters, exponent
+    tuple, coefficient); repeated terms are summed."""
+    parts: dict[int, dict] = {}
+    for word, exponent, coeff in items:
+        bucket = parts.setdefault(word_mask(word), {})
+        key = pack(exponent)
+        bucket[key] = bucket.get(key, 0) + coeff
+    return GradedPoly(
+        ctx, {word: EvenPoly(ctx.even_names, terms) for word, terms in parts.items()}
+    )
 
 
 def term_sort_key(exponent: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

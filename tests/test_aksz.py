@@ -38,7 +38,7 @@ from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_acti
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests import reference_forms as ref
-from tests.reference_forms import substitute
+from tests.reference_forms import from_terms, substitute
 from tests.test_dynamics import flat_pack, identity_metric
 from tests.test_generated_frames import gen
 from tests.test_graded import word_coefficient
@@ -81,7 +81,7 @@ def kinetic_sector(ca: ComponentAction, coords, rank) -> GradedPoly:
     dot_odd = {
         ctx.odd_index[velocity_name(ghost_name(a))] for a in range(1, rank + 1)
     }
-    return GradedPoly.from_terms(
+    return from_terms(
         ctx,
         (
             (word, exponent, coeff)
@@ -149,7 +149,7 @@ def test_check_supercharge_broken_jacobi_theta_free_residual():
     assert report.status == FAIL
     qq = Q.ctx.poisson(Q, Q)
     theta_letter = Q.ctx.odd_index["theta"]
-    theta_free = GradedPoly.from_terms(
+    theta_free = from_terms(
         Q.ctx,
         (
             (word, exponent, coeff)

@@ -40,7 +40,7 @@ from nqkit.constraints import (
 )
 from tests.conftest import frame_package
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
-from tests.reference_forms import components, structural, substitute
+from tests.reference_forms import components, from_terms, structural, substitute
 from tests.test_algebroid import (
     abelian_r1,
     broken_jacobi,
@@ -624,7 +624,7 @@ def random_window_element(
         word = words[rng.randrange(len(words))]
         exponent = tuple(rng.randrange(2) for _ in range(2 * n))
         terms.append((word, exponent, Rat(rng.randrange(-4, 5))))
-    return GradedPoly.from_terms(ctx, terms)
+    return from_terms(ctx, terms)
 
 
 def test_bracket_with_charge_squares_to_zero():
@@ -648,8 +648,8 @@ def test_ghost_degree_is_additive_under_the_bracket():
         word_g = tuple(sorted(rng.sample(range(odd_count), rng.randrange(3))))
         exp_f = tuple(rng.randrange(2) for _ in range(6))
         exp_g = tuple(rng.randrange(2) for _ in range(6))
-        F = GradedPoly.from_terms(ctx, [(word_f, exp_f, Rat(1))])
-        G = GradedPoly.from_terms(ctx, [(word_g, exp_g, Rat(1))])
+        F = from_terms(ctx, [(word_f, exp_f, Rat(1))])
+        G = from_terms(ctx, [(word_g, exp_g, Rat(1))])
         bracket = ctx.poisson(F, G)
         if not bracket.is_zero:
             assert bracket.ghost_degree() == F.ghost_degree() + G.ghost_degree()

@@ -1432,6 +1432,70 @@ def test_emit_bv_builds_the_supercharge_once(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("metric", [True, False], ids=["metric", "potential_only"])
+def test_emit_bv_pins_the_potential_term(tmp_path, metric):
+    # V = x enters the action through -H: with the metric pair H is H_cov + V,
+    # without it H is V alone.  V breaks the charge invariance, so the
+    # emission is forced; the classical-limit guard passes and the action
+    # holds the one term -x
+    doc = potential_twin()
+    if not metric:
+        for name in ("metric", "metric_inv", "connection"):
+            del doc[name]
+    path = tmp_path / "potential_twin.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bv.json"
+    result = run("emit", str(path), "--what", "bv", "--out", str(out), "--force")
+    assert result.exit_code == 0, result.output
+    terms = json.loads(out.read_text())["terms"]
+    assert {"coeff": "-1", "even": {"x": 1}, "odd": []} in terms
+    assert [t for t in terms if set(t["even"]) == {"x"} and not t["odd"]] == [
+        {"coeff": "-1", "even": {"x": 1}, "odd": []}
+    ]
+
+
+def test_check_all_checks_alpha_once(monkeypatch):
+    # the constraint set checks its alpha at construction; its affine
+    # charge and its structural 2-form build from the checked components
+    calls = []
+    affine_part = nqkit.constraints.affine_part
+
+    def counted(*args):
+        calls.append(args)
+        return affine_part(*args)
+
+    monkeypatch.setattr(nqkit.constraints, "affine_part", counted)
+    result = run("check", corpus_path("rank2_line_affine"), "--all")
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
+
+
+def test_solve_connection_builds_no_phase_space(monkeypatch, tmp_path):
+    # the verb reads the frame and the metric alone: no ghost context and
+    # no phase space is built, twisted or not
+    twisted = json.loads((CORPUS / "abelian_r2.json").read_text())
+    magnetic = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
+    twisted.update(alpha=magnetic["alpha"], magnetic=magnetic["magnetic"])
+    (tmp_path / "twisted.json").write_text(json.dumps(twisted))
+    built = []
+    init = GradedContext.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradedContext, "__init__", counted)
+    monkeypatch.chdir(tmp_path)
+    paths = [corpus_path(name) for name in ("so3_action", "leafwise_metric")]
+    for path in [*paths, "twisted.json"]:
+        result = run("solve-connection", path, "--write", "solved.json")
+        assert result.exit_code == 0, result.output
+    assert built == []
+    # a check of the same problem builds its phase space
+    assert run("check", "twisted.json", "--master").exit_code == 0
+    assert built
+
+
 def test_emit_rejects_unknown_target(tmp_path):
     result = run(
         "emit",

@@ -16,6 +16,7 @@ from nqkit.graded import (
 )
 from nqkit.poly import EvenPoly, pack, unpack
 from tests.reference_forms import (
+    from_terms,
     packed,
     render_even,
     render_graded,
@@ -53,7 +54,7 @@ def random_graded(
         else:
             coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         items.append((word, exponent, coeff))
-    return GradedPoly.from_terms(ctx, items)
+    return from_terms(ctx, items)
 
 
 def twisted_extended():
@@ -372,7 +373,7 @@ def test_field_column_applies_the_field_to_one_monomial(make_ctx):
         size = rng.randint(0, min(3, len(ctx.odd_names)))
         word = tuple(sorted(rng.sample(range(len(ctx.odd_names)), size)))
         exponent = tuple(rng.randint(0, 2) for _ in ctx.even_names)
-        monomial = GradedPoly.from_terms(ctx, [(word, exponent, Fraction(1))])
+        monomial = from_terms(ctx, [(word, exponent, Fraction(1))])
         expected = {
             (w, e): c for w, e, c in left_derivation(ctx, field, monomial).terms()
         }
@@ -403,10 +404,12 @@ def test_reflected_subtraction_lifts_the_left_operand():
         for c in (3, Fraction(-2, 5)):
             assert c - F == -(F - c)
         f = random_poly(rng, ctx.even_names) + 1
-        # `f - F` raises in EvenPoly.__sub__, which knows no GradedPoly, so
-        # the reflected method is called directly
-        assert F.__rsub__(f) == -(F - f)
-        assert F.__rsub__(f) + F == ctx.lift(f)
+        # EvenPoly's operators return NotImplemented for a GradedPoly, so
+        # Python calls the reflected methods, which lift f
+        assert f - F == F.__rsub__(f) == ctx.lift(f) - F == -(F - f)
+        assert f - F + F == ctx.lift(f)
+        assert f + F == ctx.lift(f) + F == F + f
+        assert f * F == ctx.lift(f) * F == F * f
 
 
 def test_ghost_bookkeeping():
@@ -458,7 +461,7 @@ def test_terms_roundtrip_and_degrees():
     rng = random.Random(59)
     for _ in range(20):
         F = random_graded(rng, ctx)
-        assert GradedPoly.from_terms(ctx, F.terms()) == F
+        assert from_terms(ctx, F.terms()) == F
 
 
 def test_context_validation():
@@ -525,7 +528,7 @@ def test_text_forms_match_the_reference_renderers():
             )
             for _ in range(rng.randint(0, 5))
         ]
-        F = GradedPoly.from_terms(ctx, items)
+        F = from_terms(ctx, items)
         assert str(F) == render_graded(F)
         seen_words += any(F.parts) and any(word for word in F.parts)
     assert str(EvenPoly.zero(ctx.even_names)) == "0" == str(ctx.zero())

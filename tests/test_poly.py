@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
 from nqkit.poly import EvenPoly, as_rat, exact_quotient
-from tests.reference_forms import evaluate, packed, unpacked
+from tests.reference_forms import evaluate, from_terms, packed, unpacked
 
 
 def ring(coords) -> tuple[tuple[str, ...], dict[str, EvenPoly]]:
@@ -162,6 +163,11 @@ def test_float_rejection():
         as_rat(1.5)
     with pytest.raises(TypeError):
         g["x"] * 0.5
+    # a float is no exact scalar: each operator declines it, and so does float
+    for operate in (add, sub, mul):
+        for left, right in ((g["x"], 0.5), (0.5, g["x"])):
+            with pytest.raises(TypeError):
+                operate(left, right)
     with pytest.raises(TypeError):
         EvenPoly.const(coords, 0.5)
 
@@ -394,7 +400,7 @@ def test_graded_kernel_matches_the_fraction_reference():
             word = tuple(sorted(rng.sample(range(n_odd), rng.randint(0, 3))))
             exponent = tuple(rng.randint(0, 1) for _ in range(n_even))
             items.append((word, exponent, mixed_coefficient(rng)))
-        return GradedPoly.from_terms(ctx, items)
+        return from_terms(ctx, items)
 
     cancelled = 0
     for _ in range(200):

@@ -1,0 +1,412 @@
+"""Every builder that sums into term buckets against its operator chain.
+
+The builders of Q, the affine charge, the constraints, the Hamiltonian
+lift, both Hamiltonians, the frame tensors, the first-class residuals and
+the component action write their terms into `{word: {exponent: coeff}}`
+buckets and wrap them once.  Each is compared here, exactly, with the
+chain of `value = value + lift(f) * var` steps it replaced, written out
+below; the defect tensors are compared with the tuple kernel of
+`tests/reference_forms.py` as well.  The inputs are every corpus file,
+so(3) to so(5), the log-canonical frames at n = 4 and 6 of
+`tests/frames.py` and the broken twin at n = 4.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import combinations, permutations
+from pathlib import Path
+
+import pytest
+
+from nqkit.aksz import (
+    _partner_pairs,
+    expand_bv,
+    expansion_context,
+    extended_action_reference,
+    multiplier_name,
+    velocity_name,
+)
+from nqkit.algebroid import _build_q_images, ghost_context, q_images
+from nqkit.bfv import THETA, assemble_bfv, build_H, covariant_momenta
+from nqkit.constraints import (
+    affine_charge,
+    affine_part,
+    check_first_class,
+    structural_two_form,
+)
+from nqkit.dynamics import _lie_metric, build_hamiltonian, structural_residuals
+from nqkit.graded import (
+    antighost_name,
+    ghost_name,
+    hamiltonian_lift,
+    left_derivation,
+    momentum_name,
+    transport,
+)
+from nqkit.poly import EvenPoly, embed
+from nqkit.problem import problem_from_dict
+from nqkit.report import family_residuals
+from tests import reference_forms as ref
+from tests.cubes import structure_cube
+from tests.frames import log_canonical
+from tests.reference_forms import unpacked
+from tests.test_generated_frames import gen
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def documents() -> dict[str, dict]:
+    docs = {p.stem: json.loads(p.read_text()) for p in sorted(CORPUS.glob("*.json"))}
+    for n in (3, 4, 5):
+        docs[f"so{n}"] = gen.so_n(n)
+    for n in (4, 6):
+        docs[f"log_canonical{n}"] = log_canonical(n)
+    docs["log_canonical4_broken"] = log_canonical(4, broken=True)
+    return docs
+
+
+DOCUMENTS = documents()
+
+
+@pytest.fixture(params=sorted(DOCUMENTS), scope="module")
+def problem(request):
+    return problem_from_dict(DOCUMENTS[request.param])
+
+
+# the operator chains the builders replaced
+
+
+def chain_q_images(data, ctx):
+    ghosts = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
+    images = {}
+    for i, name in enumerate(data.coords):
+        value = ctx.zero()
+        for a in range(data.rank):
+            if not data.anchor[a][i].is_zero:
+                value = value + ctx.lift(data.anchor[a][i]) * ghosts[a]
+        images[name] = value
+    structure = [ctx.zero() for _ in range(data.rank)]
+    for (a, b), entries in data.nonzero_structure.items():
+        if a < b:
+            pair = ghosts[a] * ghosts[b]
+            for c, f in entries:
+                structure[c] = structure[c] - ctx.lift(f) * pair
+    for c, value in enumerate(structure):
+        images[ghost_name(c + 1)] = value
+    return images
+
+
+def chain_affine(data, alpha, ctx):
+    affine = ctx.zero()
+    for c, f in enumerate(affine_part(data.coords, data.rank, alpha)):
+        affine = affine + ctx.lift(f) * ctx.var(ghost_name(c + 1))
+    return affine
+
+
+def chain_phis(cs):
+    ctx, data = cs.ctx, cs.data
+    momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+    return tuple(
+        sum((ctx.lift(rho) * p for rho, p in zip(row, momenta)), ctx.lift(f))
+        for row, f in zip(data.anchor, cs.alpha or (data.zero(),) * data.rank)
+    )
+
+
+def chain_hamiltonian_lift(ctx, images):
+    lift = ctx.zero()
+    for p, x in ctx.pairs_even:
+        lift = lift + images[x] * ctx.var(p)
+    for xi, pi in ctx.pairs_odd:
+        lift = lift + images[xi] * ctx.var(pi)
+    return lift
+
+
+def chain_build_H(pack, ctx):
+    pcov = covariant_momenta(pack, ctx)
+    H = ctx.lift(pack.potential)
+    for i in range(len(pack.coords)):
+        for j in range(len(pack.coords)):
+            H = H + ctx.lift(pack.g_inv[i][j]) * pcov[i] * pcov[j] / 2
+    return H
+
+
+def chain_build_hamiltonian(pack, ctx):
+    momenta = [ctx.var(momentum_name(name)) for name in pack.coords]
+    n = len(pack.coords)
+    H = ctx.lift(pack.potential)
+    for i in range(n):
+        if pack.beta is not None:
+            H = H + ctx.lift(pack.beta[i]) * momenta[i]
+        for j in range(n):
+            H = H + ctx.lift(pack.g_inv[i][j]) * momenta[i] * momenta[j] / 2
+    return H
+
+
+def chain_lie_metric(data, g_low, a, i, j):
+    value = data.anchor_apply(a, g_low[i][j])
+    for k in range(data.base_dim):
+        if not g_low[k][j].is_zero:
+            value = value + g_low[k][j] * data.anchor[a][k].diff(data.coords[i])
+        if not g_low[i][k].is_zero:
+            value = value + g_low[i][k] * data.anchor[a][k].diff(data.coords[j])
+    return value
+
+
+def chain_anchor_apply(data, a, f):
+    value = data.zero()
+    for i, name in enumerate(data.coords):
+        value = value + data.anchor[a][i] * f.diff(name)
+    return value
+
+
+def chain_jacobi_defect(data):
+    r = data.rank
+    nonzero = data.nonzero_structure
+    totals = {}
+
+    def add(p, q, s, d, value):
+        key = (*sorted((p, q, s)), d)
+        if q < p < s:
+            value = -value
+        totals[key] = totals[key] + value if key in totals else value
+
+    for (q, s), entries in nonzero.items():
+        if q > s:
+            continue
+        for e, inner in entries:
+            for p in range(r):
+                if p != q and p != s:
+                    for d, outer in nonzero.get((e, p), ()):
+                        add(p, q, s, d, outer * inner)
+        for d, f in entries:
+            for p in range(r):
+                if p != q and p != s:
+                    add(p, q, s, d, -chain_anchor_apply(data, p, f))
+    return {key: value * 2 for key, value in totals.items() if not value.is_zero}
+
+
+def chain_first_class_residuals(cs):
+    data, ctx = cs.data, cs.ctx
+    brackets = {}
+    for a, b in combinations(range(cs.rank), 2):
+        R = ctx.poisson(cs.phis[a], cs.phis[b])
+        for c, f in data.nonzero_structure.get((a, b), ()):
+            R = R - ctx.lift(f) * cs.phis[c]
+        brackets[(a, b)] = R
+    return family_residuals("bracket", brackets, "ab")
+
+
+def chain_integrand(package):
+    coords, rank = package.data.coords, package.data.rank
+    ectx = expansion_context(coords, rank)
+    theta = ectx.var(THETA)
+    integrand = -transport(package.Q, ectx)
+    for name in coords:
+        d_position = ectx.var(velocity_name(name)) * theta
+        integrand = integrand + ectx.var(momentum_name(name)) * d_position
+    for a in range(1, rank + 1):
+        d_ghost = ectx.var(velocity_name(ghost_name(a))) * theta
+        integrand = integrand - ectx.var(antighost_name(a)) * d_ghost
+    return ectx, integrand
+
+
+def chain_action_reference(package):
+    constraints, pack = package.constraints, package.pack
+    data = constraints.data
+    ectx = expansion_context(data.coords, data.rank)
+    total = ectx.zero()
+    for name in data.coords:
+        total = total + ectx.var(momentum_name(name)) * ectx.var(velocity_name(name))
+    if pack.g_inv is not None:
+        total = total - transport(build_hamiltonian(pack, constraints.ctx), ectx)
+    else:
+        total = total - ectx.lift(pack.potential)
+    for a, phi in enumerate(constraints.phis, start=1):
+        total = total - ectx.var(multiplier_name(a)) * transport(phi, ectx)
+    return total
+
+
+# the tuple kernel: R1 and R2 from their defining sums, on exponent tuples
+
+
+def tuple_anchor_defect(data):
+    n, r = data.base_dim, data.rank
+    anchor = [[unpacked(f) for f in row] for row in data.anchor]
+    cube = [[[unpacked(f) for f in row] for row in block] for block in structure_cube(data)]
+    out = {}
+    for a, b in combinations(range(r), 2):
+        for i in range(n):
+            terms = {}
+            for j in range(n):
+                ref.accumulate_product(terms, anchor[a][j], ref.derivative(anchor[b][i], j))
+                ref.accumulate_product(
+                    terms, anchor[b][j], ref.derivative(anchor[a][i], j), -1
+                )
+            for c in range(r):
+                ref.accumulate_product(terms, cube[c][a][b], anchor[c][i], -1)
+            terms = {e: c for e, c in terms.items() if c}
+            if terms:
+                out[(a, b, i)] = terms
+    return out
+
+
+def tuple_jacobi_defect(data):
+    """R2^d_abc as the signed sum over all permutations s of (a, b, c) of
+    C^d_{e s(a)} C^e_{s(b)s(c)} - rho_{s(a)}^j d_j C^d_{s(b)s(c)}."""
+    n, r = data.base_dim, data.rank
+    anchor = [[unpacked(f) for f in row] for row in data.anchor]
+    cube = [[[unpacked(f) for f in row] for row in block] for block in structure_cube(data)]
+    out = {}
+    for triple in combinations(range(r), 3):
+        for d in range(r):
+            terms = {}
+            for perm in permutations(range(3)):
+                sign = -1 if sum(
+                    1 for u, v in combinations(perm, 2) if u > v
+                ) % 2 else 1
+                p, q, s = (triple[k] for k in perm)
+                for e in range(r):
+                    ref.accumulate_product(terms, cube[d][e][p], cube[e][q][s], sign)
+                for j in range(n):
+                    ref.accumulate_product(
+                        terms, anchor[p][j], ref.derivative(cube[d][q][s], j), -sign
+                    )
+            terms = {e: c for e, c in terms.items() if c}
+            if terms:
+                out[(*triple, d)] = terms
+    return out
+
+
+# the comparisons
+
+
+def test_the_inputs_reach_x_dependent_structure_and_nonzero_defects():
+    broken = problem_from_dict(DOCUMENTS["log_canonical4_broken"]).data
+    assert len(broken.anchor_defect) == 6 and len(broken.jacobi_defect) == 2
+    for name in ("log_canonical4", "log_canonical6"):
+        data = problem_from_dict(DOCUMENTS[name]).data
+        assert max(f.total_degree() for _, f in data.nonzero_structure[(0, 1)]) == 1
+        assert data.anchor_defect == {} and data.jacobi_defect == {}
+
+
+def test_q_images_and_their_lift_match_the_chains(problem):
+    data, cs = problem.data, problem.constraints
+    for ctx in {id(c): c for c in (ghost_context(data), cs.ctx)}.values():
+        images = _build_q_images(data, ctx)
+        assert images == chain_q_images(data, ctx)
+        assert hamiltonian_lift(ctx, images) == chain_hamiltonian_lift(ctx, images)
+    ctx = ghost_context(data)
+    images = q_images(data, ctx)
+    square = {name: left_derivation(ctx, images, f) for name, f in images.items()}
+    assert hamiltonian_lift(ctx, square) == chain_hamiltonian_lift(ctx, square)
+
+
+def test_affine_charge_and_constraints_match_the_chains(problem):
+    data, cs = problem.data, problem.constraints
+    for ctx in (ghost_context(data), cs.ctx):
+        assert affine_charge(data, cs.alpha, ctx) == chain_affine(data, cs.alpha, ctx)
+    assert cs.affine == chain_affine(data, cs.alpha, cs.ctx)
+    assert cs.phis == chain_phis(cs)
+    ctx = ghost_context(data)
+    affine = chain_affine(data, cs.alpha, ctx)
+    expected = left_derivation(ctx, q_images(data, ctx), affine)
+    magnetic = cs.magnetic or ()
+    for i, j in combinations(range(len(magnetic)), 2):
+        images = q_images(data, ctx)
+        pulled = images[data.coords[i]] * images[data.coords[j]]
+        expected = expected - ctx.lift(magnetic[i][j]) * pulled
+    assert structural_two_form(data, cs.alpha, cs.magnetic) == expected
+
+
+def test_hamiltonians_match_the_chains(problem):
+    pack, ctx = problem.pack, problem.constraints.ctx
+    if pack.g_inv is None:
+        pytest.skip("no inverse metric")
+    assert build_hamiltonian(pack, ctx) == chain_build_hamiltonian(pack, ctx)
+    if pack.omega is not None and pack.beta is None:
+        assert build_H(pack, ctx) == chain_build_H(pack, ctx)
+
+
+def test_lie_metric_matches_the_chain(problem):
+    data, pack = problem.data, problem.pack
+    if pack.g_low is None:
+        pytest.skip("no metric")
+    lie = _lie_metric(data, pack.g_low)
+    for (a, i, j), terms in lie.items():
+        expected = chain_lie_metric(data, pack.g_low, a, i, j)
+        assert EvenPoly._summed(data.coords, terms) == expected
+    if pack.omega is not None:
+        families = structural_residuals(problem.constraints, pack)
+        iota = [
+            [
+                sum((pack.g_low[k][j] * rho for k, rho in enumerate(row)), data.zero())
+                for j in range(data.base_dim)
+            ]
+            for row in data.anchor
+        ]
+        expected = {
+            key: chain_lie_metric(data, pack.g_low, *key) for key in lie
+        }
+        for (b, a, i), w in pack.omega.items():
+            for s in range(data.base_dim):
+                pair = (min(s, i), max(s, i))
+                expected[(a, *pair)] = expected[(a, *pair)] - w * iota[b][s]
+                if s == i:  # (i, i) takes both slots
+                    expected[(a, i, i)] = expected[(a, i, i)] - w * iota[b][i]
+        assert families.metric == expected
+
+
+def test_anchor_derivative_matches_the_chain(problem):
+    data = problem.data
+    entries = [f for row in data.anchor for f in row]
+    entries += [f for pairs in data.nonzero_structure.values() for _, f in pairs]
+    for a in range(data.rank):
+        for f in entries:
+            assert data.anchor_apply(a, f) == chain_anchor_apply(data, a, f)
+
+
+def test_defect_tensors_match_the_chain_and_the_tuple_kernel(problem):
+    data = problem.data
+    assert data.jacobi_defect == chain_jacobi_defect(data)
+    assert {k: unpacked(v) for k, v in data.anchor_defect.items()} == (
+        tuple_anchor_defect(data)
+    )
+    assert {k: unpacked(v) for k, v in data.jacobi_defect.items()} == (
+        tuple_jacobi_defect(data)
+    )
+
+
+def test_first_class_residuals_match_the_chain(problem):
+    cs = problem.constraints
+    assert check_first_class(cs).residuals == chain_first_class_residuals(cs)
+
+
+def test_component_action_matches_the_chains(problem):
+    cs, pack = problem.constraints, problem.pack
+    if cs.ctx.twist is not None:
+        pytest.skip("the expansion needs an untwisted phase space")
+    try:
+        package = assemble_bfv(cs, pack)
+    except ValueError:
+        pytest.skip("no package: a drift or a missing connection")
+    assert extended_action_reference(package) == chain_action_reference(package)
+    ectx, integrand = chain_integrand(package)
+    shifts = {
+        base: ectx.var(THETA) * ectx.var(partner)
+        for base, partner in _partner_pairs(package.data.coords, package.data.rank)
+    }
+    integrand = integrand + left_derivation(ectx, shifts, integrand)
+    assert expand_bv(package).action == integrand.left_deriv(THETA)
+
+
+def test_transport_within_one_ring_matches_the_embedding(problem):
+    cs = problem.constraints
+    ctx = cs.ctx
+    S = cs.S
+    moved = transport(S, ctx)
+    assert moved == S
+    assert all(
+        moved.parts[w].terms == embed(f, ctx.even_names).terms
+        for w, f in S.parts.items()
+    )

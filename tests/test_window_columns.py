@@ -40,12 +40,12 @@ from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.cli import _check_window_budget, _connection_unknowns
 from nqkit.constraints import ConstraintSet, affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
-from nqkit.graded import GradedPoly, in_window, letters, window_columns
+from nqkit.graded import in_window, letters, window_columns
 from nqkit.linalg import image_in, rank
 from nqkit.poly import EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
-from tests.reference_forms import e_differential
+from tests.reference_forms import e_differential, from_terms
 from tests.test_linalg import rank_through_rref
 from tests.test_graded import pair_loop_poisson
 
@@ -140,7 +140,7 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
         assert len(sources) == len(columns) == len(words) * prod(monomials)
         for (word, xe, pe), column in zip(sources, columns):
             exponent = unpack(xe, n) + unpack(pe, n)
-            element = GradedPoly.from_terms(
+            element = from_terms(
                 ctx, [(letters(word), exponent, Fraction(1))]
             )
             bracket = pair_loop_poisson(ctx, S, element)

@@ -12,8 +12,10 @@ on `shear_plane` (off-diagonal, non-constant metric entries) and its
 twin with nonzero structural families at every momentum order, on
 `bent_line` (no polynomial connection at any ansatz degree), on
 `poisson_plane` (the probe finds a point of lower anchor rank) and its
-twin with an affine part, plus a few inputs near the parser's term and
-degree budgets, the widest cohomology window in one coordinate and a
+twin with an affine part, on the log-canonical frame at n = 4 of
+`tests/frames.py` (x-dependent structure functions, every identity
+holds) and its broken twin (nonzero anchor and Jacobi defects), plus a
+few inputs near the parser's term and degree budgets, the widest cohomology window in one coordinate and a
 dense structure that is not antisymmetric, a magnetic field that is not
 antisymmetric, and one `check --json` on a
 corpus file under a name with a non-ASCII letter, a quote and a
@@ -208,15 +210,20 @@ def dense_structure(doc: dict) -> list[list[list[str]]]:
     return cube
 
 
+def _compiled(source: Path) -> ModuleType:
+    """A module compiled from its source, so no bytecode is written."""
+    module = ModuleType(source.stem)
+    exec(compile(source.read_text(), str(source), "exec"), module.__dict__)
+    return module
+
+
 def inputs() -> dict[str, dict]:
     """The problem documents of the matrix, by name."""
     docs = {
         path.stem: json.loads(path.read_text())
         for path in sorted((ROOT / "corpus").glob("*.json"))
     }
-    gen = ModuleType("perfbench_gen")  # compiled from source: no bytecode written
-    source = ROOT / "perfbench" / "gen.py"
-    exec(compile(source.read_text(), str(source), "exec"), gen.__dict__)
+    gen = _compiled(ROOT / "perfbench" / "gen.py")
     for n in (3, 4, 5, 6):
         docs[f"so{n}"] = gen.so_n(n)
     for name in DENSE_TWINS:
@@ -232,6 +239,9 @@ def inputs() -> dict[str, dict]:
     docs["bent_line"] = BENT_LINE
     docs["poisson_plane"] = POISSON_PLANE
     docs["poisson_plane_affine"] = POISSON_PLANE_AFFINE
+    frames = _compiled(ROOT / "tests" / "frames.py")
+    docs["log_canonical4"] = frames.log_canonical(4)
+    docs["log_canonical4_broken"] = frames.log_canonical(4, broken=True)
     # C^1_32 = C^1_23 = 1: the one violation is at c=1, a=2, b=3
     asymmetric = dense_structure(docs["so3_action"])
     asymmetric[0][2][1] = "1"
