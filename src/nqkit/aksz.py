@@ -39,7 +39,7 @@ Hamiltonian and never from S.
 
 from __future__ import annotations
 
-from itertools import compress
+from functools import cache
 from typing import Sequence
 
 from .bfv import THETA, BFVPackage
@@ -47,7 +47,6 @@ from .dynamics import build_hamiltonian
 from .graded import (
     GradedContext,
     GradedPoly,
-    _from_buckets,
     _lifted_terms,
     antighost_name,
     ghost_name,
@@ -55,9 +54,10 @@ from .graded import (
     letters,
     momentum_name,
     transport,
+    word_order,
     word_residuals,
 )
-from .poly import EvenPoly, field_bits, lex_bits, monomial_factors, unpack
+from .poly import WIDTH, field_bits, lex_bits, monomial_factors, nonzero_fields, unpack
 from .report import FAIL, PASS, CheckReport
 
 SUPERCHARGE_IDENTITY = "(Q, Q) = 0"
@@ -130,7 +130,8 @@ class FieldEntry:
         self.is_partner = is_partner
 
 
-def expansion_context(coords: Sequence[str], rank: int) -> GradedContext:
+@cache
+def expansion_context(coords: tuple[str, ...], rank: int) -> GradedContext:
     """The component-field ring: no bracket pairs, one velocity marker for
     each position and each ghost, one theta partner for every phase-space
     coordinate, and theta itself for the expansion step."""
@@ -206,27 +207,23 @@ def term_rows(F: GradedPoly) -> list[dict]:
     lexicographically.
     """
     ctx = F.ctx
-    even_names, n = ctx.even_names, len(ctx.even_names)
+    n = len(ctx.even_names)
     low = lex_bits(n)
+    named = {WIDTH * (n - 1 - k): name for k, name in enumerate(ctx.even_names)}
     out = []
-    for word in sorted(F.parts, key=_word_order):
+    parts = F.by_word()
+    for word in sorted(parts, key=word_order):
         odd = [ctx.odd_names[a] for a in letters(word)]
-        terms = F.parts[word].terms
+        terms = parts[word].terms
         for key in sorted(terms, key=low.__and__):
-            exponent = unpack(key, n)
             out.append(
                 {
                     "coeff": str(terms[key]),
-                    "even": dict(compress(zip(even_names, exponent), exponent)),
+                    "even": {named[at]: k for at, k in nonzero_fields(key & low)},
                     "odd": odd.copy(),
                 }
             )
     return out
-
-
-def _word_order(word: int) -> tuple[int, tuple[int, ...]]:
-    """The order of `terms()` words: letter count, then ascending letters."""
-    return word.bit_count(), letters(word)
 
 
 def expand_bv(package: BFVPackage) -> ComponentAction:
@@ -246,15 +243,14 @@ def expand_bv(package: BFVPackage) -> ComponentAction:
     ectx, ghosts = expansion_context(coords, rank), range(1, rank + 1)
     theta = ectx.var(THETA)
     Q = transport(package.Q, ectx)
-    buckets = {w: {e: -c for e, c in f.terms.items()} for w, f in Q.parts.items()}
+    terms = {key: -c for key, c in Q.coeffs.items()}
     # + p_i x_dot^i theta - pi_a xi_dot^a theta: no velocity occurs in Q, so
-    # each of these terms is new to the buckets of -Q
+    # each of these terms is new to the terms of -Q
     kinetic = [(momentum_name(x), velocity_name(x), 1) for x in coords]
     kinetic += [(antighost_name(a), velocity_name(ghost_name(a)), -1) for a in ghosts]
     for z, z_dot, sign in kinetic:
-        for word, f in (ectx.var(z) * ectx.var(z_dot) * theta * sign).parts.items():
-            buckets.setdefault(word, {}).update(f.terms)
-    integrand = _from_buckets(ectx, buckets)
+        terms.update((ectx.var(z) * ectx.var(z_dot) * theta * sign).coeffs)
+    integrand = GradedPoly._trusted(ectx, terms)
     shifts = {
         base: theta * ectx.var(partner)
         for base, partner in _partner_pairs(coords, rank)
@@ -270,9 +266,9 @@ def ghost_zero_truncation(ca: ComponentAction) -> GradedPoly:
     ctx = ca.context
     n = len(ctx.even_names)
     ghosted = sum(field_bits(n, k)[0] for k, gh in enumerate(ctx.even_ghost) if gh)
-    terms = ca.action.parts[0].terms if 0 in ca.action.parts else {}
-    kept = {key: c for key, c in terms.items() if not key & ghosted}
-    return GradedPoly(ctx, {0: EvenPoly(ctx.even_names, kept)})
+    ghosted |= -1 << ctx.word_shift  # every odd letter carries a ghost number
+    kept = {key: c for key, c in ca.action.coeffs.items() if not key & ghosted}
+    return GradedPoly._trusted(ctx, kept)
 
 
 def extended_action_reference(package: BFVPackage) -> GradedPoly:
@@ -299,7 +295,7 @@ def extended_action_reference(package: BFVPackage) -> GradedPoly:
         terms.update(_lifted_terms(ectx, None, *p_dx))
     for a, phi in enumerate(constraints.phis, start=1):
         terms.update(_lifted_terms(ectx, phi.even_part(), multiplier_name(a), scale=-1))
-    return _from_buckets(ectx, {0: terms})
+    return GradedPoly._trusted(ectx, terms)
 
 
 def check_bookkeeping(ca: ComponentAction) -> CheckReport:
@@ -381,7 +377,7 @@ def check_bookkeeping(ca: ComponentAction) -> CheckReport:
             graded_mask |= mask
             graded.append((mask, shift, entry.ghost, entry.parity))
     found = []
-    for word, f in ca.action.parts.items():
+    for word, f in ca.action.by_word().items():
         odd = [ctx.odd_names[a] for a in letters(word)]
         if THETA in odd:
             detail = "super-time survives the expansion"
@@ -405,7 +401,7 @@ def check_bookkeeping(ca: ComponentAction) -> CheckReport:
             if parity % 2:
                 found.append((word, key, "odd parity"))
     low = lex_bits(n)
-    found.sort(key=lambda item: (*_word_order(item[0]), item[1] & low))
+    found.sort(key=lambda item: (*word_order(item[0]), item[1] & low))
     for word, key, detail in found:
         factors = monomial_factors(ctx.even_names, unpack(key, n)) + [
             ctx.odd_names[a] for a in letters(word)

@@ -42,7 +42,6 @@ from itertools import combinations
 from .graded import (
     GradedContext,
     GradedPoly,
-    _from_buckets,
     _lifted_terms,
     extended_context,
     ghost_name,
@@ -53,7 +52,7 @@ from .graded import (
     momentum_name,
     window_columns,
 )
-from .linalg import image_in, kernel, read_back, solve, vector_column
+from .linalg import image_in, kernel, read_back, solve
 from .poly import (
     EvenPoly,
     Rat,
@@ -267,20 +266,22 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
 def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), as `Algebroid`
     # stores C, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b, over the
-    # nonzero entries only; each entry is the one term bucket of its word
+    # nonzero entries only; each entry holds the terms of its own word
     ghosts = [1 << ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
     images = {}
     for i, name in enumerate(data.coords):
-        buckets = {g: _lifted_terms(ctx, row[i]) for g, row in zip(ghosts, data.anchor)}
-        images[name] = _from_buckets(ctx, buckets)
-    structure: list[dict] = [{} for _ in range(data.rank)]
+        terms: Terms = {}
+        for g, row in zip(ghosts, data.anchor):
+            terms.update(_lifted_terms(ctx, row[i], word=g))
+        images[name] = GradedPoly._trusted(ctx, terms)
+    structure: list[Terms] = [{} for _ in range(data.rank)]
     for (a, b), entries in data.nonzero_structure.items():
         if a < b:
             word, sign = merge_words(ghosts[a], ghosts[b])
             for c, f in entries:
-                structure[c][word] = _lifted_terms(ctx, f, scale=-sign)
-    for c, buckets in enumerate(structure):
-        images[ghost_name(c + 1)] = _from_buckets(ctx, buckets)
+                structure[c].update(_lifted_terms(ctx, f, scale=-sign, word=word))
+    for c, terms in enumerate(structure):
+        images[ghost_name(c + 1)] = GradedPoly._trusted(ctx, terms)
     return images
 
 
@@ -291,14 +292,14 @@ def defect_lift(data: Algebroid) -> GradedPoly:
     that context orders x, p and xi, pi, so words and exponents are direct.
     """
     ctx, r = data._ghost_context, data.rank
-    buckets: dict[int, Terms] = {}  # the p_i of R1^i_ab tell its entries apart
+    terms: Terms = {}  # the word and the p_i of R1^i_ab tell its entries apart
     for (a, b, i), value in data.anchor_defect.items():
         p_i = momentum_name(data.coords[i])
-        buckets.setdefault(1 << a | 1 << b, {}).update(_lifted_terms(ctx, value, p_i))
+        terms.update(_lifted_terms(ctx, value, p_i, word=1 << a | 1 << b))
     for (a, b, c, d), value in data.jacobi_defect.items():
         word = 1 << a | 1 << b | 1 << c | 1 << r + d
-        buckets[word] = _lifted_terms(ctx, value, scale=Rat(1, 2))
-    return _from_buckets(ctx, buckets)
+        terms.update(_lifted_terms(ctx, value, scale=Rat(1, 2), word=word))
+    return GradedPoly._trusted(ctx, terms)
 
 
 def check_axioms(data: Algebroid) -> CheckReport:
@@ -411,14 +412,15 @@ def is_exact_one_form(
 ) -> EvenPoly | None:
     """Solve Q f = alpha for a primitive f of x-degree <= degree.
 
-    alpha is a 1-form alpha_a xi^a in `ghost_context(data)`, whose terms are
-    keyed like the columns.
+    alpha is a 1-form alpha_a xi^a in `ghost_context(data)`, whose term
+    keys are the row keys of the columns, so its terms are the right-hand
+    side as they are.
     """
     ctx = ghost_context(data)
-    if alpha.ctx != ctx or any(w.bit_count() != 1 for w in alpha.parts):
+    if alpha.ctx != ctx or any(w.bit_count() != 1 for w in alpha.by_word()):
         raise ValueError("exactness query takes a 1-form in the ghost context")
     sources, columns = window_columns(ctx, q_images(data, ctx), [0], degree)
-    result = solve(columns, vector_column(alpha.parts))
+    result = solve(columns, alpha.coeffs)
     if result is None:
         return None
     unknowns = [(word, e) for word, e, _ in sources]

@@ -24,13 +24,13 @@ from .graded import (
     GradedPoly,
     OddWord,
     _accumulate_product,
-    _from_buckets,
     _lifted_terms,
     antighost_name,
     ghost_name,
     in_window,
     left_derivation,
     letters,
+    merge_words,
     momentum_name,
     momentum_orders,
     transport,
@@ -63,15 +63,16 @@ THETA = "theta"
 
 
 def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly]:
-    """p_i minus the ghost-pair correction of the connection."""
+    """p_i minus the ghost-pair correction of the connection,
+    p_i - omega^b_ai xi^a pi_b: each (a, b) holds the terms of its own word."""
     if pack.omega is None:
         raise ValueError("covariant momenta need the connection omega")
-    out = [ctx.var(momentum_name(name)) for name in pack.coords]
+    out = [_lifted_terms(ctx, None, momentum_name(name)) for name in pack.coords]
     for (b, a, i), w in pack.omega.items():
-        out[i] = out[i] - ctx.lift(w) * ctx.var(ghost_name(a + 1)) * ctx.var(
-            antighost_name(b + 1)
-        )
-    return out
+        xi, pi = ctx.odd_index[ghost_name(a + 1)], ctx.odd_index[antighost_name(b + 1)]
+        word, sign = merge_words(1 << xi, 1 << pi)
+        out[i].update(_lifted_terms(ctx, w, scale=-sign, word=word))
+    return [GradedPoly._trusted(ctx, terms) for terms in out]
 
 
 def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
@@ -83,15 +84,16 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     if pack.beta is not None:
         raise ValueError(DRIFT_REFUSAL)
     pcov = covariant_momenta(pack, ctx)
-    buckets: dict[OddWord, Terms] = {0: _lifted_terms(ctx, pack.potential)}
+    s = ctx.word_shift
+    terms = _lifted_terms(ctx, pack.potential)
     for i, row in enumerate(pack.g_inv):
-        half_row: dict[OddWord, Terms] = {}  # 1/2 g^ij pcov_j over the nonzero g^ij
+        half_row: Terms = {}  # 1/2 g^ij pcov_j over the nonzero g^ij
         for j, g in enumerate(row):
             if g.terms:
-                half_g = {0: _lifted_terms(ctx, g, scale=Rat(1, 2))}
-                _accumulate_product(half_row, pcov[j].parts, half_g)
-        _accumulate_product(buckets, pcov[i].parts, half_row)
-    return _from_buckets(ctx, buckets)
+                half_g = _lifted_terms(ctx, g, scale=Rat(1, 2))
+                _accumulate_product(half_row, pcov[j].coeffs, half_g, s)
+        _accumulate_product(terms, pcov[i].coeffs, half_row, s)
+    return GradedPoly(ctx, terms)
 
 
 def supercharge_context(ctx: GradedContext) -> GradedContext:
@@ -175,7 +177,7 @@ def _cartan_core(cs: ConstraintSet, pack: GeometryPack, R: GradedPoly) -> CheckR
     # candidate entries from the momentum-linear xi xi pi words
     tensor: dict[tuple[int, int, int, int], EvenPoly] = {}
     offending: list[str] = []
-    for word, coeff in R.parts.items():
+    for word, coeff in R.by_word().items():
         word_letters = letters(word)
         ghost_count = sum(ctx.odd_ghost[k] == 1 for k in word_letters)
         if (len(word_letters), ghost_count) == (3, 2):
@@ -197,17 +199,22 @@ def _cartan_core(cs: ConstraintSet, pack: GeometryPack, R: GradedPoly) -> CheckR
     if offending:
         return _shape_finding("offending words: " + ", ".join(sorted(offending)))
 
-    # the normalization is fixed by reassembling the residual exactly
-    pcov = covariant_momenta(pack, ctx)
-    blocks: dict[int, GradedPoly] = {}
+    # the normalization is fixed by reassembling the residual exactly:
+    # R = -g^ij pcov_i block_j, block_j the sum of entry xi^a xi^b pi_c
+    pcov, s = covariant_momenta(pack, ctx), ctx.word_shift
+    blocks: dict[int, Terms] = {}
     for (c, j, a, b), entry in tensor.items():
-        blocks[j] = blocks.get(j, ctx.zero()) + ctx.lift(entry) * ctx.var(
-            ghost_name(a + 1)
-        ) * ctx.var(ghost_name(b + 1)) * ctx.var(antighost_name(c + 1))
-    rebuilt = ctx.zero()
+        word = 1 << a | 1 << b | 1 << r + c  # the word it was read off
+        blocks.setdefault(j, {}).update(_lifted_terms(ctx, entry, word=word))
+    terms: Terms = {}
     for j, block in blocks.items():
+        row: Terms = {}  # -g^ij pcov_i over the nonzero g^ij
         for i in range(n):
-            rebuilt = rebuilt - ctx.lift(pack.g_inv[i][j]) * pcov[i] * block
+            if pack.g_inv[i][j].terms:
+                minus_g = _lifted_terms(ctx, pack.g_inv[i][j], scale=-1)
+                _accumulate_product(row, minus_g, pcov[i].coeffs, s)
+        _accumulate_product(terms, row, block, s)
+    rebuilt = GradedPoly(ctx, terms)
     if rebuilt != R:
         return _shape_finding(f"unmatched part: {R - rebuilt}")
 

@@ -34,7 +34,6 @@ from .graded import (
     GradedContext,
     GradedPoly,
     _accumulate_product,
-    _from_buckets,
     _lifted_terms,
     extended_context,
     ghost_name,
@@ -112,7 +111,7 @@ class ConstraintSet:
             terms = _lifted_terms(ctx, f)  # no term of it holds a momentum,
             for rho, p in zip(row, momenta):  # each of these one p_i alone
                 terms.update(_lifted_terms(ctx, rho, p))
-            phis.append(_from_buckets(ctx, {0: terms}))
+            phis.append(GradedPoly._trusted(ctx, terms))
         return tuple(phis)
 
     @property
@@ -202,9 +201,12 @@ def affine_charge(
 
 
 def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
-    """alpha_a xi^a from checked components: each is the bucket of its letter."""
-    bits = [1 << ctx.odd_index[ghost_name(c + 1)] for c in range(len(alpha))]
-    return _from_buckets(ctx, {b: _lifted_terms(ctx, f) for b, f in zip(bits, alpha)})
+    """alpha_a xi^a from checked components: each holds the terms of its letter."""
+    terms = {}
+    for c, f in enumerate(alpha):
+        word = 1 << ctx.odd_index[ghost_name(c + 1)]
+        terms.update(_lifted_terms(ctx, f, word=word))
+    return GradedPoly._trusted(ctx, terms)
 
 
 def decompose_fiber_affine(
@@ -214,7 +216,7 @@ def decompose_fiber_affine(
 
     Both pieces come back over the positions-only subring.
     """
-    if any(word for word in F.parts):
+    if any(word for word in F.by_word()):
         raise ValueError("constraint has odd content")
     paired = {name for pair in ctx.pairs_even for name in pair}
     for name in ctx.even_names:
@@ -248,12 +250,14 @@ def structural_two_form(
     if affine.is_zero and not pairs:
         return affine  # no alpha and no B: nothing to differentiate or pull back
     images = q_images(data, ctx)
-    structural = left_derivation(ctx, images, affine)
+    terms = dict(left_derivation(ctx, images, affine).coeffs)
     for i, j in pairs:
-        structural = structural - ctx.lift(magnetic[i][j]) * (
-            images[data.coords[i]] * images[data.coords[j]]
-        )
-    return structural
+        pulled = {}
+        q_i, q_j = images[data.coords[i]].coeffs, images[data.coords[j]].coeffs
+        _accumulate_product(pulled, q_i, q_j, ctx.word_shift)
+        minus_b = _lifted_terms(ctx, magnetic[i][j], scale=-1)
+        _accumulate_product(terms, minus_b, pulled, ctx.word_shift)
+    return GradedPoly(ctx, terms)
 
 
 def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
@@ -297,16 +301,15 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     `closure`; disagreement between the two routes raises.
     """
     data, ctx = cs.data, cs.ctx
-    closure = cs.closure.parts
+    closure = cs.closure.by_word()
     brackets: dict[tuple[int, int], GradedPoly] = {}
     fields = [ctx.hamiltonian_field(phi) for phi in cs.phis[:-1]]  # {Phi_a, .}
     for a, b in combinations(range(cs.rank), 2):
-        R = left_derivation(ctx, fields[a], cs.phis[b])
-        buckets = {word: dict(f.terms) for word, f in R.parts.items()}
+        terms = dict(left_derivation(ctx, fields[a], cs.phis[b]).coeffs)
         for c, f in data.nonzero_structure.get((a, b), ()):  # - C^c_ab Phi_c
-            minus_f = {0: _lifted_terms(ctx, f, scale=-1)}
-            _accumulate_product(buckets, cs.phis[c].parts, minus_f)
-        R = _from_buckets(ctx, buckets)
+            minus_f = _lifted_terms(ctx, f, scale=-1)
+            _accumulate_product(terms, minus_f, cs.phis[c].coeffs, ctx.word_shift)
+        R = GradedPoly(ctx, terms)
         word = 1 << a | 1 << b
         expected = ctx.lift(closure[word]) if word in closure else ctx.zero()
         if R != expected:
@@ -503,14 +506,15 @@ def _integral(row: Sequence[EvenPoly]) -> list[EvenPoly]:
 
 
 def _rank_at(
-    rows: list[list[EvenPoly]], degrees: list[int], point: tuple[Rat, ...]
+    rows: list[list[list[tuple]]], degrees: list[int], point: tuple[Rat, ...]
 ) -> int:
     """The rank of the integral rows at a rational point, over the integers.
 
-    With the point written as X / D over the common denominator D, a row
-    of degree d times D^d has the integer entries sum c X^e D^(d - |e|);
-    scaling a row by a nonzero constant keeps the rank.  Each row is one
-    column: the rank of the transpose is the same.
+    Each entry of a row is given by its terms (c, exponent tuple), unpacked
+    once for every point.  With the point written as X / D over the common
+    denominator D, a row of degree d times D^d has the integer entries sum
+    c X^e D^(d - |e|); scaling a row by a nonzero constant keeps the rank.
+    Each row is one column: the rank of the transpose is the same.
     """
     scale = lcm(*(v.denominator for v in point))
     numerators = [v.numerator * (scale // v.denominator) for v in point]
@@ -518,10 +522,9 @@ def _rank_at(
     for row, degree in zip(rows, degrees):
         powers = [scale**k for k in range(degree + 1)]
         column = {}
-        for i, f in enumerate(row):
+        for i, terms in enumerate(row):
             total = 0
-            for key, c in f.terms.items():
-                e = unpack(key, len(point))
+            for c, e in terms:
                 term = c * powers[degree - sum(e)]
                 for value, k in zip(numerators, e):
                     if k:
@@ -562,8 +565,12 @@ def irreducibility_probe(
             )
         )
 
-    rows = [_integral(row) for row in data.anchor]
-    degrees = [max((f.total_degree() for f in row), default=0) for row in rows]
+    integral = [_integral(row) for row in data.anchor]
+    degrees = [max((f.total_degree() for f in row), default=0) for row in integral]
+    rows = [  # each term unpacked once, for every point
+        [[(c, unpack(e, n)) for e, c in f.terms.items()] for f in row]
+        for row in integral
+    ]
     point_results = [
         (point, _rank_at(rows, degrees, point)) for point in probe_points
     ]

@@ -32,7 +32,6 @@ from .constraints import ConstraintSet, Matrix
 from .graded import (
     GradedContext,
     GradedPoly,
-    _from_buckets,
     _lifted_terms,
     left_derivation,
     momentum_name,
@@ -43,6 +42,7 @@ from .poly import (
     EvenPoly,
     Exponent,
     Rat,
+    Terms,
     accumulate_product,
     derivative,
     monomial_exponents,
@@ -174,7 +174,7 @@ def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
         for j in range(i, len(row)):  # g is symmetric: g^ij + g^ji = 2 g^ij
             half = Rat(1, 2) if i == j else 1
             terms.update(_lifted_terms(ctx, row[j], p[i], p[j], scale=half))
-    return _from_buckets(ctx, {0: terms})
+    return GradedPoly._trusted(ctx, terms)
 
 
 # structural residual families
@@ -345,24 +345,24 @@ def check_evolution_invariance(
     H = build_hamiltonian(pack, ctx)
     data = cs.data
     r = data.rank
-    # gamma^b_a by (b, a), built once from the nonzero omega and tau
-    momenta = [ctx.var(momentum_name(name)) for name in data.coords]
-    gammas = {key: -ctx.lift(t) for key, t in pack.tau.items()}
+    # -gamma^b_a = tau^b_a - omega^b_ai g^ij p_j by (b, a), no odd word in it
+    momenta = [momentum_name(name) for name in data.coords]
+    minus_gammas = {key: _lifted_terms(ctx, t) for key, t in pack.tau.items()}
     for (b, a, i), w in pack.omega.items():
-        for j in range(data.base_dim):
-            if not pack.g_inv[i][j].is_zero:
-                term = ctx.lift(w * pack.g_inv[i][j]) * momenta[j]
-                gammas[(b, a)] = gammas.get((b, a), ctx.zero()) + term
+        terms = minus_gammas.setdefault((b, a), {})
+        for j, g in enumerate(pack.g_inv[i]):
+            if g.terms:
+                minus_w = _lifted_terms(ctx, w, momenta[j], scale=-1)
+                accumulate_product(terms, minus_w, _lifted_terms(ctx, g))
 
     bracket_residuals: list[GradedPoly] = []
     field = ctx.hamiltonian_field(H)  # {H, .}, applied to every Phi_a
     for a in range(r):
-        R = left_derivation(ctx, field, cs.phis[a])
+        terms = dict(left_derivation(ctx, field, cs.phis[a]).coeffs)
         for b in range(r):
-            gamma = gammas.get((b, a))
-            if gamma is not None:
-                R = R - gamma * cs.phis[b]
-        bracket_residuals.append(R)
+            if (b, a) in minus_gammas:
+                accumulate_product(terms, minus_gammas[(b, a)], cs.phis[b].coeffs)
+        bracket_residuals.append(GradedPoly(ctx, terms))
     residuals = family_residuals(
         "evolution", {(a,): R for a, R in enumerate(bracket_residuals)}, "a"
     )
@@ -400,8 +400,7 @@ def _assert_decomposition(
 ) -> None:
     """Compare each residual R_a with P_a, predicted from the families.
 
-    With the raised momenta q_u = g^uj p_j, built here on their own, and the
-    nonzero family entries only,
+    With the raised momenta q_u = g^uj p_j and the nonzero family entries,
 
         P_a = k0 V_a + k1 A_am q_m + k2 sum_{u <= v} c_uv M_auv q_u q_v,
 
@@ -411,28 +410,24 @@ def _assert_decomposition(
     """
     k2, k1, k0 = DECOMPOSITION_SIGNS
     n = data.base_dim
-    q: list[GradedPoly] = []
+    momenta = [momentum_name(name) for name in data.coords]
+    q: list[Terms] = [{} for _ in range(n)]  # each g^uj p_j its own momentum
+    for u, g_row in enumerate(pack.g_inv):
+        for g, p in zip(g_row, momenta):
+            q[u].update(_lifted_terms(ctx, g, p))
     for a, R in enumerate(bracket_residuals):
-        P = ctx.lift(families.potential[a] * k0)
+        P = _lifted_terms(ctx, families.potential[a], scale=k0)
         for u in range(n):
-            A = families.alpha[(a, u)]
-            row = [(v, families.metric[(a, u, v)]) for v in range(u, n)]
-            row = [(v, M) for v, M in row if not M.is_zero]
-            if A.is_zero and not row:
-                continue
-            if not q:
-                momenta = [ctx.var(momentum_name(name)) for name in data.coords]
-                q = [
-                    sum((ctx.lift(g) * p for g, p in zip(g_row, momenta)), ctx.zero())
-                    for g_row in pack.g_inv
-                ]
-            cofactor = ctx.lift(A * k1)
-            for v, M in row:
-                c = k2 if u < v else Rat(k2, 2)
-                cofactor = cofactor + ctx.lift(M * c) * q[v]
-            P = P + q[u] * cofactor
-        if R != P:
-            parts = (R - P).parts.values()
+            cofactor = _lifted_terms(ctx, families.alpha[(a, u)], scale=k1)
+            for v in range(u, n):
+                M = families.metric[(a, u, v)]
+                if M.terms:
+                    half = _lifted_terms(ctx, M, scale=k2 if u < v else Rat(k2, 2))
+                    accumulate_product(cofactor, half, q[v])
+            accumulate_product(P, q[u], cofactor)
+        predicted = GradedPoly(ctx, P)
+        if R != predicted:
+            parts = (R - predicted).by_word().values()
             order = max(len(w) for f in parts for w in momentum_orders(ctx, f))
             raise RuntimeError(
                 f"internal dual-route mismatch at momentum order {order}"

@@ -3,9 +3,10 @@
 A `GradedContext` fixes even coordinates, odd (anticommuting) letters, their
 ghost degrees, which coordinates are canonically paired, and an optional
 antisymmetric twist of the momentum-momentum bracket.  A `GradedPoly` is a
-polynomial in that context, stored as a map from odd words to even
-coefficient polynomials, with the Koszul sign produced on every merge.  An
-odd word is a bitmask: letter a is bit a, and `letters` lists it ascending.
+polynomial in that context, one dict of terms keyed `word << word_shift |
+exponent`, so a product of terms is a sum of keys with the Koszul sign of
+the words.  An odd word is a bitmask: letter a is bit a, and `letters`
+lists it ascending.
 
 Bracket conventions, fixed once for the whole engine:
 
@@ -25,14 +26,14 @@ with all derivatives acting from the left.
 
 from __future__ import annotations
 
-from functools import cache, reduce
-from operator import mul, xor
+from functools import cache
+from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .poly import (
+    FIELD,
     WIDTH,
     EvenPoly,
-    Exponent,
     Scalar,
     Terms,
     accumulate_product,
@@ -44,6 +45,7 @@ from .poly import (
     monomial_exponents,
     monomial_factors,
     pack,
+    rekey,
     render_sum,
     support,
     unpack,
@@ -55,7 +57,12 @@ OddWord = int
 @cache
 def letters(word: OddWord) -> tuple[int, ...]:
     """The letters of a word, ascending; cached, as the same words recur."""
-    return tuple(a for a, bit in enumerate(bin(word)[:1:-1]) if bit == "1")
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return tuple(out)
 
 
 def word_label(ctx: GradedContext, word: OddWord) -> str:
@@ -63,11 +70,17 @@ def word_label(ctx: GradedContext, word: OddWord) -> str:
     return " ".join(ctx.odd_names[k] for k in letters(word))
 
 
+def word_order(word: OddWord) -> tuple[int, tuple[int, ...]]:
+    """The order words are listed in: letter count, then ascending letters."""
+    return word.bit_count(), letters(word)
+
+
 def word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
     """One residual `tag[word]` per odd word of F, shortest words first."""
+    parts = F.by_word()
     return [
-        (f"{tag}[{word_label(F.ctx, word)}]", str(F.parts[word]))
-        for word in sorted(F.parts, key=lambda w: (w.bit_count(), letters(w)))
+        (f"{tag}[{word_label(F.ctx, word)}]", str(parts[word]))
+        for word in sorted(parts, key=word_order)
     ]
 
 
@@ -75,7 +88,10 @@ def word_residuals(tag: str, F: GradedPoly) -> list[tuple[str, str]]:
 def _koszul_mask(word: OddWord) -> int:
     """The letters with an odd count of letters of `word` below them, so that
     `(w1 & _koszul_mask(w2)).bit_count()` has the parity of the sign of w1 w2."""
-    return reduce(xor, (-2 << b for b in letters(word)), 0)
+    mask = 0
+    for b in letters(word):
+        mask ^= -2 << b
+    return mask
 
 
 def merge_words(w1: OddWord, w2: OddWord) -> tuple[OddWord | None, int]:
@@ -107,21 +123,21 @@ class GradedContext:
         if len(set(all_names)) != len(all_names):
             raise ValueError("coordinate names must be unique")
         self.even_index = {name: k for k, name in enumerate(self.even_names)}
+        # a term's key holds its odd word above its exponent and degree field
+        n = len(self.even_names)
+        self.word_shift = WIDTH * (n + 1)
+        self._even_fields = [(x, *field_bits(n, k)) for k, (x, _) in enumerate(even)]
         self.odd_index = {name: a for a, name in enumerate(self.odd_names)}
         self.pairs_even = tuple((p, x) for p, x in pairs_even)
         self.pairs_odd = tuple((xi, pi) for xi, pi in pairs_odd)
         self._validate_pairs()
-        # where the sweep of `hamiltonian_field` writes each derivative:
-        # d/dp_i on x^i, -d/dx^i on p_i, and d/dxi^a and d/dpi_a, with the
-        # sign -(-1)^|word| of the bracket formula, on pi_a and xi^a
-        self._field_even: list = [None] * len(even)
-        self._field_odd: list = [None] * len(odd)
-        for p, x in self.pairs_even:
-            self._field_even[self.even_index[p]] = (x, 1)
-            self._field_even[self.even_index[x]] = (p, -1)
+        # where `hamiltonian_field` writes the derivative in each coordinate,
+        # with its sign by the parity of the word: d/dp_i on x^i, -d/dx^i on
+        # p_i, and d/dxi^a, d/dpi_a on pi_a, xi^a with the sign -(-1)^|word|
+        self._partners = {p: (x, 1, 1) for p, x in self.pairs_even}
+        self._partners.update({x: (p, -1, -1) for p, x in self.pairs_even})
         for xi, pi in self.pairs_odd:
-            self._field_odd[self.odd_index[xi]] = (pi, (-1, 1))
-            self._field_odd[self.odd_index[pi]] = (xi, (-1, 1))
+            self._partners.update({xi: (pi, -1, 1), pi: (xi, -1, 1)})
         self.twist = self._validate_twist(twist)
 
     def _validate_pairs(self) -> None:
@@ -190,24 +206,25 @@ class GradedContext:
     # constructors for elements
 
     def zero(self) -> GradedPoly:
-        return GradedPoly(self, {})
+        return GradedPoly._trusted(self, {})
 
     def const(self, value: Scalar) -> GradedPoly:
-        return GradedPoly(self, {0: EvenPoly.const(self.even_names, value)})
+        return GradedPoly(self, {0: as_rat(value)})
 
     def var(self, name: str) -> GradedPoly:
         if name in self.even_index:
-            return GradedPoly(self, {0: EvenPoly.variable(self.even_names, name)})
+            key = field_bits(len(self.even_names), self.even_index[name])[2]
+            return GradedPoly._trusted(self, {key: 1})
         if name in self.odd_index:
-            one = EvenPoly.const(self.even_names, 1)
-            return GradedPoly(self, {1 << self.odd_index[name]: one})
+            letter = self.word_shift + self.odd_index[name]
+            return GradedPoly._trusted(self, {1 << letter: 1})
         raise KeyError(f"{name!r} is not a coordinate of this context")
 
     def lift(self, f: EvenPoly) -> GradedPoly:
         """View an even polynomial (possibly over a subring) as a graded one."""
         if f.coords != self.even_names:
             f = embed(f, self.even_names)
-        return GradedPoly(self, {0: f})
+        return GradedPoly._trusted(self, f.terms)
 
     def parity_of(self, name: str) -> int:
         if name in self.even_index:
@@ -236,18 +253,24 @@ class GradedContext:
         """
         if F.ctx != self:
             raise ValueError("bracket arguments belong to a different context")
-        field: dict[str, dict[OddWord, Terms]] = {}
-        _sweep(F, self._field_even, self._field_odd, field)
-        if self.twist is not None:
+        field: dict[str, Terms] = {}
+
+        def target(name: str) -> tuple | None:
+            if name in self._partners:
+                partner, even, odd = self._partners[name]
+                return even, odd, field.setdefault(partner, {})
+            return None
+
+        _sweep(F, target)
+        if self.twist is None:  # each image holds a derivative, none zero
+            return {name: GradedPoly._trusted(self, t) for name, t in field.items()}
+        for i, (_, x_i) in enumerate(self.pairs_even):
             # {p_i, p_j} = W_ij: field[p_j] gains dF/dp_i W_ij = field[x^i] W_ij
-            for i, (_, x_i) in enumerate(self.pairs_even):
-                for j, (p_j, _) in enumerate(self.pairs_even):
-                    w = self.twist[i][j].terms
-                    if w and x_i in field:
-                        out = field.setdefault(p_j, {})
-                        for word, terms in field[x_i].items():
-                            accumulate_product(out.setdefault(word, {}), terms, w)
-        images = {name: _from_buckets(self, field[name]) for name in field}
+            for j, (p_j, _) in enumerate(self.pairs_even):
+                w = self.twist[i][j].terms
+                if w and x_i in field:
+                    accumulate_product(field.setdefault(p_j, {}), field[x_i], w)
+        images = {name: GradedPoly(self, terms) for name, terms in field.items()}
         return {name: image for name, image in images.items() if not image.is_zero}
 
     def poisson(self, F: GradedPoly, G: GradedPoly) -> GradedPoly:
@@ -258,38 +281,37 @@ class GradedContext:
 
 
 class GradedPoly:
-    """Polynomial in a graded context: odd words with even coefficients."""
+    """Polynomial in a graded context: `coeffs` maps the key `word <<
+    ctx.word_shift | exponent` of each term to its nonzero coefficient, so
+    equality of the dicts is equality of polynomials.  `terms()` lists the
+    terms unpacked; `by_word()` groups them into each word's coefficient."""
 
-    __slots__ = ("ctx", "parts")
+    __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: GradedContext, parts: Mapping[OddWord, EvenPoly]):
+    def __init__(self, ctx: GradedContext, coeffs: Mapping[int, Scalar]):
         self.ctx = ctx
-        self.parts: dict[OddWord, EvenPoly] = {
-            word: f for word, f in parts.items() if not f.is_zero
-        }
+        self.coeffs: Terms = {key: c for key, c in coeffs.items() if c}
 
     @classmethod
-    def _trusted(
-        cls, ctx: GradedContext, parts: dict[OddWord, EvenPoly]
-    ) -> GradedPoly:
-        """Wrap parts that already hold no zero coefficient, without filtering."""
+    def _trusted(cls, ctx: GradedContext, coeffs: Terms) -> GradedPoly:
+        """Wrap terms that already hold no zero coefficient, without filtering."""
         poly = object.__new__(cls)
         poly.ctx = ctx
-        poly.parts = parts
+        poly.coeffs = coeffs
         return poly
 
     @property
     def is_zero(self) -> bool:
-        return not self.parts
+        return not self.coeffs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.ctx == other.ctx and self.parts == other.parts
+        return self.ctx == other.ctx and self.coeffs == other.coeffs
 
     def _coerce(self, other: GradedPoly | EvenPoly | Scalar) -> GradedPoly:
         if isinstance(other, GradedPoly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("operands belong to different graded contexts")
             return other
         if isinstance(other, EvenPoly):
@@ -297,18 +319,15 @@ class GradedPoly:
         return self.ctx.const(other)
 
     def __add__(self, other: GradedPoly | EvenPoly | Scalar) -> GradedPoly:
-        other = self._coerce(other)
-        parts = dict(self.parts)
-        for word, f in other.parts.items():
-            parts[word] = parts[word] + f if word in parts else f
-        return GradedPoly(self.ctx, parts)
+        coeffs = dict(self.coeffs)
+        for key, c in self._coerce(other).coeffs.items():
+            coeffs[key] = coeffs.get(key, 0) + c
+        return GradedPoly(self.ctx, coeffs)
 
     __radd__ = __add__
 
     def __neg__(self) -> GradedPoly:
-        return GradedPoly._trusted(
-            self.ctx, {word: -f for word, f in self.parts.items()}
-        )
+        return GradedPoly._trusted(self.ctx, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other: GradedPoly | EvenPoly | Scalar) -> GradedPoly:
         return self + (-self._coerce(other))
@@ -322,15 +341,13 @@ class GradedPoly:
                 other = self.ctx.lift(other)
             else:
                 scalar = as_rat(other)
-                return GradedPoly(
-                    self.ctx, {w: f * scalar for w, f in self.parts.items()}
-                )
-        elif other.ctx != self.ctx:
+                scaled = {k: c * scalar for k, c in self.coeffs.items()}
+                return GradedPoly(self.ctx, scaled)
+        elif other.ctx is not self.ctx and other.ctx != self.ctx:
             raise ValueError("operands belong to different graded contexts")
-        buckets: dict[OddWord, Terms] = {}
-        right = {word: f.terms for word, f in other.parts.items()}
-        _accumulate_product(buckets, self.parts, right)
-        return _from_buckets(self.ctx, buckets)
+        out: Terms = {}
+        _accumulate_product(out, self.coeffs, other.coeffs, self.ctx.word_shift)
+        return GradedPoly(self.ctx, out)
 
     def __rmul__(self, other: EvenPoly | Scalar) -> GradedPoly:
         # even scalars and even polynomials commute with everything
@@ -351,27 +368,38 @@ class GradedPoly:
 
     def parity(self) -> int:
         """Parity of a parity-homogeneous element; the zero element counts as even."""
-        parities = {w.bit_count() % 2 for w in self.parts}
+        s = self.ctx.word_shift
+        parities = {(key >> s).bit_count() & 1 for key in self.coeffs}
         if len(parities) > 1:
             raise ValueError("element is not parity homogeneous")
         return parities.pop() if parities else 0
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Scalar]]:
         """All scalar monomials (ascending letters, exponent tuple, coefficient)."""
-        n = len(self.ctx.even_names)
-        for word, f in self.parts.items():
-            word_letters = letters(word)
-            for exponent, coeff in f.terms.items():
-                yield word_letters, unpack(exponent, n), coeff
+        n, s = len(self.ctx.even_names), self.ctx.word_shift
+        low = (1 << s) - 1
+        for key, coeff in self.coeffs.items():
+            yield letters(key >> s), unpack(key & low, n), coeff
+
+    def by_word(self) -> dict[OddWord, EvenPoly]:
+        """The even coefficient of each odd word: the terms grouped on demand,
+        in a fresh dict, for the readers that need a word's coefficient whole."""
+        s = self.ctx.word_shift
+        low = (1 << s) - 1
+        groups: dict[OddWord, Terms] = {}
+        for key, c in self.coeffs.items():
+            groups.setdefault(key >> s, {})[key & low] = c
+        names = self.ctx.even_names
+        return {word: EvenPoly._trusted(names, t) for word, t in groups.items()}
 
     def ghost_degree(self) -> int:
         """Ghost degree of a ghost-homogeneous element; zero counts as degree 0."""
-        ctx, n = self.ctx, len(self.ctx.even_names)
-        ghosts = {  # with no even ghost, the key 0 stands for every exponent
-            sum(ctx.odd_ghost[a] for a in letters(word))
-            + sum(map(mul, unpack(e, n), ctx.even_ghost))
-            for word, f in self.parts.items()
-            for e in (f.terms if any(ctx.even_ghost) else (0,))
+        ctx, n, s = self.ctx, len(self.ctx.even_names), self.ctx.word_shift
+        low = (1 << s) - 1 if any(ctx.even_ghost) else 0  # 0: no even ghost
+        ghosts = {
+            sum(ctx.odd_ghost[a] for a in letters(key >> s))
+            + sum(map(mul, unpack(key & low, n), ctx.even_ghost))
+            for key in self.coeffs
         }
         if len(ghosts) > 1:
             raise ValueError(f"element mixes ghost degrees {sorted(ghosts)}")
@@ -379,28 +407,19 @@ class GradedPoly:
 
     def even_part(self) -> EvenPoly:
         """The odd-word-free coefficient."""
-        return self.parts.get(0, _zero_even(self.ctx))
+        return self.by_word().get(0) or EvenPoly.zero(self.ctx.even_names)
 
     def left_deriv(self, name: str) -> GradedPoly:
         """Left derivative with respect to one coordinate."""
         ctx = self.ctx
-        if name in ctx.even_index:
-            return GradedPoly(
-                ctx, {w: f.diff(name) for w, f in self.parts.items()}
-            )
-        if name not in ctx.odd_index:
+        if name not in ctx.even_index and name not in ctx.odd_index:
             raise KeyError(f"{name!r} is not a coordinate of this context")
-        # distinct words holding the letter stay distinct once it is removed
-        bit = 1 << ctx.odd_index[name]
-        parts: dict[OddWord, EvenPoly] = {}
-        for word, f in self.parts.items():
-            if word & bit:
-                position = (word & (bit - 1)).bit_count()
-                parts[word ^ bit] = -f if position % 2 else f
-        return GradedPoly._trusted(ctx, parts)
+        out: Terms = {}
+        _sweep(self, lambda z: (1, 1, out) if z == name else None)
+        return GradedPoly._trusted(ctx, out)
 
     def __str__(self) -> str:
-        ctx = self.ctx
+        ctx, parts = self.ctx, self.by_word()
         n = len(ctx.even_names)
         return render_sum(
             (
@@ -408,91 +427,73 @@ class GradedPoly:
                 monomial_factors(ctx.even_names, unpack(exponent, n))
                 + [ctx.odd_names[a] for a in letters(word)],
             )
-            for word in sorted(self.parts, key=lambda w: (w.bit_count(), letters(w)))
-            for exponent, coeff in self.parts[word].sorted_terms()
+            for word in sorted(parts, key=word_order)
+            for exponent, coeff in parts[word].sorted_terms()
         )
 
     def __repr__(self) -> str:
         return f"GradedPoly({str(self)!r})"
 
 
-def _zero_even(ctx: GradedContext) -> EvenPoly:
-    return EvenPoly.zero(ctx.even_names)
-
-
-def _accumulate_product(
-    buckets: dict[OddWord, Terms],
-    left: Mapping[OddWord, EvenPoly],
-    right: Mapping[OddWord, Terms],
-) -> None:
-    """Add the product of a parts mapping and per-word terms to term buckets.
-
-    Each word pair contributes its even product straight into the bucket of
-    the merged word, with the Koszul sign of the merge; cancelled terms stay
-    behind as zeros until `_from_buckets`.
-    """
-    masks = [(w2, _koszul_mask(w2), terms) for w2, terms in right.items()]
-    for w1, f1 in left.items():
-        left_terms = f1.terms
-        for w2, mask, right_terms in masks:
-            if w1 & w2:
-                continue
-            merged = w1 | w2
-            sign = -1 if (w1 & mask).bit_count() & 1 else 1
-            bucket = buckets.get(merged)
-            if bucket is None:
-                bucket = buckets[merged] = {}
-            accumulate_product(bucket, left_terms, right_terms, sign)
-
-
-def _from_buckets(ctx: GradedContext, buckets: dict[OddWord, Terms]) -> GradedPoly:
-    """Wrap per-word term buckets once each, dropping cancelled terms and words;
-    one with nothing cancelled is wrapped as it is, as terms never change."""
-    names = ctx.even_names
-    parts: dict[OddWord, EvenPoly] = {}
-    for word, bucket in buckets.items():
-        if not all(bucket.values()):
-            bucket = {e: c for e, c in bucket.items() if c}
-        if bucket:
-            parts[word] = EvenPoly._trusted(names, bucket)
-    return GradedPoly._trusted(ctx, parts)
+def _accumulate_product(out: Terms, left: Terms, right: Terms, shift: int) -> None:
+    """Add left * right to the term dict `out`, for keys with words at `shift`:
+    two terms with a common letter multiply to zero, any other two to the sum
+    of their keys with the Koszul sign of their words.  Cancelled terms stay
+    behind as zeros for the caller to drop."""
+    get = out.get
+    for k2, c2 in right.items():
+        w2 = k2 >> shift
+        mask = _koszul_mask(w2)
+        for k1, c1 in left.items():
+            w1 = k1 >> shift
+            if not w1 & w2:
+                key = k1 + k2
+                if (w1 & mask).bit_count() & 1:
+                    out[key] = get(key, 0) - c1 * c2
+                else:
+                    out[key] = get(key, 0) + c1 * c2
 
 
 def _lifted_terms(
-    ctx: GradedContext, f: EvenPoly | None, *names: str, scale: Scalar = 1
+    ctx: GradedContext, f: EvenPoly | None, *names: str, scale: Scalar = 1, word=0
 ) -> Terms:
-    """The terms of scale * f times the even coordinates `names` over ctx, f
-    on a subring of its even coordinates or None for 1: a fresh dict, to sum
-    into, or to wrap as it is when its terms meet no other's."""
-    even = ctx.even_names
-    key = sum(field_bits(len(even), ctx.even_index[name])[2] for name in names)
+    """The terms of scale * f times the even coordinates `names` and the odd
+    word `word` over ctx, f over some of its even coordinates or None for 1:
+    a fresh dict, to sum into, or to wrap as it is if no other term meets it."""
+    key = word << ctx.word_shift
+    for name in names:
+        key += ctx._even_fields[ctx.even_index[name]][3]
     if f is None:
         return {key: scale}
-    if f.coords != even[: len(f.coords)]:
-        f = embed(f, even)
-    up = WIDTH * (len(even) - len(f.coords))  # a prefix: every field moves alike
-    return {(e << up) + key: c * scale for e, c in f.terms.items()}
+    move = rekey(f.coords, ctx.even_names)
+    return {move(e) + key: c * scale for e, c in f.terms.items()}
 
 
 def transport(F: GradedPoly, ctx: GradedContext) -> GradedPoly:
     """Reinterpret F in another context that contains all of its coordinates.
 
     Matching is by name; odd words are re-sorted for the target letter order
-    with the corresponding sign.
+    with the corresponding sign, once per word.
     """
-    src, parts = F.ctx, {}
-    for word, f in F.parts.items():
-        target, sign = 0, 1
-        for a in letters(word):  # the letters multiplied in, left to right
-            name = src.odd_names[a]
-            if name not in ctx.odd_index:
-                raise KeyError(f"{name!r} is not an odd coordinate of the target")
-            target, step = merge_words(target, 1 << ctx.odd_index[name])
-            sign *= step
-        if f.coords != ctx.even_names:
-            f = embed(f, ctx.even_names)
-        parts[target] = f if sign > 0 else -f
-    return GradedPoly._trusted(ctx, parts)
+    src, s = F.ctx, F.ctx.word_shift
+    low = (1 << s) - 1
+    move = rekey(src.even_names, ctx.even_names) if F.coeffs else None
+    words: dict[OddWord, tuple[int, int]] = {}  # the target word bits, sign
+    coeffs: Terms = {}
+    for key, c in F.coeffs.items():
+        word = key >> s
+        if word not in words:
+            target, sign = 0, 1
+            for a in letters(word):  # the letters multiplied in, left to right
+                name = src.odd_names[a]
+                if name not in ctx.odd_index:
+                    raise KeyError(f"{name!r} is not an odd coordinate of the target")
+                target, step = merge_words(target, 1 << ctx.odd_index[name])
+                sign *= step
+            words[word] = target << ctx.word_shift, sign
+        high, sign = words[word]
+        coeffs[high | move(key & low)] = c if sign > 0 else -c
+    return GradedPoly._trusted(ctx, coeffs)
 
 
 def left_derivation(
@@ -502,65 +503,59 @@ def left_derivation(
 
     D(G) = sum_A images[A] * dG/dz^A with left derivatives; coordinates not in
     `images` are annihilated.  One pass over the terms of G gives every
-    derivative the images need, as bare term buckets.
+    derivative the images need, each then multiplied into its image.
     """
-    if any(f.ctx != ctx for f in (G, *images.values())):
+    partials: dict[str, Terms] = {}
+
+    def target(name: str) -> tuple | None:
+        image = images.get(name)
+        if image is None:
+            return None
+        if image.ctx is not ctx and image.ctx != ctx:
+            raise ValueError("operands belong to different graded contexts")
+        return 1, 1, partials.setdefault(name, {})
+
+    if G.ctx is not ctx and G.ctx != ctx:
         raise ValueError("operands belong to different graded contexts")
-    even: list[tuple[str, int] | None] = [None] * len(ctx.even_names)
-    odd: list[tuple[str, tuple[int, int]] | None] = [None] * len(ctx.odd_names)
-    for name in images:
-        k = ctx.even_index.get(name)
-        if k is not None:
-            even[k] = (name, 1)
-        else:
-            odd[ctx.odd_index[name]] = (name, (1, 1))
-    partials: dict[str, dict[OddWord, Terms]] = {}
-    _sweep(G, even, odd, partials)
-    buckets: dict[OddWord, Terms] = {}
-    for name, image in images.items():
-        if name in partials:
-            _accumulate_product(buckets, image.parts, partials[name])
-    return _from_buckets(ctx, buckets)
+    _sweep(G, target)
+    out: Terms = {}
+    for name, terms in partials.items():
+        _accumulate_product(out, images[name].coeffs, terms, ctx.word_shift)
+    return GradedPoly(ctx, out)
 
 
-def _sweep(
-    F: GradedPoly,
-    even: Sequence[tuple[str, int] | None],
-    odd: Sequence[tuple[str, tuple[int, int]] | None],
-    out: dict[str, dict[OddWord, Terms]],
-) -> None:
-    """Write left derivatives of F into `out[name][word]`, in one pass over F.
+def _sweep(F: GradedPoly, target: Callable[[str], tuple | None]) -> None:
+    """Write left derivatives of F into term dicts, in one pass over F.
 
-    even[k] = (name, scale) sends the derivative in the k-th even
-    coordinate, times scale, to `name`; odd[a] = (name, scales) sends the
-    derivative in letter a, times (-1)^position of the letter in the word
-    and scales[|word| % 2], to `name`.  Each name takes the derivative in
-    one coordinate, which maps distinct terms to distinct terms, so every
-    entry is written once.  An odd derivative of positive sign shares the
-    term dict of F: the buckets are only read, or wrapped unchanged.
+    For each coordinate that occurs in F (`poly.support`), target(name) is
+    None or (even, odd, out): the derivative in it, times the scale `even`
+    or `odd` by the parity of the term's word, goes to the term dict `out`:
+    a field mask and step on the key, or the letter's bit flipped with the
+    sign (-1)^position.  Distinct terms have distinct derivatives.
     """
-    n = len(even)
-    slots = [(*field_bits(n, k), *t) for k, t in enumerate(even) if t is not None]
-    for word, f in F.parts.items():
-        terms = f.terms
-        present = support(terms)
-        for mask, shift, step, name, scale in slots:
-            if present & mask:
-                bucket = out.setdefault(name, {})[word] = {}
-                for e, c in terms.items():
-                    power = e & mask
-                    if power:
-                        bucket[e - step] = c * ((power >> shift) * scale)
-        parity = word.bit_count() % 2
-        for position, letter in enumerate(letters(word)):
-            target = odd[letter]
-            if target is None:
-                continue
-            name, scales = target
-            scale = -scales[parity] if position % 2 else scales[parity]
-            out.setdefault(name, {})[word ^ 1 << letter] = (
-                terms if scale > 0 else {e: -c for e, c in terms.items()}
-            )
+    ctx = F.ctx
+    s, present = ctx.word_shift, support(F.coeffs)
+    slots = []
+    for name, mask, shift, step in ctx._even_fields:
+        if present & mask and (found := target(name)) is not None:
+            slots.append((mask, shift, step, found[0], found[2]))
+    odd, reach = {}, 0
+    for a in letters(present >> s):
+        if (found := target(ctx.odd_names[a])) is not None:
+            odd[a], reach = (1 << s + a, *found), reach | 1 << a
+    for key, c in F.coeffs.items():
+        for mask, shift, step, scale, out in slots:
+            power = key & mask
+            if power:
+                out[key - step] = c * (power >> shift) * scale
+        word = key >> s
+        if word & reach:
+            parity = word.bit_count() & 1
+            for position, a in enumerate(letters(word)):
+                entry = odd.get(a)
+                if entry is not None:
+                    scale = -entry[1 + parity] if position & 1 else entry[1 + parity]
+                    entry[3][key ^ entry[0]] = c * scale
 
 
 def hamiltonian_lift(
@@ -571,58 +566,33 @@ def hamiltonian_lift(
     The lift to the phase space of the derivation with these images; every
     paired position and ghost must have one.
     """
-    buckets: dict[OddWord, Terms] = {}
-    for p, x in ctx.pairs_even:
-        _accumulate_product(buckets, images[x].parts, {0: _lifted_terms(ctx, None, p)})
-    for xi, pi in ctx.pairs_odd:
-        _accumulate_product(buckets, images[xi].parts, {1 << ctx.odd_index[pi]: {0: 1}})
-    return _from_buckets(ctx, buckets)
+    out: Terms = {}
+    for z, p_z in [(x, p) for p, x in ctx.pairs_even] + list(ctx.pairs_odd):
+        _accumulate_product(out, images[z].coeffs, ctx.var(p_z).coeffs, ctx.word_shift)
+    return GradedPoly(ctx, out)
 
 
 def field_column(
-    ctx: GradedContext,
-    field: Mapping[str, GradedPoly],
-    word: OddWord,
-    exponent: Exponent,
-) -> dict[tuple[OddWord, Exponent], Scalar]:
-    """`left_derivation(ctx, field, m)` on the monomial m = x^exponent xi^word.
-
-    The value comes back as a sparse `{(word, exponent): coefficient}`
-    column, built without any polynomial object: the left derivative of m
-    in each coordinate is one term or none, and it multiplies into that
-    coordinate's image term by term.
-    """
-    column: dict[tuple[OddWord, Exponent], Scalar] = {}
-    n = len(ctx.even_names)
+    ctx: GradedContext, field: Mapping[str, GradedPoly], key: int
+) -> Terms:
+    """`left_derivation(ctx, field, m)` on the monomial m of term key `key`,
+    as a column `{term key: coefficient}`: each derivative of m is one term."""
+    s, word, column = ctx.word_shift, key >> ctx.word_shift, {}
     for name, image in field.items():
         k = ctx.even_index.get(name)
         if k is not None:
-            mask, shift, step = field_bits(n, k)
-            if not exponent & mask:
+            _, mask, shift, step = ctx._even_fields[k]
+            if not key & mask:
                 continue
-            d_word = word
-            d_exponent = exponent - step
-            d_coeff = (exponent & mask) >> shift
+            derivative = {key - step: (key & mask) >> shift}
         else:
-            bit = 1 << ctx.odd_index[name]
-            if not word & bit:
+            a = ctx.odd_index[name]
+            if not word >> a & 1:
                 continue
-            d_word = word ^ bit
-            d_exponent = exponent
-            d_coeff = -1 if (word & (bit - 1)).bit_count() % 2 else 1
-        for image_word, f in image.parts.items():
-            merged, sign = merge_words(image_word, d_word)
-            if merged is None:
-                continue
-            scale = sign * d_coeff
-            for e, coeff in f.terms.items():
-                key = (merged, e + d_exponent)
-                value = column.get(key, 0) + scale * coeff
-                if value:
-                    column[key] = value
-                else:
-                    del column[key]
-    return column
+            sign = -1 if (word & (1 << a) - 1).bit_count() & 1 else 1
+            derivative = {key ^ 1 << s + a: sign}
+        _accumulate_product(column, image.coeffs, derivative, s)
+    return {k: c for k, c in column.items() if c}
 
 
 def window_columns(
@@ -631,7 +601,7 @@ def window_columns(
     words: Sequence[OddWord],
     x_degree: int,
     p_degree: int = 0,
-) -> tuple[list[tuple[OddWord, Exponent, Exponent]], list[dict]]:
+) -> tuple[list[tuple[OddWord, int, int]], list[Terms]]:
     """The derivation `field` on each monomial x^e p^f xi^word of a window.
 
     ctx lays out its even coordinates as `extended_context` does: the n
@@ -639,8 +609,7 @@ def window_columns(
     e and f keys over the n positions of degree <= x_degree and p_degree,
     and the `field_column` of each.  Sources run over x-monomials, then
     p-monomials, then words: every order gives the same answers, and this
-    one eliminates the ghost-zero windows of `bfv_h0` with less work than
-    words first.
+    one eliminates the ghost-zero windows of `bfv_h0` with the least work.
     """
     n = len(ctx.pairs_even)
     shift = WIDTH * n
@@ -655,19 +624,22 @@ def window_columns(
         for f, p_key in p_keys:
             for word in words:
                 sources.append((word, e, f))
-                columns.append(field_column(ctx, field, word, (e << shift) + p_key))
+                key = word << ctx.word_shift | (e << shift) + p_key
+                columns.append(field_column(ctx, field, key))
     return sources, columns
 
 
-def in_window(
-    n: int, x_degree: int, p_degree: int = 0
-) -> Callable[[tuple[OddWord, Exponent]], bool]:
-    """Whether a column key of `window_columns` over n positions lies in
-    the window of x-degree <= x_degree and p-degree <= p_degree."""
+def in_window(n: int, x_degree: int, p_degree: int = 0) -> Callable[[int], bool]:
+    """Whether a column key of `window_columns` over n positions lies in the
+    window of x-degree <= x_degree and p-degree <= p_degree: n fields times
+    a 1 in each field hold their sum in field n - 1, as no field carries."""
+    block = lex_bits(n)
+    ones, top = block // FIELD, WIDTH * max(n - 1, 0)
 
-    def inside(key: tuple[OddWord, Exponent]) -> bool:
-        exponent = unpack(key[1], 2 * n)
-        return sum(exponent[:n]) <= x_degree and sum(exponent[n:]) <= p_degree
+    def inside(key: int) -> bool:
+        x = (key >> WIDTH * n & block) * ones >> top & FIELD
+        p = (key & block) * ones >> top & FIELD
+        return x <= x_degree and p <= p_degree
 
     return inside
 

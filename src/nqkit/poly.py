@@ -31,7 +31,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import cache, reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Rat = Fraction
 Scalar = int | Fraction
@@ -70,6 +70,17 @@ def support(terms: Terms) -> Exponent:
     """The bitwise or of the keys: a coordinate occurs in some term iff its
     field of the support is nonzero, so `support(terms) & mask` tests it."""
     return reduce(or_, terms, 0)
+
+
+def nonzero_fields(e: Exponent) -> list[tuple[int, int]]:
+    """The shift and value of each nonzero field of a key, the degree field
+    first, then coordinate order: a sparse key costs only its nonzero fields."""
+    out = []
+    while e:
+        shift = (e.bit_length() - 1) // WIDTH * WIDTH
+        out.append((shift, e >> shift))
+        e &= (1 << shift) - 1
+    return out
 
 
 def lex_bits(n: int) -> Exponent:
@@ -372,20 +383,29 @@ def monomial_exponents(count: int, max_degree: int) -> list[Exponent]:
 
 def embed(f: EvenPoly, coords: tuple[str, ...]) -> EvenPoly:
     """Reinterpret `f` in a larger ring containing all of its coordinates."""
-    m, n = len(coords), len(f.coords)
-    if coords[:n] == f.coords:  # a prefix: every field moves up alike
-        return EvenPoly._trusted(
-            coords, {e << WIDTH * (m - n): c for e, c in f.terms.items()}
-        )
-    indices = []
-    for name in f.coords:
-        if name not in coords:
+    move = rekey(f.coords, coords)
+    return EvenPoly._trusted(coords, {move(e): c for e, c in f.terms.items()})
+
+
+def rekey(source: tuple[str, ...], target: tuple[str, ...]) -> Callable[[int], int]:
+    """The map of keys over `source` to keys over `target`, a ring that holds
+    all of its coordinates: a shift when `source` is a prefix of `target`,
+    as positions are of the phase space, and a move of each nonzero field
+    otherwise, `nonzero_fields`."""
+    m, n = len(target), len(source)
+    if target[:n] == source:  # every field moves up alike
+        return (WIDTH * (m - n)).__rlshift__
+    moves = {}  # the shift of each field over source to its shift over target
+    for k, name in enumerate(source):
+        if name not in target:
             raise KeyError(f"{name!r} is not a coordinate of the target ring")
-        indices.append(coords.index(name))
-    terms: Terms = {}
-    for e, c in f.terms.items():
-        new = [0] * m
-        for index, k in zip(indices, unpack(e, n)):
-            new[index] = k
-        terms[pack(new)] = c
-    return EvenPoly._trusted(coords, terms)
+        moves[WIDTH * (n - 1 - k)] = WIDTH * (m - 1 - target.index(name))
+    fields = lex_bits(n)
+
+    def move(e: Exponent) -> Exponent:
+        out = e >> WIDTH * n << WIDTH * m  # the degree field
+        for shift, k in nonzero_fields(e & fields):
+            out |= k << moves[shift]
+        return out
+
+    return move

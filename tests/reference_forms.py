@@ -31,7 +31,11 @@ ascending letter tuples, the representation the packed keys and bitmask
 words of the library replaced.  `unpacked` and `packed` cross between the
 two through the library's `unpack` and `pack`, and `from_terms` builds a
 graded polynomial from items of that form, as `GradedPoly.terms()` lists
-them.
+them; `from_parts` builds one from the even coefficient of each bitmask
+word, as `GradedPoly.by_word()` reads them back.  Graded terms in tuple
+form are `{(letters, exponent tuple): coefficient}` (`graded_terms`), with
+their product, derivatives, bracket, derivation and transport written out
+from the definitions of `nqkit.graded`.
 """
 
 from __future__ import annotations
@@ -267,7 +271,7 @@ def substitute(
     for name in ctx.even_names:
         if name in images:
             image = F._coerce(images[name])
-            if any(w.bit_count() % 2 for w in image.parts):
+            if any(w.bit_count() % 2 for w in image.by_word()):
                 raise ValueError(f"image of even coordinate {name!r} must be even")
             even_images.append(image)
         else:
@@ -276,7 +280,7 @@ def substitute(
     for name in ctx.odd_names:
         if name in images:
             image = F._coerce(images[name])
-            if any(w.bit_count() % 2 == 0 for w in image.parts):
+            if any(w.bit_count() % 2 == 0 for w in image.by_word()):
                 raise ValueError(f"image of odd coordinate {name!r} must be odd")
             odd_images.append(image)
         else:
@@ -337,12 +341,13 @@ def render_even(f: EvenPoly) -> str:
 
 def render_graded(F: GradedPoly) -> str:
     """The text form of a graded polynomial, written out on its own."""
-    if not F.parts:
+    parts = F.by_word()
+    if not parts:
         return "0"
     ctx = F.ctx
     pieces: list[tuple[str, str]] = []
-    for word in sorted(F.parts, key=lambda w: (w.bit_count(), letters(w))):
-        f = F.parts[word]
+    for word in sorted(parts, key=lambda w: (w.bit_count(), letters(w))):
+        f = parts[word]
         names = [ctx.odd_names[a] for a in letters(word)]
         for exponent, coeff in f.sorted_terms():
             factors = [
@@ -400,13 +405,19 @@ def packed(terms: Mapping[tuple[int, ...], Scalar]) -> dict[int, Scalar]:
 def from_terms(ctx: GradedContext, items) -> GradedPoly:
     """The polynomial of `terms()` items (ascending distinct letters, exponent
     tuple, coefficient); repeated terms are summed."""
-    parts: dict[int, dict] = {}
+    coeffs: dict[int, Scalar] = {}
     for word, exponent, coeff in items:
-        bucket = parts.setdefault(word_mask(word), {})
-        key = pack(exponent)
-        bucket[key] = bucket.get(key, 0) + coeff
+        key = word_mask(word) << ctx.word_shift | pack(exponent)
+        coeffs[key] = coeffs.get(key, 0) + coeff
+    return GradedPoly(ctx, coeffs)
+
+
+def from_parts(ctx: GradedContext, parts: Mapping[int, EvenPoly]) -> GradedPoly:
+    """The polynomial with these even coefficients of bitmask words, the
+    inverse of `GradedPoly.by_word`."""
+    s = ctx.word_shift
     return GradedPoly(
-        ctx, {word: EvenPoly(ctx.even_names, terms) for word, terms in parts.items()}
+        ctx, {w << s | e: c for w, f in parts.items() for e, c in f.terms.items()}
     )
 
 
@@ -486,4 +497,112 @@ def embed(terms: dict, indices: Sequence[int], size: int) -> dict:
         for index, k in zip(indices, e):
             new[index] = k
         out[tuple(new)] = c
+    return out
+
+
+# the tuple kernel of graded polynomials: {(letters, exponent tuple): coeff}
+
+
+def graded_terms(F: GradedPoly) -> dict:
+    """The terms of F keyed (ascending letters, exponent tuple)."""
+    return {(word, exponent): coeff for word, exponent, coeff in F.terms()}
+
+
+def graded_add(F: dict, G: dict, sign: int = 1) -> dict:
+    """F + sign * G, cancelled terms dropped."""
+    out = dict(F)
+    for key, c in G.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def graded_mul(F: dict, G: dict) -> dict:
+    """F * G: letters merge with their Koszul sign, exponents add."""
+    out: dict = {}
+    for (w1, e1), c1 in F.items():
+        for (w2, e2), c2 in G.items():
+            word, sign = merge_words(w1, w2)
+            if word is not None:
+                key = (word, tuple(map(add, e1, e2)))
+                out[key] = out.get(key, 0) + sign * c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+def graded_deriv(F: dict, even: int | None = None, letter: int | None = None) -> dict:
+    """The left derivative in the even coordinate `even` or in `letter`."""
+    out: dict = {}
+    for (w, e), c in F.items():
+        if even is not None:
+            if e[even]:
+                key = (w, e[:even] + (e[even] - 1,) + e[even + 1 :])
+                out[key] = out.get(key, 0) + c * e[even]
+        elif letter in w:
+            position = w.index(letter)
+            key = (w[:position] + w[position + 1 :], e)
+            out[key] = out.get(key, 0) + (-c if position % 2 else c)
+    return {key: c for key, c in out.items() if c}
+
+
+def graded_derivation(ctx: GradedContext, images: Mapping[str, dict], G: dict) -> dict:
+    """sum over names of images[name] * dG/dname, left derivatives."""
+    out: dict = {}
+    for name, image in images.items():
+        if name in ctx.even_index:
+            partial = graded_deriv(G, even=ctx.even_index[name])
+        else:
+            partial = graded_deriv(G, letter=ctx.odd_index[name])
+        out = graded_add(out, graded_mul(image, partial))
+    return out
+
+
+def graded_poisson(ctx: GradedContext, F: dict, G: dict) -> dict:
+    """{F, G} by the bracket formula of `nqkit.graded`, one parity of F at a
+    time, with the twist's entries as terms of the empty word."""
+    n = len(ctx.even_names)
+
+    def d(H: dict, name: str) -> dict:
+        if name in ctx.even_index:
+            return graded_deriv(H, even=ctx.even_index[name])
+        return graded_deriv(H, letter=ctx.odd_index[name])
+
+    out: dict = {}
+    for parity in (0, 1):
+        part = {(w, e): c for (w, e), c in F.items() if len(w) % 2 == parity}
+        for p, x in ctx.pairs_even:
+            out = graded_add(out, graded_mul(d(part, p), d(G, x)))
+            out = graded_add(out, graded_mul(d(part, x), d(G, p)), -1)
+        sign = 1 if parity else -1  # -(-1)^|F|
+        for xi, pi in ctx.pairs_odd:
+            out = graded_add(out, graded_mul(d(part, xi), d(G, pi)), sign)
+            out = graded_add(out, graded_mul(d(part, pi), d(G, xi)), sign)
+        for i, j in combinations(range(len(ctx.pairs_even)), 2):
+            if ctx.twist is None:
+                break
+            w = {((), unpack(e, n)): c for e, c in ctx.twist[i][j].terms.items()}
+            p_i, p_j = ctx.pairs_even[i][0], ctx.pairs_even[j][0]
+            cross = graded_add(
+                graded_mul(d(part, p_i), d(G, p_j)),
+                graded_mul(d(part, p_j), d(G, p_i)),
+                -1,
+            )
+            out = graded_add(out, graded_mul(w, cross))
+    return out
+
+
+def graded_transport(F: dict, source: GradedContext, target: GradedContext) -> dict:
+    """F renamed into `target`: letters and coordinates matched by name,
+    each word sorted into the target's letter order with its sign."""
+    evens = [target.even_index[name] for name in source.even_names]
+    out = {}
+    for (w, e), c in F.items():
+        letters_in = [target.odd_index[source.odd_names[a]] for a in w]
+        inversions = sum(
+            1 for u, v in combinations(range(len(letters_in)), 2)
+            if letters_in[u] > letters_in[v]
+        )
+        exponent = [0] * len(target.even_names)
+        for index, k in zip(evens, e):
+            exponent[index] = k
+        key = (tuple(sorted(letters_in)), tuple(exponent))
+        out[key] = -c if inversions % 2 else c
     return out

@@ -166,7 +166,7 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
     # and no cubic-ghost word of (S, S) falls outside the defect table
     cubic = {
         letters(word)
-        for word in SS.parts
+        for word in SS.by_word()
         if sum(1 for k in letters(word) if k < r) == 3 and word.bit_count() == 4
     }
     assert cubic == {

@@ -40,7 +40,13 @@ from nqkit.constraints import (
 )
 from tests.conftest import frame_package
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
-from tests.reference_forms import components, from_terms, structural, substitute
+from tests.reference_forms import (
+    components,
+    from_parts,
+    from_terms,
+    structural,
+    substitute,
+)
 from tests.test_algebroid import (
     abelian_r1,
     broken_jacobi,
@@ -529,8 +535,8 @@ def test_one_ghost_part_of_sh_is_the_evolution_residual(name, doc):
                 gamma = ctx.lift(w * pack.g_inv[i][j])
                 residual = residual - gamma * p_j * cs.phis[b]
         predicted = predicted - ctx.var(ghost_name(a + 1)) * residual
-    one_ghost = GradedPoly(
-        ctx, {word: f for word, f in pkg.SH.parts.items() if word.bit_count() == 1}
+    one_ghost = from_parts(
+        ctx, {word: f for word, f in pkg.SH.by_word().items() if word.bit_count() == 1}
     )
     assert one_ghost == predicted
     # a non-invariant surface is exactly the shape failure of cartan
@@ -549,8 +555,8 @@ def test_cartan_reports_the_part_no_tensor_reassembles():
     ctx = cs.ctx
     h_cov = build_H(pack, ctx) - ctx.lift(pack.potential)
     R = ctx.poisson(cs.core, h_cov)
-    assert sum(word.bit_count() == 1 for word in R.parts) == 3
-    R = GradedPoly(ctx, {w: f for w, f in R.parts.items() if w.bit_count() != 1})
+    assert sum(word.bit_count() == 1 for word in R.by_word()) == 3
+    R = from_parts(ctx, {w: f for w, f in R.by_word().items() if w.bit_count() != 1})
     report = _cartan_core(cs, pack, R)
     assert report.status == FAIL
     assert report.residuals == [

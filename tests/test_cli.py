@@ -23,7 +23,7 @@ import nqkit.graded
 from nqkit.aksz import expand_bv, term_rows
 from nqkit.algebroid import defect_lift, ghost_context
 from nqkit.bfv import _balanced_words, _charge_invariance, assemble_bfv
-from nqkit.graded import GradedContext, left_derivation
+from nqkit.graded import GradedContext, GradedPoly, left_derivation
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, CheckReport
@@ -743,35 +743,45 @@ def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
 
 
 def test_stored_coefficients_are_nonzero_ints_or_fractions(tmp_path, monkeypatch):
-    # every polynomial the verbs build passes through the filtering
-    # constructor or the trusted one; either way it may store only nonzero
-    # ints and Fractions, never a float, a bool or a zero
+    # every polynomial the verbs build, even or graded, passes through the
+    # filtering constructor or the trusted one; either way it may store only
+    # nonzero ints and Fractions, never a float, a bool or a zero
     monkeypatch.chdir(tmp_path)
     Path("so3.json").write_text(json.dumps(gen.so_n(3)))
     stored = Counter()
     bad = []
 
     def inspect(poly):
-        for coeff in poly.terms.values():
+        terms = poly.terms if isinstance(poly, EvenPoly) else poly.coeffs
+        for coeff in terms.values():
             kind = type(coeff)
             stored[kind.__name__] += 1
             if not (kind is int or kind is Fraction) or not coeff:
                 bad.append((kind.__name__, coeff, str(poly)))
 
     post_init = EvenPoly.__post_init__
-    trusted = EvenPoly._trusted.__func__
+    graded_init = GradedPoly.__init__
 
     def guarded_post_init(poly):
         post_init(poly)
         inspect(poly)
 
-    def guarded_trusted(cls, coords, terms):
-        poly = trusted(cls, coords, terms)
+    def guarded_graded_init(poly, ctx, coeffs):
+        graded_init(poly, ctx, coeffs)
         inspect(poly)
-        return poly
+
+    def guarded(trusted):
+        def build(cls, *args):
+            poly = trusted(cls, *args)
+            inspect(poly)
+            return poly
+
+        return classmethod(build)
 
     monkeypatch.setattr(EvenPoly, "__post_init__", guarded_post_init)
-    monkeypatch.setattr(EvenPoly, "_trusted", classmethod(guarded_trusted))
+    monkeypatch.setattr(EvenPoly, "_trusted", guarded(EvenPoly._trusted.__func__))
+    monkeypatch.setattr(GradedPoly, "__init__", guarded_graded_init)
+    monkeypatch.setattr(GradedPoly, "_trusted", guarded(GradedPoly._trusted.__func__))
     files = [corpus_path(name) for name in EXPECTED_EXIT] + ["so3.json"]
     for file in files:
         for args in (

@@ -16,6 +16,7 @@ from nqkit.graded import (
 )
 from nqkit.poly import EvenPoly, pack, unpack
 from tests.reference_forms import (
+    from_parts,
     from_terms,
     packed,
     render_even,
@@ -29,7 +30,7 @@ from tests.test_poly import random_poly, ring
 
 def word_coefficient(F: GradedPoly, word: tuple[int, ...]) -> EvenPoly:
     """Even coefficient of an ascending odd word of F; zero when it is absent."""
-    return F.parts.get(word_mask(word), EvenPoly.zero(F.ctx.even_names))
+    return F.by_word().get(word_mask(word), EvenPoly.zero(F.ctx.even_names))
 
 
 def random_graded(
@@ -83,8 +84,8 @@ def closed_twist_three():
 
 def parity_part(F: GradedPoly, parity: int) -> GradedPoly:
     """The terms of F whose odd word has the given parity."""
-    return GradedPoly(
-        F.ctx, {w: f for w, f in F.parts.items() if w.bit_count() % 2 == parity}
+    return from_parts(
+        F.ctx, {w: f for w, f in F.by_word().items() if w.bit_count() % 2 == parity}
     )
 
 
@@ -134,7 +135,7 @@ def per_coordinate_derivation(
 
 def assert_integer_first(F: GradedPoly, integral: bool) -> None:
     """No zero, float or bool is stored, and only ints from int inputs."""
-    for f in F.parts.values():
+    for f in F.by_word().values():
         assert f.terms
         for c in f.terms.values():
             assert type(c) in (int, Fraction) and c
@@ -377,10 +378,12 @@ def test_field_column_applies_the_field_to_one_monomial(make_ctx):
         expected = {
             (w, e): c for w, e, c in left_derivation(ctx, field, monomial).terms()
         }
-        column = field_column(ctx, field, word_mask(word), pack(exponent))
+        s = ctx.word_shift
+        column = field_column(ctx, field, word_mask(word) << s | pack(exponent))
         n = len(ctx.even_names)
         assert {
-            (letters(w), unpack(e, n)): c for (w, e), c in column.items()
+            (letters(k >> s), unpack(k & (1 << s) - 1, n)): c
+            for k, c in column.items()
         } == expected
 
 
@@ -530,6 +533,6 @@ def test_text_forms_match_the_reference_renderers():
         ]
         F = from_terms(ctx, items)
         assert str(F) == render_graded(F)
-        seen_words += any(F.parts) and any(word for word in F.parts)
+        seen_words += any(F.by_word()) and any(word for word in F.by_word())
     assert str(EvenPoly.zero(ctx.even_names)) == "0" == str(ctx.zero())
     assert min(seen_constant, seen_negative_lead, seen_words) > 20

@@ -1,11 +1,14 @@
 """The packed kernel against the tuple kernel it replaced, and at its edges.
 
-Exponents are packed integers and odd words bitmasks in the library; the
-tuple forms of `tests/reference_forms.py` are the reference.  Every
-operation of the kernel runs on seeded random polynomials with `Fraction`
-coefficients and cancelling terms, and the results are compared after
-unpacking.  The edges are the parser's degree bound and the largest window
-the budget admits in one coordinate.
+Exponents are packed integers, odd words bitmasks and a graded term one key
+with its word above its exponent in the library; the tuple forms of
+`tests/reference_forms.py` are the reference.  Every operation of the
+kernel, even and graded (products, sums, derivatives at every letter, the
+bracket with and without a twist, derivations and transport into reordered
+letters), runs on seeded random polynomials with `Fraction` coefficients and
+cancelling terms, and the results are compared after unpacking.  The edges
+are the parser's degree bound and the largest window the budget admits in
+one coordinate.
 """
 
 from __future__ import annotations
@@ -18,7 +21,15 @@ from pathlib import Path
 
 import pytest
 
-from nqkit.graded import letters, merge_words
+from nqkit.graded import (
+    GradedContext,
+    GradedPoly,
+    extended_context,
+    left_derivation,
+    letters,
+    merge_words,
+    transport,
+)
 from nqkit.parser import MAX_DEGREE, ParseError, parse_poly
 from nqkit.poly import (
     EvenPoly,
@@ -31,7 +42,7 @@ from nqkit.poly import (
 )
 from tests import reference_forms as ref
 from tests.conftest import invoke
-from tests.reference_forms import packed, unpacked, word_mask
+from tests.reference_forms import from_terms, packed, unpacked, word_mask
 
 COORDS = ("w", "x", "y", "z")
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -210,3 +221,121 @@ def test_the_widest_one_coordinate_window_keeps_its_dimensions():
     result = invoke(["cohomology", str(CORPUS / "abelian_r1.json"), "--trunc", "2400"])
     assert result.exit_code == 0
     assert "closed 2401   exact 2401   h^1 0\n" in result.stdout
+
+
+# the flat graded kernel: one term dict per polynomial, against tuple terms
+
+
+def graded_context(twisted: bool) -> GradedContext:
+    """Positions x, y with momenta and three ghost pairs: six letters, so
+    words of up to five letters meet; twisted, {p_x, p_y} = -(x + 1)."""
+    if not twisted:
+        return extended_context(("x", "y"), 3)
+    x = EvenPoly.variable(("x", "y"), "x")
+    w = x + 1
+    zero = EvenPoly.zero(("x", "y"))
+    return extended_context(("x", "y"), 3, twist=[[zero, w], [-w, zero]])
+
+
+def random_graded_terms(rng: random.Random, ctx, max_terms: int = 6) -> dict:
+    """Tuple graded terms: words of 0 to 5 letters, int and Fraction
+    coefficients, and now and then an exponent at the parser's degree bound."""
+    n_even, n_odd = len(ctx.even_names), len(ctx.odd_names)
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        word = tuple(sorted(rng.sample(range(n_odd), rng.randint(0, 5))))
+        exponent = [rng.choice([0, 0, 1, 2]) for _ in range(n_even)]
+        if rng.random() < 0.1:
+            exponent = [0] * n_even
+            exponent[rng.randrange(n_even)] = MAX_DEGREE
+        terms[(word, tuple(exponent))] = rng.choice(
+            [rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 4))]
+        )
+    return {key: c for key, c in terms.items() if c}
+
+
+def as_graded(ctx, terms: dict) -> GradedPoly:
+    return from_terms(ctx, [(w, e, c) for (w, e), c in terms.items()])
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_graded_sums_and_products_match_the_tuple_kernel(twisted):
+    ctx = graded_context(twisted)
+    rng = random.Random(131 + twisted)
+    cancelled = bounded = 0
+    for _ in range(150):
+        a, b = random_graded_terms(rng, ctx), random_graded_terms(rng, ctx)
+        F, G = as_graded(ctx, a), as_graded(ctx, b)
+        assert ref.graded_terms(F) == a
+        plus, minus = ref.graded_add(a, b), ref.graded_add(a, b, -1)
+        assert ref.graded_terms(F + G) == plus
+        assert ref.graded_terms(F - G) == minus
+        for left, right in [(a, b), (plus, minus), (b, a)]:
+            product = as_graded(ctx, left) * as_graded(ctx, right)
+            expected = ref.graded_mul(left, right)
+            assert ref.graded_terms(product) == expected
+            stored = product.coeffs.values()
+            assert all(type(c) in (int, Fraction) and c for c in stored)
+            cancelled += len(expected) < len(left) * len(right)
+        bounded += any(MAX_DEGREE in e for _, e in a)
+    assert cancelled > 100 and bounded > 20
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_graded_derivatives_match_the_tuple_kernel_at_every_letter(twisted):
+    ctx = graded_context(twisted)
+    rng = random.Random(137 + twisted)
+    positions = set()
+    for _ in range(150):
+        a = random_graded_terms(rng, ctx)
+        F = as_graded(ctx, a)
+        for k, name in enumerate(ctx.even_names):
+            assert ref.graded_terms(F.left_deriv(name)) == ref.graded_deriv(a, even=k)
+        for letter, name in enumerate(ctx.odd_names):
+            expected = ref.graded_deriv(a, letter=letter)
+            assert ref.graded_terms(F.left_deriv(name)) == expected
+            positions |= {w.index(letter) for w, _ in a if letter in w}
+    assert positions == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_brackets_and_derivations_match_the_tuple_kernel(twisted):
+    ctx = graded_context(twisted)
+    names = ctx.even_names + ctx.odd_names
+    rng = random.Random(139 + twisted)
+    nonzero = 0
+    for _ in range(60):
+        a, b = random_graded_terms(rng, ctx, 4), random_graded_terms(rng, ctx, 4)
+        F, G = as_graded(ctx, a), as_graded(ctx, b)
+        bracket = ctx.poisson(F, G)
+        assert ref.graded_terms(bracket) == ref.graded_poisson(ctx, a, b)
+        nonzero += not bracket.is_zero
+        images = {
+            name: random_graded_terms(rng, ctx, 3) for name in rng.sample(names, 5)
+        }
+        graded_images = {name: as_graded(ctx, t) for name, t in images.items()}
+        assert ref.graded_terms(left_derivation(ctx, graded_images, G)) == (
+            ref.graded_derivation(ctx, images, b)
+        )
+    assert nonzero > 15
+
+
+def test_transport_into_reordered_letters_matches_the_tuple_kernel():
+    source = graded_context(False)
+    # the letters reversed, the even coordinates reordered with one more
+    target = GradedContext(
+        even=[(name, 0) for name in ("p_y", "t", "x", "p_x", "y")],
+        odd=[(name, 0) for name in reversed(source.odd_names)],
+    )
+    rng = random.Random(149)
+    signs = set()
+    for _ in range(150):
+        a = random_graded_terms(rng, source)
+        moved = transport(as_graded(source, a), target)
+        expected = ref.graded_transport(a, source, target)
+        assert ref.graded_terms(moved) == expected
+        signs |= {c / a[key] for key, c in zip(a, expected.values())}
+    assert signs == {1, -1}
+    fewer = GradedContext(even=[(name, 0) for name in source.even_names])
+    with pytest.raises(KeyError, match="not an odd coordinate of the target"):
+        transport(source.var("xi_1"), fewer)

@@ -7,7 +7,7 @@ from operator import add, mul, sub
 import pytest
 
 from nqkit.poly import EvenPoly, as_rat, exact_quotient
-from tests.reference_forms import evaluate, from_terms, packed, unpacked
+from tests.reference_forms import evaluate, from_parts, from_terms, packed, unpacked
 
 
 def ring(coords) -> tuple[tuple[str, ...], dict[str, EvenPoly]]:
@@ -407,13 +407,15 @@ def test_graded_kernel_matches_the_fraction_reference():
         F, G = draw(), draw()
         # F + G and F - G: their product cancels across word pairs; an odd
         # element also squares to zero inside one fused product
-        odd = GradedPoly(ctx, {w: f for w, f in F.parts.items() if w.bit_count() % 2})
+        odd = from_parts(
+            ctx, {w: f for w, f in F.by_word().items() if w.bit_count() % 2}
+        )
         for left, right in [(F, G), (F + G, F - G), (odd, odd)]:
             product = left * right
             expected = ref_graded_mul(graded_reference(left), graded_reference(right))
             assert graded_reference(product) == expected
             cancelled += not expected
-            for f in product.parts.values():
+            for f in product.by_word().values():
                 assert f.terms
                 assert all(type(c) in (int, Fraction) and c for c in f.terms.values())
         for k, name in enumerate(ctx.even_names):

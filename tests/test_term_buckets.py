@@ -1,19 +1,25 @@
-"""Every builder that sums into term buckets against its operator chain.
+"""Every builder that sums into one term dict against its operator chain.
 
 The builders of Q, the affine charge, the constraints, the Hamiltonian
-lift, both Hamiltonians, the frame tensors, the first-class residuals and
-the component action write their terms into `{word: {exponent: coeff}}`
-buckets and wrap them once.  Each is compared here, exactly, with the
-chain of `value = value + lift(f) * var` steps it replaced, written out
-below; the defect tensors are compared with the tuple kernel of
-`tests/reference_forms.py` as well.  The inputs are every corpus file,
-so(3) to so(5), the log-canonical frames at n = 4 and 6 of
-`tests/frames.py` and the broken twin at n = 4.
+lift, both Hamiltonians, the covariant momenta, the frame tensors, the
+first-class residuals, the structural 2-form, the component action, the
+cartan reassembly, the evolution multipliers and residuals and the
+predicted residuals of the decomposition guard write their terms into one
+`{word << word_shift | exponent: coeff}` dict and wrap it once.  Each is
+compared here, exactly, with the chain of `value = value + lift(f) * var`
+steps it replaced, written out below; the defect tensors are compared with
+the tuple kernel of `tests/reference_forms.py` as well.  The inputs are
+every corpus file, so(3) to so(5), the log-canonical frames at n = 4 and 6
+of `tests/frames.py` and the broken twin at n = 4; the checks of the
+geometry also run on the evolution inputs of `tests/test_bfv.py` (twisted,
+connection and tau twins).
 """
 
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -28,14 +34,20 @@ from nqkit.aksz import (
     velocity_name,
 )
 from nqkit.algebroid import _build_q_images, ghost_context, q_images
-from nqkit.bfv import THETA, assemble_bfv, build_H, covariant_momenta
+from nqkit.bfv import THETA, _cartan_core, assemble_bfv, build_H, covariant_momenta
 from nqkit.constraints import (
     affine_charge,
     affine_part,
     check_first_class,
     structural_two_form,
 )
-from nqkit.dynamics import _lie_metric, build_hamiltonian, structural_residuals
+from nqkit.dynamics import (
+    _assert_decomposition,
+    _lie_metric,
+    build_hamiltonian,
+    check_evolution_invariance,
+    structural_residuals,
+)
 from nqkit.graded import (
     antighost_name,
     ghost_name,
@@ -44,13 +56,14 @@ from nqkit.graded import (
     momentum_name,
     transport,
 )
-from nqkit.poly import EvenPoly, embed
+from nqkit.poly import EvenPoly, Rat, embed
 from nqkit.problem import problem_from_dict
 from nqkit.report import family_residuals
 from tests import reference_forms as ref
 from tests.cubes import structure_cube
 from tests.frames import log_canonical
-from tests.reference_forms import unpacked
+from tests.reference_forms import packed, unpacked
+from tests.test_bfv import evolution_inputs
 from tests.test_generated_frames import gen
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -72,6 +85,19 @@ DOCUMENTS = documents()
 @pytest.fixture(params=sorted(DOCUMENTS), scope="module")
 def problem(request):
     return problem_from_dict(DOCUMENTS[request.param])
+
+
+# inputs with an inverse metric and a connection and no drift
+GEOMETRY = {
+    name: doc
+    for name, doc in {**DOCUMENTS, **evolution_inputs()}.items()
+    if {"metric_inv", "connection"} <= doc.keys() and "beta" not in doc
+}
+
+
+@pytest.fixture(params=sorted(GEOMETRY), scope="module")
+def geometry(request):
+    return problem_from_dict(GEOMETRY[request.param])
 
 
 # the operator chains the builders replaced
@@ -120,6 +146,14 @@ def chain_hamiltonian_lift(ctx, images):
     for xi, pi in ctx.pairs_odd:
         lift = lift + images[xi] * ctx.var(pi)
     return lift
+
+
+def chain_covariant_momenta(pack, ctx):
+    out = [ctx.var(momentum_name(name)) for name in pack.coords]
+    for (b, a, i), w in pack.omega.items():
+        pair = ctx.var(ghost_name(a + 1)) * ctx.var(antighost_name(b + 1))
+        out[i] = out[i] - ctx.lift(w) * pair
+    return out
 
 
 def chain_build_H(pack, ctx):
@@ -195,6 +229,59 @@ def chain_first_class_residuals(cs):
             R = R - ctx.lift(f) * cs.phis[c]
         brackets[(a, b)] = R
     return family_residuals("bracket", brackets, "ab")
+
+
+def chain_cartan_residual(pack, ctx, tensor):
+    """-g^ij pcov_i S^c_jab xi^a xi^b pi_c, as `_cartan_core` reassembles it."""
+    pcov = chain_covariant_momenta(pack, ctx)
+    R = ctx.zero()
+    for (c, j, a, b), entry in tensor.items():
+        block = ctx.lift(entry) * ctx.var(ghost_name(a + 1))
+        block = block * ctx.var(ghost_name(b + 1)) * ctx.var(antighost_name(c + 1))
+        for i in range(len(pack.coords)):
+            R = R - ctx.lift(pack.g_inv[i][j]) * pcov[i] * block
+    return R
+
+
+def chain_evolution_residuals(cs, pack):
+    ctx, data = cs.ctx, cs.data
+    momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+    gammas = {key: -ctx.lift(t) for key, t in pack.tau.items()}
+    for (b, a, i), w in pack.omega.items():
+        for j in range(data.base_dim):
+            term = ctx.lift(w * pack.g_inv[i][j]) * momenta[j]
+            gammas[(b, a)] = gammas.get((b, a), ctx.zero()) + term
+    H = build_hamiltonian(pack, ctx)
+    residuals = {}
+    for a in range(data.rank):
+        R = ctx.poisson(H, cs.phis[a])
+        for b in range(data.rank):
+            if (b, a) in gammas:
+                R = R - gammas[(b, a)] * cs.phis[b]
+        residuals[(a,)] = R
+    return family_residuals("evolution", residuals, "a")
+
+
+def chain_predicted_residuals(data, pack, ctx, families):
+    """P_a = k0 V_a + sum_u q_u (k1 A_au + k2 sum_{v >= u} c_uv M_auv q_v)."""
+    k2, k1, k0 = (1, 1, -1)
+    n = data.base_dim
+    momenta = [ctx.var(momentum_name(name)) for name in data.coords]
+    q = [
+        sum((ctx.lift(g) * p for g, p in zip(row, momenta)), ctx.zero())
+        for row in pack.g_inv
+    ]
+    out = []
+    for a in range(data.rank):
+        P = ctx.lift(families.potential[a] * k0)
+        for u in range(n):
+            cofactor = ctx.lift(families.alpha[(a, u)] * k1)
+            for v in range(u, n):
+                c = k2 if u < v else Rat(k2, 2)
+                cofactor = cofactor + ctx.lift(families.metric[(a, u, v)] * c) * q[v]
+            P = P + q[u] * cofactor
+        out.append(P)
+    return out
 
 
 def chain_integrand(package):
@@ -407,6 +494,58 @@ def test_transport_within_one_ring_matches_the_embedding(problem):
     moved = transport(S, ctx)
     assert moved == S
     assert all(
-        moved.parts[w].terms == embed(f, ctx.even_names).terms
-        for w, f in S.parts.items()
+        moved.by_word()[w].terms == embed(f, ctx.even_names).terms
+        for w, f in S.by_word().items()
     )
+
+
+def test_covariant_momenta_match_the_chain(geometry):
+    ctx = geometry.constraints.ctx
+    pack = geometry.pack
+    assert covariant_momenta(pack, ctx) == chain_covariant_momenta(pack, ctx)
+
+
+def test_cartan_reassembly_matches_the_chain(geometry):
+    # a residual reassembled by the chain from a seeded tensor: the flat
+    # reassembly of `_cartan_core` rebuilds it exactly, or the report would
+    # be a shape finding, and reads the tensor back
+    cs, pack = geometry.constraints, geometry.pack
+    data = cs.data
+    if pack.g_low is None or data.rank < 2:
+        pytest.skip("no metric pair or no pair of frame fields")
+    rng = random.Random(151)
+    tensor = {}
+    for c, j in zip(range(data.rank), range(data.base_dim)):
+        for a, b in combinations(range(data.rank), 2):
+            exponent = tuple(rng.randint(0, 1) for _ in data.coords)
+            coeff = rng.choice([1, -2, Fraction(1, 3)])
+            tensor[(c, j, a, b)] = EvenPoly(data.coords, packed({exponent: coeff}))
+    report = _cartan_core(cs, pack, chain_cartan_residual(pack, cs.ctx, tensor))
+    assert report.residuals == family_residuals("S", tensor, "cjab")
+    assert report.notes == [
+        "the extracted tensor reassembles the bracket residual exactly"
+    ]
+
+
+def test_evolution_residuals_match_the_chain(geometry):
+    cs, pack = geometry.constraints, geometry.pack
+    families = structural_residuals(cs, pack) if pack.g_low is not None else None
+    report = check_evolution_invariance(cs, pack, families)
+    assert report.residuals == chain_evolution_residuals(cs, pack)
+
+
+def test_decomposition_prediction_matches_the_chain(geometry):
+    # the guard passes on the residuals the chain predicts, and only on them
+    cs, pack = geometry.constraints, geometry.pack
+    if pack.g_low is None or cs.ctx.twist is not None:
+        pytest.skip("the decomposition needs a lowered metric and no twist")
+    data, ctx = cs.data, cs.ctx
+    families = structural_residuals(cs, pack)
+    predicted = chain_predicted_residuals(data, pack, ctx, families)
+    _assert_decomposition(data, pack, ctx, predicted, families)
+    p = ctx.var(momentum_name(data.coords[0]))
+    for a in range(data.rank):
+        bumped = list(predicted)
+        bumped[a] = bumped[a] + p * p
+        with pytest.raises(RuntimeError, match="momentum order 2"):
+            _assert_decomposition(data, pack, ctx, bumped, families)

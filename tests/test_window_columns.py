@@ -42,7 +42,7 @@ from nqkit.constraints import ConstraintSet, affine_charge, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import in_window, letters, window_columns
 from nqkit.linalg import image_in, rank
-from nqkit.poly import EvenPoly, monomial_exponents, unpack
+from nqkit.poly import WIDTH, EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
 from tests.reference_forms import e_differential, from_terms
@@ -68,9 +68,12 @@ def differential_column(data, key: tuple[int, ...], exponent) -> dict:
 
 
 def boundary(column: dict, n: int) -> dict:
-    """A column over n even coordinates keyed as `terms()` reads its terms."""
+    """A column over n even coordinates keyed as `terms()` reads its terms:
+    a term key holds its odd word above its exponent over n coordinates."""
+    s = WIDTH * (n + 1)
     return {
-        (letters(word), unpack(e, n)): coeff for (word, e), coeff in column.items()
+        (letters(key >> s), unpack(key & (1 << s) - 1, n)): coeff
+        for key, coeff in column.items()
     }
 
 

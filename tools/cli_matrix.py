@@ -14,9 +14,12 @@ twin with nonzero structural families at every momentum order, on
 `poisson_plane` (the probe finds a point of lower anchor rank) and its
 twin with an affine part, on the log-canonical frame at n = 4 of
 `tests/frames.py` (x-dependent structure functions, every identity
-holds) and its broken twin (nonzero anchor and Jacobi defects), plus a
-few inputs near the parser's term and degree budgets, the widest cohomology window in one coordinate and a
-dense structure that is not antisymmetric, a magnetic field that is not
+holds) and its broken twin (nonzero anchor and Jacobi defects), on the
+benchmark's `dense_random` frames of seeds 1 and 2 (rational coefficients,
+many terms per word, failing axioms with long residuals; `check --all
+--json` and `emit --what bfv --force` only), plus a few inputs near the
+parser's term and degree budgets, the widest cohomology window in one
+coordinate and a dense structure that is not antisymmetric, a magnetic field that is not
 antisymmetric, and one `check --json` on a
 corpus file under a name with a non-ASCII letter, a quote and a
 backslash.  Each run is one fresh
@@ -195,6 +198,13 @@ POISSON_PLANE = {
     "structure": {"1,1,2": "1"},
 }
 POISSON_PLANE_AFFINE = dict(POISSON_PLANE, alpha=["0", "1"])
+# seeds of `dense_random`, the only frames with non-integer coefficients:
+# each runs `check --all --json` and `emit --what bfv --force` alone
+RATIONAL_SEEDS = (1, 2)
+RATIONAL_LINES = (
+    ("check", "--all", "--json", "report.json"),
+    ("emit", "--what", "bfv", "--out", "out.json", "--force"),
+)
 # inputs refused at load, run with `check --axioms` only
 LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric", "magnetic_asymmetric")
 
@@ -258,6 +268,8 @@ def inputs() -> dict[str, dict]:
             "coords": list(coords),
             "anchor": [anchor],
         }
+    for seed in RATIONAL_SEEDS:
+        docs[f"dense_random{seed}"] = gen.dense_random(seed)
     return docs
 
 
@@ -267,6 +279,9 @@ def command_lines(names: list[str]) -> list[list[str]]:
         path = f"../in/{name}.json"
         if name in LOAD_ERRORS:
             lines.append(["check", path, "--axioms"])
+            continue
+        if name.startswith("dense_random"):
+            lines += [[verb, path, *options] for verb, *options in RATIONAL_LINES]
             continue
         for flag in CHECK_FLAGS:
             lines.append(["check", path, flag, "--json", "report.json"])
