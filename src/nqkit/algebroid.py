@@ -35,7 +35,7 @@ computed at most once per frame.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import combinations
 
@@ -263,6 +263,15 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     return _build_q_images(data, ctx)
 
 
+def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
+    """alpha_a xi^a from checked components: each holds the terms of its letter."""
+    terms = {}
+    for c, f in enumerate(alpha):
+        word = 1 << ctx.odd_index[ghost_name(c + 1)]
+        terms.update(_lifted_terms(ctx, f, word=word))
+    return GradedPoly._trusted(ctx, terms)
+
+
 def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
     # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), as `Algebroid`
     # stores C, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b, over the
@@ -408,19 +417,23 @@ def _max_coeff_degree(data: Algebroid) -> int:
 
 
 def is_exact_one_form(
-    data: Algebroid, alpha: GradedPoly, degree: int
+    data: Algebroid, alpha: Sequence[EvenPoly], degree: int
 ) -> EvenPoly | None:
-    """Solve Q f = alpha for a primitive f of x-degree <= degree.
+    """Solve Q f = alpha_a xi^a for a primitive f of x-degree <= degree.
 
-    alpha is a 1-form alpha_a xi^a in `ghost_context(data)`, whose term
-    keys are the row keys of the columns, so its terms are the right-hand
-    side as they are.
+    alpha is the r components alpha_a, checked against the frame, as
+    `ConstraintSet` keeps them.  The 1-form alpha_a xi^a is built in
+    `ghost_context(data)`, whose term keys are the row keys of the columns,
+    so its terms are the right-hand side as they are.  A form that Q does
+    not close has no primitive at any degree: ValueError, before the solve.
     """
     ctx = ghost_context(data)
-    if alpha.ctx != ctx or any(w.bit_count() != 1 for w in alpha.by_word()):
-        raise ValueError("exactness query takes a 1-form in the ghost context")
-    sources, columns = window_columns(ctx, q_images(data, ctx), [0], degree)
-    result = solve(columns, alpha.coeffs)
+    images = q_images(data, ctx)
+    form = _affine_form(ctx, alpha)
+    if not left_derivation(ctx, images, form).is_zero:
+        raise ValueError("not closed: the frame differential of alpha is nonzero")
+    sources, columns = window_columns(ctx, images, [0], degree)
+    result = solve(columns, form.coeffs)
     if result is None:
         return None
     unknowns = [(word, e) for word, e, _ in sources]

@@ -24,15 +24,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
 from .aksz import SUPERCHARGE_IDENTITY, check_supercharge, expand_bv, term_rows
-from .algebroid import (
-    check_axioms,
-    cohomology_h1,
-    ghost_context,
-    is_exact_one_form,
-    q_images,
-)
+from .algebroid import check_axioms, cohomology_h1, is_exact_one_form
 from .bfv import CARTAN_IDENTITY, BFVPackage, assemble_bfv, bfv_h0
-from .constraints import affine_charge, check_first_class, irreducibility_probe
+from .constraints import check_first_class, irreducibility_probe
 from .dynamics import (
     EVOLUTION_IDENTITY,
     METRIC_COMPAT_IDENTITY,
@@ -44,7 +38,6 @@ from .dynamics import (
     solve_connection,
     structural_residuals,
 )
-from .graded import left_derivation
 from .problem import (
     GEOMETRY_FIELDS,
     INT_LITERAL,
@@ -247,20 +240,11 @@ def _check(file, run_all, json_path, **flags) -> None:
     sys.exit(1 if failed else 0)
 
 
-def _cohomology(
-    file, degree, trunc, p_degree, slack, bfv_h0_flag, is_exact_flag
-) -> None:
+def _cohomology(file, trunc, p_degree, slack, bfv_h0_flag, is_exact_flag) -> None:
     """Cohomology windows of the frame differential, exactly."""
     if bfv_h0_flag and is_exact_flag:
         raise _UsageError("--bfv-h0 and --is-exact are exclusive")
-    if bfv_h0_flag and degree not in (None, 0):
-        raise _UsageError("the ghost-zero window is at degree 0")
-    if not bfv_h0_flag and degree not in (None, 1):
-        raise _UsageError("only the degree-1 window is implemented")
     problem = _load(file)
-    trunc = problem.truncation.x_degree if trunc is None else trunc
-    slack = problem.truncation.slack if slack is None else slack
-    p_degree = problem.truncation.p_degree if p_degree is None else p_degree
     if min(trunc, slack, p_degree) < 0:
         raise _UsageError("degree bounds must be nonnegative")
     _check_window_budget(problem, trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
@@ -319,13 +303,11 @@ def _check_window_budget(
 def _query_exact(problem: Problem, trunc: int) -> None:
     if problem.constraints.alpha is None:
         _input_error("the exactness query needs the affine part alpha")
-    data = problem.data
-    ctx = ghost_context(data)
-    alpha = affine_charge(data, problem.constraints.alpha, ctx)
-    if not left_derivation(ctx, q_images(data, ctx), alpha).is_zero:
-        print("not closed: the frame differential of alpha is nonzero")
+    try:
+        primitive = is_exact_one_form(problem.data, problem.constraints.alpha, trunc)
+    except ValueError as error:
+        print(error)
         sys.exit(1)
-    primitive = is_exact_one_form(data, alpha, trunc)
     if primitive is None:
         print(f"closed, but no primitive of degree <= {trunc} exists")
         sys.exit(1)
@@ -809,10 +791,9 @@ _VERBS = (
         _Option("--json", "path", dest="json_path"),
     )),
     _Command("cohomology", _cohomology, (
-        _Option("--degree", "int", "form degree (default 1)"),
-        _Option("--trunc", "int", "polynomial degree window"),
-        _Option("--p-degree", "int", "momentum degree window"),
-        _Option("--slack", "int", "extra source degrees"),
+        _Option("--trunc", "int", "polynomial degree window", default=2),
+        _Option("--p-degree", "int", "momentum degree window", default=1),
+        _Option("--slack", "int", "extra source degrees", default=2),
         _Option("--bfv-h0", help="ghost-zero window", dest="bfv_h0_flag"),
         _Option("--is-exact", help="primitive query", dest="is_exact_flag"),
     )),

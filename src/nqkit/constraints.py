@@ -29,14 +29,13 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .algebroid import Algebroid, check_axioms, ghost_context, q_images
+from .algebroid import Algebroid, _affine_form, check_axioms, ghost_context, q_images
 from .graded import (
     GradedContext,
     GradedPoly,
     _accumulate_product,
     _lifted_terms,
     extended_context,
-    ghost_name,
     hamiltonian_lift,
     left_derivation,
     momentum_name,
@@ -178,35 +177,13 @@ def phase_space(data: Algebroid, magnetic: Matrix | None = None) -> GradedContex
 
 
 def affine_part(
-    coords: tuple[str, ...], rank: int, alpha: Sequence[EvenPoly] | None
+    coords: tuple[str, ...], rank: int, alpha: Sequence[EvenPoly]
 ) -> tuple[EvenPoly, ...]:
-    """The components alpha_a (zeros when absent), checked against the frame."""
-    if alpha is None:
-        return (EvenPoly.zero(coords),) * rank
+    """The components alpha_a, checked against the frame."""
     alpha = tuple(alpha)
     if len(alpha) != rank or any(f.coords != coords for f in alpha):
         raise ValueError(f"alpha must have {rank} components over the base ring")
     return alpha
-
-
-def affine_charge(
-    data: Algebroid, alpha: Sequence[EvenPoly] | None, ctx: GradedContext
-) -> GradedPoly:
-    """alpha_a xi^a, once alpha is checked against the frame.
-
-    In `ghost_context(data)` this is the E-form of alpha; in the extended
-    phase space it is the affine part of the charge.
-    """
-    return _affine_form(ctx, affine_part(data.coords, data.rank, alpha))
-
-
-def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
-    """alpha_a xi^a from checked components: each holds the terms of its letter."""
-    terms = {}
-    for c, f in enumerate(alpha):
-        word = 1 << ctx.odd_index[ghost_name(c + 1)]
-        terms.update(_lifted_terms(ctx, f, word=word))
-    return GradedPoly._trusted(ctx, terms)
 
 
 def decompose_fiber_affine(
@@ -264,8 +241,7 @@ def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
     """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q on the phase space ctx.
 
     Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c.  This is the
-    core of the charge; a constraint set adds the affine part alpha_a xi^a
-    of `affine_charge`.
+    core of the charge; a constraint set adds the affine part alpha_a xi^a.
     """
     return hamiltonian_lift(ctx, q_images(data, ctx))
 

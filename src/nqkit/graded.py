@@ -27,7 +27,6 @@ with all derivatives acting from the left.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .poly import (
@@ -366,14 +365,6 @@ class GradedPoly:
 
     # structure
 
-    def parity(self) -> int:
-        """Parity of a parity-homogeneous element; the zero element counts as even."""
-        s = self.ctx.word_shift
-        parities = {(key >> s).bit_count() & 1 for key in self.coeffs}
-        if len(parities) > 1:
-            raise ValueError("element is not parity homogeneous")
-        return parities.pop() if parities else 0
-
     def terms(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], Scalar]]:
         """All scalar monomials (ascending letters, exponent tuple, coefficient)."""
         n, s = len(self.ctx.even_names), self.ctx.word_shift
@@ -391,19 +382,6 @@ class GradedPoly:
             groups.setdefault(key >> s, {})[key & low] = c
         names = self.ctx.even_names
         return {word: EvenPoly._trusted(names, t) for word, t in groups.items()}
-
-    def ghost_degree(self) -> int:
-        """Ghost degree of a ghost-homogeneous element; zero counts as degree 0."""
-        ctx, n, s = self.ctx, len(self.ctx.even_names), self.ctx.word_shift
-        low = (1 << s) - 1 if any(ctx.even_ghost) else 0  # 0: no even ghost
-        ghosts = {
-            sum(ctx.odd_ghost[a] for a in letters(key >> s))
-            + sum(map(mul, unpack(key & low, n), ctx.even_ghost))
-            for key in self.coeffs
-        }
-        if len(ghosts) > 1:
-            raise ValueError(f"element mixes ghost degrees {sorted(ghosts)}")
-        return ghosts.pop() if ghosts else 0
 
     def even_part(self) -> EvenPoly:
         """The odd-word-free coefficient."""

@@ -26,7 +26,9 @@ Schema, with shapes in brackets:
     beta        [base_dim] expressions
     magnetic    [n][n] expressions, antisymmetric      (B_ij)
     points      list of [base_dim] rationals (ints or "a/b")
-    truncation  {"x_degree": int, "p_degree": int, "slack": int}
+
+Any other top-level field is refused as unknown.  The cohomology windows
+are set on the command line alone (`--trunc`, `--p-degree`, `--slack`).
 
 A literal "0" entry of a dense list is not parsed; the connection and tau
 are stored only as the indexes of their nonzero entries (`GeometryPack`).
@@ -65,7 +67,6 @@ _KNOWN_FIELDS = {
     "beta",
     "magnetic",
     "points",
-    "truncation",
 }
 
 # the file field of each `GeometryPack` attribute a message may name: the
@@ -88,24 +89,6 @@ class ProblemError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-class Truncation:
-    def __init__(self, x_degree: int = 2, p_degree: int = 1, slack: int = 2):
-        self.x_degree = x_degree
-        self.p_degree = p_degree
-        self.slack = slack
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Truncation):
-            return NotImplemented
-        return (self.x_degree, self.p_degree, self.slack) == (
-            other.x_degree,
-            other.p_degree,
-            other.slack,
-        )
-
-    __hash__ = None
-
-
 class Problem:
     """A validated problem file.
 
@@ -120,13 +103,11 @@ class Problem:
         constraints: ConstraintSet,
         pack: GeometryPack,
         points: tuple[tuple[Rat, ...], ...],
-        truncation: Truncation,
         raw: str,
     ):
         self.constraints = constraints
         self.pack = pack
         self.points = points
-        self.truncation = truncation
         self.raw = raw
 
     @property
@@ -231,7 +212,6 @@ def problem_from_dict(doc: object) -> Problem:
         ConstraintSet(data, alpha, magnetic),
         pack,
         _points(doc.get("points"), base_dim),
-        _truncation(doc.get("truncation")),
         json.dumps(doc, separators=(",", ":")),
     )
 
@@ -475,23 +455,6 @@ def _points(
                 raise ProblemError(f"{path}[{i + 1}]", str(error)) from error
         points.append(tuple(entries))
     return tuple(points)
-
-
-def _truncation(value: object) -> Truncation:
-    if value is None:
-        return Truncation()
-    if not isinstance(value, dict):
-        raise ProblemError("truncation", "must be an object of degree bounds")
-    known = {"x_degree", "p_degree", "slack"}
-    for name in sorted(value):
-        if name not in known:
-            raise ProblemError(f"truncation.{name}", "unknown field")
-        entry = value[name]
-        if isinstance(entry, bool) or not isinstance(entry, int) or entry < 0:
-            raise ProblemError(
-                f"truncation.{name}", "must be a nonnegative integer"
-            )
-    return Truncation(**value)
 
 
 def _geometry_path(message: str) -> str:

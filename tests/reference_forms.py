@@ -16,7 +16,8 @@ base forms.
 
 `components` reads a ghost polynomial back into a table, so the library
 route and these compare as exact dicts, and `ghost_poly` writes a table
-as a ghost polynomial; `q_apply` is the library route.
+as a ghost polynomial; `affine_form` writes the 1-form alpha_a xi^a in any
+context that holds the frame's ghosts; `q_apply` is the library route.
 
 Routes that the library replaced stand here as references for the
 differential tests: `substitute` multiplies out a graded polynomial term by
@@ -35,14 +36,15 @@ them; `from_parts` builds one from the even coefficient of each bitmask
 word, as `GradedPoly.by_word()` reads them back.  Graded terms in tuple
 form are `{(letters, exponent tuple): coefficient}` (`graded_terms`), with
 their product, derivatives, bracket, derivation and transport written out
-from the definitions of `nqkit.graded`.
+from the definitions of `nqkit.graded`; `parity` and `ghost_degree` read
+the degrees of a homogeneous element off them.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from itertools import combinations
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from nqkit.algebroid import Algebroid, ghost_context, q_images
@@ -249,6 +251,14 @@ def ghost_poly(data: Algebroid, form: Form) -> GradedPoly:
         for a in indices:
             term = term * ctx.var(ghost_name(a + 1))
         out = out + term
+    return out
+
+
+def affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
+    """alpha_a xi^a in any context with the frame's ghosts, summed term by term."""
+    out = ctx.zero()
+    for a, f in enumerate(alpha):
+        out = out + ctx.lift(f) * ctx.var(ghost_name(a + 1))
     return out
 
 
@@ -506,6 +516,26 @@ def embed(terms: dict, indices: Sequence[int], size: int) -> dict:
 def graded_terms(F: GradedPoly) -> dict:
     """The terms of F keyed (ascending letters, exponent tuple)."""
     return {(word, exponent): coeff for word, exponent, coeff in F.terms()}
+
+
+def parity(F: GradedPoly) -> int:
+    """The parity of a parity-homogeneous element; zero counts as even."""
+    parities = {len(word) % 2 for word, _ in graded_terms(F)}
+    if len(parities) > 1:
+        raise ValueError("element is not parity homogeneous")
+    return parities.pop() if parities else 0
+
+
+def ghost_degree(F: GradedPoly) -> int:
+    """The ghost degree of a ghost-homogeneous element; zero counts as degree 0."""
+    ctx = F.ctx
+    degrees = {
+        sum(ctx.odd_ghost[a] for a in word) + sum(map(mul, exponent, ctx.even_ghost))
+        for word, exponent in graded_terms(F)
+    }
+    if len(degrees) > 1:
+        raise ValueError(f"element mixes ghost degrees {sorted(degrees)}")
+    return degrees.pop() if degrees else 0
 
 
 def graded_add(F: dict, G: dict, sign: int = 1) -> dict:

@@ -31,7 +31,6 @@ from nqkit.algebroid import (
 from nqkit.bfv import assemble_bfv, build_S, check_master, covariant_momenta
 from nqkit.constraints import (
     ConstraintSet,
-    affine_charge,
     check_first_class,
     extract_structure,
     phase_space,
@@ -49,6 +48,7 @@ from nqkit.problem import load_problem
 from nqkit.report import FAIL, PASS
 from tests.conftest import invoke
 from tests.reference_forms import (
+    affine_form,
     components,
     de_rham,
     one_form,
@@ -194,10 +194,8 @@ def test_criterion_03_round_trip_extraction():
 def test_criterion_04_affine_and_twist_sector():
     data = rank2_line()
     coords, g = ring(["x"])
-    alpha = affine_charge(
-        data, [EvenPoly.const(coords, 1), g["x"]], ghost_context(data)
-    )
-    assert q_apply(data, alpha).is_zero
+    alpha = (EvenPoly.const(coords, 1), g["x"])
+    assert q_apply(data, affine_form(ghost_context(data), alpha)).is_zero
     assert is_exact_one_form(data, alpha, 2) == g["x"]
 
     coords2, g2 = ring(["x1", "x2"])
@@ -239,7 +237,7 @@ def test_criterion_05_chain_map_on_random_one_forms():
             # the library d_E, Q on the ghost polynomial of the pulled-back form
             pulled = pullback(data, beta)
             alpha = [pulled.get((a,), data.zero()) for a in range(data.rank)]
-            rhs = q_apply(data, affine_charge(data, alpha, ctx))
+            rhs = q_apply(data, affine_form(ctx, alpha))
             assert components(rhs, coords) == lhs
     verdict(5, "pullback O d = Ed O pullback on 50 random 1-forms x 5 fixtures")
 

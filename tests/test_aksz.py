@@ -38,7 +38,7 @@ from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_acti
 from tests.test_bfv import shear_pair
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests import reference_forms as ref
-from tests.reference_forms import from_terms, substitute
+from tests.reference_forms import from_terms, ghost_degree, parity, substitute
 from tests.test_dynamics import flat_pack, identity_metric
 from tests.test_generated_frames import gen
 from tests.test_graded import word_coefficient
@@ -121,7 +121,7 @@ def test_build_supercharge_abelian_flat():
     assert bfv.Q is Q  # built once, kept by the package
     q = Q.ctx.var
     assert Q == q("xi_1") * q("p_x") + q("theta") * q("p_x") ** 2 / 2
-    assert (Q.parity(), Q.ghost_degree()) == (1, 1)
+    assert (parity(Q), ghost_degree(Q)) == (1, 1)
 
 
 def test_build_supercharge_topological():

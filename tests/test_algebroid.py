@@ -19,19 +19,20 @@ from nqkit.algebroid import (
     jacobi_defect,
     q_images,
 )
-from nqkit.constraints import affine_charge
 from nqkit.graded import antighost_name, ghost_name, left_derivation, momentum_name
 from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS
 from tests.cubes import cube_algebroid, structure_cube
 from tests.reference_forms import (
+    affine_form,
     components,
     de_rham,
     e_differential,
     ghost_poly,
     one_form,
     packed,
+    parity,
     pullback,
     q_apply,
 )
@@ -232,7 +233,7 @@ def test_pullback_chain_identity():
             beta = [random_poly(data.coords, rng) for _ in range(data.base_dim)]
             pulled = pullback(data, one_form(beta))
             alpha = [pulled.get((a,), data.zero()) for a in range(data.rank)]
-            lhs = components(q_apply(data, affine_charge(data, alpha, ctx)), data.coords)
+            lhs = components(q_apply(data, affine_form(ctx, alpha)), data.coords)
             rhs = pullback(data, de_rham(data.coords, one_form(beta)))
             zero = data.zero()
             for a, b in combinations(range(data.rank), 2):
@@ -475,7 +476,7 @@ def test_q_is_an_odd_left_derivation():
     pool = [x1, xi[0], x2 * xi[0] * xi[1], xi[0] * xi[1] * xi[2], x1 * x2]
     for F in pool:
         for G in pool:
-            sign = -1 if F.parity() else 1
+            sign = -1 if parity(F) else 1
             lhs = left_derivation(ctx, images, F * G)
             rhs = left_derivation(ctx, images, F) * G + sign * F * left_derivation(
                 ctx, images, G
@@ -546,7 +547,7 @@ def test_closed_basis_members_are_closed():
         report = cohomology_h1(data, trunc=2)
         for alpha in report.closed_basis:
             assert len(alpha) == data.rank
-            assert q_apply(data, affine_charge(data, alpha, ctx)).is_zero
+            assert q_apply(data, affine_form(ctx, alpha)).is_zero
             assert e_differential(data, one_form(alpha)) == {}
 
 
@@ -554,19 +555,28 @@ def test_is_exact_one_form_finds_primitive():
     data = rank2_line()
     ctx = ghost_context(data)
     coords, g = ring(["x"])
-    alpha = affine_charge(data, [EvenPoly.const(coords, 1), g["x"]], ctx)
+    alpha = (EvenPoly.const(coords, 1), g["x"])
     primitive = is_exact_one_form(data, alpha, degree=3)
     assert primitive == g["x"]
-    assert q_apply(data, ctx.lift(primitive)) == alpha
+    assert q_apply(data, ctx.lift(primitive)) == affine_form(ctx, alpha)
 
 
 def test_is_exact_one_form_detects_obstruction():
     data = rank2_line()
-    ctx = ghost_context(data)
     coords, g = ring(["x"])
-    dual = affine_charge(data, [EvenPoly.zero(coords), EvenPoly.const(coords, 1)], ctx)
-    assert is_exact_one_form(data, dual, degree=4) is None
-    outside = affine_charge(data, [g["x"], EvenPoly.zero(coords)], ctx)
-    assert is_exact_one_form(data, outside, degree=0) is None
-    with pytest.raises(ValueError, match="1-form in the ghost context"):
-        is_exact_one_form(data, ctx.var(ghost_name(1)) * dual, degree=1)
+    one, zero = EvenPoly.const(coords, 1), EvenPoly.zero(coords)
+    # closed, and no primitive at any degree
+    assert is_exact_one_form(data, (zero, one), degree=4) is None
+    # exact, but its primitive x lies above the window
+    assert is_exact_one_form(data, (one, g["x"]), degree=0) is None
+
+
+def test_is_exact_one_form_refuses_an_unclosed_form():
+    # Q(x xi^1) = -2 x xi^1 xi^2 is nonzero, so x xi^1 has no primitive at
+    # any degree: refused before the window is solved
+    data = rank2_line()
+    coords, g = ring(["x"])
+    alpha = (g["x"], EvenPoly.zero(coords))
+    assert not q_apply(data, affine_form(ghost_context(data), alpha)).is_zero
+    with pytest.raises(ValueError, match="^not closed: the frame differential"):
+        is_exact_one_form(data, alpha, degree=4)

@@ -985,13 +985,13 @@ def test_non_ascii_digits_are_input_errors(tmp_path, field, value, where, messag
             "check",
             "input error: points: must be a list of coordinate vectors",
         ),
+        ("truncation", [1], "check", "input error: truncation: unknown field"),
         (
-            "truncation",
-            [1],
-            "check",
-            "input error: truncation: must be an object of degree bounds",
+            None,
+            None,
+            "--bfv-h0",
+            "Error: No such option '--degree'. Did you mean '--p-degree'?",
         ),
-        (None, None, "--bfv-h0", "Error: the ghost-zero window is at degree 0"),
         (
             None,
             None,
@@ -1228,8 +1228,8 @@ def test_cohomology_prerequisite_and_usage_errors(tmp_path):
         "prerequisite failed: the master equation fails: "
         "(S, .) does not square to zero\n"
     )
-    result = run("cohomology", corpus_path("so3_action"), "--degree", "2")
-    assert result.exit_code == 2
+    result = run("cohomology", corpus_path("so3_action"), "--degree", "1")
+    assert result.exit_code == 2  # no such option: the mode sets the degree
     result = run(
         "cohomology", corpus_path("so3_action"), "--bfv-h0", "--is-exact"
     )
@@ -1466,7 +1466,8 @@ def test_emit_bv_pins_the_potential_term(tmp_path, metric):
 
 def test_check_all_checks_alpha_once(monkeypatch):
     # the constraint set checks its alpha at construction; its affine
-    # charge and its structural 2-form build from the checked components
+    # charge, its structural 2-form and the exactness query build from the
+    # checked components
     calls = []
     affine_part = nqkit.constraints.affine_part
 
@@ -1475,9 +1476,11 @@ def test_check_all_checks_alpha_once(monkeypatch):
         return affine_part(*args)
 
     monkeypatch.setattr(nqkit.constraints, "affine_part", counted)
-    result = run("check", corpus_path("rank2_line_affine"), "--all")
-    assert result.exit_code == 0, result.output
-    assert len(calls) == 1
+    for verb, flag in (("check", "--all"), ("cohomology", "--is-exact")):
+        calls.clear()
+        result = run(verb, corpus_path("rank2_line_affine"), flag)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1, verb
 
 
 def test_solve_connection_builds_no_phase_space(monkeypatch, tmp_path):

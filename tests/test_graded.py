@@ -18,7 +18,9 @@ from nqkit.poly import EvenPoly, pack, unpack
 from tests.reference_forms import (
     from_parts,
     from_terms,
+    ghost_degree,
     packed,
+    parity,
     render_even,
     render_graded,
     substitute,
@@ -418,16 +420,16 @@ def test_reflected_subtraction_lifts_the_left_operand():
 def test_ghost_bookkeeping():
     ctx = extended_context(["x"], rank=1)
     xi, pi, p = ctx.var("xi_1"), ctx.var("pi_1"), ctx.var("p_x")
-    assert xi.ghost_degree() == 1
-    assert pi.ghost_degree() == -1
-    assert (xi * pi).ghost_degree() == 0
-    assert (p * xi).ghost_degree() == 1
+    assert ghost_degree(xi) == 1
+    assert ghost_degree(pi) == -1
+    assert ghost_degree(xi * pi) == 0
+    assert ghost_degree(p * xi) == 1
     mixed = xi + xi * pi * 2
     with pytest.raises(ValueError):
-        mixed.ghost_degree()
+        ghost_degree(mixed)
     # the bracket is additive in ghost degree
     S = p * xi
-    assert ctx.poisson(S, pi).ghost_degree() == 0
+    assert ghost_degree(ctx.poisson(S, pi)) == 0
 
 
 def test_left_derivative_signs():
@@ -491,9 +493,9 @@ def test_parity_helpers():
     assert parity_part(F, 0) == ctx.var("x")
     assert parity_part(F, 1) == ctx.var("xi_1")
     with pytest.raises(ValueError):
-        F.parity()
-    assert ctx.var("xi_1").parity() == 1
-    assert ctx.zero().parity() == 0
+        parity(F)
+    assert parity(ctx.var("xi_1")) == 1
+    assert parity(ctx.zero()) == 0
 
 
 def test_text_forms_match_the_reference_renderers():

@@ -17,7 +17,6 @@ from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly
 from nqkit.problem import (
     ProblemError,
-    Truncation,
     _parse_entry,
     connection_strings,
     load_problem,
@@ -52,7 +51,6 @@ def test_minimal_document_loads():
     assert problem.data.nonzero_structure == {}
     assert problem.pack.g_inv is None
     assert problem.points == ()
-    assert problem.truncation == Truncation(2, 1, 2)
 
 
 def test_full_document_loads():
@@ -65,7 +63,6 @@ def test_full_document_loads():
         potential="x^2",
         beta=["x"],
         points=[[2], ["-1/3"]],
-        truncation={"x_degree": 4, "slack": 1},
     )
     problem = problem_from_dict(doc)
     coords, g = ring(["x"])
@@ -73,7 +70,6 @@ def test_full_document_loads():
     assert problem.pack.tau == {(0, 0): EvenPoly.const(coords, 3)}
     assert problem.constraints.alpha == (g["x"],)
     assert problem.points == ((Fraction(2),), (Fraction(-1, 3),))
-    assert problem.truncation == Truncation(x_degree=4, p_degree=1, slack=1)
 
 
 def test_structure_defaults_to_zero_and_integer_entries_are_accepted():
@@ -435,13 +431,19 @@ def test_points_validation():
     assert path_of(err) == "points[1][1]"
 
 
-def test_truncation_validation():
+def test_truncation_block_is_refused_by_name(tmp_path):
+    # the cohomology windows are set by the command line alone: a file
+    # that still sets them is refused, and the command that reads it exits 2
+    block = {"x_degree": 4, "p_degree": 1, "slack": 1}
     with pytest.raises(ProblemError) as err:
-        problem_from_dict(minimal(truncation={"x_degree": -1}))
-    assert path_of(err) == "truncation.x_degree"
-    with pytest.raises(ProblemError) as err:
-        problem_from_dict(minimal(truncation={"depth": 2}))
-    assert path_of(err) == "truncation.depth"
+        problem_from_dict(minimal(truncation=block))
+    assert (path_of(err), err.value.message) == ("truncation", "unknown field")
+    doc = json.loads((CORPUS / "so3_action.json").read_text())
+    path = tmp_path / "so3_truncation.json"
+    path.write_text(json.dumps(dict(doc, truncation=block)))
+    result = invoke(["cohomology", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr == "input error: truncation: unknown field\n"
 
 
 def test_load_problem_file_errors(tmp_path):

@@ -20,7 +20,7 @@ from nqkit.constraints import ConstraintSet, ExtractionResult, check_first_class
 from nqkit.dynamics import ConnectionSolution, GeometryPack, StructuralResiduals
 from nqkit.parser import _Token
 from nqkit.poly import EvenPoly
-from nqkit.problem import Problem, Truncation, _truncation
+from nqkit.problem import Problem
 from nqkit.report import FAIL, PASS, CheckReport
 from tests.test_algebroid import abelian_r1
 from tests.test_dynamics import flat_pack
@@ -174,18 +174,12 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
             },
             {},
         ),
-        "Truncation": (
-            Truncation,
-            {"x_degree": 4, "p_degree": 3, "slack": 5},
-            {"x_degree": 2, "p_degree": 1, "slack": 2},
-        ),
         "Problem": (
             Problem,
             {
                 "constraints": m["constraints"],
                 "pack": m["pack"],
                 "points": ((Fraction(1, 2),),),
-                "truncation": Truncation(4, 3, 5),
                 "raw": '{"rank":1}',
             },
             {},
@@ -207,7 +201,6 @@ RECORDS = (
     "H0Report",
     "FieldEntry",
     "ComponentAction",
-    "Truncation",
     "Problem",
 )
 
@@ -248,15 +241,6 @@ def test_record_constructor_surface(cases, name):
             assert getattr(first, field) is not getattr(second, field), field
 
 
-def test_truncation_from_a_document_compares_by_value():
-    value = {"x_degree": 4, "slack": 1}
-    assert Truncation(**value) == Truncation(4, 1, 1)
-    assert _truncation(value) == Truncation(x_degree=4, p_degree=1, slack=1)
-    assert _truncation(None) == Truncation()
-    assert Truncation(**value) != Truncation(4, 1, 2)
-    assert Truncation.__hash__ is None
-
-
 def test_derived_record_fields():
     # the fields the constructors derive instead of taking a second copy
     m = _material()
@@ -266,7 +250,7 @@ def test_derived_record_fields():
     assert package.master is package.constraints.master
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]
-    problem = Problem(cs, m["pack"], (), Truncation(), "{}")
+    problem = Problem(cs, m["pack"], (), "{}")
     assert problem.data is cs.data
     # a zero anchor row, and no alpha, makes the second constraint zero
     data = m["data"]

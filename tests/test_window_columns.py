@@ -38,19 +38,21 @@ from nqkit.algebroid import (
 )
 from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.cli import _check_window_budget, _connection_unknowns
-from nqkit.constraints import ConstraintSet, affine_charge, phase_space
+from nqkit.constraints import ConstraintSet, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import in_window, letters, window_columns
 from nqkit.linalg import image_in, rank
 from nqkit.poly import WIDTH, EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
-from tests.reference_forms import e_differential, from_terms
+from tests.reference_forms import affine_form, e_differential, from_terms
 from tests.test_linalg import rank_through_rref
 from tests.test_graded import pair_loop_poisson
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 NAMES = sorted(path.stem for path in CORPUS.glob("*.json"))
+# the source slack of the h^1 exact window when `cohomology` is not given one
+SLACK = nqkit.cli.cmd_cohomology.options["--slack"].default
 
 
 def corpus_problem(name: str):
@@ -133,7 +135,7 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
     problem = corpus_problem(name)
     data, cs = problem.data, problem.constraints
     ctx = phase_space(data, cs.magnetic)
-    S = build_S(data, ctx) + affine_charge(data, cs.alpha, ctx)
+    S = build_S(data, ctx) + affine_form(ctx, cs.alpha or ())
     field = ctx.hamiltonian_field(S)
     n = data.base_dim
     for ghost in (0, -1):
@@ -160,7 +162,7 @@ def assert_image_in_is_rank_minus_the_outside_rank(columns, inside):
 @pytest.mark.parametrize("trunc", [0, 1, 2, 3])
 def test_h1_exact_window_matches_two_eliminations(name, trunc):
     problem = corpus_problem(name)
-    data, slack = problem.data, problem.truncation.slack
+    data, slack = problem.data, SLACK
     ctx = ghost_context(data)
     _, sources = window_columns(ctx, q_images(data, ctx), [0], trunc + slack)
     assert_image_in_is_rank_minus_the_outside_rank(
@@ -254,7 +256,7 @@ def built_columns(monkeypatch, module, stubs: dict, solve) -> int:
 @pytest.mark.parametrize("trunc", [0, 1, 2, 3])
 def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc):
     problem = corpus_problem(name)
-    data, slack = problem.data, problem.truncation.slack
+    data, slack = problem.data, SLACK
 
     def estimate(p_degree, bfv_h0_flag, is_exact_flag):
         window = (trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
@@ -265,7 +267,7 @@ def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc
         monkeypatch, nqkit.algebroid, stubs, lambda: cohomology_h1(data, trunc, slack)
     )
     assert estimate(0, False, False) == h1
-    zero_form = ghost_context(data).zero()
+    zero_form = (data.zero(),) * data.rank
     exact = built_columns(
         monkeypatch,
         nqkit.algebroid,

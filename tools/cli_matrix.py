@@ -20,7 +20,9 @@ many terms per word, failing axioms with long residuals; `check --all
 --json` and `emit --what bfv --force` only), plus a few inputs near the
 parser's term and degree budgets, the widest cohomology window in one
 coordinate and a dense structure that is not antisymmetric, a magnetic field that is not
-antisymmetric, and one `check --json` on a
+antisymmetric, a corpus file that still sets the removed `truncation`
+block (refused at load as an unknown field), a `cohomology --degree` run
+(an option that no longer exists), and one `check --json` on a
 corpus file under a name with a non-ASCII letter, a quote and a
 backslash.  Each run is one fresh
 `python -m nqkit.cli` process in an empty directory of its own; the line
@@ -92,10 +94,12 @@ BUDGET_ENTRIES = {
 ESCAPED_COPY = ("so3_action", 'so3_action é"\\')
 # runs outside the per-input grid: the widest h^1 window the window budget
 # admits on a one-coordinate frame, degree 2402 in x, an exactness query
-# whose alpha is closed but has no primitive of degree 0, and the escaping run
+# whose alpha is closed but has no primitive of degree 0, the removed
+# `--degree` (a usage error, exit 2) and the escaping run
 EXTRA_LINES = (
     ["cohomology", "../in/abelian_r1.json", "--trunc", "2400"],
     ["cohomology", "../in/rank2_line_affine.json", "--is-exact", "--trunc", "0"],
+    ["cohomology", "../in/so3_action.json", "--degree", "1"],
     ["check", f"../in/{ESCAPED_COPY[1]}.json", "--all", "--json", "report.json"],
 )
 # corpus files whose sparse structure also runs as the [c][a][b] list
@@ -206,7 +210,12 @@ RATIONAL_LINES = (
     ("emit", "--what", "bfv", "--out", "out.json", "--force"),
 )
 # inputs refused at load, run with `check --axioms` only
-LOAD_ERRORS = (*BUDGET_ENTRIES, "dense_asymmetric", "magnetic_asymmetric")
+LOAD_ERRORS = (
+    *BUDGET_ENTRIES,
+    "dense_asymmetric",
+    "magnetic_asymmetric",
+    "so3_action_truncation",
+)
 
 
 def dense_structure(doc: dict) -> list[list[list[str]]]:
@@ -259,6 +268,11 @@ def inputs() -> dict[str, dict]:
     # B_12 = B_21 = 1: the loader refuses the magnetic field as not antisymmetric
     docs["magnetic_asymmetric"] = dict(
         docs["abelian_r2_magnetic"], magnetic=[["0", "1"], ["1", "0"]]
+    )
+    # the window defaults are command-line options alone: the loader refuses
+    # a file that still sets them as `truncation: unknown field`
+    docs["so3_action_truncation"] = dict(
+        docs["so3_action"], truncation={"x_degree": 2, "p_degree": 1, "slack": 2}
     )
     for name, (coords, entry) in BUDGET_ENTRIES.items():
         anchor = [entry] + ["0"] * (len(coords) - 1)
