@@ -83,14 +83,15 @@ def multiplier_name(a: int) -> str:
 def check_supercharge(package: BFVPackage) -> CheckReport:
     """Nilpotency of the super-time charge.
 
-    The self bracket is computed directly and, as an internal guard,
-    matched against (S, S) - 2 theta (S, H), read off the constraints and
-    the package that bracketed them; the verdict must also agree with the
+    The self bracket is computed directly, from the images of (Q, .) alone
+    (`GradedContext.self_bracket`), and, as an internal guard, matched
+    against (S, S) - 2 theta (S, H), read off the constraints and the
+    package that bracketed them; the verdict must also agree with the
     package's master and invariance reports.
     """
     Q = package.Q
     ctx = Q.ctx
-    QQ = ctx.poisson(Q, Q)
+    QQ = ctx.self_bracket(Q)
     SS, SH = package.constraints.self_bracket, package.SH
     theta = ctx.var(THETA)
     split = transport(SS, ctx) - 2 * theta * transport(SH, ctx)

@@ -48,6 +48,7 @@ from .graded import (
     hamiltonian_lift,
     in_window,
     left_derivation,
+    letters,
     merge_words,
     momentum_name,
     window_columns,
@@ -190,13 +191,21 @@ class Algebroid:
 def anchor_defect(data: Algebroid) -> dict[tuple[int, int, int], EvenPoly]:
     """R1 on frame pairs a < b, keyed (a, b, i); only nonzero entries are stored.
 
-    Each entry is summed in one term dict and wrapped once.
+    An entry (a, b, i) can be nonzero only if x^i is in the anchor support
+    of row a, of row b or of a row c with C^c_ab != 0, so i runs over the
+    union of those supports, ascending.  Each entry is summed in one term
+    dict and wrapped once.
     """
     anchor, nonzero = data.anchor, data.nonzero_structure
+    # the support of each anchor row as a bitmask: bit i for x^i
+    supports = [sum(1 << i for i, _, _ in row) for row in data._anchor_rows]
     out: dict[tuple[int, int, int], EvenPoly] = {}
     for a, b in combinations(range(data.rank), 2):
         entries = nonzero.get((a, b), ())
-        for i in range(data.base_dim):
+        reach = supports[a] | supports[b]
+        for c, _ in entries:
+            reach |= supports[c]
+        for i in letters(reach):
             terms: Terms = {}
             data._add_derivative(terms, a, anchor[b][i].terms)
             data._add_derivative(terms, b, anchor[a][i].terms, -1)

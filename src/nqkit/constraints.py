@@ -154,7 +154,9 @@ class ConstraintSet:
 
     @cached_property
     def self_bracket(self) -> GradedPoly:
-        return left_derivation(self.ctx, self.field, self.S)
+        """(S, S) from the images of `field` alone (`GradedContext.self_bracket`);
+        `check_master` holds it against twice the closure."""
+        return self.ctx.self_bracket(self.S, self.field)
 
     @cached_property
     def master(self) -> CheckReport:

@@ -278,6 +278,43 @@ class GradedContext:
             raise ValueError("bracket arguments belong to a different context")
         return left_derivation(self, self.hamiltonian_field(F), G)
 
+    def self_bracket(
+        self, F: GradedPoly, field: Mapping[str, GradedPoly] | None = None
+    ) -> GradedPoly:
+        """{F, F} for an odd F, from its images `field = hamiltonian_field(F)`
+        alone, without a second pass over F.
+
+        The images are derivatives of F: field[x^i] = dF/dp_i, and field[p_i]
+        is -dF/dx^i plus the twist sum_k W_ki field[x^k].  Putting them back
+        into {F, F} = sum over names of field[name] dF/dname, the odd images
+        of the momentum pairs anticommute and the even ones of the ghost
+        pairs commute, so every pair occurs twice:
+
+            {F, F} = 2 [sum_i field[p_i] field[x^i]
+                        + sum_a field[xi^a] field[pi_a]
+                        + sum_{i<k} W_ki field[x^i] field[x^k]]
+
+        ValueError for an F with an even term.
+        """
+        s = self.word_shift
+        if any(not (key >> s).bit_count() & 1 for key in F.coeffs):
+            raise ValueError("the self-bracket from the images needs an odd F")
+        if field is None:
+            field = self.hamiltonian_field(F)
+        half: Terms = {}
+        for left, right in self.pairs_even + self.pairs_odd:  # (p, x), (xi, pi)
+            if left in field and right in field:
+                _accumulate_product(half, field[left].coeffs, field[right].coeffs, s)
+        positions = [x for _, x in self.pairs_even]
+        for k, x_k in enumerate(positions if self.twist is not None else ()):
+            for i, x_i in enumerate(positions[:k]):
+                w = self.twist[k][i].terms
+                if w and x_i in field and x_k in field:
+                    twisted: Terms = {}  # W_ki field[x^i]
+                    accumulate_product(twisted, field[x_i].coeffs, w)
+                    _accumulate_product(half, twisted, field[x_k].coeffs, s)
+        return GradedPoly(self, {key: 2 * c for key, c in half.items()})
+
 
 class GradedPoly:
     """Polynomial in a graded context: `coeffs` maps the key `word <<
@@ -413,11 +450,37 @@ class GradedPoly:
         return f"GradedPoly({str(self)!r})"
 
 
+# a product groups its factors by word when both hold more than this many
+# terms and one holds at least this many terms per word: every such product
+# of so(n) and the log-canonical frames has one term per word, where
+# grouping costs more than it saves, and dense coefficients have many more
+_GROUPED_TERMS = 8
+_GROUPED_PER_WORD = 4
+
+
 def _accumulate_product(out: Terms, left: Terms, right: Terms, shift: int) -> None:
     """Add left * right to the term dict `out`, for keys with words at `shift`:
     two terms with a common letter multiply to zero, any other two to the sum
     of their keys with the Koszul sign of their words.  Cancelled terms stay
-    behind as zeros for the caller to drop."""
+    behind as zeros for the caller to drop.
+
+    When a factor holds several terms per word, both are grouped by word, so
+    the letter test and the sign are paid once per word pair, and the terms
+    of two words multiply as even terms do (`poly.accumulate_product`).
+    """
+    if len(left) > _GROUPED_TERMS and len(right) > _GROUPED_TERMS:
+        left_words, right_words = _word_groups(left, shift), _word_groups(right, shift)
+        if (
+            len(left) >= _GROUPED_PER_WORD * len(left_words)
+            or len(right) >= _GROUPED_PER_WORD * len(right_words)
+        ):
+            for w2, t2 in right_words.items():
+                mask = _koszul_mask(w2)
+                for w1, t1 in left_words.items():
+                    if not w1 & w2:
+                        sign = -1 if (w1 & mask).bit_count() & 1 else 1
+                        accumulate_product(out, t1, t2, sign)
+            return
     get = out.get
     for k2, c2 in right.items():
         w2 = k2 >> shift
@@ -430,6 +493,14 @@ def _accumulate_product(out: Terms, left: Terms, right: Terms, shift: int) -> No
                     out[key] = get(key, 0) - c1 * c2
                 else:
                     out[key] = get(key, 0) + c1 * c2
+
+
+def _word_groups(terms: Terms, shift: int) -> dict[OddWord, Terms]:
+    """The terms by their word, keys kept whole."""
+    groups: dict[OddWord, Terms] = {}
+    for key, c in terms.items():
+        groups.setdefault(key >> shift, {})[key] = c
+    return groups
 
 
 def _lifted_terms(

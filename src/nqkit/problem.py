@@ -30,7 +30,8 @@ Schema, with shapes in brackets:
 Any other top-level field is refused as unknown.  The cohomology windows
 are set on the command line alone (`--trunc`, `--p-degree`, `--slack`).
 
-A literal "0" entry of a dense list is not parsed; the connection and tau
+A literal "0" entry of a dense list is not parsed, nor an innermost row of
+them; the connection and tau
 are stored only as the indexes of their nonzero entries (`GeometryPack`).
 """
 
@@ -94,8 +95,9 @@ class Problem:
 
     `constraints` holds the frame data with alpha and the magnetic field,
     and `pack` the fields of the Hamiltonian.  `raw` is the source document
-    as compact JSON text, so no caller can alter it; `document()` decodes a
-    fresh copy.
+    as JSON text, so no caller can alter it: the text that `load_problem`
+    read, line ends translated, or the compact encoding of the document
+    given to `problem_from_dict`; `document()` decodes a fresh copy.
     """
 
     def __init__(
@@ -132,22 +134,41 @@ class Problem:
 
 
 def load_problem(path: str | os.PathLike) -> Problem:
+    """The problem in a file, read once as UTF-8 and kept as its text.
+
+    Line ends are translated as text mode does, and only when a carriage
+    return occurs, so JSON errors report the lines and columns of the text.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except OSError as error:
         raise ProblemError("$", str(error)) from error
     except UnicodeDecodeError as error:
         raise ProblemError("$", f"not valid UTF-8: {error}") from error
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text)
     # also a number past the int() digit limit or nesting past the recursion limit
     except (ValueError, RecursionError) as error:
         raise ProblemError("$", f"not valid JSON: {error}") from error
+    if isinstance(doc, dict):
+        doc = _ReadDocument(doc, text)
     return problem_from_dict(doc)
 
 
+class _ReadDocument(dict):
+    """A decoded document that keeps the text it was decoded from."""
+
+    def __init__(self, doc: dict, text: str):
+        super().__init__(doc)
+        self.text = text
+
+
 def problem_from_dict(doc: object) -> Problem:
+    """The problem of a decoded document; `raw` is its compact encoding,
+    or the text `load_problem` read it from."""
     if not isinstance(doc, dict):
         raise ProblemError("$", "the problem file must be a JSON object")
     for name in sorted(doc):
@@ -212,7 +233,9 @@ def problem_from_dict(doc: object) -> Problem:
         ConstraintSet(data, alpha, magnetic),
         pack,
         _points(doc.get("points"), base_dim),
-        json.dumps(doc, separators=(",", ":")),
+        doc.text
+        if isinstance(doc, _ReadDocument)
+        else json.dumps(doc, separators=(",", ":")),
     )
 
 
@@ -347,6 +370,9 @@ def _dense_index(
         raise ProblemError(path, _DENSE_SHAPES[len(shape)].format(length))
     entries = {}
     for k, entry in enumerate(value):
+        if len(inner) == 1 and isinstance(entry, list):
+            if entry.count("0") == len(entry) == inner[0]:
+                continue  # a full innermost row of "0"s: no entry and no error
         if inner:
             at = f"{path}[{k + 1}]"
             entries.update(_dense_index(entry, inner, coords, at, index + (k,)))

@@ -596,23 +596,35 @@ def test_defect_tensors_computed_once_per_invocation(
     if "(S, H)" in brackets:
         named["(S, H)"] = (cs.S, assemble_bfv(cs, problem.pack).H)
     # a bracket (F, G) is the table of (F, .) applied to G, whichever
-    # route (poisson or a kept table) applies it
+    # route (poisson or a kept table) applies it; a self-bracket (F, F) is
+    # read off the images of the table alone
     derived = []  # F of every (F, .) table built, with the table
     bracketed = []
     hamiltonian_field = GradedContext.hamiltonian_field
+    self_bracket = GradedContext.self_bracket
 
     def derive(ctx, F):
         table = hamiltonian_field(ctx, F)
         derived.append((F, table))
         return table
 
-    monkeypatch.setattr(GradedContext, "hamiltonian_field", derive)
-    left_derivation = nqkit.graded.left_derivation
-
-    def apply(ctx, table, G):
+    def applied(table, G):
         for F, built in derived:
             if built is table:
                 bracketed.append((F, G))
+
+    def read_off(ctx, F, table=None):
+        if table is None:
+            table = derive(ctx, F)
+        applied(table, F)
+        return self_bracket(ctx, F, table)
+
+    monkeypatch.setattr(GradedContext, "hamiltonian_field", derive)
+    monkeypatch.setattr(GradedContext, "self_bracket", read_off)
+    left_derivation = nqkit.graded.left_derivation
+
+    def apply(ctx, table, G):
+        applied(table, G)
         return left_derivation(ctx, table, G)
 
     calls = Counter()

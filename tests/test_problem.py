@@ -466,6 +466,41 @@ def test_document_returns_a_fresh_copy():
     assert problem.document() == doc
 
 
+def test_load_keeps_the_text_it_read(tmp_path):
+    # the file's own layout, line ends translated; the dict route keeps
+    # the compact encoding
+    text = json.dumps(minimal(), indent=3)
+    path = tmp_path / "minimal.json"
+    for ends in ("\r\n", "\r", "\n"):
+        path.write_bytes(text.replace("\n", ends).encode())
+        problem = load_problem(path)
+        assert problem.raw == text
+        assert problem.document() == minimal()
+    assert problem_from_dict(minimal()).raw == json.dumps(
+        minimal(), separators=(",", ":")
+    )
+
+
+def test_solve_connection_writes_the_same_bytes_from_the_kept_text(tmp_path):
+    # a file laid out by hand, with escapes, a key order of its own and CRLF
+    # line ends, against the compact encoding of the same document
+    doc = json.loads((CORPUS / "so3_action.json").read_text())
+    reordered = {key: doc[key] for key in reversed(list(doc))}
+    layout = json.dumps(reordered, indent="\t", ensure_ascii=True)
+    layout = layout.replace('"x1"', '"\\u0078\\u0031"').replace("\n", "\r\n")
+    assert json.loads(layout) == reordered
+    written = {}
+    for name, text in [("layout", layout), ("compact", json.dumps(reordered))]:
+        source = tmp_path / f"{name}.json"
+        source.write_bytes(text.encode())
+        out = tmp_path / f"{name}_solved.json"
+        result = invoke(["solve-connection", str(source), "--write", str(out)])
+        assert result.exit_code == 0, result.output
+        written[name] = out.read_bytes()
+    assert written["layout"] == written["compact"]
+    assert json.loads(written["layout"])["coords"] == ["x1", "x2", "x3"]
+
+
 def test_connection_strings_round_trip():
     doc = minimal(
         metric=[["1"]], metric_inv=[["1"]], connection=[[["1/2*x^2"]]]

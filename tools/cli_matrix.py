@@ -22,9 +22,11 @@ parser's term and degree budgets, the widest cohomology window in one
 coordinate and a dense structure that is not antisymmetric, a magnetic field that is not
 antisymmetric, a corpus file that still sets the removed `truncation`
 block (refused at load as an unknown field), a `cohomology --degree` run
-(an option that no longer exists), and one `check --json` on a
-corpus file under a name with a non-ASCII letter, a quote and a
-backslash.  Each run is one fresh
+(an option that no longer exists), four files that pin the loader's
+reading of bytes (a CRLF file with a JSON syntax error, a file whose lines
+end in a lone CR, a UTF-8 byte-order mark and a byte that is not UTF-8),
+and one `check --json` on a corpus file under a name with a non-ASCII
+letter, a quote and a backslash.  Each run is one fresh
 `python -m nqkit.cli` process in an empty directory of its own; the line
 recorded for it holds the exit code and the sha256 of standard output,
 standard error and every file the run wrote.  Two trees that answer
@@ -37,13 +39,18 @@ Run from the repository root (standard library only):
     python3 tools/cli_matrix.py --src OTHER/src --out parent.json --against change.json
 
 `--against` prints each line that differs, both sides, and exits 1 when
-any does.
+any does.  `--in-process` replays the same lines through `nqkit.cli.main`
+in this interpreter, in the order of `command_lines`, each in an empty
+directory of its own with its output captured as bytes; it takes seconds
+instead of minutes, and `tests/test_cli_matrix.py` compares it with the
+subprocess record in `tests/data/cli_matrix.json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -101,6 +108,7 @@ EXTRA_LINES = (
     ["cohomology", "../in/rank2_line_affine.json", "--is-exact", "--trunc", "0"],
     ["cohomology", "../in/so3_action.json", "--degree", "1"],
     ["check", f"../in/{ESCAPED_COPY[1]}.json", "--all", "--json", "report.json"],
+    ["solve-connection", "../in/so3_action_cr.json", "--write", "solved.json"],
 )
 # corpus files whose sparse structure also runs as the [c][a][b] list
 DENSE_TWINS = ("so3_action", "broken_jacobi")
@@ -215,7 +223,13 @@ LOAD_ERRORS = (
     "dense_asymmetric",
     "magnetic_asymmetric",
     "so3_action_truncation",
+    "so3_action_crlf_error",
+    "so3_action_bom",
+    "so3_action_not_utf8",
 )
+# the program name and terminal width of every run
+PROG = "python -m nqkit.cli"
+COLUMNS = "80"
 
 
 def dense_structure(doc: dict) -> list[list[list[str]]]:
@@ -236,8 +250,8 @@ def _compiled(source: Path) -> ModuleType:
     return module
 
 
-def inputs() -> dict[str, dict]:
-    """The problem documents of the matrix, by name."""
+def inputs() -> dict[str, dict | bytes]:
+    """The problem documents of the matrix, by name, or the bytes of a file."""
     docs = {
         path.stem: json.loads(path.read_text())
         for path in sorted((ROOT / "corpus").glob("*.json"))
@@ -284,7 +298,38 @@ def inputs() -> dict[str, dict]:
         }
     for seed in RATIONAL_SEEDS:
         docs[f"dense_random{seed}"] = gen.dense_random(seed)
+    docs.update(raw_inputs(docs["so3_action"]))
     return docs
+
+
+def raw_inputs(doc: dict) -> dict[str, bytes]:
+    """Problem files given as bytes, for the loader's reading of text.
+
+    A JSON error is reported by line and column after newline translation,
+    so the CRLF file drops a comma on its third line; the lone-CR file
+    loads, and `--write` copies its document; a byte-order mark is refused
+    as JSON, and the byte 0xff as UTF-8.
+    """
+    text = json.dumps(doc, indent=2)
+    data = text.encode()
+    return {
+        "so3_action_crlf_error": text.replace(",\n", "\n", 1)
+        .replace("\n", "\r\n")
+        .encode(),
+        "so3_action_cr": text.replace("\n", "\r").encode(),
+        "so3_action_bom": "\ufeff".encode() + data,
+        "so3_action_not_utf8": data[:40] + b"\xff" + data[40:],
+    }
+
+
+def write_inputs(directory: Path) -> list[str]:
+    """Write the inputs of the matrix into `directory`; their names, in order."""
+    docs = inputs()
+    source, copy = ESCAPED_COPY
+    for name, doc in [*docs.items(), (copy, docs[source])]:
+        data = doc if isinstance(doc, bytes) else json.dumps(doc, indent=2).encode()
+        (directory / f"{name}.json").write_bytes(data)
+    return list(docs)
 
 
 def command_lines(names: list[str]) -> list[list[str]]:
@@ -292,6 +337,9 @@ def command_lines(names: list[str]) -> list[list[str]]:
     for name in names:
         path = f"../in/{name}.json"
         if name in LOAD_ERRORS:
+            lines.append(["check", path, "--axioms"])
+            continue
+        if name == "so3_action_cr":
             lines.append(["check", path, "--axioms"])
             continue
         if name.startswith("dense_random"):
@@ -313,11 +361,22 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def fingerprint(cwd: Path, code: int, stdout: bytes, stderr: bytes) -> str:
+    """The line of one run, from what it printed and the files it left."""
+    files = ",".join(
+        f"{path.name}:{digest(path.read_bytes())}" for path in sorted(cwd.iterdir())
+    )
+    return (
+        f"exit={code} stdout={digest(stdout)} "
+        f"stderr={digest(stderr)} files={files or '-'}"
+    )
+
+
 def run_one(src: Path, work: Path, index: int, args: list[str]) -> str:
-    """One run in a fresh directory, as a line of fingerprints."""
+    """One run in a fresh process and a fresh directory, as a line of fingerprints."""
     cwd = work / f"run{index}"
     cwd.mkdir()
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", COLUMNS=COLUMNS)
     try:
         done = subprocess.run(
             [sys.executable, "-m", "nqkit.cli", *args],
@@ -328,27 +387,61 @@ def run_one(src: Path, work: Path, index: int, args: list[str]) -> str:
         )
     except subprocess.TimeoutExpired:
         return "timeout"
-    files = ",".join(
-        f"{path.name}:{digest(path.read_bytes())}" for path in sorted(cwd.iterdir())
-    )
+    line = fingerprint(cwd, done.returncode, done.stdout, done.stderr)
     shutil.rmtree(cwd)
-    return (
-        f"exit={done.returncode} stdout={digest(done.stdout)} "
-        f"stderr={digest(done.stderr)} files={files or '-'}"
-    )
+    return line
 
 
-def record(src: Path) -> dict[str, str]:
+def run_in_process(work: Path, index: int, args: list[str]) -> str:
+    """One run through `nqkit.cli.main` in this interpreter, in a fresh
+    directory, as a line of fingerprints.
+
+    The streams are bytes behind UTF-8 text, strict on stdout and
+    backslash-escaping on stderr as in a fresh process; the working
+    directory, the streams and `COLUMNS` are restored afterwards.
+    """
+    from nqkit.cli import main
+
+    cwd = work / f"run{index}"
+    cwd.mkdir()
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    saved = os.getcwd(), sys.stdout, sys.stderr, os.environ.get("COLUMNS")
+    os.chdir(cwd)
+    sys.stdout, sys.stderr = out, err
+    os.environ["COLUMNS"] = COLUMNS
+    try:
+        main.main(args=list(args), prog_name=PROG)
+    except SystemExit as stop:
+        code = 0 if stop.code is None else stop.code
+    else:
+        raise AssertionError(f"{' '.join(args)} returned without an exit code")
+    finally:
+        os.chdir(saved[0])
+        sys.stdout, sys.stderr = saved[1], saved[2]
+        if saved[3] is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved[3]
+    out.flush()
+    err.flush()
+    line = fingerprint(cwd, code, out.buffer.getvalue(), err.buffer.getvalue())
+    shutil.rmtree(cwd)
+    return line
+
+
+def record(src: Path, in_process: bool = False) -> dict[str, str]:
+    """The line of every run, keyed by its arguments, in the order run."""
     work = Path(tempfile.mkdtemp(prefix="cli_matrix_"))
     try:
         (work / "in").mkdir()
-        docs = inputs()
-        source, copy = ESCAPED_COPY
-        for name, doc in [*docs.items(), (copy, docs[source])]:
-            (work / "in" / f"{name}.json").write_text(json.dumps(doc, indent=2))
         lines = {}
-        for index, args in enumerate(command_lines(list(docs))):
-            lines[" ".join(args)] = run_one(src, work, index, args)
+        for index, args in enumerate(command_lines(write_inputs(work / "in"))):
+            key = " ".join(args)
+            if in_process:
+                lines[key] = run_in_process(work, index, args)
+            else:
+                lines[key] = run_one(src, work, index, args)
         return lines
     finally:
         shutil.rmtree(work)
@@ -370,8 +463,12 @@ def main() -> int:
                         help="where to write the recorded lines, as JSON")
     parser.add_argument("--against", type=Path,
                         help="a recorded matrix to list the differing lines against")
+    parser.add_argument("--in-process", action="store_true",
+                        help="run the lines in this interpreter, importing --src")
     options = parser.parse_args()
-    lines = record(options.src.resolve())
+    if options.in_process:
+        sys.path.insert(0, str(options.src.resolve()))
+    lines = record(options.src.resolve(), options.in_process)
     options.out.write_text(json.dumps(lines, indent=1, sort_keys=True) + "\n")
     print(f"{len(lines)} runs recorded in {options.out}")
     if options.against is None:
