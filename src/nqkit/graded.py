@@ -27,7 +27,7 @@ with all derivatives acting from the left.
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .poly import (
     FIELD,
@@ -621,27 +621,84 @@ def hamiltonian_lift(
     return GradedPoly(ctx, out)
 
 
-def field_column(
-    ctx: GradedContext, field: Mapping[str, GradedPoly], key: int
-) -> Terms:
-    """`left_derivation(ctx, field, m)` on the monomial m of term key `key`,
-    as a column `{term key: coefficient}`: each derivative of m is one term."""
-    s, word, column = ctx.word_shift, key >> ctx.word_shift, {}
+def field_columns(
+    ctx: GradedContext, field: Mapping[str, GradedPoly], keys: Iterable[int]
+) -> list[Terms]:
+    """`left_derivation(ctx, field, m)` on the monomial m of each term key
+    of `keys`, as columns `{term key: coefficient}`.
+
+    The coordinate table is built once: an even coordinate's field mask,
+    shift and step, or an odd one's letter bit and the letters below it,
+    with the `(key, word, coeff)` triples of its image.  The letter test
+    and the Koszul sign of an image term depend on the monomial's word
+    alone, so each word of `keys` keeps the table's terms that survive it,
+    signed, and each derivative of m is then one term, multiplied into
+    them inline.
+    """
+    s = ctx.word_shift
+    even, odd = [], []
     for name, image in field.items():
+        triples = [(k, k >> s, c) for k, c in image.coeffs.items()]
         k = ctx.even_index.get(name)
         if k is not None:
-            _, mask, shift, step = ctx._even_fields[k]
-            if not key & mask:
-                continue
-            derivative = {key - step: (key & mask) >> shift}
+            even.append((*ctx._even_fields[k][1:], triples))
         else:
-            a = ctx.odd_index[name]
-            if not word >> a & 1:
-                continue
-            sign = -1 if (word & (1 << a) - 1).bit_count() & 1 else 1
-            derivative = {key ^ 1 << s + a: sign}
-        _accumulate_product(column, image.coeffs, derivative, s)
-    return {k: c for k, c in column.items() if c}
+            bit = 1 << ctx.odd_index[name]
+            odd.append((bit, bit - 1, triples))
+    by_word: dict[OddWord, tuple[list, list]] = {}
+    columns = []
+    for key in keys:
+        word = key >> s
+        tables = by_word.get(word)
+        if tables is None:
+            tables = by_word[word] = _word_tables(word, s, even, odd)
+        column: Terms = {}
+        get = column.get
+        for mask, shift, step, terms in tables[0]:
+            power = key & mask
+            if power:
+                power >>= shift
+                base = key - step
+                for k1, c1 in terms:
+                    at = k1 + base
+                    column[at] = get(at, 0) + c1 * power
+        for flip, terms in tables[1]:
+            base = key ^ flip
+            for k1, c1 in terms:
+                at = k1 + base
+                column[at] = get(at, 0) + c1
+        columns.append({k: c for k, c in column.items() if c})
+    return columns
+
+
+def _word_tables(word: OddWord, s: int, even: list, odd: list) -> tuple[list, list]:
+    """The coordinate table of `field_columns` on monomials of word `word`:
+    each even entry with its image terms `(key, coeff)` that share no letter
+    with the word, signed by their Koszul sign against it, and each odd
+    entry whose letter the word holds, with the key bit it flips and its
+    image terms signed the same way against the rest of the word, times
+    the sign of moving the letter to the front."""
+    koszul = _koszul_mask(word)
+    even_out = [
+        (mask, shift, step, [
+            (k1, -c1 if (w1 & koszul).bit_count() & 1 else c1)
+            for k1, w1, c1 in triples
+            if not w1 & word
+        ])
+        for mask, shift, step, triples in even
+    ]
+    odd_out = []
+    for bit, below, triples in odd:
+        if word & bit:
+            rest = word ^ bit
+            koszul = _koszul_mask(rest)
+            flip = (word & below).bit_count()
+            odd_out.append((bit << s, [
+                (k1, -c1 if ((w1 & koszul).bit_count() ^ flip) & 1 else c1)
+                for k1, w1, c1 in triples
+                if not w1 & rest
+            ]))
+    return even_out, odd_out
 
 
 def window_columns(
@@ -656,7 +713,7 @@ def window_columns(
     ctx lays out its even coordinates as `extended_context` does: the n
     paired positions, then their momenta.  Returns the sources (word, e, f),
     e and f keys over the n positions of degree <= x_degree and p_degree,
-    and the `field_column` of each.  Sources run over x-monomials, then
+    and the `field_columns` of them.  Sources run over x-monomials, then
     p-monomials, then words: every order gives the same answers, and this
     one eliminates the ghost-zero windows of `bfv_h0` with the least work.
     """
@@ -668,14 +725,13 @@ def window_columns(
         (f, f >> shift << 2 * shift | f & lex_bits(n))
         for f in monomial_exponents(n, p_degree)
     ]
-    sources, columns = [], []
+    sources, keys = [], []
     for e in monomial_exponents(n, x_degree):
         for f, p_key in p_keys:
             for word in words:
                 sources.append((word, e, f))
-                key = word << ctx.word_shift | (e << shift) + p_key
-                columns.append(field_column(ctx, field, key))
-    return sources, columns
+                keys.append(word << ctx.word_shift | (e << shift) + p_key)
+    return sources, field_columns(ctx, field, keys)
 
 
 def in_window(n: int, x_degree: int, p_degree: int = 0) -> Callable[[int], bool]:

@@ -7,26 +7,32 @@ target (for example `(word, exponent)` pairs of a polynomial window).
 Only the keys that occur are ever stored, so no target window has to be
 sized in advance.
 
-Every question goes through one sparse row-dict Gauss-Jordan
-elimination, `_Elimination`.  Pivots are the leftmost possible columns,
-so the reduced form is the unique reduced row echelon form: kernel
-vectors carry one unit free variable each and particular solutions set
-every free variable to zero, whatever order the rows arrive in.
+Every question goes through one sparse row-dict elimination,
+`_Elimination`.  Pivots are the leftmost possible columns, so the
+reduced form is the unique reduced row echelon form: kernel vectors
+carry one unit free variable each and particular solutions set every
+free variable to zero, whatever order the rows arrive in.
 
-The elimination is fraction-free, over the integers.  Each row is first
-scaled by the lcm of its denominators; a row is cleared of a pivot by
-cross-multiplying with the pivot row divided by their gcd (as in
-Bareiss, Math. Comp. 22, 1968), and then divided by its content, the
-gcd of its entries, so the entries stay small.  The stored rows are kept
-free of each other's pivots, so an incoming row is reduced in one pass,
-and an index from each column to the stored rows holding it lets a new
-pivot clear only those rows.
+The elimination is fraction-free, over the integers.  `_rows` transposes
+the columns into rows and scales each row that holds a `Fraction` by the
+lcm of its denominators on the way, so every row is made integral once,
+and the elimination then consumes those rows in place.  A row is cleared
+of a pivot by cross-multiplying with the pivot row divided by their gcd
+(as in Bareiss, Math. Comp. 22, 1968).  An incoming row is reduced only
+until its least column is not yet a pivot, and stored there divided by
+its content, the gcd of its entries, so the entries stay small, and
+signed so its pivot is positive: the stored rows are in echelon form,
+each pivot the least column of its row.  `back_substitute` then clears
+the other pivot columns from every stored row, from the highest pivot
+down, which gives the reduced form.
 
-Each question reads only what it needs.  `rref` divides each stored row
-by its pivot into `Fraction`s, for `kernel`; `rank` counts the pivots;
-`solve` builds one `Fraction` per pivot row, its right-hand-side entry.
-`image_in` feeds the rows outside the window first, so the pivots the
-inside rows then add to the same state are rank A - rank A_out.
+Each question reads only what it needs.  `rank` and `image_in` count
+pivots of the echelon form; `image_in` feeds the rows outside the window
+first, so the pivots the inside rows then add to the same state are
+rank A - rank A_out.  Only `rref` (and so `kernel`) and `solve` back
+substitute: `rref` divides each row by its pivot, and `solve` its
+right-hand-side entry by its pivot.  Every answer is integer-first: an
+integral value is an `int`, any other a `Fraction` (`poly.divide`).
 `vector_column` turns a vector of polynomials times a monomial into a
 column or a right-hand side, and `read_back` turns a kernel or solution
 vector back into polynomials, for every solve.
@@ -38,7 +44,7 @@ from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .poly import EvenPoly, Exponent
+from .poly import EvenPoly, Exponent, divide
 
 Rat = Fraction
 Column = Mapping[Hashable, Rat]
@@ -46,48 +52,52 @@ Row = dict[int, Rat]
 
 
 class _Elimination:
-    """Sparse Gauss-Jordan state over the integers.
+    """Sparse echelon state over the integers.
 
-    `reduced` maps each pivot to its primitive row, kept free of every
-    other pivot; `holders` maps each non-pivot column to the pivots of the
-    stored rows holding it.  `add` takes rows into the same state, so a
-    second batch is reduced against the first without eliminating it again.
+    `reduced` maps each pivot to its primitive row, whose least column it
+    is, with a positive entry there.  `add` takes rows into the same
+    state, so a second batch is reduced against the first without
+    eliminating it again.
     """
 
-    def __init__(self, rows: Iterable[Mapping[int, Rat]]) -> None:
+    def __init__(self, rows: Iterable[dict[int, int]]) -> None:
         self.reduced: dict[int, dict[int, int]] = {}
-        self.holders: dict[int, set[int]] = {}
         self.add(rows)
 
-    def add(self, rows: Iterable[Mapping[int, Rat]]) -> None:
-        """Reduce `rows`, sparsest first, into the state.
+    def add(self, rows: Iterable[dict[int, int]]) -> None:
+        """Reduce the integer rows `rows`, sparsest first, into the state,
+        consuming them: a row is stored as it is, once no stored row has
+        its least column as pivot.
 
         The reduced form does not depend on the row order, but short rows
-        first keep the fill-in down.  The input rows are not modified.
+        first keep the fill-in down.
         """
-        reduced, holders = self.reduced, self.holders
-        for source in sorted(rows, key=len):
-            row = _integer_row(source)
-            # stored rows hold no other pivot, so one pass clears them all
-            for col in [c for c in row if c in reduced]:
-                _eliminate(row, reduced[col], col)
-            if not row:
-                continue
-            _make_primitive(row)
-            pivot = min(row)
-            for held_by in holders.pop(pivot, ()):
-                other = reduced[held_by]
-                _eliminate(other, row, pivot)
-                _make_primitive(other)
-                for col in row:
-                    if col in other:
-                        holders.setdefault(col, set()).add(held_by)
-                    elif col in holders:
-                        holders[col].discard(held_by)
-            for col in row:
-                if col != pivot:
-                    holders.setdefault(col, set()).add(pivot)
-            reduced[pivot] = row
+        reduced = self.reduced
+        for row in sorted(rows, key=len):
+            while row:
+                pivot = min(row)
+                stored = reduced.get(pivot)
+                if stored is None:
+                    _make_primitive(row, pivot)
+                    reduced[pivot] = row
+                    break
+                _eliminate(row, stored, pivot)
+
+    def back_substitute(self) -> None:
+        """Clear every other pivot column from each stored row.
+
+        From the highest pivot down: the rows of higher pivots already
+        hold no pivot but their own, so clearing them from a row adds no
+        pivot column back, and one pass per row gives the reduced form.
+        """
+        reduced = self.reduced
+        for pivot in sorted(reduced, reverse=True):
+            row = reduced[pivot]
+            held = [c for c in row if c != pivot and c in reduced]
+            if held:
+                for col in held:
+                    _eliminate(row, reduced[col], col)
+                _make_primitive(row, pivot)
 
 
 def rref(rows: Sequence[Mapping[int, Rat]]) -> tuple[list[Row], list[int]]:
@@ -96,18 +106,27 @@ def rref(rows: Sequence[Mapping[int, Rat]]) -> tuple[list[Row], list[int]]:
     Returns the nonzero reduced rows, each with a unit pivot, and their
     pivot columns in increasing order.  The input rows are not modified.
     """
-    reduced = _Elimination(rows).reduced
+    elimination = _Elimination([_integer_row(row) for row in rows])
+    elimination.back_substitute()
+    reduced = elimination.reduced
     pivots = sorted(reduced)
     result = []
     for p in pivots:
         row = reduced[p]
         scale = row[p]
-        result.append({c: Fraction(v, scale) for c, v in row.items()})
+        if scale != 1:
+            row = {c: divide(v, scale) for c, v in row.items()}
+        result.append(row)
     return result, pivots
 
 
 def _integer_row(source: Mapping[int, Rat]) -> dict[int, int]:
-    """`source` times the lcm of its denominators, as a dict of nonzero ints."""
+    """`source` times the lcm of its denominators, as a new dict of nonzero ints."""
+    for v in source.values():
+        if type(v) is not int or not v:
+            break
+    else:
+        return dict(source)
     scale = lcm(*[v.denominator for v in source.values()])
     return {c: v.numerator * (scale // v.denominator) for c, v in source.items() if v}
 
@@ -128,24 +147,31 @@ def _eliminate(target: dict[int, int], source: dict[int, int], col: int) -> None
             del target[c]
 
 
-def _make_primitive(row: dict[int, int]) -> None:
+def _make_primitive(row: dict[int, int], pivot: int) -> None:
+    """Divide `row` by its content, signed so that its pivot is positive: a
+    pivot row then scales the rows it clears by a positive factor."""
     content = gcd(*row.values())
+    if row[pivot] < 0:
+        content = -content
     if content != 1:
         for c in row:
             row[c] //= content
 
 
 def _rows(columns: Sequence[Column], rhs: Column | None = None) -> dict[Hashable, Row]:
-    """The rows of the map, one per target key; `rhs` becomes the last column."""
+    """The integer rows of the map, one per target key; `rhs` becomes the
+    last column.  A row that holds a non-int is scaled by the lcm of its
+    denominators, so every row is a fresh dict of nonzero ints."""
     by_key: dict[Hashable, Row] = {}
-    for j, column in enumerate(columns):
+    scaled = set()
+    for j, column in enumerate([*columns, rhs] if rhs is not None else columns):
         for key, value in column.items():
             if value:
                 by_key.setdefault(key, {})[j] = value
-    if rhs is not None:
-        for key, value in rhs.items():
-            if value:
-                by_key.setdefault(key, {})[len(columns)] = value
+                if type(value) is not int:
+                    scaled.add(key)
+    for key in scaled:
+        by_key[key] = _integer_row(by_key[key])
     return by_key
 
 
@@ -161,9 +187,7 @@ def kernel(columns: Sequence[Column]) -> list[Row]:
     """
     reduced, pivots = rref(list(_rows(columns).values()))
     pivot_set = set(pivots)
-    basis = {
-        free: {free: Fraction(1)} for free in range(len(columns)) if free not in pivot_set
-    }
+    basis = {free: {free: 1} for free in range(len(columns)) if free not in pivot_set}
     for row, pivot in zip(reduced, pivots):
         for col, value in row.items():
             if col != pivot:
@@ -180,12 +204,14 @@ def solve(columns: Sequence[Column], rhs: Column) -> tuple[Row, int] | None:
     makes the system inconsistent.
     """
     ncols = len(columns)
-    reduced = _Elimination(_rows(columns, rhs).values()).reduced
+    elimination = _Elimination(_rows(columns, rhs).values())
+    reduced = elimination.reduced
     if ncols in reduced:
         return None  # some row reduced to 0 = 1
+    elimination.back_substitute()
     # with the free unknowns at zero, pivot row p reads row[p] x_p = row[ncols]
     solution = {
-        p: Fraction(reduced[p][ncols], reduced[p][p])
+        p: divide(reduced[p][ncols], reduced[p][p])
         for p in sorted(reduced)
         if ncols in reduced[p]
     }

@@ -1,11 +1,14 @@
 """Sparse exact polynomials over named commuting coordinates.
 
-A coefficient is an exact rational: a Python `int` when it is integral and a
-`fractions.Fraction` otherwise, never a float.  Integers keep the common case
-(frames with integer coefficients) off the slow `Fraction` path; mixed
-results need no normalising, since `int` and `Fraction` agree by value in
-equality, hashing, ordering and `str`.  Every division of coefficients goes
-through `divide`, which returns an int when the quotient is integral.
+A coefficient is an exact rational, a Python `int` or a `fractions.Fraction`,
+never a float.  Parsed entries and every answer of the linear algebra
+(`nqkit.linalg`) are integer-first: an `int` when integral, a `Fraction`
+otherwise.  Every division of coefficients goes through `divide`, which
+returns an int when the quotient is integral.  Integers keep the common case
+(frames with integer coefficients) off the slow `Fraction` path.  Sums and
+products are not normalised, so a product of `Fraction`s may leave an
+integral `Fraction`; that needs no normalising, since `int` and `Fraction`
+agree by value in equality, hashing, ordering and `str`.
 
 A polynomial stores a mapping from exponents to coefficients with no zero
 coefficient, so equality of the mappings is equality of polynomials.  An

@@ -9,7 +9,7 @@ from nqkit.graded import (
     GradedContext,
     GradedPoly,
     extended_context,
-    field_column,
+    field_columns,
     left_derivation,
     letters,
     merge_words,
@@ -381,7 +381,7 @@ def test_field_column_applies_the_field_to_one_monomial(make_ctx):
             (w, e): c for w, e, c in left_derivation(ctx, field, monomial).terms()
         }
         s = ctx.word_shift
-        column = field_column(ctx, field, word_mask(word) << s | pack(exponent))
+        [column] = field_columns(ctx, field, [word_mask(word) << s | pack(exponent)])
         n = len(ctx.even_names)
         assert {
             (letters(k >> s), unpack(k & (1 << s) - 1, n)): c

@@ -6,9 +6,14 @@ import copy
 import importlib.util
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
+from nqkit.algebroid import cohomology_h1, is_exact_one_form
+from nqkit.constraints import ConstraintSet, extract_structure
+from nqkit.dynamics import solve_connection
 from nqkit.linalg import image_in, kernel, rank, rref, solve
+from nqkit.problem import load_problem
 
 _ORACLE_PATH = Path(__file__).resolve().parents[1] / "tools" / "cohomology_oracle.py"
 _spec = importlib.util.spec_from_file_location("cohomology_oracle", _ORACLE_PATH)
@@ -88,11 +93,21 @@ KNOWN_MAPS = [
 ]
 
 
+def integer_first(value) -> bool:
+    """Whether an exact answer is an int when integral, else a Fraction."""
+    if value.denominator == 1:
+        return type(value) is int
+    return type(value) is Fraction
+
+
 def test_rref_known_cases():
     reduced, pivots = rref([{0: 2, 1: 4}, {0: 1, 1: 2}])
     assert pivots == [0]
     assert reduced == [{0: Fraction(1), 1: Fraction(2)}]
-    assert all(type(value) is Fraction for value in reduced[0].values())
+    assert all(type(value) is int for value in reduced[0].values())
+    reduced, _ = rref([{0: 2, 1: 3}])
+    assert reduced == [{0: 1, 1: Fraction(3, 2)}]
+    assert all(integer_first(value) for value in reduced[0].values())
     assert rank([{0: 1}, {1: 1}, {2: 1}]) == 3
     assert rank([{}, {}]) == 0
     assert rank([]) == 0
@@ -231,7 +246,7 @@ def test_rank_and_solve_match_the_rref_rows():
             continue
         # same unknowns in the same order, so the read-back prints the same
         assert list(result[0].items()) == list(expected[0].items())
-        assert all(type(value) is Fraction for value in result[0].values())
+        assert all(integer_first(value) for value in result[0].values())
     assert 20 < inconsistent < len(maps) - 100
 
 
@@ -349,9 +364,144 @@ def test_rref_matches_the_fraction_reference():
         want_rows, want_pivots = reference_rref(before)
         assert pivots == want_pivots
         assert reduced == want_rows
-        assert all(type(v) is Fraction for row in reduced for v in row.values())
+        assert all(integer_first(v) for row in reduced for v in row.values())
         assert all(row[p] == 1 for row, p in zip(reduced, pivots))
         assert rows == before  # the input is left alone
         assert [[type(v) for v in row.values()] for row in rows] == kinds
         deficient += len(pivots) < min(len(rows), len({c for r in rows for c in r}))
     assert deficient > 100
+
+
+# Every question against the Fraction reference, on small maps in every row
+# order: `add` consumes the integer rows it is given, so each call must also
+# leave the caller's columns, right-hand side and `rref` rows as they were.
+
+
+def reference_answers(columns, rhs, within):
+    """rank, kernel, solve and image_in of a map, from `reference_rref`."""
+    ncols = len(columns)
+    reduced, pivots = reference_rref(rows_by_key(columns))
+    basis = {free: {free: 1} for free in range(ncols) if free not in pivots}
+    for row, pivot in zip(reduced, pivots):
+        for col, value in row.items():
+            if col != pivot:
+                basis[col][pivot] = -value
+    augmented, augmented_pivots = reference_rref(rows_by_key(columns, rhs))
+    if augmented_pivots and augmented_pivots[-1] == ncols:
+        solution = None
+    else:
+        values = zip(augmented, augmented_pivots)
+        particular = {p: row[ncols] for row, p in values if ncols in row}
+        solution = particular, ncols - len(pivots)
+    outside = reference_rref(rows_by_key(columns, keep=lambda key: not within(key)))
+    return len(pivots), list(basis.values()), solution, len(pivots) - len(outside[1])
+
+
+def small_rational_map(rng: random.Random) -> tuple[list[dict], dict]:
+    """The columns of at most four rows over at most five unknowns, with
+    Fraction entries, zero and repeated rows, and a right-hand side that is
+    an image, arbitrary or unreachable."""
+    nrows, ncols = rng.randint(1, 4), rng.randint(0, 5)
+    rows = [
+        {c: random_entry(rng) for c in range(ncols) if rng.random() < 0.5}
+        for _ in range(nrows)
+    ]
+    if nrows > 1 and rng.random() < 0.3:
+        rows[-1] = dict(rng.choice(rows[:-1]))
+    if rng.random() < 0.2:
+        rows[0] = {}
+    columns: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in range(ncols):
+            # a row with no entry still holds its key, as an explicit zero
+            columns[c][i] = row.get(c, 0)
+    return columns, random_rhs_over(rng, columns, nrows)
+
+
+def random_rhs_over(rng: random.Random, columns: list[dict], nrows: int) -> dict:
+    choice = rng.random()
+    if choice < 0.4:
+        rhs: dict = {}
+        for column in columns:
+            weight = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for key, value in column.items():
+                rhs[key] = rhs.get(key, 0) + weight * value
+        return rhs
+    if choice < 0.8:
+        return {i: random_entry(rng) for i in range(nrows) if rng.random() < 0.6}
+    return {nrows: 1}  # a key that no column reaches
+
+
+def reordered(columns: list[dict], rhs: dict, order) -> tuple[list[dict], dict]:
+    """The same map with its rows, the keys, met in `order`; a key of `rhs`
+    that no column holds comes last."""
+    order = list(order) + [key for key in rhs if key not in order]
+    return (
+        [{key: column[key] for key in order if key in column} for column in columns],
+        {key: rhs[key] for key in order if key in rhs},
+    )
+
+
+def test_every_question_matches_the_reference_in_every_row_order():
+    rng = random.Random(79)
+    solvable = unsolvable = 0
+    for _ in range(120):
+        columns, rhs = small_rational_map(rng)
+        keys = sorted({key for column in columns for key in column})
+        within = lambda key: key % 2 == 0  # noqa: E731
+        want = reference_answers(columns, rhs, within)
+        solvable += want[2] is not None
+        unsolvable += want[2] is None
+        for order in permutations(keys):
+            cols, b = reordered(columns, rhs, order)
+            before = copy.deepcopy((cols, b))
+            rows = rows_by_key(cols)
+            rows_before = copy.deepcopy(rows)
+            assert rank(cols) == want[0]
+            basis, solution = kernel(cols), solve(cols, b)
+            assert basis == want[1]
+            assert solution == want[2]
+            answers = basis + ([solution[0]] if solution else [])
+            assert all(integer_first(v) for answer in answers for v in answer.values())
+            assert image_in(cols, within) == want[3]
+            assert rref(rows) == reference_rref(rows_before)
+            assert (cols, b) == before
+            assert rows == rows_before
+            assert [[type(v) for v in r.values()] for r in rows] == [
+                [type(v) for v in r.values()] for r in rows_before
+            ]
+    assert solvable > 30 and unsolvable > 30
+
+
+def integral_fractions(polys) -> list:
+    """The coefficients of `polys` that are Fractions of denominator 1."""
+    return [
+        c
+        for f in polys
+        for c in f.terms.values()
+        if type(c) is Fraction and c.denominator == 1
+    ]
+
+
+def test_solve_answers_are_integer_first():
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    so3 = load_problem(corpus / "so3_action.json")
+    report = cohomology_h1(so3.data, 4)
+    closed = [f for vector in report.closed_basis for f in vector]
+    assert sum(len(f.terms) for f in closed) > 100
+    assert integral_fractions(closed) == []
+    # the zero connection is the so(3) answer, so a connection with a term
+    # is read as well
+    affine = load_problem(corpus / "rank2_line_affine.json")
+    for problem in (so3, affine):
+        omega = solve_connection(problem.data, problem.pack, 2).omega
+        assert integral_fractions(omega.values()) == []
+    assert omega
+    primitive = is_exact_one_form(affine.data, affine.constraints.alpha, 2)
+    assert primitive is not None and not primitive.is_zero
+    assert integral_fractions([primitive]) == []
+    extracted = extract_structure(ConstraintSet(so3.data).phis).data
+    structure = [
+        f for entries in extracted.nonzero_structure.values() for _, f in entries
+    ]
+    assert structure and integral_fractions(structure) == []

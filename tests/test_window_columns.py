@@ -40,7 +40,7 @@ from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.cli import _check_window_budget, _connection_unknowns
 from nqkit.constraints import ConstraintSet, phase_space
 from nqkit.dynamics import _connection_columns, _lowered_anchor
-from nqkit.graded import in_window, letters, window_columns
+from nqkit.graded import in_window, left_derivation, letters, window_columns
 from nqkit.linalg import image_in, rank
 from nqkit.poly import WIDTH, EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
@@ -112,10 +112,10 @@ def test_q_columns_match_the_frame_differential(name, trunc):
 
 
 def test_window_sources_run_over_x_then_p_then_words():
-    # Any source order gives the same answers.  Words first raised the
-    # elimination work of the ghost-zero window (row lengths summed over
-    # `linalg._eliminate` calls) from 957 to 1108 on `abelian_r2` and from
-    # 153657 to 221989 on `so3_action`, both at x-degree 2, p-degree 1.
+    # Any source order gives the same answers.  Words first raises the
+    # elimination work of the ghost-zero window of `so3_action` at x-degree
+    # 2, p-degree 1 (the length of the row being reduced, summed over
+    # `linalg._eliminate` calls) from 181403 to 195673.
     problem = corpus_problem("so3_action")
     cs = problem.constraints
     n, words = problem.data.base_dim, _balanced_words(problem.data.rank, 0)
@@ -151,6 +151,29 @@ def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
             bracket = pair_loop_poisson(ctx, S, element)
             expected = {(w, e): c for w, e, c in bracket.terms()}
             assert boundary(column, 2 * n) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_field_columns_apply_left_derivation_to_each_monomial(name):
+    # every window's table: Q on the words of h^1 and on functions, and the
+    # (S, .) of --bfv-h0, twisted on abelian_r2_magnetic, on both ghost numbers
+    problem = corpus_problem(name)
+    data, cs = problem.data, problem.constraints
+    ctx = ghost_context(data)
+    q_words = [[1 << a] for a in range(data.rank)] + [[0]]
+    windows = [(ctx, q_images(data, ctx), words, 2, 0) for words in q_words]
+    windows += [
+        (cs.ctx, cs.field, _balanced_words(data.rank, ghost), 1 - ghost, 1 - ghost)
+        for ghost in (0, -1)
+    ]
+    n = data.base_dim
+    for ctx, field, words, x_degree, p_degree in windows:
+        sources, columns = window_columns(ctx, field, words, x_degree, p_degree)
+        for (word, xe, pe), column in zip(sources, columns):
+            exponent = unpack(xe, n) + unpack(pe, n)
+            monomial = from_terms(ctx, [(letters(word), exponent, 1)])
+            image = left_derivation(ctx, field, monomial)
+            assert column == image.coeffs
 
 
 def assert_image_in_is_rank_minus_the_outside_rank(columns, inside):
