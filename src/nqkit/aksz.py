@@ -1,10 +1,10 @@
 """Super-time charge and the component form of the one-dimensional action.
 
 The charge S and the covariant Hamiltonian H combine into one odd
-generator Q = S + theta H on the phase space extended by a single odd
-super-time direction theta of ghost degree +1.  Theta has no bracket
-partner, so it rides through the bracket as a spectator and the self
-bracket splits exactly as
+generator Q = S + theta H on their one phase space, whose last odd letter
+is the super-time direction theta of ghost degree +1.  Theta has no
+bracket partner, so it rides through the bracket as a spectator and the
+self bracket splits exactly as
 
     (Q, Q) = (S, S) - 2 theta (S, H).
 
@@ -29,8 +29,8 @@ appearing as the theta partner of the ghost xi_a.  Time derivatives are
 formal first-order markers (x_dot, xi_dot); the ring has no higher jets.
 
 Both stages read the BFV package (S, H) alone.  The package writes Q,
-`BFVPackage.Q`, once per package; `check_supercharge` and `expand_bv`
-read it.
+`BFVPackage.Q`, once per package; `check_supercharge` reads it on the
+phase space, and `expand_bv` transports it into the component ring.
 `expand_bv` returns the action only after the classical-limit guard: the
 field table passes the bookkeeping, and the ghost-free sector equals
 `extended_action_reference`, which is built from the constraints and the
@@ -42,9 +42,10 @@ from __future__ import annotations
 from functools import cache
 from typing import Sequence
 
-from .bfv import THETA, BFVPackage
+from .bfv import BFVPackage
 from .dynamics import build_hamiltonian
 from .graded import (
+    THETA,
     GradedContext,
     GradedPoly,
     _lifted_terms,
@@ -89,12 +90,9 @@ def check_supercharge(package: BFVPackage) -> CheckReport:
     package that bracketed them; the verdict must also agree with the
     package's master and invariance reports.
     """
-    Q = package.Q
-    ctx = Q.ctx
-    QQ = ctx.self_bracket(Q)
-    SS, SH = package.constraints.self_bracket, package.SH
-    theta = ctx.var(THETA)
-    split = transport(SS, ctx) - 2 * theta * transport(SH, ctx)
+    ctx = package.ctx
+    QQ = ctx.self_bracket(package.Q)
+    split = package.constraints.self_bracket - 2 * ctx.var(THETA) * package.SH
     if QQ != split:
         raise RuntimeError("internal theta-split mismatch in the self-bracket")
     master, invariance = package.master, package.charge_invariance

@@ -264,12 +264,15 @@ def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
 
     The only definition of Q: the axiom check squares it, the windows and
     the structural 2-form apply it, and the charge S of the ghost layer is
-    its Hamiltonian lift.  The table of `ghost_context(data)` is built once
-    per frame and shared; callers must not mutate it.
+    its Hamiltonian lift.  The frame has one table, built on
+    `ghost_context(data)` once and returned for every phase space of the
+    frame: a twist changes the momentum bracket, not the term keys.
+    Callers must not mutate it.
     """
-    if ctx is data._ghost_context:
-        return data._ghost_images
-    return _build_q_images(data, ctx)
+    ghost = data._ghost_context
+    if (ctx.even_names, ctx.odd_names) != (ghost.even_names, ghost.odd_names):
+        raise ValueError("the context is not a phase space of this frame")
+    return data._ghost_images
 
 
 def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:

@@ -8,7 +8,9 @@ frame data at once, so one nilpotency test covers the whole identity
 battery.  A covariantized Hamiltonian built from the geometry pack then
 probes the interaction of the metric data with the frame: its bracket
 with the charge either vanishes or is carried by a single obstruction
-tensor with three frame indices and one base index.
+tensor with three frame indices and one base index.  The package's
+super-time charge Q = S + theta H lives on the same phase space, whose
+last odd letter theta no bracket reaches.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .algebroid import Algebroid
 from .constraints import ConstraintSet, _affine_form, build_S, check_master
 from .dynamics import GeometryPack
 from .graded import (
+    THETA,
     GradedContext,
     GradedPoly,
     OddWord,
@@ -33,7 +36,6 @@ from .graded import (
     merge_words,
     momentum_name,
     momentum_orders,
-    transport,
     window_columns,
     word_label,
 )
@@ -41,7 +43,8 @@ from .linalg import image_in, rank
 from .poly import EvenPoly, Rat, Terms
 from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 
-# build_S and check_master are defined with the constraint set and re-exported
+# build_S and check_master are defined with the constraint set, THETA with
+# the names of the phase space, and re-exported
 __all__ = [
     "CARTAN_IDENTITY",
     "DRIFT_REFUSAL",
@@ -54,12 +57,10 @@ __all__ = [
     "build_S",
     "check_master",
     "covariant_momenta",
-    "supercharge_context",
 ]
 
 CARTAN_IDENTITY = "(S, H_cov) = -g^ij pcov_i S^c_jab xi^a xi^b pi_c"
 DRIFT_REFUSAL = "drift term present: absorb it before the extended assembly"
-THETA = "theta"
 
 
 def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly]:
@@ -94,19 +95,6 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
                 _accumulate_product(half_row, pcov[j].coeffs, half_g, s)
         _accumulate_product(terms, pcov[i].coeffs, half_row, s)
     return GradedPoly(ctx, terms)
-
-
-def supercharge_context(ctx: GradedContext) -> GradedContext:
-    """The given bracket context extended by the odd super-time direction."""
-    if THETA in ctx.even_index or THETA in ctx.odd_index:
-        raise ValueError("the context already carries a super-time direction")
-    return GradedContext(
-        even=tuple(zip(ctx.even_names, ctx.even_ghost)),
-        odd=tuple(zip(ctx.odd_names, ctx.odd_ghost)) + ((THETA, 1),),
-        pairs_even=ctx.pairs_even,
-        pairs_odd=ctx.pairs_odd,
-        twist=ctx.twist,
-    )
 
 
 class BFVPackage:
@@ -155,10 +143,10 @@ class BFVPackage:
 
     @cached_property
     def Q(self) -> GradedPoly:
-        """Q = S + theta H on `supercharge_context(ctx)`, odd of ghost degree
-        +1 since S and theta H are; callers must not mutate it."""
-        ctx = supercharge_context(self.ctx)
-        return transport(self.S, ctx) + ctx.var(THETA) * transport(self.H, ctx)
+        """Q = S + theta H on the package's own phase space, whose last odd
+        letter is theta: odd of ghost degree +1 since S and theta H are;
+        callers must not mutate it."""
+        return self.S + self.ctx.var(THETA) * self.H
 
 
 def _shape_finding(detail: str) -> CheckReport:

@@ -166,11 +166,11 @@ class ConstraintSet:
 def phase_space(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
     """T*E[1] of the frame: the one context of the constraints, H and the charge.
 
-    Without a magnetic 2-form, or with a zero one, it is `ghost_context(data)`,
-    so the charge shares the table of Q.  A magnetic 2-form B_ij twists the
-    momentum bracket to {p_i, p_j} = -B_ij: the sign is fixed so that for
-    B_12 = b on the plane the constraints p_1 and p_2 + b x^1 close, as
-    {p_1, p_2} must cancel the derivative term.
+    Without a magnetic 2-form, or with a zero one, it is `ghost_context(data)`;
+    either way the charge lifts the frame's one table of Q.  A magnetic
+    2-form B_ij twists the momentum bracket to {p_i, p_j} = -B_ij: the sign
+    is fixed so that for B_12 = b on the plane the constraints p_1 and
+    p_2 + b x^1 close, as {p_1, p_2} must cancel the derivative term.
     """
     if magnetic is None or all(f.is_zero for row in magnetic for f in row):
         return ghost_context(data)
@@ -244,6 +244,7 @@ def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
 
     Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c.  This is the
     core of the charge; a constraint set adds the affine part alpha_a xi^a.
+    The frame's one table of Q lifts into a twisted ctx as it is.
     """
     return hamiltonian_lift(ctx, q_images(data, ctx))
 

@@ -613,7 +613,9 @@ def hamiltonian_lift(
     """images[x^i] p_i + images[xi^c] pi_c over the pairs of ctx.
 
     The lift to the phase space of the derivation with these images; every
-    paired position and ghost must have one.
+    paired position and ghost must have one.  Only their terms are read, so
+    images on a context of the same layout lift into a twist of it as they
+    are.
     """
     out: Terms = {}
     for z, p_z in [(x, p) for p, x in ctx.pairs_even] + list(ctx.pairs_odd):
@@ -791,16 +793,21 @@ def antighost_name(a: int) -> str:
     return f"pi_{a}"
 
 
+# the odd partner of time: the super-time charge is S + theta H
+THETA = "theta"
+
+
 def extended_context(
     base: Sequence[str],
     rank: int,
     twist: Sequence[Sequence[EvenPoly]] | None = None,
 ) -> GradedContext:
-    """Cotangent coordinates plus one ghost pair (gh +1 / -1) per frame index."""
+    """Cotangent coordinates plus one ghost pair (gh +1 / -1) per frame index,
+    then the super-time letter theta (gh +1): the last odd letter, with no
+    partner, so no bracket gives it an image and no other key moves."""
     even = [(name, 0) for name in base] + [(momentum_name(name), 0) for name in base]
-    odd = [(ghost_name(a), 1) for a in range(1, rank + 1)] + [
-        (antighost_name(a), -1) for a in range(1, rank + 1)
-    ]
+    odd = [(ghost_name(a), 1) for a in range(1, rank + 1)]
+    odd += [(antighost_name(a), -1) for a in range(1, rank + 1)] + [(THETA, 1)]
     pairs_even = [(momentum_name(name), name) for name in base]
     pairs_odd = [(ghost_name(a), antighost_name(a)) for a in range(1, rank + 1)]
     return GradedContext(

@@ -27,7 +27,8 @@ Schema, with shapes in brackets:
     magnetic    [n][n] expressions, antisymmetric      (B_ij)
     points      list of [base_dim] rationals (ints or "a/b")
 
-Any other top-level field is refused as unknown.  The cohomology windows
+Any other top-level field is refused as unknown.  A key stated twice is
+refused, and so is null for an optional field.  The cohomology windows
 are set on the command line alone (`--trunc`, `--p-degree`, `--slack`).
 
 A literal "0" entry of a dense list is not parsed, nor an innermost row of
@@ -45,6 +46,7 @@ from fractions import Fraction
 from .algebroid import Algebroid
 from .constraints import ConstraintSet
 from .dynamics import GeometryPack
+from .graded import THETA
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
 
@@ -138,6 +140,8 @@ def load_problem(path: str | os.PathLike) -> Problem:
 
     Line ends are translated as text mode does, and only when a carriage
     return occurs, so JSON errors report the lines and columns of the text.
+    A key stated twice in the document or in a sparse structure is refused,
+    where JSON would keep its last value.
     """
     try:
         with open(path, "rb") as handle:
@@ -149,13 +153,48 @@ def load_problem(path: str | os.PathLike) -> Problem:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        doc = json.loads(text)
+        if text.startswith("\ufeff"):  # refused as json.loads refuses it
+            message = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise json.JSONDecodeError(message, text, 0)
+        doc = _DECODER.decode(text)
     # also a number past the int() digit limit or nesting past the recursion limit
     except (ValueError, RecursionError) as error:
         raise ProblemError("$", f"not valid JSON: {error}") from error
     if isinstance(doc, dict):
+        # the schema's objects; the reader of any other field refuses an object
+        repeated = "repeated key: JSON would keep only its last value"
+        if isinstance(doc, _RepeatedKey):
+            raise ProblemError(doc.key, repeated)
+        structure = doc.get("structure")
+        if isinstance(structure, _RepeatedKey):
+            raise ProblemError(f"structure[{structure.key!r}]", repeated)
         doc = _ReadDocument(doc, text)
     return problem_from_dict(doc)
+
+
+class _RepeatedKey(dict):
+    """A decoded object that states `key`, its first repeated key, twice."""
+
+    def __init__(self, pairs: list[tuple[str, object]], key: str):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _decoded_object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object, marked if it states a key twice."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                return _RepeatedKey(pairs, key)
+            seen.add(key)
+    return doc
+
+
+# made once: `json.loads` with a hook makes a decoder per call, which costs
+# a fresh process about a third of decoding a problem file
+_DECODER = json.JSONDecoder(object_pairs_hook=_decoded_object)
 
 
 class _ReadDocument(dict):
@@ -185,7 +224,7 @@ def problem_from_dict(doc: object) -> Problem:
     data = Algebroid(
         coords,
         tuple(tuple(row) for row in anchor),
-        _structure(doc.get("structure"), rank, coords),
+        _structure(doc["structure"], rank, coords) if "structure" in doc else {},
     )
 
     magnetic = _optional_matrix(doc, "magnetic", base_dim, coords)
@@ -232,7 +271,7 @@ def problem_from_dict(doc: object) -> Problem:
     return Problem(
         ConstraintSet(data, alpha, magnetic),
         pack,
-        _points(doc.get("points"), base_dim),
+        _points(doc["points"], base_dim) if "points" in doc else (),
         doc.text
         if isinstance(doc, _ReadDocument)
         else json.dumps(doc, separators=(",", ":")),
@@ -274,8 +313,8 @@ def _coords(doc: dict, base_dim: int) -> tuple[str, ...]:
         path = f"coords[{k + 1}]"
         if not isinstance(name, str) or not _NAME.match(name):
             raise ProblemError(path, "coordinate names must be identifiers")
-        if name == "theta":
-            raise ProblemError(path, "'theta' is reserved for the expansion")
+        if name == THETA:
+            raise ProblemError(path, f"{THETA!r} is reserved for the expansion")
         for prefix in _RESERVED_PREFIXES:
             if name.startswith(prefix):
                 raise ProblemError(
@@ -388,8 +427,6 @@ Structure = dict[tuple[int, int, int], EvenPoly]
 
 def _structure(value: object, rank: int, coords: tuple[str, ...]) -> Structure:
     """C^c_ab as {(c, a, b): C} over a < b, the shape `Algebroid` takes."""
-    if value is None:
-        return {}
     if isinstance(value, dict):
         return _structure_from_sparse(value, rank, coords)
     if not isinstance(value, list) or len(value) != rank:
@@ -456,8 +493,6 @@ def _structure_from_sparse(
 def _points(
     value: object, base_dim: int
 ) -> tuple[tuple[Rat, ...], ...]:
-    if value is None:
-        return ()
     if not isinstance(value, list):
         raise ProblemError("points", "must be a list of coordinate vectors")
     points = []

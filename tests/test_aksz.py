@@ -21,7 +21,7 @@ from nqkit.aksz import (
     partner_name,
     velocity_name,
 )
-from nqkit.bfv import THETA, assemble_bfv, supercharge_context
+from nqkit.bfv import THETA, assemble_bfv
 from nqkit.dynamics import GeometryPack
 from nqkit.graded import (
     GradedPoly,
@@ -36,6 +36,7 @@ from nqkit.report import FAIL, PASS
 from tests.conftest import frame_package
 from tests.test_algebroid import abelian_r1, broken_jacobi, rank2_line, so3_action
 from tests.test_bfv import shear_pair
+from tests.test_cli_matrix import TOOL
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests import reference_forms as ref
 from tests.reference_forms import from_terms, ghost_degree, parity, substitute
@@ -100,19 +101,57 @@ def expected_kinetic(ctx, coords, rank) -> GradedPoly:
     return total
 
 
-# the theta-extended context and the charge
+# theta on the phase space and the charge
 
 
-def test_supercharge_context_appends_theta():
+def test_the_phase_space_ends_with_theta():
     bfv = packaged(abelian_r2())
-    ctx = supercharge_context(bfv.ctx)
+    ctx = bfv.ctx
+    assert bfv.Q.ctx is ctx
     assert ctx.odd_names[-1] == "theta"
     assert ctx.ghost_of("theta") == 1
     assert ctx.parity_of("theta") == 1
-    assert ctx.pairs_even == bfv.ctx.pairs_even
-    assert ctx.pairs_odd == bfv.ctx.pairs_odd
-    with pytest.raises(ValueError, match="already carries"):
-        supercharge_context(ctx)
+    paired = {name for pair in ctx.pairs_even + ctx.pairs_odd for name in pair}
+    assert "theta" not in paired
+
+
+def corpus_and_twisted_packages() -> dict:
+    """The BFV package of every corpus file that has one, and of the
+    twisted metric twin of the command-line matrix."""
+    corpus = Path(__file__).resolve().parents[1] / "corpus"
+    problems = {path.stem: load_problem(path) for path in sorted(corpus.glob("*.json"))}
+    twin = "abelian_r2_metric_magnetic"
+    problems[twin] = problem_from_dict(TOOL.inputs()[twin])
+    packages = {}
+    for name, problem in problems.items():
+        try:
+            packages[name] = assemble_bfv(problem.constraints, problem.pack)
+        except ValueError:
+            continue  # no package: a refused drift term
+    assert packages[twin].ctx.twist is not None
+    assert len(packages) >= 10
+    return packages
+
+
+PACKAGES = corpus_and_twisted_packages()
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGES))
+def test_theta_is_a_spectator_of_every_bracket(name):
+    package = PACKAGES[name]
+    ctx = package.ctx
+    theta = ctx.var(THETA)
+    bit = 1 << ctx.word_shift + ctx.odd_index[THETA]
+    S, H = package.S, package.H
+    for F in (S, H):
+        field = ctx.hamiltonian_field(F)
+        assert THETA not in field
+        assert not any(key & bit for image in field.values() for key in image.coeffs)
+    for F in (S, H, *package.constraints.phis):
+        assert ctx.poisson(theta, F).is_zero and ctx.poisson(F, theta).is_zero
+    Q = package.Q
+    expected = ctx.poisson(S, S) - 2 * theta * ctx.poisson(S, H)
+    assert ctx.poisson(Q, Q) == expected
 
 
 def test_build_supercharge_abelian_flat():
@@ -314,8 +353,7 @@ def test_expand_is_linear_in_the_charge():
     # the H = 0 twin: the same constraints with an empty pack, so Q = S
     twin = assemble_bfv(bfv.constraints, GeometryPack(data.coords, data.rank))
     assert twin.H.is_zero and not bfv.H.is_zero
-    qctx = supercharge_context(bfv.ctx)
-    part_h = qctx.var(THETA) * transport(bfv.H, qctx)
+    part_h = bfv.ctx.var(THETA) * bfv.H
     total = expand_bv(bfv).action
     split = expand_bv(twin).action + expand_bv_by_substitution(part_h, data)
     # each expansion carries one copy of the kinetic sector
@@ -612,8 +650,7 @@ def test_expand_matches_the_substitution_on_the_corpus_and_so_n():
         if package.ctx.twist is not None:
             continue  # refused by both routes
         # Q = S + theta H built here, not read off the package
-        qctx = supercharge_context(package.ctx)
-        Q = transport(package.S, qctx) + qctx.var(THETA) * transport(package.H, qctx)
+        Q = package.S + package.ctx.var(THETA) * package.H
         action = expand_bv(package).action
         assert not action.is_zero
         assert action == expand_bv_by_substitution(Q, problem.data), name

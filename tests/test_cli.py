@@ -679,14 +679,15 @@ def test_defect_tensors_computed_once_per_invocation(
         (["check", corpus_path("rank2_line_affine"), "--all"], 1),
         (["cohomology", corpus_path("rank2_line_affine"), "--is-exact"], 1),
         (["cohomology", corpus_path("so3_action"), "--trunc", "2"], 1),
-        # the magnetic twist gives the charge a context of its own
-        (["check", corpus_path("abelian_r2_magnetic"), "--all"], 2),
+        # the magnetic twist changes the momentum bracket, not the term keys:
+        # the twisted charge lifts the same table
+        (["check", corpus_path("abelian_r2_magnetic"), "--all"], 1),
     ],
     ids=["check_all", "check_all_affine", "is_exact", "h1_window", "check_all_twisted"],
 )
 def test_q_images_built_once_per_context(monkeypatch, args, builds):
     # the axiom check, the structural 2-form, the windows, the closedness
-    # test and the untwisted charge share the ghost context's table of Q;
+    # test and the charge, twisted or not, share the frame's table of Q;
     # it and the defect tensors read the index of the nonzero C^c_ab that
     # the one frame of the invocation stores
     built, frames = [], []
@@ -729,10 +730,10 @@ def test_constraints_and_charge_share_one_phase_space(name):
 
 @pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), "twisted_with_metric"])
 def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
-    # the ghost context, which is the phase space itself without a twist,
-    # and the theta-extended context of the supercharge; a magnetic field
-    # adds the twisted phase space, shared by the constraints, both
-    # Hamiltonians and the charge
+    # the ghost context, which is the phase space itself without a twist and
+    # carries theta for the supercharge; a magnetic field adds the twisted
+    # phase space, shared by the constraints, both Hamiltonians, the charge
+    # and the supercharge
     monkeypatch.chdir(tmp_path)
     if name == "twisted_with_metric":
         Path(f"{name}.json").write_text(json.dumps(twisted_with_metric()))
@@ -751,7 +752,7 @@ def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
     result = run("check", file, "--all")
     assert result.exit_code in (0, 1), result.output
     assert "internal error" not in result.stderr
-    assert len(built) <= (2 if twist is None else 3), built
+    assert len(built) == (1 if twist is None else 2), built
 
 
 def test_stored_coefficients_are_nonzero_ints_or_fractions(tmp_path, monkeypatch):
@@ -1435,23 +1436,34 @@ def test_emit_bv_checks_the_classical_limit(monkeypatch, tmp_path, name, force):
     assert json.loads(out.read_text()).get("forced", False) is force
 
 
-def test_emit_bv_builds_the_supercharge_once(monkeypatch, tmp_path):
-    # the package keeps Q = S + theta H: the supercharge gate and the
-    # expansion read one Q, on one theta-extended context
-    built = []
-    original = nqkit.bfv.supercharge_context
+def test_emit_bv_transports_only_into_the_expansion_ring(monkeypatch, tmp_path):
+    # the package keeps Q = S + theta H on its own phase space: the
+    # supercharge gate and the expansion read one Q, and the one change of
+    # layout is the expansion's, into the component ring
+    transported, built = [], []
+    original = nqkit.graded.transport
+    init = GradedContext.__init__
 
-    def counted(ctx):
+    def counted(F, ctx):
+        transported.append(ctx)
+        return original(F, ctx)
+
+    def counted_init(ctx, *args, **kwargs):
+        init(ctx, *args, **kwargs)
         built.append(ctx)
-        return original(ctx)
 
     for module in [m for key, m in sys.modules.items() if key.startswith("nqkit")]:
-        if getattr(module, "supercharge_context", None) is original:
-            monkeypatch.setattr(module, "supercharge_context", counted)
+        if getattr(module, "transport", None) is original:
+            monkeypatch.setattr(module, "transport", counted)
+    monkeypatch.setattr(GradedContext, "__init__", counted_init)
+    nqkit.aksz.expansion_context.cache_clear()  # built once per process
     monkeypatch.chdir(tmp_path)
     result = run(*EMIT_SO3_BV)
     assert result.exit_code == 0, result.output
-    assert len(built) == 1
+    ring = nqkit.aksz.expansion_context(("x1", "x2", "x3"), 3)
+    assert transported == [ring]
+    # the phase space and the expansion ring
+    assert len(built) == 2 and built[1] is ring
 
 
 @pytest.mark.parametrize("metric", [True, False], ids=["metric", "potential_only"])

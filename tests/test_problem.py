@@ -11,7 +11,6 @@ import pytest
 
 import nqkit.problem
 from nqkit.aksz import expansion_context
-from nqkit.bfv import supercharge_context
 from nqkit.graded import extended_context
 from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly
@@ -163,6 +162,86 @@ def test_sparse_structure_rejects_a_restated_entry(tmp_path):
     assert path_of(err) == "structure['0,1,2']"
 
 
+# the example of a repeated key: C^1_12 = 1, stated first, fails the axioms
+REPEATED_STRUCTURE = (
+    '{"base_dim":2,"rank":2,"coords":["x","y"],"anchor":[["1","0"],["0","1"]],'
+    '"structure":{"1,1,2":"1","1,1,2":"0"}}'
+)
+
+
+@pytest.mark.parametrize(
+    "text,path",
+    [
+        (REPEATED_STRUCTURE, "structure['1,1,2']"),
+        ('{"base_dim":1,"rank":1,"coords":["x"],"anchor":[["1"]],"anchor":[["x"]]}', "anchor"),
+        # a key is repeated when it decodes alike, however it is escaped
+        ('{"base_dim":1,"rank":1,"coords":["x"],"anchor":[["1"]],"\\u0061nchor":[["1"]]}', "anchor"),
+        ('{"base_dim":1,"base_dim":1,"rank":1,"coords":["x"],"anchor":[["1"]]}', "base_dim"),
+    ],
+    ids=["structure", "anchor", "escaped", "first_of_the_document"],
+)
+def test_a_repeated_key_is_refused_with_its_path(tmp_path, text, path):
+    # JSON keeps the last value of a repeated key: the loader refuses it
+    # rather than check a problem the file does not state
+    file = tmp_path / "repeated.json"
+    file.write_text(text)
+    with pytest.raises(ProblemError) as err:
+        load_problem(file)
+    assert (path_of(err), err.value.message) == (
+        path,
+        "repeated key: JSON would keep only its last value",
+    )
+    result = invoke(["check", str(file), "--axioms"])
+    assert result.exit_code == 2
+    assert result.stderr == f"input error: {path}: {err.value.message}\n"
+    assert "Traceback" not in result.output
+
+
+def test_the_first_statement_of_the_repeated_key_fails_the_axioms(tmp_path):
+    # what the refused file would have hidden: its last statement passes,
+    # its first one fails
+    for value, code in (("1", 1), ("0", 0)):
+        file = tmp_path / f"c112_{value}.json"
+        doc = json.loads(REPEATED_STRUCTURE)
+        file.write_text(json.dumps(dict(doc, structure={"1,1,2": value})))
+        assert invoke(["check", str(file), "--axioms"]).exit_code == code
+
+
+def test_an_object_outside_the_schema_is_refused_by_its_reader(tmp_path):
+    # a repeated key there changes nothing: the field refuses any object
+    file = tmp_path / "object.json"
+    file.write_text(json.dumps(minimal())[:-1] + ',"potential":{"a":1,"a":2}}')
+    with pytest.raises(ProblemError) as err:
+        load_problem(file)
+    assert (path_of(err), err.value.message) == (
+        "potential",
+        "expressions must be strings or integers",
+    )
+
+
+OPTIONAL_FIELDS = sorted(
+    nqkit.problem._KNOWN_FIELDS - {"base_dim", "rank", "coords", "anchor"}
+)
+
+
+@pytest.mark.parametrize("name", OPTIONAL_FIELDS)
+def test_null_is_refused_in_every_optional_field(name):
+    # null is no way to leave a field out: the ten optional fields refuse
+    # it alike, each with its own path
+    with pytest.raises(ProblemError) as err:
+        problem_from_dict(minimal(**{name: None}))
+    assert path_of(err) == name
+
+
+def test_null_structure_and_points_read_as_the_wrong_type():
+    with pytest.raises(ProblemError) as err:
+        problem_from_dict(minimal(structure=None))
+    assert str(err.value) == "structure: must have 1 planes or be a sparse object"
+    with pytest.raises(ProblemError) as err:
+        problem_from_dict(minimal(points=None))
+    assert str(err.value) == "points: must be a list of coordinate vectors"
+
+
 def test_dense_structure_antisymmetry_checked():
     doc = {
         "base_dim": 1,
@@ -293,7 +372,7 @@ def test_every_generated_name_is_reserved():
     phase = extended_context(coords, 2)
     generated = {
         name
-        for ctx in (phase, supercharge_context(phase), expansion_context(coords, 2))
+        for ctx in (phase, expansion_context(coords, 2))
         for name in ctx.even_names + ctx.odd_names
         if name not in coords
     }

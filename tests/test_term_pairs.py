@@ -142,7 +142,10 @@ def test_grouped_product_matches_the_tuple_kernel(monkeypatch):
 
     monkeypatch.setattr(nqkit.graded, "accumulate_product", counted)
     ctx = extended_context(("x", "y", "z"), 3)
-    odd = range(len(ctx.odd_names))
+    # words over the ghost and antighost letters, which the brackets
+    # multiply; drawn over theta as well, this seed's factors no longer all
+    # reach the grouped branch
+    odd = range(6)
     all_words = [w for size in range(4) for w in combinations(odd, size)]
     rng = random.Random(131)
     for _ in range(40):

@@ -25,6 +25,9 @@ block (refused at load as an unknown field), a `cohomology --degree` run
 (an option that no longer exists), four files that pin the loader's
 reading of bytes (a CRLF file with a JSON syntax error, a file whose lines
 end in a lone CR, a UTF-8 byte-order mark and a byte that is not UTF-8),
+two files that state a key twice (a sparse structure entry, the anchor),
+a `structure: null`, a metric that is not symmetric and an inverse metric
+that is not its inverse (all refused at load with the path of the field),
 and one `check --json` on a corpus file under a name with a non-ASCII
 letter, a quote and a backslash.  Each run is one fresh
 `python -m nqkit.cli` process in an empty directory of its own; the line
@@ -226,6 +229,11 @@ LOAD_ERRORS = (
     "so3_action_crlf_error",
     "so3_action_bom",
     "so3_action_not_utf8",
+    "repeated_structure_key",
+    "repeated_anchor_key",
+    "structure_null",
+    "metric_asymmetric",
+    "metric_inv_not_inverse",
 )
 # the program name and terminal width of every run
 PROG = "python -m nqkit.cli"
@@ -299,6 +307,15 @@ def inputs() -> dict[str, dict | bytes]:
     for seed in RATIONAL_SEEDS:
         docs[f"dense_random{seed}"] = gen.dense_random(seed)
     docs.update(raw_inputs(docs["so3_action"]))
+    docs.update(repeated_keys(docs["so3_action"]))
+    # null is refused like a wrong type, not read as an absent field
+    docs["structure_null"] = dict(docs["so3_action"], structure=None)
+    # the loader's mapping of a geometry error back to its field: g_low
+    # that is not symmetric, and a symmetric g_inv that does not invert it
+    docs["metric_asymmetric"] = dict(SHEAR_PLANE, metric=[["1", "y"], ["0", "1"]])
+    docs["metric_inv_not_inverse"] = dict(
+        SHEAR_PLANE, metric_inv=[["1", "-y"], ["-y", "1"]]
+    )
     return docs
 
 
@@ -319,6 +336,24 @@ def raw_inputs(doc: dict) -> dict[str, bytes]:
         "so3_action_cr": text.replace("\n", "\r").encode(),
         "so3_action_bom": "\ufeff".encode() + data,
         "so3_action_not_utf8": data[:40] + b"\xff" + data[40:],
+    }
+
+
+def repeated_keys(doc: dict) -> dict[str, bytes]:
+    """Problem files that state a key twice, where JSON alone keeps the last
+    statement: C^1_12 = 1, then 0, on the plane, and a unit anchor before
+    that of so(3); the first statement fails the axioms either time, and
+    the loader refuses both files by the path of the key."""
+    plane = (
+        '{"base_dim": 2, "rank": 2, "coords": ["x", "y"], '
+        '"anchor": [["1", "0"], ["0", "1"]], '
+        '"structure": {"1,1,2": "1", "1,1,2": "0"}}\n'
+    )
+    unit = '[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]'
+    text = json.dumps(doc, indent=2)
+    return {
+        "repeated_structure_key": plane.encode(),
+        "repeated_anchor_key": f'{{"anchor": {unit},{text[1:]}'.encode(),
     }
 
 
