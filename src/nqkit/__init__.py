@@ -33,7 +33,6 @@ from .constraints import (
     check_master,
     extract_structure,
     irreducibility_probe,
-    phase_space,
 )
 from .dynamics import (
     GeometryPack,
@@ -90,7 +89,6 @@ __all__ = [
     "is_exact_one_form",
     "load_problem",
     "parse_poly",
-    "phase_space",
     "rational_from_string",
     "solve_connection",
     "worst_status",

@@ -7,11 +7,13 @@ provides the two defect tensors whose joint vanishing is the compatibility
 axiom pair (anchor morphism and Jacobi), the odd derivation Q on ghost
 variables, and a truncated degree-1 cohomology diagnostic.
 
-Forms of the frame (E-forms) are functions on E[1]: a k-form is a
-`GradedPoly` in `ghost_context`, homogeneous of degree k in the ghosts
-xi^a, and the frame differential d_E is Q, applied with `left_derivation`
-to the images `q_images`.  A base form pulls back along the anchor by
-substituting Q(x^i) for dx^i.
+The frame owns its context and Q: `Algebroid.ctx` is the extended
+context of the frame, and `Algebroid.q` is the table of Q on it.  Forms
+of the frame (E-forms) are functions on E[1]: a k-form is a `GradedPoly`
+in `data.ctx`, homogeneous of degree k in the ghosts xi^a, and the frame
+differential d_E is Q, applied with `left_derivation` to the images
+`data.q`.  A base form pulls back along the anchor by substituting Q(x^i)
+for dx^i.
 
 Defect conventions, pinned for the whole engine:
 
@@ -29,8 +31,8 @@ product with a zero structure function is formed.  Their one prediction is
 D = R1^i_ab xi^a xi^b p_i + 1/2 R2^d_abc xi^a xi^b xi^c pi_d, the lift of
 Q^2: the axiom check lifts Q applied twice, (S, S) is 2 (sigma + D) for the
 structural 2-form sigma, and the first-class residuals are the xi^a xi^b
-coefficients of sigma + D.  An `Algebroid` caches R1, R2 and D, each
-computed at most once per frame.
+coefficients of sigma + D.  An `Algebroid` caches its context, Q, R1, R2
+and D, each computed at most once per frame.
 """
 
 from __future__ import annotations
@@ -162,12 +164,42 @@ class Algebroid:
         return EvenPoly.zero(self.coords)
 
     @cached_property
-    def _ghost_context(self) -> GradedContext:
+    def ctx(self) -> GradedContext:
+        """The extended context of the frame, built on first use: its forms,
+        Q and the defect lift live here, and so does the charge of an
+        untwisted constraint set."""
         return extended_context(self.coords, self.rank)
 
     @cached_property
-    def _ghost_images(self) -> dict[str, GradedPoly]:
-        return _build_q_images(self, self._ghost_context)
+    def q(self) -> dict[str, GradedPoly]:
+        """Q(x^i) = rho_a^i xi^a and Q(xi^c) = -1/2 C^c_ab xi^a xi^b on `ctx`.
+
+        The only definition of Q: the axiom check squares it, the windows and
+        the structural 2-form apply it, and the charge S of the ghost layer
+        is its Hamiltonian lift, into a twisted phase space as it is: a twist
+        changes the momentum bracket, not the term keys.  Built on first use;
+        callers must not mutate it.
+        """
+        # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), as C is
+        # stored, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b, over the
+        # nonzero entries only; each entry holds the terms of its own word
+        ctx = self.ctx
+        ghosts = [1 << ctx.odd_index[ghost_name(a + 1)] for a in range(self.rank)]
+        images = {}
+        for i, name in enumerate(self.coords):
+            terms: Terms = {}
+            for g, row in zip(ghosts, self.anchor):
+                terms.update(_lifted_terms(ctx, row[i], word=g))
+            images[name] = GradedPoly._trusted(ctx, terms)
+        structure: list[Terms] = [{} for _ in range(self.rank)]
+        for (a, b), entries in self.nonzero_structure.items():
+            if a < b:
+                word, sign = merge_words(ghosts[a], ghosts[b])
+                for c, f in entries:
+                    structure[c].update(_lifted_terms(ctx, f, scale=-sign, word=word))
+        for c, terms in enumerate(structure):
+            images[ghost_name(c + 1)] = GradedPoly._trusted(ctx, terms)
+        return images
 
     @cached_property
     def anchor_defect(self) -> dict[tuple[int, int, int], EvenPoly]:
@@ -181,8 +213,21 @@ class Algebroid:
 
     @cached_property
     def defect_lift(self) -> GradedPoly:
-        """D of this frame, computed on first use; callers must not mutate it."""
-        return defect_lift(self)
+        """D = R1^i_ab xi^a xi^b p_i + 1/2 R2^d_abc xi^a xi^b xi^c pi_d, a < b (< c).
+
+        The lift of Q^2 to `ctx`, read off the index formulas alone; that
+        context orders x, p and xi, pi, so words and exponents are direct.
+        Computed on first use; callers must not mutate it.
+        """
+        ctx, r = self.ctx, self.rank
+        terms: Terms = {}  # the word and the p_i of R1^i_ab tell its entries apart
+        for (a, b, i), value in self.anchor_defect.items():
+            p_i = momentum_name(self.coords[i])
+            terms.update(_lifted_terms(ctx, value, p_i, word=1 << a | 1 << b))
+        for (a, b, c, d), value in self.jacobi_defect.items():
+            word = 1 << a | 1 << b | 1 << c | 1 << r + d
+            terms.update(_lifted_terms(ctx, value, scale=Rat(1, 2), word=word))
+        return GradedPoly._trusted(ctx, terms)
 
 
 # defect tensors
@@ -251,28 +296,7 @@ def jacobi_defect(data: Algebroid) -> dict[tuple[int, int, int, int], EvenPoly]:
     return {key: value for key, value in wrapped.items() if value.terms}
 
 
-# the odd derivation Q on (x, xi)
-
-
-def ghost_context(data: Algebroid) -> GradedContext:
-    """The extended context of the frame, one object per `Algebroid`."""
-    return data._ghost_context
-
-
-def q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
-    """Q(x^i) = rho_a^i xi^a and Q(xi^c) = -1/2 C^c_ab xi^a xi^b.
-
-    The only definition of Q: the axiom check squares it, the windows and
-    the structural 2-form apply it, and the charge S of the ghost layer is
-    its Hamiltonian lift.  The frame has one table, built on
-    `ghost_context(data)` once and returned for every phase space of the
-    frame: a twist changes the momentum bracket, not the term keys.
-    Callers must not mutate it.
-    """
-    ghost = data._ghost_context
-    if (ctx.even_names, ctx.odd_names) != (ghost.even_names, ghost.odd_names):
-        raise ValueError("the context is not a phase space of this frame")
-    return data._ghost_images
+# forms of the frame
 
 
 def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
@@ -281,45 +305,6 @@ def _affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
     for c, f in enumerate(alpha):
         word = 1 << ctx.odd_index[ghost_name(c + 1)]
         terms.update(_lifted_terms(ctx, f, word=word))
-    return GradedPoly._trusted(ctx, terms)
-
-
-def _build_q_images(data: Algebroid, ctx: GradedContext) -> dict[str, GradedPoly]:
-    # C^c_ab and xi^a xi^b are both antisymmetric in (a, b), as `Algebroid`
-    # stores C, so Q(xi^c) = -sum over a < b of C^c_ab xi^a xi^b, over the
-    # nonzero entries only; each entry holds the terms of its own word
-    ghosts = [1 << ctx.odd_index[ghost_name(a + 1)] for a in range(data.rank)]
-    images = {}
-    for i, name in enumerate(data.coords):
-        terms: Terms = {}
-        for g, row in zip(ghosts, data.anchor):
-            terms.update(_lifted_terms(ctx, row[i], word=g))
-        images[name] = GradedPoly._trusted(ctx, terms)
-    structure: list[Terms] = [{} for _ in range(data.rank)]
-    for (a, b), entries in data.nonzero_structure.items():
-        if a < b:
-            word, sign = merge_words(ghosts[a], ghosts[b])
-            for c, f in entries:
-                structure[c].update(_lifted_terms(ctx, f, scale=-sign, word=word))
-    for c, terms in enumerate(structure):
-        images[ghost_name(c + 1)] = GradedPoly._trusted(ctx, terms)
-    return images
-
-
-def defect_lift(data: Algebroid) -> GradedPoly:
-    """D = R1^i_ab xi^a xi^b p_i + 1/2 R2^d_abc xi^a xi^b xi^c pi_d, a < b (< c).
-
-    The lift of Q^2 to `ghost_context`, read off the index formulas alone;
-    that context orders x, p and xi, pi, so words and exponents are direct.
-    """
-    ctx, r = data._ghost_context, data.rank
-    terms: Terms = {}  # the word and the p_i of R1^i_ab tell its entries apart
-    for (a, b, i), value in data.anchor_defect.items():
-        p_i = momentum_name(data.coords[i])
-        terms.update(_lifted_terms(ctx, value, p_i, word=1 << a | 1 << b))
-    for (a, b, c, d), value in data.jacobi_defect.items():
-        word = 1 << a | 1 << b | 1 << c | 1 << r + d
-        terms.update(_lifted_terms(ctx, value, scale=Rat(1, 2), word=word))
     return GradedPoly._trusted(ctx, terms)
 
 
@@ -335,8 +320,7 @@ def check_axioms(data: Algebroid) -> CheckReport:
     residuals = family_residuals("anchor", r1, "abi")
     residuals += family_residuals("jacobi", r2, "abcd")
 
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx, images = data.ctx, data.q
     square = {name: left_derivation(ctx, images, f) for name, f in images.items()}
     if hamiltonian_lift(ctx, square) != data.defect_lift:
         raise RuntimeError("internal dual-route mismatch in Q^2")
@@ -382,8 +366,7 @@ def cohomology_h1(data: Algebroid, trunc: int, slack: int = 2) -> CohomologyRepo
     """
     if trunc < 0:
         raise ValueError("truncation degree must be nonnegative")
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx, images = data.ctx, data.q
     words = [1 << a for a in range(data.rank)]
     # one window per word: this unknown order fixes the closed basis
     windows = [window_columns(ctx, images, [word], trunc) for word in words]
@@ -435,12 +418,11 @@ def is_exact_one_form(
 
     alpha is the r components alpha_a, checked against the frame, as
     `ConstraintSet` keeps them.  The 1-form alpha_a xi^a is built in
-    `ghost_context(data)`, whose term keys are the row keys of the columns,
+    `data.ctx`, whose term keys are the row keys of the columns,
     so its terms are the right-hand side as they are.  A form that Q does
     not close has no primitive at any degree: ValueError, before the solve.
     """
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx, images = data.ctx, data.q
     form = _affine_form(ctx, alpha)
     if not left_derivation(ctx, images, form).is_zero:
         raise ValueError("not closed: the frame differential of alpha is nonzero")

@@ -2,13 +2,14 @@
 
 A `ConstraintSet` is an `Algebroid` with an optional affine part and an
 optional magnetic 2-form, the one owner of both: it checks them and
-builds the constraints Phi_a = rho_a^i(x) p_i + alpha_a(x) on
-`phase_space(data, magnetic)`, the one phase space T*E[1] of a problem,
-whose momentum bracket the magnetic 2-form twists.  The affine part is
-the tuple of its r components alpha_a and the magnetic 2-form the
-antisymmetric n x n matrix B_ij, both over the base ring.  The structural
-2-form d_E alpha - rho^* B that the brackets predict is an E-form: a
-ghost polynomial, with d_E = Q.
+builds the constraints Phi_a = rho_a^i(x) p_i + alpha_a(x) on its `ctx`,
+the one phase space T*E[1] of a problem: the frame's own `data.ctx`, or
+its twist when a nonzero magnetic 2-form twists the momentum bracket.
+The affine part is the tuple of its r components alpha_a and the magnetic
+2-form the antisymmetric n x n matrix B_ij, both over the base ring.  The
+structural 2-form d_E alpha - rho^* B that the brackets predict is an
+E-form: a ghost polynomial, with d_E = Q, computed with the frame's table
+of Q and kept on the phase space, as the closure is.
 The constraints alone fix the odd BFV charge S = core + affine: the lift
 of Q to the phase space plus the affine part alpha_a xi^a.  A constraint
 set keeps S, the derivation (S, .) and the self-bracket (S, S), and the
@@ -29,7 +30,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .algebroid import Algebroid, _affine_form, check_axioms, ghost_context, q_images
+from .algebroid import Algebroid, _affine_form, check_axioms
 from .graded import (
     GradedContext,
     GradedPoly,
@@ -40,7 +41,6 @@ from .graded import (
     left_derivation,
     momentum_name,
     momentum_orders,
-    transport,
     word_residuals,
 )
 from .linalg import rank, read_back, solve, vector_column
@@ -54,14 +54,15 @@ Matrix = tuple[tuple[EvenPoly, ...], ...]
 
 
 class ConstraintSet:
-    """Constraints Phi_a = rho_a^i p_i + alpha_a on `phase_space(data, magnetic)`.
+    """Constraints Phi_a = rho_a^i p_i + alpha_a on the phase space `ctx`.
 
     A constraint set is its frame data, its affine part alpha and its
     magnetic 2-form B, each checked here, once: alpha must have r
     components and B must be n x n, both over the base ring, and B must be
     antisymmetric, as the twist of the phase space is.  Both stay None when
-    absent.  The context, the constraints, built from frame data and so
-    fiber-affine, and the charge S of the constraints, its derivation
+    absent.  The context (twisted only by a checked B), the structural
+    2-form and the closure, the constraints (built from frame data and so
+    fiber-affine), and the charge S of the constraints, its derivation
     (S, .), its self-bracket and the master report are computed on first
     use and kept, so a verb that reads none of them builds no phase space,
     and one invocation derives (S, .) once and brackets S with itself once
@@ -97,8 +98,20 @@ class ConstraintSet:
 
     @cached_property
     def ctx(self) -> GradedContext:
-        """`phase_space(data, magnetic)`, built on first use."""
-        return phase_space(self.data, self.magnetic)
+        """T*E[1] of the frame: the one context of the constraints, H and the
+        charge, built on first use.
+
+        Without a magnetic 2-form, or with a zero one, it is `data.ctx`;
+        either way the charge lifts the frame's one table of Q.  A magnetic
+        2-form B_ij twists the momentum bracket to {p_i, p_j} = -B_ij: the
+        sign is fixed so that for B_12 = b on the plane the constraints p_1
+        and p_2 + b x^1 close, as {p_1, p_2} must cancel the derivative term.
+        """
+        magnetic = self.magnetic
+        if magnetic is None or all(f.is_zero for row in magnetic for f in row):
+            return self.data.ctx
+        twist = [[-f for f in row] for row in magnetic]
+        return extended_context(self.data.coords, self.rank, twist)
 
     @cached_property
     def phis(self) -> tuple[GradedPoly, ...]:
@@ -120,17 +133,45 @@ class ConstraintSet:
 
     @cached_property
     def structural(self) -> GradedPoly:
-        """d_E alpha - rho^* B, computed on first use; callers must not mutate it."""
-        return structural_two_form(self.data, self.alpha, self.magnetic)
+        """The structural 2-form d_E alpha - rho^* B of the constraint brackets.
+
+        An E-form, computed with the frame's Q on `data.ctx`: d_E is Q, and
+        rho^* B is 1/2 B_ij Q(x^i) Q(x^j), which is the sum over i < j of
+        B_ij Q(x^i) Q(x^j) since B is antisymmetric.  A twist does not change
+        term keys, so the terms are wrapped on `ctx` as they are.  Computed
+        on first use; callers must not mutate it.
+        """
+        data, ctx = self.data, self.data.ctx
+        affine = _affine_form(ctx, self.alpha or ())
+        magnetic = self.magnetic
+        pairs = [
+            (i, j)
+            for i, j in combinations(range(data.base_dim), 2)
+            if magnetic is not None and not magnetic[i][j].is_zero
+        ]
+        if affine.is_zero and not pairs:
+            return self.ctx.zero()  # no alpha and no B: nothing to differentiate
+        images = data.q
+        terms = dict(left_derivation(ctx, images, affine).coeffs)
+        for i, j in pairs:
+            pulled = {}
+            q_i, q_j = images[data.coords[i]].coeffs, images[data.coords[j]].coeffs
+            _accumulate_product(pulled, q_i, q_j, ctx.word_shift)
+            minus_b = _lifted_terms(ctx, magnetic[i][j], scale=-1)
+            _accumulate_product(terms, minus_b, pulled, ctx.word_shift)
+        return GradedPoly(self.ctx, terms)
 
     @cached_property
     def closure(self) -> GradedPoly:
-        """structural + D: the predicted (S, S) / 2, computed on first use.
+        """structural + D on `ctx`: the predicted (S, S) / 2, computed on first
+        use, with the terms of D as they are.
 
         Its xi^a xi^b coefficients are the predicted first-class residuals;
         callers must not mutate it.
         """
-        return self.structural + self.data.defect_lift
+        return self.structural + GradedPoly._trusted(
+            self.ctx, self.data.defect_lift.coeffs
+        )
 
     @cached_property
     def core(self) -> GradedPoly:
@@ -161,21 +202,6 @@ class ConstraintSet:
     @cached_property
     def master(self) -> CheckReport:
         return check_master(self)
-
-
-def phase_space(data: Algebroid, magnetic: Matrix | None = None) -> GradedContext:
-    """T*E[1] of the frame: the one context of the constraints, H and the charge.
-
-    Without a magnetic 2-form, or with a zero one, it is `ghost_context(data)`;
-    either way the charge lifts the frame's one table of Q.  A magnetic
-    2-form B_ij twists the momentum bracket to {p_i, p_j} = -B_ij: the sign
-    is fixed so that for B_12 = b on the plane the constraints p_1 and
-    p_2 + b x^1 close, as {p_1, p_2} must cancel the derivative term.
-    """
-    if magnetic is None or all(f.is_zero for row in magnetic for f in row):
-        return ghost_context(data)
-    twist = [[-f for f in row] for row in magnetic]
-    return extended_context(data.coords, data.rank, twist)
 
 
 def affine_part(
@@ -209,44 +235,18 @@ def decompose_fiber_affine(
     return orders.get((), zero), rho
 
 
-def structural_two_form(
-    data: Algebroid, alpha: Sequence[EvenPoly] | None, magnetic: Matrix | None
-) -> GradedPoly:
-    """The structural 2-form d_E alpha - rho^* B of the constraint brackets.
-
-    An E-form in `ghost_context(data)`: d_E is Q, and rho^* B is
-    1/2 B_ij Q(x^i) Q(x^j), which is the sum over i < j of B_ij Q(x^i) Q(x^j)
-    since B is antisymmetric.  alpha and B are taken as `ConstraintSet`
-    keeps them, checked, or None.
-    """
-    ctx = ghost_context(data)
-    affine = _affine_form(ctx, alpha or ())
-    pairs = [
-        (i, j)
-        for i, j in combinations(range(data.base_dim), 2)
-        if magnetic is not None and not magnetic[i][j].is_zero
-    ]
-    if affine.is_zero and not pairs:
-        return affine  # no alpha and no B: nothing to differentiate or pull back
-    images = q_images(data, ctx)
-    terms = dict(left_derivation(ctx, images, affine).coeffs)
-    for i, j in pairs:
-        pulled = {}
-        q_i, q_j = images[data.coords[i]].coeffs, images[data.coords[j]].coeffs
-        _accumulate_product(pulled, q_i, q_j, ctx.word_shift)
-        minus_b = _lifted_terms(ctx, magnetic[i][j], scale=-1)
-        _accumulate_product(terms, minus_b, pulled, ctx.word_shift)
-    return GradedPoly(ctx, terms)
-
-
 def build_S(data: Algebroid, ctx: GradedContext) -> GradedPoly:
     """The lift Q(x^i) p_i + Q(xi^c) pi_c of Q on the phase space ctx.
 
     Written out: rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c.  This is the
     core of the charge; a constraint set adds the affine part alpha_a xi^a.
-    The frame's one table of Q lifts into a twisted ctx as it is.
+    ctx is `data.ctx` or a twist of it, into which the frame's one table of
+    Q lifts as it is; a context with other coordinate names is refused.
     """
-    return hamiltonian_lift(ctx, q_images(data, ctx))
+    ghost = data.ctx
+    if (ctx.even_names, ctx.odd_names) != (ghost.even_names, ghost.odd_names):
+        raise ValueError("the context is not a phase space of this frame")
+    return hamiltonian_lift(ctx, data.q)
 
 
 def check_master(cs: ConstraintSet) -> CheckReport:
@@ -258,10 +258,7 @@ def check_master(cs: ConstraintSet) -> CheckReport:
     raises.
     """
     ss = cs.self_bracket
-    closure = cs.closure
-    if closure.ctx != ss.ctx:  # a twisted phase space
-        closure = transport(closure, ss.ctx)
-    if ss != closure * 2:
+    if ss != cs.closure * 2:
         raise RuntimeError("internal dual-route mismatch in the self-bracket")
     notes = [
         "dual route: the self-bracket matches the anchor and jacobi "

@@ -615,7 +615,7 @@ def hamiltonian_lift(
     The lift to the phase space of the derivation with these images; every
     paired position and ghost must have one.  Only their terms are read, so
     images on a context of the same layout lift into a twist of it as they
-    are.
+    are: `build_S` lifts the frame's table `Algebroid.q` so.
     """
     out: Terms = {}
     for z, p_z in [(x, p) for p, x in ctx.pairs_even] + list(ctx.pairs_odd):

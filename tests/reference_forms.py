@@ -1,8 +1,8 @@
 """Reference exterior calculus on component tables, for the differential tests.
 
 The library has one frame differential: an E-form is a ghost polynomial in
-`ghost_context`, and d_E is Q, applied with `left_derivation` to
-`q_images`.  The routes here are the independent index formulas it is
+the frame's context `data.ctx`, and d_E is Q, applied with
+`left_derivation` to the frame's table `data.q`.  The routes here are the independent index formulas it is
 compared with.  A form is a table `{indices: EvenPoly}` over the base ring,
 keyed by strictly increasing index tuples, with zero components left out.
 The indices run over the frame for E-forms and over the coordinates for
@@ -47,7 +47,7 @@ from itertools import combinations
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from nqkit.algebroid import Algebroid, ghost_context, q_images
+from nqkit.algebroid import Algebroid
 from nqkit.graded import (
     GradedContext,
     GradedPoly,
@@ -244,7 +244,7 @@ def components(F: GradedPoly, coords: tuple[str, ...]) -> Form:
 
 def ghost_poly(data: Algebroid, form: Form) -> GradedPoly:
     """The ghost polynomial of a frame-indexed table: the inverse of `components`."""
-    ctx = ghost_context(data)
+    ctx = data.ctx
     out = ctx.zero()
     for indices, value in form.items():
         term = ctx.lift(value)
@@ -264,8 +264,7 @@ def affine_form(ctx: GradedContext, alpha: Sequence[EvenPoly]) -> GradedPoly:
 
 def q_apply(data: Algebroid, F: GradedPoly) -> GradedPoly:
     """The library's d_E: Q applied to a ghost polynomial."""
-    ctx = ghost_context(data)
-    return left_derivation(ctx, q_images(data, ctx), F)
+    return left_derivation(data.ctx, data.q, F)
 
 
 def substitute(

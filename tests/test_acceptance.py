@@ -24,7 +24,6 @@ from nqkit.aksz import (
 from nqkit.algebroid import (
     check_axioms,
     cohomology_h1,
-    ghost_context,
     is_exact_one_form,
     jacobi_defect,
 )
@@ -33,7 +32,6 @@ from nqkit.constraints import (
     ConstraintSet,
     check_first_class,
     extract_structure,
-    phase_space,
 )
 from nqkit.dynamics import (
     DECOMPOSITION_SIGNS,
@@ -154,7 +152,7 @@ def test_criterion_02_equivalence_of_the_three_verdicts():
 
     # the cubic-ghost part of (S, S) carries the Jacobi defect verbatim
     data = broken_jacobi()
-    ctx = phase_space(data)
+    ctx = data.ctx
     S = build_S(data, ctx=ctx)
     SS = ctx.poisson(S, S)
     defect = jacobi_defect(data)
@@ -195,7 +193,7 @@ def test_criterion_04_affine_and_twist_sector():
     data = rank2_line()
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
-    assert q_apply(data, affine_form(ghost_context(data), alpha)).is_zero
+    assert q_apply(data, affine_form(data.ctx, alpha)).is_zero
     assert is_exact_one_form(data, alpha, 2) == g["x"]
 
     coords2, g2 = ring(["x1", "x2"])
@@ -223,7 +221,7 @@ def test_criterion_05_chain_map_on_random_one_forms():
     ]
     for data in fixtures:
         coords = data.coords
-        ctx = ghost_context(data)
+        ctx = data.ctx
         for _ in range(50):
             beta_components = []
             for _ in coords:

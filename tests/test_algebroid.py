@@ -13,11 +13,8 @@ from nqkit.algebroid import (
     anchor_defect,
     check_axioms,
     cohomology_h1,
-    defect_lift,
-    ghost_context,
     is_exact_one_form,
     jacobi_defect,
-    q_images,
 )
 from nqkit.graded import antighost_name, ghost_name, left_derivation, momentum_name
 from nqkit.poly import EvenPoly, Rat
@@ -201,7 +198,7 @@ def test_de_rham_squared_is_zero():
 
 def test_frame_differential_squares_to_zero_when_axioms_hold():
     data = so3_action()
-    ctx = ghost_context(data)
+    ctx = data.ctx
     rng = random.Random(11)
     for _ in range(10):
         f = random_poly(data.coords, rng)
@@ -213,7 +210,7 @@ def test_frame_differential_squares_to_zero_when_axioms_hold():
 def test_frame_differential_square_detects_defect():
     data = broken_jacobi()
     coords, g = ring(["x"])
-    square = q_apply(data, q_apply(data, ghost_context(data).lift(g["x"])))
+    square = q_apply(data, q_apply(data, data.ctx.lift(g["x"])))
     # the (1,2) component is the anchor defect contracted with df
     assert components(square, coords) == {
         (0, 1): EvenPoly.const(coords, 1),
@@ -227,7 +224,7 @@ def test_pullback_chain_identity():
     # 1-form
     rng = random.Random(13)
     for data in (so3_action(), rank2_line(), broken_jacobi()):
-        ctx = ghost_context(data)
+        ctx = data.ctx
         defect = anchor_defect(data)
         for _ in range(5):
             beta = [random_poly(data.coords, rng) for _ in range(data.base_dim)]
@@ -362,9 +359,9 @@ def test_q_images_match_the_full_double_sum():
         frames.append(random_frame(rng, rng.randrange(1, 4), rng.randrange(2, 5)))
     cubic = 0
     for data in frames:
-        ctx = ghost_context(data)
+        ctx = data.ctx
         expected = q_images_by_full_sums(data, ctx)
-        assert q_images(data, ctx) == expected
+        assert data.q == expected
         cubic += sum(
             1 for c in range(data.rank) if not expected[ghost_name(c + 1)].is_zero
         )
@@ -417,7 +414,7 @@ def test_defect_lift_is_the_reference_differential_applied_twice():
         frames.append(random_frame(rng, rng.randrange(1, 3), rng.randrange(3, 5)))
     broken = 0
     for data in frames:
-        ctx = ghost_context(data)
+        ctx = data.ctx
         expected = ctx.zero()
         for name in data.coords:
             dx = e_differential(data, {(): EvenPoly.variable(data.coords, name)})
@@ -428,7 +425,7 @@ def test_defect_lift_is_the_reference_differential_applied_twice():
             square = ghost_poly(data, e_differential(data, de))
             expected = expected + square * ctx.var(antighost_name(d + 1))
         assert data.defect_lift == expected
-        assert defect_lift(data) == expected
+        assert data.defect_lift.ctx is data.ctx
         broken += not expected.is_zero
     assert broken >= 6
 
@@ -469,8 +466,8 @@ def test_check_axioms_fails_on_broken_fixture():
 
 def test_q_is_an_odd_left_derivation():
     data = so3_action()
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx = data.ctx
+    images = data.q
     x1, x2 = ctx.var("x1"), ctx.var("x2")
     xi = [ctx.var(ghost_name(a)) for a in (1, 2, 3)]
     pool = [x1, xi[0], x2 * xi[0] * xi[1], xi[0] * xi[1] * xi[2], x1 * x2]
@@ -486,8 +483,8 @@ def test_q_is_an_odd_left_derivation():
 
 def test_q_squares_to_zero_on_valid_data():
     data = so3_action()
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx = data.ctx
+    images = data.q
     xi = [ctx.var(ghost_name(a)) for a in (1, 2, 3)]
     F = (
         ctx.var("x1")
@@ -500,8 +497,8 @@ def test_q_squares_to_zero_on_valid_data():
 
 def test_q_square_exposes_anchor_defect():
     data = broken_jacobi()
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx = data.ctx
+    images = data.q
     square = left_derivation(ctx, images, images["x"])
     word = (ctx.odd_index[ghost_name(1)], ctx.odd_index[ghost_name(2)])
     assert word_coefficient(square, word) == EvenPoly.const(ctx.even_names, 1)
@@ -543,7 +540,7 @@ def test_cohomology_flags_degree_growth():
 def test_closed_basis_members_are_closed():
     for factory in (abelian_r1, rank2_line, so3_action):
         data = factory()
-        ctx = ghost_context(data)
+        ctx = data.ctx
         report = cohomology_h1(data, trunc=2)
         for alpha in report.closed_basis:
             assert len(alpha) == data.rank
@@ -553,7 +550,7 @@ def test_closed_basis_members_are_closed():
 
 def test_is_exact_one_form_finds_primitive():
     data = rank2_line()
-    ctx = ghost_context(data)
+    ctx = data.ctx
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
     primitive = is_exact_one_form(data, alpha, degree=3)
@@ -577,6 +574,6 @@ def test_is_exact_one_form_refuses_an_unclosed_form():
     data = rank2_line()
     coords, g = ring(["x"])
     alpha = (g["x"], EvenPoly.zero(coords))
-    assert not q_apply(data, affine_form(ghost_context(data), alpha)).is_zero
+    assert not q_apply(data, affine_form(data.ctx, alpha)).is_zero
     with pytest.raises(ValueError, match="^not closed: the frame differential"):
         is_exact_one_form(data, alpha, degree=4)

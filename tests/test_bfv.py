@@ -32,11 +32,7 @@ from nqkit.graded import (
 from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS, SKIPPED
-from nqkit.constraints import (
-    ConstraintSet,
-    phase_space,
-    structural_two_form,
-)
+from nqkit.constraints import ConstraintSet
 from tests.conftest import frame_package
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import (
@@ -99,16 +95,22 @@ def line_pack(rank: int, **fields) -> GeometryPack:
 
 def test_build_s_abelian_line():
     data = abelian_r1()
-    S = build_S(data, phase_space(data))
+    S = build_S(data, data.ctx)
     ctx = S.ctx
     assert S == ctx.var(ghost_name(1)) * ctx.var("p_x")
+
+
+def test_build_s_refuses_a_context_of_other_coordinates():
+    with pytest.raises(ValueError) as refused:
+        build_S(abelian_r1(), extended_context(("y",), 1))
+    assert str(refused.value) == "the context is not a phase space of this frame"
 
 
 def test_build_s_affine_line_pair():
     data = rank2_line()
     coords, g = ring(["x"])
     alpha = (EvenPoly.const(coords, 1), g["x"])
-    ctx = phase_space(data)
+    ctx = data.ctx
     S = build_S(data, ctx) + affine_form(ctx, alpha)
     assert ConstraintSet(data, alpha).S == S
     x = ctx.var("x")
@@ -121,7 +123,7 @@ def test_build_s_affine_line_pair():
 
 def explicit_charge(data, alpha, magnetic):
     """rho_a^i xi^a p_i - 1/2 C^c_ab xi^a xi^b pi_c + alpha_a xi^a, term by term."""
-    ctx = phase_space(data, magnetic)
+    ctx = ConstraintSet(data, magnetic=magnetic).ctx
     xi = [ctx.var(ghost_name(a + 1)) for a in range(data.rank)]
     S = ctx.zero()
     for a in range(data.rank):
@@ -146,7 +148,7 @@ def test_lifted_charge_matches_the_explicit_formula():
         cs = problem.constraints
         data, alpha, magnetic = cs.data, cs.alpha, cs.magnetic
         expected = explicit_charge(data, alpha, magnetic)
-        ctx = phase_space(data, magnetic)
+        ctx = cs.ctx
         assert build_S(data, ctx) + affine_form(ctx, alpha or ()) == expected
         assert (cs.core, cs.S) == (build_S(data, ctx), expected)
 
@@ -186,7 +188,7 @@ def test_master_passes_on_closed_frames():
 
 def test_master_broken_jacobi_reproduces_both_defects():
     data = broken_jacobi()
-    S = build_S(data, phase_space(data))
+    S = build_S(data, data.ctx)
     ctx = S.ctx
     ss = ctx.poisson(S, S)
     even = ctx.even_names
@@ -210,7 +212,7 @@ def test_master_sees_the_structural_two_form():
     data = abelian_r2()
     coords, g = ring(["x1", "x2"])
     alpha = (EvenPoly.zero(coords), g["x1"])
-    ctx = phase_space(data)
+    ctx = data.ctx
     S = build_S(data, ctx) + affine_form(ctx, alpha)
     ss = S.ctx.poisson(S, S)
     assert word_coefficient(ss, (0, 1)) == EvenPoly.const(S.ctx.even_names, 2)
@@ -245,8 +247,7 @@ def test_master_matches_axioms_and_twisted_closure():
 def test_structural_two_form_matches_the_reference_on_the_corpus(name):
     cs = load_problem(CORPUS / f"{name}.json").constraints
     data, alpha, magnetic = cs.data, cs.alpha, cs.magnetic
-    ghost = structural_two_form(data, alpha, magnetic)
-    assert components(ghost, data.coords) == structural(data, alpha, magnetic)
+    assert components(cs.structural, data.coords) == structural(data, alpha, magnetic)
 
 
 def test_structural_two_form_matches_the_reference_on_random_data():
@@ -261,7 +262,7 @@ def test_structural_two_form_matches_the_reference_on_random_data():
             for i, j in combinations(range(n), 2):
                 magnetic[i][j] = random_poly(rng, coords, 2)
                 magnetic[j][i] = -magnetic[i][j]
-            ghost = structural_two_form(data, alpha, magnetic)
+            ghost = ConstraintSet(data, alpha, magnetic).structural
             assert components(ghost, coords) == structural(data, alpha, magnetic)
 
 
@@ -271,7 +272,7 @@ def test_structural_two_form_matches_the_reference_on_random_data():
 def test_covariant_momenta_plain_and_corrected():
     data = so3_action()
     pack = flat_pack(data.coords, data.rank)
-    ctx = phase_space(data)
+    ctx = data.ctx
     assert covariant_momenta(pack, ctx) == [
         ctx.var("p_x1"),
         ctx.var("p_x2"),
@@ -281,7 +282,7 @@ def test_covariant_momenta_plain_and_corrected():
     coords, _ = ring(["x"])
     omega = {(0, 0, 0): EvenPoly.const(coords, 5)}
     pack1 = GeometryPack(coords, 1, g_inv=identity_metric(coords), omega=omega)
-    ctx1 = phase_space(abelian_r1())
+    ctx1 = abelian_r1().ctx
     (pcov,) = covariant_momenta(pack1, ctx1)
     expected = ctx1.var("p_x") - 5 * ctx1.var(ghost_name(1)) * ctx1.var(
         antighost_name(1)
@@ -310,7 +311,7 @@ def test_covariant_momenta_match_the_full_sums():
     for _ in range(6):
         data = random_frame(rng, rng.randrange(1, 4), rng.randrange(1, 4))
         _, pack = random_pack(rng, data)
-        ctx = phase_space(data)
+        ctx = data.ctx
         assert covariant_momenta(pack, ctx) == covariant_momenta_by_full_sums(
             pack, ctx
         )
@@ -339,7 +340,7 @@ def test_covariant_momenta_constant_frame_covariance():
 
     pack = GeometryPack(coords, 2, omega=omega)
     tilted = GeometryPack(coords, 2, omega=conjugated)
-    ctx = phase_space(rank2_line())
+    ctx = rank2_line().ctx
     images = {}
     for a in range(2):
         images[ghost_name(a + 1)] = sum(
@@ -636,7 +637,7 @@ def random_window_element(
 
 def test_bracket_with_charge_squares_to_zero():
     data = so3_action()
-    S = build_S(data, phase_space(data))
+    S = build_S(data, data.ctx)
     ctx = S.ctx
     rng = random.Random(11)
     for ghost in (0, -1):
@@ -647,7 +648,7 @@ def test_bracket_with_charge_squares_to_zero():
 
 def test_ghost_degree_is_additive_under_the_bracket():
     data = so3_action()
-    ctx = phase_space(data)
+    ctx = data.ctx
     rng = random.Random(23)
     odd_count = len(ctx.odd_names)
     for _ in range(20):

@@ -9,6 +9,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,8 @@ import nqkit.constraints
 import nqkit.dynamics
 import nqkit.graded
 from nqkit.aksz import expand_bv, term_rows
-from nqkit.algebroid import defect_lift, ghost_context
 from nqkit.bfv import _balanced_words, _charge_invariance, assemble_bfv
+from nqkit.constraints import ConstraintSet
 from nqkit.graded import GradedContext, GradedPoly, left_derivation
 from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
@@ -283,9 +284,26 @@ def test_missing_fields_and_drift_stay_input_errors(tmp_path, monkeypatch):
     assert "[SKIPPED] evolution" in result.output
 
 
+def counted_cached_property(monkeypatch, owner, name, seen):
+    """Patch the cached property `name` of `owner` so that each computation
+    first calls seen(instance), then runs the formula it holds."""
+    formula = getattr(owner, name).func
+
+    def computed(instance):
+        seen(instance)
+        return formula(instance)
+
+    patched = cached_property(computed)
+    patched.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, patched)
+
+
+_DEFECT_LIFT = nqkit.algebroid.Algebroid.defect_lift.func
+
+
 def _wrong_defect_lift(data):
-    ctx = ghost_context(data)
-    return defect_lift(data) + ctx.var("xi_1") * ctx.var("xi_2")
+    ctx = data.ctx
+    return _DEFECT_LIFT(data) + ctx.var("xi_1") * ctx.var("xi_2")
 
 
 def _wrong_closure(cs):
@@ -330,14 +348,14 @@ CARTAN_POTENTIAL = ["check", "potential_twin.json", "--cartan"]
 # comparison behind one engine guard and runs an input that reaches it
 TRIPPED_GUARDS = [
     (
-        "nqkit.algebroid.defect_lift",
-        _wrong_defect_lift,
+        "nqkit.algebroid.Algebroid.defect_lift",
+        property(_wrong_defect_lift),
         ["check", corpus_path("so3_action"), "--axioms"],
         "internal dual-route mismatch in Q^2",
     ),
     (
-        "nqkit.algebroid.defect_lift",
-        _wrong_defect_lift,
+        "nqkit.algebroid.Algebroid.defect_lift",
+        property(_wrong_defect_lift),
         ["check", corpus_path("so3_action"), "--first-class"],
         "internal dual-route mismatch in the constraint bracket",
     ),
@@ -516,7 +534,7 @@ def test_the_command_line_builds_only_skipped_reports():
 # the constraints with their charge, (S, .) and its self-bracket, but no
 # closure, master report or package
 H0_BUILDS = {
-    "structural_two_form": 0,
+    "structural": 0,
     "structural_residuals": 0,
     "check_master": 0,
     "assemble_bfv": 0,
@@ -641,8 +659,6 @@ def test_defect_tensors_computed_once_per_invocation(
     owners = {
         "anchor_defect": nqkit.algebroid,
         "jacobi_defect": nqkit.algebroid,
-        "defect_lift": nqkit.algebroid,
-        "structural_two_form": nqkit.constraints,
         "structural_residuals": nqkit.dynamics,
         "build_S": nqkit.constraints,
         "check_master": nqkit.constraints,
@@ -657,13 +673,20 @@ def test_defect_tensors_computed_once_per_invocation(
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
+    # the cached properties that hold their own formula
+    properties = {
+        "defect_lift": nqkit.algebroid.Algebroid,
+        "structural": ConstraintSet,
+    }
+    for name, owner in properties.items():
+        count = counted(name, lambda instance: None)
+        counted_cached_property(monkeypatch, owner, name, count)
     # the constraint set is built once, by the loader
-    ConstraintSet = nqkit.constraints.ConstraintSet
     init = counted("ConstraintSet", ConstraintSet.__init__)
     monkeypatch.setattr(ConstraintSet, "__init__", init)
     result = run(*args)
     assert result.exit_code == exit_code
-    counted_names = [*owners, "ConstraintSet"]
+    counted_names = [*owners, *properties, "ConstraintSet"]
     expected = {name: builds.get(name, 1) for name in counted_names}
     assert {name: calls[name] for name in counted_names} == expected
     # (S, .) is derived once, and every bracket with S applies that table
@@ -691,19 +714,15 @@ def test_q_images_built_once_per_context(monkeypatch, args, builds):
     # it and the defect tensors read the index of the nonzero C^c_ab that
     # the one frame of the invocation stores
     built, frames = [], []
-    build_images = nqkit.algebroid._build_q_images
-    init = nqkit.algebroid.Algebroid.__init__
-
-    def counted_images(data, ctx):
-        built.append(ctx)
-        return build_images(data, ctx)
+    Algebroid = nqkit.algebroid.Algebroid
+    init = Algebroid.__init__
 
     def counted_init(data, *args):
         frames.append(data)
         init(data, *args)
 
-    monkeypatch.setattr(nqkit.algebroid, "_build_q_images", counted_images)
-    monkeypatch.setattr(nqkit.algebroid.Algebroid, "__init__", counted_init)
+    counted_cached_property(monkeypatch, Algebroid, "q", lambda d: built.append(d.ctx))
+    monkeypatch.setattr(Algebroid, "__init__", counted_init)
     result = run(*args)
     assert result.exit_code == 0, result.output
     assert len(built) == builds
@@ -720,6 +739,80 @@ def twisted_with_metric() -> dict:
     doc = json.loads((CORPUS / "abelian_r2.json").read_text())
     twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
     return dict(doc, alpha=twisted["alpha"], magnetic=twisted["magnetic"])
+
+
+def abelian_r2_magnetic_open() -> dict:
+    """abelian_r2 with the magnetic field of abelian_r2_magnetic and no alpha.
+
+    The one input whose master check meets a nonzero closure on a twisted
+    phase space.
+    """
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
+    return dict(doc, magnetic=twisted["magnetic"])
+
+
+def abelian_r2_zero_magnetic() -> dict:
+    """abelian_r2 with an all-zero magnetic field: the untwisted phase space."""
+    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
+    return dict(doc, magnetic=[["0", "0"], ["0", "0"]])
+
+
+TWINS = {
+    "twisted_with_metric": twisted_with_metric,
+    "abelian_r2_magnetic_open": abelian_r2_magnetic_open,
+    "abelian_r2_zero_magnetic": abelian_r2_zero_magnetic,
+}
+
+
+def problem_file(name: str) -> str:
+    """A corpus file by name, or a twin of `TWINS` written to the working
+    directory."""
+    if name not in TWINS:
+        return corpus_path(name)
+    Path(f"{name}.json").write_text(json.dumps(TWINS[name]()))
+    return f"{name}.json"
+
+
+@pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), *TWINS])
+def test_the_frame_owns_q_and_the_constraint_set_owns_its_forms(
+    monkeypatch, tmp_path, name
+):
+    monkeypatch.chdir(tmp_path)
+    cs = load_problem(problem_file(name)).constraints
+    data = cs.data
+    assert cs.structural.ctx is cs.ctx
+    assert cs.closure.ctx is cs.ctx
+    assert all(image.ctx is data.ctx for image in data.q.values())
+    zeros = ((data.zero(),) * data.base_dim,) * data.base_dim
+    assert ConstraintSet(data, magnetic=zeros).ctx is data.ctx
+
+
+@pytest.mark.parametrize(
+    "name", ["abelian_r2_magnetic", "abelian_r2_magnetic_open", "twisted_with_metric"]
+)
+def test_check_all_on_a_twisted_phase_space_transports_nothing(
+    monkeypatch, tmp_path, name
+):
+    # the structural 2-form and the closure are wrapped on the phase space,
+    # so the master check compares the self-bracket with them as they are
+    monkeypatch.chdir(tmp_path)
+    file = problem_file(name)
+    assert load_problem(file).constraints.ctx.twist is not None
+    transported = []
+    original = nqkit.graded.transport
+
+    def counted(F, ctx):
+        transported.append(ctx)
+        return original(F, ctx)
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("nqkit")]:
+        if getattr(module, "transport", None) is original:
+            monkeypatch.setattr(module, "transport", counted)
+    result = run("check", file, "--all")
+    assert result.exit_code in (0, 1), result.output
+    assert "internal error" not in result.stderr
+    assert transported == []
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_EXIT))

@@ -108,6 +108,32 @@ def test_every_exported_function_is_reached_from_the_cli():
     assert unreached == WITHOUT_CLI_CALLER
 
 
+def _callers(name: str, node: ast.AST, scope: str) -> set[str]:
+    """The qualified definitions below `node` whose bodies call `name`;
+    a call outside every definition is under `scope` itself."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call):
+            func = child.func
+            if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.add(scope)
+        found |= _callers(name, child, inner)
+    return found
+
+
+def test_only_the_expansion_transports():
+    # a twist keeps the term keys, so the one change of layout that re-keys
+    # a polynomial is the expansion's, into the component ring
+    callers = {
+        (path.stem, scope.split(".")[0])
+        for path in SOURCE.glob("*.py")
+        for scope in _callers("transport", ast.parse(path.read_text()), "")
+    }
+    assert callers == {("aksz", "expand_bv")}
+
 
 def test_every_definition_is_reached_from_the_cli():
     graph = definitions()

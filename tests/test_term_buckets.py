@@ -33,12 +33,8 @@ from nqkit.aksz import (
     multiplier_name,
     velocity_name,
 )
-from nqkit.algebroid import _build_q_images, ghost_context, q_images
 from nqkit.bfv import THETA, _cartan_core, assemble_bfv, build_H, covariant_momenta
-from nqkit.constraints import (
-    check_first_class,
-    structural_two_form,
-)
+from nqkit.constraints import check_first_class
 from nqkit.dynamics import (
     _assert_decomposition,
     _lie_metric,
@@ -369,13 +365,13 @@ def test_the_inputs_reach_x_dependent_structure_and_nonzero_defects():
 
 
 def test_q_images_and_their_lift_match_the_chains(problem):
+    # the frame's one table of Q, on its own context, and its lift into the
+    # phase space of the constraints, twisted or not
     data, cs = problem.data, problem.constraints
-    for ctx in {id(c): c for c in (ghost_context(data), cs.ctx)}.values():
-        images = _build_q_images(data, ctx)
-        assert images == chain_q_images(data, ctx)
-        assert hamiltonian_lift(ctx, images) == chain_hamiltonian_lift(ctx, images)
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    assert data.q == chain_q_images(data, data.ctx)
+    chain = chain_q_images(data, cs.ctx)
+    assert hamiltonian_lift(cs.ctx, data.q) == chain_hamiltonian_lift(cs.ctx, chain)
+    ctx, images = data.ctx, data.q
     square = {name: left_derivation(ctx, images, f) for name, f in images.items()}
     assert hamiltonian_lift(ctx, square) == chain_hamiltonian_lift(ctx, square)
 
@@ -384,15 +380,16 @@ def test_affine_charge_and_constraints_match_the_chains(problem):
     data, cs = problem.data, problem.constraints
     assert cs.affine == affine_form(cs.ctx, cs.alpha or ())
     assert cs.phis == chain_phis(cs)
-    ctx = ghost_context(data)
+    # the structural 2-form on the phase space of the constraints
+    ctx = cs.ctx
     affine = affine_form(ctx, cs.alpha or ())
-    expected = left_derivation(ctx, q_images(data, ctx), affine)
+    images = chain_q_images(data, ctx)
+    expected = left_derivation(ctx, images, affine)
     magnetic = cs.magnetic or ()
     for i, j in combinations(range(len(magnetic)), 2):
-        images = q_images(data, ctx)
         pulled = images[data.coords[i]] * images[data.coords[j]]
         expected = expected - ctx.lift(magnetic[i][j]) * pulled
-    assert structural_two_form(data, cs.alpha, cs.magnetic) == expected
+    assert cs.structural == expected
 
 
 def test_hamiltonians_match_the_chains(problem):

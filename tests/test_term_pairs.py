@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import nqkit.graded
-from nqkit.algebroid import Algebroid, anchor_defect, ghost_context
+from nqkit.algebroid import Algebroid, anchor_defect
 from nqkit.bfv import DRIFT_REFUSAL, assemble_bfv
 from nqkit.constraints import extract_structure
 from nqkit.graded import GradedPoly, extended_context, word_order
@@ -101,7 +101,7 @@ def test_self_bracket_of_an_unclosed_odd_element_on_a_twisted_phase_space():
     assert ref.graded_terms(bracket) == reference_self_bracket(F)
     assert bracket == ctx.self_bracket(F, ctx.hamiltonian_field(F))
     # the twist enters: the same F on the untwisted phase space differs
-    plain = ghost_context(cs.data)
+    plain = cs.data.ctx
     untwisted = nqkit.graded.transport(F, plain)
     assert nqkit.graded.transport(plain.self_bracket(untwisted), ctx) != bracket
 

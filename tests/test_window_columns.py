@@ -1,7 +1,7 @@
 """Window columns from one derivation table agree with the routes they replaced.
 
 Every window column is a derivation applied to one monomial, built by
-`window_columns`: Q, from `q_images`, on 1-cochains (h^1) and on
+`window_columns`: Q, the frame's table `data.q`, on 1-cochains (h^1) and on
 functions (d0, the exactness query), and (S, .), from
 `hamiltonian_field`, on the ghost-zero window.  Every product column and
 every right-hand side is a `vector_column`.  The references kept here are
@@ -32,13 +32,11 @@ import nqkit.cli
 from nqkit.algebroid import (
     Algebroid,
     cohomology_h1,
-    ghost_context,
     is_exact_one_form,
-    q_images,
 )
 from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.cli import _check_window_budget, _connection_unknowns
-from nqkit.constraints import ConstraintSet, phase_space
+from nqkit.constraints import ConstraintSet
 from nqkit.dynamics import _connection_columns, _lowered_anchor
 from nqkit.graded import in_window, left_derivation, letters, window_columns
 from nqkit.linalg import image_in, rank
@@ -99,8 +97,8 @@ def test_the_cases_reach_the_twist_and_the_affine_charge():
 def test_q_columns_match_the_frame_differential(name, trunc):
     data = corpus_problem(name).data
     n, r = data.base_dim, data.rank
-    ctx = ghost_context(data)
-    images = q_images(data, ctx)
+    ctx = data.ctx
+    images = data.q
     # the 1-cochains of h^1, one window per word, and d0 on functions
     windows = [([1 << a], trunc) for a in range(r)] + [([0], trunc + 2)]
     for words, degree in windows:
@@ -134,7 +132,7 @@ def test_window_sources_run_over_x_then_p_then_words():
 def test_bracket_columns_match_the_pair_loop(name, x_degree, p_degree):
     problem = corpus_problem(name)
     data, cs = problem.data, problem.constraints
-    ctx = phase_space(data, cs.magnetic)
+    ctx = cs.ctx
     S = build_S(data, ctx) + affine_form(ctx, cs.alpha or ())
     field = ctx.hamiltonian_field(S)
     n = data.base_dim
@@ -159,9 +157,9 @@ def test_field_columns_apply_left_derivation_to_each_monomial(name):
     # (S, .) of --bfv-h0, twisted on abelian_r2_magnetic, on both ghost numbers
     problem = corpus_problem(name)
     data, cs = problem.data, problem.constraints
-    ctx = ghost_context(data)
+    ctx = data.ctx
     q_words = [[1 << a] for a in range(data.rank)] + [[0]]
-    windows = [(ctx, q_images(data, ctx), words, 2, 0) for words in q_words]
+    windows = [(ctx, data.q, words, 2, 0) for words in q_words]
     windows += [
         (cs.ctx, cs.field, _balanced_words(data.rank, ghost), 1 - ghost, 1 - ghost)
         for ghost in (0, -1)
@@ -186,8 +184,8 @@ def assert_image_in_is_rank_minus_the_outside_rank(columns, inside):
 def test_h1_exact_window_matches_two_eliminations(name, trunc):
     problem = corpus_problem(name)
     data, slack = problem.data, SLACK
-    ctx = ghost_context(data)
-    _, sources = window_columns(ctx, q_images(data, ctx), [0], trunc + slack)
+    ctx = data.ctx
+    _, sources = window_columns(ctx, data.q, [0], trunc + slack)
     assert_image_in_is_rank_minus_the_outside_rank(
         sources, in_window(data.base_dim, trunc)
     )

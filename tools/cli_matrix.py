@@ -5,7 +5,8 @@ Every verb and check flag runs with its JSON output on the 10 corpus
 files, on the so(3) to so(6) frames of the benchmark's generator, on
 dense-list twins of two sparse corpus files, on `abelian_r2` with the
 affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
-metric and a connection), on geometry-rich, zero-drift and non-flat
+metric and a connection), with that magnetic field alone (the one nonzero
+closure on a twisted phase space) and with an all-zero one, on geometry-rich, zero-drift and non-flat
 connection twins of corpus files, on `abelian_r2` with an alpha that is
 not closed (axioms pass, master fails), on `broken_jacobi` with a metric pair,
 on `shear_plane` (off-diagonal, non-constant metric entries) and its
@@ -153,6 +154,20 @@ FIELD_TWINS = {
     # both emit gates refuse, and `emit --what bv --force` runs the
     # classical-limit guard with a nonzero alpha
     "abelian_r2_open_alpha": ("abelian_r2", {"alpha": ["x2", "0"]}),
+    # `abelian_r2` under the magnetic field of `abelian_r2_magnetic` with no
+    # alpha: the only input whose master check meets a nonzero closure on a
+    # twisted phase space (check --all exits 1 with bracket[a=1,b=2]: -1,
+    # ss[xi_1 xi_2]: -2 and qq[xi_1 theta]: -2*p_x2)
+    "abelian_r2_magnetic_open": (
+        "abelian_r2",
+        {"magnetic": [["0", "1"], ["-1", "0"]]},
+    ),
+    # an all-zero magnetic field: the phase space is the untwisted one, so
+    # `check --all` prints what it prints for `abelian_r2`
+    "abelian_r2_zero_magnetic": (
+        "abelian_r2",
+        {"magnetic": [["0", "0"], ["0", "0"]]},
+    ),
     # the Q^2 != 0 frame with a metric pair: master fails, so the cartan
     # obstruction is undefined and `--cartan` is skipped as a finding
     "broken_jacobi_metric": (
