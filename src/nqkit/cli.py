@@ -198,30 +198,30 @@ def _unmet(
     return [CheckReport(name, SKIPPED, identity, [], [message])]
 
 
+# the checks: the name of the flag (`first_class` is `--first-class`), its
+# help line and its handler, in the order the reports are printed
 _CHECKS = (
-    ("axioms", _run_axioms),
-    ("first_class", _run_first_class),
-    ("irreducible", _run_irreducible),
-    ("metric", _run_metric),
-    ("structural", _run_structural),
-    ("master", _run_master),
-    ("cartan", _run_cartan),
-    ("supercharge", _run_supercharge),
+    ("axioms", "bracket axioms of the frame data", _run_axioms),
+    ("first_class", "constraint algebra closure", _run_first_class),
+    ("irreducible", "rank probe of the gradients", _run_irreducible),
+    ("metric", "metric compatibility", _run_metric),
+    ("structural", "invariance conditions", _run_structural),
+    ("master", "self-bracket of the charge", _run_master),
+    ("cartan", "covariant obstruction tensor", _run_cartan),
+    ("supercharge", "squared odd generator", _run_supercharge),
 )
 
 
 def _check(file, run_all, json_path, **flags) -> None:
     """Run the selected identity checks over a problem file."""
-    selected = [
-        (name, handler) for name, handler in _CHECKS if run_all or flags[name]
-    ]
+    selected = [handler for name, _, handler in _CHECKS if run_all or flags[name]]
     if not selected:
         raise _UsageError("select at least one check, or pass --all")
     problem = _load(file)
     _check_output("--json", json_path)
     bench = _Workbench(problem)
     reports: list[CheckReport] = []
-    for _, handler in selected:
+    for handler in selected:
         reports.extend(handler(bench, explicit=not run_all))
     color = _want_color()
     for report in reports:
@@ -430,11 +430,8 @@ def _solve_connection(file, degree, write_path) -> None:
     for (a, b, i), entry in sorted(solution.omega.items()):
         print(f"  omega^{a + 1}_{b + 1},{i + 1} = {entry}")
     if write_path is not None:
-        doc = problem.document()
-        doc["connection"] = connection_strings(
-            solution.omega, problem.rank, problem.base_dim
-        )
-        _write_json("--write", write_path, doc)
+        planes = connection_strings(solution.omega, problem.rank, problem.base_dim)
+        _write_json("--write", write_path, dict(problem.document, connection=planes))
         print(f"wrote {write_path}")
     sys.exit(0)
 
@@ -779,14 +776,10 @@ def _short_help(text: str, limit: int) -> str:
 
 _VERBS = (
     _Command("check", _check, (
-        _Option("--axioms", help="bracket axioms of the frame data"),
-        _Option("--first-class", help="constraint algebra closure"),
-        _Option("--irreducible", help="rank probe of the gradients"),
-        _Option("--metric", help="metric compatibility"),
-        _Option("--structural", help="invariance conditions"),
-        _Option("--master", help="self-bracket of the charge"),
-        _Option("--cartan", help="covariant obstruction tensor"),
-        _Option("--supercharge", help="squared odd generator"),
+        *(
+            _Option("--" + name.replace("_", "-"), help=text)
+            for name, text, _ in _CHECKS
+        ),
         _Option("--all", help="run every check", dest="run_all"),
         _Option("--json", "path", dest="json_path"),
     )),

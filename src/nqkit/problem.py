@@ -96,10 +96,9 @@ class Problem:
     """A validated problem file.
 
     `constraints` holds the frame data with alpha and the magnetic field,
-    and `pack` the fields of the Hamiltonian.  `raw` is the source document
-    as JSON text, so no caller can alter it: the text that `load_problem`
-    read, line ends translated, or the compact encoding of the document
-    given to `problem_from_dict`; `document()` decodes a fresh copy.
+    and `pack` the fields of the Hamiltonian.  `document` is the mapping the
+    problem was built from, which `solve-connection --write` copies; like
+    every record it is not altered after construction.
     """
 
     def __init__(
@@ -107,12 +106,12 @@ class Problem:
         constraints: ConstraintSet,
         pack: GeometryPack,
         points: tuple[tuple[Rat, ...], ...],
-        raw: str,
+        document: dict,
     ):
         self.constraints = constraints
         self.pack = pack
         self.points = points
-        self.raw = raw
+        self.document = document
 
     @property
     def data(self) -> Algebroid:
@@ -130,13 +129,10 @@ class Problem:
     def rank(self) -> int:
         return self.data.rank
 
-    def document(self) -> dict:
-        """A fresh copy of the source document, for emission."""
-        return json.loads(self.raw)
-
 
 def load_problem(path: str | os.PathLike) -> Problem:
-    """The problem in a file, read once as UTF-8 and kept as its text.
+    """The problem in a file, read once as UTF-8; its `document` is the
+    decoded dict.
 
     Line ends are translated as text mode does, and only when a carriage
     return occurs, so JSON errors report the lines and columns of the text.
@@ -168,7 +164,6 @@ def load_problem(path: str | os.PathLike) -> Problem:
         structure = doc.get("structure")
         if isinstance(structure, _RepeatedKey):
             raise ProblemError(f"structure[{structure.key!r}]", repeated)
-        doc = _ReadDocument(doc, text)
     return problem_from_dict(doc)
 
 
@@ -197,17 +192,8 @@ def _decoded_object(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_decoded_object)
 
 
-class _ReadDocument(dict):
-    """A decoded document that keeps the text it was decoded from."""
-
-    def __init__(self, doc: dict, text: str):
-        super().__init__(doc)
-        self.text = text
-
-
 def problem_from_dict(doc: object) -> Problem:
-    """The problem of a decoded document; `raw` is its compact encoding,
-    or the text `load_problem` read it from."""
+    """The problem of a decoded document, which it keeps as `document`."""
     if not isinstance(doc, dict):
         raise ProblemError("$", "the problem file must be a JSON object")
     for name in sorted(doc):
@@ -263,18 +249,13 @@ def problem_from_dict(doc: object) -> Problem:
             beta=beta,
         )
     except ValueError as error:
-        path = _geometry_path(str(error))
-        # a message that already names its field is not prefixed twice
-        message = str(error).removeprefix(f"{path}: ")
-        raise ProblemError(path, message) from error
+        raise ProblemError(_geometry_path(str(error)), str(error)) from error
 
     return Problem(
         ConstraintSet(data, alpha, magnetic),
         pack,
         _points(doc["points"], base_dim) if "points" in doc else (),
-        doc.text
-        if isinstance(doc, _ReadDocument)
-        else json.dumps(doc, separators=(",", ":")),
+        doc,
     )
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
-import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -51,6 +49,7 @@ from tests.test_algebroid import (
     rank2_line,
     so3_action,
 )
+from tests.test_cli_matrix import TOOL
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests.test_dynamics import flat_pack, identity_metric, random_pack
 from tests.test_graded import word_coefficient
@@ -58,11 +57,6 @@ from tests.test_poly import random_poly, ring
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
-_spec = importlib.util.spec_from_file_location(
-    "cli_matrix", ROOT / "tools" / "cli_matrix.py"
-)
-cli_matrix = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(cli_matrix)
 
 
 def shear_pair() -> Algebroid:
@@ -496,24 +490,17 @@ SHAPE_TWINS = (
 
 def evolution_inputs() -> dict[str, dict]:
     """Corpus files with both metrics, a connection and no drift, plus the
-    twisted and connection twins of the CLI matrix, built as it builds them."""
-    docs = {
-        path.stem: json.loads(path.read_text())
-        for path in sorted(CORPUS.glob("*.json"))
-    }
+    twisted and connection twins of the CLI matrix."""
+    docs = TOOL.inputs()
+    names = [path.stem for path in sorted(CORPUS.glob("*.json"))]
     out = {
-        name: doc
-        for name, doc in docs.items()
-        if {"metric", "metric_inv", "connection"} <= doc.keys() and "beta" not in doc
+        name: docs[name]
+        for name in names
+        if {"metric", "metric_inv", "connection"} <= docs[name].keys()
+        and "beta" not in docs[name]
     }
-    for name, (base, field) in cli_matrix.TWISTED_TWINS.items():
-        twisted = docs[field]
-        out[name] = dict(
-            docs[base], alpha=twisted["alpha"], magnetic=twisted["magnetic"]
-        )
-    for name in ("abelian_r2_connection", "so3_action_geometry"):
-        base, fields = cli_matrix.FIELD_TWINS[name]
-        out[name] = dict(docs[base], **fields)
+    for name in (*TOOL.TWISTED_TWINS, "abelian_r2_connection", "so3_action_geometry"):
+        out[name] = docs[name]
     return out
 
 

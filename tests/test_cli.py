@@ -29,6 +29,7 @@ from nqkit.poly import EvenPoly, monomial_exponents
 from nqkit.problem import load_problem
 from nqkit.report import FAIL, CheckReport
 from tests.conftest import invoke
+from tests.test_cli_matrix import TOOL
 from tests import test_dynamics as dynamics_tests
 from tests.test_aksz import bumped_field_table, wrong_reference
 from tests.reference_forms import e_differential, one_form
@@ -204,12 +205,6 @@ def test_failed_prerequisite_is_a_finding_not_an_input_error(tmp_path, monkeypat
     assert "[SKIPPED] cartan" in explicit.output
 
 
-def connection_twin() -> dict:
-    """abelian_r2 with a connection that is not metric compatible."""
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
-    return dict(doc, connection=[[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]])
-
-
 @pytest.mark.parametrize(
     "name", ["abelian_r2_connection", "abelian_r2_metric_magnetic"]
 )
@@ -218,8 +213,7 @@ def test_cartan_shape_failure_still_assembles_the_package(tmp_path, monkeypatch,
     # the package assembles, and the supercharge fails on its own bracket
     monkeypatch.chdir(tmp_path)
     twisted = name == "abelian_r2_metric_magnetic"
-    doc = twisted_with_metric() if twisted else connection_twin()
-    Path("in.json").write_text(json.dumps(doc))
+    Path("in.json").write_text(json.dumps(TOOL.inputs()[name]))
     explicit = run("check", "in.json", "--supercharge", "--json", "one.json")
     full = run("check", "in.json", "--all", "--json", "all.json")
     assert (explicit.exit_code, full.exit_code) == (1, 1), explicit.stderr
@@ -730,51 +724,27 @@ def test_q_images_built_once_per_context(monkeypatch, args, builds):
     assert len(frames) == 1
 
 
-def twisted_with_metric() -> dict:
-    """abelian_r2 with the alpha and magnetic field of abelian_r2_magnetic.
-
-    Twisted and with a metric and a connection: the Hamiltonian of the
-    evolution check lives on the twisted phase space.
-    """
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
-    twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
-    return dict(doc, alpha=twisted["alpha"], magnetic=twisted["magnetic"])
-
-
-def abelian_r2_magnetic_open() -> dict:
-    """abelian_r2 with the magnetic field of abelian_r2_magnetic and no alpha.
-
-    The one input whose master check meets a nonzero closure on a twisted
-    phase space.
-    """
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
-    twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
-    return dict(doc, magnetic=twisted["magnetic"])
-
-
-def abelian_r2_zero_magnetic() -> dict:
-    """abelian_r2 with an all-zero magnetic field: the untwisted phase space."""
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
-    return dict(doc, magnetic=[["0", "0"], ["0", "0"]])
-
-
-TWINS = {
-    "twisted_with_metric": twisted_with_metric,
-    "abelian_r2_magnetic_open": abelian_r2_magnetic_open,
-    "abelian_r2_zero_magnetic": abelian_r2_zero_magnetic,
-}
-
-
 def problem_file(name: str) -> str:
-    """A corpus file by name, or a twin of `TWINS` written to the working
-    directory."""
-    if name not in TWINS:
+    """A corpus file by name, or another input of the CLI matrix written to
+    the working directory."""
+    if name in EXPECTED_EXIT:
         return corpus_path(name)
-    Path(f"{name}.json").write_text(json.dumps(TWINS[name]()))
+    Path(f"{name}.json").write_text(json.dumps(TOOL.inputs()[name]))
     return f"{name}.json"
 
 
-@pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), *TWINS])
+# and abelian_r2, which has a metric and a connection, with the alpha and
+# magnetic field of abelian_r2_magnetic, with that magnetic field alone (the
+# one nonzero closure on a twisted phase space) and with an all-zero one
+@pytest.mark.parametrize(
+    "name",
+    [
+        *sorted(EXPECTED_EXIT),
+        "abelian_r2_metric_magnetic",
+        "abelian_r2_magnetic_open",
+        "abelian_r2_zero_magnetic",
+    ],
+)
 def test_the_frame_owns_q_and_the_constraint_set_owns_its_forms(
     monkeypatch, tmp_path, name
 ):
@@ -789,7 +759,8 @@ def test_the_frame_owns_q_and_the_constraint_set_owns_its_forms(
 
 
 @pytest.mark.parametrize(
-    "name", ["abelian_r2_magnetic", "abelian_r2_magnetic_open", "twisted_with_metric"]
+    "name",
+    ["abelian_r2_magnetic", "abelian_r2_magnetic_open", "abelian_r2_metric_magnetic"],
 )
 def test_check_all_on_a_twisted_phase_space_transports_nothing(
     monkeypatch, tmp_path, name
@@ -821,18 +792,16 @@ def test_constraints_and_charge_share_one_phase_space(name):
     assert cs.S.ctx is cs.ctx
 
 
-@pytest.mark.parametrize("name", [*sorted(EXPECTED_EXIT), "twisted_with_metric"])
+@pytest.mark.parametrize(
+    "name", [*sorted(EXPECTED_EXIT), "abelian_r2_metric_magnetic"]
+)
 def test_check_all_builds_one_phase_space(monkeypatch, tmp_path, name):
     # the ghost context, which is the phase space itself without a twist and
     # carries theta for the supercharge; a magnetic field adds the twisted
     # phase space, shared by the constraints, both Hamiltonians, the charge
     # and the supercharge
     monkeypatch.chdir(tmp_path)
-    if name == "twisted_with_metric":
-        Path(f"{name}.json").write_text(json.dumps(twisted_with_metric()))
-        file = f"{name}.json"
-    else:
-        file = corpus_path(name)
+    file = problem_file(name)
     twist = load_problem(file).constraints.ctx.twist
     built = []
     init = GradedContext.__init__

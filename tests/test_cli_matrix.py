@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from nqkit.cli import _CHECKS
+
 ROOT = Path(__file__).resolve().parents[1]
 RECORD = json.loads((ROOT / "tests" / "data" / "cli_matrix.json").read_text())
 
@@ -48,6 +50,13 @@ def test_the_record_covers_every_command_line():
     assert len(keys) == len(set(keys))
     assert sorted(keys) == sorted(RECORD)
     assert "timeout" not in RECORD.values()
+
+
+def test_the_check_flags_are_the_table_of_checks():
+    # the tool keeps its own tuple, as it also runs other trees through
+    # --src, but this tree's must be the command line's, in its order
+    flags = ["--" + name.replace("_", "-") for name, _, _ in _CHECKS]
+    assert list(TOOL.CHECK_FLAGS) == [*flags, "--all"]
 
 
 def test_every_line_replays_in_process_byte_for_byte():

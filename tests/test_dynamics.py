@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -38,6 +37,7 @@ from tests.test_algebroid import (
     rank2_line,
     so3_action,
 )
+from tests.test_cli_matrix import TOOL
 from tests.test_constraints import abelian_r2, magnetic_plane
 from tests.test_generated_frames import gen
 from tests.test_poly import random_point, ring
@@ -289,11 +289,9 @@ def test_decomposition_signs_are_pinned():
 def evolution_problem(name):
     if name == "so4":
         return problem_from_dict(gen.so_n(4))
-    # a connection that is not metric compatible (the twin of
-    # `tools/cli_matrix.py`): the residuals are p_x2^2 and -p_x1^2
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
-    doc["connection"] = [[["0", "0"], ["1", "0"]], [["0", "-1"], ["0", "0"]]]
-    return problem_from_dict(doc)
+    # a connection that is not metric compatible: the residuals are
+    # p_x2^2 and -p_x1^2
+    return problem_from_dict(TOOL.inputs()["abelian_r2_connection"])
 
 
 @pytest.mark.parametrize(

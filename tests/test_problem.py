@@ -535,29 +535,20 @@ def test_load_problem_file_errors(tmp_path):
         load_problem(bad)
 
 
-def test_document_returns_a_fresh_copy():
+def test_problem_keeps_the_document_it_was_given():
+    # kept, not copied: like every record, it is not altered afterwards
     doc = minimal()
-    problem = problem_from_dict(doc)
-    copy1 = problem.document()
-    copy1["rank"] = 7
-    assert json.loads(problem.raw)["rank"] == 1
-    assert problem.document()["rank"] == 1
-    assert problem.document() == doc
+    assert problem_from_dict(doc).document is doc
 
 
-def test_load_keeps_the_text_it_read(tmp_path):
-    # the file's own layout, line ends translated; the dict route keeps
-    # the compact encoding
+def test_load_keeps_the_document_it_decoded(tmp_path):
+    # whatever the layout and line ends, the document is the decoded file
     text = json.dumps(minimal(), indent=3)
     path = tmp_path / "minimal.json"
     for ends in ("\r\n", "\r", "\n"):
         path.write_bytes(text.replace("\n", ends).encode())
-        problem = load_problem(path)
-        assert problem.raw == text
-        assert problem.document() == minimal()
-    assert problem_from_dict(minimal()).raw == json.dumps(
-        minimal(), separators=(",", ":")
-    )
+        document = load_problem(path).document
+        assert document == json.loads(path.read_text()) == minimal()
 
 
 def test_solve_connection_writes_the_same_bytes_from_the_kept_text(tmp_path):

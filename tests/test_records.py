@@ -180,7 +180,7 @@ def _cases(m: dict) -> dict[str, tuple[type, dict, dict]]:
                 "constraints": m["constraints"],
                 "pack": m["pack"],
                 "points": ((Fraction(1, 2),),),
-                "raw": '{"rank":1}',
+                "document": {"rank": 1},
             },
             {},
         ),

@@ -1,40 +1,17 @@
 #!/usr/bin/env python3
 """Byte-level fingerprints of the command line on a fixed matrix of runs.
 
-Every verb and check flag runs with its JSON output on the 10 corpus
-files, on the so(3) to so(6) frames of the benchmark's generator, on
-dense-list twins of two sparse corpus files, on `abelian_r2` with the
-affine part and magnetic field of `abelian_r2_magnetic` (twisted, with a
-metric and a connection), with that magnetic field alone (the one nonzero
-closure on a twisted phase space) and with an all-zero one, on geometry-rich, zero-drift and non-flat
-connection twins of corpus files, on `abelian_r2` with an alpha that is
-not closed (axioms pass, master fails), on `broken_jacobi` with a metric pair,
-on `shear_plane` (off-diagonal, non-constant metric entries) and its
-twin with nonzero structural families at every momentum order, on
-`bent_line` (no polynomial connection at any ansatz degree), on
-`poisson_plane` (the probe finds a point of lower anchor rank) and its
-twin with an affine part, on the log-canonical frame at n = 4 of
-`tests/frames.py` (x-dependent structure functions, every identity
-holds) and its broken twin (nonzero anchor and Jacobi defects), on the
-benchmark's `dense_random` frames of seeds 1 and 2 (rational coefficients,
-many terms per word, failing axioms with long residuals; `check --all
---json` and `emit --what bfv --force` only), plus a few inputs near the
-parser's term and degree budgets, the widest cohomology window in one
-coordinate and a dense structure that is not antisymmetric, a magnetic field that is not
-antisymmetric, a corpus file that still sets the removed `truncation`
-block (refused at load as an unknown field), a `cohomology --degree` run
-(an option that no longer exists), four files that pin the loader's
-reading of bytes (a CRLF file with a JSON syntax error, a file whose lines
-end in a lone CR, a UTF-8 byte-order mark and a byte that is not UTF-8),
-two files that state a key twice (a sparse structure entry, the anchor),
-a `structure: null`, a metric that is not symmetric and an inverse metric
-that is not its inverse (all refused at load with the path of the field),
-and one `check --json` on a corpus file under a name with a non-ASCII
-letter, a quote and a backslash.  Each run is one fresh
+The inputs are the documents of `inputs()`: the corpus files, generated
+and inline frames, twins of corpus files with fields added or replaced,
+and files that pin the loader; the tables above it say what each one
+exercises.  `command_lines` runs every verb and check flag with its JSON
+output on each, except the files that pin the loader (`check --axioms`
+alone) and the rational frames (`RATIONAL_LINES`), and adds a few runs
+outside the per-input grid (`EXTRA_LINES`).  Each run is one fresh
 `python -m nqkit.cli` process in an empty directory of its own; the line
 recorded for it holds the exit code and the sha256 of standard output,
-standard error and every file the run wrote.  Two trees that answer
-alike give identical lines.
+standard error and every file the run wrote.  Two trees that answer alike
+give identical lines.
 
 Run from the repository root (standard library only):
 
