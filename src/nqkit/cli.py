@@ -142,15 +142,8 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     reports = [check_structural(bench.families)]
     # the dynamical route needs the raised metric as well
     if problem.pack.g_inv is None:
-        reports.append(
-            CheckReport(
-                "evolution",
-                SKIPPED,
-                EVOLUTION_IDENTITY,
-                [],
-                ["needs metric_inv for the evolution route"],
-            )
-        )
+        note = "needs metric_inv for the evolution route"
+        reports += _skip("evolution", EVOLUTION_IDENTITY, note, explicit=False)
     else:
         reports.append(
             check_evolution_invariance(
@@ -167,9 +160,7 @@ def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     package, error = bench.package
     if error is not None:
-        if explicit:
-            _input_error(error)
-        return [CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [error])]
+        return _skip("cartan", CARTAN_IDENTITY, error, explicit)
     report = package.cartan
     if report.status == SKIPPED:
         # with the metric pair given, only a failed master skips the check
@@ -183,9 +174,7 @@ def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
 def _run_supercharge(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     package, error = bench.package
     if error is not None:
-        if explicit:
-            _input_error(error)
-        return [CheckReport("supercharge", SKIPPED, SUPERCHARGE_IDENTITY, [], [error])]
+        return _skip("supercharge", SUPERCHARGE_IDENTITY, error, explicit)
     return [check_supercharge(package)]
 
 
@@ -193,9 +182,17 @@ def _unmet(
     name: str, identity: str, gap: list[str], explicit: bool
 ) -> list[CheckReport]:
     message = "needs " + ", ".join(gap)
+    return _skip(name, identity, message, explicit, f"check '{name}' {message}")
+
+
+def _skip(
+    name: str, identity: str, note: str, explicit: bool, refusal: str | None = None
+) -> list[CheckReport]:
+    """The SKIPPED report of a check with the note why; a check selected by
+    name ends instead in the input error `refusal`, or the note."""
     if explicit:
-        _input_error(f"check '{name}' {message}")
-    return [CheckReport(name, SKIPPED, identity, [], [message])]
+        _input_error(refusal or note)
+    return [CheckReport(name, SKIPPED, identity, [], [note])]
 
 
 # the checks: the name of the flag (`first_class` is `--first-class`), its

@@ -31,9 +31,11 @@ Any other top-level field is refused as unknown.  A key stated twice is
 refused, and so is null for an optional field.  The cohomology windows
 are set on the command line alone (`--trunc`, `--p-degree`, `--slack`).
 
-A literal "0" entry of a dense list is not parsed, nor an innermost row of
-them; the connection and tau
-are stored only as the indexes of their nonzero entries (`GeometryPack`).
+The optional expression fields are read after the anchor and the
+structure, in the order of `_EXPRESSIONS`, so an error of an earlier field
+is the one reported.  A literal "0" entry of a dense list is not parsed,
+nor an innermost row of them; the connection and tau are stored only as
+the indexes of their nonzero entries (`GeometryPack`).
 """
 
 from __future__ import annotations
@@ -55,21 +57,24 @@ INT_LITERAL = re.compile(r"[+-]?[0-9]+")  # ASCII digits, as the parser
 _RESERVED_PREFIXES = ("p_", "xi_", "pi_", "lam_")
 _RESERVED_SUFFIXES = ("_odd", "_dot")
 
+# the optional expression fields in reading order, each by its shape in the
+# base dimension n and the rank r; the connection and tau are kept as the
+# indexes of their nonzero entries, and a shape of no axes is one expression
+_EXPRESSIONS = {
+    "magnetic": "nn",
+    "alpha": "r",
+    "metric_inv": "nn",
+    "metric": "nn",
+    "connection": "rrn",
+    "tau": "rr",
+    "potential": "",
+    "beta": "n",
+}
+_INDEXED = ("connection", "tau")
+
 _KNOWN_FIELDS = {
-    "base_dim",
-    "rank",
-    "coords",
-    "anchor",
-    "structure",
-    "metric_inv",
-    "metric",
-    "connection",
-    "tau",
-    "alpha",
-    "potential",
-    "beta",
-    "magnetic",
-    "points",
+    *("base_dim", "rank", "coords", "anchor", "structure", "points"),
+    *_EXPRESSIONS,
 }
 
 # the file field of each `GeometryPack` attribute a message may name: the
@@ -204,33 +209,18 @@ def problem_from_dict(doc: object) -> Problem:
     rank = _positive_int(doc, "rank")
     coords = _coords(doc, base_dim)
 
-    anchor = _expr_matrix(
-        _required(doc, "anchor"), rank, base_dim, coords, "anchor"
-    )
+    sizes = {"n": base_dim, "r": rank}
     data = Algebroid(
         coords,
-        tuple(tuple(row) for row in anchor),
+        _expression(_required(doc, "anchor"), "anchor", "rn", sizes, coords),
         _structure(doc["structure"], rank, coords) if "structure" in doc else {},
     )
-
-    magnetic = _optional_matrix(doc, "magnetic", base_dim, coords)
-    alpha = (
-        _expr_list(doc["alpha"], rank, coords, "alpha") if "alpha" in doc else None
-    )
-    g_inv = _optional_matrix(doc, "metric_inv", base_dim, coords)
-    g_low = _optional_matrix(doc, "metric", base_dim, coords)
-    omega = _optional_index(doc, "connection", (rank, rank, base_dim), coords)
-    tau = _optional_index(doc, "tau", (rank, rank), coords)
-    potential = (
-        _parse_entry(doc["potential"], coords, "potential")
-        if "potential" in doc
-        else None
-    )
-    beta = (
-        tuple(_expr_list(doc["beta"], base_dim, coords, "beta"))
-        if "beta" in doc
-        else None
-    )
+    read = {
+        name: _expression(doc[name], name, shape, sizes, coords)
+        for name, shape in _EXPRESSIONS.items()
+        if name in doc
+    }
+    magnetic = read.get("magnetic")
     if magnetic is not None and any(
         not (magnetic[i][j] + magnetic[j][i]).is_zero
         for i in range(base_dim)
@@ -241,18 +231,18 @@ def problem_from_dict(doc: object) -> Problem:
         pack = GeometryPack(
             coords,
             rank,
-            g_inv=g_inv,
-            g_low=g_low,
-            omega=omega,
-            tau=tau,
-            potential=potential,
-            beta=beta,
+            g_inv=read.get("metric_inv"),
+            g_low=read.get("metric"),
+            omega=read.get("connection"),
+            tau=read.get("tau"),
+            potential=read.get("potential"),
+            beta=read.get("beta"),
         )
     except ValueError as error:
         raise ProblemError(_geometry_path(str(error)), str(error)) from error
 
     return Problem(
-        ConstraintSet(data, alpha, magnetic),
+        ConstraintSet(data, read.get("alpha"), magnetic),
         pack,
         _points(doc["points"], base_dim) if "points" in doc else (),
         doc,
@@ -263,10 +253,8 @@ def connection_strings(
     omega: dict[tuple[int, int, int], EvenPoly], rank: int, base_dim: int
 ) -> list[list[list[str]]]:
     """The dense connection list of grammar strings, for writing problem files."""
-    planes = [[["0"] * base_dim for _ in range(rank)] for _ in range(rank)]
-    for (a, b, i), entry in omega.items():
-        planes[a][b][i] = str(entry)
-    return planes
+    strings = {key: str(entry) for key, entry in omega.items()}
+    return _dense(strings, (rank, rank, base_dim), "0", list)
 
 
 # field readers
@@ -338,31 +326,29 @@ def _parse_entry(value: object, coords: tuple[str, ...], path: str) -> EvenPoly:
         raise ProblemError(path, str(error)) from error
 
 
-def _expr_list(
-    value: object, length: int, coords: tuple[str, ...], path: str
-) -> list[EvenPoly]:
-    entries = _dense_index(value, (length,), coords, path)
-    return [entries.get((k,), EvenPoly.zero(coords)) for k in range(length)]
+def _expression(
+    value: object, name: str, axes: str, sizes: dict, coords: tuple[str, ...]
+):
+    """The field `name` of shape `axes`, as its record takes it."""
+    if not axes:
+        return _parse_entry(value, coords, name)
+    shape = tuple(sizes[axis] for axis in axes)
+    entries = _dense_index(value, shape, coords, name)
+    if name in _INDEXED:
+        return entries
+    return _dense(entries, shape, EvenPoly.zero(coords), tuple)
 
 
-def _expr_matrix(
-    value: object, nrows: int, ncols: int, coords: tuple[str, ...], path: str
-) -> list[list[EvenPoly]]:
-    entries = _dense_index(value, (nrows, ncols), coords, path)
-    zero = EvenPoly.zero(coords)
-    return [[entries.get((k, i), zero) for i in range(ncols)] for k in range(nrows)]
-
-
-def _optional_matrix(doc: dict, name: str, size: int, coords):
-    if name not in doc:
-        return None
-    return _expr_matrix(doc[name], size, size, coords, name)
-
-
-def _optional_index(doc: dict, name: str, shape: tuple[int, ...], coords):
-    if name not in doc:
-        return None
-    return _dense_index(doc[name], shape, coords, name)
+def _dense(entries: dict, shape: tuple[int, ...], zero, build, index=()):
+    """The nested lists, each made by `build`, of a shape holding the entries
+    by 0-based index and `zero` elsewhere; an innermost row is one
+    comprehension."""
+    length, inner = shape[0], shape[1:]
+    if not inner:
+        return build([entries.get(index + (k,), zero) for k in range(length)])
+    return build(
+        [_dense(entries, inner, zero, build, index + (k,)) for k in range(length)]
+    )
 
 
 # the shape error of a dense list, by the number of its dimensions

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import errno
 import json
+import os
 import random
 import sys
 import time
@@ -123,6 +125,23 @@ def test_check_skips_missing_geometry_under_all_but_rejects_explicit():
     assert result.exit_code == 2
 
 
+def test_a_report_the_disk_refuses_is_an_input_error(tmp_path, monkeypatch):
+    # the path passes the check before work; the write fails as a full
+    # device fails, after the report is printed
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_device(*args, **kwargs):
+        raise full
+
+    monkeypatch.setattr(nqkit.cli, "open", full_device, raising=False)
+    out = tmp_path / "report.json"
+    result = run("check", corpus_path("so3_action"), "--axioms", "--json", str(out))
+    assert result.exit_code == 2
+    assert result.stdout == run("check", corpus_path("so3_action"), "--axioms").stdout
+    assert result.stderr == f"input error: --json: {full}\n"
+    assert not out.exists()
+
+
 def test_check_drift_blocks_assembly_only_when_explicit():
     result = run("check", corpus_path("beta_drift"), "--all")
     assert result.exit_code == 1  # evolution fails; assembly is skipped
@@ -134,9 +153,8 @@ def test_check_drift_blocks_assembly_only_when_explicit():
 def test_check_zero_drift_is_no_drift(tmp_path):
     # an all-zero beta is absent: every check and the BV emission answer as
     # they do on the file without it
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
     twin = tmp_path / "zero_beta.json"
-    twin.write_text(json.dumps(dict(doc, beta=["0", "0"])))
+    twin.write_text(json.dumps(TOOL.inputs()["abelian_r2_zero_beta"]))
     reports = []
     for path in (corpus_path("abelian_r2"), str(twin)):
         out = tmp_path / "report.json"
@@ -1294,9 +1312,8 @@ def test_cohomology_prerequisite_and_usage_errors(tmp_path):
     assert result.exit_code == 1
     assert "prerequisite failed" in result.output
     # the axioms hold, but alpha = x2 e^1 is not closed, so (S, S) != 0
-    doc = json.loads((CORPUS / "abelian_r2.json").read_text())
     unclosed = tmp_path / "unclosed_alpha.json"
-    unclosed.write_text(json.dumps(dict(doc, alpha=["x2", "0"])))
+    unclosed.write_text(json.dumps(TOOL.inputs()["abelian_r2_open_alpha"]))
     result = run("cohomology", str(unclosed), "--bfv-h0")
     assert result.exit_code == 1
     assert result.output == (
@@ -1322,6 +1339,17 @@ def test_oversized_window_fails_fast():
     assert "input error: --trunc 40 --slack 2: " in result.stderr
     assert "estimated 51213 columns" in result.stderr
     assert f"budget of {nqkit.cli.MAX_WINDOW_COLUMNS}" in result.stderr
+
+
+def test_an_integer_option_past_the_digit_limit_is_a_usage_error():
+    # int() refuses 5000 digits; the option reads it as no integer at all
+    digits = "1" * 5000
+    result = run("cohomology", corpus_path("so3_action"), "--trunc", digits)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(
+        f"Error: Invalid value for '--trunc': {digits!r} is not a valid integer.\n"
+    )
 
 
 def test_oversized_connection_solve_fails_fast():
@@ -1681,3 +1709,16 @@ def test_color_only_on_tty_without_no_color(monkeypatch):
     monkeypatch.setattr("sys.stdout.isatty", lambda: False)
     monkeypatch.delenv("NO_COLOR", raising=False)
     assert cli._want_color() is False
+
+
+@pytest.mark.parametrize(
+    "status, code", [("pass", "32"), ("fail", "31"), ("warn", "33"), ("skipped", "90")]
+)
+def test_color_wraps_only_the_status_tag(status, code):
+    report = CheckReport("axioms", status, "Q^2 = 0", [("q[x]", "1")], ["a note"])
+    plain = report.render_text()
+    tag = status.upper()
+    assert plain.startswith(f"[{tag}] axioms: Q^2 = 0\n")
+    assert report.render_text(color=True) == plain.replace(
+        f"[{tag}]", f"[\x1b[{code}m{tag}\x1b[0m]", 1
+    )

@@ -279,6 +279,22 @@ def test_evolution_requires_connection_and_frame_data():
         check_evolution_invariance(cs, pack, None)
 
 
+def test_evolution_without_a_lowered_metric_skips_the_decomposition():
+    # the raised metric, connection and tau of so3_action without g_low: the
+    # bracket route alone decides, and no structural residuals are needed
+    problem = load_problem(CORPUS / "so3_action.json")
+    cs, pack = problem.constraints, problem.pack
+    raised = GeometryPack(
+        pack.coords, pack.rank, g_inv=pack.g_inv, omega=pack.omega, tau=pack.tau
+    )
+    report = check_evolution_invariance(cs, raised, None)
+    assert report.status == PASS
+    assert report.notes[-1] == "no lowered metric: structural decomposition skipped"
+    # with g_low the decomposition runs and needs the residuals
+    with pytest.raises(ValueError, match="needs the structural residuals"):
+        check_evolution_invariance(cs, pack, None)
+
+
 def test_decomposition_signs_are_pinned():
     assert DECOMPOSITION_SIGNS == (1, 1, -1)
 

@@ -582,6 +582,18 @@ def test_connection_strings_round_trip():
         metric=[["1"]], metric_inv=[["1"]], connection=rendered
     ))
     assert reparsed.pack.omega == problem.pack.omega
+    # rank 2 over two coordinates, one entry at connection[2][1][2]: a
+    # filler that swaps two neighbouring axes renders it elsewhere
+    connection = [[["0", "0"], ["0", "0"]], [["0", "x*y"], ["0", "0"]]]
+    plane = dict(
+        base_dim=2, rank=2, coords=["x", "y"], anchor=[["1", "0"], ["0", "1"]]
+    )
+    problem = problem_from_dict(dict(plane, connection=connection))
+    assert list(problem.pack.omega) == [(1, 0, 1)]
+    rendered = connection_strings(problem.pack.omega, 2, 2)
+    assert rendered == connection
+    reparsed = problem_from_dict(dict(plane, connection=rendered))
+    assert reparsed.pack.omega == problem.pack.omega
 
 
 def test_corpus_files_all_load():

@@ -94,6 +94,17 @@ def geometry(request):
     return problem_from_dict(GEOMETRY[request.param])
 
 
+def over(fixture, docs, holds):
+    """Parametrize a test's `fixture` over the inputs of `docs` whose problem
+    `holds`, so that no case is made for an input the test does not fit."""
+    names = [name for name in sorted(docs) if holds(problem_from_dict(docs[name]))]
+    return pytest.mark.parametrize(fixture, names, indirect=True)
+
+
+def untwisted(problem):
+    return problem.constraints.ctx.twist is None
+
+
 # the operator chains the builders replaced
 
 
@@ -392,19 +403,17 @@ def test_affine_charge_and_constraints_match_the_chains(problem):
     assert cs.structural == expected
 
 
+@over("problem", DOCUMENTS, lambda p: p.pack.g_inv is not None)
 def test_hamiltonians_match_the_chains(problem):
     pack, ctx = problem.pack, problem.constraints.ctx
-    if pack.g_inv is None:
-        pytest.skip("no inverse metric")
     assert build_hamiltonian(pack, ctx) == chain_build_hamiltonian(pack, ctx)
     if pack.omega is not None and pack.beta is None:
         assert build_H(pack, ctx) == chain_build_H(pack, ctx)
 
 
+@over("problem", DOCUMENTS, lambda p: p.pack.g_low is not None)
 def test_lie_metric_matches_the_chain(problem):
     data, pack = problem.data, problem.pack
-    if pack.g_low is None:
-        pytest.skip("no metric")
     lie = _lie_metric(data, pack.g_low)
     for (a, i, j), terms in lie.items():
         expected = chain_lie_metric(data, pack.g_low, a, i, j)
@@ -455,14 +464,18 @@ def test_first_class_residuals_match_the_chain(problem):
     assert check_first_class(cs).residuals == chain_first_class_residuals(cs)
 
 
+# the expansion needs an untwisted phase space and a package: no drift, and
+# a connection wherever there is an inverse metric
+@over(
+    "problem",
+    DOCUMENTS,
+    lambda p: untwisted(p)
+    and p.pack.beta is None
+    and (p.pack.g_inv is None or p.pack.omega is not None),
+)
 def test_component_action_matches_the_chains(problem):
     cs, pack = problem.constraints, problem.pack
-    if cs.ctx.twist is not None:
-        pytest.skip("the expansion needs an untwisted phase space")
-    try:
-        package = assemble_bfv(cs, pack)
-    except ValueError:
-        pytest.skip("no package: a drift or a missing connection")
+    package = assemble_bfv(cs, pack)
     assert extended_action_reference(package) == chain_action_reference(package)
     ectx, integrand = chain_integrand(package)
     shifts = {
@@ -491,14 +504,13 @@ def test_covariant_momenta_match_the_chain(geometry):
     assert covariant_momenta(pack, ctx) == chain_covariant_momenta(pack, ctx)
 
 
+@over("geometry", GEOMETRY, lambda p: p.pack.g_low is not None and p.rank >= 2)
 def test_cartan_reassembly_matches_the_chain(geometry):
     # a residual reassembled by the chain from a seeded tensor: the flat
     # reassembly of `_cartan_core` rebuilds it exactly, or the report would
     # be a shape finding, and reads the tensor back
     cs, pack = geometry.constraints, geometry.pack
     data = cs.data
-    if pack.g_low is None or data.rank < 2:
-        pytest.skip("no metric pair or no pair of frame fields")
     rng = random.Random(151)
     tensor = {}
     for c, j in zip(range(data.rank), range(data.base_dim)):
@@ -520,11 +532,11 @@ def test_evolution_residuals_match_the_chain(geometry):
     assert report.residuals == chain_evolution_residuals(cs, pack)
 
 
+# the decomposition needs a lowered metric and no twist
+@over("geometry", GEOMETRY, lambda p: p.pack.g_low is not None and untwisted(p))
 def test_decomposition_prediction_matches_the_chain(geometry):
     # the guard passes on the residuals the chain predicts, and only on them
     cs, pack = geometry.constraints, geometry.pack
-    if pack.g_low is None or cs.ctx.twist is not None:
-        pytest.skip("the decomposition needs a lowered metric and no twist")
     data, ctx = cs.data, cs.ctx
     families = structural_residuals(cs, pack)
     predicted = chain_predicted_residuals(data, pack, ctx, families)
