@@ -88,14 +88,14 @@ def check_supercharge(package: BFVPackage) -> CheckReport:
     (`GradedContext.self_bracket`), and, as an internal guard, matched
     against (S, S) - 2 theta (S, H), read off the constraints and the
     package that bracketed them; the verdict must also agree with the
-    package's master and invariance reports.
+    master report of the constraints and the package's invariance report.
     """
-    ctx = package.ctx
-    QQ = ctx.self_bracket(package.Q)
-    split = package.constraints.self_bracket - 2 * ctx.var(THETA) * package.SH
+    cs = package.constraints
+    QQ = cs.ctx.self_bracket(package.Q)
+    split = cs.self_bracket - 2 * cs.ctx.var(THETA) * package.SH
     if QQ != split:
         raise RuntimeError("internal theta-split mismatch in the self-bracket")
-    master, invariance = package.master, package.charge_invariance
+    master, invariance = cs.master, package.charge_invariance
     agreed = master.status == PASS and invariance.status == PASS
     if QQ.is_zero != agreed:
         raise RuntimeError(
@@ -233,12 +233,13 @@ def expand_bv(package: BFVPackage) -> ComponentAction:
     derivation D: z -> theta z~ (see the module docstring).  The action is
     returned only after the classical-limit guard has passed.
     """
-    if package.ctx.twist is not None:
+    cs = package.constraints
+    if cs.ctx.twist is not None:
         raise ValueError(
             "the component expansion needs an exact symplectic potential; "
             "absorb the magnetic term first"
         )
-    coords, rank = package.data.coords, package.data.rank
+    coords, rank = cs.data.coords, cs.rank
     ectx, ghosts = expansion_context(coords, rank), range(1, rank + 1)
     theta = ectx.var(THETA)
     Q = transport(package.Q, ectx)

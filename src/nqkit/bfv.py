@@ -10,7 +10,8 @@ probes the interaction of the metric data with the frame: its bracket
 with the charge either vanishes or is carried by a single obstruction
 tensor with three frame indices and one base index.  The package's
 super-time charge Q = S + theta H lives on the same phase space, whose
-last odd letter theta no bracket reaches.
+last odd letter theta no bracket reaches.  A problem assembles its
+package once, on first use (`Problem.package`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .algebroid import Algebroid
 from .constraints import ConstraintSet, _affine_form, build_S, check_master
 from .dynamics import GeometryPack
 from .graded import (
@@ -103,10 +103,10 @@ class BFVPackage:
     `H` is the pack's covariant Hamiltonian, or its potential when it has
     no inverse metric; `SH` is the bracket (S, H), computed once by the
     charge-invariance check and kept for the theta split of the
-    supercharge.  The reports are `master`, read off the constraints, and
-    `cartan` and `charge_invariance`.  The super-time charge `Q` is built
-    on first use and kept, as the constraints keep their charge.  Treated
-    as immutable.
+    supercharge.  The package keeps the `cartan` and `charge_invariance`
+    reports; the charge S, its phase space and the master report are read
+    off `constraints`.  The super-time charge `Q` is built on first use and
+    kept, as the constraints keep their charge.  Treated as immutable.
     """
 
     def __init__(
@@ -125,28 +125,13 @@ class BFVPackage:
         self.cartan = cartan
         self.charge_invariance = charge_invariance
 
-    @property
-    def ctx(self) -> GradedContext:
-        return self.constraints.ctx
-
-    @property
-    def S(self) -> GradedPoly:
-        return self.constraints.S
-
-    @property
-    def data(self) -> Algebroid:
-        return self.constraints.data
-
-    @property
-    def master(self) -> CheckReport:
-        return self.constraints.master
-
     @cached_property
     def Q(self) -> GradedPoly:
         """Q = S + theta H on the package's own phase space, whose last odd
         letter is theta: odd of ghost degree +1 since S and theta H are;
         callers must not mutate it."""
-        return self.S + self.ctx.var(THETA) * self.H
+        cs = self.constraints
+        return cs.S + cs.ctx.var(THETA) * self.H
 
 
 def _shape_finding(detail: str) -> CheckReport:

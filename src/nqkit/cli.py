@@ -19,24 +19,21 @@ from __future__ import annotations
 import errno
 import os
 import sys
-from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 
 from .aksz import SUPERCHARGE_IDENTITY, check_supercharge, expand_bv, term_rows
 from .algebroid import check_axioms, cohomology_h1, is_exact_one_form
-from .bfv import CARTAN_IDENTITY, BFVPackage, assemble_bfv, bfv_h0
+from .bfv import CARTAN_IDENTITY, bfv_h0
 from .constraints import check_first_class, irreducibility_probe
 from .dynamics import (
     EVOLUTION_IDENTITY,
     METRIC_COMPAT_IDENTITY,
     STRUCTURAL_IDENTITY,
-    StructuralResiduals,
     check_evolution_invariance,
     check_metric_compat,
     check_structural,
     solve_connection,
-    structural_residuals,
 )
 from .problem import (
     GEOMETRY_FIELDS,
@@ -81,65 +78,34 @@ def _missing(problem: Problem, *fields: str) -> list[str]:
     return [GEOMETRY_FIELDS[f] for f in fields if getattr(problem.pack, f) is None]
 
 
-class _Workbench:
-    """The constructions of one problem that join its two layers, each
-    built at most once.
-
-    The problem owns its constraints, which carry the predicted closure
-    and their charge, whose master report is read off them.  This is the
-    one place the command line builds what joins them to the geometry
-    pack, for every verb that needs it: the package assembled from both,
-    and the structural residual families.
-    """
-
-    def __init__(self, problem: Problem):
-        self.problem = problem
-        # set when a check is skipped because a check it needs failed
-        self.prerequisite_failed = False
-
-    @cached_property
-    def package(self) -> tuple[BFVPackage | None, str | None]:
-        """The assembled extended-phase-space package, or the input it lacks."""
-        try:
-            return assemble_bfv(self.problem.constraints, self.problem.pack), None
-        except ValueError as error:
-            return None, str(error)
-
-    @cached_property
-    def families(self) -> StructuralResiduals:
-        """The structural residuals; the pack must hold g_low and omega."""
-        return structural_residuals(self.problem.constraints, self.problem.pack)
-
-
 # one handler per check flag: each calls the library for its finished
-# reports, or skips a check whose input is missing
+# reports, read off the problem, or skips a check whose input is missing
 
 
-def _run_axioms(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [check_axioms(bench.problem.data)]
+def _run_axioms(problem: Problem, explicit: bool) -> list[CheckReport]:
+    return [check_axioms(problem.data)]
 
 
-def _run_first_class(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [check_first_class(bench.problem.constraints)]
+def _run_first_class(problem: Problem, explicit: bool) -> list[CheckReport]:
+    return [check_first_class(problem.constraints)]
 
 
-def _run_irreducible(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [irreducibility_probe(bench.problem.data, bench.problem.points)]
+def _run_irreducible(problem: Problem, explicit: bool) -> list[CheckReport]:
+    return [irreducibility_probe(problem.data, problem.points)]
 
 
-def _run_metric(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    gap = _missing(bench.problem, "g_low", "omega")
+def _run_metric(problem: Problem, explicit: bool) -> list[CheckReport]:
+    gap = _missing(problem, "g_low", "omega")
     if gap:
         return _unmet("metric_compat", METRIC_COMPAT_IDENTITY, gap, explicit)
-    return [check_metric_compat(bench.families)]
+    return [check_metric_compat(problem.families)]
 
 
-def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    problem = bench.problem
+def _run_structural(problem: Problem, explicit: bool) -> list[CheckReport]:
     gap = _missing(problem, "g_low", "omega")
     if gap:
         return _unmet("structural", STRUCTURAL_IDENTITY, gap, explicit)
-    reports = [check_structural(bench.families)]
+    reports = [check_structural(problem.families)]
     # the dynamical route needs the raised metric as well
     if problem.pack.g_inv is None:
         note = "needs metric_inv for the evolution route"
@@ -147,32 +113,30 @@ def _run_structural(bench: _Workbench, explicit: bool) -> list[CheckReport]:
     else:
         reports.append(
             check_evolution_invariance(
-                problem.constraints, problem.pack, bench.families
+                problem.constraints, problem.pack, problem.families
             )
         )
     return reports
 
 
-def _run_master(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    return [bench.problem.constraints.master]
+def _run_master(problem: Problem, explicit: bool) -> list[CheckReport]:
+    return [problem.constraints.master]
 
 
-def _run_cartan(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    package, error = bench.package
+def _run_cartan(problem: Problem, explicit: bool) -> list[CheckReport]:
+    package, error = problem.package
     if error is not None:
         return _skip("cartan", CARTAN_IDENTITY, error, explicit)
     report = package.cartan
-    if report.status == SKIPPED:
-        # with the metric pair given, only a failed master skips the check
-        if not _missing(bench.problem, "g_inv", "g_low"):
-            bench.prerequisite_failed = True
-        elif explicit:
-            _input_error("; ".join(report.notes))
+    # skipped without the metric pair, an input gap; with it, only a failed
+    # master skips the check, and `_check` counts that as a failure
+    if report.status == SKIPPED and explicit and _missing(problem, "g_inv", "g_low"):
+        _input_error("; ".join(report.notes))
     return [report]
 
 
-def _run_supercharge(bench: _Workbench, explicit: bool) -> list[CheckReport]:
-    package, error = bench.package
+def _run_supercharge(problem: Problem, explicit: bool) -> list[CheckReport]:
+    package, error = problem.package
     if error is not None:
         return _skip("supercharge", SUPERCHARGE_IDENTITY, error, explicit)
     return [check_supercharge(package)]
@@ -216,10 +180,9 @@ def _check(file, run_all, json_path, **flags) -> None:
         raise _UsageError("select at least one check, or pass --all")
     problem = _load(file)
     _check_output("--json", json_path)
-    bench = _Workbench(problem)
     reports: list[CheckReport] = []
     for handler in selected:
-        reports.extend(handler(bench, explicit=not run_all))
+        reports.extend(handler(problem, explicit=not run_all))
     color = _want_color()
     for report in reports:
         print(report.render_text(color))
@@ -233,7 +196,11 @@ def _check(file, run_all, json_path, **flags) -> None:
             "checks": [report.to_json_dict() for report in reports],
         }
         _write_json("--json", json_path, doc)
-    failed = bench.prerequisite_failed or any(r.status == FAIL for r in reports)
+    # a cartan skipped after a failed master is a failed prerequisite; any
+    # path that reaches here with cartan selected has computed the master
+    failed = any(r.status == FAIL for r in reports) or (
+        _run_cartan in selected and problem.constraints.master.status == FAIL
+    )
     sys.exit(1 if failed else 0)
 
 
@@ -349,7 +316,7 @@ def _emit(file, what, out, force) -> None:
     """Write assembled charge data (bfv) or the component action (bv)."""
     problem = _load(file)
     _check_output("--out", out)
-    package, error = _Workbench(problem).package
+    package, error = problem.package
     if error is not None:
         _err(f"assembly failed: {error}")
         sys.exit(1)
@@ -360,8 +327,8 @@ def _emit(file, what, out, force) -> None:
         "rank": problem.rank,
     }
     if what == "bfv":
-        gate = package.master
-        doc["charge"] = term_rows(package.S)
+        gate = package.constraints.master
+        doc["charge"] = term_rows(package.constraints.S)
         if not package.H.is_zero:
             doc["hamiltonian"] = term_rows(package.H)
         reports = (gate, package.cartan, package.charge_invariance)

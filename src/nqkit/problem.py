@@ -44,10 +44,12 @@ import json
 import os
 import re
 from fractions import Fraction
+from functools import cached_property
 
 from .algebroid import Algebroid
+from .bfv import BFVPackage, assemble_bfv
 from .constraints import ConstraintSet
-from .dynamics import GeometryPack
+from .dynamics import GeometryPack, StructuralResiduals, structural_residuals
 from .graded import THETA
 from .parser import ParseError, parse_poly, rational_from_string
 from .poly import EvenPoly, Rat
@@ -101,9 +103,11 @@ class Problem:
     """A validated problem file.
 
     `constraints` holds the frame data with alpha and the magnetic field,
-    and `pack` the fields of the Hamiltonian.  `document` is the mapping the
-    problem was built from, which `solve-connection --write` copies; like
-    every record it is not altered after construction.
+    and `pack` the fields of the Hamiltonian.  What joins the two, the BFV
+    `package` and the structural residual `families`, is built on first
+    use and kept, so a verb that reads neither builds neither.  `document`
+    is the mapping the problem was built from, which `solve-connection
+    --write` copies; like every record it is not altered after construction.
     """
 
     def __init__(
@@ -133,6 +137,19 @@ class Problem:
     @property
     def rank(self) -> int:
         return self.data.rank
+
+    @cached_property
+    def package(self) -> tuple[BFVPackage | None, str | None]:
+        """The assembled BFV package, or None and the input it lacks."""
+        try:
+            return assemble_bfv(self.constraints, self.pack), None
+        except ValueError as error:
+            return None, str(error)
+
+    @cached_property
+    def families(self) -> StructuralResiduals:
+        """The structural residuals; the pack must hold g_low and omega."""
+        return structural_residuals(self.constraints, self.pack)
 
 
 def load_problem(path: str | os.PathLike) -> Problem:
@@ -220,13 +237,11 @@ def problem_from_dict(doc: object) -> Problem:
         for name, shape in _EXPRESSIONS.items()
         if name in doc
     }
-    magnetic = read.get("magnetic")
-    if magnetic is not None and any(
-        not (magnetic[i][j] + magnetic[j][i]).is_zero
-        for i in range(base_dim)
-        for j in range(i, base_dim)
-    ):
-        raise ProblemError("magnetic", "matrix must be antisymmetric")
+    # alpha and B have their shapes: only the antisymmetry of B can fail
+    try:
+        constraints = ConstraintSet(data, read.get("alpha"), read.get("magnetic"))
+    except ValueError as error:
+        raise ProblemError("magnetic", "matrix must be antisymmetric") from error
     try:
         pack = GeometryPack(
             coords,
@@ -242,7 +257,7 @@ def problem_from_dict(doc: object) -> Problem:
         raise ProblemError(_geometry_path(str(error)), str(error)) from error
 
     return Problem(
-        ConstraintSet(data, read.get("alpha"), magnetic),
+        constraints,
         pack,
         _points(doc["points"], base_dim) if "points" in doc else (),
         doc,

@@ -288,8 +288,8 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     so3 = corpus_problem("so3_action")
     package = assemble_bfv(so3.constraints, so3.pack)
     assert package.cartan.status == PASS
-    core = build_S(so3.data, ctx=package.ctx)
-    assert package.ctx.poisson(core, package.H).is_zero
+    core = build_S(so3.data, ctx=package.constraints.ctx)
+    assert package.constraints.ctx.poisson(core, package.H).is_zero
 
     # constant-connection fixture with a position-dependent bracket: the
     # reported tensor entries rebuild the bracket with zero residual
@@ -298,7 +298,7 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     report = package.cartan
     assert report.status == FAIL
     assert report.residuals
-    ctx = package.ctx
+    ctx = package.constraints.ctx
     pack = shear.pack
     coords = shear.coords
     n = len(coords)

@@ -106,7 +106,7 @@ def expected_kinetic(ctx, coords, rank) -> GradedPoly:
 
 def test_the_phase_space_ends_with_theta():
     bfv = packaged(abelian_r2())
-    ctx = bfv.ctx
+    ctx = bfv.constraints.ctx
     assert bfv.Q.ctx is ctx
     assert ctx.odd_names[-1] == "theta"
     assert ctx.ghost_of("theta") == 1
@@ -128,7 +128,7 @@ def corpus_and_twisted_packages() -> dict:
             packages[name] = assemble_bfv(problem.constraints, problem.pack)
         except ValueError:
             continue  # no package: a refused drift term
-    assert packages[twin].ctx.twist is not None
+    assert packages[twin].constraints.ctx.twist is not None
     assert len(packages) >= 10
     return packages
 
@@ -139,10 +139,10 @@ PACKAGES = corpus_and_twisted_packages()
 @pytest.mark.parametrize("name", sorted(PACKAGES))
 def test_theta_is_a_spectator_of_every_bracket(name):
     package = PACKAGES[name]
-    ctx = package.ctx
+    ctx = package.constraints.ctx
     theta = ctx.var(THETA)
     bit = 1 << ctx.word_shift + ctx.odd_index[THETA]
-    S, H = package.S, package.H
+    S, H = package.constraints.S, package.H
     for F in (S, H):
         field = ctx.hamiltonian_field(F)
         assert THETA not in field
@@ -168,7 +168,7 @@ def test_build_supercharge_topological():
     bfv = frame_package(data, GeometryPack(data.coords, data.rank))
     Q = bfv.Q
     assert bfv.H.is_zero
-    assert Q == transport(bfv.S, Q.ctx)
+    assert Q == transport(bfv.constraints.S, Q.ctx)
 
 
 # nilpotency
@@ -196,7 +196,7 @@ def test_check_supercharge_broken_jacobi_theta_free_residual():
             if theta_letter not in word
         ),
     )
-    ss = bfv.ctx.poisson(bfv.S, bfv.S)
+    ss = bfv.constraints.ctx.poisson(bfv.constraints.S, bfv.constraints.S)
     assert not ss.is_zero
     assert theta_free == transport(ss, Q.ctx)
 
@@ -209,7 +209,7 @@ def test_check_supercharge_shear_pair_theta_linear_residual():
     report = check_supercharge(bfv)
     assert report.status == FAIL
     qq = Q.ctx.poisson(Q, Q)
-    sh = bfv.ctx.poisson(bfv.S, bfv.H)
+    sh = bfv.constraints.ctx.poisson(bfv.constraints.S, bfv.H)
     assert not sh.is_zero
     assert qq == -2 * Q.ctx.var("theta") * transport(sh, Q.ctx)
     assert all(label.startswith("qq[") and "theta" in label for label, _ in report.residuals)
@@ -228,7 +228,7 @@ def test_supercharge_agrees_with_package_verdicts():
     seen = set()
     for bfv in cases:
         report = check_supercharge(bfv)
-        both = bfv.master.status == bfv.charge_invariance.status == PASS
+        both = bfv.constraints.master.status == bfv.charge_invariance.status == PASS
         assert report.status == (PASS if both else FAIL)
         seen.add(report.status)
     assert seen == {PASS, FAIL}
@@ -325,7 +325,7 @@ def test_kinetic_sector_on_every_package():
         affine_line_package(),
     ]
     for bfv in cases:
-        data = bfv.data
+        data = bfv.constraints.data
         ca = expand_bv(bfv)
         sector = kinetic_sector(ca, data.coords, data.rank)
         assert sector == expected_kinetic(ca.context, data.coords, data.rank)
@@ -349,11 +349,11 @@ def test_ghost_zero_truncation_matches_the_reference():
 def test_expand_is_linear_in_the_charge():
     coords, g = ring(["x1", "x2"])
     bfv = packaged(abelian_r2(), potential=g["x1"] ** 2)
-    data = bfv.data
+    data = bfv.constraints.data
     # the H = 0 twin: the same constraints with an empty pack, so Q = S
     twin = assemble_bfv(bfv.constraints, GeometryPack(data.coords, data.rank))
     assert twin.H.is_zero and not bfv.H.is_zero
-    part_h = bfv.ctx.var(THETA) * bfv.H
+    part_h = bfv.constraints.ctx.var(THETA) * bfv.H
     total = expand_bv(bfv).action
     split = expand_bv(twin).action + expand_bv_by_substitution(part_h, data)
     # each expansion carries one copy of the kinetic sector
@@ -574,9 +574,9 @@ def test_rows_match_the_reference_on_the_corpus_and_so_n():
             package = assemble_bfv(problem.constraints, problem.pack)
         except ValueError:
             continue  # emit writes no document
-        for F in (package.S, package.H):
+        for F in (package.constraints.S, package.H):
             assert term_rows(F) == ref.term_rows(F), name
-        if package.ctx.twist is None:
+        if package.constraints.ctx.twist is None:
             action = expand_bv(package).action
             assert term_rows(action) == ref.term_rows(action), name
             expanded.append(name)
@@ -647,10 +647,10 @@ def test_expand_matches_the_substitution_on_the_corpus_and_so_n():
             package = assemble_bfv(problem.constraints, problem.pack)
         except ValueError:
             continue  # no package to expand
-        if package.ctx.twist is not None:
+        if package.constraints.ctx.twist is not None:
             continue  # refused by both routes
         # Q = S + theta H built here, not read off the package
-        Q = package.S + package.ctx.var(THETA) * package.H
+        Q = package.constraints.S + package.constraints.ctx.var(THETA) * package.H
         action = expand_bv(package).action
         assert not action.is_zero
         assert action == expand_bv_by_substitution(Q, problem.data), name

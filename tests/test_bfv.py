@@ -425,7 +425,7 @@ def test_build_h_requires_fields():
 def test_assemble_so3_flat_all_pass():
     data = so3_action()
     pkg = frame_package(data, flat_pack(data.coords, data.rank))
-    reports = (pkg.master, pkg.cartan, pkg.charge_invariance)
+    reports = (pkg.constraints.master, pkg.cartan, pkg.charge_invariance)
     assert [r.status for r in reports] == [PASS, PASS, PASS]
     assert [r.name for r in reports] == ["master", "cartan", "charge_invariance"]
 
@@ -433,7 +433,7 @@ def test_assemble_so3_flat_all_pass():
 def test_assemble_abelian_plane_all_pass():
     data = abelian_r2()
     pkg = frame_package(data, flat_pack(data.coords, data.rank))
-    assert pkg.master.status == pkg.cartan.status == PASS
+    assert pkg.constraints.master.status == pkg.cartan.status == PASS
     assert pkg.charge_invariance.status == PASS
 
 
@@ -467,7 +467,7 @@ def test_cartan_shape_violation_on_non_metric_connection():
     )
     # the package still assembles: the shape failure is the cartan finding
     pkg = frame_package(data, pack)
-    assert pkg.master.status == PASS
+    assert pkg.constraints.master.status == PASS
     cartan = pkg.cartan
     assert cartan.status == FAIL
     assert cartan.residuals == [
@@ -511,7 +511,7 @@ def test_one_ghost_part_of_sh_is_the_evolution_residual(name, doc):
     problem = problem_from_dict(doc)
     pack, cs = problem.pack, problem.constraints
     pkg = assemble_bfv(cs, pack)
-    ctx = pkg.ctx
+    ctx = pkg.constraints.ctx
     H = build_hamiltonian(pack, ctx)
     momenta = [ctx.var(momentum_name(x)) for x in pack.coords]
     predicted = ctx.zero()
@@ -573,7 +573,7 @@ def test_cartan_preconditions():
 
     broken = broken_jacobi()
     pkg2 = frame_package(broken, flat_pack(broken.coords, broken.rank))
-    assert pkg2.master.status == FAIL
+    assert pkg2.constraints.master.status == FAIL
     assert pkg2.cartan.status == SKIPPED
 
 
@@ -581,7 +581,7 @@ def test_assemble_topological_case():
     data = so3_action()
     pkg = frame_package(data, GeometryPack(data.coords, data.rank))
     assert pkg.H.is_zero
-    assert pkg.master.status == PASS
+    assert pkg.constraints.master.status == PASS
     assert pkg.cartan.status == SKIPPED
     assert pkg.charge_invariance.status == PASS
 

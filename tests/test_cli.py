@@ -23,6 +23,7 @@ import nqkit.cli
 import nqkit.constraints
 import nqkit.dynamics
 import nqkit.graded
+import nqkit.problem
 from nqkit.aksz import expand_bv, term_rows
 from nqkit.bfv import _balanced_words, _charge_invariance, assemble_bfv
 from nqkit.constraints import ConstraintSet
@@ -540,6 +541,14 @@ def test_the_command_line_builds_only_skipped_reports():
             given = [k.value for k in node.keywords if k.arg == "status"]
             statuses += [ast.unparse(arg) for arg in (node.args[1:2] or given)]
     assert statuses and set(statuses) == {"SKIPPED"}
+
+
+def test_the_command_line_keeps_no_problem_state():
+    # the problem owns what its checks build; the only classes of the
+    # command line are its argv front end
+    tree = ast.parse((ROOT / "src" / "nqkit" / "cli.py").read_text())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"_UsageError", "_Option", "_Command", "_Group"}
 
 
 # what the ghost-zero window builds: the axiom check's defect tensors, then
@@ -1598,8 +1607,8 @@ def test_check_all_checks_alpha_once(monkeypatch):
 
 
 def test_solve_connection_builds_no_phase_space(monkeypatch, tmp_path):
-    # the verb reads the frame and the metric alone: no ghost context and
-    # no phase space is built, twisted or not
+    # the verb reads the frame and the metric alone: no ghost context, no
+    # phase space, twisted or not, and no package or structural families
     twisted = json.loads((CORPUS / "abelian_r2.json").read_text())
     magnetic = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
     twisted.update(alpha=magnetic["alpha"], magnetic=magnetic["magnetic"])
@@ -1612,6 +1621,8 @@ def test_solve_connection_builds_no_phase_space(monkeypatch, tmp_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(GradedContext, "__init__", counted)
+    for name in ("assemble_bfv", "structural_residuals"):
+        monkeypatch.setattr(nqkit.problem, name, lambda *a, n=name: built.append(n))
     monkeypatch.chdir(tmp_path)
     paths = [corpus_path(name) for name in ("so3_action", "leafwise_metric")]
     for path in [*paths, "twisted.json"]:

@@ -11,6 +11,7 @@ import pytest
 
 import nqkit.problem
 from nqkit.aksz import expansion_context
+from nqkit.bfv import DRIFT_REFUSAL, BFVPackage
 from nqkit.graded import extended_context
 from nqkit.parser import parse_poly
 from nqkit.poly import EvenPoly
@@ -484,6 +485,10 @@ def test_magnetic_antisymmetry_checked():
         problem_from_dict(doc)
     assert path_of(err) == "magnetic"
     assert str(err.value) == "magnetic: matrix must be antisymmetric"
+    # one check of B: the constraint set's refusal, named by its field
+    cause = err.value.__cause__
+    assert type(cause) is ValueError
+    assert str(cause) == "the magnetic twist must be antisymmetric"
     # the check runs after every field is parsed and before the geometry
     # pack: a parse error anywhere comes first, a metric error after it
     twisted = json.loads((CORPUS / "abelian_r2_magnetic.json").read_text())
@@ -594,6 +599,29 @@ def test_connection_strings_round_trip():
     assert rendered == connection
     reparsed = problem_from_dict(dict(plane, connection=rendered))
     assert reparsed.pack.omega == problem.pack.omega
+
+
+def test_problem_builds_its_package_and_families_once(monkeypatch):
+    # what joins the constraints to the pack is kept on the problem
+    problem = load_problem(CORPUS / "so3_action.json")
+    package, error = problem.package
+    assert isinstance(package, BFVPackage) and error is None
+    assert package.constraints is problem.constraints and package.pack is problem.pack
+    assert problem.package is problem.package
+    assert problem.families is problem.families
+    # a refused assembly is kept as well, and not tried again
+    calls = []
+    assemble = nqkit.problem.assemble_bfv
+
+    def counted(cs, pack):
+        calls.append(None)
+        return assemble(cs, pack)
+
+    monkeypatch.setattr(nqkit.problem, "assemble_bfv", counted)
+    drift = load_problem(CORPUS / "beta_drift.json")
+    assert drift.package == (None, DRIFT_REFUSAL)
+    assert drift.package == (None, DRIFT_REFUSAL)
+    assert len(calls) == 1
 
 
 def test_corpus_files_all_load():

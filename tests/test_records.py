@@ -244,10 +244,6 @@ def test_record_constructor_surface(cases, name):
 def test_derived_record_fields():
     # the fields the constructors derive instead of taking a second copy
     m = _material()
-    package = m["package"]
-    assert package.S == package.constraints.core + package.constraints.affine
-    assert package.ctx is package.constraints.ctx
-    assert package.master is package.constraints.master
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]
     problem = Problem(cs, m["pack"], (), "{}")

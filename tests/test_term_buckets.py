@@ -283,7 +283,7 @@ def chain_predicted_residuals(data, pack, ctx, families):
 
 
 def chain_integrand(package):
-    coords, rank = package.data.coords, package.data.rank
+    coords, rank = package.constraints.data.coords, package.constraints.data.rank
     ectx = expansion_context(coords, rank)
     theta = ectx.var(THETA)
     integrand = -transport(package.Q, ectx)
@@ -480,7 +480,9 @@ def test_component_action_matches_the_chains(problem):
     ectx, integrand = chain_integrand(package)
     shifts = {
         base: ectx.var(THETA) * ectx.var(partner)
-        for base, partner in _partner_pairs(package.data.coords, package.data.rank)
+        for base, partner in _partner_pairs(
+            package.constraints.data.coords, package.constraints.data.rank
+        )
     }
     integrand = integrand + left_derivation(ectx, shifts, integrand)
     assert expand_bv(package).action == integrand.left_deriv(THETA)

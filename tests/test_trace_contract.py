@@ -9,6 +9,7 @@ path, not installed, so nothing in the library is rebound here.
 from __future__ import annotations
 
 import importlib
+from collections import Counter
 from pathlib import Path
 from types import ModuleType
 
@@ -101,3 +102,19 @@ def test_public_constructor_calls_post_init(monkeypatch):
     poly = EvenPoly(("x",), {(1,): 2, (0,): 0})
     assert len(seen) == 1 and seen[0] is poly
     assert poly.terms == {(1,): 2}
+
+
+def test_measured_results_yield_one_term_per_coefficient():
+    # `S_terms` and `poisson_terms_out` count `result.terms()` on what
+    # build_S and GradedContext.poisson return; no library code calls
+    # `GradedPoly.terms`, so this pins it for `--trace`
+    from nqkit.bfv import build_S
+    from nqkit.problem import load_problem
+
+    cs = load_problem(SPANS.parents[1] / "corpus" / "so3_action.json").constraints
+    S = build_S(cs.data, cs.ctx)
+    results = {"build_S": S, "poisson": cs.ctx.poisson(S, cs.ctx.var("xi_1") * S)}
+    for name, result in results.items():
+        counts = Counter()
+        spans.MEASURES[name](counts, (), result)
+        assert result.coeffs and list(counts.values()) == [len(result.coeffs)], name
