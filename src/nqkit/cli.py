@@ -211,57 +211,45 @@ def _cohomology(file, trunc, p_degree, slack, bfv_h0_flag, is_exact_flag) -> Non
     problem = _load(file)
     if min(trunc, slack, p_degree) < 0:
         raise _UsageError("degree bounds must be nonnegative")
-    _check_window_budget(problem, trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
-
-    axioms = check_axioms(problem.data)
-    if axioms.status != PASS:
-        print(axioms.render_text(_want_color()))
-        print("prerequisite failed: the bracket axioms do not hold")
-        sys.exit(1)
-
-    if is_exact_flag:
-        _query_exact(problem, trunc)
-    elif bfv_h0_flag:
-        _window_h0(problem, trunc, p_degree)
-    else:
-        _window_h1(problem, trunc, slack)
-    sys.exit(0)
-
-
-def _check_window_budget(
-    problem: Problem,
-    trunc: int,
-    slack: int,
-    p_degree: int,
-    bfv_h0_flag: bool,
-    is_exact_flag: bool,
-) -> None:
-    """Refuse a window whose estimated column count exceeds the budget.
-
-    Monomials of degree <= d in n variables number C(n + d, n).  The h^1
-    window has one unknown per frame index and monomial, plus its sources
-    one slack above; the ghost-zero window has one per x-monomial,
-    p-monomial and ghost-zero word (C(2r, r) of them), plus its ghost -1
-    sources (C(2r, r + 1) words) one degree above in x and p.
-    """
+    # Monomials of degree <= d in n variables number C(n + d, n).  The h^1
+    # window has one unknown per frame index and monomial, plus its sources
+    # one slack above; the ghost-zero window has one per x-monomial,
+    # p-monomial and ghost-zero word (C(2r, r) of them), plus its ghost -1
+    # sources (C(2r, r + 1) words) one degree above in x and p.
     n, r = problem.data.base_dim, problem.data.rank
     if is_exact_flag:
         options = f"--trunc {trunc}"
         columns = comb(n + trunc, n)
+        window, bounds = _query_exact, (trunc,)
     elif bfv_h0_flag:
         options = f"--trunc {trunc} --p-degree {p_degree}"
         columns = comb(n + trunc, n) * comb(n + p_degree, n) * comb(2 * r, r)
         columns += comb(n + trunc + 1, n) * comb(n + p_degree + 1, n) * comb(
             2 * r, r + 1
         )
+        window, bounds = _window_h0, (trunc, p_degree)
     else:
         options = f"--trunc {trunc} --slack {slack}"
         columns = r * comb(n + trunc, n) + comb(n + trunc + slack, n)
+        window, bounds = _window_h1, (trunc, slack)
+    _within_budget(
+        columns, f"{options}: the window needs an estimated {columns} columns"
+    )
+
+    axioms = check_axioms(problem.data)
+    if axioms.status != PASS:
+        print(axioms.render_text(_want_color()))
+        print("prerequisite failed: the bracket axioms do not hold")
+        sys.exit(1)
+    window(problem, *bounds)
+    sys.exit(0)
+
+
+def _within_budget(columns: int, need: str) -> None:
+    """Refuse a linear map of more than `MAX_WINDOW_COLUMNS` columns, before
+    it is built; `need` names its options and its count."""
     if columns > MAX_WINDOW_COLUMNS:
-        _input_error(
-            f"{options}: the window needs an estimated {columns} columns, "
-            f"more than the budget of {MAX_WINDOW_COLUMNS}"
-        )
+        _input_error(f"{need}, more than the budget of {MAX_WINDOW_COLUMNS}")
 
 
 def _query_exact(problem: Problem, trunc: int) -> None:
@@ -374,12 +362,12 @@ def _solve_connection(file, degree, write_path) -> None:
     problem = _load(file)
     if problem.pack.g_low is None:
         _input_error("the connection solve needs the metric")
-    unknowns = _connection_unknowns(problem, degree)
-    if unknowns > MAX_WINDOW_COLUMNS:
-        _input_error(
-            f"--degree {degree}: the connection solve needs {unknowns} unknowns, "
-            f"more than the budget of {MAX_WINDOW_COLUMNS}"
-        )
+    # one unknown omega^b_ai = x^m per frame pair, base index and monomial
+    n, r = problem.base_dim, problem.rank
+    unknowns = r * r * n * comb(n + degree, n)
+    _within_budget(
+        unknowns, f"--degree {degree}: the connection solve needs {unknowns} unknowns"
+    )
     _check_output("--write", write_path)
     solution = solve_connection(problem.data, problem.pack, degree)
     if not solution.feasible:
@@ -398,12 +386,6 @@ def _solve_connection(file, degree, write_path) -> None:
         _write_json("--write", write_path, dict(problem.document, connection=planes))
         print(f"wrote {write_path}")
     sys.exit(0)
-
-
-def _connection_unknowns(problem: Problem, degree: int) -> int:
-    """One unknown omega^b_ai = x^m per frame pair, base index and monomial."""
-    n, r = problem.data.base_dim, problem.data.rank
-    return r * r * n * comb(n + degree, n)
 
 
 def _check_output(option: str, path: str | None) -> None:

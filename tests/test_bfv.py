@@ -560,6 +560,24 @@ def test_cartan_reports_the_part_no_tensor_reassembles():
     ]
 
 
+@pytest.mark.parametrize("momenta", [(0, 0), (1, 1)], ids=["constant", "quadratic"])
+def test_cartan_refuses_a_xi_xi_pi_word_not_linear_in_the_momenta(momenta):
+    # xi_1 xi_2 pi_1, alone and times p_x1 p_x2: no candidate entry of the
+    # tensor is read off a coefficient of momentum order 0 or 2
+    problem = load_problem(CORPUS / "abelian_r2.json")
+    cs = problem.constraints
+    R = from_terms(cs.ctx, [((0, 1, 2), (0, 0, *momenta), 1)])
+    report = _cartan_core(cs, problem.pack, R)
+    assert report.status == FAIL
+    assert report.residuals == [
+        (
+            "shape",
+            "bracket residual leaves the covariant tensor shape; "
+            "offending words: xi_1 xi_2 pi_1",
+        )
+    ]
+
+
 def test_cartan_preconditions():
     data = so3_action()
     no_lowered = GeometryPack(

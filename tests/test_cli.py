@@ -25,7 +25,7 @@ import nqkit.dynamics
 import nqkit.graded
 import nqkit.problem
 from nqkit.aksz import expand_bv, term_rows
-from nqkit.bfv import _balanced_words, _charge_invariance, assemble_bfv
+from nqkit.bfv import _charge_invariance, assemble_bfv
 from nqkit.constraints import ConstraintSet
 from nqkit.graded import GradedContext, GradedPoly, left_derivation
 from nqkit.poly import EvenPoly, monomial_exponents
@@ -549,6 +549,21 @@ def test_the_command_line_keeps_no_problem_state():
     tree = ast.parse((ROOT / "src" / "nqkit" / "cli.py").read_text())
     classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     assert classes == {"_UsageError", "_Option", "_Command", "_Group"}
+
+
+def test_one_rule_refuses_every_linear_map_past_the_budget():
+    # each window and solve counts its columns and hands the count to one
+    # refusal, so a new solve reuses the rule instead of growing a second one
+    source = (ROOT / "src" / "nqkit" / "cli.py").read_text()
+    readers = {
+        function.name
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "MAX_WINDOW_COLUMNS"
+    }
+    assert len(readers) == 1, readers
+    assert source.count("more than the budget of") == 1
 
 
 # what the ghost-zero window builds: the axiom check's defect tensors, then
@@ -1371,70 +1386,6 @@ def test_oversized_connection_solve_fails_fast():
     assert "input error: --degree 40: " in result.stderr
     assert "needs 333207 unknowns" in result.stderr
     assert f"budget of {nqkit.cli.MAX_WINDOW_COLUMNS}" in result.stderr
-
-
-@pytest.mark.parametrize("name", ["so3_action", "rank2_line", "leafwise_metric"])
-def test_connection_budget_counts_the_solver_unknowns(monkeypatch, name):
-    problem = load_problem(corpus_path(name))
-    built = []
-    original = nqkit.dynamics._connection_columns
-
-    def recording(data, g_low, degree):
-        unknowns, columns = original(data, g_low, degree)
-        built.append(len(unknowns))
-        return unknowns, columns
-
-    monkeypatch.setattr(nqkit.dynamics, "_connection_columns", recording)
-    for degree in (0, 1, 2):
-        unknowns = nqkit.cli._connection_unknowns(problem, degree)
-        monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", unknowns - 1)
-        result = run("solve-connection", corpus_path(name), "--degree", str(degree))
-        assert result.exit_code == 2
-        assert f"needs {unknowns} unknowns" in result.stderr
-        monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", unknowns)
-        result = run("solve-connection", corpus_path(name), "--degree", str(degree))
-        assert result.exit_code in (0, 1)  # feasible or not, but solved
-        assert built[-1] == unknowns
-
-
-def _window_columns(name, window, trunc, slack, p_degree):
-    """Columns of a window counted from the builders' own enumerations."""
-    data = load_problem(corpus_path(name)).data
-    n, r = data.base_dim, data.rank
-
-    def monomials(degree):
-        return len(monomial_exponents(n, degree))
-
-    if window == "h1":
-        return r * monomials(trunc) + monomials(trunc + slack)
-    if window == "is_exact":
-        return monomials(trunc)
-    return monomials(trunc) * monomials(p_degree) * len(
-        _balanced_words(r, 0)
-    ) + monomials(trunc + 1) * monomials(p_degree + 1) * len(_balanced_words(r, -1))
-
-
-@pytest.mark.parametrize(
-    "name, window, flags",
-    [
-        ("so3_action", "h1", []),
-        ("rank2_line", "h1", []),
-        ("rank2_line_affine", "is_exact", ["--is-exact"]),
-        ("abelian_r2", "h0", ["--bfv-h0"]),
-        ("so3_action", "h0", ["--bfv-h0"]),
-    ],
-)
-def test_window_budget_counts_the_columns_it_builds(monkeypatch, name, window, flags):
-    trunc, slack, p_degree = 1, 1, 0
-    columns = _window_columns(name, window, trunc, slack, p_degree)
-    args = ["cohomology", corpus_path(name), *flags, "--trunc", str(trunc)]
-    args += ["--slack", str(slack), "--p-degree", str(p_degree)]
-    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", columns - 1)
-    result = run(*args)
-    assert result.exit_code == 2
-    assert f"estimated {columns} columns" in result.stderr
-    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", columns)
-    assert run(*args).exit_code == 0
 
 
 # emit

@@ -473,6 +473,19 @@ def test_metric_pair_must_invert_exactly():
     assert path_of(err) == "metric_inv"
 
 
+def test_an_asymmetric_inverse_metric_is_refused_at_its_field():
+    # the geometry pack's refusal, mapped back to the field by its prefix
+    doc = minimal(
+        base_dim=2,
+        coords=["x", "y"],
+        anchor=[["1", "0"]],
+        metric_inv=[["1", "y"], ["0", "1"]],
+    )
+    with pytest.raises(ProblemError) as err:
+        problem_from_dict(doc)
+    assert str(err.value) == "metric_inv: g_inv must be symmetric"
+
+
 def test_magnetic_antisymmetry_checked():
     doc = {
         "base_dim": 2,

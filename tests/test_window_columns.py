@@ -13,8 +13,10 @@ relabelling is that the Q columns live in the ghost context, so their
 exponents carry a momentum half, which must be zero.  The elimination of
 each exact window is held to the route it replaced as well: `image_in` on
 every corpus window equals rank A - rank A_out, two runs of `rref`.  The
-column counts that the command line estimates for its window budget are
-checked against the columns each solve hands to the elimination.
+count that the command line holds to its budget, for every window and for
+the connection solve, is read off its refusal and must equal the columns
+the solve hands to the elimination; the budget admits that count and
+refuses one less.
 """
 
 from __future__ import annotations
@@ -29,20 +31,21 @@ import pytest
 import nqkit.algebroid
 import nqkit.bfv
 import nqkit.cli
+import nqkit.dynamics
 from nqkit.algebroid import (
     Algebroid,
     cohomology_h1,
     is_exact_one_form,
 )
 from nqkit.bfv import _balanced_words, bfv_h0, build_S
-from nqkit.cli import _check_window_budget, _connection_unknowns
 from nqkit.constraints import ConstraintSet
-from nqkit.dynamics import _connection_columns, _lowered_anchor
+from nqkit.dynamics import _connection_columns, _lowered_anchor, solve_connection
 from nqkit.graded import in_window, left_derivation, letters, window_columns
 from nqkit.linalg import image_in, rank
 from nqkit.poly import WIDTH, EvenPoly, monomial_exponents, unpack
 from nqkit.problem import load_problem
 
+from tests.conftest import invoke
 from tests.reference_forms import affine_form, e_differential, from_terms
 from tests.test_linalg import rank_through_rref
 from tests.test_graded import pair_loop_poisson
@@ -240,19 +243,18 @@ def test_connection_columns_match_the_shifted_products(name, degree):
     problem = corpus_problem(name)
     data, g_low = problem.data, problem.pack.g_low
     unknowns, columns = _connection_columns(data, g_low, degree)
-    assert len(unknowns) == _connection_unknowns(problem, degree)
     for ((b, a, i), m), column in zip(unknowns, columns):
         assert column == pair_by_pair_connection_column(data, g_low, b, a, i, m)
 
 
-def estimated_columns(monkeypatch, capsys, problem, *window) -> int:
-    """The count `_check_window_budget` estimates, read off its refusal
-    under a budget that refuses every window."""
-    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", -1)
-    with pytest.raises(SystemExit):
-        _check_window_budget(problem, *window)
-    message = capsys.readouterr().err
-    return int(re.search(r"an estimated (\d+) columns", message).group(1))
+def counted(monkeypatch, *args, budget: int = -1) -> int:
+    """The count that `nqkit ARGS...` holds to the budget, read off its
+    refusal under `budget`; the default refuses every linear map."""
+    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", budget)
+    result = invoke(args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.endswith(f", more than the budget of {budget}\n")
+    return int(re.search(r"needs (?:an estimated )?(\d+) ", result.stderr).group(1))
 
 
 def built_columns(monkeypatch, module, stubs: dict, solve) -> int:
@@ -275,19 +277,16 @@ def built_columns(monkeypatch, module, stubs: dict, solve) -> int:
 
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("trunc", [0, 1, 2, 3])
-def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc):
+def test_window_budget_counts_the_columns_built(monkeypatch, name, trunc):
     problem = corpus_problem(name)
-    data, slack = problem.data, SLACK
-
-    def estimate(p_degree, bfv_h0_flag, is_exact_flag):
-        window = (trunc, slack, p_degree, bfv_h0_flag, is_exact_flag)
-        return estimated_columns(monkeypatch, capsys, problem, *window)
+    data, path = problem.data, str(CORPUS / f"{name}.json")
+    window = ("cohomology", path, "--trunc", str(trunc))
 
     stubs = {"kernel": [], "image_in": 0, "solve": None}
     h1 = built_columns(
-        monkeypatch, nqkit.algebroid, stubs, lambda: cohomology_h1(data, trunc, slack)
+        monkeypatch, nqkit.algebroid, stubs, lambda: cohomology_h1(data, trunc, SLACK)
     )
-    assert estimate(0, False, False) == h1
+    assert counted(monkeypatch, *window) == h1
     zero_form = (data.zero(),) * data.rank
     exact = built_columns(
         monkeypatch,
@@ -295,7 +294,7 @@ def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc
         stubs,
         lambda: is_exact_one_form(data, zero_form, trunc),
     )
-    assert estimate(0, False, True) == exact
+    assert counted(monkeypatch, *window, "--is-exact") == exact
 
     cs = problem.constraints
     if not cs.self_bracket.is_zero:
@@ -309,4 +308,35 @@ def test_window_budget_counts_the_columns_built(monkeypatch, capsys, name, trunc
         h0 = built_columns(
             monkeypatch, nqkit.bfv, stubs, lambda: bfv_h0(cs, trunc, p_degree)
         )
-        assert estimate(p_degree, True, False) == h0
+        h0_window = (*window, "--bfv-h0", "--p-degree", str(p_degree))
+        assert counted(monkeypatch, *h0_window) == h0
+
+    if problem.pack.g_low is not None:
+        # the ansatz degree of the connection solve runs over the same grid
+        unknowns = built_columns(
+            monkeypatch,
+            nqkit.dynamics,
+            {"solve": None},
+            lambda: solve_connection(data, problem.pack, trunc),
+        )
+        solve = ("solve-connection", path, "--degree", str(trunc))
+        assert counted(monkeypatch, *solve) == unknowns
+
+
+# one small run of each kind of linear map
+EDGES = {
+    "h1": ("cohomology", "so3_action", "--trunc", "1"),
+    "is_exact": ("cohomology", "rank2_line_affine", "--is-exact", "--trunc", "1"),
+    "h0": ("cohomology", "abelian_r2", "--bfv-h0", "--trunc", "1"),
+    "connection": ("solve-connection", "so3_action", "--degree", "1"),
+}
+
+
+@pytest.mark.parametrize("kind", EDGES)
+def test_the_budget_admits_its_count_and_refuses_one_less(monkeypatch, kind):
+    verb, name, *options = EDGES[kind]
+    args = (verb, str(CORPUS / f"{name}.json"), *options)
+    count = counted(monkeypatch, *args)
+    assert counted(monkeypatch, *args, budget=count - 1) == count
+    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", count)
+    assert invoke(args).exit_code in (0, 1)  # answered, whatever the answer

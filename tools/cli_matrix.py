@@ -83,13 +83,30 @@ ESCAPED_COPY = ("so3_action", 'so3_action é"\\')
 # runs outside the per-input grid: the widest h^1 window the window budget
 # admits on a one-coordinate frame, degree 2402 in x, an exactness query
 # whose alpha is closed but has no primitive of degree 0, the removed
-# `--degree` (a usage error, exit 2) and the escaping run
+# `--degree` (a usage error, exit 2), the escaping run, a problem file
+# written from the text read, and one budget refusal of each kind (exit 2):
+# h^1 (51213 columns), h^0 (6850), the exactness query (5001), a window
+# refused before its failing axioms (5006) and a connection solve refused
+# before its missing output directory (333207 unknowns)
 EXTRA_LINES = (
     ["cohomology", "../in/abelian_r1.json", "--trunc", "2400"],
     ["cohomology", "../in/rank2_line_affine.json", "--is-exact", "--trunc", "0"],
     ["cohomology", "../in/so3_action.json", "--degree", "1"],
     ["check", f"../in/{ESCAPED_COPY[1]}.json", "--all", "--json", "report.json"],
     ["solve-connection", "../in/so3_action_cr.json", "--write", "solved.json"],
+    ["cohomology", "../in/so3_action.json", "--trunc", "40"],
+    ["cohomology", "../in/so3_action.json", "--bfv-h0", "--trunc", "3",
+     "--p-degree", "1"],
+    ["cohomology", "../in/rank2_line_affine.json", "--is-exact", "--trunc", "5000"],
+    ["cohomology", "../in/broken_jacobi.json", "--trunc", "1250"],
+    [
+        "solve-connection",
+        "../in/so3_action.json",
+        "--degree",
+        "40",
+        "--write",
+        "missing/solved.json",
+    ],
 )
 # corpus files whose sparse structure also runs as the [c][a][b] list
 DENSE_TWINS = ("so3_action", "broken_jacobi")
