@@ -37,6 +37,7 @@ from tests import test_dynamics as dynamics_tests
 from tests.test_aksz import bumped_field_table, wrong_reference
 from tests.reference_forms import e_differential, one_form
 from tests.test_generated_frames import gen
+from tests.test_window_columns import counted
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -1386,6 +1387,66 @@ def test_oversized_connection_solve_fails_fast():
     assert "input error: --degree 40: " in result.stderr
     assert "needs 333207 unknowns" in result.stderr
     assert f"budget of {nqkit.cli.MAX_WINDOW_COLUMNS}" in result.stderr
+
+
+def recorded(monkeypatch, module, names) -> list[int]:
+    """Record how many columns each call of `module.NAME` is handed, and
+    let the call run."""
+    seen = []
+
+    def wrap(original):
+        def record(columns, *rest):
+            seen.append(len(columns))
+            return original(columns, *rest)
+
+        return record
+
+    for name in names:
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    return seen
+
+
+@pytest.mark.parametrize("name", ["so3_action", "rank2_line", "leafwise_metric"])
+def test_connection_budget_counts_the_solver_unknowns(monkeypatch, name):
+    built = recorded(monkeypatch, nqkit.dynamics, ["solve"])
+    for degree in (0, 1, 2):
+        args = ("solve-connection", corpus_path(name), "--degree", str(degree))
+        unknowns = counted(monkeypatch, *args)
+        assert counted(monkeypatch, *args, budget=unknowns - 1) == unknowns
+        monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", unknowns)
+        built.clear()
+        result = run(*args)
+        assert result.exit_code in (0, 1)  # feasible or not, but solved
+        assert sum(built) == unknowns
+
+
+# the elimination routines each window hands its columns to
+ELIMINATIONS = {
+    "h1": (nqkit.algebroid, ["kernel", "image_in", "solve"]),
+    "is_exact": (nqkit.algebroid, ["kernel", "image_in", "solve"]),
+    "h0": (nqkit.bfv, ["rank", "image_in"]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, window, flags",
+    [
+        ("so3_action", "h1", []),
+        ("rank2_line", "h1", []),
+        ("rank2_line_affine", "is_exact", ["--is-exact"]),
+        ("abelian_r2", "h0", ["--bfv-h0"]),
+        ("so3_action", "h0", ["--bfv-h0"]),
+    ],
+)
+def test_window_budget_counts_the_columns_it_builds(monkeypatch, name, window, flags):
+    args = ("cohomology", corpus_path(name), *flags, "--trunc", "1")
+    args += ("--slack", "1", "--p-degree", "0")
+    columns = counted(monkeypatch, *args)
+    assert counted(monkeypatch, *args, budget=columns - 1) == columns
+    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", columns)
+    built = recorded(monkeypatch, *ELIMINATIONS[window])
+    assert run(*args).exit_code == 0
+    assert sum(built) == columns
 
 
 # emit

@@ -15,8 +15,9 @@ each exact window is held to the route it replaced as well: `image_in` on
 every corpus window equals rank A - rank A_out, two runs of `rref`.  The
 count that the command line holds to its budget, for every window and for
 the connection solve, is read off its refusal and must equal the columns
-the solve hands to the elimination; the budget admits that count and
-refuses one less.
+the solve hands to the elimination.  `tests/test_cli.py` tests the edge
+of each kind with `counted`: the budget admits the count and refuses one
+less.
 """
 
 from __future__ import annotations
@@ -322,21 +323,3 @@ def test_window_budget_counts_the_columns_built(monkeypatch, name, trunc):
         solve = ("solve-connection", path, "--degree", str(trunc))
         assert counted(monkeypatch, *solve) == unknowns
 
-
-# one small run of each kind of linear map
-EDGES = {
-    "h1": ("cohomology", "so3_action", "--trunc", "1"),
-    "is_exact": ("cohomology", "rank2_line_affine", "--is-exact", "--trunc", "1"),
-    "h0": ("cohomology", "abelian_r2", "--bfv-h0", "--trunc", "1"),
-    "connection": ("solve-connection", "so3_action", "--degree", "1"),
-}
-
-
-@pytest.mark.parametrize("kind", EDGES)
-def test_the_budget_admits_its_count_and_refuses_one_less(monkeypatch, kind):
-    verb, name, *options = EDGES[kind]
-    args = (verb, str(CORPUS / f"{name}.json"), *options)
-    count = counted(monkeypatch, *args)
-    assert counted(monkeypatch, *args, budget=count - 1) == count
-    monkeypatch.setattr(nqkit.cli, "MAX_WINDOW_COLUMNS", count)
-    assert invoke(args).exit_code in (0, 1)  # answered, whatever the answer
