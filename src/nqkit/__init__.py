@@ -25,7 +25,7 @@ from .algebroid import (
     cohomology_h1,
     is_exact_one_form,
 )
-from .bfv import BFVPackage, assemble_bfv, bfv_h0, build_H
+from .bfv import BFVPackage, assemble_bfv, bfv_h0
 from .constraints import (
     ConstraintSet,
     build_S,
@@ -68,7 +68,6 @@ __all__ = [
     "WARN",
     "assemble_bfv",
     "bfv_h0",
-    "build_H",
     "build_S",
     "build_hamiltonian",
     "check_axioms",

@@ -22,6 +22,10 @@ derivation, and since theta^2 = 0 the Taylor expansion of a function F
 on superfields stops after one step: F(z + theta z~) = F + D(F).  The
 expansion is therefore one `left_derivation`, never a substitution.
 
+One table, `component_fields`, lists the component fields in ring order,
+each with its ghost degree, its parity and the coordinate it is the theta
+partner of; the ring, the field table and the shifts of D all read it.
+
 Multiplying theta from the right in d fixes the antighost kinetic sign:
 the integrand starts with p_i x_i_dot - pi_a xi_a_dot and its ghost-free
 sector is p_i x_i_dot - H(x, p) - lam^a Phi_a, with the multiplier lam^a
@@ -130,51 +134,49 @@ class FieldEntry:
 
 
 @cache
+def component_fields(
+    coords: tuple[str, ...], rank: int
+) -> tuple[tuple[str, int, int, str | None], ...]:
+    """Every component field in ring order, one row (name, ghost, parity, base).
+
+    `base` is the phase-space coordinate the field is the theta partner of,
+    one ghost degree below it and of the opposite parity, or None.  The
+    order is the ring's, and term keys and the emitted fields follow it.
+    Even: positions, their velocity markers, momenta, the multipliers lam_a
+    (partners of the ghosts), the antighost partners.  Odd: position
+    partners, momentum partners, ghosts, ghost velocity markers,
+    antighosts.  Theta, the last odd letter of the ring, is no component
+    field.  A new component field is one row.
+    """
+    ghosts, momenta = range(1, rank + 1), [momentum_name(x) for x in coords]
+    rows = [(x, 0, 0, None) for x in coords]
+    rows += [(velocity_name(x), 0, 0, None) for x in coords]
+    rows += [(p, 0, 0, None) for p in momenta]
+    rows += [(multiplier_name(a), 0, 0, ghost_name(a)) for a in ghosts]
+    rows += [(partner_name(pi), -2, 0, pi) for pi in map(antighost_name, ghosts)]
+    rows += [(partner_name(z), -1, 1, z) for z in (*coords, *momenta)]
+    rows += [(ghost_name(a), 1, 1, None) for a in ghosts]
+    rows += [(velocity_name(ghost_name(a)), 1, 1, None) for a in ghosts]
+    rows += [(antighost_name(a), -1, 1, None) for a in ghosts]
+    return tuple(rows)
+
+
+@cache
 def expansion_context(coords: tuple[str, ...], rank: int) -> GradedContext:
-    """The component-field ring: no bracket pairs, one velocity marker for
-    each position and each ghost, one theta partner for every phase-space
-    coordinate, and theta itself for the expansion step."""
-    even = [(name, 0) for name in coords]
-    even += [(velocity_name(name), 0) for name in coords]
-    even += [(momentum_name(name), 0) for name in coords]
-    even += [(multiplier_name(a), 0) for a in range(1, rank + 1)]
-    even += [(partner_name(antighost_name(a)), -2) for a in range(1, rank + 1)]
-    odd = [(partner_name(name), -1) for name in coords]
-    odd += [(partner_name(momentum_name(name)), -1) for name in coords]
-    odd += [(ghost_name(a), 1) for a in range(1, rank + 1)]
-    odd += [(velocity_name(ghost_name(a)), 1) for a in range(1, rank + 1)]
-    odd += [(antighost_name(a), -1) for a in range(1, rank + 1)]
-    odd.append((THETA, 1))
-    return GradedContext(even=even, odd=odd)
-
-
-def _partner_pairs(coords: Sequence[str], rank: int) -> list[tuple[str, str]]:
-    pairs = [(name, partner_name(name)) for name in coords]
-    pairs += [
-        (momentum_name(name), partner_name(momentum_name(name)))
-        for name in coords
-    ]
-    pairs += [(ghost_name(a), multiplier_name(a)) for a in range(1, rank + 1)]
-    pairs += [
-        (antighost_name(a), partner_name(antighost_name(a)))
-        for a in range(1, rank + 1)
-    ]
-    return pairs
+    """The component-field ring: the fields of `component_fields` in their
+    order, no bracket pairs, and theta last for the expansion step."""
+    rows = component_fields(coords, rank)
+    even = [(name, ghost) for name, ghost, parity, _ in rows if not parity]
+    odd = [(name, ghost) for name, ghost, parity, _ in rows if parity]
+    return GradedContext(even=even, odd=[*odd, (THETA, 1)])
 
 
 def field_table(coords: Sequence[str], rank: int) -> tuple[FieldEntry, ...]:
     """Every component field of the expansion ring, theta excluded."""
-    ctx = expansion_context(coords, rank)
-    partners = {partner for _, partner in _partner_pairs(coords, rank)}
-    entries = []
-    for names, parity in ((ctx.even_names, 0), (ctx.odd_names, 1)):
-        for name in names:
-            if name == THETA:
-                continue
-            entries.append(
-                FieldEntry(name, ctx.ghost_of(name), parity, name in partners)
-            )
-    return tuple(entries)
+    return tuple(
+        FieldEntry(name, ghost, parity, base is not None)
+        for name, ghost, parity, base in component_fields(coords, rank)
+    )
 
 
 def _partner_base(name: str) -> str | None:
@@ -239,7 +241,7 @@ def expand_bv(package: BFVPackage) -> ComponentAction:
             "the component expansion needs an exact symplectic potential; "
             "absorb the magnetic term first"
         )
-    coords, rank = cs.data.coords, cs.rank
+    coords, rank = cs.data.coords, cs.data.rank
     ectx, ghosts = expansion_context(coords, rank), range(1, rank + 1)
     theta = ectx.var(THETA)
     Q = transport(package.Q, ectx)
@@ -252,8 +254,9 @@ def expand_bv(package: BFVPackage) -> ComponentAction:
         terms.update((ectx.var(z) * ectx.var(z_dot) * theta * sign).coeffs)
     integrand = GradedPoly._trusted(ectx, terms)
     shifts = {
-        base: theta * ectx.var(partner)
-        for base, partner in _partner_pairs(coords, rank)
+        base: theta * ectx.var(name)
+        for name, _, _, base in component_fields(coords, rank)
+        if base is not None
     }
     integrand = integrand + left_derivation(ectx, shifts, integrand)
     action = ComponentAction(field_table(coords, rank), integrand.left_deriv(THETA))

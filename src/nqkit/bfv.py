@@ -5,10 +5,12 @@ differential Q of the frame data, plus the affine part, a single
 generator of ghost degree +1 that collects the anchor and the structure
 functions.  Its self-bracket reproduces every closure defect of the
 frame data at once, so one nilpotency test covers the whole identity
-battery.  A covariantized Hamiltonian built from the geometry pack then
-probes the interaction of the metric data with the frame: its bracket
-with the charge either vanishes or is carried by a single obstruction
-tensor with three frame indices and one base index.  The package's
+battery.  The covariant Hamiltonian H_cov = 1/2 g^ij pcov_i pcov_j,
+built by `assemble_bfv` from the covariant momenta of the geometry pack,
+then probes the interaction of the metric data with the frame: its
+bracket with the charge either vanishes or is carried by a single
+obstruction tensor with three frame indices and one base index, which
+the cartan check reassembles with the same momenta.  The package's
 super-time charge Q = S + theta H lives on the same phase space, whose
 last odd letter theta no bracket reaches.  A problem assembles its
 package once, on first use (`Problem.package`).
@@ -53,7 +55,6 @@ __all__ = [
     "H0Report",
     "assemble_bfv",
     "bfv_h0",
-    "build_H",
     "build_S",
     "check_master",
     "covariant_momenta",
@@ -76,17 +77,12 @@ def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly
     return [GradedPoly._trusted(ctx, terms) for terms in out]
 
 
-def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
-    """Covariant kinetic term plus the scalar potential, on the phase space ctx."""
-    if pack.g_inv is None:
-        raise ValueError("the covariant hamiltonian needs the inverse metric g_inv")
-    if pack.omega is None:
-        raise ValueError("the covariant hamiltonian needs the connection omega")
-    if pack.beta is not None:
-        raise ValueError(DRIFT_REFUSAL)
-    pcov = covariant_momenta(pack, ctx)
+def _kinetic(
+    pack: GeometryPack, pcov: list[GradedPoly], ctx: GradedContext
+) -> GradedPoly:
+    """H_cov = 1/2 g^ij pcov_i pcov_j, from the covariant momenta on ctx."""
     s = ctx.word_shift
-    terms = _lifted_terms(ctx, pack.potential)
+    terms: Terms = {}
     for i, row in enumerate(pack.g_inv):
         half_row: Terms = {}  # 1/2 g^ij pcov_j over the nonzero g^ij
         for j, g in enumerate(row):
@@ -100,13 +96,14 @@ def build_H(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
 class BFVPackage:
     """Constraints with their charge, pack, Hamiltonian and battery reports.
 
-    `H` is the pack's covariant Hamiltonian, or its potential when it has
-    no inverse metric; `SH` is the bracket (S, H), computed once by the
-    charge-invariance check and kept for the theta split of the
-    supercharge.  The package keeps the `cartan` and `charge_invariance`
-    reports; the charge S, its phase space and the master report are read
-    off `constraints`.  The super-time charge `Q` is built on first use and
-    kept, as the constraints keep their charge.  Treated as immutable.
+    `H` is H_cov + V, the covariant Hamiltonian of the pack plus its
+    potential, or V alone when it has no inverse metric; `SH` is the
+    bracket (S, H), computed once by the charge-invariance check and kept
+    for the theta split of the supercharge.  The package keeps the
+    `cartan` and `charge_invariance` reports; the charge S, its phase space
+    and the master report are read off `constraints`.  The super-time
+    charge `Q` is built on first use and kept, as the constraints keep
+    their charge.  Treated as immutable.
     """
 
     def __init__(
@@ -143,8 +140,12 @@ def _shape_finding(detail: str) -> CheckReport:
     return CheckReport("cartan", FAIL, CARTAN_IDENTITY, [("shape", message)])
 
 
-def _cartan_core(cs: ConstraintSet, pack: GeometryPack, R: GradedPoly) -> CheckReport:
-    """Read the obstruction tensor off R = (core, H_cov); it is empty iff R is zero."""
+def _cartan_core(
+    cs: ConstraintSet, pack: GeometryPack, R: GradedPoly, pcov: list[GradedPoly]
+) -> CheckReport:
+    """Read the obstruction tensor off R = (core, H_cov); it is empty iff R is zero.
+
+    The reassembly contracts it with `pcov`, the momenta H_cov is built from."""
     data, ctx = cs.data, cs.ctx
     n, r = len(data.coords), data.rank
     # candidate entries from the momentum-linear xi xi pi words
@@ -174,7 +175,7 @@ def _cartan_core(cs: ConstraintSet, pack: GeometryPack, R: GradedPoly) -> CheckR
 
     # the normalization is fixed by reassembling the residual exactly:
     # R = -g^ij pcov_i block_j, block_j the sum of entry xi^a xi^b pi_c
-    pcov, s = covariant_momenta(pack, ctx), ctx.word_shift
+    s = ctx.word_shift
     blocks: dict[int, Terms] = {}
     for (c, j, a, b), entry in tensor.items():
         word = 1 << a | 1 << b | 1 << r + c  # the word it was read off
@@ -250,11 +251,12 @@ def _charge_invariance(
 def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
     """Add the Hamiltonian H = H_cov + V of a pack to the charge of cs.
 
-    H is `build_H`, or the lifted potential V without an inverse metric:
-    even and of ghost degree 0 either way.  Then run the battery, whose
-    cartan and charge-invariance reports the package keeps.  A ValueError
-    means a pack of another frame, a refused drift term or an inverse
-    metric without a connection; every finding is a report.
+    H_cov = 1/2 g^ij pcov_i pcov_j is built from the covariant momenta,
+    which the cartan reassembly reuses; without an inverse metric H is V
+    alone.  H is even and of ghost degree 0 either way.  Then run the
+    battery, whose cartan and charge-invariance reports the package keeps.
+    A ValueError means a pack of another frame, a refused drift term or an
+    inverse metric without a connection; every finding is a report.
     """
     data, ctx = cs.data, cs.ctx
     if data.coords != pack.coords or data.rank != pack.rank:
@@ -263,8 +265,11 @@ def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
         raise ValueError(DRIFT_REFUSAL)
     potential = ctx.lift(pack.potential)
     if pack.g_inv is not None:
-        H = build_H(pack, ctx)
-        h_cov = H - potential
+        if pack.omega is None:
+            raise ValueError("the covariant hamiltonian needs the connection omega")
+        pcov = covariant_momenta(pack, ctx)
+        h_cov = _kinetic(pack, pcov, ctx)
+        H = h_cov + potential
     else:
         H, h_cov = potential, ctx.zero()
     # (core, H_cov), shared by the cartan and charge-invariance checks;
@@ -280,7 +285,7 @@ def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
     else:
         skipped = None
     if skipped is None:
-        cartan = _cartan_core(cs, pack, core_bracket)
+        cartan = _cartan_core(cs, pack, core_bracket, pcov)
     else:
         cartan = CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [skipped])
     invariance, SH = _charge_invariance(cs, pack, h_cov, potential, core_bracket)

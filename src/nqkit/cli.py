@@ -311,8 +311,8 @@ def _emit(file, what, out, force) -> None:
 
     doc = {
         "what": what,
-        "coords": list(problem.coords),
-        "rank": problem.rank,
+        "coords": list(problem.data.coords),
+        "rank": problem.data.rank,
     }
     if what == "bfv":
         gate = package.constraints.master
@@ -363,7 +363,7 @@ def _solve_connection(file, degree, write_path) -> None:
     if problem.pack.g_low is None:
         _input_error("the connection solve needs the metric")
     # one unknown omega^b_ai = x^m per frame pair, base index and monomial
-    n, r = problem.base_dim, problem.rank
+    n, r = problem.data.base_dim, problem.data.rank
     unknowns = r * r * n * comb(n + degree, n)
     _within_budget(
         unknowns, f"--degree {degree}: the connection solve needs {unknowns} unknowns"
@@ -382,7 +382,7 @@ def _solve_connection(file, degree, write_path) -> None:
     for (a, b, i), entry in sorted(solution.omega.items()):
         print(f"  omega^{a + 1}_{b + 1},{i + 1} = {entry}")
     if write_path is not None:
-        planes = connection_strings(solution.omega, problem.rank, problem.base_dim)
+        planes = connection_strings(solution.omega, r, n)
         _write_json("--write", write_path, dict(problem.document, connection=planes))
         print(f"wrote {write_path}")
     sys.exit(0)

@@ -92,10 +92,6 @@ class ConstraintSet:
         self.alpha = alpha
         self.magnetic = magnetic
 
-    @property
-    def rank(self) -> int:
-        return self.data.rank
-
     @cached_property
     def ctx(self) -> GradedContext:
         """T*E[1] of the frame: the one context of the constraints, H and the
@@ -111,7 +107,7 @@ class ConstraintSet:
         if magnetic is None or all(f.is_zero for row in magnetic for f in row):
             return self.data.ctx
         twist = [[-f for f in row] for row in magnetic]
-        return extended_context(self.data.coords, self.rank, twist)
+        return extended_context(self.data.coords, self.data.rank, twist)
 
     @cached_property
     def phis(self) -> tuple[GradedPoly, ...]:
@@ -138,11 +134,12 @@ class ConstraintSet:
         An E-form, computed with the frame's Q on `data.ctx`: d_E is Q, and
         rho^* B is 1/2 B_ij Q(x^i) Q(x^j), which is the sum over i < j of
         B_ij Q(x^i) Q(x^j) since B is antisymmetric.  A twist does not change
-        term keys, so the terms are wrapped on `ctx` as they are.  Computed
-        on first use; callers must not mutate it.
+        term keys, so the terms of `affine` are read on `data.ctx` and the
+        result's are wrapped on `ctx` as they are.  Computed on first use;
+        callers must not mutate it.
         """
         data, ctx = self.data, self.data.ctx
-        affine = _affine_form(ctx, self.alpha or ())
+        affine = GradedPoly._trusted(ctx, self.affine.coeffs)
         magnetic = self.magnetic
         pairs = [
             (i, j)
@@ -280,7 +277,7 @@ def check_first_class(cs: ConstraintSet) -> CheckReport:
     closure = cs.closure.by_word()
     brackets: dict[tuple[int, int], GradedPoly] = {}
     fields = [ctx.hamiltonian_field(phi) for phi in cs.phis[:-1]]  # {Phi_a, .}
-    for a, b in combinations(range(cs.rank), 2):
+    for a, b in combinations(range(cs.data.rank), 2):
         terms = dict(left_derivation(ctx, fields[a], cs.phis[b]).coeffs)
         for c, f in data.nonzero_structure.get((a, b), ()):  # - C^c_ab Phi_c
             minus_f = _lifted_terms(ctx, f, scale=-1)

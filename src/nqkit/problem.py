@@ -126,18 +126,6 @@ class Problem:
     def data(self) -> Algebroid:
         return self.constraints.data
 
-    @property
-    def coords(self) -> tuple[str, ...]:
-        return self.data.coords
-
-    @property
-    def base_dim(self) -> int:
-        return self.data.base_dim
-
-    @property
-    def rank(self) -> int:
-        return self.data.rank
-
     @cached_property
     def package(self) -> tuple[BFVPackage | None, str | None]:
         """The assembled BFV package, or None and the input it lacks."""

@@ -300,7 +300,7 @@ def test_criterion_07_cartan_flat_and_resubstitution():
     assert report.residuals
     ctx = package.constraints.ctx
     pack = shear.pack
-    coords = shear.coords
+    coords = shear.data.coords
     n = len(coords)
     pcov = covariant_momenta(pack, ctx)
     rebuilt = ctx.zero()

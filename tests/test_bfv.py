@@ -14,7 +14,6 @@ from nqkit.bfv import (
     _cartan_core,
     assemble_bfv,
     bfv_h0,
-    build_H,
     build_S,
     check_master,
     covariant_momenta,
@@ -358,7 +357,7 @@ def test_build_h_classical_limit():
     _, g = ring(list(coords))
     potential = g["x1"] ** 2 + g["x2"] ** 2 + g["x3"] ** 2
     pack = flat_pack(coords, data.rank, potential=potential)
-    H = build_H(pack, extended_context(pack.coords, pack.rank))
+    H = frame_package(data, pack).H
     ctx = H.ctx
     expected = ctx.lift(potential) + sum(
         (ctx.var(momentum_name(name)) ** 2 for name in coords), ctx.zero()
@@ -370,7 +369,7 @@ def test_build_h_connection_terms():
     coords, _ = ring(["x"])
     omega = {(0, 0, 0): EvenPoly.const(coords, 3)}
     pack = GeometryPack(coords, 1, g_inv=identity_metric(coords), omega=omega)
-    H = build_H(pack, extended_context(pack.coords, pack.rank))
+    H = frame_package(abelian_r1(), pack).H
     ctx = H.ctx
     expected = ctx.var("p_x") ** 2 / 2 - 3 * ctx.var("p_x") * ctx.var(
         ghost_name(1)
@@ -385,7 +384,7 @@ def test_build_h_ghost_square():
     for (b, a), v in values.items():
         omega[(b, a, 0)] = EvenPoly.const(coords, v)
     pack = GeometryPack(coords, 2, g_inv=identity_metric(coords), omega=omega)
-    H = build_H(pack, extended_context(pack.coords, pack.rank))
+    H = frame_package(rank2_line(), pack).H
     even = H.ctx.even_names
     # word (xi_1, pi_1) carries the cross term -g p omega
     assert word_coefficient(H, (0, 2)) == -2 * EvenPoly.variable(even, "p_x")
@@ -395,13 +394,15 @@ def test_build_h_ghost_square():
 
 def test_build_h_requires_fields():
     coords, g = ring(["x"])
-    ctx = extended_context(coords, 1)
-    with pytest.raises(ValueError, match="g_inv"):
-        build_H(GeometryPack(coords, 1, potential=g["x"]), ctx)
+    data = abelian_r1()
+    # without an inverse metric H is the lifted potential
+    pkg = frame_package(data, GeometryPack(coords, 1, potential=g["x"]))
+    assert pkg.H == pkg.constraints.ctx.lift(g["x"])
     with pytest.raises(ValueError, match="omega"):
-        build_H(GeometryPack(coords, 1, g_inv=identity_metric(coords)), ctx)
+        frame_package(data, GeometryPack(coords, 1, g_inv=identity_metric(coords)))
     with pytest.raises(ValueError, match="absorb"):
-        build_H(
+        frame_package(
+            data,
             GeometryPack(
                 coords,
                 1,
@@ -409,10 +410,8 @@ def test_build_h_requires_fields():
                 omega={},
                 beta=(g["x"],),
             ),
-            ctx,
         )
     # the assembly refuses a drift before it looks at the metric
-    data = abelian_r1()
     for g_inv in (None, identity_metric(data.coords)):
         pack = GeometryPack(data.coords, 1, g_inv=g_inv, beta=(g["x"],))
         with pytest.raises(ValueError, match="^drift term present"):
@@ -542,11 +541,12 @@ def test_cartan_reports_the_part_no_tensor_reassembles():
     problem = problem_from_dict(evolution_inputs()["so3_action_geometry"])
     pack, cs = problem.pack, problem.constraints
     ctx = cs.ctx
-    h_cov = build_H(pack, ctx) - ctx.lift(pack.potential)
+    package, _ = problem.package
+    h_cov = package.H - ctx.lift(pack.potential)
     R = ctx.poisson(cs.core, h_cov)
     assert sum(word.bit_count() == 1 for word in R.by_word()) == 3
     R = from_parts(ctx, {w: f for w, f in R.by_word().items() if w.bit_count() != 1})
-    report = _cartan_core(cs, pack, R)
+    report = _cartan_core(cs, pack, R, covariant_momenta(pack, ctx))
     assert report.status == FAIL
     assert report.residuals == [
         (
@@ -566,8 +566,9 @@ def test_cartan_refuses_a_xi_xi_pi_word_not_linear_in_the_momenta(momenta):
     # tensor is read off a coefficient of momentum order 0 or 2
     problem = load_problem(CORPUS / "abelian_r2.json")
     cs = problem.constraints
+    pack = problem.pack
     R = from_terms(cs.ctx, [((0, 1, 2), (0, 0, *momenta), 1)])
-    report = _cartan_core(cs, problem.pack, R)
+    report = _cartan_core(cs, pack, R, covariant_momenta(pack, cs.ctx))
     assert report.status == FAIL
     assert report.residuals == [
         (

@@ -591,7 +591,12 @@ FIRST_CLASS_BUILDS = {
     [
         (["check", corpus_path("so3_action"), "--all"], 0, ["(S, S)", "(S, H)"], {}),
         # the drift refuses the assembly, so no H is built
-        (["check", corpus_path("beta_drift"), "--all"], 1, ["(S, S)"], {}),
+        (
+            ["check", corpus_path("beta_drift"), "--all"],
+            1,
+            ["(S, S)"],
+            {"covariant_momenta": 0},
+        ),
         # alpha != 0: the core is not S, and (core, .) is derived on its own
         (
             ["check", corpus_path("rank2_line_affine"), "--all"],
@@ -614,13 +619,13 @@ FIRST_CLASS_BUILDS = {
             + ["--trunc", "1", "--p-degree", "1"],
             0,
             ["(S, S)"],
-            H0_BUILDS,
+            {**H0_BUILDS, "covariant_momenta": 0},
         ),
         (
             ["check", corpus_path("so3_action"), "--first-class"],
             0,
             [],
-            FIRST_CLASS_BUILDS,
+            {**FIRST_CLASS_BUILDS, "covariant_momenta": 0},
         ),
     ],
     ids=[
@@ -640,8 +645,9 @@ def test_defect_tensors_computed_once_per_invocation(
     # the defect tensors and their lift, the structural 2-form, the
     # structural residuals (when a metric is given), the constraints, their
     # charge with its core, (S, .), self-bracket and master report, the
-    # package (assembled, or refused on the drift) and (S, H), once each,
-    # unless `builds` says otherwise; (S, .) only when S is bracketed
+    # package (assembled, or refused on the drift) with its covariant
+    # momenta, and (S, H), once each, unless `builds` says otherwise; (S, .)
+    # only when S is bracketed
     monkeypatch.chdir(tmp_path)
     if args[1] == "so6.json":
         Path("so6.json").write_text(json.dumps(gen.so_n(6)))
@@ -700,6 +706,7 @@ def test_defect_tensors_computed_once_per_invocation(
         "build_S": nqkit.constraints,
         "check_master": nqkit.constraints,
         "assemble_bfv": nqkit.bfv,
+        "covariant_momenta": nqkit.bfv,
     }
     wrappers = {
         name: counted(name, getattr(owner, name)) for name, owner in owners.items()

@@ -63,7 +63,7 @@ def test_build_so3_angular_momenta():
     ) * ctx.var("p_x3")
     assert cs.phis[0] == expected
     assert cs.degenerate == ()
-    assert cs.rank == 3
+    assert cs.data.rank == 3
 
 
 def test_build_affine_magnetic_plane():

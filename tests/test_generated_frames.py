@@ -102,7 +102,7 @@ def test_so_n_loads_with_fewer_additions_than_rank_squared(n, monkeypatch):
     doc = gen.so_n(n)
     monkeypatch.setattr(EvenPoly, "__add__", counted)
     problem = problem_from_dict(doc)
-    assert problem.rank == rank
+    assert problem.data.rank == rank
     assert len(calls) < rank**2
 
 

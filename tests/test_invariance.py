@@ -108,7 +108,7 @@ def inverse(m: list[list[int]]) -> list[list[int]]:
 def transformed(doc: dict, m: list[list[int]]) -> dict:
     """The document in the frame e'_a = M_a^c e_c."""
     problem = problem_from_dict(doc)
-    data, r, n = problem.data, problem.rank, problem.base_dim
+    data, r, n = problem.data, problem.data.rank, problem.data.base_dim
     inv, zero = inverse(m), data.zero()
 
     def combined(a: int, entries) -> EvenPoly:

@@ -135,6 +135,27 @@ def test_only_the_expansion_transports():
     assert callers == {("aksz", "expand_bv")}
 
 
+def qualified_callers(name: str) -> set[str]:
+    """Every definition under the package that calls `name`, as module.scope."""
+    return {
+        f"{path.stem}.{scope}"
+        for path in SOURCE.glob("*.py")
+        for scope in _callers(name, ast.parse(path.read_text()), "")
+    }
+
+
+def test_one_builder_of_the_covariant_momenta():
+    # the package builds H_cov from them and hands the same list to the
+    # cartan reassembly
+    assert qualified_callers("covariant_momenta") == {"bfv.assemble_bfv"}
+
+
+def test_one_table_of_the_component_fields():
+    # the ring, the field table and the theta shifts read one table, so a
+    # new component field is one row of it
+    assert qualified_callers("partner_name") == {"aksz.component_fields"}
+
+
 def test_every_definition_is_reached_from_the_cli():
     graph = definitions()
     assert len(graph) > 200  # the walk saw the whole package

@@ -58,6 +58,8 @@ def test_round_trip_through_canonical_strings():
         ("", 0),
         ("   ", 3),
         ("x1 + + ", 7),
+        ("x1 + * 2", 5),  # an operator where an operand must start
+        (")", 0),
     ],
 )
 def test_errors_carry_positions(text: str, position: int):

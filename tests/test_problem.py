@@ -45,9 +45,9 @@ def path_of(excinfo) -> str:
 
 def test_minimal_document_loads():
     problem = problem_from_dict(minimal())
-    assert problem.base_dim == 1
-    assert problem.rank == 1
-    assert problem.coords == ("x",)
+    assert problem.data.base_dim == 1
+    assert problem.data.rank == 1
+    assert problem.data.coords == ("x",)
     assert problem.data.nonzero_structure == {}
     assert problem.pack.g_inv is None
     assert problem.points == ()
@@ -642,7 +642,7 @@ def test_corpus_files_all_load():
     assert len(files) == 10
     for file in files:
         problem = load_problem(file)
-        assert problem.base_dim == len(problem.coords)
+        assert problem.data.base_dim == len(problem.data.coords)
     so3 = load_problem(CORPUS / "so3_action.json")
-    assert so3.rank == 3
+    assert so3.data.rank == 3
     assert len(so3.points) == 3

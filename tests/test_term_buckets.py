@@ -26,14 +26,14 @@ from pathlib import Path
 import pytest
 
 from nqkit.aksz import (
-    _partner_pairs,
     expand_bv,
     expansion_context,
     extended_action_reference,
     multiplier_name,
+    partner_name,
     velocity_name,
 )
-from nqkit.bfv import THETA, _cartan_core, assemble_bfv, build_H, covariant_momenta
+from nqkit.bfv import THETA, _cartan_core, assemble_bfv, covariant_momenta
 from nqkit.constraints import check_first_class
 from nqkit.dynamics import (
     _assert_decomposition,
@@ -221,7 +221,7 @@ def chain_jacobi_defect(data):
 def chain_first_class_residuals(cs):
     data, ctx = cs.data, cs.ctx
     brackets = {}
-    for a, b in combinations(range(cs.rank), 2):
+    for a, b in combinations(range(cs.data.rank), 2):
         R = ctx.poisson(cs.phis[a], cs.phis[b])
         for c, f in data.nonzero_structure.get((a, b), ()):
             R = R - ctx.lift(f) * cs.phis[c]
@@ -408,7 +408,8 @@ def test_hamiltonians_match_the_chains(problem):
     pack, ctx = problem.pack, problem.constraints.ctx
     assert build_hamiltonian(pack, ctx) == chain_build_hamiltonian(pack, ctx)
     if pack.omega is not None and pack.beta is None:
-        assert build_H(pack, ctx) == chain_build_H(pack, ctx)
+        package, _ = problem.package
+        assert package.H == chain_build_H(pack, ctx)
 
 
 @over("problem", DOCUMENTS, lambda p: p.pack.g_low is not None)
@@ -478,12 +479,12 @@ def test_component_action_matches_the_chains(problem):
     package = assemble_bfv(cs, pack)
     assert extended_action_reference(package) == chain_action_reference(package)
     ectx, integrand = chain_integrand(package)
-    shifts = {
-        base: ectx.var(THETA) * ectx.var(partner)
-        for base, partner in _partner_pairs(
-            package.constraints.data.coords, package.constraints.data.rank
-        )
-    }
+    coords, ghosts = cs.data.coords, range(1, cs.data.rank + 1)
+    momenta = [momentum_name(name) for name in coords]
+    pairs = [(name, partner_name(name)) for name in [*coords, *momenta]]
+    pairs += [(ghost_name(a), multiplier_name(a)) for a in ghosts]
+    pairs += [(antighost_name(a), partner_name(antighost_name(a))) for a in ghosts]
+    shifts = {base: ectx.var(THETA) * ectx.var(partner) for base, partner in pairs}
     integrand = integrand + left_derivation(ectx, shifts, integrand)
     assert expand_bv(package).action == integrand.left_deriv(THETA)
 
@@ -506,7 +507,7 @@ def test_covariant_momenta_match_the_chain(geometry):
     assert covariant_momenta(pack, ctx) == chain_covariant_momenta(pack, ctx)
 
 
-@over("geometry", GEOMETRY, lambda p: p.pack.g_low is not None and p.rank >= 2)
+@over("geometry", GEOMETRY, lambda p: p.pack.g_low is not None and p.data.rank >= 2)
 def test_cartan_reassembly_matches_the_chain(geometry):
     # a residual reassembled by the chain from a seeded tensor: the flat
     # reassembly of `_cartan_core` rebuilds it exactly, or the report would
@@ -520,7 +521,8 @@ def test_cartan_reassembly_matches_the_chain(geometry):
             exponent = tuple(rng.randint(0, 1) for _ in data.coords)
             coeff = rng.choice([1, -2, Fraction(1, 3)])
             tensor[(c, j, a, b)] = EvenPoly(data.coords, packed({exponent: coeff}))
-    report = _cartan_core(cs, pack, chain_cartan_residual(pack, cs.ctx, tensor))
+    R = chain_cartan_residual(pack, cs.ctx, tensor)
+    report = _cartan_core(cs, pack, R, covariant_momenta(pack, cs.ctx))
     assert report.residuals == family_residuals("S", tensor, "cjab")
     assert report.notes == [
         "the extracted tensor reassembles the bracket residual exactly"
