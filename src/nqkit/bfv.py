@@ -5,15 +5,16 @@ differential Q of the frame data, plus the affine part, a single
 generator of ghost degree +1 that collects the anchor and the structure
 functions.  Its self-bracket reproduces every closure defect of the
 frame data at once, so one nilpotency test covers the whole identity
-battery.  The covariant Hamiltonian H_cov = 1/2 g^ij pcov_i pcov_j,
-built by `assemble_bfv` from the covariant momenta of the geometry pack,
-then probes the interaction of the metric data with the frame: its
-bracket with the charge either vanishes or is carried by a single
-obstruction tensor with three frame indices and one base index, which
-the cartan check reassembles with the same momenta.  The package's
-super-time charge Q = S + theta H lives on the same phase space, whose
-last odd letter theta no bracket reaches.  A problem assembles its
-package once, on first use (`Problem.package`).
+battery.  The covariant Hamiltonian H_cov = 1/2 pcov_i up_i, built by
+`assemble_bfv` from the covariant momenta pcov of the geometry pack,
+raised once to up_i = g^ij pcov_j, then probes the interaction of the
+metric data with the frame: its bracket with the charge either vanishes
+or is carried by a single obstruction tensor with three frame indices
+and one base index, which the cartan check reads off, lowering by g_low,
+and reassembles with the same raised list.  The package's super-time
+charge Q = S + theta H lives on the same phase space, whose last odd
+letter theta no bracket reaches.  A problem assembles its package once,
+on first use (`Problem.package`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .constraints import ConstraintSet, _affine_form, build_S, check_master
-from .dynamics import GeometryPack
+from .dynamics import GeometryPack, lowered, raised
 from .graded import (
     THETA,
     GradedContext,
@@ -42,7 +43,7 @@ from .graded import (
     word_label,
 )
 from .linalg import image_in, rank
-from .poly import EvenPoly, Rat, Terms
+from .poly import EvenPoly, Terms
 from .report import FAIL, PASS, SKIPPED, CheckReport, family_residuals
 
 # build_S and check_master are defined with the constraint set, THETA with
@@ -75,22 +76,6 @@ def covariant_momenta(pack: GeometryPack, ctx: GradedContext) -> list[GradedPoly
         word, sign = merge_words(1 << xi, 1 << pi)
         out[i].update(_lifted_terms(ctx, w, scale=-sign, word=word))
     return [GradedPoly._trusted(ctx, terms) for terms in out]
-
-
-def _kinetic(
-    pack: GeometryPack, pcov: list[GradedPoly], ctx: GradedContext
-) -> GradedPoly:
-    """H_cov = 1/2 g^ij pcov_i pcov_j, from the covariant momenta on ctx."""
-    s = ctx.word_shift
-    terms: Terms = {}
-    for i, row in enumerate(pack.g_inv):
-        half_row: Terms = {}  # 1/2 g^ij pcov_j over the nonzero g^ij
-        for j, g in enumerate(row):
-            if g.terms:
-                half_g = _lifted_terms(ctx, g, scale=Rat(1, 2))
-                _accumulate_product(half_row, pcov[j].coeffs, half_g, s)
-        _accumulate_product(terms, pcov[i].coeffs, half_row, s)
-    return GradedPoly(ctx, terms)
 
 
 class BFVPackage:
@@ -141,11 +126,12 @@ def _shape_finding(detail: str) -> CheckReport:
 
 
 def _cartan_core(
-    cs: ConstraintSet, pack: GeometryPack, R: GradedPoly, pcov: list[GradedPoly]
+    cs: ConstraintSet, pack: GeometryPack, R: GradedPoly, up: list[GradedPoly]
 ) -> CheckReport:
     """Read the obstruction tensor off R = (core, H_cov); it is empty iff R is zero.
 
-    The reassembly contracts it with `pcov`, the momenta H_cov is built from."""
+    Each entry, a momentum-linear coefficient, is lowered by g_low; the
+    reassembly contracts with `up` = g^ij pcov_j, the list H_cov is built from."""
     data, ctx = cs.data, cs.ctx
     n, r = len(data.coords), data.rank
     # candidate entries from the momentum-linear xi xi pi words
@@ -161,33 +147,25 @@ def _cartan_core(
                 continue
             a, b, c = word_letters
             c -= r
-            for j in range(n):
-                entry = data.zero()
-                for (i,), linear in orders.items():
-                    if not pack.g_low[j][i].is_zero:
-                        entry = entry - pack.g_low[j][i] * linear
-                if not entry.is_zero:
-                    tensor[(c, j, a, b)] = entry
+            linear = [orders.get((i,), data.zero()) for i in range(n)]
+            for j, minus_entry in enumerate(lowered(data.coords, pack.g_low, linear)):
+                if not minus_entry.is_zero:
+                    tensor[(c, j, a, b)] = -minus_entry
         elif (len(word_letters), ghost_count) != (5, 3):
             offending.append(word_label(ctx, word))
     if offending:
         return _shape_finding("offending words: " + ", ".join(sorted(offending)))
 
     # the normalization is fixed by reassembling the residual exactly:
-    # R = -g^ij pcov_i block_j, block_j the sum of entry xi^a xi^b pi_c
-    s = ctx.word_shift
-    blocks: dict[int, Terms] = {}
+    # R = -g^ij pcov_i block_j = -up_j block_j, g^ij being symmetric, with
+    # block_j the sum of entry xi^a xi^b pi_c
+    blocks: dict[int, Terms] = {}  # -block_j by j
     for (c, j, a, b), entry in tensor.items():
         word = 1 << a | 1 << b | 1 << r + c  # the word it was read off
-        blocks.setdefault(j, {}).update(_lifted_terms(ctx, entry, word=word))
+        blocks.setdefault(j, {}).update(_lifted_terms(ctx, entry, word=word, scale=-1))
     terms: Terms = {}
-    for j, block in blocks.items():
-        row: Terms = {}  # -g^ij pcov_i over the nonzero g^ij
-        for i in range(n):
-            if pack.g_inv[i][j].terms:
-                minus_g = _lifted_terms(ctx, pack.g_inv[i][j], scale=-1)
-                _accumulate_product(row, minus_g, pcov[i].coeffs, s)
-        _accumulate_product(terms, row, block, s)
+    for j, minus_block in blocks.items():
+        _accumulate_product(terms, up[j].coeffs, minus_block, ctx.word_shift)
     rebuilt = GradedPoly(ctx, terms)
     if rebuilt != R:
         return _shape_finding(f"unmatched part: {R - rebuilt}")
@@ -251,9 +229,9 @@ def _charge_invariance(
 def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
     """Add the Hamiltonian H = H_cov + V of a pack to the charge of cs.
 
-    H_cov = 1/2 g^ij pcov_i pcov_j is built from the covariant momenta,
-    which the cartan reassembly reuses; without an inverse metric H is V
-    alone.  H is even and of ghost degree 0 either way.  Then run the
+    H_cov = 1/2 pcov_i up_i, up_i = g^ij pcov_j the raised covariant
+    momenta, which the cartan reassembly reuses; without an inverse metric
+    H is V alone, even and of ghost degree 0 either way.  Then run the
     battery, whose cartan and charge-invariance reports the package keeps.
     A ValueError means a pack of another frame, a refused drift term or an
     inverse metric without a connection; every finding is a report.
@@ -268,7 +246,11 @@ def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
         if pack.omega is None:
             raise ValueError("the covariant hamiltonian needs the connection omega")
         pcov = covariant_momenta(pack, ctx)
-        h_cov = _kinetic(pack, pcov, ctx)
+        up = raised(ctx, pack.g_inv, pcov)
+        terms: Terms = {}  # H_cov = 1/2 pcov_i up_i
+        for p, q in zip(pcov, up):
+            _accumulate_product(terms, p.coeffs, q.coeffs, ctx.word_shift)
+        h_cov = GradedPoly(ctx, terms) / 2
         H = h_cov + potential
     else:
         H, h_cov = potential, ctx.zero()
@@ -285,7 +267,7 @@ def assemble_bfv(cs: ConstraintSet, pack: GeometryPack) -> BFVPackage:
     else:
         skipped = None
     if skipped is None:
-        cartan = _cartan_core(cs, pack, core_bracket, pcov)
+        cartan = _cartan_core(cs, pack, core_bracket, up)
     else:
         cartan = CheckReport("cartan", SKIPPED, CARTAN_IDENTITY, [], [skipped])
     invariance, SH = _charge_invariance(cs, pack, h_cov, potential, core_bracket)

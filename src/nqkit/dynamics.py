@@ -19,6 +19,11 @@ covariant constancy of alpha, potential alignment) with the momenta raised
 by g^{ij}; the decomposition constants are fixed once and the prediction is
 asserted on every run, so any drift between the bracket route and the
 index-formula route raises instead of passing silently.
+
+`raised` (g^ij v_j) and `lowered` (g_jk v^k) are the one contraction with
+each metric.  The second routes of guards keep loops of their own, so a
+fault of a helper cannot reach both sides of a check: `build_hamiltonian`,
+the decomposition's raised momenta and the pack's inverse check.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ class GeometryPack:
                     if metric[i][j] != metric[j][i]:
                         raise ValueError(f"{name} must be symmetric")
         if self.g_inv is not None and self.g_low is not None:
-            # products of nonzero entries only
+            # nonzero products only, by hand, not by the helpers this check vouches for
             columns = [
                 [(k, entry) for k, entry in enumerate(column) if not entry.is_zero]
                 for column in zip(*self.g_low)
@@ -156,6 +161,32 @@ class GeometryPack:
                 raise ValueError("all components must live in the base ring")
 
 
+def raised(
+    ctx: GradedContext, g_inv: Matrix, vectors: Sequence[GradedPoly]
+) -> list[GradedPoly]:
+    """g^ij v_j for each i, on ctx, over the nonzero g^ij."""
+    out = []
+    for row in g_inv:
+        terms: Terms = {}
+        for g, v in zip(row, vectors):
+            if g.terms:  # even: its keys add to those of v with no sign
+                accumulate_product(terms, _lifted_terms(ctx, g), v.coeffs)
+        out.append(GradedPoly(ctx, terms))
+    return out
+
+
+def lowered(
+    coords: tuple[str, ...], g_low: Matrix, vector: Sequence[EvenPoly]
+) -> list[EvenPoly]:
+    """g_jk v^k for each j, over the nonzero v^k."""
+    out: list[Terms] = [{} for _ in g_low]
+    for k, v in enumerate(vector):
+        if v.terms:
+            for j, g in enumerate(g_low[k]):  # g_kj = g_jk
+                accumulate_product(out[j], g.terms, v.terms)
+    return [EvenPoly._summed(coords, terms) for terms in out]
+
+
 def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     """H = 1/2 g^{ij} p_i p_j + beta^i p_i + V on the phase space ctx.
 
@@ -165,7 +196,8 @@ def build_hamiltonian(pack: GeometryPack, ctx: GradedContext) -> GradedPoly:
     if pack.g_inv is None:
         raise ValueError("hamiltonian needs the inverse metric g_inv")
     # V, each beta^i p_i and each g^ij p_i p_j, i <= j, hold distinct momentum
-    # monomials: one term bucket takes them all, without a sum
+    # monomials: one term bucket takes them all, without a sum; no `raised`,
+    # as this H is the classical-limit reference and the evolution check's H
     p = [momentum_name(name) for name in pack.coords]
     terms = _lifted_terms(ctx, pack.potential)
     for i, row in enumerate(pack.g_inv):
@@ -218,7 +250,8 @@ def _lie_metric(data: Algebroid, g: Matrix) -> dict[tuple[int, int, int], dict]:
     """(L_rho_a g)_ij = rho_a^k d_k g_ij + g_kj d_i rho_a^k + g_ik d_j rho_a^k.
 
     The terms of each entry, i <= j, cancelled ones kept, by (a, i, j),
-    from one pass of derivatives over the anchor.
+    from one pass of derivatives over the anchor, not through `lowered`:
+    the omega terms of `structural_residuals` sum into these dicts next.
     """
     n, out = data.base_dim, {}
     for a, row in enumerate(data.anchor):
@@ -236,20 +269,6 @@ def _lie_metric(data: Algebroid, g: Matrix) -> dict[tuple[int, int, int], dict]:
                     if j in d_rho and g[i][k].terms:
                         accumulate_product(terms, g[i][k].terms, d_rho[j])
     return out
-
-
-def _lowered_anchor(data: Algebroid, g_low: Matrix) -> list[list[EvenPoly]]:
-    """The lowered anchor iota_rho(g), (iota_rho g)_bj = g_kj rho_b^k."""
-    n = data.base_dim
-    lowered = []
-    for row in data.anchor:
-        entries: list[dict] = [{} for _ in range(n)]
-        for k, rho in enumerate(row):
-            if rho.terms:
-                for j, g in enumerate(g_low[k]):
-                    accumulate_product(entries[j], g.terms, rho.terms)
-        lowered.append([EvenPoly._summed(data.coords, t) for t in entries])
-    return lowered
 
 
 def _omega_slots(n: int, i: int):
@@ -278,7 +297,7 @@ def structural_residuals(cs: ConstraintSet, pack: GeometryPack) -> StructuralRes
     r, n = data.rank, data.base_dim
     g_low = pack.g_low
     alpha = cs.alpha or (data.zero(),) * r
-    iota = _lowered_anchor(data, g_low)
+    iota = [lowered(data.coords, g_low, row) for row in data.anchor]
 
     terms = _lie_metric(data, g_low)
     alpha_res = {
@@ -345,15 +364,12 @@ def check_evolution_invariance(
     H = build_hamiltonian(pack, ctx)
     data = cs.data
     r = data.rank
-    # -gamma^b_a = tau^b_a - omega^b_ai g^ij p_j by (b, a), no odd word in it
-    momenta = [momentum_name(name) for name in data.coords]
+    # -gamma^b_a = tau^b_a - omega^b_ai q_i, q_i = g^ij p_j: no odd word
+    q = raised(ctx, pack.g_inv, [ctx.var(momentum_name(x)) for x in data.coords])
     minus_gammas = {key: _lifted_terms(ctx, t) for key, t in pack.tau.items()}
     for (b, a, i), w in pack.omega.items():
         terms = minus_gammas.setdefault((b, a), {})
-        for j, g in enumerate(pack.g_inv[i]):
-            if g.terms:
-                minus_w = _lifted_terms(ctx, w, momenta[j], scale=-1)
-                accumulate_product(terms, minus_w, _lifted_terms(ctx, g))
+        accumulate_product(terms, _lifted_terms(ctx, w), q[i].coeffs, -1)
 
     bracket_residuals: list[GradedPoly] = []
     field = ctx.hamiltonian_field(H)  # {H, .}, applied to every Phi_a
@@ -411,6 +427,7 @@ def _assert_decomposition(
     k2, k1, k0 = DECOMPOSITION_SIGNS
     n = data.base_dim
     momenta = [momentum_name(name) for name in data.coords]
+    # not `raised`, which built the multipliers: a fault must not reach both routes
     q: list[Terms] = [{} for _ in range(n)]  # each g^uj p_j its own momentum
     for u, g_row in enumerate(pack.g_inv):
         for g, p in zip(g_row, momenta):
@@ -462,7 +479,7 @@ def _connection_columns(
     `_omega_slots(n, i)`, so rows are keyed ((a, s, t), exponent).
     """
     r, n = data.rank, data.base_dim
-    iota = _lowered_anchor(data, g_low)
+    iota = [lowered(data.coords, g_low, row) for row in data.anchor]
     vectors: dict[tuple[int, int, int], dict[tuple[int, int, int], EvenPoly]] = {}
     for b, a, i in product(range(r), range(r), range(n)):
         vector = vectors[(b, a, i)] = {}

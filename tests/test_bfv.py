@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import nqkit.bfv
+import nqkit.dynamics
 from nqkit.algebroid import Algebroid, check_axioms
 from nqkit.bfv import (
     _cartan_core,
@@ -18,7 +20,7 @@ from nqkit.bfv import (
     check_master,
     covariant_momenta,
 )
-from nqkit.dynamics import GeometryPack, build_hamiltonian
+from nqkit.dynamics import GeometryPack, build_hamiltonian, raised
 from nqkit.graded import (
     GradedPoly,
     antighost_name,
@@ -30,7 +32,7 @@ from nqkit.poly import EvenPoly, Rat
 from nqkit.problem import load_problem, problem_from_dict
 from nqkit.report import FAIL, PASS, SKIPPED
 from nqkit.constraints import ConstraintSet
-from tests.conftest import frame_package
+from tests.conftest import frame_package, invoke
 from tests.cubes import connection_cube, cube_algebroid, structure_cube
 from tests.reference_forms import (
     affine_form,
@@ -546,7 +548,8 @@ def test_cartan_reports_the_part_no_tensor_reassembles():
     R = ctx.poisson(cs.core, h_cov)
     assert sum(word.bit_count() == 1 for word in R.by_word()) == 3
     R = from_parts(ctx, {w: f for w, f in R.by_word().items() if w.bit_count() != 1})
-    report = _cartan_core(cs, pack, R, covariant_momenta(pack, ctx))
+    up = raised(ctx, pack.g_inv, covariant_momenta(pack, ctx))
+    report = _cartan_core(cs, pack, R, up)
     assert report.status == FAIL
     assert report.residuals == [
         (
@@ -568,7 +571,8 @@ def test_cartan_refuses_a_xi_xi_pi_word_not_linear_in_the_momenta(momenta):
     cs = problem.constraints
     pack = problem.pack
     R = from_terms(cs.ctx, [((0, 1, 2), (0, 0, *momenta), 1)])
-    report = _cartan_core(cs, pack, R, covariant_momenta(pack, cs.ctx))
+    up = raised(cs.ctx, pack.g_inv, covariant_momenta(pack, cs.ctx))
+    report = _cartan_core(cs, pack, R, up)
     assert report.status == FAIL
     assert report.residuals == [
         (
@@ -576,6 +580,34 @@ def test_cartan_refuses_a_xi_xi_pi_word_not_linear_in_the_momenta(momenta):
             "bracket residual leaves the covariant tensor shape; "
             "offending words: xi_1 xi_2 pi_1",
         )
+    ]
+
+
+def test_the_package_raises_the_covariant_momenta_once(tmp_path, monkeypatch):
+    # H_cov and the cartan reassembly share one raise; shear_pair's tensor
+    # is nonzero, so the reassembly really contracts with the list
+    raises, handed, reports = [], [], []
+
+    def counted_raised(*args):
+        raises.append(raised(*args))
+        return raises[-1]
+
+    def recorded_core(cs, pack, R, up):
+        handed.append(up)
+        reports.append(_cartan_core(cs, pack, R, up))
+        return reports[-1]
+
+    for module in (nqkit.bfv, nqkit.dynamics):
+        monkeypatch.setattr(module, "raised", counted_raised)
+    monkeypatch.setattr(nqkit.bfv, "_cartan_core", recorded_core)
+    path, out = str(CORPUS / "shear_pair.json"), str(tmp_path / "bfv.json")
+    result = invoke(["emit", path, "--what", "bfv", "--out", out])
+    assert result.exit_code == 0
+    assert len(raises) == 1
+    assert len(handed) == 1 and handed[0] is raises[0]
+    assert reports[0].residuals == [
+        ("S[c=1,j=1,a=1,b=2]", "-1"),
+        ("S[c=2,j=1,a=1,b=2]", "1"),
     ]
 
 

@@ -150,6 +150,21 @@ def test_one_builder_of_the_covariant_momenta():
     assert qualified_callers("covariant_momenta") == {"bfv.assemble_bfv"}
 
 
+def test_one_raise_and_one_lower_by_the_metric():
+    # the package raises the covariant momenta once, for H_cov and the
+    # cartan reassembly, and the evolution check raises the momenta once;
+    # the second routes of the guards keep loops of their own
+    assert qualified_callers("raised") == {
+        "bfv.assemble_bfv",
+        "dynamics.check_evolution_invariance",
+    }
+    assert qualified_callers("lowered") == {
+        "bfv._cartan_core",
+        "dynamics.structural_residuals",
+        "dynamics._connection_columns",
+    }
+
+
 def test_one_table_of_the_component_fields():
     # the ring, the field table and the theta shifts read one table, so a
     # new component field is one row of it

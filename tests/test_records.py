@@ -246,7 +246,7 @@ def test_derived_record_fields():
     m = _material()
     assert m["action"].context is m["action"].action.ctx
     cs = m["constraints"]
-    problem = Problem(cs, m["pack"], (), "{}")
+    problem = Problem(cs, m["pack"], (), {})
     assert problem.data is cs.data
     # a zero anchor row, and no alpha, makes the second constraint zero
     data = m["data"]

@@ -40,6 +40,7 @@ from nqkit.dynamics import (
     _lie_metric,
     build_hamiltonian,
     check_evolution_invariance,
+    raised,
     structural_residuals,
 )
 from nqkit.graded import (
@@ -522,7 +523,8 @@ def test_cartan_reassembly_matches_the_chain(geometry):
             coeff = rng.choice([1, -2, Fraction(1, 3)])
             tensor[(c, j, a, b)] = EvenPoly(data.coords, packed({exponent: coeff}))
     R = chain_cartan_residual(pack, cs.ctx, tensor)
-    report = _cartan_core(cs, pack, R, covariant_momenta(pack, cs.ctx))
+    up = raised(cs.ctx, pack.g_inv, covariant_momenta(pack, cs.ctx))
+    report = _cartan_core(cs, pack, R, up)
     assert report.residuals == family_residuals("S", tensor, "cjab")
     assert report.notes == [
         "the extracted tensor reassembles the bracket residual exactly"

@@ -40,7 +40,7 @@ from nqkit.algebroid import (
 )
 from nqkit.bfv import _balanced_words, bfv_h0, build_S
 from nqkit.constraints import ConstraintSet
-from nqkit.dynamics import _connection_columns, _lowered_anchor, solve_connection
+from nqkit.dynamics import _connection_columns, lowered, solve_connection
 from nqkit.graded import in_window, left_derivation, letters, window_columns
 from nqkit.linalg import image_in, rank
 from nqkit.poly import WIDTH, EvenPoly, monomial_exponents, unpack
@@ -214,7 +214,7 @@ def test_ghost_zero_window_matches_two_eliminations(name, x_degree, p_degree):
 
 def pair_by_pair_connection_column(data, g_low, b, a, i, m) -> dict:
     n = data.base_dim
-    iota = _lowered_anchor(data, g_low)
+    iota = [lowered(data.coords, g_low, row) for row in data.anchor]
     shifted = EvenPoly(data.coords, {m: Fraction(1)})
     column = {}
     for s in range(n):
